@@ -1,9 +1,8 @@
 //! Criterion microbenchmarks for the substrates: SQL parsing, hash joins,
-//! aggregation, LIKE filtering, tokenization, prompt round-trips, and the
-//! LLM response cache.
+//! aggregation, LIKE filtering, tokenization and prompt round-trips.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use swan_llm::{count_tokens, CachePolicy, CachedModel, LanguageModel};
+use swan_llm::count_tokens;
 use swan_sqlengine::{Database, Value};
 
 fn setup_db(rows: usize) -> Database {
@@ -108,28 +107,6 @@ fn bench_prompt_roundtrip(c: &mut Criterion) {
     });
 }
 
-fn bench_cache(c: &mut Criterion) {
-    struct Echo(swan_llm::UsageMeter);
-    impl LanguageModel for Echo {
-        fn name(&self) -> &str {
-            "echo"
-        }
-        fn complete(&self, prompt: &str) -> swan_llm::LlmResult<swan_llm::Completion> {
-            let tokens = swan_llm::TokenCount::of(prompt, "ok");
-            self.0.record(tokens);
-            Ok(swan_llm::Completion { text: "ok".into(), tokens })
-        }
-        fn usage_meter(&self) -> &swan_llm::UsageMeter {
-            &self.0
-        }
-    }
-    let model = CachedModel::new(Echo(swan_llm::UsageMeter::new()), CachePolicy::Exact);
-    model.complete("a warm prompt that will be hit repeatedly").unwrap();
-    c.bench_function("cache_hit_lookup", |b| {
-        b.iter(|| model.complete(black_box("a warm prompt that will be hit repeatedly")).unwrap())
-    });
-}
-
 criterion_group!(
     benches,
     bench_parser,
@@ -138,7 +115,6 @@ criterion_group!(
     bench_filter,
     bench_order_limit,
     bench_tokenizer,
-    bench_prompt_roundtrip,
-    bench_cache
+    bench_prompt_roundtrip
 );
 criterion_main!(benches);

@@ -14,9 +14,8 @@
 //!   the two rows is the cost the bug used to impose on workloads that
 //!   never actually conflicted.
 //!
-//! Each scenario prints committed transactions, conflict aborts,
-//! commits-per-fsync, and leader→committer install handbacks (see
-//! `DurabilityConfig::handback_deltas`).
+//! Each scenario prints committed transactions, conflict aborts and
+//! commits-per-fsync.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,10 +76,9 @@ fn bench_scenario(c: &mut Criterion, label: &str, key: impl Fn(usize) -> usize +
     let stats = db.commit_stats();
     let commits = stats.commits - before.commits;
     let batches = stats.batches - before.batches;
-    let handbacks = stats.handback_installs - before.handback_installs;
     println!(
         "hot_row_contention/{label}: {commits} commits, {} conflict aborts, \
-         {:.2} commits-per-fsync (max batch {}), {handbacks} handback installs",
+         {:.2} commits-per-fsync (max batch {})",
         aborts.load(Ordering::Relaxed),
         commits as f64 / batches.max(1) as f64,
         stats.max_batch,

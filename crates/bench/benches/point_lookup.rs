@@ -105,11 +105,7 @@ fn checkpoint_write_amplification() {
     const K: usize = 3;
 
     let fs = SimFs::new();
-    let config = DurabilityConfig {
-        checkpoint_bytes: u64::MAX,
-        paged: true,
-        ..Default::default()
-    };
+    let config = DurabilityConfig { checkpoint_bytes: u64::MAX, ..Default::default() };
     let mut db =
         Database::open_on(Arc::new(fs.clone()), PathBuf::from(WAL), config).unwrap();
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, val REAL)").unwrap();

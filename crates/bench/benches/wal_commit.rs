@@ -11,9 +11,9 @@
 //!   the fsync from the codec + install cost;
 //! * **auto-commit** — a bare INSERT on a durable database (one
 //!   single-statement transaction per row), the baseline batching beats;
-//! * **checkpoint cost** — a commit that also rewrites the log as one
-//!   full-catalog checkpoint image at 10k rows: the price paid (rarely)
-//!   to bound log size and recovery time.
+//! * **checkpoint cost** — a commit that also checkpoints (dirty-page
+//!   flush, meta flip, log swap) on a 10k-row table: the price paid
+//!   (rarely) to bound log size and recovery time.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,8 +89,8 @@ fn bench_wal_commit(c: &mut Criterion) {
     }
 
     // Checkpoint cost at 10k rows: checkpoint_bytes = 1 forces every
-    // commit to rewrite the log as one catalog image, so each iteration
-    // pays commit + checkpoint. The UPDATE keeps the table size fixed.
+    // commit to checkpoint, so each iteration pays commit + checkpoint.
+    // The UPDATE keeps the table size fixed.
     {
         let path = temp_path("checkpoint");
         let config = DurabilityConfig { checkpoint_bytes: 1, ..Default::default() };
@@ -112,18 +112,16 @@ fn bench_wal_commit(c: &mut Criterion) {
     // (each its own table, so no conflicts), fsync on. One iteration =
     // 8 concurrent commits. The group-commit queue lets one leader carry
     // several committers per fsync; the printed commits-per-fsync ratio
-    // is the amortization factor (1.0 = no batching — the `nogroup`
-    // variant pins that floor for comparison).
-    for (label, group) in [("group", true), ("nogroup", false)] {
-        let path = temp_path(&format!("contended-{label}"));
-        let config = DurabilityConfig { group_commit: group, ..Default::default() };
-        let db = SharedDb::open_with(&path, config).unwrap();
+    // is the amortization factor (1.0 = no batching).
+    {
+        let path = temp_path("contended");
+        let db = SharedDb::open_with(&path, DurabilityConfig::default()).unwrap();
         for t in 0..8 {
             db.execute(&format!("CREATE TABLE t{t} (id INTEGER PRIMARY KEY, v INTEGER)"))
                 .unwrap();
         }
         let before = db.commit_stats();
-        c.bench_function(&format!("wal_commit/contended_8_committers/{label}"), |b| {
+        c.bench_function("wal_commit/contended_8_committers", |b| {
             b.iter(|| {
                 std::thread::scope(|s| {
                     for t in 0..8u64 {
@@ -142,7 +140,7 @@ fn bench_wal_commit(c: &mut Criterion) {
         let commits = stats.commits - before.commits;
         let batches = stats.batches - before.batches;
         println!(
-            "wal_commit/contended_8_committers/{label}: {commits} commits / {batches} \
+            "wal_commit/contended_8_committers: {commits} commits / {batches} \
              fsyncs = {:.2} commits-per-fsync (max batch {})",
             commits as f64 / batches.max(1) as f64,
             stats.max_batch,

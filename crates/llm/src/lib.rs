@@ -30,12 +30,10 @@
 //! | [`knowledge`] | ground-truth oracle abstraction |
 //! | [`noise`] | the calibrated error channel |
 //! | [`sim`] | the simulated model |
-//! | [`cache`] | exact / normalized prompt caches (§4.3, §5.5) |
 //! | [`parallel`] | multi-threaded prompt fan-out (§6), deadline-aware |
 //! | [`transport`] | the model-call seam: real passthrough + deterministic fault-injecting `SimTransport` |
 //! | [`resilience`] | retries, per-call timeouts, circuit breaker, statement-deadline observance (see RESILIENCE.md) |
 
-pub mod cache;
 pub mod knowledge;
 pub mod model;
 pub mod noise;
@@ -47,7 +45,6 @@ pub mod tokenizer;
 pub mod transport;
 pub mod usage;
 
-pub use cache::{CachePolicy, CacheStats, CachedModel};
 pub use knowledge::{AttrClass, KnowledgeBase, KnownValue, StaticKnowledge};
 pub use model::{Completion, LanguageModel, LlmError, LlmResult, ModelHandle, ModelKind};
 pub use noise::{CellContext, NoiseModel, Pathway};

@@ -30,8 +30,9 @@ pub const TABLE_WRITER: u32 = 10;
 /// WAL fsync to hand out follower results.
 pub const COMMIT_QUEUE: u32 = 20;
 
-/// The write-ahead log (`Mutex<Wal>`). Held across append + fsync and
-/// across checkpoints; may take the catalog and VFS locks below it.
+/// The write-ahead log (`Mutex<Wal>`). Held across the whole commit
+/// sequence — append + fsync, tree apply, install, checkpoint; may take
+/// the pager, catalog and VFS locks below it.
 pub const WAL: u32 = 30;
 
 /// The paged-storage core (`pager::Pager.inner`: page file handle, slot
@@ -87,10 +88,6 @@ pub const UDF_STALE: u32 = 72;
 
 /// UDF cache statistics (`udf::Shared.stats`).
 pub const UDF_STATS: u32 = 73;
-
-/// LLM response cache (`CachedModel.state`). Never held across a model
-/// call.
-pub const LLM_CACHE: u32 = 80;
 
 /// Circuit-breaker state (`ResilientModel`). Never held across a model
 /// call.

@@ -46,7 +46,7 @@ use crate::txn::{
     catalog_deltas, commit_records, StmtWrites, TableDelta, Txn, TxnManager, WriteSet,
 };
 use crate::value::{Row, Value};
-use crate::wal::{DurabilityConfig, Wal};
+use crate::wal::{frame_group, DurabilityConfig, Wal};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, Default)]
@@ -136,7 +136,7 @@ impl Database {
     }
 
     /// [`Database::open`] with explicit durability tuning (checkpoint
-    /// threshold, fsync policy, group commit).
+    /// threshold, fsync policy, buffer-pool size).
     pub fn open_with(path: impl AsRef<Path>, config: DurabilityConfig) -> Result<Database> {
         Database::open_on(Arc::new(crate::vfs::RealFs), path, config)
     }
@@ -264,18 +264,21 @@ impl Database {
     }
 
     /// Force a checkpoint now (durable databases only; no-op in memory).
-    /// With the pager enabled this flushes only the pages dirtied since
-    /// the last checkpoint — O(dirty), not O(database).
+    /// Flushes only the pages dirtied since the last checkpoint —
+    /// O(dirty), not O(database).
     pub fn checkpoint(&self) -> Result<()> {
         let Some(wal) = &self.wal else { return Ok(()) };
-        wal.lock().checkpoint(&self.catalog)
+        // The checkpoint takes the *committed* catalog (in degraded mode
+        // it rebuilds the durable trees from it): while a `BEGIN` is
+        // open that is the pinned snapshot, not the working state.
+        let committed = self.txn.as_ref().map_or(&self.catalog, |txn| &txn.snapshot);
+        wal.lock().checkpoint(committed)
     }
 
     /// Page-store counters: durable epoch, allocated pages, buffer-pool
-    /// hit/miss/eviction stats. `None` without a pager (in-memory
-    /// database or `SWAN_PAGER=0`).
+    /// hit/miss/eviction stats. `None` for an in-memory database.
     pub fn pager_stats(&self) -> Option<crate::pager::PagerStats> {
-        self.wal.as_ref().and_then(|w| w.lock().pager_stats())
+        self.wal.as_ref().map(|w| w.lock().pager_stats())
     }
 
     /// Execute one statement.
@@ -318,7 +321,7 @@ impl Database {
     }
 
     /// Discard the active transaction, restoring its pinned snapshot.
-    fn rollback_active(&mut self) {
+    pub(crate) fn rollback_active(&mut self) {
         if let Some(txn) = self.txn.take() {
             self.catalog = txn.snapshot;
         }
@@ -434,9 +437,9 @@ impl Database {
         }
     }
 
-    /// Append one committed transaction's records to the WAL (when
-    /// durable), then compact the log if it outgrew its budget. No-op for
-    /// empty delta sets and in-memory databases.
+    /// Make one transaction durable (see [`Wal::commit`]). The catalog
+    /// already holds its effect, so there is nothing left to install.
+    /// No-op for empty delta sets and in-memory databases.
     fn log_commit(
         &self,
         txn_id: u64,
@@ -448,19 +451,8 @@ impl Database {
             return Ok(());
         }
         let Some(wal) = &self.wal else { return Ok(()) };
-        let mut wal = wal.lock();
-        wal.append(&commit_records(txn_id, base, deltas, writes))?;
-        if wal.wants_checkpoint() {
-            // Past the commit point: the append fsynced, so the
-            // transaction IS durably committed — a failed compaction must
-            // not be reported as a failed commit (the caller would roll
-            // back in memory and a retry would double-apply). The log
-            // just stays long; the next commit retries the checkpoint,
-            // and a handle left unusable poisons itself and surfaces on
-            // the next append.
-            let _ = wal.checkpoint(&self.catalog);
-        }
-        Ok(())
+        let frames = frame_group(&commit_records(txn_id, base, deltas, writes));
+        wal.lock().commit(&frames, || {}, || &self.catalog)
     }
 
     /// The raw single-statement executor: no transaction routing, no

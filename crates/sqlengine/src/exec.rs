@@ -496,8 +496,8 @@ fn pk_order_prefix(
     ctx: &ExecCtx<'_>,
     k: usize,
 ) -> Result<Option<Relation>> {
-    // Gated with the planner's index-scan rule so SWAN_PAGER=0 reproduces
-    // the legacy full-scan execution exactly.
+    // Gated with the planner's index-scan rule: `index_scan: false` is the
+    // full-scan reference.
     if !ctx.optimizer.index_scan || order_by.is_empty() {
         return Ok(None);
     }

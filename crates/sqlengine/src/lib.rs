@@ -67,8 +67,7 @@
 //!   replays the longest intact prefix, truncates torn tails, and
 //!   auto-checkpoints compact the log past a configurable size
 //!   ([`DurabilityConfig`]) — see [`wal`] and [`txn`];
-//! * **paged on-disk storage** ([`pager`], [`btree`], [`bufpool`];
-//!   [`DurabilityConfig::paged`], default on, `SWAN_PAGER=0` flips it):
+//! * **paged on-disk storage** ([`pager`], [`btree`], [`bufpool`]):
 //!   durable state lives in 4 KiB slotted pages (id/epoch/type/CRC
 //!   header, double-slot shadow paging) behind a buffer pool with
 //!   pinned-page accounting and clock eviction; tables with a primary
@@ -78,17 +77,21 @@
 //!   through an atomically renamed meta file. The planner serves
 //!   `WHERE pk = ?` as an index point probe, pk ranges as ordered
 //!   B-tree-order scans and `ORDER BY pk LIMIT k` without sorting
-//!   ([`OptimizerConfig::index_scan`]); `SWAN_PAGER=0` is bit-for-bit
-//!   the legacy whole-image engine, and `tests/paged_storage.rs`
-//!   asserts the O(k·pages) checkpoint byte bound (PERF.md, "Paged
-//!   storage", for the measured ~870× point-probe speedup on 1M rows);
-//! * **group commit** (on by default, [`DurabilityConfig::group_commit`]):
-//!   concurrent [`SharedDb`] committers enqueue their framed record
+//!   ([`OptimizerConfig::index_scan`]; off, it is the scan-only
+//!   reference planner the `slt` and `parallel_diff` harnesses compare
+//!   against), and `tests/paged_storage.rs` asserts the O(k·pages)
+//!   checkpoint byte bound (PERF.md, "Paged storage", for the measured
+//!   ~870× point-probe speedup on 1M rows). This is the only durable
+//!   format: a log in the older whole-image format is refused with a
+//!   typed error, never migrated or truncated;
+//! * **group commit**: concurrent [`SharedDb`] committers enqueue their framed record
 //!   groups and one leader appends the whole batch with a **single
 //!   fsync**, installs every group atomically, and wakes the batch — the
 //!   WAL mutex is held only by the leader, so the next batch accumulates
 //!   during the fsync and commit throughput multiplies under contention
-//!   ([`SharedDb::commit_stats`] reports the commits-per-fsync ratio);
+//!   ([`SharedDb::commit_stats`] reports the commits-per-fsync ratio).
+//!   The leader and a single-session [`Database`] run the same commit
+//!   sequence, `Wal::commit`;
 //! * a **virtual filesystem seam** ([`vfs`]): all WAL and checkpoint I/O
 //!   goes through a [`Vfs`] — [`RealFs`] in production, and the
 //!   fault-injecting [`SimFs`] in tests, which records every

@@ -75,9 +75,8 @@ pub struct OptimizerConfig {
     /// O(log n + k) binary search — `WHERE pk = ?` and
     /// `WHERE pk BETWEEN ? AND ?` stop scanning the table. The full
     /// predicate stays in the filter above, so the rewrite never changes
-    /// results. Defaults to the `SWAN_PAGER` environment variable (unset
-    /// or anything but `0` = on), so `SWAN_PAGER=0` reproduces the
-    /// scan-only planner bit-for-bit.
+    /// results. On by default; `false` is the scan-only planner, the
+    /// reference the `slt` and `parallel_diff` harnesses compare against.
     pub index_scan: bool,
 }
 
@@ -97,7 +96,7 @@ impl Default for OptimizerConfig {
             threads: 0,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             columnar: default_columnar(),
-            index_scan: default_index_scan(),
+            index_scan: true,
         }
     }
 }
@@ -108,15 +107,6 @@ impl Default for OptimizerConfig {
 fn default_columnar() -> bool {
     static COLUMNAR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *COLUMNAR.get_or_init(|| std::env::var("SWAN_COLUMNAR").map_or(true, |v| v != "0"))
-}
-
-/// Default for [`OptimizerConfig::index_scan`]: the `SWAN_PAGER`
-/// environment variable, read once per process (`0` = off, anything else
-/// or unset = on) — the same switch that gates the paged storage layer,
-/// so one variable flips the whole PR's behavior for differential runs.
-fn default_index_scan() -> bool {
-    static INDEX_SCAN: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *INDEX_SCAN.get_or_init(|| std::env::var("SWAN_PAGER").map_or(true, |v| v != "0"))
 }
 
 /// A column the SELECT level reads: `(qualifier, name)`, matched
@@ -1148,9 +1138,15 @@ mod tests {
         plan_from(core.from.as_ref(), core.filter.as_ref()).unwrap()
     }
 
+    /// Serial plans: these tests match on the shape the rules produce,
+    /// and `threads: 0` (= `nproc`) would wrap the root in
+    /// [`Plan::Parallel`] on any multi-core host.
+    fn serial() -> OptimizerConfig {
+        OptimizerConfig { threads: 1, ..Default::default() }
+    }
+
     fn opt(sql: &str) -> Plan {
-        optimize(plan_of(sql), &UdfRegistry::new(), &OptimizerConfig::default(), &Fixture, None)
-            .unwrap()
+        optimize(plan_of(sql), &UdfRegistry::new(), &serial(), &Fixture, None).unwrap()
     }
 
     #[test]
@@ -1390,7 +1386,7 @@ mod tests {
         let p = plan_of(
             "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN tiny t ON d.id = t.id",
         );
-        let cfg = OptimizerConfig { reorder_joins: false, ..Default::default() };
+        let cfg = OptimizerConfig { reorder_joins: false, ..serial() };
         let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None).unwrap();
         let Plan::Join { left, .. } = opt else { panic!() };
         let Plan::Join { left: ll, .. } = *left else { panic!() };

@@ -1,8 +1,8 @@
 //! # Double-slot shadow-paged storage
 //!
-//! The durable page store behind the WAL ([`crate::wal`]). Fixes the
-//! O(database) checkpoint: instead of rewriting every table as one image,
-//! a checkpoint flushes only the pages dirtied since the last one.
+//! The durable page store behind the WAL ([`crate::wal`]): a checkpoint
+//! flushes only the pages dirtied since the last one — O(dirty), not
+//! O(database).
 //!
 //! ## Layout
 //!
@@ -49,10 +49,9 @@
 //! commit is already durable, so a tree-application failure must not fail
 //! the commit. Instead the pager flips `rebuild`: delta application
 //! becomes a no-op and the next checkpoint rebuilds every tree from the
-//! in-memory catalog snapshot (sound because `SharedDb::maybe_checkpoint`
-//! only runs with no pending installs). The same flag drives migration
-//! from a pre-pager WAL: legacy replay recovers the catalog in memory,
-//! and the first checkpoint builds the trees.
+//! in-memory catalog snapshot (sound because the checkpoint runs under
+//! the WAL mutex, after the install: the catalog it is handed holds
+//! every commit in the log — see [`crate::wal::Wal::commit`]).
 //!
 //! Locks: `Pager.inner` holds rank [`lockrank::PAGER`] (32), taken under
 //! the WAL mutex (30); the buffer pool (34) and SimFs state (40) sit
@@ -688,8 +687,8 @@ impl Pager {
         Ok(next_epoch)
     }
 
-    /// Rebuild every tree from the catalog snapshot (degraded-mode escape
-    /// hatch and pre-pager-WAL migration). Existing pages are recycled
+    /// Rebuild every tree from the catalog snapshot (the degraded-mode
+    /// escape hatch). Existing pages are recycled
     /// wholesale: allocation restarts at id 1 — safe because every write
     /// targets a shadow slot, never the durable current image.
     fn rebuild_from(&self, st: &mut PagerState, catalog: &Catalog) -> Result<()> {

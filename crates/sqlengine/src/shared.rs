@@ -53,8 +53,7 @@
 //!   catalog write lock, and wakes the whole batch. While the leader is
 //!   in its fsync the next batch accumulates, so under contention the
 //!   fsync cost amortizes across committers
-//!   ([`SharedDb::commit_stats`] reports commits per fsync;
-//!   [`DurabilityConfig::group_commit`] toggles the path).
+//!   ([`SharedDb::commit_stats`] reports commits per fsync).
 //! * **No poisoned locks** — all locks are `parking_lot`-style
 //!   panic-transparent: a session that panics mid-statement cannot wedge
 //!   its siblings. A failed statement installs nothing (the snapshot is
@@ -118,16 +117,12 @@ struct Shared {
     /// mark after recovery).
     txns: Arc<TxnManager>,
     /// Write-ahead log; `None` for in-memory databases. Only the
-    /// group-commit *leader* (or, with group commit disabled, the single
-    /// committer) holds this mutex, across append **and** install, so a
-    /// checkpoint taken under it can never miss a commit that already
-    /// reached the log — and a logged-but-uninstalled commit can never be
-    /// erased by a concurrent checkpoint.
+    /// group-commit *leader* holds this mutex, across append **and**
+    /// install ([`Wal::commit`]), so a checkpoint taken under it can
+    /// never miss a commit that already reached the log — and a
+    /// logged-but-uninstalled commit can never be erased by a concurrent
+    /// checkpoint.
     wal: Option<Arc<Mutex<Wal>>>,
-    /// Whether commits batch through the group-commit queue (from
-    /// [`DurabilityConfig::group_commit`]; irrelevant when `wal` is
-    /// `None`).
-    group_commit: bool,
     /// The group-commit queue: pending framed commit groups plus the
     /// leader flag and wakeup signalling.
     commits: CommitQueue,
@@ -138,14 +133,6 @@ struct Shared {
     /// lock, so a snapshot's catalog and its history sequence can never
     /// disagree.
     history: Mutex<CommitHistory>,
-    /// Commits that are durable (acknowledged by a group-commit leader)
-    /// but whose catalog install was handed back to the committer and has
-    /// not landed yet. Checkpoints are skipped while this is non-zero: a
-    /// checkpoint image must never miss a commit the log already holds.
-    pending_installs: AtomicU64,
-    /// Batch-size threshold for the install handback (from
-    /// [`DurabilityConfig::handback_deltas`]; `0` disables it).
-    handback_deltas: usize,
 }
 
 impl Default for Shared {
@@ -159,39 +146,25 @@ impl Default for Shared {
             table_locks: Mutex::with_rank("table_lock_map", lockrank::TABLE_LOCK_MAP, HashMap::new()),
             txns: Arc::default(),
             wal: None,
-            group_commit: false,
             commits: CommitQueue::default(),
             history: Mutex::with_rank(
                 "mvcc_history",
                 lockrank::MVCC_HISTORY,
                 CommitHistory::default(),
             ),
-            pending_installs: AtomicU64::new(0),
-            handback_deltas: 0,
         }
     }
 }
 
 /// One committer's entry in the group-commit queue: its framed
 /// `Begin·Delta*·Commit` bytes, the deltas (and history write sets)
-/// installed once the batch is durable, and the slot its outcome comes
-/// back in.
+/// installed once the batch is durable, and the slot the leader posts
+/// the commit's outcome (durability *and* install) in.
 struct CommitRequest {
     bytes: Vec<u8>,
     deltas: Vec<(String, TableDelta)>,
     writes: Vec<(String, WriteSet)>,
-    done: Mutex<Option<CommitOutcome>>,
-}
-
-/// What the group-commit leader posts back to a queued committer.
-enum CommitOutcome {
-    /// The leader finished the whole commit (durability *and* install).
-    Done(Result<()>),
-    /// The group is durable, but the batch was large enough that the
-    /// leader handed the catalog install back: the committer installs its
-    /// own deltas (it still holds its table locks, so the install is as
-    /// safe as the leader's would have been) while the leader moves on.
-    InstallYourself,
+    done: Mutex<Option<Result<()>>>,
 }
 
 /// A fully planned commit: what to install, the pre-encoded WAL records
@@ -218,7 +191,6 @@ struct CommitQueue {
     commits: AtomicU64,
     batches: AtomicU64,
     max_batch: AtomicU64,
-    handback_installs: AtomicU64,
 }
 
 impl Default for CommitQueue {
@@ -229,7 +201,6 @@ impl Default for CommitQueue {
             commits: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
-            handback_installs: AtomicU64::new(0),
         }
     }
 }
@@ -256,10 +227,6 @@ pub struct CommitStats {
     pub batches: u64,
     /// Largest single batch.
     pub max_batch: u64,
-    /// Commits whose catalog install the leader handed back to the
-    /// committer (batch install cost dominated the critical section; see
-    /// [`DurabilityConfig::handback_deltas`]).
-    pub handback_installs: u64,
 }
 
 impl CommitStats {
@@ -304,16 +271,17 @@ impl SharedDb {
     /// Share an existing single-session database. The row storage is
     /// re-shared, not copied; a durable database hands its WAL over, so
     /// commits through the shared handle keep logging. Keep writing
-    /// through the original `Database` only if it is no longer used.
-    pub fn from_database(db: Database) -> Self {
+    /// through the original `Database` only if it is no longer used. A
+    /// transaction still open on `db` is rolled back: its writes were
+    /// never committed (or logged), so no session may see them — the rule
+    /// `Drop for Session` follows.
+    pub fn from_database(mut db: Database) -> Self {
+        db.rollback_active();
         let optimizer = db.optimizer();
         let udfs = db.udfs().clone();
         let wal = db.wal_handle();
         let txns = db.txn_manager();
         let catalog = db.catalog().clone();
-        let config = wal.as_ref().map(|w| w.lock().config());
-        let group_commit = config.map_or(false, |c| c.group_commit);
-        let handback_deltas = config.map_or(0, |c| c.handback_deltas);
         SharedDb {
             inner: Arc::new(Shared {
                 catalog: RwLock::with_rank("catalog", lockrank::CATALOG, catalog),
@@ -332,15 +300,12 @@ impl SharedDb {
                 ),
                 txns,
                 wal,
-                group_commit,
                 commits: CommitQueue::default(),
                 history: Mutex::with_rank(
                     "mvcc_history",
                     lockrank::MVCC_HISTORY,
                     CommitHistory::default(),
                 ),
-                pending_installs: AtomicU64::new(0),
-                handback_deltas,
             }),
         }
     }
@@ -353,7 +318,6 @@ impl SharedDb {
             commits: q.commits.load(Ordering::Relaxed),
             batches: q.batches.load(Ordering::Relaxed),
             max_batch: q.max_batch.load(Ordering::Relaxed),
-            handback_installs: q.handback_installs.load(Ordering::Relaxed),
         }
     }
 
@@ -366,10 +330,9 @@ impl SharedDb {
     }
 
     /// Page-store counters: durable epoch, allocated pages, buffer-pool
-    /// hit/miss/eviction stats. `None` without a pager (in-memory
-    /// database or `SWAN_PAGER=0`).
+    /// hit/miss/eviction stats. `None` for an in-memory database.
     pub fn pager_stats(&self) -> Option<crate::pager::PagerStats> {
-        self.inner.wal.as_ref().and_then(|w| w.lock().pager_stats())
+        self.inner.wal.as_ref().map(|w| w.lock().pager_stats())
     }
 
     /// Register a scalar UDF (e.g. an LLM function) for every session.
@@ -685,10 +648,9 @@ impl SharedDb {
     /// install every delta under one catalog write lock — readers see all
     /// of the commit or none of it.
     ///
-    /// On a durable database with [`DurabilityConfig::group_commit`] on
-    /// (the default), the group goes through the **group-commit queue**:
-    /// the committer frames its records off-lock, enqueues, and either
-    /// becomes the batch leader or waits to be woken acknowledged. The
+    /// On a durable database the group goes through the **group-commit
+    /// queue**: the committer frames its records off-lock, enqueues, and
+    /// either becomes the batch leader or waits to be woken acknowledged. The
     /// caller must already hold the write locks of every table in
     /// `deltas` (auto-commit holds one; a transaction commit holds its
     /// sorted set), which is what makes the leader's batched install
@@ -703,20 +665,8 @@ impl SharedDb {
             self.install_and_record(&deltas, &writes);
             return Ok(());
         };
-        let bytes = frame_group(&records);
-        if !self.inner.group_commit {
-            // PR-4 path: one append + fsync per commit, WAL mutex held
-            // across append and install.
-            let mut wal = wal.lock();
-            wal.append_raw(&bytes)?;
-            self.inner.commits.record_batch(1);
-            self.install_and_record(&deltas, &writes);
-            self.maybe_checkpoint(&mut wal);
-            return Ok(());
-        }
-
         let req = Arc::new(CommitRequest {
-            bytes,
+            bytes: frame_group(&records),
             deltas,
             writes,
             done: Mutex::with_rank("commit_done", lockrank::COMMIT_DONE, None),
@@ -726,21 +676,8 @@ impl SharedDb {
         state.pending.push(req.clone());
         loop {
             let outcome = req.done.lock().take();
-            if let Some(outcome) = outcome {
-                drop(state);
-                return match outcome {
-                    CommitOutcome::Done(result) => result,
-                    CommitOutcome::InstallYourself => {
-                        // Durable already; finish our own install. We
-                        // still hold our table locks, so nobody observes
-                        // the gap as reordering — and the checkpoint gate
-                        // (`pending_installs`) keeps a checkpoint from
-                        // snapshotting the catalog before we land.
-                        self.install_and_record(&req.deltas, &req.writes);
-                        self.inner.pending_installs.fetch_sub(1, Ordering::SeqCst);
-                        Ok(())
-                    }
-                };
+            if let Some(result) = outcome {
+                return result;
             }
             if state.leader {
                 // A leader is in flight; it either took our group or will
@@ -765,63 +702,34 @@ impl SharedDb {
         }
     }
 
-    /// Drive one batch through the log: a single write + fsync for every
-    /// queued group, then either install the whole batch under one
-    /// catalog write lock or — when the batch carries enough deltas that
-    /// install cost would dominate the leader's critical section — hand
-    /// each install back to its committer, and post every outcome.
-    /// `append_raw` is all-or-nothing (a failed append rolls the file
-    /// back to the last group boundary), so the whole batch shares one
-    /// durability outcome.
-    fn lead_commit(&self, wal: &Arc<Mutex<Wal>>, batch: &[Arc<CommitRequest>]) {
-        let mut wal = wal.lock();
-        let mut buf = Vec::with_capacity(batch.iter().map(|r| r.bytes.len()).sum());
+    /// Drive one batch through the log ([`Wal::commit`]): a single write +
+    /// fsync for every queued group, the whole batch installed under one
+    /// catalog write lock, a checkpoint if the log outgrew its budget —
+    /// then post every outcome. The append is all-or-nothing (a failure
+    /// rolls the file back to the last group boundary), so the whole
+    /// batch shares one outcome.
+    fn lead_commit(&self, wal: &Mutex<Wal>, batch: &[Arc<CommitRequest>]) {
+        let mut frames = Vec::with_capacity(batch.iter().map(|r| r.bytes.len()).sum());
         for req in batch {
-            buf.extend_from_slice(&req.bytes);
+            frames.extend_from_slice(&req.bytes);
         }
-        let appended = wal.append_raw(&buf);
-        let handback = match appended {
-            Ok(()) => {
-                // Handback only pays off when someone else is actually
-                // waiting (batch > 1) and the install volume crosses the
-                // configured threshold.
-                let total_deltas: usize = batch.iter().map(|r| r.deltas.len()).sum();
-                let handback = self.inner.handback_deltas > 0
-                    && batch.len() > 1
-                    && total_deltas >= self.inner.handback_deltas;
-                if handback {
-                    // Count the pending installs *before* any committer
-                    // can observe its outcome — and before
-                    // maybe_checkpoint below, which must skip while the
-                    // catalog lags the log.
-                    self.inner
-                        .pending_installs
-                        .fetch_add(batch.len() as u64, Ordering::SeqCst);
-                    self.inner
-                        .commits
-                        .handback_installs
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                } else {
-                    let mut catalog = self.inner.catalog.write();
-                    let mut history = self.inner.history.lock();
-                    for req in batch {
-                        install_into(&mut catalog, &req.deltas);
-                        history.record_commit(req.writes.clone());
-                    }
+        let result = wal.lock().commit(
+            &frames,
+            || {
+                let mut catalog = self.inner.catalog.write();
+                let mut history = self.inner.history.lock();
+                for req in batch {
+                    install_into(&mut catalog, &req.deltas);
+                    history.record_commit(req.writes.clone());
                 }
-                self.inner.commits.record_batch(batch.len());
-                self.maybe_checkpoint(&mut wal);
-                Ok(handback)
-            }
-            Err(e) => Err(e),
-        };
-        drop(wal);
+            },
+            || self.inner.catalog.read().clone(),
+        );
+        if result.is_ok() {
+            self.inner.commits.record_batch(batch.len());
+        }
         for req in batch {
-            *req.done.lock() = Some(match &handback {
-                Ok(true) => CommitOutcome::InstallYourself,
-                Ok(false) => CommitOutcome::Done(Ok(())),
-                Err(e) => CommitOutcome::Done(Err(e.clone())),
-            });
+            *req.done.lock() = Some(result.clone());
         }
     }
 
@@ -838,24 +746,6 @@ impl SharedDb {
         let mut catalog = self.inner.catalog.write();
         install_into(&mut catalog, deltas);
         self.inner.history.lock().record_commit(writes.to_vec());
-    }
-
-    /// Compact the log if it outgrew its budget. Past the commit point
-    /// (appended, fsynced, installed): a failed compaction must not turn
-    /// a committed transaction into a reported failure — a retrying
-    /// caller would double-apply it. The log stays long, the next commit
-    /// retries, and an unusable handle poisons itself. Skipped while any
-    /// handed-back install is outstanding: the checkpoint image is taken
-    /// from the catalog, which at that moment is missing commits the log
-    /// already acknowledged — checkpointing would erase them.
-    fn maybe_checkpoint(&self, wal: &mut Wal) {
-        if self.inner.pending_installs.load(Ordering::SeqCst) > 0 {
-            return;
-        }
-        if wal.wants_checkpoint() {
-            let snap = self.inner.catalog.read().clone();
-            let _ = wal.checkpoint(&snap);
-        }
     }
 
     /// Drop a dropped table's lock entry so create/drop-heavy workloads
@@ -912,11 +802,11 @@ impl Drop for LeaderGuard<'_> {
         for req in self.batch {
             let mut done = req.done.lock();
             if done.is_none() {
-                *done = Some(CommitOutcome::Done(Err(Error::Io(
+                *done = Some(Err(Error::Io(
                     "group-commit leader panicked; commit outcome unknown — \
                      reopen the database to recover the durable state"
                         .into(),
-                ))));
+                )));
             }
         }
         let queue = &self.db.inner.commits;
@@ -1248,6 +1138,19 @@ mod tests {
             shared.query("SELECT a FROM s").unwrap().scalar(),
             Some(&Value::Integer(7))
         );
+    }
+
+    /// Regression: promotion cloned the *working* catalog of an open
+    /// transaction, publishing rows that were never committed or logged.
+    #[test]
+    fn from_database_rolls_back_an_open_transaction() {
+        let mut single = Database::new();
+        single.execute("CREATE TABLE s (a INTEGER)").unwrap();
+        single.execute("INSERT INTO s VALUES (7)").unwrap();
+        single.execute("BEGIN").unwrap();
+        single.execute("INSERT INTO s VALUES (8)").unwrap();
+        let shared = SharedDb::from_database(single);
+        assert_eq!(shared.row_count("s"), Some(1), "uncommitted rows must not be shared");
     }
 
     #[test]

@@ -33,11 +33,29 @@
 //!
 //! # Checkpoints
 //!
-//! When the log grows past [`DurabilityConfig::checkpoint_bytes`], the
-//! committer rewrites it as a single [`WalRecord::Checkpoint`] holding the
-//! full current catalog (write to a `.tmp` sibling, fsync, atomic rename),
-//! bounding both file size and recovery time. Replay treats a checkpoint
-//! as "reset the catalog to exactly these tables".
+//! Durable state older than the log lives in the paged store
+//! ([`crate::pager`]): every commit applies its deltas to on-disk B-trees
+//! right after its fsync. When the log grows past
+//! [`DurabilityConfig::checkpoint_bytes`], the committer flushes the
+//! dirty pages, flips the store's meta file to the next epoch, and swaps
+//! the log for a single [`WalRecord::PagedCheckpoint`] marker (write to a
+//! `.tmp` sibling, fsync, atomic rename) — O(dirty pages), bounding both
+//! file size and recovery time. Recovery materializes the catalog from
+//! the trees and replays only the records after the marker.
+//!
+//! # The commit sequence
+//!
+//! Every durable commit — [`Database`](crate::db::Database)'s and the
+//! [`SharedDb`](crate::shared::SharedDb) group-commit leader's — runs
+//! [`Wal::commit`]: append the framed groups, at most one fsync, apply
+//! them to the trees, publish in memory, checkpoint if over budget.
+//!
+//! # Refused formats
+//!
+//! Logs written before the paged store held the whole database as one
+//! tag-4 image record. [`Wal::open`] refuses such a file with a typed
+//! error *before* touching it: reading the image as a torn tail would
+//! truncate the only copy of the data.
 //!
 //! # The VFS seam
 //!
@@ -49,6 +67,7 @@
 //! every operation index and asserts recovery always lands on a clean
 //! prefix of acknowledged commits.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -57,8 +76,8 @@ use std::sync::OnceLock;
 use crate::error::{Error, Result};
 use crate::pager::Pager;
 use crate::storage::{
-    decode_row, decode_table, encode_row, encode_table, get_str, get_u32, get_u64, get_u8,
-    put_str, put_u32, put_u64, Catalog, Table, TextInterner,
+    decode_row, decode_table, encode_row, encode_table, get_str, get_u64, get_u8, put_str,
+    put_u32, put_u64, Catalog, Table, TextInterner,
 };
 use crate::value::Row;
 use crate::vfs::{RealFs, Vfs, VfsFile};
@@ -66,41 +85,15 @@ use crate::vfs::{RealFs, Vfs, VfsFile};
 /// Durability tuning for a WAL-backed database.
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityConfig {
-    /// Rewrite the log as a checkpoint once it grows past this many bytes.
+    /// Checkpoint (flush dirty pages, swap the log for a marker) once
+    /// the log grows past this many bytes.
     pub checkpoint_bytes: u64,
     /// `fsync` the log on every commit. Disabling trades the durability of
     /// the last few commits for throughput (the file is still written, so
     /// only an OS crash — not a process crash — can lose them).
     pub sync: bool,
-    /// Batch concurrent committers into **group commits** on a
-    /// [`SharedDb`](crate::shared::SharedDb): committers enqueue their
-    /// framed record groups, one leader appends the whole batch and
-    /// issues a single fsync, and every committer in the batch is woken
-    /// acknowledged — multiplying commit throughput under contention
-    /// (the log mutex is held only by the leader, never by waiters).
-    /// Disabling falls back to one append + fsync per commit.
-    pub group_commit: bool,
-    /// Group-commit install handback: once a batch carries at least this
-    /// many table deltas, the leader acknowledges durability but hands
-    /// the catalog installs back to the individual committers, keeping
-    /// the leader's critical section to the write + fsync. `0` disables
-    /// handback (the leader always installs the whole batch itself).
-    pub handback_deltas: usize,
-    /// Keep durable state in the paged store ([`crate::pager`]): commits
-    /// maintain on-disk B-trees and checkpoints flush only dirty pages —
-    /// O(dirty), not O(database). Disabled, checkpoints rewrite the full
-    /// catalog image (the legacy format). The default follows
-    /// `SWAN_PAGER` (`0` disables; anything else — or unset — enables).
-    pub paged: bool,
     /// Buffer-pool capacity in pages for the paged store.
     pub pool_pages: usize,
-}
-
-/// Process-wide default for [`DurabilityConfig::paged`], read from
-/// `SWAN_PAGER` once (same pattern as the columnar default).
-fn default_paged() -> bool {
-    static PAGED: OnceLock<bool> = OnceLock::new();
-    *PAGED.get_or_init(|| std::env::var("SWAN_PAGER").map(|v| v != "0").unwrap_or(true))
 }
 
 impl Default for DurabilityConfig {
@@ -108,9 +101,6 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             checkpoint_bytes: 4 << 20,
             sync: true,
-            group_commit: true,
-            handback_deltas: 4,
-            paged: default_paged(),
             pool_pages: crate::bufpool::DEFAULT_POOL_PAGES,
         }
     }
@@ -124,12 +114,9 @@ pub enum WalRecord {
     Begin { txn: u64 },
     Delta { txn: u64, delta: WalDelta },
     Commit { txn: u64 },
-    /// Full-database image; replay resets the catalog to these tables.
-    Checkpoint { tables: Vec<Arc<Table>> },
-    /// Paged-store checkpoint marker: durable state up to here lives in
-    /// the page/meta files at this epoch ([`crate::pager`]); only records
-    /// after the marker replay. Replaying one with the pager disabled is
-    /// a loud error — the log does not contain the data.
+    /// Checkpoint marker: durable state up to here lives in the page/meta
+    /// files at this epoch ([`crate::pager`]); only records after the
+    /// marker replay.
     PagedCheckpoint { epoch: u64 },
 }
 
@@ -206,13 +193,6 @@ fn encode_record(buf: &mut Vec<u8>, rec: &WalRecord) {
             buf.push(3);
             put_u64(buf, *txn);
         }
-        WalRecord::Checkpoint { tables } => {
-            buf.push(4);
-            put_u32(buf, tables.len() as u32);
-            for t in tables {
-                encode_table(buf, t);
-            }
-        }
         WalRecord::PagedCheckpoint { epoch } => {
             buf.push(5);
             put_u64(buf, *epoch);
@@ -258,14 +238,6 @@ fn decode_record(buf: &[u8], pos: &mut usize, interner: &mut TextInterner) -> Re
             Ok(WalRecord::Delta { txn, delta })
         }
         3 => Ok(WalRecord::Commit { txn: get_u64(buf, pos)? }),
-        4 => {
-            let n = get_u32(buf, pos)? as usize;
-            let mut tables = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                tables.push(Arc::new(decode_table(buf, pos, interner)?));
-            }
-            Ok(WalRecord::Checkpoint { tables })
-        }
         5 => Ok(WalRecord::PagedCheckpoint { epoch: get_u64(buf, pos)? }),
         _ => Err(bad("record tag")),
     }
@@ -315,34 +287,42 @@ pub fn frame_group(records: &[WalRecord]) -> Vec<u8> {
     buf
 }
 
-/// Decode the frame starting at `start`; `None` marks a torn/corrupt tail.
+/// Record tag of the pre-pager whole-database image. Nothing writes it
+/// any more; it is recognised so a log in that format is refused rather
+/// than read as a torn tail (and truncated).
+const LEGACY_IMAGE_TAG: u8 = 4;
+
+/// The checksummed payload of the frame at the head of `rest`; `None`
+/// marks a torn/corrupt tail. Never panics on input shape: a header that
+/// cannot be read is a torn tail too.
+fn frame_payload(rest: &[u8]) -> Option<&[u8]> {
+    let len = u32::from_le_bytes(rest.get(0..4)?.try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(rest.get(4..8)?.try_into().ok()?);
+    let payload = rest.get(8..8usize.checked_add(len)?)?;
+    (crc32(payload) == crc).then_some(payload)
+}
+
+/// Decode the frame starting at `start`; `Ok(None)` marks a torn/corrupt
+/// tail. An intact frame holding a legacy whole-image record is an error:
+/// the file is a real database in a format this engine no longer reads.
 fn read_frame(
     bytes: &[u8],
     start: usize,
     interner: &mut TextInterner,
-) -> Option<(WalRecord, usize)> {
-    let rest = &bytes[start..];
-    if rest.len() < 8 {
-        return None;
-    }
-    // Infallible here (length checked above), but a decode path never
-    // panics on input shape: a failed cast reads as a torn tail.
-    let len = u32::from_le_bytes(rest.get(0..4)?.try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(rest.get(4..8)?.try_into().ok()?);
-    let end = 8usize.checked_add(len)?;
-    if end > rest.len() {
-        return None;
-    }
-    let payload = &rest[8..end];
-    if crc32(payload) != crc {
-        return None;
+) -> Result<Option<(WalRecord, usize)>> {
+    let Some(payload) = frame_payload(&bytes[start..]) else { return Ok(None) };
+    if payload.first() == Some(&LEGACY_IMAGE_TAG) {
+        return Err(Error::Io(format!(
+            "wal: legacy whole-image checkpoint record at offset {start} — this log was \
+             written in the pre-pager format, which is no longer read or migrated; the \
+             file was left untouched"
+        )));
     }
     let mut pos = 0;
-    let rec = decode_record(payload, &mut pos, interner).ok()?;
-    if pos != len {
-        return None;
+    match decode_record(payload, &mut pos, interner) {
+        Ok(rec) if pos == payload.len() => Ok(Some((rec, start + 8 + payload.len()))),
+        _ => Ok(None),
     }
-    Some((rec, start + end))
 }
 
 // ---------------------------------------------------------------------------
@@ -376,33 +356,12 @@ fn apply_delta(catalog: &mut Catalog, delta: WalDelta) -> Result<()> {
     Ok(())
 }
 
-/// Rebuild the catalog from a record stream: checkpoints reset it, and a
-/// transaction's deltas apply only when its `Commit` record is present.
-/// Uncommitted trailing transactions are discarded — exactly the rollback
-/// a crash before the commit record implies.
-pub fn replay(records: Vec<WalRecord>) -> Result<Catalog> {
-    if let Some(WalRecord::PagedCheckpoint { epoch }) = records
-        .iter()
-        .find(|r| matches!(r, WalRecord::PagedCheckpoint { .. }))
-    {
-        return Err(Error::Io(format!(
-            "wal: paged checkpoint marker (epoch {epoch}) in the log but the pager \
-             is disabled — the data lives in the page files, not the log; reopen \
-             with paged durability (unset SWAN_PAGER)"
-        )));
-    }
-    replay_tail(records, Catalog::new(), None)
-}
-
-/// Paged-mode recovery: reconcile the WAL's checkpoint marker with the
-/// durable meta epoch, materialize the catalog from the trees, and replay
-/// only the genuine tail (applying it to the trees too, so they stay
-/// current). Returns the catalog and whether the log must be normalized
-/// (rewritten to a bare marker) before accepting appends.
-fn replay_paged(
-    records: Vec<WalRecord>,
-    pager: &Pager,
-) -> Result<(Catalog, bool)> {
+/// Recovery: reconcile the WAL's checkpoint marker with the durable meta
+/// epoch, materialize the catalog from the trees, and replay only the
+/// genuine tail (applying it to the trees too, so they stay current).
+/// Returns the catalog and whether the log must be normalized (rewritten
+/// to a bare marker) before accepting appends.
+fn replay(records: Vec<WalRecord>, pager: &Pager) -> Result<(Catalog, bool)> {
     let meta_epoch = pager.epoch();
     // The *last* marker governs; anything before it is a stale prefix.
     let marker = records.iter().enumerate().rev().find_map(|(i, r)| match r {
@@ -422,7 +381,7 @@ fn replay_paged(
         Some((i, epoch)) if epoch == meta_epoch => {
             let catalog = pager.materialize_catalog()?;
             let tail = records.into_iter().skip(i + 1).collect();
-            Ok((replay_tail(tail, catalog, Some(pager))?, false))
+            Ok((replay_tail(tail, catalog, pager)?, false))
         }
         // Marker behind the meta (or none at all while a meta exists): a
         // crash hit between the meta flip and the WAL swap. The whole
@@ -430,23 +389,20 @@ fn replay_paged(
         // was already folded into the trees the meta made durable — the
         // meta alone is the truth, and the stale log must be normalized.
         _ if meta_epoch > 0 => Ok((pager.materialize_catalog()?, true)),
-        // No meta yet: a fresh database or a pre-pager log (migration).
-        // Legacy replay recovers the catalog; the trees are built
-        // incrementally as the deltas apply, or — if anything in the old
-        // format trips them up — by rebuild at the first checkpoint.
-        _ => Ok((replay_tail(records, Catalog::new(), Some(pager))?, false)),
+        // No meta yet: a database that has not checkpointed. The whole
+        // log is the tail; the trees are built as its deltas apply.
+        _ => Ok((replay_tail(records, Catalog::new(), pager)?, false)),
     }
 }
 
 /// The committed-transaction replay loop over `records`, starting from
-/// `catalog`. With a pager, committed deltas also apply to the trees;
-/// tree failures degrade to rebuild mode rather than failing recovery
-/// (the commits are durable in the log — they must not be lost).
-fn replay_tail(
-    records: Vec<WalRecord>,
-    mut catalog: Catalog,
-    pager: Option<&Pager>,
-) -> Result<Catalog> {
+/// `catalog`: a transaction's deltas apply — to the catalog and to the
+/// trees — only when its `Commit` record is present, so an uncommitted
+/// trailing transaction is discarded, exactly the rollback a crash before
+/// the commit record implies. Tree failures degrade to rebuild mode
+/// rather than failing recovery (the commits are durable in the log —
+/// they must not be lost).
+fn replay_tail(records: Vec<WalRecord>, mut catalog: Catalog, pager: &Pager) -> Result<Catalog> {
     let mut pending: HashMap<u64, Vec<WalDelta>> = HashMap::new();
     for rec in records {
         match rec {
@@ -459,27 +415,15 @@ fn replay_tail(
             WalRecord::Commit { txn } => {
                 if let Some(deltas) = pending.remove(&txn) {
                     for d in deltas {
-                        if let Some(p) = pager {
-                            if p.apply_delta(&d).is_err() {
-                                p.set_rebuild();
-                            }
+                        if pager.apply_delta(&d).is_err() {
+                            pager.set_rebuild();
                         }
                         apply_delta(&mut catalog, d)?;
                     }
                 }
             }
-            WalRecord::Checkpoint { tables } => {
-                catalog = Catalog::new();
-                for t in tables {
-                    catalog.put_shared(t);
-                }
-                // The legacy image supersedes whatever the trees held.
-                if let Some(p) = pager {
-                    p.set_rebuild();
-                }
-            }
             WalRecord::PagedCheckpoint { .. } => {
-                // `replay_paged` already consumed the governing marker;
+                // `replay` already consumed the governing marker;
                 // a stray one here cannot carry data — ignore it.
             }
         }
@@ -495,7 +439,7 @@ fn apply_frames_to_pager(pager: &Pager, buf: &[u8]) {
     let mut interner = TextInterner::new();
     let mut pending: HashMap<u64, Vec<WalDelta>> = HashMap::new();
     let mut at = 0usize;
-    while let Some((rec, next)) = read_frame(buf, at, &mut interner) {
+    while let Ok(Some((rec, next))) = read_frame(buf, at, &mut interner) {
         at = next;
         match rec {
             WalRecord::Begin { txn } => {
@@ -514,7 +458,7 @@ fn apply_frames_to_pager(pager: &Pager, buf: &[u8]) {
                     }
                 }
             }
-            WalRecord::Checkpoint { .. } | WalRecord::PagedCheckpoint { .. } => {}
+            WalRecord::PagedCheckpoint { .. } => {}
         }
     }
     if at != buf.len() {
@@ -536,10 +480,10 @@ pub struct Wal {
     path: PathBuf,
     len: u64,
     config: DurabilityConfig,
-    /// The paged store ([`DurabilityConfig::paged`]). Lives under the WAL
-    /// mutex: commits apply their deltas to the trees right after the
-    /// fsync, checkpoints flush dirty pages instead of rewriting images.
-    pager: Option<Pager>,
+    /// The paged store. Lives under the WAL mutex: commits apply their
+    /// deltas to the trees right after the fsync, checkpoints flush the
+    /// dirty pages.
+    pager: Pager,
     /// Set when an I/O failure left the handle in a state where further
     /// appends could silently lose acknowledged commits (a partial frame
     /// that could not be rolled back, a post-rename reopen failure that
@@ -589,10 +533,12 @@ impl Wal {
         let mut file = vfs.open(&path)?;
         let bytes = vfs.read(&path)?;
 
+        // A legacy-format log errors out of this loop — before the
+        // truncation below, and before the pager creates its files.
         let mut records = Vec::new();
         let mut good = 0usize;
         let mut interner = TextInterner::new();
-        while let Some((rec, next)) = read_frame(&bytes, good, &mut interner) {
+        while let Some((rec, next)) = read_frame(&bytes, good, &mut interner)? {
             records.push(rec);
             good = next;
         }
@@ -608,17 +554,12 @@ impl Wal {
                 WalRecord::Begin { txn }
                 | WalRecord::Delta { txn, .. }
                 | WalRecord::Commit { txn } => *txn,
-                WalRecord::Checkpoint { .. } | WalRecord::PagedCheckpoint { .. } => 0,
+                WalRecord::PagedCheckpoint { .. } => 0,
             })
             .max()
             .unwrap_or(0);
-        let (catalog, pager, normalize) = if config.paged {
-            let pager = Pager::open(vfs.clone(), &path, config.pool_pages)?;
-            let (catalog, normalize) = replay_paged(records, &pager)?;
-            (catalog, Some(pager), normalize)
-        } else {
-            (replay(records)?, None, false)
-        };
+        let pager = Pager::open(vfs.clone(), &path, config.pool_pages)?;
+        let (catalog, normalize) = replay(records, &pager)?;
         let mut wal = Wal {
             vfs,
             file,
@@ -634,7 +575,8 @@ impl Wal {
             // the trees, but appending after them would make the *next*
             // recovery replay that stale tail on top of the meta —
             // finish the interrupted swap before accepting appends.
-            wal.swap_to_marker()?;
+            let epoch = wal.pager.epoch();
+            wal.swap_log(&WalRecord::PagedCheckpoint { epoch })?;
         }
         Ok(Recovered { wal, catalog, max_txn })
     }
@@ -648,13 +590,36 @@ impl Wal {
         self.len == 0
     }
 
-    /// The durability configuration the log was opened with.
-    pub fn config(&self) -> DurabilityConfig {
-        self.config
+    /// The one durable commit sequence, run under the WAL mutex by every
+    /// committer: append `frames` (one or many framed `Begin·Delta*·Commit`
+    /// groups) as one write and at most one fsync, apply them to the
+    /// trees, `install` them in memory, and checkpoint if the log
+    /// outgrew its budget — against `committed()`, the catalog holding
+    /// every commit now in the log.
+    ///
+    /// An `Err` means nothing was committed (`install` did not run). Past
+    /// the append the commit *is* durable, so a failed compaction is never
+    /// reported as a failed commit — the caller would roll back in memory
+    /// and a retry would double-apply. The log just stays long, the next
+    /// commit retries the checkpoint, and a handle left unusable poisons
+    /// itself and surfaces on the next append.
+    pub(crate) fn commit<C: Borrow<Catalog>>(
+        &mut self,
+        frames: &[u8],
+        install: impl FnOnce(),
+        committed: impl FnOnce() -> C,
+    ) -> Result<()> {
+        self.append(frames)?;
+        install();
+        if self.wants_checkpoint() {
+            let _ = self.checkpoint(committed().borrow());
+        }
+        Ok(())
     }
 
-    /// Append a group of records as one write (one frame per record) and,
-    /// when configured, fsync before returning — the commit point.
+    /// Append an already-framed buffer as one write and, when configured,
+    /// one fsync — the commit point — then apply its committed deltas to
+    /// the trees.
     ///
     /// On failure the file is rolled back to the last good frame
     /// boundary, so a partial frame can never sit *between* acknowledged
@@ -662,15 +627,7 @@ impl Wal {
     /// the middle would silently discard every later commit). If the
     /// rollback itself fails, the log poisons: all further appends error
     /// until the database is reopened.
-    pub fn append(&mut self, records: &[WalRecord]) -> Result<()> {
-        self.append_raw(&frame_group(records))
-    }
-
-    /// Append an already-framed buffer (one or many record groups — the
-    /// group-commit leader concatenates a whole batch) as one write and
-    /// at most one fsync. Same rollback/poison contract as [`append`]
-    /// (Wal::append).
-    pub fn append_raw(&mut self, buf: &[u8]) -> Result<()> {
+    fn append(&mut self, buf: &[u8]) -> Result<()> {
         if self.poisoned {
             return Err(Error::Io(
                 "wal: poisoned by an earlier i/o failure; reopen the database".into(),
@@ -685,13 +642,11 @@ impl Wal {
         match wrote {
             Ok(()) => {
                 self.len += buf.len() as u64;
-                if let Some(pager) = &self.pager {
-                    // The frames are durable — the commit is already
-                    // acknowledged territory, so tree maintenance must
-                    // not fail it. Any hiccup flips the pager to rebuild
-                    // mode (next checkpoint rebuilds from the catalog).
-                    apply_frames_to_pager(pager, buf);
-                }
+                // The frames are durable — the commit is already
+                // acknowledged territory, so tree maintenance must not
+                // fail it. Any hiccup flips the pager to rebuild mode
+                // (next checkpoint rebuilds from the catalog).
+                apply_frames_to_pager(&self.pager, buf);
                 Ok(())
             }
             Err(e) => {
@@ -708,60 +663,37 @@ impl Wal {
     /// True once the log has reached the configured checkpoint budget.
     /// `>=`, not `>`: a log landing exactly on the budget checkpoints too
     /// (the strict form let it sit at the boundary forever).
-    pub fn wants_checkpoint(&self) -> bool {
+    fn wants_checkpoint(&self) -> bool {
         self.len >= self.config.checkpoint_bytes
     }
 
-    /// Page-store counters (pool hits/misses/evictions, epoch), when the
-    /// pager is enabled.
-    pub fn pager_stats(&self) -> Option<crate::pager::PagerStats> {
-        self.pager.as_ref().map(Pager::stats)
+    /// Page-store counters (pool hits/misses/evictions, epoch).
+    pub fn pager_stats(&self) -> crate::pager::PagerStats {
+        self.pager.stats()
     }
 
-    /// Compact the log. With the pager enabled this is the incremental
-    /// path: flush dirty pages + flip the meta (O(dirty pages)), then
-    /// swap the log for a bare [`WalRecord::PagedCheckpoint`] marker.
-    /// Without it, write a full catalog image — O(database). Either way
-    /// the swap uses tmp + fsync + rename + dir-sync; on return the log
-    /// holds exactly one record.
+    /// Compact the log: flush the dirty pages and flip the meta
+    /// (O(dirty pages)), then swap the log for a bare
+    /// [`WalRecord::PagedCheckpoint`] marker via tmp + fsync + rename +
+    /// dir-sync; on return the log holds exactly one record. `catalog`
+    /// must hold every commit in the log — in degraded mode the trees are
+    /// rebuilt from it.
     pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<()> {
-        if let Some(pager) = &self.pager {
-            // A retryable pager failure leaves durable state at the old
-            // epoch with all retry state intact — no poison. But if the
-            // meta rename landed and only its directory sync failed, the
-            // new meta is ambiguously durable while this log still holds
-            // pre-checkpoint records: a commit acknowledged now would be
-            // silently discarded by a recovery that trusts the surviving
-            // meta, so the log must poison (same contract as a failed
-            // dir sync in [`Self::swap_log`]).
-            let epoch = match pager.checkpoint(catalog) {
-                Ok(epoch) => epoch,
-                Err(e @ crate::pager::CheckpointError::Ambiguous(_)) => {
-                    self.poisoned = true;
-                    return Err(e.into_error());
-                }
-                Err(e) => return Err(e.into_error()),
-            };
-            return self.swap_log(&WalRecord::PagedCheckpoint { epoch });
-        }
-        let tables: Vec<Arc<Table>> = catalog
-            .table_names()
-            .iter()
-            .filter_map(|n| catalog.get(n).cloned())
-            .collect();
-        self.swap_log(&WalRecord::Checkpoint { tables })
-    }
-
-    /// Rewrite the log to a marker at the pager's current epoch (finishes
-    /// an interrupted checkpoint swap found during recovery).
-    fn swap_to_marker(&mut self) -> Result<()> {
-        let epoch = match &self.pager {
-            Some(p) => p.epoch(),
-            None => {
-                return Err(Error::Internal(
-                    "wal: marker normalization without a pager".into(),
-                ))
+        // A retryable pager failure leaves durable state at the old
+        // epoch with all retry state intact — no poison. But if the
+        // meta rename landed and only its directory sync failed, the
+        // new meta is ambiguously durable while this log still holds
+        // pre-checkpoint records: a commit acknowledged now would be
+        // silently discarded by a recovery that trusts the surviving
+        // meta, so the log must poison (same contract as a failed
+        // dir sync in [`Self::swap_log`]).
+        let epoch = match self.pager.checkpoint(catalog) {
+            Ok(epoch) => epoch,
+            Err(e @ crate::pager::CheckpointError::Ambiguous(_)) => {
+                self.poisoned = true;
+                return Err(e.into_error());
             }
+            Err(e) => return Err(e.into_error()),
         };
         self.swap_log(&WalRecord::PagedCheckpoint { epoch })
     }
@@ -853,7 +785,9 @@ mod tests {
     fn checkpoint_triggers_exactly_at_the_byte_budget() {
         let path = temp_path("ckpt-boundary");
         let mut rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
-        rec.wal.append(&[WalRecord::Begin { txn: 1 }, WalRecord::Commit { txn: 1 }]).unwrap();
+        rec.wal
+            .append(&frame_group(&[WalRecord::Begin { txn: 1 }, WalRecord::Commit { txn: 1 }]))
+            .unwrap();
         let len = rec.wal.len;
         assert!(len > 0);
         rec.wal.config.checkpoint_bytes = len + 1;
@@ -870,14 +804,14 @@ mod tests {
             let mut rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
             assert!(rec.catalog.is_empty());
             rec.wal
-                .append(&[
+                .append(&frame_group(&[
                     WalRecord::Begin { txn: 1 },
                     WalRecord::Delta {
                         txn: 1,
                         delta: WalDelta::Put { table: Arc::new(sample_table(3)) },
                     },
                     WalRecord::Commit { txn: 1 },
-                ])
+                ]))
                 .unwrap();
         }
         let rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
@@ -892,14 +826,14 @@ mod tests {
         {
             let mut rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
             rec.wal
-                .append(&[
+                .append(&frame_group(&[
                     WalRecord::Begin { txn: 7 },
                     WalRecord::Delta {
                         txn: 7,
                         delta: WalDelta::Put { table: Arc::new(sample_table(5)) },
                     },
                     // No commit: a crash happened before the commit record.
-                ])
+                ]))
                 .unwrap();
         }
         let rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
@@ -913,14 +847,14 @@ mod tests {
         {
             let mut rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
             rec.wal
-                .append(&[
+                .append(&frame_group(&[
                     WalRecord::Begin { txn: 1 },
                     WalRecord::Delta {
                         txn: 1,
                         delta: WalDelta::Put { table: Arc::new(sample_table(2)) },
                     },
                     WalRecord::Commit { txn: 1 },
-                ])
+                ]))
                 .unwrap();
         }
         let intact = std::fs::read(&path).unwrap();
@@ -949,14 +883,14 @@ mod tests {
         {
             let mut rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
             rec.wal
-                .append(&[
+                .append(&frame_group(&[
                     WalRecord::Begin { txn: 1 },
                     WalRecord::Delta {
                         txn: 1,
                         delta: WalDelta::Put { table: Arc::new(sample_table(2)) },
                     },
                     WalRecord::Commit { txn: 1 },
-                ])
+                ]))
                 .unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -980,14 +914,14 @@ mod tests {
             catalog.put_table(sample_table(4));
             for txn in 1..=10u64 {
                 rec.wal
-                    .append(&[
+                    .append(&frame_group(&[
                         WalRecord::Begin { txn },
                         WalRecord::Delta {
                             txn,
                             delta: WalDelta::Put { table: Arc::new(sample_table(4)) },
                         },
                         WalRecord::Commit { txn },
-                    ])
+                    ]))
                     .unwrap();
             }
             let before = rec.wal.len();
@@ -1010,7 +944,7 @@ mod tests {
                 vec![Value::Integer(3), Value::text("row-3")].into(),
             ];
             rec.wal
-                .append(&[
+                .append(&frame_group(&[
                     WalRecord::Begin { txn: 1 },
                     WalRecord::Delta {
                         txn: 1,
@@ -1023,7 +957,7 @@ mod tests {
                         delta: WalDelta::Append { table: "t".into(), rows: extra, new_version: 5 },
                     },
                     WalRecord::Commit { txn: 2 },
-                ])
+                ]))
                 .unwrap();
         }
         let rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
@@ -1044,7 +978,7 @@ mod tests {
                 vec![Value::Integer(9), Value::text("fresh")].into(),
             ];
             rec.wal
-                .append(&[
+                .append(&frame_group(&[
                     WalRecord::Begin { txn: 1 },
                     WalRecord::Delta {
                         txn: 1,
@@ -1062,7 +996,7 @@ mod tests {
                         },
                     },
                     WalRecord::Commit { txn: 2 },
-                ])
+                ]))
                 .unwrap();
         }
         let rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
@@ -1074,6 +1008,70 @@ mod tests {
         let ids: Vec<Option<i64>> = t.rows.iter().map(|r| r[0].as_i64()).collect();
         assert_eq!(ids, vec![Some(0), Some(2), Some(3), Some(9)]);
         assert_eq!(t.rows[1][1], Value::text("rewritten"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A CRC-valid tag-4 frame is a database in the pre-pager image
+    /// format. Failing to decode it must not read as a torn tail — that
+    /// would `set_len` the only copy of the data away. The open is
+    /// refused with a typed error and nothing on disk changes.
+    #[test]
+    fn legacy_image_record_is_refused_not_truncated() {
+        fn framed(payload: &[u8]) -> Vec<u8> {
+            let mut out = Vec::new();
+            put_u32(&mut out, payload.len() as u32);
+            put_u32(&mut out, crc32(payload));
+            out.extend_from_slice(payload);
+            out
+        }
+        let path = temp_path("legacy");
+        let sibling = |suffix: &str| {
+            let mut s = path.clone().into_os_string();
+            s.push(suffix);
+            PathBuf::from(s)
+        };
+        // An image of zero tables, as the removed writer framed it.
+        let image = framed(&[LEGACY_IMAGE_TAG, 0, 0, 0, 0]);
+        let commit = frame_group(&[WalRecord::Begin { txn: 1 }, WalRecord::Commit { txn: 1 }]);
+        // First record, or anywhere in the intact prefix.
+        for bytes in [[image.clone(), commit.clone()].concat(), [commit.clone(), image].concat()] {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Wal::open(&path, DurabilityConfig::default()).unwrap_err();
+            assert!(
+                matches!(&err, Error::Io(m) if m.contains("legacy whole-image")),
+                "must name the format: {err}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "the file must be untouched");
+            assert!(!sibling(".pages").exists() && !sibling(".meta").exists());
+        }
+        // Tag 4 behind a failed checksum is an ordinary torn tail.
+        let mut torn = framed(&[LEGACY_IMAGE_TAG, 0, 0, 0, 0]);
+        torn[4] ^= 1;
+        std::fs::write(&path, [commit.clone(), torn].concat()).unwrap();
+        let rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
+        assert_eq!(rec.wal.len(), commit.len() as u64);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Regression: `Database::checkpoint` inside an open `BEGIN` handed
+    /// the *working* catalog to the checkpoint, and a degraded-mode
+    /// checkpoint rebuilds the durable trees from what it is handed — the
+    /// uncommitted row became durable.
+    #[test]
+    fn checkpoint_inside_a_transaction_sees_only_committed_rows() {
+        use crate::db::Database;
+        let path = temp_path("ckpt-in-txn");
+        {
+            let mut db = Database::open(&path).unwrap();
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)").unwrap();
+            db.execute("INSERT INTO t VALUES (1)").unwrap();
+            db.execute("BEGIN").unwrap();
+            db.execute("INSERT INTO t VALUES (2)").unwrap();
+            db.wal_handle().unwrap().lock().pager.set_rebuild();
+            db.checkpoint().unwrap();
+        }
+        let db = Database::open(&path).unwrap();
+        assert_eq!(db.catalog().row_count("t"), Some(1), "the open transaction never committed");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -24,7 +24,8 @@
 //! (auto-commit + multi-statement transactions), the same schedule under
 //! aggressive auto-checkpointing (tmp + rename + dir-sync dance),
 //! concurrent group commit on a [`SharedDb`], and fault injection inside
-//! recovery itself.
+//! recovery itself. A last schedule plants a log in the removed
+//! whole-image format and checks it is refused without a byte changing.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -250,14 +251,8 @@ fn eviction_steps() -> Vec<String> {
 /// pinned frame was ever chosen.
 #[test]
 fn fault_sweep_under_eviction_pressure() {
-    // Pin `paged: true` so the sweep keeps its meaning under SWAN_PAGER=0
-    // CI runs (a 2-frame pool is only interesting with a pool).
-    let config = DurabilityConfig {
-        checkpoint_bytes: 2048,
-        pool_pages: 2,
-        paged: true,
-        ..Default::default()
-    };
+    let config =
+        DurabilityConfig { checkpoint_bytes: 2048, pool_pages: 2, ..Default::default() };
     let steps = eviction_steps();
     let steps: Vec<&str> = steps.iter().map(String::as_str).collect();
     sweep_steps(config, &steps, "eviction");
@@ -267,7 +262,7 @@ fn fault_sweep_under_eviction_pressure() {
     for step in &steps {
         db.execute_script(step).unwrap();
     }
-    let stats = db.pager_stats().expect("pager pinned on above");
+    let stats = db.pager_stats().expect("durable database");
     assert!(
         stats.pool.evictions > 0,
         "a 2-frame pool under a multi-page working set must evict: {stats:?}"
@@ -608,5 +603,45 @@ fn fault_sweep_over_recovery_schedule() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Refused formats: the pre-pager whole-image log
+// ---------------------------------------------------------------------------
+
+/// A log captured from the last commit that still wrote the whole-image
+/// format (`paged: false`; the first two `commit_steps`, a checkpoint,
+/// then `UPDATE acct SET bal = 70 WHERE id = 1` in the tail): one tag-4
+/// image record followed by a commit group, and no `.meta` sibling.
+const LEGACY_IMAGE_LOG: &[u8] = include_bytes!("fixtures/legacy_image.wal");
+
+/// Opening a legacy-format database fails with a typed error and performs
+/// no mutating operation at all. The hazard this pins: with the image
+/// decoder gone, the record would fail to decode, read as a torn tail,
+/// and recovery would truncate the user's only copy of the data to zero
+/// bytes — or migrate it silently, which this version no longer does.
+#[test]
+fn legacy_image_log_is_refused_untouched() {
+    let fs = SimFs::new();
+    fs.install_file(WAL, LEGACY_IMAGE_LOG.to_vec());
+    for attempt in 0..2 {
+        let err = open_sim(&fs, DurabilityConfig::default())
+            .expect_err("a legacy image log must not open");
+        assert!(
+            matches!(&err, swan_sqlengine::Error::Io(m) if m.contains("legacy whole-image")),
+            "attempt {attempt}: expected the typed legacy-format error, got: {err}"
+        );
+    }
+    let mutating: Vec<String> = fs
+        .ops()
+        .into_iter()
+        .filter(|op| !(op.starts_with("open ") || op.starts_with("read ")))
+        .collect();
+    assert!(mutating.is_empty(), "a refused open must not write, truncate or sync: {mutating:?}");
+    assert_eq!(fs.file_bytes(WAL).as_deref(), Some(LEGACY_IMAGE_LOG), "volatile image changed");
+    assert_eq!(fs.durable_bytes(WAL).as_deref(), Some(LEGACY_IMAGE_LOG), "durable image changed");
+    for sibling in [".pages", ".meta", ".tmp"] {
+        assert!(fs.file_bytes(format!("{WAL}{sibling}")).is_none(), "created {WAL}{sibling}");
     }
 }

@@ -30,7 +30,10 @@
 //! generated query also runs with `OptimizerConfig::columnar` off (the
 //! reference row path) and on, at 1 and 8 threads, under the same
 //! equivalence contract — plus a NULL-heavy generator that stresses the
-//! validity bitmaps, Kleene kernels and NULL-never-joins rules.
+//! validity bitmaps, Kleene kernels and NULL-never-joins rules. The same
+//! runs pin **index scan ≡ full scan**: the reference uses the scan-only
+//! planner (`OptimizerConfig::index_scan` off), and so does one extra
+//! 8-thread columnar run; the row path also runs with index scans on.
 //!
 //! Reproducibility: case streams honour `SWAN_SEED` (see the proptest
 //! shim); a failure prints the seed to replay it.
@@ -204,9 +207,10 @@ fn assert_equivalent(sql: &str, threads: usize, serial: &QueryResult, parallel: 
 
 /// Run `sql` serially and at every parallel thread count over fresh,
 /// identically-populated databases; assert equivalence. Then run the
-/// columnar ≡ row axis: the row path (`columnar: false`) is the
-/// reference, and the columnar kernels must agree byte-for-byte at 1
-/// and 8 threads.
+/// columnar ≡ row and index ≡ scan axes: the row path over the
+/// scan-only planner (`columnar: false`, `index_scan: false`) is the
+/// reference, and the columnar kernels — with and without primary-key
+/// index scans — must agree byte-for-byte at 1 and 8 threads.
 fn diff_query(domain: usize, rows: &[(i64, i64, String)], sql: &str) {
     let mut serial_db = domain_db(domain, rows);
     serial_db.set_optimizer(serial_config());
@@ -219,21 +223,24 @@ fn diff_query(domain: usize, rows: &[(i64, i64, String)], sql: &str) {
         assert_equivalent(sql, threads, &serial, &parallel);
     }
 
-    let run_columnar = |threads: usize, columnar: bool| -> QueryResult {
+    let run = |threads: usize, columnar: bool, index_scan: bool| -> QueryResult {
         let mut db = domain_db(domain, rows);
         db.set_optimizer(OptimizerConfig {
             threads,
             parallel_threshold: 1,
             columnar,
+            index_scan,
             ..Default::default()
         });
-        db.query(sql)
-            .unwrap_or_else(|e| panic!("columnar={columnar} {threads}-thread {sql}: {e}"))
+        db.query(sql).unwrap_or_else(|e| {
+            panic!("columnar={columnar} index_scan={index_scan} {threads}-thread {sql}: {e}")
+        })
     };
-    let row_ref = run_columnar(1, false);
-    for &threads in &[1usize, 8] {
-        let columnar = run_columnar(threads, true);
-        assert_equivalent(sql, threads, &row_ref, &columnar);
+    let reference = run(1, false, false);
+    for (threads, columnar, index_scan) in
+        [(1, false, true), (1, true, true), (8, true, true), (8, true, false)]
+    {
+        assert_equivalent(sql, threads, &reference, &run(threads, columnar, index_scan));
     }
 }
 

@@ -512,37 +512,6 @@ fn sync_delay_routes_through_clock_seam() {
     assert_eq!(db2.row_count("t"), Some(5));
 }
 
-/// The `group_commit: false` escape hatch keeps the PR-4 one-fsync-per-
-/// commit path: exactly one batch per commit, same durability.
-#[test]
-fn group_commit_disabled_is_one_fsync_per_commit() {
-    use std::path::PathBuf;
-    use swan_sqlengine::{DurabilityConfig, SimFs};
-
-    let fs = SimFs::new();
-    let path = PathBuf::from("/sim/nogroup.wal");
-    let config = DurabilityConfig { group_commit: false, ..Default::default() };
-    let db = SharedDb::open_on(Arc::new(fs.clone()), &path, config).unwrap();
-    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)").unwrap();
-
-    std::thread::scope(|s| {
-        for t in 0..4 {
-            let session = db.clone();
-            s.spawn(move || {
-                for i in 0..10 {
-                    session.execute(&format!("INSERT INTO t VALUES ({})", t * 100 + i)).unwrap();
-                }
-            });
-        }
-    });
-
-    let stats = db.commit_stats();
-    assert_eq!(stats.commits, 41);
-    assert_eq!(stats.batches, stats.commits, "no batching when disabled: {stats:?}");
-    let db2 = SharedDb::open_on(Arc::new(fs.reboot(false)), &path, config).unwrap();
-    assert_eq!(db2.row_count("t"), Some(40));
-}
-
 /// A transaction commit and auto-commits from other sessions batch
 /// together without torn installs: the multi-table transaction appears
 /// atomically even when its group shares a batch.
@@ -723,69 +692,4 @@ fn dropped_session_releases_its_snapshot_pin() {
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     assert_eq!(db.mvcc_stats().history_entries, 0, "watermark must not stall");
     assert_eq!(db.row_count("t"), Some(1), "the abandoned transaction installed nothing");
-}
-
-// ---------------------------------------------------------------------------
-// Group commit handback: big batches install outside the leader
-// ---------------------------------------------------------------------------
-
-/// With a low handback threshold, a contended group-commit leader hands
-/// catalog installs back to the waiting committers instead of applying
-/// the whole batch itself — and nothing is lost or reordered doing so.
-#[test]
-fn leader_hands_back_installs_on_contended_batches() {
-    use std::path::PathBuf;
-    use std::time::Duration;
-    use swan_sqlengine::{DurabilityConfig, SimFs};
-
-    const COMMITS_PER_THREAD: usize = 25;
-
-    let fs = SimFs::new();
-    // A slow fsync piles committers into multi-request batches.
-    fs.set_sync_delay(Duration::from_micros(500));
-    let path = PathBuf::from("/sim/handback.wal");
-    let config = DurabilityConfig { handback_deltas: 1, ..Default::default() };
-    let db = SharedDb::open_on(Arc::new(fs.clone()), &path, config).unwrap();
-    for t in 0..THREADS {
-        db.execute(&format!("CREATE TABLE h{t} (id INTEGER PRIMARY KEY, v INTEGER)"))
-            .unwrap();
-    }
-
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let session = db.clone();
-            s.spawn(move || {
-                for i in 0..COMMITS_PER_THREAD {
-                    session
-                        .execute(&format!("INSERT INTO h{t} VALUES ({i}, {})", i * 2))
-                        .unwrap();
-                }
-            });
-        }
-    });
-
-    let stats = db.commit_stats();
-    assert_eq!(
-        stats.commits,
-        (THREADS * (COMMITS_PER_THREAD + 1)) as u64,
-        "every commit acknowledged exactly once: {stats:?}"
-    );
-    assert!(
-        stats.max_batch >= 2,
-        "the sync delay must have formed at least one multi-request batch: {stats:?}"
-    );
-    assert!(
-        stats.handback_installs > 0,
-        "threshold 1 hands every multi-request batch back: {stats:?}"
-    );
-
-    // Handed-back installs are exactly as durable and as complete as
-    // leader-applied ones.
-    for t in 0..THREADS {
-        assert_eq!(db.row_count(&format!("h{t}")), Some(COMMITS_PER_THREAD));
-    }
-    let db2 = SharedDb::open_on(Arc::new(fs.reboot(false)), &path, config).unwrap();
-    for t in 0..THREADS {
-        assert_eq!(db2.row_count(&format!("h{t}")), Some(COMMITS_PER_THREAD));
-    }
 }

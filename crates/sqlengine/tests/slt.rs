@@ -32,7 +32,9 @@
 //! Every file runs twice on a fresh [`SharedDb`] session — once with the
 //! serial engine (`threads = 1`) and once morsel-parallel
 //! (`threads = 8`, `parallel_threshold = 1` so even tiny tables take the
-//! parallel operators) — and both runs must match the golden output
+//! parallel operators) — and again at both thread counts with the
+//! scan-only planner (`index_scan = false`, the reference for the
+//! primary-key index rewrites); every run must match the golden output
 //! byte for byte. Statements execute through a [`Session`], so
 //! `BEGIN`/`COMMIT`/`ROLLBACK` scripts exercise the transaction path.
 //!
@@ -213,13 +215,14 @@ fn render_cell(v: &Value) -> String {
     }
 }
 
-/// Run one file at one thread count; returns every query's rendered
-/// output (for the cross-thread-count comparison).
-fn run_file(path: &Path, threads: usize) -> Vec<Vec<String>> {
+/// Run one file under one engine configuration; returns every query's
+/// rendered output (for the cross-configuration comparison).
+fn run_file(path: &Path, threads: usize, index_scan: bool) -> Vec<Vec<String>> {
     let db = SharedDb::new();
     db.set_optimizer(OptimizerConfig {
         threads,
         parallel_threshold: 1,
+        index_scan,
         ..Default::default()
     });
     db.register_udf(Arc::new(FlakyMap::default()));
@@ -230,14 +233,14 @@ fn run_file(path: &Path, threads: usize) -> Vec<Vec<String>> {
         match directive {
             Directive::StatementOk { line, sql } => {
                 session.execute_script(&sql).unwrap_or_else(|e| {
-                    panic!("{}:{line} [threads={threads}]: statement failed: {e}\n{sql}",
+                    panic!("{}:{line} [threads={threads} index_scan={index_scan}]: statement failed: {e}\n{sql}",
                         path.display())
                 });
             }
             Directive::StatementError { line, sql, needle } => {
                 match session.execute_script(&sql) {
                     Ok(_) => panic!(
-                        "{}:{line} [threads={threads}]: statement succeeded but must fail\n{sql}",
+                        "{}:{line} [threads={threads} index_scan={index_scan}]: statement succeeded but must fail\n{sql}",
                         path.display()
                     ),
                     Err(e) => {
@@ -245,7 +248,7 @@ fn run_file(path: &Path, threads: usize) -> Vec<Vec<String>> {
                             let msg = e.to_string();
                             assert!(
                                 msg.contains(&needle),
-                                "{}:{line} [threads={threads}]: error {msg:?} must contain {needle:?}\n{sql}",
+                                "{}:{line} [threads={threads} index_scan={index_scan}]: error {msg:?} must contain {needle:?}\n{sql}",
                                 path.display()
                             );
                         }
@@ -269,7 +272,7 @@ fn run_file(path: &Path, threads: usize) -> Vec<Vec<String>> {
             },
             Directive::Query { line, sql, expected } => {
                 let result = session.query(&sql).unwrap_or_else(|e| {
-                    panic!("{}:{line} [threads={threads}]: query failed: {e}\n{sql}",
+                    panic!("{}:{line} [threads={threads} index_scan={index_scan}]: query failed: {e}\n{sql}",
                         path.display())
                 });
                 let got: Vec<String> = result
@@ -283,7 +286,7 @@ fn run_file(path: &Path, threads: usize) -> Vec<Vec<String>> {
                     let mut msg = String::new();
                     let _ = writeln!(
                         msg,
-                        "{}:{line} [threads={threads}]: query output mismatch\n{sql}\n-- expected --",
+                        "{}:{line} [threads={threads} index_scan={index_scan}]: query output mismatch\n{sql}\n-- expected --",
                         path.display()
                     );
                     for l in &expected {
@@ -317,17 +320,19 @@ fn slt_files() -> Vec<PathBuf> {
 }
 
 /// Every golden file passes on the serial engine and the 8-thread
-/// morsel-parallel engine, with byte-identical query output.
+/// morsel-parallel engine, with and without primary-key index scans, with
+/// byte-identical query output.
 #[test]
 fn golden_sql_files_match_at_one_and_eight_threads() {
     for path in slt_files() {
-        let serial = run_file(&path, 1);
-        let parallel = run_file(&path, 8);
-        assert_eq!(
-            serial,
-            parallel,
-            "{}: serial and 8-thread outputs diverged",
-            path.display()
-        );
+        let serial = run_file(&path, 1, true);
+        for (threads, index_scan) in [(8, true), (1, false), (8, false)] {
+            assert_eq!(
+                serial,
+                run_file(&path, threads, index_scan),
+                "{}: serial and threads={threads} index_scan={index_scan} outputs diverged",
+                path.display()
+            );
+        }
     }
 }

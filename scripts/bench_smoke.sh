@@ -64,8 +64,8 @@ run point_lookup
 # record framing amortize over the batch), auto-commit baseline,
 # checkpoint cost, 10k-row recovery, and the contended group-commit case
 # (8 concurrent committers, fsync on — the printed commits-per-fsync
-# ratio must stay well above the nogroup variant's 1.00 floor; if it
-# falls toward 1.0, the group-commit queue has stopped batching).
+# ratio must stay well above 1.00, one fsync per commit; if it falls
+# toward 1.0, the group-commit queue has stopped batching).
 # Reference numbers live in crates/sqlengine/PERF.md ("Durability"); if
 # the per-row cost of batch_1000 creeps toward batch_1's, commit
 # batching has regressed.
@@ -75,7 +75,7 @@ run wal_commit
 # transactions against ONE table. The disjoint_rows row must print
 # **0 conflict aborts** (the false-conflict fix — it also asserts this);
 # the same_row control keeps printing a large abort count. Both report
-# commits-per-fsync and leader→committer install handbacks.
+# commits-per-fsync.
 run hot_row_contention
 
 # Model-call-count bench (plain table output, no criterion harness): the

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verification plus the serial≡parallel differential
-# harness pinned at both ends of the thread matrix.
+# CI gate: tier-1 verification plus the whole workspace suite across the
+# thread matrix.
 #
 #   scripts/ci.sh            # full gate
 #   SWAN_SEED=12345 scripts/ci.sh   # replay a failing property stream
@@ -11,18 +11,21 @@
 #      panic-family calls on commit/recovery paths, undocumented
 #      `unsafe`, unranked locks. Any finding fails the gate before a
 #      single test runs;
-#   1. tier-1: release build + workspace test suite (ROADMAP contract);
-#   2. the differential harness (crates/sqlengine/tests/parallel_diff.rs)
-#      re-run explicitly with SWAN_THREADS=1 and SWAN_THREADS=8 — the
-#      env var drives every default-config statement through the serial
-#      and the 8-way morsel-parallel executor respectively, on top of
-#      the harness's own per-test thread configs;
+#   1. tier-1: release build + workspace test suite (ROADMAP contract),
+#      then the frozen benchmark's smoke run (examples/swan_benchmark is
+#      a package of its own that tier-1 does not compile: a public-API
+#      deletion that breaks it must fail here, not in the bench pipeline);
+#   2. the workspace suite again with SWAN_THREADS=1, 2 and 8 — the env
+#      var drives every default-config statement through the serial, a
+#      2-way and the 8-way morsel-parallel executor, so a test that
+#      assumes a plan shape cannot hide behind the host's core count
+#      (this includes the parallel_diff differential harness at both
+#      ends of the matrix, on top of its own per-test thread configs);
 #   3. the SharedDb concurrency stress suite (multi-statement
 #      transaction conflict/retry, torn-commit visibility, MVCC
-#      history GC, leader install handback) and the row-level conflict
-#      regression suite (disjoint-PK transactions must not abort), both
-#      under SWAN_LOCKDEP=1, plus the cross-session llm_map
-#      single-flight test;
+#      history GC) and the row-level conflict regression suite
+#      (disjoint-PK transactions must not abort), both under
+#      SWAN_LOCKDEP=1, plus the cross-session llm_map single-flight test;
 #   4. the WAL crash-recovery harness (torn-tail truncation sweep at
 #      every byte offset of the final commit record group, durable
 #      transactions, auto-checkpoint compaction);
@@ -33,7 +36,8 @@
 #      dir-sync-fails-then-crash schedule), asserting recovery is always
 #      a clean prefix of acknowledged commits;
 #   6. the golden SQL suite (tests/slt/*.slt), each file executed on the
-#      serial and the 8-thread engine with byte-identical output — then
+#      serial and the 8-thread engine, with primary-key index scans and
+#      with the scan-only planner, with byte-identical output — then
 #      the slt suite and the differential harness again with
 #      SWAN_COLUMNAR=0 and =1, so both the columnar kernels and the
 #      bit-for-bit row fallback stay pinned to the same goldens;
@@ -59,11 +63,16 @@ cargo build --release
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
 
-echo "== differential harness @ SWAN_THREADS=1 (serial engine) =="
-SWAN_THREADS=1 cargo test -q -p swan-sqlengine --test parallel_diff
+echo "== benchmark smoke: examples/swan_benchmark builds and runs =="
+# The benchmark refuses to run under any SWAN_* variable (e.g. a replayed
+# SWAN_SEED): they change the engine defaults it measures.
+env -u SWAN_SEED cargo run --release --quiet --offline \
+    --manifest-path examples/swan_benchmark/Cargo.toml -- --workload all --quick
 
-echo "== differential harness @ SWAN_THREADS=8 (morsel-parallel engine) =="
-SWAN_THREADS=8 cargo test -q -p swan-sqlengine --test parallel_diff
+for t in 1 2 8; do
+    echo "== workspace tests @ SWAN_THREADS=$t =="
+    SWAN_THREADS=$t cargo test --workspace -q
+done
 
 echo "== SharedDb concurrency + transaction stress (lock-order validated) =="
 SWAN_LOCKDEP=1 cargo test -q -p swan-sqlengine --test shared_db_stress
@@ -77,7 +86,7 @@ cargo test -q -p swan-sqlengine --test wal_recovery
 echo "== crash-simulation harness (SimFs fault sweep) =="
 cargo test -q -p swan-sqlengine --test crash_sim
 
-echo "== golden SQL suite @ 1 and 8 threads =="
+echo "== golden SQL suite @ 1 and 8 threads, index scans on and off =="
 cargo test -q -p swan-sqlengine --test slt
 
 echo "== columnar execution off/on: golden SQL suite =="
@@ -87,22 +96,6 @@ SWAN_COLUMNAR=1 cargo test -q -p swan-sqlengine --test slt
 echo "== columnar execution off/on: differential harness =="
 SWAN_COLUMNAR=0 cargo test -q -p swan-sqlengine --test parallel_diff
 SWAN_COLUMNAR=1 cargo test -q -p swan-sqlengine --test parallel_diff
-
-echo "== paged storage off/on: golden SQL suite =="
-SWAN_PAGER=0 cargo test -q -p swan-sqlengine --test slt
-SWAN_PAGER=1 cargo test -q -p swan-sqlengine --test slt
-
-echo "== paged storage off/on: differential harness =="
-SWAN_PAGER=0 cargo test -q -p swan-sqlengine --test parallel_diff
-SWAN_PAGER=1 cargo test -q -p swan-sqlengine --test parallel_diff
-
-echo "== paged storage off/on: crash-simulation harness =="
-SWAN_PAGER=0 cargo test -q -p swan-sqlengine --test crash_sim
-SWAN_PAGER=1 cargo test -q -p swan-sqlengine --test crash_sim
-
-echo "== paged storage off/on: integration suite =="
-SWAN_PAGER=0 cargo test -q -p swan-sqlengine --test paged_storage
-SWAN_PAGER=1 cargo test -q -p swan-sqlengine --test paged_storage
 
 echo "== binary row + column codec round-trip properties =="
 cargo test -q -p swan-sqlengine --test prop_codec
