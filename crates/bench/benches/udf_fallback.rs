@@ -1,11 +1,9 @@
-//! Fallback-path batching — engine-level `invoke_batch` vs per-row calls.
+//! Engine-level `invoke_batch` vs per-row calls.
 //!
-//! The AST pre-pass bails on whole query classes (compound SELECTs,
-//! subquery sources, unqualified keys, non-literal questions, `llm_map`
-//! inside JOIN ON); before engine-level batching those classes degraded to
-//! one sequential model call per row. This bench runs a workload the
-//! pre-pass must bail on — `llm_map` in a JOIN ON over a subquery source —
-//! and reports model-call counts and wall clock for the per-row path
+//! Batching follows the operator's input, so it does not depend on the
+//! statement's shape. This bench runs an awkward one — `llm_map` in a JOIN
+//! ON over a subquery source — and reports model-call counts and wall
+//! clock for the per-row path
 //! (`batch_expensive_udfs` off) vs the vectorized path (default): calls
 //! should collapse from `distinct_keys` to `ceil(distinct_keys /
 //! batch_size)` and wall clock with it (the batched calls also fan out
@@ -40,8 +38,8 @@ impl LanguageModel for LatencyModel {
     }
 }
 
-/// A query shape the pre-pass cannot handle: the key columns come from a
-/// subquery source, and the call sits in a JOIN ON condition.
+/// The key columns come from a subquery source, and the call sits in a
+/// JOIN ON condition.
 const FALLBACK_SQL: &str =
     "SELECT COUNT(*) FROM (SELECT superhero_name, full_name FROM superhero) h \
      JOIN alignment a \

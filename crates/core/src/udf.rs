@@ -1,54 +1,39 @@
 //! Hybrid-query UDFs (paper §4.2) — the BlendSQL-style solution.
 //!
 //! `llm_map('question', key...)` is registered as an *expensive* scalar
-//! UDF on the curated database. Before executing a question's SQL, the
-//! [`UdfRunner`] performs the BlendSQL-style pre-pass:
-//!
-//! 1. find every `llm_map` call in the statement;
-//! 2. determine the key columns' base table and — when predicate
-//!    pushdown is enabled (§4.2: "pushing down predicates to avoid
-//!    generating unnecessary data entries") — the cheap WHERE conjuncts
-//!    that restrict it;
-//! 3. collect the distinct key tuples, batch them (BlendSQL's default
-//!    batch size is 5, §5.4) into [`UdfPrompt`]s, and fill the answer
-//!    store.
-//!
-//! During execution, `llm_map` reads the store. Query shapes the pre-pass
-//! bails on (compound SELECTs, subquery sources, unqualified key columns,
-//! non-literal questions, `llm_map` inside JOIN ON) are still batched:
-//! the engine's vectorized execution hands each operator's distinct
-//! argument tuples to [`ScalarUdf::invoke_batch`], which chunks uncached
-//! keys per [`UdfConfig::batch_size`] and fans the prompts out across
-//! `UdfConfig::workers`. Only keys a short batch response leaves
-//! unanswered fall back to single-key model calls, and those are
-//! single-flighted across concurrent rows. The answer-store key policy
-//! implements the caching spectrum of §4.3/§5.5 (see [`CacheScope`]).
+//! UDF on the curated database, and the engine does the rest: the
+//! optimizer runs cheap predicates first (§4.2: "pushing down predicates
+//! to avoid generating unnecessary data entries") and marks every
+//! `llm_map` call site for vectorized execution, which hands the
+//! surviving rows' distinct argument tuples to
+//! [`ScalarUdf::invoke_batch`]. There, keys the answer store misses are
+//! chunked per [`UdfConfig::batch_size`] (BlendSQL's default is 5, §5.4)
+//! into [`UdfPrompt`]s and fanned out across [`UdfConfig::workers`].
+//! Keys a short batch response leaves unanswered get one re-batch round,
+//! then single-key model calls, which are single-flighted across
+//! concurrent rows. The answer-store key policy implements the caching
+//! spectrum of §4.3/§5.5 (see [`CacheScope`]).
 
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use swan_pool::lockrank;
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
-
 use swan_data::DomainData;
 use swan_llm::knowledge::normalize_question;
+use swan_llm::prompt::parse_udf_response;
 use swan_llm::{parallel, BreakerState, LanguageModel, LlmError, ResilientModel, UdfExample, UdfPrompt};
-use swan_sqlengine::ast::{
-    Expr, SelectBody, SelectItem, SelectStmt, Statement, TableRef,
-};
-use swan_sqlengine::exec::{run_select, ExecCtx};
-use swan_sqlengine::plan::{split_conjuncts, RelSchema};
-use swan_sqlengine::{parser, Database, Error, QueryResult, Result, ScalarUdf, Value};
+use swan_pool::lockrank;
+use swan_sqlengine::{Database, Error, QueryResult, Result, ScalarUdf, Value};
 
 use crate::hqdl::infer_value;
 
 /// How the answer store keys cached LLM results across questions (§5.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheScope {
-    /// No reuse at all: the store is cleared before every question.
+    /// No reuse at all: every [`UdfRunner::run_sql`] starts a new
+    /// question epoch, and only answers of the current epoch are live.
     PerQuestion,
     /// BlendSQL's behaviour: reuse only when the prompt's question text
     /// is (modulo whitespace/case) identical. Paraphrases miss.
@@ -71,9 +56,10 @@ pub enum OnModelFailure {
     /// The row's answer becomes NULL. Never cached: a later statement
     /// retries the key.
     Null,
-    /// Serve the last known-good answer for this key — surviving even
-    /// [`CacheScope::PerQuestion`] store clears — falling back to NULL
-    /// when the key has never been answered. Never re-cached either.
+    /// Serve the last known-good answer for this key — whichever
+    /// question epoch wrote it, so it outlives [`CacheScope::PerQuestion`]
+    /// — falling back to NULL when the key has never been answered. Never
+    /// re-cached either.
     StaleCache,
 }
 
@@ -84,11 +70,9 @@ pub struct UdfConfig {
     pub shots: usize,
     /// Keys per batched prompt (BlendSQL default: 5).
     pub batch_size: usize,
-    /// Pre-pass predicate pushdown on/off (ablation A4).
-    pub pushdown: bool,
     /// Cross-question caching policy (ablation A2).
     pub cache: CacheScope,
-    /// Parallel LLM workers for the pre-pass.
+    /// Parallel LLM workers for one batch's prompts.
     pub workers: usize,
     /// Degradation policy for model calls that still fail after the
     /// resilience layer's retries.
@@ -100,7 +84,6 @@ impl Default for UdfConfig {
         UdfConfig {
             shots: 0,
             batch_size: 5,
-            pushdown: true,
             cache: CacheScope::ExactPrompt,
             workers: 1,
             on_model_failure: OnModelFailure::Fail,
@@ -111,14 +94,14 @@ impl Default for UdfConfig {
 /// Execution statistics for cost analysis.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UdfStats {
-    /// Keys answered through batched model calls — the AST pre-pass or
-    /// the engine's vectorized `invoke_batch` execution.
+    /// Keys answered through batched model calls.
     pub prefetched_keys: u64,
-    /// Keys already present in the answer store when prefetch ran.
+    /// Distinct key tuples already in the answer store when a batch was
+    /// assembled — the §5.5 cross-question reuse number.
     pub cache_hits: u64,
-    /// Answer-store hits during execution: rows served from previously
-    /// fetched answers at `invoke`/`invoke_batch` time, including reuse
-    /// across concurrent rows coalesced by the single-flight fallback.
+    /// Answer-store hits on the per-row path (`invoke` and the single-key
+    /// fallback), including reuse across concurrent rows coalesced by
+    /// the single-flight fallback.
     pub exec_cache_hits: u64,
     /// Per-row fallback model calls during execution (attempts, whether
     /// or not the model answered).
@@ -176,8 +159,9 @@ impl DomainMeta {
     }
 }
 
-/// An answer-store key under the configured [`CacheScope`].
-type CacheKey = (String, Vec<String>);
+/// An answer-store key: the question's identity under the configured
+/// [`CacheScope`] (shared by every key of a batch) and the key tuple.
+type CacheKey = (Arc<str>, Vec<String>);
 
 /// One in-flight model fetch for a cache key. The leader (the thread that
 /// created the flight) publishes its outcome here; waiters receive it
@@ -226,6 +210,51 @@ impl Flight {
     }
 }
 
+/// Every answer the model has produced, tagged with the question epoch
+/// that wrote it. Only successful answers are ever inserted.
+#[derive(Default)]
+struct AnswerStore {
+    /// Bumped by [`UdfRunner::run_sql`] under [`CacheScope::PerQuestion`];
+    /// constant otherwise, so every entry stays live.
+    epoch: u64,
+    entries: HashMap<CacheKey, (u64, Value)>,
+}
+
+impl AnswerStore {
+    /// A cache hit: the answer, if the current epoch wrote it.
+    fn live(&self, key: &CacheKey) -> Option<&Value> {
+        self.entries.get(key).filter(|(epoch, _)| *epoch == self.epoch).map(|(_, v)| v)
+    }
+
+    /// The last answer for `key` from any epoch: the
+    /// [`OnModelFailure::StaleCache`] degradation source.
+    fn last_good(&self, key: &CacheKey) -> Option<&Value> {
+        self.entries.get(key).map(|(_, v)| v)
+    }
+
+    fn insert(&mut self, key: CacheKey, value: Value) {
+        self.entries.insert(key, (self.epoch, value));
+    }
+
+    fn live_len(&self) -> usize {
+        self.entries.values().filter(|(epoch, _)| *epoch == self.epoch).count()
+    }
+}
+
+/// The [`UdfStats`] counters. Statistics only: `Relaxed` throughout.
+#[derive(Default)]
+struct Counters {
+    prefetched_keys: AtomicU64,
+    cache_hits: AtomicU64,
+    exec_cache_hits: AtomicU64,
+    fallback_calls: AtomicU64,
+    degraded: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// Shared state between the runner and the registered `llm_map` UDF.
 struct Shared {
     meta: DomainMeta,
@@ -234,15 +263,8 @@ struct Shared {
     /// [`UdfRunner::with_resilient`] — exposes breaker state in stats.
     resilient: Option<Arc<ResilientModel>>,
     config: UdfConfig,
-    answers: Mutex<HashMap<CacheKey, Value>>,
-    /// Last known-good answer per key, written on every successful model
-    /// answer and **surviving** [`CacheScope::PerQuestion`] store clears:
-    /// the [`OnModelFailure::StaleCache`] degradation source.
-    stale: Mutex<HashMap<CacheKey, Value>>,
-    stats: Mutex<UdfStats>,
-    fallback_calls: AtomicU64,
-    exec_hits: AtomicU64,
-    degraded: AtomicU64,
+    answers: Mutex<AnswerStore>,
+    counters: Counters,
     /// Cache keys currently being fetched, mapped to their [`Flight`].
     /// Concurrent rows asking for the same key wait on the flight instead
     /// of issuing duplicate model calls (single-flight). Lock ordering
@@ -252,9 +274,10 @@ struct Shared {
 }
 
 impl Shared {
-    /// Store key under the configured cache scope.
-    fn cache_key(&self, question: &str, key: &[String]) -> (String, Vec<String>) {
-        let part = match self.config.cache {
+    /// What identifies `question` in the answer store under the configured
+    /// cache scope.
+    fn cache_scope_of(&self, question: &str) -> Arc<str> {
+        match self.config.cache {
             CacheScope::Semantic => self
                 .meta
                 .attribute_of(question)
@@ -264,8 +287,8 @@ impl Shared {
             // which question produced the prompt stays in the key, so
             // per-question phrasings never share entries (§5.5).
             _ => question.trim().to_ascii_lowercase(),
-        };
-        (part, key.to_vec())
+        }
+        .into()
     }
 
     fn prompt_for(&self, question: &str, keys: Vec<Vec<String>>) -> UdfPrompt {
@@ -284,12 +307,9 @@ impl Shared {
         }
     }
 
-    /// Record a successful answer: the live store *and* the last-known-
-    /// good store (degradation source). Only ever called with a value the
-    /// model actually produced — failed calls never populate either.
-    fn remember(&self, cache_key: &CacheKey, value: &Value) {
-        self.answers.lock().insert(cache_key.clone(), value.clone());
-        self.stale.lock().insert(cache_key.clone(), value.clone());
+    /// Answer-store lookup under the configured scope.
+    fn cached(&self, cache_key: &CacheKey) -> Option<Value> {
+        self.answers.lock().live(cache_key).cloned()
     }
 
     /// Single-key fallback call (cache miss during execution),
@@ -297,11 +317,11 @@ impl Shared {
     /// the one in-flight model call instead of each paying their own, and
     /// receive the leader's outcome — error included.
     fn fetch_single(&self, question: &str, key: &[String]) -> Result<Value> {
-        let cache_key = self.cache_key(question, key);
+        let cache_key = (self.cache_scope_of(question), key.to_vec());
         loop {
-            if let Some(v) = self.answers.lock().get(&cache_key) {
-                self.exec_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(v.clone());
+            if let Some(v) = self.cached(&cache_key) {
+                bump(&self.counters.exec_cache_hits);
+                return Ok(v);
             }
             // Join an existing flight, or register ourselves as leader.
             let joined = {
@@ -311,9 +331,9 @@ impl Shared {
                     None => {
                         // Re-check under the map lock: a completing flight
                         // caches its answer *before* removing itself.
-                        if let Some(v) = self.answers.lock().get(&cache_key) {
-                            self.exec_hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(v.clone());
+                        if let Some(v) = self.cached(&cache_key) {
+                            bump(&self.counters.exec_cache_hits);
+                            return Ok(v);
                         }
                         fl.insert(cache_key.clone(), Arc::new(Flight::default()));
                         None
@@ -336,7 +356,7 @@ impl Shared {
             };
             match flight.wait()? {
                 Some(v) => {
-                    self.exec_hits.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.counters.exec_cache_hits);
                     return Ok(v);
                 }
                 // The flight (a batch) ended without this key: retry
@@ -353,15 +373,15 @@ impl Shared {
         cache_key: &CacheKey,
     ) -> Result<Value> {
         let prompt = self.prompt_for(question, vec![key.to_vec()]).render();
-        self.fallback_calls.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.fallback_calls);
         match self.model.complete(&prompt) {
             Ok(completion) => {
-                let answer = swan_llm::prompt::parse_udf_response(&completion.text)
+                let answer = parse_udf_response(&completion.text)
                     .into_iter()
                     .next()
                     .unwrap_or_default();
                 let value = infer_value(&answer);
-                self.remember(cache_key, &value);
+                self.answers.lock().insert(cache_key.clone(), value.clone());
                 Ok(value)
             }
             Err(e) => self.degrade(cache_key, e),
@@ -380,29 +400,33 @@ impl Shared {
         match self.config.on_model_failure {
             OnModelFailure::Fail => Err(fail()),
             OnModelFailure::Null => {
-                self.degraded.fetch_add(1, Ordering::Relaxed);
+                bump(&self.counters.degraded);
                 Ok(Value::Null)
             }
             OnModelFailure::StaleCache => {
-                self.degraded.fetch_add(1, Ordering::Relaxed);
-                Ok(self.stale.lock().get(cache_key).cloned().unwrap_or(Value::Null))
+                bump(&self.counters.degraded);
+                Ok(self.answers.lock().last_good(cache_key).cloned().unwrap_or(Value::Null))
             }
         }
     }
 
-    /// Batched fetch for the engine's vectorized execution path: chunk the
-    /// uncached keys of each question per `batch_size` and fan the prompts
-    /// out through the parallel worker pool — the same shape the AST
-    /// pre-pass uses, but driven by the operator's actual input batch, so
-    /// query shapes the pre-pass bails on (compound SELECTs, subquery
-    /// sources, non-literal questions, `llm_map` in JOIN ON) still get
-    /// batched calls.
-    fn fetch_batch(&self, question: &str, needed: &[Vec<String>]) {
+    /// Batched fetch for the engine's vectorized execution: chunk the
+    /// uncached keys of `needed` per `batch_size` and fan the prompts out
+    /// through the parallel worker pool.
+    ///
+    /// A response can be short (batch glitches, §5.4): answers are matched
+    /// to keys by position, so only the lines before the completion's
+    /// first interior blank line are accepted — past a dropped line no
+    /// position can be trusted. Keys left unanswered (and the keys of
+    /// failed chunks) are simply not cached; [`LlmMapUdf::invoke_batch`]
+    /// hands them to one more `fetch_batch` round and then falls back to
+    /// single-key calls.
+    fn fetch_batch(&self, question: &str, needed: &[&CacheKey]) {
         // Reserve the keys in the single-flight map; keys another thread
         // is already fetching (per-row or in its own batch) are dropped
         // from this batch — their rows fall back to `fetch_single`, which
         // waits on that flight instead of paying a duplicate call.
-        let mine: Vec<(Vec<String>, CacheKey, Arc<Flight>)> = {
+        let mine: Vec<(&CacheKey, Arc<Flight>)> = {
             let mut fl = self.in_flight.lock();
             // Re-check the answer store under the map lock (the same
             // idiom as `fetch_single`): a flight that completed after the
@@ -413,60 +437,70 @@ impl Shared {
             let answers = self.answers.lock();
             needed
                 .iter()
-                .filter_map(|key| {
-                    let ck = self.cache_key(question, key);
-                    if fl.contains_key(&ck) || answers.contains_key(&ck) {
+                .filter_map(|&ck| {
+                    if fl.contains_key(ck) || answers.live(ck).is_some() {
                         return None;
                     }
                     let f = Arc::new(Flight::default());
                     fl.insert(ck.clone(), f.clone());
-                    Some((key.clone(), ck, f))
+                    Some((ck, f))
                 })
                 .collect()
         };
         if mine.is_empty() {
             return;
         }
-        let batch = self.config.batch_size.max(1);
-        let keys_only: Vec<Vec<String>> = mine.iter().map(|(k, _, _)| k.clone()).collect();
-        let chunks: Vec<Vec<Vec<String>>> =
-            keys_only.chunks(batch).map(|c| c.to_vec()).collect();
+        let chunks: Vec<&[(&CacheKey, Arc<Flight>)]> =
+            mine.chunks(self.config.batch_size.max(1)).collect();
         let prompts: Vec<String> = chunks
             .iter()
-            .map(|keys| self.prompt_for(question, keys.clone()).render())
+            .map(|chunk| {
+                let keys = chunk.iter().map(|((_, key), _)| key.clone()).collect();
+                self.prompt_for(question, keys).render()
+            })
             .collect();
         let completions =
             parallel::complete_many(self.model.as_ref(), &prompts, self.config.workers);
 
-        {
-            let mut answers = self.answers.lock();
-            let mut stale = self.stale.lock();
-            let mut stats = self.stats.lock();
-            for (keys, completion) in chunks.iter().zip(completions) {
-                // Failed chunks cache nothing; their rows retry (and
-                // degrade if configured) through `fetch_single`.
-                let Ok(completion) = completion else { continue };
-                let lines = swan_llm::prompt::parse_udf_response(&completion.text);
-                // Short responses leave trailing keys unanswered; the
-                // caller falls back to single-key calls for those.
-                for (key, line) in keys.iter().zip(lines) {
-                    let ck = self.cache_key(question, key);
-                    let value = infer_value(&line);
-                    answers.insert(ck.clone(), value.clone());
-                    stale.insert(ck, value);
-                    stats.prefetched_keys += 1;
+        // Cache the answers and retire the flights, delivering each key's
+        // answer (or `None` for keys a failed/short chunk left unanswered
+        // — waiters retry). An answer is cached before its flight goes.
+        let mut fl = self.in_flight.lock();
+        let mut answers = self.answers.lock();
+        for (chunk, completion) in chunks.iter().zip(completions) {
+            // Failed chunks answer nothing; their rows retry (and degrade
+            // if configured) through `fetch_single`.
+            let text = completion.map(|c| c.text).unwrap_or_default();
+            let mut lines = parse_udf_response(aligned_prefix(&text)).into_iter();
+            for (ck, flight) in *chunk {
+                let value = lines.next().map(|line| infer_value(&line));
+                if let Some(value) = &value {
+                    answers.insert((*ck).clone(), value.clone());
+                    bump(&self.counters.prefetched_keys);
                 }
+                fl.remove(ck);
+                flight.resolve(Ok(value));
             }
         }
-        // Retire the flights, delivering each key's answer (or `None` for
-        // keys a failed/short chunk left unanswered — waiters retry).
-        let mut fl = self.in_flight.lock();
-        let answers = self.answers.lock();
-        for (_, ck, flight) in &mine {
-            fl.remove(ck);
-            flight.resolve(Ok(answers.get(ck).cloned()));
-        }
     }
+}
+
+/// The leading part of a batch completion whose lines still line up with
+/// the prompt's keys: everything before the first interior blank line.
+fn aligned_prefix(text: &str) -> &str {
+    let text = text.trim();
+    let aligned = text.split_inclusive('\n').take_while(|line| !line.trim().is_empty());
+    &text[..aligned.map(str::len).sum()]
+}
+
+/// The argument tuples of one batch that ask the same question and that
+/// the answer store missed.
+struct Misses<'a> {
+    question: &'a str,
+    /// The question's [`Shared::cache_scope_of`], derived once.
+    scope: Arc<str>,
+    /// (batch slot, store key) per tuple.
+    rows: Vec<(usize, CacheKey)>,
 }
 
 /// The `llm_map` scalar function.
@@ -483,63 +517,57 @@ impl ScalarUdf for LlmMapUdf {
         let Some((question, key)) = parse_args(args)? else {
             return Ok(Value::Null); // NULL keys have no LLM answer.
         };
-        let cache_key = self.shared.cache_key(&question, &key);
-        if let Some(v) = self.shared.answers.lock().get(&cache_key) {
-            self.shared.exec_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(v.clone());
-        }
-        self.shared.fetch_single(&question, &key)
+        self.shared.fetch_single(question, &key)
     }
 
     /// Vectorized execution: called by the engine once per operator batch
     /// with the distinct argument tuples of a call site. Uncached keys are
     /// grouped by question, chunked per `UdfConfig::batch_size` and fanned
-    /// out through the parallel worker pool; anything a short batch
-    /// response leaves unanswered falls back to a single-key call.
+    /// out through the parallel worker pool; keys a short or failed batch
+    /// response leaves unanswered are re-batched once, and what is still
+    /// missing then falls back to single-key calls.
     fn invoke_batch(&self, rows: &[Vec<Value>]) -> Result<Vec<Value>> {
         let shared = &self.shared;
         let mut out: Vec<Option<Value>> = vec![None; rows.len()];
-        // (row index, question, key) for rows the answer store misses,
-        // grouped by question in first-seen order.
-        let mut questions: Vec<String> = Vec::new();
-        let mut pending: HashMap<String, Vec<(usize, Vec<String>)>> = HashMap::new();
-        for (i, args) in rows.iter().enumerate() {
+        // One group per question, in first-seen order.
+        let mut groups: Vec<Misses> = Vec::new();
+        for (row, args) in rows.iter().enumerate() {
             let Some((question, key)) = parse_args(args)? else {
-                out[i] = Some(Value::Null);
+                out[row] = Some(Value::Null);
                 continue;
             };
-            if let Some(v) = shared.answers.lock().get(&shared.cache_key(&question, &key)) {
-                shared.exec_hits.fetch_add(1, Ordering::Relaxed);
-                out[i] = Some(v.clone());
-                continue;
+            let group = match groups.iter().position(|g| g.question == question) {
+                Some(g) => &mut groups[g],
+                None => {
+                    let scope = shared.cache_scope_of(question);
+                    groups.push(Misses { question, scope, rows: Vec::new() });
+                    groups.last_mut().expect("just pushed")
+                }
+            };
+            let cache_key = (group.scope.clone(), key);
+            match shared.cached(&cache_key) {
+                Some(v) => {
+                    bump(&shared.counters.cache_hits);
+                    out[row] = Some(v);
+                }
+                None => group.rows.push((row, cache_key)),
             }
-            if !pending.contains_key(&question) {
-                questions.push(question.clone());
-            }
-            pending.entry(question).or_default().push((i, key));
         }
 
-        for question in &questions {
-            let entries = &pending[question];
+        for group in &groups {
             let mut seen = HashSet::new();
-            let needed: Vec<Vec<String>> = entries
-                .iter()
-                .filter(|(_, k)| seen.insert(k.clone()))
-                .map(|(_, k)| k.clone())
-                .collect();
-            shared.fetch_batch(question, &needed);
+            let mut needed: Vec<&CacheKey> =
+                group.rows.iter().map(|(_, ck)| ck).filter(|ck| seen.insert(*ck)).collect();
+            shared.fetch_batch(group.question, &needed);
+            needed.retain(|ck| shared.cached(ck).is_none());
+            shared.fetch_batch(group.question, &needed);
         }
 
-        for (question, entries) in questions.iter().map(|q| (q, &pending[q])) {
-            for (i, key) in entries {
-                let hit = shared
-                    .answers
-                    .lock()
-                    .get(&shared.cache_key(question, key))
-                    .cloned();
-                out[*i] = Some(match hit {
+        for group in &groups {
+            for (row, cache_key) in &group.rows {
+                out[*row] = Some(match shared.cached(cache_key) {
                     Some(v) => v,
-                    None => shared.fetch_single(question, key)?,
+                    None => shared.fetch_single(group.question, &cache_key.1)?,
                 });
             }
         }
@@ -556,7 +584,7 @@ impl ScalarUdf for LlmMapUdf {
 
 /// Validate an `llm_map` argument tuple: `Ok(None)` marks a NULL key
 /// (whose answer is NULL without any model call).
-fn parse_args(args: &[Value]) -> Result<Option<(String, Vec<String>)>> {
+fn parse_args(args: &[Value]) -> Result<Option<(&str, Vec<String>)>> {
     if args.len() < 2 {
         return Err(Error::Udf {
             name: "llm_map".into(),
@@ -568,8 +596,7 @@ fn parse_args(args: &[Value]) -> Result<Option<(String, Vec<String>)>> {
         .ok_or_else(|| Error::Udf {
             name: "llm_map".into(),
             message: "first argument must be the question text".into(),
-        })?
-        .to_string();
+        })?;
     if args[1..].iter().any(Value::is_null) {
         return Ok(None);
     }
@@ -610,12 +637,8 @@ impl UdfRunner {
             model,
             resilient,
             config,
-            answers: Mutex::with_rank("udf_answers", lockrank::UDF_ANSWERS, HashMap::new()),
-            stale: Mutex::with_rank("udf_stale", lockrank::UDF_STALE, HashMap::new()),
-            stats: Mutex::with_rank("udf_stats", lockrank::UDF_STATS, UdfStats::default()),
-            fallback_calls: AtomicU64::new(0),
-            exec_hits: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
+            answers: Mutex::with_rank("udf_answers", lockrank::UDF_ANSWERS, AnswerStore::default()),
+            counters: Counters::default(),
             in_flight: Mutex::with_rank("udf_flight", lockrank::UDF_FLIGHT, HashMap::new()),
         });
         let mut db = domain.curated.clone();
@@ -623,18 +646,13 @@ impl UdfRunner {
         UdfRunner { db, shared }
     }
 
-    /// Execute one UDF-form hybrid query. Non-SELECT statements (useful
-    /// in the interactive shell) execute directly without a pre-pass.
+    /// Execute one UDF-form hybrid query (or any other statement — useful
+    /// in the interactive shell).
     pub fn run_sql(&mut self, udf_sql: &str) -> Result<QueryResult> {
         if self.shared.config.cache == CacheScope::PerQuestion {
-            self.shared.answers.lock().clear();
+            self.shared.answers.lock().epoch += 1;
         }
-        let stmt = parser::parse_statement(udf_sql)?;
-        let Statement::Select(select) = &stmt else {
-            return self.db.execute(udf_sql);
-        };
-        self.prefetch(select)?;
-        self.db.query(udf_sql)
+        self.db.execute(udf_sql)
     }
 
     /// The curated database this runner queries (with `llm_map` registered).
@@ -649,198 +667,21 @@ impl UdfRunner {
 
     /// Cumulative statistics.
     pub fn stats(&self) -> UdfStats {
-        let mut s = *self.shared.stats.lock();
-        s.fallback_calls = self.shared.fallback_calls.load(Ordering::Relaxed);
-        s.exec_cache_hits = self.shared.exec_hits.load(Ordering::Relaxed);
-        s.degraded = self.shared.degraded.load(Ordering::Relaxed);
-        s.breaker = self.shared.resilient.as_ref().map(|r| r.breaker_state());
-        s
+        let c = &self.shared.counters;
+        UdfStats {
+            prefetched_keys: c.prefetched_keys.load(Ordering::Relaxed),
+            cache_hits: c.cache_hits.load(Ordering::Relaxed),
+            exec_cache_hits: c.exec_cache_hits.load(Ordering::Relaxed),
+            fallback_calls: c.fallback_calls.load(Ordering::Relaxed),
+            degraded: c.degraded.load(Ordering::Relaxed),
+            breaker: self.shared.resilient.as_ref().map(|r| r.breaker_state()),
+        }
     }
 
-    /// Number of distinct cached answers.
+    /// Number of distinct live cached answers.
     pub fn cached_answers(&self) -> usize {
-        self.shared.answers.lock().len()
+        self.shared.answers.lock().live_len()
     }
-
-    // ---- pre-pass ----------------------------------------------------------
-
-    fn prefetch(&self, stmt: &SelectStmt) -> Result<()> {
-        let SelectBody::Simple(core) = &stmt.body else {
-            return Ok(()); // compound UDF queries: rely on fallback calls
-        };
-        let mut calls: Vec<(String, Vec<Expr>)> = Vec::new();
-        let mut collect = |e: &Expr| {
-            e.walk(&mut |x| {
-                if let Expr::Function { name, args, .. } = x {
-                    if name.eq_ignore_ascii_case("llm_map") && args.len() >= 2 {
-                        if let Expr::Literal(Value::Text(q)) = &args[0] {
-                            let key = (q.to_string(), args[1..].to_vec());
-                            if !calls.contains(&key) {
-                                calls.push(key);
-                            }
-                        }
-                    }
-                }
-            });
-        };
-        for item in &core.projection {
-            if let SelectItem::Expr { expr, .. } = item {
-                collect(expr);
-            }
-        }
-        // JOIN ON conditions are as batchable as WHERE conjuncts; the FROM
-        // tree must be walked too or `llm_map` in an ON clause is
-        // invisible to the pre-pass.
-        if let Some(from) = &core.from {
-            collect_join_on(from, &mut collect);
-        }
-        if let Some(f) = &core.filter {
-            collect(f);
-        }
-        for g in &core.group_by {
-            collect(g);
-        }
-        if let Some(h) = &core.having {
-            collect(h);
-        }
-        for o in &stmt.order_by {
-            collect(&o.expr);
-        }
-
-        for (question, key_exprs) in calls {
-            self.prefetch_call(core, &question, &key_exprs)?;
-        }
-        Ok(())
-    }
-
-    fn prefetch_call(
-        &self,
-        core: &swan_sqlengine::ast::SelectCore,
-        question: &str,
-        key_exprs: &[Expr],
-    ) -> Result<()> {
-        // The key columns must all be plain column references over one
-        // table alias; otherwise fall back to per-row calls.
-        let mut qualifier: Option<String> = None;
-        for e in key_exprs {
-            match e {
-                Expr::Column { table: Some(t), .. } => {
-                    if let Some(q) = &qualifier {
-                        if !q.eq_ignore_ascii_case(t) {
-                            return Ok(());
-                        }
-                    } else {
-                        qualifier = Some(t.clone());
-                    }
-                }
-                _ => return Ok(()),
-            }
-        }
-        let Some(qualifier) = qualifier else { return Ok(()) };
-        let Some(from) = &core.from else { return Ok(()) };
-        let Some((table_name, alias)) = find_table(from, &qualifier) else {
-            return Ok(());
-        };
-
-        // Pushdown: cheap conjuncts fully resolvable against this table.
-        let filter = if self.shared.config.pushdown {
-            let table = self.db.catalog().get_required(&table_name)?;
-            let schema = RelSchema::qualified(&alias, table.column_names());
-            let pushable: Vec<Expr> = core
-                .filter
-                .iter()
-                .flat_map(split_conjuncts)
-                .filter(|c| !contains_function(c) && schema.covers(c))
-                .collect();
-            swan_sqlengine::plan::conjoin(pushable)
-        } else {
-            None
-        };
-
-        // SELECT DISTINCT <keys> FROM <table> AS <alias> [WHERE pushable]
-        let key_query = SelectStmt {
-            body: SelectBody::Simple(Box::new(swan_sqlengine::ast::SelectCore {
-                distinct: true,
-                projection: key_exprs
-                    .iter()
-                    .map(|e| SelectItem::Expr { expr: e.clone(), alias: None })
-                    .collect(),
-                from: Some(TableRef::Table {
-                    name: table_name,
-                    alias: Some(alias),
-                }),
-                filter,
-                group_by: vec![],
-                having: None,
-            })),
-            order_by: vec![],
-            limit: None,
-            offset: None,
-        };
-        let ctx = ExecCtx::new(self.db.catalog(), self.db.udfs());
-        let keys_rel = run_select(&key_query, &ctx, None)?;
-
-        // Split into cached / needed.
-        let mut needed: Vec<Vec<String>> = Vec::new();
-        {
-            let answers = self.shared.answers.lock();
-            let mut stats = self.shared.stats.lock();
-            for row in &keys_rel.rows {
-                if row.iter().any(Value::is_null) {
-                    continue;
-                }
-                let key: Vec<String> = row.iter().map(Value::render).collect();
-                if answers.contains_key(&self.shared.cache_key(question, &key)) {
-                    stats.cache_hits += 1;
-                } else {
-                    needed.push(key);
-                }
-            }
-        }
-        // Batch and fan out (short responses — batch glitches, §5.4 —
-        // leave trailing keys unanswered; execution falls back).
-        self.shared.fetch_batch(question, &needed);
-        Ok(())
-    }
-}
-
-/// Walk a FROM tree, feeding every JOIN ON condition to `collect`.
-fn collect_join_on(t: &TableRef, collect: &mut impl FnMut(&Expr)) {
-    if let TableRef::Join { left, right, on, .. } = t {
-        collect_join_on(left, collect);
-        collect_join_on(right, collect);
-        if let Some(on) = on {
-            collect(on);
-        }
-    }
-}
-
-/// Find the `(table_name, alias)` in a FROM tree answering to `qualifier`.
-fn find_table(t: &TableRef, qualifier: &str) -> Option<(String, String)> {
-    match t {
-        TableRef::Table { name, alias } => {
-            let a = alias.as_deref().unwrap_or(name);
-            if a.eq_ignore_ascii_case(qualifier) {
-                Some((name.clone(), a.to_string()))
-            } else {
-                None
-            }
-        }
-        TableRef::Subquery { .. } => None,
-        TableRef::Join { left, right, .. } => {
-            find_table(left, qualifier).or_else(|| find_table(right, qualifier))
-        }
-    }
-}
-
-fn contains_function(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |x| {
-        if matches!(x, Expr::Function { .. }) {
-            found = true;
-        }
-    });
-    found
 }
 
 #[cfg(test)]
@@ -864,7 +705,7 @@ mod tests {
         let result = r.run_sql(&q.udf_sql).expect("udf query runs");
         assert!(!result.columns.is_empty());
         let stats = r.stats();
-        assert!(stats.prefetched_keys > 0, "pre-pass fetched keys in batch");
+        assert!(stats.prefetched_keys > 0, "keys were fetched in batch");
     }
 
     #[test]
@@ -924,25 +765,14 @@ mod tests {
     #[test]
     fn pushdown_restricts_point_lookups() {
         // Formula 1 q01 is a point lookup (WHERE forename/surname =
-        // constants): with pushdown only 1 key is fetched.
+        // constants): the cheap predicates run first, so only 1 key is
+        // ever sent to the model.
         let d = SwanBenchmark::generate_domain(&GenConfig::with_scale(0.05), "formula_1").unwrap();
         let kb = swan_data::build_knowledge(std::slice::from_ref(&d));
-
-        let model = Arc::new(SimulatedModel::new(ModelKind::Gpt4Turbo, kb.clone()));
-        let mut with = UdfRunner::new(&d, model, UdfConfig::default());
-        with.run_sql(&d.questions[0].udf_sql).unwrap();
-        assert_eq!(with.stats().prefetched_keys, 1, "pushdown narrows to one driver");
-
         let model = Arc::new(SimulatedModel::new(ModelKind::Gpt4Turbo, kb));
-        let mut without =
-            UdfRunner::new(&d, model, UdfConfig { pushdown: false, ..Default::default() });
-        without.run_sql(&d.questions[0].udf_sql).unwrap();
-        let drivers = d.curated.catalog().get("drivers").unwrap().len() as u64;
-        assert_eq!(
-            without.stats().prefetched_keys,
-            drivers,
-            "without pushdown every driver is generated (§5.5)"
-        );
+        let mut r = UdfRunner::new(&d, model, UdfConfig::default());
+        r.run_sql(&d.questions[0].udf_sql).unwrap();
+        assert_eq!(r.stats().prefetched_keys, 1, "pushdown narrows to one driver");
     }
 
     #[test]
@@ -970,11 +800,11 @@ mod tests {
     }
 
     #[test]
-    fn unprefetchable_key_is_batched_not_single_fetched() {
+    fn literal_key_is_batched_not_single_fetched() {
         let (_, mut r) = runner(0.05, UdfConfig::default());
-        // llm_map over a literal key: the pre-pass cannot see a table, but
-        // the engine's vectorized execution still answers it through one
-        // batched call — no per-row fallback.
+        // llm_map over a literal key, no table in sight: the engine's
+        // vectorized execution still answers it through one batched call
+        // — no per-row fallback.
         let out = r
             .run_sql(
                 "SELECT llm_map('Which publisher published the superhero?', 'Nobody', 'No One')",
@@ -1003,33 +833,9 @@ mod tests {
         assert_eq!(r.stats().fallback_calls, 1);
     }
 
-    /// Regression: `llm_map` inside a JOIN ON condition must be visible to
-    /// the AST pre-pass (the FROM tree was never walked), so every hero is
-    /// prefetched in batch and execution needs zero fallback calls even
-    /// with the engine's own batching ablated.
-    #[test]
-    fn prepass_sees_llm_map_in_join_on() {
-        let (d, mut r) = runner(0.05, UdfConfig::default());
-        r.database_mut().set_optimizer(swan_sqlengine::OptimizerConfig {
-            batch_expensive_udfs: false,
-            ..Default::default()
-        });
-        let heroes = d.curated.catalog().get("superhero").unwrap().len() as u64;
-        r.run_sql(
-            "SELECT COUNT(*) FROM superhero T1 JOIN alignment a \
-             ON llm_map('What is the moral alignment of the superhero?', \
-                        T1.superhero_name, T1.full_name) = a.alignment",
-        )
-        .unwrap();
-        let stats = r.stats();
-        assert_eq!(stats.prefetched_keys, heroes, "pre-pass saw the JOIN ON call");
-        assert_eq!(stats.fallback_calls, 0, "no per-row calls left to make");
-    }
-
-    /// Acceptance: a query the pre-pass cannot handle (`llm_map` in a JOIN
-    /// ON over a subquery source) still issues ceil(distinct_keys /
-    /// batch_size) model calls — the engine's vectorized execution batches
-    /// what the pre-pass bails on.
+    /// `llm_map` in a JOIN ON over a subquery source issues
+    /// ceil(distinct_keys / batch_size) model calls: batching follows the
+    /// operator's input, whatever the statement's shape.
     #[test]
     fn join_on_over_subquery_source_is_batched() {
         let d = SwanBenchmark::generate_domain(&GenConfig::with_scale(0.05), "superhero").unwrap();
@@ -1052,20 +858,6 @@ mod tests {
             "one batched call per 5 distinct keys, not one per row"
         );
         assert_eq!(r.stats().fallback_calls, 0);
-    }
-
-    /// Execution-time answer-store hits are counted (they used to be
-    /// invisible in `UdfStats`).
-    #[test]
-    fn execution_cache_hits_are_counted() {
-        let (d, mut r) = runner(0.05, UdfConfig::default());
-        r.run_sql(&d.questions[0].udf_sql).unwrap();
-        let stats = r.stats();
-        assert!(
-            stats.exec_cache_hits > 0,
-            "execution reads the prefetched answers through the store"
-        );
-        assert_eq!(stats.cache_hits, 0, "prefetch-time hits stay separate");
     }
 
     /// Concurrent rows asking for the same uncached key must coalesce into
@@ -1113,6 +905,89 @@ mod tests {
         assert_eq!(inner.usage().calls, 1, "concurrent identical keys coalesced");
         assert_eq!(r.stats().fallback_calls, 1);
         assert_eq!(r.stats().exec_cache_hits, 3, "the three waiters hit the store");
+    }
+
+    /// Answers every key with `'v:<key>'`, one line per key, after passing
+    /// the lines through `glitch` — the scripted stand-in for short and
+    /// misaligned batch responses.
+    struct KeyEcho {
+        meter: swan_llm::UsageMeter,
+        glitch: fn(&mut Vec<String>),
+    }
+
+    impl LanguageModel for KeyEcho {
+        fn name(&self) -> &str {
+            "key-echo"
+        }
+        fn complete(&self, prompt: &str) -> swan_llm::LlmResult<swan_llm::Completion> {
+            let keys = UdfPrompt::parse(prompt)?.keys;
+            let mut lines = keys.iter().map(|k| format!("'v:{}'", k.join("/"))).collect();
+            (self.glitch)(&mut lines);
+            let text = lines.join("\n");
+            let tokens = swan_llm::TokenCount::of(prompt, &text);
+            self.meter.record(tokens);
+            Ok(swan_llm::Completion { text, tokens })
+        }
+        fn usage_meter(&self) -> &swan_llm::UsageMeter {
+            &self.meter
+        }
+    }
+
+    const KEY_ECHO_SQL: &str = "SELECT k, llm_map('scripted probe', k) FROM keys ORDER BY k";
+
+    /// A runner over a `keys(k)` table of `n` rows answered by [`KeyEcho`].
+    fn key_echo_runner(n: usize, glitch: fn(&mut Vec<String>)) -> (Arc<KeyEcho>, UdfRunner) {
+        let d = SwanBenchmark::generate_domain(&GenConfig::with_scale(0.01), "superhero").unwrap();
+        let model = Arc::new(KeyEcho { meter: swan_llm::UsageMeter::new(), glitch });
+        let mut r = UdfRunner::new(&d, model.clone(), UdfConfig::default());
+        r.run_sql("CREATE TABLE keys (k TEXT PRIMARY KEY)").unwrap();
+        for i in 0..n {
+            r.run_sql(&format!("INSERT INTO keys VALUES ('k{i:02}')")).unwrap();
+        }
+        (model, r)
+    }
+
+    fn assert_every_key_holds_its_own_answer(out: &QueryResult) {
+        for row in &out.rows {
+            assert_eq!(row[1].render(), format!("v:{}", row[0].render()));
+        }
+    }
+
+    /// Keys a short batch response leaves unanswered are re-batched once
+    /// before the single-key fallback: 10 keys in two chunks of 5 lose 2
+    /// lines, the re-batch of those 2 loses 1, the last key goes alone.
+    #[test]
+    fn short_responses_get_one_rebatch_round() {
+        let (model, mut r) = key_echo_runner(10, |lines| {
+            if lines.len() > 1 {
+                lines.pop();
+            }
+        });
+        let out = r.run_sql(KEY_ECHO_SQL).unwrap();
+        assert_eq!(out.rows.len(), 10);
+        assert_every_key_holds_its_own_answer(&out);
+        assert_eq!(model.usage().calls, 4, "2 batched + 1 re-batched + 1 single");
+        assert_eq!(r.stats().fallback_calls, 1);
+    }
+
+    /// Regression: a blank line inside a batch completion used to shift
+    /// every later answer onto the wrong key, and cache it. Only the lines
+    /// before the blank are accepted; the rest are fetched again.
+    #[test]
+    fn interior_blank_line_never_shifts_answers() {
+        let (model, mut r) = key_echo_runner(3, |lines| {
+            if lines.len() == 3 {
+                lines[1].clear();
+            }
+        });
+        let out = r.run_sql(KEY_ECHO_SQL).unwrap();
+        assert_every_key_holds_its_own_answer(&out);
+        assert_eq!(model.usage().calls, 2, "the batch, then k01 and k02 re-batched");
+        assert_eq!(r.stats().prefetched_keys, 3, "k00 from the first batch, two from the second");
+        assert_eq!(r.stats().fallback_calls, 0);
+        // The cached entries are the right ones too.
+        assert_every_key_holds_its_own_answer(&r.run_sql(KEY_ECHO_SQL).unwrap());
+        assert_eq!(model.usage().calls, 2);
     }
 
     #[test]

@@ -78,16 +78,9 @@ pub const SUBQUERY_CACHE: u32 = 60;
 /// UDF single-flight table (`udf::Shared.in_flight`).
 pub const UDF_FLIGHT: u32 = 70;
 
-/// UDF answer cache (`udf::Shared.answers`). The documented order is
+/// UDF answer store (`udf::Shared.answers`). The documented order is
 /// `in_flight` then `answers`, never the reverse.
 pub const UDF_ANSWERS: u32 = 71;
-
-/// UDF stale-value cache (`udf::Shared.stale`), taken under `answers`
-/// when degrading to stale results.
-pub const UDF_STALE: u32 = 72;
-
-/// UDF cache statistics (`udf::Shared.stats`).
-pub const UDF_STATS: u32 = 73;
 
 /// Circuit-breaker state (`ResilientModel`). Never held across a model
 /// call.

@@ -20,7 +20,7 @@
 //!   reordered by catalog row-count statistics — see `PERF.md` for the
 //!   representation notes and measured numbers;
 //! * **columnar execution** ([`columnar`], [`OptimizerConfig::columnar`],
-//!   default on; `SWAN_COLUMNAR=0` flips the default): each table lazily
+//!   default on): each table lazily
 //!   caches typed column vectors with validity bitmaps (dictionary-encoded
 //!   text, raw `i64`/`f64`/bool), and supported scan predicates, GROUP BY
 //!   keys, hash-join keys and plain-column aggregates run as

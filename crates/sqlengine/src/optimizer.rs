@@ -66,8 +66,8 @@ pub struct OptimizerConfig {
     /// keys and `COUNT`/`SUM`/`AVG`/`MIN`/`MAX` read columns directly,
     /// and rows materialize lazily at the engine boundary. `false`
     /// reproduces the row-at-a-time engine bit-for-bit (the differential
-    /// oracle). Defaults to the `SWAN_COLUMNAR` environment variable
-    /// (unset or anything but `0` = on).
+    /// oracle the `slt` and `parallel_diff` harnesses compare against).
+    /// On by default.
     pub columnar: bool,
     /// Rewrite `Filter(Scan)` to `Filter(IndexScan)` when the predicate
     /// pins the primary key to literals: all-column equality becomes an
@@ -95,18 +95,10 @@ impl Default for OptimizerConfig {
             batch_expensive_udfs: true,
             threads: 0,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            columnar: default_columnar(),
+            columnar: true,
             index_scan: true,
         }
     }
-}
-
-/// Default for [`OptimizerConfig::columnar`]: the `SWAN_COLUMNAR`
-/// environment variable, read once per process (`0` = off, anything else
-/// or unset = on). The CI harness flips it to pin both representations.
-fn default_columnar() -> bool {
-    static COLUMNAR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *COLUMNAR.get_or_init(|| std::env::var("SWAN_COLUMNAR").map_or(true, |v| v != "0"))
 }
 
 /// A column the SELECT level reads: `(qualifier, name)`, matched

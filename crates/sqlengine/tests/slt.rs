@@ -34,9 +34,11 @@
 //! (`threads = 8`, `parallel_threshold = 1` so even tiny tables take the
 //! parallel operators) — and again at both thread counts with the
 //! scan-only planner (`index_scan = false`, the reference for the
-//! primary-key index rewrites); every run must match the golden output
-//! byte for byte. Statements execute through a [`Session`], so
-//! `BEGIN`/`COMMIT`/`ROLLBACK` scripts exercise the transaction path.
+//! primary-key index rewrites) and with the row-at-a-time engine
+//! (`columnar = false`, the reference for the columnar kernels); every
+//! run must match the golden output byte for byte. Statements execute
+//! through a [`Session`], so `BEGIN`/`COMMIT`/`ROLLBACK` scripts exercise
+//! the transaction path.
 //!
 //! The runner registers two local test UDFs (this crate cannot see the
 //! LLM layer, so they stand in for a model-backed function):
@@ -217,12 +219,14 @@ fn render_cell(v: &Value) -> String {
 
 /// Run one file under one engine configuration; returns every query's
 /// rendered output (for the cross-configuration comparison).
-fn run_file(path: &Path, threads: usize, index_scan: bool) -> Vec<Vec<String>> {
+fn run_file(path: &Path, threads: usize, index_scan: bool, columnar: bool) -> Vec<Vec<String>> {
+    let config = format!("threads={threads} index_scan={index_scan} columnar={columnar}");
     let db = SharedDb::new();
     db.set_optimizer(OptimizerConfig {
         threads,
         parallel_threshold: 1,
         index_scan,
+        columnar,
         ..Default::default()
     });
     db.register_udf(Arc::new(FlakyMap::default()));
@@ -233,14 +237,14 @@ fn run_file(path: &Path, threads: usize, index_scan: bool) -> Vec<Vec<String>> {
         match directive {
             Directive::StatementOk { line, sql } => {
                 session.execute_script(&sql).unwrap_or_else(|e| {
-                    panic!("{}:{line} [threads={threads} index_scan={index_scan}]: statement failed: {e}\n{sql}",
+                    panic!("{}:{line} [{config}]: statement failed: {e}\n{sql}",
                         path.display())
                 });
             }
             Directive::StatementError { line, sql, needle } => {
                 match session.execute_script(&sql) {
                     Ok(_) => panic!(
-                        "{}:{line} [threads={threads} index_scan={index_scan}]: statement succeeded but must fail\n{sql}",
+                        "{}:{line} [{config}]: statement succeeded but must fail\n{sql}",
                         path.display()
                     ),
                     Err(e) => {
@@ -248,7 +252,7 @@ fn run_file(path: &Path, threads: usize, index_scan: bool) -> Vec<Vec<String>> {
                             let msg = e.to_string();
                             assert!(
                                 msg.contains(&needle),
-                                "{}:{line} [threads={threads} index_scan={index_scan}]: error {msg:?} must contain {needle:?}\n{sql}",
+                                "{}:{line} [{config}]: error {msg:?} must contain {needle:?}\n{sql}",
                                 path.display()
                             );
                         }
@@ -272,7 +276,7 @@ fn run_file(path: &Path, threads: usize, index_scan: bool) -> Vec<Vec<String>> {
             },
             Directive::Query { line, sql, expected } => {
                 let result = session.query(&sql).unwrap_or_else(|e| {
-                    panic!("{}:{line} [threads={threads} index_scan={index_scan}]: query failed: {e}\n{sql}",
+                    panic!("{}:{line} [{config}]: query failed: {e}\n{sql}",
                         path.display())
                 });
                 let got: Vec<String> = result
@@ -286,7 +290,7 @@ fn run_file(path: &Path, threads: usize, index_scan: bool) -> Vec<Vec<String>> {
                     let mut msg = String::new();
                     let _ = writeln!(
                         msg,
-                        "{}:{line} [threads={threads} index_scan={index_scan}]: query output mismatch\n{sql}\n-- expected --",
+                        "{}:{line} [{config}]: query output mismatch\n{sql}\n-- expected --",
                         path.display()
                     );
                     for l in &expected {
@@ -320,17 +324,26 @@ fn slt_files() -> Vec<PathBuf> {
 }
 
 /// Every golden file passes on the serial engine and the 8-thread
-/// morsel-parallel engine, with and without primary-key index scans, with
-/// byte-identical query output.
+/// morsel-parallel engine, with and without primary-key index scans, on
+/// the columnar kernels and the row path, with byte-identical query
+/// output.
 #[test]
 fn golden_sql_files_match_at_one_and_eight_threads() {
     for path in slt_files() {
-        let serial = run_file(&path, 1, true);
-        for (threads, index_scan) in [(8, true), (1, false), (8, false)] {
+        let serial = run_file(&path, 1, true, true);
+        for (threads, index_scan, columnar) in [
+            (8, true, true),
+            (1, false, true),
+            (8, false, true),
+            (1, true, false),
+            (8, true, false),
+            (1, false, false),
+            (8, false, false),
+        ] {
             assert_eq!(
                 serial,
-                run_file(&path, threads, index_scan),
-                "{}: serial and threads={threads} index_scan={index_scan} outputs diverged",
+                run_file(&path, threads, index_scan, columnar),
+                "{}: serial and threads={threads} index_scan={index_scan} columnar={columnar} outputs diverged",
                 path.display()
             );
         }

@@ -12,9 +12,11 @@
 #      `unsafe`, unranked locks. Any finding fails the gate before a
 #      single test runs;
 #   1. tier-1: release build + workspace test suite (ROADMAP contract),
-#      then the frozen benchmark's smoke run (examples/swan_benchmark is
-#      a package of its own that tier-1 does not compile: a public-API
-#      deletion that breaks it must fail here, not in the bench pipeline);
+#      then a compile of every swan-bench bench (`harness = false`
+#      targets that `cargo test` skips) and the frozen benchmark's smoke
+#      run (examples/swan_benchmark is a package of its own that tier-1
+#      does not compile): a public-API deletion that breaks either must
+#      fail here, not in the bench pipeline;
 #   2. the workspace suite again with SWAN_THREADS=1, 2 and 8 — the env
 #      var drives every default-config statement through the serial, a
 #      2-way and the 8-way morsel-parallel executor, so a test that
@@ -37,10 +39,8 @@
 #      a clean prefix of acknowledged commits;
 #   6. the golden SQL suite (tests/slt/*.slt), each file executed on the
 #      serial and the 8-thread engine, with primary-key index scans and
-#      with the scan-only planner, with byte-identical output — then
-#      the slt suite and the differential harness again with
-#      SWAN_COLUMNAR=0 and =1, so both the columnar kernels and the
-#      bit-for-bit row fallback stay pinned to the same goldens;
+#      with the scan-only planner, on the columnar kernels and on the
+#      bit-for-bit row fallback, with byte-identical output;
 #   7. the LLM fault-sweep harness (tests/llm_fault_sim.rs): every
 #      ModelFault kind injected at every call index of a fixed workload,
 #      serial and 8-thread-parallel and concurrent-session single-flight,
@@ -62,6 +62,9 @@ cargo build --release
 
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
+
+echo "== tier-1: every swan-bench bench compiles =="
+cargo bench -p swan-bench --no-run
 
 echo "== benchmark smoke: examples/swan_benchmark builds and runs =="
 # The benchmark refuses to run under any SWAN_* variable (e.g. a replayed
@@ -86,16 +89,8 @@ cargo test -q -p swan-sqlengine --test wal_recovery
 echo "== crash-simulation harness (SimFs fault sweep) =="
 cargo test -q -p swan-sqlengine --test crash_sim
 
-echo "== golden SQL suite @ 1 and 8 threads, index scans on and off =="
+echo "== golden SQL suite @ 1 and 8 threads, index scans and columnar on and off =="
 cargo test -q -p swan-sqlengine --test slt
-
-echo "== columnar execution off/on: golden SQL suite =="
-SWAN_COLUMNAR=0 cargo test -q -p swan-sqlengine --test slt
-SWAN_COLUMNAR=1 cargo test -q -p swan-sqlengine --test slt
-
-echo "== columnar execution off/on: differential harness =="
-SWAN_COLUMNAR=0 cargo test -q -p swan-sqlengine --test parallel_diff
-SWAN_COLUMNAR=1 cargo test -q -p swan-sqlengine --test parallel_diff
 
 echo "== binary row + column codec round-trip properties =="
 cargo test -q -p swan-sqlengine --test prop_codec

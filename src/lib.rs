@@ -21,7 +21,8 @@
 //!   schema curation, and 120 beyond-database questions with gold and
 //!   hybrid SQL.
 //! * [`core`] — the two solutions (HQDL schema expansion; BlendSQL-style
-//!   UDFs with batching, pushdown and caching) and the evaluation harness
+//!   UDFs, batched and pushed down by the engine, with answer caching)
+//!   and the evaluation harness
 //!   (execution accuracy, data-factuality F1, token reports).
 //! * [`pool`] — the shared worker pool, the `Clock` seam, cancel tokens
 //!   and the lock-rank table.

@@ -69,6 +69,31 @@ fn every_udf_query_runs() {
     }
 }
 
+/// The engine's vectorized execution is the only place `llm_map` keys are
+/// batched. These per-domain call counts were captured at the last commit
+/// that also ran the AST pre-pass in front of it (PR 12): the pre-pass
+/// fetched exactly the same chunks, so deleting it moved nothing.
+#[test]
+fn udf_model_calls_match_the_prepass_era() {
+    let h = Harness::new(0.05);
+    let expect = [
+        ("california_schools", 3136),
+        ("superhero", 412),
+        ("formula_1", 115),
+        ("european_football", 1427),
+    ];
+    for (name, calls) in expect {
+        let d = h.benchmark.domain(name).unwrap();
+        let model = Arc::new(SimulatedModel::new(ModelKind::Gpt35Turbo, h.kb.clone()));
+        let mut runner = UdfRunner::new(d, model.clone(), UdfConfig::default());
+        for q in &d.questions {
+            runner.run_sql(&q.udf_sql).unwrap();
+        }
+        assert_eq!(model.usage().calls, calls, "{name} model calls");
+        assert_eq!(runner.stats().fallback_calls, 0, "{name} single-key fallbacks");
+    }
+}
+
 #[test]
 fn perfect_model_means_perfect_execution_accuracy() {
     // With a zero-noise model (factuality forced to 1 via seed-free

@@ -322,13 +322,12 @@ fn terminal_failures_follow_the_degradation_policy() {
 }
 
 /// A statement timeout bounds the whole retry schedule: with every
-/// attempt timing out, the statement fails with the engine's deadline
-/// error — never hanging, never sleeping past the deadline (virtual
-/// time proves it), and never degraded to NULL even under the most
-/// permissive policy. Clearing the faults and the timeout fully
-/// recovers the session.
-#[test]
-fn retries_respect_the_statement_deadline() {
+/// attempt timing out, `run` fails with the engine's deadline error —
+/// never hanging, never sleeping past the deadline (virtual time proves
+/// it), and never degraded to NULL even under the most permissive
+/// policy. Clearing the faults and the timeout fully recovers the
+/// session.
+fn assert_deadline_bounds_the_statement(run: fn(&mut UdfRunner) -> swan_sqlengine::Result<QueryResult>) {
     let d = domain();
     for policy in [OnModelFailure::Fail, OnModelFailure::Null, OnModelFailure::StaleCache] {
         let config = UdfConfig { on_model_failure: policy, ..sweep_config() };
@@ -337,7 +336,7 @@ fn retries_respect_the_statement_deadline() {
         r.transport.add_fault_range(0..1_000, ModelFault::Timeout);
         r.runner.database_mut().set_statement_timeout(Some(Duration::from_millis(250)));
         let start = r.clock.now();
-        let err = r.runner.database_mut().query(SQL).unwrap_err();
+        let err = run(&mut r.runner).unwrap_err();
         assert!(
             matches!(err, Error::Deadline),
             "{policy:?}: a blown deadline must abort the statement, got {err}"
@@ -354,8 +353,23 @@ fn retries_respect_the_statement_deadline() {
         // same statement succeeds — no leaked workers, no parked waiters.
         r.transport.clear_faults();
         r.runner.database_mut().set_statement_timeout(None);
-        assert_eq!(r.runner.database_mut().query(SQL).unwrap().rows.len(), 3);
+        assert_eq!(run(&mut r.runner).unwrap().rows.len(), 3);
     }
+}
+
+#[test]
+fn retries_respect_the_statement_deadline() {
+    assert_deadline_bounds_the_statement(|runner| runner.database_mut().query(SQL));
+}
+
+/// Regression: the same bound through [`UdfRunner::run_sql`] on a
+/// SWAN-shaped query (qualified key column). Its batched model calls
+/// used to run before the statement token was armed, with no deadline.
+#[test]
+fn run_sql_deadline_covers_every_model_call() {
+    assert_deadline_bounds_the_statement(|runner| {
+        runner.run_sql("SELECT T1.k, llm_map('fault sweep probe', T1.k) FROM keys T1 ORDER BY T1.k")
+    });
 }
 
 /// The deadline also cancels an 8-thread morsel-parallel statement
