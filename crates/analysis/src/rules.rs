@@ -1,4 +1,4 @@
-//! The seven seam rules, an allowlist engine, and `#[cfg(test)]` region
+//! The eight seam rules, an allowlist engine, and `#[cfg(test)]` region
 //! skipping — all operating on the token stream from [`crate::lexer`].
 //!
 //! | rule            | what it enforces                                              |
@@ -10,6 +10,7 @@
 //! | `safety-comment`| every `unsafe` carries a `// SAFETY:` comment within 5 lines  |
 //! | `lock-rank`     | shim `Mutex::new` / `RwLock::new` must be `with_rank` instead |
 //! | `no-row-materialize` | no `materialize_row(..)` calls or `Row::` construction inside columnar kernel modules — rows materialize at the engine boundary only |
+//! | `wal-seam`      | `Wal`, `frame_group` and `commit_records` are named only in `wal.rs`, `txn.rs` and `shared.rs` — one owner of the log, one commit path |
 //!
 //! Escape hatch: `// lint: allow(rule-name): justification` on the same
 //! line as the flagged code or the line directly above. The justification
@@ -59,12 +60,21 @@ const RULE_NAMES: &[&str] = &[
     "safety-comment",
     "lock-rank",
     "no-row-materialize",
+    "wal-seam",
 ];
 
 /// Columnar kernel modules where `no-row-materialize` applies: code here
 /// operates on column slices; per-row materialization belongs at the
 /// engine boundary (and defeats the point of the columnar layout).
 const COLUMNAR_FILES: &[&str] = &["columnar.rs"];
+
+/// The only files that may name the log handle (`Wal`) or the commit
+/// framing (`frame_group`, `commit_records`): the log itself, the record
+/// planner, and `SharedDb` — the single owner of the log and the single
+/// caller of `Wal::commit`. A second durable handle or commit path cannot
+/// be written without naming one of the three.
+const WAL_SEAM_FILES: &[&str] = &["wal.rs", "txn.rs", "shared.rs"];
+const WAL_SEAM_NAMES: &[&str] = &["Wal", "frame_group", "commit_records"];
 
 /// A parsed `// lint: allow(rule): justification` comment.
 struct Allow {
@@ -87,6 +97,7 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
     let is_vfs = file_name == "vfs.rs";
     let is_critical = CRITICAL_FILES.contains(&file_name);
     let is_columnar = COLUMNAR_FILES.contains(&file_name);
+    let is_wal_seam = WAL_SEAM_FILES.contains(&file_name);
 
     // Code-only view (indices back into `tokens`) so matchers never trip
     // on comment text, and comments stay available for SAFETY lookups.
@@ -235,6 +246,18 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
                     "`Row::` construction inside a columnar kernel module; kernels return \
                      verdicts/column data, the engine boundary materializes rows"
                         .to_string(),
+                );
+            }
+            // ---- wal-seam --------------------------------------------------
+            name if !is_wal_seam && WAL_SEAM_NAMES.contains(&name) => {
+                push(
+                    &allows,
+                    "wal-seam",
+                    line,
+                    format!(
+                        "`{name}` named outside wal.rs / txn.rs / shared.rs; `SharedDb` is the \
+                         only owner of the log and `SharedDb::lead_commit` the only commit path"
+                    ),
                 );
             }
             // ---- safety-comment -----------------------------------------
@@ -538,6 +561,21 @@ mod tests {
     fn no_row_materialize_ignores_type_positions() {
         let src = "pub fn from_rows(rows: &[Row], width: usize) -> Vec<Row> { build(rows) }";
         let f = run("crates/sqlengine/src/columnar.rs", src);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn wal_seam_flags_log_names_outside_the_three_files() {
+        let src = "use crate::wal::{frame_group, Wal};\n\
+                   fn f(w: &mut Wal) { let b = frame_group(&commit_records(1)); }";
+        let f = run("crates/sqlengine/src/db.rs", src);
+        assert_eq!(f.iter().filter(|x| x.rule == "wal-seam").count(), 5, "{f:?}");
+        for file in ["wal.rs", "txn.rs", "shared.rs"] {
+            let f = run(&format!("crates/sqlengine/src/{file}"), src);
+            assert!(f.is_empty(), "{file}: {f:?}");
+        }
+        // Other identifiers that merely start with `Wal` are not the log.
+        let f = run("crates/sqlengine/src/pager.rs", "fn f(d: &WalDelta, r: WalRecord) {}");
         assert!(f.is_empty(), "{f:?}");
     }
 

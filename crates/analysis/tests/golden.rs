@@ -50,6 +50,8 @@ golden!(
     vfs,
     test_only,
     columnar,
+    bad_wal_seam,
+    shared,
 );
 
 /// Every fixture on disk must be covered by a golden test above, and
@@ -73,7 +75,7 @@ fn corpus_is_fully_paired() {
 
     const COVERED: &[&str] = &[
         "bad_fs", "bad_clock", "bad_thread", "wal", "bad_unsafe", "bad_lock",
-        "bad_allow", "allowed", "vfs", "test_only", "columnar",
+        "bad_allow", "allowed", "vfs", "test_only", "columnar", "bad_wal_seam", "shared",
     ];
     let mut covered: Vec<String> = COVERED.iter().map(|s| s.to_string()).collect();
     covered.sort();

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use swan_sqlengine::{Database, DurabilityConfig, OptimizerConfig, SimFs, Value};
+use swan_sqlengine::{Database, DurabilityConfig, OptimizerConfig, SharedDb, SimFs, Value};
 
 const ROWS: usize = 1_000_000;
 
@@ -106,8 +106,7 @@ fn checkpoint_write_amplification() {
 
     let fs = SimFs::new();
     let config = DurabilityConfig { checkpoint_bytes: u64::MAX, ..Default::default() };
-    let mut db =
-        Database::open_on(Arc::new(fs.clone()), PathBuf::from(WAL), config).unwrap();
+    let db = SharedDb::open_on(Arc::new(fs.clone()), PathBuf::from(WAL), config).unwrap();
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, val REAL)").unwrap();
     let mut i = 0usize;
     while i < TABLE_ROWS {

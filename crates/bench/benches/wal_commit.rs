@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use swan_sqlengine::{Database, DurabilityConfig, SharedDb};
+use swan_sqlengine::{DurabilityConfig, Session, SharedDb};
 
 fn temp_path(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -37,7 +37,7 @@ fn fresh_ids(n: usize) -> std::ops::Range<u64> {
 
 /// One transaction inserting `batch` rows, committed (and fsynced when
 /// `sync`) as a unit.
-fn commit_batch(db: &mut Database, batch: usize) {
+fn commit_batch(db: &mut Session, batch: usize) {
     db.execute("BEGIN").unwrap();
     for id in fresh_ids(batch) {
         db.execute(&format!("INSERT INTO t VALUES ({id}, 'payload-{id}', {id})")).unwrap();
@@ -45,10 +45,11 @@ fn commit_batch(db: &mut Database, batch: usize) {
     db.execute("COMMIT").unwrap();
 }
 
-fn open(tag: &str, sync: bool) -> (Database, PathBuf) {
+/// One session on a fresh durable database (the session keeps it open).
+fn open(tag: &str, sync: bool) -> (Session, PathBuf) {
     let path = temp_path(tag);
     let config = DurabilityConfig { checkpoint_bytes: u64::MAX, sync, ..Default::default() };
-    let mut db = Database::open_with(&path, config).unwrap();
+    let mut db = SharedDb::open_with(&path, config).unwrap().session();
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT, v INTEGER)").unwrap();
     (db, path)
 }
@@ -94,7 +95,7 @@ fn bench_wal_commit(c: &mut Criterion) {
     {
         let path = temp_path("checkpoint");
         let config = DurabilityConfig { checkpoint_bytes: 1, ..Default::default() };
-        let mut db = Database::open_with(&path, config).unwrap();
+        let mut db = SharedDb::open_with(&path, config).unwrap().session();
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT, v INTEGER)").unwrap();
         db.execute("BEGIN").unwrap();
         for id in 0..10_000u64 {
@@ -154,7 +155,7 @@ fn bench_wal_commit(c: &mut Criterion) {
         let path = temp_path("recovery");
         let config = DurabilityConfig { checkpoint_bytes: u64::MAX, sync: false, ..Default::default() };
         {
-            let mut db = Database::open_with(&path, config).unwrap();
+            let mut db = SharedDb::open_with(&path, config).unwrap().session();
             db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT, v INTEGER)")
                 .unwrap();
             db.execute("BEGIN").unwrap();
@@ -166,8 +167,8 @@ fn bench_wal_commit(c: &mut Criterion) {
         }
         c.bench_function("wal_commit/recover_10k_rows", |b| {
             b.iter(|| {
-                let db = Database::open_with(&path, config).unwrap();
-                assert_eq!(db.catalog().row_count("t"), Some(10_000));
+                let db = SharedDb::open_with(&path, config).unwrap();
+                assert_eq!(db.row_count("t"), Some(10_000));
             })
         });
         let _ = std::fs::remove_file(&path);

@@ -54,17 +54,10 @@ pub const VFS_SIM: u32 = 40;
 /// The catalog (`RwLock<Catalog>`): snapshot reads and commit installs.
 pub const CATALOG: u32 = 50;
 
-/// The UDF registry (`RwLock<UdfRegistry>`).
-pub const UDF_REGISTRY: u32 = 51;
-
-/// Optimizer configuration (`RwLock<OptimizerConfig>`).
-pub const OPTIMIZER: u32 = 52;
-
-/// Statement timeout configuration.
-pub const STATEMENT_TIMEOUT: u32 = 53;
-
-/// The engine clock handle (`RwLock<ClockHandle>`).
-pub const CLOCK: u32 = 54;
+/// `SharedDb` settings (`RwLock<Settings>`): UDF registry, optimizer
+/// configuration, default statement timeout and the engine clock handle.
+/// Read once per statement, never held while taking another lock.
+pub const SETTINGS: u32 = 51;
 
 /// MVCC commit history + snapshot pins (`shared::Shared.history`).
 /// Above `CATALOG`: `BEGIN` pins the history sequence under the catalog

@@ -5,33 +5,28 @@
 //! materializes LLM-generated tables into it, and hybrid-query UDFs
 //! register LLM functions on it.
 //!
-//! # Transactions and durability
+//! # Atomicity, transactions and durability
 //!
-//! A `Database` is one session, so it holds at most one active
-//! transaction: `BEGIN` pins the current catalog as the rollback point,
-//! subsequent statements mutate the working catalog (reads see the
-//! session's own uncommitted writes), `COMMIT` publishes — appending the
-//! transaction's per-table deltas to the WAL when the database was opened
-//! with [`Database::open`] — and `ROLLBACK` restores the pinned catalog.
-//! Outside a transaction every statement auto-commits (and auto-logs) by
-//! itself. WAL-backed and in-transaction statements are statement-atomic:
-//! a failed statement restores the pre-statement catalog instead of
-//! leaving partial effects.
+//! A `Database` executes **one statement at a time** against a catalog it
+//! owns, and every statement is atomic: a failing statement rolls its own
+//! partial effects back. That is the whole contract. `BEGIN … COMMIT`
+//! spans, the write-ahead log and checkpoints belong to
+//! [`SharedDb`](crate::shared::SharedDb) and its
+//! [`Session`](crate::shared::Session)s, which build a throwaway
+//! `Database` over a snapshot (or a transaction's working catalog) for
+//! each statement; transaction control on a bare `Database` is a typed
+//! [`Error::Txn`].
 //!
 //! Every write statement additionally reports *which rows* it touched
 //! (the primary keys of inserted/updated/deleted rows, see
-//! [`crate::txn::StmtWrites`]): the per-transaction write sets drive the
-//! compact row-level WAL encodings here and the row-level
-//! first-committer-wins conflict detection on a
-//! [`SharedDb`](crate::shared::SharedDb).
+//! [`crate::txn::StmtWrites`]): a `SharedDb` turns those write sets into
+//! compact row-level WAL encodings and row-level first-committer-wins
+//! conflict detection.
 
-use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use swan_pool::{lockrank, CancelToken, ClockHandle, RealClock};
+use swan_pool::{CancelToken, ClockHandle, RealClock};
 
 use crate::ast::{InsertSource, Statement};
 use crate::error::{Error, Result};
@@ -42,11 +37,8 @@ use crate::optimizer::OptimizerConfig;
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::RelSchema;
 use crate::storage::{Catalog, Column, Table};
-use crate::txn::{
-    catalog_deltas, commit_records, StmtWrites, TableDelta, Txn, TxnManager, WriteSet,
-};
+use crate::txn::StmtWrites;
 use crate::value::{Row, Value};
-use crate::wal::{frame_group, DurabilityConfig, Wal};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, Default)]
@@ -75,50 +67,60 @@ impl QueryResult {
     }
 }
 
-/// An embedded SQL database: in-memory by default, WAL-durable when
-/// opened with [`Database::open`].
-pub struct Database {
-    catalog: Catalog,
-    udfs: UdfRegistry,
-    optimizer: OptimizerConfig,
-    /// Write-ahead log; `None` for a purely in-memory database. Clones
-    /// share the log (appends serialize on the mutex).
-    wal: Option<Arc<Mutex<Wal>>>,
-    /// Transaction-id allocator, shared by clones and by any
-    /// [`SharedDb`](crate::shared::SharedDb) built from this database.
-    txns: Arc<TxnManager>,
-    /// The session's active transaction, if a `BEGIN` is open. The
-    /// database's own catalog is the transaction's working state; the
-    /// `Txn` pins the rollback snapshot.
-    txn: Option<Txn>,
+/// What a statement runs with besides the catalog. A `Database` holds
+/// one by value; a [`SharedDb`](crate::shared::SharedDb) holds the same
+/// struct behind one lock and clones it into each per-statement
+/// `Database`.
+#[derive(Clone)]
+pub(crate) struct Settings {
+    pub(crate) udfs: UdfRegistry,
+    pub(crate) optimizer: OptimizerConfig,
     /// Per-statement deadline; `None` disables it. Each statement arms a
     /// fresh [`CancelToken`] on entry; the executor checks it at plan-node
     /// and morsel boundaries and fails with [`Error::Deadline`].
-    statement_timeout: Option<Duration>,
+    pub(crate) statement_timeout: Option<Duration>,
     /// Clock the deadlines are armed against — [`RealClock`] normally, a
     /// [`SimClock`](swan_pool::SimClock) in deterministic tests.
-    clock: ClockHandle,
-    /// The rows the most recent write statement touched, reported by the
-    /// DML executors and consumed (via [`Database::take_stmt_writes`]) by
-    /// whoever turns the statement into a commit: the transaction's write
-    /// set, the auto-commit WAL encoder, or a `SharedDb` session.
-    stmt_writes: StmtWrites,
+    pub(crate) clock: ClockHandle,
 }
 
-impl Default for Database {
+impl Default for Settings {
     fn default() -> Self {
-        Database {
-            catalog: Catalog::default(),
+        Settings {
             udfs: UdfRegistry::new(),
             optimizer: OptimizerConfig::default(),
-            wal: None,
-            txns: Arc::new(TxnManager::default()),
-            txn: None,
             statement_timeout: None,
             clock: RealClock::handle(),
-            stmt_writes: StmtWrites::Whole,
         }
     }
+}
+
+/// The cancel token for one statement: an already-installed caller token
+/// wins (a caller that scoped a whole batch under one deadline, or
+/// cancels from another thread, stays authoritative); otherwise arm a
+/// fresh token from `timeout` against `clock`.
+pub(crate) fn statement_token(timeout: Option<Duration>, clock: &ClockHandle) -> CancelToken {
+    if let Some(outer) = swan_pool::cancel::current() {
+        return outer;
+    }
+    match timeout {
+        Some(d) => CancelToken::with_timeout(clock.clone(), d),
+        None => CancelToken::unbounded(),
+    }
+}
+
+/// An embedded in-memory SQL database: a catalog plus the settings
+/// statements run with. Cloning shares the row storage (`Arc<Table>`
+/// copy-on-write, O(tables)). For concurrent sessions, transactions and
+/// durability see [`SharedDb`](crate::shared::SharedDb).
+#[derive(Clone, Default)]
+pub struct Database {
+    catalog: Catalog,
+    settings: Settings,
+    /// The rows the most recent write statement touched, reported by the
+    /// DML executors and consumed (via [`Database::take_stmt_writes`]) by
+    /// the `SharedDb` path that turns the statement into a commit.
+    stmt_writes: StmtWrites,
 }
 
 impl Database {
@@ -127,70 +129,28 @@ impl Database {
         Database::default()
     }
 
-    /// Open (or create) a WAL-durable database at `path`. Replays the
-    /// longest intact prefix of the log — truncating a torn tail from a
-    /// crash mid-append — so the recovered catalog is always exactly the
-    /// state as of the last durable commit.
-    pub fn open(path: impl AsRef<Path>) -> Result<Database> {
-        Database::open_with(path, DurabilityConfig::default())
-    }
-
-    /// [`Database::open`] with explicit durability tuning (checkpoint
-    /// threshold, fsync policy, buffer-pool size).
-    pub fn open_with(path: impl AsRef<Path>, config: DurabilityConfig) -> Result<Database> {
-        Database::open_on(Arc::new(crate::vfs::RealFs), path, config)
-    }
-
-    /// [`Database::open_with`] on an explicit [`Vfs`](crate::vfs::Vfs) —
-    /// the seam crash-simulation tests thread a fault-injecting
-    /// [`SimFs`](crate::vfs::SimFs) through; all WAL and checkpoint I/O
-    /// goes through `vfs`.
-    pub fn open_on(
-        vfs: Arc<dyn crate::vfs::Vfs>,
-        path: impl AsRef<Path>,
-        config: DurabilityConfig,
-    ) -> Result<Database> {
-        let recovered = Wal::open_on(vfs, path, config)?;
-        Ok(Database {
-            catalog: recovered.catalog,
-            wal: Some(Arc::new(Mutex::with_rank("wal", lockrank::WAL, recovered.wal))),
-            txns: Arc::new(TxnManager::new(recovered.max_txn + 1)),
-            ..Default::default()
-        })
-    }
-
     /// Assemble a database from parts. This is how a
     /// [`SharedDb`](crate::shared::SharedDb) session materializes a
     /// consistent snapshot: the catalog shares the `Arc<Table>` storage,
     /// so the construction is O(tables), not O(rows).
-    pub fn from_parts(catalog: Catalog, udfs: UdfRegistry, optimizer: OptimizerConfig) -> Self {
-        Database { catalog, udfs, optimizer, ..Default::default() }
+    pub(crate) fn from_parts(catalog: Catalog, settings: Settings) -> Self {
+        Database { catalog, settings, stmt_writes: StmtWrites::Whole }
     }
 
-    /// The WAL handle, if this database is durable (shared with
-    /// [`SharedDb`](crate::shared::SharedDb) on promotion).
-    pub(crate) fn wal_handle(&self) -> Option<Arc<Mutex<Wal>>> {
-        self.wal.clone()
-    }
-
-    /// The transaction-id allocator (shared on promotion to `SharedDb`).
-    pub(crate) fn txn_manager(&self) -> Arc<TxnManager> {
-        self.txns.clone()
-    }
-
-    /// True while a `BEGIN` is open on this session.
-    pub fn in_transaction(&self) -> bool {
-        self.txn.is_some()
+    /// The settings statements run with (cloned into a
+    /// [`SharedDb`](crate::shared::SharedDb) on sharing).
+    pub(crate) fn settings(&self) -> &Settings {
+        &self.settings
     }
 
     /// Register a scalar UDF (e.g. an LLM function).
     pub fn register_udf(&mut self, udf: Arc<dyn ScalarUdf>) {
-        self.udfs.register(udf);
+        self.settings.udfs.register(udf);
     }
 
     /// Toggle optimizer rules (used by the ablation benchmarks).
     pub fn set_optimizer(&mut self, config: OptimizerConfig) {
-        self.optimizer = config;
+        self.settings.optimizer = config;
     }
 
     /// Set (or clear) the per-statement deadline. Every subsequent
@@ -199,39 +159,17 @@ impl Database {
     /// cooperative checkpoint, leaving no partial effects (statement
     /// atomicity rolls write statements back like any other error).
     pub fn set_statement_timeout(&mut self, timeout: Option<Duration>) {
-        self.statement_timeout = timeout;
-    }
-
-    pub fn statement_timeout(&self) -> Option<Duration> {
-        self.statement_timeout
+        self.settings.statement_timeout = timeout;
     }
 
     /// Swap the clock statement deadlines are armed against. Tests inject
     /// a [`SimClock`](swan_pool::SimClock) for deterministic expiry.
     pub fn set_clock(&mut self, clock: ClockHandle) {
-        self.clock = clock;
-    }
-
-    pub fn clock(&self) -> ClockHandle {
-        self.clock.clone()
-    }
-
-    /// The cancel token for one statement: an already-installed caller
-    /// token wins (a [`Session`](crate::shared::Session) or test that
-    /// scoped the whole call keeps its deadline authoritative); otherwise
-    /// arm a fresh token from `statement_timeout`.
-    fn statement_token(&self) -> CancelToken {
-        if let Some(outer) = swan_pool::cancel::current() {
-            return outer;
-        }
-        match self.statement_timeout {
-            Some(d) => CancelToken::with_timeout(self.clock.clone(), d),
-            None => CancelToken::unbounded(),
-        }
+        self.settings.clock = clock;
     }
 
     pub fn optimizer(&self) -> OptimizerConfig {
-        self.optimizer
+        self.settings.optimizer
     }
 
     /// Read access to the catalog.
@@ -256,29 +194,16 @@ impl Database {
     /// Take the row write set the last write statement reported,
     /// resetting to the conservative table-granular default.
     pub(crate) fn take_stmt_writes(&mut self) -> StmtWrites {
-        std::mem::replace(&mut self.stmt_writes, StmtWrites::Whole)
+        std::mem::take(&mut self.stmt_writes)
     }
 
     pub fn udfs(&self) -> &UdfRegistry {
-        &self.udfs
+        &self.settings.udfs
     }
 
-    /// Force a checkpoint now (durable databases only; no-op in memory).
-    /// Flushes only the pages dirtied since the last checkpoint —
-    /// O(dirty), not O(database).
-    pub fn checkpoint(&self) -> Result<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        // The checkpoint takes the *committed* catalog (in degraded mode
-        // it rebuilds the durable trees from it): while a `BEGIN` is
-        // open that is the pinned snapshot, not the working state.
-        let committed = self.txn.as_ref().map_or(&self.catalog, |txn| &txn.snapshot);
-        wal.lock().checkpoint(committed)
-    }
-
-    /// Page-store counters: durable epoch, allocated pages, buffer-pool
-    /// hit/miss/eviction stats. `None` for an in-memory database.
-    pub fn pager_stats(&self) -> Option<crate::pager::PagerStats> {
-        self.wal.as_ref().map(|w| w.lock().pager_stats())
+    /// The context `SELECT`s and DML source expressions evaluate in.
+    fn exec_ctx(&self) -> ExecCtx<'_> {
+        ExecCtx::new(&self.catalog, &self.settings.udfs).with_optimizer(self.settings.optimizer)
     }
 
     /// Execute one statement.
@@ -287,44 +212,14 @@ impl Database {
         self.execute_statement(&stmt)
     }
 
-    /// Execute a semicolon-separated script; returns the last result.
-    ///
-    /// Outside an explicit transaction each statement commits (and, on a
-    /// durable database, logs) by itself, exactly like [`execute`]
-    /// (Database::execute). A `BEGIN … COMMIT` span inside the script is
-    /// atomic: if any statement inside it fails, the whole transaction is
-    /// rolled back before the error is returned. A transaction that was
-    /// already open *before* the script keeps SQLite semantics instead —
-    /// the failing statement has no effect but the transaction stays open
-    /// for the session to commit or roll back.
+    /// Execute a semicolon-separated script, one atomic statement after
+    /// another, stopping at the first error; returns the last result.
     pub fn execute_script(&mut self, sql: &str) -> Result<QueryResult> {
-        let stmts = parse_script(sql)?;
         let mut last = QueryResult::default();
-        let mut script_txn = false;
-        for stmt in &stmts {
-            match self.execute_statement(stmt) {
-                Ok(r) => last = r,
-                Err(e) => {
-                    if script_txn && self.txn.is_some() {
-                        self.rollback_active();
-                    }
-                    return Err(e);
-                }
-            }
-            match stmt {
-                Statement::Begin => script_txn = true,
-                Statement::Commit | Statement::Rollback => script_txn = false,
-                _ => {}
-            }
+        for stmt in &parse_script(sql)? {
+            last = self.execute_statement(stmt)?;
         }
         Ok(last)
-    }
-
-    /// Discard the active transaction, restoring its pinned snapshot.
-    pub(crate) fn rollback_active(&mut self) {
-        if let Some(txn) = self.txn.take() {
-            self.catalog = txn.snapshot;
-        }
     }
 
     /// Execute a read-only query without `&mut self`.
@@ -332,11 +227,9 @@ impl Database {
         let stmt = parse_statement(sql)?;
         match &stmt {
             Statement::Select(s) => {
-                let token = self.statement_token();
+                let token = statement_token(self.settings.statement_timeout, &self.settings.clock);
                 swan_pool::cancel::with_current(&token, || {
-                    let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                        .with_optimizer(self.optimizer);
-                    Ok(QueryResult::from_relation(run_select(s, &ctx, None)?))
+                    Ok(QueryResult::from_relation(run_select(s, &self.exec_ctx(), None)?))
                 })
             }
             _ => Err(Error::Semantic("query() only accepts SELECT statements".into())),
@@ -348,132 +241,25 @@ impl Database {
     /// throwaway contexts of DML source evaluation — and every model call
     /// observes it), and run the statement.
     pub(crate) fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        let token = self.statement_token();
-        swan_pool::cancel::with_current(&token, || self.execute_statement_inner(stmt))
+        let token = statement_token(self.settings.statement_timeout, &self.settings.clock);
+        swan_pool::cancel::with_current(&token, || self.apply_statement(stmt))
     }
 
-    fn execute_statement_inner(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        match stmt {
-            Statement::Begin => {
-                if self.txn.is_some() {
-                    return Err(Error::Txn("a transaction is already active".into()));
-                }
-                // Pin the rollback point; the catalog itself is the
-                // transaction's working state from here on.
-                self.txn = Some(self.txns.begin(self.catalog.clone()));
-                return Ok(QueryResult::default());
-            }
-            Statement::Commit => {
-                let txn = self
-                    .txn
-                    .take()
-                    .ok_or_else(|| Error::Txn("COMMIT without an active transaction".into()))?;
-                let deltas = catalog_deltas(txn.written(), &txn.snapshot, &self.catalog);
-                if let Err(e) =
-                    self.log_commit(txn.id(), &txn.snapshot, &deltas, txn.write_sets())
-                {
-                    // A commit that could not reach the log must not
-                    // stay visible in memory: roll back instead.
-                    self.catalog = txn.snapshot;
-                    return Err(e);
-                }
-                return Ok(QueryResult::default());
-            }
-            Statement::Rollback => {
-                if self.txn.is_none() {
-                    return Err(Error::Txn("ROLLBACK without an active transaction".into()));
-                }
-                self.rollback_active();
-                return Ok(QueryResult::default());
-            }
-            _ => {}
-        }
-
-        let Some(target) = stmt.write_target().map(str::to_string) else {
-            return self.apply_statement(stmt); // read-only
-        };
-
-        if self.txn.is_some() {
-            // Inside a transaction the catalog *is* the working state and
-            // `apply_statement` is statement-atomic by construction (a
-            // failing statement rolls its own partial effects back), so no
-            // per-statement catalog backup is needed — which keeps the
-            // working table's `Arc` unique and batch INSERTs O(1) per row
-            // instead of copy-on-write cloning the table every statement.
-            let r = self.apply_statement(stmt)?;
-            let writes = self.take_stmt_writes();
-            if let Some(txn) = self.txn.as_mut() {
-                txn.record_write(&target, writes);
-            }
-            Ok(r)
-        } else if self.wal.is_some() {
-            // Durable auto-commit: run the statement, then log it as a
-            // single-statement transaction. Failure (of the statement or
-            // of the log append) restores the pre-statement catalog.
-            let base = self.catalog.clone();
-            match self.apply_statement(stmt) {
-                Ok(r) => {
-                    let writes = self.take_stmt_writes();
-                    let key = target.to_ascii_lowercase();
-                    let deltas =
-                        catalog_deltas(std::slice::from_ref(&key), &base, &self.catalog);
-                    let mut write_sets = HashMap::with_capacity(1);
-                    write_sets.insert(key, WriteSet::from_stmt(writes));
-                    if let Err(e) =
-                        self.log_commit(self.txns.fresh_id(), &base, &deltas, &write_sets)
-                    {
-                        self.catalog = base;
-                        return Err(e);
-                    }
-                    Ok(r)
-                }
-                Err(e) => {
-                    self.catalog = base;
-                    Err(e)
-                }
-            }
-        } else {
-            self.apply_statement(stmt)
-        }
-    }
-
-    /// Make one transaction durable (see [`Wal::commit`]). The catalog
-    /// already holds its effect, so there is nothing left to install.
-    /// No-op for empty delta sets and in-memory databases.
-    fn log_commit(
-        &self,
-        txn_id: u64,
-        base: &Catalog,
-        deltas: &[(String, TableDelta)],
-        writes: &HashMap<String, WriteSet>,
-    ) -> Result<()> {
-        if deltas.is_empty() {
-            return Ok(());
-        }
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let frames = frame_group(&commit_records(txn_id, base, deltas, writes));
-        wal.lock().commit(&frames, || {}, || &self.catalog)
-    }
-
-    /// The raw single-statement executor: no transaction routing, no
-    /// durability — exactly the statement's effect on this catalog.
+    /// The single-statement executor: exactly the statement's effect on
+    /// this catalog, all of it or (on error) none of it.
     fn apply_statement(&mut self, stmt: &Statement) -> Result<QueryResult> {
         // Conservative default: a write that does not report per-row keys
         // (DDL, tables without a primary key) counts as touching the
         // whole table. The DML executors overwrite this on success.
         self.stmt_writes = StmtWrites::Whole;
         match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => {
-                // Routed by execute_statement before it gets here; a typed
-                // error beats aborting a shared process on a routing bug.
-                Err(Error::Internal(
-                    "transaction control reached the statement executor".into(),
-                ))
-            }
+            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Txn(
+                "a bare Database executes single statements and cannot hold a transaction; \
+                 run BEGIN/COMMIT/ROLLBACK through SharedDb::session()"
+                    .into(),
+            )),
             Statement::Select(s) => {
-                let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                    .with_optimizer(self.optimizer);
-                Ok(QueryResult::from_relation(run_select(s, &ctx, None)?))
+                Ok(QueryResult::from_relation(run_select(s, &self.exec_ctx(), None)?))
             }
             Statement::CreateTable(ct) => {
                 if self.catalog.contains(&ct.name) {
@@ -527,8 +313,7 @@ impl Database {
         // INSERT ... SELECT re-shares the SELECT's rows without copying.
         let source_rows: Vec<Row> = match &ins.source {
             InsertSource::Values(rows) => {
-                let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                    .with_optimizer(self.optimizer);
+                let ctx = self.exec_ctx();
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
                     let mut vals = Vec::with_capacity(row.len());
@@ -540,8 +325,7 @@ impl Database {
                 out
             }
             InsertSource::Select(sel) => {
-                let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                    .with_optimizer(self.optimizer);
+                let ctx = self.exec_ctx();
                 run_select(sel, &ctx, None)?.rows
             }
         };
@@ -640,7 +424,7 @@ impl Database {
         // Compute new rows against an immutable snapshot, then swap in.
         // Untouched rows stay shared; only hit rows are rebuilt.
         let snapshot = self.catalog.get_required(&upd.table)?.clone();
-        let ctx = ExecCtx::new(&self.catalog, &self.udfs).with_optimizer(self.optimizer);
+        let ctx = self.exec_ctx();
         let mut new_rows = snapshot.rows.clone();
         let mut n = 0;
         let mut keys: Vec<Vec<Value>> = Vec::new();
@@ -692,7 +476,8 @@ impl Database {
                 for r in old_rows {
                     if let Err(restore) = table.insert_shared_row(r) {
                         return Err(Error::Internal(format!(
-                            "UPDATE of '{}' failed ({e}) and restoring the                              previously valid rows also failed: {restore}",
+                            "UPDATE of '{}' failed ({e}) and restoring the \
+                             previously valid rows also failed: {restore}",
                             upd.table
                         )));
                     }
@@ -717,8 +502,7 @@ impl Database {
         let (keep, keys, has_pk): (Vec<bool>, Vec<Vec<Value>>, bool) = {
             let table = self.catalog.get_required(&del.table)?.clone();
             let pk_cols = table.primary_key.clone();
-            let ctx = ExecCtx::new(&self.catalog, &self.udfs)
-                .with_optimizer(self.optimizer);
+            let ctx = self.exec_ctx();
             let mut keep = Vec::with_capacity(table.rows.len());
             let mut keys = Vec::new();
             for row in &table.rows {
@@ -748,35 +532,11 @@ impl Database {
     }
 }
 
-impl Clone for Database {
-    /// A clone is a detached **in-memory** fork: it shares the row
-    /// storage (`Arc<Table>` copy-on-write, O(tables)) but deliberately
-    /// not the write-ahead log — two handles logging deltas against
-    /// diverging catalogs would corrupt the recoverable state (and a
-    /// checkpoint from either would erase the other's commits). For
-    /// shared durable writes, promote with
-    /// [`SharedDb::from_database`](crate::shared::SharedDb::from_database)
-    /// instead of cloning.
-    fn clone(&self) -> Self {
-        Database {
-            catalog: self.catalog.clone(),
-            udfs: self.udfs.clone(),
-            optimizer: self.optimizer,
-            wal: None,
-            txns: self.txns.clone(),
-            txn: self.txn.clone(),
-            statement_timeout: self.statement_timeout,
-            clock: self.clock.clone(),
-            stmt_writes: self.stmt_writes.clone(),
-        }
-    }
-}
-
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
             .field("tables", &self.catalog.table_names())
-            .field("udfs", &self.udfs)
+            .field("udfs", &self.settings.udfs)
             .finish()
     }
 }

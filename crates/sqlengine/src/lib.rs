@@ -45,10 +45,11 @@
 //!   poisoned locks, and UDF single-flight/answer stores shared across
 //!   sessions;
 //! * **multi-statement transactions** (`BEGIN` / `COMMIT` / `ROLLBACK`):
-//!   a [`Database`] session or a [`SharedDb`] [`Session`] runs whole
-//!   statement spans under **snapshot isolation** — `BEGIN` pins an
-//!   O(tables) snapshot, reads see the snapshot plus the session's own
-//!   uncommitted writes, and `COMMIT` installs every written table
+//!   a [`SharedDb`] [`Session`] — the only holder of a transaction; a
+//!   bare [`Database`] answers transaction control with a typed
+//!   [`Error::Txn`] — runs whole statement spans under **snapshot
+//!   isolation** — `BEGIN` pins an O(tables) snapshot, reads see the
+//!   snapshot plus the session's own uncommitted writes, and `COMMIT` installs every written table
 //!   atomically behind a **row-level first-committer-wins** check:
 //!   every commit records its per-primary-key write set in a bounded
 //!   history, validation intersects the committing transaction's write
@@ -61,9 +62,11 @@
 //!   history past the oldest live snapshot, so memory stays bounded
 //!   under churn ([`SharedDb::mvcc_stats`] exposes
 //!   [`MvccStats`] for the invariants);
-//! * **crash durability** ([`Database::open`] / [`SharedDb::open`]): every
-//!   commit appends a checksummed `Begin/Delta/Commit` record group to an
-//!   append-only write-ahead log and fsyncs *before* installing; recovery
+//! * **crash durability** ([`SharedDb::open`], the one handle that can
+//!   open a durable file; [`Database`] is the in-memory statement
+//!   executor it runs each statement on): every commit appends a
+//!   checksummed `Begin/Delta/Commit` record group to an append-only
+//!   write-ahead log and fsyncs *before* installing; recovery
 //!   replays the longest intact prefix, truncates torn tails, and
 //!   auto-checkpoints compact the log past a configurable size
 //!   ([`DurabilityConfig`]) — see [`wal`] and [`txn`];
@@ -90,8 +93,8 @@
 //!   WAL mutex is held only by the leader, so the next batch accumulates
 //!   during the fsync and commit throughput multiplies under contention
 //!   ([`SharedDb::commit_stats`] reports the commits-per-fsync ratio).
-//!   The leader and a single-session [`Database`] run the same commit
-//!   sequence, `Wal::commit`;
+//!   The leader is the only caller of the commit sequence,
+//!   `Wal::commit`; a single session is a batch of one;
 //! * a **virtual filesystem seam** ([`vfs`]): all WAL and checkpoint I/O
 //!   goes through a [`Vfs`] — [`RealFs`] in production, and the
 //!   fault-injecting [`SimFs`] in tests, which records every
@@ -100,14 +103,14 @@
 //!   harness sweeps every fault through every operation index of
 //!   commit, checkpoint, group-commit and recovery schedules and proves
 //!   recovery is always a clean prefix of acknowledged commits
-//!   ([`Database::open_on`] / [`SharedDb::open_on`] accept an explicit
-//!   `Vfs`);
+//!   ([`SharedDb::open_on`] accepts an explicit `Vfs`);
 //! * **statement timeouts & cooperative cancellation**: a
 //!   `statement_timeout` set on a [`Database`], a [`SharedDb`] (the
 //!   shared default) or a single [`Session`] (override) arms every
 //!   statement with a deadline-bearing `swan_pool::CancelToken`,
 //!   installed as the thread's current token for the statement's whole
-//!   span. The serial and morsel-parallel executors check it between
+//!   span (one arming function, `db::statement_token`, serves all
+//!   three). The serial and morsel-parallel executors check it between
 //!   morsels, long-running UDFs cooperate via
 //!   `swan_pool::cancel::check_current()`, and a caller-installed token
 //!   scopes a whole batch (or cancels from another thread). A tripped
@@ -116,10 +119,8 @@
 //!   locks it in at 1 and 8 threads);
 //! * **surfaced script transactions**: [`SharedDb::execute_script`]
 //!   refuses to silently drop a transaction a script leaves open — it
-//!   rolls back and errors, unless
-//!   [`ScriptOptions::autocommit_on_end`] (via
-//!   [`SharedDb::execute_script_with`]) opts into committing the open
-//!   span.
+//!   rolls back and errors; a script that wants its span committed ends
+//!   it with `COMMIT`.
 //!
 //! ## Transactions quick start
 //!
@@ -196,7 +197,7 @@ pub use functions::{ScalarUdf, UdfRegistry};
 pub use bufpool::PoolStats;
 pub use optimizer::OptimizerConfig;
 pub use pager::PagerStats;
-pub use shared::{CommitStats, ScriptOptions, Session, SharedDb};
+pub use shared::{CommitStats, Session, SharedDb};
 pub use txn::MvccStats;
 pub use storage::{Catalog, Column, Table, TableStats};
 pub use value::{Row, Value};

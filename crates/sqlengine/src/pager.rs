@@ -171,7 +171,7 @@ struct PagerState {
     rebuild: bool,
 }
 
-/// Counters surfaced through [`crate::db::Database::pager_stats`].
+/// Counters surfaced through [`crate::shared::SharedDb::pager_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PagerStats {
     pub epoch: u64,

@@ -1,8 +1,9 @@
 //! A concurrently shareable database.
 //!
-//! [`Database`] is single-session by construction: `execute(&mut self)`
-//! serializes every statement behind one exclusive borrow. [`SharedDb`]
-//! lifts the same engine to many concurrent sessions:
+//! [`Database`] executes one statement at a time against a catalog it
+//! owns. [`SharedDb`] is everything around that: many concurrent
+//! sessions, `BEGIN … COMMIT` transactions, and — it is the only handle
+//! that can open a durable file — the write-ahead log and checkpoints:
 //!
 //! * **`Arc`-cloneable handle** — cloning a `SharedDb` is a refcount
 //!   bump; every clone is a session over the same data, safe to move to
@@ -41,11 +42,11 @@
 //!   or below the oldest live pin, so history memory stays bounded under
 //!   churn while a long-lived snapshot keeps exactly the window it needs
 //!   ([`SharedDb::mvcc_stats`] exposes the chain length and watermark).
-//! * **Durability** — [`SharedDb::open`] (or promoting a
-//!   [`Database::open`] database with [`SharedDb::from_database`]) backs
-//!   every commit with the write-ahead log: the `Begin/Delta/Commit`
-//!   group is appended and fsynced *before* the tables are installed, and
-//!   recovery replays exactly the committed prefix (see [`crate::wal`]).
+//! * **Durability** — [`SharedDb::open`] backs every commit with the
+//!   write-ahead log: the `Begin/Delta/Commit` group is appended and
+//!   fsynced *before* the tables are installed, and recovery replays
+//!   exactly the committed prefix (see [`crate::wal`]). A single session
+//!   is the one-committer case of the same path, not a separate one.
 //! * **Group commit** — concurrent committers do not fsync one at a
 //!   time. Each committer frames its record group off-lock, enqueues it,
 //!   and one *leader* drains the queue, appends every group with a
@@ -72,12 +73,12 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use swan_pool::lockrank;
-use swan_pool::{CancelToken, ClockHandle, RealClock};
+use swan_pool::ClockHandle;
 
 use crate::ast::Statement;
-use crate::db::{Database, QueryResult};
+use crate::db::{statement_token, Database, QueryResult, Settings};
 use crate::error::{Error, Result};
-use crate::functions::{ScalarUdf, UdfRegistry};
+use crate::functions::ScalarUdf;
 use crate::optimizer::OptimizerConfig;
 use crate::parser::{parse_script, parse_statement};
 use crate::storage::Catalog;
@@ -85,8 +86,8 @@ use crate::txn::{
     build_row_patch, catalog_deltas, commit_records, rebase_table, validate_table,
     CommitHistory, MvccStats, TableDelta, Txn, TxnManager, WriteSet,
 };
-use crate::vfs::Vfs;
-use crate::wal::{frame_group, DurabilityConfig, Wal, WalRecord};
+use crate::vfs::{RealFs, Vfs};
+use crate::wal::{frame_group, DurabilityConfig, Recovered, Wal, WalRecord};
 
 /// An embedded SQL database shared by many concurrent sessions. Clone the
 /// handle freely — all clones address the same data. In-memory by
@@ -98,14 +99,12 @@ pub struct SharedDb {
 
 struct Shared {
     catalog: RwLock<Catalog>,
-    udfs: RwLock<UdfRegistry>,
-    optimizer: RwLock<OptimizerConfig>,
-    /// Database-wide default per-statement deadline (sessions can
-    /// override their own; see [`Session::set_statement_timeout`]).
-    statement_timeout: RwLock<Option<Duration>>,
-    /// Clock statement deadlines are armed against (swap in a
-    /// [`SimClock`](swan_pool::SimClock) for deterministic tests).
-    clock: RwLock<ClockHandle>,
+    /// UDF registry, optimizer configuration, the database-wide default
+    /// statement deadline (sessions can override their own; see
+    /// [`Session::set_statement_timeout`]) and the clock deadlines are
+    /// armed against: everything a per-statement [`Database`] is built
+    /// from besides the catalog, read with one lock.
+    settings: RwLock<Settings>,
     /// One write lock per (lowercased) table name, created on first
     /// write. Holding a table's lock serializes every mutation of that
     /// table — DML and DDL alike — while leaving other tables free.
@@ -115,14 +114,14 @@ struct Shared {
     table_locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     /// Transaction-id allocation (ids resume above the WAL's high-water
     /// mark after recovery).
-    txns: Arc<TxnManager>,
+    txns: TxnManager,
     /// Write-ahead log; `None` for in-memory databases. Only the
-    /// group-commit *leader* holds this mutex, across append **and**
-    /// install ([`Wal::commit`]), so a checkpoint taken under it can
-    /// never miss a commit that already reached the log — and a
-    /// logged-but-uninstalled commit can never be erased by a concurrent
-    /// checkpoint.
-    wal: Option<Arc<Mutex<Wal>>>,
+    /// group-commit *leader* (and an explicit [`SharedDb::checkpoint`])
+    /// holds this mutex, the leader across append **and** install
+    /// ([`Wal::commit`]), so a checkpoint taken under it can never miss a
+    /// commit that already reached the log — and a logged-but-uninstalled
+    /// commit can never be erased by a concurrent checkpoint.
+    wal: Option<Mutex<Wal>>,
     /// The group-commit queue: pending framed commit groups plus the
     /// leader flag and wakeup signalling.
     commits: CommitQueue,
@@ -135,17 +134,19 @@ struct Shared {
     history: Mutex<CommitHistory>,
 }
 
-impl Default for Shared {
-    fn default() -> Self {
+impl Shared {
+    /// `durable` is the recovered log and the first free transaction id.
+    fn new(catalog: Catalog, settings: Settings, durable: Option<(Wal, u64)>) -> Self {
+        let (wal, first_txn) = match durable {
+            Some((wal, first_txn)) => (Some(wal), first_txn),
+            None => (None, 1),
+        };
         Shared {
-            catalog: RwLock::with_rank("catalog", lockrank::CATALOG, Catalog::default()),
-            udfs: RwLock::with_rank("udf_registry", lockrank::UDF_REGISTRY, UdfRegistry::default()),
-            optimizer: RwLock::with_rank("optimizer", lockrank::OPTIMIZER, OptimizerConfig::default()),
-            statement_timeout: RwLock::with_rank("statement_timeout", lockrank::STATEMENT_TIMEOUT, None),
-            clock: RwLock::with_rank("clock", lockrank::CLOCK, RealClock::handle()),
+            catalog: RwLock::with_rank("catalog", lockrank::CATALOG, catalog),
+            settings: RwLock::with_rank("settings", lockrank::SETTINGS, settings),
             table_locks: Mutex::with_rank("table_lock_map", lockrank::TABLE_LOCK_MAP, HashMap::new()),
-            txns: Arc::default(),
-            wal: None,
+            txns: TxnManager::new(first_txn),
+            wal: wal.map(|wal| Mutex::with_rank("wal", lockrank::WAL, wal)),
             commits: CommitQueue::default(),
             history: Mutex::with_rank(
                 "mvcc_history",
@@ -153,6 +154,12 @@ impl Default for Shared {
                 CommitHistory::default(),
             ),
         }
+    }
+}
+
+impl Default for Shared {
+    fn default() -> Self {
+        Shared::new(Catalog::default(), Settings::default(), None)
     }
 }
 
@@ -246,15 +253,18 @@ impl SharedDb {
         SharedDb::default()
     }
 
-    /// Open (or create) a WAL-durable shared database at `path`,
-    /// recovering the committed state (see [`Database::open`]).
+    /// Open (or create) a WAL-durable shared database at `path`. Replays
+    /// the longest intact prefix of the log — truncating a torn tail from
+    /// a crash mid-append — so the recovered catalog is always exactly
+    /// the state as of the last durable commit.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(SharedDb::from_database(Database::open(path)?))
+        SharedDb::open_with(path, DurabilityConfig::default())
     }
 
-    /// [`SharedDb::open`] with explicit durability tuning.
+    /// [`SharedDb::open`] with explicit durability tuning (checkpoint
+    /// threshold, fsync policy, buffer-pool size).
     pub fn open_with(path: impl AsRef<Path>, config: DurabilityConfig) -> Result<Self> {
-        Ok(SharedDb::from_database(Database::open_with(path, config)?))
+        SharedDb::open_on(Arc::new(RealFs), path, config)
     }
 
     /// [`SharedDb::open_with`] on an explicit [`Vfs`] — all WAL and
@@ -265,49 +275,17 @@ impl SharedDb {
         path: impl AsRef<Path>,
         config: DurabilityConfig,
     ) -> Result<Self> {
-        Ok(SharedDb::from_database(Database::open_on(vfs, path, config)?))
+        let Recovered { wal, catalog, max_txn } = Wal::open_on(vfs, path, config)?;
+        let durable = Some((wal, max_txn + 1));
+        Ok(SharedDb { inner: Arc::new(Shared::new(catalog, Settings::default(), durable)) })
     }
 
-    /// Share an existing single-session database. The row storage is
-    /// re-shared, not copied; a durable database hands its WAL over, so
-    /// commits through the shared handle keep logging. Keep writing
-    /// through the original `Database` only if it is no longer used. A
-    /// transaction still open on `db` is rolled back: its writes were
-    /// never committed (or logged), so no session may see them — the rule
-    /// `Drop for Session` follows.
-    pub fn from_database(mut db: Database) -> Self {
-        db.rollback_active();
-        let optimizer = db.optimizer();
-        let udfs = db.udfs().clone();
-        let wal = db.wal_handle();
-        let txns = db.txn_manager();
-        let catalog = db.catalog().clone();
-        SharedDb {
-            inner: Arc::new(Shared {
-                catalog: RwLock::with_rank("catalog", lockrank::CATALOG, catalog),
-                udfs: RwLock::with_rank("udf_registry", lockrank::UDF_REGISTRY, udfs),
-                optimizer: RwLock::with_rank("optimizer", lockrank::OPTIMIZER, optimizer),
-                statement_timeout: RwLock::with_rank(
-                    "statement_timeout",
-                    lockrank::STATEMENT_TIMEOUT,
-                    db.statement_timeout(),
-                ),
-                clock: RwLock::with_rank("clock", lockrank::CLOCK, db.clock()),
-                table_locks: Mutex::with_rank(
-                    "table_lock_map",
-                    lockrank::TABLE_LOCK_MAP,
-                    HashMap::new(),
-                ),
-                txns,
-                wal,
-                commits: CommitQueue::default(),
-                history: Mutex::with_rank(
-                    "mvcc_history",
-                    lockrank::MVCC_HISTORY,
-                    CommitHistory::default(),
-                ),
-            }),
-        }
+    /// Share an in-memory database: its catalog (the row storage is
+    /// re-shared, not copied) and its settings. The result is in-memory
+    /// too; only [`SharedDb::open`] makes a durable database.
+    pub fn from_database(db: Database) -> Self {
+        let settings = db.settings().clone();
+        SharedDb { inner: Arc::new(Shared::new(db.into_catalog(), settings, None)) }
     }
 
     /// Commit-path statistics: how many durable commits were carried by
@@ -335,19 +313,33 @@ impl SharedDb {
         self.inner.wal.as_ref().map(|w| w.lock().pager_stats())
     }
 
+    /// Force a checkpoint now (no-op in memory). Flushes only the pages
+    /// dirtied since the last checkpoint — O(dirty), not O(database).
+    /// The checkpoint takes the *committed* catalog (in degraded mode it
+    /// rebuilds the durable trees from it), read under the WAL lock — the
+    /// order the commit leader uses — so it holds exactly the commits in
+    /// the log; open transactions live in their sessions and are out of
+    /// reach.
+    pub fn checkpoint(&self) -> Result<()> {
+        let Some(wal) = &self.inner.wal else { return Ok(()) };
+        let mut wal = wal.lock();
+        let committed = self.catalog_snapshot();
+        wal.checkpoint(&committed)
+    }
+
     /// Register a scalar UDF (e.g. an LLM function) for every session.
     pub fn register_udf(&self, udf: Arc<dyn ScalarUdf>) {
-        self.inner.udfs.write().register(udf);
+        self.inner.settings.write().udfs.register(udf);
     }
 
     /// Set the optimizer configuration for statements executed from now
     /// on (in-flight statements keep the config they snapshotted).
     pub fn set_optimizer(&self, config: OptimizerConfig) {
-        *self.inner.optimizer.write() = config;
+        self.inner.settings.write().optimizer = config;
     }
 
     pub fn optimizer(&self) -> OptimizerConfig {
-        *self.inner.optimizer.read()
+        self.inner.settings.read().optimizer
     }
 
     /// Set (or clear) the database-wide default per-statement deadline.
@@ -356,21 +348,28 @@ impl SharedDb {
     /// cooperative checkpoint; sessions may override their own (see
     /// [`Session::set_statement_timeout`]).
     pub fn set_statement_timeout(&self, timeout: Option<Duration>) {
-        *self.inner.statement_timeout.write() = timeout;
+        self.inner.settings.write().statement_timeout = timeout;
     }
 
     pub fn statement_timeout(&self) -> Option<Duration> {
-        *self.inner.statement_timeout.read()
+        self.inner.settings.read().statement_timeout
     }
 
     /// Swap the clock statement deadlines are armed against (tests inject
     /// a [`SimClock`](swan_pool::SimClock) for deterministic expiry).
     pub fn set_clock(&self, clock: ClockHandle) {
-        *self.inner.clock.write() = clock;
+        self.inner.settings.write().clock = clock;
     }
 
     pub fn clock(&self) -> ClockHandle {
-        self.inner.clock.read().clone()
+        self.inner.settings.read().clock.clone()
+    }
+
+    /// A single-statement database over `catalog` with the current
+    /// settings: what every statement — auto-commit, in-transaction or
+    /// read-only — actually executes on.
+    fn statement_db(&self, catalog: Catalog) -> Database {
+        Database::from_parts(catalog, self.inner.settings.read().clone())
     }
 
     /// A consistent single-session snapshot of the current state: shares
@@ -379,13 +378,7 @@ impl SharedDb {
     /// shared handle are not visible to the snapshot, and mutating the
     /// snapshot (it is a plain [`Database`]) copy-on-writes privately.
     pub fn snapshot(&self) -> Database {
-        let optimizer = *self.inner.optimizer.read();
-        let udfs = self.inner.udfs.read().clone();
-        let catalog = self.inner.catalog.read().clone();
-        let mut db = Database::from_parts(catalog, udfs, optimizer);
-        db.set_statement_timeout(self.statement_timeout());
-        db.set_clock(self.clock());
-        db
+        self.statement_db(self.catalog_snapshot())
     }
 
     /// A consistent snapshot of the catalog alone (the `BEGIN` pin).
@@ -439,49 +432,29 @@ impl SharedDb {
         self.execute_autocommit(&stmt)
     }
 
-    /// Execute a semicolon-separated script; returns the last result.
+    /// Execute a semicolon-separated script on a temporary session;
+    /// returns the last result.
     ///
     /// Outside an explicit transaction each statement commits (and
     /// becomes visible to other sessions) independently. A
     /// `BEGIN … COMMIT` span inside the script runs as one snapshot-
     /// isolation transaction: nothing becomes visible until the `COMMIT`,
     /// and an error anywhere inside the span rolls the whole transaction
-    /// back. A transaction still open when the script ends is an
-    /// **error** ([`Error::Txn`], after rolling it back): the script was
-    /// the transaction's only holder, so falling off the end can never
-    /// silently discard a span's writes — end the span explicitly, or
-    /// opt in to [`ScriptOptions::autocommit_on_end`] via
-    /// [`execute_script_with`](SharedDb::execute_script_with).
+    /// back ([`Session::execute_script`]). A transaction still open when
+    /// the script ends is an **error** ([`Error::Txn`], after rolling it
+    /// back): the script was the transaction's only holder, so falling
+    /// off the end can never silently discard a span's writes — nor
+    /// silently commit them. End the span with `COMMIT` or `ROLLBACK`.
     pub fn execute_script(&self, sql: &str) -> Result<QueryResult> {
-        self.execute_script_with(sql, ScriptOptions::default())
-    }
-
-    /// [`execute_script`](SharedDb::execute_script) with explicit
-    /// handling for a transaction left open at script end.
-    pub fn execute_script_with(&self, sql: &str, opts: ScriptOptions) -> Result<QueryResult> {
-        let stmts = parse_script(sql)?;
         let mut session = self.session();
-        let mut last = QueryResult::default();
-        for stmt in &stmts {
-            match session.execute_statement(stmt) {
-                Ok(r) => last = r,
-                // The session (and any open transaction) drops here:
-                // a mid-script error rolls the whole span back.
-                Err(e) => return Err(e),
-            }
-        }
+        let last = session.execute_script(sql)?;
         if session.in_transaction() {
-            if opts.autocommit_on_end {
-                session.execute_statement(&Statement::Commit)?;
-            } else {
-                // Dropping the session below rolls the span back.
-                return Err(Error::Txn(
-                    "script ended with an open transaction (its writes were rolled \
-                     back); COMMIT or ROLLBACK inside the script, or opt in to \
-                     ScriptOptions::autocommit_on_end"
-                        .into(),
-                ));
-            }
+            // Dropping the session below rolls the span back.
+            return Err(Error::Txn(
+                "script ended with an open transaction (its writes were rolled \
+                 back); COMMIT or ROLLBACK inside the script"
+                    .into(),
+            ));
         }
         Ok(last)
     }
@@ -490,8 +463,7 @@ impl SharedDb {
     fn execute_autocommit(&self, stmt: &Statement) -> Result<QueryResult> {
         let Some(target) = stmt.write_target().map(str::to_string) else {
             // SELECT: snapshot execution, no locks held while running.
-            let mut db = self.snapshot();
-            return db.execute_statement(stmt);
+            return self.snapshot().execute_statement(stmt);
         };
 
         // Serialize writers on the target table for the whole
@@ -501,11 +473,7 @@ impl SharedDb {
         let _guard = lock.lock();
 
         let base = self.catalog_snapshot();
-        let optimizer = *self.inner.optimizer.read();
-        let udfs = self.inner.udfs.read().clone();
-        let mut db = Database::from_parts(base.clone(), udfs, optimizer);
-        db.set_statement_timeout(self.statement_timeout());
-        db.set_clock(self.clock());
+        let mut db = self.statement_db(base.clone());
         let result = db.execute_statement(stmt)?;
         let stmt_writes = db.take_stmt_writes();
 
@@ -774,6 +742,12 @@ impl SharedDb {
             .clone()
     }
 
+    /// Reach into the log (tests forcing the pager's degraded mode).
+    #[cfg(test)]
+    pub(crate) fn with_wal<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> Option<R> {
+        self.inner.wal.as_ref().map(|wal| f(&mut wal.lock()))
+    }
+
     /// Names of the current tables (snapshot).
     pub fn table_names(&self) -> Vec<String> {
         self.inner.catalog.read().table_names()
@@ -829,20 +803,6 @@ fn install_into(catalog: &mut Catalog, deltas: &[(String, TableDelta)]) {
     }
 }
 
-/// How [`SharedDb::execute_script_with`] treats a transaction the script
-/// leaves open at its end. The script's temporary session is the
-/// transaction's only holder, so *something* must happen to it — the
-/// options make that explicit instead of silently rolling back.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScriptOptions {
-    /// Commit a transaction still open when the script ends, as if the
-    /// script had ended with `COMMIT`. With the default (`false`), an
-    /// open transaction at script end is an error: the transaction is
-    /// rolled back and [`Error::Txn`] is returned, so a missing `COMMIT`
-    /// can never silently discard writes.
-    pub autocommit_on_end: bool,
-}
-
 /// One session over a [`SharedDb`]: the holder of at most one open
 /// `BEGIN … COMMIT` transaction. Outside a transaction it behaves exactly
 /// like the shared handle (per-statement auto-commit); inside one,
@@ -880,18 +840,12 @@ impl Session {
         self.statement_timeout.unwrap_or_else(|| self.db.statement_timeout())
     }
 
-    /// The cancel token for one of this session's statements: an
-    /// already-installed caller token wins (so a caller can scope a whole
-    /// batch under one deadline, or cancel from another thread); otherwise
-    /// a fresh token is armed from the effective timeout.
-    fn statement_token(&self) -> CancelToken {
-        if let Some(outer) = swan_pool::cancel::current() {
-            return outer;
-        }
-        match self.statement_timeout() {
-            Some(d) => CancelToken::with_timeout(self.db.clock(), d),
-            None => CancelToken::unbounded(),
-        }
+    /// The cancel token for one of this session's statements, armed
+    /// from the effective timeout (see [`statement_token`]).
+    fn statement_token(&self) -> swan_pool::CancelToken {
+        let settings = self.db.inner.settings.read();
+        let timeout = self.statement_timeout.unwrap_or(settings.statement_timeout);
+        statement_token(timeout, &settings.clock)
     }
 
     /// Execute one statement (transaction control included).
@@ -901,10 +855,12 @@ impl Session {
     }
 
     /// Execute a semicolon-separated script; returns the last result.
-    /// Same transactional semantics as [`SharedDb::execute_script`],
-    /// except the session outlives the script: a transaction opened (and
-    /// not closed) by the script stays open on this session, and an error
-    /// rolls back only a transaction the script itself opened.
+    /// This is the one place script spans are tracked: an error inside a
+    /// `BEGIN … COMMIT` span the script itself opened rolls that span
+    /// back, while a transaction already open *before* the script keeps
+    /// SQLite semantics — the failing statement has no effect and the
+    /// transaction stays open. The session outlives the script, so a
+    /// span the script opens and does not close stays open on it.
     pub fn execute_script(&mut self, sql: &str) -> Result<QueryResult> {
         let stmts = parse_script(sql)?;
         let mut last = QueryResult::default();
@@ -934,7 +890,7 @@ impl Session {
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         let token = self.statement_token();
         swan_pool::cancel::with_current(&token, || match &self.txn {
-            Some((_, working)) => self.overlay_db(working).query(sql),
+            Some((_, working)) => self.db.statement_db(working.clone()).query(sql),
             None => self.db.query(sql),
         })
     }
@@ -945,13 +901,6 @@ impl Session {
         if let Some((txn, _)) = self.txn.take() {
             self.db.unpin_snapshot(txn.snapshot_seq);
         }
-    }
-
-    /// A single-session database over the transaction's working catalog.
-    fn overlay_db(&self, working: &Catalog) -> Database {
-        let optimizer = *self.db.inner.optimizer.read();
-        let udfs = self.db.inner.udfs.read().clone();
-        Database::from_parts(working.clone(), udfs, optimizer)
     }
 
     pub(crate) fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult> {
@@ -966,8 +915,7 @@ impl Session {
                     return Err(Error::Txn("a transaction is already active".into()));
                 }
                 let (snapshot, seq) = self.db.begin_snapshot();
-                let mut txn = self.db.inner.txns.begin(snapshot.clone());
-                txn.snapshot_seq = seq;
+                let txn = self.db.inner.txns.begin(snapshot.clone(), seq);
                 self.txn = Some((txn, snapshot));
                 Ok(QueryResult::default())
             }
@@ -1000,10 +948,7 @@ impl Session {
                     // leaves the transaction's state untouched, and the
                     // overlay's tables keep unique `Arc`s — batch DML
                     // mutates in place instead of copy-on-write cloning.
-                    let optimizer = *self.db.inner.optimizer.read();
-                    let udfs = self.db.inner.udfs.read().clone();
-                    let mut db =
-                        Database::from_parts(std::mem::take(working), udfs, optimizer);
+                    let mut db = self.db.statement_db(std::mem::take(working));
                     let result = db.execute_statement(stmt);
                     let writes = db.take_stmt_writes();
                     *working = db.into_catalog();
@@ -1138,19 +1083,6 @@ mod tests {
             shared.query("SELECT a FROM s").unwrap().scalar(),
             Some(&Value::Integer(7))
         );
-    }
-
-    /// Regression: promotion cloned the *working* catalog of an open
-    /// transaction, publishing rows that were never committed or logged.
-    #[test]
-    fn from_database_rolls_back_an_open_transaction() {
-        let mut single = Database::new();
-        single.execute("CREATE TABLE s (a INTEGER)").unwrap();
-        single.execute("INSERT INTO s VALUES (7)").unwrap();
-        single.execute("BEGIN").unwrap();
-        single.execute("INSERT INTO s VALUES (8)").unwrap();
-        let shared = SharedDb::from_database(single);
-        assert_eq!(shared.row_count("s"), Some(1), "uncommitted rows must not be shared");
     }
 
     #[test]
@@ -1325,32 +1257,10 @@ mod tests {
         assert!(matches!(err, Error::Txn(_)), "must surface the open span: {err}");
         assert_eq!(db.row_count("t"), Some(2), "the open span's writes roll back");
 
-        // Opt-in: autocommit_on_end commits the span as if the script
-        // had ended with COMMIT.
-        let r = db
-            .execute_script_with(
-                "BEGIN; INSERT INTO t VALUES (3, 30); INSERT INTO t VALUES (4, 40);",
-                ScriptOptions { autocommit_on_end: true },
-            )
-            .unwrap();
-        assert_eq!(r.rows_affected, 1);
-        assert_eq!(db.row_count("t"), Some(4), "auto-committed span is visible");
-
-        // A script that closes its span is unaffected by the option.
-        db.execute_script_with(
-            "BEGIN; DELETE FROM t WHERE id = 4; COMMIT;",
-            ScriptOptions { autocommit_on_end: true },
-        )
-        .unwrap();
-        assert_eq!(db.row_count("t"), Some(3));
-
-        // ... and one that rolls back stays rolled back even with the
-        // option set (autocommit applies only to a span left open).
-        db.execute_script_with(
-            "BEGIN; DELETE FROM t; ROLLBACK;",
-            ScriptOptions { autocommit_on_end: true },
-        )
-        .unwrap();
+        // Commit-on-end is spelled COMMIT; a span the script closes
+        // either way is not an error.
+        db.execute_script("BEGIN; INSERT INTO t VALUES (3, 30); COMMIT;").unwrap();
+        db.execute_script("BEGIN; DELETE FROM t; ROLLBACK;").unwrap();
         assert_eq!(db.row_count("t"), Some(3));
     }
 

@@ -31,8 +31,8 @@
 //! began.
 //!
 //! The module is deliberately storage-only: lock acquisition, WAL append
-//! ordering and the atomic install live with the owners of those
-//! resources ([`crate::db::Database`] and [`crate::shared::SharedDb`]).
+//! ordering and the atomic install live with the owner of those
+//! resources, [`crate::shared::SharedDb`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +51,7 @@ pub(crate) type PkKey = Vec<GroupKey>;
 /// [`crate::db`]. `keys` holds the primary-key cell values of every
 /// touched row (for an UPDATE that moves a row to a new primary key,
 /// both the old and the new key).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) enum StmtWrites {
     /// Per-row writes on a table with a primary key.
     Rows {
@@ -65,6 +65,7 @@ pub(crate) enum StmtWrites {
         reorder: bool,
     },
     /// Table-granular: DDL, or DML on a table without a primary key.
+    #[default]
     Whole,
 }
 
@@ -125,18 +126,15 @@ impl WriteSet {
 /// history, and the per-table write sets accumulated so far.
 ///
 /// The *working* catalog — snapshot plus own writes — is owned by the
-/// session driving the transaction, not by `Txn` itself: for a
-/// single-session [`Database`](crate::db::Database) the database's own
-/// catalog plays that role, while a [`Session`](crate::shared::Session)
-/// keeps an explicit overlay.
+/// [`Session`](crate::shared::Session) driving the transaction, not by
+/// `Txn` itself.
 #[derive(Debug, Clone)]
 pub struct Txn {
     id: u64,
     pub(crate) snapshot: Catalog,
-    /// The [`CommitHistory`] sequence pinned together with the snapshot
-    /// (0 for single-session databases, which never validate against a
-    /// history). Commit-time validation checks exactly the entries with
-    /// a higher sequence.
+    /// The [`CommitHistory`] sequence pinned together with the snapshot.
+    /// Commit-time validation checks exactly the entries with a higher
+    /// sequence.
     pub(crate) snapshot_seq: u64,
     written: Vec<String>,
     write_sets: HashMap<String, WriteSet>,
@@ -176,11 +174,6 @@ impl Txn {
     pub(crate) fn write_set(&self, table: &str) -> Option<&WriteSet> {
         self.write_sets.get(table)
     }
-
-    /// All per-table write sets (keyed by lowercased table name).
-    pub(crate) fn write_sets(&self) -> &HashMap<String, WriteSet> {
-        &self.write_sets
-    }
 }
 
 /// Allocates transaction ids. One per database; ids seed above the
@@ -201,12 +194,13 @@ impl TxnManager {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Open a transaction over the given pinned snapshot.
-    pub fn begin(&self, snapshot: Catalog) -> Txn {
+    /// Open a transaction over the given pinned snapshot and the commit
+    /// history sequence pinned with it.
+    pub fn begin(&self, snapshot: Catalog, snapshot_seq: u64) -> Txn {
         Txn {
             id: self.fresh_id(),
             snapshot,
-            snapshot_seq: 0,
+            snapshot_seq,
             written: Vec::new(),
             write_sets: HashMap::new(),
         }
@@ -670,7 +664,7 @@ mod tests {
         let mut cat = Catalog::new();
         cat.put_table(table(2));
         let mgr = TxnManager::default();
-        let mut txn = mgr.begin(cat.clone());
+        let mut txn = mgr.begin(cat.clone(), 0);
         txn.record_write("t", rows_writes(&[0]));
         let history = CommitHistory::default();
         assert!(validate_table(&txn, "t", cat.get("t"), &history).unwrap());
@@ -682,8 +676,7 @@ mod tests {
         cat.put_table(table(2));
         let mut history = CommitHistory::default();
         let mgr = TxnManager::default();
-        let mut txn = mgr.begin(cat.clone());
-        txn.snapshot_seq = history.pin_snapshot();
+        let mut txn = mgr.begin(cat.clone(), history.pin_snapshot());
         txn.record_write("t", StmtWrites::Whole);
         // Another session commits to t after the snapshot was pinned.
         cat.get_mut("t").unwrap().insert_row(vec![9.into()]).unwrap();
@@ -701,8 +694,7 @@ mod tests {
         cat.put_table(table(4));
         let mut history = CommitHistory::default();
         let mgr = TxnManager::default();
-        let mut txn = mgr.begin(cat.clone());
-        txn.snapshot_seq = history.pin_snapshot();
+        let mut txn = mgr.begin(cat.clone(), history.pin_snapshot());
         txn.record_write("t", rows_writes(&[1]));
         // A concurrent commit touches a *different* row.
         cat.get_mut("t").unwrap().insert_row(vec![9.into()]).unwrap();
@@ -720,8 +712,7 @@ mod tests {
         cat.put_table(table(4));
         let mut history = CommitHistory::default();
         let mgr = TxnManager::default();
-        let mut txn = mgr.begin(cat.clone());
-        txn.snapshot_seq = history.pin_snapshot();
+        let mut txn = mgr.begin(cat.clone(), history.pin_snapshot());
         txn.record_write("t", rows_writes(&[1, 3]));
         cat.get_mut("t").unwrap();
         history.record_commit(vec![(
@@ -743,7 +734,7 @@ mod tests {
         let mut cat = Catalog::new();
         cat.put_table(table(2));
         let mgr = TxnManager::default();
-        let mut txn = mgr.begin(cat.clone());
+        let mut txn = mgr.begin(cat.clone(), 0);
         txn.record_write("t", StmtWrites::Whole);
         // Drop: committed version must read "absent", not "None".
         cat.drop_table("t").unwrap();
@@ -760,8 +751,7 @@ mod tests {
         cat.put_table(table(2));
         let mut history = CommitHistory::default();
         let mgr = TxnManager::default();
-        let mut txn = mgr.begin(cat.clone());
-        txn.snapshot_seq = history.pin_snapshot();
+        let mut txn = mgr.begin(cat.clone(), history.pin_snapshot());
         txn.record_write("t", rows_writes(&[1]));
         // Same name, same fresh version number — but a different object.
         cat.drop_table("t").unwrap();
@@ -905,7 +895,7 @@ mod tests {
         }
         let working = working_cat.get("t").unwrap().clone();
 
-        let mut txn = TxnManager::default().begin(base_cat.clone());
+        let mut txn = TxnManager::default().begin(base_cat.clone(), 0);
         txn.record_write("t", rows_writes(&[2]));
         txn.record_write(
             "t",
@@ -924,7 +914,7 @@ mod tests {
     #[test]
     fn delete_then_reinsert_sets_reorder() {
         let cat = Catalog::new();
-        let mut txn = TxnManager::default().begin(cat);
+        let mut txn = TxnManager::default().begin(cat, 0);
         txn.record_write("t", rows_writes(&[1])); // delete touches key 1
         txn.record_write(
             "t",
@@ -939,7 +929,7 @@ mod tests {
     #[test]
     fn whole_absorbs_row_writes() {
         let cat = Catalog::new();
-        let mut txn = TxnManager::default().begin(cat);
+        let mut txn = TxnManager::default().begin(cat, 0);
         txn.record_write("t", rows_writes(&[1]));
         txn.record_write("t", StmtWrites::Whole);
         txn.record_write("t", rows_writes(&[2]));
@@ -950,8 +940,8 @@ mod tests {
     #[test]
     fn txn_ids_are_unique_and_seeded() {
         let mgr = TxnManager::new(41);
-        let a = mgr.begin(Catalog::new());
-        let b = mgr.begin(Catalog::new());
+        let a = mgr.begin(Catalog::new(), 0);
+        let b = mgr.begin(Catalog::new(), 0);
         assert_eq!(a.id(), 41);
         assert_eq!(b.id(), 42);
     }

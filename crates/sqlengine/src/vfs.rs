@@ -99,8 +99,8 @@ fn io_err(e: std::io::Error) -> Error {
 // RealFs: the production passthrough
 // ---------------------------------------------------------------------------
 
-/// Passthrough [`Vfs`] over `std::fs` — what [`Database::open`]
-/// (crate::db::Database::open) uses.
+/// Passthrough [`Vfs`] over `std::fs` — what [`SharedDb::open`]
+/// (crate::shared::SharedDb::open) uses.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealFs;
 
@@ -291,8 +291,8 @@ impl SimState {
 }
 
 /// The fault-injecting in-memory [`Vfs`]. Cloning shares the filesystem —
-/// hand clones to [`Database::open_on`](crate::db::Database::open_on) and
-/// keep one for fault control and inspection.
+/// hand clones to [`SharedDb::open_on`](crate::shared::SharedDb::open_on)
+/// and keep one for fault control and inspection.
 #[derive(Clone)]
 pub struct SimFs {
     state: Arc<Mutex<SimState>>,

@@ -45,10 +45,10 @@
 //!
 //! # The commit sequence
 //!
-//! Every durable commit — [`Database`](crate::db::Database)'s and the
-//! [`SharedDb`](crate::shared::SharedDb) group-commit leader's — runs
-//! [`Wal::commit`]: append the framed groups, at most one fsync, apply
-//! them to the trees, publish in memory, checkpoint if over budget.
+//! Every durable commit runs [`Wal::commit`], called from exactly one
+//! place — the [`SharedDb`](crate::shared::SharedDb) group-commit leader:
+//! append the framed groups, at most one fsync, apply them to the trees,
+//! publish in memory, checkpoint if over budget.
 //!
 //! # Refused formats
 //!
@@ -67,7 +67,6 @@
 //! every operation index and asserts recovery always lands on a clean
 //! prefix of acknowledged commits.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -590,8 +589,8 @@ impl Wal {
         self.len == 0
     }
 
-    /// The one durable commit sequence, run under the WAL mutex by every
-    /// committer: append `frames` (one or many framed `Begin·Delta*·Commit`
+    /// The one durable commit sequence, run under the WAL mutex by the
+    /// group-commit leader: append `frames` (one or many framed `Begin·Delta*·Commit`
     /// groups) as one write and at most one fsync, apply them to the
     /// trees, `install` them in memory, and checkpoint if the log
     /// outgrew its budget — against `committed()`, the catalog holding
@@ -603,16 +602,16 @@ impl Wal {
     /// and a retry would double-apply. The log just stays long, the next
     /// commit retries the checkpoint, and a handle left unusable poisons
     /// itself and surfaces on the next append.
-    pub(crate) fn commit<C: Borrow<Catalog>>(
+    pub(crate) fn commit(
         &mut self,
         frames: &[u8],
         install: impl FnOnce(),
-        committed: impl FnOnce() -> C,
+        committed: impl FnOnce() -> Catalog,
     ) -> Result<()> {
         self.append(frames)?;
         install();
         if self.wants_checkpoint() {
-            let _ = self.checkpoint(committed().borrow());
+            let _ = self.checkpoint(&committed());
         }
         Ok(())
     }
@@ -1053,25 +1052,28 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Regression: `Database::checkpoint` inside an open `BEGIN` handed
-    /// the *working* catalog to the checkpoint, and a degraded-mode
-    /// checkpoint rebuilds the durable trees from what it is handed — the
-    /// uncommitted row became durable.
+    /// A checkpoint hands the pager the *committed* catalog, and a
+    /// degraded-mode checkpoint rebuilds the durable trees from what it is
+    /// handed: a transaction still open on some session must not become
+    /// durable through it. (The deleted single-session handle once passed
+    /// its working catalog here; a `Session`'s working catalog is private
+    /// to the session, so `SharedDb::checkpoint` cannot even reach it.)
     #[test]
     fn checkpoint_inside_a_transaction_sees_only_committed_rows() {
-        use crate::db::Database;
+        use crate::shared::SharedDb;
         let path = temp_path("ckpt-in-txn");
         {
-            let mut db = Database::open(&path).unwrap();
+            let db = SharedDb::open(&path).unwrap();
             db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)").unwrap();
             db.execute("INSERT INTO t VALUES (1)").unwrap();
-            db.execute("BEGIN").unwrap();
-            db.execute("INSERT INTO t VALUES (2)").unwrap();
-            db.wal_handle().unwrap().lock().pager.set_rebuild();
+            let mut session = db.session();
+            session.execute("BEGIN").unwrap();
+            session.execute("INSERT INTO t VALUES (2)").unwrap();
+            db.with_wal(|wal| wal.pager.set_rebuild());
             db.checkpoint().unwrap();
         }
-        let db = Database::open(&path).unwrap();
-        assert_eq!(db.catalog().row_count("t"), Some(1), "the open transaction never committed");
+        let db = SharedDb::open(&path).unwrap();
+        assert_eq!(db.row_count("t"), Some(1), "the open transaction never committed");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -23,16 +23,16 @@
 //! Four schedules cover the paths the ISSUE names: serial commits
 //! (auto-commit + multi-statement transactions), the same schedule under
 //! aggressive auto-checkpointing (tmp + rename + dir-sync dance),
-//! concurrent group commit on a [`SharedDb`], and fault injection inside
-//! recovery itself. A last schedule plants a log in the removed
+//! concurrent group commit, and fault injection inside recovery itself.
+//! All of them run on [`SharedDb`], the only handle that can open a log,
+//! so the serial sweeps drive the same group-commit leader the
+//! concurrent one does — as batches of one. A last schedule plants a log in the removed
 //! whole-image format and checks it is refused without a byte changing.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use swan_sqlengine::{
-    Database, DurabilityConfig, FaultKind, SharedDb, SimFs, Torn,
-};
+use swan_sqlengine::{DurabilityConfig, FaultKind, SharedDb, SimFs, Torn};
 
 const WAL: &str = "/sim/db.wal";
 
@@ -50,7 +50,8 @@ const FAULTS: [FaultKind; 4] = [
 
 /// Canonical dump: every table (sorted by name), its column names, and
 /// every row rendered cell by cell. Byte-identical across equal states.
-fn dump(db: &Database) -> String {
+fn dump(db: &SharedDb) -> String {
+    let db = db.snapshot();
     let mut out = String::new();
     for name in db.catalog().table_names() {
         let r = db.query(&format!("SELECT * FROM {name}")).unwrap();
@@ -64,8 +65,8 @@ fn dump(db: &Database) -> String {
     out
 }
 
-fn open_sim(fs: &SimFs, config: DurabilityConfig) -> swan_sqlengine::Result<Database> {
-    Database::open_on(Arc::new(fs.clone()), wal_path(), config)
+fn open_sim(fs: &SimFs, config: DurabilityConfig) -> swan_sqlengine::Result<SharedDb> {
+    SharedDb::open_on(Arc::new(fs.clone()), wal_path(), config)
 }
 
 // ---------------------------------------------------------------------------
@@ -107,8 +108,8 @@ struct SerialRun {
 }
 
 /// Run the serial schedule with an optional fault, mirroring every
-/// *acknowledged* step onto an in-memory shadow database — the ground
-/// truth for what recovery must reproduce.
+/// *acknowledged* step onto an in-memory shadow database (same engine,
+/// no log) — the ground truth for what recovery must reproduce.
 fn run_serial(
     config: DurabilityConfig,
     steps: &[&str],
@@ -118,10 +119,10 @@ fn run_serial(
     for &(at, kind) in faults {
         fs.add_fault(at, kind);
     }
-    let mut shadow = Database::new();
+    let shadow = SharedDb::new();
     let mut with_in_flight = None;
     let mut any_failed = false;
-    if let Ok(mut db) = open_sim(&fs, config) {
+    if let Ok(db) = open_sim(&fs, config) {
         for step in steps {
             match db.execute_script(step) {
                 Ok(_) => {
@@ -132,7 +133,7 @@ fn run_serial(
                         // The in-flight commit: a crash may have persisted
                         // its complete group even though it was never
                         // acknowledged.
-                        let mut probe = shadow.clone();
+                        let probe = SharedDb::from_database(shadow.snapshot());
                         if probe.execute_script(step).is_ok() {
                             with_in_flight = Some(dump(&probe));
                         }
@@ -258,7 +259,7 @@ fn fault_sweep_under_eviction_pressure() {
     sweep_steps(config, &steps, "eviction");
 
     let fs = SimFs::new();
-    let mut db = open_sim(&fs, config).unwrap();
+    let db = open_sim(&fs, config).unwrap();
     for step in &steps {
         db.execute_script(step).unwrap();
     }
@@ -380,7 +381,7 @@ fn run_group(fault: Option<(u64, FaultKind)>) -> (SimFs, Vec<Vec<bool>>) {
     }
     let config = DurabilityConfig::default();
     let mut acked = vec![vec![false; GC_TXNS]; GC_THREADS];
-    if let Ok(db) = SharedDb::open_on(Arc::new(fs.clone()), wal_path(), config) {
+    if let Ok(db) = open_sim(&fs, config) {
         let mut created = vec![false; GC_THREADS];
         for (t, ok) in created.iter_mut().enumerate() {
             *ok = db
@@ -449,7 +450,7 @@ fn check_group_image(
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
     for (t, acks) in acked.iter().enumerate() {
         let table = format!("t{t}");
-        let exists = db.catalog().get(&table).is_some();
+        let exists = db.row_count(&table).is_some();
         if !exists {
             assert!(
                 acks.iter().all(|a| !a),
@@ -546,7 +547,7 @@ fn fault_sweep_over_recovery_schedule() {
     let fs = SimFs::new();
     let config = DurabilityConfig::default();
     {
-        let mut db = open_sim(&fs, config).unwrap();
+        let db = open_sim(&fs, config).unwrap();
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')").unwrap();
     }
@@ -558,7 +559,7 @@ fn fault_sweep_over_recovery_schedule() {
     {
         // A third commit, then keep only part of its group.
         let fs2 = fs.reboot(false);
-        let mut db = open_sim(&fs2, config).unwrap();
+        let db = open_sim(&fs2, config).unwrap();
         db.execute("INSERT INTO t VALUES (3, 'three')").unwrap();
         let full = fs2.file_bytes(WAL).unwrap();
         assert!(full.len() > torn_image.len());

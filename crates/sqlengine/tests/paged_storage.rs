@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use swan_sqlengine::{Database, DurabilityConfig, SimFs};
+use swan_sqlengine::{DurabilityConfig, SharedDb, SimFs};
 
 const WAL: &str = "/sim/paged.wal";
 const PAGE: u64 = 4096;
@@ -20,8 +20,8 @@ fn manual_checkpoints() -> DurabilityConfig {
     DurabilityConfig { checkpoint_bytes: u64::MAX, ..Default::default() }
 }
 
-fn open_sim(fs: &SimFs, config: DurabilityConfig) -> Database {
-    Database::open_on(Arc::new(fs.clone()), PathBuf::from(WAL), config).unwrap()
+fn open_sim(fs: &SimFs, config: DurabilityConfig) -> SharedDb {
+    SharedDb::open_on(Arc::new(fs.clone()), PathBuf::from(WAL), config).unwrap()
 }
 
 /// Bytes written to the page file (`<wal>.pages`) by ops `[from..]` of the
@@ -43,9 +43,9 @@ fn page_file_bytes(fs: &SimFs, from: usize) -> u64 {
 }
 
 /// Canonical dump used to compare database states byte for byte.
-fn dump(db: &Database) -> String {
+fn dump(db: &SharedDb) -> String {
     let mut out = String::new();
-    for name in db.catalog().table_names() {
+    for name in db.table_names() {
         let r = db.query(&format!("SELECT * FROM {name} ORDER BY 1")).unwrap();
         out.push_str(&format!("== {name} ({}) ==\n", r.columns.join(",")));
         for row in &r.rows {
@@ -61,7 +61,7 @@ fn dump(db: &Database) -> String {
 /// working set stays far inside the default 256-page pool, so the only
 /// page-file writes are checkpoint flushes, never mid-transaction
 /// evictions).
-fn load_rows(db: &mut Database, n: usize) {
+fn load_rows(db: &SharedDb, n: usize) {
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, body TEXT)")
         .unwrap();
     let mut i = 0usize;
@@ -82,8 +82,8 @@ fn load_rows(db: &mut Database, n: usize) {
 #[test]
 fn incremental_checkpoint_writes_o_of_k_pages() {
     let fs = SimFs::new();
-    let mut db = open_sim(&fs, manual_checkpoints());
-    load_rows(&mut db, 2000);
+    let db = open_sim(&fs, manual_checkpoints());
+    load_rows(&db, 2000);
 
     // First checkpoint materialises the whole tree: O(database) writes,
     // paid once. Record its cost as the O(database) yardstick.
@@ -143,8 +143,8 @@ fn incremental_checkpoint_writes_o_of_k_pages() {
 #[test]
 fn recovery_replays_tail_commits_over_the_checkpoint() {
     let fs = SimFs::new();
-    let mut db = open_sim(&fs, manual_checkpoints());
-    load_rows(&mut db, 300);
+    let db = open_sim(&fs, manual_checkpoints());
+    load_rows(&db, 300);
     db.checkpoint().unwrap();
     // Post-checkpoint commits live only in the log tail.
     db.execute("UPDATE t SET body = 'tail' WHERE id = 7").unwrap();

@@ -577,6 +577,27 @@ fn errors_are_reported_not_panics() {
     assert!(db.execute("SELECT id FROM superhero ORDER BY 99").is_err());
 }
 
+/// A bare `Database` executes single statements; it cannot hold a
+/// transaction. Transaction control is a typed error that names where
+/// transactions live, and it leaves the catalog untouched — also in the
+/// middle of a script, whose earlier statements stay applied.
+#[test]
+fn transaction_control_on_a_bare_database_is_a_typed_error() {
+    let mut db = hero_db();
+    let before = db.query("SELECT COUNT(*) FROM superhero").unwrap().scalar().cloned();
+    for sql in ["BEGIN", "BEGIN TRANSACTION", "COMMIT", "ROLLBACK"] {
+        let err = db.execute(sql).unwrap_err();
+        assert!(
+            matches!(&err, Error::Txn(m) if m.contains("session")),
+            "{sql}: expected Error::Txn naming SharedDb::session(), got: {err}"
+        );
+    }
+    let err = db.execute_script("CREATE TABLE side (x INTEGER); BEGIN; DROP TABLE side;");
+    assert!(matches!(err, Err(Error::Txn(_))));
+    assert!(db.catalog().contains("side"), "statements before the BEGIN already applied");
+    assert_eq!(db.query("SELECT COUNT(*) FROM superhero").unwrap().scalar().cloned(), before);
+}
+
 // ---- batched expensive-UDF execution ---------------------------------------
 
 /// An expensive UDF that records how it was driven: per-row `invoke`

@@ -7,8 +7,16 @@
 #   scripts/bench_smoke.sh            # all benches, quick
 #   scripts/bench_smoke.sh hash_join  # only criterion benchmarks matching a filter
 #
-# Compare the output against the before/after tables in
-# crates/sqlengine/PERF.md. The udf_fallback table prints model-call
+# These are micro suites for spotting that a fast path stopped engaging
+# (their in-bench asserts and printed ratios), not the repo's ruler: a
+# before/after comparison is alternating parent/change runs of the
+# benchmark in examples/swan_benchmark (BENCHMARK.json), whose
+# durable_mixed workload covers the commit/WAL/pager path end to end:
+#
+#   cargo run --release --quiet --offline \
+#       --manifest-path examples/swan_benchmark/Cargo.toml -- --workload all --seconds 15
+#
+# The udf_fallback table prints model-call
 # counts: "per-row fallback" at N heroes and "engine invoke_batch" at
 # ceil(N/5) — if the batched row's call count climbs back toward the
 # per-row row's, engine batching has regressed.

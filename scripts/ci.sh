@@ -9,8 +9,10 @@
 #   0. swan-analyze: the workspace seam lints (ANALYSIS.md) — raw
 #      std::fs/clock/thread use outside the Vfs/Clock/pool seams,
 #      panic-family calls on commit/recovery paths, undocumented
-#      `unsafe`, unranked locks. Any finding fails the gate before a
-#      single test runs;
+#      `unsafe`, unranked locks, and the log handle or commit framing
+#      named outside wal.rs/txn.rs/shared.rs (a second durable handle
+#      growing back). Any finding fails the gate before a single test
+#      runs;
 #   1. tier-1: release build + workspace test suite (ROADMAP contract),
 #      then a compile of every swan-bench bench (`harness = false`
 #      targets that `cargo test` skips) and the frozen benchmark's smoke
@@ -28,15 +30,19 @@
 #      history GC) and the row-level conflict regression suite
 #      (disjoint-PK transactions must not abort), both under
 #      SWAN_LOCKDEP=1, plus the cross-session llm_map single-flight test;
-#   4. the WAL crash-recovery harness (torn-tail truncation sweep at
-#      every byte offset of the final commit record group, durable
-#      transactions, auto-checkpoint compaction);
+#   4. the WAL crash-recovery harness, all of it on SharedDb — the only
+#      handle that opens a log (torn-tail truncation sweep at every byte
+#      offset of the final commit record group, durable Session
+#      transactions and script spans, auto-checkpoint compaction, and
+#      the fixture written by the removed Database::open handle);
 #   5. the crash-simulation harness (crates/sqlengine/tests/crash_sim.rs):
 #      a fault — transient error or crash with a configurable torn write —
 #      injected at EVERY SimFs operation index of the commit, checkpoint,
 #      concurrent group-commit and recovery schedules (plus the two-fault
 #      dir-sync-fails-then-crash schedule), asserting recovery is always
-#      a clean prefix of acknowledged commits;
+#      a clean prefix of acknowledged commits. The serial schedules run
+#      through the group-commit leader too (batches of one): there is no
+#      other commit path to sweep;
 #   6. the golden SQL suite (tests/slt/*.slt), each file executed on the
 #      serial and the 8-thread engine, with primary-key index scans and
 #      with the scan-only planner, on the columnar kernels and on the

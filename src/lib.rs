@@ -11,7 +11,8 @@
 //!   a scalar-UDF registry with batched expensive-function calls,
 //!   [`SharedDb`](sqlengine::SharedDb) sessions under snapshot isolation,
 //!   and crash durability (write-ahead log, group commit, paged B-tree
-//!   store). Its crate docs list the features; the measurements are in
+//!   store) — all of it on `SharedDb`; [`Database`](sqlengine::Database)
+//!   is the in-memory statement executor both solutions run on. Its crate docs list the features; the measurements are in
 //!   `crates/sqlengine/PERF.md`.
 //! * [`llm`] — the language-model layer: prompt templates, token and
 //!   cost accounting, parallel fan-out, the calibrated simulated
