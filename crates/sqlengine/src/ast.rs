@@ -5,6 +5,8 @@
 //! operators, scalar and IN/EXISTS subqueries, CASE, CAST, LIKE and the
 //! usual DDL/DML (CREATE/DROP/ALTER TABLE, INSERT, UPDATE, DELETE).
 
+use std::sync::Arc;
+
 use crate::value::Value;
 
 /// A full statement.
@@ -197,13 +199,20 @@ pub enum Expr {
     Like { expr: Box<Expr>, pattern: Box<Expr>, negated: bool, glob: bool },
     /// `expr [NOT] BETWEEN low AND high`.
     Between { expr: Box<Expr>, low: Box<Expr>, high: Box<Expr>, negated: bool },
-    /// `expr [NOT] IN (list)` or `expr [NOT] IN (SELECT ...)`.
+    /// `expr [NOT] IN (list)`.
     InList { expr: Box<Expr>, list: Vec<Expr>, negated: bool },
-    InSubquery { expr: Box<Expr>, query: Box<SelectStmt>, negated: bool },
+    /// `expr [NOT] IN (SELECT ...)`.
+    ///
+    /// Subquery bodies (here, in `Exists` and in `ScalarSubquery`) are
+    /// `Arc`-shared: the executor keys a subquery's statement-scoped state
+    /// by the body's address ([`crate::exec::SubqueryCache`]), so every
+    /// clone or rebind of the expression must stay the *same* node for the
+    /// statement's lifetime.
+    InSubquery { expr: Box<Expr>, query: Arc<SelectStmt>, negated: bool },
     /// `[NOT] EXISTS (SELECT ...)`.
-    Exists { query: Box<SelectStmt>, negated: bool },
+    Exists { query: Arc<SelectStmt>, negated: bool },
     /// Scalar subquery returning a single value.
-    ScalarSubquery(Box<SelectStmt>),
+    ScalarSubquery(Arc<SelectStmt>),
     /// `CASE [operand] WHEN .. THEN .. [ELSE ..] END`.
     Case {
         operand: Option<Box<Expr>>,

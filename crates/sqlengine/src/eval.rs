@@ -2,16 +2,28 @@
 //!
 //! Evaluation happens against a [`RowCtx`] chain: the innermost scope is the
 //! current row; outer scopes (for correlated subqueries) are linked via
-//! `outer`. Subqueries are executed through [`crate::exec::run_select`];
-//! uncorrelated subqueries are executed once per statement and cached in
-//! the [`ExecCtx`](crate::exec::ExecCtx).
+//! `outer`. Subqueries are executed through [`crate::exec::run_select`] and
+//! classified once per statement into one of three
+//! [`SubqueryState`]s, cached in the [`ExecCtx`](crate::exec::ExecCtx):
+//!
+//! * **uncorrelated** — executed once, the result shared by every row; an
+//!   `IN (SELECT …)` probes a hash set of it instead of walking it;
+//! * **keyed** — an equality-correlated scalar aggregate
+//!   (`(SELECT COUNT(*) FROM r WHERE r.k = outer.k AND r.x = 1)`) is grouped
+//!   once by its correlation keys and hash-probed per outer row
+//!   ([`KeyedAggregate`]; gated by `OptimizerConfig::index_scan`);
+//! * **correlated** — re-executed per outer row: every other shape
+//!   (correlated `EXISTS`/`IN`, `LIMIT`/`ORDER BY`/`GROUP BY`/`DISTINCT`
+//!   inside, a join or derived table in FROM, nested subqueries, expensive
+//!   UDFs, non-equality correlation), and the reference the other two are
+//!   tested against.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::ast::{BinaryOp, Expr, SelectStmt, UnaryOp};
 use crate::error::{Error, Result};
-use crate::exec::{run_select, ExecCtx, Relation, SubqueryState};
+use crate::exec::{run_select, ExecCtx, KeyedAggregate, Members, Relation, SubqueryState};
 use crate::functions::{eval_builtin, glob_match, is_aggregate, like_match, ScalarUdf, UdfRegistry};
 use crate::hash::FxHashSet;
 use crate::plan::RelSchema;
@@ -197,30 +209,39 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let rel = subquery_relation(query, ctx, row)?;
-            let mut saw_null = false;
-            for r in &rel.rows {
-                let item = r.first().cloned().unwrap_or(Value::Null);
-                match v.sql_eq(&item) {
-                    Some(true) => return Ok(Value::Integer(!*negated as i64)),
-                    Some(false) => {}
-                    None => saw_null = true,
+            let cell = subquery_cell(query, ctx);
+            let found = match subquery_state(&cell, query, ctx, row, Consumer::In)? {
+                SubqueryState::Uncorrelated { members: Some(members), .. } => members.contains(&v),
+                // Correlated: walk this outer row's own result.
+                state => {
+                    let rel = subquery_rows(state, query, ctx, row)?;
+                    in_walk(&v, rel.rows.iter().map(|r| r.first().unwrap_or(&Value::Null)))
                 }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Integer(*negated as i64))
-            }
+            };
+            Ok(match found {
+                Some(hit) => Value::Integer((hit != *negated) as i64),
+                None => Value::Null,
+            })
         }
 
         Expr::Exists { query, negated } => {
-            let rel = subquery_relation(query, ctx, row)?;
+            let cell = subquery_cell(query, ctx);
+            let state = subquery_state(&cell, query, ctx, row, Consumer::Exists)?;
+            let rel = subquery_rows(state, query, ctx, row)?;
             Ok(Value::Integer((rel.rows.is_empty() == *negated) as i64))
         }
 
         Expr::ScalarSubquery(query) => {
-            let rel = subquery_relation(query, ctx, row)?;
+            let cell = subquery_cell(query, ctx);
+            let state = subquery_state(&cell, query, ctx, row, Consumer::Scalar)?;
+            if let (SubqueryState::Keyed(keyed), Some(outer)) = (state, row) {
+                // An outer key this row cannot evaluate is left to the
+                // per-row path, which raises what it always raised.
+                if let Ok(v) = keyed.probe(ctx, outer) {
+                    return Ok(v);
+                }
+            }
+            let rel = subquery_rows(state, query, ctx, row)?;
             Ok(match rel.rows.first() {
                 Some(r) => r.first().cloned().unwrap_or(Value::Null),
                 None => Value::Null,
@@ -254,6 +275,20 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
 
         Expr::Cast { expr, type_name } => Ok(cast_value(eval(expr, ctx, row)?, type_name)),
     }
+}
+
+/// Three-valued `v IN (items)` for a non-NULL `v` by linear `sql_eq` walk:
+/// a match wins, no match next to a NULL item is unknown.
+fn in_walk<'v>(v: &Value, items: impl IntoIterator<Item = &'v Value>) -> Option<bool> {
+    let mut found = Some(false);
+    for item in items {
+        match v.sql_eq(item) {
+            Some(true) => return Some(true),
+            Some(false) => {}
+            None => found = None,
+        }
+    }
+    found
 }
 
 /// Text view of a value without copying interned text; other storage
@@ -740,46 +775,75 @@ fn leading_number(s: &str) -> f64 {
     t[..end].parse::<f64>().unwrap_or(0.0)
 }
 
-/// Execute (or fetch the cached result of) a subquery.
+/// Which expression reads a subquery's result: it decides what the
+/// subquery's cell is worth building beyond the plain relation.
+#[derive(Clone, Copy, PartialEq)]
+enum Consumer {
+    Scalar,
+    In,
+    Exists,
+}
+
+type SubqueryCell = Arc<std::sync::OnceLock<Result<SubqueryState>>>;
+
+/// Grab (or create) this subquery's single-flight cell. The map lock is
+/// held only for the lookup — never while a subquery executes (run_select
+/// can be arbitrarily expensive and recursively re-enter this cache for
+/// nested subqueries).
+fn subquery_cell(query: &Arc<SelectStmt>, ctx: &ExecCtx<'_>) -> SubqueryCell {
+    let key = Arc::as_ptr(query) as usize;
+    ctx.subqueries.lock().entry(key).or_default().clone()
+}
+
+/// Classify a subquery (once per statement; see the module docs for the
+/// three outcomes) and return its state.
 ///
-/// The first execution is attempted without the outer scope; if it
-/// resolves, the subquery is uncorrelated and the result is cached for the
-/// rest of the statement. If it fails with an unresolved column and an
-/// outer scope exists, the subquery is correlated and is re-executed per
-/// outer row.
-fn subquery_relation(
+/// The first arriver executes the subquery without the outer scope;
+/// concurrent arrivers block on the cell instead of racing a duplicate
+/// execution. Nested subqueries use their own cells, so initialization
+/// cannot cycle. A keyed build that fails with anything but a deadline or
+/// cancellation declines to [`SubqueryState::Correlated`], so errors keep
+/// surfacing from the per-row path.
+fn subquery_state<'c>(
+    cell: &'c SubqueryCell,
+    query: &SelectStmt,
+    ctx: &ExecCtx<'_>,
+    row: Option<&RowCtx<'_>>,
+    consumer: Consumer,
+) -> Result<&'c SubqueryState> {
+    let state = cell.get_or_init(|| match run_select(query, ctx, None) {
+        Ok(rel) => Ok(SubqueryState::Uncorrelated {
+            members: (consumer == Consumer::In).then(|| Members::of(&rel)),
+            rel: Arc::new(rel),
+        }),
+        Err(Error::Unresolved(_)) if row.is_some() => {
+            if consumer == Consumer::Scalar && ctx.optimizer.index_scan {
+                match KeyedAggregate::build(query, ctx) {
+                    Ok(Some(keyed)) => return Ok(SubqueryState::Keyed(keyed)),
+                    Err(e @ (Error::Deadline | Error::Cancelled)) => return Err(e),
+                    Ok(None) | Err(_) => {}
+                }
+            }
+            Ok(SubqueryState::Correlated)
+        }
+        Err(e) => Err(e),
+    });
+    // The cache is statement-scoped, so a pinned error only
+    // short-circuits re-evaluations within the failing statement.
+    state.as_ref().map_err(Error::clone)
+}
+
+/// The subquery's rows for this outer row: the shared result when
+/// uncorrelated, a fresh execution (no caching of rows) otherwise.
+fn subquery_rows(
+    state: &SubqueryState,
     query: &SelectStmt,
     ctx: &ExecCtx<'_>,
     row: Option<&RowCtx<'_>>,
 ) -> Result<Arc<Relation>> {
-    let key = query as *const SelectStmt as usize;
-    // Grab (or create) this subquery's single-flight cell. The map lock
-    // is held only for the lookup — never while a subquery executes
-    // (run_select can be arbitrarily expensive and recursively re-enter
-    // this cache for nested subqueries).
-    let cell = {
-        let mut cache = ctx.subqueries.lock();
-        cache.entry(key).or_default().clone()
-    };
-    // Single-flight classification: the first arriver executes the
-    // subquery without the outer scope (classifying it uncorrelated on
-    // success, correlated on an unresolved column when an outer row
-    // exists); concurrent arrivers block on the cell instead of racing a
-    // duplicate execution — an uncorrelated subquery runs exactly once
-    // per statement at every thread count. Nested subqueries use their
-    // own cells, so initialization cannot cycle.
-    let state = cell.get_or_init(|| match run_select(query, ctx, None) {
-        Ok(rel) => Ok(SubqueryState::Uncorrelated(Arc::new(rel))),
-        Err(Error::Unresolved(_)) if row.is_some() => Ok(SubqueryState::Correlated),
-        Err(e) => Err(e),
-    });
     match state {
-        Ok(SubqueryState::Uncorrelated(rel)) => Ok(rel.clone()),
-        // Correlated: re-execute per outer row (no caching of rows).
-        Ok(SubqueryState::Correlated) => run_select(query, ctx, row).map(Arc::new),
-        // The cache is statement-scoped, so a pinned error only
-        // short-circuits re-evaluations within the failing statement.
-        Err(e) => Err(e.clone()),
+        SubqueryState::Uncorrelated { rel, .. } => Ok(rel.clone()),
+        _ => run_select(query, ctx, row).map(Arc::new),
     }
 }
 
@@ -899,6 +963,290 @@ mod tests {
         assert_eq!(leading_number("e5"), 0.0);
         assert_eq!(leading_number("abc"), 0.0);
         assert_eq!(leading_number("1e"), 1.0, "bare exponent marker is ignored");
+    }
+
+    // ---- subquery cell states ---------------------------------------------
+
+    /// A test UDF from a closure: `(name, is_expensive, body)`.
+    struct FnUdf<F>(&'static str, bool, F);
+
+    impl<F: Fn(&[Value]) -> Result<Value> + Send + Sync> ScalarUdf for FnUdf<F> {
+        fn name(&self) -> &str {
+            self.0
+        }
+        fn invoke(&self, args: &[Value]) -> Result<Value> {
+            (self.2)(args)
+        }
+        fn is_expensive(&self) -> bool {
+            self.1
+        }
+    }
+
+    /// formula_1 q22's tables in miniature: 6 drivers, 1,100 results
+    /// (above one cancellation-check stride), driver 5 has no result,
+    /// driver_id 1000 matches no driver, `llm_drivers` is the hybrid
+    /// form's materialised side table.
+    fn f1_db() -> crate::db::Database {
+        let mut db = crate::db::Database::new();
+        db.execute_script(
+            "CREATE TABLE drivers (id INTEGER PRIMARY KEY, code TEXT);
+             CREATE TABLE llm_drivers (id INTEGER PRIMARY KEY, code TEXT);
+             CREATE TABLE results (id INTEGER PRIMARY KEY, driver_id INTEGER, position INTEGER);",
+        )
+        .unwrap();
+        for t in ["drivers", "llm_drivers"] {
+            let t = db.catalog_mut().get_mut(t).unwrap();
+            for id in 0..6i64 {
+                t.insert_row(vec![Value::Integer(id), Value::text(format!("D{id}"))]).unwrap();
+            }
+        }
+        let r = db.catalog_mut().get_mut("results").unwrap();
+        for id in 0..1100i64 {
+            let driver = if id == 7 { 1000 } else { id % 5 };
+            r.insert_row(vec![Value::Integer(id), Value::Integer(driver), Value::Integer(id % 3)])
+                .unwrap();
+        }
+        db
+    }
+
+    /// Run `sql` and report what every subquery cell of the statement holds
+    /// afterwards (sorted), next to the statement's outcome.
+    fn run_states(
+        db: &crate::db::Database,
+        sql: &str,
+        config: crate::optimizer::OptimizerConfig,
+        cancel: swan_pool::CancelToken,
+    ) -> (Result<Relation>, Vec<&'static str>) {
+        let ctx = ExecCtx::new(db.catalog(), db.udfs()).with_optimizer(config).with_cancel(cancel);
+        let crate::ast::Statement::Select(stmt) = crate::parser::parse_statement(sql).unwrap()
+        else {
+            panic!("not a SELECT: {sql}")
+        };
+        let out = run_select(&stmt, &ctx, None);
+        let mut states: Vec<&'static str> = ctx
+            .subqueries
+            .lock()
+            .values()
+            .map(|cell| match cell.get() {
+                Some(Ok(SubqueryState::Uncorrelated { .. })) => "uncorrelated",
+                Some(Ok(SubqueryState::Keyed(_))) => "keyed",
+                Some(Ok(SubqueryState::Correlated)) => "correlated",
+                Some(Err(_)) => "error",
+                None => "unset",
+            })
+            .collect();
+        states.sort_unstable();
+        (out, states)
+    }
+
+    /// Cell states under the default configuration, after checking that the
+    /// rows equal the per-row reference's (`index_scan: false`, which must
+    /// never build) at 1 and 8 threads.
+    fn states(db: &crate::db::Database, sql: &str) -> Vec<&'static str> {
+        use crate::optimizer::OptimizerConfig;
+        let token = swan_pool::CancelToken::unbounded;
+        let reference = OptimizerConfig { threads: 1, index_scan: false, ..Default::default() };
+        let (want, ref_states) = run_states(db, sql, reference, token());
+        assert!(!ref_states.contains(&"keyed"), "index_scan: false built an index for {sql}");
+        let want = want.unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
+        let [serial, parallel] = [1, 8].map(|threads| {
+            let config = OptimizerConfig { threads, parallel_threshold: 1, ..Default::default() };
+            let (got, states) = run_states(db, sql, config, token());
+            assert_eq!(got.unwrap().rows, want, "{sql} at {threads} thread(s)");
+            states
+        });
+        assert_eq!(serial, parallel, "{sql}: states differ across thread counts");
+        serial
+    }
+
+    const WINS: &str =
+        "SELECT COUNT(*) FROM results r WHERE r.driver_id = T1.id AND r.position = 1";
+
+    #[test]
+    fn keyed_build_engages_for_the_paper_shapes() {
+        let db = f1_db();
+        // formula_1 q22 (gold / udf form) and its hybrid form, whose outer
+        // side is a join; then the select-list position, flipped equality
+        // sides, an expression key, two keys, and an unqualified inner name.
+        for sql in [
+            format!("SELECT T1.code FROM drivers T1 WHERE ({WINS}) > 70"),
+            format!(
+                "SELECT L.code FROM drivers T1 JOIN llm_drivers L ON L.id = T1.id \
+                 WHERE ({WINS}) > 70"
+            ),
+            format!("SELECT T1.code, ({WINS}) FROM drivers T1"),
+            "SELECT T1.id, (SELECT COUNT(*) FROM results r WHERE T1.id = 2 AND r.position = 1) \
+             FROM drivers T1"
+                .to_string(),
+            "SELECT T1.id, (SELECT COALESCE(SUM(position), 0) FROM results \
+             WHERE T1.id + 1 = driver_id + 1) FROM drivers T1"
+                .to_string(),
+            "SELECT T1.id, (SELECT MAX(r.id) FROM results r \
+             WHERE r.driver_id = T1.id AND r.position = T1.id % 3) FROM drivers T1"
+                .to_string(),
+        ] {
+            assert_eq!(states(&db, &sql), ["keyed"], "{sql}");
+        }
+    }
+
+    #[test]
+    fn keyed_build_declines_every_excluded_shape() {
+        let mut db = f1_db();
+        db.register_udf(Arc::new(FnUdf("pricey", true, |a: &[Value]| Ok(a[0].clone()))));
+        let per_row = |inner: &str| format!("SELECT T1.id, ({inner}) FROM drivers T1");
+        let corr = "r.driver_id = T1.id";
+        for inner in [
+            // ORDER BY / LIMIT / OFFSET / GROUP BY / HAVING / DISTINCT inside.
+            format!("SELECT COUNT(*) FROM results r WHERE {corr} ORDER BY 1"),
+            format!("SELECT COUNT(*) FROM results r WHERE {corr} LIMIT 1"),
+            format!("SELECT COUNT(*) FROM results r WHERE {corr} LIMIT 1 OFFSET 0"),
+            format!("SELECT COUNT(*) FROM results r WHERE {corr} GROUP BY r.driver_id"),
+            format!("SELECT COUNT(*) FROM results r WHERE {corr} HAVING COUNT(*) > 0"),
+            format!("SELECT DISTINCT COUNT(*) FROM results r WHERE {corr}"),
+            // Not one aggregate-bearing projection over inner columns only.
+            format!("SELECT r.position FROM results r WHERE {corr} AND r.id < 5"),
+            format!("SELECT COUNT(*), 1 FROM results r WHERE {corr}"),
+            format!("SELECT MIN(r.id) + r.position FROM results r WHERE {corr}"),
+            format!("SELECT COUNT(*) + T1.id FROM results r WHERE {corr}"),
+            format!("SELECT SUM(r.position * T1.id) FROM results r WHERE {corr}"),
+            // Compound body, join / derived table / nothing in FROM.
+            format!(
+                "SELECT COUNT(*) FROM results r WHERE {corr} \
+                 UNION ALL SELECT COUNT(*) FROM results r WHERE {corr} AND r.position = 1"
+            ),
+            format!(
+                "SELECT COUNT(*) FROM results r JOIN llm_drivers L ON L.id = r.driver_id \
+                 WHERE {corr}"
+            ),
+            format!("SELECT COUNT(*) FROM (SELECT * FROM results) r WHERE {corr}"),
+            "SELECT COUNT(*) WHERE T1.id = 1".to_string(),
+            // An expensive UDF anywhere.
+            format!("SELECT COUNT(*) FROM results r WHERE {corr} AND pricey(r.position) = 1"),
+            format!("SELECT COUNT(pricey(r.position)) FROM results r WHERE {corr}"),
+            // Correlated conjuncts that are not clean equalities: another
+            // operator, under OR, or a side mixing scopes — `position`
+            // resolves in the inner schema, so it binds inner.
+            "SELECT COUNT(*) FROM results r WHERE r.driver_id >= T1.id".to_string(),
+            format!("SELECT COUNT(*) FROM results r WHERE {corr} OR r.position = 1"),
+            "SELECT COUNT(*) FROM results r WHERE r.driver_id = T1.id + position".to_string(),
+            "SELECT COUNT(*) FROM results r WHERE r.driver_id + T1.id = 4".to_string(),
+        ] {
+            assert_eq!(states(&db, &per_row(&inner)), ["correlated"], "{inner}");
+        }
+        // A nested subquery declines the outer one and keeps its own cell.
+        let nested = format!(
+            "SELECT COUNT(*) FROM results r WHERE {corr} \
+             AND r.id > (SELECT MIN(id) FROM results)"
+        );
+        assert_eq!(states(&db, &per_row(&nested)), ["correlated", "uncorrelated"]);
+        // Correlated EXISTS / IN consumers never build, whatever the shape.
+        assert_eq!(
+            states(&db, &format!("SELECT T1.id FROM drivers T1 WHERE EXISTS ({WINS})")),
+            ["correlated"]
+        );
+        assert_eq!(
+            states(&db, &format!("SELECT T1.id FROM drivers T1 WHERE 73 IN ({WINS})")),
+            ["correlated"]
+        );
+        // A name that resolves in the inner schema is not a correlation:
+        // `id` is `results.id`, the subquery is uncorrelated.
+        assert_eq!(
+            states(&db, &per_row("SELECT COUNT(*) FROM results WHERE driver_id = id")),
+            ["uncorrelated"]
+        );
+    }
+
+    #[test]
+    fn failed_build_declines_and_cancellation_propagates() {
+        use crate::optimizer::OptimizerConfig;
+        let config = OptimizerConfig { threads: 1, ..Default::default() };
+        // `boom` fails on the one row the per-row path never reaches (its
+        // driver matches no outer row, so AND short-circuits first): the
+        // build fails, declines, and the statement succeeds per row.
+        let mut db = f1_db();
+        db.register_udf(Arc::new(FnUdf("boom", false, |a: &[Value]| match a[0] {
+            Value::Integer(7) => Err(Error::Udf { name: "boom".into(), message: "row 7".into() }),
+            _ => Ok(Value::Integer(1)),
+        })));
+        let sql = "SELECT T1.id, (SELECT COUNT(*) FROM results r \
+                   WHERE r.driver_id = T1.id AND boom(r.id)) FROM drivers T1";
+        let (out, states) = run_states(&db, sql, config, swan_pool::CancelToken::unbounded());
+        assert_eq!(states, ["correlated"]);
+        assert_eq!(out.unwrap().rows[0][1], Value::Integer(220));
+
+        // A statement cancelled while the build runs fails as cancelled: the
+        // error is pinned in the cell, not swallowed into a per-row retry.
+        let token = swan_pool::CancelToken::unbounded();
+        let trip = token.clone();
+        let mut db = f1_db();
+        db.register_udf(Arc::new(FnUdf("trip", false, move |_: &[Value]| {
+            trip.cancel();
+            Ok(Value::Integer(1))
+        })));
+        let sql = "SELECT T1.id, (SELECT COUNT(*) FROM results r \
+                   WHERE r.driver_id = T1.id AND trip(r.id)) FROM drivers T1";
+        let (out, states) = run_states(&db, sql, config, token);
+        assert_eq!(out.unwrap_err(), Error::Cancelled);
+        assert_eq!(states, ["error"]);
+    }
+
+    /// An outer key the probe cannot evaluate is left to the per-row path:
+    /// the statement fails (or not) exactly as under the reference.
+    #[test]
+    fn unevaluable_outer_key_raises_what_the_per_row_path_raises() {
+        use crate::optimizer::OptimizerConfig;
+        let db = f1_db();
+        let token = swan_pool::CancelToken::unbounded;
+        // `code` is ambiguous between the two outer tables; `T1.nope`
+        // resolves nowhere.
+        for key in ["code", "T1.nope"] {
+            let sql = format!(
+                "SELECT T1.id FROM drivers T1 JOIN llm_drivers L ON L.id = T1.id \
+                 WHERE (SELECT COUNT(*) FROM results r WHERE r.driver_id = {key}) > 0"
+            );
+            let keyed = OptimizerConfig { threads: 1, ..Default::default() };
+            let reference = OptimizerConfig { index_scan: false, ..keyed };
+            let (want, _) = run_states(&db, &sql, reference, token());
+            let (got, states) = run_states(&db, &sql, keyed, token());
+            assert_eq!(states, ["keyed"], "{sql}");
+            assert_eq!(got.unwrap_err(), want.unwrap_err(), "{sql}");
+        }
+    }
+
+    /// The `IN` hash set answers exactly what the linear `sql_eq` walk
+    /// answered, including NaN (equals nothing), `-0.0`, integers past
+    /// 2^53, `1 = 1.0` and text-vs-number.
+    #[test]
+    fn in_members_match_the_sql_eq_walk() {
+        let values = [
+            Value::Integer(1),
+            Value::Real(1.0),
+            Value::Real(-0.0),
+            Value::Integer(0),
+            Value::Integer((1 << 53) + 1),
+            Value::Real((1u64 << 53) as f64),
+            Value::text("1"),
+            Value::text("a"),
+            Value::Real(f64::NAN),
+            Value::Real(2.5),
+        ];
+        for with_null in [false, true] {
+            for skip in 0..values.len() {
+                let mut items = values.to_vec();
+                items.remove(skip);
+                if with_null {
+                    items.push(Value::Null);
+                }
+                let rel = Relation {
+                    schema: RelSchema::default(),
+                    rows: items.iter().map(|v| vec![v.clone()].into()).collect(),
+                };
+                let members = Members::of(&rel);
+                for v in &values {
+                    assert_eq!(members.contains(v), in_walk(v, &items), "{v:?} IN {items:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,15 +27,17 @@ use parking_lot::Mutex;
 use swan_pool::lockrank;
 
 use crate::ast::{
-    CompoundOp, Expr, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt,
+    BinaryOp, CompoundOp, Expr, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt,
 };
 use crate::columnar::{AggKernel, ColumnSet};
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
 use crate::functions::{is_aggregate, UdfRegistry};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
-use crate::optimizer::{optimize, NeededCol, OptimizerConfig};
-use crate::plan::{plan_from, ColRef, IndexBounds, Plan, PlanJoinKind, RelSchema};
+use crate::optimizer::{expr_cost, optimize, NeededCol, OptimizerConfig};
+use crate::plan::{
+    conjoin, plan_from, split_conjuncts, ColRef, IndexBounds, Plan, PlanJoinKind, RelSchema,
+};
 use crate::storage::Catalog;
 use crate::value::{GroupKey, Row, UdfArgKey, Value};
 
@@ -61,24 +63,226 @@ impl Relation {
 }
 
 /// Cached execution state of one subquery within a statement.
-#[derive(Debug, Clone)]
 pub enum SubqueryState {
-    /// Uncorrelated: executed once, result shared.
-    Uncorrelated(Arc<Relation>),
-    /// Correlated with the outer row: must re-execute per row.
+    /// Uncorrelated: executed once, result shared. An `IN` consumer also
+    /// gets `members`, the hash set it probes instead of walking `rel`.
+    Uncorrelated { rel: Arc<Relation>, members: Option<Members> },
+    /// An equality-correlated scalar aggregate: one grouped build, one
+    /// hash probe per outer row (see [`KeyedAggregate`]).
+    Keyed(KeyedAggregate),
+    /// Correlated with the outer row: must re-execute per row. The only
+    /// path for every shape [`KeyedAggregate::build`] declines and under
+    /// `OptimizerConfig::index_scan: false`, the reference.
     Correlated,
 }
 
-/// The statement-scoped subquery result cache, keyed by the subquery's
-/// AST node address. `Send + Sync` (an `Arc<Mutex<..>>` map of shared
-/// cells) so morsel workers share one cache with the statement thread,
-/// letting subquery-bearing predicates run under [`Plan::Parallel`]
-/// instead of falling back to serial. Each entry is a
-/// [`std::sync::OnceLock`] **single-flight cell**: the first arriver
-/// classifies (and, for uncorrelated subqueries, executes) the subquery
-/// while concurrent arrivers block on the cell — an uncorrelated
-/// subquery therefore executes *exactly once* per statement at every
-/// thread count, never once per worker.
+/// Hash key of a value that can equal something under `sql_eq`; NULL and
+/// NaN equal nothing, so they have none.
+fn eq_key(v: &Value) -> Option<GroupKey> {
+    match v {
+        Value::Null => None,
+        Value::Real(r) if r.is_nan() => None,
+        v => Some(v.group_key()),
+    }
+}
+
+/// The first column of an uncorrelated `IN (SELECT …)` result as a hash
+/// set under SQL equality, built once in the subquery's cell.
+pub struct Members {
+    keys: FxHashSet<GroupKey>,
+    has_null: bool,
+}
+
+impl Members {
+    pub(crate) fn of(rel: &Relation) -> Members {
+        let mut members = Members { keys: set_with_capacity(rel.rows.len()), has_null: false };
+        for row in &rel.rows {
+            match row.first() {
+                None | Some(Value::Null) => members.has_null = true,
+                Some(v) => members.keys.extend(eq_key(v)),
+            }
+        }
+        members
+    }
+
+    /// Three-valued `v IN (members)` for a non-NULL `v`: no match but a
+    /// NULL member is unknown.
+    pub(crate) fn contains(&self, v: &Value) -> Option<bool> {
+        if eq_key(v).is_some_and(|k| self.keys.contains(&k)) {
+            Some(true)
+        } else if self.has_null {
+            None
+        } else {
+            Some(false)
+        }
+    }
+}
+
+/// A scalar subquery of the shape
+/// `(SELECT <aggregate expr> FROM t WHERE <inner> = <outer> [AND …] [AND <local>])`
+/// answered from a hash index instead of one execution per outer row:
+/// `SELECT <inner keys>, <aggregate expr> FROM t WHERE <local> GROUP BY
+/// <inner keys>` runs **once** through [`run_select`] (so it gets pushdown,
+/// the columnar kernels, parallel GROUP BY and the statement's cancel
+/// token like any other SELECT), and every outer row costs one key
+/// evaluation and one probe. Key equality is the hash join's: NULL never
+/// matches, and neither does NaN (as under `sql_eq`). A key with no group
+/// reads what the same aggregate code yields over zero rows.
+///
+/// GROUP BY keeps each group's members in input order, which over one base
+/// table is the order the per-row filter would have kept them in — so
+/// order-sensitive aggregates (a REAL `SUM`, `GROUP_CONCAT`) are
+/// bit-identical to the per-row path.
+pub struct KeyedAggregate {
+    /// Outer-side key expressions, one per correlation pair.
+    outer_keys: Vec<Expr>,
+    groups: FxHashMap<JoinKey, Value>,
+    /// The aggregate over zero rows (`COUNT` → 0, `SUM` → NULL, …).
+    empty: Value,
+}
+
+impl KeyedAggregate {
+    /// Match `query` against the build-once shape and run the build;
+    /// `Ok(None)` declines. Declined: anything but one `SelectBody::Simple`
+    /// core over a single base table with a single aggregate-bearing
+    /// projection that reads inner columns only and only inside aggregates;
+    /// `GROUP BY`/`HAVING`/`DISTINCT`/`ORDER BY`/`LIMIT`/`OFFSET`; a nested
+    /// subquery or expensive UDF anywhere; and any WHERE conjunct that is
+    /// neither local (covered by the inner schema) nor an equality with one
+    /// side covered by the inner schema and the other free of
+    /// inner-resolvable columns. An unqualified name that resolves in the
+    /// inner schema binds inner, exactly as [`RowCtx`] lookup does.
+    pub(crate) fn build(query: &SelectStmt, ctx: &ExecCtx<'_>) -> Result<Option<KeyedAggregate>> {
+        let SelectBody::Simple(core) = &query.body else { return Ok(None) };
+        if !query.order_by.is_empty()
+            || query.limit.is_some()
+            || query.offset.is_some()
+            || core.distinct
+            || !core.group_by.is_empty()
+            || core.having.is_some()
+        {
+            return Ok(None);
+        }
+        let ([SelectItem::Expr { expr: agg, .. }], Some(filter)) =
+            (&core.projection[..], &core.filter)
+        else {
+            return Ok(None);
+        };
+        let plan = plan_from(core.from.as_ref(), None)?;
+        if !matches!(plan, Plan::Scan { .. }) {
+            return Ok(None);
+        }
+        let schema = plan.schema(ctx.catalog)?;
+        let plain = |e: &Expr| expr_cost(e, ctx.udfs) == 0;
+        if !agg.contains_aggregate() || !plain(agg) || !columns_only_in_aggregates(agg, &schema) {
+            return Ok(None);
+        }
+
+        let (mut inner_keys, mut outer_keys, mut local) = (Vec::new(), Vec::new(), Vec::new());
+        for c in split_conjuncts(filter) {
+            if !plain(&c) {
+                return Ok(None);
+            }
+            if schema.covers(&c) {
+                local.push(c);
+                continue;
+            }
+            let Expr::Binary { op: BinaryOp::Eq, left, right } = c else { return Ok(None) };
+            let (inner, outer) = if schema.covers(&left) { (left, right) } else { (right, left) };
+            let mut outer_only = true;
+            outer.walk(&mut |e| {
+                if let Expr::Column { table, name } = e {
+                    outer_only &= matches!(schema.resolve(table.as_deref(), name), Ok(None));
+                }
+            });
+            if !schema.covers(&inner) || !outer_only {
+                return Ok(None);
+            }
+            inner_keys.push(*inner);
+            outer_keys.push(*outer);
+        }
+        if inner_keys.is_empty() {
+            return Ok(None);
+        }
+
+        let none = Relation { schema, rows: Vec::new() };
+        let nulls = vec![Value::Null; none.schema.len()];
+        let rep = RowCtx::new(&none.schema, &nulls);
+        let empty = materialize_and_eval(agg, &[], &none, None, ctx, &rep)?;
+
+        let width = inner_keys.len();
+        let grouped = SelectStmt {
+            body: SelectBody::Simple(Box::new(SelectCore {
+                distinct: false,
+                projection: inner_keys
+                    .iter()
+                    .chain([agg])
+                    .map(|e| SelectItem::Expr { expr: e.clone(), alias: None })
+                    .collect(),
+                from: core.from.clone(),
+                filter: conjoin(local),
+                group_by: inner_keys,
+                having: None,
+            })),
+            order_by: Vec::new(),
+            limit: None,
+            offset: None,
+        };
+        let rel = run_select(&grouped, ctx, None)?;
+        let mut groups = map_with_capacity(rel.rows.len());
+        for row in &rel.rows {
+            let key = match &row[..width] {
+                [only] => eq_key(only).map(JoinKey::One),
+                many => many.iter().map(eq_key).collect::<Option<_>>().map(JoinKey::Many),
+            };
+            if let Some(key) = key {
+                groups.insert(key, row[width].clone());
+            }
+        }
+        Ok(Some(KeyedAggregate { outer_keys, groups, empty }))
+    }
+
+    /// The subquery's value for one outer row.
+    pub(crate) fn probe(&self, ctx: &ExecCtx<'_>, outer: &RowCtx<'_>) -> Result<Value> {
+        let key = join_key(&self.outer_keys, outer, ctx)?;
+        Ok(key.and_then(|k| self.groups.get(&k)).unwrap_or(&self.empty).clone())
+    }
+}
+
+/// True when every column `expr` reads resolves in `schema` and sits inside
+/// an aggregate call (a bare column would read the group's representative
+/// row, which the keyed build does not keep).
+fn columns_only_in_aggregates(expr: &Expr, schema: &RelSchema) -> bool {
+    let count = |e: &Expr| {
+        let mut n = 0usize;
+        e.walk(&mut |x| n += matches!(x, Expr::Column { .. }) as usize);
+        n
+    };
+    let mut aggregated = 0;
+    expr.walk(&mut |e| {
+        if let Expr::Function { name, args, .. } = e {
+            if is_aggregate(name) {
+                aggregated += args.iter().map(&count).sum::<usize>();
+            }
+        }
+    });
+    schema.covers(expr) && count(expr) == aggregated
+}
+
+/// The statement-scoped subquery state cache, keyed by the address of the
+/// subquery's `Arc<SelectStmt>` body — one node for the statement's
+/// lifetime however often the expression around it is cloned or rebound.
+/// `Send + Sync` (an `Arc<Mutex<..>>` map of shared cells) so morsel
+/// workers share one cache with the statement thread, letting
+/// subquery-bearing predicates run under [`Plan::Parallel`] instead of
+/// falling back to serial. Each entry is a [`std::sync::OnceLock`]
+/// **single-flight cell**: the first arriver classifies the subquery (see
+/// [`SubqueryState`]) — executing it when uncorrelated, building its hash
+/// index when [`KeyedAggregate::build`] accepts it — while concurrent
+/// arrivers block on the cell. An uncorrelated subquery, and a keyed
+/// build, therefore execute *exactly once* per statement at every thread
+/// count, never once per worker; the state is immutable once the cell is
+/// set, so probes take no lock beyond the map lookup.
 pub type SubqueryCache =
     Arc<Mutex<HashMap<usize, Arc<std::sync::OnceLock<Result<SubqueryState>>>>>>;
 
@@ -1261,7 +1465,10 @@ fn compute_aggregate(
             if vals.is_empty() {
                 return Ok(Value::Null);
             }
-            let sum: f64 = vals.iter().map(|v| v.as_f64().unwrap_or(0.0)).sum();
+            // Accumulate from +0.0 like SUM and the columnar kernel;
+            // `Iterator::sum` starts from -0.0, which an all-`-0.0` group
+            // would keep.
+            let sum = vals.iter().fold(0.0, |acc, v| acc + v.as_f64().unwrap_or(0.0));
             Ok(Value::Real(sum / vals.len() as f64))
         }
         "MIN" => Ok(vals
@@ -1682,10 +1889,9 @@ pub(crate) fn split_equi_join(
     left: &RelSchema,
     right: &RelSchema,
 ) -> (Vec<(Expr, Expr)>, Option<Expr>) {
-    use crate::ast::BinaryOp;
     let mut pairs = Vec::new();
     let mut residual = Vec::new();
-    for c in crate::plan::split_conjuncts(pred) {
+    for c in split_conjuncts(pred) {
         if let Expr::Binary { op: BinaryOp::Eq, left: a, right: b } = &c {
             if left.covers(a) && right.covers(b) {
                 pairs.push(((**a).clone(), (**b).clone()));
@@ -1698,7 +1904,7 @@ pub(crate) fn split_equi_join(
         }
         residual.push(c);
     }
-    (pairs, crate::plan::conjoin(residual))
+    (pairs, conjoin(residual))
 }
 
 /// Hash-join key: the single-column case (the overwhelmingly common one)

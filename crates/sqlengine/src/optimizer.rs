@@ -75,8 +75,23 @@ pub struct OptimizerConfig {
     /// O(log n + k) binary search — `WHERE pk = ?` and
     /// `WHERE pk BETWEEN ? AND ?` stop scanning the table. The full
     /// predicate stays in the filter above, so the rewrite never changes
-    /// results. On by default; `false` is the scan-only planner, the
-    /// reference the `slt` and `parallel_diff` harnesses compare against.
+    /// results.
+    ///
+    /// The same switch gates the executor's statement-scoped hash index
+    /// for subqueries ([`crate::exec::KeyedAggregate`]): an
+    /// equality-correlated scalar aggregate — one ungrouped aggregate
+    /// expression over one base table whose WHERE is `inner = outer`
+    /// equalities plus local conjuncts — is grouped once by its
+    /// correlation keys and probed per outer row instead of re-scanning
+    /// the table per row. Every other correlated shape (`EXISTS`/`IN`
+    /// consumers, `GROUP BY`/`HAVING`/`DISTINCT`/`ORDER BY`/`LIMIT`
+    /// inside, joins or derived tables in FROM, nested subqueries,
+    /// expensive UDFs, non-equality correlation) and any failed build keep
+    /// the per-row path.
+    ///
+    /// "Probe instead of scan": on by default; `false` is the scan-only,
+    /// per-row reference the `slt` and `parallel_diff` harnesses compare
+    /// against.
     pub index_scan: bool,
 }
 

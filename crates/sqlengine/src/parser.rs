@@ -4,6 +4,8 @@
 //! `OR < AND < NOT < comparison/IS/IN/LIKE/BETWEEN < add < mul < concat <
 //! unary < primary`.
 
+use std::sync::Arc;
+
 use crate::ast::*;
 use crate::error::{Error, Result};
 use crate::lexer::{tokenize, Symbol, Token, TokenKind};
@@ -607,7 +609,7 @@ impl Parser {
                 self.expect_symbol(Symbol::RParen)?;
                 return Ok(Expr::InSubquery {
                     expr: Box::new(left),
-                    query: Box::new(query),
+                    query: Arc::new(query),
                     negated,
                 });
             }
@@ -741,7 +743,7 @@ impl Parser {
                     self.expect_symbol(Symbol::LParen)?;
                     let query = self.select_stmt()?;
                     self.expect_symbol(Symbol::RParen)?;
-                    Ok(Expr::Exists { query: Box::new(query), negated: false })
+                    Ok(Expr::Exists { query: Arc::new(query), negated: false })
                 }
                 "NOT" => {
                     // NOT EXISTS reaches here via primary when written after
@@ -760,7 +762,7 @@ impl Parser {
                 if self.at_keyword("SELECT") {
                     let query = self.select_stmt()?;
                     self.expect_symbol(Symbol::RParen)?;
-                    return Ok(Expr::ScalarSubquery(Box::new(query)));
+                    return Ok(Expr::ScalarSubquery(Arc::new(query)));
                 }
                 let inner = self.expr()?;
                 self.expect_symbol(Symbol::RParen)?;

@@ -20,11 +20,12 @@
 //! Coverage: filtered scans/projections, inner/LEFT/three-way joins,
 //! GROUP BY + HAVING, DISTINCT, ORDER BY + LIMIT with deliberate ties,
 //! compound UNION, subquery-bearing predicates (IN, correlated EXISTS,
-//! scalar aggregates — the statement-shared `Send + Sync` subquery cache
-//! lets these run under `Plan::Parallel` instead of falling back to the
-//! serial operator), and expensive-UDF batching (a counting UDF stands in
-//! for an LLM call; the parallel engine must return the same rows and
-//! never evaluate more distinct argument tuples than the serial engine).
+//! scalar aggregates, equality-correlated scalar aggregates — the
+//! statement-shared `Send + Sync` subquery cache lets these run under
+//! `Plan::Parallel` instead of falling back to the serial operator), and
+//! expensive-UDF batching (a counting UDF stands in for an LLM call; the
+//! parallel engine must return the same rows and never evaluate more
+//! distinct argument tuples than the serial engine).
 //!
 //! A second differential axis pins **columnar ≡ row** execution: every
 //! generated query also runs with `OptimizerConfig::columnar` off (the
@@ -34,6 +35,10 @@
 //! runs pin **index scan ≡ full scan**: the reference uses the scan-only
 //! planner (`OptimizerConfig::index_scan` off), and so does one extra
 //! 8-thread columnar run; the row path also runs with index scans on.
+//! `index_scan` also gates the build-once subquery path (a correlated
+//! scalar aggregate grouped once and hash-probed per outer row), so the
+//! same axis pins **build-once ≡ per-row** — `eval.rs`'s in-crate tests
+//! prove the matcher engages on these shapes.
 //!
 //! Reproducibility: case streams honour `SWAN_SEED` (see the proptest
 //! shim); a failure prints the seed to replay it.
@@ -328,6 +333,55 @@ proptest! {
                 "SELECT s.id, s.{num} FROM {fact} s \
                  WHERE s.{num} >= (SELECT AVG(s2.{num}) FROM {fact} s2) \
                  AND s.id >= 0 ORDER BY s.id"
+            ),
+        };
+        diff_query(domain, &rows, &sql);
+    }
+
+    /// Equality-correlated scalar aggregates: built once as a hash index
+    /// under `index_scan`, re-executed per row by `diff_query`'s
+    /// reference. The domain data carries NULL and duplicate foreign
+    /// keys and dimension ids no fact row links to (empty groups).
+    #[test]
+    fn keyed_scalar_aggregates_match_the_per_row_path(
+        rows in proptest::collection::vec((any::<i64>(), -40i64..120, "[a-m]{0,5}"), 2..48),
+        domain in 0usize..4,
+        threshold in -40i64..120,
+        shape in 0usize..4,
+    ) {
+        let (_, _, _, join) = DOMAINS[domain];
+        let fact = fact_table(domain);
+        let dim = dim_table(domain);
+        let num = fact_num(domain);
+        let fk = fact_fk(domain);
+        let text = fact_text(domain);
+        let threshold = threshold.rem_euclid(7);
+        let sql = match shape {
+            // Select-list position over the dimension: COUNT → 0 on an
+            // empty group, a local conjunct beside the correlation.
+            0 => format!(
+                "SELECT p.id, (SELECT COUNT(*) FROM {fact} s WHERE s.{fk} = p.id \
+                               AND s.{num} > {threshold}) FROM {dim} p ORDER BY p.id"
+            ),
+            // WHERE position over the fact table itself: NULL and
+            // duplicate outer keys, NULL inner keys, SUM → NULL → COALESCE.
+            1 => format!(
+                "SELECT s.id FROM {fact} s \
+                 WHERE (SELECT COALESCE(SUM(s2.{num}), 0) FROM {fact} s2 \
+                        WHERE s2.{fk} = s.{fk}) > {threshold} ORDER BY s.id"
+            ),
+            // Two correlation keys (one an expression), a text aggregate,
+            // no ORDER BY.
+            2 => format!(
+                "SELECT s.id, (SELECT MIN(s2.{text}) FROM {fact} s2 \
+                               WHERE s2.{fk} = s.{fk} AND s.{num} = s2.{num} + 1) \
+                 FROM {fact} s"
+            ),
+            // The hybrid form: the outer side is a join.
+            _ => format!(
+                "SELECT s.id, p.id FROM {join} \
+                 WHERE (SELECT AVG(s2.{num}) FROM {fact} s2 WHERE s2.{fk} = p.id) \
+                       >= {threshold} ORDER BY s.id"
             ),
         };
         diff_query(domain, &rows, &sql);
@@ -645,12 +699,34 @@ fn failed_invoke_batch_merges_worker_results_back() {
     }
 }
 
+/// A cheap (never batched) UDF that counts its invocations.
+#[derive(Default)]
+struct TickUdf {
+    calls: AtomicU64,
+}
+
+impl ScalarUdf for TickUdf {
+    fn name(&self) -> &str {
+        "tick"
+    }
+    fn invoke(&self, _args: &[Value]) -> swan_sqlengine::Result<Value> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        Ok(Value::Integer(1))
+    }
+}
+
 /// Subquery-bearing predicates now run under `Plan::Parallel` against
 /// the statement-shared `Send + Sync` subquery cache. The observable
 /// contract: an uncorrelated subquery's rows are evaluated exactly once
 /// per statement at *every* thread count — with per-worker caches the
 /// counting UDF inside the subquery would fire up to `threads ×` as
 /// often. Rows must stay byte-identical to serial throughout.
+///
+/// The keyed build of an equality-correlated scalar aggregate is the same
+/// single flight: a cheap counting UDF in its local conjunct fires at most
+/// |inner| + 1 times (the build, plus the classifying trial run's first
+/// row) whatever the number of outer rows and the thread count — the
+/// per-row path fires once per outer row and matching inner row.
 #[test]
 fn uncorrelated_subquery_executes_once_at_every_thread_count() {
     let build = |threads: usize| {
@@ -669,25 +745,37 @@ fn uncorrelated_subquery_executes_once_at_every_thread_count() {
         }
         let udf = Arc::new(TagUdf::default());
         db.register_udf(udf.clone());
+        let tick = Arc::new(TickUdf::default());
+        db.register_udf(tick.clone());
         db.set_optimizer(if threads == 1 {
             serial_config()
         } else {
             parallel_config(threads)
         });
-        (db, udf)
+        (db, udf, tick)
     };
     // slow_tag runs once per lookup row iff the subquery runs once.
     let sql = "SELECT id FROM t \
                WHERE n IN (SELECT k FROM lookup WHERE slow_tag('q', k) LIKE 'vq%') \
                ORDER BY id";
+    // tick runs once per lookup row iff the keyed build runs once.
+    let keyed = |outer_rows: usize| {
+        format!(
+            "SELECT id FROM t WHERE id < {outer_rows} AND \
+             (SELECT COUNT(*) FROM lookup WHERE lookup.k = t.n AND tick(k) > 0) > 0 ORDER BY id"
+        )
+    };
 
-    let (serial_db, serial_udf) = build(1);
+    let (serial_db, serial_udf, per_row_tick) = build(1);
     let serial = serial_db.query(sql).unwrap();
     assert!(!serial.rows.is_empty());
     assert_eq!(serial_udf.tuples.load(Ordering::SeqCst), 5, "one call per lookup row");
 
-    for &threads in THREAD_COUNTS {
-        let (par_db, par_udf) = build(threads);
+    let mut per_row = serial_db.clone();
+    per_row.set_optimizer(OptimizerConfig { index_scan: false, ..serial_config() });
+
+    for threads in [1usize, 2, 8] {
+        let (par_db, par_udf, tick) = build(threads);
         let parallel = par_db.query(sql).unwrap();
         assert_eq!(parallel.rows, serial.rows, "rows diverge at {threads} threads");
         assert_eq!(
@@ -696,7 +784,20 @@ fn uncorrelated_subquery_executes_once_at_every_thread_count() {
             "shared subquery cache: the subquery must execute exactly once \
              at {threads} threads"
         );
+        for outer_rows in [50, 500] {
+            let before = tick.calls.load(Ordering::SeqCst);
+            let rows = par_db.query(&keyed(outer_rows)).unwrap().rows;
+            let calls = tick.calls.load(Ordering::SeqCst) - before;
+            assert_eq!(rows, per_row.query(&keyed(outer_rows)).unwrap().rows);
+            assert!(
+                (5..=6).contains(&calls),
+                "keyed build over 5 inner rows fired the local conjunct {calls} times \
+                 for {outer_rows} outer rows at {threads} threads"
+            );
+        }
     }
+    // The bound discriminates: the per-row reference paid per outer row.
+    assert!(per_row_tick.calls.load(Ordering::SeqCst) > 6 * 100);
 }
 
 /// Correlated subqueries in a parallel filter: per-row re-execution on

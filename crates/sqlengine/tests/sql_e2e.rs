@@ -777,3 +777,43 @@ fn having_rejected_groups_pay_no_projection_calls() {
     assert_eq!(udf.batched_tuples.load(std::sync::atomic::Ordering::SeqCst), 0);
     assert_eq!(udf.invokes.load(std::sync::atomic::Ordering::SeqCst), 0);
 }
+
+/// Subqueries nested inside a *correlated* subquery keep their own cached
+/// state for the whole statement. The cache is keyed by the subquery
+/// node's address; when the per-row path deep-copied the predicate on
+/// every execution, the allocator handed one nested node's freed address
+/// to the other on the next outer row and `MAX(v)` answered with
+/// `MIN(v)`'s cached result — every second outer row counted 0.
+#[test]
+fn subqueries_nested_in_a_correlated_subquery_keep_their_own_state() {
+    for threads in [1usize, 2, 8] {
+        let mut db = Database::new();
+        db.set_optimizer(OptimizerConfig { threads, parallel_threshold: 1, ..Default::default() });
+        db.execute("CREATE TABLE o (id INTEGER PRIMARY KEY, g INTEGER)").unwrap();
+        db.execute("CREATE TABLE i (g INTEGER, v INTEGER)").unwrap();
+        {
+            let o = db.catalog_mut().get_mut("o").unwrap();
+            for id in 0..50i64 {
+                o.insert_row(vec![Value::Integer(id), Value::Integer(id % 5)]).unwrap();
+            }
+            let i = db.catalog_mut().get_mut("i").unwrap();
+            for v in 0..100i64 {
+                i.insert_row(vec![Value::Integer(v % 5), Value::Integer(v)]).unwrap();
+            }
+        }
+        let nested = "SELECT COUNT(*) FROM i WHERE i.g = o.g \
+                      AND i.v > (SELECT MIN(v) FROM i) AND i.v < (SELECT MAX(v) FROM i)";
+        assert_eq!(
+            texts(&db, &format!("SELECT COUNT(*) FROM o WHERE ({nested}) > 0")),
+            vec!["50"],
+            "at {threads} thread(s)"
+        );
+        // Groups 0 and 4 lose their MIN / MAX row: 19 members, the rest 20.
+        let per_row = texts(&db, &format!("SELECT o.g, ({nested}) FROM o ORDER BY o.id"));
+        for (id, row) in per_row.iter().enumerate() {
+            let g = id % 5;
+            let n = if g == 0 || g == 4 { 19 } else { 20 };
+            assert_eq!(row, &format!("{g}|{n}"), "outer row {id} at {threads} thread(s)");
+        }
+    }
+}

@@ -46,7 +46,10 @@
 #   6. the golden SQL suite (tests/slt/*.slt), each file executed on the
 #      serial and the 8-thread engine, with primary-key index scans and
 #      with the scan-only planner, on the columnar kernels and on the
-#      bit-for-bit row fallback, with byte-identical output;
+#      bit-for-bit row fallback, with byte-identical output. index_scan
+#      on/off also crosses the build-once subquery path (a correlated
+#      scalar aggregate grouped once and hash-probed) with the per-row
+#      path, so the hand-written goldens pin build-once == per-row;
 #   7. the LLM fault-sweep harness (tests/llm_fault_sim.rs): every
 #      ModelFault kind injected at every call index of a fixed workload,
 #      serial and 8-thread-parallel and concurrent-session single-flight,
@@ -56,7 +59,10 @@
 #   8. one release-build workspace test pass with SWAN_LOCKDEP=1: the
 #      runtime lock-order validator (rank inversions + order cycles,
 #      normally debug-only) active under the optimized build's real
-#      interleavings.
+#      interleavings. Before it, by name, the subquery single-flight /
+#      work-count test and the nested-subquery regression at 1, 2 and 8
+#      threads: the keyed build runs inside a OnceLock cell on a morsel
+#      worker and may itself fan out, and the validator must see that.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,7 +101,7 @@ cargo test -q -p swan-sqlengine --test wal_recovery
 echo "== crash-simulation harness (SimFs fault sweep) =="
 cargo test -q -p swan-sqlengine --test crash_sim
 
-echo "== golden SQL suite @ 1 and 8 threads, index scans and columnar on and off =="
+echo "== golden SQL suite @ 1 and 8 threads, index scans + build-once subqueries and columnar on and off =="
 cargo test -q -p swan-sqlengine --test slt
 
 echo "== binary row + column codec round-trip properties =="
@@ -106,6 +112,12 @@ cargo test -q --test concurrency
 
 echo "== LLM fault-sweep harness (deterministic, virtual clock) =="
 cargo test -q --test llm_fault_sim
+
+echo "== subquery single flight + nested-subquery state @ SWAN_LOCKDEP=1 (release, 1/2/8 threads) =="
+SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test parallel_diff \
+    uncorrelated_subquery_executes_once_at_every_thread_count
+SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test sql_e2e \
+    subqueries_nested_in_a_correlated_subquery_keep_their_own_state
 
 echo "== workspace tests @ SWAN_LOCKDEP=1 (release, lock-order validated) =="
 SWAN_LOCKDEP=1 cargo test --workspace -q --release
