@@ -1,4 +1,4 @@
-//! The eight seam rules, an allowlist engine, and `#[cfg(test)]` region
+//! The nine seam rules, an allowlist engine, and `#[cfg(test)]` region
 //! skipping — all operating on the token stream from [`crate::lexer`].
 //!
 //! | rule            | what it enforces                                              |
@@ -11,6 +11,7 @@
 //! | `lock-rank`     | shim `Mutex::new` / `RwLock::new` must be `with_rank` instead |
 //! | `no-row-materialize` | no `materialize_row(..)` calls or `Row::` construction inside columnar kernel modules — rows materialize at the engine boundary only |
 //! | `wal-seam`      | `Wal`, `frame_group` and `commit_records` are named only in `wal.rs`, `txn.rs` and `shared.rs` — one owner of the log, one commit path |
+//! | `morsel-seam`   | inside `crates/sqlengine/src`, `swan_pool::parallel_*` and `swan_pool::run_workers` are named only in `exec_parallel.rs` — one dispatcher, no operator-local fan-out |
 //!
 //! Escape hatch: `// lint: allow(rule-name): justification` on the same
 //! line as the flagged code or the line directly above. The justification
@@ -61,6 +62,7 @@ const RULE_NAMES: &[&str] = &[
     "lock-rank",
     "no-row-materialize",
     "wal-seam",
+    "morsel-seam",
 ];
 
 /// Columnar kernel modules where `no-row-materialize` applies: code here
@@ -75,6 +77,19 @@ const COLUMNAR_FILES: &[&str] = &["columnar.rs"];
 /// be written without naming one of the three.
 const WAL_SEAM_FILES: &[&str] = &["wal.rs", "txn.rs", "shared.rs"];
 const WAL_SEAM_NAMES: &[&str] = &["Wal", "frame_group", "commit_records"];
+
+/// The SQL engine's one fan-out point. Everywhere else in
+/// `crates/sqlengine/src` the pool's fan-out entry points
+/// (`swan_pool::parallel_*`, `swan_pool::run_workers`) may not be named:
+/// an operator that fans out by itself skips what the dispatcher does for
+/// every loop — the cancel-token re-install on the worker, the
+/// range-boundary cancellation check and the worker-result merge-back.
+const MORSEL_SEAM_DIR: &str = "crates/sqlengine/src";
+const MORSEL_SEAM_FILE: &str = "exec_parallel.rs";
+
+fn is_pool_fan_out(name: &str) -> bool {
+    name == "run_workers" || name.starts_with("parallel_")
+}
 
 /// A parsed `// lint: allow(rule): justification` comment.
 struct Allow {
@@ -98,6 +113,7 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
     let is_critical = CRITICAL_FILES.contains(&file_name);
     let is_columnar = COLUMNAR_FILES.contains(&file_name);
     let is_wal_seam = WAL_SEAM_FILES.contains(&file_name);
+    let in_morsel_seam = norm.contains(MORSEL_SEAM_DIR) && file_name != MORSEL_SEAM_FILE;
 
     // Code-only view (indices back into `tokens`) so matchers never trip
     // on comment text, and comments stay available for SAFETY lookups.
@@ -259,6 +275,41 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
                          only owner of the log and `SharedDb::lead_commit` the only commit path"
                     ),
                 );
+            }
+            // ---- morsel-seam ---------------------------------------------
+            // `swan_pool::name`, or every name of a `swan_pool::{..}` group.
+            "swan_pool" if in_morsel_seam && next_punct(1, "::") => {
+                let mut named = Vec::new();
+                if next_punct(2, "{") {
+                    let mut depth = 0usize;
+                    for cj in ci + 2..code.len() {
+                        if punct(cj, "{") {
+                            depth += 1;
+                        } else if punct(cj, "}") {
+                            depth -= 1;
+                            if depth == 0 {
+                                break;
+                            }
+                        } else if let Some(name) = ident(cj) {
+                            named.push((name, tokens[code[cj]].line));
+                        }
+                    }
+                } else if ci + 2 < code.len() {
+                    named.extend(ident(ci + 2).map(|name| (name, line)));
+                }
+                for (name, line) in named {
+                    if is_pool_fan_out(name) {
+                        push(
+                            &allows,
+                            "morsel-seam",
+                            line,
+                            format!(
+                                "`swan_pool::{name}` named outside exec_parallel.rs; operator \
+                                 loops fan out through `exec_parallel::try_morsels` only"
+                            ),
+                        );
+                    }
+                }
             }
             // ---- safety-comment -----------------------------------------
             "unsafe" => {
@@ -577,6 +628,28 @@ mod tests {
         // Other identifiers that merely start with `Wal` are not the log.
         let f = run("crates/sqlengine/src/pager.rs", "fn f(d: &WalDelta, r: WalRecord) {}");
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn morsel_seam_flags_pool_fan_out_outside_the_dispatcher() {
+        let src = "use swan_pool::{cancel::{self, with_current}, parallel_items};\n\
+                   fn f() { swan_pool::parallel_morsels(n, 8, 2, g); swan_pool::run_workers(2, j); }\n\
+                   fn ok() { swan_pool::is_pool_worker(); swan_pool::cancel::current(); }";
+        let f = run("crates/sqlengine/src/exec.rs", src);
+        let lines: Vec<u32> =
+            f.iter().filter(|x| x.rule == "morsel-seam").map(|x| x.line).collect();
+        assert_eq!(lines, [1, 2, 2], "{f:?}");
+        // The dispatcher itself, and every other crate, may fan out.
+        assert!(run("crates/sqlengine/src/exec_parallel.rs", src).is_empty());
+        assert!(run("crates/llm/src/parallel.rs", src).is_empty());
+    }
+
+    #[test]
+    fn morsel_seam_ignores_lookalike_names() {
+        // Not the pool's: a config field, the dispatcher's own helper.
+        let src = "fn f(c: &OptimizerConfig) { let _ = c.parallel_threshold; \
+                   crate::exec_parallel::parallel_topk_candidates(n, k, t, &cmp); }";
+        assert!(run("crates/sqlengine/src/exec.rs", src).is_empty());
     }
 
     #[test]

@@ -11,14 +11,19 @@ fn fixture_dir() -> std::path::PathBuf {
 }
 
 fn run_case(name: &str) {
+    run_case_at(name, &format!("fixtures/{name}.rs"));
+}
+
+/// Analyze fixture `name` as if it lived at workspace-relative path `rel`
+/// (rule applicability is derived from the path).
+fn run_case_at(name: &str, rel: &str) {
     let dir = fixture_dir();
-    let rel = format!("fixtures/{name}.rs");
     let src = std::fs::read_to_string(dir.join(format!("{name}.rs")))
         .unwrap_or_else(|e| panic!("reading fixture {name}.rs: {e}"));
     let expected = std::fs::read_to_string(dir.join(format!("{name}.expected")))
         .unwrap_or_else(|e| panic!("reading golden {name}.expected: {e}"));
 
-    let got: Vec<String> = swan_analyze::analyze_file(&rel, &src)
+    let got: Vec<String> = swan_analyze::analyze_file(rel, &src)
         .iter()
         .map(|f| f.render())
         .collect();
@@ -54,6 +59,15 @@ golden!(
     shared,
 );
 
+/// `morsel-seam` is scoped by directory, so its fixture is analyzed under
+/// the directory the rule guards — and is clean anywhere else.
+#[test]
+fn bad_morsel_seam() {
+    run_case_at("bad_morsel_seam", "crates/sqlengine/src/bad_morsel_seam.rs");
+    let src = std::fs::read_to_string(fixture_dir().join("bad_morsel_seam.rs")).unwrap();
+    assert!(swan_analyze::analyze_file("crates/llm/src/bad_morsel_seam.rs", &src).is_empty());
+}
+
 /// Every fixture on disk must be covered by a golden test above, and
 /// every `.rs` must have a `.expected` — no silent gaps in the corpus.
 #[test]
@@ -76,6 +90,7 @@ fn corpus_is_fully_paired() {
     const COVERED: &[&str] = &[
         "bad_fs", "bad_clock", "bad_thread", "wal", "bad_unsafe", "bad_lock",
         "bad_allow", "allowed", "vfs", "test_only", "columnar", "bad_wal_seam", "shared",
+        "bad_morsel_seam",
     ];
     let mut covered: Vec<String> = COVERED.iter().map(|s| s.to_string()).collect();
     covered.sort();

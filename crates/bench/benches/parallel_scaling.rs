@@ -4,8 +4,8 @@
 //! overlap waits (the LLM-traffic shape) — the case that scales even
 //! when cores are scarce.
 //!
-//! `t1` rows run the serial engine (no `Plan::Parallel` node is
-//! inserted); `tN` rows run the morsel-parallel executor with N
+//! `t1` rows dispatch every operator loop inline (no `Plan::Parallel`
+//! node is inserted); `tN` rows fan the same loops out over N
 //! partitions. Compare within a workload: CPU-bound speedup is bounded
 //! by the machine's core count (`nproc`), latency-bound speedup by the
 //! worker count. Numbers are recorded in `crates/sqlengine/PERF.md`

@@ -2,8 +2,8 @@
 //!
 //! A **persistent, bounded worker pool** used by every parallel subsystem
 //! in the workspace: the LLM layer fans prompt batches through it
-//! (`swan_llm::parallel::complete_many`) and the SQL executor drives
-//! morsel-parallel operators over it (`swan_sqlengine::exec_parallel`).
+//! (`swan_llm::parallel::complete_many`) and the SQL executor fans its
+//! operator loops out over it (`swan_sqlengine::exec_parallel`).
 //! It generalizes the order-preserving pool that previously lived inside
 //! `swan_llm`: the pool itself knows nothing about prompts or rows — it
 //! runs borrowed closures.

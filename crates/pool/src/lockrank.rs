@@ -90,7 +90,7 @@ pub const POOL_QUEUE: u32 = 90;
 /// locks (rank 10) and by workers holding nothing.
 pub const POOL_LATCH: u32 = 91;
 
-/// Parallel-executor merge sink (per-query result collection).
+/// Morsel-dispatch merge sink (worker UDF results collected per fan-out).
 pub const MERGE_SINK: u32 = 95;
 
 /// The `SharedDb` table-lock map. A leaf: taken briefly under a writer

@@ -47,10 +47,6 @@ use std::sync::Arc;
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::{Error, Result};
-use crate::storage::{
-    codec_err, decode_value, encode_value, get_str, get_u32, get_u64, get_u8, put_str, put_u32,
-    put_u64, TextInterner,
-};
 use crate::value::{GroupKey, Row, Value};
 
 // ---- bitmaps ---------------------------------------------------------------
@@ -73,14 +69,6 @@ impl Bitmap {
     /// All-one bitmap of `len` bits (tail bits zeroed).
     pub fn new_true(len: usize) -> Self {
         let mut b = Bitmap { words: vec![u64::MAX; len.div_ceil(64)], len };
-        b.mask_tail();
-        b
-    }
-
-    /// Adopt raw words for a `len`-bit map, zeroing any tail bits.
-    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
-        words.resize(len.div_ceil(64), 0);
-        let mut b = Bitmap { words, len };
         b.mask_tail();
         b
     }
@@ -1162,147 +1150,6 @@ fn agg_text(
     }
 }
 
-// ---- column codec ----------------------------------------------------------
-
-const TAG_I64: u8 = 0;
-const TAG_F64: u8 = 1;
-const TAG_BOOL: u8 = 2;
-const TAG_TEXT: u8 = 3;
-const TAG_MIXED: u8 = 4;
-
-fn put_words(buf: &mut Vec<u8>, bits: &Bitmap) {
-    for &w in bits.words() {
-        put_u64(buf, w);
-    }
-}
-
-fn get_bitmap(buf: &[u8], pos: &mut usize, len: usize) -> Result<Bitmap> {
-    let nwords = len.div_ceil(64);
-    let mut words = Vec::with_capacity(nwords);
-    for _ in 0..nwords {
-        words.push(get_u64(buf, pos)?);
-    }
-    // `from_words` masks tail bits, so a malformed tail cannot smuggle
-    // validity for rows past `len`.
-    Ok(Bitmap::from_words(words, len))
-}
-
-/// Append a column set: `u32` column count, `u64` row count, then per
-/// column a tag byte, the validity words, and the typed payload. Reals
-/// are raw IEEE bits (NaN payloads and `-0.0` survive); the text payload
-/// is the dictionary (each distinct string once) followed by the id
-/// vector.
-pub fn encode_column_set(buf: &mut Vec<u8>, set: &ColumnSet) {
-    put_u32(buf, set.width() as u32);
-    put_u64(buf, set.len() as u64);
-    for col in &set.columns {
-        match &col.data {
-            ColumnData::I64(vals) => {
-                buf.push(TAG_I64);
-                put_words(buf, &col.validity);
-                for &v in vals {
-                    put_u64(buf, v as u64);
-                }
-            }
-            ColumnData::F64(vals) => {
-                buf.push(TAG_F64);
-                put_words(buf, &col.validity);
-                for &v in vals {
-                    put_u64(buf, v.to_bits());
-                }
-            }
-            ColumnData::Bool(bits) => {
-                buf.push(TAG_BOOL);
-                put_words(buf, &col.validity);
-                put_words(buf, bits);
-            }
-            ColumnData::Text { dict, ids } => {
-                buf.push(TAG_TEXT);
-                put_words(buf, &col.validity);
-                put_u32(buf, dict.len() as u32);
-                for s in dict {
-                    put_str(buf, s);
-                }
-                for &id in ids {
-                    put_u32(buf, id);
-                }
-            }
-            ColumnData::Mixed(vals) => {
-                buf.push(TAG_MIXED);
-                put_words(buf, &col.validity);
-                for v in vals {
-                    encode_value(buf, v);
-                }
-            }
-        }
-    }
-}
-
-/// Decode a column set, advancing `pos`. Text dictionary entries are
-/// re-interned through `interner` so equal strings across columns and
-/// tables share one `Arc<str>`. Any truncation, bad tag, non-UTF-8
-/// string or out-of-range dictionary id is a codec error.
-pub fn decode_column_set(
-    buf: &[u8],
-    pos: &mut usize,
-    interner: &mut TextInterner,
-) -> Result<ColumnSet> {
-    let width = get_u32(buf, pos)? as usize;
-    let len = u64_to_usize(get_u64(buf, pos)?, "row count")?;
-    let mut columns = Vec::with_capacity(width.min(1024));
-    for _ in 0..width {
-        let tag = get_u8(buf, pos)?;
-        let validity = get_bitmap(buf, pos, len)?;
-        let data = match tag {
-            TAG_I64 => {
-                let mut vals = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    vals.push(get_u64(buf, pos)? as i64);
-                }
-                ColumnData::I64(vals)
-            }
-            TAG_F64 => {
-                let mut vals = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    vals.push(f64::from_bits(get_u64(buf, pos)?));
-                }
-                ColumnData::F64(vals)
-            }
-            TAG_BOOL => ColumnData::Bool(get_bitmap(buf, pos, len)?),
-            TAG_TEXT => {
-                let dict_len = get_u32(buf, pos)? as usize;
-                let mut dict = Vec::with_capacity(dict_len.min(1 << 20));
-                for _ in 0..dict_len {
-                    dict.push(interner.intern(get_str(buf, pos)?));
-                }
-                let mut ids = Vec::with_capacity(len.min(1 << 20));
-                for i in 0..len {
-                    let id = get_u32(buf, pos)?;
-                    if validity.get(i) && id as usize >= dict.len() {
-                        return Err(codec_err("text column id"));
-                    }
-                    ids.push(id);
-                }
-                ColumnData::Text { dict, ids }
-            }
-            TAG_MIXED => {
-                let mut vals = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    vals.push(decode_value(buf, pos, interner)?);
-                }
-                ColumnData::Mixed(vals)
-            }
-            _ => return Err(codec_err("column tag")),
-        };
-        columns.push(ColumnVec { data, validity });
-    }
-    Ok(ColumnSet { columns, len })
-}
-
-fn u64_to_usize(v: u64, what: &str) -> Result<usize> {
-    usize::try_from(v).map_err(|_| codec_err(what))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1813,25 +1660,5 @@ mod tests {
         let max = eval_aggregate(AggKernel::Max, &set.columns[0], &[0, 1]).unwrap().unwrap();
         assert!(value_bits_eq(&min, &Value::Real(-0.0)), "{min:?}");
         assert!(value_bits_eq(&max, &Value::Real(0.0)), "{max:?}");
-    }
-
-    #[test]
-    fn codec_round_trips_and_rejects_truncation() {
-        for rows in [typed_rows(70), mixed_rows(33, 4), Vec::new()] {
-            let set = ColumnSet::from_rows(&rows, 4);
-            let mut buf = Vec::new();
-            encode_column_set(&mut buf, &set);
-            let mut pos = 0;
-            let mut interner = TextInterner::new();
-            let back = decode_column_set(&buf, &mut pos, &mut interner).unwrap();
-            assert_eq!(pos, buf.len());
-            assert_eq!(back, set);
-            // every truncation is rejected, never panics
-            for cut in 0..buf.len() {
-                let mut pos = 0;
-                let mut interner = TextInterner::new();
-                assert!(decode_column_set(&buf[..cut], &mut pos, &mut interner).is_err());
-            }
-        }
     }
 }

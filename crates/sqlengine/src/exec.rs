@@ -32,6 +32,7 @@ use crate::ast::{
 use crate::columnar::{AggKernel, ColumnSet};
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
+use crate::exec_parallel::{try_morsels, MORSEL_ROWS};
 use crate::functions::{is_aggregate, UdfRegistry};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use crate::optimizer::{expr_cost, optimize, NeededCol, OptimizerConfig};
@@ -345,9 +346,23 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// How many rows a serial loop processes between cancellation checks —
-/// one morsel's worth, matching the parallel executor's granularity.
-pub(crate) const CANCEL_CHECK_ROWS: usize = crate::exec_parallel::MORSEL_ROWS;
+/// How many iterations a loop that is not dispatched through
+/// [`try_morsels`] (the hash-join build, the columnar group-key pass, the
+/// nested loop's inner side) runs between cancellation checks — one
+/// morsel's worth, the granularity of every dispatched loop.
+const CANCEL_CHECK_ROWS: usize = MORSEL_ROWS;
+
+/// Concatenate per-range outputs in range order.
+fn concat<T>(mut chunks: Vec<Vec<T>>) -> Vec<T> {
+    if chunks.len() == 1 {
+        return chunks.pop().unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for chunk in chunks {
+        out.extend(chunk);
+    }
+    out
+}
 
 /// Execute a full SELECT (body + ORDER BY + LIMIT/OFFSET).
 pub fn run_select(
@@ -472,9 +487,9 @@ fn compound_sort_keys(
 
 /// Build one output row's ORDER BY key vector: ordinals index into the
 /// projected row `out`, every other expression evaluates through
-/// `eval_expr`. One implementation serves the serial and parallel
-/// projection and aggregation paths, so ordinal/alias resolution can
-/// never drift between them.
+/// `eval_expr`. One implementation serves the projection and
+/// aggregation loops, so ordinal/alias resolution can never drift
+/// between them.
 fn output_sort_keys(
     order_exprs: &[Expr],
     width: usize,
@@ -615,20 +630,21 @@ fn run_core(
     let plan = plan_from(core.from.as_ref(), core.filter.as_ref())?;
     let needed = needed_columns(core, order_by);
     let plan = optimize(plan, ctx.udfs, &ctx.optimizer, ctx.catalog, needed.as_deref())?;
-    // The optimizer's parallelization rule annotates the plan root; the
-    // same partition count then drives the SELECT-level operators
-    // (projection, aggregation) over the materialized input.
-    let partitions = match &plan {
-        Plan::Parallel { partitions, .. } => *partitions,
-        _ => 1,
+    // The optimizer's parallelization rule annotates the plan root: peel
+    // it here, once, and hand its partition count to every loop of this
+    // SELECT — the plan's operators and the SELECT-level ones (projection,
+    // aggregation) alike. Without the annotation every loop runs inline.
+    let (plan, partitions) = match &plan {
+        Plan::Parallel { input, partitions } => (&**input, *partitions),
+        other => (other, 1),
     };
     let prefix = match scan_topk {
-        Some(k) => pk_order_prefix(&plan, order_by, core, ctx, k)?,
+        Some(k) => pk_order_prefix(plan, order_by, core, ctx, k)?,
         None => None,
     };
     let (input, cols) = match prefix {
         Some(rel) => (rel, None),
-        None => exec_plan_with_columns(&plan, ctx, outer)?,
+        None => exec_plan_with_columns(plan, partitions, ctx, outer)?,
     };
     let cols = cols.as_ref();
 
@@ -705,13 +721,9 @@ fn pk_order_prefix(
     if !ctx.optimizer.index_scan || order_by.is_empty() {
         return Ok(None);
     }
-    // A bare scan (possibly under a parallelization annotation) means no
-    // surviving predicate; anything else must see every row.
-    let scan = match plan {
-        Plan::Parallel { input, .. } => &**input,
-        other => other,
-    };
-    let Plan::Scan { table, qualifier } = scan else { return Ok(None) };
+    // A bare scan means no surviving predicate; anything else must see
+    // every row.
+    let Plan::Scan { table, qualifier } = plan else { return Ok(None) };
     // The prefix only matches the query when the output is a plain
     // projection of the sorted base rows.
     if !core.group_by.is_empty() || core.having.is_some() || core.distinct {
@@ -842,63 +854,34 @@ fn project_rows(
     }
 
     // General path: bind every projected expression to the input schema
-    // once, then evaluate per row with direct index loads. With a parallel
-    // annotation the rows are evaluated morsel-parallel (workers share the
-    // statement's subquery cache); morsel-order concatenation keeps the
-    // output order identical to the serial loop.
+    // once, then evaluate per row with direct index loads; range-order
+    // concatenation keeps the output in input order at every partition
+    // count.
     let bound: Vec<Expr> = projection
         .iter()
         .map(|(e, _)| bind_columns(e, &input.schema))
         .collect();
-    let parallel = partitions > 1 && input.rows.len() > 1;
-    if parallel {
-        let chunks = crate::exec_parallel::try_morsels(
-            input.rows.len(),
-            partitions,
-            ctx,
-            |range, wctx| {
-                let mut rows = Vec::with_capacity(range.len());
-                let mut keys = Vec::new();
-                for row in &input.rows[range] {
-                    let rc = RowCtx { schema: &input.schema, row, outer };
-                    let mut out = Vec::with_capacity(projection.len());
-                    for e in &bound {
-                        out.push(eval(e, wctx, Some(&rc))?);
-                    }
-                    if !order_exprs.is_empty() {
-                        // `order_exprs` was bound to the input schema above.
-                        keys.push(output_sort_keys(&order_exprs, projection.len(), &out, &mut |e| {
-                            eval(e, wctx, Some(&rc))
-                        })?);
-                    }
-                    rows.push(out.into());
-                }
-                Ok((rows, keys))
-            },
-        )?;
-        let mut rows = Vec::with_capacity(input.rows.len());
-        for (r, k) in chunks {
-            rows.extend(r);
-            keys.extend(k);
+    let chunks = try_morsels(input.rows.len(), partitions, ctx, |range, wctx| {
+        let mut rows: Vec<Row> = Vec::with_capacity(range.len());
+        let mut keys = Vec::new();
+        for row in &input.rows[range] {
+            let rc = RowCtx { schema: &input.schema, row, outer };
+            let mut out = Vec::with_capacity(projection.len());
+            for e in &bound {
+                out.push(eval(e, wctx, Some(&rc))?);
+            }
+            if !order_exprs.is_empty() {
+                // `order_exprs` was bound to the input schema above.
+                keys.push(output_sort_keys(&order_exprs, projection.len(), &out, &mut |e| {
+                    eval(e, wctx, Some(&rc))
+                })?);
+            }
+            rows.push(out.into());
         }
-        return Ok((rows, keys));
-    }
-    let mut rows = Vec::with_capacity(input.rows.len());
-    for (i, row) in input.rows.iter().enumerate() {
-        if i % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-            ctx.check_cancel()?;
-        }
-        let rc = RowCtx { schema: &input.schema, row, outer };
-        let mut out = Vec::with_capacity(projection.len());
-        for e in &bound {
-            out.push(eval(e, ctx, Some(&rc))?);
-        }
-        if !order_exprs.is_empty() {
-            keys.push(build_keys(&out, &rc)?);
-        }
-        rows.push(out.into());
-    }
-    Ok((rows, keys))
+        Ok((rows, keys))
+    })?;
+    let (rows, keys): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
+    Ok((concat(rows), concat(keys)))
 }
 
 /// Expand wildcards and name each projected column.
@@ -1008,11 +991,11 @@ fn run_aggregate(
     // Partition input rows into groups, preserving first-seen order. The
     // grouping expressions are bound to the input schema once up front.
     //
-    // With a parallel annotation this is **two-phase**: worker threads
-    // evaluate every row's grouping key over thread-local morsels, then a
-    // serial merge pass partitions the rows using the precomputed keys.
+    // Expression keys are **two-phase**: every row's grouping key is
+    // evaluated range by range (fanned out under a parallel annotation),
+    // then one merge pass partitions the rows using the precomputed keys.
     // The merge walks rows in input order, so group numbering (and thus
-    // the unordered output order) is identical to the serial loop.
+    // the unordered output order) is the same at every partition count.
     let mut group_index: FxHashMap<Vec<GroupKey>, usize> = FxHashMap::default();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     if core.group_by.is_empty() {
@@ -1029,8 +1012,8 @@ fn run_aggregate(
             core.group_by.iter().map(|g| bind_columns(g, &input.schema)).collect();
         // Columnar key path: every grouping key is a plain column of a
         // scan-backed input — keys come straight from the typed columns
-        // (no row deref, no eval), walking rows in order so first-seen
-        // group numbering is identical to the serial loop at every
+        // (no row deref, no eval), walking rows in order on the statement
+        // thread, so first-seen group numbering does not depend on the
         // thread count.
         let columnar_keys: Option<Vec<&crate::columnar::ColumnVec>> = cols.and_then(|ci| {
             bound_keys
@@ -1041,7 +1024,6 @@ fn run_aggregate(
                 })
                 .collect()
         });
-        let parallel_keys = partitions > 1 && input.rows.len() > 1;
         if let (Some(kcols), Some(ci)) = (columnar_keys, cols) {
             for ri in 0..input.rows.len() {
                 if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
@@ -1058,47 +1040,22 @@ fn run_aggregate(
                 });
                 groups[gi].push(ri);
             }
-        } else if parallel_keys {
-            // Phase 1 (parallel): per-morsel key computation.
-            let key_chunks = crate::exec_parallel::try_morsels(
-                input.rows.len(),
-                partitions,
-                ctx,
-                |range, wctx| {
-                    let mut keys = Vec::with_capacity(range.len());
-                    for row in &input.rows[range] {
-                        let rc = RowCtx { schema: &input.schema, row, outer };
-                        let mut key = Vec::with_capacity(bound_keys.len());
-                        for g in &bound_keys {
-                            key.push(eval(g, wctx, Some(&rc))?.group_key());
-                        }
-                        keys.push(key);
-                    }
-                    Ok(keys)
-                },
-            )?;
-            // Phase 2 (serial merge): first-seen group order == input order.
-            let mut ri = 0;
-            for chunk in key_chunks {
-                for key in chunk {
-                    let gi = *group_index.entry(key).or_insert_with(|| {
-                        groups.push(Vec::new());
-                        groups.len() - 1
-                    });
-                    groups[gi].push(ri);
-                    ri += 1;
-                }
-            }
         } else {
-            for (ri, row) in input.rows.iter().enumerate() {
-                if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-                    ctx.check_cancel()?;
+            // Phase 1: per-range key computation.
+            let key_chunks = try_morsels(input.rows.len(), partitions, ctx, |range, wctx| {
+                let mut keys = Vec::with_capacity(range.len());
+                for row in &input.rows[range] {
+                    let rc = RowCtx { schema: &input.schema, row, outer };
+                    let mut key = Vec::with_capacity(bound_keys.len());
+                    for g in &bound_keys {
+                        key.push(eval(g, wctx, Some(&rc))?.group_key());
+                    }
+                    keys.push(key);
                 }
-                let rc = RowCtx { schema: &input.schema, row, outer };
-                let mut key = Vec::with_capacity(bound_keys.len());
-                for g in &bound_keys {
-                    key.push(eval(g, ctx, Some(&rc))?.group_key());
-                }
+                Ok(keys)
+            })?;
+            // Phase 2 (merge): first-seen group order == input order.
+            for (ri, key) in key_chunks.into_iter().flatten().enumerate() {
                 let gi = *group_index.entry(key).or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
@@ -1138,54 +1095,33 @@ fn run_aggregate(
     // Apply HAVING before any output-site prefetch: batching must not pay
     // for projection/sort-key calls on groups HAVING rejects (the per-row
     // path skips their output expressions entirely). Groups are
-    // independent, so with a parallel annotation the per-group predicate
-    // (aggregates included) evaluates morsel-parallel over the groups.
+    // independent, so the per-group predicate (aggregates included) is
+    // dispatched over ranges of groups.
     let survivors: Vec<&Vec<usize>> = match having {
         None => groups.iter().collect(),
-        Some(h) if partitions > 1 && groups.len() > 1 => {
-            let verdicts = crate::exec_parallel::try_morsels(
-                groups.len(),
-                partitions,
-                ctx,
-                |range, wctx| {
-                    let mut keep = Vec::with_capacity(range.len());
-                    for members in &groups[range] {
-                        let rep: &[Value] = match members.first() {
-                            Some(&i) => &input.rows[i],
-                            None => &null_row,
-                        };
-                        let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
-                        keep.push(
-                            materialize_and_eval(h, members, input, cols, wctx, &rep_ctx)?
-                                .truthiness()
-                                == Some(true),
-                        );
-                    }
-                    Ok(keep)
-                },
-            )?;
+        Some(h) => {
+            let verdicts = try_morsels(groups.len(), partitions, ctx, |range, wctx| {
+                let mut keep = Vec::with_capacity(range.len());
+                for members in &groups[range] {
+                    let rep: &[Value] = match members.first() {
+                        Some(&i) => &input.rows[i],
+                        None => &null_row,
+                    };
+                    let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
+                    keep.push(
+                        materialize_and_eval(h, members, input, cols, wctx, &rep_ctx)?
+                            .truthiness()
+                            == Some(true),
+                    );
+                }
+                Ok(keep)
+            })?;
             groups
                 .iter()
                 .zip(verdicts.into_iter().flatten())
                 .filter(|(_, keep)| *keep)
                 .map(|(g, _)| g)
                 .collect()
-        }
-        Some(h) => {
-            let mut out = Vec::new();
-            for members in &groups {
-                let rep: &[Value] = match members.first() {
-                    Some(&i) => &input.rows[i],
-                    None => &null_row,
-                };
-                let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
-                if materialize_and_eval(h, members, input, cols, ctx, &rep_ctx)?.truthiness()
-                    == Some(true)
-                {
-                    out.push(members);
-                }
-            }
-            out
         }
     };
 
@@ -1213,67 +1149,32 @@ fn run_aggregate(
     }
 
     // Per-group output: aggregates and the residual projection evaluate
-    // per surviving group — independent work, morsel-parallel over the
+    // per surviving group — independent work, dispatched over ranges of
     // groups.
-    let parallel_out = partitions > 1 && survivors.len() > 1;
-    if parallel_out {
-        let chunks = crate::exec_parallel::try_morsels(
-            survivors.len(),
-            partitions,
-            ctx,
-            |range, wctx| {
-                let mut rows: Vec<Row> = Vec::with_capacity(range.len());
-                let mut keys = Vec::new();
-                for members in &survivors[range] {
-                    let rep: &[Value] = match members.first() {
-                        Some(&i) => &input.rows[i],
-                        None => &null_row,
-                    };
-                    let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
-                    let mut out = Vec::with_capacity(projection.len());
-                    for (e, _) in projection {
-                        out.push(materialize_and_eval(e, members, input, cols, wctx, &rep_ctx)?);
-                    }
-                    if !order_exprs.is_empty() {
-                        keys.push(output_sort_keys(order_exprs, projection.len(), &out, &mut |e| {
-                            materialize_and_eval(e, members, input, cols, wctx, &rep_ctx)
-                        })?);
-                    }
-                    rows.push(out.into());
-                }
-                Ok((rows, keys))
-            },
-        )?;
-        let mut rows = Vec::with_capacity(survivors.len());
+    let chunks = try_morsels(survivors.len(), partitions, ctx, |range, wctx| {
+        let mut rows: Vec<Row> = Vec::with_capacity(range.len());
         let mut keys = Vec::new();
-        for (r, k) in chunks {
-            rows.extend(r);
-            keys.extend(k);
+        for members in &survivors[range] {
+            let rep: &[Value] = match members.first() {
+                Some(&i) => &input.rows[i],
+                None => &null_row,
+            };
+            let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
+            let mut out = Vec::with_capacity(projection.len());
+            for (e, _) in projection {
+                out.push(materialize_and_eval(e, members, input, cols, wctx, &rep_ctx)?);
+            }
+            if !order_exprs.is_empty() {
+                keys.push(output_sort_keys(order_exprs, projection.len(), &out, &mut |e| {
+                    materialize_and_eval(e, members, input, cols, wctx, &rep_ctx)
+                })?);
+            }
+            rows.push(out.into());
         }
-        return Ok((rows, keys));
-    }
-
-    let mut rows: Vec<Row> = Vec::with_capacity(survivors.len());
-    let mut keys = Vec::new();
-    for members in survivors {
-        let rep: &[Value] = match members.first() {
-            Some(&i) => &input.rows[i],
-            None => &null_row,
-        };
-        let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
-
-        let mut out = Vec::with_capacity(projection.len());
-        for (e, _) in projection {
-            out.push(materialize_and_eval(e, members, input, cols, ctx, &rep_ctx)?);
-        }
-        if !order_exprs.is_empty() {
-            keys.push(output_sort_keys(order_exprs, projection.len(), &out, &mut |e| {
-                materialize_and_eval(e, members, input, cols, ctx, &rep_ctx)
-            })?);
-        }
-        rows.push(out.into());
-    }
-    Ok((rows, keys))
+        Ok((rows, keys))
+    })?;
+    let (rows, keys): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
+    Ok((concat(rows), concat(keys)))
 }
 
 /// Replace aggregate calls in `expr` with their computed literals, then
@@ -1497,9 +1398,12 @@ fn compute_aggregate(
 
 // ---- plan execution --------------------------------------------------------
 
-/// Materialize a plan into a relation.
+/// Materialize a plan into a relation. `partitions` is how far each
+/// operator's loop may fan out ([`try_morsels`]); 1 runs everything inline
+/// on the calling thread.
 pub fn exec_plan(
     plan: &Plan,
+    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
@@ -1556,24 +1460,26 @@ pub fn exec_plan(
             Ok(Relation { schema: RelSchema::new(cols), rows: inner.rows })
         }
 
+        // Columnar filters beat per-row evaluation on the predicate shapes
+        // the kernels support: one pass over the key columns, no per-row
+        // dispatch, at any partition count.
         Plan::Filter { input, predicate } => match columnar_filter(input, predicate, ctx)? {
             Some((rel, _)) => Ok(rel),
             None => {
-                let mut rel = exec_plan(input, ctx, outer)?;
-                filter_relation(&mut rel, predicate, ctx, outer)?;
+                let mut rel = exec_plan(input, partitions, ctx, outer)?;
+                filter_relation(&mut rel, predicate, partitions, ctx, outer)?;
                 Ok(rel)
             }
         },
 
-        Plan::Parallel { input, partitions } => {
-            crate::exec_parallel::exec_parallel(input, *partitions, ctx, outer)
-        }
+        Plan::Parallel { input, partitions } => exec_plan(input, *partitions, ctx, outer),
 
         Plan::Batch { input, calls } => {
-            let rel = exec_plan(input, ctx, outer)?;
+            let rel = exec_plan(input, partitions, ctx, outer)?;
             // Vectorize the marked expensive calls across the whole input
-            // batch; the filter above this node then evaluates per row
-            // against the prefetched results.
+            // batch, on the statement thread (the one `invoke_batch` fans
+            // out through the same shared pool); the filter above this
+            // node then evaluates per row against the prefetched results.
             if let Some(batch) = BatchableCalls::find(calls.iter(), ctx.udfs) {
                 batch.prefetch_rows(ctx, &rel.schema, &rel.rows, outer)?;
             }
@@ -1581,22 +1487,23 @@ pub fn exec_plan(
         }
 
         Plan::Permute { input, mapping } => {
-            let rel = exec_plan(input, ctx, outer)?;
+            let rel = exec_plan(input, partitions, ctx, outer)?;
             let schema = RelSchema::new(
                 mapping.iter().map(|&i| rel.schema.cols[i].clone()).collect(),
             );
-            let rows = rel
-                .rows
-                .iter()
-                .map(|r| mapping.iter().map(|&i| r[i].clone()).collect::<Row>())
-                .collect();
-            Ok(Relation { schema, rows })
+            let chunks = try_morsels(rel.rows.len(), partitions, ctx, |range, _| {
+                Ok(rel.rows[range]
+                    .iter()
+                    .map(|r| mapping.iter().map(|&i| r[i].clone()).collect::<Row>())
+                    .collect::<Vec<Row>>())
+            })?;
+            Ok(Relation { schema, rows: concat(chunks) })
         }
 
         Plan::Join { left, right, kind, on, emit } => {
-            let l = exec_source(left, ctx, outer)?;
-            let r = exec_source(right, ctx, outer)?;
-            exec_join(&l, &r, *kind, on.as_ref(), emit.as_deref(), ctx, outer)
+            let l = exec_source(left, partitions, ctx, outer)?;
+            let r = exec_source(right, partitions, ctx, outer)?;
+            exec_join(&l, &r, *kind, on.as_ref(), emit.as_deref(), partitions, ctx, outer)
         }
     }
 }
@@ -1606,9 +1513,9 @@ pub fn exec_plan(
 /// column set plus the selection that produced the relation (`None` =
 /// every row, in order). Relation row `k` is column-set row
 /// `sel[k]` (or `k`), which lets aggregation read columns instead of rows.
-pub(crate) struct ColInput {
-    pub(crate) set: Arc<ColumnSet>,
-    pub(crate) sel: Option<Vec<u32>>,
+struct ColInput {
+    set: Arc<ColumnSet>,
+    sel: Option<Vec<u32>>,
 }
 
 /// Try the vectorized filter path for a `Filter` directly over a base-table
@@ -1617,7 +1524,7 @@ pub(crate) struct ColInput {
 /// byte-identical to the serial retain loop, in the same order. Returns
 /// `None` when the shape or the predicate is outside kernel coverage; the
 /// caller then runs the row path, which stays authoritative.
-pub(crate) fn columnar_filter(
+fn columnar_filter(
     input: &Plan,
     predicate: &Expr,
     ctx: &ExecCtx<'_>,
@@ -1642,12 +1549,13 @@ pub(crate) fn columnar_filter(
 }
 
 /// Execute a plan, also returning the columnar scan state when the plan is
-/// a bare scan or a kernel-supported filter over one (optionally under the
-/// root `Parallel` annotation) — the shapes whose output rows map 1:1 onto
-/// a cached column set. `run_core` hands the state to aggregation, which
-/// then evaluates GROUP BY keys and aggregate loops over columns.
+/// a bare scan or a kernel-supported filter over one — the shapes whose
+/// output rows map 1:1 onto a cached column set. `run_core` hands the state
+/// to aggregation, which then evaluates GROUP BY keys and aggregate loops
+/// over columns.
 fn exec_plan_with_columns(
     plan: &Plan,
+    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<(Relation, Option<ColInput>)> {
@@ -1666,82 +1574,56 @@ fn exec_plan_with_columns(
                     return Ok((rel, Some(ci)));
                 }
             }
-            Plan::Parallel { input, .. } => match &**input {
-                Plan::Scan { .. } => return exec_plan_with_columns(input, ctx, outer),
-                Plan::Filter { input: finput, predicate } => {
-                    if let Some((rel, ci)) = columnar_filter(finput, predicate, ctx)? {
-                        return Ok((rel, Some(ci)));
-                    }
-                }
-                _ => {}
-            },
             _ => {}
         }
     }
-    Ok((exec_plan(plan, ctx, outer)?, None))
+    Ok((exec_plan(plan, partitions, ctx, outer)?, None))
 }
 
-/// The serial in-place batch filter: survivors are never cloned or moved
-/// into a fresh vector, one RowCtx shape serves every row, and the
-/// predicate's columns are bound to indices up front. Shared by the
-/// serial executor and the parallel executor's small-input/unsafe-
-/// predicate fallback.
-pub(crate) fn filter_relation(
+/// The batch filter: the predicate's columns are bound to indices up
+/// front, each range evaluates into a keep-bitmap, and one in-place
+/// compaction drops the rejected rows — survivors are never cloned or moved
+/// into a fresh vector, and input order is kept.
+fn filter_relation(
     rel: &mut Relation,
     predicate: &Expr,
+    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<()> {
     let predicate = bind_columns(predicate, &rel.schema);
-    let mut rows = std::mem::take(&mut rel.rows);
-    let schema = &rel.schema;
-    let mut first_err: Option<Error> = None;
-    let mut since_check = 0usize;
-    rows.retain(|row| {
-        if first_err.is_some() {
-            return false;
+    let (schema, rows) = (&rel.schema, &rel.rows);
+    let keep = try_morsels(rows.len(), partitions, ctx, |range, wctx| {
+        let mut keep = Vec::with_capacity(range.len());
+        for (off, row) in rows[range.clone()].iter().enumerate() {
+            prefetch_row(rows, range.start + off + PREFETCH_AHEAD);
+            let rc = RowCtx { schema, row, outer };
+            keep.push(eval(&predicate, wctx, Some(&rc))?.truthiness() == Some(true));
         }
-        since_check += 1;
-        if since_check >= CANCEL_CHECK_ROWS {
-            since_check = 0;
-            if let Err(e) = ctx.check_cancel() {
-                first_err = Some(e);
-                return false;
-            }
-        }
-        let rc = RowCtx { schema, row, outer };
-        match eval(&predicate, ctx, Some(&rc)) {
-            Ok(v) => v.truthiness() == Some(true),
-            Err(e) => {
-                first_err = Some(e);
-                false
-            }
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    rel.rows = rows;
+        Ok(keep)
+    })?;
+    let mut keep = keep.iter().flatten();
+    rel.rows.retain(|_| *keep.next().unwrap_or(&false));
     Ok(())
 }
 
 /// A join input: scans are *borrowed* straight out of the catalog (zero
 /// refcount traffic — the join only reads them), everything else is
 /// materialized through [`exec_plan`].
-pub(crate) enum JoinInput<'a> {
+enum JoinInput<'a> {
     Borrowed { schema: RelSchema, rows: &'a [Row], cols: Option<Arc<ColumnSet>> },
     Owned(Relation),
 }
 
 impl JoinInput<'_> {
-    pub(crate) fn schema(&self) -> &RelSchema {
+    fn schema(&self) -> &RelSchema {
         match self {
             JoinInput::Borrowed { schema, .. } => schema,
             JoinInput::Owned(rel) => &rel.schema,
         }
     }
 
-    pub(crate) fn rows(&self) -> &[Row] {
+    fn rows(&self) -> &[Row] {
         match self {
             JoinInput::Borrowed { rows, .. } => rows,
             JoinInput::Owned(rel) => &rel.rows,
@@ -1751,7 +1633,7 @@ impl JoinInput<'_> {
     /// The table's cached column set, for scan inputs under the columnar
     /// toggle: join keys then come from the key column directly instead
     /// of dereferencing each row.
-    pub(crate) fn cols(&self) -> Option<&Arc<ColumnSet>> {
+    fn cols(&self) -> Option<&Arc<ColumnSet>> {
         match self {
             JoinInput::Borrowed { cols, .. } => cols.as_ref(),
             JoinInput::Owned(_) => None,
@@ -1761,7 +1643,7 @@ impl JoinInput<'_> {
     /// The single key column for vectorized key extraction, when this
     /// input is a scan with a cached column set and the key side is one
     /// direct column index.
-    pub(crate) fn key_column(&self, key: &KeySide) -> Option<&crate::columnar::ColumnVec> {
+    fn key_column(&self, key: &KeySide) -> Option<&crate::columnar::ColumnVec> {
         match (self.cols(), key) {
             (Some(set), KeySide::Direct(idxs)) => match idxs[..] {
                 [i] => set.columns.get(i),
@@ -1772,8 +1654,9 @@ impl JoinInput<'_> {
     }
 }
 
-pub(crate) fn exec_source<'a>(
+fn exec_source<'a>(
     plan: &Plan,
+    partitions: usize,
     ctx: &ExecCtx<'a>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<JoinInput<'a>> {
@@ -1786,21 +1669,21 @@ pub(crate) fn exec_source<'a>(
                 cols: ctx.optimizer.columnar.then(|| t.column_set()),
             })
         }
-        other => Ok(JoinInput::Owned(exec_plan(other, ctx, outer)?)),
+        other => Ok(JoinInput::Owned(exec_plan(other, partitions, ctx, outer)?)),
     }
 }
 
 /// The emission shape of a join: either whole combined rows or a pruned
 /// gather of `indices` from the conceptual (left + right) row. Width-zero
 /// pruning re-shares a single empty row — no per-row allocation at all.
-pub(crate) struct Emission {
+struct Emission {
     indices: Option<Vec<usize>>,
     left_width: usize,
     empty: Row,
 }
 
 impl Emission {
-    pub(crate) fn new(indices: Option<&[usize]>, left_width: usize) -> Self {
+    fn new(indices: Option<&[usize]>, left_width: usize) -> Self {
         Emission {
             indices: indices.map(|i| i.to_vec()),
             left_width,
@@ -1810,7 +1693,7 @@ impl Emission {
 
     /// Emit the (possibly pruned) combined row for a match.
     #[inline]
-    pub(crate) fn matched(&self, lrow: &[Value], rrow: &[Value]) -> Row {
+    fn matched(&self, lrow: &[Value], rrow: &[Value]) -> Row {
         match &self.indices {
             None => combine(lrow, rrow),
             Some(idx) if idx.is_empty() => self.empty.clone(),
@@ -1829,7 +1712,7 @@ impl Emission {
 
     /// Emit a LEFT-join non-match: left cells, NULL-padded right.
     #[inline]
-    pub(crate) fn unmatched(&self, lrow: &[Value], right_width: usize) -> Row {
+    fn unmatched(&self, lrow: &[Value], right_width: usize) -> Row {
         match &self.indices {
             None => pad_right(lrow, right_width),
             Some(idx) if idx.is_empty() => self.empty.clone(),
@@ -1847,12 +1730,14 @@ impl Emission {
     }
 }
 
-pub(crate) fn exec_join(
+#[allow(clippy::too_many_arguments)]
+fn exec_join(
     left: &JoinInput<'_>,
     right: &JoinInput<'_>,
     kind: PlanJoinKind,
     on: Option<&Expr>,
     emit: Option<&[usize]>,
+    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
@@ -1874,17 +1759,30 @@ pub(crate) fn exec_join(
         None => (Vec::new(), None),
     };
 
+    // Expensive UDF calls in the residual are answered by one batched
+    // prefetch over the candidate pairs; whatever that prefetch misses is
+    // invoked per candidate, and only an inline probe invokes each such
+    // tuple once — fanned out, workers would repeat each other's calls.
+    let expensive_residual = ctx.optimizer.batch_expensive_udfs
+        && residual.as_ref().is_some_and(|r| expr_cost(r, ctx.udfs) >= 2);
+    let partitions = if expensive_residual { 1 } else { partitions };
+
+    let residual = residual.as_ref();
     let rows = if equi.is_empty() {
-        nested_loop_join(left, right, kind, residual.as_ref(), &full_schema, &emission, ctx, outer)?
+        nested_loop_join(
+            left, right, kind, residual, &full_schema, &emission, partitions, ctx, outer,
+        )?
     } else {
-        hash_join(left, right, kind, &equi, residual.as_ref(), &full_schema, &emission, ctx, outer)?
+        hash_join(
+            left, right, kind, &equi, residual, &full_schema, &emission, partitions, ctx, outer,
+        )?
     };
     Ok(Relation { schema: out_schema, rows })
 }
 
 /// Extract `l_expr = r_expr` conjuncts where each side is computable from
 /// one input. Returns (pairs, residual predicate).
-pub(crate) fn split_equi_join(
+fn split_equi_join(
     pred: &Expr,
     left: &RelSchema,
     right: &RelSchema,
@@ -1910,7 +1808,7 @@ pub(crate) fn split_equi_join(
 /// Hash-join key: the single-column case (the overwhelmingly common one)
 /// avoids a per-row `Vec` allocation entirely.
 #[derive(PartialEq, Eq, Hash)]
-pub(crate) enum JoinKey {
+enum JoinKey {
     One(GroupKey),
     Many(Vec<GroupKey>),
 }
@@ -1945,13 +1843,13 @@ fn join_key(
 /// iterator is `TrustedLen`, so `collect` writes straight into the shared
 /// allocation — one malloc per emitted row, no intermediate `Vec`.
 #[inline]
-pub(crate) fn combine(lrow: &[Value], rrow: &[Value]) -> Row {
+fn combine(lrow: &[Value], rrow: &[Value]) -> Row {
     lrow.iter().chain(rrow.iter()).cloned().collect()
 }
 
 /// A LEFT-join non-match: the left cells padded with NULLs on the right.
 #[inline]
-pub(crate) fn pad_right(lrow: &[Value], right_width: usize) -> Row {
+fn pad_right(lrow: &[Value], right_width: usize) -> Row {
     lrow.iter()
         .cloned()
         .chain(std::iter::repeat_n(Value::Null, right_width))
@@ -1962,13 +1860,13 @@ pub(crate) fn pad_right(lrow: &[Value], right_width: usize) -> Row {
 /// indices (zero-eval, zero-clone) when every key expression is a bound
 /// column — the overwhelmingly common `a.x = b.y` shape — or general bound
 /// expressions otherwise.
-pub(crate) enum KeySide {
+enum KeySide {
     Direct(Vec<usize>),
     Exprs(Vec<Expr>),
 }
 
 impl KeySide {
-    pub(crate) fn new(bound: Vec<Expr>) -> KeySide {
+    fn new(bound: Vec<Expr>) -> KeySide {
         let direct: Option<Vec<usize>> = bound
             .iter()
             .map(|e| match e {
@@ -1985,7 +1883,7 @@ impl KeySide {
     /// Key of one row; `None` marks a NULL in any key column (NULL never
     /// joins).
     #[inline]
-    pub(crate) fn key(
+    fn key(
         &self,
         row: &[Value],
         schema: &RelSchema,
@@ -2028,6 +1926,7 @@ fn hash_join(
     residual: Option<&Expr>,
     schema: &RelSchema,
     emission: &Emission,
+    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Vec<Row>> {
@@ -2066,41 +1965,33 @@ fn hash_join(
         }
     }
 
-    // Pre-sized build table: one reallocation-free pass. Buckets inline
-    // the single-row case (the norm for key/foreign-key joins), so a
-    // unique-key build performs zero per-bucket allocations.
-    let mut table: FxHashMap<JoinKey, Bucket> = map_with_capacity(build.rows().len());
-    if let Some(col) = build.key_column(&build_key) {
-        // Scan build side with a single direct-column key: read the key
-        // straight out of the table's column vector — no row deref at all.
-        for ri in 0..build.rows().len() {
-            if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-                ctx.check_cancel()?;
-            }
-            let Some(gk) = col.join_key_at(ri) else { continue };
-            match table.entry(JoinKey::One(gk)) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(Bucket::One(ri as u32));
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().push(ri as u32),
-            }
+    // Pre-sized build table: one reallocation-free pass on the statement
+    // thread, shared read-only by every probe range. Buckets inline the
+    // single-row case (the norm for key/foreign-key joins), so a unique-key
+    // build performs zero per-bucket allocations; bucket contents are in
+    // build-row order.
+    let build_rows = build.rows();
+    let build_col = build.key_column(&build_key);
+    let mut table: FxHashMap<JoinKey, Bucket> = map_with_capacity(build_rows.len());
+    for (ri, row) in build_rows.iter().enumerate() {
+        if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
+            ctx.check_cancel()?;
         }
-    } else {
-        for (ri, row) in build.rows().iter().enumerate() {
-            if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-                ctx.check_cancel()?;
+        let key = match build_col {
+            // Scan build side with a single direct-column key: read the key
+            // straight out of the table's column vector — no row deref.
+            Some(col) => col.join_key_at(ri).map(JoinKey::One),
+            None => {
+                prefetch_row(build_rows, ri + PREFETCH_AHEAD);
+                build_key.key(row, build.schema(), ctx, outer)?
             }
-            prefetch_row(build.rows(), ri + PREFETCH_AHEAD);
-            if let Some(key) = build_key.key(row, build.schema(), ctx, outer)? {
-                match table.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(Bucket::One(ri as u32));
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        o.get_mut().push(ri as u32)
-                    }
-                }
+        };
+        let Some(key) = key else { continue };
+        match table.entry(key) {
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(Bucket::One(ri as u32));
             }
+            std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().push(ri as u32),
         }
     }
 
@@ -2134,7 +2025,10 @@ fn hash_join(
         }
     }
 
-    let mut out = Vec::with_capacity(probe.rows().len());
+    // The probe: three loop shapes, each dispatched over ranges of probe
+    // rows against the read-only table. Emission order within a range is
+    // probe order, and ranges concatenate in order.
+    let probe_rows = probe.rows();
 
     // Tight loop for the dominant shape — single direct-column key, no
     // residual, inner join (`a JOIN b ON a.x = b.y`): no per-row enum
@@ -2143,96 +2037,97 @@ fn hash_join(
         // Columnar probe: keys come from the probe table's key column, so
         // the probe row is only dereferenced on an actual match.
         if let Some(col) = probe.key_column(&probe_key) {
-            let rows = probe.rows();
-            for pi in 0..rows.len() {
-                if pi % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-                    ctx.check_cancel()?;
-                }
-                let Some(gk) = col.join_key_at(pi) else { continue };
-                if let Some(cands) = table.get(&JoinKey::One(gk)) {
-                    let prow = &rows[pi];
-                    for &ri in cands.as_slice() {
-                        let brow = &build.rows()[ri as usize];
-                        let (lrow, rrow): (&[Value], &[Value]) =
-                            if build_left { (brow, prow) } else { (prow, brow) };
-                        out.push(emission.matched(lrow, rrow));
-                    }
-                }
-            }
-            return Ok(out);
-        }
-        if let KeySide::Direct(idxs) = &probe_key {
-            if let [pk] = idxs[..] {
-                let rows = probe.rows();
-                for (pi, prow) in rows.iter().enumerate() {
-                    if pi % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-                        ctx.check_cancel()?;
-                    }
-                    prefetch_row(rows, pi + PREFETCH_AHEAD);
-                    let v = &prow[pk];
-                    if v.is_null() {
-                        continue;
-                    }
-                    if let Some(cands) = table.get(&JoinKey::One(v.group_key())) {
+            return Ok(concat(try_morsels(probe_rows.len(), partitions, ctx, |range, _| {
+                let mut out = Vec::with_capacity(range.len());
+                for pi in range {
+                    let Some(gk) = col.join_key_at(pi) else { continue };
+                    if let Some(cands) = table.get(&JoinKey::One(gk)) {
+                        let prow = &probe_rows[pi];
                         for &ri in cands.as_slice() {
-                            let brow = &build.rows()[ri as usize];
+                            let brow = &build_rows[ri as usize];
                             let (lrow, rrow): (&[Value], &[Value]) =
                                 if build_left { (brow, prow) } else { (prow, brow) };
                             out.push(emission.matched(lrow, rrow));
                         }
                     }
                 }
-                return Ok(out);
+                Ok(out)
+            })?));
+        }
+        if let KeySide::Direct(idxs) = &probe_key {
+            if let [pk] = idxs[..] {
+                return Ok(concat(try_morsels(probe_rows.len(), partitions, ctx, |range, _| {
+                    let mut out = Vec::with_capacity(range.len());
+                    for pi in range {
+                        prefetch_row(probe_rows, pi + PREFETCH_AHEAD);
+                        let prow = &probe_rows[pi];
+                        let v = &prow[pk];
+                        if v.is_null() {
+                            continue;
+                        }
+                        if let Some(cands) = table.get(&JoinKey::One(v.group_key())) {
+                            for &ri in cands.as_slice() {
+                                let brow = &build_rows[ri as usize];
+                                let (lrow, rrow): (&[Value], &[Value]) =
+                                    if build_left { (brow, prow) } else { (prow, brow) };
+                                out.push(emission.matched(lrow, rrow));
+                            }
+                        }
+                    }
+                    Ok(out)
+                })?));
             }
         }
     }
 
-    // Scratch buffer for residual evaluation over the full combined row;
-    // only allocated contents, never a fresh Vec per candidate.
-    let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
-    for (pi, prow) in probe.rows().iter().enumerate() {
-        if pi % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-            ctx.check_cancel()?;
-        }
-        prefetch_row(probe.rows(), pi + PREFETCH_AHEAD);
-        let key = probe_key.key(prow, probe.schema(), ctx, outer)?;
-        let mut matched = false;
-        if let Some(key) = key {
-            if let Some(cands) = table.get(&key) {
-                for &ri in cands.as_slice() {
-                    let brow = &build.rows()[ri as usize];
-                    let (lrow, rrow): (&[Value], &[Value]) =
-                        if build_left { (brow, prow) } else { (prow, brow) };
-                    if let Some(res) = &residual {
-                        scratch.clear();
-                        scratch.extend_from_slice(lrow);
-                        scratch.extend_from_slice(rrow);
-                        let cc = RowCtx { schema, row: &scratch, outer };
-                        if eval(res, ctx, Some(&cc))?.truthiness() != Some(true) {
-                            continue;
+    let right_width = right.schema().len();
+    Ok(concat(try_morsels(probe_rows.len(), partitions, ctx, |range, wctx| {
+        let mut out = Vec::with_capacity(range.len());
+        // Scratch buffer for residual evaluation over the full combined
+        // row; only allocated contents, never a fresh Vec per candidate.
+        let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
+        for pi in range {
+            prefetch_row(probe_rows, pi + PREFETCH_AHEAD);
+            let prow = &probe_rows[pi];
+            let key = probe_key.key(prow, probe.schema(), wctx, outer)?;
+            let mut matched = false;
+            if let Some(key) = key {
+                if let Some(cands) = table.get(&key) {
+                    for &ri in cands.as_slice() {
+                        let brow = &build_rows[ri as usize];
+                        let (lrow, rrow): (&[Value], &[Value]) =
+                            if build_left { (brow, prow) } else { (prow, brow) };
+                        if let Some(res) = &residual {
+                            scratch.clear();
+                            scratch.extend_from_slice(lrow);
+                            scratch.extend_from_slice(rrow);
+                            let cc = RowCtx { schema, row: &scratch, outer };
+                            if eval(res, wctx, Some(&cc))?.truthiness() != Some(true) {
+                                continue;
+                            }
                         }
+                        matched = true;
+                        out.push(emission.matched(lrow, rrow));
                     }
-                    matched = true;
-                    out.push(emission.matched(lrow, rrow));
                 }
             }
+            if !matched && kind == PlanJoinKind::Left {
+                // probe == left here (build_left is false for LEFT joins).
+                out.push(emission.unmatched(prow, right_width));
+            }
         }
-        if !matched && kind == PlanJoinKind::Left {
-            // probe == left here (build_left is false for LEFT joins).
-            out.push(emission.unmatched(prow, right.schema().len()));
-        }
-    }
-    Ok(out)
+        Ok(out)
+    })?))
 }
 
 /// Distance (in rows) to prefetch ahead in streaming row loops. Rows are
 /// individually heap-allocated `Arc<[Value]>`s, so without a hint every
 /// row read is a dependent load that stalls on L3 once tables outgrow L2;
 /// prefetching a handful of iterations ahead overlaps those misses.
-pub(crate) const PREFETCH_AHEAD: usize = 8;
+const PREFETCH_AHEAD: usize = 8;
 
 #[inline(always)]
-pub(crate) fn prefetch_row(rows: &[Row], i: usize) {
+fn prefetch_row(rows: &[Row], i: usize) {
     #[cfg(target_arch = "x86_64")]
     if let Some(r) = rows.get(i) {
         // SAFETY: prefetch has no memory effects; any pointer is fine.
@@ -2249,13 +2144,13 @@ pub(crate) fn prefetch_row(rows: &[Row], i: usize) {
 
 /// A hash-join bucket: row indices of the build side sharing one key,
 /// with the single-row case stored inline (no allocation).
-pub(crate) enum Bucket {
+enum Bucket {
     One(u32),
     Many(Vec<u32>),
 }
 
 impl Bucket {
-    pub(crate) fn push(&mut self, ri: u32) {
+    fn push(&mut self, ri: u32) {
         match self {
             Bucket::One(first) => *self = Bucket::Many(vec![*first, ri]),
             Bucket::Many(v) => v.push(ri),
@@ -2263,7 +2158,7 @@ impl Bucket {
     }
 
     #[inline]
-    pub(crate) fn as_slice(&self) -> &[u32] {
+    fn as_slice(&self) -> &[u32] {
         match self {
             Bucket::One(i) => std::slice::from_ref(i),
             Bucket::Many(v) => v,
@@ -2279,6 +2174,7 @@ fn nested_loop_join(
     on: Option<&Expr>,
     schema: &RelSchema,
     emission: &Emission,
+    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Vec<Row>> {
@@ -2304,7 +2200,12 @@ fn nested_loop_join(
         }
     };
     let lw = left.schema().len();
-    let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
+    let (lrows, rrows) = (left.rows(), right.rows());
+    let gather = |scratch: &mut [Value], lrow: &[Value], rrow: &[Value]| {
+        for &i in &used {
+            scratch[i] = if i < lw { lrow[i].clone() } else { rrow[i - lw].clone() };
+        }
+    };
 
     // Vectorize expensive calls in the ON predicate over the candidate
     // pairs: the argument-tuple dedupe collapses the cross product to the
@@ -2312,13 +2213,11 @@ fn nested_loop_join(
     if ctx.optimizer.batch_expensive_udfs {
         if let Some(pred) = on.as_ref() {
             if let Some(batch) = BatchableCalls::find([pred], ctx.udfs) {
+                let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
                 batch.prefetch(ctx, &mut |collect| {
-                    for lrow in left.rows() {
-                        for rrow in right.rows() {
-                            for &i in &used {
-                                scratch[i] =
-                                    if i < lw { lrow[i].clone() } else { rrow[i - lw].clone() };
-                            }
+                    for lrow in lrows {
+                        for rrow in rrows {
+                            gather(&mut scratch, lrow, rrow);
                             collect(&RowCtx { schema, row: &scratch, outer })?;
                         }
                     }
@@ -2328,32 +2227,35 @@ fn nested_loop_join(
         }
     }
 
-    let mut out = Vec::new();
-    let mut since_check = 0usize;
-    for lrow in left.rows() {
-        let mut matched = false;
-        for rrow in right.rows() {
-            since_check += 1;
-            if since_check >= CANCEL_CHECK_ROWS {
-                since_check = 0;
-                ctx.check_cancel()?;
-            }
-            if let Some(pred) = &on {
-                for &i in &used {
-                    scratch[i] =
-                        if i < lw { lrow[i].clone() } else { rrow[i - lw].clone() };
+    // Ranges of the outer (left) side. The work per outer row is |right|,
+    // unbounded by the range, so the inner loop keeps its own cancellation
+    // check.
+    Ok(concat(try_morsels(lrows.len(), partitions, ctx, |range, wctx| {
+        let mut out = Vec::new();
+        let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
+        let mut since_check = 0usize;
+        for lrow in &lrows[range] {
+            let mut matched = false;
+            for rrow in rrows {
+                since_check += 1;
+                if since_check >= CANCEL_CHECK_ROWS {
+                    since_check = 0;
+                    wctx.check_cancel()?;
                 }
-                let cc = RowCtx { schema, row: &scratch, outer };
-                if eval(pred, ctx, Some(&cc))?.truthiness() != Some(true) {
-                    continue;
+                if let Some(pred) = &on {
+                    gather(&mut scratch, lrow, rrow);
+                    let cc = RowCtx { schema, row: &scratch, outer };
+                    if eval(pred, wctx, Some(&cc))?.truthiness() != Some(true) {
+                        continue;
+                    }
                 }
+                matched = true;
+                out.push(emission.matched(lrow, rrow));
             }
-            matched = true;
-            out.push(emission.matched(lrow, rrow));
+            if !matched && kind == PlanJoinKind::Left {
+                out.push(emission.unmatched(lrow, right.schema().len()));
+            }
         }
-        if !matched && kind == PlanJoinKind::Left {
-            out.push(emission.unmatched(lrow, right.schema().len()));
-        }
-    }
-    Ok(out)
+        Ok(out)
+    })?))
 }

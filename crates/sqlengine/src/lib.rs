@@ -29,15 +29,19 @@
 //!   `columnar: false` is bit-for-bit the row path, and the differential
 //!   harness pins columnar ≡ row at 1 and 8 threads (PERF.md, "Columnar
 //!   execution", for the measured 1.7–2.2× scan/aggregate speedups);
-//! * **morsel-driven parallel execution** ([`exec_parallel`]): the
-//!   optimizer annotates large plans with `Plan::Parallel { partitions }`
-//!   from catalog row counts, and filters, partitioned hash-join
-//!   build/probe, two-phase GROUP BY/aggregation and top-k selection fan
-//!   out over the shared `swan_pool` worker pool — with results
-//!   **byte-identical** to the serial engine at every thread count
-//!   (`SWAN_THREADS=1` reproduces serial execution exactly; the
-//!   `parallel_diff` differential harness enforces equivalence at 1, 2
-//!   and 8 threads);
+//! * **morsel-driven parallel execution** ([`exec_parallel`]): there is
+//!   one executor, and parallelism is a number handed to it. Every
+//!   operator loop in [`exec`] is written once against a row range and
+//!   dispatched through `exec_parallel::try_morsels`; the optimizer
+//!   annotates large plans with `Plan::Parallel { partitions }` from
+//!   catalog row counts, and under that annotation filters, hash-join
+//!   probes (against one table built once), nested loops, projection,
+//!   GROUP BY key evaluation, HAVING, per-group output and top-k
+//!   selection fan out over the shared `swan_pool` worker pool; without
+//!   it the same loops run inline on the statement thread. Results are
+//!   **byte-identical** at every thread count (`SWAN_THREADS=1` is the
+//!   inline dispatch throughout; the `parallel_diff` differential harness
+//!   enforces equivalence at 1, 2 and 8 threads);
 //! * a **concurrently shareable database** ([`SharedDb`]): an
 //!   `Arc`-cloneable handle whose sessions read O(tables) snapshots
 //!   without blocking writers, while writers serialize per table and
@@ -110,8 +114,8 @@
 //!   statement with a deadline-bearing `swan_pool::CancelToken`,
 //!   installed as the thread's current token for the statement's whole
 //!   span (one arming function, `db::statement_token`, serves all
-//!   three). The serial and morsel-parallel executors check it between
-//!   morsels, long-running UDFs cooperate via
+//!   three). Every operator loop checks it between morsels, at any
+//!   thread count, long-running UDFs cooperate via
 //!   `swan_pool::cancel::check_current()`, and a caller-installed token
 //!   scopes a whole batch (or cancels from another thread). A tripped
 //!   deadline surfaces as [`Error::Deadline`] with pinned wording —

@@ -51,7 +51,7 @@ pub struct OptimizerConfig {
     /// auto: the `SWAN_THREADS` environment variable when set, otherwise
     /// the machine's available parallelism. `1` disables parallel
     /// execution entirely (the plan never grows a [`Plan::Parallel`]
-    /// node, reproducing the serial engine exactly).
+    /// node, so every operator loop is dispatched inline).
     pub threads: usize,
     /// Minimum base-table cardinality (from [`Catalog::row_count`]
     /// statistics) before a plan is worth parallelizing; below it the
@@ -155,7 +155,7 @@ pub fn optimize(
 
 /// Annotate the plan root with [`Plan::Parallel`] when the catalog's
 /// row-count statistics say the input is large enough to amortize fan-out.
-/// Runs last (after batching), so the parallel executor sees the final
+/// Runs last (after batching), so the annotation covers the final
 /// operator tree; never runs when the effective thread count is 1.
 fn parallelize(
     plan: Plan,

@@ -1,13 +1,14 @@
 //! Serial ≡ parallel differential-test harness.
 //!
 //! Concurrency claims are only credible when backed by controlled
-//! differential testing (cf. ZEUS), so this harness pins the morsel-driven
-//! parallel executor against the serial engine: a query generator over the
-//! four SWAN domain shapes runs every statement through the serial
-//! executor (`threads: 1` — no [`Plan::Parallel`] node is ever inserted)
-//! and through the parallel executor at thread counts **2 and 8**
-//! (`parallel_threshold: 1`, so even tiny generated tables exercise the
-//! parallel operators), and asserts equivalent results:
+//! differential testing (cf. ZEUS), so this harness pins morsel fan-out
+//! against inline dispatch. There is one executor and one loop per
+//! operator; what differs between thread counts is the *dispatch* (morsel
+//! order, worker contexts, merge-back, first-error order). A query
+//! generator over the four SWAN domain shapes runs every statement inline
+//! (`threads: 1` — no [`Plan::Parallel`] node is ever inserted) and fanned
+//! out at thread counts **2 and 8** (`parallel_threshold: 1`, so even tiny
+//! generated tables fan out), and asserts equivalent results:
 //!
 //! * statements with `ORDER BY` must match **exactly** (including the
 //!   tie-break contract: `LIMIT k` keeps the stable-sort prefix);
@@ -217,11 +218,17 @@ fn assert_equivalent(sql: &str, threads: usize, serial: &QueryResult, parallel: 
 /// reference, and the columnar kernels — with and without primary-key
 /// index scans — must agree byte-for-byte at 1 and 8 threads.
 fn diff_query(domain: usize, rows: &[(i64, i64, String)], sql: &str) {
-    let mut serial_db = domain_db(domain, rows);
+    diff_query_on(&|| domain_db(domain, rows), sql);
+}
+
+/// [`diff_query`] over any database `build` produces (the same one on
+/// every call).
+fn diff_query_on(build: &dyn Fn() -> Database, sql: &str) {
+    let mut serial_db = build();
     serial_db.set_optimizer(serial_config());
     let serial = serial_db.query(sql).unwrap_or_else(|e| panic!("serial {sql}: {e}"));
     for &threads in THREAD_COUNTS {
-        let mut par_db = domain_db(domain, rows);
+        let mut par_db = build();
         par_db.set_optimizer(parallel_config(threads));
         let parallel =
             par_db.query(sql).unwrap_or_else(|e| panic!("{threads}-thread {sql}: {e}"));
@@ -229,7 +236,7 @@ fn diff_query(domain: usize, rows: &[(i64, i64, String)], sql: &str) {
     }
 
     let run = |threads: usize, columnar: bool, index_scan: bool| -> QueryResult {
-        let mut db = domain_db(domain, rows);
+        let mut db = build();
         db.set_optimizer(OptimizerConfig {
             threads,
             parallel_threshold: 1,
@@ -259,7 +266,7 @@ proptest! {
         domain in 0usize..4,
         threshold in -40i64..120,
         k in 0usize..9,
-        shape in 0usize..12,
+        shape in 0usize..13,
     ) {
         let (_, _, _, join) = DOMAINS[domain];
         let fact = fact_table(domain);
@@ -329,10 +336,17 @@ proptest! {
             ),
             // Scalar-aggregate subquery in a comparison (uncorrelated,
             // shared result) next to a cheap conjunct.
-            _ => format!(
+            11 => format!(
                 "SELECT s.id, s.{num} FROM {fact} s \
                  WHERE s.{num} >= (SELECT AVG(s2.{num}) FROM {fact} s2) \
                  AND s.id >= 0 ORDER BY s.id"
+            ),
+            // Nested-loop LEFT join whose ON holds a correlated EXISTS
+            // reading a column (the foreign key) the predicate does not
+            // otherwise name: the probe must gather the whole combined row.
+            _ => format!(
+                "SELECT s.id, p.id FROM {fact} s LEFT JOIN {dim} p ON s.{num} < p.id \
+                 AND EXISTS (SELECT 1 FROM tiny t WHERE t.k = s.{fk} AND t.k <= {threshold})"
             ),
         };
         diff_query(domain, &rows, &sql);
@@ -831,6 +845,123 @@ fn correlated_subquery_filter_matches_serial() {
     for &threads in THREAD_COUNTS {
         let parallel = build(threads).query(sql).unwrap();
         assert_eq!(parallel.rows, serial.rows, "rows diverge at {threads} threads");
+    }
+}
+
+/// A subquery inside a non-equi ON may read any column of the combined
+/// row, including one the predicate does not otherwise name (`a.x` here),
+/// so the nested loop gathers the whole row for it — at every thread
+/// count. The second nested-loop join this engine used to carry did not,
+/// and returned 20 rows (every `b` side NULL) at 2 threads.
+#[test]
+fn left_join_on_subquery_reads_any_combined_row_column() {
+    let build = || {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER)").unwrap();
+        db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, y INTEGER)").unwrap();
+        db.execute("CREATE TABLE c (v INTEGER)").unwrap();
+        db.execute("INSERT INTO c VALUES (1), (2)").unwrap();
+        for i in 0..20i64 {
+            let a = db.catalog_mut().get_mut("a").unwrap();
+            a.insert_row(vec![Value::Integer(i), Value::Integer(i % 5)]).unwrap();
+            let b = db.catalog_mut().get_mut("b").unwrap();
+            b.insert_row(vec![Value::Integer(i), Value::Integer(i % 3)]).unwrap();
+        }
+        db
+    };
+    let sql = "SELECT a.id, b.id FROM a LEFT JOIN b ON a.id < b.id \
+               AND b.y IN (SELECT v FROM c WHERE c.v = a.x)";
+    diff_query_on(&build, sql);
+    for threads in [1usize, 2, 8] {
+        let mut db = build();
+        db.set_optimizer(OptimizerConfig { threads, parallel_threshold: 1, ..Default::default() });
+        assert_eq!(db.query(sql).unwrap().rows.len(), 39, "at {threads} thread(s)");
+    }
+}
+
+/// A cheap (never batched, never cached) UDF that counts its invocations
+/// and fails on arguments at or above a limit, naming the argument.
+struct CountingUdf {
+    calls: AtomicU64,
+    fail_from: i64,
+}
+
+impl ScalarUdf for CountingUdf {
+    fn name(&self) -> &str {
+        "counted"
+    }
+    fn invoke(&self, args: &[Value]) -> swan_sqlengine::Result<Value> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        let n = args[0].as_i64().unwrap_or(0);
+        if n >= self.fail_from {
+            return Err(swan_sqlengine::Error::Udf {
+                name: "counted".into(),
+                message: format!("refused {n}"),
+            });
+        }
+        Ok(Value::Integer(1))
+    }
+}
+
+/// Work-count parity: each operator evaluates its expression exactly once
+/// per unit of its input — table rows for a scan filter, surviving rows for
+/// the projection, input rows for a GROUP BY key, key-matching candidate
+/// pairs for a hash-join residual — whether its loop is dispatched inline
+/// (`threads: 1`) or fanned out. A failing row stops an inline pass on the
+/// spot, and at every thread count the statement reports the earliest
+/// failing row in input order.
+#[test]
+fn work_counts_do_not_depend_on_the_dispatch() {
+    const ROWS: i64 = 3000;
+    let build = |threads: usize, fail_from: i64| {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER)").unwrap();
+        db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, k INTEGER)").unwrap();
+        {
+            let t = db.catalog_mut().get_mut("t").unwrap();
+            for i in 0..ROWS {
+                t.insert_row(vec![Value::Integer(i), Value::Integer(i % 7)]).unwrap();
+            }
+            let u = db.catalog_mut().get_mut("u").unwrap();
+            for i in 0..10i64 {
+                u.insert_row(vec![Value::Integer(i), Value::Integer(i % 5)]).unwrap();
+            }
+        }
+        let udf = Arc::new(CountingUdf { calls: AtomicU64::new(0), fail_from });
+        db.register_udf(udf.clone());
+        db.set_optimizer(if threads == 1 { serial_config() } else { parallel_config(threads) });
+        (db, udf)
+    };
+    let surviving = (0..ROWS).filter(|i| i % 7 < 3).count() as u64;
+    // `u` holds every key 0..5 twice.
+    let candidate_pairs = 2 * (0..ROWS).filter(|i| i % 7 < 5).count() as u64;
+    let cases = [
+        ("SELECT id FROM t WHERE counted(id) > 0", ROWS as u64),
+        ("SELECT counted(id) FROM t WHERE n < 3", surviving),
+        ("SELECT COUNT(*) FROM t GROUP BY n * counted(id)", ROWS as u64),
+        (
+            "SELECT COUNT(*) FROM t JOIN u ON t.n = u.k AND counted(t.id + u.id) > 0",
+            candidate_pairs,
+        ),
+    ];
+    for threads in [1usize, 2, 8] {
+        for (sql, expected) in cases {
+            let (db, udf) = build(threads, i64::MAX);
+            db.query(sql).unwrap_or_else(|e| panic!("{threads}-thread {sql}: {e}"));
+            assert_eq!(
+                udf.calls.load(Ordering::SeqCst),
+                expected,
+                "invocations at {threads} thread(s) for {sql}"
+            );
+        }
+
+        // Rows 0..1499 pass; every later row fails, naming itself.
+        let (db, udf) = build(threads, 1500);
+        let err = db.query("SELECT id FROM t WHERE counted(id) > 0").unwrap_err();
+        assert!(err.to_string().contains("refused 1500"), "at {threads} thread(s): {err}");
+        if threads == 1 {
+            assert_eq!(udf.calls.load(Ordering::SeqCst), 1501, "inline stops at the failing row");
+        }
     }
 }
 

@@ -9,20 +9,12 @@
 //! consumes exactly the encoding, repeated text re-shares one `Arc<str>`
 //! allocation, and a decoded table with a primary key has a working
 //! rebuilt index.
-//!
-//! The same properties hold for the **column codec**
-//! ([`columnar::encode_column_set`] / [`columnar::decode_column_set`]):
-//! bit-exact reals, validity bitmaps, a text dictionary that decodes to
-//! one shared `Arc<str>` per distinct string, empty columns, and clean
-//! rejection of every truncation.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use swan_sqlengine::columnar::{decode_column_set, encode_column_set, ColumnSet};
 use swan_sqlengine::storage::{decode_table, encode_table, TextInterner};
-use swan_sqlengine::value::Row;
 use swan_sqlengine::{Column, Table, Value};
 
 /// A small pool of text values, deliberately repetitive so interning has
@@ -81,47 +73,6 @@ fn table_for(seed: u64, ncols: usize, nrows: usize, with_pk: bool) -> Table {
     }
     t.version = rng.next_u64();
     t
-}
-
-/// Arbitrary rows for the column codec. `typed` columns stick to one
-/// value type each (so `from_rows` classifies them as I64/F64/Bool/Text
-/// columns with validity bitmaps); untyped columns mix types per cell
-/// (the Mixed fallback). NULLs appear throughout either way.
-fn rows_for(seed: u64, ncols: usize, nrows: usize, typed: bool) -> Vec<Row> {
-    let mut rng = TestRng::seeded("prop_codec::columns", seed);
-    let kinds: Vec<u64> = (0..ncols).map(|_| rng.next_u64() % 4).collect();
-    (0..nrows)
-        .map(|_| {
-            (0..ncols)
-                .map(|c| {
-                    if rng.next_u64() % 4 == 0 {
-                        return Value::Null;
-                    }
-                    let kind = if typed { kinds[c] } else { rng.next_u64() % 4 };
-                    match kind {
-                        0 => Value::Integer(rng.next_u64() as i64),
-                        1 => Value::Real(real_for(&mut rng)),
-                        2 => Value::Integer((rng.next_u64() % 2) as i64), // Bool-shaped
-                        _ => Value::text(
-                            TEXT_POOL[(rng.next_u64() % TEXT_POOL.len() as u64) as usize],
-                        ),
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Strict cell equality: same variant, reals compared by raw bits (so
-/// NaN == same-payload NaN and -0.0 != 0.0).
-fn value_bits_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Real(x), Value::Real(y)) => x.to_bits() == y.to_bits(),
-        (Value::Null, Value::Null) => true,
-        (Value::Integer(x), Value::Integer(y)) => x == y,
-        (Value::Text(x), Value::Text(y)) => x == y,
-        _ => false,
-    }
 }
 
 proptest! {
@@ -185,86 +136,6 @@ proptest! {
         prop_assert_eq!(pos, buf.len());
         prop_assert_eq!(back.rows.len(), nrows);
         prop_assert!(back == t);
-    }
-
-    /// Column codec: `decode(encode(set)) == set` bit-for-bit — NaN
-    /// payloads and `-0.0` survive as raw IEEE bits, validity bitmaps
-    /// round trip, the decode consumes exactly the encoding — and the
-    /// decoded text dictionary shares **one** `Arc<str>` per distinct
-    /// string across every cell of the set.
-    #[test]
-    fn column_codec_round_trips(
-        seed in 0u64..u64::MAX,
-        ncols in 0usize..5,
-        nrows in 0usize..32,
-        typed in 0u8..2,
-    ) {
-        let rows = rows_for(seed, ncols, nrows, typed == 1);
-        let set = ColumnSet::from_rows(&rows, ncols);
-
-        let mut buf = Vec::new();
-        encode_column_set(&mut buf, &set);
-        let mut pos = 0;
-        let mut interner = TextInterner::new();
-        let back = decode_column_set(&buf, &mut pos, &mut interner).expect("decode");
-        prop_assert_eq!(pos, buf.len(), "decode must consume the whole encoding");
-        prop_assert!(back == set, "round trip must be lossless:\n{set:?}\nvs\n{back:?}");
-
-        // Lazy row views over the decoded set reproduce every original
-        // cell bit-for-bit (NaN payloads, -0.0 included).
-        for (i, row) in rows.iter().enumerate() {
-            let got = back.materialize_row(i);
-            prop_assert_eq!(got.len(), row.len());
-            for (a, b) in row.iter().zip(got.iter()) {
-                prop_assert!(
-                    value_bits_eq(a, b),
-                    "cell diverged at row {i}: {a:?} vs {b:?}"
-                );
-            }
-        }
-
-        // Dictionary interning: equal text cells anywhere in the decoded
-        // set share one allocation.
-        let mut by_text: Vec<(String, Arc<str>)> = Vec::new();
-        for i in 0..back.len() {
-            for v in back.materialize_row(i).iter() {
-                if let Value::Text(s) = v {
-                    match by_text.iter().find(|(t, _)| t == s.as_ref()) {
-                        Some((_, first)) => prop_assert!(
-                            Arc::ptr_eq(first, s),
-                            "equal text {s:?} must share one allocation"
-                        ),
-                        None => by_text.push((s.to_string(), s.clone())),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Truncating a column-set encoding anywhere must fail cleanly —
-    /// never panic, never yield a set.
-    #[test]
-    fn truncated_column_encodings_are_rejected(
-        seed in 0u64..u64::MAX,
-        ncols in 1usize..4,
-        nrows in 1usize..8,
-        typed in 0u8..2,
-    ) {
-        let rows = rows_for(seed, ncols, nrows, typed == 1);
-        let set = ColumnSet::from_rows(&rows, ncols);
-        let mut buf = Vec::new();
-        encode_column_set(&mut buf, &set);
-        let mut rng = TestRng::seeded("prop_codec::colcut", seed);
-        for _ in 0..8 {
-            let cut = (rng.next_u64() as usize) % buf.len();
-            let mut pos = 0;
-            let mut interner = TextInterner::new();
-            prop_assert!(
-                decode_column_set(&buf[..cut], &mut pos, &mut interner).is_err(),
-                "a {cut}-byte prefix of a {}-byte encoding must not decode",
-                buf.len()
-            );
-        }
     }
 
     /// Truncating an encoding anywhere must fail cleanly, never panic or

@@ -9,22 +9,24 @@
 #   0. swan-analyze: the workspace seam lints (ANALYSIS.md) — raw
 #      std::fs/clock/thread use outside the Vfs/Clock/pool seams,
 #      panic-family calls on commit/recovery paths, undocumented
-#      `unsafe`, unranked locks, and the log handle or commit framing
+#      `unsafe`, unranked locks, the log handle or commit framing
 #      named outside wal.rs/txn.rs/shared.rs (a second durable handle
-#      growing back). Any finding fails the gate before a single test
-#      runs;
+#      growing back), and the pool's fan-out entry points named in the
+#      engine outside exec_parallel.rs (an operator growing its own
+#      fan-out). Any finding fails the gate before a single test runs;
 #   1. tier-1: release build + workspace test suite (ROADMAP contract),
 #      then a compile of every swan-bench bench (`harness = false`
 #      targets that `cargo test` skips) and the frozen benchmark's smoke
 #      run (examples/swan_benchmark is a package of its own that tier-1
 #      does not compile): a public-API deletion that breaks either must
 #      fail here, not in the bench pipeline;
-#   2. the workspace suite again with SWAN_THREADS=1, 2 and 8 — the env
-#      var drives every default-config statement through the serial, a
-#      2-way and the 8-way morsel-parallel executor, so a test that
-#      assumes a plan shape cannot hide behind the host's core count
-#      (this includes the parallel_diff differential harness at both
-#      ends of the matrix, on top of its own per-test thread configs);
+#   2. the workspace suite again with SWAN_THREADS=1, 2 and 8 — there is
+#      one executor, and the env var drives every default-config
+#      statement's operator loops — the *same* loops — through inline,
+#      2-way and 8-way dispatch, so a test that assumes a plan shape
+#      cannot hide behind the host's core count (this includes the
+#      parallel_diff differential harness at both ends of the matrix,
+#      on top of its own per-test thread configs);
 #   3. the SharedDb concurrency stress suite (multi-statement
 #      transaction conflict/retry, torn-commit visibility, MVCC
 #      history GC) and the row-level conflict regression suite
@@ -63,6 +65,10 @@
 #      work-count test and the nested-subquery regression at 1, 2 and 8
 #      threads: the keyed build runs inside a OnceLock cell on a morsel
 #      worker and may itself fan out, and the validator must see that.
+#      Likewise the subquery-in-ON LEFT JOIN regression (a subquery
+#      evaluated on a pool worker dispatches its own SELECT inline,
+#      nested inside that cell) and the cancel-cadence test (the token
+#      fires inside a worker's morsel while its siblings hold theirs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,7 +110,7 @@ cargo test -q -p swan-sqlengine --test crash_sim
 echo "== golden SQL suite @ 1 and 8 threads, index scans + build-once subqueries and columnar on and off =="
 cargo test -q -p swan-sqlengine --test slt
 
-echo "== binary row + column codec round-trip properties =="
+echo "== binary row codec round-trip properties =="
 cargo test -q -p swan-sqlengine --test prop_codec
 
 echo "== cross-session llm_map single-flight =="
@@ -118,6 +124,12 @@ SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test parallel_diff \
     uncorrelated_subquery_executes_once_at_every_thread_count
 SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test sql_e2e \
     subqueries_nested_in_a_correlated_subquery_keep_their_own_state
+
+echo "== cancel cadence + subquery-in-ON join: inline dispatch on a pool worker @ SWAN_LOCKDEP=1 (release) =="
+SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test morsel_dispatch \
+    every_operator_observes_a_fired_token_within_one_morsel_per_worker
+SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test parallel_diff \
+    left_join_on_subquery_reads_any_combined_row_column
 
 echo "== workspace tests @ SWAN_LOCKDEP=1 (release, lock-order validated) =="
 SWAN_LOCKDEP=1 cargo test --workspace -q --release
