@@ -159,7 +159,7 @@ pub fn expansion_key_rows(
         .collect();
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
-    for row in &table.rows {
+    for row in table.rows() {
         let rendered: Vec<String> = idx.iter().map(|&i| row[i].render()).collect();
         if rendered.iter().any(String::is_empty) {
             continue; // NULL keys cannot anchor a PK-FK relationship (§3.4).
@@ -352,8 +352,8 @@ mod tests {
         let run = materialize(&domain, &RowEcho(UsageMeter::new()), &HqdlConfig::default());
         let t = run.database.catalog().get("llm_agent").unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.rows[0][0], Value::text("007"), "key keeps Text storage class");
-        assert_eq!(t.rows[1][0], Value::text("8"));
+        assert_eq!(t.rows()[0][0], Value::text("007"), "key keeps Text storage class");
+        assert_eq!(t.rows()[1][0], Value::text("8"));
         let joined = run
             .database
             .query("SELECT COUNT(*) FROM agent a JOIN llm_agent l ON a.code = l.code")
@@ -371,6 +371,6 @@ mod tests {
         let par = materialize(&d, &m2, &HqdlConfig { shots: 1, workers: 4 });
         let a = seq.database.catalog().get("llm_superhero").unwrap();
         let b = par.database.catalog().get("llm_superhero").unwrap();
-        assert_eq!(a.rows, b.rows, "parallelism must not change results");
+        assert_eq!(a.rows(), b.rows(), "parallelism must not change results");
     }
 }

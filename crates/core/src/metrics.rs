@@ -137,7 +137,7 @@ pub fn factuality(domain: &DomainData, materialized: &Database) -> FactualityRep
             .iter()
             .map(|g| g.class == swan_llm::AttrClass::MultiValue)
             .collect();
-        for row in &table.rows {
+        for row in table.rows() {
             let key: Vec<String> = row[..key_len].iter().map(Value::render).collect();
             for (gi, g) in expansion.generated.iter().enumerate() {
                 let generated = row[key_len + gi].render();

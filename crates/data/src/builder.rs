@@ -47,7 +47,7 @@ pub fn distinct_texts(db: &Database, table: &str, column: &str) -> Vec<String> {
     let t = db.catalog().get(table).expect("table exists");
     let idx = t.column_index(column).expect("column exists");
     let mut out: Vec<String> = t
-        .rows
+        .rows()
         .iter()
         .filter_map(|r| r[idx].as_str().map(str::to_string))
         .collect();

@@ -781,7 +781,7 @@ mod tests {
         let pid = pa.column_index("player_id").unwrap();
         let foot = pa.column_index("preferred_foot").unwrap();
         let mut by_player: std::collections::HashMap<i64, String> = Default::default();
-        for row in &pa.rows {
+        for row in pa.rows() {
             let id = row[pid].as_i64().unwrap();
             let f = row[foot].render();
             let prev = by_player.entry(id).or_insert_with(|| f.clone());

@@ -429,7 +429,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
                     .catalog()
                     .get("circuits")
                     .unwrap()
-                    .rows[i][1]
+                    .rows()[i][1]
                     .render()
             })
             .collect(),
@@ -907,7 +907,7 @@ mod tests {
         let f = t.column_index("forename").unwrap();
         let l = t.column_index("surname").unwrap();
         let mut seen = std::collections::HashSet::new();
-        for row in &t.rows {
+        for row in t.rows() {
             assert!(seen.insert((row[f].render(), row[l].render())));
         }
     }
@@ -927,7 +927,7 @@ mod tests {
         let race_i = t.column_index("race_id").unwrap();
         let pos_i = t.column_index("position").unwrap();
         let mut first_race: Vec<i64> = t
-            .rows
+            .rows()
             .iter()
             .filter(|r| r[race_i] == Value::Integer(1))
             .map(|r| r[pos_i].as_i64().unwrap())

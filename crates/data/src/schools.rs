@@ -782,7 +782,7 @@ mod tests {
         let d = small();
         let t = d.original.catalog().get("schools").unwrap();
         let w = t.column_index("website").unwrap();
-        for row in &t.rows {
+        for row in t.rows() {
             let site = row[w].render();
             assert!(site.starts_with("www.") && site.ends_with(".edu"), "{site}");
         }
@@ -801,13 +801,13 @@ mod tests {
             .unwrap();
         let name_i = schools.column_index("school_name").unwrap();
         let row_idx = schools
-            .rows
+            .rows()
             .iter()
             .position(|r| r[name_i].render() == best_key[0])
             .unwrap();
         let math_i = sats.column_index("avg_scr_math").unwrap();
-        let best_math = sats.rows[row_idx][math_i].as_f64().unwrap();
-        let avg: f64 = sats.rows.iter().map(|r| r[math_i].as_f64().unwrap()).sum::<f64>()
+        let best_math = sats.rows()[row_idx][math_i].as_f64().unwrap();
+        let avg: f64 = sats.rows().iter().map(|r| r[math_i].as_f64().unwrap()).sum::<f64>()
             / sats.len() as f64;
         assert!(best_math > avg, "most popular school ({best_math}) above average ({avg})");
     }

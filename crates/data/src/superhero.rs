@@ -726,7 +726,7 @@ mod tests {
         let hn = t.column_index("superhero_name").unwrap();
         let fnm = t.column_index("full_name").unwrap();
         let mut seen = std::collections::HashSet::new();
-        for row in &t.rows {
+        for row in t.rows() {
             let k = (row[hn].render(), row[fnm].render());
             assert!(!k.0.is_empty() && !k.1.is_empty());
             assert!(seen.insert(k), "duplicate key");
@@ -754,7 +754,7 @@ mod tests {
         let b = generate(&GenConfig::with_scale(0.05));
         let ta = a.original.catalog().get("superhero").unwrap();
         let tb = b.original.catalog().get("superhero").unwrap();
-        assert_eq!(ta.rows, tb.rows);
+        assert_eq!(ta.rows(), tb.rows());
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   columns that are not type-stable.
 //! * [`ColumnVec`] — a column plus its validity [`Bitmap`] (`1` = non-NULL).
 //! * [`ColumnSet`] — all columns of one table, built once from the row
-//!   store by [`ColumnSet::from_rows`] and cached on [`crate::storage::Table`].
+//!   store by [`ColumnSet::from_rows`], cached on [`crate::storage::Table`]
+//!   and from then on *maintained* by its writers: an UPDATE overwrites the
+//!   cells it changed, an INSERT appends, each column copy-on-write behind
+//!   its own `Arc`.
 //!
 //! On top of the layout sit the kernels:
 //!
@@ -111,6 +114,17 @@ impl Bitmap {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// Append one bit.
+    pub fn push(&mut self, v: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        if v {
+            self.set(self.len - 1, true);
+        }
+    }
 }
 
 // ---- typed columns ---------------------------------------------------------
@@ -129,36 +143,38 @@ pub enum ColumnData {
     Bool(Bitmap),
     /// Every non-NULL cell is `Value::Text`. `dict` holds one shared
     /// `Arc<str>` per distinct string (re-sharing the first row's `Arc`);
-    /// `ids[i]` indexes into it.
-    Text { dict: Vec<Arc<str>>, ids: Vec<u32> },
+    /// `ids[i]` indexes into it. `index` is the reverse map, keyed by
+    /// `text_hash` so that copying it with the column is a flat copy
+    /// (a probe is confirmed against `dict`): absent on a freshly
+    /// transposed column — a table that is only read never pays for it —
+    /// built by the first in-place write and carried from then on.
+    /// In-place writes may leave entries no row references; they are
+    /// harmless to every kernel (each works per referenced id) and
+    /// bounded by `DICT_DEAD_FACTOR`.
+    Text { dict: Vec<Arc<str>>, ids: Vec<u32>, index: Option<HashMap<u64, u32>> },
     /// Type-unstable column: the row values verbatim. Kernels decline
     /// mixed columns and the caller falls back to the row path.
     Mixed(Vec<Value>),
 }
 
-/// Strict per-variant equality: reals compare by bit pattern so NaN
-/// payloads and `-0.0` round-trips are checked exactly, and `Integer(1)`
-/// never equals `Real(1.0)` (unlike `Value`'s sort-order `PartialEq`).
-impl PartialEq for ColumnData {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (ColumnData::I64(a), ColumnData::I64(b)) => a == b,
-            (ColumnData::F64(a), ColumnData::F64(b)) => {
-                a.len() == b.len()
-                    && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            }
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => a == b,
-            (ColumnData::Text { dict: da, ids: ia }, ColumnData::Text { dict: db, ids: ib }) => {
-                da == db && ia == ib
-            }
-            (ColumnData::Mixed(a), ColumnData::Mixed(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| value_bits_eq(x, y))
-            }
-            _ => false,
-        }
-    }
+/// A text dictionary may grow to this many times its column's length
+/// (plus a small constant) through in-place writes before the writer
+/// declines and the column set is rebuilt, compact, on next use.
+const DICT_DEAD_FACTOR: usize = 2;
+
+/// The key of a text column's reverse dictionary map. Two strings that
+/// collide merely share a slot: the later one owns it and the earlier is
+/// appended again if it is ever written again, a dead entry like any other.
+fn text_hash(s: &str) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    s.hash(&mut h);
+    h.finish()
 }
 
+/// Exact cell identity — reals by bit pattern, `Integer(1)` never equal to
+/// `Real(1.0)` (unlike `Value`'s sort-order `PartialEq`): whether an
+/// UPDATE changed a cell as far as a typed column can tell.
 fn value_bits_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Null, Value::Null) => true,
@@ -170,18 +186,28 @@ fn value_bits_eq(a: &Value, b: &Value) -> bool {
 }
 
 /// One column: typed payload plus validity bitmap (`1` = non-NULL).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ColumnVec {
     pub data: ColumnData,
     pub validity: Bitmap,
 }
 
 /// All columns of one table, column-major. Built from the row store by
-/// [`ColumnSet::from_rows`] and cached on `Table` (invalidated by every
-/// mutation).
-#[derive(Debug, Clone, PartialEq)]
+/// [`ColumnSet::from_rows`], cached on `Table` and carried from one table
+/// version to the next: `ColumnSet::patch_row` and
+/// `ColumnSet::push_row` keep it equal — cell for cell, under
+/// `value_at` / `group_key_at` / `join_key_at` and every kernel — to a
+/// fresh transpose of the new rows, though not always structurally (an
+/// `I64` column stays `I64` where a rebuild would now say `Bool`). Each
+/// column sits behind its own `Arc` and is written through
+/// [`Arc::make_mut`]: a write copies only the columns it changes, and
+/// only while another table version or a running scan still holds them,
+/// so no reader ever observes a patch. A write a column's class cannot
+/// represent is declined, and the owner drops the whole set to be rebuilt
+/// on next use.
+#[derive(Debug, Clone)]
 pub struct ColumnSet {
-    pub columns: Vec<ColumnVec>,
+    pub columns: Vec<Arc<ColumnVec>>,
     len: usize,
 }
 
@@ -195,8 +221,30 @@ impl ColumnSet {
     /// all-zero validity bitmap.
     pub fn from_rows(rows: &[Row], width: usize) -> ColumnSet {
         let len = rows.len();
-        let columns = (0..width).map(|j| build_column(rows, j, len)).collect();
+        let columns = (0..width).map(|j| Arc::new(build_column(rows, j, len))).collect();
         ColumnSet { columns, len }
+    }
+
+    /// Overwrite row `i`: every cell that differs between `old` and `new`
+    /// is written into its column. Returns `false` when some column
+    /// declines (see [`ColumnVec::set`]); the set is then stale and the
+    /// caller must drop it.
+    pub(crate) fn patch_row(&mut self, i: usize, old: &[Value], new: &[Value]) -> bool {
+        if i >= self.len || old.len() != self.columns.len() || new.len() != old.len() {
+            return false;
+        }
+        self.columns.iter_mut().zip(old.iter().zip(new)).all(|(col, (old, new))| {
+            value_bits_eq(old, new) || Arc::make_mut(col).set(i, new)
+        })
+    }
+
+    /// Append one row, under the same contract as [`Self::patch_row`].
+    pub(crate) fn push_row(&mut self, row: &[Value]) -> bool {
+        if row.len() != self.columns.len() {
+            return false;
+        }
+        self.len += 1;
+        self.columns.iter_mut().zip(row).all(|(col, v)| Arc::make_mut(col).push(v))
     }
 
     /// Number of rows.
@@ -211,6 +259,11 @@ impl ColumnSet {
     /// Number of columns.
     pub fn width(&self) -> usize {
         self.columns.len()
+    }
+
+    /// Column `j`, if the set has one.
+    pub fn column(&self, j: usize) -> Option<&ColumnVec> {
+        self.columns.get(j).map(|c| &**c)
     }
 
     /// Rebuild row `i` as a shared row — the lazy view at the engine
@@ -303,7 +356,7 @@ fn build_column(rows: &[Row], j: usize, len: usize) -> ColumnVec {
                 ids[i] = id;
             }
         }
-        return ColumnVec { data: ColumnData::Text { dict, ids }, validity };
+        return ColumnVec { data: ColumnData::Text { dict, ids, index: None }, validity };
     }
 
     let mut vals = vec![Value::Null; len];
@@ -320,6 +373,54 @@ fn build_column(rows: &[Row], j: usize, len: usize) -> ColumnVec {
 }
 
 impl ColumnVec {
+    /// Overwrite cell `i` in place when this column's class can hold `v`:
+    /// `I64` and `F64` take their own type, `Bool` takes 0/1, `Text` takes
+    /// text (through the dictionary: one hash probe, a fresh string
+    /// appended), `Mixed` takes anything, and every class takes NULL.
+    /// Returns `false`, having changed nothing that matters, when it
+    /// cannot — or when a text dictionary has outgrown its bound.
+    fn set(&mut self, i: usize, v: &Value) -> bool {
+        match (&mut self.data, v) {
+            (ColumnData::Mixed(vals), _) => vals[i] = v.clone(),
+            (_, Value::Null) => {}
+            (ColumnData::I64(vals), Value::Integer(x)) => vals[i] = *x,
+            (ColumnData::F64(vals), Value::Real(x)) => vals[i] = *x,
+            (ColumnData::Bool(bits), Value::Integer(x @ (0 | 1))) => bits.set(i, *x == 1),
+            (ColumnData::Text { dict, ids, index }, Value::Text(s)) => {
+                let index = index.get_or_insert_with(|| {
+                    dict.iter().enumerate().map(|(id, s)| (text_hash(s), id as u32)).collect()
+                });
+                let hash = text_hash(s);
+                ids[i] = match index.get(&hash) {
+                    Some(&id) if dict[id as usize] == *s => id,
+                    _ if dict.len() >= DICT_DEAD_FACTOR * ids.len() + 16 => return false,
+                    _ => {
+                        let id = dict.len() as u32;
+                        dict.push(s.clone());
+                        index.insert(hash, id);
+                        id
+                    }
+                };
+            }
+            _ => return false,
+        }
+        self.validity.set(i, !v.is_null());
+        true
+    }
+
+    /// Append one cell: a placeholder slot, then [`Self::set`].
+    fn push(&mut self, v: &Value) -> bool {
+        self.validity.push(false);
+        match &mut self.data {
+            ColumnData::I64(vals) => vals.push(0),
+            ColumnData::F64(vals) => vals.push(0.0),
+            ColumnData::Bool(bits) => bits.push(false),
+            ColumnData::Text { ids, .. } => ids.push(0),
+            ColumnData::Mixed(vals) => vals.push(Value::Null),
+        }
+        self.set(self.validity.len() - 1, v)
+    }
+
     /// The cell at row `i` as a `Value` (bit-identical to the source row).
     pub fn value_at(&self, i: usize) -> Value {
         if !self.validity.get(i) {
@@ -329,7 +430,7 @@ impl ColumnVec {
             ColumnData::I64(v) => Value::Integer(v[i]),
             ColumnData::F64(v) => Value::Real(v[i]),
             ColumnData::Bool(b) => Value::Integer(b.get(i) as i64),
-            ColumnData::Text { dict, ids } => Value::Text(dict[ids[i] as usize].clone()),
+            ColumnData::Text { dict, ids, .. } => Value::Text(dict[ids[i] as usize].clone()),
             ColumnData::Mixed(v) => v[i].clone(),
         }
     }
@@ -351,7 +452,7 @@ impl ColumnVec {
                 GroupKey::Num(bits)
             }
             ColumnData::Bool(b) => GroupKey::Num((b.get(i) as i64 as f64).to_bits()),
-            ColumnData::Text { dict, ids } => GroupKey::Text(dict[ids[i] as usize].clone()),
+            ColumnData::Text { dict, ids, .. } => GroupKey::Text(dict[ids[i] as usize].clone()),
             ColumnData::Mixed(v) => v[i].group_key(),
         }
     }
@@ -374,7 +475,7 @@ impl ColumnVec {
                 GroupKey::Num(bits)
             }
             ColumnData::Bool(b) => GroupKey::Num((b.get(i) as i64 as f64).to_bits()),
-            ColumnData::Text { dict, ids } => GroupKey::Text(dict[ids[i] as usize].clone()),
+            ColumnData::Text { dict, ids, .. } => GroupKey::Text(dict[ids[i] as usize].clone()),
             ColumnData::Mixed(v) => match v[i].group_key() {
                 GroupKey::Null => return None,
                 k => k,
@@ -552,7 +653,7 @@ impl<'a> Operand<'a> {
                     ColumnData::I64(v) => Cell::Num(v[i] as f64),
                     ColumnData::F64(v) => Cell::Num(v[i]),
                     ColumnData::Bool(b) => Cell::Num(b.get(i) as i64 as f64),
-                    ColumnData::Text { dict, ids } => Cell::Text(&dict[ids[i] as usize]),
+                    ColumnData::Text { dict, ids, .. } => Cell::Text(&dict[ids[i] as usize]),
                     ColumnData::Mixed(v) => value_cell(&v[i]),
                 }
             }
@@ -666,7 +767,7 @@ fn cmp_verdict(op: CmpOp, left: &Operand<'_>, right: &Operand<'_>, len: usize) -
                 }
                 return out;
             }
-            (ColumnData::Text { dict, ids }, lit_cell) => {
+            (ColumnData::Text { dict, ids, .. }, lit_cell) => {
                 // Dictionary LUT: one comparison per distinct string, then
                 // a gather over the ids.
                 let lut: Vec<bool> = dict
@@ -716,7 +817,7 @@ pub fn eval_predicate(expr: &Expr, set: &ColumnSet) -> Option<Verdict> {
             Some(t) => Verdict::broadcast(len, t),
             None => Verdict::unknown(len),
         }),
-        Expr::BoundColumn(i) => Some(col_truthiness(set.columns.get(*i)?, len)),
+        Expr::BoundColumn(i) => Some(col_truthiness(set.column(*i)?, len)),
         Expr::Unary { op: UnaryOp::Not, expr } => Some(eval_predicate(expr, set)?.not()),
         Expr::Binary { op, left, right } => match op {
             BinaryOp::And => {
@@ -826,7 +927,7 @@ fn col_truthiness(col: &ColumnVec, len: usize) -> Verdict {
                 out.known[wi] = valid;
             }
         }
-        ColumnData::Text { dict, ids } => {
+        ColumnData::Text { dict, ids, .. } => {
             let lut: Vec<Option<bool>> = dict
                 .iter()
                 .map(|s| crate::value::parse_text_f64(s).map(|v| v != 0.0))
@@ -892,7 +993,7 @@ fn in_list_verdict(e: &Operand<'_>, items: &[&Value], negated: bool, len: usize)
 fn operand<'a>(expr: &'a Expr, set: &'a ColumnSet) -> Option<Operand<'a>> {
     match expr {
         Expr::Literal(v) => Some(Operand::Lit(v)),
-        Expr::BoundColumn(i) => set.columns.get(*i).map(Operand::Col),
+        Expr::BoundColumn(i) => set.column(*i).map(Operand::Col),
         _ => None,
     }
 }
@@ -949,7 +1050,7 @@ pub fn eval_aggregate(
             Some(agg_i64_by(kind, |i| bits.get(i) as i64, &col.validity, members))
         }
         ColumnData::F64(vals) => Some(agg_f64(kind, vals, &col.validity, members)),
-        ColumnData::Text { dict, ids } => Some(agg_text(kind, dict, ids, &col.validity, members)),
+        ColumnData::Text { dict, ids, .. } => Some(agg_text(kind, dict, ids, &col.validity, members)),
     }
 }
 

@@ -28,12 +28,12 @@ use std::time::Duration;
 
 use swan_pool::{CancelToken, ClockHandle, RealClock};
 
-use crate::ast::{InsertSource, Statement};
+use crate::ast::{Expr, InsertSource, Statement};
 use crate::error::{Error, Result};
-use crate::eval::{eval, RowCtx};
+use crate::eval::{bind_columns, eval, RowCtx};
 use crate::exec::{run_select, ExecCtx, Relation};
 use crate::functions::{ScalarUdf, UdfRegistry};
-use crate::optimizer::OptimizerConfig;
+use crate::optimizer::{pk_bounds, OptimizerConfig};
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::RelSchema;
 use crate::storage::{Catalog, Column, Table};
@@ -347,6 +347,9 @@ impl Database {
             };
             (width, col_map, table.primary_key.clone())
         };
+        if source_rows.is_empty() {
+            return Ok(self.no_rows_written());
+        }
 
         // Statement atomicity: a failure part-way through the batch rolls
         // the appended prefix back — no partial INSERT is ever visible,
@@ -407,43 +410,80 @@ impl Database {
         }
     }
 
-    fn execute_update(&mut self, upd: &crate::ast::Update) -> Result<QueryResult> {
-        // Resolve assignment targets and snapshot the evaluation context.
-        let (schema, assign_idx, pk_cols): (RelSchema, Vec<usize>, Vec<usize>) = {
-            let table = self.catalog.get_required(&upd.table)?;
-            let schema = RelSchema::qualified(&table.name.clone(), table.column_names());
-            let mut idx = Vec::with_capacity(upd.assignments.len());
-            for (col, _) in &upd.assignments {
-                idx.push(table.column_index(col).ok_or_else(|| {
-                    Error::Unresolved(format!("{}.{}", upd.table, col))
-                })?);
-            }
-            (schema, idx, table.primary_key.clone())
+    /// The slots of `table` whose rows satisfy `filter`, ascending —
+    /// where UPDATE and DELETE find their rows. The planner's own
+    /// [`pk_bounds`] turns a filter that pins the primary key into the
+    /// index probe a SELECT would use ([`Table::pk_probe`] answers in
+    /// ascending slot order, so the statement's row order, its write set
+    /// and its WAL bytes are the full scan's); the whole filter — bound once, not
+    /// name-resolved per row — is then evaluated on those candidates
+    /// only. A filter that pins no key, and `index_scan: false` (the
+    /// differential reference, as for SELECT), visit every row.
+    fn matching_slots(
+        &self,
+        table: &Table,
+        schema: &RelSchema,
+        filter: Option<&Expr>,
+    ) -> Result<Vec<usize>> {
+        let Some(filter) = filter else { return Ok((0..table.len()).collect()) };
+        let candidates = if self.settings.optimizer.index_scan {
+            pk_bounds(filter, &table.name, &table.name, &self.catalog)
+                .and_then(|bounds| table.pk_probe(&bounds))
+        } else {
+            None
         };
-
-        // Compute new rows against an immutable snapshot, then swap in.
-        // Untouched rows stay shared; only hit rows are rebuilt.
-        let snapshot = self.catalog.get_required(&upd.table)?.clone();
+        let filter = bind_columns(filter, schema);
         let ctx = self.exec_ctx();
-        let mut new_rows = snapshot.rows.clone();
-        let mut n = 0;
+        let mut hits = Vec::new();
+        let mut visit = |slot: usize| -> Result<()> {
+            let rc = RowCtx::new(schema, &table.rows()[slot]);
+            if eval(&filter, &ctx, Some(&rc))?.truthiness() == Some(true) {
+                hits.push(slot);
+            }
+            Ok(())
+        };
+        match candidates {
+            Some(slots) => slots.into_iter().try_for_each(|i| visit(i as usize))?,
+            None => (0..table.len()).try_for_each(&mut visit)?,
+        }
+        Ok(hits)
+    }
+
+    /// A write statement that matched no row: the catalog is untouched
+    /// (no copy, no version bump), so nothing is installed or logged, and
+    /// the empty write set records nothing in a transaction.
+    fn no_rows_written(&mut self) -> QueryResult {
+        self.stmt_writes = StmtWrites::Rows { keys: Vec::new(), inserted: false, reorder: false };
+        QueryResult::default()
+    }
+
+    fn execute_update(&mut self, upd: &crate::ast::Update) -> Result<QueryResult> {
+        // Compute the new rows against the pre-statement table (so SET
+        // and WHERE subqueries reading it see none of this statement's
+        // writes), then patch them in. The borrow — not an `Arc` clone —
+        // ends before `get_mut`, so a table only this catalog holds is
+        // patched in place rather than copied.
+        let table = self.catalog.get_required(&upd.table)?;
+        let schema = RelSchema::qualified(&table.name, table.column_names());
+        let mut assignments = Vec::with_capacity(upd.assignments.len());
+        for (col, e) in &upd.assignments {
+            let idx = table
+                .column_index(col)
+                .ok_or_else(|| Error::Unresolved(format!("{}.{}", upd.table, col)))?;
+            assignments.push((idx, bind_columns(e, &schema)));
+        }
+        let slots = self.matching_slots(table, &schema, upd.filter.as_ref())?;
+        let pk_cols = &table.primary_key;
+        let ctx = self.exec_ctx();
+        let mut patch: Vec<(usize, Row)> = Vec::with_capacity(slots.len());
         let mut keys: Vec<Vec<Value>> = Vec::new();
         let mut reorder = false;
-        for row in &mut new_rows {
-            let hit = match &upd.filter {
-                None => true,
-                Some(f) => {
-                    let rc = RowCtx::new(&schema, row);
-                    eval(f, &ctx, Some(&rc))?.truthiness() == Some(true)
-                }
-            };
-            if !hit {
-                continue;
-            }
+        for slot in slots {
+            let row = &table.rows()[slot];
+            let rc = RowCtx::new(&schema, row);
             let mut updated = row.to_vec();
-            for ((_, e), &i) in upd.assignments.iter().zip(assign_idx.iter()) {
-                let rc = RowCtx::new(&schema, row);
-                updated[i] = eval(e, &ctx, Some(&rc))?;
+            for (i, e) in &assignments {
+                updated[*i] = eval(e, &ctx, Some(&rc))?;
             }
             if !pk_cols.is_empty() {
                 keys.push(pk_cols.iter().map(|&i| row[i].clone()).collect());
@@ -458,77 +498,38 @@ impl Database {
                     reorder = true;
                 }
             }
-            *row = updated.into();
-            n += 1;
+            patch.push((slot, updated.into()));
         }
         drop(ctx);
-
-        // Rebuild the table to re-validate constraints.
-        let table = self.catalog.get_mut(&upd.table)?;
-        let old_rows = std::mem::take(&mut table.rows);
-        table.clear_rows();
-        for row in new_rows {
-            if let Err(e) = table.insert_shared_row(row) {
-                // Restore on failure. The old rows were valid when taken
-                // out, so re-inserting them cannot fail; if it somehow
-                // does, surface the corruption instead of aborting.
-                table.clear_rows();
-                for r in old_rows {
-                    if let Err(restore) = table.insert_shared_row(r) {
-                        return Err(Error::Internal(format!(
-                            "UPDATE of '{}' failed ({e}) and restoring the \
-                             previously valid rows also failed: {restore}",
-                            upd.table
-                        )));
-                    }
-                }
-                return Err(e);
-            }
+        if patch.is_empty() {
+            return Ok(self.no_rows_written());
         }
-        self.stmt_writes = if pk_cols.is_empty() {
-            StmtWrites::Whole
-        } else {
+        let (n, has_pk) = (patch.len(), !pk_cols.is_empty());
+        self.catalog.get_mut(&upd.table)?.replace_rows(patch)?;
+        self.stmt_writes = if has_pk {
             StmtWrites::Rows { keys, inserted: false, reorder }
+        } else {
+            StmtWrites::Whole
         };
         Ok(QueryResult { rows_affected: n, ..Default::default() })
     }
 
     fn execute_delete(&mut self, del: &crate::ast::Delete) -> Result<QueryResult> {
-        let schema = {
-            let table = self.catalog.get_required(&del.table)?;
-            RelSchema::qualified(&table.name.clone(), table.column_names())
-        };
-        // Evaluate the filter against a snapshot to decide which rows go.
-        let (keep, keys, has_pk): (Vec<bool>, Vec<Vec<Value>>, bool) = {
-            let table = self.catalog.get_required(&del.table)?.clone();
-            let pk_cols = table.primary_key.clone();
-            let ctx = self.exec_ctx();
-            let mut keep = Vec::with_capacity(table.rows.len());
-            let mut keys = Vec::new();
-            for row in &table.rows {
-                let hit = match &del.filter {
-                    None => true,
-                    Some(f) => {
-                        let rc = RowCtx::new(&schema, row);
-                        eval(f, &ctx, Some(&rc))?.truthiness() == Some(true)
-                    }
-                };
-                keep.push(!hit);
-                if hit && !pk_cols.is_empty() {
-                    keys.push(pk_cols.iter().map(|&i| row[i].clone()).collect());
-                }
-            }
-            (keep, keys, !pk_cols.is_empty())
-        };
-        let table = self.catalog.get_mut(&del.table)?;
-        let mut it = keep.iter();
-        let removed = table.retain_rows(|_| *it.next().unwrap_or(&true));
-        self.stmt_writes = if has_pk {
+        let table = self.catalog.get_required(&del.table)?;
+        let schema = RelSchema::qualified(&table.name, table.column_names());
+        let slots = self.matching_slots(table, &schema, del.filter.as_ref())?;
+        if slots.is_empty() {
+            return Ok(self.no_rows_written());
+        }
+        let writes = if table.has_primary_key() {
+            let keys = slots.iter().map(|&s| table.pk_values_of(&table.rows()[s])).collect();
             StmtWrites::Rows { keys, inserted: false, reorder: false }
         } else {
             StmtWrites::Whole
         };
-        Ok(QueryResult { rows_affected: removed, ..Default::default() })
+        self.catalog.get_mut(&del.table)?.remove_rows(&slots)?;
+        self.stmt_writes = writes;
+        Ok(QueryResult { rows_affected: slots.len(), ..Default::default() })
     }
 }
 

@@ -37,7 +37,7 @@ use crate::functions::{is_aggregate, UdfRegistry};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use crate::optimizer::{expr_cost, optimize, NeededCol, OptimizerConfig};
 use crate::plan::{
-    conjoin, plan_from, split_conjuncts, ColRef, IndexBounds, Plan, PlanJoinKind, RelSchema,
+    conjoin, plan_from, split_conjuncts, ColRef, Plan, PlanJoinKind, RelSchema,
 };
 use crate::storage::Catalog;
 use crate::value::{GroupKey, Row, UdfArgKey, Value};
@@ -753,7 +753,7 @@ fn pk_order_prefix(
         }
     }
     let Some(ord) = t.ordered_pk() else { return Ok(None) };
-    let rows: Vec<Row> = ord.iter().take(k).map(|&i| t.rows[i as usize].clone()).collect();
+    let rows: Vec<Row> = ord.iter().take(k).map(|&i| t.rows()[i as usize].clone()).collect();
     Ok(Some(Relation { schema: RelSchema::qualified(qualifier, t.column_names()), rows }))
 }
 
@@ -1019,7 +1019,7 @@ fn run_aggregate(
             bound_keys
                 .iter()
                 .map(|g| match g {
-                    Expr::BoundColumn(i) => ci.set.columns.get(*i),
+                    Expr::BoundColumn(i) => ci.set.column(*i),
                     _ => None,
                 })
                 .collect()
@@ -1310,7 +1310,7 @@ fn compute_aggregate(
         if let (Some(ci), Expr::BoundColumn(j), Some(kind)) =
             (cols, &arg, AggKernel::from_name(&upper))
         {
-            if let Some(col) = ci.set.columns.get(*j) {
+            if let Some(col) = ci.set.column(*j) {
                 let result = match &ci.sel {
                     None => crate::columnar::eval_aggregate(kind, col, members),
                     Some(sel) => {
@@ -1419,7 +1419,7 @@ pub fn exec_plan(
             // deep-copied.
             Ok(Relation {
                 schema: RelSchema::qualified(qualifier, t.column_names()),
-                rows: t.rows.clone(),
+                rows: t.rows().to_vec(),
             })
         }
 
@@ -1428,22 +1428,11 @@ pub fn exec_plan(
             // Emit rows in ascending row order so the output is
             // byte-identical to the full scan the filter above would
             // otherwise read (`pk_range` already sorts its matches).
-            let rows: Vec<Row> = match bounds {
-                IndexBounds::Point { key } => {
-                    t.pk_row_index(key).map(|i| t.rows[i as usize].clone()).into_iter().collect()
-                }
-                IndexBounds::Range { lower, upper } => {
-                    let lo = lower.as_ref().map(|(v, incl)| (v, *incl));
-                    let hi = upper.as_ref().map(|(v, incl)| (v, *incl));
-                    match t.pk_range(lo, hi) {
-                        Some(sel) => {
-                            sel.iter().map(|&i| t.rows[i as usize].clone()).collect()
-                        }
-                        // No primary key (dropped since planning): fall
-                        // back to the full scan the filter expects.
-                        None => t.rows.clone(),
-                    }
-                }
+            let rows: Vec<Row> = match t.pk_probe(bounds) {
+                Some(sel) => sel.iter().map(|&i| t.rows()[i as usize].clone()).collect(),
+                // No primary key (dropped since planning): fall back to
+                // the full scan the filter expects.
+                None => t.rows().to_vec(),
             };
             Ok(Relation { schema: RelSchema::qualified(qualifier, t.column_names()), rows })
         }
@@ -1544,7 +1533,7 @@ fn columnar_filter(
     };
     ctx.check_cancel()?;
     let sel = verdict.selected();
-    let rows = sel.iter().map(|&i| t.rows[i as usize].clone()).collect();
+    let rows = sel.iter().map(|&i| t.rows()[i as usize].clone()).collect();
     Ok(Some((Relation { schema, rows }, ColInput { set, sel: Some(sel) })))
 }
 
@@ -1565,7 +1554,7 @@ fn exec_plan_with_columns(
                 let t = ctx.catalog.get_required(table)?;
                 let rel = Relation {
                     schema: RelSchema::qualified(qualifier, t.column_names()),
-                    rows: t.rows.clone(),
+                    rows: t.rows().to_vec(),
                 };
                 return Ok((rel, Some(ColInput { set: t.column_set(), sel: None })));
             }
@@ -1646,7 +1635,7 @@ impl JoinInput<'_> {
     fn key_column(&self, key: &KeySide) -> Option<&crate::columnar::ColumnVec> {
         match (self.cols(), key) {
             (Some(set), KeySide::Direct(idxs)) => match idxs[..] {
-                [i] => set.columns.get(i),
+                [i] => set.column(i),
                 _ => None,
             },
             _ => None,
@@ -1665,7 +1654,7 @@ fn exec_source<'a>(
             let t = ctx.catalog.get_required(table)?;
             Ok(JoinInput::Borrowed {
                 schema: RelSchema::qualified(qualifier, t.column_names()),
-                rows: &t.rows,
+                rows: t.rows(),
                 cols: ctx.optimizer.columnar.then(|| t.column_set()),
             })
         }

@@ -840,7 +840,9 @@ fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
 /// equality there doubles as an inclusive two-sided bound). Only
 /// conjuncts of the shape `col op literal` / `literal op col` with a
 /// non-NULL literal participate; everything else is left to the filter.
-fn pk_bounds(
+/// UPDATE and DELETE locate their rows with the same function
+/// ([`crate::db`]), so DML and SELECT agree on what pins a key.
+pub(crate) fn pk_bounds(
     predicate: &Expr,
     table: &str,
     qualifier: &str,

@@ -584,7 +584,7 @@ impl Pager {
                         &table.columns,
                         &table.primary_key,
                         table.version,
-                        &table.rows,
+                        table.rows(),
                     )?
                 };
                 st.tables.insert(table.name.clone(), tm);
@@ -710,7 +710,7 @@ impl Pager {
                     &table.columns,
                     &table.primary_key,
                     table.version,
-                    &table.rows,
+                    table.rows(),
                 )?
             };
             st.tables.insert(table.name.clone(), tm);

@@ -1059,6 +1059,64 @@ mod tests {
         assert_eq!(q.scalar(), Some(&Value::Integer(11)));
     }
 
+    /// Regression: `UPDATE`/`DELETE` that matched no row (and an
+    /// `INSERT … SELECT` of nothing) still copied the table, bumped its
+    /// version, logged and fsynced a `Begin·Delta·Commit` group, counted
+    /// as a commit and entered the history — so a concurrent DDL
+    /// transaction aborted over a change that changed nothing.
+    #[test]
+    fn zero_row_statements_commit_nothing() {
+        let fs = crate::vfs::SimFs::new();
+        let db = SharedDb::open_on(Arc::new(fs.clone()), "/db/wal", DurabilityConfig::default())
+            .unwrap();
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+        let observe = || {
+            let table = db.inner.catalog.read().get("t").unwrap().clone();
+            let log_len = fs.file_bytes("/db/wal").map(|b| b.len());
+            (table, fs.op_count(), log_len, db.commit_stats(), db.mvcc_stats())
+        };
+
+        // A DDL transaction is open across all of it.
+        let mut ddl = db.session();
+        ddl.execute("BEGIN").unwrap();
+        ddl.execute("ALTER TABLE t ADD COLUMN w INTEGER").unwrap();
+
+        let before = observe();
+        for sql in [
+            "UPDATE t SET n = 5 WHERE id = 99",
+            "DELETE FROM t WHERE id = 99",
+            "UPDATE t SET n = 5 WHERE n > 1000",
+            "DELETE FROM t WHERE n > 1000",
+            "INSERT INTO t SELECT id + 100, n FROM t WHERE id = 99",
+        ] {
+            assert_eq!(db.execute(sql).unwrap().rows_affected, 0, "{sql}");
+            let after = observe();
+            assert!(Arc::ptr_eq(&before.0, &after.0), "{sql}: the catalog holds the same table");
+            assert_eq!(before.0.version, after.0.version, "{sql}");
+            assert_eq!(
+                (before.1, before.2, before.3, before.4),
+                (after.1, after.2, after.3, after.4),
+                "{sql}: no I/O, no log bytes, no commit, no history entry"
+            );
+        }
+
+        // Inside a transaction: no write-set entry, and COMMIT is silent.
+        let mut session = db.session();
+        session.execute("BEGIN").unwrap();
+        session.execute("UPDATE t SET n = 5 WHERE id = 99").unwrap();
+        session.execute("DELETE FROM t WHERE n > 1000").unwrap();
+        let (txn, working) = session.txn.as_ref().unwrap();
+        assert!(txn.written().is_empty(), "nothing was written: {:?}", txn.written());
+        assert!(Arc::ptr_eq(working.get("t").unwrap(), &before.0));
+        session.execute("COMMIT").unwrap();
+        let after = observe();
+        assert_eq!((before.1, before.2, before.3), (after.1, after.2, after.3));
+
+        ddl.execute("COMMIT").expect("nothing changed under the DDL transaction");
+        assert_eq!(db.query("SELECT w FROM t WHERE id = 1").unwrap().scalar(), Some(&Value::Null));
+    }
+
     #[test]
     fn dropped_table_locks_are_pruned() {
         let db = seeded();

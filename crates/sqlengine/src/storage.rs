@@ -16,6 +16,41 @@
 //! is what the transaction layer's first-committer-wins conflict check
 //! compares at commit time (see [`crate::txn`]).
 //!
+//! # What a write costs
+//!
+//! A table is a flat `Vec<Row>` plus three structures derived from it: the
+//! primary-key hash index, the PK-ordered row permutation and the
+//! column-major [`ColumnSet`](crate::columnar::ColumnSet). All three sit
+//! behind `Arc`s, so the copy [`Catalog::get_mut`] makes when a snapshot
+//! still holds the previous version is one flat pointer copy of the row
+//! vector plus three refcount bumps. From there every mutator **maintains
+//! or drops exactly what it affects** — `get_mut` itself invalidates
+//! nothing:
+//!
+//! * [`Table::replace_rows`] (UPDATE, a row patch's upserts): the PK index
+//!   is touched only when a key moves, the ordered permutation is carried
+//!   unless one does, and the column set has the changed cells patched in
+//!   place — or is dropped when a column's class does not admit a new cell.
+//! * [`Table::insert_shared_row`]: the key is added; the permutation is
+//!   extended when the key sorts last and dropped otherwise; the column
+//!   set has the row appended under the same admission rule.
+//! * [`Table::remove_rows`] (DELETE, a row patch's deletes): keys are
+//!   removed and later slots renumbered in the index and the permutation
+//!   (O(rows), no key re-encoded or re-hashed); the column set is dropped.
+//! * [`Table::truncate_rows`] (INSERT rollback): keys removed, the
+//!   permutation filtered, the column set dropped.
+//! * [`Table::add_column`] / [`Table::drop_column`]: index and permutation
+//!   kept (cleared together with a dropped PK column), column set dropped.
+//!
+//! A dropped structure is rebuilt lazily by its accessor, exactly as a
+//! freshly loaded table builds it. Every in-place change goes through
+//! [`Arc::make_mut`]: a structure still shared with another table version
+//! (or with an executor mid-scan) is copied first, so **a reader holding
+//! the previous `Arc<Table>`, `Arc<ColumnSet>` or column vector can never
+//! observe a patch**. That discipline is why [`Table::rows`] is read-only
+//! outside this module: every row mutation has to come through a mutator
+//! that keeps the derived structures in step.
+//!
 //! # Row codec
 //!
 //! [`encode_table`]/[`decode_table`] (plus the row/value helpers they are
@@ -29,6 +64,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::plan::IndexBounds;
 use crate::value::{GroupKey, Row, Value};
 
 /// Schema + data for one table.
@@ -38,11 +74,15 @@ pub struct Table {
     pub columns: Vec<Column>,
     /// Lowercased column name -> index.
     col_index: HashMap<String, usize>,
-    pub rows: Vec<Row>,
+    /// Read through [`Table::rows`]; written only by this module's
+    /// mutators, which keep the derived structures below in step.
+    rows: Vec<Row>,
     /// Column indexes forming the primary key (may be empty).
     pub primary_key: Vec<usize>,
-    /// Unique index over the primary key columns; maintained on insert.
-    pk_index: HashMap<Vec<GroupKey>, usize>,
+    /// Unique index over the primary key columns: key -> row slot. Shared
+    /// by successive table versions; copied (`Arc::make_mut`) only when a
+    /// key is added, removed or moved while another version holds it.
+    pk_index: Arc<HashMap<Vec<GroupKey>, usize>>,
     /// Monotonic modification counter: bumped every time a writer obtains
     /// copy-on-write access through [`Catalog::get_mut`] and on every
     /// transaction-commit install. Equal (name, version) pairs imply equal
@@ -50,15 +90,19 @@ pub struct Table {
     pub version: u64,
     /// Lazily-built column-major view of `rows`
     /// ([`crate::columnar::ColumnSet`]), shared with every executor that
-    /// scans this table version. Invalidated (`take`) by every row or
-    /// schema mutation; a clone carries the cache along, which stays
-    /// valid because the rows are cloned with it.
+    /// scans this table version and carried into the next one: an UPDATE
+    /// patches the cells it changed and an INSERT appends, copy-on-write
+    /// per column, as long as each column's class admits the new cell.
+    /// Dropped (and rebuilt on next use) otherwise, and by DELETE, INSERT
+    /// rollback and schema changes.
     columnar: std::sync::OnceLock<Arc<crate::columnar::ColumnSet>>,
     /// Lazily-built row permutation sorted by primary-key value
     /// ([`Value::sort_cmp`] lexicographic over the PK columns, ties by
     /// row index). Serves `Plan::IndexScan` range probes and
     /// ORDER-BY-pk-LIMIT early stops without sorting the whole table.
-    /// Same invalidation discipline as `columnar`.
+    /// Carried across versions while no key moves: kept by an UPDATE of
+    /// non-key cells, extended by an INSERT whose key sorts last,
+    /// renumbered by DELETE; dropped by anything else that reorders keys.
     ordered_pk: std::sync::OnceLock<Arc<Vec<u32>>>,
 }
 
@@ -128,24 +172,23 @@ impl Table {
             col_index,
             rows: Vec::new(),
             primary_key,
-            pk_index: HashMap::new(),
+            pk_index: Arc::default(),
             version: 0,
             columnar: std::sync::OnceLock::new(),
             ordered_pk: std::sync::OnceLock::new(),
         })
     }
 
-    /// Drop every derived cache; every row or schema mutation must call
-    /// this before (or immediately after) touching `rows`.
-    fn invalidate_caches(&mut self) {
-        self.columnar.take();
-        self.ordered_pk.take();
+    /// The rows, in insertion order. Read-only: rows change through the
+    /// mutators below, which maintain the derived structures.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
     }
 
     /// The column-major view of this table version, built on first use and
-    /// cached until the next mutation. Executors hold the returned `Arc`
-    /// for the duration of a scan, so a concurrent copy-on-write of the
-    /// table never invalidates a view mid-query.
+    /// then maintained by the row mutators. Executors hold the returned
+    /// `Arc` for the duration of a scan; a later write copies what it
+    /// changes, so it never alters a view mid-query.
     pub fn column_set(&self) -> Arc<crate::columnar::ColumnSet> {
         self.columnar
             .get_or_init(|| {
@@ -184,9 +227,8 @@ impl Table {
         self.insert_shared_row(row.into())
     }
 
-    /// Append an already-shared row (the zero-copy bulk-load path: e.g.
-    /// `INSERT INTO t SELECT ...` re-shares the SELECT's output rows).
-    pub fn insert_shared_row(&mut self, row: Row) -> Result<()> {
+    /// Arity and NOT NULL checks for one incoming row.
+    fn check_row(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(Error::Semantic(format!(
                 "table '{}' expects {} values, got {}",
@@ -195,26 +237,62 @@ impl Table {
                 row.len()
             )));
         }
-        for (i, col) in self.columns.iter().enumerate() {
-            if col.not_null && row[i].is_null() {
+        for (col, v) in self.columns.iter().zip(row) {
+            if col.not_null && v.is_null() {
                 return Err(Error::Constraint(format!(
                     "NOT NULL violated for {}.{}",
                     self.name, col.name
                 )));
             }
         }
+        Ok(())
+    }
+
+    fn duplicate_key(&self) -> Error {
+        Error::Constraint(format!("duplicate primary key in table '{}'", self.name))
+    }
+
+    /// The primary-key identity of a full row (empty without a PK).
+    fn key_of(&self, row: &[Value]) -> Vec<GroupKey> {
+        self.primary_key.iter().map(|&i| row[i].group_key()).collect()
+    }
+
+    /// [`Value::sort_cmp`] over the primary-key cells, lexicographically:
+    /// the order of [`Self::ordered_pk`] before its row-index tie-break.
+    fn pk_cmp(&self, a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+        self.primary_key
+            .iter()
+            .map(|&c| a[c].sort_cmp(&b[c]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+
+    /// Append an already-shared row (the zero-copy bulk-load path: e.g.
+    /// `INSERT INTO t SELECT ...` re-shares the SELECT's output rows).
+    pub fn insert_shared_row(&mut self, row: Row) -> Result<()> {
+        self.check_row(&row)?;
+        let slot = self.rows.len();
         if !self.primary_key.is_empty() {
-            let key: Vec<GroupKey> =
-                self.primary_key.iter().map(|&i| row[i].group_key()).collect();
+            let key = self.key_of(&row);
             if self.pk_index.contains_key(&key) {
-                return Err(Error::Constraint(format!(
-                    "duplicate primary key in table '{}'",
-                    self.name
-                )));
+                return Err(self.duplicate_key());
             }
-            self.pk_index.insert(key, self.rows.len());
+            Arc::make_mut(&mut self.pk_index).insert(key, slot);
+            // The permutation survives an append whose key sorts last
+            // (ties go by row index, and the new row has the highest).
+            let sorts_last = self.ordered_pk.get().is_some_and(|ord| {
+                ord.last().is_none_or(|&l| self.pk_cmp(&self.rows[l as usize], &row).is_le())
+            });
+            match self.ordered_pk.get_mut() {
+                Some(ord) if sorts_last => Arc::make_mut(ord).push(slot as u32),
+                _ => drop(self.ordered_pk.take()),
+            }
         }
-        self.invalidate_caches();
+        if let Some(set) = self.columnar.get_mut() {
+            if !Arc::make_mut(set).push_row(&row) {
+                self.columnar.take();
+            }
+        }
         self.rows.push(row);
         Ok(())
     }
@@ -248,7 +326,7 @@ impl Table {
 
     /// The row permutation sorted by primary-key value (ties by row
     /// index), or `None` for tables without a primary key. Built on
-    /// first use, cached until the next mutation.
+    /// first use, then carried by every mutation that moves no key.
     pub fn ordered_pk(&self) -> Option<Arc<Vec<u32>>> {
         if self.primary_key.is_empty() {
             return None;
@@ -256,14 +334,10 @@ impl Table {
         Some(
             self.ordered_pk
                 .get_or_init(|| {
-                    let pk = &self.primary_key;
                     let mut idx: Vec<u32> = (0..self.rows.len() as u32).collect();
                     idx.sort_unstable_by(|&a, &b| {
-                        let (ra, rb) = (&self.rows[a as usize], &self.rows[b as usize]);
-                        pk.iter()
-                            .map(|&c| ra[c].sort_cmp(&rb[c]))
-                            .find(|o| *o != std::cmp::Ordering::Equal)
-                            .unwrap_or_else(|| a.cmp(&b))
+                        self.pk_cmp(&self.rows[a as usize], &self.rows[b as usize])
+                            .then(a.cmp(&b))
                     });
                     Arc::new(idx)
                 })
@@ -306,6 +380,22 @@ impl Table {
         Some(out)
     }
 
+    /// The slots an index probe admits, ascending: where `Plan::IndexScan`
+    /// reads and where UPDATE / DELETE look for their rows. `None` without
+    /// a primary key — the caller scans.
+    pub fn pk_probe(&self, bounds: &IndexBounds) -> Option<Vec<u32>> {
+        if self.primary_key.is_empty() {
+            return None;
+        }
+        match bounds {
+            IndexBounds::Point { key } => Some(self.pk_row_index(key).into_iter().collect()),
+            IndexBounds::Range { lower, upper } => self.pk_range(
+                lower.as_ref().map(|(v, incl)| (v, *incl)),
+                upper.as_ref().map(|(v, incl)| (v, *incl)),
+            ),
+        }
+    }
+
     /// Add a column to the schema, filling existing rows with NULL
     /// (ALTER TABLE ADD COLUMN).
     pub fn add_column(&mut self, column: Column) -> Result<()> {
@@ -317,7 +407,7 @@ impl Table {
                 "cannot add NOT NULL column to a non-empty table".into(),
             ));
         }
-        self.invalidate_caches();
+        self.columnar.take();
         self.col_index.insert(column.name.to_ascii_lowercase(), self.columns.len());
         self.columns.push(column);
         for row in &mut self.rows {
@@ -330,12 +420,13 @@ impl Table {
     }
 
     /// Drop a column (used by benchmark schema curation). Rebuilds the
-    /// name index and the PK index; dropping a PK column clears the PK.
+    /// name index; dropping a PK column clears the PK and its index,
+    /// any other column leaves keys and slots as they were.
     pub fn drop_column(&mut self, name: &str) -> Result<()> {
         let idx = self
             .column_index(name)
             .ok_or_else(|| Error::NotFound(format!("{}.{}", self.name, name)))?;
-        self.invalidate_caches();
+        self.columnar.take();
         self.columns.remove(idx);
         for row in &mut self.rows {
             let mut narrowed = row.to_vec();
@@ -344,14 +435,14 @@ impl Table {
         }
         if self.primary_key.contains(&idx) {
             self.primary_key.clear();
-            self.pk_index.clear();
+            self.pk_index = Arc::default();
+            self.ordered_pk.take();
         } else {
             for pk in &mut self.primary_key {
                 if *pk > idx {
                     *pk -= 1;
                 }
             }
-            self.rebuild_pk_index();
         }
         self.col_index.clear();
         for (i, c) in self.columns.iter().enumerate() {
@@ -369,45 +460,134 @@ impl Table {
             return;
         }
         if !self.primary_key.is_empty() {
-            let pk = self.primary_key.clone();
-            for row in &self.rows[keep_len..] {
-                let key: Vec<GroupKey> = pk.iter().map(|&c| row[c].group_key()).collect();
-                self.pk_index.remove(&key);
+            let keys: Vec<_> = self.rows[keep_len..].iter().map(|r| self.key_of(r)).collect();
+            let index = Arc::make_mut(&mut self.pk_index);
+            for key in &keys {
+                index.remove(key);
+            }
+            if let Some(ord) = self.ordered_pk.get_mut() {
+                Arc::make_mut(ord).retain(|&i| (i as usize) < keep_len);
             }
         }
-        self.invalidate_caches();
+        self.columnar.take();
         self.rows.truncate(keep_len);
     }
 
-    /// Remove all rows (and the PK index) while keeping the schema.
-    pub fn clear_rows(&mut self) {
-        self.invalidate_caches();
-        self.rows.clear();
-        self.pk_index.clear();
+    /// Replace the rows at the given slots: the one in-place write
+    /// primitive, shared by UPDATE and by [`Self::apply_row_patch`]'s
+    /// upsert half. Work is proportional to the patch, not the table:
+    /// arity and NOT NULL are checked on the incoming rows only, the PK
+    /// index is touched only for rows whose key moves, the ordered
+    /// permutation is carried unless one does, and a present column set is
+    /// patched cell by cell (dropped when a column's class does not admit
+    /// a new cell).
+    ///
+    /// Uniqueness is judged on the **final** state, so a statement may
+    /// shift or swap keys among its own rows (`SET id = id + 1`); a
+    /// collision — with an untouched row or between two incoming rows —
+    /// is [`Error::Constraint`]. Everything is validated before anything
+    /// changes: on any error the table is exactly as it was.
+    pub fn replace_rows(&mut self, patch: Vec<(usize, Row)>) -> Result<()> {
+        for (slot, row) in &patch {
+            if *slot >= self.rows.len() {
+                return Err(Error::Internal(format!(
+                    "row patch for table '{}' names slot {slot} of {}",
+                    self.name,
+                    self.rows.len()
+                )));
+            }
+            self.check_row(row)?;
+        }
+        let mut moves: Vec<(Vec<GroupKey>, Vec<GroupKey>, usize)> = Vec::new();
+        if !self.primary_key.is_empty() {
+            for (slot, row) in &patch {
+                let (old, new) = (self.key_of(&self.rows[*slot]), self.key_of(row));
+                if old != new {
+                    moves.push((old, new, *slot));
+                }
+            }
+        }
+        if !moves.is_empty() {
+            if !patch.windows(2).all(|w| w[0].0 < w[1].0) {
+                // Two moves of one slot would leave two keys on it.
+                return Err(Error::Internal(format!(
+                    "key-moving row patch for table '{}' is not in ascending slot order",
+                    self.name
+                )));
+            }
+            let vacated: HashSet<&Vec<GroupKey>> = moves.iter().map(|m| &m.0).collect();
+            let mut taken: HashSet<&Vec<GroupKey>> = HashSet::with_capacity(moves.len());
+            for (_, new, _) in &moves {
+                let occupied = self.pk_index.contains_key(new) && !vacated.contains(new);
+                if occupied || !taken.insert(new) {
+                    return Err(self.duplicate_key());
+                }
+            }
+            let index = Arc::make_mut(&mut self.pk_index);
+            for (old, _, _) in &moves {
+                index.remove(old);
+            }
+            for (_, new, slot) in moves {
+                index.insert(new, slot);
+            }
+            self.ordered_pk.take();
+        }
+        let mut columnar = self.columnar.take();
+        for (slot, row) in patch {
+            let old = std::mem::replace(&mut self.rows[slot], row);
+            if let Some(set) = &mut columnar {
+                if !Arc::make_mut(set).patch_row(slot, &old, &self.rows[slot]) {
+                    columnar = None;
+                }
+            }
+        }
+        if let Some(set) = columnar {
+            self.columnar = set.into();
+        }
+        Ok(())
     }
 
-    /// Remove rows matching `pred`; returns how many were removed.
-    pub fn retain_rows(&mut self, mut keep: impl FnMut(&[Value]) -> bool) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| keep(r));
-        let removed = before - self.rows.len();
-        if removed > 0 {
-            self.invalidate_caches();
-            self.rebuild_pk_index();
+    /// Remove the rows at `slots` (strictly ascending). Rows after the
+    /// first removed one shift down, so the PK index and the ordered
+    /// permutation are renumbered — O(rows), but no key is re-encoded or
+    /// re-hashed — and the column set is dropped.
+    pub fn remove_rows(&mut self, slots: &[usize]) -> Result<()> {
+        let in_order = slots.windows(2).all(|w| w[0] < w[1]);
+        if !in_order || slots.last().is_some_and(|&s| s >= self.rows.len()) {
+            return Err(Error::Internal(format!(
+                "row removal for table '{}' is not an ascending list of its slots",
+                self.name
+            )));
         }
-        removed
-    }
-
-    fn rebuild_pk_index(&mut self) {
-        self.pk_index.clear();
-        if self.primary_key.is_empty() {
-            return;
+        if slots.is_empty() {
+            return Ok(());
         }
-        let pk = self.primary_key.clone();
-        for (i, row) in self.rows.iter().enumerate() {
-            let key: Vec<GroupKey> = pk.iter().map(|&c| row[c].group_key()).collect();
-            self.pk_index.insert(key, i);
+        let removed = |slot: usize| slots.binary_search(&slot).is_ok();
+        let shifted = |slot: usize| slot - slots.partition_point(|&r| r < slot);
+        if !self.primary_key.is_empty() {
+            let keys: Vec<_> = slots.iter().map(|&s| self.key_of(&self.rows[s])).collect();
+            let index = Arc::make_mut(&mut self.pk_index);
+            for key in &keys {
+                index.remove(key);
+            }
+            for slot in index.values_mut() {
+                *slot = shifted(*slot);
+            }
+            if let Some(ord) = self.ordered_pk.get_mut() {
+                let ord = Arc::make_mut(ord);
+                ord.retain(|&i| !removed(i as usize));
+                for i in ord.iter_mut() {
+                    *i = shifted(*i as usize) as u32;
+                }
+            }
         }
+        self.columnar.take();
+        let mut slot = 0;
+        self.rows.retain(|_| {
+            slot += 1;
+            !removed(slot - 1)
+        });
+        Ok(())
     }
 
     /// True when the table has a primary key — the precondition for
@@ -417,30 +597,22 @@ impl Table {
         !self.primary_key.is_empty()
     }
 
-    /// The hashable primary-key identity of a full row of this table, or
-    /// `None` when the table has no primary key.
-    pub fn pk_key_of(&self, row: &[Value]) -> Option<Vec<GroupKey>> {
-        if self.primary_key.is_empty() {
-            return None;
-        }
-        Some(self.primary_key.iter().map(|&i| row[i].group_key()).collect())
-    }
-
     /// The primary-key cells of a full row (for diagnostics and the WAL's
     /// row-patch delete encoding). Empty when the table has no PK.
     pub fn pk_values_of(&self, row: &[Value]) -> Vec<Value> {
         self.primary_key.iter().map(|&i| row[i].clone()).collect()
     }
 
-    /// True if a row with this primary-key identity exists.
-    pub fn contains_pk_key(&self, key: &[GroupKey]) -> bool {
-        self.pk_index.contains_key(key)
+    /// The slot of the row with this primary-key identity, if any.
+    pub fn pk_slot(&self, key: &[GroupKey]) -> Option<usize> {
+        self.pk_index.get(key).copied()
     }
 
     /// Apply a row-level patch: remove every row whose PK is in
     /// `deletes` (each a tuple of PK cell values), then upsert each row in
-    /// `upserts` in order — replacing in place when the key exists,
-    /// appending otherwise.
+    /// `upserts` in order — replacing in place when the key exists
+    /// ([`Self::replace_rows`], the primitive UPDATE uses), appending
+    /// otherwise. O(patch) unless it deletes.
     ///
     /// This is the **one** definition of patch application: the commit
     /// path uses it to rebase a transaction's rows onto the live table,
@@ -450,24 +622,20 @@ impl Table {
     /// the recovered table are byte-identical by construction, row order
     /// included.
     pub fn apply_row_patch(&mut self, deletes: &[Row], upserts: Vec<Row>) -> Result<()> {
-        self.invalidate_caches();
         if self.primary_key.is_empty() {
             return Err(Error::Internal(format!(
                 "row patch applied to table '{}' without a primary key",
                 self.name
             )));
         }
-        if !deletes.is_empty() {
-            let mut del: HashSet<Vec<GroupKey>> = HashSet::with_capacity(deletes.len());
-            for key_row in deletes {
-                del.insert(key_row.iter().map(Value::group_key).collect());
-            }
-            let pk = self.primary_key.clone();
-            self.retain_rows(|row| {
-                let key: Vec<GroupKey> = pk.iter().map(|&c| row[c].group_key()).collect();
-                !del.contains(&key)
-            });
-        }
+        let mut gone: Vec<usize> =
+            deletes.iter().filter_map(|key| self.pk_row_index(key)).map(|i| i as usize).collect();
+        gone.sort_unstable();
+        gone.dedup();
+        self.remove_rows(&gone)?;
+        // Appends land at once; replacements commute with them (their keys
+        // already exist), so they go through `replace_rows` as one batch.
+        let mut replaced: Vec<(usize, Row)> = Vec::new();
         for row in upserts {
             if row.len() != self.columns.len() {
                 return Err(Error::Internal(format!(
@@ -477,14 +645,12 @@ impl Table {
                     self.columns.len()
                 )));
             }
-            let key: Vec<GroupKey> =
-                self.primary_key.iter().map(|&i| row[i].group_key()).collect();
-            match self.pk_index.get(&key) {
-                Some(&i) => self.rows[i] = row,
+            match self.pk_slot(&self.key_of(&row)) {
+                Some(slot) => replaced.push((slot, row)),
                 None => self.insert_shared_row(row)?,
             }
         }
-        Ok(())
+        self.replace_rows(replaced)
     }
 }
 
@@ -541,7 +707,11 @@ impl Catalog {
     /// Mutable access with copy-on-write semantics. Bumps the table's
     /// [`version`](Table::version): callers take this handle precisely to
     /// mutate, so the versioned identity stays conservative — a bumped
-    /// version never lies about contents being possibly different.
+    /// version never lies about contents being possibly different. The
+    /// copy (made only while a snapshot shares the table) is a flat copy
+    /// of the row pointers; the PK index, ordered permutation and column
+    /// set come along by `Arc` and each [`Table`] mutator maintains or
+    /// drops what it affects.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Table> {
         let arc = self
             .tables
@@ -549,9 +719,6 @@ impl Catalog {
             .ok_or_else(|| Error::NotFound(name.to_string()))?;
         let table = Arc::make_mut(arc);
         table.version += 1;
-        // The caller is about to mutate: drop the columnar cache now so a
-        // stale view can never be served against the modified rows.
-        table.invalidate_caches();
         Ok(table)
     }
 
@@ -912,12 +1079,114 @@ mod tests {
     }
 
     #[test]
-    fn retain_rows_rebuilds_index() {
+    fn remove_rows_renumbers_index() {
         let mut t = hero_table();
-        let removed = t.retain_rows(|r| r[0].as_str() != Some("Batman"));
-        assert_eq!(removed, 1);
+        t.insert_row(vec!["Hulk".into(), "Bruce Banner".into()]).unwrap();
+        t.remove_rows(&[1]).unwrap();
+        assert_eq!(t.len(), 2);
         assert!(t.find_by_pk(&["Batman".into()]).is_none());
-        assert!(t.find_by_pk(&["Spider-Man".into()]).is_some());
+        assert_eq!(t.pk_row_index(&["Spider-Man".into()]), Some(0));
+        assert_eq!(t.pk_row_index(&["Hulk".into()]), Some(1));
+        assert!(t.remove_rows(&[1, 0]).is_err(), "slots must ascend");
+        assert!(t.remove_rows(&[2]).is_err(), "slots must exist");
+        assert_eq!(t.len(), 2, "a refused removal changes nothing");
+    }
+
+    fn numbers(rows: i64) -> Table {
+        let cols = vec![Column::new("id"), Column::new("v"), Column::new("s")];
+        let mut t = Table::new("t", cols, &["id".to_string()]).unwrap();
+        for i in 0..rows {
+            t.insert_row(vec![i.into(), (i * 10).into(), format!("s{}", i % 2).into()]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn replace_rows_judges_uniqueness_on_the_final_state() {
+        let mut t = numbers(4);
+        let shifted = |t: &Table, by: i64| -> Vec<(usize, Row)> {
+            t.rows()
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    let id = r[0].as_i64().unwrap() + by;
+                    (i, Row::from(vec![id.into(), r[1].clone(), r[2].clone()]))
+                })
+                .collect()
+        };
+        // Every key shifts onto its neighbour's old key: fine as a whole.
+        t.replace_rows(shifted(&t, 1)).unwrap();
+        assert_eq!(t.pk_row_index(&[1.into()]), Some(0));
+        assert_eq!(t.pk_row_index(&[4.into()]), Some(3));
+        assert_eq!(t.pk_row_index(&[0.into()]), None);
+
+        // A collision with an untouched row, and one between two incoming
+        // rows, each leave rows, order and index exactly as they were.
+        let before = t.clone();
+        let onto_untouched = vec![(0, Row::from(vec![2.into(), 0.into(), "x".into()]))];
+        assert!(matches!(t.replace_rows(onto_untouched), Err(Error::Constraint(_))));
+        let onto_each_other = vec![
+            (0, Row::from(vec![9.into(), 0.into(), "x".into()])),
+            (1, Row::from(vec![9.into(), 0.into(), "x".into()])),
+        ];
+        assert!(matches!(t.replace_rows(onto_each_other), Err(Error::Constraint(_))));
+        let too_narrow = vec![(0, Row::from(vec![1.into()]))];
+        assert!(t.replace_rows(too_narrow).is_err());
+        assert!(t == before);
+        assert!(Arc::ptr_eq(&t.pk_index, &before.pk_index), "a refused patch copies nothing");
+    }
+
+    #[test]
+    fn a_non_key_update_shares_the_pk_index_and_order_with_its_predecessor() {
+        let mut cat = Catalog::new();
+        cat.create_table(numbers(8)).unwrap();
+        let old = cat.get("t").unwrap().clone();
+        let (old_order, old_cols) = (old.ordered_pk().unwrap(), old.column_set());
+        let row = Row::from(vec![3.into(), 99.into(), "s1".into()]);
+        cat.get_mut("t").unwrap().replace_rows(vec![(3, row)]).unwrap();
+        let new = cat.get("t").unwrap();
+        assert!(Arc::ptr_eq(&old.pk_index, &new.pk_index));
+        assert!(Arc::ptr_eq(&old_order, &new.ordered_pk().unwrap()));
+        // Only `v` changed: its vector is the one column copied, and the
+        // predecessor still reads its own.
+        let new_cols = new.column_set();
+        assert!(Arc::ptr_eq(&old_cols.columns[0], &new_cols.columns[0]));
+        assert!(!Arc::ptr_eq(&old_cols.columns[1], &new_cols.columns[1]));
+        assert!(Arc::ptr_eq(&old_cols.columns[2], &new_cols.columns[2]));
+        assert_eq!(old_cols.columns[1].value_at(3), Value::Integer(30));
+        assert_eq!(new_cols.columns[1].value_at(3), Value::Integer(99));
+
+        // An append whose key sorts last extends the order it carries; one
+        // that does not drops it, and both copy the index they add to.
+        let t = cat.get_mut("t").unwrap();
+        t.insert_row(vec![100.into(), 0.into(), "s0".into()]).unwrap();
+        assert_eq!(t.ordered_pk.get().map(|o| o.len()), Some(9));
+        t.insert_row(vec![50.into(), 0.into(), "s0".into()]).unwrap();
+        assert!(t.ordered_pk.get().is_none());
+        assert_eq!(*t.ordered_pk().unwrap(), vec![0, 1, 2, 3, 4, 5, 6, 7, 9, 8]);
+        assert_eq!(old.pk_index.len(), 8);
+    }
+
+    /// `build_row_patch` probes the slot of each write-set key; it never
+    /// walks the table. The other rows here are too short to hold a key —
+    /// visiting any of them panics.
+    #[test]
+    fn row_patch_for_one_key_visits_one_row() {
+        let mut t = numbers(1);
+        let index = Arc::make_mut(&mut t.pk_index);
+        for i in 1..50usize {
+            t.rows.push(Row::from(Vec::new()));
+            index.insert(vec![Value::Integer(i as i64).group_key()], i);
+        }
+        let key = vec![Value::Integer(0)];
+        let gone = vec![Value::Integer(777)];
+        let keys = HashMap::from([
+            (key.iter().map(Value::group_key).collect(), key),
+            (gone.iter().map(Value::group_key).collect(), gone.clone()),
+        ]);
+        let (deletes, upserts) = crate::txn::build_row_patch(&t, &keys);
+        assert_eq!(deletes, vec![Row::from(gone)]);
+        assert_eq!(upserts, vec![t.rows[0].clone()]);
     }
 
     #[test]

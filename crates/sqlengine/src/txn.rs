@@ -153,8 +153,13 @@ impl Txn {
     }
 
     /// Record that a statement wrote `table`, merging the rows it
-    /// touched into the table's write set.
+    /// touched into the table's write set. A statement that touched no
+    /// row wrote nothing: it leaves no entry, so it can neither conflict
+    /// nor commit.
     pub(crate) fn record_write(&mut self, table: &str, writes: StmtWrites) {
+        if matches!(&writes, StmtWrites::Rows { keys, .. } if keys.is_empty()) {
+            return;
+        }
         let key = table.to_ascii_lowercase();
         match self.write_sets.get_mut(&key) {
             Some(set) => set.merge(writes),
@@ -522,7 +527,9 @@ pub(crate) fn catalog_deltas(
 /// Derive the row patch that turns any base holding the untouched rows
 /// into the write set's final state: `deletes` are the touched keys no
 /// longer present in the working table (as PK cell tuples), `upserts`
-/// are the working table's touched rows in working-table order.
+/// are the working table's touched rows in working-table order. Each key
+/// is one probe of the working table's PK index — the cost is the write
+/// set's, never the table's.
 ///
 /// Deletes are sorted by their encoded form so the WAL bytes for a given
 /// logical commit are deterministic.
@@ -530,25 +537,21 @@ pub(crate) fn build_row_patch(
     working: &Table,
     keys: &HashMap<PkKey, Vec<Value>>,
 ) -> (Vec<Row>, Vec<Row>) {
-    let mut deletes: Vec<Row> = keys
-        .iter()
-        .filter(|(key, _)| !working.contains_pk_key(key))
-        .map(|(_, values)| Row::from(values.clone()))
-        .collect();
-    deletes.sort_by(|a, b| {
-        let (mut ea, mut eb) = (Vec::new(), Vec::new());
-        crate::storage::encode_row(&mut ea, a);
-        crate::storage::encode_row(&mut eb, b);
-        ea.cmp(&eb)
-    });
-    let mut upserts = Vec::new();
-    for row in &working.rows {
-        if let Some(key) = working.pk_key_of(row) {
-            if keys.contains_key(&key) {
-                upserts.push(row.clone());
-            }
+    let mut deletes: Vec<Row> = Vec::new();
+    let mut slots: Vec<usize> = Vec::with_capacity(keys.len());
+    for (key, values) in keys {
+        match working.pk_slot(key) {
+            Some(slot) => slots.push(slot),
+            None => deletes.push(Row::from(values.clone())),
         }
     }
+    deletes.sort_by_cached_key(|row| {
+        let mut encoded = Vec::new();
+        crate::storage::encode_row(&mut encoded, row);
+        encoded
+    });
+    slots.sort_unstable();
+    let upserts = slots.into_iter().map(|slot| working.rows()[slot].clone()).collect();
     (deletes, upserts)
 }
 
@@ -587,7 +590,7 @@ pub(crate) fn wal_delta(
                 if is_pure_append(b, new) {
                     return WalDelta::Append {
                         table: name.to_string(),
-                        rows: new.rows[b.rows.len()..].to_vec(),
+                        rows: new.rows()[b.len()..].to_vec(),
                         new_version: new.version,
                     };
                 }
@@ -611,8 +614,8 @@ pub(crate) fn wal_delta(
 fn is_pure_append(base: &Table, new: &Table) -> bool {
     new.columns == base.columns
         && new.primary_key == base.primary_key
-        && new.rows.len() >= base.rows.len()
-        && base.rows.iter().zip(&new.rows).all(|(a, b)| Arc::ptr_eq(a, b))
+        && new.len() >= base.len()
+        && base.rows().iter().zip(new.rows()).all(|(a, b)| Arc::ptr_eq(a, b))
 }
 
 /// The WAL record group for one committed transaction:
@@ -840,7 +843,7 @@ mod tests {
 
         // Delete row 0: an in-place patch of one delete.
         let mut working = base_cat.clone();
-        working.get_mut("t").unwrap().retain_rows(|r| r[0].as_i64() != Some(0));
+        working.get_mut("t").unwrap().remove_rows(&[0]).unwrap();
         let new = working.get("t").unwrap().clone();
         let ws = WriteSet::from_stmt(rows_writes(&[0]));
         match wal_delta("t", Some(&base), &TableDelta::Put(new.clone()), Some(&ws)) {
@@ -865,7 +868,7 @@ mod tests {
         base_cat.put_table(table(3));
         let base = base_cat.get("t").unwrap().clone();
         let mut working = base_cat.clone();
-        working.get_mut("t").unwrap().retain_rows(|r| r[0].as_i64() != Some(1));
+        working.get_mut("t").unwrap().remove_rows(&[1]).unwrap();
         let new = working.get("t").unwrap().clone();
         let ws = WriteSet::Rows {
             keys: HashMap::from([(
@@ -890,7 +893,7 @@ mod tests {
         let mut working_cat = base_cat.clone();
         {
             let t = working_cat.get_mut("t").unwrap();
-            t.retain_rows(|r| r[0].as_i64() != Some(2)); // delete 2
+            t.remove_rows(&[2]).unwrap(); // delete 2
             t.insert_row(vec![7.into()]).unwrap(); // insert 7
         }
         let working = working_cat.get("t").unwrap().clone();

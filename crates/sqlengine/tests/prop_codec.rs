@@ -97,7 +97,7 @@ proptest! {
 
         // Interning: any two equal text cells decode to the same Arc.
         let mut by_text: Vec<(&str, &Arc<str>)> = Vec::new();
-        for row in &back.rows {
+        for row in back.rows() {
             for v in row.iter() {
                 if let Value::Text(s) = v {
                     match by_text.iter().find(|(t, _)| *t == s.as_ref()) {
@@ -134,7 +134,7 @@ proptest! {
         let mut interner = TextInterner::new();
         let back = decode_table(&buf, &mut pos, &mut interner).expect("decode");
         prop_assert_eq!(pos, buf.len());
-        prop_assert_eq!(back.rows.len(), nrows);
+        prop_assert_eq!(back.len(), nrows);
         prop_assert!(back == t);
     }
 

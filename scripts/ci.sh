@@ -31,12 +31,19 @@
 #      transaction conflict/retry, torn-commit visibility, MVCC
 #      history GC) and the row-level conflict regression suite
 #      (disjoint-PK transactions must not abort), both under
-#      SWAN_LOCKDEP=1, plus the cross-session llm_map single-flight test;
+#      SWAN_LOCKDEP=1, plus the cross-session llm_map single-flight test.
+#      The write path these drive is the in-place patch: every UPDATE /
+#      DELETE, every rebase and every replayed row patch replaces or
+#      removes rows at their slots and carries the table's PK index,
+#      ordered permutation and column vectors into the next version;
 #   4. the WAL crash-recovery harness, all of it on SharedDb — the only
 #      handle that opens a log (torn-tail truncation sweep at every byte
 #      offset of the final commit record group, durable Session
 #      transactions and script spans, auto-checkpoint compaction, and
-#      the fixture written by the removed Database::open handle);
+#      the fixture written by the removed Database::open handle). Replay
+#      patches the recovering catalog's own tables through the same
+#      `apply_row_patch` the commit path installed them with, so the
+#      recovered table must still be byte-identical, row order included;
 #   5. the crash-simulation harness (crates/sqlengine/tests/crash_sim.rs):
 #      a fault — transient error or crash with a configurable torn write —
 #      injected at EVERY SimFs operation index of the commit, checkpoint,
@@ -69,6 +76,11 @@
 #      evaluated on a pool worker dispatches its own SELECT inline,
 #      nested inside that cell) and the cancel-cadence test (the token
 #      fires inside a worker's morsel while its siblings hold theirs).
+#      And the write path's two: the snapshot-isolation / sharing test
+#      (a column vector is copied-on-write under the table-writer lock
+#      while readers hold the previous `Arc`s) and the zero-row-commit
+#      regression (a statement that matched nothing takes the table lock
+#      and must release it having touched neither catalog nor log).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,6 +142,12 @@ SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test morsel_dispatch 
     every_operator_observes_a_fired_token_within_one_morsel_per_worker
 SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test parallel_diff \
     left_join_on_subquery_reads_any_combined_row_column
+
+echo "== in-place write path: snapshot isolation + zero-row commits @ SWAN_LOCKDEP=1 (release) =="
+SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test write_path \
+    snapshots_never_observe_a_patch
+SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --lib \
+    zero_row_statements_commit_nothing
 
 echo "== workspace tests @ SWAN_LOCKDEP=1 (release, lock-order validated) =="
 SWAN_LOCKDEP=1 cargo test --workspace -q --release

@@ -153,7 +153,7 @@ fn curated_is_a_projection_of_original() {
             for col in cur.column_names() {
                 let ci = cur.column_index(&col).unwrap();
                 let oi = orig.column_index(&col).expect("column existed");
-                for (cr, or) in cur.rows.iter().zip(&orig.rows) {
+                for (cr, or) in cur.rows().iter().zip(orig.rows()) {
                     assert_eq!(cr[ci], or[oi], "{name}.{col} value changed");
                 }
             }
