@@ -71,21 +71,39 @@ pub trait KnowledgeBase: Send + Sync {
     fn candidates(&self, db: &str, attribute: &str) -> Vec<String>;
 }
 
+/// What [`StaticKnowledge`] holds about one database. Every map is keyed by
+/// an owned `String` / `Vec<String>` and probed with the borrowed `&str` /
+/// `&[String]` a [`KnowledgeBase`] call hands in, so a probe allocates
+/// nothing.
+#[derive(Debug, Default)]
+struct DbKnowledge {
+    /// attribute → key tuple → ground truth.
+    facts: HashMap<String, HashMap<Vec<String>, KnownValue>>,
+    /// normalized question → attribute.
+    questions: HashMap<String, String>,
+    popularity: HashMap<Vec<String>, f64>,
+    classes: HashMap<String, AttrClass>,
+    candidates: HashMap<String, Vec<String>>,
+}
+
 /// An in-memory [`KnowledgeBase`] built from explicit facts; the benchmark
 /// crates construct one from the original databases, and unit tests build
 /// small ones by hand.
 #[derive(Debug, Default)]
 pub struct StaticKnowledge {
-    facts: HashMap<(String, Vec<String>, String), KnownValue>,
-    questions: HashMap<(String, String), String>,
-    popularity: HashMap<(String, Vec<String>), f64>,
-    classes: HashMap<(String, String), AttrClass>,
-    candidates: HashMap<(String, String), Vec<String>>,
+    dbs: HashMap<String, DbKnowledge>,
 }
 
 impl StaticKnowledge {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn db_mut(&mut self, db: &str) -> &mut DbKnowledge {
+        if !self.dbs.contains_key(db) {
+            self.dbs.insert(db.to_string(), DbKnowledge::default());
+        }
+        self.dbs.get_mut(db).expect("just inserted")
     }
 
     pub fn add_fact(
@@ -95,35 +113,37 @@ impl StaticKnowledge {
         attribute: &str,
         value: KnownValue,
     ) -> &mut Self {
-        self.facts
-            .insert((db.to_string(), key.to_vec(), attribute.to_string()), value);
+        let facts = &mut self.db_mut(db).facts;
+        if !facts.contains_key(attribute) {
+            facts.insert(attribute.to_string(), HashMap::new());
+        }
+        facts.get_mut(attribute).expect("just inserted").insert(key.to_vec(), value);
         self
     }
 
     pub fn add_question(&mut self, db: &str, question: &str, attribute: &str) -> &mut Self {
-        self.questions
-            .insert((db.to_string(), normalize_question(question)), attribute.to_string());
+        self.db_mut(db).questions.insert(normalize_question(question), attribute.to_string());
         self
     }
 
     pub fn set_popularity(&mut self, db: &str, key: &[String], pop: f64) -> &mut Self {
-        self.popularity.insert((db.to_string(), key.to_vec()), pop.clamp(0.0, 1.0));
+        self.db_mut(db).popularity.insert(key.to_vec(), pop.clamp(0.0, 1.0));
         self
     }
 
     pub fn set_class(&mut self, db: &str, attribute: &str, class: AttrClass) -> &mut Self {
-        self.classes.insert((db.to_string(), attribute.to_string()), class);
+        self.db_mut(db).classes.insert(attribute.to_string(), class);
         self
     }
 
     pub fn set_candidates(&mut self, db: &str, attribute: &str, cands: Vec<String>) -> &mut Self {
-        self.candidates.insert((db.to_string(), attribute.to_string()), cands);
+        self.db_mut(db).candidates.insert(attribute.to_string(), cands);
         self
     }
 
     /// Number of stored facts (diagnostics).
     pub fn fact_count(&self) -> usize {
-        self.facts.len()
+        self.dbs.values().flat_map(|d| d.facts.values()).map(HashMap::len).sum()
     }
 }
 
@@ -155,36 +175,27 @@ pub fn normalize_question(q: &str) -> String {
 
 impl KnowledgeBase for StaticKnowledge {
     fn lookup(&self, db: &str, key: &[String], attribute: &str) -> Option<KnownValue> {
-        self.facts
-            .get(&(db.to_string(), key.to_vec(), attribute.to_string()))
-            .cloned()
+        self.dbs.get(db)?.facts.get(attribute)?.get(key).cloned()
     }
 
     fn resolve_question(&self, db: &str, question: &str) -> Option<String> {
-        self.questions
-            .get(&(db.to_string(), normalize_question(question)))
-            .cloned()
+        self.dbs.get(db)?.questions.get(&normalize_question(question)).cloned()
     }
 
     fn popularity(&self, db: &str, key: &[String]) -> f64 {
-        self.popularity
-            .get(&(db.to_string(), key.to_vec()))
-            .copied()
-            .unwrap_or(0.5)
+        self.dbs.get(db).and_then(|d| d.popularity.get(key)).copied().unwrap_or(0.5)
     }
 
     fn attribute_class(&self, db: &str, attribute: &str) -> AttrClass {
-        self.classes
-            .get(&(db.to_string(), attribute.to_string()))
+        self.dbs
+            .get(db)
+            .and_then(|d| d.classes.get(attribute))
             .copied()
             .unwrap_or(AttrClass::FreeForm)
     }
 
     fn candidates(&self, db: &str, attribute: &str) -> Vec<String> {
-        self.candidates
-            .get(&(db.to_string(), attribute.to_string()))
-            .cloned()
-            .unwrap_or_default()
+        self.dbs.get(db).and_then(|d| d.candidates.get(attribute)).cloned().unwrap_or_default()
     }
 }
 

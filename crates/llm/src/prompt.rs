@@ -38,8 +38,31 @@ pub fn render_row(fields: &[Field]) -> String {
 
 /// Render a row of plain values.
 pub fn render_value_row(values: &[String]) -> String {
-    let fields: Vec<Field> = values.iter().map(|v| Field::Value(v.clone())).collect();
-    render_row(&fields)
+    let mut s = String::new();
+    push_quoted_row(&mut s, values);
+    s
+}
+
+/// Append `'v'` (single quotes doubled) to `out`.
+fn push_quoted(out: &mut String, v: &str) {
+    out.push('\'');
+    for (i, part) in v.split('\'').enumerate() {
+        if i > 0 {
+            out.push_str("''");
+        }
+        out.push_str(part);
+    }
+    out.push('\'');
+}
+
+/// Append a row of plain values, `'a', 'b''c'`, to `out`.
+fn push_quoted_row<S: AsRef<str>>(out: &mut String, values: &[S]) {
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_quoted(out, v.as_ref());
+    }
 }
 
 /// Parse a quoted row. Tolerates unquoted bare fields (LLM sloppiness),
@@ -301,29 +324,60 @@ pub struct UdfPrompt {
 }
 
 impl UdfPrompt {
+    /// The prompt text: [`render_head`](Self::render_head) followed by
+    /// [`push_keys`](Self::push_keys) — the one definition of its bytes.
     pub fn render(&self) -> String {
+        let mut s =
+            Self::render_head(&self.db, &self.question, self.value_list.as_deref(), &self.examples);
+        Self::push_keys(&mut s, &self.keys);
+        s
+    }
+
+    /// Everything up to and including the `Keys:` line — the part every
+    /// chunk of one question's keys shares byte for byte, so a caller with
+    /// many chunks renders it once and appends each chunk's keys to a copy.
+    pub fn render_head(
+        db: &str,
+        question: &str,
+        value_list: Option<&[String]>,
+        examples: &[UdfExample],
+    ) -> String {
         let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "You are answering a question about entities in the `{}` database.\n",
-            self.db
-        ));
-        s.push_str(&format!("Question: {}\n", self.question));
-        s.push_str("Answer with exactly one value per key line, in order, with no explanation.\n");
-        if let Some(values) = &self.value_list {
-            let vals: Vec<String> =
-                values.iter().map(|v| format!("'{}'", v.replace('\'', "''"))).collect();
-            s.push_str(&format!("The possible values are [{}].\n", vals.join(", ")));
+        s.push_str("You are answering a question about entities in the `");
+        s.push_str(db);
+        s.push_str("` database.\nQuestion: ");
+        s.push_str(question);
+        s.push_str(
+            "\nAnswer with exactly one value per key line, in order, with no explanation.\n",
+        );
+        if let Some(values) = value_list {
+            s.push_str("The possible values are [");
+            push_quoted_row(&mut s, values);
+            s.push_str("].\n");
         }
-        for ex in &self.examples {
-            s.push_str(&format!("Example Key: {}\n", render_value_row(&ex.key)));
-            s.push_str(&format!("Example Answer: '{}'\n", ex.answer.replace('\'', "''")));
+        for ex in examples {
+            s.push_str("Example Key: ");
+            push_quoted_row(&mut s, &ex.key);
+            s.push_str("\nExample Answer: ");
+            push_quoted(&mut s, &ex.answer);
+            s.push('\n');
         }
         s.push_str("Keys:\n");
-        for k in &self.keys {
-            s.push_str(&format!("{}\n", render_value_row(k)));
-        }
-        s.push_str("Answer:");
         s
+    }
+
+    /// Append one line per key tuple and the closing `Answer:` to a
+    /// rendered head.
+    pub fn push_keys<K, S>(out: &mut String, keys: impl IntoIterator<Item = K>)
+    where
+        K: AsRef<[S]>,
+        S: AsRef<str>,
+    {
+        for key in keys {
+            push_quoted_row(out, key.as_ref());
+            out.push('\n');
+        }
+        out.push_str("Answer:");
     }
 
     pub fn parse(text: &str) -> LlmResult<UdfPrompt> {
@@ -541,6 +595,79 @@ mod tests {
         p.keys = vec![vec!["Spider-Man".into(), "Peter Parker".into()]];
         let back = UdfPrompt::parse(&p.render()).unwrap();
         assert_eq!(back.keys[0], vec!["Spider-Man".to_string(), "Peter Parker".to_string()]);
+    }
+
+    /// `UdfPrompt::render` as it read before it was split into
+    /// `render_head` + `push_keys`: the reference for the prompt's bytes.
+    fn reference_render(p: &UdfPrompt) -> String {
+        let mut s = String::with_capacity(256);
+        s.push_str(&format!(
+            "You are answering a question about entities in the `{}` database.\n",
+            p.db
+        ));
+        s.push_str(&format!("Question: {}\n", p.question));
+        s.push_str("Answer with exactly one value per key line, in order, with no explanation.\n");
+        if let Some(values) = &p.value_list {
+            let vals: Vec<String> =
+                values.iter().map(|v| format!("'{}'", v.replace('\'', "''"))).collect();
+            s.push_str(&format!("The possible values are [{}].\n", vals.join(", ")));
+        }
+        for ex in &p.examples {
+            let key: Vec<Field> = ex.key.iter().map(|k| Field::Value(k.clone())).collect();
+            s.push_str(&format!("Example Key: {}\n", render_row(&key)));
+            s.push_str(&format!("Example Answer: '{}'\n", ex.answer.replace('\'', "''")));
+        }
+        s.push_str("Keys:\n");
+        for k in &p.keys {
+            let key: Vec<Field> = k.iter().map(|k| Field::Value(k.clone())).collect();
+            s.push_str(&format!("{}\n", render_row(&key)));
+        }
+        s.push_str("Answer:");
+        s
+    }
+
+    /// Cell text with everything the quoting has to survive: quotes,
+    /// commas, leading and trailing spaces, non-ASCII, the empty string.
+    const CELL: &str = "[ a-zA-Z0-9',.?é—漢-]{0,10}";
+
+    proptest::proptest! {
+        /// The head rendered once plus each chunk's keys is, byte for byte,
+        /// what `render()` always produced, and parses back to its inputs.
+        #[test]
+        fn head_plus_keys_is_the_prompt(
+            db in "[a-z_0-9]{1,12}",
+            question in "\\[q[0-9]{2}\\] [A-Za-z0-9?', é—]{1,40}",
+            list_kind in 0usize..3,
+            values in proptest::collection::vec(CELL, 1..5),
+            examples in proptest::collection::vec(
+                (proptest::collection::vec(CELL, 1..3), CELL),
+                0..4,
+            ),
+            keys in proptest::collection::vec(proptest::collection::vec(CELL, 1..4), 1..7),
+        ) {
+            let question = question.trim().to_string();
+            proptest::prop_assume!(!question.is_empty());
+            let p = UdfPrompt {
+                db,
+                question,
+                value_list: match list_kind {
+                    0 => None,
+                    1 => Some(Vec::new()),
+                    _ => Some(values),
+                },
+                examples: examples
+                    .into_iter()
+                    .map(|(key, answer)| UdfExample { key, answer })
+                    .collect(),
+                keys,
+            };
+            let mut text =
+                UdfPrompt::render_head(&p.db, &p.question, p.value_list.as_deref(), &p.examples);
+            UdfPrompt::push_keys(&mut text, &p.keys);
+            proptest::prop_assert_eq!(&text, &reference_render(&p));
+            proptest::prop_assert_eq!(&text, &p.render());
+            proptest::prop_assert_eq!(UdfPrompt::parse(&text).unwrap(), p);
+        }
     }
 
     #[test]

@@ -113,38 +113,39 @@ impl SimulatedModel {
     fn answer_udf(&self, p: &UdfPrompt) -> String {
         let shots = p.examples.len();
         let batch = p.keys.len();
-        let attribute = self.kb.resolve_question(&p.db, &p.question);
+        // The question's attribute, its class and the candidate pool are
+        // the same for every key of the prompt: resolve them once.
+        let attribute = self.kb.resolve_question(&p.db, &p.question).map(|attr| {
+            let class = match (self.kb.attribute_class(&p.db, &attr), &p.value_list) {
+                (AttrClass::MultiValue, _) => AttrClass::MultiValue,
+                (_, Some(_)) => AttrClass::ValueSelection,
+                (class, None) => class,
+            };
+            let candidates = match &p.value_list {
+                Some(values) => std::borrow::Cow::Borrowed(values.as_slice()),
+                None => std::borrow::Cow::Owned(self.kb.candidates(&p.db, &attr)),
+            };
+            (attr, class, candidates)
+        });
         let mut lines = Vec::with_capacity(batch);
         for key in &p.keys {
             let line = match &attribute {
                 None => "unknown".to_string(),
-                Some(attr) => {
-                    let class = if p.value_list.is_some() {
-                        match self.kb.attribute_class(&p.db, attr) {
-                            AttrClass::MultiValue => AttrClass::MultiValue,
-                            _ => AttrClass::ValueSelection,
-                        }
-                    } else {
-                        self.kb.attribute_class(&p.db, attr)
-                    };
+                Some((attr, class, candidates)) => {
                     let ctx = CellContext {
                         model: self.kind,
                         db: &p.db,
                         key,
                         attribute: attr,
                         shots,
-                        class,
+                        class: *class,
                         popularity: self.kb.popularity(&p.db, key),
                         batch_size: batch,
                         pathway: Pathway::Udf,
                         key_hint: false,
                     };
-                    let candidates = p
-                        .value_list
-                        .clone()
-                        .unwrap_or_else(|| self.kb.candidates(&p.db, attr));
                     let truth = self.kb.lookup(&p.db, key, attr);
-                    self.emit_cell(&ctx, truth.as_ref(), &candidates)
+                    self.emit_cell(&ctx, truth.as_ref(), candidates)
                 }
             };
             lines.push(format!("'{}'", line.replace('\'', "''")));

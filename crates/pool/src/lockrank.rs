@@ -68,12 +68,10 @@ pub const MVCC_HISTORY: u32 = 56;
 /// Per-query scalar-subquery memo cache (`exec::SubqueryCache`).
 pub const SUBQUERY_CACHE: u32 = 60;
 
-/// UDF single-flight table (`udf::Shared.in_flight`).
-pub const UDF_FLIGHT: u32 = 70;
-
-/// UDF answer store (`udf::Shared.answers`). The documented order is
-/// `in_flight` then `answers`, never the reverse.
-pub const UDF_ANSWERS: u32 = 71;
+/// The UDF pathway's one lock (`udf::Shared.store`): answers and in-flight
+/// fetches in one map. Taken from statement threads and from pool workers
+/// during fan-out; never held across a model call or a flight wait.
+pub const UDF_STORE: u32 = 71;
 
 /// Circuit-breaker state (`ResilientModel`). Never held across a model
 /// call.

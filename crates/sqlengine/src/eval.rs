@@ -19,15 +19,16 @@
 //!   tested against.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::ast::{BinaryOp, Expr, SelectStmt, UnaryOp};
 use crate::error::{Error, Result};
 use crate::exec::{run_select, ExecCtx, KeyedAggregate, Members, Relation, SubqueryState};
 use crate::functions::{eval_builtin, glob_match, is_aggregate, like_match, ScalarUdf, UdfRegistry};
-use crate::hash::FxHashSet;
+use crate::hash::FxHashMap;
 use crate::plan::RelSchema;
-use crate::value::{UdfArgKey, Value};
+use crate::value::{UdfArgs, Value};
 
 /// One scope of row bindings. `outer` points at the enclosing query's scope
 /// for correlated subqueries.
@@ -108,8 +109,8 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
             if let Some(res) = eval_builtin(name, &vals) {
                 return res;
             }
-            match ctx.udfs.get(name) {
-                Some(udf) => {
+            match ctx.udfs.get_registered(name) {
+                Some((registered, udf)) => {
                     if let Some(n) = udf.arity() {
                         if vals.len() != n {
                             return Err(Error::Semantic(format!(
@@ -125,25 +126,14 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
                         // (and reuse) the same statement-scoped store, so
                         // repeated tuples pay one call even off the
                         // batched path. Tuples are keyed by exact value
-                        // identity ([`UdfArgKey`]), matching the
+                        // identity ([`UdfArgs`]), matching the
                         // determinism contract on [`ScalarUdf::invoke`].
-                        let lname = name.to_ascii_lowercase();
-                        let args_key: Vec<UdfArgKey> =
-                            vals.iter().map(Value::udf_arg_key).collect();
-                        if let Some(v) = ctx
-                            .udf_results
-                            .borrow()
-                            .get(&lname)
-                            .and_then(|m| m.get(&args_key))
-                        {
-                            return Ok(v.clone());
+                        let args = UdfArgs(vals);
+                        if let Some(v) = ctx.udf_result(registered, &args) {
+                            return Ok(v);
                         }
-                        let v = udf.invoke(&vals)?;
-                        ctx.udf_results
-                            .borrow_mut()
-                            .entry(lname)
-                            .or_default()
-                            .insert(args_key, v.clone());
+                        let v = udf.invoke(&args.0)?;
+                        ctx.store_udf_results(registered, [(args, v.clone())]);
                         return Ok(v);
                     }
                     udf.invoke(&vals)
@@ -577,8 +567,10 @@ fn prefetch_site(
     ctx: &ExecCtx<'_>,
     rows: &mut RowSource<'_>,
 ) -> Result<()> {
-    let mut seen: FxHashSet<Vec<UdfArgKey>> = FxHashSet::default();
-    let mut pending_keys: Vec<Vec<UdfArgKey>> = Vec::new();
+    // Tuples this pass has already queued. The statement store is probed
+    // only after a row's arguments are evaluated: a nested expensive call
+    // among them reads and fills that store itself.
+    let mut queued: FxHashMap<UdfArgs, ()> = FxHashMap::default();
     let mut pending_args: Vec<Vec<Value>> = Vec::new();
     rows(&mut |rc| {
         let mut vals = Vec::with_capacity(site.args.len());
@@ -590,22 +582,14 @@ fn prefetch_site(
                 Err(_) => return Ok(()),
             }
         }
-        let gk: Vec<UdfArgKey> = vals.iter().map(Value::udf_arg_key).collect();
-        if seen.contains(&gk) {
+        let args = UdfArgs(vals);
+        if ctx.udf_result(&site.name, &args).is_some() {
             return Ok(());
         }
-        if ctx
-            .udf_results
-            .borrow()
-            .get(&site.name)
-            .is_some_and(|m| m.contains_key(&gk))
-        {
-            seen.insert(gk);
-            return Ok(());
+        if let Entry::Vacant(slot) = queued.entry(args) {
+            pending_args.push(slot.key().0.clone());
+            slot.insert(());
         }
-        seen.insert(gk.clone());
-        pending_keys.push(gk);
-        pending_args.push(vals);
         Ok(())
     })?;
     if pending_args.is_empty() {
@@ -617,14 +601,10 @@ fn prefetch_site(
     let Ok(results) = site.udf.invoke_batch(&pending_args) else {
         return Ok(());
     };
-    if results.len() != pending_keys.len() {
+    if results.len() != pending_args.len() {
         return Ok(());
     }
-    let mut store = ctx.udf_results.borrow_mut();
-    let results_for_site = store.entry(site.name.clone()).or_default();
-    for (gk, v) in pending_keys.into_iter().zip(results) {
-        results_for_site.insert(gk, v);
-    }
+    ctx.store_udf_results(&site.name, pending_args.into_iter().map(UdfArgs).zip(results));
     Ok(())
 }
 

@@ -40,11 +40,11 @@ use crate::plan::{
     conjoin, plan_from, split_conjuncts, ColRef, Plan, PlanJoinKind, RelSchema,
 };
 use crate::storage::Catalog;
-use crate::value::{GroupKey, Row, UdfArgKey, Value};
+use crate::value::{GroupKey, Row, UdfArgs, Value};
 
 /// Results of one expensive UDF's invocations within a statement, keyed
 /// by argument tuple under exact value identity.
-pub type UdfResults = FxHashMap<Vec<UdfArgKey>, Value>;
+pub type UdfResults = FxHashMap<UdfArgs, Value>;
 
 /// Result rows paired with per-row ORDER BY sort keys.
 type RowsAndKeys = (Vec<Row>, Vec<Vec<Value>>);
@@ -301,6 +301,11 @@ pub struct ExecCtx<'a> {
     /// later evaluation of the same argument tuple is a lookup instead
     /// of a call.
     pub udf_results: RefCell<FxHashMap<String, UdfResults>>,
+    /// On a morsel worker: the statement's `udf_results` as they stood at
+    /// fan-out, shared read-only by every worker of the operator, while
+    /// `udf_results` holds only what this worker computed itself (see
+    /// [`crate::exec_parallel`]). `None` on the statement thread.
+    pub udf_seed: Option<Arc<FxHashMap<String, UdfResults>>>,
     /// The statement's cancellation/deadline token. Cloned into every
     /// morsel worker's context; long loops call
     /// [`ExecCtx::check_cancel`] at batch boundaries.
@@ -319,6 +324,7 @@ impl<'a> ExecCtx<'a> {
                 HashMap::new(),
             )),
             udf_results: RefCell::new(FxHashMap::default()),
+            udf_seed: None,
             // Inherit the statement token the session installed on this
             // thread (see `Database::execute_statement`); a context built
             // outside any statement scope runs unbounded.
@@ -335,6 +341,22 @@ impl<'a> ExecCtx<'a> {
     pub fn with_cancel(mut self, cancel: swan_pool::CancelToken) -> Self {
         self.cancel = cancel;
         self
+    }
+
+    /// The stored result of the expensive UDF registered as `name` for
+    /// `args`, if this statement has one.
+    pub fn udf_result(&self, name: &str, args: &UdfArgs) -> Option<Value> {
+        let find = |store: &FxHashMap<String, UdfResults>| store.get(name)?.get(args).cloned();
+        self.udf_seed.as_deref().and_then(find).or_else(|| find(&self.udf_results.borrow()))
+    }
+
+    /// Record `name(args) = value` for the rest of the statement.
+    pub fn store_udf_results(
+        &self,
+        name: &str,
+        results: impl IntoIterator<Item = (UdfArgs, Value)>,
+    ) {
+        self.udf_results.borrow_mut().entry(name.to_string()).or_default().extend(results);
     }
 
     /// The cooperative cancellation checkpoint: cheap enough for morsel

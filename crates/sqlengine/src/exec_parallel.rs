@@ -25,11 +25,17 @@
 //!
 //! [`ExecCtx`] holds a statement-scoped `RefCell` UDF-result store and is
 //! therefore not shareable across threads. Under fan-out each worker runs
-//! against a fresh worker-local context over the same catalog/UDF registry,
-//! seeded with a snapshot of the statement's prefetched expensive-UDF
-//! results (so the vectorized batching of `Plan::Batch` keeps paying off
-//! inside workers); what a worker computes itself is merged back when it
-//! retires. The statement's **subquery cache is shared** by every worker
+//! against a fresh worker-local context over the same catalog/UDF registry.
+//! The statement's prefetched expensive-UDF results are **moved behind one
+//! `Arc`** for the duration of the fan-out and every worker context reads
+//! them there (`ExecCtx::udf_seed` — so the vectorized batching of
+//! `Plan::Batch` keeps paying off inside workers, and fan-out copies
+//! nothing); what a worker computes itself goes into its own, initially
+//! empty, overlay (`ExecCtx::udf_results`), which drains back into the
+//! statement's results when the worker retires — the statement thread then
+//! unwraps the `Arc` again. A worker context never fans out itself: its
+//! overlay is not the statement's store.
+//! The statement's **subquery cache is shared** by every worker
 //! (it is `Send + Sync`, see [`crate::exec::SubqueryCache`]): an
 //! uncorrelated subquery still executes at most once per statement, and
 //! correlated subqueries re-execute per row on whichever worker owns the
@@ -44,12 +50,12 @@
 
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::error::Result;
 use crate::exec::ExecCtx;
 use crate::hash::FxHashMap;
 use crate::optimizer::OptimizerConfig;
-use crate::value::Value;
 
 /// Upper bound on morsel size (rows). Small enough that a skewed morsel
 /// cannot serialize the batch, large enough to amortize dispatch.
@@ -77,20 +83,22 @@ fn morsel_size(count: usize, partitions: usize) -> usize {
 /// in range order; the first error (in range order) wins — the row a single
 /// in-order pass fails on.
 ///
-/// **Inline** — `partitions <= 1`, fewer than two items, or a call from a
-/// pool worker (a fixed pool must not wait on itself): `f` runs on the
+/// **Inline** — `partitions <= 1`, fewer than two items, a call from a
+/// pool worker (a fixed pool must not wait on itself) or on a worker
+/// context: `f` runs on the
 /// calling thread against `ctx` itself over [`MORSEL_ROWS`]-sized ranges,
 /// with a cancellation check between ranges, and nothing runs after a
 /// failed range.
 ///
 /// **Fan-out** — otherwise: up to `partitions` pool workers steal morsels,
-/// each against a fresh worker-local [`ExecCtx`] seeded with a snapshot of
-/// the statement's prefetched expensive-UDF results and checking for
+/// each against a fresh worker-local [`ExecCtx`] that reads the statement's
+/// prefetched expensive-UDF results through one shared `Arc` and checks for
 /// cancellation before every morsel. Expensive-UDF results a worker
 /// computed itself (tuples the statement-level prefetch missed, e.g. after
-/// a failed or short `invoke_batch`) are **merged back** into the statement
-/// store when the worker retires, so downstream operators of the same
-/// statement are served from the store instead of re-invoking. Within one
+/// a failed or short `invoke_batch`) land in the worker's overlay and are
+/// **drained back** into the statement store when the worker retires, so
+/// downstream operators of the same statement are served from the store
+/// instead of re-invoking. Within one
 /// operator such a missed tuple can still be invoked by more than one
 /// worker concurrently (bounded by the partition count; stateful UDFs like
 /// `llm_map` deduplicate further in their own single-flight layer) — the
@@ -105,7 +113,7 @@ where
     T: Send,
     F: Fn(Range<usize>, &ExecCtx<'a>) -> Result<T> + Sync,
 {
-    if partitions <= 1 || count < 2 || swan_pool::is_pool_worker() {
+    if partitions <= 1 || count < 2 || swan_pool::is_pool_worker() || ctx.udf_seed.is_some() {
         let mut out = Vec::with_capacity(count.div_ceil(MORSEL_ROWS));
         for start in (0..count).step_by(MORSEL_ROWS) {
             if start > 0 {
@@ -116,41 +124,31 @@ where
         return Ok(out);
     }
 
-    let snapshot = ctx.udf_results.borrow().clone();
+    // The statement's results move behind an `Arc` for the fan-out: every
+    // worker reads them there, and writes what it computes itself into its
+    // own (initially empty) overlay.
+    let seed = Arc::new(ctx.udf_results.take());
     let catalog = ctx.catalog;
     let udfs = ctx.udfs;
     let optimizer = ctx.optimizer;
     let subqueries = ctx.subqueries.clone();
     let cancel = ctx.cancel.clone();
-    type NewResults = Vec<(String, Vec<(Vec<crate::value::UdfArgKey>, Value)>)>;
-    let merge_sink: parking_lot::Mutex<NewResults> =
+    type Overlay = FxHashMap<String, crate::exec::UdfResults>;
+    let merge_sink: parking_lot::Mutex<Vec<Overlay>> =
         parking_lot::Mutex::with_rank("merge_sink", swan_pool::lockrank::MERGE_SINK, Vec::new());
 
     /// Worker context wrapper: on drop (worker retirement — normal or
-    /// unwinding), entries absent from the seed snapshot drain into the
-    /// shared sink for the statement thread to merge.
+    /// unwinding) the worker's overlay drains into the shared sink for the
+    /// statement thread to merge.
     struct WorkerCtx<'a, 'env> {
         wctx: ExecCtx<'a>,
-        snapshot: &'env FxHashMap<String, crate::exec::UdfResults>,
-        sink: &'env parking_lot::Mutex<NewResults>,
+        sink: &'env parking_lot::Mutex<Vec<Overlay>>,
     }
     impl Drop for WorkerCtx<'_, '_> {
         fn drop(&mut self) {
-            let store = self.wctx.udf_results.borrow();
-            let mut fresh: NewResults = Vec::new();
-            for (name, map) in store.iter() {
-                let seed = self.snapshot.get(name);
-                let new: Vec<_> = map
-                    .iter()
-                    .filter(|(k, _)| !seed.is_some_and(|s| s.contains_key(*k)))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                if !new.is_empty() {
-                    fresh.push((name.clone(), new));
-                }
-            }
-            if !fresh.is_empty() {
-                self.sink.lock().extend(fresh);
+            let overlay = self.wctx.udf_results.take();
+            if !overlay.is_empty() {
+                self.sink.lock().push(overlay);
             }
         }
     }
@@ -159,7 +157,7 @@ where
         count,
         morsel_size(count, partitions),
         partitions,
-        // One context (and one snapshot clone) per worker, not per morsel.
+        // One context per worker, not per morsel.
         || WorkerCtx {
             wctx: ExecCtx {
                 catalog,
@@ -168,13 +166,13 @@ where
                 // One shared statement-wide subquery cache: uncorrelated
                 // subqueries run once no matter which worker needs them.
                 subqueries: subqueries.clone(),
-                udf_results: RefCell::new(snapshot.clone()),
+                udf_results: RefCell::default(),
+                udf_seed: Some(seed.clone()),
                 // Workers share the statement's cancel token: a deadline
                 // firing mid-statement stops every worker at its next
                 // morsel boundary.
                 cancel: cancel.clone(),
             },
-            snapshot: &snapshot,
             sink: &merge_sink,
         },
         |worker, range| {
@@ -190,13 +188,16 @@ where
     .into_iter()
     .collect();
 
-    let fresh = merge_sink.into_inner();
-    if !fresh.is_empty() {
-        let mut store = ctx.udf_results.borrow_mut();
-        for (name, entries) in fresh {
-            store.entry(name).or_default().extend(entries);
+    // Every worker context is gone (a worker drops its own before its job
+    // retires), so the statement takes its results back and drains the
+    // overlays into them.
+    let mut store = Arc::into_inner(seed).expect("worker contexts outlived the fan-out");
+    for overlay in merge_sink.into_inner() {
+        for (name, results) in overlay {
+            store.entry(name).or_default().extend(results);
         }
     }
+    ctx.udf_results.replace(store);
     out
 }
 

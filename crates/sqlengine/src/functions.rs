@@ -6,6 +6,7 @@
 //! (an LLM client, a cache, usage counters), which is why calls take `&self`
 //! and registration stores an `Arc`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -64,7 +65,19 @@ impl UdfRegistry {
 
     /// Look up a UDF by (case-insensitive) name.
     pub fn get(&self, name: &str) -> Option<&Arc<dyn ScalarUdf>> {
-        self.funcs.get(&name.to_ascii_lowercase())
+        self.get_registered(name).map(|(_, udf)| udf)
+    }
+
+    /// [`get`](Self::get), with the lowercased name the function is
+    /// registered under. A name already in lower case — how `llm_map` is
+    /// written in every benchmark statement — is probed as it stands.
+    pub fn get_registered(&self, name: &str) -> Option<(&str, &Arc<dyn ScalarUdf>)> {
+        let lower: Cow<'_, str> = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(name.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(name)
+        };
+        self.funcs.get_key_value(lower.as_ref()).map(|(k, udf)| (k.as_str(), udf))
     }
 
     /// Whether `name` refers to a registered expensive function.
@@ -91,14 +104,23 @@ pub fn is_aggregate(name: &str) -> bool {
     AGGREGATES.iter().any(|a| a.eq_ignore_ascii_case(name))
 }
 
+/// Bytes in the longest built-in scalar function name (`SUBSTRING`).
+const LONGEST_BUILTIN: usize = 9;
+
 /// Evaluate a built-in scalar function. Returns `None` if the name is not a
 /// built-in (the caller then consults the UDF registry).
 pub fn eval_builtin(name: &str, args: &[Value]) -> Option<Result<Value>> {
-    let upper = name.to_ascii_uppercase();
-    let r = match upper.as_str() {
-        "UPPER" => unary_text(&upper, args, |s| s.to_uppercase()),
-        "LOWER" => unary_text(&upper, args, |s| s.to_lowercase()),
-        "LENGTH" => match require(&upper, args, 1) {
+    // Upper-case into a stack buffer: this runs for every scalar call of
+    // every row. A name longer than the buffer is no built-in.
+    let mut buf = [0u8; LONGEST_BUILTIN];
+    let upper = buf.get_mut(..name.len())?;
+    upper.copy_from_slice(name.as_bytes());
+    upper.make_ascii_uppercase();
+    let upper = std::str::from_utf8(upper).ok()?;
+    let r = match upper {
+        "UPPER" => unary_text(upper, args, |s| s.to_uppercase()),
+        "LOWER" => unary_text(upper, args, |s| s.to_lowercase()),
+        "LENGTH" => match require(upper, args, 1) {
             Err(e) => Err(e),
             Ok(()) => Ok(match &args[0] {
                 Value::Null => Value::Null,
@@ -106,10 +128,10 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Option<Result<Value>> {
                 other => Value::Integer(other.render().chars().count() as i64),
             }),
         },
-        "TRIM" => unary_text(&upper, args, |s| s.trim().to_string()),
-        "LTRIM" => unary_text(&upper, args, |s| s.trim_start().to_string()),
-        "RTRIM" => unary_text(&upper, args, |s| s.trim_end().to_string()),
-        "ABS" => match require(&upper, args, 1) {
+        "TRIM" => unary_text(upper, args, |s| s.trim().to_string()),
+        "LTRIM" => unary_text(upper, args, |s| s.trim_start().to_string()),
+        "RTRIM" => unary_text(upper, args, |s| s.trim_end().to_string()),
+        "ABS" => match require(upper, args, 1) {
             Err(e) => Err(e),
             Ok(()) => match &args[0] {
                 Value::Null => Ok(Value::Null),
@@ -126,11 +148,11 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Option<Result<Value>> {
         },
         "ROUND" => round(args),
         "COALESCE" => Ok(args.iter().find(|v| !v.is_null()).cloned().unwrap_or(Value::Null)),
-        "IFNULL" => match require(&upper, args, 2) {
+        "IFNULL" => match require(upper, args, 2) {
             Err(e) => Err(e),
             Ok(()) => Ok(if args[0].is_null() { args[1].clone() } else { args[0].clone() }),
         },
-        "NULLIF" => match require(&upper, args, 2) {
+        "NULLIF" => match require(upper, args, 2) {
             Err(e) => Err(e),
             Ok(()) => Ok(if args[0].sql_eq(&args[1]) == Some(true) {
                 Value::Null
@@ -139,7 +161,7 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Option<Result<Value>> {
             }),
         },
         "SUBSTR" | "SUBSTRING" => substr(args),
-        "INSTR" => match require(&upper, args, 2) {
+        "INSTR" => match require(upper, args, 2) {
             Err(e) => Err(e),
             Ok(()) => {
                 if args[0].is_null() || args[1].is_null() {
@@ -156,7 +178,7 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Option<Result<Value>> {
                 }
             }
         },
-        "REPLACE" => match require(&upper, args, 3) {
+        "REPLACE" => match require(upper, args, 3) {
             Err(e) => Err(e),
             Ok(()) => {
                 if args.iter().any(Value::is_null) {
@@ -190,7 +212,7 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Option<Result<Value>> {
             }
             Ok(best)
         }
-        "TYPEOF" => match require(&upper, args, 1) {
+        "TYPEOF" => match require(upper, args, 1) {
             Err(e) => Err(e),
             Ok(()) => Ok(Value::text(args[0].type_name())),
         },
@@ -377,6 +399,15 @@ mod tests {
 
     fn call(name: &str, args: &[Value]) -> Value {
         eval_builtin(name, args).unwrap().unwrap()
+    }
+
+    #[test]
+    fn names_match_in_any_case_up_to_the_longest_builtin() {
+        assert_eq!(call("SubString", &["abcdef".into(), 2.into(), 3.into()]), Value::text("bcd"));
+        assert_eq!("SUBSTRING".len(), LONGEST_BUILTIN);
+        assert!(eval_builtin("substrings", &[]).is_none(), "longer than any built-in");
+        assert!(eval_builtin("llm_map", &[]).is_none());
+        assert!(eval_builtin("üpper", &["a".into()]).is_none(), "non-ASCII is no built-in");
     }
 
     #[test]

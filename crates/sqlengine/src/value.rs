@@ -241,27 +241,6 @@ impl Value {
         Some(self.sort_cmp(other))
     }
 
-    /// Exact-identity key for the UDF result store: storage class plus
-    /// exact bits. Stricter than [`group_key`](Value::group_key), which
-    /// coerces integers through `f64` for SQL grouping equality — under
-    /// that coercion `Integer(1)`/`Real(1.0)` (different renderings,
-    /// different UDF prompts) and distinct integers beyond 2^53 would
-    /// share one cached UDF result.
-    pub fn udf_arg_key(&self) -> UdfArgKey {
-        match self {
-            Value::Null => UdfArgKey::Null,
-            Value::Integer(i) => UdfArgKey::Int(*i),
-            Value::Real(r) => {
-                // Canonicalize NaNs (they all render alike) but keep the
-                // sign of zero: -0.0 and 0.0 render differently, so they
-                // must not share a cached result.
-                let bits = if r.is_nan() { f64::NAN.to_bits() } else { r.to_bits() };
-                UdfArgKey::Real(bits)
-            }
-            Value::Text(s) => UdfArgKey::Text(s.clone()),
-        }
-    }
-
     /// Key used for grouping / DISTINCT: collapses equal numerics across
     /// Integer/Real, keeps NULLs equal to each other.
     pub fn group_key(&self) -> GroupKey {
@@ -410,13 +389,57 @@ pub enum GroupKey {
     Text(Arc<str>),
 }
 
-/// Exact identity of one UDF argument value (see [`Value::udf_arg_key`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum UdfArgKey {
-    Null,
-    Int(i64),
-    Real(u64),
-    Text(Arc<str>),
+/// One expensive-UDF argument tuple, as a key of the statement's result
+/// store: the evaluated argument vector itself, compared and hashed by
+/// **exact identity** — storage class plus exact bits. Stricter than
+/// [`GroupKey`], which coerces integers through `f64` for SQL grouping
+/// equality: under that coercion `Integer(1)`/`Real(1.0)` (different
+/// renderings, different UDF prompts) and distinct integers beyond 2^53
+/// would share one cached UDF result. NaNs are one value (they all render
+/// alike); `-0.0` and `0.0` are two (they render differently).
+#[derive(Debug, Clone)]
+pub struct UdfArgs(pub Vec<Value>);
+
+/// The bits a real argument is identified by.
+fn real_identity(r: f64) -> u64 {
+    if r.is_nan() { f64::NAN.to_bits() } else { r.to_bits() }
+}
+
+impl PartialEq for UdfArgs {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self.0.iter().zip(&other.0).all(|pair| match pair {
+                (Value::Null, Value::Null) => true,
+                (Value::Integer(a), Value::Integer(b)) => a == b,
+                (Value::Real(a), Value::Real(b)) => real_identity(*a) == real_identity(*b),
+                (Value::Text(a), Value::Text(b)) => a == b,
+                _ => false,
+            })
+    }
+}
+
+impl Eq for UdfArgs {}
+
+impl std::hash::Hash for UdfArgs {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for v in &self.0 {
+            match v {
+                Value::Null => state.write_u8(0),
+                Value::Integer(i) => {
+                    state.write_u8(1);
+                    state.write_i64(*i);
+                }
+                Value::Real(r) => {
+                    state.write_u8(2);
+                    state.write_u64(real_identity(*r));
+                }
+                Value::Text(s) => {
+                    state.write_u8(3);
+                    s.hash(state);
+                }
+            }
+        }
+    }
 }
 
 impl PartialEq for Value {

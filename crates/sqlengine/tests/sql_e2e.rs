@@ -544,6 +544,11 @@ fn result_column_naming() {
     assert_eq!(r.columns[0], "hero_name");
     assert_eq!(r.columns[1], "h");
     assert_eq!(r.columns[2], "COUNT(*)");
+    // Function names are matched in any case; the header keeps the
+    // user's spelling.
+    let r = db.query("SELECT Upper(hero_name), lower(hero_name) FROM superhero WHERE id = 1").unwrap();
+    assert_eq!(r.columns, vec!["Upper(hero_name)", "lower(hero_name)"]);
+    assert_eq!(r.rows[0][0].render(), "SPIDER-MAN");
 }
 
 #[test]

@@ -31,7 +31,11 @@
 #      transaction conflict/retry, torn-commit visibility, MVCC
 #      history GC) and the row-level conflict regression suite
 #      (disjoint-PK transactions must not abort), both under
-#      SWAN_LOCKDEP=1, plus the cross-session llm_map single-flight test.
+#      SWAN_LOCKDEP=1, plus the cross-session llm_map single-flight test
+#      (tests/concurrency.rs: eight sessions share one `llm_map`, whose
+#      answers and in-flight fetches sit in one map behind one ranked
+#      lock, `udf_store` — a batch reserves its keys under it, waiters
+#      park on the batch's one flight outside it).
 #      The write path these drive is the in-place patch: every UPDATE /
 #      DELETE, every rebase and every replayed row patch replaces or
 #      removes rows at their slots and carries the table's PK index,
@@ -64,7 +68,9 @@
 #      serial and 8-thread-parallel and concurrent-session single-flight,
 #      on a virtual clock — no hangs, failed calls never cached, retries
 #      respect the statement deadline, breaker transitions match the
-#      fault script;
+#      fault script, and an absorbed fault leaves `UdfStats` (keys
+#      fetched, store hits, fallback calls) exactly where a clean run
+#      leaves them;
 #   8. one release-build workspace test pass with SWAN_LOCKDEP=1: the
 #      runtime lock-order validator (rank inversions + order cycles,
 #      normally debug-only) active under the optimized build's real
@@ -81,6 +87,12 @@
 #      while readers hold the previous `Arc`s) and the zero-row-commit
 #      regression (a statement that matched nothing takes the table lock
 #      and must release it having touched neither catalog nor log).
+#      And the UDF pathway's three: `udf_store` is its only lock and is
+#      taken from pool workers during fan-out as well as from statement
+#      threads, so the validator watches the panic-strand regression (a
+#      reservation's drop guard takes it while unwinding), the pinned
+#      transcript (every pass of a batch) and tests/concurrency.rs (eight
+#      sessions reserving, waiting and retiring at once).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,6 +160,11 @@ SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test write_path \
     snapshots_never_observe_a_patch
 SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --lib \
     zero_row_statements_commit_nothing
+
+echo "== UDF store: panic-strand regression, pinned transcript, cross-session single flight @ SWAN_LOCKDEP=1 (release) =="
+SWAN_LOCKDEP=1 cargo test -q --release -p swan-core --lib a_panicking_model_call
+SWAN_LOCKDEP=1 cargo test -q --release --test udf_transcript
+SWAN_LOCKDEP=1 cargo test -q --release --test concurrency
 
 echo "== workspace tests @ SWAN_LOCKDEP=1 (release, lock-order validated) =="
 SWAN_LOCKDEP=1 cargo test --workspace -q --release

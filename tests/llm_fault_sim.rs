@@ -189,6 +189,12 @@ fn fault_sweep_serial_and_parallel() {
                 let s = r.resilient.stats();
                 assert_eq!(s.failed_calls, 0, "{ctx}: every logical call must recover");
                 assert_eq!(r.runner.stats().degraded, 0, "{ctx}: nothing degraded");
+                let u = r.runner.stats();
+                assert_eq!(
+                    (u.prefetched_keys, u.cache_hits, u.exec_cache_hits, u.fallback_calls),
+                    (3, 0, 0, 0),
+                    "{ctx}: an absorbed fault leaves the pathway's own work unchanged"
+                );
                 assert_eq!(
                     r.runner.stats().breaker,
                     Some(BreakerState::Closed),
@@ -297,7 +303,8 @@ fn terminal_failures_follow_the_degradation_policy() {
         got.rows.iter().all(|row| row[1] == Value::Null),
         "null-policy degrades every failed key to NULL"
     );
-    assert_eq!(r.runner.stats().degraded, 3);
+    let u = r.runner.stats();
+    assert_eq!((u.prefetched_keys, u.fallback_calls, u.degraded), (0, 3, 3));
     assert_eq!(r.runner.cached_answers(), 0, "degraded NULLs must never be cached");
     r.transport.clear_faults();
     r.clock.advance(Duration::from_secs(60));
@@ -318,7 +325,8 @@ fn terminal_failures_follow_the_degradation_policy() {
     r.transport.add_fault_range(0..1_000, ModelFault::Transient);
     let stale = r.runner.run_sql(SQL).unwrap();
     assert_eq!(stale.rows, fresh.rows, "stale-cache re-serves the last known good answers");
-    assert_eq!(r.runner.stats().degraded, 3);
+    let u = r.runner.stats();
+    assert_eq!((u.prefetched_keys, u.cache_hits, u.fallback_calls, u.degraded), (3, 0, 3, 3));
 }
 
 /// A statement timeout bounds the whole retry schedule: with every
