@@ -11,7 +11,7 @@
 //! | `lock-rank`     | shim `Mutex::new` / `RwLock::new` must be `with_rank` instead |
 //! | `no-row-materialize` | no `materialize_row(..)` calls or `Row::` construction inside columnar kernel modules — rows materialize at the engine boundary only |
 //! | `wal-seam`      | `Wal`, `frame_group` and `commit_records` are named only in `wal.rs`, `txn.rs` and `shared.rs` — one owner of the log, one commit path |
-//! | `morsel-seam`   | inside `crates/sqlengine/src`, `swan_pool::parallel_*` and `swan_pool::run_workers` are named only in `exec_parallel.rs` — one dispatcher, no operator-local fan-out |
+//! | `morsel-seam`   | inside `crates/sqlengine/src`, `swan_pool::parallel_*`, `swan_pool::run_workers`, `swan_pool::configured_threads` and `effective_threads` are named only in `exec_parallel.rs` — one dispatcher, no operator-local fan-out, no second fan-out gate |
 //!
 //! Escape hatch: `// lint: allow(rule-name): justification` on the same
 //! line as the flagged code or the line directly above. The justification
@@ -84,11 +84,25 @@ const WAL_SEAM_NAMES: &[&str] = &["Wal", "frame_group", "commit_records"];
 /// an operator that fans out by itself skips what the dispatcher does for
 /// every loop — the cancel-token re-install on the worker, the
 /// range-boundary cancellation check and the worker-result merge-back.
+/// Nor may a thread count be resolved there (`swan_pool::configured_threads`,
+/// or anything called `effective_threads`): whether a loop fans out is
+/// decided by the dispatcher's one gate, from the count it is handed, so
+/// neither the optimizer nor an operator can grow a gate of its own.
 const MORSEL_SEAM_DIR: &str = "crates/sqlengine/src";
 const MORSEL_SEAM_FILE: &str = "exec_parallel.rs";
+const THREAD_GATE_NAME: &str = "effective_threads";
+const THREAD_GATE_REASON: &str =
+    "whether a loop fans out is decided by the one gate behind `exec_parallel::try_morsels`";
 
-fn is_pool_fan_out(name: &str) -> bool {
-    name == "run_workers" || name.starts_with("parallel_")
+/// Why `swan_pool::<name>` may be named only in the dispatcher, if so.
+fn morsel_seam_reason(name: &str) -> Option<&'static str> {
+    if name == "run_workers" || name.starts_with("parallel_") {
+        Some("operator loops fan out through `exec_parallel::try_morsels` only")
+    } else if name == "configured_threads" {
+        Some(THREAD_GATE_REASON)
+    } else {
+        None
+    }
 }
 
 /// A parsed `// lint: allow(rule): justification` comment.
@@ -298,18 +312,25 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
                     named.extend(ident(ci + 2).map(|name| (name, line)));
                 }
                 for (name, line) in named {
-                    if is_pool_fan_out(name) {
+                    if let Some(reason) = morsel_seam_reason(name) {
                         push(
                             &allows,
                             "morsel-seam",
                             line,
-                            format!(
-                                "`swan_pool::{name}` named outside exec_parallel.rs; operator \
-                                 loops fan out through `exec_parallel::try_morsels` only"
-                            ),
+                            format!("`swan_pool::{name}` named outside exec_parallel.rs; {reason}"),
                         );
                     }
                 }
+            }
+            THREAD_GATE_NAME if in_morsel_seam => {
+                push(
+                    &allows,
+                    "morsel-seam",
+                    line,
+                    format!(
+                        "`{THREAD_GATE_NAME}` named outside exec_parallel.rs; {THREAD_GATE_REASON}"
+                    ),
+                );
             }
             // ---- safety-comment -----------------------------------------
             "unsafe" => {
@@ -634,11 +655,13 @@ mod tests {
     fn morsel_seam_flags_pool_fan_out_outside_the_dispatcher() {
         let src = "use swan_pool::{cancel::{self, with_current}, parallel_items};\n\
                    fn f() { swan_pool::parallel_morsels(n, 8, 2, g); swan_pool::run_workers(2, j); }\n\
-                   fn ok() { swan_pool::is_pool_worker(); swan_pool::cancel::current(); }";
+                   fn ok() { swan_pool::is_pool_worker(); swan_pool::cancel::current(); }\n\
+                   fn gate(c: &C) -> bool { effective_threads(c) > 1 }\n\
+                   fn auto() -> usize { swan_pool::configured_threads() }";
         let f = run("crates/sqlengine/src/exec.rs", src);
         let lines: Vec<u32> =
             f.iter().filter(|x| x.rule == "morsel-seam").map(|x| x.line).collect();
-        assert_eq!(lines, [1, 2, 2], "{f:?}");
+        assert_eq!(lines, [1, 2, 2, 4, 5], "{f:?}");
         // The dispatcher itself, and every other crate, may fan out.
         assert!(run("crates/sqlengine/src/exec_parallel.rs", src).is_empty());
         assert!(run("crates/llm/src/parallel.rs", src).is_empty());
@@ -646,9 +669,9 @@ mod tests {
 
     #[test]
     fn morsel_seam_ignores_lookalike_names() {
-        // Not the pool's: a config field, the dispatcher's own helper.
-        let src = "fn f(c: &OptimizerConfig) { let _ = c.parallel_threshold; \
-                   crate::exec_parallel::parallel_topk_candidates(n, k, t, &cmp); }";
+        // Not the pool's: config fields, the dispatcher's own helper.
+        let src = "fn f(c: &OptimizerConfig) { let _ = (c.parallel_threshold, c.threads); \
+                   crate::exec_parallel::parallel_topk_candidates(n, k, ctx, &cmp); }";
         assert!(run("crates/sqlengine/src/exec.rs", src).is_empty());
     }
 

@@ -4,9 +4,10 @@
 //! overlap waits (the LLM-traffic shape) — the case that scales even
 //! when cores are scarce.
 //!
-//! `t1` rows dispatch every operator loop inline (no `Plan::Parallel`
-//! node is inserted); `tN` rows fan the same loops out over N
-//! partitions. Compare within a workload: CPU-bound speedup is bounded
+//! `t1` rows dispatch every operator loop inline; `tN` rows fan the same
+//! loops out over N threads (`parallel_threshold: 1`, so every loop of
+//! two items or more takes the fan-out — the bench measures what fan-out
+//! costs, not where the gate puts it). Compare within a workload: CPU-bound speedup is bounded
 //! by the machine's core count (`nproc`), latency-bound speedup by the
 //! worker count. Numbers are recorded in `crates/sqlengine/PERF.md`
 //! ("Parallel execution").

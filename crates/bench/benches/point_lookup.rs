@@ -4,12 +4,18 @@
 //! full-scan engine those rewrites replace) — so the speedup *is* the
 //! pairwise ratio, measured interleaved in one process.
 //!
-//! Two non-criterion tables follow the timed runs:
+//! Three non-criterion tables follow the timed runs:
 //!
 //! * **headline ratio** — wall-clock index-vs-scan ratio for the point
 //!   probe; the bench asserts the ≥10× contract, so a planner regression
 //!   that stops engaging the index fails the run instead of quietly
 //!   printing slower numbers;
+//! * **auto-threads ratio** — the same point probe at `threads: 0` (the
+//!   default: resolve `SWAN_THREADS` / the machine) against an explicit
+//!   `threads: 2`, alternating; asserted ≤ 1.5×, so a statement whose
+//!   loops never reach `parallel_threshold` cannot start paying for a
+//!   thread-count resolution again (it was 4.7× when the optimizer
+//!   resolved one per statement);
 //! * **checkpoint write amplification** — bytes written to the page file
 //!   by a checkpoint after k point updates vs the full-image checkpoint,
 //!   counted on SimFs. The incremental figure is O(k) pages; the ratio
@@ -28,14 +34,14 @@ const ROWS: usize = 1_000_000;
 
 const MODES: &[(&str, bool)] = &[("index", true), ("scan", false)];
 
-/// 1M rows of (pk, group, measure), served from memory (serving never
+/// `rows` rows of (pk, group, measure), served from memory (serving never
 /// touches the pager; durability is benched separately below).
-fn build_db(index_scan: bool) -> Database {
+fn build_db(index_scan: bool, rows: usize) -> Database {
     let mut db = Database::new();
     db.set_optimizer(OptimizerConfig { index_scan, threads: 1, ..Default::default() });
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, val REAL)").unwrap();
     let t = db.catalog_mut().get_mut("t").unwrap();
-    for i in 0..ROWS {
+    for i in 0..rows {
         t.insert_row(vec![
             Value::Integer(i as i64),
             Value::Integer((i % 64) as i64),
@@ -52,7 +58,7 @@ const TOPK: &str = "SELECT id, val FROM t ORDER BY id LIMIT 10";
 
 fn bench_point_lookup(c: &mut Criterion) {
     for &(label, index_scan) in MODES {
-        let db = build_db(index_scan);
+        let db = build_db(index_scan, ROWS);
         c.bench_function(&format!("point_lookup/pk_eq_1m/{label}"), |b| {
             b.iter(|| black_box(db.query(POINT).unwrap()))
         });
@@ -65,13 +71,14 @@ fn bench_point_lookup(c: &mut Criterion) {
     }
 
     headline_ratio();
+    auto_threads_ratio();
     checkpoint_write_amplification();
 }
 
 /// Wall-clock point-probe ratio with the ≥10× floor asserted.
 fn headline_ratio() {
-    let indexed = build_db(true);
-    let scanned = build_db(false);
+    let indexed = build_db(true, ROWS);
+    let scanned = build_db(false, ROWS);
     let time = |db: &Database, iters: u32| {
         let start = Instant::now();
         for _ in 0..iters {
@@ -94,6 +101,47 @@ fn headline_ratio() {
         ratio >= 10.0,
         "pk point lookup must beat the full scan by >=10x on 1M rows, got {ratio:.1}x \
          (index scan disengaged?)"
+    );
+}
+
+/// A PK point `SELECT` on a 20k-row table at the default `threads: 0`
+/// against an explicit `threads: 2`, in alternating rounds on one
+/// database: every loop of the statement is far below
+/// `parallel_threshold`, so neither side may resolve a thread count and
+/// the two must cost the same.
+fn auto_threads_ratio() {
+    const SMALL: &str = "SELECT val FROM t WHERE id = 12345";
+    const ROUNDS: usize = 5;
+    const ITERS: u32 = 20_000;
+    let mut db = build_db(true, 20_000);
+    // Seconds spent at each setting, summed over the measured rounds.
+    let mut cost = [(0usize, 0.0f64), (2, 0.0)];
+    for round in 0..=ROUNDS {
+        for (threads, total) in &mut cost {
+            db.set_optimizer(OptimizerConfig { threads: *threads, ..Default::default() });
+            let start = Instant::now();
+            for _ in 0..ITERS {
+                black_box(db.query(SMALL).unwrap());
+            }
+            // Round 0 warms both settings.
+            if round > 0 {
+                *total += start.elapsed().as_secs_f64();
+            }
+        }
+    }
+    let [(_, auto), (_, two)] = cost;
+    let ratio = auto / two;
+    let per_stmt_us = 1e6 / (ROUNDS as f64 * f64::from(ITERS));
+    println!(
+        "point_lookup/auto_threads: pk probe {:.2}us at threads:0 vs {:.2}us at threads:2 \
+         = {ratio:.2}x",
+        auto * per_stmt_us,
+        two * per_stmt_us,
+    );
+    assert!(
+        ratio <= 1.5,
+        "a point SELECT at the default threads:0 must cost what it costs at threads:2, got \
+         {ratio:.2}x (a thread count resolved before the row counts were looked at?)"
     );
 }
 

@@ -1,7 +1,9 @@
 //! Table 3 — hybrid-query-UDF (BlendSQL-style) execution accuracy on
 //! SWAN with GPT-3.5 Turbo, 0-shot and 5-shot.
 
-use swan_core::experiment::{evaluate_udf, pct, render_table, Harness};
+use swan_core::experiment::{
+    evaluate_hqdl, evaluate_udf, pct, render_table, shape_line, Harness,
+};
 use swan_core::udf::UdfConfig;
 use swan_llm::ModelKind;
 
@@ -18,6 +20,8 @@ fn main() {
     println!();
 
     let mut rows = Vec::new();
+    // Overall UDF EX per PAPER row, for the shape checks.
+    let mut udf_overall = Vec::new();
     for (shots, paper) in PAPER {
         let config = UdfConfig { shots: *shots, ..Default::default() };
         let e = evaluate_udf(&h.benchmark, h.kb.clone(), &h.gold, ModelKind::Gpt35Turbo, config);
@@ -37,6 +41,7 @@ fn main() {
             format!("{} ({})", pct(db_ex("European Football")), pct(paper[3])),
             format!("{} ({})", pct(e.overall.accuracy()), pct(paper[4])),
         ]);
+        udf_overall.push(e.overall.accuracy());
     }
 
     println!(
@@ -54,7 +59,22 @@ fn main() {
             &rows,
         )
     );
-    println!("Shape check: UDF EX below HQDL EX at the same settings (paper 5.4 —");
-    println!("single-cell prediction loses the whole-row chain-of-thought effect,");
-    println!("and batch-5 prompts are more error-prone).");
+    // UDF EX below HQDL EX at the same settings (paper 5.4 — single-cell
+    // prediction loses the whole-row chain-of-thought effect, and batch-5
+    // prompts are more error-prone): evaluate the matching HQDL condition
+    // and compare the overall figures.
+    for ((shots, _), udf) in PAPER.iter().zip(udf_overall) {
+        let hqdl =
+            evaluate_hqdl(&h.benchmark, h.kb.clone(), &h.gold, ModelKind::Gpt35Turbo, *shots, 4)
+                .overall
+                .accuracy();
+        println!(
+            "{}",
+            shape_line(
+                &format!("udf_ex_below_hqdl_ex_{shots}shot"),
+                udf <= hqdl,
+                &format!("UDF {} vs HQDL {}", pct(udf), pct(hqdl)),
+            )
+        );
+    }
 }

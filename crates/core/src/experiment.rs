@@ -204,6 +204,12 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
+/// One computed shape check of a bench table, as a line of bench output:
+/// `shape PASS|FAIL <name>: <the numbers it was computed from>`.
+pub fn shape_line(name: &str, holds: bool, numbers: &str) -> String {
+    format!("shape {} {name}: {numbers}", if holds { "PASS" } else { "FAIL" })
+}
+
 /// Render an aligned text table (bench output).
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

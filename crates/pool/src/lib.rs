@@ -58,8 +58,9 @@ use std::sync::{mpsc, Arc, OnceLock};
 
 /// Default number of workers for parallel work: the `SWAN_THREADS`
 /// environment variable when set and parseable (minimum 1), otherwise the
-/// machine's available parallelism. Read per call — cheap, and tests can
-/// flip the variable between statements.
+/// machine's available parallelism. The variable is read per call (tests
+/// flip it between statements); the machine default — cgroup and affinity
+/// reads, microseconds each — is resolved once per process.
 pub fn configured_threads() -> usize {
     match std::env::var("SWAN_THREADS") {
         // An unparseable value falls back to the machine default (as the
@@ -73,7 +74,8 @@ pub fn configured_threads() -> usize {
 }
 
 fn default_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// True while running on a pool worker thread. Callers that would submit
@@ -257,12 +259,7 @@ fn pool() -> &'static WorkerPool {
         // to exceed the core count; it stays bounded regardless of how many
         // calls or items flow through it. The floor keeps headroom above the
         // §6 parallelism ablation's worker sweep even on small CI machines.
-        let size = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .max(16)
-            .min(64);
-        WorkerPool::with_size(size)
+        WorkerPool::with_size(default_parallelism().clamp(16, 64))
     })
 }
 

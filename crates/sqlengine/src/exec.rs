@@ -32,7 +32,7 @@ use crate::ast::{
 use crate::columnar::{AggKernel, ColumnSet};
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
-use crate::exec_parallel::{try_morsels, MORSEL_ROWS};
+use crate::exec_parallel::{inline_morsels, try_morsels, MORSEL_ROWS};
 use crate::functions::{is_aggregate, UdfRegistry};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use crate::optimizer::{expr_cost, optimize, NeededCol, OptimizerConfig};
@@ -275,8 +275,8 @@ fn columns_only_in_aggregates(expr: &Expr, schema: &RelSchema) -> bool {
 /// lifetime however often the expression around it is cloned or rebound.
 /// `Send + Sync` (an `Arc<Mutex<..>>` map of shared cells) so morsel
 /// workers share one cache with the statement thread, letting
-/// subquery-bearing predicates run under [`Plan::Parallel`] instead of
-/// falling back to serial. Each entry is a [`std::sync::OnceLock`]
+/// subquery-bearing predicates fan out like any other expression instead
+/// of running inline. Each entry is a [`std::sync::OnceLock`]
 /// **single-flight cell**: the first arriver classifies the subquery (see
 /// [`SubqueryState`]) — executing it when uncorrelated, building its hash
 /// index when [`KeyedAggregate::build`] accepts it — while concurrent
@@ -404,8 +404,7 @@ pub fn run_select(
     };
 
     if !stmt.order_by.is_empty() {
-        let threads = crate::exec_parallel::effective_threads(&ctx.optimizer);
-        sort_rows(&mut rel.rows, &mut keys, &stmt.order_by, topk_hint(stmt), threads);
+        sort_rows(&mut rel.rows, &mut keys, &stmt.order_by, topk_hint(stmt), ctx);
     }
     apply_limit_offset(&mut rel.rows, stmt, ctx)?;
     Ok(rel)
@@ -543,16 +542,12 @@ fn ordinal_index(expr: &Expr, width: usize) -> Result<Option<usize>> {
     Ok(None)
 }
 
-/// Rows below this count sort serially even at high thread counts: the
-/// morsel dispatch would cost more than the comparisons it saves.
-const PARALLEL_SORT_MIN_ROWS: usize = 4096;
-
 fn sort_rows(
     rows: &mut Vec<Row>,
     keys: &mut Vec<Vec<Value>>,
     order_by: &[OrderItem],
     top_k: Option<usize>,
-    threads: usize,
+    ctx: &ExecCtx<'_>,
 ) {
     // The input row index breaks every tie, making the comparator a
     // *total* order. This pins down what SQL leaves unspecified on
@@ -576,21 +571,17 @@ fn sort_rows(
     // tie-break above) — the selected set is uniquely determined.
     if let Some(k) = top_k {
         if k > 0 && k < idx.len() {
-            if threads > 1 && idx.len() >= PARALLEL_SORT_MIN_ROWS {
-                // Parallel top-k: every morsel selects its own smallest k
-                // candidates, then one final selection over the (≤ k per
-                // morsel) survivors. Because the comparator totally orders
-                // rows, the merged result is identical to the serial path.
-                // (None when k is too large for per-morsel pruning to
-                // help; fall through to the serial selection.)
-                if let Some(candidates) = crate::exec_parallel::parallel_topk_candidates(
-                    rows.len(),
-                    k,
-                    threads,
-                    &cmp,
-                ) {
-                    idx = candidates;
-                }
+            // Parallel top-k: every morsel selects its own smallest k
+            // candidates, then one final selection over the (≤ k per
+            // morsel) survivors. Because the comparator totally orders
+            // rows, the merged result is identical to the serial path.
+            // (None when the dispatcher keeps these rows inline or k is too
+            // large for per-morsel pruning to help; fall through to the
+            // serial selection.)
+            if let Some(candidates) =
+                crate::exec_parallel::parallel_topk_candidates(rows.len(), k, ctx, &cmp)
+            {
+                idx = candidates;
             }
             if k < idx.len() {
                 idx.select_nth_unstable_by(k - 1, cmp);
@@ -651,22 +642,14 @@ fn run_core(
 ) -> Result<(Relation, Vec<Vec<Value>>)> {
     let plan = plan_from(core.from.as_ref(), core.filter.as_ref())?;
     let needed = needed_columns(core, order_by);
-    let plan = optimize(plan, ctx.udfs, &ctx.optimizer, ctx.catalog, needed.as_deref())?;
-    // The optimizer's parallelization rule annotates the plan root: peel
-    // it here, once, and hand its partition count to every loop of this
-    // SELECT — the plan's operators and the SELECT-level ones (projection,
-    // aggregation) alike. Without the annotation every loop runs inline.
-    let (plan, partitions) = match &plan {
-        Plan::Parallel { input, partitions } => (&**input, *partitions),
-        other => (other, 1),
-    };
+    let plan = &optimize(plan, ctx.udfs, &ctx.optimizer, ctx.catalog, needed.as_deref())?;
     let prefix = match scan_topk {
         Some(k) => pk_order_prefix(plan, order_by, core, ctx, k)?,
         None => None,
     };
     let (input, cols) = match prefix {
         Some(rel) => (rel, None),
-        None => exec_plan_with_columns(plan, partitions, ctx, outer)?,
+        None => exec_plan_with_columns(plan, ctx, outer)?,
     };
     let cols = cols.as_ref();
 
@@ -704,12 +687,9 @@ fn run_core(
     }
 
     let (mut rows, mut keys) = if aggregated {
-        run_aggregate(
-            core, &projection, having.as_ref(), &order_exprs, &input, cols, ctx, outer,
-            partitions,
-        )?
+        run_aggregate(core, &projection, having.as_ref(), &order_exprs, &input, cols, ctx, outer)?
     } else {
-        project_rows(&projection, &order_exprs, &input, ctx, outer, partitions)?
+        project_rows(&projection, &order_exprs, &input, ctx, outer)?
     };
 
     if core.distinct {
@@ -819,14 +799,12 @@ fn needed_columns(core: &SelectCore, order_by: &[OrderItem]) -> Option<Vec<Neede
 ///    index (O(1) clones, no expression evaluation);
 /// 3. otherwise each expression is evaluated per row against a reusable
 ///    [`RowCtx`].
-#[allow(clippy::too_many_arguments)]
 fn project_rows(
     projection: &[(Expr, ColRef)],
     order_exprs: &[Expr],
     input: &Relation,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
-    partitions: usize,
 ) -> Result<RowsAndKeys> {
     let col_indices: Option<Vec<usize>> = projection
         .iter()
@@ -877,13 +855,13 @@ fn project_rows(
 
     // General path: bind every projected expression to the input schema
     // once, then evaluate per row with direct index loads; range-order
-    // concatenation keeps the output in input order at every partition
+    // concatenation keeps the output in input order at every thread
     // count.
     let bound: Vec<Expr> = projection
         .iter()
         .map(|(e, _)| bind_columns(e, &input.schema))
         .collect();
-    let chunks = try_morsels(input.rows.len(), partitions, ctx, |range, wctx| {
+    let chunks = try_morsels(input.rows.len(), ctx, |range, wctx| {
         let mut rows: Vec<Row> = Vec::with_capacity(range.len());
         let mut keys = Vec::new();
         for row in &input.rows[range] {
@@ -1008,16 +986,15 @@ fn run_aggregate(
     cols: Option<&ColInput>,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
-    partitions: usize,
 ) -> Result<RowsAndKeys> {
     // Partition input rows into groups, preserving first-seen order. The
     // grouping expressions are bound to the input schema once up front.
     //
     // Expression keys are **two-phase**: every row's grouping key is
-    // evaluated range by range (fanned out under a parallel annotation),
+    // evaluated range by range (fanned out when `try_morsels` says so),
     // then one merge pass partitions the rows using the precomputed keys.
     // The merge walks rows in input order, so group numbering (and thus
-    // the unordered output order) is the same at every partition count.
+    // the unordered output order) is the same at every thread count.
     let mut group_index: FxHashMap<Vec<GroupKey>, usize> = FxHashMap::default();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     if core.group_by.is_empty() {
@@ -1064,7 +1041,7 @@ fn run_aggregate(
             }
         } else {
             // Phase 1: per-range key computation.
-            let key_chunks = try_morsels(input.rows.len(), partitions, ctx, |range, wctx| {
+            let key_chunks = try_morsels(input.rows.len(), ctx, |range, wctx| {
                 let mut keys = Vec::with_capacity(range.len());
                 for row in &input.rows[range] {
                     let rc = RowCtx { schema: &input.schema, row, outer };
@@ -1122,7 +1099,7 @@ fn run_aggregate(
     let survivors: Vec<&Vec<usize>> = match having {
         None => groups.iter().collect(),
         Some(h) => {
-            let verdicts = try_morsels(groups.len(), partitions, ctx, |range, wctx| {
+            let verdicts = try_morsels(groups.len(), ctx, |range, wctx| {
                 let mut keep = Vec::with_capacity(range.len());
                 for members in &groups[range] {
                     let rep: &[Value] = match members.first() {
@@ -1173,7 +1150,7 @@ fn run_aggregate(
     // Per-group output: aggregates and the residual projection evaluate
     // per surviving group — independent work, dispatched over ranges of
     // groups.
-    let chunks = try_morsels(survivors.len(), partitions, ctx, |range, wctx| {
+    let chunks = try_morsels(survivors.len(), ctx, |range, wctx| {
         let mut rows: Vec<Row> = Vec::with_capacity(range.len());
         let mut keys = Vec::new();
         for members in &survivors[range] {
@@ -1420,12 +1397,10 @@ fn compute_aggregate(
 
 // ---- plan execution --------------------------------------------------------
 
-/// Materialize a plan into a relation. `partitions` is how far each
-/// operator's loop may fan out ([`try_morsels`]); 1 runs everything inline
-/// on the calling thread.
+/// Materialize a plan into a relation. Each operator hands its loop to
+/// [`try_morsels`], which alone decides whether it fans out.
 pub fn exec_plan(
     plan: &Plan,
-    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
@@ -1473,20 +1448,18 @@ pub fn exec_plan(
 
         // Columnar filters beat per-row evaluation on the predicate shapes
         // the kernels support: one pass over the key columns, no per-row
-        // dispatch, at any partition count.
+        // dispatch, at any thread count.
         Plan::Filter { input, predicate } => match columnar_filter(input, predicate, ctx)? {
             Some((rel, _)) => Ok(rel),
             None => {
-                let mut rel = exec_plan(input, partitions, ctx, outer)?;
-                filter_relation(&mut rel, predicate, partitions, ctx, outer)?;
+                let mut rel = exec_plan(input, ctx, outer)?;
+                filter_relation(&mut rel, predicate, ctx, outer)?;
                 Ok(rel)
             }
         },
 
-        Plan::Parallel { input, partitions } => exec_plan(input, *partitions, ctx, outer),
-
         Plan::Batch { input, calls } => {
-            let rel = exec_plan(input, partitions, ctx, outer)?;
+            let rel = exec_plan(input, ctx, outer)?;
             // Vectorize the marked expensive calls across the whole input
             // batch, on the statement thread (the one `invoke_batch` fans
             // out through the same shared pool); the filter above this
@@ -1498,11 +1471,11 @@ pub fn exec_plan(
         }
 
         Plan::Permute { input, mapping } => {
-            let rel = exec_plan(input, partitions, ctx, outer)?;
+            let rel = exec_plan(input, ctx, outer)?;
             let schema = RelSchema::new(
                 mapping.iter().map(|&i| rel.schema.cols[i].clone()).collect(),
             );
-            let chunks = try_morsels(rel.rows.len(), partitions, ctx, |range, _| {
+            let chunks = try_morsels(rel.rows.len(), ctx, |range, _| {
                 Ok(rel.rows[range]
                     .iter()
                     .map(|r| mapping.iter().map(|&i| r[i].clone()).collect::<Row>())
@@ -1512,9 +1485,9 @@ pub fn exec_plan(
         }
 
         Plan::Join { left, right, kind, on, emit } => {
-            let l = exec_source(left, partitions, ctx, outer)?;
-            let r = exec_source(right, partitions, ctx, outer)?;
-            exec_join(&l, &r, *kind, on.as_ref(), emit.as_deref(), partitions, ctx, outer)
+            let l = exec_source(left, ctx, outer)?;
+            let r = exec_source(right, ctx, outer)?;
+            exec_join(&l, &r, *kind, on.as_ref(), emit.as_deref(), ctx, outer)
         }
     }
 }
@@ -1566,7 +1539,6 @@ fn columnar_filter(
 /// over columns.
 fn exec_plan_with_columns(
     plan: &Plan,
-    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<(Relation, Option<ColInput>)> {
@@ -1588,7 +1560,7 @@ fn exec_plan_with_columns(
             _ => {}
         }
     }
-    Ok((exec_plan(plan, partitions, ctx, outer)?, None))
+    Ok((exec_plan(plan, ctx, outer)?, None))
 }
 
 /// The batch filter: the predicate's columns are bound to indices up
@@ -1598,13 +1570,12 @@ fn exec_plan_with_columns(
 fn filter_relation(
     rel: &mut Relation,
     predicate: &Expr,
-    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<()> {
     let predicate = bind_columns(predicate, &rel.schema);
     let (schema, rows) = (&rel.schema, &rel.rows);
-    let keep = try_morsels(rows.len(), partitions, ctx, |range, wctx| {
+    let keep = try_morsels(rows.len(), ctx, |range, wctx| {
         let mut keep = Vec::with_capacity(range.len());
         for (off, row) in rows[range.clone()].iter().enumerate() {
             prefetch_row(rows, range.start + off + PREFETCH_AHEAD);
@@ -1667,7 +1638,6 @@ impl JoinInput<'_> {
 
 fn exec_source<'a>(
     plan: &Plan,
-    partitions: usize,
     ctx: &ExecCtx<'a>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<JoinInput<'a>> {
@@ -1680,7 +1650,7 @@ fn exec_source<'a>(
                 cols: ctx.optimizer.columnar.then(|| t.column_set()),
             })
         }
-        other => Ok(JoinInput::Owned(exec_plan(other, partitions, ctx, outer)?)),
+        other => Ok(JoinInput::Owned(exec_plan(other, ctx, outer)?)),
     }
 }
 
@@ -1741,14 +1711,12 @@ impl Emission {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn exec_join(
     left: &JoinInput<'_>,
     right: &JoinInput<'_>,
     kind: PlanJoinKind,
     on: Option<&Expr>,
     emit: Option<&[usize]>,
-    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
@@ -1770,25 +1738,37 @@ fn exec_join(
         None => (Vec::new(), None),
     };
 
-    // Expensive UDF calls in the residual are answered by one batched
-    // prefetch over the candidate pairs; whatever that prefetch misses is
-    // invoked per candidate, and only an inline probe invokes each such
-    // tuple once — fanned out, workers would repeat each other's calls.
-    let expensive_residual = ctx.optimizer.batch_expensive_udfs
-        && residual.as_ref().is_some_and(|r| expr_cost(r, ctx.udfs) >= 2);
-    let partitions = if expensive_residual { 1 } else { partitions };
-
     let residual = residual.as_ref();
     let rows = if equi.is_empty() {
-        nested_loop_join(
-            left, right, kind, residual, &full_schema, &emission, partitions, ctx, outer,
-        )?
+        nested_loop_join(left, right, kind, residual, &full_schema, &emission, ctx, outer)?
     } else {
-        hash_join(
-            left, right, kind, &equi, residual, &full_schema, &emission, partitions, ctx, outer,
-        )?
+        hash_join(left, right, kind, &equi, residual, &full_schema, &emission, ctx, outer)?
     };
     Ok(Relation { schema: out_schema, rows })
+}
+
+/// Dispatch a join's probe loop whose candidate pairs go through
+/// `residual`. Expensive UDF calls in the residual are answered by one
+/// batched prefetch over the candidate pairs; whatever that prefetch
+/// misses is invoked per candidate, and only an inline probe invokes each
+/// such tuple once — fanned out, workers would repeat each other's calls.
+fn residual_morsels<'a, T, F>(
+    count: usize,
+    residual: Option<&Expr>,
+    ctx: &ExecCtx<'a>,
+    f: F,
+) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(std::ops::Range<usize>, &ExecCtx<'a>) -> Result<T> + Sync,
+{
+    let expensive = ctx.optimizer.batch_expensive_udfs
+        && residual.is_some_and(|r| expr_cost(r, ctx.udfs) >= 2);
+    if expensive {
+        inline_morsels(count, ctx, f)
+    } else {
+        try_morsels(count, ctx, f)
+    }
 }
 
 /// Extract `l_expr = r_expr` conjuncts where each side is computable from
@@ -1937,7 +1917,6 @@ fn hash_join(
     residual: Option<&Expr>,
     schema: &RelSchema,
     emission: &Emission,
-    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Vec<Row>> {
@@ -2048,7 +2027,7 @@ fn hash_join(
         // Columnar probe: keys come from the probe table's key column, so
         // the probe row is only dereferenced on an actual match.
         if let Some(col) = probe.key_column(&probe_key) {
-            return Ok(concat(try_morsels(probe_rows.len(), partitions, ctx, |range, _| {
+            return Ok(concat(try_morsels(probe_rows.len(), ctx, |range, _| {
                 let mut out = Vec::with_capacity(range.len());
                 for pi in range {
                     let Some(gk) = col.join_key_at(pi) else { continue };
@@ -2067,7 +2046,7 @@ fn hash_join(
         }
         if let KeySide::Direct(idxs) = &probe_key {
             if let [pk] = idxs[..] {
-                return Ok(concat(try_morsels(probe_rows.len(), partitions, ctx, |range, _| {
+                return Ok(concat(try_morsels(probe_rows.len(), ctx, |range, _| {
                     let mut out = Vec::with_capacity(range.len());
                     for pi in range {
                         prefetch_row(probe_rows, pi + PREFETCH_AHEAD);
@@ -2092,7 +2071,7 @@ fn hash_join(
     }
 
     let right_width = right.schema().len();
-    Ok(concat(try_morsels(probe_rows.len(), partitions, ctx, |range, wctx| {
+    Ok(concat(residual_morsels(probe_rows.len(), residual.as_ref(), ctx, |range, wctx| {
         let mut out = Vec::with_capacity(range.len());
         // Scratch buffer for residual evaluation over the full combined
         // row; only allocated contents, never a fresh Vec per candidate.
@@ -2185,7 +2164,6 @@ fn nested_loop_join(
     on: Option<&Expr>,
     schema: &RelSchema,
     emission: &Emission,
-    partitions: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Vec<Row>> {
@@ -2241,7 +2219,7 @@ fn nested_loop_join(
     // Ranges of the outer (left) side. The work per outer row is |right|,
     // unbounded by the range, so the inner loop keeps its own cancellation
     // check.
-    Ok(concat(try_morsels(lrows.len(), partitions, ctx, |range, wctx| {
+    Ok(concat(residual_morsels(lrows.len(), on.as_ref(), ctx, |range, wctx| {
         let mut out = Vec::new();
         let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
         let mut since_check = 0usize;

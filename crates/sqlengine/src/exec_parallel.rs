@@ -1,25 +1,28 @@
 //! Morsel dispatch: how the one executor's loops are spread over threads.
 //!
-//! There is no parallel executor. Every operator in [`crate::exec`] writes
-//! its loop body once, against a `(row range, context)` pair, and hands it
-//! to [`try_morsels`] with the partition count the plan carries (the
-//! [`Plan::Parallel`](crate::plan::Plan) annotation's number, or 1). This
-//! module owns what that number means:
+//! There is no parallel executor and no parallel plan node. Every operator
+//! in [`crate::exec`] writes its loop body once, against a
+//! `(row range, context)` pair, and hands it to [`try_morsels`] with the
+//! number of items the loop covers. This module alone decides what happens
+//! next, from what it can observe:
 //!
-//! * **thread resolution** — [`effective_threads`];
+//! * **the gate** — [`fan_out`]: a loop over fewer than
+//!   [`OptimizerConfig::parallel_threshold`] items runs inline, and so does
+//!   any loop on a pool worker or a worker context; only a loop that passes
+//!   resolves a thread count ([`effective_threads`]: `threads`, or at `0`
+//!   `SWAN_THREADS` / the machine default), and one thread is inline again.
+//!   `ORDER BY … LIMIT k` ([`parallel_topk_candidates`]) asks the same gate;
 //! * **morsel sizing** — [`MORSEL_ROWS`] and the few-morsels-per-worker
 //!   split of a fan-out;
-//! * **inline dispatch** (`partitions <= 1`, or already on a pool worker):
-//!   the body runs on the calling thread, on the caller's own [`ExecCtx`],
-//!   over [`MORSEL_ROWS`]-sized ranges in order, with a cancellation check
-//!   between ranges — this *is* the serial engine;
-//! * **fan-out** (`partitions > 1`): workers from the shared [`swan_pool`]
-//!   steal morsel indices from a counter, each against a worker-local
-//!   context (below), and per-morsel outputs come back in morsel order —
-//!   so an operator's row order, and therefore the whole query result, is
-//!   **byte-identical at every partition count**;
-//! * **top-k candidates** for `ORDER BY … LIMIT k`
-//!   ([`parallel_topk_candidates`]).
+//! * **inline dispatch** ([`inline_morsels`]): the body runs on the calling
+//!   thread, on the caller's own [`ExecCtx`], over [`MORSEL_ROWS`]-sized
+//!   ranges in order, with a cancellation check between ranges — this *is*
+//!   the serial engine;
+//! * **fan-out**: workers from the shared [`swan_pool`] steal morsel
+//!   indices from a counter, each against a worker-local context (below),
+//!   and per-morsel outputs come back in morsel order — so an operator's
+//!   row order, and therefore the whole query result, is **byte-identical
+//!   at every thread count and threshold**.
 //!
 //! # Worker execution contexts
 //!
@@ -65,32 +68,66 @@ pub const MORSEL_ROWS: usize = 1024;
 /// [`swan_pool::configured_threads`] (the `SWAN_THREADS` environment
 /// variable, else the machine's available parallelism). `SWAN_THREADS=1`
 /// therefore dispatches every loop inline.
-pub fn effective_threads(config: &OptimizerConfig) -> usize {
+fn effective_threads(config: &OptimizerConfig) -> usize {
     match config.threads {
         0 => swan_pool::configured_threads(),
         n => n,
     }
 }
 
-/// Morsel size for `count` items across `partitions` workers: aim for a
+/// The one fan-out gate: how many pool workers a loop over `count` items
+/// may use, or `None` to run it inline. The count is checked first, so a
+/// statement whose loops are all below the threshold never resolves a
+/// thread count (an environment read) at all.
+fn fan_out(count: usize, ctx: &ExecCtx<'_>) -> Option<usize> {
+    // A lone item has nothing to split; a fixed pool must not wait on
+    // itself; a worker context's overlay is not the statement's store.
+    if count < ctx.optimizer.parallel_threshold.max(2)
+        || swan_pool::is_pool_worker()
+        || ctx.udf_seed.is_some()
+    {
+        return None;
+    }
+    let threads = effective_threads(&ctx.optimizer);
+    (threads > 1).then_some(threads)
+}
+
+/// Morsel size for `count` items across `workers` workers: aim for a
 /// few morsels per worker (stealing headroom for skew), capped at
 /// [`MORSEL_ROWS`].
-fn morsel_size(count: usize, partitions: usize) -> usize {
-    count.div_ceil((partitions * 4).max(1)).clamp(1, MORSEL_ROWS)
+fn morsel_size(count: usize, workers: usize) -> usize {
+    count.div_ceil(workers * 4).clamp(1, MORSEL_ROWS)
+}
+
+/// Inline dispatch: `f` runs on the calling thread against `ctx` itself
+/// over [`MORSEL_ROWS`]-sized ranges covering `0..count`, with a
+/// cancellation check between ranges, and nothing runs after a failed
+/// range. [`try_morsels`] below the gate — and the call for a loop that
+/// must not fan out whatever its size.
+pub(crate) fn inline_morsels<'a, T, F>(count: usize, ctx: &ExecCtx<'a>, f: F) -> Result<Vec<T>>
+where
+    F: Fn(Range<usize>, &ExecCtx<'a>) -> Result<T>,
+{
+    let mut out = Vec::with_capacity(count.div_ceil(MORSEL_ROWS));
+    for start in (0..count).step_by(MORSEL_ROWS) {
+        if start > 0 {
+            ctx.check_cancel()?;
+        }
+        out.push(f(start..(start + MORSEL_ROWS).min(count), ctx)?);
+    }
+    Ok(out)
 }
 
 /// Run `f` over ranges covering `0..count` and return one result per range,
 /// in range order; the first error (in range order) wins — the row a single
 /// in-order pass fails on.
 ///
-/// **Inline** — `partitions <= 1`, fewer than two items, a call from a
-/// pool worker (a fixed pool must not wait on itself) or on a worker
-/// context: `f` runs on the
-/// calling thread against `ctx` itself over [`MORSEL_ROWS`]-sized ranges,
-/// with a cancellation check between ranges, and nothing runs after a
-/// failed range.
+/// **Inline** ([`inline_morsels`]) — fewer than
+/// [`OptimizerConfig::parallel_threshold`] items, a call from a pool worker
+/// (a fixed pool must not wait on itself) or on a worker context, or one
+/// resolved thread.
 ///
-/// **Fan-out** — otherwise: up to `partitions` pool workers steal morsels,
+/// **Fan-out** — otherwise: up to `threads` pool workers steal morsels,
 /// each against a fresh worker-local [`ExecCtx`] that reads the statement's
 /// prefetched expensive-UDF results through one shared `Arc` and checks for
 /// cancellation before every morsel. Expensive-UDF results a worker
@@ -100,29 +137,17 @@ fn morsel_size(count: usize, partitions: usize) -> usize {
 /// downstream operators of the same statement are served from the store
 /// instead of re-invoking. Within one
 /// operator such a missed tuple can still be invoked by more than one
-/// worker concurrently (bounded by the partition count; stateful UDFs like
+/// worker concurrently (bounded by the thread count; stateful UDFs like
 /// `llm_map` deduplicate further in their own single-flight layer) — the
 /// statement-level prefetch keeps this path cold.
-pub fn try_morsels<'a, T, F>(
-    count: usize,
-    partitions: usize,
-    ctx: &ExecCtx<'a>,
-    f: F,
-) -> Result<Vec<T>>
+pub fn try_morsels<'a, T, F>(count: usize, ctx: &ExecCtx<'a>, f: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(Range<usize>, &ExecCtx<'a>) -> Result<T> + Sync,
 {
-    if partitions <= 1 || count < 2 || swan_pool::is_pool_worker() || ctx.udf_seed.is_some() {
-        let mut out = Vec::with_capacity(count.div_ceil(MORSEL_ROWS));
-        for start in (0..count).step_by(MORSEL_ROWS) {
-            if start > 0 {
-                ctx.check_cancel()?;
-            }
-            out.push(f(start..(start + MORSEL_ROWS).min(count), ctx)?);
-        }
-        return Ok(out);
-    }
+    let Some(workers) = fan_out(count, ctx) else {
+        return inline_morsels(count, ctx, f);
+    };
 
     // The statement's results move behind an `Arc` for the fan-out: every
     // worker reads them there, and writes what it computes itself into its
@@ -155,8 +180,8 @@ where
 
     let out: Result<Vec<T>> = swan_pool::parallel_morsels_with(
         count,
-        morsel_size(count, partitions),
-        partitions,
+        morsel_size(count, workers),
+        workers,
         // One context per worker, not per morsel.
         || WorkerCtx {
             wctx: ExecCtx {
@@ -208,24 +233,26 @@ where
 /// comparator totally orders rows, the final k are exactly the serial
 /// stable-sort prefix at every thread count.
 ///
-/// Returns `None` when `k` is not smaller than a morsel — per-morsel
-/// selection could not prune anything, so the pass would be pure
-/// dispatch overhead on top of the identical serial selection; the
-/// caller falls through to the serial path.
+/// Returns `None` when the gate ([`fan_out`]) keeps `count` rows inline, or
+/// when `k` is not smaller than a morsel — per-morsel selection could not
+/// prune anything, so the pass would be pure dispatch overhead on top of
+/// the identical serial selection; the caller then runs the serial
+/// selection over every row.
 pub(crate) fn parallel_topk_candidates<F>(
     count: usize,
     k: usize,
-    threads: usize,
+    ctx: &ExecCtx<'_>,
     cmp: &F,
 ) -> Option<Vec<usize>>
 where
     F: Fn(&usize, &usize) -> std::cmp::Ordering + Sync,
 {
-    let morsel = morsel_size(count, threads);
+    let workers = fan_out(count, ctx)?;
+    let morsel = morsel_size(count, workers);
     if k >= morsel {
         return None;
     }
-    let chunks = swan_pool::parallel_morsels(count, morsel, threads, |range| {
+    let chunks = swan_pool::parallel_morsels(count, morsel, workers, |range| {
         let mut idx: Vec<usize> = range.collect();
         if k < idx.len() {
             idx.select_nth_unstable_by(k - 1, |a, b| cmp(a, b));
@@ -234,4 +261,43 @@ where
         idx
     });
     Some(chunks.into_iter().flatten().collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::functions::UdfRegistry;
+    use crate::storage::Catalog;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Top-k asks the same gate as every operator loop: the comparator
+    /// (the only code a selection runs) is called on pool workers exactly
+    /// when `try_morsels` would fan the same count out.
+    #[test]
+    fn topk_obeys_the_same_threshold() {
+        let (catalog, udfs) = (Catalog::default(), UdfRegistry::new());
+        let on_pool = AtomicUsize::new(0);
+        let cmp = |a: &usize, b: &usize| {
+            on_pool.fetch_add(swan_pool::is_pool_worker() as usize, Ordering::SeqCst);
+            // Descending, so the selection has something to do.
+            b.cmp(a)
+        };
+        let threshold = crate::optimizer::DEFAULT_PARALLEL_THRESHOLD;
+        for (threads, count, fans_out) in [
+            (8, threshold - 1, false),
+            (8, threshold, true),
+            (2, threshold, true),
+            (1, 8 * threshold, false),
+        ] {
+            let config = OptimizerConfig { threads, ..Default::default() };
+            let ctx = ExecCtx::new(&catalog, &udfs).with_optimizer(config);
+            let candidates = parallel_topk_candidates(count, 3, &ctx, &cmp);
+            assert_eq!(candidates.is_some(), fans_out, "{count} rows at {threads} threads");
+            assert_eq!(on_pool.swap(0, Ordering::SeqCst) > 0, fans_out);
+            if let Some(mut candidates) = candidates {
+                candidates.sort_by(cmp);
+                assert_eq!(candidates[..3], [count - 1, count - 2, count - 3]);
+            }
+        }
+    }
 }

@@ -30,15 +30,17 @@
 //!   harness pins columnar ≡ row at 1 and 8 threads (PERF.md, "Columnar
 //!   execution", for the measured 1.7–2.2× scan/aggregate speedups);
 //! * **morsel-driven parallel execution** ([`exec_parallel`]): there is
-//!   one executor, and parallelism is a number handed to it. Every
-//!   operator loop in [`exec`] is written once against a row range and
-//!   dispatched through `exec_parallel::try_morsels`; the optimizer
-//!   annotates large plans with `Plan::Parallel { partitions }` from
-//!   catalog row counts, and under that annotation filters, hash-join
-//!   probes (against one table built once), nested loops, projection,
-//!   GROUP BY key evaluation, HAVING, per-group output and top-k
-//!   selection fan out over the shared `swan_pool` worker pool; without
-//!   it the same loops run inline on the statement thread. Results are
+//!   one executor, and parallelism is a run-time decision of its
+//!   dispatcher, not a property of the plan. Every operator loop in
+//!   [`exec`] is written once against a row range and handed to
+//!   `exec_parallel::try_morsels` with the number of items it covers; a
+//!   loop of [`OptimizerConfig::parallel_threshold`] items or more —
+//!   filters, hash-join probes (against one table built once), nested
+//!   loops, projection, GROUP BY key evaluation, HAVING, per-group output
+//!   and top-k selection alike — fans out over the shared `swan_pool`
+//!   worker pool when [`OptimizerConfig::threads`] resolves to more than
+//!   one; a smaller loop runs inline on the statement thread without
+//!   resolving anything. Results are
 //!   **byte-identical** at every thread count (`SWAN_THREADS=1` is the
 //!   inline dispatch throughout; the `parallel_diff` differential harness
 //!   enforces equivalence at 1, 2 and 8 threads);

@@ -1,6 +1,6 @@
 //! Rule-based plan optimizer.
 //!
-//! Four rules matter for hybrid queries:
+//! Six rules, the first four of which matter most for hybrid queries:
 //!
 //! 1. **Predicate pushdown** — WHERE conjuncts move below joins to the side
 //!    that can evaluate them, shrinking join inputs.
@@ -23,6 +23,13 @@
 //!    [`Plan::Batch`] node vectorizes the expensive calls (one
 //!    `invoke_batch` over the surviving rows' distinct argument tuples)
 //!    before the per-row expensive filter runs.
+//! 6. **Primary-key index scans** — a filter that pins a table's primary
+//!    key to literals reads its rows through a [`Plan::IndexScan`] probe
+//!    instead of a full scan.
+//!
+//! The plan describes the query, never the host: whether an operator's
+//! loop fans out over threads is decided at run time by
+//! [`crate::exec_parallel`], from the number of items the loop is handed.
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::Result;
@@ -47,18 +54,17 @@ pub struct OptimizerConfig {
     /// distinct argument tuples of its input batch instead of one call
     /// per row.
     pub batch_expensive_udfs: bool,
-    /// Worker threads for morsel-driven parallel execution. `0` means
-    /// auto: the `SWAN_THREADS` environment variable when set, otherwise
-    /// the machine's available parallelism. `1` disables parallel
-    /// execution entirely (the plan never grows a [`Plan::Parallel`]
-    /// node, so every operator loop is dispatched inline).
+    /// Worker threads an operator loop may fan out over. `0` means auto:
+    /// the `SWAN_THREADS` environment variable when set, otherwise the
+    /// machine's available parallelism — resolved per loop, and only for a
+    /// loop that reaches [`parallel_threshold`](Self::parallel_threshold).
+    /// `1` dispatches every operator loop inline.
     pub threads: usize,
-    /// Minimum base-table cardinality (from [`Catalog::row_count`]
-    /// statistics) before a plan is worth parallelizing; below it the
-    /// coordination overhead outweighs the work. Tests drop this to 1 to
-    /// exercise the parallel operators on small tables.
-    ///
-    /// [`Catalog::row_count`]: crate::storage::Catalog::row_count
+    /// Minimum number of items (rows, groups) handed to *one* operator
+    /// loop before [`crate::exec_parallel::try_morsels`] fans it out;
+    /// below it the loop runs inline on the statement thread, whatever
+    /// the size of the tables behind it. Tests drop this to 1 to drive
+    /// small inputs through the fan-out.
     pub parallel_threshold: usize,
     /// Use the columnar execution path ([`crate::columnar`]): scans serve
     /// cached typed column vectors, filters over base tables run as
@@ -95,8 +101,8 @@ pub struct OptimizerConfig {
     pub index_scan: bool,
 }
 
-/// Default for [`OptimizerConfig::parallel_threshold`]: roughly four
-/// morsels' worth of rows, the point where fan-out stops being noise.
+/// Default for [`OptimizerConfig::parallel_threshold`]: four morsels'
+/// worth of items, the point where fan-out stops being noise.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
 impl Default for OptimizerConfig {
@@ -142,58 +148,7 @@ pub fn optimize(
         _ => plan,
     };
     let plan = if config.batch_expensive_udfs { batch_expensive_calls(plan, udfs) } else { plan };
-    let threads = crate::exec_parallel::effective_threads(config);
-    let plan = if threads > 1 {
-        parallelize(plan, provider, threads, config.parallel_threshold)
-    } else {
-        plan
-    };
     Ok(plan)
-}
-
-// ---- rule 6: morsel-driven parallelization ------------------------------
-
-/// Annotate the plan root with [`Plan::Parallel`] when the catalog's
-/// row-count statistics say the input is large enough to amortize fan-out.
-/// Runs last (after batching), so the annotation covers the final
-/// operator tree; never runs when the effective thread count is 1.
-fn parallelize(
-    plan: Plan,
-    provider: &dyn SchemaProvider,
-    threads: usize,
-    threshold: usize,
-) -> Plan {
-    if matches!(plan, Plan::Empty) {
-        return plan;
-    }
-    if plan_input_rows(&plan, provider) < threshold {
-        return plan;
-    }
-    Plan::Parallel { input: Box::new(plan), partitions: threads }
-}
-
-/// Upper-bound cardinality of a plan's inputs: the largest base-table row
-/// count in the tree ([`SchemaProvider::table_rows`], i.e.
-/// `Catalog::row_count`). Derived tables and unknown tables count as
-/// unbounded — a wrapped plan over a small derived input costs one morsel
-/// dispatch, while an unwrapped plan over a large one costs the whole
-/// speedup.
-fn plan_input_rows(plan: &Plan, provider: &dyn SchemaProvider) -> usize {
-    match plan {
-        Plan::Scan { table, .. } => provider.table_rows(table).unwrap_or(usize::MAX),
-        // An index scan reads O(matches), not O(table) — never worth
-        // morsel fan-out on its own.
-        Plan::IndexScan { .. } => 0,
-        Plan::Derived { .. } => usize::MAX,
-        Plan::Join { left, right, .. } => {
-            plan_input_rows(left, provider).max(plan_input_rows(right, provider))
-        }
-        Plan::Filter { input, .. }
-        | Plan::Batch { input, .. }
-        | Plan::Permute { input, .. }
-        | Plan::Parallel { input, .. } => plan_input_rows(input, provider),
-        Plan::Empty => 0,
-    }
 }
 
 // ---- rule 1: predicate pushdown ---------------------------------------
@@ -280,14 +235,13 @@ fn push_predicate_into(
             all.extend(conjuncts);
             push_predicate_into(*input, all, provider)
         }
-        // `Parallel` and `IndexScan` never exist while pushdown runs
-        // (those rules come later), but the match stays total for safety.
+        // `IndexScan` never exists while pushdown runs (that rule comes
+        // later), but the match stays total for safety.
         leaf @ (Plan::Scan { .. }
         | Plan::IndexScan { .. }
         | Plan::Derived { .. }
         | Plan::Permute { .. }
         | Plan::Batch { .. }
-        | Plan::Parallel { .. }
         | Plan::Empty) => Ok(wrap_filter(leaf, conjuncts)),
     }
 }
@@ -786,12 +740,12 @@ pub fn expr_cost(e: &Expr, udfs: &UdfRegistry) -> u8 {
     cost
 }
 
-// ---- rule 7: primary-key index scans ------------------------------------
+// ---- rule 6: primary-key index scans ------------------------------------
 
 /// Rewrite `Filter(pred, Scan(t))` to `Filter(pred, IndexScan(t, bounds))`
 /// when `pred`'s conjuncts pin `t`'s primary key to non-NULL literals.
 /// Runs after pushdown and filter ordering (so filters sit directly on
-/// their scans) and before parallelization. The predicate is kept whole:
+/// their scans). The predicate is kept whole:
 /// the index probe only narrows the row set the filter inspects, so the
 /// rewrite is unconditionally sound — any probe imprecision (group-key
 /// equality being coarser than SQL `=`, NULLs under a sole upper bound)
@@ -826,9 +780,6 @@ fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
         }
         Plan::Permute { input, mapping } => {
             Plan::Permute { input: Box::new(index_scans(*input, provider)), mapping }
-        }
-        Plan::Parallel { input, partitions } => {
-            Plan::Parallel { input: Box::new(index_scans(*input, provider)), partitions }
         }
         other => other,
     }
@@ -1147,15 +1098,9 @@ mod tests {
         plan_from(core.from.as_ref(), core.filter.as_ref()).unwrap()
     }
 
-    /// Serial plans: these tests match on the shape the rules produce,
-    /// and `threads: 0` (= `nproc`) would wrap the root in
-    /// [`Plan::Parallel`] on any multi-core host.
-    fn serial() -> OptimizerConfig {
-        OptimizerConfig { threads: 1, ..Default::default() }
-    }
-
     fn opt(sql: &str) -> Plan {
-        optimize(plan_of(sql), &UdfRegistry::new(), &serial(), &Fixture, None).unwrap()
+        let config = OptimizerConfig::default();
+        optimize(plan_of(sql), &UdfRegistry::new(), &config, &Fixture, None).unwrap()
     }
 
     #[test]
@@ -1395,7 +1340,7 @@ mod tests {
         let p = plan_of(
             "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN tiny t ON d.id = t.id",
         );
-        let cfg = OptimizerConfig { reorder_joins: false, ..serial() };
+        let cfg = OptimizerConfig { reorder_joins: false, ..Default::default() };
         let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None).unwrap();
         let Plan::Join { left, .. } = opt else { panic!() };
         let Plan::Join { left: ll, .. } = *left else { panic!() };
@@ -1412,11 +1357,11 @@ mod tests {
         assert!(estimate_rows(&filtered, &Fixture) < estimate_rows(&scan, &Fixture));
     }
 
-    // ---- rule 7: primary-key index scans ------------------------------
+    // ---- rule 6: primary-key index scans ------------------------------
 
     /// Fixture where `k` has a single-column PK (id) and `kk` a composite
     /// PK (a, b). `a`/`b` etc. stay PK-less so the other tests' plans are
-    /// untouched by rule 7.
+    /// untouched by rule 6.
     struct PkFixture;
 
     impl SchemaProvider for PkFixture {

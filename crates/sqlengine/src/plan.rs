@@ -170,21 +170,6 @@ pub enum Plan {
     /// Emitted by join reordering to restore the query's written column
     /// order after the join tree has been rearranged.
     Permute { input: Box<Plan>, mapping: Vec<usize> },
-    /// Morsel-driven parallel execution annotation: every operator loop of
-    /// the subtree below (and of the SELECT above it) may fan out over up
-    /// to `partitions` worker threads — the executor hands this number to
-    /// [`crate::exec_parallel::try_morsels`], which runs the same loop
-    /// bodies inline when it is 1. Hash joins build one table on the
-    /// statement thread and probe it morsel-parallel.
-    /// Inserted (at most once, at the root) by the optimizer's
-    /// parallelization rule when [`Catalog::row_count`] statistics say the
-    /// input is large enough to amortize coordination; never inserted when
-    /// the effective thread count is 1, so `SWAN_THREADS=1` runs every
-    /// loop inline. Operator output order is morsel-concatenated input
-    /// order, so results are byte-identical at every partition count.
-    ///
-    /// [`Catalog::row_count`]: crate::storage::Catalog::row_count
-    Parallel { input: Box<Plan>, partitions: usize },
     /// Zero-column, one-row relation (SELECT without FROM).
     Empty,
 }
@@ -239,7 +224,6 @@ impl Plan {
             }
             Plan::Filter { input, .. } => input.schema(provider),
             Plan::Batch { input, .. } => input.schema(provider),
-            Plan::Parallel { input, .. } => input.schema(provider),
             Plan::Permute { input, mapping } => {
                 let inner = input.schema(provider)?;
                 Ok(RelSchema::new(

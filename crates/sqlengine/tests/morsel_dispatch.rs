@@ -8,7 +8,7 @@
 //! observed within one morsel per worker, which this file pins **without
 //! timing**: a cheap counting UDF cancels the statement's own token on its
 //! k-th invocation, and the statement must fail with `Error::Cancelled`
-//! after at most `k + MORSEL_ROWS × partitions` invocations.
+//! after at most `k + MORSEL_ROWS × threads` invocations.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -132,35 +132,153 @@ fn addr(ctx: &ExecCtx<'_>) -> usize {
     ctx as *const ExecCtx<'_> as usize
 }
 
+const THRESHOLD: usize = swan_sqlengine::optimizer::DEFAULT_PARALLEL_THRESHOLD;
+
+fn threads(threads: usize) -> OptimizerConfig {
+    OptimizerConfig { threads, ..Default::default() }
+}
+
+/// Assert that `try_morsels(count, ctx, …)` runs inline: on the calling
+/// thread, on the caller's own context, over in-order `MORSEL_ROWS` ranges.
+fn assert_inline(count: usize, ctx: &ExecCtx<'_>) {
+    let (caller, caller_ctx) = (std::thread::current().id(), addr(ctx));
+    let ranges = try_morsels(count, ctx, |range, wctx| {
+        assert!(!swan_pool::is_pool_worker());
+        assert_eq!(std::thread::current().id(), caller);
+        assert_eq!(addr(wctx), caller_ctx, "no worker context: the caller's own");
+        Ok(range)
+    })
+    .unwrap();
+    let mut next = 0;
+    for range in &ranges {
+        assert_eq!(range.start, next, "in order, no gaps");
+        assert!(!range.is_empty() && range.len() <= MORSEL_ROWS);
+        next = range.end;
+    }
+    assert_eq!(next, count);
+}
+
+/// The gate reads the count it is handed before anything else: below
+/// `parallel_threshold` a loop is the serial engine, however many threads
+/// are configured.
 #[test]
-fn one_partition_runs_on_the_calling_thread_and_context() {
+fn a_count_below_the_threshold_runs_on_the_calling_thread_and_context() {
     let mut db = database();
     db.register_udf(Arc::new(Pricey));
-    let ctx = ExecCtx::new(db.catalog(), db.udfs());
-    let (caller, caller_ctx) = (std::thread::current().id(), addr(&ctx));
+    let ctx = ExecCtx::new(db.catalog(), db.udfs()).with_optimizer(threads(8));
+    for count in [0, 1, 2 * MORSEL_ROWS + 452, THRESHOLD - 1] {
+        assert_inline(count, &ctx);
+    }
+    // What an inline range computes lands in the caller's own store.
     let probe = select("SELECT pricey(7)");
+    try_morsels(2, &ctx, |_, wctx| run_select(&probe, wctx, None)).unwrap();
+    assert_eq!(ctx.udf_results.borrow().get("pricey").map(|m| m.len()), Some(1));
+}
 
-    let count = 2 * MORSEL_ROWS + 452;
-    for partitions in [0usize, 1] {
-        let ranges = try_morsels(count, partitions, &ctx, |range, wctx| {
-            assert!(!swan_pool::is_pool_worker());
-            assert_eq!(std::thread::current().id(), caller);
-            assert_eq!(addr(wctx), caller_ctx, "no worker context: the caller's own");
-            run_select(&probe, wctx, None)?;
+#[test]
+fn a_count_at_the_threshold_reaches_the_pool_unless_one_thread_is_configured() {
+    let db = database();
+    for workers in [2usize, 8] {
+        let ctx = ExecCtx::new(db.catalog(), db.udfs()).with_optimizer(threads(workers));
+        let caller_ctx = addr(&ctx);
+        let ranges = try_morsels(THRESHOLD, &ctx, |range, wctx| {
+            assert!(swan_pool::is_pool_worker(), "{workers} threads: every morsel on a worker");
+            assert_ne!(addr(wctx), caller_ctx, "a worker-local context");
             Ok(range)
         })
         .unwrap();
-        let mut next = 0;
-        for range in &ranges {
-            assert_eq!(range.start, next, "in order, no gaps");
-            assert!(!range.is_empty() && range.len() <= MORSEL_ROWS);
-            next = range.end;
-        }
-        assert_eq!(next, count);
+        // Per-morsel outputs come back in morsel order, whoever ran them.
+        assert!(ranges.len() >= 2);
+        assert_eq!(ranges.first().map(|r| r.start), Some(0));
+        assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!(ranges.last().map(|r| r.end), Some(THRESHOLD));
     }
-    // Computed inside the closure, found in the caller's store.
-    assert_eq!(ctx.udf_results.borrow().get("pricey").map(|m| m.len()), Some(1));
-    assert!(try_morsels(0, 1, &ctx, |range, _| Ok(range)).unwrap().is_empty());
+    let ctx = ExecCtx::new(db.catalog(), db.udfs()).with_optimizer(threads(1));
+    assert_inline(THRESHOLD, &ctx);
+    assert_inline(8 * THRESHOLD, &ctx);
+}
+
+/// A cheap (per-row, never batched) UDF that records where it was invoked.
+#[derive(Default)]
+struct WhereAmI {
+    on_pool: AtomicUsize,
+    off_pool: AtomicUsize,
+}
+
+impl WhereAmI {
+    /// `(invocations on a pool worker, invocations elsewhere)` since the
+    /// last call.
+    fn take(&self) -> (usize, usize) {
+        (self.on_pool.swap(0, Ordering::SeqCst), self.off_pool.swap(0, Ordering::SeqCst))
+    }
+}
+
+impl ScalarUdf for WhereAmI {
+    fn name(&self) -> &str {
+        "where_am_i"
+    }
+    fn invoke(&self, _args: &[Value]) -> swan_sqlengine::Result<Value> {
+        let counter = if swan_pool::is_pool_worker() { &self.on_pool } else { &self.off_pool };
+        counter.fetch_add(1, Ordering::SeqCst);
+        Ok(Value::Integer(1))
+    }
+}
+
+/// The gate is per loop, not per plan: the same statement over the same
+/// 8-morsel table projects (or groups) inline when its filter leaves fewer
+/// rows than the threshold, and fans out without the filter. A gate on the
+/// plan's largest base table fanned out both.
+#[test]
+fn a_selective_filter_keeps_the_loops_above_it_inline() {
+    let mut db = database();
+    let udf = Arc::new(WhereAmI::default());
+    db.register_udf(udf.clone());
+    let ctx = ExecCtx::new(db.catalog(), db.udfs()).with_optimizer(threads(8));
+    let statements = [
+        ("projection", "SELECT where_am_i(id) + n FROM t {WHERE}"),
+        ("expression GROUP BY key", "SELECT COUNT(*) FROM t {WHERE} GROUP BY where_am_i(id) + n"),
+    ];
+    // A PK range (served by the index) and a predicate only a scan answers.
+    let filters = [("id < 100", 100), ("n * 2 = 6", (0..ROWS).filter(|i| i % 7 == 3).count())];
+    for (operator, sql) in statements {
+        for (filter, survivors) in filters {
+            assert!(survivors < THRESHOLD);
+            let filtered = sql.replace("{WHERE}", &format!("WHERE {filter}"));
+            run_select(&select(&filtered), &ctx, None).unwrap();
+            assert_eq!(udf.take(), (0, survivors), "{operator} over {filter}");
+        }
+        run_select(&select(&sql.replace("{WHERE}", "")), &ctx, None).unwrap();
+        assert_eq!(udf.take(), (ROWS as usize, 0), "{operator} over the whole table");
+    }
+}
+
+/// A join residual holding an expensive UDF is probed inline whatever the
+/// threshold says (fanned out, workers would repeat each other's calls);
+/// the same join without the expensive call fans out.
+#[test]
+fn a_join_with_an_expensive_residual_stays_inline() {
+    let mut db = database();
+    let udf = Arc::new(WhereAmI::default());
+    db.register_udf(udf.clone());
+    db.register_udf(Arc::new(Pricey));
+    let config = OptimizerConfig { threads: 8, parallel_threshold: 1, ..Default::default() };
+    let ctx = ExecCtx::new(db.catalog(), db.udfs()).with_optimizer(config);
+    let joins = [
+        ("hash join", "t JOIN u ON t.n = u.k AND where_am_i(t.id + u.id) > 0", "t.id + u.id"),
+        (
+            "nested-loop join",
+            "small s JOIN u ON s.k < u.k AND where_am_i(s.k + u.id) > 0",
+            "s.k + u.id",
+        ),
+    ];
+    for (operator, cheap, arg) in joins {
+        run_select(&select(&format!("SELECT COUNT(*) FROM {cheap}")), &ctx, None).unwrap();
+        let (candidates, off_pool) = udf.take();
+        assert!(candidates > 0 && off_pool == 0, "{operator}, cheap residual: fans out");
+        let pricey = format!("SELECT COUNT(*) FROM {cheap} AND pricey({arg}) >= 0");
+        run_select(&select(&pricey), &ctx, None).unwrap();
+        assert_eq!(udf.take(), (0, candidates), "{operator}, expensive residual: inline");
+    }
 }
 
 #[test]
@@ -168,7 +286,7 @@ fn inline_dispatch_stops_at_the_first_failing_range() {
     let db = database();
     let ctx = ExecCtx::new(db.catalog(), db.udfs());
     let calls = AtomicUsize::new(0);
-    let out = try_morsels(5 * MORSEL_ROWS, 1, &ctx, |range, _| {
+    let out = try_morsels(3 * MORSEL_ROWS, &ctx, |range, _| {
         calls.fetch_add(1, Ordering::SeqCst);
         if range.start == MORSEL_ROWS {
             return Err(Error::Semantic("second range".into()));
@@ -182,7 +300,7 @@ fn inline_dispatch_stops_at_the_first_failing_range() {
     let token = CancelToken::unbounded();
     let ctx = ExecCtx::new(db.catalog(), db.udfs()).with_cancel(token.clone());
     let calls = AtomicUsize::new(0);
-    let out = try_morsels(5 * MORSEL_ROWS, 1, &ctx, |_, _| {
+    let out = try_morsels(3 * MORSEL_ROWS, &ctx, |_, _| {
         calls.fetch_add(1, Ordering::SeqCst);
         token.cancel();
         Ok(())
@@ -193,27 +311,21 @@ fn inline_dispatch_stops_at_the_first_failing_range() {
 
 /// A fixed pool must not wait on itself: dispatch from inside a morsel
 /// worker (a subquery's own SELECT, say) runs inline on that worker's
-/// context whatever partition count it is handed.
+/// context whatever count it is handed.
 #[test]
 fn dispatch_from_a_pool_worker_runs_inline() {
     let db = database();
-    let ctx = ExecCtx::new(db.catalog(), db.udfs());
-    let nested = try_morsels(2, 2, &ctx, |_, wctx| {
-        if !swan_pool::is_pool_worker() {
-            return Ok(None);
-        }
+    let config = OptimizerConfig { threads: 2, parallel_threshold: 1, ..Default::default() };
+    let ctx = ExecCtx::new(db.catalog(), db.udfs()).with_optimizer(config);
+    let nested = try_morsels(2, &ctx, |_, wctx| {
+        assert!(swan_pool::is_pool_worker(), "two items at two threads reach the pool");
         let (worker, worker_ctx) = (std::thread::current().id(), addr(wctx));
-        let ranges = try_morsels(3 * MORSEL_ROWS, 8, wctx, |range, inner| {
+        try_morsels(3 * MORSEL_ROWS, wctx, |range, inner| {
             assert_eq!(std::thread::current().id(), worker);
             assert_eq!(addr(inner), worker_ctx);
             Ok(range.len())
-        })?;
-        Ok(Some(ranges))
+        })
     })
     .unwrap();
-    let on_workers: Vec<_> = nested.into_iter().flatten().collect();
-    assert!(!on_workers.is_empty(), "two morsels at two partitions must reach the pool");
-    for ranges in on_workers {
-        assert_eq!(ranges, vec![MORSEL_ROWS; 3], "inline ranges are MORSEL_ROWS-sized");
-    }
+    assert_eq!(nested, vec![vec![MORSEL_ROWS; 3]; 2], "inline ranges are MORSEL_ROWS-sized");
 }

@@ -6,9 +6,9 @@
 //! operator; what differs between thread counts is the *dispatch* (morsel
 //! order, worker contexts, merge-back, first-error order). A query
 //! generator over the four SWAN domain shapes runs every statement inline
-//! (`threads: 1` — no [`Plan::Parallel`] node is ever inserted) and fanned
-//! out at thread counts **2 and 8** (`parallel_threshold: 1`, so even tiny
-//! generated tables fan out), and asserts equivalent results:
+//! (`threads: 1` — the dispatcher never reaches the pool) and fanned out
+//! at thread counts **2 and 8** (`parallel_threshold: 1`, so even the tiny
+//! loops of generated tables fan out), and asserts equivalent results:
 //!
 //! * statements with `ORDER BY` must match **exactly** (including the
 //!   tie-break contract: `LIMIT k` keeps the stable-sort prefix);
@@ -22,8 +22,8 @@
 //! GROUP BY + HAVING, DISTINCT, ORDER BY + LIMIT with deliberate ties,
 //! compound UNION, subquery-bearing predicates (IN, correlated EXISTS,
 //! scalar aggregates, equality-correlated scalar aggregates — the
-//! statement-shared `Send + Sync` subquery cache lets these run under
-//! `Plan::Parallel` instead of falling back to the serial operator), and
+//! statement-shared `Send + Sync` subquery cache lets these fan out
+//! instead of falling back to inline dispatch), and
 //! expensive-UDF batching (a counting UDF stands in for an LLM call; the
 //! parallel engine must return the same rows and never evaluate more
 //! distinct argument tuples than the serial engine).
@@ -729,8 +729,8 @@ impl ScalarUdf for TickUdf {
     }
 }
 
-/// Subquery-bearing predicates now run under `Plan::Parallel` against
-/// the statement-shared `Send + Sync` subquery cache. The observable
+/// Subquery-bearing predicates fan out against the statement-shared
+/// `Send + Sync` subquery cache. The observable
 /// contract: an uncorrelated subquery's rows are evaluated exactly once
 /// per statement at *every* thread count — with per-worker caches the
 /// counting UDF inside the subquery would fire up to `threads ×` as
@@ -1000,78 +1000,4 @@ fn topk_tie_break_is_stable_at_every_thread_count() {
             full.rows[..5].iter().map(|row| row[0].as_i64().unwrap()).collect();
         assert_eq!(got, prefix, "LIMIT must be a stable-sort prefix at {threads} thread(s)");
     }
-}
-
-/// `SWAN_THREADS=1` (== `threads: 1`) reproduces the serial engine
-/// exactly: no `Parallel` node is ever inserted.
-#[test]
-fn single_thread_config_never_parallelizes() {
-    use swan_sqlengine::optimizer::optimize;
-    use swan_sqlengine::plan::{plan_from, Plan};
-    use swan_sqlengine::UdfRegistry;
-
-    let mut db = Database::new();
-    db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, n INTEGER)").unwrap();
-    {
-        let t = db.catalog_mut().get_mut("big").unwrap();
-        for i in 0..5000i64 {
-            t.insert_row(vec![Value::Integer(i), Value::Integer(i % 10)]).unwrap();
-        }
-    }
-    let stmt = swan_sqlengine::parser::parse_statement("SELECT * FROM big WHERE n > 3").unwrap();
-    let swan_sqlengine::ast::Statement::Select(s) = stmt else { panic!() };
-    let swan_sqlengine::ast::SelectBody::Simple(core) = s.body else { panic!() };
-    let plan = plan_from(core.from.as_ref(), core.filter.as_ref()).unwrap();
-
-    let serial = optimize(
-        plan.clone(),
-        &UdfRegistry::new(),
-        &OptimizerConfig { threads: 1, parallel_threshold: 1, ..Default::default() },
-        db.catalog(),
-        None,
-    )
-    .unwrap();
-    assert!(
-        !matches!(serial, Plan::Parallel { .. }),
-        "threads == 1 must never grow a Parallel node"
-    );
-
-    let parallel = optimize(
-        plan,
-        &UdfRegistry::new(),
-        &OptimizerConfig { threads: 8, ..Default::default() },
-        db.catalog(),
-        None,
-    )
-    .unwrap();
-    let Plan::Parallel { partitions, .. } = parallel else {
-        panic!("8-thread config over a 5000-row table must parallelize")
-    };
-    assert_eq!(partitions, 8);
-}
-
-/// Small tables stay serial under the default threshold even with many
-/// threads configured — the row-count statistic drives the decision.
-#[test]
-fn small_tables_stay_serial_under_default_threshold() {
-    use swan_sqlengine::optimizer::optimize;
-    use swan_sqlengine::plan::{plan_from, Plan};
-    use swan_sqlengine::UdfRegistry;
-
-    let mut db = Database::new();
-    db.execute("CREATE TABLE small (id INTEGER PRIMARY KEY)").unwrap();
-    db.execute("INSERT INTO small VALUES (1), (2), (3)").unwrap();
-    let stmt = swan_sqlengine::parser::parse_statement("SELECT * FROM small").unwrap();
-    let swan_sqlengine::ast::Statement::Select(s) = stmt else { panic!() };
-    let swan_sqlengine::ast::SelectBody::Simple(core) = s.body else { panic!() };
-    let plan = plan_from(core.from.as_ref(), core.filter.as_ref()).unwrap();
-    let optimized = optimize(
-        plan,
-        &UdfRegistry::new(),
-        &OptimizerConfig { threads: 8, ..Default::default() },
-        db.catalog(),
-        None,
-    )
-    .unwrap();
-    assert!(!matches!(optimized, Plan::Parallel { .. }));
 }

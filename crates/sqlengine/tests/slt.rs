@@ -31,8 +31,8 @@
 //!
 //! Every file runs twice on a fresh [`SharedDb`] session — once with the
 //! serial engine (`threads = 1`) and once morsel-parallel
-//! (`threads = 8`, `parallel_threshold = 1` so even tiny tables take the
-//! parallel operators) — and again at both thread counts with the
+//! (`threads = 8`, `parallel_threshold = 1` so even the tiny loops of
+//! these tables fan out) — and again at both thread counts with the
 //! scan-only planner (`index_scan = false`, the reference for the
 //! primary-key index rewrites) and with the row-at-a-time engine
 //! (`columnar = false`, the reference for the columnar kernels); every

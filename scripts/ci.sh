@@ -11,9 +11,14 @@
 #      panic-family calls on commit/recovery paths, undocumented
 #      `unsafe`, unranked locks, the log handle or commit framing
 #      named outside wal.rs/txn.rs/shared.rs (a second durable handle
-#      growing back), and the pool's fan-out entry points named in the
-#      engine outside exec_parallel.rs (an operator growing its own
-#      fan-out). Any finding fails the gate before a single test runs;
+#      growing back), and the pool's fan-out entry points or a thread
+#      count resolution (`swan_pool::configured_threads`,
+#      `effective_threads`) named in the engine outside exec_parallel.rs
+#      (an operator growing its own fan-out, or the optimizer or an
+#      operator growing its own fan-out gate). Any finding fails the gate
+#      before a single test runs. Then the ROADMAP item-8 running figure:
+#      the non-test line count of crates/sqlengine/src (the lines above
+#      each file's `#[cfg(test)]`), printed, not gated;
 #   1. tier-1: release build + workspace test suite (ROADMAP contract),
 #      then a compile of every swan-bench bench (`harness = false`
 #      targets that `cargo test` skips) and the frozen benchmark's smoke
@@ -98,6 +103,11 @@ cd "$(dirname "$0")/.."
 
 echo "== swan-analyze: workspace seam lints =="
 cargo run -q -p swan-analyze -- --workspace
+
+echo "== crates/sqlengine/src: non-test lines (ROADMAP item 8) =="
+for f in crates/sqlengine/src/*.rs; do
+    printf '%6d %s\n' "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")" "$f"
+done | awk '{ print; total += $1 } END { printf "%6d total\n", total }'
 
 echo "== tier-1: release build =="
 cargo build --release
