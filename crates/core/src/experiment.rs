@@ -150,10 +150,22 @@ pub fn evaluate_udf(
             tally.record(ok);
             overall.record(ok);
         }
-        let s = runner.stats();
-        stats.prefetched_keys += s.prefetched_keys;
-        stats.cache_hits += s.cache_hits;
-        stats.fallback_calls += s.fallback_calls;
+        // Destructured so that a counter added to `UdfStats` cannot be
+        // left out of the sum (the breaker state is per endpoint, not a
+        // counter, and these runners have none).
+        let UdfStats {
+            prefetched_keys,
+            cache_hits,
+            exec_cache_hits,
+            fallback_calls,
+            degraded,
+            breaker: _,
+        } = runner.stats();
+        stats.prefetched_keys += prefetched_keys;
+        stats.cache_hits += cache_hits;
+        stats.exec_cache_hits += exec_cache_hits;
+        stats.fallback_calls += fallback_calls;
+        stats.degraded += degraded;
         per_db.push((domain.display_name.clone(), tally));
     }
 
@@ -280,6 +292,28 @@ mod tests {
         assert_eq!(e.overall.total, 120);
         assert!(e.usage.calls > 0);
         assert!(e.stats.prefetched_keys > 0);
+
+        // Every per-domain counter reaches the summary, the per-row path's
+        // included: a CASE-guarded call is never prefetched, so the first
+        // of two identical statements pays one fallback call per hero and
+        // the second is answered from the store.
+        let mut benchmark = h.benchmark.clone();
+        let domain = benchmark.domains.iter_mut().find(|d| d.name == "superhero").unwrap();
+        let heroes = domain.curated.catalog().get("superhero").unwrap().len() as u64;
+        for q in &mut domain.questions[..2] {
+            q.udf_sql = "SELECT CASE WHEN T1.superhero_name IS NOT NULL THEN \
+                         llm_map('What is the gender of the superhero?', \
+                                 T1.superhero_name, T1.full_name) END FROM superhero T1"
+                .into();
+        }
+        let e = evaluate_udf(
+            &benchmark,
+            h.kb.clone(),
+            &h.gold,
+            ModelKind::Gpt35Turbo,
+            UdfConfig::default(),
+        );
+        assert_eq!((e.stats.fallback_calls, e.stats.exec_cache_hits), (heroes, heroes));
     }
 
     #[test]

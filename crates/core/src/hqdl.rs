@@ -8,12 +8,8 @@
 //! ("Agility, Super Strength, Super Speed"). After materialization the
 //! hybrid SQL of each question is an ordinary query.
 
-use std::collections::HashMap;
-
 use swan_data::{DomainData, Expansion};
-use swan_llm::{
-    parallel, LanguageModel, KnownValue, RowCompletionPrompt, RowExample,
-};
+use swan_llm::{parallel, LanguageModel, RowCompletionPrompt, RowExample};
 use swan_sqlengine::{Column, Database, Table, Value};
 
 /// HQDL configuration.
@@ -58,11 +54,9 @@ pub fn materialize(
     let mut malformed = 0usize;
     let mut cells = 0usize;
 
-    let truth = TruthIndex::build(domain);
-
     for expansion in &domain.curation.expansions {
         let keys = expansion_key_rows(&domain.curated, expansion);
-        let examples = truth.examples(expansion, config.shots);
+        let examples = few_shot_examples(domain, expansion, config.shots);
 
         // Render one prompt per entity.
         let prompts: Vec<String> = keys
@@ -182,65 +176,51 @@ pub fn infer_value(s: &str) -> Value {
     if let Ok(i) = t.parse::<i64>() {
         return Value::Integer(i);
     }
-    if let Ok(f) = t.parse::<f64>() {
-        return Value::Real(f);
+    // `f64`'s grammar also accepts "inf", "Infinity" and "NaN": a model
+    // that answers one of those wrote a word, not a number.
+    match t.parse::<f64>() {
+        Ok(f) if f.is_finite() => Value::Real(f),
+        _ => Value::text(t),
     }
-    Value::text(t)
 }
 
-/// Ground-truth index for constructing few-shot example rows (§5.2:
-/// "static examples randomly selected from the original database").
-struct TruthIndex {
-    map: HashMap<(Vec<String>, String), KnownValue>,
-}
-
-impl TruthIndex {
-    fn build(domain: &DomainData) -> Self {
-        let mut map = HashMap::with_capacity(domain.facts.len());
-        for f in &domain.facts {
-            map.insert((f.key.clone(), f.attribute.clone()), f.value.clone());
+/// `shots` fully-truthful example rows for `expansion` (§5.2: "static
+/// examples randomly selected from the original database"), taken from
+/// the tail of the key space: the greatest keys that have a fact for the
+/// first generated attribute, descending — a deterministic "random" sample.
+fn few_shot_examples(domain: &DomainData, expansion: &Expansion, shots: usize) -> Vec<RowExample> {
+    let Some(first) = expansion.generated.first().filter(|_| shots > 0) else {
+        return Vec::new();
+    };
+    let key_len = expansion.key_columns.len();
+    // Pass 1: the `shots` greatest distinct keys, kept sorted descending.
+    let mut keys: Vec<&Vec<String>> = Vec::with_capacity(shots + 1);
+    for f in &domain.facts {
+        if f.attribute != first.name || f.key.len() != key_len {
+            continue;
         }
-        TruthIndex { map }
-    }
-
-    /// `shots` fully-truthful example rows taken from the tail of the key
-    /// space (deterministic "random" sample).
-    fn examples(&self, expansion: &Expansion, shots: usize) -> Vec<RowExample> {
-        if shots == 0 {
-            return Vec::new();
+        let at = keys.partition_point(|k| **k > f.key);
+        if at < shots && keys.get(at) != Some(&&f.key) {
+            keys.insert(at, &f.key);
+            keys.truncate(shots);
         }
-        // Collect the distinct keys present in the truth map for this
-        // expansion's attributes.
-        let first_attr = match expansion.generated.first() {
-            Some(g) => &g.name,
-            None => return Vec::new(),
-        };
-        let mut keys: Vec<&Vec<String>> = self
-            .map
-            .keys()
-            .filter(|(_, a)| a == first_attr)
-            .map(|(k, _)| k)
-            .filter(|k| k.len() == expansion.key_columns.len())
-            .collect();
-        keys.sort();
-        keys.reverse();
-        keys.truncate(shots);
-
-        keys.into_iter()
-            .map(|key| {
-                let mut answer = key.clone();
-                for g in &expansion.generated {
-                    let cell = self
-                        .map
-                        .get(&(key.clone(), g.name.clone()))
-                        .map(|v| v.condensed())
-                        .unwrap_or_default();
-                    answer.push(cell);
-                }
-                RowExample { key: key.clone(), answer }
-            })
-            .collect()
     }
+    let mut examples: Vec<RowExample> = keys
+        .iter()
+        .map(|key| {
+            let mut answer = (*key).clone();
+            answer.resize(key_len + expansion.generated.len(), String::new());
+            RowExample { key: (*key).clone(), answer }
+        })
+        .collect();
+    // Pass 2: their cells; the last fact wins on a repeated (key, attribute).
+    for f in &domain.facts {
+        let Some(row) = keys.iter().position(|k| **k == f.key) else { continue };
+        if let Some(col) = expansion.generated.iter().position(|g| g.name == f.attribute) {
+            examples[row].answer[key_len + col] = f.value.condensed();
+        }
+    }
+    examples
 }
 
 #[cfg(test)]
@@ -260,6 +240,10 @@ mod tests {
         assert_eq!(infer_value(" DC Comics "), Value::text("DC Comics"));
         assert!(infer_value("").is_null());
         assert!(infer_value("  ").is_null());
+        assert_eq!(infer_value("-1e3"), Value::Real(-1000.0));
+        for word in ["inf", "-inf", "Infinity", "NaN", "nan"] {
+            assert_eq!(infer_value(word), Value::text(word), "non-finite stays text");
+        }
     }
 
     #[test]
@@ -290,8 +274,7 @@ mod tests {
     #[test]
     fn few_shot_examples_are_truthful_rows() {
         let d = domain();
-        let truth = TruthIndex::build(&d);
-        let ex = truth.examples(&d.curation.expansions[0], 3);
+        let ex = few_shot_examples(&d, &d.curation.expansions[0], 3);
         assert_eq!(ex.len(), 3);
         for e in &ex {
             assert_eq!(e.answer.len(), 10);

@@ -159,12 +159,9 @@ pub fn factuality(domain: &DomainData, materialized: &Database) -> FactualityRep
             }
         }
         // Rows dropped by extraction (format errors) score zero for each
-        // of their generated cells.
-        let expected = domain
-            .curated
-            .catalog()
-            .get(&expansion.base_table)
-            .map_or(0, |t| t.len());
+        // of their generated cells. Materialization asks once per distinct
+        // non-NULL key, not once per base row.
+        let expected = crate::hqdl::expansion_keys(&domain.curated, expansion).len();
         if expected > table.len() {
             report.cells += (expected - table.len()) * expansion.generated.len();
         }
@@ -331,5 +328,56 @@ mod tests {
         db.catalog_mut().put_table(table);
         let report = factuality(&d, &db);
         assert!((report.average_f1() - 1.0).abs() < 1e-12);
+    }
+
+    /// Regression: a base table that repeats a key (or holds a NULL one)
+    /// was charged one phantom zero-F1 row per extra base row, although
+    /// materialization asks once per distinct non-NULL key.
+    #[test]
+    fn factuality_expects_one_row_per_distinct_key() {
+        use swan_data::{CurationSpec, Expansion, Fact, GenColumn};
+        let mut curated = Database::new();
+        curated.execute("CREATE TABLE race (name TEXT, year TEXT, round INTEGER)").unwrap();
+        curated
+            .execute(
+                "INSERT INTO race VALUES ('Monaco', '2020', 1), ('Monaco', '2020', 2), \
+                 ('Spa', '2021', 1), (NULL, '2021', 2)",
+            )
+            .unwrap();
+        let fact = |name: &str, year: &str, circuit: &str| Fact {
+            key: vec![name.into(), year.into()],
+            attribute: "circuit".into(),
+            value: KnownValue::One(circuit.into()),
+        };
+        let domain = DomainData {
+            name: "races".into(),
+            display_name: "Races".into(),
+            original: curated.clone(),
+            curated,
+            curation: CurationSpec {
+                dropped_columns: vec![],
+                dropped_tables: vec![],
+                expansions: vec![Expansion {
+                    table: "llm_race".into(),
+                    base_table: "race".into(),
+                    key_columns: vec!["name".into(), "year".into()],
+                    generated: vec![GenColumn::free_form("circuit")],
+                }],
+            },
+            facts: vec![fact("Monaco", "2020", "Monte Carlo"), fact("Spa", "2021", "Francorchamps")],
+            popularity: vec![],
+            phrases: vec![],
+            questions: vec![],
+        };
+        let mut db = domain.curated.clone();
+        db.execute("CREATE TABLE llm_race (name TEXT, year TEXT, circuit TEXT)").unwrap();
+        db.execute(
+            "INSERT INTO llm_race VALUES ('Monaco', '2020', 'Monte Carlo'), \
+             ('Spa', '2021', 'Francorchamps')",
+        )
+        .unwrap();
+        let report = factuality(&domain, &db);
+        assert_eq!(report.cells, 2, "one cell per distinct non-NULL key");
+        assert_eq!(report.average_f1(), 1.0);
     }
 }

@@ -403,14 +403,21 @@ pub struct BatchableCalls<'e> {
 
 impl<'e> BatchableCalls<'e> {
     /// Find the expensive call sites in `exprs`; `None` when there are
-    /// none (the overwhelmingly common case — one cheap walk per operator).
+    /// none (the overwhelmingly common case — one cheap walk per operator)
+    /// or when the statement evaluates per row
+    /// (`OptimizerConfig::batch_expensive_udfs` off): the one place an
+    /// operator's batching is switched.
     pub fn find(
         exprs: impl IntoIterator<Item = &'e Expr>,
-        udfs: &UdfRegistry,
+        ctx: &ExecCtx<'_>,
     ) -> Option<BatchableCalls<'e>> {
+        if !ctx.optimizer.batch_expensive_udfs {
+            return None;
+        }
         let mut sites = Vec::new();
         for e in exprs {
-            collect_sites(e, udfs, SiteCtx { in_aggregate: false, conditional: false }, &mut sites);
+            let sc = SiteCtx { in_aggregate: false, conditional: false };
+            collect_sites(e, ctx.udfs, sc, &mut sites);
         }
         if sites.is_empty() {
             None

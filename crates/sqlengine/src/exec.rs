@@ -679,9 +679,9 @@ fn run_core(
     // Vectorize expensive calls in the projection / sort keys across the
     // whole input batch before the per-row loop runs (the aggregated path
     // batches inside `run_aggregate`, over groups).
-    if ctx.optimizer.batch_expensive_udfs && !aggregated {
+    if !aggregated {
         let exprs = projection.iter().map(|(e, _)| e).chain(order_exprs.iter());
-        if let Some(batch) = BatchableCalls::find(exprs, ctx.udfs) {
+        if let Some(batch) = BatchableCalls::find(exprs, ctx) {
             batch.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
         }
     }
@@ -1002,10 +1002,8 @@ fn run_aggregate(
     } else {
         // Expensive calls in the grouping keys evaluate once per input
         // row: vectorize them before the key loop runs.
-        if ctx.optimizer.batch_expensive_udfs {
-            if let Some(batch) = BatchableCalls::find(core.group_by.iter(), ctx.udfs) {
-                batch.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
-            }
+        if let Some(batch) = BatchableCalls::find(core.group_by.iter(), ctx) {
+            batch.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
         }
         let bound_keys: Vec<Expr> =
             core.group_by.iter().map(|g| bind_columns(g, &input.schema)).collect();
@@ -1072,23 +1070,21 @@ fn run_aggregate(
     // Vectorize the HAVING predicate's expensive calls: sites inside
     // aggregate arguments see every member row, sites outside see one
     // representative row per group.
-    if ctx.optimizer.batch_expensive_udfs {
-        if let Some(batch) = BatchableCalls::find(having, ctx.udfs) {
-            batch.prefetch_scope(true, ctx, &mut |collect| {
-                for row in &input.rows {
-                    collect(&RowCtx { schema: &input.schema, row, outer })?;
+    if let Some(batch) = BatchableCalls::find(having, ctx) {
+        batch.prefetch_scope(true, ctx, &mut |collect| {
+            for row in &input.rows {
+                collect(&RowCtx { schema: &input.schema, row, outer })?;
+            }
+            Ok(())
+        })?;
+        batch.prefetch_scope(false, ctx, &mut |collect| {
+            for members in &groups {
+                if let Some(&i) = members.first() {
+                    collect(&RowCtx { schema: &input.schema, row: &input.rows[i], outer })?;
                 }
-                Ok(())
-            })?;
-            batch.prefetch_scope(false, ctx, &mut |collect| {
-                for members in &groups {
-                    if let Some(&i) = members.first() {
-                        collect(&RowCtx { schema: &input.schema, row: &input.rows[i], outer })?;
-                    }
-                }
-                Ok(())
-            })?;
-        }
+            }
+            Ok(())
+        })?;
     }
 
     // Apply HAVING before any output-site prefetch: batching must not pay
@@ -1125,26 +1121,24 @@ fn run_aggregate(
     };
 
     // Vectorize the output expressions over the surviving groups only.
-    if ctx.optimizer.batch_expensive_udfs {
-        let exprs = projection.iter().map(|(e, _)| e).chain(order_exprs.iter());
-        if let Some(batch) = BatchableCalls::find(exprs, ctx.udfs) {
-            batch.prefetch_scope(true, ctx, &mut |collect| {
-                for members in &survivors {
-                    for &ri in members.iter() {
-                        collect(&RowCtx { schema: &input.schema, row: &input.rows[ri], outer })?;
-                    }
+    let exprs = projection.iter().map(|(e, _)| e).chain(order_exprs.iter());
+    if let Some(batch) = BatchableCalls::find(exprs, ctx) {
+        batch.prefetch_scope(true, ctx, &mut |collect| {
+            for members in &survivors {
+                for &ri in members.iter() {
+                    collect(&RowCtx { schema: &input.schema, row: &input.rows[ri], outer })?;
                 }
-                Ok(())
-            })?;
-            batch.prefetch_scope(false, ctx, &mut |collect| {
-                for members in &survivors {
-                    if let Some(&i) = members.first() {
-                        collect(&RowCtx { schema: &input.schema, row: &input.rows[i], outer })?;
-                    }
+            }
+            Ok(())
+        })?;
+        batch.prefetch_scope(false, ctx, &mut |collect| {
+            for members in &survivors {
+                if let Some(&i) = members.first() {
+                    collect(&RowCtx { schema: &input.schema, row: &input.rows[i], outer })?;
                 }
-                Ok(())
-            })?;
-        }
+            }
+            Ok(())
+        })?;
     }
 
     // Per-group output: aggregates and the residual projection evaluate
@@ -1446,27 +1440,29 @@ pub fn exec_plan(
             Ok(Relation { schema: RelSchema::new(cols), rows: inner.rows })
         }
 
-        // Columnar filters beat per-row evaluation on the predicate shapes
-        // the kernels support: one pass over the key columns, no per-row
-        // dispatch, at any thread count.
-        Plan::Filter { input, predicate } => match columnar_filter(input, predicate, ctx)? {
-            Some((rel, _)) => Ok(rel),
-            None => {
-                let mut rel = exec_plan(input, ctx, outer)?;
-                filter_relation(&mut rel, predicate, ctx, outer)?;
-                Ok(rel)
+        // A filter batches its own call sites, like every other operator:
+        // the cheap conjuncts prune first, the expensive conjuncts' calls
+        // are vectorized across the survivors on the statement thread (the
+        // one `invoke_batch` fans out through the same shared pool), and
+        // the expensive conjuncts then evaluate per row against the
+        // prefetched results. Each conjunct is collected on its own, so a
+        // second expensive conjunct is not "the right-hand side of AND".
+        Plan::Filter { input, predicate } => {
+            if !batches_expensive(predicate, ctx) {
+                return filter_input(input, predicate, ctx, outer);
             }
-        },
-
-        Plan::Batch { input, calls } => {
-            let rel = exec_plan(input, ctx, outer)?;
-            // Vectorize the marked expensive calls across the whole input
-            // batch, on the statement thread (the one `invoke_batch` fans
-            // out through the same shared pool); the filter above this
-            // node then evaluates per row against the prefetched results.
-            if let Some(batch) = BatchableCalls::find(calls.iter(), ctx.udfs) {
+            let (expensive, cheap): (Vec<Expr>, Vec<Expr>) = split_conjuncts(predicate)
+                .into_iter()
+                .partition(|c| expr_cost(c, ctx.udfs) >= 2);
+            let mut rel = match conjoin(cheap) {
+                Some(cheap) => filter_input(input, &cheap, ctx, outer)?,
+                None => exec_plan(input, ctx, outer)?,
+            };
+            if let Some(batch) = BatchableCalls::find(expensive.iter(), ctx) {
                 batch.prefetch_rows(ctx, &rel.schema, &rel.rows, outer)?;
             }
+            let expensive = conjoin(expensive).expect("an expensive conjunct");
+            filter_relation(&mut rel, &expensive, ctx, outer)?;
             Ok(rel)
         }
 
@@ -1490,6 +1486,29 @@ pub fn exec_plan(
             exec_join(&l, &r, *kind, on.as_ref(), emit.as_deref(), ctx, outer)
         }
     }
+}
+
+/// Does `expr` call an expensive UDF that this statement evaluates batched?
+fn batches_expensive(expr: &Expr, ctx: &ExecCtx<'_>) -> bool {
+    ctx.optimizer.batch_expensive_udfs && expr_cost(expr, ctx.udfs) >= 2
+}
+
+/// `input`'s rows that pass `predicate`, nothing prefetched. Columnar
+/// filters beat per-row evaluation on the predicate shapes the kernels
+/// support: one pass over the key columns, no per-row dispatch, at any
+/// thread count.
+fn filter_input(
+    input: &Plan,
+    predicate: &Expr,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&RowCtx<'_>>,
+) -> Result<Relation> {
+    if let Some((rel, _)) = columnar_filter(input, predicate, ctx)? {
+        return Ok(rel);
+    }
+    let mut rel = exec_plan(input, ctx, outer)?;
+    filter_relation(&mut rel, predicate, ctx, outer)?;
+    Ok(rel)
 }
 
 /// Columnar scan state accompanying a [`Relation`] whose rows came
@@ -1552,7 +1571,9 @@ fn exec_plan_with_columns(
                 };
                 return Ok((rel, Some(ColInput { set: t.column_set(), sel: None })));
             }
-            Plan::Filter { input, predicate } => {
+            // (A batched expensive filter never maps 1:1 onto the column
+            // set: its expensive conjuncts have no kernel.)
+            Plan::Filter { input, predicate } if !batches_expensive(predicate, ctx) => {
                 if let Some((rel, ci)) = columnar_filter(input, predicate, ctx)? {
                     return Ok((rel, Some(ci)));
                 }
@@ -1762,9 +1783,7 @@ where
     T: Send,
     F: Fn(std::ops::Range<usize>, &ExecCtx<'a>) -> Result<T> + Sync,
 {
-    let expensive = ctx.optimizer.batch_expensive_udfs
-        && residual.is_some_and(|r| expr_cost(r, ctx.udfs) >= 2);
-    if expensive {
+    if residual.is_some_and(|r| batches_expensive(r, ctx)) {
         inline_morsels(count, ctx, f)
     } else {
         try_morsels(count, ctx, f)
@@ -1942,15 +1961,10 @@ fn hash_join(
     // Expensive calls in a join key (`ON llm_map(...) = x`) are evaluated
     // per row of *one* side: vectorize them over that side's batch before
     // the build/probe loops run.
-    if ctx.optimizer.batch_expensive_udfs {
-        if let KeySide::Exprs(exprs) = &build_key {
-            if let Some(batch) = BatchableCalls::find(exprs.iter(), ctx.udfs) {
-                batch.prefetch_rows(ctx, build.schema(), build.rows(), outer)?;
-            }
-        }
-        if let KeySide::Exprs(exprs) = &probe_key {
-            if let Some(batch) = BatchableCalls::find(exprs.iter(), ctx.udfs) {
-                batch.prefetch_rows(ctx, probe.schema(), probe.rows(), outer)?;
+    for (key, side) in [(&build_key, build), (&probe_key, probe)] {
+        if let KeySide::Exprs(exprs) = key {
+            if let Some(batch) = BatchableCalls::find(exprs.iter(), ctx) {
+                batch.prefetch_rows(ctx, side.schema(), side.rows(), outer)?;
             }
         }
     }
@@ -1989,30 +2003,26 @@ fn hash_join(
     // rows: replay the probe loop once collecting the distinct argument
     // tuples (cheap — no emission), batch them, then run the real loop
     // against the prefetched results.
-    if ctx.optimizer.batch_expensive_udfs {
-        if let Some(res) = residual.as_ref() {
-            if let Some(batch) = BatchableCalls::find([res], ctx.udfs) {
-                let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
-                batch.prefetch(ctx, &mut |collect| {
-                    for prow in probe.rows() {
-                        let Some(key) = probe_key.key(prow, probe.schema(), ctx, outer)? else {
-                            continue;
-                        };
-                        let Some(cands) = table.get(&key) else { continue };
-                        for &ri in cands.as_slice() {
-                            let brow = &build.rows()[ri as usize];
-                            let (lrow, rrow): (&[Value], &[Value]) =
-                                if build_left { (brow, prow) } else { (prow, brow) };
-                            scratch.clear();
-                            scratch.extend_from_slice(lrow);
-                            scratch.extend_from_slice(rrow);
-                            collect(&RowCtx { schema, row: &scratch, outer })?;
-                        }
-                    }
-                    Ok(())
-                })?;
+    if let Some(batch) = BatchableCalls::find(residual.as_ref(), ctx) {
+        let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
+        batch.prefetch(ctx, &mut |collect| {
+            for prow in probe.rows() {
+                let Some(key) = probe_key.key(prow, probe.schema(), ctx, outer)? else {
+                    continue;
+                };
+                let Some(cands) = table.get(&key) else { continue };
+                for &ri in cands.as_slice() {
+                    let brow = &build.rows()[ri as usize];
+                    let (lrow, rrow): (&[Value], &[Value]) =
+                        if build_left { (brow, prow) } else { (prow, brow) };
+                    scratch.clear();
+                    scratch.extend_from_slice(lrow);
+                    scratch.extend_from_slice(rrow);
+                    collect(&RowCtx { schema, row: &scratch, outer })?;
+                }
             }
-        }
+            Ok(())
+        })?;
     }
 
     // The probe: three loop shapes, each dispatched over ranges of probe
@@ -2199,21 +2209,17 @@ fn nested_loop_join(
     // Vectorize expensive calls in the ON predicate over the candidate
     // pairs: the argument-tuple dedupe collapses the cross product to the
     // distinct tuples, so one batched call replaces O(n·m) row calls.
-    if ctx.optimizer.batch_expensive_udfs {
-        if let Some(pred) = on.as_ref() {
-            if let Some(batch) = BatchableCalls::find([pred], ctx.udfs) {
-                let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
-                batch.prefetch(ctx, &mut |collect| {
-                    for lrow in lrows {
-                        for rrow in rrows {
-                            gather(&mut scratch, lrow, rrow);
-                            collect(&RowCtx { schema, row: &scratch, outer })?;
-                        }
-                    }
-                    Ok(())
-                })?;
+    if let Some(batch) = BatchableCalls::find(on.as_ref(), ctx) {
+        let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
+        batch.prefetch(ctx, &mut |collect| {
+            for lrow in lrows {
+                for rrow in rrows {
+                    gather(&mut scratch, lrow, rrow);
+                    collect(&RowCtx { schema, row: &scratch, outer })?;
+                }
             }
-        }
+            Ok(())
+        })?;
     }
 
     // Ranges of the outer (left) side. The work per outer row is |right|,

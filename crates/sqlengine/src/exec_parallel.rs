@@ -31,9 +31,9 @@
 //! against a fresh worker-local context over the same catalog/UDF registry.
 //! The statement's prefetched expensive-UDF results are **moved behind one
 //! `Arc`** for the duration of the fan-out and every worker context reads
-//! them there (`ExecCtx::udf_seed` — so the vectorized batching of
-//! `Plan::Batch` keeps paying off inside workers, and fan-out copies
-//! nothing); what a worker computes itself goes into its own, initially
+//! them there (`ExecCtx::udf_seed` — so an operator's vectorized prefetch
+//! keeps paying off inside its workers, and fan-out copies nothing); what
+//! a worker computes itself goes into its own, initially
 //! empty, overlay (`ExecCtx::udf_results`), which drains back into the
 //! statement's results when the worker retires — the statement thread then
 //! unwraps the `Arc` again. A worker context never fans out itself: its
@@ -43,8 +43,10 @@
 //! uncorrelated subquery still executes at most once per statement, and
 //! correlated subqueries re-execute per row on whichever worker owns the
 //! row — so subquery-bearing predicates fan out like any other expression.
-//! Batching itself (`Plan::Batch`, join-key prefetch, a join residual's
-//! candidate replay) always runs on the statement thread.
+//! Batching itself (every operator's prefetch of its own call sites: a
+//! filter's expensive conjuncts over the cheap conjuncts' survivors, join
+//! keys, a join residual's candidate replay, …) always runs on the thread
+//! that executes the operator, never inside a fan-out.
 //!
 //! Errors are deterministic: a range stops at its first failing row, and
 //! the caller surfaces the error of the earliest range — the row a single

@@ -1,6 +1,6 @@
 //! Rule-based plan optimizer.
 //!
-//! Six rules, the first four of which matter most for hybrid queries:
+//! Five rules, the first four of which matter most for hybrid queries:
 //!
 //! 1. **Predicate pushdown** — WHERE conjuncts move below joins to the side
 //!    that can evaluate them, shrinking join inputs.
@@ -18,18 +18,16 @@
 //!    unnecessary data entries").
 //! 4. **Constant folding** — literal arithmetic/comparisons collapse, which
 //!    also lets trivially-true filters disappear.
-//! 5. **Batched expensive-call marking** — filters whose predicates call
-//!    expensive UDFs are split so the cheap conjuncts filter first, then a
-//!    [`Plan::Batch`] node vectorizes the expensive calls (one
-//!    `invoke_batch` over the surviving rows' distinct argument tuples)
-//!    before the per-row expensive filter runs.
-//! 6. **Primary-key index scans** — a filter that pins a table's primary
+//! 5. **Primary-key index scans** — a filter that pins a table's primary
 //!    key to literals reads its rows through a [`Plan::IndexScan`] probe
 //!    instead of a full scan.
 //!
-//! The plan describes the query, never the host: whether an operator's
-//! loop fans out over threads is decided at run time by
-//! [`crate::exec_parallel`], from the number of items the loop is handed.
+//! The plan describes the query, never the host or the execution mode:
+//! whether an operator's loop fans out over threads is decided at run time
+//! by [`crate::exec_parallel`], from the number of items the loop is handed,
+//! and whether expensive calls are batched
+//! ([`OptimizerConfig::batch_expensive_udfs`]) by each operator of
+//! [`crate::exec`], the filter included, over its own call sites.
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::Result;
@@ -48,11 +46,15 @@ pub struct OptimizerConfig {
     /// Prune join output columns to what the SELECT level actually reads
     /// (a `COUNT(*)` join then emits zero-width shared rows).
     pub prune_columns: bool,
-    /// Evaluate expensive UDF calls vectorized: mark call sites
-    /// ([`Plan::Batch`]) so each operator issues one
-    /// [`ScalarUdf::invoke_batch`](crate::functions::ScalarUdf) over the
-    /// distinct argument tuples of its input batch instead of one call
-    /// per row.
+    /// Evaluate expensive UDF calls vectorized: each operator — WHERE,
+    /// projection / sort keys, GROUP BY, HAVING, aggregate output, join
+    /// keys and residuals — issues one
+    /// [`ScalarUdf::invoke_batch`](crate::functions::ScalarUdf) per call
+    /// site over the distinct argument tuples of its input batch instead
+    /// of one call per row, and a filter runs its cheap conjuncts before
+    /// its expensive ones. Purely an execution mode: [`optimize`] returns
+    /// the same plan either way, and `false` is the per-row reference the
+    /// differential suites compare against.
     pub batch_expensive_udfs: bool,
     /// Worker threads an operator loop may fan out over. `0` means auto:
     /// the `SWAN_THREADS` environment variable when set, otherwise the
@@ -143,12 +145,10 @@ pub fn optimize(
     let plan = if config.reorder_joins { reorder_joins(plan, provider)? } else { plan };
     let plan = if config.order_expensive_last { order_filters(plan, udfs) } else { plan };
     let plan = if config.index_scan { index_scans(plan, provider) } else { plan };
-    let plan = match (config.prune_columns, needed) {
-        (true, Some(needed)) => prune_columns(plan, Some(needed.to_vec()), provider)?,
-        _ => plan,
-    };
-    let plan = if config.batch_expensive_udfs { batch_expensive_calls(plan, udfs) } else { plan };
-    Ok(plan)
+    match (config.prune_columns, needed) {
+        (true, Some(needed)) => prune_columns(plan, Some(needed.to_vec()), provider),
+        _ => Ok(plan),
+    }
 }
 
 // ---- rule 1: predicate pushdown ---------------------------------------
@@ -241,7 +241,6 @@ fn push_predicate_into(
         | Plan::IndexScan { .. }
         | Plan::Derived { .. }
         | Plan::Permute { .. }
-        | Plan::Batch { .. }
         | Plan::Empty) => Ok(wrap_filter(leaf, conjuncts)),
     }
 }
@@ -740,7 +739,7 @@ pub fn expr_cost(e: &Expr, udfs: &UdfRegistry) -> u8 {
     cost
 }
 
-// ---- rule 6: primary-key index scans ------------------------------------
+// ---- rule 5: primary-key index scans ------------------------------------
 
 /// Rewrite `Filter(pred, Scan(t))` to `Filter(pred, IndexScan(t, bounds))`
 /// when `pred`'s conjuncts pin `t`'s primary key to non-NULL literals.
@@ -775,9 +774,6 @@ fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
             on,
             emit,
         },
-        Plan::Batch { input, calls } => {
-            Plan::Batch { input: Box::new(index_scans(*input, provider)), calls }
-        }
         Plan::Permute { input, mapping } => {
             Plan::Permute { input: Box::new(index_scans(*input, provider)), mapping }
         }
@@ -905,48 +901,6 @@ pub(crate) fn pk_bounds(
         return Some(IndexBounds::Range { lower, upper });
     }
     None
-}
-
-// ---- rule 5: batched expensive-call marking -----------------------------
-
-/// Insert [`Plan::Batch`] nodes under filters that call expensive UDFs.
-///
-/// `Filter(cheap AND expensive)` becomes
-/// `Filter(expensive) ← Batch(expensive) ← Filter(cheap)`: the cheap
-/// conjuncts keep pruning rows first (preserving rule 3's
-/// cheap-predicates-first cost behaviour), the batch node then answers the
-/// expensive calls for all *surviving* rows in one vectorized
-/// `invoke_batch`, and the per-row expensive filter evaluates against the
-/// prefetched results. Runs last, so no other rule ever sees a Batch node.
-fn batch_expensive_calls(plan: Plan, udfs: &UdfRegistry) -> Plan {
-    match plan {
-        Plan::Filter { input, predicate } => {
-            let input = Box::new(batch_expensive_calls(*input, udfs));
-            let (expensive, cheap): (Vec<Expr>, Vec<Expr>) = split_conjuncts(&predicate)
-                .into_iter()
-                .partition(|c| expr_cost(c, udfs) >= 2);
-            if expensive.is_empty() {
-                return Plan::Filter { input, predicate };
-            }
-            let below = wrap_filter(*input, cheap);
-            let marked = Plan::Batch { input: Box::new(below), calls: expensive.clone() };
-            Plan::Filter {
-                input: Box::new(marked),
-                predicate: conjoin(expensive).expect("non-empty"),
-            }
-        }
-        Plan::Join { left, right, kind, on, emit } => Plan::Join {
-            left: Box::new(batch_expensive_calls(*left, udfs)),
-            right: Box::new(batch_expensive_calls(*right, udfs)),
-            kind,
-            on,
-            emit,
-        },
-        Plan::Permute { input, mapping } => {
-            Plan::Permute { input: Box::new(batch_expensive_calls(*input, udfs)), mapping }
-        }
-        other => other,
-    }
 }
 
 // ---- rule 4: constant folding ------------------------------------------
@@ -1169,8 +1123,7 @@ mod tests {
     fn expensive_udf_predicate_ordered_last() {
         let udfs = llm_registry();
         let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes' AND a.ax = 1");
-        let cfg = OptimizerConfig { batch_expensive_udfs: false, ..Default::default() };
-        let opt = optimize(p, &udfs, &cfg, &Fixture, None).unwrap();
+        let opt = optimize(p, &udfs, &OptimizerConfig::default(), &Fixture, None).unwrap();
         let Plan::Filter { predicate, .. } = opt else { panic!() };
         let parts = split_conjuncts(&predicate);
         assert_eq!(parts.len(), 2);
@@ -1178,48 +1131,25 @@ mod tests {
         assert_eq!(expr_cost(&parts[1], &udfs), 2, "LLM predicate last");
     }
 
-    /// Rule 5: an expensive filter is split into cheap filter → Batch →
-    /// expensive filter, so the cheap conjunct still prunes before any
-    /// batched call and the expensive conjunct is marked for vectorized
-    /// evaluation over the survivors.
+    /// Batching is an execution mode, not a plan shape: the optimizer
+    /// returns the same plan whether or not expensive calls are batched —
+    /// one filter, cheap conjuncts first (rule 3) — and the executor's
+    /// filter does the splitting.
     #[test]
-    fn expensive_filter_gets_batch_node() {
+    fn plan_does_not_depend_on_batching() {
         let udfs = llm_registry();
-        let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes' AND a.ax = 1");
-        let opt = optimize(p, &udfs, &OptimizerConfig::default(), &Fixture, None).unwrap();
-        let Plan::Filter { input, predicate } = opt else { panic!("expensive filter on top") };
-        assert_eq!(expr_cost(&predicate, &udfs), 2);
-        let Plan::Batch { input, calls } = *input else { panic!("Batch under it") };
-        assert_eq!(calls.len(), 1);
-        assert_eq!(expr_cost(&calls[0], &udfs), 2);
-        let Plan::Filter { predicate, .. } = *input else { panic!("cheap filter below") };
-        assert_eq!(expr_cost(&predicate, &udfs), 0);
-    }
-
-    #[test]
-    fn batching_disabled_leaves_plan_unmarked() {
-        let udfs = llm_registry();
-        let p = plan_of("SELECT * FROM a WHERE llm(a.x) = 'Yes'");
-        let cfg = OptimizerConfig { batch_expensive_udfs: false, ..Default::default() };
-        let opt = optimize(p, &udfs, &cfg, &Fixture, None).unwrap();
-        fn has_batch(p: &Plan) -> bool {
-            match p {
-                Plan::Batch { .. } => true,
-                Plan::Filter { input, .. } | Plan::Permute { input, .. } => has_batch(input),
-                Plan::Join { left, right, .. } => has_batch(left) || has_batch(right),
-                _ => false,
-            }
+        let per_row = OptimizerConfig { batch_expensive_udfs: false, ..Default::default() };
+        for sql in [
+            "SELECT * FROM a WHERE llm(a.x) = 'Yes' AND a.ax = 1",
+            "SELECT * FROM a WHERE llm(a.x) = 'Yes'",
+            "SELECT * FROM a WHERE a.ax = 1",
+            "SELECT * FROM a JOIN b ON a.x = b.y WHERE llm(b.bz) = 'Yes' AND a.ax = 1",
+        ] {
+            let batched =
+                optimize(plan_of(sql), &udfs, &OptimizerConfig::default(), &Fixture, None).unwrap();
+            let unbatched = optimize(plan_of(sql), &udfs, &per_row, &Fixture, None).unwrap();
+            assert_eq!(batched, unbatched, "{sql}");
         }
-        assert!(!has_batch(&opt));
-    }
-
-    /// A filter with only cheap conjuncts never grows a Batch node.
-    #[test]
-    fn cheap_filter_not_marked() {
-        let udfs = llm_registry();
-        let p = plan_of("SELECT * FROM a WHERE a.ax = 1");
-        let opt = optimize(p, &udfs, &OptimizerConfig::default(), &Fixture, None).unwrap();
-        assert!(matches!(opt, Plan::Filter { .. }), "got {opt:?}");
     }
 
     #[test]
@@ -1357,11 +1287,11 @@ mod tests {
         assert!(estimate_rows(&filtered, &Fixture) < estimate_rows(&scan, &Fixture));
     }
 
-    // ---- rule 6: primary-key index scans ------------------------------
+    // ---- rule 5: primary-key index scans ------------------------------
 
     /// Fixture where `k` has a single-column PK (id) and `kk` a composite
     /// PK (a, b). `a`/`b` etc. stay PK-less so the other tests' plans are
-    /// untouched by rule 6.
+    /// untouched by rule 5.
     struct PkFixture;
 
     impl SchemaProvider for PkFixture {

@@ -4,7 +4,9 @@
 //! [`Plan`]; the optimizer (see [`crate::optimizer`]) then pushes filters
 //! toward scans and orders predicates so that expensive UDFs (LLM calls)
 //! run on as few rows as possible. Projection, aggregation, ordering and
-//! compounds are handled downstream by the executor.
+//! compounds are handled downstream by the executor — and so is the
+//! batching of expensive calls: no node marks it, every operator (the
+//! filter included) vectorizes the call sites of its own expressions.
 
 use crate::ast::{Expr, JoinKind, SelectStmt, TableRef};
 use crate::error::{Error, Result};
@@ -156,16 +158,10 @@ pub enum Plan {
         on: Option<Expr>,
         emit: Option<Vec<usize>>,
     },
-    /// Row filter.
+    /// Row filter. Whether its expensive-UDF conjuncts run per row or
+    /// batched over the cheap conjuncts' survivors is the executor's mode
+    /// (`OptimizerConfig::batch_expensive_udfs`), not a different plan.
     Filter { input: Box<Plan>, predicate: Expr },
-    /// Vectorized-UDF evaluation point. Before the operator above runs its
-    /// per-row loop, every expensive function call in `calls` is evaluated
-    /// once per *distinct argument tuple* across the input batch via
-    /// [`ScalarUdf::invoke_batch`](crate::functions::ScalarUdf), and the
-    /// results are stored for per-row lookup. Inserted by the optimizer's
-    /// batching rule under filters whose predicates call expensive UDFs;
-    /// a pass-through for rows otherwise.
-    Batch { input: Box<Plan>, calls: Vec<Expr> },
     /// Column permutation: output column `i` is input column `mapping[i]`.
     /// Emitted by join reordering to restore the query's written column
     /// order after the join tree has been rearranged.
@@ -223,7 +219,6 @@ impl Plan {
                 })
             }
             Plan::Filter { input, .. } => input.schema(provider),
-            Plan::Batch { input, .. } => input.schema(provider),
             Plan::Permute { input, mapping } => {
                 let inner = input.schema(provider)?;
                 Ok(RelSchema::new(

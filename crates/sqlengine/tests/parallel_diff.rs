@@ -419,8 +419,9 @@ proptest! {
         let sql = match shape {
             // Expensive call in the projection.
             0 => format!("SELECT s.id, slow_tag('p', s.{num}) FROM {fact} s ORDER BY s.id"),
-            // Expensive conjunct in WHERE next to a cheap one
-            // (Filter(expensive) ← Batch ← Filter(cheap), under Parallel).
+            // Expensive conjunct in WHERE next to a cheap one (the filter
+            // runs the cheap conjunct, prefetches over its survivors, then
+            // fans the expensive conjunct out).
             1 => format!(
                 "SELECT s.id FROM {join} WHERE s.{num} > {threshold} \
                  AND slow_tag('w', p.id) LIKE 'vw%' ORDER BY s.id"

@@ -606,11 +606,15 @@ fn transaction_control_on_a_bare_database_is_a_typed_error() {
 // ---- batched expensive-UDF execution ---------------------------------------
 
 /// An expensive UDF that records how it was driven: per-row `invoke`
-/// tuples vs vectorized `invoke_batch` batches. Deterministic per input.
+/// tuples vs vectorized `invoke_batch` batches, and the tuples each batch
+/// was handed. Deterministic per input.
 struct CountingLlm {
     invokes: std::sync::atomic::AtomicU64,
     batches: std::sync::atomic::AtomicU64,
     batched_tuples: std::sync::atomic::AtomicU64,
+    /// One entry per `invoke_batch`, its tuples rendered `a-b` in the
+    /// order they arrived.
+    received: std::sync::Mutex<Vec<Vec<String>>>,
 }
 
 impl CountingLlm {
@@ -619,7 +623,12 @@ impl CountingLlm {
             invokes: Default::default(),
             batches: Default::default(),
             batched_tuples: Default::default(),
+            received: Default::default(),
         })
+    }
+
+    fn tag(args: &[Value]) -> String {
+        args.iter().map(Value::render).collect::<Vec<_>>().join("-")
     }
 }
 
@@ -629,19 +638,16 @@ impl ScalarUdf for CountingLlm {
     }
     fn invoke(&self, args: &[Value]) -> swan_sqlengine::Result<Value> {
         self.invokes.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let tag = args.iter().map(Value::render).collect::<Vec<_>>().join("-");
-        Ok(Value::text(format!("v:{tag}")))
+        Ok(Value::text(format!("v:{}", Self::tag(args))))
     }
     fn invoke_batch(&self, rows: &[Vec<Value>]) -> swan_sqlengine::Result<Vec<Value>> {
         self.batches.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         self.batched_tuples
             .fetch_add(rows.len() as u64, std::sync::atomic::Ordering::SeqCst);
-        rows.iter()
-            .map(|args| {
-                let tag = args.iter().map(Value::render).collect::<Vec<_>>().join("-");
-                Ok(Value::text(format!("v:{tag}")))
-            })
-            .collect()
+        let tags: Vec<String> = rows.iter().map(|args| Self::tag(args)).collect();
+        let out = tags.iter().map(|tag| Value::text(format!("v:{tag}"))).collect();
+        self.received.lock().unwrap().push(tags);
+        Ok(out)
     }
     fn is_expensive(&self) -> bool {
         true
@@ -668,6 +674,99 @@ fn where_clause_udf_is_batched() {
     // (publisher_ids 2, 2, 1), so 2 distinct tuples.
     assert_eq!(udf.batched_tuples.load(std::sync::atomic::Ordering::SeqCst), 2);
     assert_eq!(udf.invokes.load(std::sync::atomic::Ordering::SeqCst), 0);
+}
+
+/// The filter's batching contract: `WHERE cheap AND f(x)` hands
+/// `invoke_batch` exactly the distinct `x` of the cheap conjuncts'
+/// survivors, in first-seen order — whatever the filter sits on — and with
+/// `batch_expensive_udfs: false` the same rows come back without a single
+/// `invoke_batch`.
+#[test]
+fn filter_batches_exactly_the_cheap_survivors() {
+    /// (sql, rows, the tuples of each `invoke_batch`, per-row invocations)
+    type Case = (&'static str, &'static [&'static str], &'static [&'static [&'static str]], u64);
+    let cases: [Case; 7] = [
+        // Over a Scan (run below with the columnar kernels on and off):
+        // heroes 2, 3, 5 are above 180cm, publisher_ids 2, 2, 1.
+        (
+            "SELECT hero_name FROM superhero \
+             WHERE height_cm > 180 AND llm_tag('p', publisher_id) = 'v:p-2' ORDER BY id",
+            &["Batman", "Superman"],
+            &[&["p-2", "p-1"]],
+            0,
+        ),
+        // Over an IndexScan: the PK range is re-checked as a cheap conjunct.
+        (
+            "SELECT hero_name FROM superhero \
+             WHERE id BETWEEN 3 AND 5 AND llm_tag('p', publisher_id) = 'v:p-2' ORDER BY id",
+            &["Superman"],
+            &[&["p-2", "p-3", "p-1"]],
+            0,
+        ),
+        // Over a join's output: predicates on the null-supplying side of a
+        // LEFT JOIN stay above it.
+        (
+            "SELECT h.hero_name FROM superhero h LEFT JOIN publisher p ON h.publisher_id = p.id \
+             WHERE p.id < 3 AND llm_tag('j', p.publisher_name) = 'v:j-DC Comics' ORDER BY h.id",
+            &["Batman", "Superman"],
+            &[&["j-Marvel Comics", "j-DC Comics"]],
+            0,
+        ),
+        // Over a derived table.
+        (
+            "SELECT d.hero_name FROM (SELECT hero_name, publisher_id, height_cm FROM superhero) d \
+             WHERE d.height_cm > 180 AND llm_tag('d', d.publisher_id) = 'v:d-2'",
+            &["Batman", "Superman"],
+            &[&["d-2", "d-1"]],
+            0,
+        ),
+        // Inside a correlated subquery: one batch per outer row that has
+        // survivors (publisher 3's only hero is not above 180cm).
+        (
+            "SELECT p.id, (SELECT COUNT(*) FROM superhero h WHERE h.publisher_id = p.id \
+                 AND h.height_cm > 180 AND llm_tag('c', h.hero_name) LIKE 'v:c-%') \
+             FROM publisher p ORDER BY p.id",
+            &["1|1", "2|2", "3|0"],
+            &[&["c-Iron Man"], &["c-Batman", "c-Superman"]],
+            0,
+        ),
+        // Two expensive conjuncts are both prefetched over the same
+        // survivors, although per-row AND would skip the second for Iron
+        // Man.
+        (
+            "SELECT hero_name FROM superhero WHERE height_cm > 180 \
+             AND llm_tag('a', publisher_id) = 'v:a-2' AND llm_tag('b', hero_name) LIKE 'v:b-S%'",
+            &["Superman"],
+            &[&["a-2", "a-1"], &["b-Batman", "b-Superman", "b-Iron Man"]],
+            0,
+        ),
+        // A site on the right of OR is never collected: the cheap conjunct
+        // still prunes first, and only Iron Man reaches the call.
+        (
+            "SELECT hero_name FROM superhero WHERE height_cm > 180 \
+             AND (publisher_id = 2 OR llm_tag('o', hero_name) = 'v:o-Iron Man') ORDER BY id",
+            &["Batman", "Superman", "Iron Man"],
+            &[],
+            1,
+        ),
+    ];
+    for (sql, rows, batches, invokes) in cases {
+        for columnar in [true, false] {
+            let udf = CountingLlm::new();
+            let mut db = hero_db();
+            db.register_udf(udf.clone());
+            db.set_optimizer(OptimizerConfig { columnar, ..Default::default() });
+            assert_eq!(texts(&db, sql), rows, "{sql}");
+            assert_eq!(*udf.received.lock().unwrap(), batches, "columnar {columnar}: {sql}");
+            assert_eq!(udf.invokes.load(std::sync::atomic::Ordering::SeqCst), invokes, "{sql}");
+        }
+        let udf = CountingLlm::new();
+        let mut db = hero_db();
+        db.register_udf(udf.clone());
+        db.set_optimizer(OptimizerConfig { batch_expensive_udfs: false, ..Default::default() });
+        assert_eq!(texts(&db, sql), rows, "per row: {sql}");
+        assert!(udf.received.lock().unwrap().is_empty(), "per row: {sql}");
+    }
 }
 
 /// An expensive call in a JOIN ON key is batched over the side that

@@ -4,7 +4,7 @@
 //! cheap predicates first, and the engine batches the surviving rows' keys
 //! (BlendSQL default 5) — instead of the paper's §5.5 pathology of
 //! "generating heights for all players" when only a few rows qualify.
-//! Switching those optimizer rules off shows the pathology.
+//! Switching both off (`OptimizerConfig`) shows the pathology.
 //!
 //! Run with: `cargo run --release --example udf_pushdown`
 

@@ -24,7 +24,13 @@
 #      targets that `cargo test` skips) and the frozen benchmark's smoke
 #      run (examples/swan_benchmark is a package of its own that tier-1
 #      does not compile): a public-API deletion that breaks either must
-#      fail here, not in the bench pipeline;
+#      fail here, not in the bench pipeline. The workspace suite is every
+#      harness there is — shared_db_stress, row_conflicts, wal_recovery,
+#      crash_sim, slt, prop_codec, write_path, parallel_diff,
+#      morsel_dispatch, concurrency, llm_fault_sim, the udf / hqdl
+#      transcripts — and a debug build runs the lock-order validator by
+#      default, so no stage below names one of them again: a stage exists
+#      only for an environment this one does not cover;
 #   2. the workspace suite again with SWAN_THREADS=1, 2 and 8 — there is
 #      one executor, and the env var drives every default-config
 #      statement's operator loops — the *same* loops — through inline,
@@ -32,72 +38,13 @@
 #      cannot hide behind the host's core count (this includes the
 #      parallel_diff differential harness at both ends of the matrix,
 #      on top of its own per-test thread configs);
-#   3. the SharedDb concurrency stress suite (multi-statement
-#      transaction conflict/retry, torn-commit visibility, MVCC
-#      history GC) and the row-level conflict regression suite
-#      (disjoint-PK transactions must not abort), both under
-#      SWAN_LOCKDEP=1, plus the cross-session llm_map single-flight test
-#      (tests/concurrency.rs: eight sessions share one `llm_map`, whose
-#      answers and in-flight fetches sit in one map behind one ranked
-#      lock, `udf_store` — a batch reserves its keys under it, waiters
-#      park on the batch's one flight outside it).
-#      The write path these drive is the in-place patch: every UPDATE /
-#      DELETE, every rebase and every replayed row patch replaces or
-#      removes rows at their slots and carries the table's PK index,
-#      ordered permutation and column vectors into the next version;
-#   4. the WAL crash-recovery harness, all of it on SharedDb — the only
-#      handle that opens a log (torn-tail truncation sweep at every byte
-#      offset of the final commit record group, durable Session
-#      transactions and script spans, auto-checkpoint compaction, and
-#      the fixture written by the removed Database::open handle). Replay
-#      patches the recovering catalog's own tables through the same
-#      `apply_row_patch` the commit path installed them with, so the
-#      recovered table must still be byte-identical, row order included;
-#   5. the crash-simulation harness (crates/sqlengine/tests/crash_sim.rs):
-#      a fault — transient error or crash with a configurable torn write —
-#      injected at EVERY SimFs operation index of the commit, checkpoint,
-#      concurrent group-commit and recovery schedules (plus the two-fault
-#      dir-sync-fails-then-crash schedule), asserting recovery is always
-#      a clean prefix of acknowledged commits. The serial schedules run
-#      through the group-commit leader too (batches of one): there is no
-#      other commit path to sweep;
-#   6. the golden SQL suite (tests/slt/*.slt), each file executed on the
-#      serial and the 8-thread engine, with primary-key index scans and
-#      with the scan-only planner, on the columnar kernels and on the
-#      bit-for-bit row fallback, with byte-identical output. index_scan
-#      on/off also crosses the build-once subquery path (a correlated
-#      scalar aggregate grouped once and hash-probed) with the per-row
-#      path, so the hand-written goldens pin build-once == per-row;
-#   7. the LLM fault-sweep harness (tests/llm_fault_sim.rs): every
-#      ModelFault kind injected at every call index of a fixed workload,
-#      serial and 8-thread-parallel and concurrent-session single-flight,
-#      on a virtual clock — no hangs, failed calls never cached, retries
-#      respect the statement deadline, breaker transitions match the
-#      fault script, and an absorbed fault leaves `UdfStats` (keys
-#      fetched, store hits, fallback calls) exactly where a clean run
-#      leaves them;
-#   8. one release-build workspace test pass with SWAN_LOCKDEP=1: the
+#   3. one release-build workspace test pass with SWAN_LOCKDEP=1: the
 #      runtime lock-order validator (rank inversions + order cycles,
 #      normally debug-only) active under the optimized build's real
-#      interleavings. Before it, by name, the subquery single-flight /
-#      work-count test and the nested-subquery regression at 1, 2 and 8
-#      threads: the keyed build runs inside a OnceLock cell on a morsel
-#      worker and may itself fan out, and the validator must see that.
-#      Likewise the subquery-in-ON LEFT JOIN regression (a subquery
-#      evaluated on a pool worker dispatches its own SELECT inline,
-#      nested inside that cell) and the cancel-cadence test (the token
-#      fires inside a worker's morsel while its siblings hold theirs).
-#      And the write path's two: the snapshot-isolation / sharing test
-#      (a column vector is copied-on-write under the table-writer lock
-#      while readers hold the previous `Arc`s) and the zero-row-commit
-#      regression (a statement that matched nothing takes the table lock
-#      and must release it having touched neither catalog nor log).
-#      And the UDF pathway's three: `udf_store` is its only lock and is
-#      taken from pool workers during fan-out as well as from statement
-#      threads, so the validator watches the panic-strand regression (a
-#      reservation's drop guard takes it while unwinding), the pinned
-#      transcript (every pass of a batch) and tests/concurrency.rs (eight
-#      sessions reserving, waiting and retiring at once).
+#      interleavings — the subquery single-flight cells filled on morsel
+#      workers, the in-place write path's copy-on-write under the
+#      table-writer lock, and `udf_store`, taken from pool workers during
+#      fan-out as well as from statement threads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,53 +75,6 @@ for t in 1 2 8; do
     echo "== workspace tests @ SWAN_THREADS=$t =="
     SWAN_THREADS=$t cargo test --workspace -q
 done
-
-echo "== SharedDb concurrency + transaction stress (lock-order validated) =="
-SWAN_LOCKDEP=1 cargo test -q -p swan-sqlengine --test shared_db_stress
-
-echo "== row-level conflict regression suite (lock-order validated) =="
-SWAN_LOCKDEP=1 cargo test -q -p swan-sqlengine --test row_conflicts
-
-echo "== WAL crash-recovery harness =="
-cargo test -q -p swan-sqlengine --test wal_recovery
-
-echo "== crash-simulation harness (SimFs fault sweep) =="
-cargo test -q -p swan-sqlengine --test crash_sim
-
-echo "== golden SQL suite @ 1 and 8 threads, index scans + build-once subqueries and columnar on and off =="
-cargo test -q -p swan-sqlengine --test slt
-
-echo "== binary row codec round-trip properties =="
-cargo test -q -p swan-sqlengine --test prop_codec
-
-echo "== cross-session llm_map single-flight =="
-cargo test -q --test concurrency
-
-echo "== LLM fault-sweep harness (deterministic, virtual clock) =="
-cargo test -q --test llm_fault_sim
-
-echo "== subquery single flight + nested-subquery state @ SWAN_LOCKDEP=1 (release, 1/2/8 threads) =="
-SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test parallel_diff \
-    uncorrelated_subquery_executes_once_at_every_thread_count
-SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test sql_e2e \
-    subqueries_nested_in_a_correlated_subquery_keep_their_own_state
-
-echo "== cancel cadence + subquery-in-ON join: inline dispatch on a pool worker @ SWAN_LOCKDEP=1 (release) =="
-SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test morsel_dispatch \
-    every_operator_observes_a_fired_token_within_one_morsel_per_worker
-SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test parallel_diff \
-    left_join_on_subquery_reads_any_combined_row_column
-
-echo "== in-place write path: snapshot isolation + zero-row commits @ SWAN_LOCKDEP=1 (release) =="
-SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --test write_path \
-    snapshots_never_observe_a_patch
-SWAN_LOCKDEP=1 cargo test -q --release -p swan-sqlengine --lib \
-    zero_row_statements_commit_nothing
-
-echo "== UDF store: panic-strand regression, pinned transcript, cross-session single flight @ SWAN_LOCKDEP=1 (release) =="
-SWAN_LOCKDEP=1 cargo test -q --release -p swan-core --lib a_panicking_model_call
-SWAN_LOCKDEP=1 cargo test -q --release --test udf_transcript
-SWAN_LOCKDEP=1 cargo test -q --release --test concurrency
 
 echo "== workspace tests @ SWAN_LOCKDEP=1 (release, lock-order validated) =="
 SWAN_LOCKDEP=1 cargo test --workspace -q --release

@@ -8,63 +8,18 @@
 //! store and the prompt head were reworked) and must hold on every commit
 //! after it: the pathway may get cheaper, it may not say anything else.
 
-use std::sync::{Arc, Mutex};
+mod common;
 
+use std::sync::Arc;
+
+use common::{Fnv, Recording};
 use swan::prelude::*;
-use swan_llm::{Completion, LlmResult, UsageMeter};
-
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Fold `text` and a terminator in, so `"ab","c"` and `"a","bc"`
-    /// differ.
-    fn write(&mut self, text: &str) {
-        for &b in text.as_bytes().iter().chain(&[0xff]) {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// Forwards to the simulator and folds both directions into a digest.
-struct Recording {
-    inner: SimulatedModel,
-    digest: Mutex<Fnv>,
-}
-
-impl LanguageModel for Recording {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, prompt: &str) -> LlmResult<Completion> {
-        let out = self.inner.complete(prompt);
-        let mut digest = self.digest.lock().unwrap();
-        digest.write(prompt);
-        match &out {
-            Ok(c) => digest.write(&c.text),
-            Err(e) => digest.write(&e.to_string()),
-        }
-        out
-    }
-
-    fn usage_meter(&self) -> &UsageMeter {
-        self.inner.usage_meter()
-    }
-}
 
 /// (model transcript digest, result digest, model calls).
 fn transcript(config: UdfConfig) -> (u64, u64, u64) {
     let domain = SwanBenchmark::generate_domain(&GenConfig::with_scale(0.05), "superhero").unwrap();
     let kb = build_knowledge(std::slice::from_ref(&domain));
-    let model = Arc::new(Recording {
-        inner: SimulatedModel::new(ModelKind::Gpt35Turbo, kb),
-        digest: Mutex::new(Fnv::new()),
-    });
+    let model = Arc::new(Recording::new(SimulatedModel::new(ModelKind::Gpt35Turbo, kb)));
     let mut runner = UdfRunner::new(&domain, model.clone(), config);
     // One thread: call order is then a property of the pathway, not of
     // the host or of SWAN_THREADS.
@@ -87,8 +42,7 @@ fn transcript(config: UdfConfig) -> (u64, u64, u64) {
         }
         results.write(&q.id);
     }
-    let digest = model.digest.lock().unwrap().0;
-    (digest, results.0, model.usage().calls)
+    (model.digest(), results.0, model.usage().calls)
 }
 
 #[test]
