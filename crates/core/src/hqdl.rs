@@ -7,8 +7,14 @@
 //! inside the curated database. One-to-many values arrive condensed
 //! ("Agility, Super Strength, Super Speed"). After materialization the
 //! hybrid SQL of each question is an ordinary query.
+//!
+//! An expansion's prompts differ only in their target entry: the shared
+//! head is rendered once per expansion and each prompt is completed by the
+//! worker that sends it, so materialization holds `workers` prompts at a
+//! time, not one per entity.
 
 use swan_data::{DomainData, Expansion};
+use swan_llm::prompt::{parse_row, Field};
 use swan_llm::{parallel, LanguageModel, RowCompletionPrompt, RowExample};
 use swan_sqlengine::{Column, Database, Table, Value};
 
@@ -36,6 +42,10 @@ pub struct HqdlRun {
     /// Rows whose response could not be aligned to the schema (format
     /// errors, §5.3) — they are dropped by extraction.
     pub malformed_rows: usize,
+    /// Calls that returned no completion at all (transport failure, open
+    /// breaker, statement deadline): their entities have no row either,
+    /// but nothing was wrong with a format.
+    pub failed_calls: usize,
     /// Total cells generated (excluding keys).
     pub generated_cells: usize,
 }
@@ -52,77 +62,74 @@ pub fn materialize(
 ) -> HqdlRun {
     let mut database = domain.curated.clone();
     let mut malformed = 0usize;
+    let mut failed = 0usize;
     let mut cells = 0usize;
 
     for expansion in &domain.curation.expansions {
         let keys = expansion_key_rows(&domain.curated, expansion);
         let examples = few_shot_examples(domain, expansion, config.shots);
+        let columns = expansion.all_columns();
+        let width = columns.len();
+        let key_len = expansion.key_columns.len();
 
-        // Render one prompt per entity.
-        let prompts: Vec<String> = keys
-            .iter()
-            .map(|(rendered, _)| {
-                RowCompletionPrompt {
-                    db: domain.name.clone(),
-                    columns: expansion.all_columns(),
-                    key_len: expansion.key_columns.len(),
-                    value_lists: expansion
-                        .generated
-                        .iter()
-                        .filter_map(|g| {
-                            g.value_list.as_ref().map(|vs| (g.name.clone(), vs.clone()))
-                        })
-                        .collect(),
-                    examples: examples.clone(),
-                    target_key: rendered.clone(),
-                }
-                .render()
-            })
-            .collect();
+        // What every entity's prompt shares is rendered once; each worker
+        // appends its entity's target to a copy just before sending it.
+        let head = RowCompletionPrompt::render_head(
+            &domain.name,
+            &columns,
+            key_len,
+            expansion
+                .generated
+                .iter()
+                .filter_map(|g| Some((g.name.as_str(), g.value_list.as_deref()?))),
+            &examples,
+        );
+        let completions = parallel::complete_many(model, keys.len(), config.workers, |i| {
+            let mut prompt = String::with_capacity(head.len() + 256);
+            prompt.push_str(&head);
+            RowCompletionPrompt::push_target(&mut prompt, &keys[i].0, width);
+            prompt
+        });
 
-        let completions = parallel::complete_many(model, &prompts, config.workers);
-
-        // Data extraction (§4.1): parse each response as a quoted row and
-        // keep only rows with the right arity and matching keys.
-        let width = expansion.all_columns().len();
         let mut table = Table::new(
             expansion.table.clone(),
-            expansion.all_columns().into_iter().map(Column::new).collect(),
+            columns.into_iter().map(Column::new).collect(),
             &[],
         )
         .expect("expansion schema is valid");
 
+        // Data extraction (§4.1): parse each response as a quoted row and
+        // keep only rows with the right arity.
         for ((_, stored), completion) in keys.iter().zip(completions) {
             let Ok(completion) = completion else {
-                malformed += 1;
+                failed += 1;
                 continue;
             };
-            let fields =
-                swan_llm::prompt::row_values(&swan_llm::prompt::parse_row(&completion.text));
+            let fields = parse_row(&completion.text);
             if fields.len() != width {
                 malformed += 1;
                 continue;
             }
             let mut row: Vec<Value> = Vec::with_capacity(width);
-            // Trust the *database's* key values over the model's echo so
-            // joins stay sound even when the model mangles the key — and
-            // keep their stored storage class: re-inferring the type from
-            // the rendered text would retype a text key that happens to
-            // parse as a number ("007" → Integer(7)) and break the join
-            // against its Text base column.
-            for k in stored {
-                row.push(k.clone());
-            }
-            for field in &fields[expansion.key_columns.len()..] {
-                row.push(infer_value(field));
-                cells += 1;
-            }
+            // Trust the *database's* key values over the model's echo —
+            // the echoed key fields are never compared, so joins stay sound
+            // even when the model mangles the key — and keep their stored
+            // storage class: re-inferring the type from the rendered text
+            // would retype a text key that happens to parse as a number
+            // ("007" → Integer(7)) and break the join against its Text base
+            // column.
+            row.extend(stored.iter().cloned());
+            row.extend(fields[key_len..].iter().map(|field| match field {
+                Field::Value(text) => infer_value(text),
+                Field::Missing => Value::Null,
+            }));
+            cells += width - key_len;
             table.insert_row(row).expect("expansion rows are unconstrained");
         }
         database.catalog_mut().put_table(table);
     }
 
-    HqdlRun { database, malformed_rows: malformed, generated_cells: cells }
+    HqdlRun { database, malformed_rows: malformed, failed_calls: failed, generated_cells: cells }
 }
 
 /// Distinct key tuples of an expansion's base table, in storage order.
@@ -342,6 +349,72 @@ mod tests {
             .query("SELECT COUNT(*) FROM agent a JOIN llm_agent l ON a.code = l.code")
             .unwrap();
         assert_eq!(joined.rows[0][0], Value::Integer(2), "both keys join their base rows");
+    }
+
+    /// Regression: a call that returned no completion was counted as a
+    /// §5.3 format error. It is a failed call; `malformed_rows` keeps only
+    /// the wrong-arity rows among the calls that did answer.
+    #[test]
+    fn a_failed_call_is_not_a_format_error() {
+        use std::sync::Mutex;
+        use swan_llm::{Completion, LanguageModel, LlmError, LlmResult, UsageMeter};
+
+        /// Fails every `fail_every`-th call (never, at 0) and notes for each
+        /// call whether the simulator's row had the wrong arity.
+        struct Flaky {
+            inner: SimulatedModel,
+            fail_every: usize,
+            width: usize,
+            /// One entry per call so far.
+            wrong_arity: Mutex<Vec<bool>>,
+        }
+        impl LanguageModel for Flaky {
+            fn name(&self) -> &str {
+                "flaky"
+            }
+            fn complete(&self, prompt: &str) -> LlmResult<Completion> {
+                let out = self.inner.complete(prompt)?;
+                let mut wrong_arity = self.wrong_arity.lock().unwrap();
+                wrong_arity.push(parse_row(&out.text).len() != self.width);
+                if self.fail_every > 0 && wrong_arity.len().is_multiple_of(self.fail_every) {
+                    return Err(LlmError::Backend("connection reset".into()));
+                }
+                Ok(out)
+            }
+            fn usage_meter(&self) -> &UsageMeter {
+                self.inner.usage_meter()
+            }
+        }
+
+        let d = domain();
+        let kb = swan_data::build_knowledge(std::slice::from_ref(&d));
+        let run_with = |fail_every| {
+            let model = Flaky {
+                inner: SimulatedModel::new(ModelKind::Gpt4Turbo, kb.clone()),
+                fail_every,
+                width: d.curation.expansions[0].all_columns().len(),
+                wrong_arity: Mutex::new(Vec::new()),
+            };
+            // One worker: the i-th call is the i-th entity in both runs.
+            let run = materialize(&d, &model, &HqdlConfig { shots: 5, workers: 1 });
+            (run, model.wrong_arity.into_inner().unwrap())
+        };
+        let (clean, wrong_arity) = run_with(0);
+        let n = wrong_arity.len();
+        assert_eq!(clean.failed_calls, 0);
+        assert_eq!(clean.malformed_rows, wrong_arity.iter().filter(|w| **w).count());
+        assert!(clean.malformed_rows > 0, "the fixture has format errors to tell apart");
+
+        let (flaky, _) = run_with(3);
+        let answered_wrong = wrong_arity
+            .iter()
+            .enumerate()
+            .filter(|(i, wrong)| **wrong && !(i + 1).is_multiple_of(3))
+            .count();
+        assert_eq!(flaky.failed_calls, n / 3);
+        assert_eq!(flaky.malformed_rows, answered_wrong);
+        let rows = flaky.database.catalog().get("llm_superhero").unwrap().len();
+        assert_eq!(rows, n - flaky.failed_calls - flaky.malformed_rows);
     }
 
     #[test]

@@ -567,21 +567,17 @@ impl Shared {
 
         let head = self.render_head(asked);
         let batch_size = self.config.batch_size.max(1);
-        let prompts: Vec<String> = reservation
-            .keys
-            .chunks(batch_size)
-            .map(|chunk| {
-                let mut prompt = String::with_capacity(head.len() + 32 * chunk.len());
-                prompt.push_str(&head);
-                UdfPrompt::push_keys(&mut prompt, chunk);
-                prompt
-            })
-            .collect();
+        let chunks: Vec<&[&KeyTuple]> = reservation.keys.chunks(batch_size).collect();
         let completions =
-            parallel::complete_many(self.model.as_ref(), &prompts, self.config.workers);
+            parallel::complete_many(self.model.as_ref(), chunks.len(), self.config.workers, |i| {
+                let mut prompt = String::with_capacity(head.len() + 32 * chunks[i].len());
+                prompt.push_str(&head);
+                UdfPrompt::push_keys(&mut prompt, chunks[i]);
+                prompt
+            });
 
         let mut answers: Vec<Option<Value>> = Vec::with_capacity(slots.len());
-        for (chunk, completion) in reservation.keys.chunks(batch_size).zip(completions) {
+        for (chunk, completion) in chunks.iter().zip(completions) {
             // Failed chunks answer nothing; their rows retry (and degrade
             // if configured) through `fetch_single`.
             let text = completion.map(|c| c.text).unwrap_or_default();

@@ -67,8 +67,9 @@ pub trait KnowledgeBase: Send + Sync {
     fn attribute_class(&self, db: &str, attribute: &str) -> AttrClass;
 
     /// Plausible-but-possibly-wrong candidate values for an attribute
-    /// (used to draw hallucinated answers).
-    fn candidates(&self, db: &str, attribute: &str) -> Vec<String>;
+    /// (used to draw hallucinated answers). Borrowed: the simulator asks
+    /// for the pool once per generated cell.
+    fn candidates(&self, db: &str, attribute: &str) -> &[String];
 }
 
 /// What [`StaticKnowledge`] holds about one database. Every map is keyed by
@@ -194,8 +195,8 @@ impl KnowledgeBase for StaticKnowledge {
             .unwrap_or(AttrClass::FreeForm)
     }
 
-    fn candidates(&self, db: &str, attribute: &str) -> Vec<String> {
-        self.dbs.get(db).and_then(|d| d.candidates.get(attribute)).cloned().unwrap_or_default()
+    fn candidates(&self, db: &str, attribute: &str) -> &[String] {
+        self.dbs.get(db).and_then(|d| d.candidates.get(attribute)).map_or(&[], Vec::as_slice)
     }
 }
 

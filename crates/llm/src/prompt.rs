@@ -13,6 +13,8 @@
 //! has a strict `parse` inverse: render → text → parse must round-trip.
 //! A real LLM sees exactly the same text.
 
+use std::fmt::Write as _;
+
 use crate::model::{LlmError, LlmResult};
 
 // ---- quoted-CSV row handling ----------------------------------------------
@@ -62,6 +64,18 @@ fn push_quoted_row<S: AsRef<str>>(out: &mut String, values: &[S]) {
             out.push_str(", ");
         }
         push_quoted(out, v.as_ref());
+    }
+}
+
+/// Append an entry row, `'k1', 'k2', ?, ?`: the key quoted, then `missing`
+/// placeholders.
+fn push_entry_row<S: AsRef<str>>(out: &mut String, key: &[S], missing: usize) {
+    push_quoted_row(out, key);
+    for i in 0..missing {
+        if i > 0 || !key.is_empty() {
+            out.push_str(", ");
+        }
+        out.push('?');
     }
 }
 
@@ -181,41 +195,75 @@ pub struct RowCompletionPrompt {
 }
 
 impl RowCompletionPrompt {
-    /// Render to the prompt text sent to the model.
+    /// The prompt text: [`render_head`](Self::render_head) followed by
+    /// [`push_target`](Self::push_target) — the one definition of its bytes.
     pub fn render(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str(&format!(
-            "Your task is to fill in the missing values in the target entry from the `{}` database.\n",
-            self.db
-        ));
-        s.push_str("Return a single row with no explanation.\n");
-        let cols: Vec<String> = self.columns.iter().map(|c| format!("`{c}`")).collect();
-        s.push_str(&format!("The columns are: {}.\n", cols.join(", ")));
-        for (col, values) in &self.value_lists {
-            let vals: Vec<String> =
-                values.iter().map(|v| format!("'{}'", v.replace('\'', "''"))).collect();
-            s.push_str(&format!(
-                "The possible values for `{col}` are [{}].\n",
-                vals.join(", ")
-            ));
-        }
-        for ex in &self.examples {
-            s.push_str(&format!("Example Entry: {}\n", self.entry_row(&ex.key)));
-            s.push_str(&format!("Example Answer: {}\n", render_value_row(&ex.answer)));
-        }
-        s.push_str(&format!("Target Entry: {}\n", self.entry_row(&self.target_key)));
-        s.push_str(&format!(
-            "The output should consist of a single row containing {} fields.\n",
-            self.columns.len()
-        ));
-        s.push_str("Answer:");
+        let mut s = Self::render_head(
+            &self.db,
+            &self.columns,
+            self.key_len,
+            self.value_lists.iter().map(|(col, values)| (col.as_str(), values.as_slice())),
+            &self.examples,
+        );
+        Self::push_target(&mut s, &self.target_key, self.columns.len());
         s
     }
 
-    fn entry_row(&self, key: &[String]) -> String {
-        let mut fields: Vec<Field> = key.iter().map(|k| Field::Value(k.clone())).collect();
-        fields.extend(std::iter::repeat_n(Field::Missing, self.columns.len() - self.key_len));
-        render_row(&fields)
+    /// Everything up to and including `Target Entry: ` — the part every
+    /// entity of one expansion shares byte for byte, so a caller with many
+    /// entities renders it once and appends each target to a copy.
+    ///
+    /// A `key_len` beyond the column list leaves the example entries with
+    /// no `?` placeholder ([`parse`](Self::parse) rejects such a prompt).
+    pub fn render_head<'a>(
+        db: &str,
+        columns: &[impl AsRef<str>],
+        key_len: usize,
+        value_lists: impl IntoIterator<Item = (&'a str, &'a [String])>,
+        examples: &[RowExample],
+    ) -> String {
+        let mut s = String::with_capacity(512);
+        s.push_str("Your task is to fill in the missing values in the target entry from the `");
+        s.push_str(db);
+        s.push_str("` database.\nReturn a single row with no explanation.\nThe columns are: ");
+        for (i, col) in columns.iter().enumerate() {
+            if i > 0 {
+                s.push_str(", ");
+            }
+            s.push('`');
+            s.push_str(col.as_ref());
+            s.push('`');
+        }
+        s.push_str(".\n");
+        for (col, values) in value_lists {
+            s.push_str("The possible values for `");
+            s.push_str(col);
+            s.push_str("` are [");
+            push_quoted_row(&mut s, values);
+            s.push_str("].\n");
+        }
+        let missing = columns.len().saturating_sub(key_len);
+        for ex in examples {
+            s.push_str("Example Entry: ");
+            push_entry_row(&mut s, &ex.key, missing);
+            s.push_str("\nExample Answer: ");
+            push_quoted_row(&mut s, &ex.answer);
+            s.push('\n');
+        }
+        s.push_str("Target Entry: ");
+        s
+    }
+
+    /// Append the target's entry row — its key, then `?` for each of the
+    /// `width` columns the key does not cover (none when the key is wider
+    /// than the row) — the field-count sentence and the closing `Answer:`
+    /// to a rendered head.
+    pub fn push_target(out: &mut String, key: &[impl AsRef<str>], width: usize) {
+        push_entry_row(out, key, width.saturating_sub(key.len()));
+        out.push_str("\nThe output should consist of a single row containing ");
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{width}");
+        out.push_str(" fields.\nAnswer:");
     }
 
     /// Parse a rendered prompt back (the simulator's inverse).
@@ -668,6 +716,109 @@ mod tests {
             proptest::prop_assert_eq!(&text, &p.render());
             proptest::prop_assert_eq!(UdfPrompt::parse(&text).unwrap(), p);
         }
+    }
+
+    /// `RowCompletionPrompt::render` as it read before it was split into
+    /// `render_head` + `push_target`: the reference for the prompt's bytes.
+    fn reference_row_render(p: &RowCompletionPrompt) -> String {
+        fn entry_row(p: &RowCompletionPrompt, key: &[String]) -> String {
+            let mut fields: Vec<Field> = key.iter().map(|k| Field::Value(k.clone())).collect();
+            fields.extend(std::iter::repeat_n(Field::Missing, p.columns.len() - p.key_len));
+            render_row(&fields)
+        }
+        let mut s = String::with_capacity(512);
+        s.push_str(&format!(
+            "Your task is to fill in the missing values in the target entry from the `{}` database.\n",
+            p.db
+        ));
+        s.push_str("Return a single row with no explanation.\n");
+        let cols: Vec<String> = p.columns.iter().map(|c| format!("`{c}`")).collect();
+        s.push_str(&format!("The columns are: {}.\n", cols.join(", ")));
+        for (col, values) in &p.value_lists {
+            let vals: Vec<String> =
+                values.iter().map(|v| format!("'{}'", v.replace('\'', "''"))).collect();
+            s.push_str(&format!(
+                "The possible values for `{col}` are [{}].\n",
+                vals.join(", ")
+            ));
+        }
+        for ex in &p.examples {
+            s.push_str(&format!("Example Entry: {}\n", entry_row(p, &ex.key)));
+            s.push_str(&format!("Example Answer: {}\n", render_value_row(&ex.answer)));
+        }
+        s.push_str(&format!("Target Entry: {}\n", entry_row(p, &p.target_key)));
+        s.push_str(&format!(
+            "The output should consist of a single row containing {} fields.\n",
+            p.columns.len()
+        ));
+        s.push_str("Answer:");
+        s
+    }
+
+    const COLUMN: &str = "[a-z_][a-z_0-9]{0,8}";
+
+    proptest::proptest! {
+        /// The head rendered once plus each entity's target is, byte for
+        /// byte, what `render()` always produced, and parses back to its
+        /// inputs.
+        #[test]
+        fn head_plus_target_is_the_prompt(
+            db in "[a-z_0-9]{1,12}",
+            key_len in 1usize..4,
+            key_columns in proptest::collection::vec(COLUMN, 3..4),
+            generated in proptest::collection::vec(COLUMN, 1..5),
+            value_lists in proptest::collection::vec(
+                (COLUMN, proptest::collection::vec(CELL, 0..5)),
+                0..4,
+            ),
+            examples in proptest::collection::vec(
+                (proptest::collection::vec(CELL, 3..4), proptest::collection::vec(CELL, 1..6)),
+                0..6,
+            ),
+            target_key in proptest::collection::vec(CELL, 3..4),
+        ) {
+            let mut columns = key_columns[..key_len].to_vec();
+            columns.extend(generated);
+            let p = RowCompletionPrompt {
+                db,
+                columns,
+                key_len,
+                value_lists,
+                examples: examples
+                    .into_iter()
+                    .map(|(key, answer)| RowExample { key: key[..key_len].to_vec(), answer })
+                    .collect(),
+                target_key: target_key[..key_len].to_vec(),
+            };
+            let mut text = RowCompletionPrompt::render_head(
+                &p.db,
+                &p.columns,
+                p.key_len,
+                p.value_lists.iter().map(|(col, values)| (col.as_str(), values.as_slice())),
+                &p.examples,
+            );
+            RowCompletionPrompt::push_target(&mut text, &p.target_key, p.columns.len());
+            proptest::prop_assert_eq!(&text, &reference_row_render(&p));
+            proptest::prop_assert_eq!(&text, &p.render());
+            proptest::prop_assert_eq!(RowCompletionPrompt::parse(&text).unwrap(), p);
+        }
+    }
+
+    /// Regression: `key_len` beyond the column list made the `?` count
+    /// `columns.len() - key_len` underflow — a panic in debug, 2^64 − k
+    /// placeholders in release. It saturates: no placeholders, and the
+    /// prompt is one `parse` rejects.
+    #[test]
+    fn render_saturates_when_the_key_is_wider_than_the_row() {
+        let mut p = sample_prompt();
+        p.columns.truncate(1);
+        p.key_len = 3;
+        let text = p.render();
+        assert!(text.contains("Example Entry: '3-D Man', 'Charles Chandler'\n"));
+        assert!(text.contains("Target Entry: 'Batman', 'Bruce Wayne'\n"));
+        assert!(text.contains("containing 1 fields."));
+        assert!(!text.contains('?'));
+        assert!(RowCompletionPrompt::parse(&text).is_err());
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl SimulatedModel {
                 .value_lists
                 .iter()
                 .find(|(c, _)| c.eq_ignore_ascii_case(col))
-                .map(|(_, vs)| vs.clone());
+                .map(|(_, vs)| vs.as_slice());
             let class = if prompt_list.is_some() {
                 // A value list in the prompt makes this value selection,
                 // unless the knowledge base says it is one-to-many.
@@ -75,10 +75,9 @@ impl SimulatedModel {
                 pathway: Pathway::RowCompletion,
                 key_hint: false,
             };
-            let candidates =
-                prompt_list.unwrap_or_else(|| self.kb.candidates(&p.db, col));
+            let candidates = prompt_list.unwrap_or_else(|| self.kb.candidates(&p.db, col));
             let truth = self.kb.lookup(&p.db, &p.target_key, col);
-            fields.push(self.emit_cell(&ctx, truth.as_ref(), &candidates));
+            fields.push(self.emit_cell(&ctx, truth.as_ref(), candidates));
         }
 
         // Row-level format glitches (§5.3).
@@ -122,8 +121,8 @@ impl SimulatedModel {
                 (class, None) => class,
             };
             let candidates = match &p.value_list {
-                Some(values) => std::borrow::Cow::Borrowed(values.as_slice()),
-                None => std::borrow::Cow::Owned(self.kb.candidates(&p.db, &attr)),
+                Some(values) => values.as_slice(),
+                None => self.kb.candidates(&p.db, &attr),
             };
             (attr, class, candidates)
         });

@@ -45,9 +45,10 @@ fn main() {
     let model = SimulatedModel::new(ModelKind::Gpt4Turbo, kb);
     let run = materialize(&domain, &model, &HqdlConfig { shots: 5, workers: 4 });
     println!(
-        "materialized {} rows ({} malformed responses dropped by extraction)",
+        "materialized {} rows ({} malformed responses dropped by extraction, {} calls failed)",
         run.database.catalog().get("llm_schools").unwrap().len(),
-        run.malformed_rows
+        run.malformed_rows,
+        run.failed_calls
     );
 
     // Generated websites: free-form, but anchored to the school name.

@@ -45,6 +45,11 @@
 #      workers, the in-place write path's copy-on-write under the
 #      table-writer lock, and `udf_store`, taken from pool workers during
 #      fan-out as well as from statement threads.
+#
+# Not a stage: scripts/bench_pairs.sh <parent-binary> <change-binary>
+# <workload> — the alternating parent/change pairs a claimed gain is
+# measured by. It needs the benchmark built from two commits, so it runs
+# by hand, and its output is the table in the PR's CHANGES.md entry.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

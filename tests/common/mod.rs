@@ -2,6 +2,8 @@
 //! `hqdl_transcript`): an FNV-1a digest and a model wrapper that folds
 //! every prompt and completion into one.
 
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use swan::prelude::*;
@@ -28,16 +30,24 @@ impl Fnv {
 pub struct Recording {
     inner: SimulatedModel,
     digest: Mutex<Fnv>,
+    call_sum: AtomicU64,
 }
 
 impl Recording {
     pub fn new(inner: SimulatedModel) -> Self {
-        Recording { inner, digest: Mutex::new(Fnv::new()) }
+        Recording { inner, digest: Mutex::new(Fnv::new()), call_sum: AtomicU64::new(0) }
     }
 
     /// The digest of every call so far, in call order.
     pub fn digest(&self) -> u64 {
         self.digest.lock().unwrap().0
+    }
+
+    /// The wrapping sum of one digest per call: which calls were made, in
+    /// whatever order concurrent workers made them.
+    #[allow(dead_code)] // only hqdl_transcript compares worker counts
+    pub fn unordered_digest(&self) -> u64 {
+        self.call_sum.load(Ordering::SeqCst)
     }
 }
 
@@ -48,12 +58,17 @@ impl LanguageModel for Recording {
 
     fn complete(&self, prompt: &str) -> LlmResult<Completion> {
         let out = self.inner.complete(prompt);
+        let text: Cow<str> = match &out {
+            Ok(c) => c.text.as_str().into(),
+            Err(e) => e.to_string().into(),
+        };
+        let mut call = Fnv::new();
+        call.write(prompt);
+        call.write(&text);
+        self.call_sum.fetch_add(call.0, Ordering::SeqCst);
         let mut digest = self.digest.lock().unwrap();
         digest.write(prompt);
-        match &out {
-            Ok(c) => digest.write(&c.text),
-            Err(e) => digest.write(&e.to_string()),
-        }
+        digest.write(&text);
         out
     }
 
