@@ -7,6 +7,12 @@
 //! scale. The nested-loop variant forces the executor off the equi-join
 //! fast path with an `OR 0` residual, and only runs at the small scales
 //! (it is quadratic by construction).
+//!
+//! After the timed rows, the bench asserts that `hash_join_sf1` costs
+//! under 25× `hash_join_sf0.1` (10× the rows), so a join that turns
+//! quadratic fails the run.
+
+use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use swan_sqlengine::{Database, Value};
@@ -57,17 +63,53 @@ fn setup_db(scale: f64) -> Database {
     db
 }
 
+const HASH_JOIN: &str = "SELECT COUNT(*) FROM fact t JOIN dim u ON t.grp = u.id";
+
 fn bench_hash_join(c: &mut Criterion) {
     for &scale in SCALES {
         let db = setup_db(scale);
         c.bench_function(&format!("hash_join_sf{scale}"), |b| {
-            b.iter(|| {
-                black_box(
-                    db.query("SELECT COUNT(*) FROM fact t JOIN dim u ON t.grp = u.id").unwrap(),
-                )
-            })
+            b.iter(|| black_box(db.query(HASH_JOIN).unwrap()))
         });
     }
+}
+
+/// `hash_join_sf1` against `hash_join_sf0.1`, alternating rounds in one
+/// process: ten times the rows must cost less than 25 times the time.
+/// Integer join keys whose hashes share their low bits all start probing
+/// at one bucket, and the join turns quadratic (30–42× when they did; 14×
+/// since `FxHasher::finish` mixes), so a hash that stops spreading them
+/// fails the run. Runs after every timed row: the databases it builds
+/// would otherwise shift the heap under the rows that follow (the 32 µs
+/// `join_chain_worst_order_sf0.02` read 36 µs behind it).
+fn spread_floor(_: &mut Criterion) {
+    const ROUNDS: usize = 5;
+    let mut cost = [(setup_db(0.1), 50u32, 0.0f64), (setup_db(1.0), 5, 0.0)];
+    for round in 0..=ROUNDS {
+        for (db, iters, total) in &mut cost {
+            let start = Instant::now();
+            for _ in 0..*iters {
+                black_box(db.query(HASH_JOIN).unwrap());
+            }
+            // Round 0 warms both scales.
+            if round > 0 {
+                *total += start.elapsed().as_secs_f64() / f64::from(*iters);
+            }
+        }
+    }
+    let [(_, _, small), (_, _, large)] = cost;
+    let ratio = large / small;
+    println!(
+        "join_scaling/spread: hash_join_sf1 {:.0}us vs hash_join_sf0.1 {:.0}us = {ratio:.1}x \
+         for 10x the rows",
+        large * 1e6 / ROUNDS as f64,
+        small * 1e6 / ROUNDS as f64,
+    );
+    assert!(
+        ratio < 25.0,
+        "hash_join_sf1 must cost under 25x hash_join_sf0.1 for 10x the rows, got {ratio:.1}x \
+         (join keys sharing hash buckets?)"
+    );
 }
 
 fn bench_nested_loop_join(c: &mut Criterion) {
@@ -106,5 +148,11 @@ fn bench_join_chain(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_hash_join, bench_nested_loop_join, bench_join_chain);
+criterion_group!(
+    benches,
+    bench_hash_join,
+    bench_nested_loop_join,
+    bench_join_chain,
+    spread_floor
+);
 criterion_main!(benches);

@@ -28,9 +28,11 @@
 //!   re-scan. Unsupported expression shapes return `None` and the caller
 //!   falls back to the row path, which stays the semantic oracle.
 //! * [`eval_aggregate`] runs `COUNT`/`SUM`/`TOTAL`/`AVG`/`MIN`/`MAX` as
-//!   tight typed loops over the member indices of one group.
-//! * [`ColumnVec::group_key_at`] / [`ColumnVec::join_key_at`] extract
-//!   GROUP BY / join keys straight from a column without touching rows.
+//!   tight typed loops over the member indices of one group, and
+//!   [`count_distinct`] `COUNT(DISTINCT)` over its grouping codes.
+//! * [`ColumnVec::key_codes`] reads GROUP BY keys as `u64` codes and
+//!   [`ColumnVec::join_key_at`] join keys, straight from a column without
+//!   touching rows.
 //!
 //! Every kernel reproduces the row path bit-for-bit — the comparison,
 //! truthiness, tie-break and overflow semantics are copied from
@@ -50,7 +52,8 @@ use std::sync::Arc;
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::{Error, Result};
-use crate::value::{GroupKey, Row, Value};
+use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
+use crate::value::{real_key_bits, GroupKey, Row, Value};
 
 // ---- bitmaps ---------------------------------------------------------------
 
@@ -148,9 +151,13 @@ pub enum ColumnData {
     /// (a probe is confirmed against `dict`): absent on a freshly
     /// transposed column — a table that is only read never pays for it —
     /// built by the first in-place write and carried from then on.
-    /// In-place writes may leave entries no row references; they are
-    /// harmless to every kernel (each works per referenced id) and
-    /// bounded by `DICT_DEAD_FACTOR`.
+    /// In-place writes may leave entries no row references, and (after a
+    /// `text_hash` collision) a second id for a string a row still
+    /// references — so a column with an `index` can hold one string under
+    /// two ids, and kernels that compare cells by id canonicalize first
+    /// (`key_codes`, `count_distinct`). Dead entries are harmless to every
+    /// kernel (each works per referenced id) and bounded by
+    /// `DICT_DEAD_FACTOR`.
     Text { dict: Vec<Arc<str>>, ids: Vec<u32>, index: Option<HashMap<u64, u32>> },
     /// Type-unstable column: the row values verbatim. Kernels decline
     /// mixed columns and the caller falls back to the row path.
@@ -164,7 +171,7 @@ const DICT_DEAD_FACTOR: usize = 2;
 
 /// The key of a text column's reverse dictionary map. Two strings that
 /// collide merely share a slot: the later one owns it and the earlier is
-/// appended again if it is ever written again, a dead entry like any other.
+/// appended again if it is ever written again — a second id for it.
 fn text_hash(s: &str) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -196,7 +203,7 @@ pub struct ColumnVec {
 /// [`ColumnSet::from_rows`], cached on `Table` and carried from one table
 /// version to the next: `ColumnSet::patch_row` and
 /// `ColumnSet::push_row` keep it equal — cell for cell, under
-/// `value_at` / `group_key_at` / `join_key_at` and every kernel — to a
+/// `value_at` / `join_key_at` and every kernel — to a
 /// fresh transpose of the new rows, though not always structurally (an
 /// `I64` column stays `I64` where a rebuild would now say `Bool`). Each
 /// column sits behind its own `Arc` and is written through
@@ -435,30 +442,8 @@ impl ColumnVec {
         }
     }
 
-    /// GROUP BY / DISTINCT key for row `i`, identical to
-    /// `Value::group_key` on the materialized cell: integers and reals
-    /// collapse to normalized f64 bits (`-0.0` → `0.0`, all NaNs to one
-    /// pattern), NULL keys group together.
-    pub fn group_key_at(&self, i: usize) -> GroupKey {
-        if !self.validity.get(i) {
-            return GroupKey::Null;
-        }
-        match &self.data {
-            ColumnData::I64(v) => GroupKey::Num((v[i] as f64).to_bits()),
-            ColumnData::F64(v) => {
-                let r = v[i];
-                let r = if r == 0.0 { 0.0 } else { r };
-                let bits = if r.is_nan() { f64::NAN.to_bits() } else { r.to_bits() };
-                GroupKey::Num(bits)
-            }
-            ColumnData::Bool(b) => GroupKey::Num((b.get(i) as i64 as f64).to_bits()),
-            ColumnData::Text { dict, ids, .. } => GroupKey::Text(dict[ids[i] as usize].clone()),
-            ColumnData::Mixed(v) => v[i].group_key(),
-        }
-    }
-
     /// Hash-join key for row `i`: `None` for NULL (NULL never joins),
-    /// otherwise the group key — identical to the row path's
+    /// otherwise `Value::group_key` of the cell — identical to the row path's
     /// `KeySide::key`. One validity lookup; the typed arms stay small so
     /// the probe loop inlines them.
     #[inline]
@@ -468,12 +453,7 @@ impl ColumnVec {
         }
         Some(match &self.data {
             ColumnData::I64(v) => GroupKey::Num((v[i] as f64).to_bits()),
-            ColumnData::F64(v) => {
-                let r = v[i];
-                let r = if r == 0.0 { 0.0 } else { r };
-                let bits = if r.is_nan() { f64::NAN.to_bits() } else { r.to_bits() };
-                GroupKey::Num(bits)
-            }
+            ColumnData::F64(v) => GroupKey::Num(real_key_bits(v[i])),
             ColumnData::Bool(b) => GroupKey::Num((b.get(i) as i64 as f64).to_bits()),
             ColumnData::Text { dict, ids, .. } => GroupKey::Text(dict[ids[i] as usize].clone()),
             ColumnData::Mixed(v) => match v[i].group_key() {
@@ -481,6 +461,71 @@ impl ColumnVec {
                 k => k,
             },
         })
+    }
+
+    /// This column's grouping codes; `None` for a `Mixed` column, which
+    /// groups on the row path. A text column whose dictionary has taken
+    /// in-place writes pays one pass over the dictionary here.
+    pub(crate) fn key_codes(&self) -> Option<KeyCodes<'_>> {
+        let codes = match &self.data {
+            ColumnData::I64(v) => Codes::I64(v),
+            ColumnData::F64(v) => Codes::F64(v),
+            ColumnData::Bool(b) => Codes::Bool(b),
+            ColumnData::Text { ids, index: None, .. } => Codes::Text(ids, None),
+            ColumnData::Text { dict, ids, index: Some(_) } => {
+                let mut first: FxHashMap<&str, u32> = map_with_capacity(dict.len());
+                let canon = (0..dict.len() as u32)
+                    .map(|id| *first.entry(&*dict[id as usize]).or_insert(id))
+                    .collect();
+                Codes::Text(ids, Some(canon))
+            }
+            ColumnData::Mixed(_) => return None,
+        };
+        Some(KeyCodes { validity: &self.validity, codes })
+    }
+}
+
+/// One column's cells as `u64` grouping codes: two cells of the column
+/// share a code exactly when their `Value::group_key`s are equal (GROUP BY
+/// and DISTINCT equality). Integer, real and bool cells code as the key's
+/// `GroupKey::Num` bits (`-0.0` is `0.0`, every NaN one pattern), a text
+/// cell as its dictionary id, NULL as `KeyCodes::NULL`. Reading a code
+/// is a load — no `Arc` clone, no allocation — so a GROUP BY over columns
+/// groups on tuples of codes.
+pub(crate) struct KeyCodes<'a> {
+    validity: &'a Bitmap,
+    codes: Codes<'a>,
+}
+
+enum Codes<'a> {
+    I64(&'a [i64]),
+    F64(&'a [f64]),
+    Bool(&'a Bitmap),
+    /// Ids, and — for a dictionary in-place writes may have given one
+    /// string under two ids — each id's canonical id: the first that
+    /// holds the same string. A freshly transposed dictionary (no reverse
+    /// index yet) holds every string once and needs no map.
+    Text(&'a [u32], Option<Vec<u32>>),
+}
+
+impl KeyCodes<'_> {
+    /// The code of a NULL cell: a NaN pattern `real_key_bits` never
+    /// produces, and wider than any dictionary id.
+    const NULL: u64 = u64::MAX;
+
+    /// The code of row `i`.
+    #[inline]
+    pub fn at(&self, i: usize) -> u64 {
+        if !self.validity.get(i) {
+            return Self::NULL;
+        }
+        match &self.codes {
+            Codes::I64(v) => (v[i] as f64).to_bits(),
+            Codes::F64(v) => real_key_bits(v[i]),
+            Codes::Bool(b) => (b.get(i) as i64 as f64).to_bits(),
+            Codes::Text(ids, None) => ids[i] as u64,
+            Codes::Text(ids, Some(canon)) => canon[ids[i] as usize] as u64,
+        }
     }
 }
 
@@ -1000,7 +1045,8 @@ fn operand<'a>(expr: &'a Expr, set: &'a ColumnSet) -> Option<Operand<'a>> {
 
 // ---- aggregate kernels -----------------------------------------------------
 
-/// The aggregates with typed-loop kernels. `DISTINCT`, `GROUP_CONCAT` and
+/// The aggregates with typed-loop kernels. `COUNT(DISTINCT)` has its own
+/// ([`count_distinct`]); other `DISTINCT` aggregates, `GROUP_CONCAT` and
 /// mixed columns stay on the row path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggKernel {
@@ -1052,6 +1098,39 @@ pub fn eval_aggregate(
         ColumnData::F64(vals) => Some(agg_f64(kind, vals, &col.validity, members)),
         ColumnData::Text { dict, ids, .. } => Some(agg_text(kind, dict, ids, &col.validity, members)),
     }
+}
+
+/// `COUNT(DISTINCT col)` over the member row indices of a group: the
+/// number of distinct grouping codes among the non-NULL cells — the row
+/// path's `group_key` dedupe. `None` for `Mixed` columns.
+pub(crate) fn count_distinct(col: &ColumnVec, members: &[usize]) -> Option<Value> {
+    let n = match &col.data {
+        // A dictionary that has taken in-place writes may hold one string
+        // under two ids: count the strings behind the distinct ids rather
+        // than build `key_codes`' canonical map once per group.
+        ColumnData::Text { dict, ids, index: Some(_) } => {
+            distinct_codes(&col.validity, members, |i| ids[i] as u64)
+                .into_iter()
+                .map(|id| &*dict[id as usize])
+                .collect::<FxHashSet<&str>>()
+                .len()
+        }
+        _ => {
+            let codes = col.key_codes()?;
+            distinct_codes(&col.validity, members, |i| codes.at(i)).len()
+        }
+    };
+    Some(Value::Integer(n as i64))
+}
+
+fn distinct_codes(
+    validity: &Bitmap,
+    members: &[usize],
+    code: impl Fn(usize) -> u64,
+) -> FxHashSet<u64> {
+    let mut seen = set_with_capacity(members.len());
+    seen.extend(members.iter().filter(|&&i| validity.get(i)).map(|&i| code(i)));
+    seen
 }
 
 fn agg_i64(kind: AggKernel, vals: &[i64], validity: &Bitmap, members: &[usize]) -> Result<Value> {
@@ -1379,9 +1458,17 @@ mod tests {
             let set = ColumnSet::from_rows(&rows, w);
             for (i, row) in rows.iter().enumerate() {
                 for j in 0..w {
-                    assert_eq!(set.columns[j].group_key_at(i), row[j].group_key(), "({i},{j})");
                     let want = if row[j].is_null() { None } else { Some(row[j].group_key()) };
                     assert_eq!(set.columns[j].join_key_at(i), want, "({i},{j})");
+                    // Key codes: equal exactly where the group keys are.
+                    let Some(codes) = set.columns[j].key_codes() else {
+                        assert!(matches!(set.columns[j].data, ColumnData::Mixed(_)));
+                        continue;
+                    };
+                    for (k, other) in rows.iter().enumerate() {
+                        let same = row[j].group_key() == other[j].group_key();
+                        assert_eq!(codes.at(i) == codes.at(k), same, "({i},{j}) vs ({k},{j})");
+                    }
                 }
             }
         }
@@ -1718,6 +1805,16 @@ mod tests {
         for j in 0..4 {
             let cells: Vec<Value> = (0..90).map(|i| set.columns[j].value_at(i)).collect();
             for members in &member_sets {
+                let distinct: FxHashSet<GroupKey> = members
+                    .iter()
+                    .filter(|&&i| !cells[i].is_null())
+                    .map(|&i| cells[i].group_key())
+                    .collect();
+                assert_eq!(
+                    count_distinct(&set.columns[j], members),
+                    Some(Value::Integer(distinct.len() as i64)),
+                    "COUNT(DISTINCT) col {j}"
+                );
                 for kind in kinds {
                     let got = eval_aggregate(kind, &set.columns[j], members)
                         .expect("typed column has a kernel");

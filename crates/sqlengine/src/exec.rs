@@ -29,7 +29,7 @@ use swan_pool::lockrank;
 use crate::ast::{
     BinaryOp, CompoundOp, Expr, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt,
 };
-use crate::columnar::{AggKernel, ColumnSet};
+use crate::columnar::{AggKernel, ColumnSet, KeyCodes};
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
 use crate::exec_parallel::{inline_morsels, try_morsels, MORSEL_ROWS};
@@ -995,7 +995,6 @@ fn run_aggregate(
     // then one merge pass partitions the rows using the precomputed keys.
     // The merge walks rows in input order, so group numbering (and thus
     // the unordered output order) is the same at every thread count.
-    let mut group_index: FxHashMap<Vec<GroupKey>, usize> = FxHashMap::default();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     if core.group_by.is_empty() {
         groups.push((0..input.rows.len()).collect());
@@ -1007,21 +1006,24 @@ fn run_aggregate(
         }
         let bound_keys: Vec<Expr> =
             core.group_by.iter().map(|g| bind_columns(g, &input.schema)).collect();
-        // Columnar key path: every grouping key is a plain column of a
-        // scan-backed input — keys come straight from the typed columns
-        // (no row deref, no eval), walking rows in order on the statement
-        // thread, so first-seen group numbering does not depend on the
-        // thread count.
-        let columnar_keys: Option<Vec<&crate::columnar::ColumnVec>> = cols.and_then(|ci| {
+        // Columnar key path: every grouping key is a plain, type-stable
+        // column of a scan-backed input — a row's key is the tuple of its
+        // columns' `u64` codes (no row deref, no eval, no allocation: the
+        // tuple is written into one reused buffer and copied only for a
+        // new group), walking rows in order on the statement thread, so
+        // first-seen group numbering does not depend on the thread count.
+        let codes: Option<Vec<KeyCodes<'_>>> = cols.and_then(|ci| {
             bound_keys
                 .iter()
                 .map(|g| match g {
-                    Expr::BoundColumn(i) => ci.set.column(*i),
+                    Expr::BoundColumn(i) => ci.set.column(*i)?.key_codes(),
                     _ => None,
                 })
                 .collect()
         });
-        if let (Some(kcols), Some(ci)) = (columnar_keys, cols) {
+        if let (Some(codes), Some(ci)) = (codes, cols) {
+            let mut group_index: FxHashMap<Box<[u64]>, usize> = FxHashMap::default();
+            let mut key = vec![0u64; codes.len()];
             for ri in 0..input.rows.len() {
                 if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
                     ctx.check_cancel()?;
@@ -1030,14 +1032,21 @@ fn run_aggregate(
                     Some(sel) => sel[ri] as usize,
                     None => ri,
                 };
-                let key: Vec<GroupKey> = kcols.iter().map(|c| c.group_key_at(src)).collect();
-                let gi = *group_index.entry(key).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
+                for (k, c) in key.iter_mut().zip(&codes) {
+                    *k = c.at(src);
+                }
+                let gi = match group_index.get(&key[..]) {
+                    Some(&gi) => gi,
+                    None => {
+                        group_index.insert(key.as_slice().into(), groups.len());
+                        groups.push(Vec::new());
+                        groups.len() - 1
+                    }
+                };
                 groups[gi].push(ri);
             }
         } else {
+            let mut group_index: FxHashMap<Vec<GroupKey>, usize> = FxHashMap::default();
             // Phase 1: per-range key computation.
             let key_chunks = try_morsels(input.rows.len(), ctx, |range, wctx| {
                 let mut keys = Vec::with_capacity(range.len());
@@ -1297,24 +1306,27 @@ fn compute_aggregate(
     let arg = bind_columns(arg, &input.schema);
     // Columnar fast path: a plain column argument over a scan-backed
     // input runs as a typed loop over the column — no row deref, no
-    // per-cell eval, no gather vector. DISTINCT, GROUP_CONCAT and
-    // type-unstable (Mixed) columns take the row loop below.
-    if !distinct {
-        if let (Some(ci), Expr::BoundColumn(j), Some(kind)) =
-            (cols, &arg, AggKernel::from_name(&upper))
-        {
-            if let Some(col) = ci.set.column(*j) {
-                let result = match &ci.sel {
-                    None => crate::columnar::eval_aggregate(kind, col, members),
-                    Some(sel) => {
-                        let mapped: Vec<usize> =
-                            members.iter().map(|&ri| sel[ri] as usize).collect();
-                        crate::columnar::eval_aggregate(kind, col, &mapped)
-                    }
-                };
-                if let Some(v) = result {
-                    return v;
+    // per-cell eval, no gather vector; `COUNT(DISTINCT)` dedupes the
+    // column's grouping codes. Other DISTINCT aggregates, GROUP_CONCAT
+    // and type-unstable (Mixed) columns take the row loop below.
+    let kernel = AggKernel::from_name(&upper).filter(|&k| !distinct || k == AggKernel::Count);
+    if let (Some(ci), Expr::BoundColumn(j), Some(kind)) = (cols, &arg, kernel) {
+        if let Some(col) = ci.set.column(*j) {
+            let mapped: Vec<usize>;
+            let rows = match &ci.sel {
+                None => members,
+                Some(sel) => {
+                    mapped = members.iter().map(|&ri| sel[ri] as usize).collect();
+                    &mapped
                 }
+            };
+            let result = if distinct {
+                crate::columnar::count_distinct(col, rows).map(Ok)
+            } else {
+                crate::columnar::eval_aggregate(kind, col, rows)
+            };
+            if let Some(v) = result {
+                return v;
             }
         }
     }
@@ -1327,7 +1339,7 @@ fn compute_aggregate(
         }
     }
     if distinct {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = set_with_capacity(vals.len());
         vals.retain(|v| seen.insert(v.group_key()));
     }
 
@@ -1818,7 +1830,7 @@ fn split_equi_join(
 /// Hash-join key: the single-column case (the overwhelmingly common one)
 /// avoids a per-row `Vec` allocation entirely.
 #[derive(PartialEq, Eq, Hash)]
-enum JoinKey {
+pub(crate) enum JoinKey {
     One(GroupKey),
     Many(Vec<GroupKey>),
 }

@@ -1304,4 +1304,55 @@ mod tests {
         cat.create_table(Table::new("alpha", vec![Column::new("a")], &[]).unwrap()).unwrap();
         assert_eq!(cat.table_names(), vec!["alpha", "zeta"]);
     }
+
+    /// In-place writes can leave one string under two dictionary ids (a
+    /// reverse-map hash collision appends it again). GROUP BY and
+    /// `COUNT(DISTINCT)` over the columns still go by string: one group
+    /// for `'x'`, counted once — what the row path (`columnar: false`)
+    /// answers.
+    #[test]
+    fn a_string_under_two_dictionary_ids_groups_and_counts_once() {
+        use crate::columnar::{ColumnData, ColumnSet};
+        use crate::db::Database;
+        use crate::optimizer::OptimizerConfig;
+
+        let mut db = Database::new();
+        db.execute("CREATE TABLE d (id INTEGER PRIMARY KEY, t TEXT)").unwrap();
+        db.execute("INSERT INTO d VALUES (1, 'x'), (2, 'y'), (3, 'x'), (4, 'x'), (5, NULL)")
+            .unwrap();
+        let table = db.catalog_mut().get_mut("d").unwrap();
+        let mut set = ColumnSet::from_rows(table.rows(), table.width());
+        let ColumnData::Text { dict, ids, index } = &mut Arc::make_mut(&mut set.columns[1]).data
+        else {
+            panic!("t is a text column");
+        };
+        assert_eq!((&dict[..], &ids[..]), (&["x".into(), "y".into()][..], &[0, 1, 0, 0, 0][..]));
+        // Rows 3 and 4 read 'x' from a second id; a dead entry sits after it.
+        dict.extend(["x".into(), "gone".into()]);
+        ids[2..4].copy_from_slice(&[2, 2]);
+        *index = Some(HashMap::new());
+        table.columnar = std::sync::OnceLock::from(Arc::new(set));
+
+        let rows = |db: &Database, sql: &str| -> Vec<String> {
+            let result = db.query(sql).unwrap();
+            let render = |r: &Row| r.iter().map(Value::render).collect::<Vec<_>>().join("|");
+            result.rows.iter().map(render).collect()
+        };
+        let cases: [(&str, &[&str]); 4] = [
+            (
+                "SELECT t, COUNT(*), COUNT(DISTINCT t) FROM d GROUP BY t",
+                &["x|3|1", "y|1|1", "|1|0"],
+            ),
+            ("SELECT COUNT(DISTINCT t) FROM d", &["2"]),
+            ("SELECT COUNT(DISTINCT t) FROM d WHERE t <> 'y'", &["1"]),
+            ("SELECT id % 2, COUNT(DISTINCT t) FROM d GROUP BY id % 2", &["1|1", "0|2"]),
+        ];
+        for (sql, want) in cases {
+            assert_eq!(rows(&db, sql), want, "columnar: {sql}");
+        }
+        db.set_optimizer(OptimizerConfig { columnar: false, ..db.optimizer() });
+        for (sql, want) in cases {
+            assert_eq!(rows(&db, sql), want, "row path: {sql}");
+        }
+    }
 }

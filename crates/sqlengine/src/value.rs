@@ -247,13 +247,7 @@ impl Value {
         match self {
             Value::Null => GroupKey::Null,
             Value::Integer(i) => GroupKey::Num((*i as f64).to_bits()),
-            Value::Real(r) => {
-                // Normalize -0.0 to 0.0 and all NaNs to one bit pattern so
-                // grouping is consistent with sort_cmp equality.
-                let r = if *r == 0.0 { 0.0 } else { *r };
-                let bits = if r.is_nan() { f64::NAN.to_bits() } else { r.to_bits() };
-                GroupKey::Num(bits)
-            }
+            Value::Real(r) => GroupKey::Num(real_key_bits(*r)),
             Value::Text(s) => GroupKey::Text(s.clone()),
         }
     }
@@ -377,6 +371,15 @@ impl Value {
         let (a, b) = self.both_f64(other, op)?;
         Ok(Value::Real(float_op(a, b)))
     }
+}
+
+/// The [`GroupKey::Num`] bits of a real: `-0.0` normalized to `0.0` and
+/// every NaN to one pattern, so grouping is consistent with `sort_cmp`
+/// equality.
+#[inline]
+pub(crate) fn real_key_bits(r: f64) -> u64 {
+    let r = if r == 0.0 { 0.0 } else { r };
+    if r.is_nan() { f64::NAN.to_bits() } else { r.to_bits() }
 }
 
 /// Hashable grouping key with the same equality as [`Value::sort_cmp`]

@@ -93,7 +93,6 @@ fn check_derived(t: &Table, context: &str) {
         let (c, f) = (&carried.columns[j], &fresh.columns[j]);
         for (i, row) in t.rows().iter().enumerate() {
             assert!(same_cell(&c.value_at(i), &row[j]), "{context}: value_at({i},{j})");
-            assert_eq!(c.group_key_at(i), f.group_key_at(i), "{context}: group_key_at({i},{j})");
             assert_eq!(c.join_key_at(i), f.join_key_at(i), "{context}: join_key_at({i},{j})");
         }
     }
