@@ -19,17 +19,24 @@
 //! Determinism doubles as temperature-0 semantics: identical prompts give
 //! identical completions.
 //!
+//! The simulator reads only the prompt text, as an endpoint would. Per
+//! call it parses and tokenizes the prompt's new bytes: the prompts of one
+//! HQDL expansion (or one UDF question's chunks) share a head, which it
+//! parses and counts once and remembers by its exact bytes, so a call
+//! reads only its target entry (or key lines). Completions and token
+//! counts are those of the full [`prompt`] parse, which stays the oracle.
+//!
 //! ## Module map
 //!
 //! | module | role |
 //! |---|---|
 //! | [`model`] | `LanguageModel` trait, `ModelKind`, errors |
-//! | [`prompt`] | HQDL row-completion and UDF batch prompts + parsers |
+//! | [`prompt`] | HQDL row-completion and UDF batch prompts + parsers (whole, or head and tail) |
 //! | [`tokenizer`] | approximate sub-word token counting |
 //! | [`usage`] | usage meters, Table-5 style reports, pricing |
 //! | [`knowledge`] | ground-truth oracle abstraction |
 //! | [`noise`] | the calibrated error channel |
-//! | [`sim`] | the simulated model |
+//! | [`sim`] | the simulated model, with its memo of prompt heads |
 //! | [`parallel`] | multi-threaded prompt fan-out (§6), deadline-aware |
 //! | [`transport`] | the model-call seam: real passthrough + deterministic fault-injecting `SimTransport` |
 //! | [`resilience`] | retries, per-call timeouts, circuit breaker, statement-deadline observance (see RESILIENCE.md) |

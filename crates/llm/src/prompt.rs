@@ -12,6 +12,16 @@
 //! Because the repository's language model is a simulator, each template
 //! has a strict `parse` inverse: render → text → parse must round-trip.
 //! A real LLM sees exactly the same text.
+//!
+//! Each parser is one per-line classifier folded over every line. The
+//! same fold also runs in two parts, so a caller that has already parsed
+//! a prompt's shared head pays only for its tail: `split` cuts a prompt
+//! at a line boundary, `RowHead::parse` / `UdfHead::parse` fold the head,
+//! and `RowHead::target` / `UdfHead::keys` fold a tail against it (the
+//! simulator's head memo is their one caller). Whatever the split cannot
+//! reproduce exactly — a tail line that would change head state, a head
+//! that holds a tail line — is declined (`None`), and the caller runs the
+//! full `parse` instead.
 
 use std::fmt::Write as _;
 
@@ -97,25 +107,23 @@ pub fn parse_row(line: &str) -> Vec<Field> {
             break;
         }
         if bytes[i] == b'\'' {
-            // Quoted field with '' escaping.
+            // Quoted field with '' escaping: the body is copied a run at a
+            // time, up to each quote.
             let mut val = String::new();
             i += 1;
             loop {
+                let quote = line[i..].find('\'').map_or(n, |at| i + at);
+                val.push_str(&line[i..quote]);
+                i = quote;
                 if i >= n {
                     break; // Unterminated quote: accept what we have.
                 }
-                if bytes[i] == b'\'' {
-                    if i + 1 < n && bytes[i + 1] == b'\'' {
-                        val.push('\'');
-                        i += 2;
-                    } else {
-                        i += 1;
-                        break;
-                    }
+                if i + 1 < n && bytes[i + 1] == b'\'' {
+                    val.push('\'');
+                    i += 2;
                 } else {
-                    let len = utf8_len(bytes[i]);
-                    val.push_str(&line[i..i + len]);
-                    i += len;
+                    i += 1;
+                    break;
                 }
             }
             out.push(Field::Value(val));
@@ -157,15 +165,25 @@ pub fn row_values(fields: &[Field]) -> Vec<String> {
         .collect()
 }
 
-#[inline]
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+/// The key fields of an entry row: its values up to the first `?`.
+fn entry_key(row: &str) -> Vec<String> {
+    parse_row(row)
+        .into_iter()
+        .map_while(|f| match f {
+            Field::Value(v) => Some(v),
+            Field::Missing => None,
+        })
+        .collect()
 }
+
+/// Cell text with everything the quoting has to survive: quotes,
+/// commas, leading and trailing spaces, non-ASCII, the empty string.
+#[cfg(test)]
+pub(crate) const CELL: &str = "[ a-zA-Z0-9',.?é—漢-]{0,10}";
+
+/// A column name as the templates print it.
+#[cfg(test)]
+pub(crate) const COLUMN: &str = "[a-z_][a-z_0-9]{0,8}";
 
 // ---- row-completion prompt (HQDL) -----------------------------------------
 
@@ -268,82 +286,190 @@ impl RowCompletionPrompt {
 
     /// Parse a rendered prompt back (the simulator's inverse).
     pub fn parse(text: &str) -> LlmResult<RowCompletionPrompt> {
-        let mut db = None;
-        let mut columns: Vec<String> = Vec::new();
-        let mut value_lists = Vec::new();
-        let mut examples: Vec<RowExample> = Vec::new();
-        let mut pending_example_key: Option<Vec<String>> = None;
-        let mut target_key = None;
-        let mut key_len = 0usize;
+        let (RowHead { db, columns, value_lists, examples }, target_key) =
+            RowHead::parse_prompt(text)?;
+        Ok(RowCompletionPrompt {
+            db,
+            columns,
+            key_len: target_key.len(),
+            value_lists,
+            examples,
+            target_key,
+        })
+    }
 
-        for line in text.lines() {
-            let line = line.trim();
-            if let Some(rest) = line.strip_prefix(
-                "Your task is to fill in the missing values in the target entry from the `",
-            ) {
-                db = rest.split('`').next().map(str::to_string);
-            } else if let Some(rest) = line.strip_prefix("The columns are: ") {
-                columns = rest
+    /// Cut a prompt before its last line that starts `Target Entry: `:
+    /// the head, which ends in `\n`, and the tail. `None` when no line
+    /// after the first starts that way.
+    pub(crate) fn split(text: &str) -> Option<(&str, &str)> {
+        let at = text.rfind("\nTarget Entry: ")? + 1;
+        Some(text.split_at(at))
+    }
+
+    /// Is this prompt in row-completion format? (cheap sniff)
+    pub fn matches(text: &str) -> bool {
+        text.starts_with("Your task is to fill in the missing values")
+    }
+}
+
+/// What one line of a row-completion prompt sets, read after trimming it.
+enum RowLine<'a> {
+    Db(&'a str),
+    Columns(&'a str),
+    ValueList(&'a str),
+    ExampleEntry(&'a str),
+    ExampleAnswer(&'a str),
+    Target(&'a str),
+    Other,
+}
+
+impl<'a> RowLine<'a> {
+    fn classify(line: &'a str) -> RowLine<'a> {
+        let line = line.trim();
+        if let Some(rest) = line.strip_prefix(
+            "Your task is to fill in the missing values in the target entry from the `",
+        ) {
+            RowLine::Db(rest)
+        } else if let Some(rest) = line.strip_prefix("The columns are: ") {
+            RowLine::Columns(rest)
+        } else if let Some(rest) = line.strip_prefix("The possible values for `") {
+            RowLine::ValueList(rest)
+        } else if let Some(rest) = line.strip_prefix("Example Entry: ") {
+            RowLine::ExampleEntry(rest)
+        } else if let Some(rest) = line.strip_prefix("Example Answer: ") {
+            RowLine::ExampleAnswer(rest)
+        } else if let Some(rest) = line.strip_prefix("Target Entry: ") {
+            RowLine::Target(rest)
+        } else {
+            RowLine::Other
+        }
+    }
+}
+
+/// The head state a row prompt's lines fold into: everything but the
+/// target, before `parse`'s final checks.
+#[derive(Default)]
+struct RowFold {
+    db: Option<String>,
+    columns: Vec<String>,
+    value_lists: Vec<(String, Vec<String>)>,
+    examples: Vec<RowExample>,
+    pending_example_key: Option<Vec<String>>,
+}
+
+impl RowFold {
+    /// Fold in one line; a target entry or an unrecognised line sets no
+    /// head state.
+    fn apply(&mut self, line: RowLine<'_>) -> LlmResult<()> {
+        match line {
+            RowLine::Db(rest) => self.db = rest.split('`').next().map(str::to_string),
+            RowLine::Columns(rest) => {
+                self.columns = rest
                     .trim_end_matches('.')
                     .split(',')
                     .map(|c| c.trim().trim_matches('`').to_string())
                     .filter(|c| !c.is_empty())
                     .collect();
-            } else if let Some(rest) = line.strip_prefix("The possible values for `") {
+            }
+            RowLine::ValueList(rest) => {
                 let mut parts = rest.splitn(2, "` are [");
                 let col = parts.next().unwrap_or_default().to_string();
                 let vals_raw = parts
                     .next()
                     .ok_or_else(|| LlmError::BadPrompt("malformed value list".into()))?
                     .trim_end_matches(['.', ']'].as_ref());
-                let fields = parse_row(vals_raw);
-                value_lists.push((col, row_values(&fields)));
-            } else if let Some(rest) = line.strip_prefix("Example Entry: ") {
-                let fields = parse_row(rest);
-                let key: Vec<String> = fields
-                    .iter()
-                    .take_while(|f| matches!(f, Field::Value(_)))
-                    .map(|f| match f {
-                        Field::Value(v) => v.clone(),
-                        Field::Missing => unreachable!(),
-                    })
-                    .collect();
-                pending_example_key = Some(key);
-            } else if let Some(rest) = line.strip_prefix("Example Answer: ") {
-                let answer = row_values(&parse_row(rest));
-                if let Some(key) = pending_example_key.take() {
-                    examples.push(RowExample { key, answer });
-                }
-            } else if let Some(rest) = line.strip_prefix("Target Entry: ") {
-                let fields = parse_row(rest);
-                let key: Vec<String> = fields
-                    .iter()
-                    .take_while(|f| matches!(f, Field::Value(_)))
-                    .map(|f| match f {
-                        Field::Value(v) => v.clone(),
-                        Field::Missing => unreachable!(),
-                    })
-                    .collect();
-                key_len = key.len();
-                target_key = Some(key);
+                self.value_lists.push((col, row_values(&parse_row(vals_raw))));
             }
+            RowLine::ExampleEntry(rest) => self.pending_example_key = Some(entry_key(rest)),
+            RowLine::ExampleAnswer(rest) => {
+                if let Some(key) = self.pending_example_key.take() {
+                    self.examples.push(RowExample { key, answer: row_values(&parse_row(rest)) });
+                }
+            }
+            RowLine::Target(_) | RowLine::Other => {}
         }
-
-        let db = db.ok_or_else(|| LlmError::BadPrompt("missing database line".into()))?;
-        if columns.is_empty() {
-            return Err(LlmError::BadPrompt("missing column list".into()));
-        }
-        let target_key =
-            target_key.ok_or_else(|| LlmError::BadPrompt("missing target entry".into()))?;
-        if key_len == 0 || key_len > columns.len() {
-            return Err(LlmError::BadPrompt("target entry has no key fields".into()));
-        }
-        Ok(RowCompletionPrompt { db, columns, key_len, value_lists, examples, target_key })
+        Ok(())
     }
 
-    /// Is this prompt in row-completion format? (cheap sniff)
-    pub fn matches(text: &str) -> bool {
-        text.starts_with("Your task is to fill in the missing values")
+    /// `parse`'s checks on head state, which come before its checks on
+    /// the target.
+    fn finish(self) -> LlmResult<RowHead> {
+        let db = self.db.ok_or_else(|| LlmError::BadPrompt("missing database line".into()))?;
+        if self.columns.is_empty() {
+            return Err(LlmError::BadPrompt("missing column list".into()));
+        }
+        Ok(RowHead {
+            db,
+            columns: self.columns,
+            value_lists: self.value_lists,
+            examples: self.examples,
+        })
+    }
+}
+
+/// A row prompt parsed up to its target entry: every field of
+/// [`RowCompletionPrompt`] but the target and its key length, which only
+/// the target line sets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RowHead {
+    pub(crate) db: String,
+    pub(crate) columns: Vec<String>,
+    pub(crate) value_lists: Vec<(String, Vec<String>)>,
+    pub(crate) examples: Vec<RowExample>,
+}
+
+impl RowHead {
+    /// [`RowCompletionPrompt::parse`] as a head and the target's key: the
+    /// classifier folded over every line.
+    pub(crate) fn parse_prompt(text: &str) -> LlmResult<(RowHead, Vec<String>)> {
+        let mut fold = RowFold::default();
+        let mut target_key = None;
+        for line in text.lines() {
+            match RowLine::classify(line) {
+                RowLine::Target(rest) => target_key = Some(entry_key(rest)),
+                line => fold.apply(line)?,
+            }
+        }
+        let head = fold.finish()?;
+        let target_key = head.check_target(target_key)?;
+        Ok((head, target_key))
+    }
+
+    /// Parse the head half of [`RowCompletionPrompt::split`]. `None` when
+    /// one of its lines is a target entry or it fails a check: only the
+    /// full parse says what such a prompt means.
+    pub(crate) fn parse(head: &str) -> Option<RowHead> {
+        let mut fold = RowFold::default();
+        for line in head.lines() {
+            match RowLine::classify(line) {
+                RowLine::Target(_) => return None,
+                line => fold.apply(line).ok()?,
+            }
+        }
+        fold.finish().ok()
+    }
+
+    /// The target key a tail sets after this head, checked as `parse`
+    /// checks it; its length is the prompt's `key_len`. `None` when a tail
+    /// line would change head state.
+    pub(crate) fn target(&self, tail: &str) -> Option<LlmResult<Vec<String>>> {
+        let mut target_key = None;
+        for line in tail.lines() {
+            match RowLine::classify(line) {
+                RowLine::Target(rest) => target_key = Some(entry_key(rest)),
+                RowLine::Other => {}
+                _ => return None,
+            }
+        }
+        Some(self.check_target(target_key))
+    }
+
+    fn check_target(&self, target_key: Option<Vec<String>>) -> LlmResult<Vec<String>> {
+        let key = target_key.ok_or_else(|| LlmError::BadPrompt("missing target entry".into()))?;
+        if key.is_empty() || key.len() > self.columns.len() {
+            return Err(LlmError::BadPrompt("target entry has no key fields".into()));
+        }
+        Ok(key)
     }
 }
 
@@ -429,61 +555,163 @@ impl UdfPrompt {
     }
 
     pub fn parse(text: &str) -> LlmResult<UdfPrompt> {
-        let mut db = None;
-        let mut question = None;
-        let mut value_list = None;
-        let mut examples: Vec<UdfExample> = Vec::new();
-        let mut pending_key: Option<Vec<String>> = None;
-        let mut keys = Vec::new();
-        let mut in_keys = false;
-
-        for line in text.lines() {
-            let line = line.trim();
-            if in_keys {
-                if line == "Answer:" {
-                    break;
-                }
-                if !line.is_empty() {
-                    keys.push(row_values(&parse_row(line)));
-                }
-                continue;
-            }
-            if let Some(rest) =
-                line.strip_prefix("You are answering a question about entities in the `")
-            {
-                db = rest.split('`').next().map(str::to_string);
-            } else if let Some(rest) = line.strip_prefix("Question: ") {
-                question = Some(rest.to_string());
-            } else if let Some(rest) = line.strip_prefix("The possible values are [") {
-                let vals_raw = rest.trim_end_matches(['.', ']'].as_ref());
-                value_list = Some(row_values(&parse_row(vals_raw)));
-            } else if let Some(rest) = line.strip_prefix("Example Key: ") {
-                pending_key = Some(row_values(&parse_row(rest)));
-            } else if let Some(rest) = line.strip_prefix("Example Answer: ") {
-                if let Some(key) = pending_key.take() {
-                    let answer = row_values(&parse_row(rest))
-                        .into_iter()
-                        .next()
-                        .unwrap_or_default();
-                    examples.push(UdfExample { key, answer });
-                }
-            } else if line == "Keys:" {
-                in_keys = true;
-            }
-        }
-
-        let db = db.ok_or_else(|| LlmError::BadPrompt("missing database line".into()))?;
-        let question =
-            question.ok_or_else(|| LlmError::BadPrompt("missing question line".into()))?;
-        if keys.is_empty() {
-            return Err(LlmError::BadPrompt("no keys in batch".into()));
-        }
+        let (UdfHead { db, question, value_list, examples }, keys) = UdfHead::parse_prompt(text)?;
         Ok(UdfPrompt { db, question, value_list, examples, keys })
+    }
+
+    /// Cut a prompt after its first line that is exactly `Keys:`: the
+    /// head, which ends in `\n`, and the tail. `None` when no line after
+    /// the first is.
+    pub(crate) fn split(text: &str) -> Option<(&str, &str)> {
+        const KEYS: &str = "\nKeys:\n";
+        let at = text.find(KEYS)? + KEYS.len();
+        Some(text.split_at(at))
     }
 
     pub fn matches(text: &str) -> bool {
         text.starts_with("You are answering a question about entities in the `")
     }
+}
+
+/// What one line before the keys of a UDF prompt sets, read after
+/// trimming it. Every line after `Keys:` is a key line.
+enum UdfLine<'a> {
+    Db(&'a str),
+    Question(&'a str),
+    ValueList(&'a str),
+    ExampleKey(&'a str),
+    ExampleAnswer(&'a str),
+    Keys,
+    Other,
+}
+
+impl<'a> UdfLine<'a> {
+    fn classify(line: &'a str) -> UdfLine<'a> {
+        let line = line.trim();
+        if let Some(rest) =
+            line.strip_prefix("You are answering a question about entities in the `")
+        {
+            UdfLine::Db(rest)
+        } else if let Some(rest) = line.strip_prefix("Question: ") {
+            UdfLine::Question(rest)
+        } else if let Some(rest) = line.strip_prefix("The possible values are [") {
+            UdfLine::ValueList(rest)
+        } else if let Some(rest) = line.strip_prefix("Example Key: ") {
+            UdfLine::ExampleKey(rest)
+        } else if let Some(rest) = line.strip_prefix("Example Answer: ") {
+            UdfLine::ExampleAnswer(rest)
+        } else if line == "Keys:" {
+            UdfLine::Keys
+        } else {
+            UdfLine::Other
+        }
+    }
+}
+
+/// The head state a UDF prompt's lines fold into, before `parse`'s final
+/// checks.
+#[derive(Default)]
+struct UdfFold {
+    db: Option<String>,
+    question: Option<String>,
+    value_list: Option<Vec<String>>,
+    examples: Vec<UdfExample>,
+    pending_key: Option<Vec<String>>,
+}
+
+impl UdfFold {
+    /// Fold in `lines` through the first `Keys:` line, leaving the rest
+    /// unread. Whether there was one.
+    fn through_keys<'a>(&mut self, lines: &mut impl Iterator<Item = &'a str>) -> bool {
+        for line in lines {
+            match UdfLine::classify(line) {
+                UdfLine::Db(rest) => self.db = rest.split('`').next().map(str::to_string),
+                UdfLine::Question(rest) => self.question = Some(rest.to_string()),
+                UdfLine::ValueList(rest) => {
+                    let vals_raw = rest.trim_end_matches(['.', ']'].as_ref());
+                    self.value_list = Some(row_values(&parse_row(vals_raw)));
+                }
+                UdfLine::ExampleKey(rest) => self.pending_key = Some(row_values(&parse_row(rest))),
+                UdfLine::ExampleAnswer(rest) => {
+                    if let Some(key) = self.pending_key.take() {
+                        let answer =
+                            row_values(&parse_row(rest)).into_iter().next().unwrap_or_default();
+                        self.examples.push(UdfExample { key, answer });
+                    }
+                }
+                UdfLine::Keys => return true,
+                UdfLine::Other => {}
+            }
+        }
+        false
+    }
+
+    /// `parse`'s checks on head state, which come before its check on the
+    /// keys.
+    fn finish(self) -> LlmResult<UdfHead> {
+        let db = self.db.ok_or_else(|| LlmError::BadPrompt("missing database line".into()))?;
+        let question =
+            self.question.ok_or_else(|| LlmError::BadPrompt("missing question line".into()))?;
+        Ok(UdfHead { db, question, value_list: self.value_list, examples: self.examples })
+    }
+}
+
+/// A UDF prompt parsed through its `Keys:` line: every field of
+/// [`UdfPrompt`] but the keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct UdfHead {
+    pub(crate) db: String,
+    pub(crate) question: String,
+    pub(crate) value_list: Option<Vec<String>>,
+    pub(crate) examples: Vec<UdfExample>,
+}
+
+impl UdfHead {
+    /// [`UdfPrompt::parse`] as a head and the keys: the classifier folded
+    /// over the lines through `Keys:`, key lines after it.
+    pub(crate) fn parse_prompt(text: &str) -> LlmResult<(UdfHead, Vec<Vec<String>>)> {
+        let mut fold = UdfFold::default();
+        let mut lines = text.lines();
+        fold.through_keys(&mut lines);
+        let keys = key_lines(lines);
+        let head = fold.finish()?;
+        Ok((head, check_keys(keys)?))
+    }
+
+    /// Parse the head half of [`UdfPrompt::split`]. `None` unless its one
+    /// `Keys:` line is its last, or when it fails a check: only the full
+    /// parse says what such a prompt means.
+    pub(crate) fn parse(head: &str) -> Option<UdfHead> {
+        let mut fold = UdfFold::default();
+        let mut lines = head.lines();
+        if !fold.through_keys(&mut lines) || lines.next().is_some() {
+            return None;
+        }
+        fold.finish().ok()
+    }
+
+    /// The keys a tail sets after a head, checked as `parse` checks them.
+    /// A tail has only key lines, so no line of it can change head state.
+    pub(crate) fn keys(tail: &str) -> LlmResult<Vec<Vec<String>>> {
+        check_keys(key_lines(tail.lines()))
+    }
+}
+
+/// One key per non-empty line, up to a line `Answer:`.
+fn key_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<Vec<String>> {
+    lines
+        .map(str::trim)
+        .take_while(|line| *line != "Answer:")
+        .filter(|line| !line.is_empty())
+        .map(|line| row_values(&parse_row(line)))
+        .collect()
+}
+
+fn check_keys(keys: Vec<Vec<String>>) -> LlmResult<Vec<Vec<String>>> {
+    if keys.is_empty() {
+        return Err(LlmError::BadPrompt("no keys in batch".into()));
+    }
+    Ok(keys)
 }
 
 /// Parse a UDF completion: one value per line, optionally quoted.
@@ -674,10 +902,6 @@ mod tests {
         s
     }
 
-    /// Cell text with everything the quoting has to survive: quotes,
-    /// commas, leading and trailing spaces, non-ASCII, the empty string.
-    const CELL: &str = "[ a-zA-Z0-9',.?é—漢-]{0,10}";
-
     proptest::proptest! {
         /// The head rendered once plus each chunk's keys is, byte for byte,
         /// what `render()` always produced, and parses back to its inputs.
@@ -755,8 +979,6 @@ mod tests {
         s
     }
 
-    const COLUMN: &str = "[a-z_][a-z_0-9]{0,8}";
-
     proptest::proptest! {
         /// The head rendered once plus each entity's target is, byte for
         /// byte, what `render()` always produced, and parses back to its
@@ -825,5 +1047,342 @@ mod tests {
     fn malformed_prompts_error() {
         assert!(RowCompletionPrompt::parse("nonsense").is_err());
         assert!(UdfPrompt::parse("Question: hmm").is_err());
+    }
+
+    /// `parse_row` as it read when it copied a quoted body one UTF-8 char
+    /// at a time: the reference for the run-at-a-time copy.
+    fn reference_parse_row(line: &str) -> Vec<Field> {
+        fn utf8_len(first: u8) -> usize {
+            match first {
+                0x00..=0x7f => 1,
+                0xc0..=0xdf => 2,
+                0xe0..=0xef => 3,
+                _ => 4,
+            }
+        }
+        let mut out = Vec::new();
+        let bytes = line.as_bytes();
+        let mut i = 0;
+        let n = bytes.len();
+        while i < n {
+            while i < n && (bytes[i] as char).is_whitespace() {
+                i += 1;
+            }
+            if i >= n {
+                out.push(Field::Value(String::new()));
+                break;
+            }
+            if bytes[i] == b'\'' {
+                let mut val = String::new();
+                i += 1;
+                loop {
+                    if i >= n {
+                        break;
+                    }
+                    if bytes[i] == b'\'' {
+                        if i + 1 < n && bytes[i + 1] == b'\'' {
+                            val.push('\'');
+                            i += 2;
+                        } else {
+                            i += 1;
+                            break;
+                        }
+                    } else {
+                        let len = utf8_len(bytes[i]);
+                        val.push_str(&line[i..i + len]);
+                        i += len;
+                    }
+                }
+                out.push(Field::Value(val));
+                while i < n && bytes[i] != b',' {
+                    i += 1;
+                }
+            } else {
+                let start = i;
+                while i < n && bytes[i] != b',' {
+                    i += 1;
+                }
+                let raw = line[start..i].trim();
+                if raw == "?" {
+                    out.push(Field::Missing);
+                } else {
+                    out.push(Field::Value(raw.to_string()));
+                }
+            }
+            if i < n && bytes[i] == b',' {
+                i += 1;
+                if i >= n {
+                    out.push(Field::Value(String::new()));
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Copying a quoted body a run at a time splits the same fields as
+        /// copying it a char at a time, on text dense in quotes, commas,
+        /// `?`, whitespace only `char::is_whitespace` knows, and CJK.
+        #[test]
+        fn parse_row_copies_runs_as_it_copied_chars(
+            dense in "[ ab',?\u{0B}\u{85}\u{A0}漢é—\t]{0,40}",
+            printable in "[ -~]{0,40}",
+        ) {
+            proptest::prop_assert_eq!(parse_row(&dense), reference_parse_row(&dense));
+            proptest::prop_assert_eq!(parse_row(&printable), reference_parse_row(&printable));
+            let mixed = format!("{dense}{printable}");
+            proptest::prop_assert_eq!(parse_row(&mixed), reference_parse_row(&mixed));
+        }
+    }
+
+    /// `RowCompletionPrompt::parse` as it read before it became a line
+    /// classifier: the reference for the fold's behaviour.
+    fn reference_row_parse(text: &str) -> LlmResult<RowCompletionPrompt> {
+        let mut db = None;
+        let mut columns: Vec<String> = Vec::new();
+        let mut value_lists = Vec::new();
+        let mut examples: Vec<RowExample> = Vec::new();
+        let mut pending_example_key: Option<Vec<String>> = None;
+        let mut target_key = None;
+        let mut key_len = 0usize;
+        let key_of = |rest: &str| -> Vec<String> {
+            parse_row(rest)
+                .iter()
+                .take_while(|f| matches!(f, Field::Value(_)))
+                .map(|f| match f {
+                    Field::Value(v) => v.clone(),
+                    Field::Missing => unreachable!(),
+                })
+                .collect()
+        };
+        for line in text.lines() {
+            let line = line.trim();
+            if let Some(rest) = line.strip_prefix(
+                "Your task is to fill in the missing values in the target entry from the `",
+            ) {
+                db = rest.split('`').next().map(str::to_string);
+            } else if let Some(rest) = line.strip_prefix("The columns are: ") {
+                columns = rest
+                    .trim_end_matches('.')
+                    .split(',')
+                    .map(|c| c.trim().trim_matches('`').to_string())
+                    .filter(|c| !c.is_empty())
+                    .collect();
+            } else if let Some(rest) = line.strip_prefix("The possible values for `") {
+                let mut parts = rest.splitn(2, "` are [");
+                let col = parts.next().unwrap_or_default().to_string();
+                let vals_raw = parts
+                    .next()
+                    .ok_or_else(|| LlmError::BadPrompt("malformed value list".into()))?
+                    .trim_end_matches(['.', ']'].as_ref());
+                value_lists.push((col, row_values(&parse_row(vals_raw))));
+            } else if let Some(rest) = line.strip_prefix("Example Entry: ") {
+                pending_example_key = Some(key_of(rest));
+            } else if let Some(rest) = line.strip_prefix("Example Answer: ") {
+                let answer = row_values(&parse_row(rest));
+                if let Some(key) = pending_example_key.take() {
+                    examples.push(RowExample { key, answer });
+                }
+            } else if let Some(rest) = line.strip_prefix("Target Entry: ") {
+                let key = key_of(rest);
+                key_len = key.len();
+                target_key = Some(key);
+            }
+        }
+        let db = db.ok_or_else(|| LlmError::BadPrompt("missing database line".into()))?;
+        if columns.is_empty() {
+            return Err(LlmError::BadPrompt("missing column list".into()));
+        }
+        let target_key =
+            target_key.ok_or_else(|| LlmError::BadPrompt("missing target entry".into()))?;
+        if key_len == 0 || key_len > columns.len() {
+            return Err(LlmError::BadPrompt("target entry has no key fields".into()));
+        }
+        Ok(RowCompletionPrompt { db, columns, key_len, value_lists, examples, target_key })
+    }
+
+    /// `UdfPrompt::parse` as it read before it became a line classifier.
+    fn reference_udf_parse(text: &str) -> LlmResult<UdfPrompt> {
+        let mut db = None;
+        let mut question = None;
+        let mut value_list = None;
+        let mut examples: Vec<UdfExample> = Vec::new();
+        let mut pending_key: Option<Vec<String>> = None;
+        let mut keys = Vec::new();
+        let mut in_keys = false;
+        for line in text.lines() {
+            let line = line.trim();
+            if in_keys {
+                if line == "Answer:" {
+                    break;
+                }
+                if !line.is_empty() {
+                    keys.push(row_values(&parse_row(line)));
+                }
+                continue;
+            }
+            if let Some(rest) =
+                line.strip_prefix("You are answering a question about entities in the `")
+            {
+                db = rest.split('`').next().map(str::to_string);
+            } else if let Some(rest) = line.strip_prefix("Question: ") {
+                question = Some(rest.to_string());
+            } else if let Some(rest) = line.strip_prefix("The possible values are [") {
+                let vals_raw = rest.trim_end_matches(['.', ']'].as_ref());
+                value_list = Some(row_values(&parse_row(vals_raw)));
+            } else if let Some(rest) = line.strip_prefix("Example Key: ") {
+                pending_key = Some(row_values(&parse_row(rest)));
+            } else if let Some(rest) = line.strip_prefix("Example Answer: ") {
+                if let Some(key) = pending_key.take() {
+                    let answer =
+                        row_values(&parse_row(rest)).into_iter().next().unwrap_or_default();
+                    examples.push(UdfExample { key, answer });
+                }
+            } else if line == "Keys:" {
+                in_keys = true;
+            }
+        }
+        let db = db.ok_or_else(|| LlmError::BadPrompt("missing database line".into()))?;
+        let question =
+            question.ok_or_else(|| LlmError::BadPrompt("missing question line".into()))?;
+        if keys.is_empty() {
+            return Err(LlmError::BadPrompt("no keys in batch".into()));
+        }
+        Ok(UdfPrompt { db, question, value_list, examples, keys })
+    }
+
+    /// A line either template could hold, or a near miss of one: `kind`
+    /// picks which, `cell` fills it in.
+    fn stray_line(kind: usize, cell: &str) -> String {
+        let quoted = format!("'{}'", cell.replace('\'', "''"));
+        match kind {
+            0 => format!(
+                "Your task is to fill in the missing values in the target entry from the `{cell}` database."
+            ),
+            1 => format!("The columns are: `{cell}`, `c2`."),
+            2 => "The columns are: .".to_string(),
+            3 => format!("The possible values for `c2` are [{quoted}]."),
+            4 => format!("The possible values for `{cell}`"),
+            5 => format!("Example Entry: {quoted}, ?"),
+            6 => format!("Example Answer: {quoted}, 'x'"),
+            7 => format!("  Target Entry: {quoted}, ?"),
+            8 => "Target Entry: ".to_string(),
+            9 => format!("You are answering a question about entities in the `{cell}` database."),
+            10 => format!("Question: {cell}"),
+            11 => format!("The possible values are [{quoted}]."),
+            12 => format!("Example Key: {quoted}"),
+            13 => "  Keys:".to_string(),
+            14 => "Keys:".to_string(),
+            15 => "Answer:".to_string(),
+            16 => String::new(),
+            _ => quoted,
+        }
+    }
+
+    /// `text` with each stray line inserted before line `at % (lines + 1)`,
+    /// then every line ending turned to `\r\n` when `crlf`.
+    fn with_strays(text: &str, strays: &[(usize, usize, String)], crlf: bool) -> String {
+        let mut lines: Vec<String> = text.split('\n').map(str::to_string).collect();
+        for (at, kind, cell) in strays {
+            let at = at % (lines.len() + 1);
+            lines.insert(at, stray_line(*kind, cell));
+        }
+        lines.join(if crlf { "\r\n" } else { "\n" })
+    }
+
+    proptest::proptest! {
+        /// The row classifier folded over every line is the old parser; and
+        /// wherever the split, the head parse and the tail read all accept a
+        /// prompt, they say what the full parse says. With no stray line,
+        /// they always accept.
+        #[test]
+        fn row_head_and_tail_read_as_the_whole_prompt(
+            db in "[a-z_0-9]{1,12}",
+            head_key_len in 1usize..4,
+            columns in proptest::collection::vec(COLUMN, 1..6),
+            value_lists in proptest::collection::vec(
+                (COLUMN, proptest::collection::vec(CELL, 0..4)),
+                0..3,
+            ),
+            examples in proptest::collection::vec(
+                (proptest::collection::vec(CELL, 1..4), proptest::collection::vec(CELL, 1..6)),
+                0..4,
+            ),
+            target_key in proptest::collection::vec(CELL, 0..5),
+            strays in proptest::collection::vec((0usize..64, 0usize..18, CELL), 0..3),
+            crlf in 0usize..4,
+        ) {
+            let examples: Vec<RowExample> = examples
+                .into_iter()
+                .map(|(key, answer)| RowExample { key, answer })
+                .collect();
+            let mut text = RowCompletionPrompt::render_head(
+                &db,
+                &columns,
+                head_key_len,
+                value_lists.iter().map(|(col, values)| (col.as_str(), values.as_slice())),
+                &examples,
+            );
+            RowCompletionPrompt::push_target(&mut text, &target_key, columns.len());
+            let text = with_strays(&text, &strays, crlf == 0);
+
+            let parsed = RowCompletionPrompt::parse(&text);
+            proptest::prop_assert_eq!(&parsed, &reference_row_parse(&text));
+            let read = RowCompletionPrompt::split(&text).and_then(|(head, tail)| {
+                let head = RowHead::parse(head)?;
+                Some(head.target(tail)?.map(|key| (head, key)))
+            });
+            if strays.is_empty() && crlf != 0 && parsed.is_ok() {
+                proptest::prop_assert!(read.is_some(), "a rendered prompt must read split: {text:?}");
+            }
+            if let Some(read) = read {
+                let whole = RowHead::parse_prompt(&text);
+                proptest::prop_assert_eq!(read, whole);
+            }
+        }
+
+        /// The same for UDF prompts.
+        #[test]
+        fn udf_head_and_tail_read_as_the_whole_prompt(
+            db in "[a-z_0-9]{1,12}",
+            question in "[A-Za-z0-9?', é—]{1,30}",
+            list_kind in 0usize..3,
+            values in proptest::collection::vec(CELL, 1..5),
+            examples in proptest::collection::vec(
+                (proptest::collection::vec(CELL, 1..3), CELL),
+                0..4,
+            ),
+            keys in proptest::collection::vec(proptest::collection::vec(CELL, 1..4), 0..6),
+            strays in proptest::collection::vec((0usize..64, 0usize..18, CELL), 0..3),
+            crlf in 0usize..4,
+        ) {
+            let value_list = match list_kind {
+                0 => None,
+                1 => Some(Vec::new()),
+                _ => Some(values),
+            };
+            let examples: Vec<UdfExample> = examples
+                .into_iter()
+                .map(|(key, answer)| UdfExample { key, answer })
+                .collect();
+            let mut text =
+                UdfPrompt::render_head(&db, question.trim(), value_list.as_deref(), &examples);
+            UdfPrompt::push_keys(&mut text, &keys);
+            let text = with_strays(&text, &strays, crlf == 0);
+
+            let parsed = UdfPrompt::parse(&text);
+            proptest::prop_assert_eq!(&parsed, &reference_udf_parse(&text));
+            let read = UdfPrompt::split(&text).and_then(|(head, tail)| {
+                let head = UdfHead::parse(head)?;
+                Some(UdfHead::keys(tail).map(|keys| (head, keys)))
+            });
+            if strays.is_empty() && crlf != 0 && parsed.is_ok() {
+                proptest::prop_assert!(read.is_some(), "a rendered prompt must read split: {text:?}");
+            }
+            if let Some(read) = read {
+                let whole = UdfHead::parse_prompt(&text);
+                proptest::prop_assert_eq!(read, whole);
+            }
+        }
     }
 }

@@ -6,18 +6,94 @@
 //! through the calibrated [`NoiseModel`]. Temperature-0 behaviour is
 //! modelled by full determinism: identical prompts yield identical
 //! completions.
+//!
+//! What a call parses is the prompt's *new* bytes. The prompts of one HQDL
+//! expansion share everything up to their `Target Entry:` line, and the
+//! chunks of one UDF question everything through `Keys:`; the model keeps
+//! the last few such heads — exact bytes, parsed state, token count — and
+//! on a byte-equal head parses and tokenizes only the tail (the target or
+//! key lines, the field-count sentence, `Answer:`). A head it has not
+//! seen, a prompt with no head, or a tail line that would change head
+//! state goes through the full `parse`; either way the completion and the
+//! token count are the ones the full parse gives.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+use parking_lot::Mutex;
+use swan_pool::lockrank;
 
 use crate::knowledge::{AttrClass, KnowledgeBase, KnownValue};
 
 use crate::model::{Completion, LanguageModel, LlmResult, ModelKind};
 use crate::noise::{CellContext, FormatError, NoiseModel, Pathway};
-use crate::prompt::{
-    render_value_row, RowCompletionPrompt, UdfPrompt,
-};
-use crate::tokenizer::TokenCount;
+use crate::prompt::{render_value_row, RowCompletionPrompt, RowHead, UdfHead, UdfPrompt};
+use crate::tokenizer::{count_tokens, TokenCount};
 use crate::usage::UsageMeter;
+
+/// How many distinct heads a model remembers per prompt family: one per
+/// HQDL expansion or UDF question in flight, with room for workers that
+/// interleave a few.
+const HEADS: usize = 8;
+
+/// A prompt head the model has read: its exact bytes, what they parse to
+/// and how many tokens they count for. The head ends in `\n`, so the
+/// prompt's count is this one plus its tail's.
+struct Head<T> {
+    text: Box<str>,
+    tokens: u64,
+    parsed: T,
+}
+
+/// The last [`HEADS`] distinct heads of one prompt family, oldest first.
+struct HeadMemo<T>(Mutex<VecDeque<Arc<Head<T>>>>);
+
+impl<T> HeadMemo<T> {
+    fn new() -> Self {
+        HeadMemo(Mutex::with_rank("sim_heads", lockrank::SIM_HEADS, VecDeque::new()))
+    }
+
+    /// The parsed head of a split prompt, the tail read against it, and
+    /// the prompt's input tokens. A head whose bytes are not remembered is
+    /// parsed and remembered. `None` — the caller runs the full parse —
+    /// when there is no split, or `parse` or `tail` declines its part.
+    fn read<X>(
+        &self,
+        split: Option<(&str, &str)>,
+        parse: fn(&str) -> Option<T>,
+        tail: impl FnOnce(&T, &str) -> Option<X>,
+    ) -> Option<(Arc<Head<T>>, X, u64)> {
+        let (text, rest) = split?;
+        let find =
+            |heads: &VecDeque<Arc<Head<T>>>| heads.iter().find(|h| *h.text == *text).cloned();
+        let hit = find(&self.0.lock());
+        let head = match hit {
+            Some(head) => head,
+            None => {
+                let head = Arc::new(Head {
+                    parsed: parse(text)?,
+                    tokens: count_tokens(text),
+                    text: text.into(),
+                });
+                let mut heads = self.0.lock();
+                // A worker missing on the same head meanwhile remembered it.
+                match find(&heads) {
+                    Some(theirs) => theirs,
+                    None => {
+                        if heads.len() == HEADS {
+                            heads.pop_front();
+                        }
+                        heads.push_back(head.clone());
+                        head
+                    }
+                }
+            }
+        };
+        let read = tail(&head.parsed, rest)?;
+        let tokens = head.tokens + count_tokens(rest);
+        Some((head, read, tokens))
+    }
+}
 
 /// A language model simulated from a knowledge base + noise channel.
 pub struct SimulatedModel {
@@ -25,11 +101,20 @@ pub struct SimulatedModel {
     kb: Arc<dyn KnowledgeBase>,
     noise: NoiseModel,
     meter: UsageMeter,
+    row_heads: HeadMemo<RowHead>,
+    udf_heads: HeadMemo<UdfHead>,
 }
 
 impl SimulatedModel {
     pub fn new(kind: ModelKind, kb: Arc<dyn KnowledgeBase>) -> Self {
-        SimulatedModel { kind, kb, noise: NoiseModel::default(), meter: UsageMeter::new() }
+        SimulatedModel {
+            kind,
+            kb,
+            noise: NoiseModel::default(),
+            meter: UsageMeter::new(),
+            row_heads: HeadMemo::new(),
+            udf_heads: HeadMemo::new(),
+        }
     }
 
     /// Override the noise seed (ablations; default is the shared seed).
@@ -42,12 +127,50 @@ impl SimulatedModel {
         self.kind
     }
 
-    fn answer_row_completion(&self, p: &RowCompletionPrompt) -> String {
-        let shots = p.examples.len();
-        let popularity = self.kb.popularity(&p.db, &p.target_key);
-        let mut fields: Vec<String> = p.target_key.clone();
+    /// The completion text and input tokens of `prompt`, read through a
+    /// remembered head. `None` when the full parse has to read it.
+    fn answer_from_head(&self, prompt: &str) -> Option<LlmResult<(String, u64)>> {
+        if RowCompletionPrompt::matches(prompt) {
+            let split = RowCompletionPrompt::split(prompt);
+            let (head, target_key, input) =
+                self.row_heads.read(split, RowHead::parse, RowHead::target)?;
+            Some(target_key.map(|key| (self.answer_row_completion(&head.parsed, &key), input)))
+        } else if UdfPrompt::matches(prompt) {
+            let split = UdfPrompt::split(prompt);
+            let (head, keys, input) =
+                self.udf_heads.read(split, UdfHead::parse, |_, tail| Some(UdfHead::keys(tail)))?;
+            Some(keys.map(|keys| (self.answer_udf(&head.parsed, &keys), input)))
+        } else {
+            None
+        }
+    }
 
-        for col in p.columns.iter().skip(p.key_len) {
+    /// The completion text and input tokens of `prompt`, read by the full
+    /// parse.
+    fn answer_parsed(&self, prompt: &str) -> LlmResult<(String, u64)> {
+        let text = if RowCompletionPrompt::matches(prompt) {
+            let (head, target_key) = RowHead::parse_prompt(prompt)?;
+            self.answer_row_completion(&head, &target_key)
+        } else if UdfPrompt::matches(prompt) {
+            let (head, keys) = UdfHead::parse_prompt(prompt)?;
+            self.answer_udf(&head, &keys)
+        } else {
+            // Out-of-format prompt: a real model would still answer; the
+            // simulator degrades gracefully.
+            "I don't have enough information to answer that.".to_string()
+        };
+        Ok((text, count_tokens(prompt)))
+    }
+
+    /// Answer a row prompt whose head is `p` and whose target entry's key
+    /// is `target_key`: the key's length is the prompt's `key_len`.
+    fn answer_row_completion(&self, p: &RowHead, target_key: &[String]) -> String {
+        let shots = p.examples.len();
+        let key_len = target_key.len();
+        let popularity = self.kb.popularity(&p.db, target_key);
+        let mut fields: Vec<String> = target_key.to_vec();
+
+        for col in p.columns.iter().skip(key_len) {
             let prompt_list = p
                 .value_lists
                 .iter()
@@ -66,7 +189,7 @@ impl SimulatedModel {
             let ctx = CellContext {
                 model: self.kind,
                 db: &p.db,
-                key: &p.target_key,
+                key: target_key,
                 attribute: col,
                 shots,
                 class,
@@ -76,7 +199,7 @@ impl SimulatedModel {
                 key_hint: false,
             };
             let candidates = prompt_list.unwrap_or_else(|| self.kb.candidates(&p.db, col));
-            let truth = self.kb.lookup(&p.db, &p.target_key, col);
+            let truth = self.kb.lookup(&p.db, target_key, col);
             fields.push(self.emit_cell(&ctx, truth.as_ref(), candidates));
         }
 
@@ -84,7 +207,7 @@ impl SimulatedModel {
         let row_ctx = CellContext {
             model: self.kind,
             db: &p.db,
-            key: &p.target_key,
+            key: target_key,
             attribute: "__row__",
             shots,
             class: AttrClass::FreeForm,
@@ -100,7 +223,7 @@ impl SimulatedModel {
             Some(FormatError::TooManyFields) => {
                 fields.push(String::new());
             }
-            Some(FormatError::EmptyField) if fields.len() > p.key_len => {
+            Some(FormatError::EmptyField) if fields.len() > key_len => {
                 let last = fields.len() - 1;
                 fields[last] = String::new();
             }
@@ -109,9 +232,10 @@ impl SimulatedModel {
         render_value_row(&fields)
     }
 
-    fn answer_udf(&self, p: &UdfPrompt) -> String {
+    /// Answer a UDF prompt whose head is `p` for each of `keys`.
+    fn answer_udf(&self, p: &UdfHead, keys: &[Vec<String>]) -> String {
         let shots = p.examples.len();
-        let batch = p.keys.len();
+        let batch = keys.len();
         // The question's attribute, its class and the candidate pool are
         // the same for every key of the prompt: resolve them once.
         let attribute = self.kb.resolve_question(&p.db, &p.question).map(|attr| {
@@ -127,7 +251,7 @@ impl SimulatedModel {
             (attr, class, candidates)
         });
         let mut lines = Vec::with_capacity(batch);
-        for key in &p.keys {
+        for key in keys {
             let line = match &attribute {
                 None => "unknown".to_string(),
                 Some((attr, class, candidates)) => {
@@ -153,7 +277,7 @@ impl SimulatedModel {
         // "processing multiple entries in a single call may lead to
         // inaccuracies in the returned data").
         if batch > 1 {
-            let first_key = &p.keys[0];
+            let first_key = &keys[0];
             let ctx = CellContext {
                 model: self.kind,
                 db: &p.db,
@@ -234,18 +358,11 @@ impl LanguageModel for SimulatedModel {
     }
 
     fn complete(&self, prompt: &str) -> LlmResult<Completion> {
-        let text = if RowCompletionPrompt::matches(prompt) {
-            let p = RowCompletionPrompt::parse(prompt)?;
-            self.answer_row_completion(&p)
-        } else if UdfPrompt::matches(prompt) {
-            let p = UdfPrompt::parse(prompt)?;
-            self.answer_udf(&p)
-        } else {
-            // Out-of-format prompt: a real model would still answer; the
-            // simulator degrades gracefully.
-            "I don't have enough information to answer that.".to_string()
+        let (text, input) = match self.answer_from_head(prompt) {
+            Some(answered) => answered?,
+            None => self.answer_parsed(prompt)?,
         };
-        let tokens = TokenCount::of(prompt, &text);
+        let tokens = TokenCount { input, output: count_tokens(&text) };
         self.meter.record(tokens);
         Ok(Completion { text, tokens })
     }
@@ -259,7 +376,9 @@ impl LanguageModel for SimulatedModel {
 mod tests {
     use super::*;
     use crate::knowledge::StaticKnowledge;
-    use crate::prompt::{parse_row, parse_udf_response, row_values, RowExample};
+    use crate::prompt::{
+        parse_row, parse_udf_response, row_values, RowExample, UdfExample, CELL, COLUMN,
+    };
 
     fn kb() -> Arc<StaticKnowledge> {
         let mut kb = StaticKnowledge::new();
@@ -446,5 +565,233 @@ mod tests {
             five > zero + 20,
             "5-shot ({five}/300) should clearly beat 0-shot ({zero}/300)"
         );
+    }
+
+    /// What `complete` returns when the full parse reads `prompt`.
+    fn by_parse(m: &SimulatedModel, prompt: &str) -> LlmResult<Completion> {
+        m.answer_parsed(prompt).map(|(text, input)| Completion {
+            tokens: TokenCount { input, output: count_tokens(&text) },
+            text,
+        })
+    }
+
+    const HEROES: [(&str, &str); 4] = [
+        ("Spider-Man", "Peter Parker"),
+        ("Batman", "Bruce Wayne"),
+        ("Hellboy", "Anung Un Rama"),
+        ("Obscure Hero", "Jane Doe"),
+    ];
+
+    fn publishers() -> Vec<String> {
+        vec!["Marvel Comics".into(), "DC Comics".into(), "Dark Horse Comics".into()]
+    }
+
+    /// Head `i` of a row family: its own column, so no two heads are equal.
+    fn row_head(
+        i: usize,
+        db_kind: usize,
+        key_len: usize,
+        extra: &[String],
+        shots: usize,
+    ) -> String {
+        let mut columns: Vec<String> =
+            vec!["superhero_name".into(), "full_name".into(), "publisher_name".into()];
+        columns.extend(extra.iter().cloned());
+        columns.push(format!("c{i}"));
+        let examples: Vec<RowExample> = (0..shots)
+            .map(|s| RowExample {
+                key: vec![HEROES[s].0.into(), HEROES[s].1.into()],
+                answer: vec![HEROES[s].0.into(), HEROES[s].1.into(), "Marvel Comics".into()],
+            })
+            .collect();
+        let list = publishers();
+        RowCompletionPrompt::render_head(
+            if db_kind == 0 { "superhero" } else { "elsewhere" },
+            &columns,
+            key_len,
+            (db_kind < 2).then_some(("publisher_name", list.as_slice())),
+            &examples,
+        )
+    }
+
+    /// Head `i` of a UDF family: a value list or an example of its own.
+    fn udf_head(i: usize, db_kind: usize, answerable: bool, listed: bool) -> String {
+        let question = if answerable {
+            "Which publisher is the superhero from?"
+        } else {
+            "What is the hero's favourite food?"
+        };
+        let mut list = publishers();
+        list.push(format!("Publisher {i}"));
+        let examples = if listed {
+            Vec::new()
+        } else {
+            vec![UdfExample { key: vec![format!("Hero {i}")], answer: "DC Comics".into() }]
+        };
+        UdfPrompt::render_head(
+            if db_kind == 0 { "superhero" } else { "elsewhere" },
+            question,
+            listed.then_some(list.as_slice()),
+            &examples,
+        )
+    }
+
+    /// A line after a tail's last that changes head state, or (kinds 6
+    /// and up) none.
+    fn tail_stray(kind: usize, cell: &str) -> String {
+        let quoted = format!("'{}'", cell.replace('\'', "''"));
+        match kind {
+            0 => format!("\nThe columns are: `superhero_name`, `{cell}x`."),
+            1 => "\nYour task is to fill in the missing values in the target entry from the `elsewhere` database.".into(),
+            2 => format!("\nThe possible values for `publisher_name` are [{quoted}]."),
+            3 => format!("\nExample Entry: {quoted}, ?\nExample Answer: {quoted}, 'x'"),
+            4 => format!("\n  Target Entry: 'Batman', {quoted}, ?"),
+            5 => "\nThe possible values for `publisher_name`".into(),
+            _ => String::new(),
+        }
+    }
+
+    proptest::proptest! {
+        /// A long-lived model — row and UDF calls interleaved over more
+        /// distinct heads than it remembers, each head repeated — answers
+        /// every prompt with the text and token count of a fresh model
+        /// (always a miss) and of the full parse. A target's key length
+        /// varies under one head, and some tails carry a line that changes
+        /// head state.
+        #[test]
+        fn remembered_heads_answer_as_the_full_parse_does(
+            row_heads in proptest::collection::vec(
+                (0usize..3, 1usize..4, proptest::collection::vec(COLUMN, 0..3), 0usize..3),
+                HEADS + 2..HEADS + 5,
+            ),
+            udf_heads in proptest::collection::vec((0usize..2, 0usize..2, 0usize..2), HEADS + 2..HEADS + 5),
+            calls in proptest::collection::vec(
+                (0usize..2, 0usize..64, proptest::collection::vec(0usize..5, 1..6), 0usize..12, CELL),
+                1..48,
+            ),
+        ) {
+            let kb = kb();
+            let long = SimulatedModel::new(ModelKind::Gpt35Turbo, kb.clone());
+            let row_heads: Vec<String> = row_heads
+                .iter()
+                .enumerate()
+                .map(|(i, (db, key_len, extra, shots))| row_head(i, *db, *key_len, extra, *shots))
+                .collect();
+            let udf_heads: Vec<String> = udf_heads
+                .iter()
+                .enumerate()
+                .map(|(i, (db, answerable, listed))| udf_head(i, *db, *answerable == 1, *listed == 1))
+                .collect();
+            for (family, pick, entities, stray, cell) in calls {
+                // Entity 4 is no hero: the cell stands in for both names.
+                let key_of = |e: usize| match HEROES.get(e) {
+                    Some((hero, full)) => vec![hero.to_string(), full.to_string()],
+                    None => vec![cell.clone(), cell.clone()],
+                };
+                let prompt = if family == 0 {
+                    let mut prompt = row_heads[pick % row_heads.len()].clone();
+                    // The target's key length is the entity list's — not
+                    // the head's, and past the column list at five.
+                    let mut key = key_of(entities[0]);
+                    key.extend(entities.iter().skip(1).map(|e| format!("{cell}{e}")));
+                    key.truncate(entities.len());
+                    RowCompletionPrompt::push_target(&mut prompt, &key, 5);
+                    prompt.push_str(&tail_stray(stray, &cell));
+                    prompt
+                } else {
+                    let mut prompt = udf_heads[pick % udf_heads.len()].clone();
+                    let keys: Vec<Vec<String>> = entities.iter().map(|&e| key_of(e)).collect();
+                    UdfPrompt::push_keys(&mut prompt, &keys);
+                    prompt
+                };
+                let expected = by_parse(&long, &prompt);
+                let fresh = SimulatedModel::new(ModelKind::Gpt35Turbo, kb.clone());
+                proptest::prop_assert_eq!(&fresh.complete(&prompt), &expected, "fresh: {}", prompt);
+                proptest::prop_assert_eq!(&long.complete(&prompt), &expected, "long-lived: {}", prompt);
+            }
+        }
+    }
+
+    #[test]
+    fn prompts_the_split_cannot_read_exactly_fall_back_to_the_full_parse() {
+        let m = SimulatedModel::new(ModelKind::Gpt4Turbo, kb());
+        let row = row_prompt("Batman", "Bruce Wayne", 2);
+        let udf = UdfPrompt {
+            db: "superhero".into(),
+            question: "Which publisher is the superhero from?".into(),
+            value_list: Some(publishers()),
+            examples: vec![],
+            keys: vec![
+                vec!["Batman".into(), "Bruce Wayne".into()],
+                vec!["Hellboy".into(), "Anung Un Rama".into()],
+            ],
+        }
+        .render();
+        // Both heads remembered, so a case that reads split is a hit.
+        assert!(m.answer_from_head(&row).is_some());
+        assert!(m.answer_from_head(&udf).is_some());
+
+        let spider = "Target Entry: 'Spider-Man', 'Peter Parker', ?";
+        // (case, prompt, whether it falls back to the full parse)
+        let cases = [
+            (
+                "an example after the target",
+                row.replace(
+                    "\nAnswer:",
+                    "\nExample Entry: 'Hellboy', 'Anung Un Rama', ?\n\
+                     Example Answer: 'Hellboy', 'Anung Un Rama', 'Dark Horse Comics'\nAnswer:",
+                ),
+                true,
+            ),
+            (
+                "a column list after the target",
+                format!("{row}\nThe columns are: `superhero_name`, `full_name`, `x`, `y`."),
+                true,
+            ),
+            (
+                "an indented target entry before the real one: in the head",
+                row.replace("Target Entry: ", &format!("  {spider}\nTarget Entry: ")),
+                true,
+            ),
+            (
+                "an indented second target entry: in the tail, and the last one wins",
+                row.replace("\nThe output", &format!("\n  {spider}\nThe output")),
+                false,
+            ),
+            (
+                "an indented Keys: before the real one",
+                udf.replace("Keys:\n", "  Keys:\n'x'\nKeys:\n"),
+                true,
+            ),
+            (
+                "a second Keys: among the keys is a key",
+                udf.replace("\nAnswer:", "\nKeys:\nAnswer:"),
+                false,
+            ),
+            (
+                "\\r\\n line endings: the UDF split needs a bare `Keys:\\n`",
+                udf.replace('\n', "\r\n"),
+                true,
+            ),
+            (
+                "\\r\\n line endings: the row split cuts after the `\\n`",
+                row.replace('\n', "\r\n"),
+                false,
+            ),
+            (
+                "a head with no database line",
+                row.replace("from the `superhero` database", "from the superhero database"),
+                true,
+            ),
+        ];
+        for (case, prompt, falls_back) in &cases {
+            assert_eq!(m.answer_from_head(prompt).is_none(), *falls_back, "{case}");
+            assert_eq!(m.complete(prompt), by_parse(&m, prompt), "{case}");
+        }
+        assert_eq!(
+            m.complete(&cases[8].1),
+            Err(crate::model::LlmError::BadPrompt("missing database line".into()))
+        );
+        assert!(by_parse(&m, &cases[3].1).unwrap().text.starts_with("'Spider-Man'"));
     }
 }

@@ -110,6 +110,42 @@ mod tests {
         assert!((3.0..6.5).contains(&ratio), "chars/token = {ratio}");
     }
 
+    proptest::proptest! {
+        /// A prompt's count is its head's plus its tail's whenever the head
+        /// is empty or ends in a character that is not alphanumeric: the
+        /// counter is back in its start state there. The simulator counts a
+        /// remembered head once on that basis.
+        #[test]
+        fn counts_add_after_a_non_alphanumeric_end(
+            a in "[ abcdeé漢0-9,.'?\n\t—\u{A0}]{0,30}",
+            end in "[ \n,.'?—\u{A0}]",
+            b in "[ abcdeé漢0-9,.'?\n\t—\u{A0}]{0,30}",
+        ) {
+            let head = format!("{a}{end}");
+            proptest::prop_assert_eq!(
+                count_tokens(&format!("{head}{b}")),
+                count_tokens(&head) + count_tokens(&b)
+            );
+            proptest::prop_assert_eq!(count_tokens(&b), count_tokens("") + count_tokens(&b));
+            if !a.ends_with(char::is_alphanumeric) {
+                proptest::prop_assert_eq!(
+                    count_tokens(&format!("{a}{b}")),
+                    count_tokens(&a) + count_tokens(&b)
+                );
+            }
+        }
+    }
+
+    /// Why the simulator cuts a prompt only after a `\n`: inside a run of
+    /// alphanumerics the counts do not add. `"abc" + "de"` happens to (one
+    /// token plus one is ⌈5/4⌉ = 2), `"abc" + "d"` does not (⌈4/4⌉ = 1).
+    #[test]
+    fn counts_do_not_add_inside_a_word() {
+        assert_eq!(count_tokens("abcde"), count_tokens("abc") + count_tokens("de"));
+        assert_eq!(count_tokens("abcd"), 1);
+        assert_eq!(count_tokens("abc") + count_tokens("d"), 2);
+    }
+
     #[test]
     fn token_count_arithmetic() {
         let a = TokenCount { input: 10, output: 2 };

@@ -80,6 +80,11 @@ pub const LLM_BREAKER: u32 = 81;
 /// SimTransport fault plan.
 pub const SIM_TRANSPORT: u32 = 82;
 
+/// The simulated model's remembered prompt heads (`sim::HeadMemo`). A
+/// leaf: a lookup or an insert, never held while parsing, counting
+/// tokens or answering.
+pub const SIM_HEADS: u32 = 83;
+
 /// Pool job queue receiver. Held only while a worker blocks in `recv`,
 /// never while running a job.
 pub const POOL_QUEUE: u32 = 90;

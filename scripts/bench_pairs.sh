@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs of one benchmark workload — the protocol
+# Alternating parent/change pairs of benchmark workloads — the protocol
 # a claimed gain is measured by (ROADMAP "Process facts"; the table in a
 # perf PR's CHANGES.md entry is this script's output).
 #
-#   scripts/bench_pairs.sh <parent-binary> <change-binary> <workload> [pairs=10] [seed=7]
+#   scripts/bench_pairs.sh <parent-binary> <change-binary> <workloads> [pairs=10] [seed=7]
+#
+# <workloads> is one workload, a comma-separated list of them, or `all`
+# (every workload BENCHMARK.json declares, in its order). Each workload
+# gets its own pairs and its own table, one after the other.
 #
 # The two binaries are `swan_benchmark` built from the parent commit and
 # from the change, each with its own target directory:
@@ -22,45 +26,55 @@
 # runs of both sides.
 #
 # Exits non-zero when a run fails one of the benchmark's own checks or a
-# count differs. The benchmark leaves `.bench_tmp/` in the working
-# directory while it runs.
+# count differs, on any workload. The benchmark leaves `.bench_tmp/` in
+# the working directory while it runs.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
     sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2
     exit 2
 fi
-parent=$1 change=$2 workload=$3 pairs=${4:-10} seed=${5:-7}
+parent=$1 change=$2 workloads=$3 pairs=${4:-10} seed=${5:-7}
 manifest="$(dirname "$0")/../BENCHMARK.json"
+if [ "$workloads" = all ]; then
+    workloads=$(awk '
+        /"workloads"/ { on = 1; next }
+        on && /^ *\]/ { exit }
+        on && match($0, /"name": "[^"]+"/) { print substr($0, RSTART + 9, RLENGTH - 10) }
+    ' "$manifest" | paste -sd, -)
+fi
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
 failed=0
-run_side() { # <side> <binary> <pair>
+run_side() { # <side> <binary> <pair> <workload>
     local out
-    if ! out=$("$2" --workload "$workload" --seed "$seed" --seconds 15 --trace 0); then
+    if ! out=$("$2" --workload "$4" --seed "$seed" --seconds 15 --trace 0); then
         echo "# pair $3: the $1 run failed a check" >&2
         printf '%s\n' "$out" | grep 'FAILED CHECK' >&2 || true
         failed=1
     fi
-    printf '%s\n' "$out" | awk -v side="$1" -v pair="$3" -v w="$workload" \
+    printf '%s\n' "$out" | awk -v side="$1" -v pair="$3" -v w="$4" \
         '$1 == w && NF == 4 { print side, pair, $2, $3, $4 }' >>"$runs"
 }
 
-for pair in $(seq 1 "$pairs"); do
-    if [ $((pair % 2)) -eq 1 ]; then
-        run_side parent "$parent" "$pair"
-        run_side change "$change" "$pair"
-    else
-        run_side change "$change" "$pair"
-        run_side parent "$parent" "$pair"
-    fi
-    echo "# pair $pair of $pairs done" >&2
-done
+table() { # <workload>
+    local workload=$1
+    : >"$runs"
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run_side parent "$parent" "$pair" "$workload"
+            run_side change "$change" "$pair" "$workload"
+        else
+            run_side change "$change" "$pair" "$workload"
+            run_side parent "$parent" "$pair" "$workload"
+        fi
+        echo "# pair $pair of $pairs done" >&2
+    done
 
-echo "# $workload, $pairs alternating pairs, seed $seed, --seconds 15 --trace 0"
-echo "# metric unit | parent q1 median q3 | change q1 median q3 | change/parent | change-wins parent-wins | medians apart by more than the parent's IQR"
-awk -v manifest="$manifest" '
+    echo "# $workload, $pairs alternating pairs, seed $seed, --seconds 15 --trace 0"
+    echo "# metric unit | parent q1 median q3 | change q1 median q3 | change/parent | change-wins parent-wins | medians apart by more than the parent's IQR"
+    awk -v manifest="$manifest" '
 function quantile(v, n, q,    pos, lo, frac) {
     pos = (n - 1) * q; lo = int(pos); frac = pos - lo
     return lo + 1 < n ? v[lo + 1] + frac * (v[lo + 2] - v[lo + 1]) : v[n]
@@ -124,6 +138,15 @@ END {
     }
     exit bad > 0
 }' "$runs" || failed=1
+}
+
+first=1
+IFS=, read -r -a names <<<"$workloads"
+for workload in "${names[@]}"; do
+    [ "$first" -eq 1 ] || echo
+    first=0
+    table "$workload"
+done
 
 if [ "$failed" -ne 0 ]; then
     echo "# FAILED: a run failed a check or a count differed" >&2
