@@ -11,7 +11,7 @@
 //! | `lock-rank`     | shim `Mutex::new` / `RwLock::new` must be `with_rank` instead |
 //! | `no-row-materialize` | no `materialize_row(..)` calls or `Row::` construction inside columnar kernel modules — rows materialize at the engine boundary only |
 //! | `wal-seam`      | `Wal`, `frame_group` and `commit_records` are named only in `wal.rs`, `txn.rs` and `shared.rs` — one owner of the log, one commit path |
-//! | `morsel-seam`   | inside `crates/sqlengine/src`, `swan_pool::parallel_*`, `swan_pool::run_workers`, `swan_pool::configured_threads` and `effective_threads` are named only in `exec_parallel.rs` — one dispatcher, no operator-local fan-out, no second fan-out gate |
+//! | `morsel-seam`   | nowhere in `crates/sqlengine/src` is `swan_pool::parallel_*` / `swan_pool::run_workers` named or a thread count resolved (`swan_pool::pool_size`, `available_parallelism`, a `.threads` read) — operator loops run on the statement thread |
 //!
 //! Escape hatch: `// lint: allow(rule-name): justification` on the same
 //! line as the flagged code or the line directly above. The justification
@@ -78,28 +78,28 @@ const COLUMNAR_FILES: &[&str] = &["columnar.rs"];
 const WAL_SEAM_FILES: &[&str] = &["wal.rs", "txn.rs", "shared.rs"];
 const WAL_SEAM_NAMES: &[&str] = &["Wal", "frame_group", "commit_records"];
 
-/// The SQL engine's one fan-out point. Everywhere else in
-/// `crates/sqlengine/src` the pool's fan-out entry points
-/// (`swan_pool::parallel_*`, `swan_pool::run_workers`) may not be named:
-/// an operator that fans out by itself skips what the dispatcher does for
-/// every loop — the cancel-token re-install on the worker, the
-/// range-boundary cancellation check and the worker-result merge-back.
-/// Nor may a thread count be resolved there (`swan_pool::configured_threads`,
-/// or anything called `effective_threads`): whether a loop fans out is
-/// decided by the dispatcher's one gate, from the count it is handed, so
-/// neither the optimizer nor an operator can grow a gate of its own.
+/// The SQL engine runs every operator loop on the statement thread
+/// (`exec::for_each_morsel`); the workspace's in-statement concurrency is
+/// the model calls that `swan_llm::parallel` overlaps. So nowhere in
+/// `crates/sqlengine/src` may the pool's fan-out entry points
+/// (`swan_pool::parallel_*`, `swan_pool::run_workers`) be named, nor a
+/// thread count be resolved (`swan_pool::pool_size`,
+/// `available_parallelism`, or a read of the ignored
+/// `OptimizerConfig::threads`): an operator or the optimizer growing its
+/// own fan-out, or its own gate for one, cannot land unnoticed.
 const MORSEL_SEAM_DIR: &str = "crates/sqlengine/src";
-const MORSEL_SEAM_FILE: &str = "exec_parallel.rs";
-const THREAD_GATE_NAME: &str = "effective_threads";
-const THREAD_GATE_REASON: &str =
-    "whether a loop fans out is decided by the one gate behind `exec_parallel::try_morsels`";
+const FAN_OUT_REASON: &str =
+    "operator loops run on the statement thread (`exec::for_each_morsel`); \
+     model calls overlap in `swan_llm::parallel`";
+const THREAD_COUNT_REASON: &str =
+    "operator loops run on the statement thread, so the engine has no thread count to resolve";
 
-/// Why `swan_pool::<name>` may be named only in the dispatcher, if so.
+/// Why `swan_pool::<name>` may not be named in the engine, if so.
 fn morsel_seam_reason(name: &str) -> Option<&'static str> {
     if name == "run_workers" || name.starts_with("parallel_") {
-        Some("operator loops fan out through `exec_parallel::try_morsels` only")
-    } else if name == "configured_threads" {
-        Some(THREAD_GATE_REASON)
+        Some(FAN_OUT_REASON)
+    } else if name == "pool_size" {
+        Some(THREAD_COUNT_REASON)
     } else {
         None
     }
@@ -127,7 +127,7 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
     let is_critical = CRITICAL_FILES.contains(&file_name);
     let is_columnar = COLUMNAR_FILES.contains(&file_name);
     let is_wal_seam = WAL_SEAM_FILES.contains(&file_name);
-    let in_morsel_seam = norm.contains(MORSEL_SEAM_DIR) && file_name != MORSEL_SEAM_FILE;
+    let in_morsel_seam = norm.contains(MORSEL_SEAM_DIR);
 
     // Code-only view (indices back into `tokens`) so matchers never trip
     // on comment text, and comments stay available for SAFETY lookups.
@@ -317,19 +317,25 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
                             &allows,
                             "morsel-seam",
                             line,
-                            format!("`swan_pool::{name}` named outside exec_parallel.rs; {reason}"),
+                            format!("`swan_pool::{name}` named in the engine; {reason}"),
                         );
                     }
                 }
             }
-            THREAD_GATE_NAME if in_morsel_seam => {
+            "available_parallelism" if in_morsel_seam => {
                 push(
                     &allows,
                     "morsel-seam",
                     line,
-                    format!(
-                        "`{THREAD_GATE_NAME}` named outside exec_parallel.rs; {THREAD_GATE_REASON}"
-                    ),
+                    format!("`available_parallelism` named in the engine; {THREAD_COUNT_REASON}"),
+                );
+            }
+            "threads" if in_morsel_seam && prev_punct(".") => {
+                push(
+                    &allows,
+                    "morsel-seam",
+                    line,
+                    format!("`OptimizerConfig::threads` read in the engine; {THREAD_COUNT_REASON}"),
                 );
             }
             // ---- safety-comment -----------------------------------------
@@ -652,26 +658,30 @@ mod tests {
     }
 
     #[test]
-    fn morsel_seam_flags_pool_fan_out_outside_the_dispatcher() {
+    fn morsel_seam_flags_fan_out_and_thread_counts_anywhere_in_the_engine() {
         let src = "use swan_pool::{cancel::{self, with_current}, parallel_items};\n\
-                   fn f() { swan_pool::parallel_morsels(n, 8, 2, g); swan_pool::run_workers(2, j); }\n\
+                   fn f() { swan_pool::parallel_chunks(n, 8, 2, g); swan_pool::run_workers(2, j); }\n\
                    fn ok() { swan_pool::is_pool_worker(); swan_pool::cancel::current(); }\n\
-                   fn gate(c: &C) -> bool { effective_threads(c) > 1 }\n\
-                   fn auto() -> usize { swan_pool::configured_threads() }";
-        let f = run("crates/sqlengine/src/exec.rs", src);
-        let lines: Vec<u32> =
-            f.iter().filter(|x| x.rule == "morsel-seam").map(|x| x.line).collect();
-        assert_eq!(lines, [1, 2, 2, 4, 5], "{f:?}");
-        // The dispatcher itself, and every other crate, may fan out.
-        assert!(run("crates/sqlengine/src/exec_parallel.rs", src).is_empty());
+                   fn gate(c: &C) -> bool { c.threads > 1 }\n\
+                   fn auto() -> usize { std::thread::available_parallelism().max(swan_pool::pool_size()) }";
+        let lines = |path: &str| -> Vec<u32> {
+            let f = run(path, src);
+            f.iter().filter(|x| x.rule == "morsel-seam").map(|x| x.line).collect()
+        };
+        // No file of the engine is exempt.
+        for file in ["exec.rs", "optimizer.rs", "lib.rs"] {
+            assert_eq!(lines(&format!("crates/sqlengine/src/{file}")), [1, 2, 2, 4, 5, 5], "{file}");
+        }
+        // Every other crate may fan out.
         assert!(run("crates/llm/src/parallel.rs", src).is_empty());
     }
 
     #[test]
     fn morsel_seam_ignores_lookalike_names() {
-        // Not the pool's: config fields, the dispatcher's own helper.
-        let src = "fn f(c: &OptimizerConfig) { let _ = (c.parallel_threshold, c.threads); \
-                   crate::exec_parallel::parallel_topk_candidates(n, k, ctx, &cmp); }";
+        // A `threads` field being set, a local named `threads`, and the
+        // engine's own morsel loop.
+        let src = "fn f(threads: usize) -> OptimizerConfig { let _ = threads; \
+                   crate::exec::for_each_morsel(n, ctx, |r| g(r)); OptimizerConfig { threads: 0 } }";
         assert!(run("crates/sqlengine/src/exec.rs", src).is_empty());
     }
 

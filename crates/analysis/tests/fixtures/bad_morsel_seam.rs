@@ -1,13 +1,13 @@
 //! `morsel-seam` true positives: an operator in `crates/sqlengine/src`
-//! growing its own fan-out instead of handing its loop body to
-//! `exec_parallel::try_morsels`, and an optimizer rule growing its own
-//! fan-out gate by resolving a thread count. Other `swan_pool` items,
-//! look-alike names and test-only code are true negatives.
+//! fanning its loop out over the pool instead of running it on the
+//! statement thread, and an optimizer rule growing a fan-out gate by
+//! resolving a thread count. Other `swan_pool` items, look-alike names and
+//! test-only code are true negatives.
 
-use swan_pool::{cancel, parallel_morsels_with};
+use swan_pool::{cancel, parallel_items};
 
 pub fn permute(rows: &[Row], partitions: usize) -> Vec<Vec<Row>> {
-    swan_pool::parallel_morsels(rows.len(), 1024, partitions, |range| rows[range].to_vec())
+    swan_pool::parallel_chunks(rows.len(), 1024, partitions, |range| rows[range].to_vec())
 }
 
 pub fn build(np: usize) {
@@ -16,17 +16,17 @@ pub fn build(np: usize) {
 }
 
 pub fn parallelize(plan: Plan, config: &OptimizerConfig) -> Plan {
-    let auto = swan_pool::configured_threads();
-    if crate::exec_parallel::effective_threads(config).max(auto) > 1 {
+    let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if config.threads.max(auto).max(swan_pool::pool_size()) > 1 {
         return wrap(plan);
     }
     plan
 }
 
-pub fn fine(config: &OptimizerConfig, ctx: &ExecCtx<'_>) -> bool {
-    let _ = (config.parallel_threshold, config.threads);
-    let _ = crate::exec_parallel::parallel_topk_candidates(1, 1, ctx, &cmp);
-    swan_pool::is_pool_worker() || cancel::current().is_some()
+pub fn fine(threads: usize, ctx: &ExecCtx<'_>) -> OptimizerConfig {
+    let _ = crate::exec::for_each_morsel(threads, ctx, |_| Ok(()));
+    let _ = swan_pool::is_pool_worker() || cancel::current().is_some();
+    OptimizerConfig { threads, ..Default::default() }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ const DIM_ROWS: usize = 2_000;
 const MODES: &[(&str, bool)] = &[("columnar", true), ("row", false)];
 
 fn config(columnar: bool) -> OptimizerConfig {
-    OptimizerConfig { columnar, threads: 1, ..Default::default() }
+    OptimizerConfig { columnar, ..Default::default() }
 }
 
 /// One wide scan table: an integer key, a low-cardinality group, a real

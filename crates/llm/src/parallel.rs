@@ -5,9 +5,10 @@
 //! the workspace-wide **persistent, bounded worker pool** ([`swan_pool`])
 //! against one (thread-safe) model, preserving input order in the output.
 //!
-//! The pool is shared with the SQL executor's morsel-parallel operators:
-//! it is created lazily on first use and reused by every subsequent call —
-//! no per-call (let alone per-prompt) thread spawning. Each
+//! The pool is created lazily on first use and reused by every subsequent
+//! call — no per-call (let alone per-prompt) thread spawning. These model
+//! calls are the workspace's in-statement concurrency: the SQL executor's
+//! operator loops run on the statement thread. Each
 //! [`complete_many`] submits at most `workers` pool jobs that *steal*
 //! item indices from a shared counter, so per-call concurrency stays
 //! capped at `workers` while latency-skewed batches (one slow prompt next
@@ -16,9 +17,9 @@
 //! when its call returns, so at most `workers` prompts are alive at once,
 //! however many items the batch has. `workers <= 1` runs inline on the
 //! caller thread (the sequential baseline for the parallelism ablation),
-//! and a call from *inside* a pool worker (a composite/router model, or a
-//! model call made by a morsel-parallel SQL operator) also runs inline
-//! instead of re-entering — and potentially deadlocking — the fixed pool;
+//! and a call from *inside* a pool worker (a composite/router model) also
+//! runs inline instead of re-entering — and potentially deadlocking — the
+//! fixed pool;
 //! both are [`swan_pool::parallel_items`]' own inline arm, not a loop here.
 
 use swan_pool::cancel;

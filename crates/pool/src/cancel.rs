@@ -3,18 +3,17 @@
 //! A [`CancelToken`] is a cheap, cloneable handle carrying two pieces of
 //! state: an explicit *cancelled* flag anyone holding a clone can set,
 //! and an optional *deadline* read against a shared [`Clock`]. Work
-//! that may run long — morsel loops in the SQL executor, LLM retry
+//! that may run long — operator loops in the SQL executor, LLM retry
 //! loops, single-flight waiters — calls [`CancelToken::check`] at its
 //! natural batch boundaries and unwinds cleanly with a
 //! [`CancelReason`] when the statement's time is up.
 //!
-//! Tokens cross pool threads two ways: captured explicitly by the
-//! fan-out closures (the executor clones the token into every worker
-//! context), or through the **current-token** thread-local that
-//! [`with_current`] scopes around a statement so layers without a
-//! parameter path to the executor (the resilient model wrapper, deep
-//! inside a `ScalarUdf::invoke`) can still observe the statement's
-//! deadline via [`current`].
+//! The executor carries its statement's token in its context; layers
+//! without a parameter path to the executor (the resilient model wrapper,
+//! deep inside a `ScalarUdf::invoke`) read the **current-token**
+//! thread-local that [`with_current`] scopes around a statement, via
+//! [`current`]. Pool threads do not inherit it: a fan-out
+//! (`swan_llm::parallel::complete_many`) re-installs it in every job.
 
 use std::cell::RefCell;
 use std::fmt;

@@ -1,14 +1,13 @@
 //! # swan-pool — the shared compute pool
 //!
-//! A **persistent, bounded worker pool** used by every parallel subsystem
-//! in the workspace: the LLM layer fans prompt batches through it
-//! (`swan_llm::parallel::complete_many`) and the SQL executor fans its
-//! operator loops out over it (`swan_sqlengine::exec_parallel`).
-//! It generalizes the order-preserving pool that previously lived inside
-//! `swan_llm`: the pool itself knows nothing about prompts or rows — it
-//! runs borrowed closures.
+//! A **persistent, bounded worker pool** for the workspace's one source of
+//! in-statement concurrency: the LLM layer fans prompt batches through it
+//! (`swan_llm::parallel::complete_many`), so the model calls of one batch
+//! overlap. The SQL executor's operator loops run on the statement thread
+//! and never submit work here. The pool itself knows nothing about
+//! prompts — it runs borrowed closures.
 //!
-//! Design points, unchanged from the LLM-local ancestor:
+//! Design points:
 //!
 //! * the pool is created lazily on first use and reused forever — no
 //!   per-call (let alone per-item) thread spawning;
@@ -24,13 +23,9 @@
 //! * a panicking job never kills a pool thread; the panic is re-raised on
 //!   the submitting thread after every sibling job has finished.
 //!
-//! # Thread-count configuration
-//!
-//! [`configured_threads`] answers "how parallel should work be by
-//! default": the `SWAN_THREADS` environment variable when set (clamped to
-//! at least 1), otherwise [`std::thread::available_parallelism`].
-//! `SWAN_THREADS=1` therefore reproduces fully serial execution across
-//! the whole workspace.
+//! How many workers a batch uses is the caller's configuration (the
+//! `workers` field of `HqdlConfig` / `UdfConfig`); nothing here reads the
+//! environment.
 //!
 //! # Time and cancellation
 //!
@@ -40,7 +35,7 @@
 //! (production [`RealClock`] vs the deterministic virtual-time
 //! [`SimClock`] the LLM fault sweep runs on) and the [`cancel`]
 //! module's [`CancelToken`] — the cooperative statement
-//! deadline/cancellation handle morsel loops, retry loops and
+//! deadline/cancellation handle operator loops, retry loops and
 //! single-flight waiters check between units of work.
 
 pub mod cancel;
@@ -56,28 +51,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 
-/// Default number of workers for parallel work: the `SWAN_THREADS`
-/// environment variable when set and parseable (minimum 1), otherwise the
-/// machine's available parallelism. The variable is read per call (tests
-/// flip it between statements); the machine default — cgroup and affinity
-/// reads, microseconds each — is resolved once per process.
-pub fn configured_threads() -> usize {
-    match std::env::var("SWAN_THREADS") {
-        // An unparseable value falls back to the machine default (as the
-        // unset case does) rather than silently forcing serial execution.
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => default_parallelism(),
-        },
-        Err(_) => default_parallelism(),
-    }
-}
-
-fn default_parallelism() -> usize {
-    static MACHINE: OnceLock<usize> = OnceLock::new();
-    *MACHINE.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-}
-
 /// True while running on a pool worker thread. Callers that would submit
 /// nested pool work should (and [`run_workers`] does) run it inline
 /// instead — a fully-loaded fixed pool waiting on itself can deadlock.
@@ -91,8 +64,8 @@ pub fn is_pool_worker() -> bool {
 /// re-raised on the calling thread after every job has finished.
 ///
 /// The jobs are expected to coordinate work-stealing among themselves
-/// (typically via a shared [`AtomicUsize`] item counter); helpers like
-/// [`parallel_items`] and [`parallel_morsels`] package that pattern.
+/// (typically via a shared [`AtomicUsize`] item counter); [`parallel_items`]
+/// packages that pattern.
 pub fn run_workers<F>(workers: usize, job: F)
 where
     F: Fn(usize) + Sync,
@@ -125,63 +98,6 @@ where
     latch.check_panic();
 }
 
-/// Like [`parallel_morsels`], but each worker first builds a private
-/// context with `init` and every morsel it processes receives `&mut` to
-/// it — so per-worker setup (a scratch buffer, a worker-local cache
-/// clone) is paid once per *worker*, not once per morsel. `init` runs on
-/// the worker thread; the context never crosses threads.
-pub fn parallel_morsels_with<C, T, I, F>(
-    count: usize,
-    morsel: usize,
-    workers: usize,
-    init: I,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, std::ops::Range<usize>) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    let chunk = morsel.max(1);
-    let n_chunks = count.div_ceil(chunk);
-    let workers = workers.max(1).min(n_chunks);
-    if workers == 1 || is_pool_worker() {
-        let mut ctx = init();
-        return (0..n_chunks)
-            .map(|i| f(&mut ctx, i * chunk..((i + 1) * chunk).min(count)))
-            .collect();
-    }
-    let slots: Vec<Slot<T>> = (0..n_chunks).map(|_| Slot(UnsafeCell::new(None))).collect();
-    let next = AtomicUsize::new(0);
-    {
-        let slots = &slots;
-        let next = &next;
-        let init = &init;
-        let f = &f;
-        run_workers(workers, move |_| {
-            let mut ctx = init();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_chunks {
-                    break;
-                }
-                let out = f(&mut ctx, i * chunk..((i + 1) * chunk).min(count));
-                // SAFETY: index `i` was claimed exactly once, so this
-                // worker has exclusive access to slot `i`; the caller
-                // reads only after `run_workers` has waited for every job.
-                unsafe { *slots[i].0.get() = Some(out) };
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.0.into_inner().expect("every chunk slot filled"))
-        .collect()
-}
-
 /// Map `f` over `0..count` on up to `workers` pool threads, returning the
 /// results **in input order**. Items are claimed one at a time from a
 /// shared counter (good for latency-skewed items such as model calls).
@@ -190,31 +106,24 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_chunks(count, 1, workers, |range| f(range.start))
-}
-
-/// Split `0..count` into fixed-size morsels of `morsel` items, map `f`
-/// over the morsels on up to `workers` pool threads, and return one result
-/// per morsel **in morsel order**. Workers steal morsel indices from a
-/// shared counter, so a skewed morsel does not serialize its neighbours.
-///
-/// This is the executor's building block: because outputs come back in
-/// morsel (= input) order, concatenating them reproduces the serial
-/// operator's row order exactly.
-pub fn parallel_morsels<T, F>(count: usize, morsel: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    parallel_chunks(count, morsel.max(1), workers, f)
-}
-
-fn parallel_chunks<T, F>(count: usize, chunk: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    parallel_morsels_with(count, chunk, workers, || (), |(), range| f(range))
+    let workers = workers.max(1).min(count);
+    if workers <= 1 || is_pool_worker() {
+        return (0..count).map(f).collect();
+    }
+    let slots: Vec<Slot<T>> = (0..count).map(|_| Slot(UnsafeCell::new(None))).collect();
+    let next = AtomicUsize::new(0);
+    run_workers(workers, |_| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count {
+            break;
+        }
+        let out = f(i);
+        // SAFETY: index `i` was claimed exactly once, so this worker has
+        // exclusive access to slot `i`; the caller reads only after
+        // `run_workers` has waited for every job.
+        unsafe { *slots[i].0.get() = Some(out) };
+    });
+    slots.into_iter().map(|s| s.0.into_inner().expect("every item slot filled")).collect()
 }
 
 /// One result slot. `Sync` is sound because each index is claimed by
@@ -259,7 +168,9 @@ fn pool() -> &'static WorkerPool {
         // to exceed the core count; it stays bounded regardless of how many
         // calls or items flow through it. The floor keeps headroom above the
         // §6 parallelism ablation's worker sweep even on small CI machines.
-        WorkerPool::with_size(default_parallelism().clamp(16, 64))
+        WorkerPool::with_size(
+            std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(16, 64),
+        )
     })
 }
 
@@ -394,20 +305,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_morsels_cover_exactly_once() {
-        let ranges = parallel_morsels(1003, 64, 8, |r| r);
-        let mut expect_start = 0;
-        for r in &ranges {
-            assert_eq!(r.start, expect_start, "morsels in order, no gaps");
-            expect_start = r.end;
-        }
-        assert_eq!(expect_start, 1003);
-    }
-
-    #[test]
     fn empty_input() {
         assert!(parallel_items(0, 4, |i| i).is_empty());
-        assert!(parallel_morsels(0, 16, 4, |r| r).is_empty());
     }
 
     #[test]
@@ -483,51 +382,5 @@ mod tests {
             parallel_items(6, 3, |i| i);
         }
         assert_eq!(pool_size(), before);
-    }
-
-    #[test]
-    fn configured_threads_honours_env() {
-        // Serialized via the env var name being test-unique is impossible;
-        // just assert the parse contract on the current environment.
-        let n = configured_threads();
-        assert!(n >= 1);
-    }
-
-    #[test]
-    fn unparseable_swan_threads_falls_back_to_machine_default() {
-        // NOTE: process-global env; the only other reader in this binary
-        // (`configured_threads_honours_env`) asserts `>= 1`, which both
-        // the override and the fallback satisfy.
-        std::env::set_var("SWAN_THREADS", "auto");
-        let n = configured_threads();
-        std::env::remove_var("SWAN_THREADS");
-        assert_eq!(
-            n,
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-            "a junk SWAN_THREADS value must not silently force serial execution"
-        );
-    }
-
-    #[test]
-    fn per_worker_init_runs_once_per_worker() {
-        let inits = AtomicU64::new(0);
-        let out = parallel_morsels_with(
-            1000,
-            10,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |local, range| {
-                *local += range.len();
-                range.len()
-            },
-        );
-        assert_eq!(out.iter().sum::<usize>(), 1000);
-        assert!(
-            inits.load(Ordering::SeqCst) <= 4,
-            "context init must be per worker, not per morsel (100 morsels here)"
-        );
     }
 }

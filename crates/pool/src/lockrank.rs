@@ -69,8 +69,8 @@ pub const MVCC_HISTORY: u32 = 56;
 pub const SUBQUERY_CACHE: u32 = 60;
 
 /// The UDF pathway's one lock (`udf::Shared.store`): answers and in-flight
-/// fetches in one map. Taken from statement threads and from pool workers
-/// during fan-out; never held across a model call or a flight wait.
+/// fetches in one map. Taken from every session's statement thread; never
+/// held across a model call or a flight wait.
 pub const UDF_STORE: u32 = 71;
 
 /// Circuit-breaker state (`ResilientModel`). Never held across a model
@@ -92,9 +92,6 @@ pub const POOL_QUEUE: u32 = 90;
 /// Pool completion latch. Waited on by submitters that may hold writer
 /// locks (rank 10) and by workers holding nothing.
 pub const POOL_LATCH: u32 = 91;
-
-/// Morsel-dispatch merge sink (worker UDF results collected per fan-out).
-pub const MERGE_SINK: u32 = 95;
 
 /// The `SharedDb` table-lock map. A leaf: taken briefly under a writer
 /// lock when pruning idle entries.

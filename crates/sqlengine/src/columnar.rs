@@ -39,7 +39,7 @@
 //! [`crate::value::Value`] (`sql_eq` uses IEEE `==` so `NaN != NaN`;
 //! `sort_cmp` is the total order with NaN after reals; `MIN` keeps the
 //! first of equals, `MAX` the last; integer `SUM` overflow is
-//! `Error::Arithmetic`). The `parallel_diff` harness diffs
+//! `Error::Arithmetic`). The `config_diff` harness diffs
 //! `columnar: true` against `columnar: false` on every generated query.
 //!
 //! Rows are materialized from columns only at the engine boundary

@@ -1028,22 +1028,17 @@ mod tests {
 
     /// Cell states under the default configuration, after checking that the
     /// rows equal the per-row reference's (`index_scan: false`, which must
-    /// never build) at 1 and 8 threads.
+    /// never build).
     fn states(db: &crate::db::Database, sql: &str) -> Vec<&'static str> {
         use crate::optimizer::OptimizerConfig;
         let token = swan_pool::CancelToken::unbounded;
-        let reference = OptimizerConfig { threads: 1, index_scan: false, ..Default::default() };
+        let reference = OptimizerConfig { index_scan: false, ..Default::default() };
         let (want, ref_states) = run_states(db, sql, reference, token());
         assert!(!ref_states.contains(&"keyed"), "index_scan: false built an index for {sql}");
         let want = want.unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
-        let [serial, parallel] = [1, 8].map(|threads| {
-            let config = OptimizerConfig { threads, parallel_threshold: 1, ..Default::default() };
-            let (got, states) = run_states(db, sql, config, token());
-            assert_eq!(got.unwrap().rows, want, "{sql} at {threads} thread(s)");
-            states
-        });
-        assert_eq!(serial, parallel, "{sql}: states differ across thread counts");
-        serial
+        let (got, states) = run_states(db, sql, OptimizerConfig::default(), token());
+        assert_eq!(got.unwrap().rows, want, "{sql}");
+        states
     }
 
     const WINS: &str =
@@ -1145,8 +1140,7 @@ mod tests {
 
     #[test]
     fn failed_build_declines_and_cancellation_propagates() {
-        use crate::optimizer::OptimizerConfig;
-        let config = OptimizerConfig { threads: 1, ..Default::default() };
+        let config = crate::optimizer::OptimizerConfig::default();
         // `boom` fails on the one row the per-row path never reaches (its
         // driver matches no outer row, so AND short-circuits first): the
         // build fails, declines, and the statement succeeds per row.
@@ -1191,7 +1185,7 @@ mod tests {
                 "SELECT T1.id FROM drivers T1 JOIN llm_drivers L ON L.id = T1.id \
                  WHERE (SELECT COUNT(*) FROM results r WHERE r.driver_id = {key}) > 0"
             );
-            let keyed = OptimizerConfig { threads: 1, ..Default::default() };
+            let keyed = OptimizerConfig::default();
             let reference = OptimizerConfig { index_scan: false, ..keyed };
             let (want, _) = run_states(&db, &sql, reference, token());
             let (got, states) = run_states(&db, &sql, keyed, token());

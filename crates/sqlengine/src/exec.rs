@@ -18,9 +18,19 @@
 //!   cells directly instead of walking the expression evaluator;
 //! * **DISTINCT, UNION/EXCEPT/INTERSECT and ORDER BY** move `Arc` handles,
 //!   not cell vectors.
+//!
+//! # Operator loops
+//!
+//! Every operator loop runs on the statement thread, in input order, over
+//! [`MORSEL_ROWS`]-sized ranges ([`for_each_morsel`]) with a cancellation
+//! check between ranges. The workspace's concurrency is elsewhere: model
+//! calls overlap inside one batched `invoke_batch`
+//! (`swan_llm::parallel::complete_many`), and sessions run side by side
+//! on a `SharedDb`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -32,7 +42,6 @@ use crate::ast::{
 use crate::columnar::{AggKernel, ColumnSet, KeyCodes};
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
-use crate::exec_parallel::{inline_morsels, try_morsels, MORSEL_ROWS};
 use crate::functions::{is_aggregate, UdfRegistry};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use crate::optimizer::{expr_cost, optimize, NeededCol, OptimizerConfig};
@@ -124,8 +133,8 @@ impl Members {
 /// answered from a hash index instead of one execution per outer row:
 /// `SELECT <inner keys>, <aggregate expr> FROM t WHERE <local> GROUP BY
 /// <inner keys>` runs **once** through [`run_select`] (so it gets pushdown,
-/// the columnar kernels, parallel GROUP BY and the statement's cancel
-/// token like any other SELECT), and every outer row costs one key
+/// the columnar kernels and the statement's cancel token like any other
+/// SELECT), and every outer row costs one key
 /// evaluation and one probe. Key equality is the hash join's: NULL never
 /// matches, and neither does NaN (as under `sql_eq`). A key with no group
 /// reads what the same aggregate code yields over zero rows.
@@ -273,16 +282,11 @@ fn columns_only_in_aggregates(expr: &Expr, schema: &RelSchema) -> bool {
 /// The statement-scoped subquery state cache, keyed by the address of the
 /// subquery's `Arc<SelectStmt>` body — one node for the statement's
 /// lifetime however often the expression around it is cloned or rebound.
-/// `Send + Sync` (an `Arc<Mutex<..>>` map of shared cells) so morsel
-/// workers share one cache with the statement thread, letting
-/// subquery-bearing predicates fan out like any other expression instead
-/// of running inline. Each entry is a [`std::sync::OnceLock`]
-/// **single-flight cell**: the first arriver classifies the subquery (see
-/// [`SubqueryState`]) — executing it when uncorrelated, building its hash
-/// index when [`KeyedAggregate::build`] accepts it — while concurrent
-/// arrivers block on the cell. An uncorrelated subquery, and a keyed
-/// build, therefore execute *exactly once* per statement at every thread
-/// count, never once per worker; the state is immutable once the cell is
+/// Each entry is a [`std::sync::OnceLock`] cell: the first evaluation
+/// classifies the subquery (see [`SubqueryState`]) — executing it when
+/// uncorrelated, building its hash index when [`KeyedAggregate::build`]
+/// accepts it — so an uncorrelated subquery, and a keyed build, execute
+/// *exactly once* per statement; the state is immutable once the cell is
 /// set, so probes take no lock beyond the map lookup.
 pub type SubqueryCache =
     Arc<Mutex<HashMap<usize, Arc<std::sync::OnceLock<Result<SubqueryState>>>>>>;
@@ -292,8 +296,7 @@ pub struct ExecCtx<'a> {
     pub catalog: &'a Catalog,
     pub udfs: &'a UdfRegistry,
     pub optimizer: OptimizerConfig,
-    /// Subquery result cache, shared across this statement's morsel
-    /// workers (see [`SubqueryCache`]).
+    /// The statement's subquery result cache (see [`SubqueryCache`]).
     pub subqueries: SubqueryCache,
     /// Statement-scoped results of expensive-UDF invocations, keyed by
     /// lowercased function name, filled by the operators' vectorized
@@ -301,13 +304,7 @@ pub struct ExecCtx<'a> {
     /// later evaluation of the same argument tuple is a lookup instead
     /// of a call.
     pub udf_results: RefCell<FxHashMap<String, UdfResults>>,
-    /// On a morsel worker: the statement's `udf_results` as they stood at
-    /// fan-out, shared read-only by every worker of the operator, while
-    /// `udf_results` holds only what this worker computed itself (see
-    /// [`crate::exec_parallel`]). `None` on the statement thread.
-    pub udf_seed: Option<Arc<FxHashMap<String, UdfResults>>>,
-    /// The statement's cancellation/deadline token. Cloned into every
-    /// morsel worker's context; long loops call
+    /// The statement's cancellation/deadline token; long loops call
     /// [`ExecCtx::check_cancel`] at batch boundaries.
     pub cancel: swan_pool::CancelToken,
 }
@@ -324,7 +321,6 @@ impl<'a> ExecCtx<'a> {
                 HashMap::new(),
             )),
             udf_results: RefCell::new(FxHashMap::default()),
-            udf_seed: None,
             // Inherit the statement token the session installed on this
             // thread (see `Database::execute_statement`); a context built
             // outside any statement scope runs unbounded.
@@ -346,8 +342,7 @@ impl<'a> ExecCtx<'a> {
     /// The stored result of the expensive UDF registered as `name` for
     /// `args`, if this statement has one.
     pub fn udf_result(&self, name: &str, args: &UdfArgs) -> Option<Value> {
-        let find = |store: &FxHashMap<String, UdfResults>| store.get(name)?.get(args).cloned();
-        self.udf_seed.as_deref().and_then(find).or_else(|| find(&self.udf_results.borrow()))
+        self.udf_results.borrow().get(name)?.get(args).cloned()
     }
 
     /// Record `name(args) = value` for the rest of the statement.
@@ -368,22 +363,32 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// How many iterations a loop that is not dispatched through
-/// [`try_morsels`] (the hash-join build, the columnar group-key pass, the
-/// nested loop's inner side) runs between cancellation checks — one
-/// morsel's worth, the granularity of every dispatched loop.
+/// Rows (or groups) an operator loop covers between two cancellation
+/// checks.
+pub const MORSEL_ROWS: usize = 1024;
+
+/// How many iterations a loop that does not run through
+/// [`for_each_morsel`] (the hash-join build, the columnar group-key pass,
+/// the nested loop's inner side) runs between cancellation checks — one
+/// morsel's worth.
 const CANCEL_CHECK_ROWS: usize = MORSEL_ROWS;
 
-/// Concatenate per-range outputs in range order.
-fn concat<T>(mut chunks: Vec<Vec<T>>) -> Vec<T> {
-    if chunks.len() == 1 {
-        return chunks.pop().unwrap_or_default();
+/// The operator loop: `f` runs over [`MORSEL_ROWS`]-sized ranges covering
+/// `0..count`, in order, on the calling thread, with a cancellation check
+/// between ranges. The first error stops the loop, so a statement fails
+/// on the row a single in-order pass fails on and runs nothing after it.
+pub fn for_each_morsel(
+    count: usize,
+    ctx: &ExecCtx<'_>,
+    mut f: impl FnMut(Range<usize>) -> Result<()>,
+) -> Result<()> {
+    for start in (0..count).step_by(MORSEL_ROWS) {
+        if start > 0 {
+            ctx.check_cancel()?;
+        }
+        f(start..(start + MORSEL_ROWS).min(count))?;
     }
-    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
+    Ok(())
 }
 
 /// Execute a full SELECT (body + ORDER BY + LIMIT/OFFSET).
@@ -404,7 +409,7 @@ pub fn run_select(
     };
 
     if !stmt.order_by.is_empty() {
-        sort_rows(&mut rel.rows, &mut keys, &stmt.order_by, topk_hint(stmt), ctx);
+        sort_rows(&mut rel.rows, &mut keys, &stmt.order_by, topk_hint(stmt));
     }
     apply_limit_offset(&mut rel.rows, stmt, ctx)?;
     Ok(rel)
@@ -547,14 +552,13 @@ fn sort_rows(
     keys: &mut Vec<Vec<Value>>,
     order_by: &[OrderItem],
     top_k: Option<usize>,
-    ctx: &ExecCtx<'_>,
 ) {
     // The input row index breaks every tie, making the comparator a
     // *total* order. This pins down what SQL leaves unspecified on
     // purpose: with ties at the LIMIT boundary, the selected prefix is
     // exactly the stable-full-sort prefix — first-come-first-kept — so
-    // serial top-k, parallel per-morsel top-k, and a full sort all agree
-    // on the same rows in the same order at every thread count.
+    // top-k selection and a full sort agree on the same rows in the same
+    // order.
     let cmp = |&a: &usize, &b: &usize| {
         for (k, item) in order_by.iter().enumerate() {
             let ord = keys[a][k].sort_cmp(&keys[b][k]);
@@ -571,22 +575,8 @@ fn sort_rows(
     // tie-break above) — the selected set is uniquely determined.
     if let Some(k) = top_k {
         if k > 0 && k < idx.len() {
-            // Parallel top-k: every morsel selects its own smallest k
-            // candidates, then one final selection over the (≤ k per
-            // morsel) survivors. Because the comparator totally orders
-            // rows, the merged result is identical to the serial path.
-            // (None when the dispatcher keeps these rows inline or k is too
-            // large for per-morsel pruning to help; fall through to the
-            // serial selection.)
-            if let Some(candidates) =
-                crate::exec_parallel::parallel_topk_candidates(rows.len(), k, ctx, &cmp)
-            {
-                idx = candidates;
-            }
-            if k < idx.len() {
-                idx.select_nth_unstable_by(k - 1, cmp);
-                idx.truncate(k);
-            }
+            idx.select_nth_unstable_by(k - 1, cmp);
+            idx.truncate(k);
         } else if k == 0 {
             idx.clear();
         }
@@ -854,34 +844,27 @@ fn project_rows(
     }
 
     // General path: bind every projected expression to the input schema
-    // once, then evaluate per row with direct index loads; range-order
-    // concatenation keeps the output in input order at every thread
-    // count.
+    // once, then evaluate per row with direct index loads.
     let bound: Vec<Expr> = projection
         .iter()
         .map(|(e, _)| bind_columns(e, &input.schema))
         .collect();
-    let chunks = try_morsels(input.rows.len(), ctx, |range, wctx| {
-        let mut rows: Vec<Row> = Vec::with_capacity(range.len());
-        let mut keys = Vec::new();
+    let mut rows: Vec<Row> = Vec::with_capacity(input.rows.len());
+    for_each_morsel(input.rows.len(), ctx, |range| {
         for row in &input.rows[range] {
             let rc = RowCtx { schema: &input.schema, row, outer };
             let mut out = Vec::with_capacity(projection.len());
             for e in &bound {
-                out.push(eval(e, wctx, Some(&rc))?);
+                out.push(eval(e, ctx, Some(&rc))?);
             }
             if !order_exprs.is_empty() {
-                // `order_exprs` was bound to the input schema above.
-                keys.push(output_sort_keys(&order_exprs, projection.len(), &out, &mut |e| {
-                    eval(e, wctx, Some(&rc))
-                })?);
+                keys.push(build_keys(&out, &rc)?);
             }
             rows.push(out.into());
         }
-        Ok((rows, keys))
+        Ok(())
     })?;
-    let (rows, keys): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
-    Ok((concat(rows), concat(keys)))
+    Ok((rows, keys))
 }
 
 /// Expand wildcards and name each projected column.
@@ -989,12 +972,6 @@ fn run_aggregate(
 ) -> Result<RowsAndKeys> {
     // Partition input rows into groups, preserving first-seen order. The
     // grouping expressions are bound to the input schema once up front.
-    //
-    // Expression keys are **two-phase**: every row's grouping key is
-    // evaluated range by range (fanned out when `try_morsels` says so),
-    // then one merge pass partitions the rows using the precomputed keys.
-    // The merge walks rows in input order, so group numbering (and thus
-    // the unordered output order) is the same at every thread count.
     let mut groups: Vec<Vec<usize>> = Vec::new();
     if core.group_by.is_empty() {
         groups.push((0..input.rows.len()).collect());
@@ -1010,8 +987,7 @@ fn run_aggregate(
         // column of a scan-backed input — a row's key is the tuple of its
         // columns' `u64` codes (no row deref, no eval, no allocation: the
         // tuple is written into one reused buffer and copied only for a
-        // new group), walking rows in order on the statement thread, so
-        // first-seen group numbering does not depend on the thread count.
+        // new group).
         let codes: Option<Vec<KeyCodes<'_>>> = cols.and_then(|ci| {
             bound_keys
                 .iter()
@@ -1047,27 +1023,21 @@ fn run_aggregate(
             }
         } else {
             let mut group_index: FxHashMap<Vec<GroupKey>, usize> = FxHashMap::default();
-            // Phase 1: per-range key computation.
-            let key_chunks = try_morsels(input.rows.len(), ctx, |range, wctx| {
-                let mut keys = Vec::with_capacity(range.len());
-                for row in &input.rows[range] {
-                    let rc = RowCtx { schema: &input.schema, row, outer };
+            for_each_morsel(input.rows.len(), ctx, |range| {
+                for ri in range {
+                    let rc = RowCtx { schema: &input.schema, row: &input.rows[ri], outer };
                     let mut key = Vec::with_capacity(bound_keys.len());
                     for g in &bound_keys {
-                        key.push(eval(g, wctx, Some(&rc))?.group_key());
+                        key.push(eval(g, ctx, Some(&rc))?.group_key());
                     }
-                    keys.push(key);
+                    let gi = *group_index.entry(key).or_insert_with(|| {
+                        groups.push(Vec::new());
+                        groups.len() - 1
+                    });
+                    groups[gi].push(ri);
                 }
-                Ok(keys)
+                Ok(())
             })?;
-            // Phase 2 (merge): first-seen group order == input order.
-            for (ri, key) in key_chunks.into_iter().flatten().enumerate() {
-                let gi = *group_index.entry(key).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[gi].push(ri);
-            }
         }
     }
 
@@ -1098,34 +1068,26 @@ fn run_aggregate(
 
     // Apply HAVING before any output-site prefetch: batching must not pay
     // for projection/sort-key calls on groups HAVING rejects (the per-row
-    // path skips their output expressions entirely). Groups are
-    // independent, so the per-group predicate (aggregates included) is
-    // dispatched over ranges of groups.
+    // path skips their output expressions entirely).
     let survivors: Vec<&Vec<usize>> = match having {
         None => groups.iter().collect(),
         Some(h) => {
-            let verdicts = try_morsels(groups.len(), ctx, |range, wctx| {
-                let mut keep = Vec::with_capacity(range.len());
+            let mut survivors = Vec::new();
+            for_each_morsel(groups.len(), ctx, |range| {
                 for members in &groups[range] {
                     let rep: &[Value] = match members.first() {
                         Some(&i) => &input.rows[i],
                         None => &null_row,
                     };
                     let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
-                    keep.push(
-                        materialize_and_eval(h, members, input, cols, wctx, &rep_ctx)?
-                            .truthiness()
-                            == Some(true),
-                    );
+                    let verdict = materialize_and_eval(h, members, input, cols, ctx, &rep_ctx)?;
+                    if verdict.truthiness() == Some(true) {
+                        survivors.push(members);
+                    }
                 }
-                Ok(keep)
+                Ok(())
             })?;
-            groups
-                .iter()
-                .zip(verdicts.into_iter().flatten())
-                .filter(|(_, keep)| *keep)
-                .map(|(g, _)| g)
-                .collect()
+            survivors
         }
     };
 
@@ -1151,11 +1113,10 @@ fn run_aggregate(
     }
 
     // Per-group output: aggregates and the residual projection evaluate
-    // per surviving group — independent work, dispatched over ranges of
-    // groups.
-    let chunks = try_morsels(survivors.len(), ctx, |range, wctx| {
-        let mut rows: Vec<Row> = Vec::with_capacity(range.len());
-        let mut keys = Vec::new();
+    // per surviving group.
+    let mut rows: Vec<Row> = Vec::with_capacity(survivors.len());
+    let mut keys = Vec::new();
+    for_each_morsel(survivors.len(), ctx, |range| {
         for members in &survivors[range] {
             let rep: &[Value] = match members.first() {
                 Some(&i) => &input.rows[i],
@@ -1164,19 +1125,18 @@ fn run_aggregate(
             let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
             let mut out = Vec::with_capacity(projection.len());
             for (e, _) in projection {
-                out.push(materialize_and_eval(e, members, input, cols, wctx, &rep_ctx)?);
+                out.push(materialize_and_eval(e, members, input, cols, ctx, &rep_ctx)?);
             }
             if !order_exprs.is_empty() {
                 keys.push(output_sort_keys(order_exprs, projection.len(), &out, &mut |e| {
-                    materialize_and_eval(e, members, input, cols, wctx, &rep_ctx)
+                    materialize_and_eval(e, members, input, cols, ctx, &rep_ctx)
                 })?);
             }
             rows.push(out.into());
         }
-        Ok((rows, keys))
+        Ok(())
     })?;
-    let (rows, keys): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
-    Ok((concat(rows), concat(keys)))
+    Ok((rows, keys))
 }
 
 /// Replace aggregate calls in `expr` with their computed literals, then
@@ -1403,8 +1363,7 @@ fn compute_aggregate(
 
 // ---- plan execution --------------------------------------------------------
 
-/// Materialize a plan into a relation. Each operator hands its loop to
-/// [`try_morsels`], which alone decides whether it fans out.
+/// Materialize a plan into a relation.
 pub fn exec_plan(
     plan: &Plan,
     ctx: &ExecCtx<'_>,
@@ -1454,8 +1413,8 @@ pub fn exec_plan(
 
         // A filter batches its own call sites, like every other operator:
         // the cheap conjuncts prune first, the expensive conjuncts' calls
-        // are vectorized across the survivors on the statement thread (the
-        // one `invoke_batch` fans out through the same shared pool), and
+        // are vectorized across the survivors (one `invoke_batch` per call
+        // site, whose model calls overlap), and
         // the expensive conjuncts then evaluate per row against the
         // prefetched results. Each conjunct is collected on its own, so a
         // second expensive conjunct is not "the right-hand side of AND".
@@ -1483,13 +1442,14 @@ pub fn exec_plan(
             let schema = RelSchema::new(
                 mapping.iter().map(|&i| rel.schema.cols[i].clone()).collect(),
             );
-            let chunks = try_morsels(rel.rows.len(), ctx, |range, _| {
-                Ok(rel.rows[range]
-                    .iter()
-                    .map(|r| mapping.iter().map(|&i| r[i].clone()).collect::<Row>())
-                    .collect::<Vec<Row>>())
+            let mut rows: Vec<Row> = Vec::with_capacity(rel.rows.len());
+            for_each_morsel(rel.rows.len(), ctx, |range| {
+                for r in &rel.rows[range] {
+                    rows.push(mapping.iter().map(|&i| r[i].clone()).collect());
+                }
+                Ok(())
             })?;
-            Ok(Relation { schema, rows: concat(chunks) })
+            Ok(Relation { schema, rows })
         }
 
         Plan::Join { left, right, kind, on, emit } => {
@@ -1507,8 +1467,7 @@ fn batches_expensive(expr: &Expr, ctx: &ExecCtx<'_>) -> bool {
 
 /// `input`'s rows that pass `predicate`, nothing prefetched. Columnar
 /// filters beat per-row evaluation on the predicate shapes the kernels
-/// support: one pass over the key columns, no per-row dispatch, at any
-/// thread count.
+/// support: one pass over the key columns, no per-row dispatch.
 fn filter_input(
     input: &Plan,
     predicate: &Expr,
@@ -1597,7 +1556,7 @@ fn exec_plan_with_columns(
 }
 
 /// The batch filter: the predicate's columns are bound to indices up
-/// front, each range evaluates into a keep-bitmap, and one in-place
+/// front, the rows evaluate into a keep-bitmap, and one in-place
 /// compaction drops the rejected rows — survivors are never cloned or moved
 /// into a fresh vector, and input order is kept.
 fn filter_relation(
@@ -1608,17 +1567,17 @@ fn filter_relation(
 ) -> Result<()> {
     let predicate = bind_columns(predicate, &rel.schema);
     let (schema, rows) = (&rel.schema, &rel.rows);
-    let keep = try_morsels(rows.len(), ctx, |range, wctx| {
-        let mut keep = Vec::with_capacity(range.len());
-        for (off, row) in rows[range.clone()].iter().enumerate() {
-            prefetch_row(rows, range.start + off + PREFETCH_AHEAD);
-            let rc = RowCtx { schema, row, outer };
-            keep.push(eval(&predicate, wctx, Some(&rc))?.truthiness() == Some(true));
+    let mut keep = Vec::with_capacity(rows.len());
+    for_each_morsel(rows.len(), ctx, |range| {
+        for ri in range {
+            prefetch_row(rows, ri + PREFETCH_AHEAD);
+            let rc = RowCtx { schema, row: &rows[ri], outer };
+            keep.push(eval(&predicate, ctx, Some(&rc))?.truthiness() == Some(true));
         }
-        Ok(keep)
+        Ok(())
     })?;
-    let mut keep = keep.iter().flatten();
-    rel.rows.retain(|_| *keep.next().unwrap_or(&false));
+    let mut keep = keep.into_iter();
+    rel.rows.retain(|_| keep.next().unwrap_or(false));
     Ok(())
 }
 
@@ -1778,28 +1737,6 @@ fn exec_join(
         hash_join(left, right, kind, &equi, residual, &full_schema, &emission, ctx, outer)?
     };
     Ok(Relation { schema: out_schema, rows })
-}
-
-/// Dispatch a join's probe loop whose candidate pairs go through
-/// `residual`. Expensive UDF calls in the residual are answered by one
-/// batched prefetch over the candidate pairs; whatever that prefetch
-/// misses is invoked per candidate, and only an inline probe invokes each
-/// such tuple once — fanned out, workers would repeat each other's calls.
-fn residual_morsels<'a, T, F>(
-    count: usize,
-    residual: Option<&Expr>,
-    ctx: &ExecCtx<'a>,
-    f: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>, &ExecCtx<'a>) -> Result<T> + Sync,
-{
-    if residual.is_some_and(|r| batches_expensive(r, ctx)) {
-        inline_morsels(count, ctx, f)
-    } else {
-        try_morsels(count, ctx, f)
-    }
 }
 
 /// Extract `l_expr = r_expr` conjuncts where each side is computable from
@@ -1981,8 +1918,8 @@ fn hash_join(
         }
     }
 
-    // Pre-sized build table: one reallocation-free pass on the statement
-    // thread, shared read-only by every probe range. Buckets inline the
+    // Pre-sized build table: one reallocation-free pass, read-only during
+    // the probe. Buckets inline the
     // single-row case (the norm for key/foreign-key joins), so a unique-key
     // build performs zero per-bucket allocations; bucket contents are in
     // build-row order.
@@ -2037,10 +1974,10 @@ fn hash_join(
         })?;
     }
 
-    // The probe: three loop shapes, each dispatched over ranges of probe
-    // rows against the read-only table. Emission order within a range is
-    // probe order, and ranges concatenate in order.
+    // The probe: three loop shapes over the probe rows against the
+    // read-only table. Emission order is probe order.
     let probe_rows = probe.rows();
+    let mut out: Vec<Row> = Vec::with_capacity(probe_rows.len());
 
     // Tight loop for the dominant shape — single direct-column key, no
     // residual, inner join (`a JOIN b ON a.x = b.y`): no per-row enum
@@ -2049,8 +1986,7 @@ fn hash_join(
         // Columnar probe: keys come from the probe table's key column, so
         // the probe row is only dereferenced on an actual match.
         if let Some(col) = probe.key_column(&probe_key) {
-            return Ok(concat(try_morsels(probe_rows.len(), ctx, |range, _| {
-                let mut out = Vec::with_capacity(range.len());
+            for_each_morsel(probe_rows.len(), ctx, |range| {
                 for pi in range {
                     let Some(gk) = col.join_key_at(pi) else { continue };
                     if let Some(cands) = table.get(&JoinKey::One(gk)) {
@@ -2063,13 +1999,13 @@ fn hash_join(
                         }
                     }
                 }
-                Ok(out)
-            })?));
+                Ok(())
+            })?;
+            return Ok(out);
         }
         if let KeySide::Direct(idxs) = &probe_key {
             if let [pk] = idxs[..] {
-                return Ok(concat(try_morsels(probe_rows.len(), ctx, |range, _| {
-                    let mut out = Vec::with_capacity(range.len());
+                for_each_morsel(probe_rows.len(), ctx, |range| {
                     for pi in range {
                         prefetch_row(probe_rows, pi + PREFETCH_AHEAD);
                         let prow = &probe_rows[pi];
@@ -2086,22 +2022,22 @@ fn hash_join(
                             }
                         }
                     }
-                    Ok(out)
-                })?));
+                    Ok(())
+                })?;
+                return Ok(out);
             }
         }
     }
 
     let right_width = right.schema().len();
-    Ok(concat(residual_morsels(probe_rows.len(), residual.as_ref(), ctx, |range, wctx| {
-        let mut out = Vec::with_capacity(range.len());
-        // Scratch buffer for residual evaluation over the full combined
-        // row; only allocated contents, never a fresh Vec per candidate.
-        let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
+    // Scratch buffer for residual evaluation over the full combined row;
+    // only allocated contents, never a fresh Vec per candidate.
+    let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
+    for_each_morsel(probe_rows.len(), ctx, |range| {
         for pi in range {
             prefetch_row(probe_rows, pi + PREFETCH_AHEAD);
             let prow = &probe_rows[pi];
-            let key = probe_key.key(prow, probe.schema(), wctx, outer)?;
+            let key = probe_key.key(prow, probe.schema(), ctx, outer)?;
             let mut matched = false;
             if let Some(key) = key {
                 if let Some(cands) = table.get(&key) {
@@ -2114,7 +2050,7 @@ fn hash_join(
                             scratch.extend_from_slice(lrow);
                             scratch.extend_from_slice(rrow);
                             let cc = RowCtx { schema, row: &scratch, outer };
-                            if eval(res, wctx, Some(&cc))?.truthiness() != Some(true) {
+                            if eval(res, ctx, Some(&cc))?.truthiness() != Some(true) {
                                 continue;
                             }
                         }
@@ -2128,8 +2064,9 @@ fn hash_join(
                 out.push(emission.unmatched(prow, right_width));
             }
         }
-        Ok(out)
-    })?))
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Distance (in rows) to prefetch ahead in streaming row loops. Rows are
@@ -2237,22 +2174,22 @@ fn nested_loop_join(
     // Ranges of the outer (left) side. The work per outer row is |right|,
     // unbounded by the range, so the inner loop keeps its own cancellation
     // check.
-    Ok(concat(residual_morsels(lrows.len(), on.as_ref(), ctx, |range, wctx| {
-        let mut out = Vec::new();
-        let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
-        let mut since_check = 0usize;
+    let mut out = Vec::new();
+    let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
+    let mut since_check = 0usize;
+    for_each_morsel(lrows.len(), ctx, |range| {
         for lrow in &lrows[range] {
             let mut matched = false;
             for rrow in rrows {
                 since_check += 1;
                 if since_check >= CANCEL_CHECK_ROWS {
                     since_check = 0;
-                    wctx.check_cancel()?;
+                    ctx.check_cancel()?;
                 }
                 if let Some(pred) = &on {
                     gather(&mut scratch, lrow, rrow);
                     let cc = RowCtx { schema, row: &scratch, outer };
-                    if eval(pred, wctx, Some(&cc))?.truthiness() != Some(true) {
+                    if eval(pred, ctx, Some(&cc))?.truthiness() != Some(true) {
                         continue;
                     }
                 }
@@ -2263,6 +2200,7 @@ fn nested_loop_join(
                 out.push(emission.unmatched(lrow, right.schema().len()));
             }
         }
-        Ok(out)
-    })?))
+        Ok(())
+    })?;
+    Ok(out)
 }

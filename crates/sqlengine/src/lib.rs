@@ -26,24 +26,15 @@
 //!   keys, hash-join keys and plain-column aggregates run as
 //!   word-at-a-time Kleene-logic / tight-loop kernels over the column
 //!   slices, materializing `Row`s lazily only at the engine boundary.
-//!   `columnar: false` is bit-for-bit the row path, and the differential
-//!   harness pins columnar ≡ row at 1 and 8 threads (PERF.md, "Columnar
+//!   `columnar: false` is bit-for-bit the row path, and the `config_diff`
+//!   differential harness pins columnar ≡ row (PERF.md, "Columnar
 //!   execution", for the measured 1.7–2.2× scan/aggregate speedups);
-//! * **morsel-driven parallel execution** ([`exec_parallel`]): there is
-//!   one executor, and parallelism is a run-time decision of its
-//!   dispatcher, not a property of the plan. Every operator loop in
-//!   [`exec`] is written once against a row range and handed to
-//!   `exec_parallel::try_morsels` with the number of items it covers; a
-//!   loop of [`OptimizerConfig::parallel_threshold`] items or more —
-//!   filters, hash-join probes (against one table built once), nested
-//!   loops, projection, GROUP BY key evaluation, HAVING, per-group output
-//!   and top-k selection alike — fans out over the shared `swan_pool`
-//!   worker pool when [`OptimizerConfig::threads`] resolves to more than
-//!   one; a smaller loop runs inline on the statement thread without
-//!   resolving anything. Results are
-//!   **byte-identical** at every thread count (`SWAN_THREADS=1` is the
-//!   inline dispatch throughout; the `parallel_diff` differential harness
-//!   enforces equivalence at 1, 2 and 8 threads);
+//! * **operator loops on the statement thread** ([`exec`]): every loop
+//!   runs in input order over morsel-sized ranges with a cancellation
+//!   check between them. Concurrency lives where the paper's workload
+//!   waits — the model calls of one batched UDF invocation overlap
+//!   (`swan_llm::parallel`), and [`SharedDb`] sessions run side by side
+//!   (PERF.md, "Concurrency", for why loops do not fan out);
 //! * a **concurrently shareable database** ([`SharedDb`]): an
 //!   `Arc`-cloneable handle whose sessions read O(tables) snapshots
 //!   without blocking writers, while writers serialize per table and
@@ -87,7 +78,7 @@
 //!   `WHERE pk = ?` as an index point probe, pk ranges as ordered
 //!   B-tree-order scans and `ORDER BY pk LIMIT k` without sorting
 //!   ([`OptimizerConfig::index_scan`]; off, it is the scan-only
-//!   reference planner the `slt` and `parallel_diff` harnesses compare
+//!   reference planner the `slt` and `config_diff` harnesses compare
 //!   against), and `tests/paged_storage.rs` asserts the O(k·pages)
 //!   checkpoint byte bound (PERF.md, "Paged storage", for the measured
 //!   ~870× point-probe speedup on 1M rows). This is the only durable
@@ -116,13 +107,13 @@
 //!   statement with a deadline-bearing `swan_pool::CancelToken`,
 //!   installed as the thread's current token for the statement's whole
 //!   span (one arming function, `db::statement_token`, serves all
-//!   three). Every operator loop checks it between morsels, at any
-//!   thread count, long-running UDFs cooperate via
+//!   three). Every operator loop checks it between morsels,
+//!   long-running UDFs cooperate via
 //!   `swan_pool::cancel::check_current()`, and a caller-installed token
 //!   scopes a whole batch (or cancels from another thread). A tripped
 //!   deadline surfaces as [`Error::Deadline`] with pinned wording —
 //!   `statement timeout: deadline exceeded` (`tests/slt/errors.slt`
-//!   locks it in at 1 and 8 threads);
+//!   locks it in);
 //! * **surfaced script transactions**: [`SharedDb::execute_script`]
 //!   refuses to silently drop a transaction a script leaves open — it
 //!   rolls back and errors; a script that wants its span committed ends
@@ -182,7 +173,6 @@ pub mod display;
 pub mod error;
 pub mod eval;
 pub mod exec;
-pub mod exec_parallel;
 pub mod functions;
 pub mod hash;
 pub mod lexer;

@@ -22,12 +22,10 @@
 //!    key to literals reads its rows through a [`Plan::IndexScan`] probe
 //!    instead of a full scan.
 //!
-//! The plan describes the query, never the host or the execution mode:
-//! whether an operator's loop fans out over threads is decided at run time
-//! by [`crate::exec_parallel`], from the number of items the loop is handed,
-//! and whether expensive calls are batched
-//! ([`OptimizerConfig::batch_expensive_udfs`]) by each operator of
-//! [`crate::exec`], the filter included, over its own call sites.
+//! The plan describes the query, never the execution mode: whether
+//! expensive calls are batched ([`OptimizerConfig::batch_expensive_udfs`])
+//! is decided by each operator of [`crate::exec`], the filter included,
+//! over its own call sites.
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::Result;
@@ -56,25 +54,16 @@ pub struct OptimizerConfig {
     /// the same plan either way, and `false` is the per-row reference the
     /// differential suites compare against.
     pub batch_expensive_udfs: bool,
-    /// Worker threads an operator loop may fan out over. `0` means auto:
-    /// the `SWAN_THREADS` environment variable when set, otherwise the
-    /// machine's available parallelism — resolved per loop, and only for a
-    /// loop that reaches [`parallel_threshold`](Self::parallel_threshold).
-    /// `1` dispatches every operator loop inline.
+    /// Ignored: operator loops run on the statement thread. Kept only so
+    /// callers that still set it compile; nothing in the engine reads it.
     pub threads: usize,
-    /// Minimum number of items (rows, groups) handed to *one* operator
-    /// loop before [`crate::exec_parallel::try_morsels`] fans it out;
-    /// below it the loop runs inline on the statement thread, whatever
-    /// the size of the tables behind it. Tests drop this to 1 to drive
-    /// small inputs through the fan-out.
-    pub parallel_threshold: usize,
     /// Use the columnar execution path ([`crate::columnar`]): scans serve
     /// cached typed column vectors, filters over base tables run as
     /// vectorized three-valued-logic kernels, GROUP BY keys, hash-join
     /// keys and `COUNT`/`SUM`/`AVG`/`MIN`/`MAX` read columns directly,
     /// and rows materialize lazily at the engine boundary. `false`
     /// reproduces the row-at-a-time engine bit-for-bit (the differential
-    /// oracle the `slt` and `parallel_diff` harnesses compare against).
+    /// oracle the `slt` and `config_diff` harnesses compare against).
     /// On by default.
     pub columnar: bool,
     /// Rewrite `Filter(Scan)` to `Filter(IndexScan)` when the predicate
@@ -98,14 +87,10 @@ pub struct OptimizerConfig {
     /// the per-row path.
     ///
     /// "Probe instead of scan": on by default; `false` is the scan-only,
-    /// per-row reference the `slt` and `parallel_diff` harnesses compare
+    /// per-row reference the `slt` and `config_diff` harnesses compare
     /// against.
     pub index_scan: bool,
 }
-
-/// Default for [`OptimizerConfig::parallel_threshold`]: four morsels'
-/// worth of items, the point where fan-out stops being noise.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
@@ -117,7 +102,6 @@ impl Default for OptimizerConfig {
             prune_columns: true,
             batch_expensive_udfs: true,
             threads: 0,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             columnar: true,
             index_scan: true,
         }

@@ -15,7 +15,6 @@ use swan_sqlengine::value::Value;
 use swan_sqlengine::{Database, OptimizerConfig, QueryResult, ScalarUdf};
 
 /// Every optimizer rule switched off: the reference executor.
-/// `threads: 1` also pins execution to the serial engine.
 fn all_rules_off() -> OptimizerConfig {
     OptimizerConfig {
         pushdown: false,
@@ -24,7 +23,6 @@ fn all_rules_off() -> OptimizerConfig {
         reorder_joins: false,
         prune_columns: false,
         batch_expensive_udfs: false,
-        threads: 1,
         ..Default::default()
     }
 }

@@ -336,9 +336,8 @@ fn txn_snapshot_reads_are_stable_under_concurrent_commits() {
     assert_eq!(db.row_count("churn"), Some(2 * ITERS));
 }
 
-/// Sessions can run parallel (morsel-driven) queries concurrently: the
-/// shared compute pool serves many statements at once, and a
-/// statement-scoped expensive UDF is still batched per statement.
+/// Sessions run queries concurrently, and a statement-scoped expensive
+/// UDF is still batched per statement.
 #[derive(Default)]
 struct CountingTag {
     tuples: AtomicU64,
@@ -359,8 +358,6 @@ impl ScalarUdf for CountingTag {
 
 #[test]
 fn concurrent_parallel_queries_agree_and_batch() {
-    use swan_sqlengine::OptimizerConfig;
-
     let db = SharedDb::new();
     let tag = Arc::new(CountingTag::default());
     db.register_udf(tag.clone());
@@ -377,7 +374,6 @@ fn concurrent_parallel_queries_agree_and_batch() {
             db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
         }
     }
-    db.set_optimizer(OptimizerConfig { threads: 4, parallel_threshold: 1, ..Default::default() });
 
     let expected = db.query("SELECT id FROM t WHERE ctag(n) = 'v3' ORDER BY id").unwrap();
     let baseline = tag.tuples.load(Ordering::SeqCst);

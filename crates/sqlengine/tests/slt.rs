@@ -29,14 +29,12 @@
 //!   it, up to a blank line, are the expected rows. Cells are joined
 //!   with `|`; `NULL` renders as the literal `NULL`.
 //!
-//! Every file runs twice on a fresh [`SharedDb`] session — once with the
-//! serial engine (`threads = 1`) and once morsel-parallel
-//! (`threads = 8`, `parallel_threshold = 1` so even the tiny loops of
-//! these tables fan out) — and again at both thread counts with the
-//! scan-only planner (`index_scan = false`, the reference for the
-//! primary-key index rewrites) and with the row-at-a-time engine
-//! (`columnar = false`, the reference for the columnar kernels); every
-//! run must match the golden output byte for byte. Statements execute
+//! Every file runs four times, each on a fresh [`SharedDb`] session: with
+//! and without the scan-only planner (`index_scan = false`, the reference
+//! for the primary-key index rewrites), each on the columnar kernels and
+//! on the row-at-a-time engine (`columnar = false`, the reference for the
+//! kernels); every run must match the golden output byte for byte.
+//! Statements execute
 //! through a [`Session`], so `BEGIN`/`COMMIT`/`ROLLBACK` scripts exercise
 //! the transaction path.
 //!
@@ -219,16 +217,10 @@ fn render_cell(v: &Value) -> String {
 
 /// Run one file under one engine configuration; returns every query's
 /// rendered output (for the cross-configuration comparison).
-fn run_file(path: &Path, threads: usize, index_scan: bool, columnar: bool) -> Vec<Vec<String>> {
-    let config = format!("threads={threads} index_scan={index_scan} columnar={columnar}");
+fn run_file(path: &Path, index_scan: bool, columnar: bool) -> Vec<Vec<String>> {
+    let config = format!("index_scan={index_scan} columnar={columnar}");
     let db = SharedDb::new();
-    db.set_optimizer(OptimizerConfig {
-        threads,
-        parallel_threshold: 1,
-        index_scan,
-        columnar,
-        ..Default::default()
-    });
+    db.set_optimizer(OptimizerConfig { index_scan, columnar, ..Default::default() });
     db.register_udf(Arc::new(FlakyMap::default()));
     db.register_udf(Arc::new(SlowProbe));
     let mut session = db.session();
@@ -323,27 +315,18 @@ fn slt_files() -> Vec<PathBuf> {
     files
 }
 
-/// Every golden file passes on the serial engine and the 8-thread
-/// morsel-parallel engine, with and without primary-key index scans, on
+/// Every golden file passes with and without primary-key index scans, on
 /// the columnar kernels and the row path, with byte-identical query
 /// output.
 #[test]
-fn golden_sql_files_match_at_one_and_eight_threads() {
+fn golden_sql_files_match_in_every_configuration() {
     for path in slt_files() {
-        let serial = run_file(&path, 1, true, true);
-        for (threads, index_scan, columnar) in [
-            (8, true, true),
-            (1, false, true),
-            (8, false, true),
-            (1, true, false),
-            (8, true, false),
-            (1, false, false),
-            (8, false, false),
-        ] {
+        let default = run_file(&path, true, true);
+        for (index_scan, columnar) in [(false, true), (true, false), (false, false)] {
             assert_eq!(
-                serial,
-                run_file(&path, threads, index_scan, columnar),
-                "{}: serial and threads={threads} index_scan={index_scan} columnar={columnar} outputs diverged",
+                default,
+                run_file(&path, index_scan, columnar),
+                "{}: default and index_scan={index_scan} columnar={columnar} outputs diverged",
                 path.display()
             );
         }

@@ -22,7 +22,7 @@ use swan_sqlengine::{Error, OptimizerConfig, Result, ScalarUdf, Session, SharedD
 /// The scan-only, row-at-a-time engine: DML finds its rows by evaluating
 /// WHERE on every row, reads never touch a column vector.
 fn reference_config() -> OptimizerConfig {
-    OptimizerConfig { index_scan: false, columnar: false, threads: 1, ..Default::default() }
+    OptimizerConfig { index_scan: false, columnar: false, ..Default::default() }
 }
 
 /// One column per columnar class: `n` I64, `flag` Bool, `r` F64, `s` Text

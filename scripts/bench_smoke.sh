@@ -47,15 +47,6 @@ run join_scaling
 # or stopped engaging.
 run columnar_scan
 
-# Morsel-driven parallel execution across the thread matrix: each
-# workload prints t1 (serial engine) through t8 rows. Compare within a
-# workload — CPU-bound speedup is bounded by `nproc`, the latency-bound
-# hybrid join/agg case by the thread count. Reference numbers live in
-# crates/sqlengine/PERF.md ("Parallel execution"); if tN rows stop
-# improving on (or blow past the overhead envelope of) the recorded
-# ratios, morsel execution has regressed.
-run parallel_scaling
-
 # Primary-key serving on 1M rows: each shape (point probe, 64-row
 # BETWEEN, pk ORDER BY LIMIT 10) prints an _index and a _scan variant;
 # the pairwise ratio is the index-scan speedup. The bench itself asserts

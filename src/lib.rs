@@ -7,7 +7,7 @@
 //! This facade crate re-exports the public API of the workspace crates:
 //!
 //! * [`sqlengine`] — the embedded SQL engine standing in for SQLite:
-//!   parser → planner → optimizer → columnar / morsel-parallel executor,
+//!   parser → planner → optimizer → columnar executor,
 //!   a scalar-UDF registry with batched expensive-function calls,
 //!   [`SharedDb`](sqlengine::SharedDb) sessions under snapshot isolation,
 //!   and crash durability (write-ahead log, group commit, paged B-tree
@@ -15,7 +15,7 @@
 //!   is the in-memory statement executor both solutions run on. Its crate docs list the features; the measurements are in
 //!   `crates/sqlengine/PERF.md`.
 //! * [`llm`] — the language-model layer: prompt templates, token and
-//!   cost accounting, parallel fan-out, the calibrated simulated
+//!   cost accounting, parallel model calls, the calibrated simulated
 //!   GPT-3.5 / GPT-4 models, and the resilient transport seam (retries,
 //!   timeouts, circuit breaker — `crates/llm/RESILIENCE.md`).
 //! * [`data`] — the SWAN benchmark: four synthetic domain databases,

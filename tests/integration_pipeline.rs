@@ -97,14 +97,13 @@ fn udf_model_calls_match_the_prepass_era() {
 /// The paper's 360 statements do not move with the planner: all 120
 /// `gold_sql`, all 120 `hybrid_sql` (after materialisation) and all 120
 /// `udf_sql` return byte-identical rows under the default configuration
-/// and under the reference planner — serial, row-at-a-time, scan-only,
-/// where a correlated subquery re-executes per outer row and nothing
-/// builds a hash index — and the UDF pass makes exactly as many model
-/// calls in both.
+/// and under the reference planner — row-at-a-time, scan-only, where a
+/// correlated subquery re-executes per outer row and nothing builds a
+/// hash index — and the UDF pass makes exactly as many model calls in
+/// both.
 #[test]
 fn paper_statements_match_the_reference_planner() {
-    let reference =
-        OptimizerConfig { threads: 1, columnar: false, index_scan: false, ..Default::default() };
+    let reference = OptimizerConfig { columnar: false, index_scan: false, ..Default::default() };
     let rendered = |r: QueryResult| -> Vec<Vec<String>> {
         r.rows.iter().map(|row| row.iter().map(Value::render).collect()).collect()
     };

@@ -6,9 +6,9 @@
 //! respond slowly (inside or past the per-call budget) or return
 //! malformed output. This harness sweeps **every fault kind through
 //! every call index** of a small `llm_map` workload under three
-//! execution shapes — serial, 8-thread morsel-parallel, and eight
-//! concurrent [`SharedDb`] sessions coalescing through the single-flight
-//! map — and checks the resilience contract:
+//! execution shapes — serial model calls, model calls fanned out over
+//! eight workers, and eight concurrent [`SharedDb`] sessions coalescing
+//! through the single-flight map — and checks the resilience contract:
 //!
 //! 1. **No hangs** — every statement completes; time is virtual
 //!    ([`SimClock`]), so even a 60-second simulated hang finishes
@@ -38,7 +38,7 @@ use swan_llm::{
     RetryPolicy, SimTransport, TokenCount, UsageMeter,
 };
 use swan_pool::{Clock as _, SimClock};
-use swan_sqlengine::{Error, OptimizerConfig, SharedDb};
+use swan_sqlengine::{Error, SharedDb};
 
 /// A model that answers every UDF prompt with one `'ok'` line per key —
 /// instantly (latency is the transport's job) — and counts completions.
@@ -140,21 +140,17 @@ fn sweep_config() -> UdfConfig {
     UdfConfig { batch_size: 1, workers: 1, ..UdfConfig::default() }
 }
 
-fn setup_keys(rig: &mut Rig, threads: usize) {
+fn setup_keys(rig: &mut Rig) {
     let db = rig.runner.database_mut();
-    db.set_optimizer(OptimizerConfig {
-        threads,
-        parallel_threshold: if threads > 1 { 1 } else { usize::MAX },
-        ..OptimizerConfig::default()
-    });
     db.execute("CREATE TABLE keys (k TEXT PRIMARY KEY)").unwrap();
     db.execute("INSERT INTO keys VALUES ('a'), ('b'), ('c')").unwrap();
 }
 
 const SQL: &str = "SELECT k, llm_map('fault sweep probe', k) FROM keys ORDER BY k";
 
-/// The core sweep: every fault kind at every call index, serial and
-/// 8-thread morsel-parallel. A single injected fault must always be
+/// The core sweep: every fault kind at every call index, with the model
+/// calls serial and fanned out over eight workers. A single injected
+/// fault must always be
 /// absorbed — retried to the baseline answer — without opening the
 /// breaker, degrading a value, or failing the statement; `Malformed` is
 /// the one exception (the transport cannot tell it failed), which must
@@ -162,19 +158,20 @@ const SQL: &str = "SELECT k, llm_map('fault sweep probe', k) FROM keys ORDER BY 
 #[test]
 fn fault_sweep_serial_and_parallel() {
     let d = domain();
-    for threads in [1, 8] {
-        let mut base = rig(&d, sweep_config(), fast_retry(), BreakerPolicy::default());
-        setup_keys(&mut base, threads);
+    for workers in [1, 8] {
+        let config = UdfConfig { workers, ..sweep_config() };
+        let mut base = rig(&d, config, fast_retry(), BreakerPolicy::default());
+        setup_keys(&mut base);
         let baseline = base.runner.database_mut().query(SQL).unwrap();
         let total_calls = base.transport.calls();
-        assert!(total_calls >= 3, "threads={threads}: sweep needs ≥3 call indices, got {total_calls}");
+        assert!(total_calls >= 3, "workers={workers}: sweep needs ≥3 call indices, got {total_calls}");
         assert_eq!(baseline.rows.len(), 3);
 
         for fault in FAULTS {
             for at in 0..total_calls {
-                let ctx = format!("threads={threads} fault {fault:?} @call {at}");
-                let mut r = rig(&d, sweep_config(), fast_retry(), BreakerPolicy::default());
-                setup_keys(&mut r, threads);
+                let ctx = format!("workers={workers} fault {fault:?} @call {at}");
+                let mut r = rig(&d, config, fast_retry(), BreakerPolicy::default());
+                setup_keys(&mut r);
                 r.transport.set_fault(at, fault);
                 let got = r
                     .runner
@@ -219,7 +216,7 @@ fn fault_sweep_concurrent_sessions_single_flight() {
     // Baseline sizes the sweep (3 coalesced fetches, one per key).
     let base = rig(&d, sweep_config(), fast_retry(), BreakerPolicy::default());
     let mut base = base;
-    setup_keys(&mut base, 1);
+    setup_keys(&mut base);
     let shared = SharedDb::from_database(base.runner.database().clone());
     let baseline = shared.query(SQL).unwrap();
     let total_calls = base.transport.calls();
@@ -229,7 +226,7 @@ fn fault_sweep_concurrent_sessions_single_flight() {
         for at in 0..total_calls {
             let ctx = format!("sessions fault {fault:?} @call {at}");
             let mut r = rig(&d, sweep_config(), fast_retry(), BreakerPolicy::default());
-            setup_keys(&mut r, 1);
+            setup_keys(&mut r);
             let shared = SharedDb::from_database(r.runner.database().clone());
             shared.set_clock(r.clock.clone());
             r.transport.set_fault(at, fault);
@@ -280,7 +277,7 @@ fn terminal_failures_follow_the_degradation_policy() {
 
     // Fail: the statement errors, and the cache stays empty.
     let mut r = rig(&d, sweep_config(), fast_retry(), BreakerPolicy::default());
-    setup_keys(&mut r, 1);
+    setup_keys(&mut r);
     r.transport.add_fault_range(0..1_000, ModelFault::Transient);
     let err = r.runner.database_mut().query(SQL).unwrap_err();
     assert!(matches!(err, Error::Udf { .. }), "fail-policy surfaces the model error: {err}");
@@ -296,7 +293,7 @@ fn terminal_failures_follow_the_degradation_policy() {
     // empty so recovery serves real answers.
     let config = UdfConfig { on_model_failure: OnModelFailure::Null, ..sweep_config() };
     let mut r = rig(&d, config, fast_retry(), BreakerPolicy::default());
-    setup_keys(&mut r, 1);
+    setup_keys(&mut r);
     r.transport.add_fault_range(0..1_000, ModelFault::RateLimited);
     let got = r.runner.database_mut().query(SQL).unwrap();
     assert!(
@@ -319,7 +316,7 @@ fn terminal_failures_follow_the_degradation_policy() {
         ..sweep_config()
     };
     let mut r = rig(&d, config, fast_retry(), BreakerPolicy::default());
-    setup_keys(&mut r, 1);
+    setup_keys(&mut r);
     let fresh = r.runner.run_sql(SQL).unwrap();
     assert!(fresh.rows.iter().all(|row| row[1] != Value::Null));
     r.transport.add_fault_range(0..1_000, ModelFault::Transient);
@@ -340,7 +337,7 @@ fn assert_deadline_bounds_the_statement(run: fn(&mut UdfRunner) -> swan_sqlengin
     for policy in [OnModelFailure::Fail, OnModelFailure::Null, OnModelFailure::StaleCache] {
         let config = UdfConfig { on_model_failure: policy, ..sweep_config() };
         let mut r = rig(&d, config, fast_retry(), BreakerPolicy::default());
-        setup_keys(&mut r, 1);
+        setup_keys(&mut r);
         r.transport.add_fault_range(0..1_000, ModelFault::Timeout);
         r.runner.database_mut().set_statement_timeout(Some(Duration::from_millis(250)));
         let start = r.clock.now();
@@ -380,15 +377,16 @@ fn run_sql_deadline_covers_every_model_call() {
     });
 }
 
-/// The deadline also cancels an 8-thread morsel-parallel statement
-/// promptly: pool workers observe the statement token between morsels,
-/// the batch fan-out aborts, and the pool survives to run the next
-/// statement.
+/// The deadline also cancels a statement whose model calls fan out over
+/// eight pool workers promptly: every worker observes the statement token
+/// it was handed, the batch fan-out aborts, and the pool survives to run
+/// the next statement.
 #[test]
 fn deadline_cancels_parallel_statements_cleanly() {
     let d = domain();
-    let mut r = rig(&d, sweep_config(), fast_retry(), BreakerPolicy::default());
-    setup_keys(&mut r, 8);
+    let config = UdfConfig { workers: 8, ..sweep_config() };
+    let mut r = rig(&d, config, fast_retry(), BreakerPolicy::default());
+    setup_keys(&mut r);
     r.transport.add_fault_range(0..1_000, ModelFault::Timeout);
     r.runner.database_mut().set_statement_timeout(Some(Duration::from_millis(250)));
     let err = r.runner.database_mut().query(SQL).unwrap_err();
@@ -411,7 +409,7 @@ fn breaker_transitions_match_the_fault_script() {
     let retry = RetryPolicy { max_attempts: 1, ..fast_retry() };
     let breaker = BreakerPolicy { failure_threshold: 3, cooldown: Duration::from_secs(5) };
     let mut r = rig(&d, config, retry, breaker);
-    setup_keys(&mut r, 1);
+    setup_keys(&mut r);
     assert_eq!(r.runner.stats().breaker, Some(BreakerState::Closed));
 
     // Three consecutive scripted failures: the batch phase burns exactly

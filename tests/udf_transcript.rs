@@ -21,11 +21,6 @@ fn transcript(config: UdfConfig) -> (u64, u64, u64) {
     let kb = build_knowledge(std::slice::from_ref(&domain));
     let model = Arc::new(Recording::new(SimulatedModel::new(ModelKind::Gpt35Turbo, kb)));
     let mut runner = UdfRunner::new(&domain, model.clone(), config);
-    // One thread: call order is then a property of the pathway, not of
-    // the host or of SWAN_THREADS.
-    runner
-        .database_mut()
-        .set_optimizer(OptimizerConfig { threads: 1, ..OptimizerConfig::default() });
 
     let mut results = Fnv::new();
     for q in &domain.questions {
