@@ -16,6 +16,7 @@
 use swan_data::{DomainData, Expansion};
 use swan_llm::prompt::{parse_row, Field};
 use swan_llm::{parallel, LanguageModel, RowCompletionPrompt, RowExample};
+use swan_pool::hash::FxHashSet;
 use swan_sqlengine::{Column, Database, Table, Value};
 
 /// HQDL configuration.
@@ -158,7 +159,7 @@ pub fn expansion_key_rows(
         .iter()
         .map(|c| table.column_index(c).expect("key column exists"))
         .collect();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut out = Vec::new();
     for row in table.rows() {
         let rendered: Vec<String> = idx.iter().map(|&i| row[i].render()).collect();

@@ -2,10 +2,11 @@
 //! factuality (cell-level F1), and token accounting lives in
 //! [`swan_llm::usage`].
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 use swan_data::DomainData;
 use swan_llm::KnownValue;
+use swan_pool::hash::{map_with_capacity, FxHashMap, FxHashSet};
 use swan_sqlengine::{Database, QueryResult, Value};
 
 /// Compare two result cells. Numerics compare with a small relative
@@ -119,11 +120,24 @@ impl FactualityReport {
 /// (§5.1): exact string match per cell; one-to-many cells score the F1 of
 /// the generated set against the true set.
 pub fn factuality(domain: &DomainData, materialized: &Database) -> FactualityReport {
-    // Index ground truth.
-    let mut truth: HashMap<(&[String], &str), &KnownValue> =
-        HashMap::with_capacity(domain.facts.len());
-    for f in &domain.facts {
-        truth.insert((f.key.as_slice(), f.attribute.as_str()), &f.value);
+    // Index the ground truth of the generated attributes (no other fact is
+    // ever looked up) by entity, so a row probes once for all its cells. A
+    // later fact for the same cell replaces an earlier one.
+    let generated: FxHashSet<&str> = domain
+        .curation
+        .expansions
+        .iter()
+        .flat_map(|e| &e.generated)
+        .map(|g| g.name.as_str())
+        .collect();
+    let mut truth: FxHashMap<&[String], Vec<(&str, &KnownValue)>> =
+        map_with_capacity(domain.facts.len());
+    for f in domain.facts.iter().filter(|f| generated.contains(f.attribute.as_str())) {
+        let facts = truth.entry(f.key.as_slice()).or_default();
+        match facts.iter_mut().find(|(a, _)| *a == f.attribute) {
+            Some((_, value)) => *value = &f.value,
+            None => facts.push((f.attribute.as_str(), &f.value)),
+        }
     }
 
     let mut report = FactualityReport::default();
@@ -132,29 +146,25 @@ pub fn factuality(domain: &DomainData, materialized: &Database) -> FactualityRep
             continue;
         };
         let key_len = expansion.key_columns.len();
-        let multi: Vec<bool> = expansion
-            .generated
-            .iter()
-            .map(|g| g.class == swan_llm::AttrClass::MultiValue)
-            .collect();
         for row in table.rows() {
             let key: Vec<String> = row[..key_len].iter().map(Value::render).collect();
+            let Some(facts) = truth.get(key.as_slice()) else {
+                continue;
+            };
             for (gi, g) in expansion.generated.iter().enumerate() {
-                let generated = row[key_len + gi].render();
-                let Some(true_value) = truth.get(&(key.as_slice(), g.name.as_str())) else {
+                // A cell with no truth is not scored, so it is not rendered.
+                let Some((_, true_value)) = facts.iter().find(|(a, _)| *a == g.name) else {
                     continue;
                 };
-                let f1 = match true_value {
-                    KnownValue::One(v) => {
-                        if !multi[gi] {
-                            (generated == *v) as u8 as f64
-                        } else {
-                            set_f1(&split_list(&generated), &split_list(v))
-                        }
-                    }
-                    KnownValue::Many(vs) => set_f1(&split_list(&generated), vs),
+                let value = &row[key_len + gi];
+                let cell =
+                    value.as_str().map_or_else(|| Cow::Owned(value.render()), Cow::Borrowed);
+                let multi = g.class == swan_llm::AttrClass::MultiValue;
+                report.f1_sum += match true_value {
+                    KnownValue::One(v) if !multi => (*cell == **v) as u8 as f64,
+                    KnownValue::One(v) => set_f1(&split_list(&cell), &split_list(v)),
+                    KnownValue::Many(vs) => set_f1(&split_list(&cell), vs),
                 };
-                report.f1_sum += f1;
                 report.cells += 1;
             }
         }
@@ -200,6 +210,7 @@ pub fn set_f1(generated: &[String], truth: &[String]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn qr(rows: Vec<Vec<Value>>) -> QueryResult {
         QueryResult {
@@ -379,5 +390,169 @@ mod tests {
         let report = factuality(&domain, &db);
         assert_eq!(report.cells, 2, "one cell per distinct non-NULL key");
         assert_eq!(report.average_f1(), 1.0);
+    }
+
+    /// `factuality` as it read when it indexed every fact with SipHash and
+    /// rendered each generated cell before looking its truth up: the
+    /// reference for the indexed, lookup-first body.
+    fn reference_factuality(domain: &DomainData, materialized: &Database) -> FactualityReport {
+        let mut truth: HashMap<(&[String], &str), &KnownValue> =
+            HashMap::with_capacity(domain.facts.len());
+        for f in &domain.facts {
+            truth.insert((f.key.as_slice(), f.attribute.as_str()), &f.value);
+        }
+        let mut report = FactualityReport::default();
+        for expansion in &domain.curation.expansions {
+            let Some(table) = materialized.catalog().get(&expansion.table) else {
+                continue;
+            };
+            let key_len = expansion.key_columns.len();
+            let multi: Vec<bool> = expansion
+                .generated
+                .iter()
+                .map(|g| g.class == swan_llm::AttrClass::MultiValue)
+                .collect();
+            for row in table.rows() {
+                let key: Vec<String> = row[..key_len].iter().map(Value::render).collect();
+                for (gi, g) in expansion.generated.iter().enumerate() {
+                    let generated = row[key_len + gi].render();
+                    let Some(true_value) = truth.get(&(key.as_slice(), g.name.as_str())) else {
+                        continue;
+                    };
+                    let f1 = match true_value {
+                        KnownValue::One(v) => {
+                            if !multi[gi] {
+                                (generated == *v) as u8 as f64
+                            } else {
+                                set_f1(&split_list(&generated), &split_list(v))
+                            }
+                        }
+                        KnownValue::Many(vs) => set_f1(&split_list(&generated), vs),
+                    };
+                    report.f1_sum += f1;
+                    report.cells += 1;
+                }
+            }
+            let expected = crate::hqdl::expansion_keys(&domain.curated, expansion).len();
+            if expected > table.len() {
+                report.cells += (expected - table.len()) * expansion.generated.len();
+            }
+        }
+        report
+    }
+
+    /// Cell text: ASCII and non-ASCII, list separators, the empty string.
+    const TEXT: &str = "[ a-cA-C0-9,'é漢]{0,6}";
+
+    /// A text column table named `name` holding `rows`.
+    fn text_table(name: &str, columns: &[&str], rows: &[Vec<String>]) -> swan_sqlengine::Table {
+        let mut table = swan_sqlengine::Table::new(
+            name.to_string(),
+            columns.iter().map(|c| swan_sqlengine::Column::new(c.to_string())).collect(),
+            &[],
+        )
+        .unwrap();
+        for row in rows {
+            table.insert_row(row.iter().map(|v| Value::text(v.clone())).collect()).unwrap();
+        }
+        table
+    }
+
+    proptest::proptest! {
+        /// Indexing the generated attributes' facts only, by entity and
+        /// with Fx hashing, and rendering a cell only once it has a truth
+        /// (a text cell not at all) scores every
+        /// materialization as the full SipHash index did: two-part keys of
+        /// ASCII and non-ASCII text (repeated and empty ones included),
+        /// single, one-to-many and empty truths, facts of an attribute no
+        /// expansion generates, cells equal to the truth or not, and rows
+        /// the model never returned.
+        #[test]
+        fn factuality_scores_as_the_full_index_did(
+            keys in proptest::collection::vec(proptest::collection::vec(TEXT, 2..3), 1..7),
+            facts in proptest::collection::vec(
+                (0usize..7, 0usize..4, 0usize..2, proptest::collection::vec(TEXT, 0..3)),
+                0..20,
+            ),
+            rows in proptest::collection::vec(
+                (0usize..7, proptest::collection::vec((0usize..3, TEXT), 3..4)),
+                0..9,
+            ),
+        ) {
+            use swan_data::{CurationSpec, Expansion, Fact, GenColumn};
+            const ATTRIBUTES: [&str; 4] = ["plain", "listed", "many", "elsewhere"];
+            let facts: Vec<Fact> = facts
+                .into_iter()
+                .map(|(entity, attribute, kind, values)| Fact {
+                    key: keys[entity % keys.len()].clone(),
+                    attribute: ATTRIBUTES[attribute].to_string(),
+                    value: if kind == 0 {
+                        KnownValue::One(values.join(", "))
+                    } else {
+                        KnownValue::Many(values)
+                    },
+                })
+                .collect();
+            let truth_of = |key: &[String], attribute: &str| {
+                facts
+                    .iter()
+                    .rev()
+                    .find(|f| f.key == key && f.attribute == attribute)
+                    .map(|f| f.value.condensed())
+            };
+            let materialized_rows: Vec<Vec<String>> = rows
+                .into_iter()
+                .map(|(entity, cells)| {
+                    let key = &keys[entity % keys.len()];
+                    let mut row = key.clone();
+                    for (attribute, (choice, text)) in ATTRIBUTES.iter().zip(cells) {
+                        row.push(match (choice, truth_of(key, attribute)) {
+                            (0, Some(truth)) => truth,
+                            (2, _) => String::new(),
+                            _ => text,
+                        });
+                    }
+                    row
+                })
+                .collect();
+            let mut curated = Database::new();
+            curated.catalog_mut().put_table(text_table("base", &["k1", "k2"], &keys));
+            let domain = DomainData {
+                name: "d".into(),
+                display_name: "D".into(),
+                original: curated.clone(),
+                curated,
+                curation: CurationSpec {
+                    dropped_columns: vec![],
+                    dropped_tables: vec![],
+                    expansions: vec![Expansion {
+                        table: "llm_base".into(),
+                        base_table: "base".into(),
+                        key_columns: vec!["k1".into(), "k2".into()],
+                        generated: vec![
+                            GenColumn::free_form("plain"),
+                            GenColumn::selection("listed", vec![]),
+                            GenColumn::multi("many", vec![]),
+                        ],
+                    }],
+                },
+                facts,
+                popularity: vec![],
+                phrases: vec![],
+                questions: vec![],
+            };
+            let mut materialized = domain.curated.clone();
+            materialized.catalog_mut().put_table(text_table(
+                "llm_base",
+                &["k1", "k2", "plain", "listed", "many"],
+                &materialized_rows,
+            ));
+            let new = factuality(&domain, &materialized);
+            let old = reference_factuality(&domain, &materialized);
+            proptest::prop_assert_eq!(
+                (new.f1_sum.to_bits(), new.cells),
+                (old.f1_sum.to_bits(), old.cells)
+            );
+        }
     }
 }

@@ -124,7 +124,7 @@ mod tests {
         assert!(!candidates.is_empty());
         for fact in d.facts.iter().filter(|f| f.attribute == "publisher_name").take(20) {
             match kb.lookup("superhero", &fact.key, "publisher_name") {
-                Some(KnownValue::One(v)) => assert!(candidates.contains(&v)),
+                Some(KnownValue::One(v)) => assert!(candidates.contains(v)),
                 other => panic!("missing publisher fact: {other:?}"),
             }
         }

@@ -6,8 +6,15 @@
 //! through the calibrated noise channel in [`crate::noise`]. DESIGN.md
 //! documents this substitution; everything downstream of the
 //! [`LanguageModel`](crate::model::LanguageModel) trait is agnostic to it.
+//!
+//! [`StaticKnowledge`] keeps one entity map per database, keyed by the key
+//! tuple and hashed with the workspace's
+//! [`FxHasher`](swan_pool::hash::FxHasher). An [`Entity`] holds the
+//! entity's popularity and its attribute → fact list, so the one probe the
+//! simulator makes per entity gives every cell of it both the popularity
+//! the noise channel reads and the truth it distorts.
 
-use std::collections::HashMap;
+use swan_pool::hash::FxHashMap;
 
 /// How an attribute's values behave, which drives both prompt construction
 /// and the error model (paper §3.3).
@@ -43,15 +50,42 @@ impl KnownValue {
     }
 }
 
+/// What a knowledge base holds about one entity: its popularity and its
+/// facts, at most one per attribute.
+#[derive(Debug, Default)]
+pub struct Entity {
+    popularity: Option<f64>,
+    facts: Vec<(String, KnownValue)>,
+}
+
+impl Entity {
+    /// Popularity in [0, 1]; 0.5 when none was set.
+    pub fn popularity(&self) -> f64 {
+        self.popularity.unwrap_or(0.5)
+    }
+
+    /// Ground truth for `attribute`.
+    pub fn fact(&self, attribute: &str) -> Option<&KnownValue> {
+        self.facts.iter().find(|(a, _)| a == attribute).map(|(_, v)| v)
+    }
+}
+
 /// World knowledge the simulated model can consult.
 ///
 /// Keys are the "meaningful keys" the benchmark curates for LLM
 /// consumption (§3.4): human-readable attribute combinations, never
 /// surrogate integer ids.
 pub trait KnowledgeBase: Send + Sync {
+    /// The entity identified by `key` within database `db` — its
+    /// popularity and facts in one probe. `None` when nothing is known
+    /// about it.
+    fn entity(&self, db: &str, key: &[String]) -> Option<&Entity>;
+
     /// Ground truth for `attribute` of the entity identified by `key`
-    /// within database `db`. `None` when the entity is unknown.
-    fn lookup(&self, db: &str, key: &[String], attribute: &str) -> Option<KnownValue>;
+    /// within database `db`. `None` when the entity or the fact is unknown.
+    fn lookup(&self, db: &str, key: &[String], attribute: &str) -> Option<&KnownValue> {
+        self.entity(db, key)?.fact(attribute)
+    }
 
     /// Map a natural-language question to the attribute it asks about
     /// (the simulator's stand-in for language understanding). Paraphrases
@@ -61,7 +95,9 @@ pub trait KnowledgeBase: Send + Sync {
     /// Popularity of the entity in [0, 1]; 1 = extremely well-known.
     /// Models the paper's observation (§5.3) that LLMs are more accurate
     /// on prominent, high-socioeconomic-status entities.
-    fn popularity(&self, db: &str, key: &[String]) -> f64;
+    fn popularity(&self, db: &str, key: &[String]) -> f64 {
+        self.entity(db, key).map_or(0.5, Entity::popularity)
+    }
 
     /// The value class of an attribute.
     fn attribute_class(&self, db: &str, attribute: &str) -> AttrClass;
@@ -78,13 +114,21 @@ pub trait KnowledgeBase: Send + Sync {
 /// nothing.
 #[derive(Debug, Default)]
 struct DbKnowledge {
-    /// attribute → key tuple → ground truth.
-    facts: HashMap<String, HashMap<Vec<String>, KnownValue>>,
+    /// key tuple → popularity and facts.
+    entities: FxHashMap<Vec<String>, Entity>,
     /// normalized question → attribute.
-    questions: HashMap<String, String>,
-    popularity: HashMap<Vec<String>, f64>,
-    classes: HashMap<String, AttrClass>,
-    candidates: HashMap<String, Vec<String>>,
+    questions: FxHashMap<String, String>,
+    classes: FxHashMap<String, AttrClass>,
+    candidates: FxHashMap<String, Vec<String>>,
+}
+
+impl DbKnowledge {
+    fn entity_mut(&mut self, key: &[String]) -> &mut Entity {
+        if !self.entities.contains_key(key) {
+            self.entities.insert(key.to_vec(), Entity::default());
+        }
+        self.entities.get_mut(key).expect("just inserted")
+    }
 }
 
 /// An in-memory [`KnowledgeBase`] built from explicit facts; the benchmark
@@ -92,7 +136,7 @@ struct DbKnowledge {
 /// small ones by hand.
 #[derive(Debug, Default)]
 pub struct StaticKnowledge {
-    dbs: HashMap<String, DbKnowledge>,
+    dbs: FxHashMap<String, DbKnowledge>,
 }
 
 impl StaticKnowledge {
@@ -107,6 +151,8 @@ impl StaticKnowledge {
         self.dbs.get_mut(db).expect("just inserted")
     }
 
+    /// Record `value` as the truth of `attribute` for `key`; a later fact
+    /// for the same key and attribute replaces it.
     pub fn add_fact(
         &mut self,
         db: &str,
@@ -114,11 +160,11 @@ impl StaticKnowledge {
         attribute: &str,
         value: KnownValue,
     ) -> &mut Self {
-        let facts = &mut self.db_mut(db).facts;
-        if !facts.contains_key(attribute) {
-            facts.insert(attribute.to_string(), HashMap::new());
+        let facts = &mut self.db_mut(db).entity_mut(key).facts;
+        match facts.iter_mut().find(|(a, _)| a == attribute) {
+            Some((_, known)) => *known = value,
+            None => facts.push((attribute.to_string(), value)),
         }
-        facts.get_mut(attribute).expect("just inserted").insert(key.to_vec(), value);
         self
     }
 
@@ -128,7 +174,7 @@ impl StaticKnowledge {
     }
 
     pub fn set_popularity(&mut self, db: &str, key: &[String], pop: f64) -> &mut Self {
-        self.db_mut(db).popularity.insert(key.to_vec(), pop.clamp(0.0, 1.0));
+        self.db_mut(db).entity_mut(key).popularity = Some(pop.clamp(0.0, 1.0));
         self
     }
 
@@ -144,7 +190,7 @@ impl StaticKnowledge {
 
     /// Number of stored facts (diagnostics).
     pub fn fact_count(&self) -> usize {
-        self.dbs.values().flat_map(|d| d.facts.values()).map(HashMap::len).sum()
+        self.dbs.values().flat_map(|d| d.entities.values()).map(|e| e.facts.len()).sum()
     }
 }
 
@@ -175,16 +221,12 @@ pub fn normalize_question(q: &str) -> String {
 }
 
 impl KnowledgeBase for StaticKnowledge {
-    fn lookup(&self, db: &str, key: &[String], attribute: &str) -> Option<KnownValue> {
-        self.dbs.get(db)?.facts.get(attribute)?.get(key).cloned()
+    fn entity(&self, db: &str, key: &[String]) -> Option<&Entity> {
+        self.dbs.get(db)?.entities.get(key)
     }
 
     fn resolve_question(&self, db: &str, question: &str) -> Option<String> {
         self.dbs.get(db)?.questions.get(&normalize_question(question)).cloned()
-    }
-
-    fn popularity(&self, db: &str, key: &[String]) -> f64 {
-        self.dbs.get(db).and_then(|d| d.popularity.get(key)).copied().unwrap_or(0.5)
     }
 
     fn attribute_class(&self, db: &str, attribute: &str) -> AttrClass {
@@ -232,7 +274,7 @@ mod tests {
         let key = vec!["Spider-Man".to_string(), "Peter Parker".to_string()];
         assert_eq!(
             kb.lookup("superhero", &key, "publisher_name"),
-            Some(KnownValue::One("Marvel Comics".into()))
+            Some(&KnownValue::One("Marvel Comics".into()))
         );
         assert_eq!(kb.lookup("superhero", &key, "missing"), None);
         assert_eq!(kb.lookup("other_db", &key, "publisher_name"), None);
@@ -285,5 +327,52 @@ mod tests {
         let mut kb = StaticKnowledge::new();
         kb.set_popularity("d", &["k".to_string()], 7.0);
         assert_eq!(kb.popularity("d", &["k".to_string()]), 1.0);
+    }
+
+    #[test]
+    fn a_second_fact_for_the_same_cell_wins() {
+        let mut kb = StaticKnowledge::new();
+        let key = vec!["k".to_string(), "é漢".to_string()];
+        kb.add_fact("d", &key, "a", KnownValue::One("first".into()));
+        kb.add_fact("d", &key, "b", KnownValue::One("other".into()));
+        kb.add_fact("d", &key, "a", KnownValue::Many(vec!["second".into()]));
+        assert_eq!(kb.lookup("d", &key, "a"), Some(&KnownValue::Many(vec!["second".into()])));
+        assert_eq!(kb.lookup("d", &key, "b"), Some(&KnownValue::One("other".into())));
+        assert_eq!(kb.fact_count(), 2);
+    }
+
+    #[test]
+    fn an_entity_with_only_a_popularity_has_no_facts() {
+        let mut kb = StaticKnowledge::new();
+        let key = vec!["k".to_string()];
+        kb.set_popularity("d", &key, 0.9);
+        assert!(kb.entity("d", &key).is_some());
+        assert_eq!(kb.lookup("d", &key, "a"), None);
+        assert_eq!(kb.popularity("d", &key), 0.9);
+        assert_eq!(kb.fact_count(), 0);
+    }
+
+    #[test]
+    fn a_fact_with_no_popularity_reads_as_average() {
+        let mut kb = StaticKnowledge::new();
+        let key = vec!["k".to_string()];
+        kb.add_fact("d", &key, "a", KnownValue::One("v".into()));
+        assert_eq!(kb.popularity("d", &key), 0.5);
+        // Setting it afterwards keeps the fact.
+        kb.set_popularity("d", &key, 0.2);
+        assert_eq!(kb.popularity("d", &key), 0.2);
+        assert_eq!(kb.lookup("d", &key, "a"), Some(&KnownValue::One("v".into())));
+    }
+
+    #[test]
+    fn fact_count_counts_facts_not_entities() {
+        let mut kb = StaticKnowledge::new();
+        let (a, b) = (vec!["a".to_string()], vec!["b".to_string()]);
+        kb.add_fact("d", &a, "x", KnownValue::One("1".into()));
+        kb.add_fact("d", &a, "y", KnownValue::Many(vec![]));
+        kb.add_fact("d", &b, "x", KnownValue::One("2".into()));
+        kb.add_fact("e", &a, "x", KnownValue::One("3".into()));
+        kb.set_popularity("e", &b, 0.7);
+        assert_eq!(kb.fact_count(), 4);
     }
 }

@@ -15,6 +15,15 @@
 //!   HQDL's whole-row prediction (§5.4, chain-of-thought effect);
 //! * batching degrades accuracy (§5.4, citing batch-prompting work);
 //! * zero-shot prompts suffer output-format errors (§5.3).
+//!
+//! Each draw is an FNV-1a hash of the cell's identity — model, database,
+//! key parts, attribute — followed by a salt naming the draw (is it
+//! factual, which wrong value, which list items survive, a format glitch).
+//! FNV runs over the identity once per cell; each salt then extends a copy
+//! of that state, which is the same hash as running FNV over identity and
+//! salt together.
+
+use std::borrow::Cow;
 
 use crate::knowledge::AttrClass;
 use crate::model::ModelKind;
@@ -123,62 +132,64 @@ impl NoiseModel {
 
     /// Deterministic draw: is this cell factual?
     pub fn is_factual(&self, ctx: &CellContext<'_>) -> bool {
-        let h = self.cell_hash(ctx, 0x01);
-        unit(h) < self.factuality(ctx)
+        unit(self.identity(ctx).draw(0x01)) < self.factuality(ctx)
     }
 
     /// Produce the model's (possibly wrong) answer for a single-valued
-    /// cell given the ground truth and the candidate pool.
-    pub fn emit_single(&self, ctx: &CellContext<'_>, truth: &str, candidates: &[String]) -> String {
-        if self.is_factual(ctx) {
-            return truth.to_string();
+    /// cell given the ground truth and the candidate pool: the truth, the
+    /// `h % n`-th of the `n` candidates that differ from it, or — with no
+    /// such candidate — a mangled truth.
+    pub fn emit_single<'a>(
+        &self,
+        ctx: &CellContext<'_>,
+        truth: &'a str,
+        candidates: &'a [String],
+    ) -> Cow<'a, str> {
+        let identity = self.identity(ctx);
+        if unit(identity.draw(0x01)) < self.factuality(ctx) {
+            return Cow::Borrowed(truth);
         }
-        let h = self.cell_hash(ctx, 0x02);
+        let h = identity.draw(0x02);
         // Hallucinate: prefer a different candidate from the pool
         // (plausible confusion), else mangle the truth.
-        let wrong: Vec<&String> = candidates.iter().filter(|c| *c != truth).collect();
-        if !wrong.is_empty() {
-            return wrong[(h % wrong.len() as u64) as usize].clone();
+        let wrong = || candidates.iter().filter(|c| *c != truth);
+        match wrong().count() as u64 {
+            0 => Cow::Owned(mangle(truth, h)),
+            n => Cow::Borrowed(wrong().nth((h % n) as usize).expect("n wrong candidates")),
         }
-        mangle(truth, h)
     }
 
     /// Produce the model's answer set for a one-to-many cell: each true
     /// item survives with the cell's factuality probability, and spurious
     /// items sneak in with the complementary rate.
-    pub fn emit_many(
+    pub fn emit_many<'a>(
         &self,
         ctx: &CellContext<'_>,
-        truth: &[String],
-        candidates: &[String],
-    ) -> Vec<String> {
+        truth: &'a [String],
+        candidates: &'a [String],
+    ) -> Vec<&'a str> {
         let p = self.factuality(ctx);
+        let identity = self.identity(ctx);
         let mut out = Vec::with_capacity(truth.len());
         for (i, item) in truth.iter().enumerate() {
-            let h = self.cell_hash(ctx, 0x10 + i as u64);
-            if unit(h) < p {
-                out.push(item.clone());
+            if unit(identity.draw(0x10 + i as u64)) < p {
+                out.push(item.as_str());
             }
         }
         // Spurious additions drawn from candidates not in the truth.
         let spurious: Vec<&String> =
             candidates.iter().filter(|c| !truth.contains(c)).collect();
         if !spurious.is_empty() {
-            let h = self.cell_hash(ctx, 0x03);
+            let h = identity.draw(0x03);
             if unit(h) < (1.0 - p) * 0.5 {
-                out.push(spurious[(h >> 8) as usize % spurious.len()].clone());
+                out.push(spurious[(h >> 8) as usize % spurious.len()]);
             }
         }
         // A model virtually never returns a fully empty list; fall back to
         // one hallucinated item.
         if out.is_empty() {
-            let pool: Vec<&String> = if spurious.is_empty() {
-                candidates.iter().collect()
-            } else {
-                spurious.clone()
-            };
-            if let Some(first) = pool.first() {
-                out.push((*first).clone());
+            if let Some(first) = spurious.first().copied().or(candidates.first()) {
+                out.push(first);
             }
         }
         out
@@ -187,7 +198,7 @@ impl NoiseModel {
     /// Should this row/response suffer an output-format glitch?
     pub fn format_error(&self, ctx: &CellContext<'_>) -> Option<FormatError> {
         let rate = if ctx.shots == 0 { 0.06 } else { 0.01 };
-        let h = self.cell_hash(ctx, 0x04);
+        let h = self.identity(ctx).draw(0x04);
         if unit(h) >= rate {
             return None;
         }
@@ -198,31 +209,44 @@ impl NoiseModel {
         })
     }
 
-    /// Stable hash of the cell identity + a salt. Uses FNV-1a + a
-    /// splitmix64 finalizer; independent of std's hasher so results are
-    /// reproducible across Rust versions.
-    fn cell_hash(&self, ctx: &CellContext<'_>, salt: u64) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325 ^ self.seed.wrapping_mul(0x9e3779b97f4a7c15);
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            h ^= 0x1f;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        eat(ctx.model.name().as_bytes());
-        eat(ctx.db.as_bytes());
+    /// The hash state after the cell's identity, from which each of its
+    /// draws forks. Deliberately *not* hashing shots/batch/pathway: the
+    /// draw models a latent per-cell difficulty, so raising the factuality
+    /// probability (more shots, smaller batches) monotonically fixes cells
+    /// instead of rerolling them.
+    fn identity(&self, ctx: &CellContext<'_>) -> CellHash {
+        let mut h = CellHash(0xcbf29ce484222325 ^ self.seed.wrapping_mul(0x9e3779b97f4a7c15));
+        h.eat(ctx.model.name().as_bytes());
+        h.eat(ctx.db.as_bytes());
         for k in ctx.key {
-            eat(k.as_bytes());
+            h.eat(k.as_bytes());
         }
-        eat(ctx.attribute.as_bytes());
-        // Deliberately *not* hashing shots/batch/pathway: the draw models
-        // a latent per-cell difficulty, so raising the factuality
-        // probability (more shots, smaller batches) monotonically fixes
-        // cells instead of rerolling them.
-        eat(&salt.to_le_bytes());
-        splitmix64(h)
+        h.eat(ctx.attribute.as_bytes());
+        h
+    }
+}
+
+/// FNV-1a state partway through a cell's hash, each field closed by a
+/// `0x1f` separator. Independent of std's hasher so results are
+/// reproducible across Rust versions.
+#[derive(Clone, Copy)]
+struct CellHash(u64);
+
+impl CellHash {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+        self.0 ^= 0x1f;
+        self.0 = self.0.wrapping_mul(0x100000001b3);
+    }
+
+    /// The draw named by `salt`: a copy of this state extended by the salt,
+    /// through a splitmix64 finalizer.
+    fn draw(mut self, salt: u64) -> u64 {
+        self.eat(&salt.to_le_bytes());
+        splitmix64(self.0)
     }
 }
 
@@ -433,7 +457,10 @@ mod tests {
             let out = n.emit_single(&c, "Marvel Comics", &cands);
             if out != "Marvel Comics" {
                 wrong_seen += 1;
-                assert!(cands.contains(&out), "hallucination outside candidate pool: {out}");
+                assert!(
+                    cands.iter().any(|cand| *cand == out),
+                    "hallucination outside candidate pool: {out}"
+                );
             }
         }
         assert!(wrong_seen > 100, "expected many wrong answers at 0-shot free-form");
@@ -475,6 +502,108 @@ mod tests {
         for (i, s) in ["a", "ab", "abcdef", "www.school.edu", ""].iter().enumerate() {
             let m = mangle(s, 0x1234_5678u64.wrapping_mul(i as u64 + 1));
             assert_ne!(&m, s);
+        }
+    }
+
+    /// `cell_hash` as it read before the identity was hashed once per
+    /// cell: FNV over identity and salt in one pass. The reference for
+    /// [`CellHash::draw`].
+    fn reference_cell_hash(n: &NoiseModel, ctx: &CellContext<'_>, salt: u64) -> u64 {
+        let mut h: u64 = 0xcbf29ce484222325 ^ n.seed.wrapping_mul(0x9e3779b97f4a7c15);
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+            h ^= 0x1f;
+            h = h.wrapping_mul(0x100000001b3);
+        };
+        eat(ctx.model.name().as_bytes());
+        eat(ctx.db.as_bytes());
+        for k in ctx.key {
+            eat(k.as_bytes());
+        }
+        eat(ctx.attribute.as_bytes());
+        eat(&salt.to_le_bytes());
+        splitmix64(h)
+    }
+
+    /// `emit_single` as it read when it hashed the whole cell per draw and
+    /// collected the wrong candidates into a `Vec`.
+    fn reference_emit_single(
+        n: &NoiseModel,
+        ctx: &CellContext<'_>,
+        truth: &str,
+        candidates: &[String],
+    ) -> String {
+        if unit(reference_cell_hash(n, ctx, 0x01)) < n.factuality(ctx) {
+            return truth.to_string();
+        }
+        let h = reference_cell_hash(n, ctx, 0x02);
+        let wrong: Vec<&String> = candidates.iter().filter(|c| *c != truth).collect();
+        if !wrong.is_empty() {
+            return wrong[(h % wrong.len() as u64) as usize].clone();
+        }
+        mangle(truth, h)
+    }
+
+    /// Text a key part, database, attribute or truth may hold: ASCII and
+    /// non-ASCII letters, digits, punctuation, the empty string.
+    const TEXT: &str = "[ a-zA-Z0-9'.,é漢—-]{0,10}";
+
+    const CLASSES: [AttrClass; 3] =
+        [AttrClass::ValueSelection, AttrClass::FreeForm, AttrClass::MultiValue];
+
+    proptest::proptest! {
+        /// Forking the identity state per salt is the one-pass hash, for
+        /// single- and multi-part keys of ASCII and non-ASCII text.
+        #[test]
+        fn forked_draws_are_the_one_pass_cell_hash(
+            seed in proptest::any::<u64>(),
+            model in 0usize..2,
+            db in TEXT,
+            key in proptest::collection::vec(TEXT, 1..4),
+            attribute in TEXT,
+            salts in proptest::collection::vec(proptest::any::<u64>(), 1..6),
+        ) {
+            let n = NoiseModel::new(seed);
+            let mut c = ctx(ModelKind::ALL[model], 0, &key);
+            c.db = &db;
+            c.attribute = &attribute;
+            let identity = n.identity(&c);
+            for salt in salts.into_iter().chain([0x01, 0x02, 0x03, 0x04, 0x10]) {
+                proptest::prop_assert_eq!(identity.draw(salt), reference_cell_hash(&n, &c, salt));
+            }
+        }
+
+        /// Counting the wrong candidates and taking the `h % n`-th picks
+        /// what the collected `Vec` picked, with the truth 0, 1 or several
+        /// times in the pool, an empty truth, and an empty pool.
+        #[test]
+        fn emit_single_picks_what_the_collected_pool_picked(
+            seed in 0u64..1024,
+            key in proptest::collection::vec(TEXT, 1..4),
+            truth in TEXT,
+            others in proptest::collection::vec(TEXT, 0..5),
+            copies in proptest::collection::vec(0usize..8, 0..4),
+            shots in 0usize..6,
+            class in 0usize..3,
+            popularity in 0.0f64..1.0,
+            empty_truth in 0usize..4,
+        ) {
+            let truth = if empty_truth == 0 { String::new() } else { truth };
+            let mut candidates = others;
+            for at in copies {
+                candidates.insert(at % (candidates.len() + 1), truth.clone());
+            }
+            let n = NoiseModel::new(seed);
+            let mut c = ctx(ModelKind::Gpt35Turbo, shots, &key);
+            c.class = CLASSES[class];
+            c.popularity = popularity;
+            proptest::prop_assert_eq!(
+                &*n.emit_single(&c, &truth, &candidates),
+                reference_emit_single(&n, &c, &truth, &candidates).as_str()
+            );
         }
     }
 

@@ -56,7 +56,7 @@ pub fn render_value_row(values: &[String]) -> String {
 }
 
 /// Append `'v'` (single quotes doubled) to `out`.
-fn push_quoted(out: &mut String, v: &str) {
+pub(crate) fn push_quoted(out: &mut String, v: &str) {
     out.push('\'');
     for (i, part) in v.split('\'').enumerate() {
         if i > 0 {
@@ -156,13 +156,27 @@ pub fn parse_row(line: &str) -> Vec<Field> {
 
 /// Extract the plain values of a parsed row (missing fields become empty).
 pub fn row_values(fields: &[Field]) -> Vec<String> {
-    fields
-        .iter()
-        .map(|f| match f {
-            Field::Value(v) => v.clone(),
+    fields.iter().cloned().map(Field::into_value).collect()
+}
+
+impl Field {
+    /// The field's value; a missing field is empty.
+    fn into_value(self) -> String {
+        match self {
+            Field::Value(v) => v,
             Field::Missing => String::new(),
-        })
-        .collect()
+        }
+    }
+}
+
+/// `row_values(&parse_row(line))` without copying each field a second time.
+fn parse_values(line: &str) -> Vec<String> {
+    parse_row(line).into_iter().map(Field::into_value).collect()
+}
+
+/// The first of [`parse_values`], or empty.
+fn parse_first(line: &str) -> String {
+    parse_row(line).into_iter().next().map_or_else(String::new, Field::into_value)
 }
 
 /// The key fields of an entry row: its values up to the first `?`.
@@ -378,12 +392,12 @@ impl RowFold {
                     .next()
                     .ok_or_else(|| LlmError::BadPrompt("malformed value list".into()))?
                     .trim_end_matches(['.', ']'].as_ref());
-                self.value_lists.push((col, row_values(&parse_row(vals_raw))));
+                self.value_lists.push((col, parse_values(vals_raw)));
             }
             RowLine::ExampleEntry(rest) => self.pending_example_key = Some(entry_key(rest)),
             RowLine::ExampleAnswer(rest) => {
                 if let Some(key) = self.pending_example_key.take() {
-                    self.examples.push(RowExample { key, answer: row_values(&parse_row(rest)) });
+                    self.examples.push(RowExample { key, answer: parse_values(rest) });
                 }
             }
             RowLine::Target(_) | RowLine::Other => {}
@@ -629,14 +643,12 @@ impl UdfFold {
                 UdfLine::Question(rest) => self.question = Some(rest.to_string()),
                 UdfLine::ValueList(rest) => {
                     let vals_raw = rest.trim_end_matches(['.', ']'].as_ref());
-                    self.value_list = Some(row_values(&parse_row(vals_raw)));
+                    self.value_list = Some(parse_values(vals_raw));
                 }
-                UdfLine::ExampleKey(rest) => self.pending_key = Some(row_values(&parse_row(rest))),
+                UdfLine::ExampleKey(rest) => self.pending_key = Some(parse_values(rest)),
                 UdfLine::ExampleAnswer(rest) => {
                     if let Some(key) = self.pending_key.take() {
-                        let answer =
-                            row_values(&parse_row(rest)).into_iter().next().unwrap_or_default();
-                        self.examples.push(UdfExample { key, answer });
+                        self.examples.push(UdfExample { key, answer: parse_first(rest) });
                     }
                 }
                 UdfLine::Keys => return true,
@@ -703,7 +715,7 @@ fn key_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<Vec<String>> {
         .map(str::trim)
         .take_while(|line| *line != "Answer:")
         .filter(|line| !line.is_empty())
-        .map(|line| row_values(&parse_row(line)))
+        .map(parse_values)
         .collect()
 }
 
@@ -719,12 +731,7 @@ pub fn parse_udf_response(text: &str) -> Vec<String> {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty())
-        .map(|l| {
-            row_values(&parse_row(l))
-                .into_iter()
-                .next()
-                .unwrap_or_default()
-        })
+        .map(parse_first)
         .collect()
 }
 

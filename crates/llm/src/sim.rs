@@ -23,11 +23,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use swan_pool::lockrank;
 
-use crate::knowledge::{AttrClass, KnowledgeBase, KnownValue};
+use crate::knowledge::{AttrClass, Entity, KnowledgeBase, KnownValue};
 
 use crate::model::{Completion, LanguageModel, LlmResult, ModelKind};
 use crate::noise::{CellContext, FormatError, NoiseModel, Pathway};
-use crate::prompt::{render_value_row, RowCompletionPrompt, RowHead, UdfHead, UdfPrompt};
+use crate::prompt::{push_quoted, RowCompletionPrompt, RowHead, UdfHead, UdfPrompt};
 use crate::tokenizer::{count_tokens, TokenCount};
 use crate::usage::UsageMeter;
 
@@ -163,125 +163,90 @@ impl SimulatedModel {
     }
 
     /// Answer a row prompt whose head is `p` and whose target entry's key
-    /// is `target_key`: the key's length is the prompt's `key_len`.
+    /// is `target_key`: the key's length is the prompt's `key_len`. One
+    /// knowledge probe gives every cell the entity's popularity and truth,
+    /// and each field is written into the completion as it is drawn.
     fn answer_row_completion(&self, p: &RowHead, target_key: &[String]) -> String {
         let shots = p.examples.len();
         let key_len = target_key.len();
-        let popularity = self.kb.popularity(&p.db, target_key);
-        let mut fields: Vec<String> = target_key.to_vec();
-
-        for col in p.columns.iter().skip(key_len) {
-            let prompt_list = p
-                .value_lists
-                .iter()
-                .find(|(c, _)| c.eq_ignore_ascii_case(col))
-                .map(|(_, vs)| vs.as_slice());
-            let class = if prompt_list.is_some() {
-                // A value list in the prompt makes this value selection,
-                // unless the knowledge base says it is one-to-many.
-                match self.kb.attribute_class(&p.db, col) {
-                    AttrClass::MultiValue => AttrClass::MultiValue,
-                    _ => AttrClass::ValueSelection,
-                }
-            } else {
-                self.kb.attribute_class(&p.db, col)
-            };
-            let ctx = CellContext {
-                model: self.kind,
-                db: &p.db,
-                key: target_key,
-                attribute: col,
-                shots,
-                class,
-                popularity,
-                batch_size: 1,
-                pathway: Pathway::RowCompletion,
-                key_hint: false,
-            };
-            let candidates = prompt_list.unwrap_or_else(|| self.kb.candidates(&p.db, col));
-            let truth = self.kb.lookup(&p.db, target_key, col);
-            fields.push(self.emit_cell(&ctx, truth.as_ref(), candidates));
-        }
-
-        // Row-level format glitches (§5.3).
-        let row_ctx = CellContext {
+        let entity = self.kb.entity(&p.db, target_key);
+        let popularity = entity.map_or(0.5, Entity::popularity);
+        let cell = |attribute, class| CellContext {
             model: self.kind,
             db: &p.db,
             key: target_key,
-            attribute: "__row__",
+            attribute,
             shots,
-            class: AttrClass::FreeForm,
+            class,
             popularity,
             batch_size: 1,
             pathway: Pathway::RowCompletion,
             key_hint: false,
         };
-        match self.noise.format_error(&row_ctx) {
-            Some(FormatError::TooFewFields) => {
-                fields.pop();
+
+        // Row-level format glitches (§5.3) draw on the row, not on its
+        // cells, so they are drawn first and decide which fields are
+        // written: the target's key never exceeds the column list.
+        let width = p.columns.len();
+        let glitch = self.noise.format_error(&cell("__row__", AttrClass::FreeForm));
+        let (written, blank_last) = match glitch {
+            Some(FormatError::TooFewFields) => (width - 1, false),
+            Some(FormatError::EmptyField) => (width, width > key_len),
+            _ => (width, false),
+        };
+        let mut out = String::with_capacity(24 * width);
+        for (i, col) in p.columns.iter().enumerate().take(written) {
+            if i > 0 {
+                out.push_str(", ");
             }
-            Some(FormatError::TooManyFields) => {
-                fields.push(String::new());
+            if i < key_len {
+                push_quoted(&mut out, &target_key[i]);
+                continue;
             }
-            Some(FormatError::EmptyField) if fields.len() > key_len => {
-                let last = fields.len() - 1;
-                fields[last] = String::new();
+            if blank_last && i + 1 == width {
+                out.push_str("''");
+                continue;
             }
-            Some(FormatError::EmptyField) | None => {}
+            let prompt_list = p
+                .value_lists
+                .iter()
+                .find(|(c, _)| c.eq_ignore_ascii_case(col))
+                .map(|(_, vs)| vs.as_slice());
+            let candidates = prompt_list.unwrap_or_else(|| self.kb.candidates(&p.db, col));
+            let class = self.class(&p.db, col, prompt_list.is_some());
+            let truth = entity.and_then(|e| e.fact(col));
+            self.push_cell(&mut out, cell(col, class), truth, candidates);
         }
-        render_value_row(&fields)
+        if glitch == Some(FormatError::TooManyFields) {
+            out.push_str(", ''");
+        }
+        out
     }
 
-    /// Answer a UDF prompt whose head is `p` for each of `keys`.
+    /// Answer a UDF prompt whose head is `p` for each of `keys`, one quoted
+    /// line per key written into the completion as it is drawn.
     fn answer_udf(&self, p: &UdfHead, keys: &[Vec<String>]) -> String {
         let shots = p.examples.len();
         let batch = keys.len();
         // The question's attribute, its class and the candidate pool are
         // the same for every key of the prompt: resolve them once.
         let attribute = self.kb.resolve_question(&p.db, &p.question).map(|attr| {
-            let class = match (self.kb.attribute_class(&p.db, &attr), &p.value_list) {
-                (AttrClass::MultiValue, _) => AttrClass::MultiValue,
-                (_, Some(_)) => AttrClass::ValueSelection,
-                (class, None) => class,
-            };
+            let class = self.class(&p.db, &attr, p.value_list.is_some());
             let candidates = match &p.value_list {
                 Some(values) => values.as_slice(),
                 None => self.kb.candidates(&p.db, &attr),
             };
             (attr, class, candidates)
         });
-        let mut lines = Vec::with_capacity(batch);
-        for key in keys {
-            let line = match &attribute {
-                None => "unknown".to_string(),
-                Some((attr, class, candidates)) => {
-                    let ctx = CellContext {
-                        model: self.kind,
-                        db: &p.db,
-                        key,
-                        attribute: attr,
-                        shots,
-                        class: *class,
-                        popularity: self.kb.popularity(&p.db, key),
-                        batch_size: batch,
-                        pathway: Pathway::Udf,
-                        key_hint: false,
-                    };
-                    let truth = self.kb.lookup(&p.db, key, attr);
-                    self.emit_cell(&ctx, truth.as_ref(), candidates)
-                }
-            };
-            lines.push(format!("'{}'", line.replace('\'', "''")));
-        }
-        // Batched responses occasionally lose a line in zero-shot (§5.4:
-        // "processing multiple entries in a single call may lead to
-        // inaccuracies in the returned data").
-        if batch > 1 {
-            let first_key = &keys[0];
+        // Batched responses occasionally lose their last line in zero-shot
+        // (§5.4: "processing multiple entries in a single call may lead to
+        // inaccuracies in the returned data"). Drawn first, so a line that
+        // is lost is never drawn.
+        let lost_line = batch > 1 && {
             let ctx = CellContext {
                 model: self.kind,
                 db: &p.db,
-                key: first_key,
+                key: &keys[0],
                 attribute: "__batch__",
                 shots,
                 class: AttrClass::FreeForm,
@@ -290,66 +255,112 @@ impl SimulatedModel {
                 pathway: Pathway::Udf,
                 key_hint: false,
             };
-            if self.noise.format_error(&ctx) == Some(FormatError::TooFewFields) {
-                lines.pop();
+            self.noise.format_error(&ctx) == Some(FormatError::TooFewFields)
+        };
+        let answered = &keys[..batch - usize::from(lost_line)];
+        let mut out = String::with_capacity(24 * batch);
+        for (i, key) in answered.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
             }
+            let Some((attr, class, candidates)) = &attribute else {
+                push_quoted(&mut out, "unknown");
+                continue;
+            };
+            let entity = self.kb.entity(&p.db, key);
+            let ctx = CellContext {
+                model: self.kind,
+                db: &p.db,
+                key,
+                attribute: attr,
+                shots,
+                class: *class,
+                popularity: entity.map_or(0.5, Entity::popularity),
+                batch_size: batch,
+                pathway: Pathway::Udf,
+                key_hint: false,
+            };
+            self.push_cell(&mut out, ctx, entity.and_then(|e| e.fact(attr)), candidates);
         }
-        lines.join("\n")
+        out
     }
 
-    fn emit_cell(
+    /// The class a cell is answered as: one-to-many when the knowledge
+    /// base says so, value selection when the prompt lists the values,
+    /// else the knowledge base's class.
+    fn class(&self, db: &str, attribute: &str, listed: bool) -> AttrClass {
+        match self.kb.attribute_class(db, attribute) {
+            AttrClass::MultiValue => AttrClass::MultiValue,
+            _ if listed => AttrClass::ValueSelection,
+            class => class,
+        }
+    }
+
+    /// Append the model's answer for one cell, quoted, to `out`.
+    fn push_cell(
         &self,
-        ctx: &CellContext<'_>,
+        out: &mut String,
+        ctx: CellContext<'_>,
         truth: Option<&KnownValue>,
         candidates: &[String],
-    ) -> String {
-        // Key-hint detection: answers literally derivable from the key
-        // text (codes, URLs, eponymous cities) are near-always right.
-        let mut ctx = ctx.clone();
-        if let Some(KnownValue::One(v)) = truth {
-            ctx.key_hint = key_hints_at(ctx.key, v);
-        }
-        let ctx = &ctx;
+    ) {
         match truth {
-            Some(KnownValue::One(v)) => self.noise.emit_single(ctx, v, candidates),
+            // Key-hint detection: answers literally derivable from the key
+            // text (codes, URLs, eponymous cities) are near-always right.
+            Some(KnownValue::One(v)) => {
+                let ctx = CellContext { key_hint: key_hints_at(ctx.key, v), ..ctx };
+                push_quoted(out, &self.noise.emit_single(&ctx, v, candidates));
+            }
             Some(KnownValue::Many(vs)) => {
-                self.noise.emit_many(ctx, vs, candidates).join(", ")
+                push_quoted(out, &self.noise.emit_many(&ctx, vs, candidates).join(", "));
             }
             // The entity is outside the model's knowledge: hallucinate
             // from the candidate pool, or admit ignorance.
-            None => {
-                if candidates.is_empty() {
-                    "unknown".to_string()
-                } else {
-                    self.noise.emit_single(ctx, &candidates[0], candidates)
-                }
-            }
+            None => match candidates.first() {
+                Some(first) => push_quoted(out, &self.noise.emit_single(&ctx, first, candidates)),
+                None => push_quoted(out, "unknown"),
+            },
         }
     }
 }
 
 /// Does the key text reveal `truth`? Compares alphanumeric-normalized
 /// forms in both directions (key part inside the value covers URLs and
-/// emails; value inside the key covers eponymous names).
+/// emails; value inside the key covers eponymous names). The normalized
+/// forms are streamed, never built.
 fn key_hints_at(key: &[String], truth: &str) -> bool {
-    fn norm(s: &str) -> String {
-        s.chars()
-            .filter(|c| c.is_ascii_alphanumeric())
-            .map(|c| c.to_ascii_lowercase())
-            .collect()
-    }
-    let t = norm(truth);
-    if t.len() < 3 {
+    let truth_len = normalized(truth).count();
+    if truth_len < 3 {
         return false;
     }
-    let joined = norm(&key.join(" "));
-    if joined.contains(&t) {
+    if contains(key.iter().flat_map(|k| normalized(k)), normalized(truth)) {
         return true;
     }
     key.iter().any(|k| {
-        let kn = norm(k);
-        kn.len() >= 4 && t.contains(&kn)
+        let len = normalized(k).count();
+        (4..=truth_len).contains(&len) && contains(normalized(truth), normalized(k))
     })
+}
+
+/// The ASCII alphanumerics of `s`, lowercased.
+fn normalized(s: &str) -> impl Iterator<Item = u8> + Clone + '_ {
+    s.bytes().filter(u8::is_ascii_alphanumeric).map(|b| b.to_ascii_lowercase())
+}
+
+/// Does `needle` occur in `hay` as a contiguous run?
+fn contains(
+    mut hay: impl Iterator<Item = u8> + Clone,
+    needle: impl Iterator<Item = u8> + Clone,
+) -> bool {
+    loop {
+        let mut at = hay.clone();
+        if needle.clone().all(|b| at.next() == Some(b)) {
+            return true;
+        }
+        if hay.next().is_none() {
+            return false;
+        }
+    }
 }
 
 impl LanguageModel for SimulatedModel {
@@ -710,6 +721,79 @@ mod tests {
                 proptest::prop_assert_eq!(&long.complete(&prompt), &expected, "long-lived: {}", prompt);
             }
         }
+    }
+
+    /// `key_hints_at` as it read when it built each normalized form as a
+    /// `String`: the reference for the streamed comparison.
+    fn reference_key_hints_at(key: &[String], truth: &str) -> bool {
+        fn norm(s: &str) -> String {
+            s.chars()
+                .filter(|c| c.is_ascii_alphanumeric())
+                .map(|c| c.to_ascii_lowercase())
+                .collect()
+        }
+        let t = norm(truth);
+        if t.len() < 3 {
+            return false;
+        }
+        let joined = norm(&key.join(" "));
+        if joined.contains(&t) {
+            return true;
+        }
+        key.iter().any(|k| {
+            let kn = norm(k);
+            kn.len() >= 4 && t.contains(&kn)
+        })
+    }
+
+    /// Key text: ASCII and non-ASCII letters, digits, separators.
+    const KEY_TEXT: &str = "[ a-cA-C0-9.'é漢—-]{0,9}";
+
+    proptest::proptest! {
+        /// Streaming the normalized forms decides what building them did:
+        /// one- and multi-part keys, ASCII and non-ASCII text, truths that
+        /// hold a key part, sit inside the joined key, or neither.
+        #[test]
+        fn streamed_key_hints_match_the_built_strings(
+            key in proptest::collection::vec(KEY_TEXT, 1..4),
+            truth in KEY_TEXT,
+            kind in 0usize..4,
+            part in 0usize..4,
+            from in 0usize..12,
+            len in 0usize..12,
+        ) {
+            let part = &key[part % key.len()];
+            let truth = match kind {
+                0 => truth,
+                1 => format!("www.{part}{truth}.edu"),
+                2 => {
+                    let joined: Vec<char> = key.join(" ").chars().collect();
+                    let from = from.min(joined.len());
+                    joined[from..(from + len).min(joined.len())].iter().collect()
+                }
+                _ => part.to_uppercase(),
+            };
+            proptest::prop_assert_eq!(
+                key_hints_at(&key, &truth),
+                reference_key_hints_at(&key, &truth),
+                "{:?} / {:?}",
+                key,
+                truth
+            );
+        }
+    }
+
+    #[test]
+    fn key_hints_examples() {
+        let key = |parts: &[&str]| parts.iter().map(|p| p.to_string()).collect::<Vec<_>>();
+        // Key part inside the value (URL), value inside the key (eponymous).
+        assert!(key_hints_at(&key(&["Lincoln High"]), "www.LincolnHigh.edu"));
+        assert!(key_hints_at(&key(&["Fresno Unified", "Fresno"]), "fresno"));
+        // Across a part boundary: the joined key is one run.
+        assert!(key_hints_at(&key(&["Max", "Verstappen"]), "xVe"));
+        assert!(!key_hints_at(&key(&["Max", "Verstappen"]), "VE"), "under three");
+        assert!(!key_hints_at(&key(&["Ann"]), "www.ann.org"), "a part under four");
+        assert!(!key_hints_at(&key(&["Spider-Man"]), "Marvel Comics"));
     }
 
     #[test]

@@ -37,8 +37,15 @@
 //! module's [`CancelToken`] — the cooperative statement
 //! deadline/cancellation handle operator loops, retry loops and
 //! single-flight waiters check between units of work.
+//!
+//! # The hasher
+//!
+//! The [`hash`] module is the workspace's one fast hasher (`FxHasher` and
+//! its map and set aliases): the executor's join, grouping and DISTINCT
+//! tables and the simulated model's knowledge maps key through it.
 
 pub mod cancel;
+pub mod hash;
 pub mod lockrank;
 pub mod time;
 

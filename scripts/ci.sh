@@ -15,9 +15,10 @@
 #      count resolution named anywhere in the engine (an operator loop
 #      leaving the statement thread, or a gate for one growing back).
 #      Any finding fails the gate before a single test runs. Then the
-#      ROADMAP item-8 running figure:
+#      ROADMAP item-10 running figure:
 #      the non-test line count of crates/sqlengine/src (the lines above
-#      each file's `#[cfg(test)]`), printed, not gated;
+#      each file's `#[cfg(test)]`), with the same totals for
+#      crates/llm/src and crates/core/src beside it, printed, not gated;
 #   1. tier-1: release build + workspace test suite (ROADMAP contract),
 #      then a compile of every swan-bench bench (`harness = false`
 #      targets that `cargo test` skips) and the frozen benchmark's smoke
@@ -47,10 +48,16 @@ cd "$(dirname "$0")/.."
 echo "== swan-analyze: workspace seam lints =="
 cargo run -q -p swan-analyze -- --workspace
 
-echo "== crates/sqlengine/src: non-test lines (ROADMAP item 8) =="
-for f in crates/sqlengine/src/*.rs; do
-    printf '%6d %s\n' "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")" "$f"
-done | awk '{ print; total += $1 } END { printf "%6d total\n", total }'
+non_test_lines() { # <dir>: each file's lines above its first #[cfg(test)], and their total
+    for f in "$1"/*.rs; do
+        printf '%6d %s\n' "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")" "$f"
+    done | awk -v dir="$1" '{ print; total += $1 } END { printf "%6d total %s\n", total, dir }'
+}
+echo "== crates/sqlengine/src: non-test lines (ROADMAP item 10) =="
+non_test_lines crates/sqlengine/src
+echo "== beside it: crates/llm/src and crates/core/src (printed, not gated) =="
+non_test_lines crates/llm/src | tail -n 1
+non_test_lines crates/core/src | tail -n 1
 
 echo "== tier-1: release build =="
 cargo build --release
