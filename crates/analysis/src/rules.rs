@@ -10,7 +10,7 @@
 //! | `safety-comment`| every `unsafe` carries a `// SAFETY:` comment within 5 lines  |
 //! | `lock-rank`     | shim `Mutex::new` / `RwLock::new` must be `with_rank` instead |
 //! | `no-row-materialize` | no `materialize_row(..)` calls or `Row::` construction inside columnar kernel modules — rows materialize at the engine boundary only |
-//! | `wal-seam`      | `Wal`, `frame_group` and `commit_records` are named only in `wal.rs`, `txn.rs` and `shared.rs` — one owner of the log, one commit path |
+//! | `wal-seam`      | `Wal`, `frame_group` and `commit_records` are named only in `wal.rs`, `txn.rs` and `shared.rs` — one owner of the log, one commit path; `Pager` only in `wal.rs` and `pager.rs` — the paged store is the log's, written only by its checkpoint |
 //! | `morsel-seam`   | nowhere in `crates/sqlengine/src` is `swan_pool::parallel_*` / `swan_pool::run_workers` named or a thread count resolved (`swan_pool::pool_size`, `available_parallelism`, a `.threads` read) — operator loops run on the statement thread |
 //!
 //! Escape hatch: `// lint: allow(rule-name): justification` on the same
@@ -38,8 +38,8 @@ impl Finding {
 
 /// Commit/recovery-path files where the `no-panic-paths` rule applies.
 /// These are the files a crash-consistency bug would live in; a panic
-/// there can tear a commit in half. The paged store (pager, B-tree,
-/// buffer pool) sits on the checkpoint/recovery path, so it qualifies.
+/// there can tear a commit in half. The paged store (pager, B-tree) sits
+/// on the checkpoint/recovery path, so it qualifies.
 const CRITICAL_FILES: &[&str] = &[
     "wal.rs",
     "txn.rs",
@@ -49,7 +49,6 @@ const CRITICAL_FILES: &[&str] = &[
     "vfs.rs",
     "pager.rs",
     "btree.rs",
-    "bufpool.rs",
 ];
 
 /// All rule names, for validating `allow(...)` entries.
@@ -77,6 +76,10 @@ const COLUMNAR_FILES: &[&str] = &["columnar.rs"];
 /// be written without naming one of the three.
 const WAL_SEAM_FILES: &[&str] = &["wal.rs", "txn.rs", "shared.rs"];
 const WAL_SEAM_NAMES: &[&str] = &["Wal", "frame_group", "commit_records"];
+/// The paged store is a plain field of the log, and only the log's
+/// checkpoint writes it: `Pager` is named in `wal.rs` and `pager.rs`
+/// alone, so a second writer of the page file cannot grow back.
+const PAGER_SEAM_FILES: &[&str] = &["wal.rs", "pager.rs"];
 
 /// The SQL engine runs every operator loop on the statement thread
 /// (`exec::for_each_morsel`); the workspace's in-statement concurrency is
@@ -127,6 +130,7 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
     let is_critical = CRITICAL_FILES.contains(&file_name);
     let is_columnar = COLUMNAR_FILES.contains(&file_name);
     let is_wal_seam = WAL_SEAM_FILES.contains(&file_name);
+    let is_pager_seam = PAGER_SEAM_FILES.contains(&file_name);
     let in_morsel_seam = norm.contains(MORSEL_SEAM_DIR);
 
     // Code-only view (indices back into `tokens`) so matchers never trip
@@ -279,6 +283,16 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
                 );
             }
             // ---- wal-seam --------------------------------------------------
+            "Pager" if !is_pager_seam => {
+                push(
+                    &allows,
+                    "wal-seam",
+                    line,
+                    "`Pager` named outside wal.rs / pager.rs; the paged store is a field of \
+                     the log and only its checkpoint writes it"
+                        .to_string(),
+                );
+            }
             name if !is_wal_seam && WAL_SEAM_NAMES.contains(&name) => {
                 push(
                     &allows,
@@ -585,7 +599,7 @@ mod tests {
     #[test]
     fn no_panic_paths_covers_the_paged_store() {
         let src = "fn f() { x.unwrap(); }";
-        for file in ["pager.rs", "btree.rs", "bufpool.rs"] {
+        for file in ["pager.rs", "btree.rs"] {
             let f = run(&format!("crates/sqlengine/src/{file}"), src);
             assert_eq!(
                 f.iter().filter(|x| x.rule == "no-panic-paths").count(),
@@ -655,6 +669,17 @@ mod tests {
         // Other identifiers that merely start with `Wal` are not the log.
         let f = run("crates/sqlengine/src/pager.rs", "fn f(d: &WalDelta, r: WalRecord) {}");
         assert!(f.is_empty(), "{f:?}");
+        // The paged store is named by the log and by itself alone; its
+        // stats types are not the store.
+        let src = "fn f(p: &mut Pager) -> PagerStats { p.stats() }";
+        for file in ["shared.rs", "txn.rs", "btree.rs", "db.rs"] {
+            let f = run(&format!("crates/sqlengine/src/{file}"), src);
+            assert_eq!(f.iter().filter(|x| x.rule == "wal-seam").count(), 1, "{file}: {f:?}");
+        }
+        for file in ["wal.rs", "pager.rs"] {
+            let f = run(&format!("crates/sqlengine/src/{file}"), src);
+            assert!(f.is_empty(), "{file}: {f:?}");
+        }
     }
 
     #[test]

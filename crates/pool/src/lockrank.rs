@@ -30,22 +30,11 @@ pub const TABLE_WRITER: u32 = 10;
 /// WAL fsync to hand out follower results.
 pub const COMMIT_QUEUE: u32 = 20;
 
-/// The write-ahead log (`Mutex<Wal>`). Held across the whole commit
-/// sequence — append + fsync, tree apply, install, checkpoint; may take
-/// the pager, catalog and VFS locks below it.
+/// The write-ahead log (`Mutex<Wal>`), and with it the paged store it
+/// owns (`Wal.pager`, a plain field with no lock of its own). Held
+/// across the whole commit sequence — append + fsync, install,
+/// checkpoint; may take the catalog and VFS locks below it.
 pub const WAL: u32 = 30;
-
-/// The paged-storage core (`pager::Pager.inner`: page file handle, slot
-/// map, free list, per-table tree roots). Taken under the WAL lock when
-/// commits apply deltas to the B-trees and when checkpoints flush dirty
-/// pages; takes the buffer pool and the VFS below it. Never taken while
-/// holding `CATALOG` or `MVCC_HISTORY`.
-pub const PAGER: u32 = 32;
-
-/// The page buffer pool (`bufpool::BufferPool`): frame table, pin counts,
-/// clock hand, eviction stats. Taken under `PAGER`; evicting a dirty
-/// frame issues a page write, so the VFS lock sits below it.
-pub const BUF_POOL: u32 = 34;
 
 /// SimFs shared state (fault plan, file images). Leaf of the I/O stack:
 /// taken by VFS operations issued under the WAL lock.

@@ -4,8 +4,8 @@
 //!
 //! * **B-tree** pages for tables with a primary key: leaves hold
 //!   `(key, seq, row)` cells sorted by encoded-key order and are linked
-//!   left-to-right (`next` pointer in the leaf header) so range scans and
-//!   full materialization walk the leaf chain without re-descending;
+//!   left-to-right (`next` pointer in the leaf header) so full
+//!   materialization walks the leaf chain without re-descending;
 //!   interior pages hold separator keys. Page ids are **stable** — the
 //!   shadow-slot scheme in the pager gives crash atomicity without
 //!   relocating pages, so leaf links never go stale.
@@ -34,10 +34,10 @@
 //! rewrites) rebuild the tree compactly.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use crate::bufpool::PageRef;
 use crate::error::{Error, Result};
-use crate::pager::PAGE_PAYLOAD;
+use crate::pager::{PageBuf, PAGE_PAYLOAD};
 use crate::storage::{get_u32, get_u64, get_u8, put_u32, put_u64, take, take_array};
 
 /// Page types stored in the page header.
@@ -63,11 +63,9 @@ const OVERFLOW_HDR: usize = 8 + 4; // next + len
 const CELL_FIXED: usize = 1 + 2 + 8; // flag + klen + seq
 
 /// The page access surface the tree layer needs; implemented by the
-/// pager's buffer-pool-backed I/O context. `read` returns a *pinned*
-/// page — tree operations keep their whole descent path pinned, which is
-/// what makes the pool's pin accounting load-bearing.
+/// pager's checkpoint fold. `read` hands out a shared image of the page.
 pub(crate) trait PageStore {
-    fn read(&mut self, id: u64) -> Result<PageRef>;
+    fn read(&mut self, id: u64) -> Result<Arc<PageBuf>>;
     fn write(&mut self, id: u64, typ: u8, data: Vec<u8>) -> Result<()>;
     fn alloc(&mut self) -> Result<u64>;
     fn free(&mut self, id: u64) -> Result<()>;
@@ -276,11 +274,11 @@ impl Interior {
     }
 }
 
-fn expect_type(page: &PageRef, id: u64, want: u8) -> Result<()> {
-    if page.buf.typ != want {
+fn expect_type(page: &PageBuf, id: u64, want: u8) -> Result<()> {
+    if page.typ != want {
         return Err(Error::Internal(format!(
             "btree: page {id} has type {}, expected {want}",
-            page.buf.typ
+            page.typ
         )));
     }
     Ok(())
@@ -318,7 +316,7 @@ fn overflow_read(io: &mut dyn PageStore, start: u64, total: u32) -> Result<Vec<u
     while id != NIL {
         let page = io.read(id)?;
         expect_type(&page, id, PT_OVERFLOW)?;
-        let data = &page.buf.data;
+        let data = &page.data;
         let mut pos = 0usize;
         let next = get_u64(data, &mut pos)?;
         let len = get_u32(data, &mut pos)? as usize;
@@ -344,7 +342,7 @@ fn overflow_free(io: &mut dyn PageStore, start: u64) -> Result<()> {
             let page = io.read(id)?;
             expect_type(&page, id, PT_OVERFLOW)?;
             let mut pos = 0usize;
-            get_u64(&page.buf.data, &mut pos)?
+            get_u64(&page.data, &mut pos)?
         };
         io.free(id)?;
         id = next;
@@ -427,10 +425,9 @@ fn insert_rec(
     val: &[u8],
 ) -> Result<Ins> {
     let page = io.read(id)?;
-    match page.buf.typ {
+    match page.typ {
         PT_LEAF => {
-            let mut leaf = Leaf::decode(&page.buf.data)?;
-            drop(page);
+            let mut leaf = Leaf::decode(&page.data)?;
             let mut pos = leaf.cells.len();
             let mut replaced = false;
             for (i, c) in leaf.cells.iter().enumerate() {
@@ -477,20 +474,12 @@ fn insert_rec(
             Ok(Ins::Split { sep, right: right_id, replaced })
         }
         PT_INTERIOR => {
-            let node = Interior::decode(&page.buf.data)?;
+            let mut node = Interior::decode(&page.data)?;
             let (slot, child) = node.child_for(key)?;
-            // Hold the interior page pinned across the child recursion —
-            // the descent path stays resident under eviction pressure.
-            let result = insert_rec(io, child, key, seq, val)?;
-            let (sep, right, replaced) = match result {
-                Ins::Done { replaced } => {
-                    drop(page);
-                    return Ok(Ins::Done { replaced });
-                }
+            let (sep, right, replaced) = match insert_rec(io, child, key, seq, val)? {
+                Ins::Done { replaced } => return Ok(Ins::Done { replaced }),
                 Ins::Split { sep, right, replaced } => (sep, right, replaced),
             };
-            let mut node = Interior::decode(&page.buf.data)?;
-            drop(page);
             node.cells.insert(slot, (sep, right));
             if node.size() <= PAGE_PAYLOAD {
                 io.write(id, PT_INTERIOR, node.encode())?;
@@ -531,9 +520,7 @@ pub(crate) fn tree_delete(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Resu
         return Ok(false);
     }
     let leaf_id = find_leaf(io, root, key)?;
-    let page = io.read(leaf_id)?;
-    let mut leaf = Leaf::decode(&page.buf.data)?;
-    drop(page);
+    let mut leaf = Leaf::decode(&io.read(leaf_id)?.data)?;
     for i in 0..leaf.cells.len() {
         if cmp_keys(key, &leaf.cells[i].key)? == Ordering::Equal {
             let cell = leaf.cells.remove(i);
@@ -545,44 +532,13 @@ pub(crate) fn tree_delete(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Resu
     Ok(false)
 }
 
-/// Point lookup: the row bytes for `key`, if present. Serving reads the
-/// materialized tables, so outside tests this is only a consistency
-/// oracle for the on-disk structure.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn tree_lookup(
-    io: &mut dyn PageStore,
-    root: u64,
-    key: &[u8],
-) -> Result<Option<Vec<u8>>> {
-    if root == NIL {
-        return Ok(None);
-    }
-    let leaf_id = find_leaf(io, root, key)?;
-    let page = io.read(leaf_id)?;
-    let leaf = Leaf::decode(&page.buf.data)?;
-    drop(page);
-    for c in &leaf.cells {
-        if cmp_keys(key, &c.key)? == Ordering::Equal {
-            return Ok(Some(read_val(io, &c.val)?));
-        }
-    }
-    Ok(None)
-}
-
 fn find_leaf(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Result<u64> {
     let mut id = root;
-    // Pin the whole descent path until the leaf is found.
-    let mut path: Vec<PageRef> = Vec::new();
     loop {
         let page = io.read(id)?;
-        match page.buf.typ {
+        match page.typ {
             PT_LEAF => return Ok(id),
-            PT_INTERIOR => {
-                let node = Interior::decode(&page.buf.data)?;
-                let (_, child) = node.child_for(key)?;
-                path.push(page);
-                id = child;
-            }
+            PT_INTERIOR => id = Interior::decode(&page.data)?.child_for(key)?.1,
             t => return Err(Error::Internal(format!("btree: unexpected page type {t}"))),
         }
     }
@@ -592,14 +548,9 @@ fn leftmost_leaf(io: &mut dyn PageStore, root: u64) -> Result<u64> {
     let mut id = root;
     loop {
         let page = io.read(id)?;
-        match page.buf.typ {
+        match page.typ {
             PT_LEAF => return Ok(id),
-            PT_INTERIOR => {
-                let node = Interior::decode(&page.buf.data)?;
-                let first = node.first;
-                drop(page);
-                id = first;
-            }
+            PT_INTERIOR => id = Interior::decode(&page.data)?.first,
             t => return Err(Error::Internal(format!("btree: unexpected page type {t}"))),
         }
     }
@@ -619,55 +570,8 @@ pub(crate) fn tree_scan_all(
     while id != NIL {
         let page = io.read(id)?;
         expect_type(&page, id, PT_LEAF)?;
-        let leaf = Leaf::decode(&page.buf.data)?;
-        drop(page);
+        let leaf = Leaf::decode(&page.data)?;
         for c in &leaf.cells {
-            out.push((c.seq, read_val(io, &c.val)?));
-        }
-        id = leaf.next;
-    }
-    Ok(())
-}
-
-/// Leaf-linked range scan: every `(seq, row bytes)` whose key lies within
-/// the given (inclusive/exclusive) bounds, in key order. Descends once to
-/// the lower-bound leaf, then follows `next` links. Like [`tree_lookup`],
-/// only tests read through this today.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn tree_scan_range(
-    io: &mut dyn PageStore,
-    root: u64,
-    lower: Option<(&[u8], bool)>,
-    upper: Option<(&[u8], bool)>,
-    out: &mut Vec<(u64, Vec<u8>)>,
-) -> Result<()> {
-    if root == NIL {
-        return Ok(());
-    }
-    let mut id = match lower {
-        Some((key, _)) => find_leaf(io, root, key)?,
-        None => leftmost_leaf(io, root)?,
-    };
-    while id != NIL {
-        let page = io.read(id)?;
-        expect_type(&page, id, PT_LEAF)?;
-        let leaf = Leaf::decode(&page.buf.data)?;
-        drop(page);
-        for c in &leaf.cells {
-            if let Some((lo, incl)) = lower {
-                match cmp_keys(c.key.as_slice(), lo)? {
-                    Ordering::Less => continue,
-                    Ordering::Equal if !incl => continue,
-                    _ => {}
-                }
-            }
-            if let Some((hi, incl)) = upper {
-                match cmp_keys(c.key.as_slice(), hi)? {
-                    Ordering::Greater => return Ok(()),
-                    Ordering::Equal if !incl => return Ok(()),
-                    _ => {}
-                }
-            }
             out.push((c.seq, read_val(io, &c.val)?));
         }
         id = leaf.next;
@@ -681,17 +585,14 @@ pub(crate) fn tree_free(io: &mut dyn PageStore, root: u64) -> Result<()> {
         return Ok(());
     }
     let page = io.read(root)?;
-    match page.buf.typ {
+    match page.typ {
         PT_LEAF => {
-            let leaf = Leaf::decode(&page.buf.data)?;
-            drop(page);
-            for c in &leaf.cells {
+            for c in &Leaf::decode(&page.data)?.cells {
                 free_val(io, &c.val)?;
             }
         }
         PT_INTERIOR => {
-            let node = Interior::decode(&page.buf.data)?;
-            drop(page);
+            let node = Interior::decode(&page.data)?;
             tree_free(io, node.first)?;
             for (_, child) in &node.cells {
                 tree_free(io, *child)?;
@@ -725,8 +626,7 @@ pub(crate) fn heap_append(
     }
     let page = io.read(tail)?;
     expect_type(&page, tail, PT_HEAP)?;
-    let mut leaf = Leaf::decode(&page.buf.data)?;
-    drop(page);
+    let mut leaf = Leaf::decode(&page.data)?;
     leaf.cells.push(cell);
     if leaf.size() <= PAGE_PAYLOAD {
         io.write(tail, PT_HEAP, leaf.encode())?;
@@ -754,8 +654,7 @@ pub(crate) fn heap_scan(
     while id != NIL {
         let page = io.read(id)?;
         expect_type(&page, id, PT_HEAP)?;
-        let leaf = Leaf::decode(&page.buf.data)?;
-        drop(page);
+        let leaf = Leaf::decode(&page.data)?;
         for c in &leaf.cells {
             out.push((c.seq, read_val(io, &c.val)?));
         }
@@ -770,8 +669,7 @@ pub(crate) fn heap_free(io: &mut dyn PageStore, head: u64) -> Result<()> {
     while id != NIL {
         let page = io.read(id)?;
         expect_type(&page, id, PT_HEAP)?;
-        let leaf = Leaf::decode(&page.buf.data)?;
-        drop(page);
+        let leaf = Leaf::decode(&page.data)?;
         for c in &leaf.cells {
             free_val(io, &c.val)?;
         }
@@ -784,33 +682,31 @@ pub(crate) fn heap_free(io: &mut dyn PageStore, head: u64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bufpool::BufferPool;
-    use crate::pager::PageBuf;
     use crate::value::Value;
-    use std::sync::Arc;
+    use std::collections::HashMap;
 
-    /// In-memory `PageStore`: a buffer pool big enough that every page
-    /// stays resident, so `lookup` never misses and no page file exists.
+    /// In-memory `PageStore`: every page lives in a map, no page file.
     struct MemStore {
-        pool: Arc<BufferPool>,
+        pages: HashMap<u64, Arc<PageBuf>>,
         next: u64,
     }
 
     impl MemStore {
         fn new() -> MemStore {
-            MemStore { pool: BufferPool::new(1 << 16), next: 1 }
+            MemStore { pages: HashMap::new(), next: 1 }
         }
     }
 
     impl PageStore for MemStore {
-        fn read(&mut self, id: u64) -> Result<PageRef> {
-            self.pool
-                .lookup(id)
-                .ok_or_else(|| Error::Internal(format!("memstore: page {id} not resident")))
+        fn read(&mut self, id: u64) -> Result<Arc<PageBuf>> {
+            self.pages
+                .get(&id)
+                .cloned()
+                .ok_or_else(|| Error::Internal(format!("memstore: page {id} not written")))
         }
 
         fn write(&mut self, id: u64, typ: u8, data: Vec<u8>) -> Result<()> {
-            self.pool.update(id, Arc::new(PageBuf { typ, data }));
+            self.pages.insert(id, Arc::new(PageBuf { typ, data }));
             Ok(())
         }
 
@@ -821,8 +717,29 @@ mod tests {
         }
 
         fn free(&mut self, id: u64) -> Result<()> {
-            self.pool.drop_page(id)
+            self.pages.remove(&id);
+            Ok(())
         }
+    }
+
+    /// Point lookup: the row bytes for `key`, if present — the oracle for
+    /// the on-disk structure (nothing outside tests reads a tree by key).
+    fn tree_lookup(
+        io: &mut dyn PageStore,
+        root: u64,
+        key: &[u8],
+    ) -> Result<Option<Vec<u8>>> {
+        if root == NIL {
+            return Ok(None);
+        }
+        let leaf_id = find_leaf(io, root, key)?;
+        let leaf = Leaf::decode(&io.read(leaf_id)?.data)?;
+        for c in &leaf.cells {
+            if cmp_keys(key, &c.key)? == Ordering::Equal {
+                return Ok(Some(read_val(io, &c.val)?));
+            }
+        }
+        Ok(None)
     }
 
     /// Single-column integer key in the on-disk encoding.
@@ -874,80 +791,22 @@ mod tests {
         assert_eq!(tree_lookup(&mut io, root, &key(2)).unwrap().unwrap(), b"right");
     }
 
-    /// The keys a range scan returns, decoded back to the even integers
-    /// the fixture inserted (via their seq: key = 2 * seq).
-    fn scan_keys(
-        io: &mut MemStore,
-        root: u64,
-        lower: Option<(i64, bool)>,
-        upper: Option<(i64, bool)>,
-    ) -> Vec<i64> {
-        let lo_key = lower.map(|(k, incl)| (key(k), incl));
-        let hi_key = upper.map(|(k, incl)| (key(k), incl));
-        let mut out = Vec::new();
-        tree_scan_range(
-            io,
-            root,
-            lo_key.as_ref().map(|(k, incl)| (k.as_slice(), *incl)),
-            hi_key.as_ref().map(|(k, incl)| (k.as_slice(), *incl)),
-            &mut out,
-        )
-        .unwrap();
-        out.iter().map(|(seq, _)| *seq as i64 * 2).collect()
-    }
-
     #[test]
-    fn range_scan_respects_bounds_across_leaves() {
-        let mut io = MemStore::new();
-        let root = build(&mut io, 500); // keys 0..=998 step 2, many leaves
-        let every: Vec<i64> = (0..500).map(|i| i * 2).collect();
-
-        assert_eq!(scan_keys(&mut io, root, None, None), every, "unbounded = full scan");
-        assert_eq!(
-            scan_keys(&mut io, root, Some((100, true)), Some((110, true))),
-            vec![100, 102, 104, 106, 108, 110]
-        );
-        assert_eq!(
-            scan_keys(&mut io, root, Some((100, false)), Some((110, false))),
-            vec![102, 104, 106, 108],
-            "exclusive bounds drop both endpoints"
-        );
-        assert_eq!(
-            scan_keys(&mut io, root, Some((99, true)), Some((111, true))),
-            vec![100, 102, 104, 106, 108, 110],
-            "bounds between keys clamp to the interior"
-        );
-        assert_eq!(scan_keys(&mut io, root, Some((990, true)), None), vec![990, 992, 994, 996, 998]);
-        assert_eq!(scan_keys(&mut io, root, None, Some((4, true))), vec![0, 2, 4]);
-        assert_eq!(scan_keys(&mut io, root, Some((400, true)), Some((2, true))), Vec::<i64>::new());
-        assert_eq!(scan_keys(&mut io, NIL, None, None), Vec::<i64>::new(), "empty tree");
-    }
-
-    #[test]
-    fn range_scan_sees_updates_and_deletes() {
+    fn lookup_sees_updates_and_deletes() {
         let mut io = MemStore::new();
         let mut root = build(&mut io, 100);
         let (r, replaced) = tree_insert(&mut io, root, &key(40), 999, b"updated").unwrap();
         root = r;
         assert!(replaced);
         assert!(tree_delete(&mut io, root, &key(42)).unwrap());
-
-        let mut out = Vec::new();
-        tree_scan_range(
-            &mut io,
-            root,
-            Some((key(38).as_slice(), true)),
-            Some((key(44).as_slice(), true)),
-            &mut out,
-        )
-        .unwrap();
-        let rows: Vec<&[u8]> = out.iter().map(|(_, v)| v.as_slice()).collect();
-        assert_eq!(out.len(), 3, "38, 40 (updated), 44 — 42 deleted");
-        assert!(rows[0].starts_with(b"38:"));
-        assert_eq!(rows[1], b"updated");
-        assert!(rows[2].starts_with(b"44:"));
-        // The replace kept the original seq, so scan order is by key while
-        // the seq still names the original insertion slot.
-        assert_eq!(out[1].0, 20, "update must keep the old cell's seq");
+        assert!(tree_lookup(&mut io, root, &key(38)).unwrap().unwrap().starts_with(b"38:"));
+        assert_eq!(tree_lookup(&mut io, root, &key(40)).unwrap().unwrap(), b"updated");
+        assert!(tree_lookup(&mut io, root, &key(42)).unwrap().is_none(), "42 was deleted");
+        // The replace kept the original seq, so a full scan still finds
+        // the updated row at its original insertion slot.
+        let mut cells = Vec::new();
+        tree_scan_all(&mut io, root, &mut cells).unwrap();
+        assert_eq!(cells.len(), 99);
+        assert!(cells.iter().any(|(seq, v)| *seq == 20 && v == b"updated"));
     }
 }

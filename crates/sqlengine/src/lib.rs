@@ -67,14 +67,15 @@
 //!   replays the longest intact prefix, truncates torn tails, and
 //!   auto-checkpoints compact the log past a configurable size
 //!   ([`DurabilityConfig`]) — see [`wal`] and [`txn`];
-//! * **paged on-disk storage** ([`pager`], [`btree`], [`bufpool`]):
-//!   durable state lives in 4 KiB slotted pages (id/epoch/type/CRC
-//!   header, double-slot shadow paging) behind a buffer pool with
-//!   pinned-page accounting and clock eviction; tables with a primary
-//!   key are B-trees keyed by the encoded pk, commits apply row patches
-//!   as tree upserts, and a checkpoint flushes only **dirty** pages —
-//!   O(changes), not O(database) — before committing the slot flip
-//!   through an atomically renamed meta file. The planner serves
+//! * **paged on-disk storage** ([`pager`], [`btree`]): the recovery
+//!   image lives in 4 KiB slotted pages (id/epoch/type/CRC header,
+//!   double-slot shadow paging); tables with a primary key are B-trees
+//!   keyed by the encoded pk. Only a checkpoint writes the pages: a
+//!   commit just appends to the log, and a checkpoint folds the log's
+//!   tail into the trees as upserts through a capped page set, writes
+//!   only the pages it touched — O(changes), not O(database) — and
+//!   commits the slot flip through an atomically renamed meta file.
+//!   Queries never read a page. The planner serves
 //!   `WHERE pk = ?` as an index point probe, pk ranges as ordered
 //!   B-tree-order scans and `ORDER BY pk LIMIT k` without sorting
 //!   ([`OptimizerConfig::index_scan`]; off, it is the scan-only
@@ -166,7 +167,6 @@
 
 pub mod ast;
 pub mod btree;
-pub mod bufpool;
 pub mod columnar;
 pub mod db;
 pub mod display;
@@ -190,9 +190,8 @@ pub mod wal;
 pub use db::{Database, QueryResult};
 pub use error::{Error, Result};
 pub use functions::{ScalarUdf, UdfRegistry};
-pub use bufpool::PoolStats;
 pub use optimizer::OptimizerConfig;
-pub use pager::PagerStats;
+pub use pager::{PagerStats, PoolStats};
 pub use shared::{CommitStats, Session, SharedDb};
 pub use txn::MvccStats;
 pub use storage::{Catalog, Column, Table, TableStats};

@@ -1,8 +1,11 @@
 //! # Double-slot shadow-paged storage
 //!
-//! The durable page store behind the WAL ([`crate::wal`]): a checkpoint
-//! flushes only the pages dirtied since the last one — O(dirty), not
-//! O(database).
+//! The durable page store behind the WAL ([`crate::wal`]): the recovery
+//! image of the database, and only that. Queries read the in-memory
+//! tables; a commit only appends to the log. The page file is read by
+//! recovery and read and written by a checkpoint, which folds the log's
+//! tail into the trees and flushes only the pages that fold touched —
+//! O(changes), not O(database).
 //!
 //! ## Layout
 //!
@@ -12,12 +15,12 @@
 //! * `<wal>.pages` — the page file. Each **logical** page id `p ≥ 1` owns
 //!   two 4 KiB **physical slots** at offsets `(2(p-1) + s) · 4096`,
 //!   `s ∈ {0, 1}`. Exactly one slot is *current* (named by the meta
-//!   file); the other is the *shadow*. All writes — dirty-page flushes at
-//!   checkpoint and buffer-pool evictions between checkpoints — go to the
-//!   shadow slot, so the durable current image is **never overwritten**
-//!   and a torn write can never damage committed state. Page ids are
-//!   stable forever, which keeps B-tree leaf links valid with no page
-//!   relocation. The price is 2× page-file space.
+//!   file); the other is the *shadow*. Every write — a checkpoint's flush
+//!   and its early write-backs — goes to the shadow slot, so the durable
+//!   current image is **never overwritten** and a torn write can never
+//!   damage committed state. Page ids are stable forever, which keeps
+//!   B-tree leaf links valid with no page relocation. The price is 2×
+//!   page-file space.
 //! * `<wal>.meta` — the atomically-replaced root of trust: epoch,
 //!   current-slot bitmap, free list, and per-table tree roots + schema.
 //!   Written via tmp file + fsync + rename + parent-dir sync (the same
@@ -25,8 +28,14 @@
 //!
 //! ## Checkpoint protocol (under the WAL mutex)
 //!
-//! 1. flush every dirty pool page to its shadow slot; `fsync` the page
-//!    file;
+//! 0. fold the tail: the committed deltas the log holds since its last
+//!    marker replay, in log order, into a *copy* of the tree metadata,
+//!    through a page set capped at
+//!    [`DurabilityConfig::pool_pages`](crate::wal::DurabilityConfig::pool_pages)
+//!    — a full set writes its dirty pages to their shadow slots and
+//!    empties;
+//! 1. write the set's remaining dirty pages to their shadow slots;
+//!    `fsync` the page file;
 //! 2. write meta for `epoch+1` with the slot bits of all shadow-written
 //!    pages flipped; rename it into place (the atomic commit point);
 //! 3. the caller ([`crate::wal::Wal::checkpoint`]) then rewrites the WAL
@@ -37,35 +46,22 @@
 //! slots. A crash between (2) and (3) leaves the WAL marker *behind* the
 //! meta epoch — recovery trusts the meta and discards the stale tail,
 //! which is sound because the whole checkpoint runs under the WAL lock:
-//! every record in that tail was already folded into the trees the meta
-//! made durable. A WAL marker *ahead* of the meta epoch is loud
-//! corruption. Write failures before (2) completes leave `shadow` and
-//! the dirty flags untouched, so the next checkpoint simply retries
-//! cumulatively — no poison needed until the WAL itself is rewritten.
+//! every record in that tail was folded into the trees the meta made
+//! durable. A WAL marker *ahead* of the meta epoch is loud corruption.
+//! Any failure before (2) completes — a page read, a write-back, a tree
+//! error — drops the copy and leaves the tail in place, so the next
+//! checkpoint folds the same tail into the same durable trees again: a
+//! retry, with nothing to degrade.
 //!
-//! ## Degraded mode: the rebuild flag
-//!
-//! Commits apply their deltas to the trees *after* the WAL fsync — the
-//! commit is already durable, so a tree-application failure must not fail
-//! the commit. Instead the pager flips `rebuild`: delta application
-//! becomes a no-op and the next checkpoint rebuilds every tree from the
-//! in-memory catalog snapshot (sound because the checkpoint runs under
-//! the WAL mutex, after the install: the catalog it is handed holds
-//! every commit in the log — see [`crate::wal::Wal::commit`]).
-//!
-//! Locks: `Pager.inner` holds rank [`lockrank::PAGER`] (32), taken under
-//! the WAL mutex (30); the buffer pool (34) and SimFs state (40) sit
-//! below. See ANALYSIS.md.
+//! Locks: the pager has none of its own. It is a plain field of the
+//! [`Wal`](crate::wal::Wal), reached only under the WAL mutex; SimFs
+//! state (40) sits below. See ANALYSIS.md.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use swan_pool::lockrank;
-
-use crate::btree::{self, PageStore};
-use crate::bufpool::{BufferPool, PageRef, PoolStats};
+use crate::btree::{self, PageStore, MAX_KEY};
 use crate::error::{Error, Result};
 use crate::storage::{
     codec_err, decode_row, encode_row, get_str, get_u32, get_u64, get_u8, put_str, put_u32,
@@ -73,7 +69,7 @@ use crate::storage::{
 };
 use crate::value::{Row, Value};
 use crate::vfs::{Vfs, VfsFile};
-use crate::wal::{crc32, WalDelta};
+use crate::wal::{crc32, for_each_committed, records_in, WalDelta};
 
 /// Physical page size: header + payload, both slots of a page id.
 pub const PAGE_SIZE: usize = 4096;
@@ -82,12 +78,16 @@ pub(crate) const PAGE_HDR: usize = 28;
 /// Usable payload bytes per page.
 pub(crate) const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_HDR;
 
+/// Default page-set cap in pages (1 MiB of 4 KiB pages).
+pub const DEFAULT_POOL_PAGES: usize = 256;
+
 const META_MAGIC: u32 = 0x5357_4D31; // "SWM1"
 const KIND_TREE: u8 = 1;
 const KIND_HEAP: u8 = 2;
 
 /// A decoded page: its type byte and payload. Shared immutably between
-/// the buffer pool and readers; writers install a fresh `PageBuf`.
+/// a checkpoint's page set and the tree code reading it; writers install
+/// a fresh `PageBuf`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PageBuf {
     pub typ: u8,
@@ -151,24 +151,30 @@ struct TableMeta {
     next_seq: u64,
 }
 
-struct PagerState {
-    file: Box<dyn VfsFile>,
-    meta_path: PathBuf,
-    /// Epoch of the durable meta file; `0` = never checkpointed.
-    epoch: u64,
+/// The tree metadata a meta file records. A checkpoint folds into a copy
+/// and installs it only once the meta rename has landed.
+#[derive(Debug, Clone, Default)]
+struct Trees {
     /// First unallocated page id (ids start at 1).
     next_page: u64,
-    /// Current-slot bit per page id (`slots[id-1]`), as named by the
-    /// durable meta. Flipped in memory only after a meta rename lands.
+    /// Current-slot bit per page id (`slots[id-1]`).
     slots: Vec<u8>,
-    /// Pages whose *shadow* slot holds the epoch+1 image (evicted or
-    /// flushed since the last successful checkpoint). Cumulative across
-    /// failed checkpoints; cleared by the meta flip. BTreeSet so flip and
-    /// flush order is deterministic for the crash-sim sweep.
-    shadow: BTreeSet<u64>,
     free: Vec<u64>,
     tables: BTreeMap<String, TableMeta>,
-    rebuild: bool,
+}
+
+/// Page counters, surfaced through [`PagerStats::pool`]. Pages are read
+/// only by a checkpoint's fold and by recovery.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Page reads served from the running checkpoint's page set.
+    pub hits: u64,
+    /// Page reads from the page file.
+    pub misses: u64,
+    /// Pages a full page set dropped mid-checkpoint.
+    pub evictions: u64,
+    /// Of those, the dirty ones: written back to their shadow slots early.
+    pub dirty_evictions: u64,
 }
 
 /// Counters surfaced through [`crate::shared::SharedDb::pager_stats`].
@@ -182,9 +188,9 @@ pub struct PagerStats {
 /// How a failed [`Pager::checkpoint`] left the durable state.
 #[derive(Debug)]
 pub(crate) enum CheckpointError {
-    /// The durable meta is unchanged (old epoch): every retry input —
-    /// dirty flags, shadow set — is intact, so a later checkpoint simply
-    /// tries again. No poison.
+    /// The durable meta is unchanged (old epoch) and so is the pager: the
+    /// fold's copy is dropped, and a later checkpoint folds the same tail
+    /// again. No poison.
     Retryable(Error),
     /// The meta rename was issued but its parent-directory sync failed:
     /// the new meta is *ambiguously* durable while the log still holds
@@ -205,61 +211,161 @@ impl CheckpointError {
 
 pub(crate) struct Pager {
     vfs: Arc<dyn Vfs>,
-    pool: Arc<BufferPool>,
-    inner: Mutex<PagerState>,
+    file: Box<dyn VfsFile>,
+    meta_path: PathBuf,
+    /// Epoch of the durable meta file; `0` = never checkpointed.
+    epoch: u64,
+    /// The trees the durable meta names.
+    trees: Trees,
+    /// Page-set cap of a fold, in pages.
+    cap: usize,
+    stats: PoolStats,
 }
 
-/// Buffer-pool-mediated page I/O handed to the tree layer. Evicted dirty
-/// victims are written to their shadow slot on the way out — eviction
-/// never blocks on the current slot and never loses data.
-struct Io<'a> {
-    st: &'a mut PagerState,
-    pool: &'a Arc<BufferPool>,
+/// One pass over the page file — a checkpoint's fold, or recovery's
+/// read: a copy of the tree metadata plus the pages the pass has read or
+/// written, at most `cap` of them. Handed to the tree layer as its
+/// [`PageStore`].
+struct Fold<'a> {
+    file: &'a mut dyn VfsFile,
+    stats: &'a mut PoolStats,
+    cap: usize,
+    /// The epoch this pass would commit; stamped into page images.
+    epoch: u64,
+    trees: Trees,
+    /// Pages read or written by this pass (`true` = dirty). A BTreeMap so
+    /// write-backs go out in page-id order, deterministic for the
+    /// crash-sim sweep.
+    pages: BTreeMap<u64, (Arc<PageBuf>, bool)>,
+    /// Pages whose shadow slot holds this pass's image.
+    shadow: BTreeSet<u64>,
 }
 
-impl PagerState {
-    fn page_offset(&self, id: u64, slot: u8) -> u64 {
+impl Fold<'_> {
+    fn page_offset(id: u64, slot: u8) -> u64 {
         (2 * (id - 1) + slot as u64) * PAGE_SIZE as u64
     }
 
-    /// The slot currently holding `id`'s newest image: the shadow slot if
-    /// we have written one this epoch, else the durable current slot.
-    fn read_slot(&self, id: u64) -> Result<u8> {
-        if id == 0 || id >= self.next_page {
+    /// The durable current slot of `id`.
+    fn current_slot(&self, id: u64) -> Result<u8> {
+        if id == 0 || id >= self.trees.next_page {
             return Err(Error::Internal(format!("pager: page id {id} out of range")));
         }
-        let cur = self.slots[(id - 1) as usize] & 1;
-        Ok(if self.shadow.contains(&id) { cur ^ 1 } else { cur })
+        Ok(self.trees.slots[(id - 1) as usize] & 1)
     }
 
-    /// Write `buf` as `id`'s epoch+1 image into its shadow slot.
-    fn write_shadow(&mut self, id: u64, buf: &PageBuf) -> Result<()> {
-        if id == 0 || id >= self.next_page {
-            return Err(Error::Internal(format!("pager: shadow write to bad page id {id}")));
+    /// Add a page to the set. A set that reaches its cap writes its dirty
+    /// pages to their shadow slots and empties.
+    fn hold(&mut self, id: u64, buf: Arc<PageBuf>, dirty: bool) -> Result<()> {
+        self.pages.insert(id, (buf, dirty));
+        if self.pages.len() < self.cap {
+            return Ok(());
         }
-        let slot = (self.slots[(id - 1) as usize] & 1) ^ 1;
-        let img = encode_page_image(id, self.epoch + 1, buf)?;
-        let off = self.page_offset(id, slot);
-        self.file.write_all_at(off, &img)?;
-        self.shadow.insert(id);
+        let evicted = self.pages.len() as u64;
+        let written = self.write_back()?;
+        self.stats.evictions += evicted;
+        self.stats.dirty_evictions += written;
         Ok(())
+    }
+
+    /// Write every dirty page of the set to its shadow slot and empty the
+    /// set; returns how many pages were written.
+    fn write_back(&mut self) -> Result<u64> {
+        let mut written = 0;
+        for (id, (buf, dirty)) in std::mem::take(&mut self.pages) {
+            if dirty {
+                let slot = self.current_slot(id)? ^ 1;
+                let img = encode_page_image(id, self.epoch, &buf)?;
+                self.file.write_all_at(Self::page_offset(id, slot), &img)?;
+                self.shadow.insert(id);
+                written += 1;
+            }
+        }
+        Ok(written)
+    }
+
+    /// Flush the set and flip the slot bit of every shadow-written page:
+    /// the trees the next meta names.
+    fn finish(mut self) -> Result<Trees> {
+        self.write_back()?;
+        for &id in &self.shadow {
+            self.trees.slots[(id - 1) as usize] ^= 1;
+        }
+        Ok(self.trees)
+    }
+
+    /// Fold one committed delta into the trees.
+    fn apply_delta(&mut self, delta: &WalDelta) -> Result<()> {
+        match delta {
+            WalDelta::Put { table } => {
+                if let Some(tm) = self.trees.tables.remove(&table.name) {
+                    free_table(self, &tm)?;
+                }
+                let tm = build_table(
+                    self,
+                    &table.columns,
+                    &table.primary_key,
+                    table.version,
+                    table.rows(),
+                )?;
+                self.trees.tables.insert(table.name.clone(), tm);
+            }
+            WalDelta::Append { table, rows, new_version } => {
+                let mut tm = self.table(table)?;
+                for row in rows {
+                    append_row(self, &mut tm, row)?;
+                }
+                tm.version = *new_version;
+                self.trees.tables.insert(table.clone(), tm);
+            }
+            WalDelta::Drop { name } => {
+                if let Some(tm) = self.trees.tables.remove(name) {
+                    free_table(self, &tm)?;
+                }
+            }
+            WalDelta::RowPatch { table, deletes, upserts, new_version } => {
+                let mut tm = self.table(table)?;
+                if tm.kind != KIND_TREE {
+                    return Err(Error::Internal(format!(
+                        "pager: row patch against heap table '{table}'"
+                    )));
+                }
+                for tuple in deletes {
+                    let key = encode_tuple_key(tuple);
+                    if btree::tree_delete(self, tm.root, &key)? {
+                        tm.row_count = tm.row_count.saturating_sub(1);
+                    }
+                }
+                for row in upserts {
+                    append_row(self, &mut tm, row)?;
+                }
+                tm.version = *new_version;
+                self.trees.tables.insert(table.clone(), tm);
+            }
+        }
+        Ok(())
+    }
+
+    fn table(&self, name: &str) -> Result<TableMeta> {
+        self.trees.tables.get(name).cloned().ok_or_else(|| {
+            Error::Internal(format!("pager: delta references unknown table '{name}'"))
+        })
     }
 }
 
-impl PageStore for Io<'_> {
-    fn read(&mut self, id: u64) -> Result<PageRef> {
-        if let Some(page) = self.pool.lookup(id) {
-            return Ok(page);
+impl PageStore for Fold<'_> {
+    fn read(&mut self, id: u64) -> Result<Arc<PageBuf>> {
+        if let Some((buf, _)) = self.pages.get(&id) {
+            self.stats.hits += 1;
+            return Ok(buf.clone());
         }
-        let slot = self.st.read_slot(id)?;
-        let off = self.st.page_offset(id, slot);
-        let img = self.st.file.read_exact_at(off, PAGE_SIZE)?;
+        self.stats.misses += 1;
+        let cur = self.current_slot(id)?;
+        let slot = if self.shadow.contains(&id) { cur ^ 1 } else { cur };
+        let img = self.file.read_exact_at(Self::page_offset(id, slot), PAGE_SIZE)?;
         let buf = Arc::new(parse_page_image(&img, id)?);
-        let (page, evicted) = self.pool.insert(id, buf, false);
-        if let Some(ev) = evicted {
-            self.st.write_shadow(ev.id, &ev.buf)?;
-        }
-        Ok(page)
+        self.hold(id, buf.clone(), false)?;
+        Ok(buf)
     }
 
     fn write(&mut self, id: u64, typ: u8, data: Vec<u8>) -> Result<()> {
@@ -269,33 +375,23 @@ impl PageStore for Io<'_> {
                 data.len()
             )));
         }
-        let evicted = self.pool.update(id, Arc::new(PageBuf { typ, data }));
-        if let Some(ev) = evicted {
-            self.st.write_shadow(ev.id, &ev.buf)?;
-        }
-        Ok(())
+        self.hold(id, Arc::new(PageBuf { typ, data }), true)
     }
 
     fn alloc(&mut self) -> Result<u64> {
-        if let Some(id) = self.st.free.pop() {
+        if let Some(id) = self.trees.free.pop() {
             return Ok(id);
         }
-        let id = self.st.next_page;
-        self.st.next_page += 1;
-        // A rebuild restarts allocation at id 1 while keeping the old slot
-        // bits, so the vector may already cover this id. Growing it
-        // unconditionally would desync `slots.len()` from `next_page - 1`
-        // and shift every field after the slot array in the encoded meta.
-        if self.st.slots.len() < id as usize {
-            self.st.slots.push(0);
-        }
+        let id = self.trees.next_page;
+        self.trees.next_page += 1;
+        self.trees.slots.push(0);
         Ok(id)
     }
 
     fn free(&mut self, id: u64) -> Result<()> {
-        self.pool.drop_page(id)?;
-        self.st.shadow.remove(&id);
-        self.st.free.push(id);
+        self.pages.remove(&id);
+        self.shadow.remove(&id);
+        self.trees.free.push(id);
         Ok(())
     }
 }
@@ -318,6 +414,42 @@ fn encode_pk_key(row: &[Value], pk: &[usize]) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
+/// Byte length of [`encode_pk_key`]'s image, computed without building it.
+fn pk_key_len(row: &[Value], pk: &[usize]) -> usize {
+    4 + pk
+        .iter()
+        .map(|&i| match row.get(i) {
+            Some(Value::Integer(_) | Value::Real(_)) => 9,
+            Some(Value::Text(s)) => 5 + s.len(),
+            Some(Value::Null) | None => 1,
+        })
+        .sum::<usize>()
+}
+
+/// Refuse a delta, before it is logged, when one of its rows carries a
+/// primary key no tree page can hold: once acknowledged, such a row would
+/// fail every later checkpoint's fold. `pk_of` names a table's primary-key
+/// columns (`None` or empty = a heap table, which has no keys).
+pub(crate) fn check_key_sizes<'a>(
+    delta: &WalDelta,
+    pk_of: impl Fn(&str) -> Option<&'a [usize]>,
+) -> Result<()> {
+    let (table, rows) = match delta {
+        WalDelta::Put { table } => (table.name.as_str(), table.rows()),
+        WalDelta::Append { table, rows, .. } => (table.as_str(), rows.as_slice()),
+        WalDelta::RowPatch { table, upserts, .. } => (table.as_str(), upserts.as_slice()),
+        WalDelta::Drop { .. } => return Ok(()),
+    };
+    let Some(pk) = pk_of(table).filter(|pk| !pk.is_empty()) else { return Ok(()) };
+    match rows.iter().map(|row| pk_key_len(row, pk)).max() {
+        Some(len) if len > MAX_KEY => Err(Error::Constraint(format!(
+            "primary key of a row in table '{table}' encodes to {len} bytes; \
+             the paged store holds keys of at most {MAX_KEY} bytes"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// Encode an already-projected pk tuple (a `RowPatch` delete row).
 fn encode_tuple_key(tuple: &[Value]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16);
@@ -332,23 +464,17 @@ fn encode_tuple_key(tuple: &[Value]) -> Vec<u8> {
 // Meta codec
 // ---------------------------------------------------------------------------
 
-fn encode_meta(
-    epoch: u64,
-    next_page: u64,
-    slots: &[u8],
-    free: &[u64],
-    tables: &BTreeMap<String, TableMeta>,
-) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64 + slots.len());
+fn encode_meta(epoch: u64, trees: &Trees) -> Vec<u8> {
+    let mut p = Vec::with_capacity(64 + trees.slots.len());
     put_u64(&mut p, epoch);
-    put_u64(&mut p, next_page);
-    p.extend_from_slice(slots);
-    put_u32(&mut p, free.len() as u32);
-    for &id in free {
+    put_u64(&mut p, trees.next_page);
+    p.extend_from_slice(&trees.slots);
+    put_u32(&mut p, trees.free.len() as u32);
+    for &id in &trees.free {
         put_u64(&mut p, id);
     }
-    put_u32(&mut p, tables.len() as u32);
-    for (name, tm) in tables {
+    put_u32(&mut p, trees.tables.len() as u32);
+    for (name, tm) in &trees.tables {
         put_str(&mut p, name);
         p.push(tm.kind);
         put_u64(&mut p, tm.root);
@@ -380,15 +506,8 @@ fn encode_meta(
     out
 }
 
-struct MetaImage {
-    epoch: u64,
-    next_page: u64,
-    slots: Vec<u8>,
-    free: Vec<u64>,
-    tables: BTreeMap<String, TableMeta>,
-}
-
-fn parse_meta(bytes: &[u8]) -> Result<MetaImage> {
+/// Decode a meta file: its epoch and the trees it names.
+fn parse_meta(bytes: &[u8]) -> Result<(u64, Trees)> {
     let mut pos = 0usize;
     if get_u32(bytes, &mut pos)? != META_MAGIC {
         return Err(Error::Io("pager: bad meta magic".into()));
@@ -447,7 +566,7 @@ fn parse_meta(bytes: &[u8]) -> Result<MetaImage> {
         }
         tables.insert(name, TableMeta { columns, pk, version, row_count, kind, root, tail, next_seq });
     }
-    Ok(MetaImage { epoch, next_page, slots, free, tables })
+    Ok((epoch, Trees { next_page, slots, free, tables }))
 }
 
 // ---------------------------------------------------------------------------
@@ -466,84 +585,59 @@ impl Pager {
     /// at epoch 0 — [`crate::wal::Wal::open_on`] cross-checks the WAL's
     /// checkpoint marker against the meta epoch, so a lost meta with a
     /// durable marker is a loud error, not silent data loss.
-    pub(crate) fn open(
-        vfs: Arc<dyn Vfs>,
-        wal_path: &Path,
-        pool_pages: usize,
-    ) -> Result<Pager> {
-        let pages_path = sibling_path(wal_path, ".pages");
+    pub(crate) fn open(vfs: Arc<dyn Vfs>, wal_path: &Path, pool_pages: usize) -> Result<Pager> {
         let meta_path = sibling_path(wal_path, ".meta");
-        let mut epoch = 0u64;
-        let mut next_page = 1u64;
-        let mut slots = Vec::new();
-        let mut free = Vec::new();
-        let mut tables = BTreeMap::new();
-        if let Ok(bytes) = vfs.read(&meta_path) {
-            if !bytes.is_empty() {
-                let meta = parse_meta(&bytes)?;
-                epoch = meta.epoch;
-                next_page = meta.next_page;
-                slots = meta.slots;
-                free = meta.free;
-                tables = meta.tables;
-            }
-        }
-        let file = vfs.open(&pages_path)?;
+        let (epoch, trees) = match vfs.read(&meta_path) {
+            Ok(bytes) if !bytes.is_empty() => parse_meta(&bytes)?,
+            _ => (0, Trees { next_page: 1, ..Trees::default() }),
+        };
+        let file = vfs.open(&sibling_path(wal_path, ".pages"))?;
         Ok(Pager {
             vfs,
-            pool: BufferPool::new(pool_pages),
-            inner: Mutex::with_rank(
-                "pager",
-                lockrank::PAGER,
-                PagerState {
-                    file,
-                    meta_path,
-                    epoch,
-                    next_page,
-                    slots,
-                    shadow: BTreeSet::new(),
-                    free,
-                    tables,
-                    rebuild: false,
-                },
-            ),
+            file,
+            meta_path,
+            epoch,
+            trees,
+            cap: pool_pages,
+            stats: PoolStats::default(),
         })
     }
 
     /// Epoch of the durable meta (`0` = never checkpointed).
     pub(crate) fn epoch(&self) -> u64 {
-        self.inner.lock().epoch
-    }
-
-    /// Enter degraded mode: delta application becomes a no-op and the
-    /// next checkpoint rebuilds every tree from the catalog snapshot.
-    pub(crate) fn set_rebuild(&self) {
-        self.inner.lock().rebuild = true;
+        self.epoch
     }
 
     pub(crate) fn stats(&self) -> PagerStats {
-        let st = self.inner.lock();
-        PagerStats { epoch: st.epoch, pages: st.next_page - 1, pool: self.pool.stats() }
+        PagerStats { epoch: self.epoch, pages: self.trees.next_page - 1, pool: self.stats }
+    }
+
+    /// A pass over the durable trees, committing as epoch `epoch + 1`.
+    fn fold(&mut self) -> Fold<'_> {
+        Fold {
+            file: &mut *self.file,
+            stats: &mut self.stats,
+            cap: self.cap,
+            epoch: self.epoch + 1,
+            trees: self.trees.clone(),
+            pages: BTreeMap::new(),
+            shadow: BTreeSet::new(),
+        }
     }
 
     /// Rebuild the catalog from the durable trees (recovery with a
     /// current meta). Rows come back in `seq` order — byte-identical to
     /// the in-memory row order at checkpoint time.
-    pub(crate) fn materialize_catalog(&self) -> Result<Catalog> {
-        let mut st = self.inner.lock();
-        let st = &mut *st;
-        let metas: Vec<(String, TableMeta)> =
-            st.tables.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
+    pub(crate) fn materialize_catalog(&mut self) -> Result<Catalog> {
+        let mut io = self.fold();
+        let metas = io.trees.tables.clone();
         let mut catalog = Catalog::new();
         let mut interner = TextInterner::new();
         for (name, tm) in metas {
             let mut cells: Vec<(u64, Vec<u8>)> = Vec::with_capacity(tm.row_count as usize);
-            {
-                let mut io = Io { st, pool: &self.pool };
-                match tm.kind {
-                    KIND_TREE => btree::tree_scan_all(&mut io, tm.root, &mut cells)?,
-                    _ => btree::heap_scan(&mut io, tm.root, &mut cells)?,
-                }
+            match tm.kind {
+                KIND_TREE => btree::tree_scan_all(&mut io, tm.root, &mut cells)?,
+                _ => btree::heap_scan(&mut io, tm.root, &mut cells)?,
             }
             cells.sort_by_key(|(seq, _)| *seq);
             let pk_names: Vec<String> =
@@ -560,173 +654,44 @@ impl Pager {
         Ok(catalog)
     }
 
-    /// Apply one committed delta to the durable trees. Called by the WAL
-    /// layer after the commit is on disk — errors here must not fail the
-    /// commit, so the caller routes them to [`Pager::set_rebuild`]. In
-    /// rebuild mode this is a no-op (the next checkpoint recaptures
-    /// everything from the catalog).
-    pub(crate) fn apply_delta(&self, delta: &WalDelta) -> Result<()> {
-        let mut st = self.inner.lock();
-        let st = &mut *st;
-        if st.rebuild {
-            return Ok(());
-        }
-        match delta {
-            WalDelta::Put { table } => {
-                if let Some(tm) = st.tables.remove(&table.name) {
-                    let mut io = Io { st, pool: &self.pool };
-                    free_table(&mut io, &tm)?;
-                }
-                let tm = {
-                    let mut io = Io { st, pool: &self.pool };
-                    build_table(
-                        &mut io,
-                        &table.columns,
-                        &table.primary_key,
-                        table.version,
-                        table.rows(),
-                    )?
-                };
-                st.tables.insert(table.name.clone(), tm);
-            }
-            WalDelta::Append { table, rows, new_version } => {
-                let mut tm = st
-                    .tables
-                    .get(table)
-                    .cloned()
-                    .ok_or_else(|| missing_table(table))?;
-                {
-                    let mut io = Io { st, pool: &self.pool };
-                    for row in rows {
-                        append_row(&mut io, &mut tm, row)?;
-                    }
-                }
-                tm.version = *new_version;
-                st.tables.insert(table.clone(), tm);
-            }
-            WalDelta::Drop { name } => {
-                if let Some(tm) = st.tables.remove(name) {
-                    let mut io = Io { st, pool: &self.pool };
-                    free_table(&mut io, &tm)?;
-                }
-            }
-            WalDelta::RowPatch { table, deletes, upserts, new_version } => {
-                let mut tm = st
-                    .tables
-                    .get(table)
-                    .cloned()
-                    .ok_or_else(|| missing_table(table))?;
-                if tm.kind != KIND_TREE {
-                    return Err(Error::Internal(format!(
-                        "pager: row patch against heap table '{table}'"
-                    )));
-                }
-                {
-                    let mut io = Io { st, pool: &self.pool };
-                    for tuple in deletes {
-                        let key = encode_tuple_key(tuple);
-                        if btree::tree_delete(&mut io, tm.root, &key)? {
-                            tm.row_count = tm.row_count.saturating_sub(1);
-                        }
-                    }
-                    for row in upserts {
-                        append_row(&mut io, &mut tm, row)?;
-                    }
-                }
-                tm.version = *new_version;
-                st.tables.insert(table.clone(), tm);
-            }
-        }
-        Ok(())
-    }
-
-    /// Flush dirty pages to shadow slots and commit the slot flip via the
-    /// meta rename. Returns the new epoch for the WAL marker. A
-    /// [`CheckpointError::Retryable`] failure leaves the durable state at
-    /// the old epoch and all retry state (dirty flags, shadow set)
-    /// intact; only a failed parent-directory sync *after* the rename is
+    /// Fold `tail` — the log's framed records since its last marker — into
+    /// the trees, flush the pages it touched to their shadow slots, and
+    /// commit the slot flip via the meta rename. Returns the new epoch for
+    /// the WAL marker. A [`CheckpointError::Retryable`] failure leaves the
+    /// pager and the durable state at the old epoch; only a failed
+    /// parent-directory sync *after* the rename is
     /// [`CheckpointError::Ambiguous`] (see its docs).
-    pub(crate) fn checkpoint(
-        &self,
-        catalog: &Catalog,
-    ) -> std::result::Result<u64, CheckpointError> {
-        let mut st = self.inner.lock();
-        let st = &mut *st;
+    pub(crate) fn checkpoint(&mut self, tail: &[u8]) -> std::result::Result<u64, CheckpointError> {
         // Everything up to and including the rename is retryable: rename
         // is atomic, so a failure there leaves the old meta in place.
         let retry = CheckpointError::Retryable;
-        if st.rebuild {
-            self.rebuild_from(st, catalog).map_err(retry)?;
-            st.rebuild = false;
-        }
-        for (id, buf) in self.pool.dirty_snapshot() {
-            st.write_shadow(id, &buf).map_err(retry)?;
-        }
-        st.file.sync_data().map_err(retry)?;
-        let next_epoch = st.epoch + 1;
-        let mut new_slots = st.slots.clone();
-        for &id in &st.shadow {
-            new_slots[(id - 1) as usize] ^= 1;
-        }
-        let meta = encode_meta(next_epoch, st.next_page, &new_slots, &st.free, &st.tables);
-        let tmp = sibling_path(&st.meta_path, ".tmp");
+        let next_epoch = self.epoch + 1;
+        let trees = {
+            let mut fold = self.fold();
+            for_each_committed(records_in(tail), |delta| fold.apply_delta(&delta))
+                .map_err(retry)?;
+            fold.finish().map_err(retry)?
+        };
+        self.file.sync_data().map_err(retry)?;
+        let meta = encode_meta(next_epoch, &trees);
+        let tmp = sibling_path(&self.meta_path, ".tmp");
         {
             let mut f = self.vfs.create(&tmp).map_err(retry)?;
             f.write_all_at(0, &meta).map_err(retry)?;
             f.sync_data().map_err(retry)?;
         }
-        self.vfs.rename(&tmp, &st.meta_path).map_err(retry)?;
+        self.vfs.rename(&tmp, &self.meta_path).map_err(retry)?;
         self.vfs
-            .sync_parent_dir(&st.meta_path)
+            .sync_parent_dir(&self.meta_path)
             .map_err(CheckpointError::Ambiguous)?;
-        // The rename is durable: commit the flip in memory.
-        st.epoch = next_epoch;
-        st.slots = new_slots;
-        st.shadow.clear();
-        self.pool.clear_dirty();
+        // The rename is durable: the folded trees are the store now.
+        self.epoch = next_epoch;
+        self.trees = trees;
         Ok(next_epoch)
     }
-
-    /// Rebuild every tree from the catalog snapshot (the degraded-mode
-    /// escape hatch). Existing pages are recycled
-    /// wholesale: allocation restarts at id 1 — safe because every write
-    /// targets a shadow slot, never the durable current image.
-    fn rebuild_from(&self, st: &mut PagerState, catalog: &Catalog) -> Result<()> {
-        self.pool.clear();
-        st.shadow.clear();
-        st.tables.clear();
-        st.free.clear();
-        let old_next = st.next_page;
-        st.next_page = 1;
-        for name in catalog.table_names() {
-            let table = catalog
-                .get(&name)
-                .ok_or_else(|| Error::Internal(format!("pager: catalog lost table '{name}'")))?
-                .clone();
-            let tm = {
-                let mut io = Io { st, pool: &self.pool };
-                build_table(
-                    &mut io,
-                    &table.columns,
-                    &table.primary_key,
-                    table.version,
-                    table.rows(),
-                )?
-            };
-            st.tables.insert(table.name.clone(), tm);
-        }
-        // Ids the old state had allocated but the rebuild did not reuse.
-        st.free.extend(st.next_page..old_next);
-        st.next_page = st.next_page.max(old_next);
-        Ok(())
-    }
 }
 
-fn missing_table(name: &str) -> Error {
-    Error::Internal(format!("pager: delta references unknown table '{name}'"))
-}
-
-fn free_table(io: &mut Io<'_>, tm: &TableMeta) -> Result<()> {
+fn free_table(io: &mut dyn PageStore, tm: &TableMeta) -> Result<()> {
     match tm.kind {
         KIND_TREE => btree::tree_free(io, tm.root),
         _ => btree::heap_free(io, tm.root),
@@ -736,7 +701,7 @@ fn free_table(io: &mut Io<'_>, tm: &TableMeta) -> Result<()> {
 /// Insert one full row image into `tm`'s structure, advancing `next_seq`
 /// and `row_count` only when a genuinely new key lands (tree upserts of
 /// an existing key keep the old cell's position).
-fn append_row(io: &mut Io<'_>, tm: &mut TableMeta, row: &Row) -> Result<()> {
+fn append_row(io: &mut dyn PageStore, tm: &mut TableMeta, row: &Row) -> Result<()> {
     let mut bytes = Vec::with_capacity(32);
     encode_row(&mut bytes, row);
     if tm.kind == KIND_TREE {
@@ -759,7 +724,7 @@ fn append_row(io: &mut Io<'_>, tm: &mut TableMeta, row: &Row) -> Result<()> {
 
 /// Build a table's pages from scratch from full row images.
 fn build_table(
-    io: &mut Io<'_>,
+    io: &mut dyn PageStore,
     columns: &[Column],
     pk: &[usize],
     version: u64,
@@ -787,6 +752,7 @@ mod tests {
     use super::*;
     use crate::value::Value;
     use crate::vfs::{FaultKind, SimFs};
+    use crate::wal::{frame_group, WalRecord};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn wal_path(tag: &str) -> PathBuf {
@@ -815,6 +781,21 @@ mod tests {
         Pager::open(v, path, 8).expect("open pager")
     }
 
+    /// A log tail holding one committed transaction per delta.
+    fn tail(deltas: Vec<WalDelta>) -> Vec<u8> {
+        let mut records = Vec::new();
+        for (txn, delta) in (1..).zip(deltas) {
+            records.push(WalRecord::Begin { txn });
+            records.push(WalRecord::Delta { txn, delta });
+            records.push(WalRecord::Commit { txn });
+        }
+        frame_group(&records)
+    }
+
+    fn put(rows: usize) -> Vec<u8> {
+        tail(vec![WalDelta::Put { table: Arc::new(table(rows)) }])
+    }
+
     #[test]
     fn page_image_round_trip_and_corruption() {
         let buf = PageBuf { typ: 3, data: vec![9u8; 100] };
@@ -828,160 +809,206 @@ mod tests {
     }
 
     #[test]
+    fn pk_key_len_is_the_encoded_length() {
+        let row = [
+            Value::Integer(-3),
+            Value::Text("ключ".into()),
+            Value::Null,
+            Value::Real(f64::NAN),
+        ];
+        for pk in [vec![], vec![0], vec![1], vec![2, 3], vec![3, 1, 0, 2]] {
+            let key = encode_pk_key(&row, &pk).expect("encode");
+            assert_eq!(pk_key_len(&row, &pk), key.len(), "pk {pk:?}");
+        }
+    }
+
+    #[test]
     fn checkpoint_then_materialize_round_trips() {
         let vfs = SimFs::new();
         let path = wal_path("rt");
-        let pager = open(&vfs, &path);
-        let mut catalog = Catalog::new();
-        catalog.put_shared(Arc::new(table(500)));
-        pager.set_rebuild();
-        pager.checkpoint(&catalog).expect("checkpoint");
+        let mut pager = open(&vfs, &path);
+        pager.checkpoint(&put(500)).expect("checkpoint");
         assert_eq!(pager.epoch(), 1);
 
         // Reopen from disk and materialize.
-        let pager2 = open(&vfs, &path);
+        let mut pager2 = open(&vfs, &path);
         assert_eq!(pager2.epoch(), 1);
         let back = pager2.materialize_catalog().expect("materialize");
         let t = back.get("t").expect("table t");
         assert_eq!(**t, table(500));
     }
 
-    #[test]
-    fn incremental_delta_application_survives_reopen() {
-        let vfs = SimFs::new();
-        let path = wal_path("delta");
-        let pager = open(&vfs, &path);
-        let mut catalog = Catalog::new();
-        catalog.put_shared(Arc::new(table(10)));
-        pager.set_rebuild();
-        pager.checkpoint(&catalog).expect("checkpoint");
-
-        // Append two rows, patch one, delete one — then checkpoint.
-        pager
-            .apply_delta(&WalDelta::Append {
+    fn deltas_after_put() -> Vec<WalDelta> {
+        vec![
+            WalDelta::Append {
                 table: "t".into(),
                 rows: vec![
                     Arc::from(vec![Value::Integer(100), Value::Text("x".into())]),
                     Arc::from(vec![Value::Integer(101), Value::Text("y".into())]),
                 ],
                 new_version: 8,
-            })
-            .expect("append");
-        pager
-            .apply_delta(&WalDelta::RowPatch {
+            },
+            WalDelta::RowPatch {
                 table: "t".into(),
                 deletes: vec![Arc::from(vec![Value::Integer(3)])],
                 upserts: vec![Arc::from(vec![Value::Integer(5), Value::Text("patched".into())])],
                 new_version: 9,
-            })
-            .expect("patch");
-        pager.checkpoint(&catalog).expect("checkpoint 2");
-
-        let expected = {
-            let mut t = table(10);
-            t.insert_row(vec![Value::Integer(100), Value::Text("x".into())]).expect("i");
-            t.insert_row(vec![Value::Integer(101), Value::Text("y".into())]).expect("i");
-            t.apply_row_patch(
-                &[Arc::from(vec![Value::Integer(3)])],
-                vec![Arc::from(vec![Value::Integer(5), Value::Text("patched".into())])],
-            )
-            .expect("patch");
-            t.version = 9;
-            t
-        };
-        let back = open(&vfs, &path).materialize_catalog().expect("materialize");
-        assert_eq!(**back.get("t").expect("t"), expected);
+            },
+        ]
     }
 
-    fn retry_setup(tag: &str) -> (SimFs, PathBuf, Pager, Catalog) {
+    fn expected_after_put() -> Table {
+        let mut t = table(10);
+        t.insert_row(vec![Value::Integer(100), Value::Text("x".into())]).expect("i");
+        t.insert_row(vec![Value::Integer(101), Value::Text("y".into())]).expect("i");
+        t.apply_row_patch(
+            &[Arc::from(vec![Value::Integer(3)])],
+            vec![Arc::from(vec![Value::Integer(5), Value::Text("patched".into())])],
+        )
+        .expect("patch");
+        t.version = 9;
+        t
+    }
+
+    #[test]
+    fn incremental_delta_application_survives_reopen() {
         let vfs = SimFs::new();
-        let path = wal_path(tag);
-        let pager = open(&vfs, &path);
-        let mut catalog = Catalog::new();
-        catalog.put_shared(Arc::new(table(50)));
-        pager.set_rebuild();
-        pager.checkpoint(&catalog).expect("checkpoint 1");
-        pager
-            .apply_delta(&WalDelta::Append {
-                table: "t".into(),
-                rows: vec![Arc::from(vec![Value::Integer(999), Value::Text("z".into())])],
-                new_version: 8,
-            })
-            .expect("append");
-        (vfs, path, pager, catalog)
+        let path = wal_path("delta");
+        let mut pager = open(&vfs, &path);
+        pager.checkpoint(&put(10)).expect("checkpoint");
+
+        // Append two rows, patch one, delete one — then checkpoint.
+        pager.checkpoint(&tail(deltas_after_put())).expect("checkpoint 2");
+
+        let back = open(&vfs, &path).materialize_catalog().expect("materialize");
+        assert_eq!(**back.get("t").expect("t"), expected_after_put());
     }
 
+    /// An uncommitted trailing transaction in the tail is not folded —
+    /// the same rollback recovery applies.
+    #[test]
+    fn fold_skips_uncommitted_groups() {
+        let vfs = SimFs::new();
+        let path = wal_path("uncommitted");
+        let mut pager = open(&vfs, &path);
+        let mut bytes = put(10);
+        bytes.extend(frame_group(&[
+            WalRecord::Begin { txn: 9 },
+            WalRecord::Delta { txn: 9, delta: WalDelta::Drop { name: "t".into() } },
+        ]));
+        pager.checkpoint(&bytes).expect("checkpoint");
+        let back = open(&vfs, &path).materialize_catalog().expect("materialize");
+        assert_eq!(**back.get("t").expect("t survives"), table(10));
+    }
+
+    /// A fault at every VFS op index of one checkpoint — fold reads,
+    /// early write-backs, the flush, the page-file sync and the meta
+    /// write, sync and rename — fails it retryably: a retry of the same
+    /// tail, and a reopen, equal the fault-free run.
     #[test]
     fn failed_checkpoint_is_retryable_without_data_loss() {
-        // Dry run on an identical instance to learn how many ops into the
-        // second checkpoint the meta rename happens (SimFs is
-        // deterministic, so the offset transfers).
-        let rename_offset = {
-            let (vfs, _, pager, catalog) = retry_setup("retry_probe");
-            let before = vfs.op_count();
-            pager.checkpoint(&catalog).expect("probe checkpoint");
-            vfs.ops()[before as usize..]
-                .iter()
-                .position(|l| l.starts_with("rename"))
-                .expect("checkpoint performs a rename") as u64
+        // A pager over 400 checkpointed rows; the second checkpoint folds
+        // an append of wide rows and a patch through an 8-page set, so it
+        // reads, writes back early and flushes.
+        let setup = |tag: &str| {
+            let vfs = SimFs::new();
+            let path = wal_path(tag);
+            let mut pager = open(&vfs, &path);
+            pager.checkpoint(&put(400)).expect("checkpoint 1");
+            (vfs, path, pager)
         };
+        let second = tail(vec![
+            WalDelta::Append {
+                table: "t".into(),
+                rows: (1000..1300)
+                    .map(|i| Arc::from(vec![Value::Integer(i), Value::text("z".repeat(100))]))
+                    .collect(),
+                new_version: 8,
+            },
+            WalDelta::RowPatch {
+                table: "t".into(),
+                deletes: vec![Arc::from(vec![Value::Integer(3)])],
+                upserts: vec![Arc::from(vec![Value::Integer(250), Value::Text("p".into())])],
+                new_version: 9,
+            },
+        ]);
 
-        // Real run: fail exactly the meta rename. The checkpoint must
-        // error, leave the durable epoch alone, and succeed on retry.
-        let (vfs, path, pager, catalog) = retry_setup("retry");
-        vfs.set_fault(vfs.op_count() + rename_offset, FaultKind::FailOp);
-        assert!(pager.checkpoint(&catalog).is_err(), "injected rename fault");
-        assert_eq!(pager.epoch(), 1, "epoch must not advance on failure");
-        vfs.clear_fault();
-        pager.checkpoint(&catalog).expect("retry succeeds");
-        assert_eq!(pager.epoch(), 2);
+        let (vfs, path, mut pager) = setup("retry_probe");
+        let before = vfs.op_count();
+        pager.checkpoint(&second).expect("fault-free checkpoint");
+        let ops: Vec<String> = vfs.ops()[before as usize..].to_vec();
+        let expected = open(&vfs, &path).materialize_catalog().expect("materialize");
+        let expected = expected.get("t").expect("t").clone();
+        let stats = pager.stats().pool;
+        assert!(stats.misses > 0 && stats.dirty_evictions > 0, "{stats:?}");
+        for kind in ["read ", "write ", "sync ", "create ", "rename ", "sync_dir "] {
+            assert!(ops.iter().any(|op| op.starts_with(kind)), "no {kind}op in {ops:?}");
+        }
 
-        let back = open(&vfs, &path).materialize_catalog().expect("materialize");
-        assert_eq!(back.get("t").expect("t").len(), 51);
-    }
-
-    /// Regression: a rebuild restarts allocation at page 1 over the
-    /// existing slot vector. `alloc` must not grow the vector for reused
-    /// ids — the encoded meta sizes its slot array as `next_page - 1`,
-    /// so spurious entries shift every later field and the reopened meta
-    /// fails to decode.
-    #[test]
-    fn rebuild_over_existing_pages_keeps_meta_decodable() {
-        let vfs = SimFs::new();
-        let path = wal_path("rebuild2");
-        let pager = open(&vfs, &path);
-        let mut catalog = Catalog::new();
-        catalog.put_shared(Arc::new(table(200)));
-        pager.set_rebuild();
-        pager.checkpoint(&catalog).expect("checkpoint 1");
-
-        // Degraded mode again, now with pages on disk: the second rebuild
-        // reuses ids 1.. and must leave slots.len() == next_page - 1.
-        pager.set_rebuild();
-        pager.checkpoint(&catalog).expect("checkpoint 2");
-        assert_eq!(pager.epoch(), 2);
-
-        let back = open(&vfs, &path).materialize_catalog().expect("reopen + materialize");
-        assert_eq!(**back.get("t").expect("t"), table(200));
+        for at in 0..ops.len() as u64 {
+            let (vfs, path, mut pager) = setup("retry");
+            vfs.set_fault(vfs.op_count() + at, FaultKind::FailOp);
+            let failed = pager.checkpoint(&second);
+            let op = &ops[at as usize];
+            if op.starts_with("sync_dir") {
+                assert!(
+                    matches!(failed, Err(CheckpointError::Ambiguous(_))),
+                    "{op}: a failed meta dir sync is ambiguous"
+                );
+            } else {
+                assert!(
+                    matches!(failed, Err(CheckpointError::Retryable(_))),
+                    "fault at {op}: {failed:?}"
+                );
+            }
+            assert_eq!(pager.epoch(), 1, "{op}: epoch must not advance on failure");
+            vfs.clear_fault();
+            pager.checkpoint(&second).expect("retry succeeds");
+            assert_eq!(pager.epoch(), 2);
+            let back = open(&vfs, &path).materialize_catalog().expect("materialize");
+            assert_eq!(**back.get("t").expect("t"), *expected, "fault at {op}");
+        }
     }
 
     #[test]
     fn eviction_pressure_keeps_trees_correct() {
-        // Pool of 8 pages, table far larger than that: every operation
-        // churns the pool, evicted dirty pages land in shadow slots, and
-        // the result must still round-trip.
+        // Page set of 8 pages, table far larger than that: the fold
+        // writes pages back early and reads them back from their shadow
+        // slots, and the result must still round-trip.
         let vfs = SimFs::new();
         let path = wal_path("evict");
-        let pager = open(&vfs, &path);
-        let mut catalog = Catalog::new();
-        catalog.put_shared(Arc::new(table(2000)));
-        pager.set_rebuild();
-        pager.checkpoint(&catalog).expect("checkpoint");
+        let mut pager = open(&vfs, &path);
+        pager.checkpoint(&put(2000)).expect("checkpoint");
+        pager.checkpoint(&tail(deltas_after_put().split_off(1))).expect("checkpoint 2");
         let stats = pager.stats();
-        assert!(stats.pool.evictions > 0, "working set must exceed the pool");
-        assert_eq!(stats.pool.evicted_pinned, 0, "pinned pages are never evicted");
+        assert!(stats.pool.dirty_evictions > 0, "the tree must outgrow the set: {stats:?}");
 
+        let mut want = table(2000);
+        want.apply_row_patch(
+            &[Arc::from(vec![Value::Integer(3)])],
+            vec![Arc::from(vec![Value::Integer(5), Value::Text("patched".into())])],
+        )
+        .expect("patch");
+        want.version = 9;
         let back = open(&vfs, &path).materialize_catalog().expect("materialize");
-        assert_eq!(**back.get("t").expect("t"), table(2000));
+        assert_eq!(**back.get("t").expect("t"), want);
+    }
+
+    #[test]
+    fn over_long_keys_are_refused_before_logging() {
+        let long = "k".repeat(MAX_KEY);
+        let pk = [0usize];
+        let row = |s: &str| -> Row { Arc::from(vec![Value::text(s), Value::Null]) };
+        let append = WalDelta::Append { table: "t".into(), rows: vec![row(&long)], new_version: 1 };
+        let err = check_key_sizes(&append, |_| Some(&pk[..])).unwrap_err();
+        assert!(
+            matches!(&err, Error::Constraint(m) if m.contains("'t'") && m.contains(&format!("{}", MAX_KEY + 9))),
+            "{err}"
+        );
+        // A heap table has no keys; a key exactly at the limit fits.
+        assert!(check_key_sizes(&append, |_| None).is_ok());
+        let fits = "k".repeat(MAX_KEY - 9);
+        let at_limit = WalDelta::Append { table: "t".into(), rows: vec![row(&fits)], new_version: 1 };
+        assert!(check_key_sizes(&at_limit, |_| Some(&pk[..])).is_ok());
     }
 }

@@ -262,7 +262,7 @@ impl SharedDb {
     }
 
     /// [`SharedDb::open`] with explicit durability tuning (checkpoint
-    /// threshold, fsync policy, buffer-pool size).
+    /// threshold, fsync policy, a checkpoint's page-set cap).
     pub fn open_with(path: impl AsRef<Path>, config: DurabilityConfig) -> Result<Self> {
         SharedDb::open_on(Arc::new(RealFs), path, config)
     }
@@ -307,24 +307,22 @@ impl SharedDb {
         self.inner.history.lock().stats()
     }
 
-    /// Page-store counters: durable epoch, allocated pages, buffer-pool
-    /// hit/miss/eviction stats. `None` for an in-memory database.
+    /// Page-store counters: durable epoch, allocated pages, and the
+    /// page traffic of checkpoints and recovery (page-set hits, page
+    /// reads, early write-backs). `None` for an in-memory database.
     pub fn pager_stats(&self) -> Option<crate::pager::PagerStats> {
         self.inner.wal.as_ref().map(|w| w.lock().pager_stats())
     }
 
-    /// Force a checkpoint now (no-op in memory). Flushes only the pages
-    /// dirtied since the last checkpoint — O(dirty), not O(database).
-    /// The checkpoint takes the *committed* catalog (in degraded mode it
-    /// rebuilds the durable trees from it), read under the WAL lock — the
-    /// order the commit leader uses — so it holds exactly the commits in
-    /// the log; open transactions live in their sessions and are out of
-    /// reach.
+    /// Force a checkpoint now (no-op in memory). Folds the commits the
+    /// log holds since its last checkpoint into the paged store and
+    /// writes only the pages they touched — O(changes), not O(database) —
+    /// then compacts the log. It reads nothing but the log's committed
+    /// groups, under the WAL lock: open transactions live in their
+    /// sessions and are out of reach.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(wal) = &self.inner.wal else { return Ok(()) };
-        let mut wal = wal.lock();
-        let committed = self.catalog_snapshot();
-        wal.checkpoint(&committed)
+        wal.lock().checkpoint()
     }
 
     /// Register a scalar UDF (e.g. an LLM function) for every session.
@@ -633,6 +631,17 @@ impl SharedDb {
             self.install_and_record(&deltas, &writes);
             return Ok(());
         };
+        // A key the paged store cannot hold is refused here, before the
+        // append: logged, it would fail every later checkpoint.
+        let pk_of = |name: &str| match deltas.iter().find(|(n, _)| n == name) {
+            Some((_, TableDelta::Put(table))) => Some(table.primary_key.as_slice()),
+            _ => None,
+        };
+        for rec in &records {
+            if let WalRecord::Delta { delta, .. } = rec {
+                crate::pager::check_key_sizes(delta, pk_of)?;
+            }
+        }
         let req = Arc::new(CommitRequest {
             bytes: frame_group(&records),
             deltas,
@@ -681,18 +690,14 @@ impl SharedDb {
         for req in batch {
             frames.extend_from_slice(&req.bytes);
         }
-        let result = wal.lock().commit(
-            &frames,
-            || {
-                let mut catalog = self.inner.catalog.write();
-                let mut history = self.inner.history.lock();
-                for req in batch {
-                    install_into(&mut catalog, &req.deltas);
-                    history.record_commit(req.writes.clone());
-                }
-            },
-            || self.inner.catalog.read().clone(),
-        );
+        let result = wal.lock().commit(&frames, || {
+            let mut catalog = self.inner.catalog.write();
+            let mut history = self.inner.history.lock();
+            for req in batch {
+                install_into(&mut catalog, &req.deltas);
+                history.record_commit(req.writes.clone());
+            }
+        });
         if result.is_ok() {
             self.inner.commits.record_batch(batch.len());
         }
@@ -740,12 +745,6 @@ impl SharedDb {
                 Arc::new(Mutex::with_rank("table_writer", lockrank::TABLE_WRITER, ()))
             })
             .clone()
-    }
-
-    /// Reach into the log (tests forcing the pager's degraded mode).
-    #[cfg(test)]
-    pub(crate) fn with_wal<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> Option<R> {
-        self.inner.wal.as_ref().map(|wal| f(&mut wal.lock()))
     }
 
     /// Names of the current tables (snapshot).

@@ -34,21 +34,27 @@
 //! # Checkpoints
 //!
 //! Durable state older than the log lives in the paged store
-//! ([`crate::pager`]): every commit applies its deltas to on-disk B-trees
-//! right after its fsync. When the log grows past
-//! [`DurabilityConfig::checkpoint_bytes`], the committer flushes the
-//! dirty pages, flips the store's meta file to the next epoch, and swaps
-//! the log for a single [`WalRecord::PagedCheckpoint`] marker (write to a
-//! `.tmp` sibling, fsync, atomic rename) — O(dirty pages), bounding both
-//! file size and recovery time. Recovery materializes the catalog from
-//! the trees and replays only the records after the marker.
+//! ([`crate::pager`]), and only a checkpoint writes it. The log keeps in
+//! memory the bytes it appended since its last marker — exactly the
+//! file's live tail; on open, recovery seeds them from the records after
+//! the governing marker. When the log grows past
+//! [`DurabilityConfig::checkpoint_bytes`], the committer folds that
+//! tail's committed deltas into the on-disk B-trees, flushes the pages
+//! the fold touched, flips the store's meta file to the next epoch, and
+//! swaps the log for a single [`WalRecord::PagedCheckpoint`] marker
+//! (write to a `.tmp` sibling, fsync, atomic rename) — O(changes),
+//! bounding both file size and recovery time. Recovery materializes the
+//! catalog from the trees and replays only the records after the
+//! marker. The fold and that replay share one committed-group loop,
+//! [`for_each_committed`].
 //!
 //! # The commit sequence
 //!
 //! Every durable commit runs [`Wal::commit`], called from exactly one
 //! place — the [`SharedDb`](crate::shared::SharedDb) group-commit leader:
-//! append the framed groups, at most one fsync, apply them to the trees,
-//! publish in memory, checkpoint if over budget.
+//! append the framed groups and keep them as tail, at most one fsync,
+//! publish in memory, checkpoint if over budget. A commit does no page
+//! I/O.
 //!
 //! # Refused formats
 //!
@@ -84,14 +90,16 @@ use crate::vfs::{RealFs, Vfs, VfsFile};
 /// Durability tuning for a WAL-backed database.
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityConfig {
-    /// Checkpoint (flush dirty pages, swap the log for a marker) once
-    /// the log grows past this many bytes.
+    /// Checkpoint (fold the log's tail into the pages, swap the log for a
+    /// marker) once the log grows past this many bytes.
     pub checkpoint_bytes: u64,
     /// `fsync` the log on every commit. Disabling trades the durability of
     /// the last few commits for throughput (the file is still written, so
     /// only an OS crash — not a process crash — can lose them).
     pub sync: bool,
-    /// Buffer-pool capacity in pages for the paged store.
+    /// Page-set cap of a checkpoint, in pages: a checkpoint's fold
+    /// holds at most this many pages it read or wrote, and a full set
+    /// writes its dirty pages to their shadow slots early.
     pub pool_pages: usize,
 }
 
@@ -100,7 +108,7 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             checkpoint_bytes: 4 << 20,
             sync: true,
-            pool_pages: crate::bufpool::DEFAULT_POOL_PAGES,
+            pool_pages: crate::pager::DEFAULT_POOL_PAGES,
         }
     }
 }
@@ -354,19 +362,27 @@ fn apply_delta(catalog: &mut Catalog, delta: WalDelta) -> Result<()> {
     Ok(())
 }
 
+/// The log's last checkpoint marker: its record index, its epoch, and
+/// the byte offset just past its frame.
+struct Marker {
+    index: usize,
+    epoch: u64,
+    end: usize,
+}
+
 /// Recovery: reconcile the WAL's checkpoint marker with the durable meta
 /// epoch, materialize the catalog from the trees, and replay only the
-/// genuine tail (applying it to the trees too, so they stay current).
-/// Returns the catalog and whether the log must be normalized (rewritten
+/// genuine tail. Returns the catalog and the byte offset where the log's
+/// live tail starts — `None` when the log must be normalized (rewritten
 /// to a bare marker) before accepting appends.
-fn replay(records: Vec<WalRecord>, pager: &Pager) -> Result<(Catalog, bool)> {
+fn replay(
+    records: Vec<WalRecord>,
+    marker: Option<Marker>,
+    pager: &mut Pager,
+) -> Result<(Catalog, Option<usize>)> {
     let meta_epoch = pager.epoch();
     // The *last* marker governs; anything before it is a stale prefix.
-    let marker = records.iter().enumerate().rev().find_map(|(i, r)| match r {
-        WalRecord::PagedCheckpoint { epoch } => Some((i, *epoch)),
-        _ => None,
-    });
-    if let Some((_, epoch)) = marker {
+    if let Some(Marker { epoch, .. }) = marker {
         if epoch > meta_epoch {
             return Err(Error::Io(format!(
                 "wal: checkpoint marker epoch {epoch} is ahead of the page-store \
@@ -376,70 +392,45 @@ fn replay(records: Vec<WalRecord>, pager: &Pager) -> Result<(Catalog, bool)> {
     }
     match marker {
         // Marker matches the meta: the records after it are the live tail.
-        Some((i, epoch)) if epoch == meta_epoch => {
+        Some(Marker { index, epoch, end }) if epoch == meta_epoch => {
             let catalog = pager.materialize_catalog()?;
-            let tail = records.into_iter().skip(i + 1).collect();
-            Ok((replay_tail(tail, catalog, pager)?, false))
+            let tail = records.into_iter().skip(index + 1);
+            Ok((replay_tail(tail, catalog)?, Some(end)))
         }
         // Marker behind the meta (or none at all while a meta exists): a
         // crash hit between the meta flip and the WAL swap. The whole
         // checkpoint ran under the WAL lock, so every record in this log
         // was already folded into the trees the meta made durable — the
         // meta alone is the truth, and the stale log must be normalized.
-        _ if meta_epoch > 0 => Ok((pager.materialize_catalog()?, true)),
+        _ if meta_epoch > 0 => Ok((pager.materialize_catalog()?, None)),
         // No meta yet: a database that has not checkpointed. The whole
-        // log is the tail; the trees are built as its deltas apply.
-        _ => Ok((replay_tail(records, Catalog::new(), pager)?, false)),
+        // log is the tail.
+        _ => Ok((replay_tail(records, Catalog::new())?, Some(0))),
     }
 }
 
-/// The committed-transaction replay loop over `records`, starting from
-/// `catalog`: a transaction's deltas apply — to the catalog and to the
-/// trees — only when its `Commit` record is present, so an uncommitted
-/// trailing transaction is discarded, exactly the rollback a crash before
-/// the commit record implies. Tree failures degrade to rebuild mode
-/// rather than failing recovery (the commits are durable in the log —
-/// they must not be lost).
-fn replay_tail(records: Vec<WalRecord>, mut catalog: Catalog, pager: &Pager) -> Result<Catalog> {
-    let mut pending: HashMap<u64, Vec<WalDelta>> = HashMap::new();
-    for rec in records {
-        match rec {
-            WalRecord::Begin { txn } => {
-                pending.insert(txn, Vec::new());
-            }
-            WalRecord::Delta { txn, delta } => {
-                pending.entry(txn).or_default().push(delta);
-            }
-            WalRecord::Commit { txn } => {
-                if let Some(deltas) = pending.remove(&txn) {
-                    for d in deltas {
-                        if pager.apply_delta(&d).is_err() {
-                            pager.set_rebuild();
-                        }
-                        apply_delta(&mut catalog, d)?;
-                    }
-                }
-            }
-            WalRecord::PagedCheckpoint { .. } => {
-                // `replay` already consumed the governing marker;
-                // a stray one here cannot carry data — ignore it.
-            }
-        }
-    }
+/// Replay committed records over `catalog` — recovery's half of the
+/// tail; the trees get theirs at the next checkpoint.
+fn replay_tail(
+    records: impl IntoIterator<Item = WalRecord>,
+    mut catalog: Catalog,
+) -> Result<Catalog> {
+    for_each_committed(records.into_iter().map(Ok), |delta| apply_delta(&mut catalog, delta))?;
     Ok(catalog)
 }
 
-/// Apply a just-appended (already durable) frame buffer's committed
-/// deltas to the paged store. Never fails — the commit is acknowledged
-/// territory, so any tree trouble flips the pager to rebuild mode and
-/// the next checkpoint recaptures everything from the catalog.
-fn apply_frames_to_pager(pager: &Pager, buf: &[u8]) {
-    let mut interner = TextInterner::new();
+/// The committed-group loop, shared by recovery's replay and a
+/// checkpoint's fold: a transaction's deltas reach `apply`, in log order,
+/// only when its `Commit` record is present, so an uncommitted trailing
+/// transaction is discarded — exactly the rollback a crash before the
+/// commit record implies. Markers carry no data and are skipped.
+pub(crate) fn for_each_committed(
+    records: impl IntoIterator<Item = Result<WalRecord>>,
+    mut apply: impl FnMut(WalDelta) -> Result<()>,
+) -> Result<()> {
     let mut pending: HashMap<u64, Vec<WalDelta>> = HashMap::new();
-    let mut at = 0usize;
-    while let Ok(Some((rec, next))) = read_frame(buf, at, &mut interner) {
-        at = next;
-        match rec {
+    for rec in records {
+        match rec? {
             WalRecord::Begin { txn } => {
                 pending.insert(txn, Vec::new());
             }
@@ -447,23 +438,37 @@ fn apply_frames_to_pager(pager: &Pager, buf: &[u8]) {
                 pending.entry(txn).or_default().push(delta);
             }
             WalRecord::Commit { txn } => {
-                if let Some(deltas) = pending.remove(&txn) {
-                    for d in deltas {
-                        if pager.apply_delta(&d).is_err() {
-                            pager.set_rebuild();
-                            return;
-                        }
-                    }
+                for delta in pending.remove(&txn).unwrap_or_default() {
+                    apply(delta)?;
                 }
             }
             WalRecord::PagedCheckpoint { .. } => {}
         }
     }
-    if at != buf.len() {
-        // A buffer this process just framed should decode in full; if it
-        // somehow does not, degrade rather than diverge.
-        pager.set_rebuild();
-    }
+    Ok(())
+}
+
+/// The records framed in `bytes`, in order. The bytes are a tail this
+/// process appended or recovery already read intact, so a frame that
+/// does not decode is an error, not a torn tail.
+pub(crate) fn records_in(bytes: &[u8]) -> impl Iterator<Item = Result<WalRecord>> + '_ {
+    let mut interner = TextInterner::new();
+    let mut at = 0usize;
+    std::iter::from_fn(move || {
+        if at == bytes.len() {
+            return None;
+        }
+        let err = match read_frame(bytes, at, &mut interner) {
+            Ok(Some((rec, next))) => {
+                at = next;
+                return Some(Ok(rec));
+            }
+            Ok(None) => Error::Internal(format!("wal: tail frame at offset {at} does not decode")),
+            Err(e) => e,
+        };
+        at = bytes.len();
+        Some(Err(err))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -478,9 +483,11 @@ pub struct Wal {
     path: PathBuf,
     len: u64,
     config: DurabilityConfig,
-    /// The paged store. Lives under the WAL mutex: commits apply their
-    /// deltas to the trees right after the fsync, checkpoints flush the
-    /// dirty pages.
+    /// The framed records appended since the last marker: the file's
+    /// live tail, which the next checkpoint folds into the trees.
+    tail: Vec<u8>,
+    /// The paged store. Lives under the WAL mutex; only a checkpoint
+    /// writes it.
     pager: Pager,
     /// Set when an I/O failure left the handle in a state where further
     /// appends could silently lose acknowledged commits (a partial frame
@@ -496,6 +503,7 @@ impl std::fmt::Debug for Wal {
         f.debug_struct("Wal")
             .field("path", &self.path)
             .field("len", &self.len)
+            .field("tail", &self.tail.len())
             .field("config", &self.config)
             .field("poisoned", &self.poisoned)
             .finish()
@@ -534,9 +542,13 @@ impl Wal {
         // A legacy-format log errors out of this loop — before the
         // truncation below, and before the pager creates its files.
         let mut records = Vec::new();
+        let mut marker = None;
         let mut good = 0usize;
         let mut interner = TextInterner::new();
         while let Some((rec, next)) = read_frame(&bytes, good, &mut interner)? {
+            if let WalRecord::PagedCheckpoint { epoch } = rec {
+                marker = Some(Marker { index: records.len(), epoch, end: next });
+            }
             records.push(rec);
             good = next;
         }
@@ -556,18 +568,19 @@ impl Wal {
             })
             .max()
             .unwrap_or(0);
-        let pager = Pager::open(vfs.clone(), &path, config.pool_pages)?;
-        let (catalog, normalize) = replay(records, &pager)?;
+        let mut pager = Pager::open(vfs.clone(), &path, config.pool_pages)?;
+        let (catalog, tail_start) = replay(records, marker, &mut pager)?;
         let mut wal = Wal {
             vfs,
             file,
             path,
             len: good as u64,
             config,
+            tail: tail_start.map_or_else(Vec::new, |start| bytes[start..good].to_vec()),
             pager,
             poisoned: false,
         };
-        if normalize {
+        if tail_start.is_none() {
             // The log predates the durable meta (crash between the meta
             // flip and the WAL swap). Its records are already folded into
             // the trees, but appending after them would make the *next*
@@ -590,10 +603,8 @@ impl Wal {
 
     /// The one durable commit sequence, run under the WAL mutex by the
     /// group-commit leader: append `frames` (one or many framed `Begin·Delta*·Commit`
-    /// groups) as one write and at most one fsync, apply them to the
-    /// trees, `install` them in memory, and checkpoint if the log
-    /// outgrew its budget — against `committed()`, the catalog holding
-    /// every commit now in the log.
+    /// groups) as one write and at most one fsync, `install` them in
+    /// memory, and checkpoint if the log outgrew its budget.
     ///
     /// An `Err` means nothing was committed (`install` did not run). Past
     /// the append the commit *is* durable, so a failed compaction is never
@@ -601,23 +612,28 @@ impl Wal {
     /// and a retry would double-apply. The log just stays long, the next
     /// commit retries the checkpoint, and a handle left unusable poisons
     /// itself and surfaces on the next append.
-    pub(crate) fn commit(
-        &mut self,
-        frames: &[u8],
-        install: impl FnOnce(),
-        committed: impl FnOnce() -> Catalog,
-    ) -> Result<()> {
+    pub(crate) fn commit(&mut self, frames: &[u8], install: impl FnOnce()) -> Result<()> {
         self.append(frames)?;
         install();
         if self.wants_checkpoint() {
-            let _ = self.checkpoint(&committed());
+            let _ = self.checkpoint();
+        }
+        Ok(())
+    }
+
+    /// Fail fast once an I/O failure has poisoned the log.
+    fn check_poisoned(&self) -> Result<()> {
+        if self.poisoned {
+            return Err(Error::Io(
+                "wal: poisoned by an earlier i/o failure; reopen the database".into(),
+            ));
         }
         Ok(())
     }
 
     /// Append an already-framed buffer as one write and, when configured,
-    /// one fsync — the commit point — then apply its committed deltas to
-    /// the trees.
+    /// one fsync — the commit point — and keep it as tail for the next
+    /// checkpoint.
     ///
     /// On failure the file is rolled back to the last good frame
     /// boundary, so a partial frame can never sit *between* acknowledged
@@ -626,11 +642,7 @@ impl Wal {
     /// rollback itself fails, the log poisons: all further appends error
     /// until the database is reopened.
     fn append(&mut self, buf: &[u8]) -> Result<()> {
-        if self.poisoned {
-            return Err(Error::Io(
-                "wal: poisoned by an earlier i/o failure; reopen the database".into(),
-            ));
-        }
+        self.check_poisoned()?;
         let wrote = self.file.write_all_at(self.len, buf).and_then(|()| {
             if self.config.sync {
                 self.file.sync_data()?;
@@ -640,11 +652,7 @@ impl Wal {
         match wrote {
             Ok(()) => {
                 self.len += buf.len() as u64;
-                // The frames are durable — the commit is already
-                // acknowledged territory, so tree maintenance must not
-                // fail it. Any hiccup flips the pager to rebuild mode
-                // (next checkpoint rebuilds from the catalog).
-                apply_frames_to_pager(&self.pager, buf);
+                self.tail.extend_from_slice(buf);
                 Ok(())
             }
             Err(e) => {
@@ -665,27 +673,27 @@ impl Wal {
         self.len >= self.config.checkpoint_bytes
     }
 
-    /// Page-store counters (pool hits/misses/evictions, epoch).
+    /// Page-store counters (page-set hits, page reads, early
+    /// write-backs, epoch).
     pub fn pager_stats(&self) -> crate::pager::PagerStats {
         self.pager.stats()
     }
 
-    /// Compact the log: flush the dirty pages and flip the meta
-    /// (O(dirty pages)), then swap the log for a bare
-    /// [`WalRecord::PagedCheckpoint`] marker via tmp + fsync + rename +
-    /// dir-sync; on return the log holds exactly one record. `catalog`
-    /// must hold every commit in the log — in degraded mode the trees are
-    /// rebuilt from it.
-    pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<()> {
+    /// Compact the log: fold the tail into the trees, flush the pages it
+    /// touched and flip the meta (O(changes)), then swap the log for a
+    /// bare [`WalRecord::PagedCheckpoint`] marker via tmp + fsync +
+    /// rename + dir-sync; on return the log holds exactly one record.
+    pub fn checkpoint(&mut self) -> Result<()> {
+        self.check_poisoned()?;
         // A retryable pager failure leaves durable state at the old
-        // epoch with all retry state intact — no poison. But if the
+        // epoch and the tail in place — no poison. But if the
         // meta rename landed and only its directory sync failed, the
         // new meta is ambiguously durable while this log still holds
         // pre-checkpoint records: a commit acknowledged now would be
         // silently discarded by a recovery that trusts the surviving
         // meta, so the log must poison (same contract as a failed
         // dir sync in [`Self::swap_log`]).
-        let epoch = match self.pager.checkpoint(catalog) {
+        let epoch = match self.pager.checkpoint(&self.tail) {
             Ok(epoch) => epoch,
             Err(e @ crate::pager::CheckpointError::Ambiguous(_)) => {
                 self.poisoned = true;
@@ -693,6 +701,10 @@ impl Wal {
             }
             Err(e) => return Err(e.into_error()),
         };
+        // The meta now names trees holding the tail. Should the swap below
+        // fail, the stale log stays behind the meta and the next
+        // checkpoint must fold only what is appended after this point.
+        self.tail.clear();
         self.swap_log(&WalRecord::PagedCheckpoint { epoch })
     }
 
@@ -908,8 +920,6 @@ mod tests {
         let path = temp_path("checkpoint");
         {
             let mut rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
-            let mut catalog = Catalog::new();
-            catalog.put_table(sample_table(4));
             for txn in 1..=10u64 {
                 rec.wal
                     .append(&frame_group(&[
@@ -923,7 +933,7 @@ mod tests {
                     .unwrap();
             }
             let before = rec.wal.len();
-            rec.wal.checkpoint(&catalog).unwrap();
+            rec.wal.checkpoint().unwrap();
             assert!(rec.wal.len() < before, "checkpoint must shrink the log");
         }
         let rec = Wal::open(&path, DurabilityConfig::default()).unwrap();
@@ -1051,12 +1061,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A checkpoint hands the pager the *committed* catalog, and a
-    /// degraded-mode checkpoint rebuilds the durable trees from what it is
-    /// handed: a transaction still open on some session must not become
-    /// durable through it. (The deleted single-session handle once passed
-    /// its working catalog here; a `Session`'s working catalog is private
-    /// to the session, so `SharedDb::checkpoint` cannot even reach it.)
+    /// A checkpoint folds the log's tail, which holds committed groups
+    /// only: a transaction still open on some session must not become
+    /// durable through it.
     #[test]
     fn checkpoint_inside_a_transaction_sees_only_committed_rows() {
         use crate::shared::SharedDb;
@@ -1068,7 +1075,6 @@ mod tests {
             let mut session = db.session();
             session.execute("BEGIN").unwrap();
             session.execute("INSERT INTO t VALUES (2)").unwrap();
-            db.with_wal(|wal| wal.pager.set_rebuild());
             db.checkpoint().unwrap();
         }
         let db = SharedDb::open(&path).unwrap();

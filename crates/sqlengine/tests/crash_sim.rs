@@ -229,8 +229,8 @@ fn fault_sweep_over_checkpoint_schedule() {
 }
 
 /// A schedule whose rows span several pages: wide text bodies make the
-/// B-tree working set larger than the pool, so checkpoints must evict
-/// mid-apply (dirty victims land in their shadow slots).
+/// B-tree working set larger than a checkpoint's page set, so the fold
+/// writes dirty pages back to their shadow slots mid-checkpoint.
 fn eviction_steps() -> Vec<String> {
     let mut steps =
         vec!["CREATE TABLE blob (id INTEGER PRIMARY KEY, body TEXT)".to_string()];
@@ -243,13 +243,12 @@ fn eviction_steps() -> Vec<String> {
     steps
 }
 
-/// Eviction-pressure schedule: a two-frame buffer pool under a working
-/// set several pages wide. Every checkpoint streams tree pages through
-/// the tiny pool, so clock eviction runs constantly while faults land on
-/// every operation — a dirty victim whose shadow write is lost, or a
-/// pinned page wrongly evicted, shows up as a torn recovery. The clean
-/// baseline then pins the accounting: evictions really happened, and no
-/// pinned frame was ever chosen.
+/// Eviction-pressure schedule: a two-page page set under a working set
+/// several pages wide. Every checkpoint streams tree pages through the
+/// tiny set, so early write-backs and read-backs from shadow slots run
+/// constantly while faults land on every operation — a dirty page whose
+/// shadow write is lost, or a read of the wrong slot, shows up as a torn
+/// recovery. The clean baseline then pins that evictions really happened.
 #[test]
 fn fault_sweep_under_eviction_pressure() {
     let config =
@@ -266,11 +265,7 @@ fn fault_sweep_under_eviction_pressure() {
     let stats = db.pager_stats().expect("durable database");
     assert!(
         stats.pool.evictions > 0,
-        "a 2-frame pool under a multi-page working set must evict: {stats:?}"
-    );
-    assert_eq!(
-        stats.pool.evicted_pinned, 0,
-        "pinned pages must never be eviction victims: {stats:?}"
+        "a 2-page set under a multi-page working set must evict: {stats:?}"
     );
 }
 

@@ -1,5 +1,6 @@
 //! Integration tests for the paged durable store: the checkpoint
-//! write-amplification bound (the bug this store exists to fix) and
+//! write-amplification bound (the bug this store exists to fix), commits
+//! that never touch the page file, keys the store cannot hold, and
 //! recovery round-trips. (A pre-pager image log is refused, not migrated:
 //! see `crash_sim::legacy_image_log_is_refused_untouched`.)
 //!
@@ -10,7 +11,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use swan_sqlengine::{DurabilityConfig, SharedDb, SimFs};
+use swan_sqlengine::{DurabilityConfig, Error, SharedDb, SimFs};
 
 const WAL: &str = "/sim/paged.wal";
 const PAGE: u64 = 4096;
@@ -57,10 +58,22 @@ fn dump(db: &SharedDb) -> String {
     out
 }
 
+/// Page-file reads and writes among ops `[from..]` of the SimFs trace.
+fn page_file_io(fs: &SimFs, from: usize) -> Vec<String> {
+    let pages_path = format!("{WAL}.pages");
+    fs.ops()[from..]
+        .iter()
+        .filter(|line| {
+            let mut words = line.split(' ');
+            matches!(words.next(), Some("read" | "write")) && words.next() == Some(&pages_path)
+        })
+        .cloned()
+        .collect()
+}
+
 /// Load `n` rows of ~200 bytes each (≈ 50 KiB per 256 rows — the whole
-/// working set stays far inside the default 256-page pool, so the only
-/// page-file writes are checkpoint flushes, never mid-transaction
-/// evictions).
+/// working set stays far inside the default 256-page set, so a
+/// checkpoint writes each page once, at its flush).
 fn load_rows(db: &SharedDb, n: usize) {
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, body TEXT)")
         .unwrap();
@@ -155,4 +168,87 @@ fn recovery_replays_tail_commits_over_the_checkpoint() {
 
     let db = open_sim(&fs, manual_checkpoints());
     assert_eq!(dump(&db), expected, "checkpoint + tail replay must round-trip");
+}
+
+/// A commit appends to the log and does nothing else on disk: with a
+/// two-page set and a tree far larger than it, five point updates after
+/// a checkpoint read and write no page. The next checkpoint folds them,
+/// and a reopen sees what the same statements give in memory.
+#[test]
+fn commits_perform_no_page_io() {
+    let fs = SimFs::new();
+    let config = DurabilityConfig { pool_pages: 2, ..manual_checkpoints() };
+    let db = open_sim(&fs, config);
+    let shadow = SharedDb::new();
+    load_rows(&db, 2000);
+    load_rows(&shadow, 2000);
+    db.checkpoint().unwrap();
+
+    let mark = fs.ops().len();
+    for id in [3, 480, 999, 1500, 1998] {
+        let update = format!("UPDATE t SET body = 'moved-{id}' WHERE id = {id}");
+        db.execute(&update).unwrap();
+        shadow.execute(&update).unwrap();
+    }
+    assert_eq!(page_file_io(&fs, mark), Vec::<String>::new(), "a commit touched the page file");
+
+    db.checkpoint().unwrap();
+    assert!(!page_file_io(&fs, mark).is_empty(), "the checkpoint folds the updates");
+    drop(db);
+    let db = open_sim(&fs, config);
+    assert_eq!(dump(&db), dump(&shadow), "reopen must equal the fault-free run");
+}
+
+/// A primary key whose encoding exceeds what a tree page can hold is
+/// refused at commit, before anything is logged: acknowledged, it would
+/// fail every later checkpoint. The database keeps checkpointing, and a
+/// reopen returns the rows committed before it.
+#[test]
+fn over_long_primary_key_is_refused_before_logging() {
+    let fs = SimFs::new();
+    let db = open_sim(&fs, manual_checkpoints());
+    db.execute("CREATE TABLE k (name TEXT PRIMARY KEY, n INTEGER)").unwrap();
+    db.execute("INSERT INTO k VALUES ('short', 1)").unwrap();
+    let before = dump(&db);
+
+    // 5,000 characters encode to 5,009 key bytes (count + tag + length).
+    let long = "x".repeat(5000);
+    let err = db.execute(&format!("INSERT INTO k VALUES ('{long}', 2)")).unwrap_err();
+    assert!(
+        matches!(&err, Error::Constraint(m) if m.contains("'k'") && m.contains("5009")),
+        "typed error naming the table and the size: {err}"
+    );
+    assert_eq!(dump(&db), before, "nothing was installed");
+
+    db.checkpoint().expect("the next checkpoint succeeds");
+    db.execute("INSERT INTO k VALUES ('after', 3)").unwrap();
+    let expected = dump(&db);
+    drop(db);
+    let db = open_sim(&fs, manual_checkpoints());
+    assert_eq!(dump(&db), expected, "reopen returns the rows committed around the refusal");
+}
+
+/// Each commit is folded into the trees exactly once: a checkpoint
+/// consumes the tail it folded. A table without a primary key shows a
+/// second fold, because re-appending its rows duplicates them (tree
+/// upserts would hide it).
+#[test]
+fn each_commit_is_folded_once() {
+    let fs = SimFs::new();
+    let db = open_sim(&fs, manual_checkpoints());
+    db.execute("CREATE TABLE h (x INTEGER, note TEXT)").unwrap();
+    db.execute("INSERT INTO h VALUES (1, 'a'), (2, 'b')").unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+
+    let db = open_sim(&fs, manual_checkpoints());
+    for x in 3..=5 {
+        db.execute(&format!("INSERT INTO h VALUES ({x}, 'tail')")).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let expected = dump(&db);
+    drop(db);
+    let db = open_sim(&fs, manual_checkpoints());
+    assert_eq!(db.row_count("h"), Some(5));
+    assert_eq!(dump(&db), expected);
 }
