@@ -33,7 +33,7 @@ use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, RowCtx};
 use crate::exec::{run_select, ExecCtx, Relation};
 use crate::functions::{ScalarUdf, UdfRegistry};
-use crate::optimizer::{pk_bounds, OptimizerConfig};
+use crate::optimizer::{pk_point, OptimizerConfig};
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::RelSchema;
 use crate::storage::{Catalog, Column, Table};
@@ -412,13 +412,12 @@ impl Database {
 
     /// The slots of `table` whose rows satisfy `filter`, ascending —
     /// where UPDATE and DELETE find their rows. The planner's own
-    /// [`pk_bounds`] turns a filter that pins the primary key into the
-    /// index probe a SELECT would use ([`Table::pk_probe`] answers in
-    /// ascending slot order, so the statement's row order, its write set
-    /// and its WAL bytes are the full scan's); the whole filter — bound once, not
-    /// name-resolved per row — is then evaluated on those candidates
-    /// only. A filter that pins no key, and `index_scan: false` (the
-    /// differential reference, as for SELECT), visit every row.
+    /// [`pk_point`] turns a filter that pins the whole primary key into
+    /// the point probe a SELECT would use ([`Table::pk_row_index`]); the
+    /// whole filter — bound once, not name-resolved per row — is then
+    /// evaluated on that one candidate only. A filter that pins no key,
+    /// and `index_scan: false` (the differential reference, as for
+    /// SELECT), visit every row.
     fn matching_slots(
         &self,
         table: &Table,
@@ -426,9 +425,9 @@ impl Database {
         filter: Option<&Expr>,
     ) -> Result<Vec<usize>> {
         let Some(filter) = filter else { return Ok((0..table.len()).collect()) };
-        let candidates = if self.settings.optimizer.index_scan {
-            pk_bounds(filter, &table.name, &table.name, &self.catalog)
-                .and_then(|bounds| table.pk_probe(&bounds))
+        let candidate = if self.settings.optimizer.index_scan {
+            pk_point(filter, &table.name, &table.name, &self.catalog)
+                .map(|key| table.pk_row_index(&key))
         } else {
             None
         };
@@ -442,8 +441,8 @@ impl Database {
             }
             Ok(())
         };
-        match candidates {
-            Some(slots) => slots.into_iter().try_for_each(|i| visit(i as usize))?,
+        match candidate {
+            Some(slot) => slot.into_iter().try_for_each(|i| visit(i as usize))?,
             None => (0..table.len()).try_for_each(&mut visit)?,
         }
         Ok(hits)

@@ -398,9 +398,7 @@ pub fn run_select(
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
     let (mut rel, mut keys) = match &stmt.body {
-        SelectBody::Simple(core) => {
-            run_core(core, &stmt.order_by, topk_hint(stmt), ctx, outer)?
-        }
+        SelectBody::Simple(core) => run_core(core, &stmt.order_by, ctx, outer)?,
         SelectBody::Compound { .. } => {
             let rel = run_body(&stmt.body, ctx, outer)?;
             let keys = compound_sort_keys(&rel, &stmt.order_by, ctx, outer)?;
@@ -436,7 +434,7 @@ fn run_body(
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
     match body {
-        SelectBody::Simple(core) => Ok(run_core(core, &[], None, ctx, outer)?.0),
+        SelectBody::Simple(core) => Ok(run_core(core, &[], ctx, outer)?.0),
         SelectBody::Compound { op, left, right } => {
             let l = run_body(left, ctx, outer)?;
             let r = run_body(right, ctx, outer)?;
@@ -626,21 +624,13 @@ fn apply_limit_offset(
 fn run_core(
     core: &SelectCore,
     order_by: &[OrderItem],
-    scan_topk: Option<usize>,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<(Relation, Vec<Vec<Value>>)> {
     let plan = plan_from(core.from.as_ref(), core.filter.as_ref())?;
     let needed = needed_columns(core, order_by);
     let plan = &optimize(plan, ctx.udfs, &ctx.optimizer, ctx.catalog, needed.as_deref())?;
-    let prefix = match scan_topk {
-        Some(k) => pk_order_prefix(plan, order_by, core, ctx, k)?,
-        None => None,
-    };
-    let (input, cols) = match prefix {
-        Some(rel) => (rel, None),
-        None => exec_plan_with_columns(plan, ctx, outer)?,
-    };
+    let (input, cols) = exec_plan_with_columns(plan, ctx, outer)?;
     let cols = cols.as_ref();
 
     // Expand the projection into (expr, output column) pairs.
@@ -688,65 +678,6 @@ fn run_core(
 
     let schema = RelSchema::new(projection.into_iter().map(|(_, c)| c).collect());
     Ok((Relation { schema, rows }, keys))
-}
-
-/// `ORDER BY <full pk, all ASC> LIMIT k` over a bare table scan only
-/// needs the first `offset + k` rows in primary-key order.
-/// [`Table::ordered_pk`] already knows that order — `sort_cmp` with a
-/// row-index tie-break, the same total order [`sort_rows`] uses — so the
-/// scan materializes just the prefix instead of the whole table and the
-/// later sort touches `k` rows, not all of them. Returns `None` whenever
-/// any condition fails; the caller then runs the normal
-/// scan → sort → limit pipeline. The ORDER BY must name the *full*
-/// primary key: on a key prefix, `ordered_pk` tie-breaks equal prefixes
-/// by the remaining key columns while the stable sort tie-breaks by row
-/// index, and the two could keep different rows at the LIMIT boundary.
-fn pk_order_prefix(
-    plan: &Plan,
-    order_by: &[OrderItem],
-    core: &SelectCore,
-    ctx: &ExecCtx<'_>,
-    k: usize,
-) -> Result<Option<Relation>> {
-    // Gated with the planner's index-scan rule: `index_scan: false` is the
-    // full-scan reference.
-    if !ctx.optimizer.index_scan || order_by.is_empty() {
-        return Ok(None);
-    }
-    // A bare scan means no surviving predicate; anything else must see
-    // every row.
-    let Plan::Scan { table, qualifier } = plan else { return Ok(None) };
-    // The prefix only matches the query when the output is a plain
-    // projection of the sorted base rows.
-    if !core.group_by.is_empty() || core.having.is_some() || core.distinct {
-        return Ok(None);
-    }
-    let has_aggregate = core.projection.iter().any(|item| match item {
-        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-        _ => false,
-    });
-    if has_aggregate {
-        return Ok(None);
-    }
-    let t = ctx.catalog.get_required(table)?;
-    if t.primary_key.is_empty() || order_by.len() != t.primary_key.len() {
-        return Ok(None);
-    }
-    for (item, &col) in order_by.iter().zip(&t.primary_key) {
-        if item.desc {
-            return Ok(None);
-        }
-        let Expr::Column { table: q, name } = &item.expr else { return Ok(None) };
-        if q.as_deref().is_some_and(|q| !q.eq_ignore_ascii_case(qualifier)) {
-            return Ok(None);
-        }
-        if !name.eq_ignore_ascii_case(&t.columns[col].name) {
-            return Ok(None);
-        }
-    }
-    let Some(ord) = t.ordered_pk() else { return Ok(None) };
-    let rows: Vec<Row> = ord.iter().take(k).map(|&i| t.rows()[i as usize].clone()).collect();
-    Ok(Some(Relation { schema: RelSchema::qualified(qualifier, t.column_names()), rows }))
 }
 
 /// The columns this SELECT reads from its FROM relation, for the
@@ -1385,16 +1316,14 @@ pub fn exec_plan(
             })
         }
 
-        Plan::IndexScan { table, qualifier, bounds } => {
+        Plan::IndexScan { table, qualifier, key } => {
             let t = ctx.catalog.get_required(table)?;
-            // Emit rows in ascending row order so the output is
-            // byte-identical to the full scan the filter above would
-            // otherwise read (`pk_range` already sorts its matches).
-            let rows: Vec<Row> = match t.pk_probe(bounds) {
-                Some(sel) => sel.iter().map(|&i| t.rows()[i as usize].clone()).collect(),
+            let rows: Vec<Row> = if t.has_primary_key() {
+                t.pk_row_index(key).map(|i| t.rows()[i as usize].clone()).into_iter().collect()
+            } else {
                 // No primary key (dropped since planning): fall back to
                 // the full scan the filter expects.
-                None => t.rows().to_vec(),
+                t.rows().to_vec()
             };
             Ok(Relation { schema: RelSchema::qualified(qualifier, t.column_names()), rows })
         }

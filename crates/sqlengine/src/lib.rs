@@ -75,10 +75,9 @@
 //!   tail into the trees as upserts through a capped page set, writes
 //!   only the pages it touched — O(changes), not O(database) — and
 //!   commits the slot flip through an atomically renamed meta file.
-//!   Queries never read a page. The planner serves
-//!   `WHERE pk = ?` as an index point probe, pk ranges as ordered
-//!   B-tree-order scans and `ORDER BY pk LIMIT k` without sorting
-//!   ([`OptimizerConfig::index_scan`]; off, it is the scan-only
+//!   Queries never read a page: they run on the in-memory catalog,
+//!   where the planner serves `WHERE pk = ?` as a hash-index point
+//!   probe ([`OptimizerConfig::index_scan`]; off, it is the scan-only
 //!   reference planner the `slt` and `config_diff` harnesses compare
 //!   against), and `tests/paged_storage.rs` asserts the O(k·pages)
 //!   checkpoint byte bound (PERF.md, "Paged storage", for the measured

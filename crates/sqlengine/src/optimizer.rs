@@ -1,6 +1,6 @@
 //! Rule-based plan optimizer.
 //!
-//! Five rules, the first four of which matter most for hybrid queries:
+//! Four rules, the first three of which matter most for hybrid queries:
 //!
 //! 1. **Predicate pushdown** — WHERE conjuncts move below joins to the side
 //!    that can evaluate them, shrinking join inputs.
@@ -16,18 +16,16 @@
 //!    database predicates prune rows before any LLM call happens. This is
 //!    the §4.2 optimization ("pushing down predicates to avoid generating
 //!    unnecessary data entries").
-//! 4. **Constant folding** — literal arithmetic/comparisons collapse, which
-//!    also lets trivially-true filters disappear.
-//! 5. **Primary-key index scans** — a filter that pins a table's primary
-//!    key to literals reads its rows through a [`Plan::IndexScan`] probe
-//!    instead of a full scan.
+//! 4. **Primary-key point probes** — a filter that pins every column of a
+//!    table's primary key to a literal reads its one candidate row through
+//!    a [`Plan::IndexScan`] probe instead of a full scan.
 //!
 //! The plan describes the query, never the execution mode: whether
 //! expensive calls are batched ([`OptimizerConfig::batch_expensive_udfs`])
 //! is decided by each operator of [`crate::exec`], the filter included,
 //! over its own call sites.
 
-use crate::ast::{BinaryOp, Expr, UnaryOp};
+use crate::ast::{BinaryOp, Expr};
 use crate::error::Result;
 use crate::functions::UdfRegistry;
 use crate::plan::{conjoin, split_conjuncts, Plan, PlanJoinKind, RelSchema, SchemaProvider};
@@ -38,7 +36,6 @@ use crate::value::Value;
 pub struct OptimizerConfig {
     pub pushdown: bool,
     pub order_expensive_last: bool,
-    pub fold_constants: bool,
     /// Reorder INNER/CROSS join chains by catalog row-count statistics.
     pub reorder_joins: bool,
     /// Prune join output columns to what the SELECT level actually reads
@@ -67,12 +64,10 @@ pub struct OptimizerConfig {
     /// On by default.
     pub columnar: bool,
     /// Rewrite `Filter(Scan)` to `Filter(IndexScan)` when the predicate
-    /// pins the primary key to literals: all-column equality becomes an
-    /// O(1) hash probe, a range on the first PK column becomes an
-    /// O(log n + k) binary search — `WHERE pk = ?` and
-    /// `WHERE pk BETWEEN ? AND ?` stop scanning the table. The full
-    /// predicate stays in the filter above, so the rewrite never changes
-    /// results.
+    /// pins every primary-key column to a literal: `WHERE pk = ?` becomes
+    /// an O(1) hash probe instead of a table scan (UPDATE and DELETE
+    /// locate their rows the same way). The full predicate stays in the
+    /// filter above, so the rewrite never changes results.
     ///
     /// The same switch gates the executor's statement-scoped hash index
     /// for subqueries ([`crate::exec::KeyedAggregate`]): an
@@ -97,7 +92,6 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             pushdown: true,
             order_expensive_last: true,
-            fold_constants: true,
             reorder_joins: true,
             prune_columns: true,
             batch_expensive_udfs: true,
@@ -124,7 +118,6 @@ pub fn optimize(
     provider: &dyn SchemaProvider,
     needed: Option<&[NeededCol]>,
 ) -> Result<Plan> {
-    let plan = if config.fold_constants { fold_plan(plan) } else { plan };
     let plan = if config.pushdown { pushdown(plan, provider)? } else { plan };
     let plan = if config.reorder_joins { reorder_joins(plan, provider)? } else { plan };
     let plan = if config.order_expensive_last { order_filters(plan, udfs) } else { plan };
@@ -723,27 +716,26 @@ pub fn expr_cost(e: &Expr, udfs: &UdfRegistry) -> u8 {
     cost
 }
 
-// ---- rule 5: primary-key index scans ------------------------------------
+// ---- rule 4: primary-key point probes -----------------------------------
 
-/// Rewrite `Filter(pred, Scan(t))` to `Filter(pred, IndexScan(t, bounds))`
-/// when `pred`'s conjuncts pin `t`'s primary key to non-NULL literals.
-/// Runs after pushdown and filter ordering (so filters sit directly on
-/// their scans). The predicate is kept whole:
-/// the index probe only narrows the row set the filter inspects, so the
-/// rewrite is unconditionally sound — any probe imprecision (group-key
-/// equality being coarser than SQL `=`, NULLs under a sole upper bound)
+/// Rewrite `Filter(pred, Scan(t))` to `Filter(pred, IndexScan(t, key))`
+/// when `pred`'s conjuncts pin every column of `t`'s primary key to a
+/// non-NULL literal. Runs after pushdown and filter ordering (so filters
+/// sit directly on their scans). The predicate is kept whole: the probe
+/// only narrows the row set the filter inspects, so the rewrite is
+/// unconditionally sound — group-key equality being coarser than SQL `=`
 /// is re-checked row by row.
 fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
     match plan {
         Plan::Filter { input, predicate } => {
             let input = index_scans(*input, provider);
             if let Plan::Scan { table, qualifier } = &input {
-                if let Some(bounds) = pk_bounds(&predicate, table, qualifier, provider) {
+                if let Some(key) = pk_point(&predicate, table, qualifier, provider) {
                     return Plan::Filter {
                         input: Box::new(Plan::IndexScan {
                             table: table.clone(),
                             qualifier: qualifier.clone(),
-                            bounds,
+                            key,
                         }),
                         predicate,
                     };
@@ -765,21 +757,18 @@ fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
     }
 }
 
-/// Extract primary-key bounds from a predicate's top-level conjuncts.
-/// All PK columns pinned by equality → `Point`; otherwise any comparison
-/// or non-negated BETWEEN on the *first* PK column → `Range` (an
-/// equality there doubles as an inclusive two-sided bound). Only
-/// conjuncts of the shape `col op literal` / `literal op col` with a
+/// The primary-key tuple (in PK-column order) a predicate's top-level
+/// conjuncts pin by equality, or `None` unless every PK column is pinned.
+/// Only conjuncts of the shape `col = literal` / `literal = col` with a
 /// non-NULL literal participate; everything else is left to the filter.
 /// UPDATE and DELETE locate their rows with the same function
 /// ([`crate::db`]), so DML and SELECT agree on what pins a key.
-pub(crate) fn pk_bounds(
+pub(crate) fn pk_point(
     predicate: &Expr,
     table: &str,
     qualifier: &str,
     provider: &dyn SchemaProvider,
-) -> Option<crate::plan::IndexBounds> {
-    use crate::plan::IndexBounds;
+) -> Option<Vec<Value>> {
     let pk = provider.table_primary_key(table)?;
     // Which PK position (if any) a column expression names on this scan.
     let pk_pos = |e: &Expr| -> Option<usize> {
@@ -795,203 +784,18 @@ pub(crate) fn pk_bounds(
             _ => None,
         }
     }
-    let mut eq: Vec<Option<Value>> = vec![None; pk.len()];
-    let mut lower: Option<(Value, bool)> = None;
-    let mut upper: Option<(Value, bool)> = None;
-    // Keep the tighter of two same-side bounds (sort_cmp agrees with SQL
-    // comparison on non-NULL values, so "tighter" is well-defined); on a
-    // tie the exclusive bound wins.
-    let tighten_lower = |cur: &mut Option<(Value, bool)>, v: &Value, incl: bool| {
-        let replace = match cur {
-            None => true,
-            Some((old, old_incl)) => match v.sort_cmp(old) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => *old_incl && !incl,
-                std::cmp::Ordering::Less => false,
-            },
-        };
-        if replace {
-            *cur = Some((v.clone(), incl));
-        }
-    };
-    let tighten_upper = |cur: &mut Option<(Value, bool)>, v: &Value, incl: bool| {
-        let replace = match cur {
-            None => true,
-            Some((old, old_incl)) => match v.sort_cmp(old) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => *old_incl && !incl,
-                std::cmp::Ordering::Greater => false,
-            },
-        };
-        if replace {
-            *cur = Some((v.clone(), incl));
-        }
-    };
+    let mut key: Vec<Option<Value>> = vec![None; pk.len()];
     for c in split_conjuncts(predicate) {
-        match &c {
-            Expr::Binary { op, left, right } => {
-                // Normalize to `col op lit`, flipping the operator when
-                // the literal is on the left.
-                let (pos, v, op) = match (pk_pos(left), lit(right)) {
-                    (Some(p), Some(v)) => (p, v, *op),
-                    _ => match (lit(left), pk_pos(right)) {
-                        (Some(v), Some(p)) => {
-                            let flipped = match *op {
-                                BinaryOp::Lt => BinaryOp::Gt,
-                                BinaryOp::LtEq => BinaryOp::GtEq,
-                                BinaryOp::Gt => BinaryOp::Lt,
-                                BinaryOp::GtEq => BinaryOp::LtEq,
-                                other => other,
-                            };
-                            (p, v, flipped)
-                        }
-                        _ => continue,
-                    },
-                };
-                match op {
-                    BinaryOp::Eq => {
-                        if eq[pos].is_none() {
-                            eq[pos] = Some(v.clone());
-                        }
-                        if pos == 0 {
-                            tighten_lower(&mut lower, v, true);
-                            tighten_upper(&mut upper, v, true);
-                        }
-                    }
-                    BinaryOp::Gt if pos == 0 => tighten_lower(&mut lower, v, false),
-                    BinaryOp::GtEq if pos == 0 => tighten_lower(&mut lower, v, true),
-                    BinaryOp::Lt if pos == 0 => tighten_upper(&mut upper, v, false),
-                    BinaryOp::LtEq if pos == 0 => tighten_upper(&mut upper, v, true),
-                    _ => {}
-                }
-            }
-            Expr::Between { expr, low, high, negated: false } => {
-                if pk_pos(expr) == Some(0) {
-                    if let (Some(lo), Some(hi)) = (lit(low), lit(high)) {
-                        tighten_lower(&mut lower, lo, true);
-                        tighten_upper(&mut upper, hi, true);
-                    }
-                }
-            }
-            _ => {}
+        let Expr::Binary { op: BinaryOp::Eq, left, right } = &c else { continue };
+        let pinned = match (pk_pos(left), lit(right)) {
+            (Some(p), Some(v)) => Some((p, v)),
+            _ => lit(left).zip(pk_pos(right)).map(|(v, p)| (p, v)),
+        };
+        if let Some((pos, v)) = pinned {
+            key[pos].get_or_insert_with(|| v.clone());
         }
     }
-    if eq.iter().all(Option::is_some) {
-        return Some(IndexBounds::Point {
-            key: eq.into_iter().map(|v| v.expect("checked")).collect(),
-        });
-    }
-    if lower.is_some() || upper.is_some() {
-        return Some(IndexBounds::Range { lower, upper });
-    }
-    None
-}
-
-// ---- rule 4: constant folding ------------------------------------------
-
-fn fold_plan(plan: Plan) -> Plan {
-    match plan {
-        Plan::Filter { input, predicate } => {
-            let folded = fold_expr(predicate);
-            // A literally-true filter disappears.
-            if let Expr::Literal(v) = &folded {
-                if v.truthiness() == Some(true) {
-                    return fold_plan(*input);
-                }
-            }
-            Plan::Filter { input: Box::new(fold_plan(*input)), predicate: folded }
-        }
-        Plan::Join { left, right, kind, on, emit } => Plan::Join {
-            left: Box::new(fold_plan(*left)),
-            right: Box::new(fold_plan(*right)),
-            kind,
-            on: on.map(fold_expr),
-            emit,
-        },
-        Plan::Permute { input, mapping } => {
-            Plan::Permute { input: Box::new(fold_plan(*input)), mapping }
-        }
-        other => other,
-    }
-}
-
-/// Fold literal subtrees bottom-up. Only pure, error-free operations fold;
-/// anything that could raise (overflow, type error) is left for runtime.
-pub fn fold_expr(e: Expr) -> Expr {
-    match e {
-        Expr::Binary { op, left, right } => {
-            let left = fold_expr(*left);
-            let right = fold_expr(*right);
-            if let (Expr::Literal(a), Expr::Literal(b)) = (&left, &right) {
-                if let Some(v) = fold_binary(op, a, b) {
-                    return Expr::Literal(v);
-                }
-            }
-            Expr::Binary { op, left: Box::new(left), right: Box::new(right) }
-        }
-        Expr::Unary { op, expr } => {
-            let inner = fold_expr(*expr);
-            if let Expr::Literal(v) = &inner {
-                match op {
-                    UnaryOp::Neg => {
-                        if let Ok(out) = v.neg() {
-                            return Expr::Literal(out);
-                        }
-                    }
-                    UnaryOp::Not => match v.truthiness() {
-                        Some(b) => return Expr::Literal(Value::Integer(!b as i64)),
-                        None => return Expr::Literal(Value::Null),
-                    },
-                }
-            }
-            Expr::Unary { op, expr: Box::new(inner) }
-        }
-        Expr::Case { operand, branches, else_expr } => Expr::Case {
-            operand: operand.map(|b| Box::new(fold_expr(*b))),
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (fold_expr(w), fold_expr(t)))
-                .collect(),
-            else_expr: else_expr.map(|b| Box::new(fold_expr(*b))),
-        },
-        Expr::Function { name, args, distinct, star } => Expr::Function {
-            name,
-            args: args.into_iter().map(fold_expr).collect(),
-            distinct,
-            star,
-        },
-        other => other,
-    }
-}
-
-fn fold_binary(op: BinaryOp, a: &Value, b: &Value) -> Option<Value> {
-    let bool_val = |o: Option<bool>| match o {
-        Some(t) => Value::Integer(t as i64),
-        None => Value::Null,
-    };
-    match op {
-        BinaryOp::Add => a.add(b).ok(),
-        BinaryOp::Sub => a.sub(b).ok(),
-        BinaryOp::Mul => a.mul(b).ok(),
-        BinaryOp::Div => a.div(b).ok(),
-        BinaryOp::Rem => a.rem(b).ok(),
-        BinaryOp::Eq => Some(bool_val(a.sql_eq(b))),
-        BinaryOp::NotEq => Some(bool_val(a.sql_eq(b).map(|t| !t))),
-        BinaryOp::Lt => Some(bool_val(a.sql_cmp(b).map(|o| o.is_lt()))),
-        BinaryOp::LtEq => Some(bool_val(a.sql_cmp(b).map(|o| o.is_le()))),
-        BinaryOp::Gt => Some(bool_val(a.sql_cmp(b).map(|o| o.is_gt()))),
-        BinaryOp::GtEq => Some(bool_val(a.sql_cmp(b).map(|o| o.is_ge()))),
-        BinaryOp::Concat => {
-            if a.is_null() || b.is_null() {
-                Some(Value::Null)
-            } else {
-                Some(Value::text(format!("{}{}", a.render(), b.render())))
-            }
-        }
-        // AND/OR folding would need three-valued short-circuit care with
-        // non-literal siblings; the gain is negligible, so skip.
-        BinaryOp::And | BinaryOp::Or => None,
-    }
+    key.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -999,7 +803,7 @@ mod tests {
     use super::*;
     use crate::ast::{SelectBody, Statement};
     use crate::parser::{parse_expression, parse_statement};
-    use crate::plan::{plan_from, ColRef, IndexBounds};
+    use crate::plan::{plan_from, ColRef};
     use std::sync::Arc;
 
     /// Two small tables (a: 1000 rows, b: 10 rows) plus a large `fact`
@@ -1137,25 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_folding_collapses_literals() {
-        let e = fold_expr(parse_expression("1 + 2 * 3").unwrap());
-        assert_eq!(e, Expr::Literal(Value::Integer(7)));
-        let e = fold_expr(parse_expression("'a' || 'b'").unwrap());
-        assert_eq!(e, Expr::Literal(Value::text("ab")));
-        let e = fold_expr(parse_expression("1 < 2").unwrap());
-        assert_eq!(e, Expr::Literal(Value::Integer(1)));
-        // Columns do not fold.
-        let e = fold_expr(parse_expression("x + 1").unwrap());
-        assert!(matches!(e, Expr::Binary { .. }));
-    }
-
-    #[test]
-    fn trivially_true_filter_removed() {
-        let opt = opt("SELECT * FROM a WHERE 1 = 1");
-        assert!(matches!(opt, Plan::Scan { .. }));
-    }
-
-    #[test]
     fn subquery_predicates_are_not_pushed() {
         let opt = opt("SELECT * FROM a JOIN b ON a.x = b.y WHERE a.ax IN (SELECT y FROM b)");
         let Plan::Filter { input, .. } = opt else { panic!("subquery predicate must stay") };
@@ -1271,11 +1056,11 @@ mod tests {
         assert!(estimate_rows(&filtered, &Fixture) < estimate_rows(&scan, &Fixture));
     }
 
-    // ---- rule 5: primary-key index scans ------------------------------
+    // ---- rule 4: primary-key point probes -----------------------------
 
     /// Fixture where `k` has a single-column PK (id) and `kk` a composite
     /// PK (a, b). `a`/`b` etc. stay PK-less so the other tests' plans are
-    /// untouched by rule 5.
+    /// untouched by rule 4.
     struct PkFixture;
 
     impl SchemaProvider for PkFixture {
@@ -1310,90 +1095,51 @@ mod tests {
 
     /// Unwrap `Filter(IndexScan)` — the rewrite must always keep the full
     /// predicate above the index scan.
-    fn index_bounds_of(plan: Plan) -> IndexBounds {
+    fn probe_key_of(plan: Plan) -> Vec<Value> {
         let Plan::Filter { input, .. } = plan else {
             panic!("predicate must stay above the index scan: {plan:?}")
         };
-        let Plan::IndexScan { bounds, .. } = *input else {
+        let Plan::IndexScan { key, .. } = *input else {
             panic!("expected IndexScan under the filter: {input:?}")
         };
-        bounds
+        key
+    }
+
+    /// Unwrap `Filter(Scan)`: the predicate pins no full key.
+    fn assert_scans(plan: Plan) {
+        let Plan::Filter { input, .. } = plan else { panic!("got {plan:?}") };
+        assert!(matches!(*input, Plan::Scan { .. }), "got {input:?}");
     }
 
     #[test]
     fn pk_equality_becomes_point_probe() {
-        let bounds = index_bounds_of(pk_opt("SELECT * FROM k WHERE id = 42"));
-        assert_eq!(bounds, IndexBounds::Point { key: vec![Value::Integer(42)] });
-    }
-
-    #[test]
-    fn pk_comparisons_become_range() {
-        let bounds = index_bounds_of(pk_opt("SELECT * FROM k WHERE id > 10 AND id <= 20"));
-        assert_eq!(
-            bounds,
-            IndexBounds::Range {
-                lower: Some((Value::Integer(10), false)),
-                upper: Some((Value::Integer(20), true)),
-            }
-        );
-    }
-
-    #[test]
-    fn pk_between_is_inclusive_both_sides() {
-        let bounds = index_bounds_of(pk_opt("SELECT * FROM k WHERE id BETWEEN 5 AND 9"));
-        assert_eq!(
-            bounds,
-            IndexBounds::Range {
-                lower: Some((Value::Integer(5), true)),
-                upper: Some((Value::Integer(9), true)),
-            }
-        );
+        assert_eq!(probe_key_of(pk_opt("SELECT * FROM k WHERE id = 42")), vec![Value::Integer(42)]);
     }
 
     #[test]
     fn flipped_literal_side_normalized() {
-        // `10 < id` is the same lower bound as `id > 10`.
-        let bounds = index_bounds_of(pk_opt("SELECT * FROM k WHERE 10 < id"));
-        assert_eq!(
-            bounds,
-            IndexBounds::Range { lower: Some((Value::Integer(10), false)), upper: None }
-        );
-    }
-
-    #[test]
-    fn redundant_bounds_keep_the_tighter_one() {
-        let bounds =
-            index_bounds_of(pk_opt("SELECT * FROM k WHERE id >= 3 AND id > 3 AND id < 100"));
-        // Exclusive wins the tie on the lower side.
-        assert_eq!(
-            bounds,
-            IndexBounds::Range {
-                lower: Some((Value::Integer(3), false)),
-                upper: Some((Value::Integer(100), false)),
-            }
-        );
+        // `5 = id` pins the key as `id = 5` does.
+        assert_eq!(probe_key_of(pk_opt("SELECT * FROM k WHERE 5 = id")), vec![Value::Integer(5)]);
     }
 
     #[test]
     fn composite_pk_full_equality_is_point() {
-        let bounds = index_bounds_of(pk_opt("SELECT * FROM kk WHERE b = 2 AND a = 1"));
         assert_eq!(
-            bounds,
-            IndexBounds::Point { key: vec![Value::Integer(1), Value::Integer(2)] }
+            probe_key_of(pk_opt("SELECT * FROM kk WHERE b = 2 AND a = 1")),
+            vec![Value::Integer(1), Value::Integer(2)]
         );
     }
 
+    /// Ranges and key prefixes pin no full key: they scan.
     #[test]
-    fn composite_pk_prefix_equality_is_range_on_first_column() {
-        // Only `a` pinned: probe the first PK column as an inclusive range.
-        let bounds = index_bounds_of(pk_opt("SELECT * FROM kk WHERE a = 7"));
-        assert_eq!(
-            bounds,
-            IndexBounds::Range {
-                lower: Some((Value::Integer(7), true)),
-                upper: Some((Value::Integer(7), true)),
-            }
-        );
+    fn ranges_and_key_prefixes_scan() {
+        for sql in [
+            "SELECT * FROM k WHERE id > 10 AND id <= 20",
+            "SELECT * FROM k WHERE id BETWEEN 5 AND 9",
+            "SELECT * FROM kk WHERE a = 7",
+        ] {
+            assert_scans(pk_opt(sql));
+        }
     }
 
     #[test]
@@ -1423,8 +1169,7 @@ mod tests {
 
     #[test]
     fn qualified_alias_still_matches_pk() {
-        let bounds = index_bounds_of(pk_opt("SELECT * FROM k t WHERE t.id = 5"));
-        assert_eq!(bounds, IndexBounds::Point { key: vec![Value::Integer(5)] });
+        assert_eq!(probe_key_of(pk_opt("SELECT * FROM k t WHERE t.id = 5")), vec![Value::Integer(5)]);
     }
 
     #[test]

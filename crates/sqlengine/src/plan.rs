@@ -134,15 +134,16 @@ impl RelSchema {
 pub enum Plan {
     /// Base-table scan. `qualifier` is the alias (or table name).
     Scan { table: String, qualifier: String },
-    /// Primary-key index scan: emit only the rows the `bounds` select,
-    /// in base-table row order (so the output is byte-identical to a
-    /// filtered full scan). Rewritten from `Filter(Scan)` by the
-    /// optimizer when the predicate pins the primary key to literals;
-    /// the full predicate is **kept** in a Filter above — the index
-    /// probe may be a superset of SQL equality (`Point`) or include
-    /// NULLs under a sole upper bound (`Range`), and re-filtering makes
-    /// the rewrite unconditionally sound.
-    IndexScan { table: String, qualifier: String, bounds: IndexBounds },
+    /// Primary-key point probe: emit the row whose primary key is `key`
+    /// (in PK-column order), if any — one O(1) hash probe on the unique PK
+    /// index ([`Table::pk_row_index`]). Rewritten from `Filter(Scan)` by
+    /// the optimizer when the predicate pins every PK column to a
+    /// literal; the full predicate is **kept** in a Filter above — key
+    /// identity is a superset of SQL equality, and re-filtering makes the
+    /// rewrite unconditionally sound.
+    ///
+    /// [`Table::pk_row_index`]: crate::storage::Table::pk_row_index
+    IndexScan { table: String, qualifier: String, key: Vec<crate::value::Value> },
     /// Derived table: a subquery in FROM, re-qualified by its alias.
     Derived { query: Box<SelectStmt>, qualifier: String },
     /// Join of two plans. RIGHT joins have been normalized to LEFT.
@@ -168,26 +169,6 @@ pub enum Plan {
     Permute { input: Box<Plan>, mapping: Vec<usize> },
     /// Zero-column, one-row relation (SELECT without FROM).
     Empty,
-}
-
-/// How a [`Plan::IndexScan`] probes the primary key.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IndexBounds {
-    /// Every PK column pinned to a literal: one O(1) hash probe on the
-    /// unique PK index ([`Table::pk_row_index`]). `key` is in PK-column
-    /// order.
-    ///
-    /// [`Table::pk_row_index`]: crate::storage::Table::pk_row_index
-    Point { key: Vec<crate::value::Value> },
-    /// A range over the **first** PK column: binary search on the
-    /// PK-sorted row permutation ([`Table::pk_range`]). Each bound is
-    /// `(literal, inclusive)`; `None` means unbounded on that side.
-    ///
-    /// [`Table::pk_range`]: crate::storage::Table::pk_range
-    Range {
-        lower: Option<(crate::value::Value, bool)>,
-        upper: Option<(crate::value::Value, bool)>,
-    },
 }
 
 /// Join kinds after normalization.

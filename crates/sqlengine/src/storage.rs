@@ -18,31 +18,29 @@
 //!
 //! # What a write costs
 //!
-//! A table is a flat `Vec<Row>` plus three structures derived from it: the
-//! primary-key hash index, the PK-ordered row permutation and the
-//! column-major [`ColumnSet`](crate::columnar::ColumnSet). All three sit
-//! behind `Arc`s, so the copy [`Catalog::get_mut`] makes when a snapshot
-//! still holds the previous version is one flat pointer copy of the row
-//! vector plus three refcount bumps. From there every mutator **maintains
-//! or drops exactly what it affects** — `get_mut` itself invalidates
-//! nothing:
+//! A table is a flat `Vec<Row>` plus two structures derived from it: the
+//! primary-key hash index and the column-major
+//! [`ColumnSet`](crate::columnar::ColumnSet). Both sit behind `Arc`s, so
+//! the copy [`Catalog::get_mut`] makes when a snapshot still holds the
+//! previous version is one flat pointer copy of the row vector plus two
+//! refcount bumps. From there every mutator **maintains or drops exactly
+//! what it affects** — `get_mut` itself invalidates nothing:
 //!
 //! * [`Table::replace_rows`] (UPDATE, a row patch's upserts): the PK index
-//!   is touched only when a key moves, the ordered permutation is carried
-//!   unless one does, and the column set has the changed cells patched in
-//!   place — or is dropped when a column's class does not admit a new cell.
-//! * [`Table::insert_shared_row`]: the key is added; the permutation is
-//!   extended when the key sorts last and dropped otherwise; the column
-//!   set has the row appended under the same admission rule.
+//!   is touched only when a key moves, and the column set has the changed
+//!   cells patched in place — or is dropped when a column's class does not
+//!   admit a new cell.
+//! * [`Table::insert_shared_row`]: the key is added; the column set has the
+//!   row appended under the same admission rule.
 //! * [`Table::remove_rows`] (DELETE, a row patch's deletes): keys are
-//!   removed and later slots renumbered in the index and the permutation
-//!   (O(rows), no key re-encoded or re-hashed); the column set is dropped.
-//! * [`Table::truncate_rows`] (INSERT rollback): keys removed, the
-//!   permutation filtered, the column set dropped.
-//! * [`Table::add_column`] / [`Table::drop_column`]: index and permutation
-//!   kept (cleared together with a dropped PK column), column set dropped.
+//!   removed and later slots renumbered in the index (O(rows), no key
+//!   re-encoded or re-hashed); the column set is dropped.
+//! * [`Table::truncate_rows`] (INSERT rollback): keys removed, the column
+//!   set dropped.
+//! * [`Table::add_column`] / [`Table::drop_column`]: index kept (cleared
+//!   with a dropped PK column), column set dropped.
 //!
-//! A dropped structure is rebuilt lazily by its accessor, exactly as a
+//! A dropped column set is rebuilt lazily by its accessor, exactly as a
 //! freshly loaded table builds it. Every in-place change goes through
 //! [`Arc::make_mut`]: a structure still shared with another table version
 //! (or with an executor mid-scan) is copied first, so **a reader holding
@@ -64,7 +62,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::plan::IndexBounds;
 use crate::value::{GroupKey, Row, Value};
 
 /// Schema + data for one table.
@@ -96,14 +93,6 @@ pub struct Table {
     /// Dropped (and rebuilt on next use) otherwise, and by DELETE, INSERT
     /// rollback and schema changes.
     columnar: std::sync::OnceLock<Arc<crate::columnar::ColumnSet>>,
-    /// Lazily-built row permutation sorted by primary-key value
-    /// ([`Value::sort_cmp`] lexicographic over the PK columns, ties by
-    /// row index). Serves `Plan::IndexScan` range probes and
-    /// ORDER-BY-pk-LIMIT early stops without sorting the whole table.
-    /// Carried across versions while no key moves: kept by an UPDATE of
-    /// non-key cells, extended by an INSERT whose key sorts last,
-    /// renumbered by DELETE; dropped by anything else that reorders keys.
-    ordered_pk: std::sync::OnceLock<Arc<Vec<u32>>>,
 }
 
 /// Structural equality: same name, schema, primary key, version and
@@ -175,7 +164,6 @@ impl Table {
             pk_index: Arc::default(),
             version: 0,
             columnar: std::sync::OnceLock::new(),
-            ordered_pk: std::sync::OnceLock::new(),
         })
     }
 
@@ -257,16 +245,6 @@ impl Table {
         self.primary_key.iter().map(|&i| row[i].group_key()).collect()
     }
 
-    /// [`Value::sort_cmp`] over the primary-key cells, lexicographically:
-    /// the order of [`Self::ordered_pk`] before its row-index tie-break.
-    fn pk_cmp(&self, a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-        self.primary_key
-            .iter()
-            .map(|&c| a[c].sort_cmp(&b[c]))
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-
     /// Append an already-shared row (the zero-copy bulk-load path: e.g.
     /// `INSERT INTO t SELECT ...` re-shares the SELECT's output rows).
     pub fn insert_shared_row(&mut self, row: Row) -> Result<()> {
@@ -278,15 +256,6 @@ impl Table {
                 return Err(self.duplicate_key());
             }
             Arc::make_mut(&mut self.pk_index).insert(key, slot);
-            // The permutation survives an append whose key sorts last
-            // (ties go by row index, and the new row has the highest).
-            let sorts_last = self.ordered_pk.get().is_some_and(|ord| {
-                ord.last().is_none_or(|&l| self.pk_cmp(&self.rows[l as usize], &row).is_le())
-            });
-            match self.ordered_pk.get_mut() {
-                Some(ord) if sorts_last => Arc::make_mut(ord).push(slot as u32),
-                _ => drop(self.ordered_pk.take()),
-            }
         }
         if let Some(set) = self.columnar.get_mut() {
             if !Arc::make_mut(set).push_row(&row) {
@@ -322,78 +291,6 @@ impl Table {
         }
         let key: Vec<GroupKey> = key_values.iter().map(Value::group_key).collect();
         self.pk_index.get(&key).map(|&i| i as u32)
-    }
-
-    /// The row permutation sorted by primary-key value (ties by row
-    /// index), or `None` for tables without a primary key. Built on
-    /// first use, then carried by every mutation that moves no key.
-    pub fn ordered_pk(&self) -> Option<Arc<Vec<u32>>> {
-        if self.primary_key.is_empty() {
-            return None;
-        }
-        Some(
-            self.ordered_pk
-                .get_or_init(|| {
-                    let mut idx: Vec<u32> = (0..self.rows.len() as u32).collect();
-                    idx.sort_unstable_by(|&a, &b| {
-                        self.pk_cmp(&self.rows[a as usize], &self.rows[b as usize])
-                            .then(a.cmp(&b))
-                    });
-                    Arc::new(idx)
-                })
-                .clone(),
-        )
-    }
-
-    /// Row indices (in ascending row order, so an index scan's output is
-    /// byte-identical to a filtered full scan) whose **first** primary-key
-    /// column lies within `lower`/`upper`, each `(value, inclusive)`.
-    /// O(log n + k) via binary search over [`Self::ordered_pk`]. The
-    /// bounds use [`Value::sort_cmp`], which agrees with SQL comparison
-    /// wherever SQL comparison is non-NULL, so the result is exact for
-    /// non-NULL bounds (NULL cells sort below every bound and SQL
-    /// comparison excludes them too — except under a sole upper bound,
-    /// where they are included and the filter above removes them).
-    pub fn pk_range(
-        &self,
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-    ) -> Option<Vec<u32>> {
-        let ord = self.ordered_pk()?;
-        let col = self.primary_key[0];
-        let lo = match lower {
-            None => 0,
-            Some((v, incl)) => ord.partition_point(|&i| {
-                let c = self.rows[i as usize][col].sort_cmp(v);
-                c == std::cmp::Ordering::Less || (!incl && c == std::cmp::Ordering::Equal)
-            }),
-        };
-        let hi = match upper {
-            None => ord.len(),
-            Some((v, incl)) => ord.partition_point(|&i| {
-                let c = self.rows[i as usize][col].sort_cmp(v);
-                c == std::cmp::Ordering::Less || (incl && c == std::cmp::Ordering::Equal)
-            }),
-        };
-        let mut out: Vec<u32> = if lo < hi { ord[lo..hi].to_vec() } else { Vec::new() };
-        out.sort_unstable();
-        Some(out)
-    }
-
-    /// The slots an index probe admits, ascending: where `Plan::IndexScan`
-    /// reads and where UPDATE / DELETE look for their rows. `None` without
-    /// a primary key — the caller scans.
-    pub fn pk_probe(&self, bounds: &IndexBounds) -> Option<Vec<u32>> {
-        if self.primary_key.is_empty() {
-            return None;
-        }
-        match bounds {
-            IndexBounds::Point { key } => Some(self.pk_row_index(key).into_iter().collect()),
-            IndexBounds::Range { lower, upper } => self.pk_range(
-                lower.as_ref().map(|(v, incl)| (v, *incl)),
-                upper.as_ref().map(|(v, incl)| (v, *incl)),
-            ),
-        }
     }
 
     /// Add a column to the schema, filling existing rows with NULL
@@ -436,7 +333,6 @@ impl Table {
         if self.primary_key.contains(&idx) {
             self.primary_key.clear();
             self.pk_index = Arc::default();
-            self.ordered_pk.take();
         } else {
             for pk in &mut self.primary_key {
                 if *pk > idx {
@@ -465,9 +361,6 @@ impl Table {
             for key in &keys {
                 index.remove(key);
             }
-            if let Some(ord) = self.ordered_pk.get_mut() {
-                Arc::make_mut(ord).retain(|&i| (i as usize) < keep_len);
-            }
         }
         self.columnar.take();
         self.rows.truncate(keep_len);
@@ -477,10 +370,9 @@ impl Table {
     /// primitive, shared by UPDATE and by [`Self::apply_row_patch`]'s
     /// upsert half. Work is proportional to the patch, not the table:
     /// arity and NOT NULL are checked on the incoming rows only, the PK
-    /// index is touched only for rows whose key moves, the ordered
-    /// permutation is carried unless one does, and a present column set is
-    /// patched cell by cell (dropped when a column's class does not admit
-    /// a new cell).
+    /// index is touched only for rows whose key moves, and a present column
+    /// set is patched cell by cell (dropped when a column's class does not
+    /// admit a new cell).
     ///
     /// Uniqueness is judged on the **final** state, so a statement may
     /// shift or swap keys among its own rows (`SET id = id + 1`); a
@@ -530,7 +422,6 @@ impl Table {
             for (_, new, slot) in moves {
                 index.insert(new, slot);
             }
-            self.ordered_pk.take();
         }
         let mut columnar = self.columnar.take();
         for (slot, row) in patch {
@@ -548,9 +439,9 @@ impl Table {
     }
 
     /// Remove the rows at `slots` (strictly ascending). Rows after the
-    /// first removed one shift down, so the PK index and the ordered
-    /// permutation are renumbered — O(rows), but no key is re-encoded or
-    /// re-hashed — and the column set is dropped.
+    /// first removed one shift down, so the PK index is renumbered —
+    /// O(rows), but no key is re-encoded or re-hashed — and the column set
+    /// is dropped.
     pub fn remove_rows(&mut self, slots: &[usize]) -> Result<()> {
         let in_order = slots.windows(2).all(|w| w[0] < w[1]);
         if !in_order || slots.last().is_some_and(|&s| s >= self.rows.len()) {
@@ -572,13 +463,6 @@ impl Table {
             }
             for slot in index.values_mut() {
                 *slot = shifted(*slot);
-            }
-            if let Some(ord) = self.ordered_pk.get_mut() {
-                let ord = Arc::make_mut(ord);
-                ord.retain(|&i| !removed(i as usize));
-                for i in ord.iter_mut() {
-                    *i = shifted(*i as usize) as u32;
-                }
             }
         }
         self.columnar.take();
@@ -709,9 +593,9 @@ impl Catalog {
     /// mutate, so the versioned identity stays conservative — a bumped
     /// version never lies about contents being possibly different. The
     /// copy (made only while a snapshot shares the table) is a flat copy
-    /// of the row pointers; the PK index, ordered permutation and column
-    /// set come along by `Arc` and each [`Table`] mutator maintains or
-    /// drops what it affects.
+    /// of the row pointers; the PK index and column set come along by
+    /// `Arc` and each [`Table`] mutator maintains or drops what it
+    /// affects.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Table> {
         let arc = self
             .tables
@@ -1137,16 +1021,15 @@ mod tests {
     }
 
     #[test]
-    fn a_non_key_update_shares_the_pk_index_and_order_with_its_predecessor() {
+    fn a_non_key_update_shares_the_pk_index_and_columns_with_its_predecessor() {
         let mut cat = Catalog::new();
         cat.create_table(numbers(8)).unwrap();
         let old = cat.get("t").unwrap().clone();
-        let (old_order, old_cols) = (old.ordered_pk().unwrap(), old.column_set());
+        let old_cols = old.column_set();
         let row = Row::from(vec![3.into(), 99.into(), "s1".into()]);
         cat.get_mut("t").unwrap().replace_rows(vec![(3, row)]).unwrap();
         let new = cat.get("t").unwrap();
         assert!(Arc::ptr_eq(&old.pk_index, &new.pk_index));
-        assert!(Arc::ptr_eq(&old_order, &new.ordered_pk().unwrap()));
         // Only `v` changed: its vector is the one column copied, and the
         // predecessor still reads its own.
         let new_cols = new.column_set();
@@ -1156,14 +1039,11 @@ mod tests {
         assert_eq!(old_cols.columns[1].value_at(3), Value::Integer(30));
         assert_eq!(new_cols.columns[1].value_at(3), Value::Integer(99));
 
-        // An append whose key sorts last extends the order it carries; one
-        // that does not drops it, and both copy the index they add to.
+        // Appends copy the index they add to.
         let t = cat.get_mut("t").unwrap();
         t.insert_row(vec![100.into(), 0.into(), "s0".into()]).unwrap();
-        assert_eq!(t.ordered_pk.get().map(|o| o.len()), Some(9));
         t.insert_row(vec![50.into(), 0.into(), "s0".into()]).unwrap();
-        assert!(t.ordered_pk.get().is_none());
-        assert_eq!(*t.ordered_pk().unwrap(), vec![0, 1, 2, 3, 4, 5, 6, 7, 9, 8]);
+        assert_eq!(t.pk_row_index(&[50.into()]), Some(9));
         assert_eq!(old.pk_index.len(), 8);
     }
 

@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use swan_sqlengine::optimizer::fold_expr;
 use swan_sqlengine::parser::{parse_expression, parse_statement};
 use swan_sqlengine::value::Value;
 use swan_sqlengine::{Database, OptimizerConfig, QueryResult, ScalarUdf};
@@ -19,7 +18,6 @@ fn all_rules_off() -> OptimizerConfig {
     OptimizerConfig {
         pushdown: false,
         order_expensive_last: false,
-        fold_constants: false,
         reorder_joins: false,
         prune_columns: false,
         batch_expensive_udfs: false,
@@ -228,8 +226,8 @@ proptest! {
         }
     }
 
-    /// The optimizer must not change query results (pushdown + folding
-    /// vs nothing), across a family of filters.
+    /// The optimizer must not change query results (every rule vs
+    /// nothing), across a family of filters.
     #[test]
     fn optimizer_preserves_semantics(
         rows in proptest::collection::vec((any::<i64>(), -50i64..50, "[a-z]{0,4}"), 0..30),
@@ -284,21 +282,6 @@ proptest! {
         prop_assert_eq!(seen, all);
     }
 
-    /// Constant folding agrees with direct evaluation on literal trees.
-    #[test]
-    fn fold_agrees_with_eval(a in -1000i64..1000, b in -1000i64..1000, c in -1000i64..1000) {
-        let sql = format!("({a} + {b}) * {c} - {a}");
-        let folded = fold_expr(parse_expression(&sql).unwrap());
-        let db = Database::new();
-        let direct = db.query(&format!("SELECT {sql}")).unwrap();
-        if let swan_sqlengine::ast::Expr::Literal(v) = folded {
-            prop_assert_eq!(v, direct.rows[0][0].clone());
-        } else {
-            // Overflow prevented folding; direct evaluation must also be
-            // checked (query would error) — nothing to compare.
-        }
-    }
-
     /// UNION is idempotent: `q UNION q` has the same rows as `SELECT DISTINCT q`.
     #[test]
     fn union_idempotent(
@@ -313,8 +296,8 @@ proptest! {
     }
 
     /// Full-pipeline optimizer equivalence over the four SWAN domains:
-    /// every rule on (pushdown, join reordering, column pruning, constant
-    /// folding) vs every rule off must produce identical `QueryResult`s on
+    /// every rule on (pushdown, join reordering, column pruning) vs every
+    /// rule off must produce identical `QueryResult`s on
     /// randomized join/filter/aggregate queries — including three-way
     /// chains written in a deliberately bad order and comma-joins whose
     /// WHERE conjuncts the optimizer folds into join conditions.

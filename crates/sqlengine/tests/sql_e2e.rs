@@ -334,22 +334,21 @@ fn optimizer_toggles_do_not_change_results() {
                ORDER BY s.hero_name";
     let reference = texts(&hero_db(), sql);
     for pushdown in [false, true] {
-        for fold in [false, true] {
+        for prune in [false, true] {
             for reorder in [false, true] {
                 let mut db = hero_db();
                 db.set_optimizer(OptimizerConfig {
                     pushdown,
                     order_expensive_last: false,
-                    fold_constants: fold,
                     reorder_joins: reorder,
-                    prune_columns: fold,
+                    prune_columns: prune,
                     batch_expensive_udfs: pushdown,
                     ..Default::default()
                 });
                 assert_eq!(
                     texts(&db, sql),
                     reference,
-                    "pushdown={pushdown} fold={fold} reorder={reorder}"
+                    "pushdown={pushdown} prune={prune} reorder={reorder}"
                 );
             }
         }
@@ -422,7 +421,6 @@ fn ambiguous_unqualified_column_errors_under_every_config() {
             db.set_optimizer(OptimizerConfig {
                 pushdown: false,
                 order_expensive_last: false,
-                fold_constants: false,
                 reorder_joins: false,
                 prune_columns: false,
                 batch_expensive_udfs: false,
@@ -463,7 +461,6 @@ fn count_star_over_reordered_chain() {
     off_db.set_optimizer(OptimizerConfig {
         pushdown: false,
         order_expensive_last: false,
-        fold_constants: false,
         reorder_joins: false,
         prune_columns: false,
         batch_expensive_udfs: false,

@@ -1,6 +1,6 @@
 //! The in-place write path: UPDATE/DELETE locate rows through the PK
-//! access path, patch the table in place and carry its PK index, ordered
-//! permutation and column vectors into the next version.
+//! point probe, patch the table in place and carry its PK index and
+//! column vectors into the next version.
 //!
 //! * **patched ≡ rebuilt** — random DML sequences through auto-commit and
 //!   `Session` transactions (some committing by rebase); after every
@@ -82,9 +82,6 @@ fn check_derived(t: &Table, context: &str) {
         let linear = t.rows().iter().position(|r| r[0].group_key() == key[0].group_key());
         assert_eq!(t.pk_row_index(&key).map(|i| i as usize), linear, "{context}: probe {absent}");
     }
-
-    // Ordered permutation: a fresh sort of the rebuilt table.
-    assert_eq!(t.ordered_pk(), rebuilt.ordered_pk(), "{context}: ordered_pk");
 
     // Column set: cell for cell what a transpose of the rows answers.
     let (carried, fresh) = (t.column_set(), ColumnSet::from_rows(t.rows(), t.width()));
@@ -300,16 +297,16 @@ fn snapshots_never_observe_a_patch() {
     };
     let original = answers(&snap);
     let pinned = snap.catalog().get("w").unwrap().clone();
-    let (pinned_cols, pinned_order) = (pinned.column_set(), pinned.ordered_pk().unwrap());
+    let pinned_cols = pinned.column_set();
 
     let mut previous = pinned.clone();
     for k in 0..48i64 {
         db.execute(&format!("UPDATE w SET n = n + 1000, s = 'patched-{k}' WHERE id = {}", k % 24))
             .unwrap();
         let next = live(&db);
-        // `n` and `s` were written; every other column vector, the PK
-        // order and (unit-tested in storage.rs) the PK index are shared
-        // with the version before, not copied.
+        // `n` and `s` were written; every other column vector and
+        // (unit-tested in storage.rs) the PK index are shared with the
+        // version before, not copied.
         let (before, after) = (previous.column_set(), next.column_set());
         for j in [0, 2, 3, 5] {
             assert!(Arc::ptr_eq(&before.columns[j], &after.columns[j]), "update {k}: column {j}");
@@ -317,7 +314,6 @@ fn snapshots_never_observe_a_patch() {
         for j in [1, 4] {
             assert!(!Arc::ptr_eq(&before.columns[j], &after.columns[j]), "update {k}: column {j}");
         }
-        assert!(Arc::ptr_eq(&previous.ordered_pk().unwrap(), &next.ordered_pk().unwrap()));
         previous = next;
     }
 
@@ -326,7 +322,6 @@ fn snapshots_never_observe_a_patch() {
         assert_eq!(answers(&snap), original, "snapshot answers moved (columnar={columnar})");
     }
     assert!(Arc::ptr_eq(&pinned_cols, &pinned.column_set()), "the snapshot keeps its own vectors");
-    assert!(Arc::ptr_eq(&pinned_order, &pinned.ordered_pk().unwrap()));
     check_derived(&pinned, "pinned snapshot");
     let now = answers(&db.snapshot());
     assert_ne!(now, original, "the live handle sees the updates");
@@ -385,9 +380,10 @@ impl Counted {
     }
 }
 
-/// A statement that pins k rows by primary key evaluates WHERE and SET k
-/// times on an n-row table; the scan-only reference evaluates WHERE n
-/// times and ends with identical rows.
+/// A statement that pins the whole primary key evaluates WHERE and SET
+/// once on an n-row table; the scan-only reference evaluates WHERE n
+/// times. A key range pins no point: both paths visit every row. Both
+/// end with identical rows.
 #[test]
 fn dml_evaluates_only_the_rows_its_key_bounds_admit() {
     const N: u64 = 20_000;
@@ -408,22 +404,25 @@ fn dml_evaluates_only_the_rows_its_key_bounds_admit() {
 
     // `counted('filter', v)` comes first in the conjunction, so AND's
     // short circuit cannot hide a visit: every visited row calls it.
-    let statements: [(&str, u64); 4] = [
-        ("UPDATE big SET v = counted('set', v) + 1 WHERE counted('filter', v) AND id = 4321", 1),
-        ("DELETE FROM big WHERE counted('filter', v) AND id = 77", 1),
+    // (statement, rows affected, whether it pins a point).
+    let statements: [(&str, u64, bool); 4] = [
+        ("UPDATE big SET v = counted('set', v) + 1 WHERE counted('filter', v) AND id = 4321", 1, true),
+        ("DELETE FROM big WHERE counted('filter', v) AND id = 77", 1, true),
         (
             "UPDATE big SET v = counted('set', v) + 1 \
              WHERE counted('filter', v) AND id >= 100 AND id < 140",
             40,
+            false,
         ),
-        ("DELETE FROM big WHERE counted('filter', v) AND id BETWEEN 200 AND 209", 10),
+        ("DELETE FROM big WHERE counted('filter', v) AND id BETWEEN 200 AND 209", 10, false),
     ];
     let mut rows_left = N;
-    for (sql, k) in statements {
+    for (sql, k, point) in statements {
         assert_eq!(db.execute(sql).unwrap().rows_affected as u64, k, "{sql}");
         assert_eq!(reference.execute(sql).unwrap().rows_affected as u64, k, "{sql}");
         let set_calls = if sql.starts_with("UPDATE") { k } else { 0 };
-        assert_eq!(calls.take(), (k, set_calls), "index path: {sql}");
+        let visited = if point { k } else { rows_left };
+        assert_eq!(calls.take(), (visited, set_calls), "index path: {sql}");
         assert_eq!(reference_calls.take(), (rows_left, set_calls), "scan path: {sql}");
         if sql.starts_with("DELETE") {
             rows_left -= k;

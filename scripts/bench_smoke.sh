@@ -47,11 +47,11 @@ run join_scaling
 # or stopped engaging.
 run columnar_scan
 
-# Primary-key serving on 1M rows: each shape (point probe, 64-row
-# BETWEEN, pk ORDER BY LIMIT 10) prints an _index and a _scan variant;
-# the pairwise ratio is the index-scan speedup. The bench itself asserts
-# the >=10x point-probe floor and the O(k)-pages incremental-checkpoint
-# bound, so a disengaged planner rewrite fails the run outright.
+# Primary-key serving on 1M rows: the point probe prints an _index and a
+# _scan variant; the pairwise ratio is the index-scan speedup. The bench
+# itself asserts the >=10x point-probe floor and the O(k)-pages
+# incremental-checkpoint bound, so a disengaged planner rewrite fails the
+# run outright.
 # Reference ratios live in crates/sqlengine/PERF.md ("Paged storage").
 # Zero-regression floors for the pre-pager engine: the hash_join_sf1
 # pair in columnar_scan, the wal_commit batch/checkpoint rows and the

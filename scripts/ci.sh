@@ -15,7 +15,7 @@
 #      count resolution named anywhere in the engine (an operator loop
 #      leaving the statement thread, or a gate for one growing back).
 #      Any finding fails the gate before a single test runs. Then the
-#      ROADMAP item-10 running figure:
+#      ROADMAP item-11 running figure:
 #      the non-test line count of crates/sqlengine/src (the lines above
 #      each file's `#[cfg(test)]`), with the same totals for
 #      crates/llm/src and crates/core/src beside it, printed, not gated;
@@ -53,7 +53,7 @@ non_test_lines() { # <dir>: each file's lines above its first #[cfg(test)], and 
         printf '%6d %s\n' "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")" "$f"
     done | awk -v dir="$1" '{ print; total += $1 } END { printf "%6d total %s\n", total, dir }'
 }
-echo "== crates/sqlengine/src: non-test lines (ROADMAP item 10) =="
+echo "== crates/sqlengine/src: non-test lines (ROADMAP item 11) =="
 non_test_lines crates/sqlengine/src
 echo "== beside it: crates/llm/src and crates/core/src (printed, not gated) =="
 non_test_lines crates/llm/src | tail -n 1
