@@ -28,6 +28,13 @@
 //! table sorts by `seq`, which reproduces the in-memory row order —
 //! in-place updates stay in place, appends append — byte-identically.
 //!
+//! Cells are searched in place: a `View` walks a page's cells once and
+//! binary-searches their keys with [`cmp_keys`]. An insert that fits
+//! (tree leaf or heap tail) and a delete splice one copy of the page
+//! bytes. A node is decoded only to split it or to replace a key's value
+//! (the old value may own an overflow chain). Page bytes, ids and calls
+//! equal the decode-everything writer the tests keep as the reference.
+//!
 //! Deletes remove cells without rebalancing: an underfull (even empty)
 //! leaf stays linked and is simply skipped by scans. That trades space
 //! for a drastically simpler structure; `Put` deltas (whole-table
@@ -146,6 +153,23 @@ struct Cell {
 }
 
 impl Cell {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(matches!(self.val, CellVal::Overflow { .. }) as u8);
+        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
+        out.extend_from_slice(&self.key);
+        put_u64(out, self.seq);
+        match &self.val {
+            CellVal::Inline(v) => {
+                put_u32(out, v.len() as u32);
+                out.extend_from_slice(v);
+            }
+            CellVal::Overflow { total, start } => {
+                put_u32(out, *total);
+                put_u64(out, *start);
+            }
+        }
+    }
+
     fn size(&self) -> usize {
         CELL_FIXED
             + self.key.len()
@@ -172,24 +196,7 @@ impl Leaf {
         put_u64(&mut out, self.next);
         out.extend_from_slice(&(self.cells.len() as u16).to_le_bytes());
         for c in &self.cells {
-            match &c.val {
-                CellVal::Inline(v) => {
-                    out.push(0);
-                    out.extend_from_slice(&(c.key.len() as u16).to_le_bytes());
-                    out.extend_from_slice(&c.key);
-                    put_u64(&mut out, c.seq);
-                    put_u32(&mut out, v.len() as u32);
-                    out.extend_from_slice(v);
-                }
-                CellVal::Overflow { total, start } => {
-                    out.push(1);
-                    out.extend_from_slice(&(c.key.len() as u16).to_le_bytes());
-                    out.extend_from_slice(&c.key);
-                    put_u64(&mut out, c.seq);
-                    put_u32(&mut out, *total);
-                    put_u64(&mut out, *start);
-                }
-            }
+            c.encode_into(&mut out);
         }
         out
     }
@@ -257,20 +264,119 @@ impl Interior {
         }
         Ok(Interior { first, cells })
     }
+}
 
-    /// Child to descend into for `key`: the last child whose separator is
-    /// <= key (or `first` when key sorts before every separator).
-    fn child_for(&self, key: &[u8]) -> Result<(usize, u64)> {
-        let mut idx = 0usize; // 0 = first, i+1 = cells[i]
-        let mut child = self.first;
-        for (i, (sep, c)) in self.cells.iter().enumerate() {
-            if cmp_keys(key, sep)? == Ordering::Less {
-                break;
-            }
-            idx = i + 1;
-            child = *c;
+/// A leaf, heap or interior page read where it lies. One walk over the
+/// cells records where each key is and rejects the framing the decoders
+/// reject; searches then binary-search the key slices in the page.
+struct View<'a> {
+    data: &'a [u8],
+    /// Byte range of each cell's key, in cell order.
+    keys: Vec<(usize, usize)>,
+    /// End of the last cell: the length `encode` would give the page.
+    end: usize,
+}
+
+impl<'a> View<'a> {
+    fn leaf(data: &'a [u8]) -> Result<View<'a>> {
+        let mut pos = 0usize;
+        get_u64(data, &mut pos)?;
+        let n = u16::from_le_bytes(take_array(data, &mut pos)?) as usize;
+        let mut keys = Vec::with_capacity(n);
+        for _ in 0..n {
+            let flag = get_u8(data, &mut pos)?;
+            let klen = u16::from_le_bytes(take_array(data, &mut pos)?) as usize;
+            keys.push((pos, pos + klen));
+            take(data, &mut pos, klen)?;
+            get_u64(data, &mut pos)?;
+            let vlen = match flag {
+                0 => get_u32(data, &mut pos)? as usize,
+                1 => 12, // total + start
+                f => return Err(Error::Internal(format!("btree: bad cell flag {f}"))),
+            };
+            take(data, &mut pos, vlen)?;
         }
-        Ok((idx, child))
+        Ok(View { data, keys, end: pos })
+    }
+
+    fn interior(data: &'a [u8]) -> Result<View<'a>> {
+        let mut pos = 0usize;
+        let n = u16::from_le_bytes(take_array(data, &mut pos)?) as usize;
+        get_u64(data, &mut pos)?;
+        let mut keys = Vec::with_capacity(n);
+        for _ in 0..n {
+            let klen = u16::from_le_bytes(take_array(data, &mut pos)?) as usize;
+            keys.push((pos, pos + klen));
+            take(data, &mut pos, klen)?;
+            get_u64(data, &mut pos)?;
+        }
+        Ok(View { data, keys, end: pos })
+    }
+
+    /// How many leading keys `key` sorts after (`or_equal`: after or
+    /// equal to), and whether the page holds `key` — the binary search
+    /// compares the equal key whenever there is one.
+    fn rank(&self, key: &[u8], or_equal: bool) -> Result<(usize, bool)> {
+        let (mut lo, mut hi, mut found) = (0usize, self.keys.len(), false);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let (s, e) = self.keys[mid];
+            let ord = cmp_keys(key, &self.data[s..e])?;
+            found |= ord == Ordering::Equal;
+            if ord == Ordering::Greater || (or_equal && ord == Ordering::Equal) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok((lo, found))
+    }
+
+    /// Interior: child `idx` (0 = `first`, `i + 1` = right of separator `i`).
+    fn child(&self, idx: usize) -> Result<u64> {
+        let mut pos = match idx {
+            0 => 2,
+            i => self.keys[i - 1].1,
+        };
+        get_u64(self.data, &mut pos)
+    }
+
+    /// Interior: the slot and child to descend into for `key` — the last
+    /// child whose separator is <= key, or `first`.
+    fn child_for(&self, key: &[u8]) -> Result<(usize, u64)> {
+        let idx = self.rank(key, true)?.0;
+        Ok((idx, self.child(idx)?))
+    }
+
+    /// Leaf: where cell `i` starts (its flag byte), or `end` past the last.
+    fn cell_start(&self, i: usize) -> usize {
+        self.keys.get(i).map_or(self.end, |&(s, _)| s - 3)
+    }
+
+    /// Leaf: the overflow chain head of cell `i`, if its row spilled.
+    fn overflow_start(&self, i: usize) -> Result<Option<u64>> {
+        let (s, e) = self.keys[i];
+        if self.data[s - 3] != 1 {
+            return Ok(None);
+        }
+        let mut pos = e + 8 + 4; // seq + total
+        get_u64(self.data, &mut pos).map(Some)
+    }
+
+    /// Leaf: the page with cell `at` removed (`remove`) or `cell` put in
+    /// at `at`, in one copy — header, cells before, new cell, cells after.
+    fn splice(&self, at: usize, remove: bool, cell: Option<&Cell>) -> Vec<u8> {
+        let n = self.keys.len() + cell.is_some() as usize - remove as usize;
+        let resume = self.cell_start(at + remove as usize);
+        let mut out = Vec::with_capacity(self.end + cell.map_or(0, Cell::size));
+        out.extend_from_slice(&self.data[..8]);
+        out.extend_from_slice(&(n as u16).to_le_bytes());
+        out.extend_from_slice(&self.data[LEAF_HDR..self.cell_start(at)]);
+        if let Some(c) = cell {
+            c.encode_into(&mut out);
+        }
+        out.extend_from_slice(&self.data[resume..self.end]);
+        out
     }
 }
 
@@ -427,34 +533,28 @@ fn insert_rec(
     let page = io.read(id)?;
     match page.typ {
         PT_LEAF => {
-            let mut leaf = Leaf::decode(&page.data)?;
-            let mut pos = leaf.cells.len();
-            let mut replaced = false;
-            for (i, c) in leaf.cells.iter().enumerate() {
-                match cmp_keys(key, &c.key)? {
-                    Ordering::Less => {
-                        pos = i;
-                        break;
-                    }
-                    Ordering::Equal => {
-                        pos = i;
-                        replaced = true;
-                        break;
-                    }
-                    Ordering::Greater => {}
-                }
-            }
-            if replaced {
+            let view = View::leaf(&page.data)?;
+            let (pos, replaced) = view.rank(key, false)?;
+            let mut leaf = if replaced {
+                // The old value may own an overflow chain to free.
+                let mut leaf = Leaf::decode(&page.data)?;
                 let old = std::mem::replace(
                     &mut leaf.cells[pos].val,
                     make_val(io, val)?,
                 );
                 free_val(io, &old)?;
                 // Keep the old seq: an update stays at its row position.
+                leaf
             } else {
                 let cell = Cell { key: key.to_vec(), seq, val: make_val(io, val)? };
+                if view.end + cell.size() <= PAGE_PAYLOAD {
+                    io.write(id, PT_LEAF, view.splice(pos, false, Some(&cell)))?;
+                    return Ok(Ins::Done { replaced });
+                }
+                let mut leaf = Leaf::decode(&page.data)?;
                 leaf.cells.insert(pos, cell);
-            }
+                leaf
+            };
             if leaf.size() <= PAGE_PAYLOAD {
                 io.write(id, PT_LEAF, leaf.encode())?;
                 return Ok(Ins::Done { replaced });
@@ -474,12 +574,12 @@ fn insert_rec(
             Ok(Ins::Split { sep, right: right_id, replaced })
         }
         PT_INTERIOR => {
-            let mut node = Interior::decode(&page.data)?;
-            let (slot, child) = node.child_for(key)?;
+            let (slot, child) = View::interior(&page.data)?.child_for(key)?;
             let (sep, right, replaced) = match insert_rec(io, child, key, seq, val)? {
                 Ins::Done { replaced } => return Ok(Ins::Done { replaced }),
                 Ins::Split { sep, right, replaced } => (sep, right, replaced),
             };
+            let mut node = Interior::decode(&page.data)?;
             node.cells.insert(slot, (sep, right));
             if node.size() <= PAGE_PAYLOAD {
                 io.write(id, PT_INTERIOR, node.encode())?;
@@ -520,16 +620,17 @@ pub(crate) fn tree_delete(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Resu
         return Ok(false);
     }
     let leaf_id = find_leaf(io, root, key)?;
-    let mut leaf = Leaf::decode(&io.read(leaf_id)?.data)?;
-    for i in 0..leaf.cells.len() {
-        if cmp_keys(key, &leaf.cells[i].key)? == Ordering::Equal {
-            let cell = leaf.cells.remove(i);
-            free_val(io, &cell.val)?;
-            io.write(leaf_id, PT_LEAF, leaf.encode())?;
-            return Ok(true);
-        }
+    let page = io.read(leaf_id)?;
+    let view = View::leaf(&page.data)?;
+    let (at, found) = view.rank(key, false)?;
+    if !found {
+        return Ok(false);
     }
-    Ok(false)
+    if let Some(start) = view.overflow_start(at)? {
+        overflow_free(io, start)?;
+    }
+    io.write(leaf_id, PT_LEAF, view.splice(at, true, None))?;
+    Ok(true)
 }
 
 fn find_leaf(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Result<u64> {
@@ -538,7 +639,7 @@ fn find_leaf(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Result<u64> {
         let page = io.read(id)?;
         match page.typ {
             PT_LEAF => return Ok(id),
-            PT_INTERIOR => id = Interior::decode(&page.data)?.child_for(key)?.1,
+            PT_INTERIOR => id = View::interior(&page.data)?.child_for(key)?.1,
             t => return Err(Error::Internal(format!("btree: unexpected page type {t}"))),
         }
     }
@@ -550,7 +651,7 @@ fn leftmost_leaf(io: &mut dyn PageStore, root: u64) -> Result<u64> {
         let page = io.read(id)?;
         match page.typ {
             PT_LEAF => return Ok(id),
-            PT_INTERIOR => id = Interior::decode(&page.data)?.first,
+            PT_INTERIOR => id = View::interior(&page.data)?.child(0)?,
             t => return Err(Error::Internal(format!("btree: unexpected page type {t}"))),
         }
     }
@@ -626,19 +727,15 @@ pub(crate) fn heap_append(
     }
     let page = io.read(tail)?;
     expect_type(&page, tail, PT_HEAP)?;
-    let mut leaf = Leaf::decode(&page.data)?;
-    leaf.cells.push(cell);
-    if leaf.size() <= PAGE_PAYLOAD {
-        io.write(tail, PT_HEAP, leaf.encode())?;
+    let view = View::leaf(&page.data)?;
+    if view.end + cell.size() <= PAGE_PAYLOAD {
+        io.write(tail, PT_HEAP, view.splice(view.keys.len(), false, Some(&cell)))?;
         return Ok((head, tail));
     }
-    let cell = leaf
-        .cells
-        .pop()
-        .ok_or_else(|| Error::Internal("btree: heap append underflow".into()))?;
     let new_tail = io.alloc()?;
-    leaf.next = new_tail;
-    io.write(tail, PT_HEAP, leaf.encode())?;
+    let mut full = page.data[..view.end].to_vec();
+    full[..8].copy_from_slice(&new_tail.to_le_bytes());
+    io.write(tail, PT_HEAP, full)?;
     let fresh = Leaf { next: NIL, cells: vec![cell] };
     io.write(new_tail, PT_HEAP, fresh.encode())?;
     Ok((head, new_tail))
@@ -680,25 +777,215 @@ pub(crate) fn heap_free(io: &mut dyn PageStore, head: u64) -> Result<()> {
 }
 
 #[cfg(test)]
+/// The decode-based tree writers the in-place ones replaced, kept as the
+/// differential oracle: every page they touch is decoded, searched
+/// linearly and re-encoded whole.
+mod reference {
+    use super::*;
+
+    fn child_for(node: &Interior, key: &[u8]) -> Result<(usize, u64)> {
+        let mut idx = 0usize; // 0 = first, i+1 = cells[i]
+        let mut child = node.first;
+        for (i, (sep, c)) in node.cells.iter().enumerate() {
+            if cmp_keys(key, sep)? == Ordering::Less {
+                break;
+            }
+            idx = i + 1;
+            child = *c;
+        }
+        Ok((idx, child))
+    }
+
+    pub(super) fn tree_insert(
+        io: &mut dyn PageStore,
+        root: u64,
+        key: &[u8],
+        seq: u64,
+        val: &[u8],
+    ) -> Result<(u64, bool)> {
+        if key.len() > MAX_KEY {
+            return Err(Error::Internal("btree: key too long".into()));
+        }
+        if root == NIL {
+            let id = io.alloc()?;
+            let cell = Cell { key: key.to_vec(), seq, val: make_val(io, val)? };
+            let leaf = Leaf { next: NIL, cells: vec![cell] };
+            io.write(id, PT_LEAF, leaf.encode())?;
+            return Ok((id, false));
+        }
+        match insert_rec(io, root, key, seq, val)? {
+            Ins::Done { replaced } => Ok((root, replaced)),
+            Ins::Split { sep, right, replaced } => {
+                let new_root = io.alloc()?;
+                let node = Interior { first: root, cells: vec![(sep, right)] };
+                io.write(new_root, PT_INTERIOR, node.encode())?;
+                Ok((new_root, replaced))
+            }
+        }
+    }
+
+    fn insert_rec(
+        io: &mut dyn PageStore,
+        id: u64,
+        key: &[u8],
+        seq: u64,
+        val: &[u8],
+    ) -> Result<Ins> {
+        let page = io.read(id)?;
+        match page.typ {
+            PT_LEAF => {
+                let mut leaf = Leaf::decode(&page.data)?;
+                let mut pos = leaf.cells.len();
+                let mut replaced = false;
+                for (i, c) in leaf.cells.iter().enumerate() {
+                    match cmp_keys(key, &c.key)? {
+                        Ordering::Less => {
+                            pos = i;
+                            break;
+                        }
+                        Ordering::Equal => {
+                            pos = i;
+                            replaced = true;
+                            break;
+                        }
+                        Ordering::Greater => {}
+                    }
+                }
+                if replaced {
+                    let old = std::mem::replace(&mut leaf.cells[pos].val, make_val(io, val)?);
+                    free_val(io, &old)?;
+                } else {
+                    let cell = Cell { key: key.to_vec(), seq, val: make_val(io, val)? };
+                    leaf.cells.insert(pos, cell);
+                }
+                if leaf.size() <= PAGE_PAYLOAD {
+                    io.write(id, PT_LEAF, leaf.encode())?;
+                    return Ok(Ins::Done { replaced });
+                }
+                let mid = split_point(&leaf.cells);
+                let right_cells: Vec<Cell> = leaf.cells.split_off(mid);
+                let right_id = io.alloc()?;
+                let sep = right_cells[0].key.clone();
+                let right = Leaf { next: leaf.next, cells: right_cells };
+                leaf.next = right_id;
+                io.write(right_id, PT_LEAF, right.encode())?;
+                io.write(id, PT_LEAF, leaf.encode())?;
+                Ok(Ins::Split { sep, right: right_id, replaced })
+            }
+            PT_INTERIOR => {
+                let mut node = Interior::decode(&page.data)?;
+                let (slot, child) = child_for(&node, key)?;
+                let (sep, right, replaced) = match insert_rec(io, child, key, seq, val)? {
+                    Ins::Done { replaced } => return Ok(Ins::Done { replaced }),
+                    Ins::Split { sep, right, replaced } => (sep, right, replaced),
+                };
+                node.cells.insert(slot, (sep, right));
+                if node.size() <= PAGE_PAYLOAD {
+                    io.write(id, PT_INTERIOR, node.encode())?;
+                    return Ok(Ins::Done { replaced });
+                }
+                let mid = node.cells.len() / 2;
+                let mut right_cells = node.cells.split_off(mid);
+                let (up_key, up_child) = right_cells.remove(0);
+                let right_id = io.alloc()?;
+                let right_node = Interior { first: up_child, cells: right_cells };
+                io.write(right_id, PT_INTERIOR, right_node.encode())?;
+                io.write(id, PT_INTERIOR, node.encode())?;
+                Ok(Ins::Split { sep: up_key, right: right_id, replaced })
+            }
+            t => Err(Error::Internal(format!("btree: unexpected page type {t} in tree"))),
+        }
+    }
+
+    fn find_leaf(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Result<u64> {
+        let mut id = root;
+        loop {
+            let page = io.read(id)?;
+            match page.typ {
+                PT_LEAF => return Ok(id),
+                PT_INTERIOR => id = child_for(&Interior::decode(&page.data)?, key)?.1,
+                t => return Err(Error::Internal(format!("btree: unexpected page type {t}"))),
+            }
+        }
+    }
+
+    pub(super) fn tree_delete(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Result<bool> {
+        if root == NIL {
+            return Ok(false);
+        }
+        let leaf_id = find_leaf(io, root, key)?;
+        let mut leaf = Leaf::decode(&io.read(leaf_id)?.data)?;
+        for i in 0..leaf.cells.len() {
+            if cmp_keys(key, &leaf.cells[i].key)? == Ordering::Equal {
+                let cell = leaf.cells.remove(i);
+                free_val(io, &cell.val)?;
+                io.write(leaf_id, PT_LEAF, leaf.encode())?;
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    pub(super) fn heap_append(
+        io: &mut dyn PageStore,
+        head: u64,
+        tail: u64,
+        seq: u64,
+        val: &[u8],
+    ) -> Result<(u64, u64)> {
+        let cell_val = make_val(io, val)?;
+        let cell = Cell { key: Vec::new(), seq, val: cell_val };
+        if head == NIL {
+            let id = io.alloc()?;
+            let leaf = Leaf { next: NIL, cells: vec![cell] };
+            io.write(id, PT_HEAP, leaf.encode())?;
+            return Ok((id, id));
+        }
+        let page = io.read(tail)?;
+        expect_type(&page, tail, PT_HEAP)?;
+        let mut leaf = Leaf::decode(&page.data)?;
+        leaf.cells.push(cell);
+        if leaf.size() <= PAGE_PAYLOAD {
+            io.write(tail, PT_HEAP, leaf.encode())?;
+            return Ok((head, tail));
+        }
+        let cell = leaf.cells.pop().expect("just pushed");
+        let new_tail = io.alloc()?;
+        leaf.next = new_tail;
+        io.write(tail, PT_HEAP, leaf.encode())?;
+        let fresh = Leaf { next: NIL, cells: vec![cell] };
+        io.write(new_tail, PT_HEAP, fresh.encode())?;
+        Ok((head, new_tail))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::Value;
-    use std::collections::HashMap;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
 
     /// In-memory `PageStore`: every page lives in a map, no page file.
+    /// Freed ids are reused last-freed first, as the pager's free list
+    /// does, and every call is logged in order.
     struct MemStore {
         pages: HashMap<u64, Arc<PageBuf>>,
         next: u64,
+        free: Vec<u64>,
+        /// `(call, page id)`: `r`ead, `w`rite, `a`lloc, `f`ree.
+        log: Vec<(char, u64)>,
     }
 
     impl MemStore {
         fn new() -> MemStore {
-            MemStore { pages: HashMap::new(), next: 1 }
+            MemStore { pages: HashMap::new(), next: 1, free: Vec::new(), log: Vec::new() }
         }
     }
 
     impl PageStore for MemStore {
         fn read(&mut self, id: u64) -> Result<Arc<PageBuf>> {
+            self.log.push(('r', id));
             self.pages
                 .get(&id)
                 .cloned()
@@ -706,18 +993,28 @@ mod tests {
         }
 
         fn write(&mut self, id: u64, typ: u8, data: Vec<u8>) -> Result<()> {
+            self.log.push(('w', id));
+            if data.len() > PAGE_PAYLOAD {
+                // The pager's refusal, which fails the checkpoint's fold.
+                return Err(Error::Internal(format!("memstore: page {id} overfull")));
+            }
             self.pages.insert(id, Arc::new(PageBuf { typ, data }));
             Ok(())
         }
 
         fn alloc(&mut self) -> Result<u64> {
-            let id = self.next;
-            self.next += 1;
+            let id = self.free.pop().unwrap_or_else(|| {
+                self.next += 1;
+                self.next - 1
+            });
+            self.log.push(('a', id));
             Ok(id)
         }
 
         fn free(&mut self, id: u64) -> Result<()> {
+            self.log.push(('f', id));
             self.pages.remove(&id);
+            self.free.push(id);
             Ok(())
         }
     }
@@ -808,5 +1105,208 @@ mod tests {
         tree_scan_all(&mut io, root, &mut cells).unwrap();
         assert_eq!(cells.len(), 99);
         assert!(cells.iter().any(|(seq, v)| *seq == 20 && v == b"updated"));
+    }
+
+    /// An encoded key of `vals`.
+    fn key_of(vals: &[Value]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, vals.len() as u32);
+        for v in vals {
+            crate::storage::encode_value(&mut buf, v);
+        }
+        buf
+    }
+
+    fn text(s: &str) -> Value {
+        Value::Text(s.into())
+    }
+
+    /// A `Vec<u8>` ordered by `cmp_keys`: the model's key.
+    struct ModelKey(Vec<u8>);
+
+    impl PartialEq for ModelKey {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+
+    impl Eq for ModelKey {}
+
+    impl Ord for ModelKey {
+        fn cmp(&self, other: &Self) -> Ordering {
+            cmp_keys(&self.0, &other.0).unwrap()
+        }
+    }
+
+    impl PartialOrd for ModelKey {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    enum Op {
+        Upsert(Vec<u8>, Vec<u8>),
+        Delete(Vec<u8>),
+        Append(Vec<u8>),
+    }
+
+    /// Decode step `step` of a stream from one random word: the op kind,
+    /// the key class and the value length come from separate bit fields.
+    fn op(w: u64, step: u64) -> Op {
+        let pick = (w >> 16) as usize;
+        let key = match (w >> 4) % 10 {
+            0 => key_of(&[Value::Integer(step as i64)]),
+            1 => key_of(&[Value::Integer(-(step as i64))]),
+            2 | 3 => key_of(&[Value::Integer((pick % 48) as i64)]),
+            4 => key_of(&[text(["", "a", "ab", "é", "日本", "日本語", "\u{1F600}", "z"][pick % 8])]),
+            5 => {
+                // Text keys at and just under MAX_KEY: one cell fills a
+                // leaf, one separator an interior page.
+                let n = MAX_KEY - 9 - pick % 3;
+                key_of(&[text(&format!("{:k>n$}", pick % 5))])
+            }
+            6 => key_of(&[[
+                Value::Null,
+                Value::Real(f64::NAN),
+                Value::Real(-0.0),
+                Value::Real(0.0),
+                Value::Integer(0),
+                Value::Real(1.0),
+                Value::Integer(1),
+                Value::Real(2.5),
+                Value::Real(f64::INFINITY),
+                Value::Real(f64::NEG_INFINITY),
+            ][pick % 10]
+                .clone()]),
+            7 => key_of(&[Value::Integer((pick % 4) as i64), text(["", "x", "y"][pick / 4 % 3])]),
+            8 => key_of(&[]),
+            _ => key_of(&[Value::Real((pick % 32) as f64 / 4.0)]),
+        };
+        let len = match (w >> 40) % 8 {
+            0 => 0,
+            1..=3 => 1 + pick % 200,
+            4 => MAX_INLINE_VAL + pick % 2,
+            5 => MAX_INLINE_VAL + 1 + pick % 3000,
+            6 => OVERFLOW_CAP + 1 + pick % 5000,
+            _ => 300 + pick % 500,
+        };
+        // A row image holds its key's values, so it is never much shorter.
+        let mut val = format!("{step}:").into_bytes();
+        val.resize(len.max(val.len()).max(key.len()), (w >> 56) as u8);
+        match w % 8 {
+            0 | 1 => Op::Delete(key),
+            2 => Op::Append(val),
+            _ => Op::Upsert(key, val),
+        }
+    }
+
+    /// Every page, by id: type and bytes.
+    fn page_map(io: &MemStore) -> BTreeMap<u64, (u8, Vec<u8>)> {
+        io.pages.iter().map(|(&id, p)| (id, (p.typ, p.data.clone()))).collect()
+    }
+
+    proptest! {
+        /// The in-place writers against the decode-based reference: the
+        /// same op stream gives the same page map and the same ordered
+        /// read / write / alloc / free calls after every op, and the tree
+        /// and the heap scan back as a `BTreeMap` and a `Vec` model.
+        #[test]
+        fn in_place_writers_match_the_decoding_reference(
+            words in proptest::collection::vec(any::<u64>(), 1..160),
+        ) {
+            let (mut new, mut old) = (MemStore::new(), MemStore::new());
+            let (mut root, mut head, mut tail) = (NIL, NIL, NIL);
+            let mut tree: BTreeMap<ModelKey, (u64, Vec<u8>)> = BTreeMap::new();
+            let mut heap: Vec<(u64, Vec<u8>)> = Vec::new();
+            for (step, &w) in words.iter().enumerate() {
+                let seq = step as u64;
+                // The scans below read `new` only: compare this op's calls.
+                new.log.clear();
+                old.log.clear();
+                let ended = match op(w, seq) {
+                    Op::Upsert(key, val) => {
+                        let got = tree_insert(&mut new, root, &key, seq, &val);
+                        let want = reference::tree_insert(&mut old, root, &key, seq, &val);
+                        if let (Ok(got), Ok(want)) = (&got, &want) {
+                            prop_assert_eq!(got, want);
+                            let mut replaced = true;
+                            tree.entry(ModelKey(key))
+                                .and_modify(|(_, v)| *v = val.clone())
+                                .or_insert_with(|| {
+                                    replaced = false;
+                                    (seq, val)
+                                });
+                            prop_assert_eq!(got.1, replaced);
+                            root = got.0;
+                        }
+                        (got.is_err(), want.is_err())
+                    }
+                    Op::Delete(key) => {
+                        let got = tree_delete(&mut new, root, &key).unwrap();
+                        prop_assert_eq!(got, reference::tree_delete(&mut old, root, &key).unwrap());
+                        prop_assert_eq!(got, tree.remove(&ModelKey(key)).is_some());
+                        (false, false)
+                    }
+                    Op::Append(val) => {
+                        let got = heap_append(&mut new, head, tail, seq, &val).unwrap();
+                        let want = reference::heap_append(&mut old, head, tail, seq, &val).unwrap();
+                        prop_assert_eq!(got, want);
+                        (head, tail) = got;
+                        heap.push((seq, val));
+                        (false, false)
+                    }
+                };
+                prop_assert!(new.log == old.log, "step {step}: page calls diverged");
+                prop_assert!(page_map(&new) == page_map(&old), "step {step}: page images diverged");
+                prop_assert_eq!(&new.free, &old.free);
+                // A split that overfills a page (see ROADMAP: a cell over half
+                // a page between smaller ones) fails both sides alike; the
+                // pager drops such a fold, so the stream ends there.
+                prop_assert_eq!(ended.0, ended.1);
+                if ended.0 {
+                    break;
+                }
+                let mut cells = Vec::new();
+                tree_scan_all(&mut new, root, &mut cells).unwrap();
+                prop_assert!(cells.iter().eq(tree.values()), "step {step}: tree scan != model");
+                cells.clear();
+                heap_scan(&mut new, head, &mut cells).unwrap();
+                prop_assert!(cells == heap, "step {step}: heap scan != model");
+            }
+        }
+    }
+
+    /// A truncated page fails the in-place view exactly when it fails
+    /// the decoder, for every cut of every page of a multi-level tree.
+    #[test]
+    fn views_reject_what_the_decoders_reject() {
+        let mut io = MemStore::new();
+        let mut root = build(&mut io, 600);
+        let big = vec![7u8; MAX_INLINE_VAL * 2];
+        root = tree_insert(&mut io, root, &key(3), 999, &big).unwrap().0;
+        let (head, _) = heap_append(&mut io, NIL, NIL, 0, &big).unwrap();
+        let mut kinds = [0usize; 5];
+        for (id, page) in &io.pages {
+            kinds[page.typ as usize] += 1;
+            for cut in 0..=page.data.len() {
+                let data = &page.data[..cut];
+                match page.typ {
+                    PT_LEAF | PT_HEAP => assert_eq!(
+                        View::leaf(data).map(|v| v.end).ok(),
+                        Leaf::decode(data).map(|l| l.size()).ok(),
+                        "page {id} cut at {cut}"
+                    ),
+                    PT_INTERIOR => assert_eq!(
+                        View::interior(data).map(|v| v.keys.len()).ok(),
+                        Interior::decode(data).map(|n| n.cells.len()).ok(),
+                        "page {id} cut at {cut}"
+                    ),
+                    _ => {}
+                }
+            }
+        }
+        assert!(root != NIL && head != NIL);
+        assert!(kinds[PT_LEAF as usize] > 1 && kinds[PT_INTERIOR as usize] > 0, "{kinds:?}");
+        assert!(kinds[PT_HEAP as usize] > 0 && kinds[PT_OVERFLOW as usize] > 0, "{kinds:?}");
     }
 }

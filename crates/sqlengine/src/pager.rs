@@ -41,6 +41,11 @@
 //! 3. the caller ([`crate::wal::Wal::checkpoint`]) then rewrites the WAL
 //!    to a single [`WalRecord::PagedCheckpoint`] marker.
 //!
+//! A folded row costs a descent of binary searches in place and one
+//! spliced leaf copy ([`crate::btree`]), plus its share of eight-byte-step
+//! CRCs: loading `durable_mixed`'s 20,000 rows through 40 checkpoints folds
+//! at ≈6 µs a row, ≈3 µs of it the tree insert (2-core host, ext4).
+//!
 //! A crash before (2) recovers at the old epoch with the full WAL tail;
 //! shadow writes are invisible because the old meta still names the old
 //! slots. A crash between (2) and (3) leaves the WAL marker *behind* the

@@ -28,6 +28,10 @@
 //! so the serial sweeps drive the same group-commit leader the
 //! concurrent one does — as batches of one. A last schedule plants a log in the removed
 //! whole-image format and checks it is refused without a byte changing.
+//! Two more serial schedules load the checkpoint's fold: rows several
+//! pages wide streamed through a two-page page set, and rows that spill
+//! to overflow chains, are rewritten across the inline limit both ways
+//! and are deleted.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -267,6 +271,57 @@ fn fault_sweep_under_eviction_pressure() {
         stats.pool.evictions > 0,
         "a 2-page set under a multi-page working set must evict: {stats:?}"
     );
+}
+
+/// A schedule whose rows spill to overflow chains: every row but one
+/// encodes to more than 1 KiB, row 3 to more than one overflow page holds.
+/// Updates turn an overflow row inline and an inline row into an overflow
+/// row, and a delete frees a two-page chain that the last insert reuses.
+fn overflow_steps() -> Vec<String> {
+    vec![
+        "CREATE TABLE big (id INTEGER PRIMARY KEY, body TEXT)".to_string(),
+        format!("INSERT INTO big VALUES (1, '{:a>1500}')", 1),
+        "INSERT INTO big VALUES (2, 'small')".to_string(),
+        format!("INSERT INTO big VALUES (3, '{:b>5000}')", 3),
+        "UPDATE big SET body = 'now-inline' WHERE id = 1".to_string(),
+        format!("UPDATE big SET body = '{:c>2000}' WHERE id = 2", 2),
+        "DELETE FROM big WHERE id = 3".to_string(),
+        format!("INSERT INTO big VALUES (4, '{:d>1200}')", 4),
+    ]
+}
+
+/// Page slots of the page file whose image is an overflow page (type 4
+/// in the page header's type byte).
+fn overflow_slots(fs: &SimFs) -> usize {
+    fs.file_bytes(format!("{WAL}.pages"))
+        .unwrap_or_default()
+        .chunks(4096)
+        .filter(|img| img.len() == 4096 && img[20] == 4)
+        .count()
+}
+
+/// Overflow-chain schedule: a small log budget checkpoints after nearly
+/// every statement and a two-page set evicts mid-fold, so faults land on
+/// chain writes, chain frees and the reuse of freed chain pages. The
+/// clean run then pins that the checkpoints really wrote overflow pages,
+/// a two-page chain among them.
+#[test]
+fn fault_sweep_over_overflow_chains() {
+    let config =
+        DurabilityConfig { checkpoint_bytes: 1024, pool_pages: 2, ..Default::default() };
+    let steps = overflow_steps();
+    let steps: Vec<&str> = steps.iter().map(String::as_str).collect();
+    sweep_steps(config, &steps, "overflow");
+
+    let fs = SimFs::new();
+    let db = open_sim(&fs, config).unwrap();
+    let mut most = 0;
+    for step in &steps {
+        db.execute_script(step).unwrap();
+        most = most.max(overflow_slots(&fs));
+    }
+    // Row 1's one-page chain beside row 3's two-page chain.
+    assert!(most >= 3, "the checkpoints must write row 1's and row 3's overflow chains: {most}");
 }
 
 /// Two-fault schedule: a checkpoint's directory sync fails transiently

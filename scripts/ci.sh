@@ -36,7 +36,12 @@
 #      normally debug-only) active under the optimized build's real
 #      interleavings — concurrent sessions, group commit, the in-place
 #      write path's copy-on-write under the table-writer lock, and
-#      `udf_store`, taken from every session's statement thread.
+#      `udf_store`, taken from every session's statement thread;
+#   3. the B-tree differential property (the in-place page writers
+#      against the decoding reference kept in btree.rs's tests: same page
+#      images, same page calls, scans equal to a model) at
+#      PROPTEST_CASES=2000 in a release build — tier-1 runs it at the
+#      vendored proptest's default of 64 cases.
 #
 # Not a stage: scripts/bench_pairs.sh <parent-binary> <change-binary>
 # <workload> — the alternating parent/change pairs a claimed gain is
@@ -76,5 +81,9 @@ env -u SWAN_SEED cargo run --release --quiet --offline \
 
 echo "== workspace tests @ SWAN_LOCKDEP=1 (release, lock-order validated) =="
 SWAN_LOCKDEP=1 cargo test --workspace -q --release
+
+echo "== B-tree differential property @ PROPTEST_CASES=2000 (release) =="
+PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib \
+    btree::tests::in_place_writers_match_the_decoding_reference
 
 echo "CI gate passed."
