@@ -30,10 +30,11 @@
 //!
 //! Cells are searched in place: a `View` walks a page's cells once and
 //! binary-searches their keys with [`cmp_keys`]. An insert that fits
-//! (tree leaf or heap tail) and a delete splice one copy of the page
-//! bytes. A node is decoded only to split it or to replace a key's value
-//! (the old value may own an overflow chain). Page bytes, ids and calls
-//! equal the decode-everything writer the tests keep as the reference.
+//! (tree leaf or heap tail) splices one copy of the page bytes. A node
+//! is decoded only to split it or to replace a key's value (the old
+//! value may own an overflow chain); a delete decodes its leaf. Page
+//! bytes, ids and calls equal the decode-everything writers the tests
+//! keep as the reference.
 //!
 //! Deletes remove cells without rebalancing: an underfull (even empty)
 //! leaf stays linked and is simply skipped by scans. That trades space
@@ -60,8 +61,9 @@ pub(crate) const NIL: u64 = 0;
 pub(crate) const MAX_INLINE_VAL: usize = 1024;
 
 /// Largest encoded key a cell may carry: an overflow cell
-/// (`flag + klen + key + seq + total + start`) must always fit a leaf
-/// page on its own, so splits can never fail.
+/// (`flag + klen + key + seq + total + start`) fits a leaf page on its
+/// own. A split among cells of mixed sizes can still overfill a page
+/// (ROADMAP, "Known defect: a B-tree split can overfill a page").
 pub(crate) const MAX_KEY: usize = PAGE_PAYLOAD - LEAF_HDR - CELL_FIXED - 12;
 
 const LEAF_HDR: usize = 8 + 2; // next + ncells (heap pages reuse this layout)
@@ -353,29 +355,15 @@ impl<'a> View<'a> {
         self.keys.get(i).map_or(self.end, |&(s, _)| s - 3)
     }
 
-    /// Leaf: the overflow chain head of cell `i`, if its row spilled.
-    fn overflow_start(&self, i: usize) -> Result<Option<u64>> {
-        let (s, e) = self.keys[i];
-        if self.data[s - 3] != 1 {
-            return Ok(None);
-        }
-        let mut pos = e + 8 + 4; // seq + total
-        get_u64(self.data, &mut pos).map(Some)
-    }
-
-    /// Leaf: the page with cell `at` removed (`remove`) or `cell` put in
-    /// at `at`, in one copy — header, cells before, new cell, cells after.
-    fn splice(&self, at: usize, remove: bool, cell: Option<&Cell>) -> Vec<u8> {
-        let n = self.keys.len() + cell.is_some() as usize - remove as usize;
-        let resume = self.cell_start(at + remove as usize);
-        let mut out = Vec::with_capacity(self.end + cell.map_or(0, Cell::size));
+    /// Leaf: the page with `cell` put in at `at`, in one copy — header,
+    /// cells before, new cell, cells after.
+    fn splice(&self, at: usize, cell: &Cell) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.end + cell.size());
         out.extend_from_slice(&self.data[..8]);
-        out.extend_from_slice(&(n as u16).to_le_bytes());
+        out.extend_from_slice(&(self.keys.len() as u16 + 1).to_le_bytes());
         out.extend_from_slice(&self.data[LEAF_HDR..self.cell_start(at)]);
-        if let Some(c) = cell {
-            c.encode_into(&mut out);
-        }
-        out.extend_from_slice(&self.data[resume..self.end]);
+        cell.encode_into(&mut out);
+        out.extend_from_slice(&self.data[self.cell_start(at)..self.end]);
         out
     }
 }
@@ -548,7 +536,7 @@ fn insert_rec(
             } else {
                 let cell = Cell { key: key.to_vec(), seq, val: make_val(io, val)? };
                 if view.end + cell.size() <= PAGE_PAYLOAD {
-                    io.write(id, PT_LEAF, view.splice(pos, false, Some(&cell)))?;
+                    io.write(id, PT_LEAF, view.splice(pos, &cell))?;
                     return Ok(Ins::Done { replaced });
                 }
                 let mut leaf = Leaf::decode(&page.data)?;
@@ -620,17 +608,16 @@ pub(crate) fn tree_delete(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Resu
         return Ok(false);
     }
     let leaf_id = find_leaf(io, root, key)?;
-    let page = io.read(leaf_id)?;
-    let view = View::leaf(&page.data)?;
-    let (at, found) = view.rank(key, false)?;
-    if !found {
-        return Ok(false);
+    let mut leaf = Leaf::decode(&io.read(leaf_id)?.data)?;
+    for i in 0..leaf.cells.len() {
+        if cmp_keys(key, &leaf.cells[i].key)? == Ordering::Equal {
+            let cell = leaf.cells.remove(i);
+            free_val(io, &cell.val)?;
+            io.write(leaf_id, PT_LEAF, leaf.encode())?;
+            return Ok(true);
+        }
     }
-    if let Some(start) = view.overflow_start(at)? {
-        overflow_free(io, start)?;
-    }
-    io.write(leaf_id, PT_LEAF, view.splice(at, true, None))?;
-    Ok(true)
+    Ok(false)
 }
 
 fn find_leaf(io: &mut dyn PageStore, root: u64, key: &[u8]) -> Result<u64> {
@@ -729,7 +716,7 @@ pub(crate) fn heap_append(
     expect_type(&page, tail, PT_HEAP)?;
     let view = View::leaf(&page.data)?;
     if view.end + cell.size() <= PAGE_PAYLOAD {
-        io.write(tail, PT_HEAP, view.splice(view.keys.len(), false, Some(&cell)))?;
+        io.write(tail, PT_HEAP, view.splice(view.keys.len(), &cell))?;
         return Ok((head, tail));
     }
     let new_tail = io.alloc()?;
