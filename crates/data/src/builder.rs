@@ -1,7 +1,12 @@
 //! Helpers for constructing and curating the benchmark databases.
+//!
+//! Set-up builds each row once: the generators allocate every row as a
+//! shared [`Row`], [`insert_rows`] hands a table its batch through the
+//! table's reserving bulk load, and [`apply_curation`] narrows each
+//! curated table in one pass.
 
 use swan_llm::KnownValue;
-use swan_sqlengine::{Column, Database, Table, Value};
+use swan_sqlengine::{Column, Database, Row, Table};
 
 use crate::types::{CurationSpec, Fact};
 
@@ -15,8 +20,9 @@ pub fn create_table(db: &mut Database, name: &str, cols: &[&str], pk: &[&str]) {
     db.catalog_mut().create_table(table).expect("unique generator table name");
 }
 
-/// Bulk-insert rows into a table.
-pub fn insert_rows(db: &mut Database, table: &str, rows: Vec<Vec<Value>>) {
+/// Bulk-insert rows into a table. Each row is already the shared [`Row`]
+/// the table stores (`Row::from([...])`, one allocation).
+pub fn insert_rows(db: &mut Database, table: &str, rows: Vec<Row>) {
     db.catalog_mut()
         .get_mut(table)
         .expect("table exists")
@@ -26,15 +32,24 @@ pub fn insert_rows(db: &mut Database, table: &str, rows: Vec<Vec<Value>>) {
 
 /// Apply a curation spec: clone the original and drop the listed columns
 /// and tables. The result is the database a hybrid-querying system gets.
+/// A table's dropped columns go in one [`Table::drop_columns`] call, so
+/// each of its rows is rebuilt once however many columns it loses.
 pub fn apply_curation(original: &Database, spec: &CurationSpec) -> Database {
-    let mut curated = original.clone();
+    let mut by_table: Vec<(&str, Vec<&str>)> = Vec::new();
     for (table, column) in &spec.dropped_columns {
+        match by_table.iter_mut().find(|(t, _)| t == table) {
+            Some((_, columns)) => columns.push(column),
+            None => by_table.push((table, vec![column])),
+        }
+    }
+    let mut curated = original.clone();
+    for (table, columns) in by_table {
         curated
             .catalog_mut()
             .get_mut(table)
             .expect("curated table exists")
-            .drop_column(column)
-            .expect("curated column exists");
+            .drop_columns(&columns)
+            .expect("curated columns exist");
     }
     for (table, _) in &spec.dropped_tables {
         curated.catalog_mut().drop_table(table).expect("dropped table exists");
@@ -76,12 +91,15 @@ pub fn fact_many(key: &[String], attribute: &str, values: Vec<String>) -> Fact {
 mod tests {
     use super::*;
     use crate::types::CurationSpec;
+    use swan_sqlengine::Value;
 
     fn tiny_db() -> Database {
         let mut db = Database::new();
         create_table(&mut db, "t", &["a", "b", "c"], &["a"]);
         create_table(&mut db, "gone", &["x", "y"], &[]);
-        insert_rows(&mut db, "t", vec![vec!["k".into(), 1.into(), 2.into()]]);
+        create_table(&mut db, "u", &["p", "q", "r"], &[]);
+        insert_rows(&mut db, "t", vec![Row::from(["k".into(), 1.into(), 2.into()])]);
+        insert_rows(&mut db, "u", vec![Row::from([3.into(), 4.into(), 5.into()])]);
         db
     }
 
@@ -89,7 +107,11 @@ mod tests {
     fn curation_drops_columns_and_tables() {
         let original = tiny_db();
         let spec = CurationSpec {
-            dropped_columns: vec![("t".into(), "b".into())],
+            dropped_columns: vec![
+                ("t".into(), "b".into()),
+                ("u".into(), "r".into()),
+                ("u".into(), "p".into()),
+            ],
             dropped_tables: vec![("gone".into(), 2)],
             expansions: vec![],
         };
@@ -97,6 +119,11 @@ mod tests {
         assert!(curated.catalog().get("gone").is_none());
         let t = curated.catalog().get("t").unwrap();
         assert_eq!(t.column_names(), vec!["a", "c"]);
+        let u = curated.catalog().get("u").unwrap();
+        assert_eq!(u.column_names(), vec!["q"]);
+        assert_eq!(&u.rows()[0][..], &[Value::Integer(4)]);
+        // One copy-on-write pass per table, however many columns it loses.
+        assert_eq!(u.version, original.catalog().version("u").unwrap() + 1);
         // Original untouched.
         assert!(original.catalog().get("gone").is_some());
         assert_eq!(original.catalog().get("t").unwrap().width(), 3);
@@ -110,10 +137,10 @@ mod tests {
             &mut db,
             "p",
             vec![
-                vec!["DC".into()],
-                vec!["Marvel".into()],
-                vec!["DC".into()],
-                vec![Value::Null],
+                Row::from(["DC".into()]),
+                Row::from(["Marvel".into()]),
+                Row::from(["DC".into()]),
+                Row::from([Value::Null]),
             ],
         );
         assert_eq!(distinct_texts(&db, "p", "name"), vec!["DC", "Marvel"]);

@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use swan_sqlengine::{Database, Value};
+use swan_sqlengine::{Database, Row, Value};
 
 use crate::builder::*;
 use crate::namegen::{self, UniqueNames};
@@ -86,17 +86,17 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
     let mut league_rows = Vec::new();
     let mut league_names = Vec::new();
     for (i, c) in LEAGUE_COUNTRIES.iter().enumerate() {
-        country_rows.push(vec![Value::Integer(i as i64 + 1), Value::text(*c)]);
+        country_rows.push(Row::from([Value::Integer(i as i64 + 1), Value::text(*c)]));
         let league = match i % 3 {
             0 => format!("{c} Premier League"),
             1 => format!("{c} First Division"),
             _ => format!("{c} National League"),
         };
-        league_rows.push(vec![
+        league_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::Integer(i as i64 + 1),
             Value::text(&league),
-        ]);
+        ]));
         facts.push(fact1(std::slice::from_ref(&league), "country_name", *c));
         league_names.push(league);
     }
@@ -123,18 +123,18 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             .to_ascii_uppercase();
         let speed = namegen::pick(&mut rng, SPEED_CLASSES).to_string();
         let pressure = namegen::pick(&mut rng, PRESSURE_CLASSES).to_string();
-        team_rows.push(vec![
+        team_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(&long),
             Value::text(&short),
-        ]);
+        ]));
         for season in SEASONS.iter().take(5) {
-            ta_rows.push(vec![
+            ta_rows.push(Row::from([
                 Value::Integer(i as i64 + 1),
                 Value::text(*season),
                 Value::text(&speed),
                 Value::text(&pressure),
-            ]);
+            ]));
         }
         let key = vec![long.clone()];
         facts.push(fact1(&key, "team_short_name", &short));
@@ -168,7 +168,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         let work_rate = namegen::pick(&mut rng, WORK_RATES).to_string();
         // Ability drives ratings and popularity.
         let ability: f64 = rng.gen();
-        player_rows.push(vec![
+        player_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(&name),
             Value::text(&birthday),
@@ -176,19 +176,19 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::Integer(weight),
             Value::text(&nationality),
             Value::text(&birth_city),
-        ]);
+        ]));
         for (s, season) in SEASONS.iter().cycle().take(snapshots).enumerate() {
             let rating = (45.0 + 50.0 * ability + rng.gen_range(-4.0..4.0)).clamp(40.0, 99.0) as i64;
             let potential = (rating + rng.gen_range(0i64..8)).min(99);
             let _ = s;
-            pa_rows.push(vec![
+            pa_rows.push(Row::from([
                 Value::Integer(i as i64 + 1),
                 Value::text(*season),
                 Value::Integer(rating),
                 Value::Integer(potential),
                 Value::text(foot),
                 Value::text(&work_rate),
-            ]);
+            ]));
         }
         let key = vec![name.clone()];
         facts.push(fact1(&key, "height", height.to_string()));
@@ -215,7 +215,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         }
         let season = namegen::pick(&mut rng, SEASONS).to_string();
         let year = 2008 + (i % 8) as i64;
-        match_rows.push(vec![
+        match_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::Integer(league),
             Value::text(&season),
@@ -224,7 +224,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::Integer(rng.gen_range(0..6)),
             Value::Integer(rng.gen_range(0..6)),
             Value::text(format!("{year}-{:02}-{:02}", rng.gen_range(1..=12), rng.gen_range(1..=28))),
-        ]);
+        ]));
     }
     insert_rows(&mut original, "match", match_rows);
 

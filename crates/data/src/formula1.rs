@@ -7,7 +7,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use swan_sqlengine::{Database, Value};
+use swan_sqlengine::{Database, Row, Value};
 
 use crate::builder::*;
 use crate::namegen::{self, UniqueNames};
@@ -102,7 +102,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
     for y in 0..n_seasons as i64 {
         let year = first_year + y;
         let url = format!("http://en.wikipedia.org/wiki/{year}_Formula_One_season");
-        season_rows.push(vec![Value::Integer(year), Value::text(&url)]);
+        season_rows.push(Row::from([Value::Integer(year), Value::text(&url)]));
         facts.push(fact1(&[year.to_string()], "url", &url));
     }
     insert_rows(&mut original, "seasons", season_rows);
@@ -113,7 +113,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         STATUSES
             .iter()
             .enumerate()
-            .map(|(i, s)| vec![Value::Integer(i as i64 + 1), Value::text(*s)])
+            .map(|(i, s)| Row::from([Value::Integer(i as i64 + 1), Value::text(*s)]))
             .collect(),
     );
 
@@ -126,13 +126,13 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         let location = namegen::pick(&mut rng, namegen::CITIES).to_string();
         let name = circuit_names.claim(format!("{location} International Circuit"));
         let url = format!("http://en.wikipedia.org/wiki/{}", name.replace(' ', "_"));
-        circuit_rows.push(vec![
+        circuit_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(&name),
             Value::text(&location),
             Value::text(&country),
             Value::text(&url),
-        ]);
+        ]));
         let key = vec![name.clone()];
         facts.push(fact1(&key, "country", &country));
         facts.push(fact1(&key, "location", &location));
@@ -165,7 +165,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             rng.gen_range(1..=28)
         );
         let url = format!("http://en.wikipedia.org/wiki/{}", full.replace(' ', "_"));
-        driver_rows.push(vec![
+        driver_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(forename),
             Value::text(surname),
@@ -174,7 +174,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::text(&nationality),
             Value::text(&dob),
             Value::text(&url),
-        ]);
+        ]));
         let key = vec![forename.to_string(), surname.to_string()];
         facts.push(fact1(&key, "code", &code));
         facts.push(fact1(&key, "number", number.to_string()));
@@ -200,12 +200,12 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         ));
         let nationality = namegen::pick(&mut rng, namegen::NATIONALITIES).to_string();
         let url = format!("http://en.wikipedia.org/wiki/{}", name.replace(' ', "_"));
-        constructor_rows.push(vec![
+        constructor_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(&name),
             Value::text(&nationality),
             Value::text(&url),
-        ]);
+        ]));
         let key = vec![name.clone()];
         facts.push(fact1(&key, "nationality", &nationality));
         facts.push(fact1(&key, "url", &url));
@@ -237,7 +237,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             year,
             name.replace(' ', "_")
         );
-        race_rows.push(vec![
+        race_rows.push(Row::from([
             Value::Integer(r as i64 + 1),
             Value::Integer(year),
             Value::Integer(round),
@@ -245,7 +245,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::text(&name),
             Value::text(&date),
             Value::text(&url),
-        ]);
+        ]));
         facts.push(fact1(&[name.clone(), date.clone()], "url", &url));
 
         // Pick a grid of drivers, order by (skill + luck) for positions.
@@ -267,7 +267,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             let points = POINTS.get(pos).copied().unwrap_or(0);
             let constructor = (d % n_constructors) as i64 + 1;
             let finished = rng.gen_bool(0.8);
-            result_rows.push(vec![
+            result_rows.push(Row::from([
                 Value::Integer(r as i64 + 1),
                 Value::Integer(d as i64 + 1),
                 Value::Integer(constructor),
@@ -276,58 +276,58 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
                 Value::Integer(points),
                 Value::Integer(rng.gen_range(40..=70)),
                 Value::Integer(if finished { 1 } else { rng.gen_range(2..=STATUSES.len() as i64) }),
-            ]);
+            ]));
             if pos < 10 {
-                quali_rows.push(vec![
+                quali_rows.push(Row::from([
                     Value::Integer(r as i64 + 1),
                     Value::Integer(d as i64 + 1),
                     Value::Integer(position),
                     Value::Integer(rng.gen_range(70_000..95_000)),
-                ]);
+                ]));
             }
-            dstand_rows.push(vec![
+            dstand_rows.push(Row::from([
                 Value::Integer(r as i64 + 1),
                 Value::Integer(d as i64 + 1),
                 Value::Integer(points * (round.max(1))),
                 Value::Integer(position),
                 Value::Integer(if pos == 0 { 1 } else { 0 }),
-            ]);
+            ]));
             for lap in 1..=laps_per_driver {
-                lap_rows.push(vec![
+                lap_rows.push(Row::from([
                     Value::Integer(r as i64 + 1),
                     Value::Integer(d as i64 + 1),
                     Value::Integer(lap as i64),
                     Value::Integer(position),
                     Value::Integer(rng.gen_range(72_000..110_000)),
-                ]);
+                ]));
             }
             if rng.gen_bool(0.8) {
-                pit_rows.push(vec![
+                pit_rows.push(Row::from([
                     Value::Integer(r as i64 + 1),
                     Value::Integer(d as i64 + 1),
                     Value::Integer(1),
                     Value::Integer(rng.gen_range(10..40)),
                     Value::Integer(rng.gen_range(19_000..32_000)),
-                ]);
+                ]));
             }
         }
         for c in 0..(10.min(n_constructors)) {
-            cstand_rows.push(vec![
+            cstand_rows.push(Row::from([
                 Value::Integer(r as i64 + 1),
                 Value::Integer(c as i64 + 1),
                 Value::Integer(rng.gen_range(0..600)),
                 Value::Integer(c as i64 + 1),
                 Value::Integer(rng.gen_range(0..10)),
-            ]);
+            ]));
         }
         if r % 5 == 0 {
             for (pos, &(d, _)) in order.iter().take(8).enumerate() {
-                sprint_rows.push(vec![
+                sprint_rows.push(Row::from([
                     Value::Integer(r as i64 + 1),
                     Value::Integer(d as i64 + 1),
                     Value::Integer(pos as i64 + 1),
                     Value::Integer((8 - pos as i64).max(0)),
-                ]);
+                ]));
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use swan_sqlengine::{Database, Value};
+use swan_sqlengine::{Database, Row, Value};
 
 use crate::builder::*;
 use crate::namegen::{self, UniqueNames};
@@ -104,7 +104,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         );
 
         let cds = format!("{:014}", 10_000_000_000_000u64 + i as u64);
-        school_rows.push(vec![
+        school_rows.push(Row::from([
             Value::text(&cds),
             Value::text(&school_name),
             Value::text(&street),
@@ -120,28 +120,28 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::text(&doc_type),
             Value::text(&admin),
             Value::text(&admin_email),
-        ]);
+        ]));
 
         let enrollment = rng.gen_range(80..3000);
         let free_meals = (enrollment as f64 * (1.0 - quality) * rng.gen_range(0.4..0.95)) as i64;
-        frpm_rows.push(vec![
+        frpm_rows.push(Row::from([
             Value::text(&cds),
             Value::Integer(enrollment),
             Value::Integer(free_meals),
             Value::Real((free_meals as f64 / enrollment as f64 * 1000.0).round() / 1000.0),
-        ]);
+        ]));
 
         let score = |rng: &mut SmallRng, q: f64| -> i64 {
             (350.0 + 300.0 * q + rng.gen_range(-25.0..25.0)).clamp(300.0, 700.0) as i64
         };
-        sat_rows.push(vec![
+        sat_rows.push(Row::from([
             Value::text(&cds),
             Value::Integer(rng.gen_range(20..800)),
             Value::Integer(score(&mut rng, quality)),
             Value::Integer(score(&mut rng, quality)),
             Value::Integer(score(&mut rng, quality)),
             Value::Real((quality * rng.gen_range(0.3..0.9) * 100.0).round() / 100.0),
-        ]);
+        ]));
 
         facts.push(fact1(&key, "city", &city));
         facts.push(fact1(&key, "county", &county));

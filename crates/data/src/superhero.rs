@@ -11,7 +11,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use swan_sqlengine::{Database, Value};
+use swan_sqlengine::{Database, Row, Value};
 
 use crate::builder::*;
 use crate::namegen::{self, UniqueNames};
@@ -70,11 +70,11 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         &[],
     );
 
-    let lookup = |items: &[&str]| -> Vec<Vec<Value>> {
+    let lookup = |items: &[&str]| -> Vec<Row> {
         items
             .iter()
             .enumerate()
-            .map(|(i, v)| vec![Value::Integer(i as i64 + 1), Value::text(*v)])
+            .map(|(i, v)| Row::from([Value::Integer(i as i64 + 1), Value::text(*v)]))
             .collect()
     };
     insert_rows(&mut original, "publisher", lookup(PUBLISHERS));
@@ -118,7 +118,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         let height = rng.gen_range(150..=210);
         let weight = rng.gen_range(45..=180);
 
-        hero_rows.push(vec![
+        hero_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(&hero),
             Value::text(&full),
@@ -131,7 +131,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::Integer(publisher as i64 + 1),
             Value::Integer(gender as i64 + 1),
             Value::Integer(alignment as i64 + 1),
-        ]);
+        ]));
 
         // Powers: 3..=10 distinct (Bird's hero_power averages ~7/hero).
         let n_powers = rng.gen_range(3..=10usize);
@@ -143,15 +143,15 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             }
         }
         for &p in &chosen {
-            power_rows.push(vec![Value::Integer(i as i64 + 1), Value::Integer(p as i64 + 1)]);
+            power_rows.push(Row::from([Value::Integer(i as i64 + 1), Value::Integer(p as i64 + 1)]));
         }
 
         for (ai, _) in ATTRIBUTES.iter().enumerate() {
-            attr_rows.push(vec![
+            attr_rows.push(Row::from([
                 Value::Integer(i as i64 + 1),
                 Value::Integer(ai as i64 + 1),
                 Value::Integer(rng.gen_range(5..=100)),
-            ]);
+            ]));
         }
 
         facts.push(fact1(&key, "eye_colour", COLOURS[eye]));

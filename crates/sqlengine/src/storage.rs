@@ -32,13 +32,18 @@
 //!   admit a new cell.
 //! * [`Table::insert_shared_row`]: the key is added; the column set has the
 //!   row appended under the same admission rule.
+//! * [`Table::insert_rows`] (bulk load): the row vector and the PK index
+//!   are reserved once for the batch's size hint, then each row is
+//!   appended by `insert_shared_row`, every check included.
 //! * [`Table::remove_rows`] (DELETE, a row patch's deletes): keys are
 //!   removed and later slots renumbered in the index (O(rows), no key
 //!   re-encoded or re-hashed); the column set is dropped.
 //! * [`Table::truncate_rows`] (INSERT rollback): keys removed, the column
 //!   set dropped.
-//! * [`Table::add_column`] / [`Table::drop_column`]: index kept (cleared
-//!   with a dropped PK column), column set dropped.
+//! * [`Table::add_column`]: index kept, column set dropped.
+//! * [`Table::drop_columns`] (curation): one pass over the rows however
+//!   many columns go. The PK index is kept, since no row changes slot,
+//!   unless a PK column goes, which clears the key. Column set dropped.
 //!
 //! A dropped column set is rebuilt lazily by its accessor, exactly as a
 //! freshly loaded table builds it. Every in-place change goes through
@@ -266,11 +271,21 @@ impl Table {
         Ok(())
     }
 
-    /// Bulk insert; stops at the first constraint violation.
-    pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = Vec<Value>>) -> Result<usize> {
+    /// Bulk insert of shared rows (the generators' load path). The row
+    /// vector and, on a keyed table, the PK index are reserved up front by
+    /// the iterator's lower size bound; every row then goes through
+    /// [`Self::insert_shared_row`] and its checks. Stops at the first
+    /// violation, keeping the rows before it.
+    pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
+        let rows = rows.into_iter();
+        let reserve = rows.size_hint().0;
+        self.rows.reserve(reserve);
+        if !self.primary_key.is_empty() && reserve > 0 {
+            Arc::make_mut(&mut self.pk_index).reserve(reserve);
+        }
         let mut n = 0;
         for row in rows {
-            self.insert_row(row)?;
+            self.insert_shared_row(row)?;
             n += 1;
         }
         Ok(n)
@@ -316,28 +331,32 @@ impl Table {
         Ok(())
     }
 
-    /// Drop a column (used by benchmark schema curation). Rebuilds the
-    /// name index; dropping a PK column clears the PK and its index,
-    /// any other column leaves keys and slots as they were.
-    pub fn drop_column(&mut self, name: &str) -> Result<()> {
-        let idx = self
-            .column_index(name)
-            .ok_or_else(|| Error::NotFound(format!("{}.{}", self.name, name)))?;
-        self.columnar.take();
-        self.columns.remove(idx);
-        for row in &mut self.rows {
-            let mut narrowed = row.to_vec();
-            narrowed.remove(idx);
-            *row = narrowed.into();
+    /// Drop columns (benchmark schema curation) in one pass. Every name is
+    /// resolved first: an unknown or repeated one is [`Error::NotFound`]
+    /// and leaves the table as it was. Each row is rebuilt once with the
+    /// surviving columns in order. Dropping a PK column clears the PK and
+    /// its index; otherwise the PK positions are remapped and the index
+    /// kept, since no row changes slot.
+    pub fn drop_columns(&mut self, names: &[&str]) -> Result<()> {
+        let mut dropped = vec![false; self.columns.len()];
+        for name in names {
+            match self.column_index(name) {
+                Some(i) if !dropped[i] => dropped[i] = true,
+                _ => return Err(Error::NotFound(format!("{}.{}", self.name, name))),
+            }
         }
-        if self.primary_key.contains(&idx) {
+        let kept: Vec<usize> = (0..dropped.len()).filter(|&i| !dropped[i]).collect();
+        self.columnar.take();
+        for row in &mut self.rows {
+            *row = kept.iter().map(|&i| row[i].clone()).collect();
+        }
+        self.columns = kept.iter().map(|&i| self.columns[i].clone()).collect();
+        if self.primary_key.iter().any(|&k| dropped[k]) {
             self.primary_key.clear();
             self.pk_index = Arc::default();
         } else {
-            for pk in &mut self.primary_key {
-                if *pk > idx {
-                    *pk -= 1;
-                }
+            for k in &mut self.primary_key {
+                *k -= dropped[..*k].iter().filter(|&&d| d).count();
             }
         }
         self.col_index.clear();
@@ -947,7 +966,7 @@ mod tests {
         )
         .unwrap();
         t.insert_row(vec![1.into(), 2.into(), 3.into()]).unwrap();
-        t.drop_column("a").unwrap();
+        t.drop_columns(&["a"]).unwrap();
         assert_eq!(t.column_names(), vec!["b", "c"]);
         assert_eq!(t.primary_key, vec![1]);
         assert!(t.find_by_pk(&[3.into()]).is_some());
@@ -956,10 +975,182 @@ mod tests {
     #[test]
     fn drop_pk_column_clears_pk() {
         let mut t = hero_table();
-        t.drop_column("hero_name").unwrap();
+        t.drop_columns(&["hero_name"]).unwrap();
         assert!(t.primary_key.is_empty());
         // Inserting a former duplicate now succeeds.
         t.insert_row(vec!["Peter Parker".into()]).unwrap();
+    }
+
+    /// The single-column drop [`Table::drop_columns`] replaced, kept as
+    /// the reference for `drop_columns_matches_dropping_one_at_a_time`.
+    fn drop_column_reference(t: &mut Table, name: &str) -> Result<()> {
+        let idx = t
+            .column_index(name)
+            .ok_or_else(|| Error::NotFound(format!("{}.{}", t.name, name)))?;
+        t.columnar.take();
+        t.columns.remove(idx);
+        for row in &mut t.rows {
+            let mut narrowed = row.to_vec();
+            narrowed.remove(idx);
+            *row = narrowed.into();
+        }
+        if t.primary_key.contains(&idx) {
+            t.primary_key.clear();
+            t.pk_index = Arc::default();
+        } else {
+            for pk in &mut t.primary_key {
+                if *pk > idx {
+                    *pk -= 1;
+                }
+            }
+        }
+        t.col_index.clear();
+        for (i, c) in t.columns.iter().enumerate() {
+            t.col_index.insert(c.name.to_ascii_lowercase(), i);
+        }
+        Ok(())
+    }
+
+    /// Every row of `t` probes back to its own slot, and the index holds
+    /// nothing else.
+    fn assert_pk_probes(t: &Table) {
+        if !t.has_primary_key() {
+            assert!(t.pk_index.is_empty());
+            return;
+        }
+        assert_eq!(t.pk_index.len(), t.len());
+        for (slot, row) in t.rows.iter().enumerate() {
+            assert_eq!(t.pk_row_index(&t.pk_values_of(row)), Some(slot as u32));
+        }
+    }
+
+    /// A random table for the `drop_columns` property, and a list of
+    /// column names to drop, drawn from `words`: width 1-8, no key, a
+    /// one-column key or a composite one, NULL / integer / real / text
+    /// cells from small domains (so some rows collide on the key and are
+    /// refused), and a shuffled subset of the columns in mixed case.
+    fn random_table_and_drops(words: &[u64]) -> (Table, Vec<String>) {
+        let mut words = words.iter().cycle();
+        let mut next = |n: u64| words.next().unwrap() % n;
+        let width = 1 + next(8) as usize;
+        let names: Vec<String> = (0..width).map(|i| format!("C{i}")).collect();
+        let pk: Vec<String> = match next(3) {
+            0 => vec![],
+            1 => vec![names[next(width as u64) as usize].clone()],
+            _ => names.iter().filter(|_| next(2) == 0).cloned().collect(),
+        };
+        let columns = names.iter().map(Column::new).collect();
+        let mut t = Table::new("t", columns, &pk).unwrap();
+        for _ in 0..next(40) {
+            let row: Vec<Value> = (0..width)
+                .map(|_| match next(4) {
+                    0 => Value::Null,
+                    1 => Value::Integer(next(6) as i64 - 2),
+                    2 => Value::Real(next(6) as f64 * 0.5),
+                    _ => Value::text(format!("s{}", next(6))),
+                })
+                .collect();
+            let _ = t.insert_row(row);
+        }
+        if next(2) == 0 {
+            t.column_set();
+        }
+        let mut drops: Vec<String> = names
+            .iter()
+            .filter_map(|n| match next(4) {
+                0 => Some(n.to_ascii_lowercase()),
+                1 => Some(n.clone()),
+                _ => None,
+            })
+            .collect();
+        for i in (1..drops.len()).rev() {
+            drops.swap(i, next(i as u64 + 1) as usize);
+        }
+        (t, drops)
+    }
+
+    proptest::proptest! {
+        /// One `drop_columns` call against dropping the same columns one
+        /// at a time through the reference: the same columns and name
+        /// index, primary key and probes, rows, and a column set equal to
+        /// a fresh transpose. A list with an unknown or a repeated name is
+        /// refused whole, with the table untouched.
+        #[test]
+        fn drop_columns_matches_dropping_one_at_a_time(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..64),
+        ) {
+            let (table, drops) = random_table_and_drops(&words);
+            let drops: Vec<&str> = drops.iter().map(String::as_str).collect();
+            let mut got = table.clone();
+            got.drop_columns(&drops).unwrap();
+            let mut want = table.clone();
+            for name in &drops {
+                drop_column_reference(&mut want, name).unwrap();
+            }
+            // Columns, primary key and rows (and name and version).
+            assert!(got == want, "{table:?} minus {drops:?}");
+            for c in table.column_names() {
+                assert_eq!(got.column_index(&c), want.column_index(&c), "{c}");
+            }
+            assert_eq!(*got.pk_index, *want.pk_index);
+            assert_pk_probes(&got);
+            let fresh = crate::columnar::ColumnSet::from_rows(&got.rows, got.width());
+            assert_eq!(format!("{:?}", got.column_set()), format!("{fresh:?}"));
+
+            let bad = words[0] as usize % (drops.len() + 1);
+            for extra in ["nope", drops.first().copied().unwrap_or("nope")] {
+                let mut list = drops.clone();
+                list.insert(bad, extra);
+                let mut refused = table.clone();
+                let err = refused.drop_columns(&list).unwrap_err();
+                assert!(matches!(err, Error::NotFound(_)), "{list:?}: {err:?}");
+                assert!(refused == table && refused.col_index == table.col_index);
+                assert!(Arc::ptr_eq(&refused.pk_index, &table.pk_index));
+                assert_eq!(refused.columnar.get().is_some(), table.columnar.get().is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn insert_rows_keeps_the_rows_before_a_repeated_key() {
+        let mut t = numbers(2);
+        let batch: Vec<Row> = [10, 11, 12, 11, 13]
+            .iter()
+            .map(|&id: &i64| Row::from([id.into(), 0.into(), "x".into()]))
+            .collect();
+        let err = t.insert_rows(batch).unwrap_err();
+        assert!(matches!(err, Error::Constraint(_)), "{err:?}");
+        assert_eq!(t.len(), 5, "rows 0..3 of the batch stay, nothing from the repeat on");
+        for (slot, id) in [(2u32, 10i64), (3, 11), (4, 12)] {
+            assert_eq!(t.pk_row_index(&[id.into()]), Some(slot));
+        }
+        assert_eq!(t.pk_row_index(&[13.into()]), None);
+        assert_pk_probes(&t);
+    }
+
+    #[test]
+    fn insert_rows_refuses_a_wrong_arity_row() {
+        let mut t = numbers(1);
+        let batch = vec![Row::from([5.into(), 0.into(), "x".into()]), Row::from([6.into()])];
+        assert!(matches!(t.insert_rows(batch), Err(Error::Semantic(_))));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.pk_row_index(&[6.into()]), None);
+        assert_pk_probes(&t);
+    }
+
+    #[test]
+    fn insert_rows_into_a_clone_leaves_the_shared_index_alone() {
+        let original = numbers(3);
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.pk_index, &copy.pk_index));
+        let batch: Vec<Row> =
+            (3..6i64).map(|id| Row::from([id.into(), 0.into(), "x".into()])).collect();
+        assert_eq!(copy.insert_rows(batch).unwrap(), 3);
+        assert_eq!((original.len(), original.pk_index.len()), (3, 3));
+        assert_eq!(original.pk_row_index(&[4.into()]), None);
+        assert_pk_probes(&original);
+        assert_eq!(copy.len(), 6);
+        assert_pk_probes(&copy);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 #      ROADMAP item-11 running figure:
 #      the non-test line count of crates/sqlengine/src (the lines above
 #      each file's `#[cfg(test)]`), with the same totals for
-#      crates/llm/src and crates/core/src beside it, printed, not gated;
+#      crates/llm/src, crates/core/src and crates/data/src beside it
+#      (the crates that could quietly absorb what the engine sheds),
+#      printed, not gated;
 #   1. tier-1: release build + workspace test suite (ROADMAP contract),
 #      then a compile of every swan-bench bench (`harness = false`
 #      targets that `cargo test` skips) and the frozen benchmark's smoke
@@ -60,9 +62,10 @@ non_test_lines() { # <dir>: each file's lines above its first #[cfg(test)], and 
 }
 echo "== crates/sqlengine/src: non-test lines (ROADMAP item 11) =="
 non_test_lines crates/sqlengine/src
-echo "== beside it: crates/llm/src and crates/core/src (printed, not gated) =="
+echo "== beside it: crates/llm/src, crates/core/src and crates/data/src (printed, not gated) =="
 non_test_lines crates/llm/src | tail -n 1
 non_test_lines crates/core/src | tail -n 1
+non_test_lines crates/data/src | tail -n 1
 
 echo "== tier-1: release build =="
 cargo build --release
