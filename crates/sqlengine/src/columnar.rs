@@ -1,15 +1,15 @@
 //! Columnar storage and vectorized execution kernels.
 //!
-//! The row engine stores a table as `Vec<Row>` where `Row = Arc<[Value]>`:
+//! The row engine stores a table as rows, `Row = Arc<[Value]>`:
 //! every cell access pays an `Arc` pointer chase plus a `Value` enum match,
 //! and a scan touches memory row-major — exactly the access pattern PERF.md
 //! measured as L3-latency bound on `hash_join_sf1`. This module is the
 //! column-major alternative:
 //!
 //! * [`ColumnData`] — typed vectors: `I64(Vec<i64>)`, `F64(Vec<f64>)`,
-//!   `Bool` (bit-packed), `Text` (a dictionary of interned `Arc<str>` plus
-//!   per-row `u32` ids), and `Mixed(Vec<Value>)` as the escape hatch for
-//!   columns that are not type-stable.
+//!   `Bool` (bit-packed), `Text` (a chunked dictionary of interned
+//!   `Arc<str>` plus per-row `u32` ids), and `Mixed(Vec<Value>)` as the
+//!   escape hatch for columns that are not type-stable.
 //! * [`ColumnVec`] — a column plus its validity [`Bitmap`] (`1` = non-NULL).
 //! * [`ColumnSet`] — all columns of one table, built once from the row
 //!   store by [`ColumnSet::from_rows`], cached on [`crate::storage::Table`]
@@ -51,6 +51,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
+use crate::chunked::ChunkedVec;
 use crate::error::{Error, Result};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use crate::value::{real_key_bits, GroupKey, Row, Value};
@@ -146,7 +147,12 @@ pub enum ColumnData {
     Bool(Bitmap),
     /// Every non-NULL cell is `Value::Text`. `dict` holds one shared
     /// `Arc<str>` per distinct string (re-sharing the first row's `Arc`);
-    /// `ids[i]` indexes into it. `index` is the reverse map, keyed by
+    /// `ids[i]` indexes into it. `dict` is a [`ChunkedVec`], the one
+    /// payload here that is not flat: it is the only one whose copy costs
+    /// a refcount per entry, so a column copied for a write (one more
+    /// table version holds it) shares every dictionary chunk but the tail
+    /// a new string lands in, while `ids`, the validity bits and `index`
+    /// copy as a memcpy. `index` is the reverse map, keyed by
     /// `text_hash` so that copying it with the column is a flat copy
     /// (a probe is confirmed against `dict`): absent on a freshly
     /// transposed column — a table that is only read never pays for it —
@@ -158,7 +164,7 @@ pub enum ColumnData {
     /// (`key_codes`, `count_distinct`). Dead entries are harmless to every
     /// kernel (each works per referenced id) and bounded by
     /// `DICT_DEAD_FACTOR`.
-    Text { dict: Vec<Arc<str>>, ids: Vec<u32>, index: Option<HashMap<u64, u32>> },
+    Text { dict: ChunkedVec<Arc<str>>, ids: Vec<u32>, index: Option<HashMap<u64, u32>> },
     /// Type-unstable column: the row values verbatim. Kernels decline
     /// mixed columns and the caller falls back to the row path.
     Mixed(Vec<Value>),
@@ -225,10 +231,16 @@ impl ColumnSet {
     /// `F64`, all-`Text` becomes a dictionary column whose entries
     /// re-share the rows' interned `Arc<str>`s, anything else stays
     /// `Mixed`. Empty and all-NULL columns classify as `I64` with an
-    /// all-zero validity bitmap.
-    pub fn from_rows(rows: &[Row], width: usize) -> ColumnSet {
+    /// all-zero validity bitmap. `rows` is a table's row store or a slice.
+    pub fn from_rows<'a, I>(rows: I, width: usize) -> ColumnSet
+    where
+        I: IntoIterator<Item = &'a Row>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let rows = rows.into_iter();
         let len = rows.len();
-        let columns = (0..width).map(|j| Arc::new(build_column(rows, j, len))).collect();
+        let columns =
+            (0..width).map(|j| Arc::new(build_column(rows.clone(), j, len))).collect();
         ColumnSet { columns, len }
     }
 
@@ -282,10 +294,14 @@ impl ColumnSet {
     }
 }
 
-fn build_column(rows: &[Row], j: usize, len: usize) -> ColumnVec {
+fn build_column<'a>(
+    rows: impl Iterator<Item = &'a Row> + Clone,
+    j: usize,
+    len: usize,
+) -> ColumnVec {
     let (mut ints, mut reals, mut texts) = (0usize, 0usize, 0usize);
     let mut all01 = true;
-    for row in rows {
+    for row in rows.clone() {
         match row.get(j) {
             Some(Value::Integer(i)) => {
                 ints += 1;
@@ -311,7 +327,7 @@ fn build_column(rows: &[Row], j: usize, len: usize) -> ColumnVec {
     if reals == 0 && texts == 0 {
         if all01 {
             let mut bits = Bitmap::new_false(len);
-            for (i, row) in rows.iter().enumerate() {
+            for (i, row) in rows.enumerate() {
                 if let Some(Value::Integer(v)) = row.get(j) {
                     validity.set(i, true);
                     if *v == 1 {
@@ -322,7 +338,7 @@ fn build_column(rows: &[Row], j: usize, len: usize) -> ColumnVec {
             return ColumnVec { data: ColumnData::Bool(bits), validity };
         }
         let mut vals = vec![0i64; len];
-        for (i, row) in rows.iter().enumerate() {
+        for (i, row) in rows.enumerate() {
             if let Some(Value::Integer(v)) = row.get(j) {
                 validity.set(i, true);
                 vals[i] = *v;
@@ -333,7 +349,7 @@ fn build_column(rows: &[Row], j: usize, len: usize) -> ColumnVec {
 
     if ints == 0 && texts == 0 {
         let mut vals = vec![0f64; len];
-        for (i, row) in rows.iter().enumerate() {
+        for (i, row) in rows.enumerate() {
             if let Some(Value::Real(v)) = row.get(j) {
                 validity.set(i, true);
                 vals[i] = *v;
@@ -343,10 +359,10 @@ fn build_column(rows: &[Row], j: usize, len: usize) -> ColumnVec {
     }
 
     if ints == 0 && reals == 0 {
-        let mut dict: Vec<Arc<str>> = Vec::new();
+        let mut dict: ChunkedVec<Arc<str>> = ChunkedVec::new();
         let mut index: HashMap<Arc<str>, u32> = HashMap::new();
         let mut ids = vec![0u32; len];
-        for (i, row) in rows.iter().enumerate() {
+        for (i, row) in rows.enumerate() {
             if let Some(Value::Text(s)) = row.get(j) {
                 validity.set(i, true);
                 let id = match index.get(s.as_ref()) {
@@ -367,7 +383,7 @@ fn build_column(rows: &[Row], j: usize, len: usize) -> ColumnVec {
     }
 
     let mut vals = vec![Value::Null; len];
-    for (i, row) in rows.iter().enumerate() {
+    for (i, row) in rows.enumerate() {
         match row.get(j) {
             Some(v @ (Value::Integer(_) | Value::Real(_) | Value::Text(_))) => {
                 validity.set(i, true);
@@ -1265,7 +1281,7 @@ fn agg_f64(kind: AggKernel, vals: &[f64], validity: &Bitmap, members: &[usize]) 
 
 fn agg_text(
     kind: AggKernel,
-    dict: &[Arc<str>],
+    dict: &ChunkedVec<Arc<str>>,
     ids: &[u32],
     validity: &Bitmap,
     members: &[usize],

@@ -427,11 +427,11 @@ impl<'e> BatchableCalls<'e> {
     }
 
     /// Prefetch every site across a materialized row batch.
-    pub fn prefetch_rows(
+    pub fn prefetch_rows<'r>(
         &self,
         ctx: &ExecCtx<'_>,
         schema: &RelSchema,
-        rows: &[crate::value::Row],
+        rows: impl IntoIterator<Item = &'r crate::value::Row> + Copy,
         outer: Option<&RowCtx<'_>>,
     ) -> Result<()> {
         self.prefetch(ctx, &mut |collect| {

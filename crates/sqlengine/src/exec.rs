@@ -39,6 +39,7 @@ use swan_pool::lockrank;
 use crate::ast::{
     BinaryOp, CompoundOp, Expr, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt,
 };
+use crate::chunked::ChunkedVec;
 use crate::columnar::{AggKernel, ColumnSet, KeyCodes};
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
@@ -1499,7 +1500,7 @@ fn filter_relation(
     let mut keep = Vec::with_capacity(rows.len());
     for_each_morsel(rows.len(), ctx, |range| {
         for ri in range {
-            prefetch_row(rows, ri + PREFETCH_AHEAD);
+            prefetch_row(rows.get(ri + PREFETCH_AHEAD));
             let rc = RowCtx { schema, row: &rows[ri], outer };
             keep.push(eval(&predicate, ctx, Some(&rc))?.truthiness() == Some(true));
         }
@@ -1510,44 +1511,24 @@ fn filter_relation(
     Ok(())
 }
 
-/// A join input: scans are *borrowed* straight out of the catalog (zero
-/// refcount traffic — the join only reads them), everything else is
-/// materialized through [`exec_plan`].
-enum JoinInput<'a> {
-    Borrowed { schema: RelSchema, rows: &'a [Row], cols: Option<Arc<ColumnSet>> },
-    Owned(Relation),
-}
-
-impl JoinInput<'_> {
-    fn schema(&self) -> &RelSchema {
-        match self {
-            JoinInput::Borrowed { schema, .. } => schema,
-            JoinInput::Owned(rel) => &rel.schema,
-        }
-    }
-
-    fn rows(&self) -> &[Row] {
-        match self {
-            JoinInput::Borrowed { rows, .. } => rows,
-            JoinInput::Owned(rel) => &rel.rows,
-        }
-    }
-
+/// A join input: a scan shares the table's row chunks (one refcount bump
+/// per chunk, none per row — the join only reads them), everything else is
+/// materialized through [`exec_plan`] and its rows moved into chunks.
+struct JoinInput {
+    schema: RelSchema,
+    rows: ChunkedVec<Row>,
     /// The table's cached column set, for scan inputs under the columnar
     /// toggle: join keys then come from the key column directly instead
     /// of dereferencing each row.
-    fn cols(&self) -> Option<&Arc<ColumnSet>> {
-        match self {
-            JoinInput::Borrowed { cols, .. } => cols.as_ref(),
-            JoinInput::Owned(_) => None,
-        }
-    }
+    cols: Option<Arc<ColumnSet>>,
+}
 
+impl JoinInput {
     /// The single key column for vectorized key extraction, when this
     /// input is a scan with a cached column set and the key side is one
     /// direct column index.
     fn key_column(&self, key: &KeySide) -> Option<&crate::columnar::ColumnVec> {
-        match (self.cols(), key) {
+        match (&self.cols, key) {
             (Some(set), KeySide::Direct(idxs)) => match idxs[..] {
                 [i] => set.column(i),
                 _ => None,
@@ -1557,21 +1538,20 @@ impl JoinInput<'_> {
     }
 }
 
-fn exec_source<'a>(
-    plan: &Plan,
-    ctx: &ExecCtx<'a>,
-    outer: Option<&RowCtx<'_>>,
-) -> Result<JoinInput<'a>> {
+fn exec_source(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&RowCtx<'_>>) -> Result<JoinInput> {
     match plan {
         Plan::Scan { table, qualifier } => {
             let t = ctx.catalog.get_required(table)?;
-            Ok(JoinInput::Borrowed {
+            Ok(JoinInput {
                 schema: RelSchema::qualified(qualifier, t.column_names()),
-                rows: t.rows(),
+                rows: t.rows().clone(),
                 cols: ctx.optimizer.columnar.then(|| t.column_set()),
             })
         }
-        other => Ok(JoinInput::Owned(exec_plan(other, ctx, outer)?)),
+        other => {
+            let rel = exec_plan(other, ctx, outer)?;
+            Ok(JoinInput { schema: rel.schema, rows: rel.rows.into(), cols: None })
+        }
     }
 }
 
@@ -1633,8 +1613,8 @@ impl Emission {
 }
 
 fn exec_join(
-    left: &JoinInput<'_>,
-    right: &JoinInput<'_>,
+    left: &JoinInput,
+    right: &JoinInput,
     kind: PlanJoinKind,
     on: Option<&Expr>,
     emit: Option<&[usize]>,
@@ -1643,17 +1623,17 @@ fn exec_join(
 ) -> Result<Relation> {
     // Residual predicates always evaluate against the full combined
     // schema; the output relation carries only the emitted columns.
-    let full_schema = left.schema().join(right.schema());
+    let full_schema = left.schema.join(&right.schema);
     let out_schema = match emit {
         None => full_schema.clone(),
         Some(idx) => RelSchema::new(idx.iter().map(|&i| full_schema.cols[i].clone()).collect()),
     };
-    let emission = Emission::new(emit, left.schema().len());
+    let emission = Emission::new(emit, left.schema.len());
 
     // Try to split the ON predicate into hashable equi-pairs + residual.
     let (equi, residual) = match on {
         Some(pred) if kind != PlanJoinKind::Cross => {
-            split_equi_join(pred, left.schema(), right.schema())
+            split_equi_join(pred, &left.schema, &right.schema)
         }
         Some(pred) => (Vec::new(), Some(pred.clone())),
         None => (Vec::new(), None),
@@ -1807,8 +1787,8 @@ impl KeySide {
 
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
-    left: &JoinInput<'_>,
-    right: &JoinInput<'_>,
+    left: &JoinInput,
+    right: &JoinInput,
     kind: PlanJoinKind,
     equi: &[(Expr, Expr)],
     residual: Option<&Expr>,
@@ -1819,7 +1799,7 @@ fn hash_join(
 ) -> Result<Vec<Row>> {
     // Build on the smaller side — legal for inner joins only: a LEFT join
     // must probe from the left to emit its NULL-padded non-matches.
-    let build_left = kind == PlanJoinKind::Inner && left.rows().len() < right.rows().len();
+    let build_left = kind == PlanJoinKind::Inner && left.rows.len() < right.rows.len();
     let (build, probe) = if build_left { (left, right) } else { (right, left) };
 
     // Bind each side's key expressions to its schema once; plain-column
@@ -1830,9 +1810,9 @@ fn hash_join(
     let left_raw: Vec<&Expr> = equi.iter().map(|(l, _)| l).collect();
     let right_raw: Vec<&Expr> = equi.iter().map(|(_, r)| r).collect();
     let (build_key, probe_key) = if build_left {
-        (bind_side(left_raw, build.schema()), bind_side(right_raw, probe.schema()))
+        (bind_side(left_raw, &build.schema), bind_side(right_raw, &probe.schema))
     } else {
-        (bind_side(right_raw, build.schema()), bind_side(left_raw, probe.schema()))
+        (bind_side(right_raw, &build.schema), bind_side(left_raw, &probe.schema))
     };
     let residual = residual.map(|r| bind_columns(r, schema));
 
@@ -1842,7 +1822,7 @@ fn hash_join(
     for (key, side) in [(&build_key, build), (&probe_key, probe)] {
         if let KeySide::Exprs(exprs) = key {
             if let Some(batch) = BatchableCalls::find(exprs.iter(), ctx) {
-                batch.prefetch_rows(ctx, side.schema(), side.rows(), outer)?;
+                batch.prefetch_rows(ctx, &side.schema, &side.rows, outer)?;
             }
         }
     }
@@ -1852,7 +1832,7 @@ fn hash_join(
     // single-row case (the norm for key/foreign-key joins), so a unique-key
     // build performs zero per-bucket allocations; bucket contents are in
     // build-row order.
-    let build_rows = build.rows();
+    let build_rows = &build.rows;
     let build_col = build.key_column(&build_key);
     let mut table: FxHashMap<JoinKey, Bucket> = map_with_capacity(build_rows.len());
     for (ri, row) in build_rows.iter().enumerate() {
@@ -1864,8 +1844,8 @@ fn hash_join(
             // straight out of the table's column vector — no row deref.
             Some(col) => col.join_key_at(ri).map(JoinKey::One),
             None => {
-                prefetch_row(build_rows, ri + PREFETCH_AHEAD);
-                build_key.key(row, build.schema(), ctx, outer)?
+                prefetch_row(build_rows.get(ri + PREFETCH_AHEAD));
+                build_key.key(row, &build.schema, ctx, outer)?
             }
         };
         let Some(key) = key else { continue };
@@ -1884,13 +1864,13 @@ fn hash_join(
     if let Some(batch) = BatchableCalls::find(residual.as_ref(), ctx) {
         let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
         batch.prefetch(ctx, &mut |collect| {
-            for prow in probe.rows() {
-                let Some(key) = probe_key.key(prow, probe.schema(), ctx, outer)? else {
+            for prow in &probe.rows {
+                let Some(key) = probe_key.key(prow, &probe.schema, ctx, outer)? else {
                     continue;
                 };
                 let Some(cands) = table.get(&key) else { continue };
                 for &ri in cands.as_slice() {
-                    let brow = &build.rows()[ri as usize];
+                    let brow = &build_rows[ri as usize];
                     let (lrow, rrow): (&[Value], &[Value]) =
                         if build_left { (brow, prow) } else { (prow, brow) };
                     scratch.clear();
@@ -1905,7 +1885,7 @@ fn hash_join(
 
     // The probe: three loop shapes over the probe rows against the
     // read-only table. Emission order is probe order.
-    let probe_rows = probe.rows();
+    let probe_rows = &probe.rows;
     let mut out: Vec<Row> = Vec::with_capacity(probe_rows.len());
 
     // Tight loop for the dominant shape — single direct-column key, no
@@ -1935,9 +1915,9 @@ fn hash_join(
         if let KeySide::Direct(idxs) = &probe_key {
             if let [pk] = idxs[..] {
                 for_each_morsel(probe_rows.len(), ctx, |range| {
-                    for pi in range {
-                        prefetch_row(probe_rows, pi + PREFETCH_AHEAD);
-                        let prow = &probe_rows[pi];
+                    let chunk = probe_rows.morsel(range);
+                    for (k, prow) in chunk.iter().enumerate() {
+                        prefetch_row(chunk.get(k + PREFETCH_AHEAD));
                         let v = &prow[pk];
                         if v.is_null() {
                             continue;
@@ -1958,15 +1938,15 @@ fn hash_join(
         }
     }
 
-    let right_width = right.schema().len();
+    let right_width = right.schema.len();
     // Scratch buffer for residual evaluation over the full combined row;
     // only allocated contents, never a fresh Vec per candidate.
     let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
     for_each_morsel(probe_rows.len(), ctx, |range| {
-        for pi in range {
-            prefetch_row(probe_rows, pi + PREFETCH_AHEAD);
-            let prow = &probe_rows[pi];
-            let key = probe_key.key(prow, probe.schema(), ctx, outer)?;
+        let chunk = probe_rows.morsel(range);
+        for (k, prow) in chunk.iter().enumerate() {
+            prefetch_row(chunk.get(k + PREFETCH_AHEAD));
+            let key = probe_key.key(prow, &probe.schema, ctx, outer)?;
             let mut matched = false;
             if let Some(key) = key {
                 if let Some(cands) = table.get(&key) {
@@ -2005,9 +1985,9 @@ fn hash_join(
 const PREFETCH_AHEAD: usize = 8;
 
 #[inline(always)]
-fn prefetch_row(rows: &[Row], i: usize) {
+fn prefetch_row(row: Option<&Row>) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(r) = rows.get(i) {
+    if let Some(r) = row {
         // SAFETY: prefetch has no memory effects; any pointer is fine.
         unsafe {
             core::arch::x86_64::_mm_prefetch(
@@ -2017,7 +1997,7 @@ fn prefetch_row(rows: &[Row], i: usize) {
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (rows, i);
+    let _ = row;
 }
 
 /// A hash-join bucket: row indices of the build side sharing one key,
@@ -2046,8 +2026,8 @@ impl Bucket {
 
 #[allow(clippy::too_many_arguments)]
 fn nested_loop_join(
-    left: &JoinInput<'_>,
-    right: &JoinInput<'_>,
+    left: &JoinInput,
+    right: &JoinInput,
     kind: PlanJoinKind,
     on: Option<&Expr>,
     schema: &RelSchema,
@@ -2076,8 +2056,8 @@ fn nested_loop_join(
             used
         }
     };
-    let lw = left.schema().len();
-    let (lrows, rrows) = (left.rows(), right.rows());
+    let lw = left.schema.len();
+    let (lrows, rrows) = (&left.rows, &right.rows);
     let gather = |scratch: &mut [Value], lrow: &[Value], rrow: &[Value]| {
         for &i in &used {
             scratch[i] = if i < lw { lrow[i].clone() } else { rrow[i - lw].clone() };
@@ -2107,7 +2087,7 @@ fn nested_loop_join(
     let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
     let mut since_check = 0usize;
     for_each_morsel(lrows.len(), ctx, |range| {
-        for lrow in &lrows[range] {
+        for lrow in lrows.morsel(range) {
             let mut matched = false;
             for rrow in rrows {
                 since_check += 1;
@@ -2126,7 +2106,7 @@ fn nested_loop_join(
                 out.push(emission.matched(lrow, rrow));
             }
             if !matched && kind == PlanJoinKind::Left {
-                out.push(emission.unmatched(lrow, right.schema().len()));
+                out.push(emission.unmatched(lrow, right.schema.len()));
             }
         }
         Ok(())

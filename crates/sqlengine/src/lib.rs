@@ -166,6 +166,7 @@
 
 pub mod ast;
 pub mod btree;
+mod chunked;
 pub mod columnar;
 pub mod db;
 pub mod display;
@@ -186,6 +187,7 @@ pub mod value;
 pub mod vfs;
 pub mod wal;
 
+pub use chunked::ChunkedVec;
 pub use db::{Database, QueryResult};
 pub use error::{Error, Result};
 pub use functions::{ScalarUdf, UdfRegistry};

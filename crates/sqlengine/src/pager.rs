@@ -439,14 +439,14 @@ pub(crate) fn check_key_sizes<'a>(
     delta: &WalDelta,
     pk_of: impl Fn(&str) -> Option<&'a [usize]>,
 ) -> Result<()> {
-    let (table, rows) = match delta {
-        WalDelta::Put { table } => (table.name.as_str(), table.rows()),
-        WalDelta::Append { table, rows, .. } => (table.as_str(), rows.as_slice()),
-        WalDelta::RowPatch { table, upserts, .. } => (table.as_str(), upserts.as_slice()),
+    let (table, rows): (&str, Box<dyn Iterator<Item = &Row>>) = match delta {
+        WalDelta::Put { table } => (table.name.as_str(), Box::new(table.rows().iter())),
+        WalDelta::Append { table, rows, .. } => (table.as_str(), Box::new(rows.iter())),
+        WalDelta::RowPatch { table, upserts, .. } => (table.as_str(), Box::new(upserts.iter())),
         WalDelta::Drop { .. } => return Ok(()),
     };
     let Some(pk) = pk_of(table).filter(|pk| !pk.is_empty()) else { return Ok(()) };
-    match rows.iter().map(|row| pk_key_len(row, pk)).max() {
+    match rows.map(|row| pk_key_len(row, pk)).max() {
         Some(len) if len > MAX_KEY => Err(Error::Constraint(format!(
             "primary key of a row in table '{table}' encodes to {len} bytes; \
              the paged store holds keys of at most {MAX_KEY} bytes"
@@ -733,7 +733,7 @@ fn build_table(
     columns: &[Column],
     pk: &[usize],
     version: u64,
-    rows: &[Row],
+    rows: &crate::chunked::ChunkedVec<Row>,
 ) -> Result<TableMeta> {
     let kind = if pk.is_empty() { KIND_HEAP } else { KIND_TREE };
     let mut tm = TableMeta {

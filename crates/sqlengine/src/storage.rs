@@ -1,11 +1,12 @@
 //! In-memory row storage and the catalog.
 //!
-//! Tables are row-oriented over shared rows (`Vec<Arc<[Value]>>`) with a
-//! column-name index for O(1) resolution and an optional unique-key hash
-//! index used both for constraint enforcement and as a join fast path.
-//! Because rows are `Arc`-shared, a table scan hands the executor the whole
-//! row set with one refcount bump per row — no cell is ever deep-copied on
-//! the read path. The catalog also exposes per-table row counts as the
+//! Tables are row-oriented over shared rows (`Arc<[Value]>`), held in a
+//! [`ChunkedVec`] of 1024-row chunks, with a column-name index for O(1)
+//! resolution and an optional unique-key hash index used both for
+//! constraint enforcement and as a join fast path. Because rows are
+//! `Arc`-shared, a table scan hands the executor the whole row set with
+//! one refcount bump per row — no cell is ever deep-copied on the read
+//! path. The catalog also exposes per-table row counts as the
 //! statistics feed for the optimizer's join ordering.
 //!
 //! # Versioned identity
@@ -18,26 +19,38 @@
 //!
 //! # What a write costs
 //!
-//! A table is a flat `Vec<Row>` plus two structures derived from it: the
-//! primary-key hash index and the column-major
-//! [`ColumnSet`](crate::columnar::ColumnSet). Both sit behind `Arc`s, so
-//! the copy [`Catalog::get_mut`] makes when a snapshot still holds the
-//! previous version is one flat pointer copy of the row vector plus two
-//! refcount bumps. From there every mutator **maintains or drops exactly
-//! what it affects** — `get_mut` itself invalidates nothing:
+//! A table is a [`ChunkedVec`] of rows plus two structures derived from
+//! it: the primary-key hash index and the column-major
+//! [`ColumnSet`](crate::columnar::ColumnSet). Both sit behind `Arc`s, and
+//! the row store is a list of `Arc`-shared 1024-row chunks, so the copy
+//! [`Catalog::get_mut`] makes when a snapshot still holds the previous
+//! version is one refcount bump per row chunk plus two (about 20 for a
+//! 20k-row table), not one per row. A write then copies only the chunks
+//! it lands in: a one-row UPDATE copies one row chunk (1,024 row
+//! pointers), the typed vectors of each column it changes (flat `i64` /
+//! `f64` / `u32` ids / validity bits and a text column's reverse index: a
+//! memcpy) and, when it adds a string, a text dictionary's tail chunk —
+//! another `ChunkedVec`. Freeing the old version releases the same few
+//! chunks. The PK index is the one structure still copied whole: an
+//! INSERT, a DELETE or a key-moving UPDATE that another version shares
+//! it with deep-copies the map. From there every mutator **maintains or
+//! drops exactly what it affects** — `get_mut` itself invalidates
+//! nothing:
 //!
 //! * [`Table::replace_rows`] (UPDATE, a row patch's upserts): the PK index
 //!   is touched only when a key moves, and the column set has the changed
 //!   cells patched in place — or is dropped when a column's class does not
 //!   admit a new cell.
-//! * [`Table::insert_shared_row`]: the key is added; the column set has the
-//!   row appended under the same admission rule.
-//! * [`Table::insert_rows`] (bulk load): the row vector and the PK index
-//!   are reserved once for the batch's size hint, then each row is
-//!   appended by `insert_shared_row`, every check included.
+//! * [`Table::insert_shared_row`]: the row lands in the tail chunk; the
+//!   key is added; the column set has the row appended under the same
+//!   admission rule.
+//! * [`Table::insert_rows`] (bulk load): the PK index is reserved once for
+//!   the batch's size hint, then each row is appended by
+//!   `insert_shared_row`, every check included.
 //! * [`Table::remove_rows`] (DELETE, a row patch's deletes): keys are
 //!   removed and later slots renumbered in the index (O(rows), no key
-//!   re-encoded or re-hashed); the column set is dropped.
+//!   re-encoded or re-hashed); the row chunks from the first removed
+//!   row's on are rebuilt; the column set is dropped.
 //! * [`Table::truncate_rows`] (INSERT rollback): keys removed, the column
 //!   set dropped.
 //! * [`Table::add_column`]: index kept, column set dropped.
@@ -66,6 +79,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use crate::chunked::ChunkedVec;
 use crate::error::{Error, Result};
 use crate::value::{GroupKey, Row, Value};
 
@@ -78,7 +92,7 @@ pub struct Table {
     col_index: HashMap<String, usize>,
     /// Read through [`Table::rows`]; written only by this module's
     /// mutators, which keep the derived structures below in step.
-    rows: Vec<Row>,
+    rows: ChunkedVec<Row>,
     /// Column indexes forming the primary key (may be empty).
     pub primary_key: Vec<usize>,
     /// Unique index over the primary key columns: key -> row slot. Shared
@@ -164,7 +178,7 @@ impl Table {
             name,
             columns,
             col_index,
-            rows: Vec::new(),
+            rows: ChunkedVec::new(),
             primary_key,
             pk_index: Arc::default(),
             version: 0,
@@ -174,7 +188,7 @@ impl Table {
 
     /// The rows, in insertion order. Read-only: rows change through the
     /// mutators below, which maintain the derived structures.
-    pub fn rows(&self) -> &[Row] {
+    pub fn rows(&self) -> &ChunkedVec<Row> {
         &self.rows
     }
 
@@ -271,15 +285,14 @@ impl Table {
         Ok(())
     }
 
-    /// Bulk insert of shared rows (the generators' load path). The row
-    /// vector and, on a keyed table, the PK index are reserved up front by
-    /// the iterator's lower size bound; every row then goes through
+    /// Bulk insert of shared rows (the generators' load path). On a keyed
+    /// table the PK index is reserved up front by the iterator's lower
+    /// size bound; every row then goes through
     /// [`Self::insert_shared_row`] and its checks. Stops at the first
     /// violation, keeping the rows before it.
     pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
         let rows = rows.into_iter();
         let reserve = rows.size_hint().0;
-        self.rows.reserve(reserve);
         if !self.primary_key.is_empty() && reserve > 0 {
             Arc::make_mut(&mut self.pk_index).reserve(reserve);
         }
@@ -322,12 +335,11 @@ impl Table {
         self.columnar.take();
         self.col_index.insert(column.name.to_ascii_lowercase(), self.columns.len());
         self.columns.push(column);
-        for row in &mut self.rows {
-            let mut widened = Vec::with_capacity(row.len() + 1);
-            widened.extend_from_slice(row);
-            widened.push(Value::Null);
-            *row = widened.into();
-        }
+        self.rows = self
+            .rows
+            .iter()
+            .map(|row| row.iter().cloned().chain([Value::Null]).collect())
+            .collect();
         Ok(())
     }
 
@@ -347,9 +359,8 @@ impl Table {
         }
         let kept: Vec<usize> = (0..dropped.len()).filter(|&i| !dropped[i]).collect();
         self.columnar.take();
-        for row in &mut self.rows {
-            *row = kept.iter().map(|&i| row[i].clone()).collect();
-        }
+        self.rows =
+            self.rows.iter().map(|row| kept.iter().map(|&i| row[i].clone()).collect()).collect();
         self.columns = kept.iter().map(|&i| self.columns[i].clone()).collect();
         if self.primary_key.iter().any(|&k| dropped[k]) {
             self.primary_key.clear();
@@ -375,7 +386,7 @@ impl Table {
             return;
         }
         if !self.primary_key.is_empty() {
-            let keys: Vec<_> = self.rows[keep_len..].iter().map(|r| self.key_of(r)).collect();
+            let keys: Vec<_> = self.rows.iter().skip(keep_len).map(|r| self.key_of(r)).collect();
             let index = Arc::make_mut(&mut self.pk_index);
             for key in &keys {
                 index.remove(key);
@@ -444,7 +455,7 @@ impl Table {
         }
         let mut columnar = self.columnar.take();
         for (slot, row) in patch {
-            let old = std::mem::replace(&mut self.rows[slot], row);
+            let old = self.rows.set(slot, row);
             if let Some(set) = &mut columnar {
                 if !Arc::make_mut(set).patch_row(slot, &old, &self.rows[slot]) {
                     columnar = None;
@@ -459,8 +470,9 @@ impl Table {
 
     /// Remove the rows at `slots` (strictly ascending). Rows after the
     /// first removed one shift down, so the PK index is renumbered —
-    /// O(rows), but no key is re-encoded or re-hashed — and the column set
-    /// is dropped.
+    /// O(rows), but no key is re-encoded or re-hashed — the row chunks
+    /// from the first removed row's on are rebuilt, and the column set is
+    /// dropped.
     pub fn remove_rows(&mut self, slots: &[usize]) -> Result<()> {
         let in_order = slots.windows(2).all(|w| w[0] < w[1]);
         if !in_order || slots.last().is_some_and(|&s| s >= self.rows.len()) {
@@ -472,7 +484,6 @@ impl Table {
         if slots.is_empty() {
             return Ok(());
         }
-        let removed = |slot: usize| slots.binary_search(&slot).is_ok();
         let shifted = |slot: usize| slot - slots.partition_point(|&r| r < slot);
         if !self.primary_key.is_empty() {
             let keys: Vec<_> = slots.iter().map(|&s| self.key_of(&self.rows[s])).collect();
@@ -485,11 +496,7 @@ impl Table {
             }
         }
         self.columnar.take();
-        let mut slot = 0;
-        self.rows.retain(|_| {
-            slot += 1;
-            !removed(slot - 1)
-        });
+        self.rows.remove_sorted(slots);
         Ok(())
     }
 
@@ -611,8 +618,8 @@ impl Catalog {
     /// [`version`](Table::version): callers take this handle precisely to
     /// mutate, so the versioned identity stays conservative — a bumped
     /// version never lies about contents being possibly different. The
-    /// copy (made only while a snapshot shares the table) is a flat copy
-    /// of the row pointers; the PK index and column set come along by
+    /// copy (made only while a snapshot shares the table) bumps one
+    /// refcount per row chunk; the PK index and column set come along by
     /// `Arc` and each [`Table`] mutator maintains or drops what it
     /// affects.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Table> {
@@ -989,11 +996,15 @@ mod tests {
             .ok_or_else(|| Error::NotFound(format!("{}.{}", t.name, name)))?;
         t.columnar.take();
         t.columns.remove(idx);
-        for row in &mut t.rows {
-            let mut narrowed = row.to_vec();
-            narrowed.remove(idx);
-            *row = narrowed.into();
-        }
+        t.rows = t
+            .rows
+            .iter()
+            .map(|row| {
+                let mut narrowed = row.to_vec();
+                narrowed.remove(idx);
+                narrowed.into()
+            })
+            .collect();
         if t.primary_key.contains(&idx) {
             t.primary_key.clear();
             t.pk_index = Arc::default();
@@ -1238,6 +1249,50 @@ mod tests {
         assert_eq!(old.pk_index.len(), 8);
     }
 
+    /// A one-row UPDATE of a version a snapshot still holds copies one row
+    /// chunk, not the table, and the text column it writes keeps every
+    /// full dictionary chunk: the new string lands in the tail.
+    #[test]
+    fn a_one_row_update_copies_one_row_chunk_and_no_full_dictionary_chunk() {
+        use crate::chunked::CHUNK;
+        use crate::columnar::{ColumnData, ColumnSet};
+
+        let cols = vec![Column::new("id"), Column::new("val"), Column::new("tag")];
+        let mut t = Table::new("kv", cols, &["id".to_string()]).unwrap();
+        let n = 3 * CHUNK as i64 + 100;
+        let row = |i: i64| Row::from([i.into(), (i * 10).into(), format!("t{i}").into()]);
+        t.insert_rows((0..n).map(row)).unwrap();
+        let mut cat = Catalog::new();
+        cat.create_table(t).unwrap();
+        let old = cat.get("kv").unwrap().clone();
+        let old_cols = old.column_set();
+        let slot = CHUNK + 5;
+        let row = Row::from([(slot as i64).into(), 7.into(), "fresh".into()]);
+        cat.get_mut("kv").unwrap().replace_rows(vec![(slot, row)]).unwrap();
+        let new = cat.get("kv").unwrap();
+
+        let shared: Vec<bool> = (old.rows().chunks().zip(new.rows().chunks()))
+            .map(|(a, b)| std::ptr::eq(a.as_ptr(), b.as_ptr()))
+            .collect();
+        assert_eq!(shared, [true, false, true, true], "row chunks shared with the old version");
+        assert_eq!(old.rows()[slot][1], Value::Integer(slot as i64 * 10), "the old version's row");
+        assert_eq!(new.rows()[slot][1], Value::Integer(7));
+
+        let new_cols = new.column_set();
+        let dict = |set: &ColumnSet| match &set.columns[2].data {
+            ColumnData::Text { dict, .. } => dict.clone(),
+            other => panic!("tag is a text column, not {other:?}"),
+        };
+        let (old_dict, new_dict) = (dict(&old_cols), dict(&new_cols));
+        assert_eq!((old_dict.len(), new_dict.len()), (n as usize, n as usize + 1));
+        assert_eq!(&*new_dict[n as usize], "fresh");
+        let full = old_dict.len() / CHUNK;
+        assert_eq!(full, 3);
+        for (k, (a, b)) in old_dict.chunks().zip(new_dict.chunks()).take(full).enumerate() {
+            assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()), "dictionary chunk {k} was copied");
+        }
+    }
+
     /// `build_row_patch` probes the slot of each write-set key; it never
     /// walks the table. The other rows here are too short to hold a key —
     /// visiting any of them panics.
@@ -1397,7 +1452,7 @@ mod tests {
         else {
             panic!("t is a text column");
         };
-        assert_eq!((&dict[..], &ids[..]), (&["x".into(), "y".into()][..], &[0, 1, 0, 0, 0][..]));
+        assert_eq!((dict.to_vec(), &ids[..]), (vec!["x".into(), "y".into()], &[0, 1, 0, 0, 0][..]));
         // Rows 3 and 4 read 'x' from a second id; a dead entry sits after it.
         dict.extend(["x".into(), "gone".into()]);
         ids[2..4].copy_from_slice(&[2, 2]);

@@ -590,7 +590,7 @@ pub(crate) fn wal_delta(
                 if is_pure_append(b, new) {
                     return WalDelta::Append {
                         table: name.to_string(),
-                        rows: new.rows()[b.len()..].to_vec(),
+                        rows: new.rows().iter().skip(b.len()).cloned().collect(),
                         new_version: new.version,
                     };
                 }
@@ -614,8 +614,7 @@ pub(crate) fn wal_delta(
 fn is_pure_append(base: &Table, new: &Table) -> bool {
     new.columns == base.columns
         && new.primary_key == base.primary_key
-        && new.len() >= base.len()
-        && base.rows().iter().zip(new.rows()).all(|(a, b)| Arc::ptr_eq(a, b))
+        && new.rows().starts_with_by(base.rows(), Arc::ptr_eq)
 }
 
 /// The WAL record group for one committed transaction:

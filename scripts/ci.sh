@@ -39,11 +39,15 @@
 #      interleavings — concurrent sessions, group commit, the in-place
 #      write path's copy-on-write under the table-writer lock, and
 #      `udf_store`, taken from every session's statement thread;
-#   3. the B-tree differential property (the in-place page writers
-#      against the decoding reference kept in btree.rs's tests: same page
-#      images, same page calls, scans equal to a model) at
-#      PROPTEST_CASES=2000 in a release build — tier-1 runs it at the
-#      vendored proptest's default of 64 cases.
+#   3. two properties at PROPTEST_CASES=2000 in a release build — tier-1
+#      runs them at the vendored proptest's default of 64 cases: the
+#      B-tree differential property (the in-place page writers against
+#      the decoding reference kept in btree.rs's tests: same page images,
+#      same page calls, scans equal to a model), and the chunked
+#      copy-on-write vector behind the row store and the text
+#      dictionaries against a `Vec` model (chunked.rs: contents, chunk
+#      slices, no write visible through another clone, every untouched
+#      chunk still shared).
 #
 # Not a stage: scripts/bench_pairs.sh <parent-binary> <change-binary>
 # <workload> — the alternating parent/change pairs a claimed gain is
@@ -88,5 +92,9 @@ SWAN_LOCKDEP=1 cargo test --workspace -q --release
 echo "== B-tree differential property @ PROPTEST_CASES=2000 (release) =="
 PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib \
     btree::tests::in_place_writers_match_the_decoding_reference
+
+echo "== chunked copy-on-write vector property @ PROPTEST_CASES=2000 (release) =="
+PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib \
+    chunked::tests::chunked_vec_matches_a_vec_model_and_shares_untouched_chunks
 
 echo "CI gate passed."

@@ -380,12 +380,16 @@ fn run_sql_deadline_covers_every_model_call() {
 /// The deadline also cancels a statement whose model calls fan out over
 /// eight pool workers promptly: every worker observes the statement token
 /// it was handed, the batch fan-out aborts, and the pool survives to run
-/// the next statement.
+/// the next statement. How many timed-out calls the eight workers log
+/// before the deadline depends on scheduling, so the breaker is pinned
+/// shut (a threshold no run reaches): with the default one, a run that
+/// logged five would open it and fail the recovery query instead.
 #[test]
 fn deadline_cancels_parallel_statements_cleanly() {
     let d = domain();
     let config = UdfConfig { workers: 8, ..sweep_config() };
-    let mut r = rig(&d, config, fast_retry(), BreakerPolicy::default());
+    let never_opens = BreakerPolicy { failure_threshold: u32::MAX, ..BreakerPolicy::default() };
+    let mut r = rig(&d, config, fast_retry(), never_opens);
     setup_keys(&mut r);
     r.transport.add_fault_range(0..1_000, ModelFault::Timeout);
     r.runner.database_mut().set_statement_timeout(Some(Duration::from_millis(250)));
@@ -396,6 +400,7 @@ fn deadline_cancels_parallel_statements_cleanly() {
     r.runner.database_mut().set_statement_timeout(None);
     let ok = r.runner.database_mut().query(SQL).unwrap();
     assert_eq!(ok.rows.len(), 3, "the pool is healthy after a cancelled parallel statement");
+    assert_eq!(r.runner.stats().breaker, Some(BreakerState::Closed));
 }
 
 /// Breaker transitions, end to end through `UdfStats`: three scripted
