@@ -43,7 +43,6 @@
 //! The model is never called, and no flight is waited on, with the lock
 //! held; a batch takes it once to scan, once to reserve and once to retire.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
@@ -53,6 +52,7 @@ use swan_data::DomainData;
 use swan_llm::knowledge::normalize_question;
 use swan_llm::prompt::parse_udf_response;
 use swan_llm::{parallel, BreakerState, LanguageModel, LlmError, ResilientModel, UdfExample, UdfPrompt};
+use swan_pool::hash::{map_with_capacity, FxHashMap};
 use swan_pool::lockrank;
 use swan_sqlengine::{Database, Error, QueryResult, Result, ScalarUdf, Value};
 
@@ -149,18 +149,18 @@ pub struct UdfStats {
 /// the benchmark (§3.5), not the model's knowledge.
 struct DomainMeta {
     db: String,
-    question_attr: HashMap<String, String>,
-    value_lists: HashMap<String, Vec<String>>,
-    examples: HashMap<String, Vec<UdfExample>>,
+    question_attr: FxHashMap<String, String>,
+    value_lists: FxHashMap<String, Vec<String>>,
+    examples: FxHashMap<String, Vec<UdfExample>>,
 }
 
 impl DomainMeta {
     fn build(domain: &DomainData, max_examples: usize) -> Self {
-        let mut question_attr = HashMap::new();
+        let mut question_attr = FxHashMap::default();
         for p in &domain.phrases {
             question_attr.insert(normalize_question(&p.text), p.attribute.clone());
         }
-        let mut value_lists = HashMap::new();
+        let mut value_lists = FxHashMap::default();
         for e in &domain.curation.expansions {
             for g in &e.generated {
                 if let Some(vs) = &g.value_list {
@@ -168,7 +168,7 @@ impl DomainMeta {
                 }
             }
         }
-        let mut examples: HashMap<String, Vec<UdfExample>> = HashMap::new();
+        let mut examples: FxHashMap<String, Vec<UdfExample>> = FxHashMap::default();
         for f in &domain.facts {
             let pool = examples.entry(f.attribute.clone()).or_default();
             if pool.len() < max_examples {
@@ -276,7 +276,7 @@ struct Store {
     epoch: u64,
     /// Question scope → key tuple → entry. The question is hashed once per
     /// question, a key by its tuple alone.
-    scopes: HashMap<Arc<str>, HashMap<KeyTuple, Entry>>,
+    scopes: FxHashMap<Arc<str>, FxHashMap<KeyTuple, Entry>>,
 }
 
 impl Store {
@@ -291,7 +291,7 @@ impl Store {
     }
 
     /// The current epoch and the entries of `scope`, created if absent.
-    fn scope_mut(&mut self, scope: &Arc<str>) -> (u64, &mut HashMap<KeyTuple, Entry>) {
+    fn scope_mut(&mut self, scope: &Arc<str>) -> (u64, &mut FxHashMap<KeyTuple, Entry>) {
         (self.epoch, self.scopes.entry(scope.clone()).or_default())
     }
 }
@@ -545,7 +545,13 @@ impl Shared {
         let mut keys = Vec::new();
         {
             let mut store = self.store();
-            let (epoch, entries) = store.scope_mut(&asked.scope);
+            let epoch = store.epoch;
+            // A scope's map is sized for its first batch's misses; a map
+            // that exists already holds most keys a later batch asks for.
+            let entries = store
+                .scopes
+                .entry(asked.scope.clone())
+                .or_insert_with(|| map_with_capacity(misses.len()));
             for (slot, key) in misses {
                 if out[*slot].is_some() {
                     continue;
@@ -813,7 +819,7 @@ impl UdfRunner {
         store
             .scopes
             .values()
-            .flat_map(HashMap::values)
+            .flat_map(FxHashMap::values)
             .filter(|entry| entry.live(store.epoch).is_some())
             .count()
     }
@@ -1314,7 +1320,8 @@ mod tests {
                 assert!(failed.join().is_err(), "the panic reaches its caller");
             });
             assert_eq!(r.cached_answers(), 0, "nothing cached from the failed round");
-            assert!(r.shared.store.lock().scopes.values().all(HashMap::is_empty), "no entry left");
+            let emptied = r.shared.store.lock().scopes.values().all(FxHashMap::is_empty);
+            assert!(emptied, "no entry left");
             let out = r.run_sql(sql).expect("the next statement fetches the key itself");
             assert_eq!(out.rows[0][0].render(), "v:k1");
             assert_eq!(model.calls.load(Ordering::SeqCst), 2);

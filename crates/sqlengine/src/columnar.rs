@@ -31,8 +31,8 @@
 //!   tight typed loops over the member indices of one group, and
 //!   [`count_distinct`] `COUNT(DISTINCT)` over its grouping codes.
 //! * [`ColumnVec::key_codes`] reads GROUP BY keys as `u64` codes and
-//!   [`ColumnVec::join_key_at`] join keys, straight from a column without
-//!   touching rows.
+//!   `ColumnVec::key_word_at` hash-join key words, straight from a column
+//!   without touching rows.
 //!
 //! Every kernel reproduces the row path bit-for-bit — the comparison,
 //! truthiness, tie-break and overflow semantics are copied from
@@ -48,13 +48,13 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::chunked::ChunkedVec;
 use crate::error::{Error, Result};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
-use crate::value::{real_key_bits, GroupKey, Row, Value};
+use crate::value::{real_key_bits, text_word, KeyRef, Row, Value};
 
 // ---- bitmaps ---------------------------------------------------------------
 
@@ -163,11 +163,31 @@ pub enum ColumnData {
     /// two ids, and kernels that compare cells by id canonicalize first
     /// (`key_codes`, `count_distinct`). Dead entries are harmless to every
     /// kernel (each works per referenced id) and bounded by
-    /// `DICT_DEAD_FACTOR`.
-    Text { dict: ChunkedVec<Arc<str>>, ids: Vec<u32>, index: Option<HashMap<u64, u32>> },
+    /// `DICT_DEAD_FACTOR`. `words` caches each entry's hash-join key word
+    /// (see [`DictWords`]).
+    Text {
+        dict: ChunkedVec<Arc<str>>,
+        ids: Vec<u32>,
+        index: Option<HashMap<u64, u32>>,
+        words: DictWords,
+    },
     /// Type-unstable column: the row values verbatim. Kernels decline
     /// mixed columns and the caller falls back to the row path.
     Mixed(Vec<Value>),
+}
+
+/// A text dictionary's hash-join key words, one [`text_word`] per entry,
+/// built by the first join that keys on the column and shared by every
+/// table version that shares the column. Kept off the write path: a
+/// transpose leaves it empty, a write's copy of the column starts it empty
+/// again (`clone`), and a write in place clears it.
+#[derive(Debug, Default)]
+pub struct DictWords(OnceLock<Box<[u64]>>);
+
+impl Clone for DictWords {
+    fn clone(&self) -> Self {
+        DictWords::default()
+    }
 }
 
 /// A text dictionary may grow to this many times its column's length
@@ -209,7 +229,7 @@ pub struct ColumnVec {
 /// [`ColumnSet::from_rows`], cached on `Table` and carried from one table
 /// version to the next: `ColumnSet::patch_row` and
 /// `ColumnSet::push_row` keep it equal — cell for cell, under
-/// `value_at` / `join_key_at` and every kernel — to a
+/// `value_at` / `key_word_at` and every kernel — to a
 /// fresh transpose of the new rows, though not always structurally (an
 /// `I64` column stays `I64` where a rebuild would now say `Bool`). Each
 /// column sits behind its own `Arc` and is written through
@@ -379,7 +399,8 @@ fn build_column<'a>(
                 ids[i] = id;
             }
         }
-        return ColumnVec { data: ColumnData::Text { dict, ids, index: None }, validity };
+        let data = ColumnData::Text { dict, ids, index: None, words: DictWords::default() };
+        return ColumnVec { data, validity };
     }
 
     let mut vals = vec![Value::Null; len];
@@ -409,7 +430,8 @@ impl ColumnVec {
             (ColumnData::I64(vals), Value::Integer(x)) => vals[i] = *x,
             (ColumnData::F64(vals), Value::Real(x)) => vals[i] = *x,
             (ColumnData::Bool(bits), Value::Integer(x @ (0 | 1))) => bits.set(i, *x == 1),
-            (ColumnData::Text { dict, ids, index }, Value::Text(s)) => {
+            (ColumnData::Text { dict, ids, index, words }, Value::Text(s)) => {
+                words.0.take();
                 let index = index.get_or_insert_with(|| {
                     dict.iter().enumerate().map(|(id, s)| (text_hash(s), id as u32)).collect()
                 });
@@ -458,25 +480,34 @@ impl ColumnVec {
         }
     }
 
-    /// Hash-join key for row `i`: `None` for NULL (NULL never joins),
-    /// otherwise `Value::group_key` of the cell — identical to the row path's
-    /// `KeySide::key`. One validity lookup; the typed arms stay small so
-    /// the probe loop inlines them.
+    /// Hash-join key of row `i`: `None` for NULL (NULL never joins),
+    /// otherwise what `Value::key_ref` gives for the cell.
     #[inline]
-    pub fn join_key_at(&self, i: usize) -> Option<GroupKey> {
+    pub(crate) fn key_ref_at(&self, i: usize) -> Option<KeyRef<'_>> {
         if !self.validity.get(i) {
             return None;
         }
         Some(match &self.data {
-            ColumnData::I64(v) => GroupKey::Num((v[i] as f64).to_bits()),
-            ColumnData::F64(v) => GroupKey::Num(real_key_bits(v[i])),
-            ColumnData::Bool(b) => GroupKey::Num((b.get(i) as i64 as f64).to_bits()),
-            ColumnData::Text { dict, ids, .. } => GroupKey::Text(dict[ids[i] as usize].clone()),
-            ColumnData::Mixed(v) => match v[i].group_key() {
-                GroupKey::Null => return None,
-                k => k,
-            },
+            ColumnData::I64(v) => KeyRef::Num((v[i] as f64).to_bits()),
+            ColumnData::F64(v) => KeyRef::Num(real_key_bits(v[i])),
+            ColumnData::Bool(b) => KeyRef::Num((b.get(i) as i64 as f64).to_bits()),
+            ColumnData::Text { dict, ids, .. } => KeyRef::Text(&dict[ids[i] as usize]),
+            ColumnData::Mixed(v) => return v[i].key_ref(),
         })
+    }
+
+    /// The key word of row `i` — `key_ref_at(i)`'s [`KeyRef::word`] — read
+    /// without hashing the string of a text cell: its dictionary entry's
+    /// word is hashed once, by the first call, into [`DictWords`].
+    #[inline]
+    pub fn key_word_at(&self, i: usize) -> Option<u64> {
+        match &self.data {
+            ColumnData::Text { dict, ids, words, .. } if self.validity.get(i) => {
+                let words = words.0.get_or_init(|| dict.iter().map(|s| text_word(s)).collect());
+                Some(words[ids[i] as usize])
+            }
+            _ => self.key_ref_at(i).map(KeyRef::word),
+        }
     }
 
     /// This column's grouping codes; `None` for a `Mixed` column, which
@@ -488,7 +519,7 @@ impl ColumnVec {
             ColumnData::F64(v) => Codes::F64(v),
             ColumnData::Bool(b) => Codes::Bool(b),
             ColumnData::Text { ids, index: None, .. } => Codes::Text(ids, None),
-            ColumnData::Text { dict, ids, index: Some(_) } => {
+            ColumnData::Text { dict, ids, index: Some(_), .. } => {
                 let mut first: FxHashMap<&str, u32> = map_with_capacity(dict.len());
                 let canon = (0..dict.len() as u32)
                     .map(|id| *first.entry(&*dict[id as usize]).or_insert(id))
@@ -798,35 +829,19 @@ fn cmp_verdict(op: CmpOp, left: &Operand<'_>, right: &Operand<'_>, len: usize) -
         return cmp_verdict(mirrored, right, left, len);
     }
 
-    let mut out = Verdict::new(len);
-
     // Fast paths: typed column against a literal.
     if let (Operand::Col(c), Operand::Lit(lit)) = (left, right) {
         match (&c.data, value_cell(lit)) {
             (_, Cell::Null) => return Verdict::unknown(len),
             (ColumnData::I64(vals), Cell::Num(b)) => {
-                for (i, &v) in vals.iter().enumerate() {
-                    if c.validity.get(i) {
-                        if cell_test(op, Cell::Num(v as f64), Cell::Num(b)) {
-                            out.set_true(i);
-                        } else {
-                            out.set_false(i);
-                        }
-                    }
-                }
-                return out;
+                return column_verdict(&c.validity, |i| {
+                    cell_test(op, Cell::Num(vals[i] as f64), Cell::Num(b))
+                });
             }
             (ColumnData::F64(vals), Cell::Num(b)) => {
-                for (i, &v) in vals.iter().enumerate() {
-                    if c.validity.get(i) {
-                        if cell_test(op, Cell::Num(v), Cell::Num(b)) {
-                            out.set_true(i);
-                        } else {
-                            out.set_false(i);
-                        }
-                    }
-                }
-                return out;
+                return column_verdict(&c.validity, |i| {
+                    cell_test(op, Cell::Num(vals[i]), Cell::Num(b))
+                });
             }
             (ColumnData::Text { dict, ids, .. }, lit_cell) => {
                 // Dictionary LUT: one comparison per distinct string, then
@@ -835,21 +850,13 @@ fn cmp_verdict(op: CmpOp, left: &Operand<'_>, right: &Operand<'_>, len: usize) -
                     .iter()
                     .map(|s| cell_test(op, Cell::Text(s), lit_cell))
                     .collect();
-                for (i, &id) in ids.iter().enumerate() {
-                    if c.validity.get(i) {
-                        if lut[id as usize] {
-                            out.set_true(i);
-                        } else {
-                            out.set_false(i);
-                        }
-                    }
-                }
-                return out;
+                return column_verdict(&c.validity, |i| lut[ids[i] as usize]);
             }
             _ => {}
         }
     }
 
+    let mut out = Verdict::new(len);
     // General path: Cell-at-a-time (column-vs-column, Bool, Mixed).
     for i in 0..len {
         let (a, b) = (left.cell(i), right.cell(i));
@@ -861,6 +868,24 @@ fn cmp_verdict(op: CmpOp, left: &Operand<'_>, right: &Operand<'_>, len: usize) -
         } else {
             out.set_false(i);
         }
+    }
+    out
+}
+
+/// The verdict of a total per-row `test` over a column, 64 rows a word:
+/// each truth word is built in a register and the validity word applied
+/// once — a NULL row is unknown, every other row known. `test` also runs
+/// on NULL rows' placeholder slots; their bits are masked off.
+fn column_verdict(validity: &Bitmap, test: impl Fn(usize) -> bool) -> Verdict {
+    let mut out = Verdict::new(validity.len());
+    for (wi, &valid) in validity.words().iter().enumerate() {
+        let base = wi * 64;
+        let mut truth = 0u64;
+        for b in 0..(validity.len() - base).min(64) {
+            truth |= (test(base + b) as u64) << b;
+        }
+        out.truth[wi] = truth & valid;
+        out.known[wi] = valid;
     }
     out
 }
@@ -958,28 +983,8 @@ pub fn eval_predicate(expr: &Expr, set: &ColumnSet) -> Option<Verdict> {
 fn col_truthiness(col: &ColumnVec, len: usize) -> Verdict {
     let mut out = Verdict::new(len);
     match &col.data {
-        ColumnData::I64(vals) => {
-            for (i, &v) in vals.iter().enumerate() {
-                if col.validity.get(i) {
-                    if v != 0 {
-                        out.set_true(i);
-                    } else {
-                        out.set_false(i);
-                    }
-                }
-            }
-        }
-        ColumnData::F64(vals) => {
-            for (i, &v) in vals.iter().enumerate() {
-                if col.validity.get(i) {
-                    if v != 0.0 {
-                        out.set_true(i);
-                    } else {
-                        out.set_false(i);
-                    }
-                }
-            }
-        }
+        ColumnData::I64(vals) => return column_verdict(&col.validity, |i| vals[i] != 0),
+        ColumnData::F64(vals) => return column_verdict(&col.validity, |i| vals[i] != 0.0),
         ColumnData::Bool(bits) => {
             // truth = value, known = validity: a 0/1 column's truthiness
             // is the bit itself.
@@ -1124,7 +1129,7 @@ pub(crate) fn count_distinct(col: &ColumnVec, members: &[usize]) -> Option<Value
         // A dictionary that has taken in-place writes may hold one string
         // under two ids: count the strings behind the distinct ids rather
         // than build `key_codes`' canonical map once per group.
-        ColumnData::Text { dict, ids, index: Some(_) } => {
+        ColumnData::Text { dict, ids, index: Some(_), .. } => {
             distinct_codes(&col.validity, members, |i| ids[i] as u64)
                 .into_iter()
                 .map(|id| &*dict[id as usize])
@@ -1350,6 +1355,7 @@ fn agg_text(
 mod tests {
     use super::*;
     use crate::ast::Expr;
+    use crate::value::GroupKey;
 
     /// A deliberately nasty value pool: NULLs, 0/1, negative ints, NaN
     /// with a payload, -0.0, infinities, numeric and non-numeric text.
@@ -1474,8 +1480,9 @@ mod tests {
             let set = ColumnSet::from_rows(&rows, w);
             for (i, row) in rows.iter().enumerate() {
                 for j in 0..w {
-                    let want = if row[j].is_null() { None } else { Some(row[j].group_key()) };
-                    assert_eq!(set.columns[j].join_key_at(i), want, "({i},{j})");
+                    let want = row[j].key_ref().map(KeyRef::word);
+                    assert_eq!(set.columns[j].key_word_at(i), want, "({i},{j})");
+                    assert_eq!(set.columns[j].key_ref_at(i), row[j].key_ref(), "({i},{j})");
                     // Key codes: equal exactly where the group keys are.
                     let Some(codes) = set.columns[j].key_codes() else {
                         assert!(matches!(set.columns[j].data, ColumnData::Mixed(_)));
@@ -1488,6 +1495,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dictionary_words_stay_off_the_write_path() {
+        let rows = typed_rows(40);
+        let mut set = ColumnSet::from_rows(&rows, 4);
+        let built = |set: &ColumnSet| match &set.columns[2].data {
+            ColumnData::Text { words, .. } => words.0.get().is_some(),
+            _ => unreachable!("column 2 is text"),
+        };
+        assert!(!built(&set), "a transpose builds no words");
+        let i = (0..rows.len()).find(|&i| !rows[i][2].is_null()).unwrap();
+        assert_eq!(set.columns[2].key_word_at(i), rows[i][2].key_ref().map(KeyRef::word));
+        assert!(built(&set), "the first read builds them");
+
+        // A write through a shared column copies it without the words; a
+        // write in place drops them. Either way the next read sees the
+        // new string's word.
+        let shared = set.clone();
+        let mut new = rows[i].to_vec();
+        for fresh in ["fresh", "fresher"] {
+            new[2] = Value::text(fresh);
+            let old = set.materialize_row(i);
+            assert!(set.patch_row(i, &old, &new));
+            assert!(!built(&set));
+            assert_eq!(set.columns[2].key_word_at(i), Some(text_word(fresh)));
+        }
+        assert!(built(&shared), "the other version keeps its words");
     }
 
     /// Reference evaluation of the kernel-supported predicate subset,

@@ -393,10 +393,15 @@ struct CallSite<'e> {
 /// correlations the batch schema cannot see, latent type errors) are left
 /// to the per-row path, which raises exactly what the unbatched engine
 /// raised, and a failing `invoke_batch` likewise falls back instead of
-/// erroring. Sites in *conditionally evaluated* positions (CASE branches,
-/// right-hand sides of AND/OR, IN-list tails) are never collected, so
-/// batching issues no call that per-row short-circuit evaluation would
-/// have skipped — it only ever lowers call counts.
+/// erroring. Sites in *conditionally evaluated* positions of one expression
+/// (CASE branches, right-hand sides of AND/OR, IN-list tails) are never
+/// collected. An operator that hands over several expressions has each
+/// collected on its own, though, and the WHERE filter hands over each
+/// expensive conjunct alone: every one is prefetched over all the rows the
+/// cheap conjuncts kept. In `A = 'Yes' AND B = 'LA'` with both expensive,
+/// B is asked even for rows where A is false, which per-row short-circuit
+/// evaluation would have skipped — so batching can raise a statement's
+/// call count as well as lower it.
 pub struct BatchableCalls<'e> {
     sites: Vec<CallSite<'e>>,
 }
@@ -579,9 +584,19 @@ fn prefetch_site(
     // among them reads and fills that store itself.
     let mut queued: FxHashMap<UdfArgs, ()> = FxHashMap::default();
     let mut pending_args: Vec<Vec<Value>> = Vec::new();
+    // The arguments bound to the schema of the rows at hand: once per row
+    // source, not a name lookup per column per row.
+    let mut bound: Option<(*const RelSchema, Vec<Expr>)> = None;
     rows(&mut |rc| {
-        let mut vals = Vec::with_capacity(site.args.len());
-        for a in site.args {
+        let args = match &bound {
+            Some((schema, args)) if std::ptr::eq(*schema, rc.schema) => args,
+            _ => {
+                let args = site.args.iter().map(|a| bind_columns(a, rc.schema)).collect();
+                &bound.insert((rc.schema as *const _, args)).1
+            }
+        };
+        let mut vals = Vec::with_capacity(args.len());
+        for a in args {
             match eval(a, ctx, Some(rc)) {
                 Ok(v) => vals.push(v),
                 // Unevaluable in batch context: leave this row to the

@@ -12,8 +12,11 @@
 //! * **scans** share the table's stored rows — one refcount bump per row;
 //! * **filters** drop non-matching rows in place, never cloning survivors;
 //! * **joins** allocate only the emitted combined rows; the build table is
-//!   pre-sized, keyed without per-row `Vec` allocation for single-column
-//!   equi-joins, and built on the smaller input for inner joins;
+//!   pre-sized, built on the smaller input for inner joins and keyed by one
+//!   `u64` word per row for any number of key columns — read from a scan's
+//!   cached columns (a text column hashes each dictionary entry once), no
+//!   cell cloned — and a candidate is emitted only once its key cells
+//!   compare equal;
 //! * **projection** detects column-only projections and shares or gathers
 //!   cells directly instead of walking the expression evaluator;
 //! * **DISTINCT, UNION/EXCEPT/INTERSECT and ORDER BY** move `Arc` handles,
@@ -40,7 +43,7 @@ use crate::ast::{
     BinaryOp, CompoundOp, Expr, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt,
 };
 use crate::chunked::ChunkedVec;
-use crate::columnar::{AggKernel, ColumnSet, KeyCodes};
+use crate::columnar::{AggKernel, ColumnSet, ColumnVec, KeyCodes};
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
 use crate::functions::{is_aggregate, UdfRegistry};
@@ -50,7 +53,7 @@ use crate::plan::{
     conjoin, plan_from, split_conjuncts, ColRef, Plan, PlanJoinKind, RelSchema,
 };
 use crate::storage::Catalog;
-use crate::value::{GroupKey, Row, UdfArgs, Value};
+use crate::value::{GroupKey, KeyRef, Row, UdfArgs, Value};
 
 /// Results of one expensive UDF's invocations within a statement, keyed
 /// by argument tuple under exact value identity.
@@ -1347,7 +1350,9 @@ pub fn exec_plan(
         // site, whose model calls overlap), and
         // the expensive conjuncts then evaluate per row against the
         // prefetched results. Each conjunct is collected on its own, so a
-        // second expensive conjunct is not "the right-hand side of AND".
+        // second expensive conjunct is not "the right-hand side of AND":
+        // its calls are issued for every cheap survivor, also for rows an
+        // earlier expensive conjunct rejects.
         Plan::Filter { input, predicate } => {
             if !batches_expensive(predicate, ctx) {
                 return filter_input(input, predicate, ctx, outer);
@@ -1518,24 +1523,9 @@ struct JoinInput {
     schema: RelSchema,
     rows: ChunkedVec<Row>,
     /// The table's cached column set, for scan inputs under the columnar
-    /// toggle: join keys then come from the key column directly instead
-    /// of dereferencing each row.
+    /// toggle: plain-column join keys then come from the key columns
+    /// instead of dereferencing each row.
     cols: Option<Arc<ColumnSet>>,
-}
-
-impl JoinInput {
-    /// The single key column for vectorized key extraction, when this
-    /// input is a scan with a cached column set and the key side is one
-    /// direct column index.
-    fn key_column(&self, key: &KeySide) -> Option<&crate::columnar::ColumnVec> {
-        match (&self.cols, key) {
-            (Some(set), KeySide::Direct(idxs)) => match idxs[..] {
-                [i] => set.column(i),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
 }
 
 fn exec_source(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&RowCtx<'_>>) -> Result<JoinInput> {
@@ -1673,16 +1663,16 @@ fn split_equi_join(
     (pairs, conjoin(residual))
 }
 
-/// Hash-join key: the single-column case (the overwhelmingly common one)
-/// avoids a per-row `Vec` allocation entirely.
+/// A [`KeyedAggregate`]'s group key: the single-column case (the
+/// overwhelmingly common one) avoids a per-row `Vec` allocation entirely.
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) enum JoinKey {
     One(GroupKey),
     Many(Vec<GroupKey>),
 }
 
-/// Evaluate the key expressions of one side for one row; `None` marks a
-/// NULL in any key column (NULL never joins).
+/// Evaluate a keyed aggregate's outer key expressions for one row; `None`
+/// marks a NULL in any key column (NULL never matches).
 fn join_key(
     exprs: &[Expr],
     rc: &RowCtx<'_>,
@@ -1724,67 +1714,115 @@ fn pad_right(lrow: &[Value], right_width: usize) -> Row {
         .collect()
 }
 
-/// How one side of a hash join extracts its key per row: `Direct` column
-/// indices (zero-eval, zero-clone) when every key expression is a bound
-/// column — the overwhelmingly common `a.x = b.y` shape — or general bound
-/// expressions otherwise.
-enum KeySide {
-    Direct(Vec<usize>),
-    Exprs(Vec<Expr>),
+/// How one side of a hash join reads the cells of its key: from the
+/// scan's cached columns, from plain-column slots of its rows, or — for
+/// general key expressions — from the keys evaluated for every row before
+/// the build and probe loops, `width` cells a row.
+enum KeyCells<'a> {
+    Columns(Vec<&'a ColumnVec>),
+    Slots(Vec<usize>),
+    Evaluated(Vec<Value>),
 }
 
-impl KeySide {
-    fn new(bound: Vec<Expr>) -> KeySide {
-        let direct: Option<Vec<usize>> = bound
+/// One side of a hash join with its key: each row's key cells and the
+/// `u64` key word they mix to (see [`KeyRef::word`]).
+struct KeyedSide<'a> {
+    rows: &'a ChunkedVec<Row>,
+    cells: KeyCells<'a>,
+    width: usize,
+}
+
+impl<'a> KeyedSide<'a> {
+    /// `keys` are bound to `side`'s schema; any expensive calls among them
+    /// have been prefetched.
+    fn new(
+        side: &'a JoinInput,
+        keys: Vec<Expr>,
+        ctx: &ExecCtx<'_>,
+        outer: Option<&RowCtx<'_>>,
+    ) -> Result<KeyedSide<'a>> {
+        let width = keys.len();
+        let slots: Option<Vec<usize>> = keys
             .iter()
             .map(|e| match e {
                 Expr::BoundColumn(i) => Some(*i),
                 _ => None,
             })
             .collect();
-        match direct {
-            Some(idxs) => KeySide::Direct(idxs),
-            None => KeySide::Exprs(bound),
+        let cells = match slots {
+            Some(slots) => {
+                let cols = side.cols.as_deref().and_then(|set| {
+                    slots.iter().map(|&i| set.column(i)).collect::<Option<Vec<_>>>()
+                });
+                cols.map_or(KeyCells::Slots(slots), KeyCells::Columns)
+            }
+            None => {
+                let mut vals = Vec::with_capacity(side.rows.len() * width);
+                for_each_morsel(side.rows.len(), ctx, |range| {
+                    for row in side.rows.morsel(range) {
+                        // A NULL key never joins: the keys after it are
+                        // not evaluated (they could raise an error).
+                        let rc = RowCtx { schema: &side.schema, row, outer };
+                        let mut null = false;
+                        for e in &keys {
+                            let v = if null { Value::Null } else { eval(e, ctx, Some(&rc))? };
+                            null = v.is_null();
+                            vals.push(v);
+                        }
+                    }
+                    Ok(())
+                })?;
+                KeyCells::Evaluated(vals)
+            }
+        };
+        Ok(KeyedSide { rows: &side.rows, cells, width })
+    }
+
+    /// Key cell `k` of row `i`; `None` for NULL.
+    #[inline]
+    fn cell(&self, i: usize, k: usize) -> Option<KeyRef<'_>> {
+        match &self.cells {
+            KeyCells::Columns(cols) => cols[k].key_ref_at(i),
+            KeyCells::Slots(slots) => self.rows[i][slots[k]].key_ref(),
+            KeyCells::Evaluated(vals) => vals[i * self.width + k].key_ref(),
         }
     }
 
-    /// Key of one row; `None` marks a NULL in any key column (NULL never
-    /// joins).
+    /// The key word of row `i`: its cells' words mixed left to right;
+    /// `None` when a key cell is NULL (NULL never joins).
     #[inline]
-    fn key(
-        &self,
-        row: &[Value],
-        schema: &RelSchema,
-        ctx: &ExecCtx<'_>,
-        outer: Option<&RowCtx<'_>>,
-    ) -> Result<Option<JoinKey>> {
-        match self {
-            KeySide::Direct(idxs) => {
-                if let [i] = idxs[..] {
-                    let v = &row[i];
-                    if v.is_null() {
-                        return Ok(None);
-                    }
-                    return Ok(Some(JoinKey::One(v.group_key())));
-                }
-                let mut key = Vec::with_capacity(idxs.len());
-                for &i in idxs {
-                    let v = &row[i];
-                    if v.is_null() {
-                        return Ok(None);
-                    }
-                    key.push(v.group_key());
-                }
-                Ok(Some(JoinKey::Many(key)))
-            }
-            KeySide::Exprs(exprs) => {
-                let rc = RowCtx { schema, row, outer };
-                join_key(exprs, &rc, ctx)
-            }
-        }
+    fn word(&self, i: usize) -> Option<u64> {
+        let word = |k: usize| match &self.cells {
+            KeyCells::Columns(cols) => cols[k].key_word_at(i),
+            _ => self.cell(i, k).map(KeyRef::word),
+        };
+        (1..self.width).try_fold(word(0)?, |acc, k| Some(mix_key_words(acc, word(k)?)))
+    }
+
+    /// Whether row `i` of this side and row `j` of `other` have equal keys.
+    #[inline]
+    fn same_key(&self, i: usize, other: &KeyedSide<'_>, j: usize) -> bool {
+        (0..self.width).all(|k| self.cell(i, k) == other.cell(j, k))
     }
 }
 
+/// A multi-column key word: `acc`, the word of the columns before, with
+/// the next column's `word` folded in by the workspace hasher.
+#[inline]
+pub(crate) fn mix_key_words(acc: u64, word: u64) -> u64 {
+    use std::hash::Hasher;
+    let mut h = crate::hash::FxHasher::default();
+    h.write_u64(acc);
+    h.write_u64(word);
+    h.finish()
+}
+
+/// The hash join: one build loop keys the build rows by word, one probe
+/// loop walks the probe rows in order and emits, per row, the build rows
+/// of its word's bucket (in build order) whose key cells equal its own —
+/// words collide, and the cells are the join's equality (`group_key`'s:
+/// `1 = 1.0`, `-0.0 = 0.0`, `'1' <> 1`). The residual, if any, then
+/// decides; a LEFT join pads a probe row nothing matched.
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
     left: &JoinInput,
@@ -1801,76 +1839,58 @@ fn hash_join(
     // must probe from the left to emit its NULL-padded non-matches.
     let build_left = kind == PlanJoinKind::Inner && left.rows.len() < right.rows.len();
     let (build, probe) = if build_left { (left, right) } else { (right, left) };
-
-    // Bind each side's key expressions to its schema once; plain-column
-    // keys degrade further into direct index loads with no eval at all.
-    let bind_side = |exprs: Vec<&Expr>, schema: &RelSchema| -> KeySide {
-        KeySide::new(exprs.iter().map(|e| bind_columns(e, schema)).collect())
+    let bind = |pick: fn(&(Expr, Expr)) -> &Expr, side: &JoinInput| -> Vec<Expr> {
+        equi.iter().map(|pair| bind_columns(pick(pair), &side.schema)).collect()
     };
-    let left_raw: Vec<&Expr> = equi.iter().map(|(l, _)| l).collect();
-    let right_raw: Vec<&Expr> = equi.iter().map(|(_, r)| r).collect();
-    let (build_key, probe_key) = if build_left {
-        (bind_side(left_raw, &build.schema), bind_side(right_raw, &probe.schema))
-    } else {
-        (bind_side(right_raw, &build.schema), bind_side(left_raw, &probe.schema))
-    };
+    let (left_exprs, right_exprs) = (bind(|p| &p.0, left), bind(|p| &p.1, right));
+    let (build_exprs, probe_exprs) =
+        if build_left { (left_exprs, right_exprs) } else { (right_exprs, left_exprs) };
     let residual = residual.map(|r| bind_columns(r, schema));
 
     // Expensive calls in a join key (`ON llm_map(...) = x`) are evaluated
-    // per row of *one* side: vectorize them over that side's batch before
-    // the build/probe loops run.
-    for (key, side) in [(&build_key, build), (&probe_key, probe)] {
-        if let KeySide::Exprs(exprs) = key {
-            if let Some(batch) = BatchableCalls::find(exprs.iter(), ctx) {
-                batch.prefetch_rows(ctx, &side.schema, &side.rows, outer)?;
-            }
+    // per row of *one* side: vectorize them over that side's rows first.
+    for (exprs, side) in [(&build_exprs, build), (&probe_exprs, probe)] {
+        if let Some(batch) = BatchableCalls::find(exprs.iter(), ctx) {
+            batch.prefetch_rows(ctx, &side.schema, &side.rows, outer)?;
         }
     }
+    let build_keys = KeyedSide::new(build, build_exprs, ctx, outer)?;
+    let probe_keys = KeyedSide::new(probe, probe_exprs, ctx, outer)?;
 
-    // Pre-sized build table: one reallocation-free pass, read-only during
-    // the probe. Buckets inline the
-    // single-row case (the norm for key/foreign-key joins), so a unique-key
-    // build performs zero per-bucket allocations; bucket contents are in
-    // build-row order.
-    let build_rows = &build.rows;
-    let build_col = build.key_column(&build_key);
-    let mut table: FxHashMap<JoinKey, Bucket> = map_with_capacity(build_rows.len());
-    for (ri, row) in build_rows.iter().enumerate() {
+    // Pre-sized build table, read-only during the probe. Buckets inline
+    // the single-row case (the norm for key/foreign-key joins) and hold
+    // build rows in order.
+    let mut table: FxHashMap<u64, Bucket> = map_with_capacity(build.rows.len());
+    for ri in 0..build.rows.len() {
         if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
             ctx.check_cancel()?;
         }
-        let key = match build_col {
-            // Scan build side with a single direct-column key: read the key
-            // straight out of the table's column vector — no row deref.
-            Some(col) => col.join_key_at(ri).map(JoinKey::One),
-            None => {
-                prefetch_row(build_rows.get(ri + PREFETCH_AHEAD));
-                build_key.key(row, &build.schema, ctx, outer)?
-            }
-        };
-        let Some(key) = key else { continue };
-        match table.entry(key) {
+        let Some(word) = build_keys.word(ri) else { continue };
+        match table.entry(word) {
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(Bucket::One(ri as u32));
             }
             std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().push(ri as u32),
         }
     }
+    let (table, build_keys, probe_keys) = (&table, &build_keys, &probe_keys);
+    let matches = move |pi: usize| {
+        let bucket = probe_keys.word(pi).and_then(|w| table.get(&w));
+        let cands = bucket.map_or(&[][..], Bucket::as_slice).iter().map(|&ri| ri as usize);
+        cands.filter(move |&ri| build_keys.same_key(ri, probe_keys, pi))
+    };
+    let build_rows = &build.rows;
 
     // Expensive calls in the residual evaluate over combined candidate
-    // rows: replay the probe loop once collecting the distinct argument
-    // tuples (cheap — no emission), batch them, then run the real loop
-    // against the prefetched results.
+    // rows: replay the matches once collecting the distinct argument
+    // tuples (no emission), batch them, then run the probe loop against
+    // the prefetched results.
+    let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
     if let Some(batch) = BatchableCalls::find(residual.as_ref(), ctx) {
-        let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
         batch.prefetch(ctx, &mut |collect| {
-            for prow in &probe.rows {
-                let Some(key) = probe_key.key(prow, &probe.schema, ctx, outer)? else {
-                    continue;
-                };
-                let Some(cands) = table.get(&key) else { continue };
-                for &ri in cands.as_slice() {
-                    let brow = &build_rows[ri as usize];
+            for (pi, prow) in probe.rows.iter().enumerate() {
+                for ri in matches(pi) {
+                    let brow = &build_rows[ri];
                     let (lrow, rrow): (&[Value], &[Value]) =
                         if build_left { (brow, prow) } else { (prow, brow) };
                     scratch.clear();
@@ -1883,90 +1903,28 @@ fn hash_join(
         })?;
     }
 
-    // The probe: three loop shapes over the probe rows against the
-    // read-only table. Emission order is probe order.
-    let probe_rows = &probe.rows;
-    let mut out: Vec<Row> = Vec::with_capacity(probe_rows.len());
-
-    // Tight loop for the dominant shape — single direct-column key, no
-    // residual, inner join (`a JOIN b ON a.x = b.y`): no per-row enum
-    // plumbing, just load → hash → emit.
-    if kind == PlanJoinKind::Inner && residual.is_none() {
-        // Columnar probe: keys come from the probe table's key column, so
-        // the probe row is only dereferenced on an actual match.
-        if let Some(col) = probe.key_column(&probe_key) {
-            for_each_morsel(probe_rows.len(), ctx, |range| {
-                for pi in range {
-                    let Some(gk) = col.join_key_at(pi) else { continue };
-                    if let Some(cands) = table.get(&JoinKey::One(gk)) {
-                        let prow = &probe_rows[pi];
-                        for &ri in cands.as_slice() {
-                            let brow = &build_rows[ri as usize];
-                            let (lrow, rrow): (&[Value], &[Value]) =
-                                if build_left { (brow, prow) } else { (prow, brow) };
-                            out.push(emission.matched(lrow, rrow));
-                        }
-                    }
-                }
-                Ok(())
-            })?;
-            return Ok(out);
-        }
-        if let KeySide::Direct(idxs) = &probe_key {
-            if let [pk] = idxs[..] {
-                for_each_morsel(probe_rows.len(), ctx, |range| {
-                    let chunk = probe_rows.morsel(range);
-                    for (k, prow) in chunk.iter().enumerate() {
-                        prefetch_row(chunk.get(k + PREFETCH_AHEAD));
-                        let v = &prow[pk];
-                        if v.is_null() {
-                            continue;
-                        }
-                        if let Some(cands) = table.get(&JoinKey::One(v.group_key())) {
-                            for &ri in cands.as_slice() {
-                                let brow = &build_rows[ri as usize];
-                                let (lrow, rrow): (&[Value], &[Value]) =
-                                    if build_left { (brow, prow) } else { (prow, brow) };
-                                out.push(emission.matched(lrow, rrow));
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
-                return Ok(out);
-            }
-        }
-    }
-
+    // The probe, in probe order.
     let right_width = right.schema.len();
-    // Scratch buffer for residual evaluation over the full combined row;
-    // only allocated contents, never a fresh Vec per candidate.
-    let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
-    for_each_morsel(probe_rows.len(), ctx, |range| {
-        let chunk = probe_rows.morsel(range);
-        for (k, prow) in chunk.iter().enumerate() {
-            prefetch_row(chunk.get(k + PREFETCH_AHEAD));
-            let key = probe_key.key(prow, &probe.schema, ctx, outer)?;
+    let mut out: Vec<Row> = Vec::with_capacity(probe.rows.len());
+    for_each_morsel(probe.rows.len(), ctx, |range| {
+        let chunk = probe.rows.morsel(range.clone());
+        for (pi, prow) in range.zip(chunk) {
             let mut matched = false;
-            if let Some(key) = key {
-                if let Some(cands) = table.get(&key) {
-                    for &ri in cands.as_slice() {
-                        let brow = &build_rows[ri as usize];
-                        let (lrow, rrow): (&[Value], &[Value]) =
-                            if build_left { (brow, prow) } else { (prow, brow) };
-                        if let Some(res) = &residual {
-                            scratch.clear();
-                            scratch.extend_from_slice(lrow);
-                            scratch.extend_from_slice(rrow);
-                            let cc = RowCtx { schema, row: &scratch, outer };
-                            if eval(res, ctx, Some(&cc))?.truthiness() != Some(true) {
-                                continue;
-                            }
-                        }
-                        matched = true;
-                        out.push(emission.matched(lrow, rrow));
+            for ri in matches(pi) {
+                let brow = &build_rows[ri];
+                let (lrow, rrow): (&[Value], &[Value]) =
+                    if build_left { (brow, prow) } else { (prow, brow) };
+                if let Some(res) = &residual {
+                    scratch.clear();
+                    scratch.extend_from_slice(lrow);
+                    scratch.extend_from_slice(rrow);
+                    let cc = RowCtx { schema, row: &scratch, outer };
+                    if eval(res, ctx, Some(&cc))?.truthiness() != Some(true) {
+                        continue;
                     }
                 }
+                matched = true;
+                out.push(emission.matched(lrow, rrow));
             }
             if !matched && kind == PlanJoinKind::Left {
                 // probe == left here (build_left is false for LEFT joins).
@@ -1977,6 +1935,7 @@ fn hash_join(
     })?;
     Ok(out)
 }
+
 
 /// Distance (in rows) to prefetch ahead in streaming row loops. Rows are
 /// individually heap-allocated `Arc<[Value]>`s, so without a hint every

@@ -51,7 +51,7 @@ mod tests {
     /// buckets of a table it fills to 78 % (a random hash reaches ≈ 54 %).
     #[test]
     fn numeric_keys_spread_over_start_buckets() {
-        use crate::exec::JoinKey;
+        use crate::exec::{mix_key_words, JoinKey};
         use crate::value::GroupKey;
         let num = |x: f64| GroupKey::Num(x.to_bits());
         for shift in 8..=17 {
@@ -65,6 +65,16 @@ mod tests {
                     distinct_starts(
                         (1..=n).map(|i| {
                             JoinKey::Many(vec![num((i / 8) as f64), num((i % 8) as f64)])
+                        }),
+                        buckets,
+                    ),
+                ),
+                (
+                    "two-column join words",
+                    distinct_starts(
+                        (1..=n).map(|i| {
+                            let word = |x: usize| (x as f64).to_bits();
+                            mix_key_words(word(i / 8), word(i % 8))
                         }),
                         buckets,
                     ),

@@ -1448,7 +1448,7 @@ mod tests {
             .unwrap();
         let table = db.catalog_mut().get_mut("d").unwrap();
         let mut set = ColumnSet::from_rows(table.rows(), table.width());
-        let ColumnData::Text { dict, ids, index } = &mut Arc::make_mut(&mut set.columns[1]).data
+        let ColumnData::Text { dict, ids, index, .. } = &mut Arc::make_mut(&mut set.columns[1]).data
         else {
             panic!("t is a text column");
         };

@@ -252,6 +252,19 @@ impl Value {
         }
     }
 
+    /// The cell as a hash-join key without cloning it: `None` for NULL
+    /// (NULL never joins), otherwise equal exactly where
+    /// [`Self::group_key`] is.
+    #[inline]
+    pub(crate) fn key_ref(&self) -> Option<KeyRef<'_>> {
+        match self {
+            Value::Null => None,
+            Value::Integer(i) => Some(KeyRef::Num((*i as f64).to_bits())),
+            Value::Real(r) => Some(KeyRef::Num(real_key_bits(*r))),
+            Value::Text(s) => Some(KeyRef::Text(s)),
+        }
+    }
+
     /// Add two values with SQL NULL propagation. Integer+Integer stays
     /// integer (checked overflow); any real operand promotes to real.
     pub fn add(&self, other: &Value) -> Result<Value> {
@@ -390,6 +403,36 @@ pub enum GroupKey {
     Null,
     Num(u64),
     Text(Arc<str>),
+}
+
+/// A non-NULL cell as a hash-join key, borrowed: two cells are equal as
+/// keys exactly when their [`GroupKey`]s are (numbers by their
+/// `GroupKey::Num` bits, text by its bytes, a number never equal to text).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyRef<'a> {
+    Num(u64),
+    Text(&'a str),
+}
+
+impl KeyRef<'_> {
+    /// The key's `u64` word: a number's bits, a string's [`text_word`].
+    /// Equal keys have equal words; unequal keys may share one, so a
+    /// table keyed by words confirms each candidate with `==`.
+    #[inline]
+    pub(crate) fn word(self) -> u64 {
+        match self {
+            KeyRef::Num(bits) => bits,
+            KeyRef::Text(s) => text_word(s),
+        }
+    }
+}
+
+/// The key word of a text cell: the workspace hasher over its bytes.
+pub(crate) fn text_word(s: &str) -> u64 {
+    use std::hash::Hasher;
+    let mut h = crate::hash::FxHasher::default();
+    h.write(s.as_bytes());
+    h.finish()
 }
 
 /// One expensive-UDF argument tuple, as a key of the statement's result

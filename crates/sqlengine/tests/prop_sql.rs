@@ -162,6 +162,48 @@ fn db_with_rows(rows: &[(i64, i64, String)]) -> Database {
     db
 }
 
+/// One key cell of a generated join table, from its column's class:
+/// integers, reals, text, or a mix of the three — so the column sets hold
+/// typed, bool and mixed columns. Every class has NULLs, and the pools sit
+/// on the edges of the join's equality: `-0.0 = 0.0`, `1 = 1.0`,
+/// `'1' <> 1`.
+fn join_key_cell(class: usize, pick: usize) -> Value {
+    match (class, pick % 5) {
+        (_, 0) => Value::Null,
+        (0, p) => Value::Integer(p as i64 - 2),
+        (1, p) => Value::Real([-0.0, 0.0, 1.0, 2.5][p - 1]),
+        (2, p) => Value::text(["1", "x", "", "0"][p - 1]),
+        (_, p) => [Value::Integer(1), Value::Real(1.0), Value::text("1"), Value::Real(-0.0)]
+            [p - 1]
+            .clone(),
+    }
+}
+
+/// `<name> (id, k1, k2, v)`: row `i` has id `i`, its two key cells drawn
+/// in the column classes `classes`, and `v` from `picks`.
+fn join_table(
+    db: &mut Database,
+    name: &str,
+    classes: (usize, usize),
+    picks: &[(usize, usize, i64)],
+) {
+    db.execute(&format!("CREATE TABLE {name} (id INTEGER, k1, k2, v INTEGER)")).unwrap();
+    let table = db.catalog_mut().get_mut(name).unwrap();
+    for (i, &(k1, k2, v)) in picks.iter().enumerate() {
+        let (k1, k2) = (join_key_cell(classes.0, k1), join_key_cell(classes.1, k2));
+        table.insert_row(vec![Value::Integer(i as i64), k1, k2, Value::Integer(v)]).unwrap();
+    }
+}
+
+/// A cell of a `SELECT a.id, b.id` result row: the id, or `None` for a
+/// LEFT join's padding.
+fn id_at(row: &[Value], j: usize) -> Option<i64> {
+    match row[j] {
+        Value::Integer(i) => Some(i),
+        _ => None,
+    }
+}
+
 proptest! {
     /// The parser must never panic, on any input.
     #[test]
@@ -473,5 +515,78 @@ proptest! {
             .unwrap();
         let expect = rows.iter().filter(|(_, _, s)| s.contains(&needle)).count();
         prop_assert_eq!(got.rows.len(), expect);
+    }
+
+    /// The hash join ≡ the nested loop. Random two-table joins on one or
+    /// two key columns — inner, LEFT, each with and without a residual;
+    /// over base-table scans, a derived table and expression keys; with
+    /// `columnar` on and off; before and after in-place updates of the key
+    /// columns — return the rows of the same join written
+    /// `ON NOT (a.k <> b.k)`, which `split_equi_join` leaves to the nested
+    /// loop, as a multiset. The hash join emits in probe order: probe rows
+    /// in input order, each one's matches in build order.
+    #[test]
+    fn hash_join_matches_the_nested_loop(
+        a in proptest::collection::vec((0usize..5, 0usize..5, 0i64..3), 0..24),
+        b in proptest::collection::vec((0usize..5, 0usize..5, 0i64..3), 0..24),
+        classes in (0usize..4, 0usize..4, 0usize..4, 0usize..4),
+        two_keys in any::<bool>(),
+        left in any::<bool>(),
+        residual in any::<bool>(),
+        source in 0usize..3,
+        columnar in any::<bool>(),
+    ) {
+        let mut db = Database::new();
+        join_table(&mut db, "a", (classes.0, classes.1), &a);
+        join_table(&mut db, "b", (classes.2, classes.3), &b);
+        db.set_optimizer(OptimizerConfig { columnar, reorder_joins: false, ..Default::default() });
+
+        // source 0: scans; 1: b as a derived table; 2: expression keys.
+        let keys: &[&str] = if two_keys { &["k1", "k2"] } else { &["k1"] };
+        let bq = if source == 1 { "d" } else { "b" };
+        let side = |t: &str, k: &str| {
+            if source == 2 { format!("COALESCE({t}.{k})") } else { format!("{t}.{k}") }
+        };
+        let on = |eq: fn(String, String) -> String| {
+            let mut on: Vec<String> = keys.iter().map(|k| eq(side("a", k), side(bq, k))).collect();
+            if residual {
+                on.push(format!("a.v < {bq}.v"));
+            }
+            on.join(" AND ")
+        };
+        let from_b = if source == 1 { "(SELECT id, k1, k2, v FROM b) AS d" } else { "b" };
+        let join = if left { "LEFT JOIN" } else { "JOIN" };
+        let sql = |on: String| format!("SELECT a.id, {bq}.id FROM a {join} {from_b} ON {on}");
+        let hash_sql = sql(on(|l, r| format!("{l} = {r}")));
+        let loop_sql = sql(on(|l, r| format!("NOT ({l} <> {r})")));
+
+        for round in 0..2 {
+            if round == 1 {
+                // Patch key cells, a new string among them (the first
+                // round built the column sets and their dictionary words).
+                db.execute("UPDATE a SET k1 = k2, k2 = 'y' WHERE v = 1").unwrap();
+                db.execute("UPDATE b SET k2 = k1, k1 = 'y' WHERE v = 2").unwrap();
+            }
+            let hashed = db.query(&hash_sql).unwrap_or_else(|e| panic!("{hash_sql}: {e}")).rows;
+            let looped = db.query(&loop_sql).unwrap().rows;
+            let sorted = |rows: &[swan_sqlengine::value::Row]| {
+                let mut ids: Vec<_> = rows.iter().map(|r| (id_at(r, 0), id_at(r, 1))).collect();
+                ids.sort();
+                ids
+            };
+            prop_assert_eq!(sorted(&hashed), sorted(&looped), "{}", hash_sql);
+
+            // Inner joins build on the smaller input and probe the other;
+            // a LEFT join probes from the left.
+            let probe_a = left || a.len() >= b.len();
+            let order: Vec<(Option<i64>, Option<i64>)> = hashed
+                .iter()
+                .map(|r| {
+                    let (ai, bi) = (id_at(r, 0), id_at(r, 1));
+                    if probe_a { (ai, bi) } else { (bi, ai) }
+                })
+                .collect();
+            prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "{}: {:?}", hash_sql, order);
+        }
     }
 }

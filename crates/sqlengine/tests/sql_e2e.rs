@@ -77,6 +77,52 @@ fn left_join_pads_nulls() {
     assert!(r.rows[0][1].is_null());
 }
 
+/// A NULL join key never matches, so the key expressions after it are not
+/// evaluated for that row: a later key that would fail there does not fail
+/// the statement.
+#[test]
+fn join_keys_after_a_null_key_are_not_evaluated() {
+    struct FailOnSeven;
+    impl ScalarUdf for FailOnSeven {
+        fn name(&self) -> &str {
+            "fail_on_7"
+        }
+        fn invoke(&self, args: &[Value]) -> swan_sqlengine::Result<Value> {
+            match args[0] {
+                Value::Integer(7) => {
+                    Err(Error::Udf { name: "fail_on_7".into(), message: "seven".into() })
+                }
+                ref v => Ok(v.clone()),
+            }
+        }
+    }
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE a (id INTEGER, k1 INTEGER, k2 INTEGER);
+         CREATE TABLE b (id INTEGER, k1 INTEGER, k2 INTEGER);
+         INSERT INTO a VALUES (1, NULL, 7), (2, 1, 1), (3, 2, 1);
+         INSERT INTO b VALUES (10, 1, 1);",
+    )
+    .unwrap();
+    db.register_udf(Arc::new(FailOnSeven));
+    for (join, want) in [("JOIN", vec!["2|10"]), ("LEFT JOIN", vec!["1|", "2|10", "3|"])] {
+        for columnar in [false, true] {
+            db.set_optimizer(OptimizerConfig { columnar, ..Default::default() });
+            let sql = format!(
+                "SELECT a.id, b.id FROM a {join} b ON a.k1 = b.k1 AND fail_on_7(a.k2) = b.k2 \
+                 ORDER BY a.id"
+            );
+            assert_eq!(texts(&db, &sql), want, "{join}, columnar {columnar}");
+        }
+    }
+    // The key does fail where the keys before it are not NULL.
+    db.execute("INSERT INTO a VALUES (4, 3, 7)").unwrap();
+    let err = db
+        .query("SELECT a.id FROM a JOIN b ON a.k1 = b.k1 AND fail_on_7(a.k2) = b.k2")
+        .unwrap_err();
+    assert!(matches!(err, Error::Udf { .. }), "{err:?}");
+}
+
 #[test]
 fn group_by_having_count() {
     let db = hero_db();

@@ -90,7 +90,7 @@ fn check_derived(t: &Table, context: &str) {
         let (c, f) = (&carried.columns[j], &fresh.columns[j]);
         for (i, row) in t.rows().iter().enumerate() {
             assert!(same_cell(&c.value_at(i), &row[j]), "{context}: value_at({i},{j})");
-            assert_eq!(c.join_key_at(i), f.join_key_at(i), "{context}: join_key_at({i},{j})");
+            assert_eq!(c.key_word_at(i), f.key_word_at(i), "{context}: key_word_at({i},{j})");
         }
     }
 }

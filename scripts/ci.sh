@@ -39,15 +39,18 @@
 #      interleavings — concurrent sessions, group commit, the in-place
 #      write path's copy-on-write under the table-writer lock, and
 #      `udf_store`, taken from every session's statement thread;
-#   3. two properties at PROPTEST_CASES=2000 in a release build — tier-1
-#      runs them at the vendored proptest's default of 64 cases: the
-#      B-tree differential property (the in-place page writers against
+#   3. three properties at PROPTEST_CASES=2000 in a release build —
+#      tier-1 runs them at the vendored proptest's default of 64 cases:
+#      the B-tree differential property (the in-place page writers against
 #      the decoding reference kept in btree.rs's tests: same page images,
-#      same page calls, scans equal to a model), and the chunked
+#      same page calls, scans equal to a model), the chunked
 #      copy-on-write vector behind the row store and the text
 #      dictionaries against a `Vec` model (chunked.rs: contents, chunk
 #      slices, no write visible through another clone, every untouched
-#      chunk still shared).
+#      chunk still shared), and the hash join against the nested loop
+#      (prop_sql.rs: one and two key columns, inner / LEFT / residual,
+#      Integer / Real / Text / NULL keys, columnar on and off, the same
+#      rows as a multiset, emitted in probe order).
 #
 # Not a stage: scripts/bench_pairs.sh <parent-binary> <change-binary>
 # <workload> — the alternating parent/change pairs a claimed gain is
@@ -96,5 +99,9 @@ PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib \
 echo "== chunked copy-on-write vector property @ PROPTEST_CASES=2000 (release) =="
 PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib \
     chunked::tests::chunked_vec_matches_a_vec_model_and_shares_untouched_chunks
+
+echo "== hash join against the nested loop @ PROPTEST_CASES=2000 (release) =="
+PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --test prop_sql \
+    hash_join_matches_the_nested_loop
 
 echo "CI gate passed."
