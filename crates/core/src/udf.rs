@@ -54,7 +54,7 @@ use swan_llm::prompt::parse_udf_response;
 use swan_llm::{parallel, BreakerState, LanguageModel, LlmError, ResilientModel, UdfExample, UdfPrompt};
 use swan_pool::hash::{map_with_capacity, FxHashMap};
 use swan_pool::lockrank;
-use swan_sqlengine::{Database, Error, QueryResult, Result, ScalarUdf, Value};
+use swan_sqlengine::{Database, Error, QueryResult, Result, ScalarUdf, ThinStr, Value};
 
 use crate::hqdl::infer_value;
 
@@ -185,9 +185,9 @@ impl DomainMeta {
 }
 
 /// The rendered key arguments of one `llm_map` call — a key's identity
-/// within its question's scope. Text arguments share the engine's interned
+/// within its question's scope. Text arguments share the engine's cell
 /// allocation; only non-text arguments are rendered.
-type KeyTuple = Box<[Arc<str>]>;
+type KeyTuple = Box<[ThinStr]>;
 
 /// One question as the store and the prompt see it, resolved once per
 /// question per call instead of once per key or per chunk.
@@ -280,13 +280,13 @@ struct Store {
 }
 
 impl Store {
-    fn live(&self, scope: &str, key: &[Arc<str>]) -> Option<&Value> {
+    fn live(&self, scope: &str, key: &[ThinStr]) -> Option<&Value> {
         self.scopes.get(scope)?.get(key)?.live(self.epoch)
     }
 
     /// The last answer for `key` from any epoch: the
     /// [`OnModelFailure::StaleCache`] degradation source.
-    fn last_good(&self, scope: &str, key: &[Arc<str>]) -> Option<&Value> {
+    fn last_good(&self, scope: &str, key: &[ThinStr]) -> Option<&Value> {
         self.scopes.get(scope)?.get(key)?.answer.as_ref().map(|(_, v)| v)
     }
 
@@ -427,7 +427,7 @@ impl Shared {
     }
 
     /// Answer-store lookup under the configured scope.
-    fn cached(&self, scope: &str, key: &[Arc<str>]) -> Option<Value> {
+    fn cached(&self, scope: &str, key: &[ThinStr]) -> Option<Value> {
         self.store().live(scope, key).cloned()
     }
 

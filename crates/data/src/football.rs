@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use swan_sqlengine::{Database, Row, Value};
 
 use crate::builder::*;
-use crate::namegen::{self, UniqueNames};
+use crate::namegen::{self, Choices, UniqueNames};
 use crate::types::*;
 
 pub const DB_NAME: &str = "european_football";
@@ -80,6 +80,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
 
     let mut facts = Vec::new();
     let mut popularity = Vec::new();
+    let seasons = Choices::new(SEASONS);
 
     // Countries + leagues (one league per country, like the Bird data).
     let mut country_rows = Vec::new();
@@ -108,6 +109,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
     let mut team_rows = Vec::new();
     let mut ta_rows = Vec::new();
     let mut team_list: Vec<(String, f64)> = Vec::with_capacity(n_teams);
+    let (speeds, pressures) = (Choices::new(SPEED_CLASSES), Choices::new(PRESSURE_CLASSES));
     for i in 0..n_teams {
         let long = team_names.claim(format!(
             "{} {}",
@@ -121,25 +123,25 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             .take(3)
             .collect::<String>()
             .to_ascii_uppercase();
-        let speed = namegen::pick(&mut rng, SPEED_CLASSES).to_string();
-        let pressure = namegen::pick(&mut rng, PRESSURE_CLASSES).to_string();
+        let speed = speeds.draw(&mut rng);
+        let pressure = pressures.draw(&mut rng);
         team_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(&long),
             Value::text(&short),
         ]));
-        for season in SEASONS.iter().take(5) {
+        for season in 0..5 {
             ta_rows.push(Row::from([
                 Value::Integer(i as i64 + 1),
-                Value::text(*season),
-                Value::text(&speed),
-                Value::text(&pressure),
+                seasons.cell(season),
+                speeds.cell(speed),
+                pressures.cell(pressure),
             ]));
         }
         let key = vec![long.clone()];
         facts.push(fact1(&key, "team_short_name", &short));
-        facts.push(fact1(&key, "build_up_play_speed_class", &speed));
-        facts.push(fact1(&key, "defence_pressure_class", &pressure));
+        facts.push(fact1(&key, "build_up_play_speed_class", speeds.text(speed)));
+        facts.push(fact1(&key, "defence_pressure_class", pressures.text(pressure)));
         let prominence: f64 = rng.gen();
         popularity.push((key, popularity_from_percentile(prominence)));
         team_list.push((long, prominence));
@@ -152,6 +154,8 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
     let mut player_rows = Vec::new();
     let mut pa_rows = Vec::new();
     let mut player_list: Vec<(String, f64)> = Vec::with_capacity(n_players);
+    let (nationalities, cities) = (Choices::new(namegen::NATIONALITIES), Choices::new(namegen::CITIES));
+    let (feet, work_rates) = (Choices::new(FOOT), Choices::new(WORK_RATES));
     for i in 0..n_players {
         let name = player_names.claim(namegen::person_name(&mut rng));
         let height = rng.gen_range(158..=202);
@@ -162,10 +166,11 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             rng.gen_range(1..=12),
             rng.gen_range(1..=28)
         );
-        let nationality = namegen::pick(&mut rng, namegen::NATIONALITIES).to_string();
-        let birth_city = namegen::pick(&mut rng, namegen::CITIES).to_string();
-        let foot = if rng.gen_bool(0.25) { "left" } else { "right" };
-        let work_rate = namegen::pick(&mut rng, WORK_RATES).to_string();
+        let nationality = nationalities.draw(&mut rng);
+        let birth_city = cities.draw(&mut rng);
+        // FOOT[0] is "left".
+        let foot = if rng.gen_bool(0.25) { 0 } else { 1 };
+        let work_rate = work_rates.draw(&mut rng);
         // Ability drives ratings and popularity.
         let ability: f64 = rng.gen();
         player_rows.push(Row::from([
@@ -174,30 +179,29 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::text(&birthday),
             Value::Integer(height),
             Value::Integer(weight),
-            Value::text(&nationality),
-            Value::text(&birth_city),
+            nationalities.cell(nationality),
+            cities.cell(birth_city),
         ]));
-        for (s, season) in SEASONS.iter().cycle().take(snapshots).enumerate() {
+        for s in 0..snapshots {
             let rating = (45.0 + 50.0 * ability + rng.gen_range(-4.0..4.0)).clamp(40.0, 99.0) as i64;
             let potential = (rating + rng.gen_range(0i64..8)).min(99);
-            let _ = s;
             pa_rows.push(Row::from([
                 Value::Integer(i as i64 + 1),
-                Value::text(*season),
+                seasons.cell(s % SEASONS.len()),
                 Value::Integer(rating),
                 Value::Integer(potential),
-                Value::text(foot),
-                Value::text(&work_rate),
+                feet.cell(foot),
+                work_rates.cell(work_rate),
             ]));
         }
         let key = vec![name.clone()];
         facts.push(fact1(&key, "height", height.to_string()));
         facts.push(fact1(&key, "weight", weight.to_string()));
         facts.push(fact1(&key, "birthday", &birthday));
-        facts.push(fact1(&key, "nationality", &nationality));
-        facts.push(fact1(&key, "birth_city", &birth_city));
-        facts.push(fact1(&key, "preferred_foot", foot));
-        facts.push(fact1(&key, "attacking_work_rate", &work_rate));
+        facts.push(fact1(&key, "nationality", nationalities.text(nationality)));
+        facts.push(fact1(&key, "birth_city", cities.text(birth_city)));
+        facts.push(fact1(&key, "preferred_foot", feet.text(foot)));
+        facts.push(fact1(&key, "attacking_work_rate", work_rates.text(work_rate)));
         popularity.push((key, popularity_from_percentile(ability)));
         player_list.push((name, ability));
     }
@@ -213,12 +217,12 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         if away == home {
             away = (away % n_teams as i64) + 1;
         }
-        let season = namegen::pick(&mut rng, SEASONS).to_string();
+        let season = seasons.draw(&mut rng);
         let year = 2008 + (i % 8) as i64;
         match_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::Integer(league),
-            Value::text(&season),
+            seasons.cell(season),
             Value::Integer(home),
             Value::Integer(away),
             Value::Integer(rng.gen_range(0..6)),

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use swan_sqlengine::{Database, Row, Value};
 
 use crate::builder::*;
-use crate::namegen::{self, UniqueNames};
+use crate::namegen::{self, Choices, UniqueNames};
 use crate::types::*;
 
 pub const DB_NAME: &str = "formula_1";
@@ -95,6 +95,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
 
     let mut facts = Vec::new();
     let mut popularity = Vec::new();
+    let nationalities = Choices::new(namegen::NATIONALITIES);
 
     // Seasons.
     let first_year = 1995i64;
@@ -121,24 +122,25 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
     let mut circuit_names = UniqueNames::new();
     let mut circuit_rows = Vec::new();
     let mut circuit_countries = Vec::with_capacity(n_circuits);
+    let (countries, cities) = (Choices::new(namegen::COUNTRIES), Choices::new(namegen::CITIES));
     for i in 0..n_circuits {
-        let country = namegen::pick(&mut rng, namegen::COUNTRIES).to_string();
-        let location = namegen::pick(&mut rng, namegen::CITIES).to_string();
-        let name = circuit_names.claim(format!("{location} International Circuit"));
+        let country = countries.draw(&mut rng);
+        let location = cities.draw(&mut rng);
+        let name = circuit_names.claim(format!("{} International Circuit", cities.text(location)));
         let url = format!("http://en.wikipedia.org/wiki/{}", name.replace(' ', "_"));
         circuit_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(&name),
-            Value::text(&location),
-            Value::text(&country),
+            cities.cell(location),
+            countries.cell(country),
             Value::text(&url),
         ]));
         let key = vec![name.clone()];
-        facts.push(fact1(&key, "country", &country));
-        facts.push(fact1(&key, "location", &location));
+        facts.push(fact1(&key, "country", countries.text(country)));
+        facts.push(fact1(&key, "location", cities.text(location)));
         facts.push(fact1(&key, "url", &url));
         popularity.push((key, popularity_from_percentile(rng.gen())));
-        circuit_countries.push(country);
+        circuit_countries.push(countries.text(country));
     }
     insert_rows(&mut original, "circuits", circuit_rows);
 
@@ -157,7 +159,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             .collect::<String>()
             .to_ascii_uppercase();
         let number = rng.gen_range(1..=99);
-        let nationality = namegen::pick(&mut rng, namegen::NATIONALITIES).to_string();
+        let nationality = nationalities.draw(&mut rng);
         let dob = format!(
             "{}-{:02}-{:02}",
             rng.gen_range(1960..2000),
@@ -171,14 +173,14 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::text(surname),
             Value::text(&code),
             Value::Integer(number),
-            Value::text(&nationality),
+            nationalities.cell(nationality),
             Value::text(&dob),
             Value::text(&url),
         ]));
         let key = vec![forename.to_string(), surname.to_string()];
         facts.push(fact1(&key, "code", &code));
         facts.push(fact1(&key, "number", number.to_string()));
-        facts.push(fact1(&key, "nationality", &nationality));
+        facts.push(fact1(&key, "nationality", nationalities.text(nationality)));
         facts.push(fact1(&key, "dob", &dob));
         facts.push(fact1(&key, "url", &url));
         let skill: f64 = rng.gen();
@@ -198,16 +200,16 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             namegen::pick(&mut rng, namegen::LAST_NAMES),
             namegen::pick(&mut rng, namegen::TEAM_WORDS)
         ));
-        let nationality = namegen::pick(&mut rng, namegen::NATIONALITIES).to_string();
+        let nationality = nationalities.draw(&mut rng);
         let url = format!("http://en.wikipedia.org/wiki/{}", name.replace(' ', "_"));
         constructor_rows.push(Row::from([
             Value::Integer(i as i64 + 1),
             Value::text(&name),
-            Value::text(&nationality),
+            nationalities.cell(nationality),
             Value::text(&url),
         ]));
         let key = vec![name.clone()];
-        facts.push(fact1(&key, "nationality", &nationality));
+        facts.push(fact1(&key, "nationality", nationalities.text(nationality)));
         facts.push(fact1(&key, "url", &url));
         popularity.push((key, popularity_from_percentile(rng.gen())));
         constructor_list.push(name);
@@ -434,7 +436,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             })
             .collect(),
         constructors: constructor_list.into_iter().take(2).collect(),
-        a_country: circuit_countries[0].clone(),
+        a_country: circuit_countries[0].to_string(),
         a_year: first_year + 5,
     };
 

@@ -9,6 +9,7 @@ use std::collections::HashSet;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use swan_sqlengine::Value;
 
 pub const FIRST_NAMES: &[&str] = &[
     "James", "Mary", "Robert", "Patricia", "John", "Jennifer", "Michael", "Linda", "David",
@@ -155,6 +156,33 @@ pub fn pick<'a>(rng: &mut SmallRng, items: &'a [&'a str]) -> &'a str {
     items[rng.gen_range(0..items.len())]
 }
 
+/// A fixed list of strings with each entry's cell built once per
+/// generation: a column drawn from the list clones its entries' cells, so
+/// the column holds one text allocation per distinct value, as a reopened
+/// durable database does.
+pub struct Choices(Vec<Value>);
+
+impl Choices {
+    pub fn new<S: AsRef<str>>(items: &[S]) -> Self {
+        Choices(items.iter().map(|s| Value::text(s.as_ref())).collect())
+    }
+
+    /// Draw an entry's index, consuming the RNG exactly as [`pick`] does.
+    pub fn draw(&self, rng: &mut SmallRng) -> usize {
+        rng.gen_range(0..self.0.len())
+    }
+
+    /// Entry `i`'s shared cell.
+    pub fn cell(&self, i: usize) -> Value {
+        self.0[i].clone()
+    }
+
+    /// Entry `i`'s text.
+    pub fn text(&self, i: usize) -> &str {
+        self.0[i].as_str().expect("a text entry")
+    }
+}
+
 /// A person name "First Last".
 pub fn person_name(rng: &mut SmallRng) -> String {
     format!("{} {}", pick(rng, FIRST_NAMES), pick(rng, LAST_NAMES))
@@ -216,6 +244,20 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(person_name(&mut a), person_name(&mut b));
             assert_eq!(street_address(&mut a), street_address(&mut b));
+        }
+    }
+
+    #[test]
+    fn choices_draw_as_pick_does_and_share_each_entry() {
+        let (mut a, mut b) = (SmallRng::seed_from_u64(3), SmallRng::seed_from_u64(3));
+        let cities = Choices::new(CITIES);
+        for _ in 0..50 {
+            let i = cities.draw(&mut a);
+            assert_eq!(cities.text(i), pick(&mut b, CITIES));
+            match (cities.cell(i), cities.cell(i)) {
+                (Value::Text(x), Value::Text(y)) => assert!(swan_sqlengine::ThinStr::ptr_eq(&x, &y)),
+                _ => unreachable!(),
+            }
         }
     }
 

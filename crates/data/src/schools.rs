@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use swan_sqlengine::{Database, Row, Value};
 
 use crate::builder::*;
-use crate::namegen::{self, UniqueNames};
+use crate::namegen::{self, Choices, UniqueNames};
 use crate::types::*;
 
 pub const DB_NAME: &str = "california_schools";
@@ -56,6 +56,11 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         .iter()
         .map(|c| format!("{c} Unified School District"))
         .collect();
+    let (cities, counties, district_cells) =
+        (Choices::new(namegen::CITIES), Choices::new(namegen::COUNTIES), Choices::new(&districts));
+    let (levels, doc_types) = (Choices::new(EDUCATION_LEVELS), Choices::new(DOC_TYPES));
+    // Index 1 is "Yes".
+    let yes_no = Choices::new(&["No", "Yes"]);
 
     let mut names = UniqueNames::new();
     let mut school_rows = Vec::with_capacity(n_schools);
@@ -69,12 +74,12 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         let quality: f64 = rng.gen();
 
         let kind = namegen::pick(&mut rng, namegen::SCHOOL_KINDS);
-        let city = namegen::pick(&mut rng, namegen::CITIES).to_string();
+        let city = cities.draw(&mut rng);
         // Like real Californian schools, a third are named after their
         // city ("Fresno High School") — the model can read the city off
         // the key, which the key-hint channel rewards.
         let base = if rng.gen_bool(0.35) {
-            format!("{city} {kind} School")
+            format!("{} {kind} School", cities.text(city))
         } else {
             format!("{} {kind} School", namegen::pick(&mut rng, namegen::LAST_NAMES))
         };
@@ -82,20 +87,15 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         let street = namegen::street_address(&mut rng);
         let key = vec![school_name.clone(), street.clone()];
 
-        let county_i = rng.gen_range(0..namegen::COUNTIES.len());
-        let county = namegen::COUNTIES[county_i].to_string();
+        let county = counties.draw(&mut rng);
         let zip = format!("9{:04}", rng.gen_range(0..10_000));
         let phone = format!("(555) {:03}-{:04}", rng.gen_range(200..999), rng.gen_range(0..10_000));
         let website = format!("www.{}.edu", namegen::slug(&school_name));
-        let charter = if rng.gen_bool(0.25) { "Yes" } else { "No" };
-        let magnet = if rng.gen_bool(0.15) { "Yes" } else { "No" };
-        let district = districts[county_i].clone();
-        let level = namegen::pick(&mut rng, EDUCATION_LEVELS).to_string();
-        let doc_type = if charter == "Yes" {
-            "Charter School".to_string()
-        } else {
-            DOC_TYPES[rng.gen_range(0..DOC_TYPES.len())].to_string()
-        };
+        let charter = usize::from(rng.gen_bool(0.25));
+        let magnet = usize::from(rng.gen_bool(0.15));
+        let level = levels.draw(&mut rng);
+        // DOC_TYPES[1] is "Charter School".
+        let doc_type = if charter == 1 { 1 } else { doc_types.draw(&mut rng) };
         let admin = namegen::person_name(&mut rng);
         let admin_email = format!(
             "{}@{}.edu",
@@ -103,21 +103,22 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             namegen::slug(&school_name)
         );
 
-        let cds = format!("{:014}", 10_000_000_000_000u64 + i as u64);
+        // One cell for the key all three tables carry.
+        let cds = Value::text(format!("{:014}", 10_000_000_000_000u64 + i as u64));
         school_rows.push(Row::from([
-            Value::text(&cds),
+            cds.clone(),
             Value::text(&school_name),
             Value::text(&street),
-            Value::text(&city),
-            Value::text(&county),
+            cities.cell(city),
+            counties.cell(county),
             Value::text(&zip),
             Value::text(&phone),
             Value::text(&website),
-            Value::text(charter),
-            Value::text(magnet),
-            Value::text(&district),
-            Value::text(&level),
-            Value::text(&doc_type),
+            yes_no.cell(charter),
+            yes_no.cell(magnet),
+            district_cells.cell(county),
+            levels.cell(level),
+            doc_types.cell(doc_type),
             Value::text(&admin),
             Value::text(&admin_email),
         ]));
@@ -125,7 +126,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
         let enrollment = rng.gen_range(80..3000);
         let free_meals = (enrollment as f64 * (1.0 - quality) * rng.gen_range(0.4..0.95)) as i64;
         frpm_rows.push(Row::from([
-            Value::text(&cds),
+            cds.clone(),
             Value::Integer(enrollment),
             Value::Integer(free_meals),
             Value::Real((free_meals as f64 / enrollment as f64 * 1000.0).round() / 1000.0),
@@ -135,7 +136,7 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             (350.0 + 300.0 * q + rng.gen_range(-25.0..25.0)).clamp(300.0, 700.0) as i64
         };
         sat_rows.push(Row::from([
-            Value::text(&cds),
+            cds,
             Value::Integer(rng.gen_range(20..800)),
             Value::Integer(score(&mut rng, quality)),
             Value::Integer(score(&mut rng, quality)),
@@ -143,16 +144,16 @@ pub fn generate(cfg: &GenConfig) -> DomainData {
             Value::Real((quality * rng.gen_range(0.3..0.9) * 100.0).round() / 100.0),
         ]));
 
-        facts.push(fact1(&key, "city", &city));
-        facts.push(fact1(&key, "county", &county));
+        facts.push(fact1(&key, "city", cities.text(city)));
+        facts.push(fact1(&key, "county", counties.text(county)));
         facts.push(fact1(&key, "zip", &zip));
         facts.push(fact1(&key, "phone", &phone));
         facts.push(fact1(&key, "website", &website));
-        facts.push(fact1(&key, "charter", charter));
-        facts.push(fact1(&key, "magnet", magnet));
-        facts.push(fact1(&key, "district_name", &district));
-        facts.push(fact1(&key, "education_level", &level));
-        facts.push(fact1(&key, "doc_type", &doc_type));
+        facts.push(fact1(&key, "charter", yes_no.text(charter)));
+        facts.push(fact1(&key, "magnet", yes_no.text(magnet)));
+        facts.push(fact1(&key, "district_name", district_cells.text(county)));
+        facts.push(fact1(&key, "education_level", levels.text(level)));
+        facts.push(fact1(&key, "doc_type", doc_types.text(doc_type)));
         facts.push(fact1(&key, "admin_name", &admin));
         facts.push(fact1(&key, "admin_email", &admin_email));
 

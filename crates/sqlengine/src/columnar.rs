@@ -7,8 +7,8 @@
 //! column-major alternative:
 //!
 //! * [`ColumnData`] — typed vectors: `I64(Vec<i64>)`, `F64(Vec<f64>)`,
-//!   `Bool` (bit-packed), `Text` (a chunked dictionary of interned
-//!   `Arc<str>` plus per-row `u32` ids), and `Mixed(Vec<Value>)` as the
+//!   `Bool` (bit-packed), `Text` (a chunked dictionary of shared
+//!   [`ThinStr`]s plus per-row `u32` ids), and `Mixed(Vec<Value>)` as the
 //!   escape hatch for columns that are not type-stable.
 //! * [`ColumnVec`] — a column plus its validity [`Bitmap`] (`1` = non-NULL).
 //! * [`ColumnSet`] — all columns of one table, built once from the row
@@ -54,7 +54,7 @@ use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::chunked::ChunkedVec;
 use crate::error::{Error, Result};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
-use crate::value::{real_key_bits, text_word, KeyRef, Row, Value};
+use crate::value::{real_key_bits, text_word, KeyRef, Row, ThinStr, Value};
 
 // ---- bitmaps ---------------------------------------------------------------
 
@@ -146,7 +146,7 @@ pub enum ColumnData {
     /// Every non-NULL cell is `Value::Integer(0 | 1)` — bit-packed.
     Bool(Bitmap),
     /// Every non-NULL cell is `Value::Text`. `dict` holds one shared
-    /// `Arc<str>` per distinct string (re-sharing the first row's `Arc`);
+    /// [`ThinStr`] per distinct string (re-sharing the first row's);
     /// `ids[i]` indexes into it. `dict` is a [`ChunkedVec`], the one
     /// payload here that is not flat: it is the only one whose copy costs
     /// a refcount per entry, so a column copied for a write (one more
@@ -163,10 +163,10 @@ pub enum ColumnData {
     /// two ids, and kernels that compare cells by id canonicalize first
     /// (`key_codes`, `count_distinct`). Dead entries are harmless to every
     /// kernel (each works per referenced id) and bounded by
-    /// `DICT_DEAD_FACTOR`. `words` caches each entry's hash-join key word
+    /// `DICT_DEAD_FACTOR`. `words` caches each entry's key word
     /// (see [`DictWords`]).
     Text {
-        dict: ChunkedVec<Arc<str>>,
+        dict: ChunkedVec<ThinStr>,
         ids: Vec<u32>,
         index: Option<HashMap<u64, u32>>,
         words: DictWords,
@@ -176,13 +176,20 @@ pub enum ColumnData {
     Mixed(Vec<Value>),
 }
 
-/// A text dictionary's hash-join key words, one [`text_word`] per entry,
-/// built by the first join that keys on the column and shared by every
-/// table version that shares the column. Kept off the write path: a
-/// transpose leaves it empty, a write's copy of the column starts it empty
-/// again (`clone`), and a write in place clears it.
+/// A text dictionary's key words, one [`text_word`] per entry, built by
+/// the first join that keys on the column or equality filter that tests
+/// it, and shared by every table version that shares the column. Kept off
+/// the write path: a transpose leaves it empty, a write's copy of the
+/// column starts it empty again (`clone`), and a write in place clears it.
 #[derive(Debug, Default)]
 pub struct DictWords(OnceLock<Box<[u64]>>);
+
+impl DictWords {
+    /// The words of `dict`, hashed by the first call.
+    fn of(&self, dict: &ChunkedVec<ThinStr>) -> &[u64] {
+        self.0.get_or_init(|| dict.iter().map(|s| text_word(s)).collect())
+    }
+}
 
 impl Clone for DictWords {
     fn clone(&self) -> Self {
@@ -249,7 +256,7 @@ impl ColumnSet {
     /// by scanning its non-NULL cells: all-`Integer` becomes `I64` (or
     /// bit-packed `Bool` when every value is 0/1), all-`Real` becomes
     /// `F64`, all-`Text` becomes a dictionary column whose entries
-    /// re-share the rows' interned `Arc<str>`s, anything else stays
+    /// re-share the rows' [`ThinStr`]s, anything else stays
     /// `Mixed`. Empty and all-NULL columns classify as `I64` with an
     /// all-zero validity bitmap. `rows` is a table's row store or a slice.
     pub fn from_rows<'a, I>(rows: I, width: usize) -> ColumnSet
@@ -307,7 +314,7 @@ impl ColumnSet {
 
     /// Rebuild row `i` as a shared row — the lazy view at the engine
     /// boundary. Reconstructed values are bit-identical to the originals,
-    /// and text cells share the dictionary's `Arc<str>`.
+    /// and text cells share the dictionary's [`ThinStr`].
     pub fn materialize_row(&self, i: usize) -> Row {
         let vals: Vec<Value> = self.columns.iter().map(|c| c.value_at(i)).collect();
         vals.into()
@@ -379,17 +386,17 @@ fn build_column<'a>(
     }
 
     if ints == 0 && reals == 0 {
-        let mut dict: ChunkedVec<Arc<str>> = ChunkedVec::new();
-        let mut index: HashMap<Arc<str>, u32> = HashMap::new();
+        let mut dict: ChunkedVec<ThinStr> = ChunkedVec::new();
+        let mut index: HashMap<ThinStr, u32> = HashMap::new();
         let mut ids = vec![0u32; len];
         for (i, row) in rows.enumerate() {
             if let Some(Value::Text(s)) = row.get(j) {
                 validity.set(i, true);
-                let id = match index.get(s.as_ref()) {
+                let id = match index.get(s.as_str()) {
                     Some(id) => *id,
                     None => {
                         let id = dict.len() as u32;
-                        // Re-share the row's interned Arc: one allocation
+                        // Re-share the row's ThinStr: one allocation
                         // per distinct string, shared with the row store.
                         dict.push(s.clone());
                         index.insert(s.clone(), id);
@@ -503,8 +510,7 @@ impl ColumnVec {
     pub fn key_word_at(&self, i: usize) -> Option<u64> {
         match &self.data {
             ColumnData::Text { dict, ids, words, .. } if self.validity.get(i) => {
-                let words = words.0.get_or_init(|| dict.iter().map(|s| text_word(s)).collect());
-                Some(words[ids[i] as usize])
+                Some(words.of(dict)[ids[i] as usize])
             }
             _ => self.key_ref_at(i).map(KeyRef::word),
         }
@@ -842,6 +848,15 @@ fn cmp_verdict(op: CmpOp, left: &Operand<'_>, right: &Operand<'_>, len: usize) -
                 return column_verdict(&c.validity, |i| {
                     cell_test(op, Cell::Num(vals[i]), Cell::Num(b))
                 });
+            }
+            (ColumnData::Text { dict, ids, words, .. }, Cell::Text(lit)) if op == CmpOp::Eq => {
+                // Equality reads each entry's cached word, not its string:
+                // a one-word entry's length lives behind its pointer, so
+                // only an entry whose word matches is compared by bytes.
+                let want = text_word(lit);
+                let lut: Vec<bool> =
+                    words.of(dict).iter().zip(dict.iter()).map(|(&w, s)| w == want && s.as_str() == lit).collect();
+                return column_verdict(&c.validity, |i| lut[ids[i] as usize]);
             }
             (ColumnData::Text { dict, ids, .. }, lit_cell) => {
                 // Dictionary LUT: one comparison per distinct string, then
@@ -1286,7 +1301,7 @@ fn agg_f64(kind: AggKernel, vals: &[f64], validity: &Bitmap, members: &[usize]) 
 
 fn agg_text(
     kind: AggKernel,
-    dict: &ChunkedVec<Arc<str>>,
+    dict: &ChunkedVec<ThinStr>,
     ids: &[u32],
     validity: &Bitmap,
     members: &[usize],
@@ -1324,7 +1339,7 @@ fn agg_text(
                 if validity.get(i) {
                     let id = ids[i];
                     best = Some(match best {
-                        Some(b) if dict[b as usize].as_ref() <= dict[id as usize].as_ref() => b,
+                        Some(b) if dict[b as usize].as_str() <= dict[id as usize].as_str() => b,
                         _ => id,
                     });
                 }
@@ -1339,7 +1354,7 @@ fn agg_text(
                 if validity.get(i) {
                     let id = ids[i];
                     best = Some(match best {
-                        Some(b) if dict[id as usize].as_ref() < dict[b as usize].as_ref() => b,
+                        Some(b) if dict[id as usize].as_str() < dict[b as usize].as_str() => b,
                         _ => id,
                     });
                 }
@@ -1468,7 +1483,7 @@ mod tests {
             if let Value::Text(s) = &row[2] {
                 let v = set.columns[2].value_at(i);
                 let Value::Text(back) = v else { panic!("expected text") };
-                assert!(Arc::ptr_eq(dict.iter().find(|d| *d == s).unwrap(), &back));
+                assert!(ThinStr::ptr_eq(dict.iter().find(|d| *d == s).unwrap(), &back));
             }
         }
     }

@@ -14,8 +14,9 @@
 //!   BlendSQL-style LLM functions participate in optimization — the
 //!   optimizer pushes cheap predicates down and orders LLM predicates last
 //!   to minimize calls (paper §4.2–4.3);
-//! * a **zero-copy execution core**: text values are interned
-//!   (`Value::Text(Arc<str>)`), rows are shared (`Row = Arc<[Value]>`),
+//! * a **zero-copy execution core**: text values are shared one-word
+//!   strings (`Value::Text(ThinStr)`, a 16-byte cell), rows are shared
+//!   (`Row = Arc<[Value]>`),
 //!   hash joins build on the smaller side, and INNER-join chains are
 //!   reordered by catalog row-count statistics — see `PERF.md` for the
 //!   representation notes and measured numbers;
@@ -182,6 +183,7 @@ pub mod parser;
 pub mod plan;
 pub mod shared;
 pub mod storage;
+mod thinstr;
 pub mod txn;
 pub mod value;
 pub mod vfs;
@@ -196,6 +198,6 @@ pub use pager::{PagerStats, PoolStats};
 pub use shared::{CommitStats, Session, SharedDb};
 pub use txn::MvccStats;
 pub use storage::{Catalog, Column, Table, TableStats};
-pub use value::{Row, Value};
+pub use value::{Row, ThinStr, Value};
 pub use vfs::{FaultKind, RealFs, SimFs, Torn, Vfs, VfsFile};
 pub use wal::DurabilityConfig;

@@ -187,8 +187,7 @@ impl Plan {
                 Ok(RelSchema::qualified(qualifier, provider.table_columns(table)?))
             }
             Plan::Derived { query, qualifier } => {
-                let names = derived_output_names(query);
-                Ok(RelSchema::qualified(qualifier, names))
+                Ok(RelSchema::qualified(qualifier, derived_output_names(query, provider)?))
             }
             Plan::Join { left, right, emit, .. } => {
                 let full = left.schema(provider)?.join(&right.schema(provider)?);
@@ -211,31 +210,50 @@ impl Plan {
     }
 }
 
-/// Column names a derived table exposes, best-effort (aliases, column
-/// names, or positional fallbacks). The executor computes the authoritative
-/// names; this is only used for static schema reasoning in the optimizer.
-pub fn derived_output_names(query: &SelectStmt) -> Vec<String> {
+/// Column names a derived table exposes: aliases, column names, each
+/// wildcard's columns (its FROM relation's, resolved against
+/// `provider`), or positional fallbacks. They are the names the executor
+/// gives the derived table's rows, in the same order, so a join can bind
+/// a column of the derived table to its position.
+pub fn derived_output_names(query: &SelectStmt, provider: &dyn SchemaProvider) -> Result<Vec<String>> {
     use crate::ast::{SelectBody, SelectItem};
-    fn body_names(body: &SelectBody) -> Vec<String> {
+    // A compound's columns are named by its first core.
+    let mut body = &query.body;
+    let core = loop {
         match body {
-            SelectBody::Simple(core) => core
-                .projection
-                .iter()
-                .enumerate()
-                .map(|(i, item)| match item {
-                    SelectItem::Expr { alias: Some(a), .. } => a.clone(),
-                    SelectItem::Expr { expr: Expr::Column { name, .. }, .. } => name.clone(),
-                    SelectItem::Expr { .. } => format!("column{}", i + 1),
-                    SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                        // Unknown statically; executor will fill in.
-                        format!("column{}", i + 1)
-                    }
-                })
-                .collect(),
-            SelectBody::Compound { left, .. } => body_names(left),
+            SelectBody::Simple(core) => break core,
+            SelectBody::Compound { left, .. } => body = left,
+        }
+    };
+    let mut input: Option<RelSchema> = None;
+    let mut names = Vec::with_capacity(core.projection.len());
+    for (i, item) in core.projection.iter().enumerate() {
+        match item {
+            SelectItem::Expr { alias: Some(a), .. } => names.push(a.clone()),
+            SelectItem::Expr { expr: Expr::Column { name, .. }, .. } => names.push(name.clone()),
+            SelectItem::Expr { .. } => names.push(format!("column{}", i + 1)),
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                let input = match &mut input {
+                    Some(schema) => schema,
+                    None => input.insert(plan_from(core.from.as_ref(), None)?.schema(provider)?),
+                };
+                let qualifier = match item {
+                    SelectItem::QualifiedWildcard(q) => Some(q.as_str()),
+                    _ => None,
+                };
+                names.extend(
+                    input
+                        .cols
+                        .iter()
+                        .filter(|c| {
+                            qualifier.is_none_or(|q| c.qualifier.as_deref().is_some_and(|x| x.eq_ignore_ascii_case(q)))
+                        })
+                        .map(|c| c.name.clone()),
+                );
+            }
         }
     }
-    body_names(&query.body)
+    Ok(names)
 }
 
 /// Lower a FROM clause + WHERE predicate to a plan.

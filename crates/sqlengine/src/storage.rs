@@ -73,7 +73,7 @@
 //! built from) serialize a table snapshot to a compact little-endian binary
 //! form for the write-ahead log ([`crate::wal`]). Decoding re-interns text
 //! through a [`TextInterner`], so repeated strings in the file come back as
-//! one shared `Arc<str>` allocation — the on-disk form round-trips into the
+//! one shared [`ThinStr`] allocation — the on-disk form round-trips into the
 //! same zero-copy representation the engine runs on.
 
 use std::collections::{HashMap, HashSet};
@@ -81,7 +81,7 @@ use std::sync::Arc;
 
 use crate::chunked::ChunkedVec;
 use crate::error::{Error, Result};
-use crate::value::{GroupKey, Row, Value};
+use crate::value::{GroupKey, Row, ThinStr, Value};
 
 /// Schema + data for one table.
 #[derive(Debug, Clone)]
@@ -706,11 +706,11 @@ impl crate::plan::SchemaProvider for Catalog {
 // round-trip exactly).
 
 /// Interns decoded text so repeated strings in one decode session share a
-/// single `Arc<str>` allocation — the same zero-copy representation the
+/// single [`ThinStr`] allocation — the same zero-copy representation the
 /// engine builds at parse/load time.
 #[derive(Debug, Default)]
 pub struct TextInterner {
-    strings: HashSet<Arc<str>>,
+    strings: HashSet<ThinStr>,
 }
 
 impl TextInterner {
@@ -719,11 +719,11 @@ impl TextInterner {
     }
 
     /// Shared handle for `s`, reusing a previous allocation when one exists.
-    pub fn intern(&mut self, s: &str) -> Arc<str> {
+    pub fn intern(&mut self, s: &str) -> ThinStr {
         match self.strings.get(s) {
             Some(shared) => shared.clone(),
             None => {
-                let shared: Arc<str> = s.into();
+                let shared = ThinStr::new(s);
                 self.strings.insert(shared.clone());
                 shared
             }
@@ -1396,7 +1396,7 @@ mod tests {
         // Repeated text decodes to one interned allocation.
         match (&back.rows[0][2], &back.rows[1][2]) {
             (Value::Text(x), Value::Text(y)) => {
-                assert!(Arc::ptr_eq(x, y), "decode must intern repeated text")
+                assert!(ThinStr::ptr_eq(x, y), "decode must intern repeated text")
             }
             _ => panic!("expected text cells"),
         }

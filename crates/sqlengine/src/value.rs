@@ -11,8 +11,9 @@
 //!
 //! # Zero-copy representation
 //!
-//! Text is interned behind `Arc<str>`, so cloning a [`Value`] is always O(1)
-//! — a pointer bump for text, a copy for the scalar classes. Whole rows are
+//! Text is shared behind a one-word [`ThinStr`], so cloning a [`Value`] is
+//! always O(1) — a count bump for text, a copy for the scalar classes — and
+//! a cell is 16 bytes (a tag and one word; pinned below). Whole rows are
 //! shared the same way: [`Row`] is `Arc<[Value]>`, which lets scans, joins,
 //! DISTINCT and compound operators pass rows around without deep-copying
 //! `Vec<Value>` (the seed representation cloned every cell on every hop).
@@ -22,6 +23,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+pub use crate::thinstr::ThinStr;
 
 /// A shared, immutable row. Cloning is a reference-count bump; the executor
 /// builds a row once (at scan load or join emit time) and every downstream
@@ -43,44 +45,42 @@ pub enum Value {
     Integer(i64),
     /// 64-bit IEEE float.
     Real(f64),
-    /// UTF-8 text, interned: clones share the same allocation.
-    Text(Arc<str>),
+    /// UTF-8 text, shared: clones share the same allocation.
+    Text(ThinStr),
 }
 
-/// Conversion into interned text; implemented for the stringy types call
-/// sites actually pass (`&str`, `String`, `&String`, and already-interned
-/// `Arc<str>` — the last is a free refcount bump).
+// A cell is a tag and one word; a later change must not regrow it.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+const _: () = assert!(std::mem::size_of::<GroupKey>() == 16);
+
+/// Conversion into shared text; implemented for the stringy types call
+/// sites actually pass (`&str`, `String`, `&String`, and already-shared
+/// [`ThinStr`] — the last is a free count bump).
 pub trait IntoText {
-    fn into_text(self) -> Arc<str>;
+    fn into_text(self) -> ThinStr;
 }
 
-impl IntoText for Arc<str> {
-    fn into_text(self) -> Arc<str> {
+impl IntoText for ThinStr {
+    fn into_text(self) -> ThinStr {
         self
     }
 }
 
-impl IntoText for &Arc<str> {
-    fn into_text(self) -> Arc<str> {
-        self.clone()
-    }
-}
-
 impl IntoText for &str {
-    fn into_text(self) -> Arc<str> {
+    fn into_text(self) -> ThinStr {
         self.into()
     }
 }
 
 impl IntoText for String {
-    fn into_text(self) -> Arc<str> {
-        self.into()
+    fn into_text(self) -> ThinStr {
+        ThinStr::new(&self)
     }
 }
 
 impl IntoText for &String {
-    fn into_text(self) -> Arc<str> {
-        self.as_str().into()
+    fn into_text(self) -> ThinStr {
+        ThinStr::new(self)
     }
 }
 
@@ -148,9 +148,9 @@ impl Value {
         }
     }
 
-    /// Shared text view (`None` for non-text); cloning the `Arc` is how
-    /// callers keep a cell's text without copying it.
-    pub fn as_shared_str(&self) -> Option<&Arc<str>> {
+    /// Shared text view (`None` for non-text); cloning the [`ThinStr`] is
+    /// how callers keep a cell's text without copying it.
+    pub fn as_shared_str(&self) -> Option<&ThinStr> {
         match self {
             Value::Text(s) => Some(s),
             _ => None,
@@ -191,7 +191,7 @@ impl Value {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
-            (Text(a), Text(b)) => a.as_ref().cmp(b.as_ref()),
+            (Text(a), Text(b)) => a.cmp(b),
             (Text(_), _) => Ordering::Greater,
             (_, Text(_)) => Ordering::Less,
             (a, b) => {
@@ -397,12 +397,12 @@ pub(crate) fn real_key_bits(r: f64) -> u64 {
 
 /// Hashable grouping key with the same equality as [`Value::sort_cmp`]
 /// treating NULLs as equal (GROUP BY semantics). Text keys share the
-/// value's interned allocation, so building one never copies the string.
+/// value's allocation, so building one never copies the string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GroupKey {
     Null,
     Num(u64),
-    Text(Arc<str>),
+    Text(ThinStr),
 }
 
 /// A non-NULL cell as a hash-join key, borrowed: two cells are equal as
@@ -533,12 +533,6 @@ impl From<String> for Value {
     }
 }
 
-impl From<Arc<str>> for Value {
-    fn from(v: Arc<str>) -> Self {
-        Value::Text(v)
-    }
-}
-
 impl From<bool> for Value {
     fn from(v: bool) -> Self {
         Value::Integer(v as i64)
@@ -652,7 +646,7 @@ mod tests {
         let b = a.clone();
         match (&a, &b) {
             (Value::Text(x), Value::Text(y)) => {
-                assert!(Arc::ptr_eq(x, y), "clone must share the allocation")
+                assert!(ThinStr::ptr_eq(x, y), "clone must share the allocation")
             }
             _ => unreachable!(),
         }

@@ -6,16 +6,14 @@
 //! patterns (NaN payloads, `-0.0`, infinities), repeated interned text,
 //! NULLs, zero-width rows (a table with no columns), with or without a
 //! primary key — `decode(encode(t)) == t` structurally, the decode
-//! consumes exactly the encoding, repeated text re-shares one `Arc<str>`
+//! consumes exactly the encoding, repeated text re-shares one `ThinStr`
 //! allocation, and a decoded table with a primary key has a working
 //! rebuilt index.
-
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use swan_sqlengine::storage::{decode_table, encode_table, TextInterner};
-use swan_sqlengine::{Column, Table, Value};
+use swan_sqlengine::{Column, Table, ThinStr, Value};
 
 /// A small pool of text values, deliberately repetitive so interning has
 /// something to share, with a few adversarial shapes mixed in.
@@ -95,14 +93,14 @@ proptest! {
         prop_assert_eq!(pos, buf.len(), "decode must consume the whole encoding");
         prop_assert!(back == table, "round trip must be lossless:\n{table:?}\nvs\n{back:?}");
 
-        // Interning: any two equal text cells decode to the same Arc.
-        let mut by_text: Vec<(&str, &Arc<str>)> = Vec::new();
+        // Interning: any two equal text cells decode to the same allocation.
+        let mut by_text: Vec<(&str, &ThinStr)> = Vec::new();
         for row in back.rows() {
             for v in row.iter() {
                 if let Value::Text(s) = v {
                     match by_text.iter().find(|(t, _)| *t == s.as_ref()) {
                         Some((_, first)) => prop_assert!(
-                            Arc::ptr_eq(first, s),
+                            ThinStr::ptr_eq(first, s),
                             "equal text {s:?} must share one allocation"
                         ),
                         None => by_text.push((s.as_ref(), s)),

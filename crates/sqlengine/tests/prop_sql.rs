@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use swan_sqlengine::parser::{parse_expression, parse_statement};
-use swan_sqlengine::value::Value;
+use swan_sqlengine::value::{ThinStr, Value};
 use swan_sqlengine::{Database, OptimizerConfig, QueryResult, ScalarUdf};
 
 /// Every optimizer rule switched off: the reference executor.
@@ -394,8 +394,8 @@ proptest! {
         assert_same_results(&sql, &a, &b);
     }
 
-    /// Interned-text representation equivalence: a table loaded through
-    /// `Arc<str>` interning behaves exactly like one loaded from owned
+    /// Shared-text representation equivalence: a table loaded through
+    /// already-shared `ThinStr`s behaves exactly like one loaded from owned
     /// `String`s (the seed representation), the engine's text operations
     /// agree with `str` semantics, and value clones share storage.
     #[test]
@@ -409,8 +409,8 @@ proptest! {
             let table = db.catalog_mut().get_mut("t").unwrap();
             for (i, s) in strings.iter().enumerate() {
                 let v = if interned {
-                    // Shared-allocation path: the same Arc<str> interned.
-                    Value::text(std::sync::Arc::<str>::from(s.as_str()))
+                    // Shared-allocation path: an already-shared ThinStr.
+                    Value::text(ThinStr::from(s.as_str()))
                 } else {
                     // Seed-style construction from an owned String.
                     Value::from(s.clone())
@@ -436,7 +436,7 @@ proptest! {
         let v = Value::text(strings[0].clone());
         let w = v.clone();
         match (v.as_shared_str(), w.as_shared_str()) {
-            (Some(x), Some(y)) => prop_assert!(std::sync::Arc::ptr_eq(x, y)),
+            (Some(x), Some(y)) => prop_assert!(ThinStr::ptr_eq(x, y)),
             _ => prop_assert!(strings[0].is_empty() || v.as_str().is_some()),
         }
     }

@@ -39,7 +39,7 @@
 #      interleavings — concurrent sessions, group commit, the in-place
 #      write path's copy-on-write under the table-writer lock, and
 #      `udf_store`, taken from every session's statement thread;
-#   3. three properties at PROPTEST_CASES=2000 in a release build —
+#   3. four properties at PROPTEST_CASES=2000 in a release build —
 #      tier-1 runs them at the vendored proptest's default of 64 cases:
 #      the B-tree differential property (the in-place page writers against
 #      the decoding reference kept in btree.rs's tests: same page images,
@@ -47,10 +47,15 @@
 #      copy-on-write vector behind the row store and the text
 #      dictionaries against a `Vec` model (chunked.rs: contents, chunk
 #      slices, no write visible through another clone, every untouched
-#      chunk still shared), and the hash join against the nested loop
+#      chunk still shared), the hash join against the nested loop
 #      (prop_sql.rs: one and two key columns, inner / LEFT / residual,
 #      Integer / Real / Text / NULL keys, columnar on and off, the same
-#      rows as a multiset, emitted in probe order).
+#      rows as a multiset, emitted in probe order), and the one-word
+#      `ThinStr` behind every text cell against `Arc<str>` (thinstr.rs:
+#      empty, multibyte, NUL and up-to-4-KiB strings; `==`, `cmp`, both
+#      hashers, `Debug`, `Display` and `HashSet::get(&str)`; its count
+#      after every clone and drop) beside its 8-thread clone/drop stress —
+#      its `unsafe` has no Miri run, so these are the check.
 #
 # Not a stage: scripts/bench_pairs.sh <parent-binary> <change-binary>
 # <workload> — the alternating parent/change pairs a claimed gain is
@@ -103,5 +108,8 @@ PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib \
 echo "== hash join against the nested loop @ PROPTEST_CASES=2000 (release) =="
 PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --test prop_sql \
     hash_join_matches_the_nested_loop
+
+echo "== ThinStr against Arc<str>, and its 8-thread clone/drop stress @ PROPTEST_CASES=2000 (release) =="
+PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib thinstr::tests
 
 echo "CI gate passed."

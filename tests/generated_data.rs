@@ -9,6 +9,10 @@
 //! Every row of every table with a primary key must also probe back to
 //! its own slot through `pk_row_index`.
 //!
+//! A second case pins how the generated text is shared: a column drawn
+//! from a fixed list holds one allocation per distinct value, and a
+//! curated table's cells are its original's.
+//!
 //! Regenerate the fixture after an intended change with
 //! `BLESS=1 cargo test --test generated_data`.
 
@@ -17,7 +21,7 @@ use std::path::Path;
 
 use swan::data::{DomainData, GenConfig, SwanBenchmark};
 use swan::llm::KnownValue;
-use swan::sqlengine::{Database, Value};
+use swan::sqlengine::{Database, ThinStr, Value};
 
 const FIXTURE: &str = "tests/fixtures/swan_data_digest.tsv";
 const DOMAINS: [&str; 4] = ["california_schools", "superhero", "formula_1", "european_football"];
@@ -173,4 +177,65 @@ fn generated_data_matches_the_fixture() {
         assert_eq!(g, w, "{FIXTURE} line {}: generated data moved (BLESS=1 regenerates it)", n + 1);
     }
     assert_eq!(got.lines().count(), want.lines().count(), "{FIXTURE}: line count moved");
+}
+
+/// The columns the generators draw from a fixed list, per domain.
+const FIXED_LIST_COLUMNS: &[(&str, &str, &[&str])] = &[
+    ("california_schools", "schools", &["city", "county", "charter", "magnet", "district_name", "education_level", "doc_type"]),
+    ("formula_1", "circuits", &["location", "country"]),
+    ("formula_1", "drivers", &["nationality"]),
+    ("formula_1", "constructors", &["nationality"]),
+    ("european_football", "player", &["nationality", "birth_city"]),
+    ("european_football", "player_attributes", &["season", "preferred_foot", "attacking_work_rate"]),
+    ("european_football", "team_attributes", &["season", "build_up_play_speed_class", "defence_pressure_class"]),
+    ("european_football", "match", &["season"]),
+];
+
+fn text_cell(v: &Value) -> &ThinStr {
+    match v {
+        Value::Text(s) => s,
+        other => panic!("expected a text cell, got {other:?}"),
+    }
+}
+
+#[test]
+fn fixed_list_text_is_one_allocation_per_value_and_curation_shares_cells() {
+    let cfg = GenConfig::with_scale(0.05);
+    for name in DOMAINS {
+        let d = SwanBenchmark::generate_domain(&cfg, name).unwrap();
+        for (_, table, columns) in FIXED_LIST_COLUMNS.iter().filter(|(domain, ..)| *domain == name) {
+            let t = d.original.catalog().get(table).unwrap();
+            for column in *columns {
+                let j = t.column_index(column).unwrap();
+                let mut firsts: Vec<&ThinStr> = Vec::new();
+                for row in t.rows().iter() {
+                    let s = text_cell(&row[j]);
+                    match firsts.iter().find(|f| f.as_str() == s.as_str()) {
+                        Some(first) => assert!(
+                            ThinStr::ptr_eq(first, s),
+                            "{name}.{table}.{column}: {s:?} is held by more than one allocation"
+                        ),
+                        None => firsts.push(s),
+                    }
+                }
+                // A value repeats, so the column has sharing to show.
+                assert!(firsts.len() < t.len(), "{name}.{table}.{column}: no value repeats");
+            }
+        }
+        for table in d.curated.catalog().table_names() {
+            let (curated, Some(original)) = (d.curated.catalog().get(&table).unwrap(), d.original.catalog().get(&table))
+            else {
+                continue;
+            };
+            assert_eq!(curated.len(), original.len(), "{name}.{table}");
+            for (k, column) in curated.column_names().iter().enumerate() {
+                let j = original.column_index(column).unwrap();
+                for (a, b) in curated.rows().iter().zip(original.rows().iter()) {
+                    if let (Value::Text(x), Value::Text(y)) = (&a[k], &b[j]) {
+                        assert!(ThinStr::ptr_eq(x, y), "{name}.{table}.{column}: a curated cell is a copy");
+                    }
+                }
+            }
+        }
+    }
 }
