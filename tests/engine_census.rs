@@ -8,7 +8,9 @@
 //! optimized twice per rule: once with the default configuration and
 //! once with only that rule off. A rule column counts the cores whose
 //! plan the rule changed; `nodes` counts the node kinds of the default
-//! plans. The lines are regenerated and diffed against the committed
+//! plans and `plan` pins each core's whole default plan (join order,
+//! conjunct placement, pruning lists) as an FNV-1a-64 digest of its
+//! `Debug` text, one per core. The lines are regenerated and diffed against the committed
 //! `tests/fixtures/engine_census.tsv`, so a rule that starts or stops
 //! engaging on SWAN shows up as a fixture change. A rule whose column is
 //! zero everywhere engages on no SWAN statement.
@@ -149,6 +151,14 @@ fn count_nodes(plan: &Plan, kinds: &mut BTreeMap<&'static str, usize>) {
     }
 }
 
+/// FNV-1a-64 of a plan's `Debug` text, in hex.
+fn plan_digest(plan: &Plan) -> String {
+    let digest = format!("{plan:?}").bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{digest:016x}")
+}
+
 /// One fixture line for `sql` run on `db`.
 fn census_line(pathway: &str, id: &str, sql: &str, db: &Database) -> String {
     let Statement::Select(stmt) =
@@ -174,6 +184,7 @@ fn census_line(pathway: &str, id: &str, sql: &str, db: &Database) -> String {
     };
     let mut engaged = [0usize; RULES.len()];
     let mut kinds = BTreeMap::new();
+    let mut digests = Vec::with_capacity(all.len());
     for (core, order_by) in &all {
         let default = plan(core, order_by, &base);
         for (n, (_, switch_off)) in engaged.iter_mut().zip(&RULES) {
@@ -184,14 +195,16 @@ fn census_line(pathway: &str, id: &str, sql: &str, db: &Database) -> String {
             }
         }
         count_nodes(&default, &mut kinds);
+        digests.push(plan_digest(&default));
     }
     let nodes: Vec<String> = kinds.iter().map(|(k, n)| format!("{k}:{n}")).collect();
     let rules: Vec<String> = engaged.iter().map(usize::to_string).collect();
     format!(
-        "{pathway}\t{id}\t{}\t{}\t{}",
+        "{pathway}\t{id}\t{}\t{}\t{}\t{}",
         all.len(),
         rules.join("\t"),
-        nodes.join(" ")
+        nodes.join(" "),
+        digests.join(" ")
     )
 }
 
@@ -199,7 +212,7 @@ fn census() -> String {
     let benchmark = SwanBenchmark::generate(&GenConfig::with_scale(SCALE));
     let kb = build_knowledge(&benchmark.domains);
     let rules: Vec<&str> = RULES.iter().map(|(name, _)| *name).collect();
-    let mut out = format!("pathway\tquestion\tcores\t{}\tnodes\n", rules.join("\t"));
+    let mut out = format!("pathway\tquestion\tcores\t{}\tnodes\tplan\n", rules.join("\t"));
     for d in &benchmark.domains {
         let model = SimulatedModel::new(ModelKind::Gpt4Turbo, kb.clone());
         let hqdl = materialize(
