@@ -253,11 +253,6 @@ impl Expr {
         Expr::Column { table: None, name: name.into() }
     }
 
-    /// Convenience: a qualified column reference.
-    pub fn qcol(table: impl Into<String>, name: impl Into<String>) -> Expr {
-        Expr::Column { table: Some(table.into()), name: name.into() }
-    }
-
     /// Convenience: a literal.
     pub fn lit(v: impl Into<Value>) -> Expr {
         Expr::Literal(v.into())
@@ -325,20 +320,6 @@ impl Expr {
             Expr::Cast { expr, .. } => expr.walk(f),
         }
     }
-
-    /// Collect the tables referenced by qualified column names in this
-    /// expression (used by join-predicate pushdown).
-    pub fn referenced_qualifiers(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let Expr::Column { table: Some(t), .. } = e {
-                if !out.iter().any(|x: &String| x.eq_ignore_ascii_case(t)) {
-                    out.push(t.clone());
-                }
-            }
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -373,15 +354,5 @@ mod tests {
             star: false,
         };
         assert!(!plain.contains_aggregate());
-    }
-
-    #[test]
-    fn referenced_qualifiers_dedupes_case_insensitively() {
-        let e = Expr::Binary {
-            op: BinaryOp::Eq,
-            left: Box::new(Expr::qcol("T1", "a")),
-            right: Box::new(Expr::qcol("t1", "b")),
-        };
-        assert_eq!(e.referenced_qualifiers(), vec!["T1".to_string()]);
     }
 }

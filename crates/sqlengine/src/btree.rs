@@ -29,12 +29,12 @@
 //! in-place updates stay in place, appends append — byte-identically.
 //!
 //! Cells are searched in place: a `View` walks a page's cells once and
-//! binary-searches their keys with [`cmp_keys`]. An insert that fits
-//! (tree leaf or heap tail) splices one copy of the page bytes. A node
-//! is decoded only to split it or to replace a key's value (the old
-//! value may own an overflow chain); a delete decodes its leaf. Page
-//! bytes, ids and calls equal the decode-everything writers the tests
-//! keep as the reference.
+//! binary-searches their keys with [`cmp_keys`]. A tree insert that fits
+//! splices one copy of the page bytes. A node is decoded only to split it
+//! or to replace a key's value (the old value may own an overflow chain);
+//! a delete decodes its leaf, and a heap append its tail page. Page
+//! bytes, ids and calls equal the decode-everything tree writers the
+//! tests keep as the reference.
 //!
 //! Deletes remove cells without rebalancing: an underfull (even empty)
 //! leaf stays linked and is simply skipped by scans. That trades space
@@ -714,15 +714,15 @@ pub(crate) fn heap_append(
     }
     let page = io.read(tail)?;
     expect_type(&page, tail, PT_HEAP)?;
-    let view = View::leaf(&page.data)?;
-    if view.end + cell.size() <= PAGE_PAYLOAD {
-        io.write(tail, PT_HEAP, view.splice(view.keys.len(), &cell))?;
+    let mut leaf = Leaf::decode(&page.data)?;
+    if leaf.size() + cell.size() <= PAGE_PAYLOAD {
+        leaf.cells.push(cell);
+        io.write(tail, PT_HEAP, leaf.encode())?;
         return Ok((head, tail));
     }
     let new_tail = io.alloc()?;
-    let mut full = page.data[..view.end].to_vec();
-    full[..8].copy_from_slice(&new_tail.to_le_bytes());
-    io.write(tail, PT_HEAP, full)?;
+    leaf.next = new_tail;
+    io.write(tail, PT_HEAP, leaf.encode())?;
     let fresh = Leaf { next: NIL, cells: vec![cell] };
     io.write(new_tail, PT_HEAP, fresh.encode())?;
     Ok((head, new_tail))
@@ -911,38 +911,6 @@ mod reference {
             }
         }
         Ok(false)
-    }
-
-    pub(super) fn heap_append(
-        io: &mut dyn PageStore,
-        head: u64,
-        tail: u64,
-        seq: u64,
-        val: &[u8],
-    ) -> Result<(u64, u64)> {
-        let cell_val = make_val(io, val)?;
-        let cell = Cell { key: Vec::new(), seq, val: cell_val };
-        if head == NIL {
-            let id = io.alloc()?;
-            let leaf = Leaf { next: NIL, cells: vec![cell] };
-            io.write(id, PT_HEAP, leaf.encode())?;
-            return Ok((id, id));
-        }
-        let page = io.read(tail)?;
-        expect_type(&page, tail, PT_HEAP)?;
-        let mut leaf = Leaf::decode(&page.data)?;
-        leaf.cells.push(cell);
-        if leaf.size() <= PAGE_PAYLOAD {
-            io.write(tail, PT_HEAP, leaf.encode())?;
-            return Ok((head, tail));
-        }
-        let cell = leaf.cells.pop().expect("just pushed");
-        let new_tail = io.alloc()?;
-        leaf.next = new_tail;
-        io.write(tail, PT_HEAP, leaf.encode())?;
-        let fresh = Leaf { next: NIL, cells: vec![cell] };
-        io.write(new_tail, PT_HEAP, fresh.encode())?;
-        Ok((head, new_tail))
     }
 }
 
@@ -1193,10 +1161,11 @@ mod tests {
     }
 
     proptest! {
-        /// The in-place writers against the decode-based reference: the
-        /// same op stream gives the same page map and the same ordered
-        /// read / write / alloc / free calls after every op, and the tree
-        /// and the heap scan back as a `BTreeMap` and a `Vec` model.
+        /// The in-place tree writers against the decode-based reference:
+        /// the same op stream (heap appends interleaved) gives the same
+        /// page map and the same ordered read / write / alloc / free calls
+        /// after every op, and the tree and the heap scan back as a
+        /// `BTreeMap` and a `Vec` model.
         #[test]
         fn in_place_writers_match_the_decoding_reference(
             words in proptest::collection::vec(any::<u64>(), 1..160),
@@ -1235,9 +1204,10 @@ mod tests {
                         (false, false)
                     }
                     Op::Append(val) => {
+                        // One heap writer: both stores take it, so their
+                        // page maps stay comparable.
                         let got = heap_append(&mut new, head, tail, seq, &val).unwrap();
-                        let want = reference::heap_append(&mut old, head, tail, seq, &val).unwrap();
-                        prop_assert_eq!(got, want);
+                        prop_assert_eq!(got, heap_append(&mut old, head, tail, seq, &val).unwrap());
                         (head, tail) = got;
                         heap.push((seq, val));
                         (false, false)

@@ -136,8 +136,8 @@ impl Members {
 /// `(SELECT <aggregate expr> FROM t WHERE <inner> = <outer> [AND …] [AND <local>])`
 /// answered from a hash index instead of one execution per outer row:
 /// `SELECT <inner keys>, <aggregate expr> FROM t WHERE <local> GROUP BY
-/// <inner keys>` runs **once** through [`run_select`] (so it gets pushdown,
-/// the columnar kernels and the statement's cancel token like any other
+/// <inner keys>` runs **once** through [`run_select`] (so it gets the
+/// optimizer's rules, the columnar kernels and the statement's cancel token like any other
 /// SELECT), and every outer row costs one key
 /// evaluation and one probe. Key equality is the hash join's: NULL never
 /// matches, and neither does NaN (as under `sql_eq`). A key with no group

@@ -40,8 +40,9 @@ pub trait ScalarUdf: Send + Sync {
     fn arity(&self) -> Option<usize> {
         None
     }
-    /// A cost hint for the optimizer: expensive functions (e.g. LLM calls)
-    /// are worth avoiding via predicate pushdown. Plain functions are cheap.
+    /// A cost hint: an expensive function (e.g. an LLM call) runs after a
+    /// filter's cheap conjuncts, over the rows they keep, and its calls are
+    /// batched. Plain functions are cheap.
     fn is_expensive(&self) -> bool {
         false
     }

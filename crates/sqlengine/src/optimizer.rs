@@ -1,22 +1,22 @@
 //! Rule-based plan optimizer.
 //!
-//! Four rules, the first three of which matter most for hybrid queries:
+//! Three rules, the first two of which matter most for hybrid queries:
 //!
-//! 1. **Predicate pushdown** — WHERE conjuncts move below joins to the side
-//!    that can evaluate them, shrinking join inputs.
-//! 2. **Statistics-driven join reordering** — chains of INNER/CROSS joins
+//! 1. **Statistics-driven join reordering** — chains of INNER/CROSS joins
 //!    are flattened and greedily re-ordered by catalog row counts, smallest
 //!    (and connected) relations first, so intermediate results stay small;
 //!    a [`Plan::Permute`] on top restores the query's written column order.
-//!    Comma-joins benefit doubly: their WHERE equi-conjuncts are folded
-//!    into join conditions, upgrading nested-loop cross products to hash
-//!    joins.
-//! 3. **Expensive-predicate ordering** — within a filter, conjuncts that
+//!    The same pass places every WHERE conjunct: one leaf's conjuncts
+//!    filter that leaf (a LEFT join's preserved side included) and shrink
+//!    its row estimate, and conjuncts over several leaves become join
+//!    conditions. Comma-joins benefit doubly: their WHERE equi-conjuncts
+//!    upgrade nested-loop cross products to hash joins.
+//! 2. **Expensive-predicate ordering** — within a filter, conjuncts that
 //!    call expensive UDFs (LLM functions) are evaluated *last*, so cheap
 //!    database predicates prune rows before any LLM call happens. This is
 //!    the §4.2 optimization ("pushing down predicates to avoid generating
 //!    unnecessary data entries").
-//! 4. **Primary-key point probes** — a filter that pins every column of a
+//! 3. **Primary-key point probes** — a filter that pins every column of a
 //!    table's primary key to a literal reads its one candidate row through
 //!    a [`Plan::IndexScan`] probe instead of a full scan.
 //!
@@ -34,9 +34,10 @@ use crate::value::Value;
 /// Optimizer configuration; rules can be toggled for ablation benchmarks.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizerConfig {
-    pub pushdown: bool,
     pub order_expensive_last: bool,
-    /// Reorder INNER/CROSS join chains by catalog row-count statistics.
+    /// Reorder INNER/CROSS join chains by catalog row-count statistics and
+    /// place each WHERE conjunct at the lowest join or leaf that covers
+    /// it. `false` moves no conjunct and no join.
     pub reorder_joins: bool,
     /// Prune join output columns to what the SELECT level actually reads
     /// (a `COUNT(*)` join then emits zero-width shared rows).
@@ -90,7 +91,6 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
-            pushdown: true,
             order_expensive_last: true,
             reorder_joins: true,
             prune_columns: true,
@@ -118,7 +118,6 @@ pub fn optimize(
     provider: &dyn SchemaProvider,
     needed: Option<&[NeededCol]>,
 ) -> Result<Plan> {
-    let plan = if config.pushdown { pushdown(plan, provider)? } else { plan };
     let plan = if config.reorder_joins { reorder_joins(plan, provider)? } else { plan };
     let plan = if config.order_expensive_last { order_filters(plan, udfs) } else { plan };
     let plan = if config.index_scan { index_scans(plan, provider) } else { plan };
@@ -128,99 +127,7 @@ pub fn optimize(
     }
 }
 
-// ---- rule 1: predicate pushdown ---------------------------------------
-
-fn pushdown(plan: Plan, provider: &dyn SchemaProvider) -> Result<Plan> {
-    match plan {
-        Plan::Filter { input, predicate } => {
-            let input = pushdown(*input, provider)?;
-            push_predicate_into(input, split_conjuncts(&predicate), provider)
-        }
-        Plan::Join { left, right, kind, on, emit } => Ok(Plan::Join {
-            left: Box::new(pushdown(*left, provider)?),
-            right: Box::new(pushdown(*right, provider)?),
-            kind,
-            on,
-            emit,
-        }),
-        other => Ok(other),
-    }
-}
-
-/// Push each conjunct as deep as it can go; conjuncts that cannot move stay
-/// in a filter above `plan`.
-fn push_predicate_into(
-    plan: Plan,
-    conjuncts: Vec<Expr>,
-    provider: &dyn SchemaProvider,
-) -> Result<Plan> {
-    match plan {
-        Plan::Join { left, right, kind, on, emit } => {
-            let left_schema = left.schema(provider)?;
-            let right_schema = right.schema(provider)?;
-            let combined = left_schema.join(&right_schema);
-            let mut to_left = Vec::new();
-            let mut to_right = Vec::new();
-            let mut stay = Vec::new();
-            for c in conjuncts {
-                if expr_has_subquery(&c) {
-                    // Subqueries may be correlated with the full row; keep up top.
-                    stay.push(c);
-                } else if !unambiguous_in(&c, &combined) {
-                    // An unqualified name ambiguous in the *combined* schema
-                    // must not silently bind to whichever side resolves it:
-                    // leave it up top so runtime evaluation raises the same
-                    // ambiguity error the unoptimized plan does.
-                    stay.push(c);
-                } else if left_schema.covers(&c) {
-                    to_left.push(c);
-                } else if right_schema.covers(&c) {
-                    // Pushing below the null-supplying side of a LEFT join
-                    // changes semantics (it would filter before padding);
-                    // keep such predicates above the join.
-                    if kind == PlanJoinKind::Left {
-                        stay.push(c);
-                    } else {
-                        to_right.push(c);
-                    }
-                } else {
-                    stay.push(c);
-                }
-            }
-            let new_left = if to_left.is_empty() {
-                *left
-            } else {
-                push_predicate_into(*left, to_left, provider)?
-            };
-            let new_right = if to_right.is_empty() {
-                *right
-            } else {
-                push_predicate_into(*right, to_right, provider)?
-            };
-            let joined = Plan::Join {
-                left: Box::new(new_left),
-                right: Box::new(new_right),
-                kind,
-                on,
-                emit,
-            };
-            Ok(wrap_filter(joined, stay))
-        }
-        Plan::Filter { input, predicate } => {
-            // Merge with an existing filter and keep pushing.
-            let mut all = split_conjuncts(&predicate);
-            all.extend(conjuncts);
-            push_predicate_into(*input, all, provider)
-        }
-        // `IndexScan` never exists while pushdown runs (that rule comes
-        // later), but the match stays total for safety.
-        leaf @ (Plan::Scan { .. }
-        | Plan::IndexScan { .. }
-        | Plan::Derived { .. }
-        | Plan::Permute { .. }
-        | Plan::Empty) => Ok(wrap_filter(leaf, conjuncts)),
-    }
-}
+// ---- rule 1: statistics-driven join reordering --------------------------
 
 fn wrap_filter(plan: Plan, conjuncts: Vec<Expr>) -> Plan {
     match conjoin(conjuncts) {
@@ -243,9 +150,9 @@ pub(crate) fn expr_has_subquery(e: &Expr) -> bool {
 }
 
 /// True iff no column reference in `expr` is *ambiguous* against `schema`
-/// (unknown names are fine — they may resolve in an outer scope). Rules
-/// that move predicates below a join must not let an ambiguous unqualified
-/// name silently bind to one side.
+/// (unknown names are fine — they may resolve in an outer scope). A
+/// predicate moved below a join must not let an ambiguous unqualified name
+/// silently bind to one side.
 fn unambiguous_in(expr: &Expr, schema: &RelSchema) -> bool {
     let mut ok = true;
     expr.walk(&mut |e| {
@@ -257,8 +164,6 @@ fn unambiguous_in(expr: &Expr, schema: &RelSchema) -> bool {
     });
     ok
 }
-
-// ---- rule 2: statistics-driven join reordering --------------------------
 
 /// Row-count estimate for leaves whose cardinality the catalog cannot
 /// answer (derived tables, opaque subtrees). Large enough to sort after
@@ -272,26 +177,26 @@ const FILTER_SELECTIVITY: f64 = 0.3;
 fn reorder_joins(plan: Plan, provider: &dyn SchemaProvider) -> Result<Plan> {
     match plan {
         Plan::Filter { input, predicate } => {
-            if matches!(*input, Plan::Join { .. }) {
-                // Fold the filter's conjuncts into the chain so residual
-                // equi-predicates (e.g. comma-join WHERE clauses) become
-                // join conditions.
-                reorder_chain(*input, split_conjuncts(&predicate), provider)
-            } else {
-                Ok(Plan::Filter {
-                    input: Box::new(reorder_joins(*input, provider)?),
-                    predicate,
-                })
-            }
+            reorder_filtered(*input, split_conjuncts(&predicate), provider)
         }
         join @ Plan::Join { .. } => reorder_chain(join, Vec::new(), provider),
         other => Ok(other),
     }
 }
 
+/// [`reorder_joins`] of `plan` under a filter of `pool`'s conjuncts: a join
+/// chain takes them into its pool, anything else keeps them on top.
+fn reorder_filtered(plan: Plan, pool: Vec<Expr>, provider: &dyn SchemaProvider) -> Result<Plan> {
+    match plan {
+        join @ Plan::Join { .. } => reorder_chain(join, pool, provider),
+        other => Ok(wrap_filter(reorder_joins(other, provider)?, pool)),
+    }
+}
+
 /// Flatten a chain of INNER/CROSS joins (plus any pooled filter conjuncts),
 /// greedily rebuild it smallest-and-connected-first, and restore the
-/// original output column order with a [`Plan::Permute`].
+/// original output column order with a [`Plan::Permute`]. Each conjunct
+/// lands on the one leaf it covers or at the lowest join that covers it.
 fn reorder_chain(
     join: Plan,
     filter_pool: Vec<Expr>,
@@ -304,17 +209,6 @@ fn reorder_chain(
     let mut on_pool = Vec::new();
     flatten_chain(join, &mut leaves, &mut on_pool);
 
-    // Recursively reorder inside each leaf (e.g. an inner chain under a
-    // LEFT join subtree).
-    let mut reordered_leaves = Vec::with_capacity(leaves.len());
-    for leaf in leaves {
-        reordered_leaves.push(match leaf {
-            j @ Plan::Join { .. } => reorder_inside_join(j, provider)?,
-            other => reorder_joins(other, provider)?,
-        });
-    }
-    let leaves = reordered_leaves;
-
     let schemas: Vec<RelSchema> = leaves
         .iter()
         .map(|l| l.schema(provider))
@@ -323,32 +217,47 @@ fn reorder_chain(
         .iter()
         .fold(RelSchema::default(), |acc, s| acc.join(s));
 
+    // Filter conjuncts were always evaluated against the full row: an
+    // ambiguous one must keep raising its runtime ambiguity error from a
+    // filter on top rather than silently binding to one leaf. Subquery
+    // conjuncts never move into join conditions either.
+    let (mut stay, movable): (Vec<Expr>, Vec<Expr>) = filter_pool
+        .into_iter()
+        .partition(|c| expr_has_subquery(c) || !unambiguous_in(c, &full_schema));
+
     // An ON conjunct can be unambiguous at its own join level yet
     // ambiguous against the whole chain (another leaf reusing the name);
     // re-attaching it anywhere else would change which column it binds to.
     // Such chains are left in their written shape.
     if on_pool.iter().any(|c| !unambiguous_in(c, &full_schema)) {
-        let j = reorder_inside_join(original, provider)?;
-        return Ok(wrap_filter(j, filter_pool));
+        let j = reorder_inside_join(original, movable, provider)?;
+        return Ok(wrap_filter(j, stay));
     }
 
-    // Filter conjuncts were always evaluated against the full row: an
-    // ambiguous one must keep raising its runtime ambiguity error from a
-    // filter on top rather than silently binding to one leaf. Subquery
-    // conjuncts never move into join conditions either.
-    let mut stay: Vec<Expr> = Vec::new();
-    let mut preds: Vec<Expr> = on_pool;
-    for c in filter_pool {
-        if expr_has_subquery(&c) || !unambiguous_in(&c, &full_schema) {
-            stay.push(c);
-        } else {
-            preds.push(c);
+    let (subq_preds, mut preds): (Vec<Expr>, Vec<Expr>) =
+        on_pool.into_iter().partition(expr_has_subquery);
+    stay.extend(subq_preds);
+    // A filter conjunct one leaf covers filters that leaf (the first, if
+    // several do), so the leaf's estimate below counts it; the rest join
+    // leaves.
+    let mut leaf_pools = vec![Vec::new(); leaves.len()];
+    for c in movable {
+        match schemas.iter().position(|s| s.covers(&c)) {
+            Some(leaf) => leaf_pools[leaf].push(c),
+            None => preds.push(c),
         }
     }
-    let (subq_preds, mut preds): (Vec<Expr>, Vec<Expr>) =
-        preds.into_iter().partition(expr_has_subquery);
-    stay.extend(subq_preds);
 
+    // Recursively reorder inside each leaf (e.g. an inner chain under a
+    // LEFT join subtree) and filter it by its own conjuncts.
+    let leaves: Vec<Plan> = leaves
+        .into_iter()
+        .zip(leaf_pools)
+        .map(|(leaf, pool)| match leaf {
+            j @ Plan::Join { .. } => reorder_inside_join(j, pool, provider),
+            other => reorder_filtered(other, pool, provider),
+        })
+        .collect::<Result<_>>()?;
     let estimates: Vec<f64> = leaves.iter().map(|l| estimate_rows(l, provider)).collect();
 
     // Only chains of three or more relations gain from reordering: for a
@@ -418,19 +327,38 @@ fn reorder_chain(
     Ok(wrap_filter(tree, preds))
 }
 
-/// Recurse into a join subtree that is itself a chain boundary (LEFT join):
-/// reorder each side independently, leave the join itself alone.
-fn reorder_inside_join(plan: Plan, provider: &dyn SchemaProvider) -> Result<Plan> {
-    match plan {
-        Plan::Join { left, right, kind, on, emit } => Ok(Plan::Join {
-            left: Box::new(reorder_joins(*left, provider)?),
-            right: Box::new(reorder_joins(*right, provider)?),
-            kind,
-            on,
-            emit,
-        }),
-        other => reorder_joins(other, provider),
+/// Recurse into a join subtree that is itself a chain boundary (a LEFT
+/// join, or a chain kept in its written shape): reorder each side on its
+/// own and leave the join alone. A `pool` conjunct sinks into the side that
+/// covers it, except a LEFT join's null-supplying side (filtering before
+/// the padding would change results); the rest stay in a filter above.
+fn reorder_inside_join(
+    plan: Plan,
+    pool: Vec<Expr>,
+    provider: &dyn SchemaProvider,
+) -> Result<Plan> {
+    let Plan::Join { left, right, kind, on, emit } = plan else {
+        return reorder_filtered(plan, pool, provider);
+    };
+    let (left_schema, right_schema) = (left.schema(provider)?, right.schema(provider)?);
+    let (mut to_left, mut to_right, mut stay) = (Vec::new(), Vec::new(), Vec::new());
+    for c in pool {
+        if left_schema.covers(&c) {
+            to_left.push(c);
+        } else if kind != PlanJoinKind::Left && right_schema.covers(&c) {
+            to_right.push(c);
+        } else {
+            stay.push(c);
+        }
     }
+    let joined = Plan::Join {
+        left: Box::new(reorder_filtered(*left, to_left, provider)?),
+        right: Box::new(reorder_filtered(*right, to_right, provider)?),
+        kind,
+        on,
+        emit,
+    };
+    Ok(wrap_filter(joined, stay))
 }
 
 /// Collect the maximal INNER/CROSS chain rooted at `plan` into `leaves`,
@@ -676,7 +604,7 @@ fn prune_columns(
     }
 }
 
-// ---- rule 3: expensive predicates last ---------------------------------
+// ---- rule 2: expensive predicates last ---------------------------------
 
 fn order_filters(plan: Plan, udfs: &UdfRegistry) -> Plan {
     match plan {
@@ -716,13 +644,13 @@ pub fn expr_cost(e: &Expr, udfs: &UdfRegistry) -> u8 {
     cost
 }
 
-// ---- rule 4: primary-key point probes -----------------------------------
+// ---- rule 3: primary-key point probes -----------------------------------
 
 /// Rewrite `Filter(pred, Scan(t))` to `Filter(pred, IndexScan(t, key))`
 /// when `pred`'s conjuncts pin every column of `t`'s primary key to a
-/// non-NULL literal. Runs after pushdown and filter ordering (so filters
-/// sit directly on their scans). The predicate is kept whole: the probe
-/// only narrows the row set the filter inspects, so the rewrite is
+/// non-NULL literal. Runs after join reordering and filter ordering (so
+/// filters sit directly on their scans). The predicate is kept whole: the
+/// probe only narrows the row set the filter inspects, so the rewrite is
 /// unconditionally sound — group-key equality being coarser than SQL `=`
 /// is re-checked row by row.
 fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
@@ -846,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_splits_filter_across_join() {
+    fn where_conjuncts_split_across_join() {
         let opt = opt("SELECT * FROM a JOIN b ON a.x = b.y WHERE a.ax = 1 AND b.bz = 2");
         // Both conjuncts moved below the join: top node is the join itself.
         let Plan::Join { left, right, .. } = opt else { panic!("expected join on top, got filter") };
@@ -877,15 +805,26 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_disabled_keeps_filter_on_top() {
+    fn reorder_disabled_keeps_filter_on_top() {
         let p = plan_of("SELECT * FROM a JOIN b ON a.x = b.y WHERE a.ax = 1");
-        let cfg = OptimizerConfig {
-            pushdown: false,
-            reorder_joins: false,
-            ..Default::default()
-        };
+        let cfg = OptimizerConfig { reorder_joins: false, ..Default::default() };
         let opt = optimize(p, &UdfRegistry::new(), &cfg, &Fixture, None).unwrap();
         assert!(matches!(opt, Plan::Filter { .. }));
+    }
+
+    /// A conjunct over a LEFT join's preserved side filters that side
+    /// below the join; one over the null-supplying side stays above it.
+    #[test]
+    fn left_join_left_side_predicate_sinks_below_the_join() {
+        let opt = opt("SELECT * FROM a LEFT JOIN b ON a.x = b.y WHERE a.ax = 1 AND b.bz = 2");
+        let Plan::Filter { input, predicate } = opt else { panic!("got {opt:?}") };
+        assert_eq!(predicate, parse_expression("b.bz = 2").unwrap());
+        let Plan::Join { left, right, kind, .. } = *input else { panic!("got {input:?}") };
+        assert_eq!(kind, PlanJoinKind::Left);
+        let Plan::Filter { input: scan, predicate } = *left else { panic!("got {left:?}") };
+        assert_eq!(predicate, parse_expression("a.ax = 1").unwrap());
+        assert!(matches!(*scan, Plan::Scan { ref table, .. } if table == "a"));
+        assert!(matches!(*right, Plan::Scan { ref table, .. } if table == "b"));
     }
 
     struct Llm;
@@ -921,7 +860,7 @@ mod tests {
 
     /// Batching is an execution mode, not a plan shape: the optimizer
     /// returns the same plan whether or not expensive calls are batched —
-    /// one filter, cheap conjuncts first (rule 3) — and the executor's
+    /// one filter, cheap conjuncts first (rule 2) — and the executor's
     /// filter does the splitting.
     #[test]
     fn plan_does_not_depend_on_batching() {
@@ -977,6 +916,24 @@ mod tests {
         let Plan::Join { left: ll, right: lr, .. } = *left else { panic!() };
         assert!(matches!(*ll, Plan::Scan { ref table, .. } if table == "tiny"));
         assert!(matches!(*lr, Plan::Scan { ref table, .. } if table == "dim"));
+    }
+
+    /// `d` and `d2` are the same size; the WHERE conjunct on `d2` alone
+    /// shrinks its estimate, so the chain starts from `d2`, not from the
+    /// first-written `d`.
+    #[test]
+    fn filtered_leaf_starts_the_chain() {
+        let opt = opt(
+            "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN dim d2 ON d.id = d2.id \
+             WHERE d2.label = 'x'",
+        );
+        let Plan::Permute { input, mapping } = opt else { panic!("got {opt:?}") };
+        // Execution order d2, d, f → offsets d2=0, d=2, f=4.
+        assert_eq!(mapping, vec![4, 5, 2, 3, 0, 1]);
+        let Plan::Join { left, .. } = *input else { panic!() };
+        let Plan::Join { left: first, .. } = *left else { panic!() };
+        let Plan::Filter { input: scan, .. } = *first else { panic!("got {first:?}") };
+        assert!(matches!(*scan, Plan::Scan { ref qualifier, .. } if qualifier == "d2"));
     }
 
     #[test]
@@ -1056,11 +1013,11 @@ mod tests {
         assert!(estimate_rows(&filtered, &Fixture) < estimate_rows(&scan, &Fixture));
     }
 
-    // ---- rule 4: primary-key point probes -----------------------------
+    // ---- rule 3: primary-key point probes -----------------------------
 
     /// Fixture where `k` has a single-column PK (id) and `kk` a composite
     /// PK (a, b). `a`/`b` etc. stay PK-less so the other tests' plans are
-    /// untouched by rule 4.
+    /// untouched by rule 3.
     struct PkFixture;
 
     impl SchemaProvider for PkFixture {

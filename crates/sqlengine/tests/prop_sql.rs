@@ -16,7 +16,6 @@ use swan_sqlengine::{Database, OptimizerConfig, QueryResult, ScalarUdf};
 /// Every optimizer rule switched off: the reference executor.
 fn all_rules_off() -> OptimizerConfig {
     OptimizerConfig {
-        pushdown: false,
         order_expensive_last: false,
         reorder_joins: false,
         prune_columns: false,
@@ -338,8 +337,8 @@ proptest! {
     }
 
     /// Full-pipeline optimizer equivalence over the four SWAN domains:
-    /// every rule on (pushdown, join reordering, column pruning) vs every
-    /// rule off must produce identical `QueryResult`s on
+    /// every rule on (join reordering with its conjunct placement, column
+    /// pruning) vs every rule off must produce identical `QueryResult`s on
     /// randomized join/filter/aggregate queries — including three-way
     /// chains written in a deliberately bad order and comma-joins whose
     /// WHERE conjuncts the optimizer folds into join conditions.

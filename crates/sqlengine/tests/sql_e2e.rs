@@ -379,24 +379,16 @@ fn optimizer_toggles_do_not_change_results() {
                WHERE p.publisher_name LIKE '%Comics' AND s.height_cm > 180 \
                ORDER BY s.hero_name";
     let reference = texts(&hero_db(), sql);
-    for pushdown in [false, true] {
-        for prune in [false, true] {
-            for reorder in [false, true] {
-                let mut db = hero_db();
-                db.set_optimizer(OptimizerConfig {
-                    pushdown,
-                    order_expensive_last: false,
-                    reorder_joins: reorder,
-                    prune_columns: prune,
-                    batch_expensive_udfs: pushdown,
-                    ..Default::default()
-                });
-                assert_eq!(
-                    texts(&db, sql),
-                    reference,
-                    "pushdown={pushdown} prune={prune} reorder={reorder}"
-                );
-            }
+    for prune in [false, true] {
+        for reorder in [false, true] {
+            let mut db = hero_db();
+            db.set_optimizer(OptimizerConfig {
+                order_expensive_last: false,
+                reorder_joins: reorder,
+                prune_columns: prune,
+                ..Default::default()
+            });
+            assert_eq!(texts(&db, sql), reference, "prune={prune} reorder={reorder}");
         }
     }
 }
@@ -465,7 +457,6 @@ fn ambiguous_unqualified_column_errors_under_every_config() {
         let mut db = db.clone();
         if !optimized {
             db.set_optimizer(OptimizerConfig {
-                pushdown: false,
                 order_expensive_last: false,
                 reorder_joins: false,
                 prune_columns: false,
@@ -505,7 +496,6 @@ fn count_star_over_reordered_chain() {
     let on = db.query(sql).unwrap();
     let mut off_db = db.clone();
     off_db.set_optimizer(OptimizerConfig {
-        pushdown: false,
         order_expensive_last: false,
         reorder_joins: false,
         prune_columns: false,

@@ -50,7 +50,7 @@ fn main() {
     }
 
     println!();
-    println!("`swan_sqlengine::optimizer` rules 3 and 5 do this: expensive conjuncts");
+    println!("`swan_sqlengine::optimizer` rule 2 does this: expensive conjuncts");
     println!("are ordered last inside a filter, and their calls are batched over the");
     println!("rows that survive the cheap ones.");
 }

@@ -15,7 +15,7 @@
 #      count resolution named anywhere in the engine (an operator loop
 #      leaving the statement thread, or a gate for one growing back).
 #      Any finding fails the gate before a single test runs. Then the
-#      ROADMAP item-11 running figure:
+#      ROADMAP item-14 running figure:
 #      the non-test line count of crates/sqlengine/src (the lines above
 #      each file's `#[cfg(test)]`), with the same totals for
 #      crates/llm/src, crates/core/src and crates/data/src beside it
@@ -41,9 +41,9 @@
 #      `udf_store`, taken from every session's statement thread;
 #   3. four properties at PROPTEST_CASES=2000 in a release build —
 #      tier-1 runs them at the vendored proptest's default of 64 cases:
-#      the B-tree differential property (the in-place page writers against
+#      the B-tree differential property (the in-place tree writers against
 #      the decoding reference kept in btree.rs's tests: same page images,
-#      same page calls, scans equal to a model), the chunked
+#      same page calls, tree and heap scans equal to a model), the chunked
 #      copy-on-write vector behind the row store and the text
 #      dictionaries against a `Vec` model (chunked.rs: contents, chunk
 #      slices, no write visible through another clone, every untouched
@@ -72,7 +72,7 @@ non_test_lines() { # <dir>: each file's lines above its first #[cfg(test)], and 
         printf '%6d %s\n' "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")" "$f"
     done | awk -v dir="$1" '{ print; total += $1 } END { printf "%6d total %s\n", total, dir }'
 }
-echo "== crates/sqlengine/src: non-test lines (ROADMAP item 11) =="
+echo "== crates/sqlengine/src: non-test lines (ROADMAP item 14) =="
 non_test_lines crates/sqlengine/src
 echo "== beside it: crates/llm/src, crates/core/src and crates/data/src (printed, not gated) =="
 non_test_lines crates/llm/src | tail -n 1

@@ -37,8 +37,7 @@ const FIXTURE: &str = "tests/fixtures/engine_census.tsv";
 type SwitchOff = fn(&mut OptimizerConfig);
 
 /// Each rule's switch, by the name the fixture's columns use.
-const RULES: [(&str, SwitchOff); 5] = [
-    ("pushdown", |c| c.pushdown = false),
+const RULES: [(&str, SwitchOff); 4] = [
     ("reorder_joins", |c| c.reorder_joins = false),
     ("order_expensive_last", |c| c.order_expensive_last = false),
     ("index_scan", |c| c.index_scan = false),
@@ -153,9 +152,11 @@ fn count_nodes(plan: &Plan, kinds: &mut BTreeMap<&'static str, usize>) {
 
 /// FNV-1a-64 of a plan's `Debug` text, in hex.
 fn plan_digest(plan: &Plan) -> String {
-    let digest = format!("{plan:?}").bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let digest = format!("{plan:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
     format!("{digest:016x}")
 }
 
@@ -212,7 +213,10 @@ fn census() -> String {
     let benchmark = SwanBenchmark::generate(&GenConfig::with_scale(SCALE));
     let kb = build_knowledge(&benchmark.domains);
     let rules: Vec<&str> = RULES.iter().map(|(name, _)| *name).collect();
-    let mut out = format!("pathway\tquestion\tcores\t{}\tnodes\tplan\n", rules.join("\t"));
+    let mut out = format!(
+        "pathway\tquestion\tcores\t{}\tnodes\tplan\n",
+        rules.join("\t")
+    );
     for d in &benchmark.domains {
         let model = SimulatedModel::new(ModelKind::Gpt4Turbo, kb.clone());
         let hqdl = materialize(
