@@ -29,10 +29,10 @@
 //!   falls back to the row path, which stays the semantic oracle.
 //! * [`eval_aggregate`] runs `COUNT`/`SUM`/`TOTAL`/`AVG`/`MIN`/`MAX` as
 //!   tight typed loops over the member indices of one group, and
-//!   [`count_distinct`] `COUNT(DISTINCT)` over its grouping codes.
-//! * [`ColumnVec::key_codes`] reads GROUP BY keys as `u64` codes and
-//!   `ColumnVec::key_word_at` hash-join key words, straight from a column
-//!   without touching rows.
+//!   [`count_distinct`] `COUNT(DISTINCT)` through a `KeyIndex`.
+//! * `ColumnVec::key_ref_at` and [`ColumnVec::key_word_at`] read a
+//!   `KeyIndex`'s key cells and words straight from a column, without
+//!   touching rows.
 //!
 //! Every kernel reproduces the row path bit-for-bit — the comparison,
 //! truthiness, tie-break and overflow semantics are copied from
@@ -53,7 +53,7 @@ use std::sync::{Arc, OnceLock};
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::chunked::ChunkedVec;
 use crate::error::{Error, Result};
-use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
+use crate::keyindex::{KeyIndex, KeyMode, Keys};
 use crate::value::{real_key_bits, text_word, KeyRef, Row, ThinStr, Value};
 
 // ---- bitmaps ---------------------------------------------------------------
@@ -160,11 +160,11 @@ pub enum ColumnData {
     /// In-place writes may leave entries no row references, and (after a
     /// `text_hash` collision) a second id for a string a row still
     /// references — so a column with an `index` can hold one string under
-    /// two ids, and kernels that compare cells by id canonicalize first
-    /// (`key_codes`, `count_distinct`). Dead entries are harmless to every
-    /// kernel (each works per referenced id) and bounded by
-    /// `DICT_DEAD_FACTOR`. `words` caches each entry's key word
-    /// (see [`DictWords`]).
+    /// two ids, and no kernel takes two ids for two strings (a
+    /// `KeyIndex` confirms text keys by their bytes). Dead entries are
+    /// harmless to every kernel (each works per referenced id) and bounded
+    /// by `DICT_DEAD_FACTOR`. `words` caches each entry's key word (see
+    /// [`DictWords`]).
     Text {
         dict: ChunkedVec<ThinStr>,
         ids: Vec<u32>,
@@ -487,8 +487,8 @@ impl ColumnVec {
         }
     }
 
-    /// Hash-join key of row `i`: `None` for NULL (NULL never joins),
-    /// otherwise what `Value::key_ref` gives for the cell.
+    /// Key cell of row `i`: `None` for NULL, otherwise what
+    /// `Value::key_ref` gives for the cell.
     #[inline]
     pub(crate) fn key_ref_at(&self, i: usize) -> Option<KeyRef<'_>> {
         if !self.validity.get(i) {
@@ -503,81 +503,16 @@ impl ColumnVec {
         })
     }
 
-    /// The key word of row `i` — `key_ref_at(i)`'s [`KeyRef::word`] — read
-    /// without hashing the string of a text cell: its dictionary entry's
-    /// word is hashed once, by the first call, into [`DictWords`].
+    /// The key word of row `i` under `mode` — `mode.word(key_ref_at(i))`
+    /// — read without hashing the string of a text cell: its dictionary
+    /// entry's word is hashed once, by the first call, into [`DictWords`].
     #[inline]
-    pub fn key_word_at(&self, i: usize) -> Option<u64> {
+    pub fn key_word_at(&self, i: usize, mode: KeyMode) -> Option<u64> {
         match &self.data {
             ColumnData::Text { dict, ids, words, .. } if self.validity.get(i) => {
                 Some(words.of(dict)[ids[i] as usize])
             }
-            _ => self.key_ref_at(i).map(KeyRef::word),
-        }
-    }
-
-    /// This column's grouping codes; `None` for a `Mixed` column, which
-    /// groups on the row path. A text column whose dictionary has taken
-    /// in-place writes pays one pass over the dictionary here.
-    pub(crate) fn key_codes(&self) -> Option<KeyCodes<'_>> {
-        let codes = match &self.data {
-            ColumnData::I64(v) => Codes::I64(v),
-            ColumnData::F64(v) => Codes::F64(v),
-            ColumnData::Bool(b) => Codes::Bool(b),
-            ColumnData::Text { ids, index: None, .. } => Codes::Text(ids, None),
-            ColumnData::Text { dict, ids, index: Some(_), .. } => {
-                let mut first: FxHashMap<&str, u32> = map_with_capacity(dict.len());
-                let canon = (0..dict.len() as u32)
-                    .map(|id| *first.entry(&*dict[id as usize]).or_insert(id))
-                    .collect();
-                Codes::Text(ids, Some(canon))
-            }
-            ColumnData::Mixed(_) => return None,
-        };
-        Some(KeyCodes { validity: &self.validity, codes })
-    }
-}
-
-/// One column's cells as `u64` grouping codes: two cells of the column
-/// share a code exactly when their `Value::group_key`s are equal (GROUP BY
-/// and DISTINCT equality). Integer, real and bool cells code as the key's
-/// `GroupKey::Num` bits (`-0.0` is `0.0`, every NaN one pattern), a text
-/// cell as its dictionary id, NULL as `KeyCodes::NULL`. Reading a code
-/// is a load — no `Arc` clone, no allocation — so a GROUP BY over columns
-/// groups on tuples of codes.
-pub(crate) struct KeyCodes<'a> {
-    validity: &'a Bitmap,
-    codes: Codes<'a>,
-}
-
-enum Codes<'a> {
-    I64(&'a [i64]),
-    F64(&'a [f64]),
-    Bool(&'a Bitmap),
-    /// Ids, and — for a dictionary in-place writes may have given one
-    /// string under two ids — each id's canonical id: the first that
-    /// holds the same string. A freshly transposed dictionary (no reverse
-    /// index yet) holds every string once and needs no map.
-    Text(&'a [u32], Option<Vec<u32>>),
-}
-
-impl KeyCodes<'_> {
-    /// The code of a NULL cell: a NaN pattern `real_key_bits` never
-    /// produces, and wider than any dictionary id.
-    const NULL: u64 = u64::MAX;
-
-    /// The code of row `i`.
-    #[inline]
-    pub fn at(&self, i: usize) -> u64 {
-        if !self.validity.get(i) {
-            return Self::NULL;
-        }
-        match &self.codes {
-            Codes::I64(v) => (v[i] as f64).to_bits(),
-            Codes::F64(v) => real_key_bits(v[i]),
-            Codes::Bool(b) => (b.get(i) as i64 as f64).to_bits(),
-            Codes::Text(ids, None) => ids[i] as u64,
-            Codes::Text(ids, Some(canon)) => canon[ids[i] as usize] as u64,
+            _ => mode.word(self.key_ref_at(i)),
         }
     }
 }
@@ -1082,8 +1017,9 @@ fn operand<'a>(expr: &'a Expr, set: &'a ColumnSet) -> Option<Operand<'a>> {
 // ---- aggregate kernels -----------------------------------------------------
 
 /// The aggregates with typed-loop kernels. `COUNT(DISTINCT)` has its own
-/// ([`count_distinct`]); other `DISTINCT` aggregates, `GROUP_CONCAT` and
-/// mixed columns stay on the row path.
+/// ([`count_distinct`]); other `DISTINCT` aggregates and `GROUP_CONCAT`
+/// stay on the row path, and so does every kernel but `count_distinct`
+/// over a mixed column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggKernel {
     Count,
@@ -1137,36 +1073,12 @@ pub fn eval_aggregate(
 }
 
 /// `COUNT(DISTINCT col)` over the member row indices of a group: the
-/// number of distinct grouping codes among the non-NULL cells — the row
-/// path's `group_key` dedupe. `None` for `Mixed` columns.
-pub(crate) fn count_distinct(col: &ColumnVec, members: &[usize]) -> Option<Value> {
-    let n = match &col.data {
-        // A dictionary that has taken in-place writes may hold one string
-        // under two ids: count the strings behind the distinct ids rather
-        // than build `key_codes`' canonical map once per group.
-        ColumnData::Text { dict, ids, index: Some(_), .. } => {
-            distinct_codes(&col.validity, members, |i| ids[i] as u64)
-                .into_iter()
-                .map(|id| &*dict[id as usize])
-                .collect::<FxHashSet<&str>>()
-                .len()
-        }
-        _ => {
-            let codes = col.key_codes()?;
-            distinct_codes(&col.validity, members, |i| codes.at(i)).len()
-        }
-    };
-    Some(Value::Integer(n as i64))
-}
-
-fn distinct_codes(
-    validity: &Bitmap,
-    members: &[usize],
-    code: impl Fn(usize) -> u64,
-) -> FxHashSet<u64> {
-    let mut seen = set_with_capacity(members.len());
-    seen.extend(members.iter().filter(|&&i| validity.get(i)).map(|&i| code(i)));
-    seen
+/// number of groups its non-NULL cells make in a [`KeyIndex`], the row
+/// path's dedupe.
+pub(crate) fn count_distinct(col: &ColumnVec, members: &[usize]) -> Value {
+    let keys: Keys = Keys::columns(vec![col], None, KeyMode::Group);
+    let cells = members.iter().copied().filter(|&i| col.validity.get(i));
+    Value::Integer(KeyIndex::grouped(&keys, cells).firsts.len() as i64)
 }
 
 fn agg_i64(kind: AggKernel, vals: &[i64], validity: &Bitmap, members: &[usize]) -> Result<Value> {
@@ -1370,6 +1282,7 @@ fn agg_text(
 mod tests {
     use super::*;
     use crate::ast::Expr;
+    use crate::hash::FxHashSet;
     use crate::value::GroupKey;
 
     /// A deliberately nasty value pool: NULLs, 0/1, negative ints, NaN
@@ -1495,17 +1408,17 @@ mod tests {
             let set = ColumnSet::from_rows(&rows, w);
             for (i, row) in rows.iter().enumerate() {
                 for j in 0..w {
-                    let want = row[j].key_ref().map(KeyRef::word);
-                    assert_eq!(set.columns[j].key_word_at(i), want, "({i},{j})");
-                    assert_eq!(set.columns[j].key_ref_at(i), row[j].key_ref(), "({i},{j})");
-                    // Key codes: equal exactly where the group keys are.
-                    let Some(codes) = set.columns[j].key_codes() else {
-                        assert!(matches!(set.columns[j].data, ColumnData::Mixed(_)));
-                        continue;
-                    };
+                    let col = &set.columns[j];
+                    for mode in [KeyMode::NeverMatch, KeyMode::Group] {
+                        let want = mode.word(row[j].key_ref());
+                        assert_eq!(col.key_word_at(i, mode), want, "({i},{j}) {mode:?}");
+                    }
+                    assert_eq!(col.key_ref_at(i), row[j].key_ref(), "({i},{j})");
+                    // Key cells: equal exactly where the group keys are.
                     for (k, other) in rows.iter().enumerate() {
                         let same = row[j].group_key() == other[j].group_key();
-                        assert_eq!(codes.at(i) == codes.at(k), same, "({i},{j}) vs ({k},{j})");
+                        let equal = col.key_ref_at(i) == col.key_ref_at(k);
+                        assert_eq!(equal, same, "({i},{j}) vs ({k},{j})");
                     }
                 }
             }
@@ -1522,7 +1435,8 @@ mod tests {
         };
         assert!(!built(&set), "a transpose builds no words");
         let i = (0..rows.len()).find(|&i| !rows[i][2].is_null()).unwrap();
-        assert_eq!(set.columns[2].key_word_at(i), rows[i][2].key_ref().map(KeyRef::word));
+        let want = rows[i][2].key_ref().map(KeyRef::word);
+        assert_eq!(set.columns[2].key_word_at(i, KeyMode::Group), want);
         assert!(built(&set), "the first read builds them");
 
         // A write through a shared column copies it without the words; a
@@ -1535,7 +1449,7 @@ mod tests {
             let old = set.materialize_row(i);
             assert!(set.patch_row(i, &old, &new));
             assert!(!built(&set));
-            assert_eq!(set.columns[2].key_word_at(i), Some(text_word(fresh)));
+            assert_eq!(set.columns[2].key_word_at(i, KeyMode::Group), Some(text_word(fresh)));
         }
         assert!(built(&shared), "the other version keeps its words");
     }
@@ -1878,7 +1792,7 @@ mod tests {
                     .collect();
                 assert_eq!(
                     count_distinct(&set.columns[j], members),
-                    Some(Value::Integer(distinct.len() as i64)),
+                    Value::Integer(distinct.len() as i64),
                     "COUNT(DISTINCT) col {j}"
                 );
                 for kind in kinds {

@@ -7,7 +7,7 @@
 //! [`SubqueryState`]s, cached in the [`ExecCtx`](crate::exec::ExecCtx):
 //!
 //! * **uncorrelated** — executed once, the result shared by every row; an
-//!   `IN (SELECT …)` probes a hash set of it instead of walking it;
+//!   `IN (SELECT …)` probes a keyed index of it instead of walking it;
 //! * **keyed** — an equality-correlated scalar aggregate
 //!   (`(SELECT COUNT(*) FROM r WHERE r.k = outer.k AND r.x = 1)`) is grouped
 //!   once by its correlation keys and hash-probed per outer row
@@ -195,18 +195,14 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
         }
 
         Expr::InSubquery { expr, query, negated } => {
+            // A NULL `v` is unknown against any member, and not in an
+            // empty set: the subquery runs before NULL is the answer.
             let v = eval(expr, ctx, row)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
             let cell = subquery_cell(query, ctx);
             let found = match subquery_state(&cell, query, ctx, row, Consumer::In)? {
                 SubqueryState::Uncorrelated { members: Some(members), .. } => members.contains(&v),
-                // Correlated: walk this outer row's own result.
-                state => {
-                    let rel = subquery_rows(state, query, ctx, row)?;
-                    in_walk(&v, rel.rows.iter().map(|r| r.first().unwrap_or(&Value::Null)))
-                }
+                // Correlated: key this outer row's own result.
+                state => Members::of(&subquery_rows(state, query, ctx, row)?).contains(&v),
             };
             Ok(match found {
                 Some(hit) => Value::Integer((hit != *negated) as i64),
@@ -265,20 +261,6 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
 
         Expr::Cast { expr, type_name } => Ok(cast_value(eval(expr, ctx, row)?, type_name)),
     }
-}
-
-/// Three-valued `v IN (items)` for a non-NULL `v` by linear `sql_eq` walk:
-/// a match wins, no match next to a NULL item is unknown.
-fn in_walk<'v>(v: &Value, items: impl IntoIterator<Item = &'v Value>) -> Option<bool> {
-    let mut found = Some(false);
-    for item in items {
-        match v.sql_eq(item) {
-            Some(true) => return Some(true),
-            Some(false) => {}
-            None => found = None,
-        }
-    }
-    found
 }
 
 /// Text view of a value without copying interned text; other storage
@@ -814,10 +796,11 @@ fn subquery_state<'c>(
     consumer: Consumer,
 ) -> Result<&'c SubqueryState> {
     let state = cell.get_or_init(|| match run_select(query, ctx, None) {
-        Ok(rel) => Ok(SubqueryState::Uncorrelated {
-            members: (consumer == Consumer::In).then(|| Members::of(&rel)),
-            rel: Arc::new(rel),
-        }),
+        Ok(rel) => {
+            let rel = Arc::new(rel);
+            let members = (consumer == Consumer::In).then(|| Members::of(&rel));
+            Ok(SubqueryState::Uncorrelated { rel, members })
+        }
         Err(Error::Unresolved(_)) if row.is_some() => {
             if consumer == Consumer::Scalar && ctx.optimizer.index_scan {
                 match KeyedAggregate::build(query, ctx) {
@@ -1209,9 +1192,24 @@ mod tests {
         }
     }
 
-    /// The `IN` hash set answers exactly what the linear `sql_eq` walk
-    /// answered, including NaN (equals nothing), `-0.0`, integers past
-    /// 2^53, `1 = 1.0` and text-vs-number.
+    /// Three-valued `v IN (items)` by linear `sql_eq` walk: a match wins,
+    /// no match next to a NULL item (or for a NULL `v`, next to any item)
+    /// is unknown, and nothing is in no items.
+    fn in_walk(v: &Value, items: &[Value]) -> Option<bool> {
+        let mut found = Some(false);
+        for item in items {
+            match v.sql_eq(item) {
+                Some(true) => return Some(true),
+                Some(false) => {}
+                None => found = None,
+            }
+        }
+        found
+    }
+
+    /// The `IN` index answers exactly what the linear `sql_eq` walk
+    /// answers, including NaN (equals nothing), `-0.0`, integers past
+    /// 2^53, `1 = 1.0`, text-vs-number, a NULL probe and no members.
     #[test]
     fn in_members_match_the_sql_eq_walk() {
         let values = [
@@ -1225,18 +1223,24 @@ mod tests {
             Value::text("a"),
             Value::Real(f64::NAN),
             Value::Real(2.5),
+            Value::Null,
         ];
-        for with_null in [false, true] {
-            for skip in 0..values.len() {
-                let mut items = values.to_vec();
-                items.remove(skip);
+        // Every non-NULL value but one, and no values; each with and
+        // without a NULL member.
+        let cells = &values[..values.len() - 1];
+        let sets = (0..cells.len())
+            .map(|skip| [&cells[..skip], &cells[skip + 1..]].concat())
+            .chain([Vec::new()]);
+        for set in sets {
+            for with_null in [false, true] {
+                let mut items = set.clone();
                 if with_null {
                     items.push(Value::Null);
                 }
-                let rel = Relation {
+                let rel = Arc::new(Relation {
                     schema: RelSchema::default(),
                     rows: items.iter().map(|v| vec![v.clone()].into()).collect(),
-                };
+                });
                 let members = Members::of(&rel);
                 for v in &values {
                     assert_eq!(members.contains(v), in_walk(v, &items), "{v:?} IN {items:?}");

@@ -11,16 +11,17 @@
 //!
 //! * **scans** share the table's stored rows — one refcount bump per row;
 //! * **filters** drop non-matching rows in place, never cloning survivors;
-//! * **joins** allocate only the emitted combined rows; the build table is
-//!   pre-sized, built on the smaller input for inner joins and keyed by one
-//!   `u64` word per row for any number of key columns — read from a scan's
-//!   cached columns (a text column hashes each dictionary entry once), no
-//!   cell cloned — and a candidate is emitted only once its key cells
-//!   compare equal;
+//! * **joins** allocate only the emitted combined rows and build on the
+//!   smaller input of an inner join;
 //! * **projection** detects column-only projections and shares or gathers
 //!   cells directly instead of walking the expression evaluator;
 //! * **DISTINCT, UNION/EXCEPT/INTERSECT and ORDER BY** move `Arc` handles,
 //!   not cell vectors.
+//!
+//! Every operator that keys on cells — the hash join, GROUP BY, DISTINCT,
+//! the set operations, `COUNT(DISTINCT)`, `IN (SELECT …)` and the keyed
+//! subquery — goes through the one `KeyIndex` (`keyindex.rs`), which reads a scan's
+//! cached columns where it can and clones no cell.
 //!
 //! # Operator loops
 //!
@@ -43,17 +44,18 @@ use crate::ast::{
     BinaryOp, CompoundOp, Expr, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt,
 };
 use crate::chunked::ChunkedVec;
-use crate::columnar::{AggKernel, ColumnSet, ColumnVec, KeyCodes};
+use crate::columnar::{AggKernel, ColumnSet};
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
 use crate::functions::{is_aggregate, UdfRegistry};
-use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
+use crate::keyindex::{KeyIndex, KeyMode, KeyedRows, Keys};
 use crate::optimizer::{expr_cost, optimize, NeededCol, OptimizerConfig};
 use crate::plan::{
     conjoin, plan_from, split_conjuncts, ColRef, Plan, PlanJoinKind, RelSchema,
 };
 use crate::storage::Catalog;
-use crate::value::{GroupKey, KeyRef, Row, UdfArgs, Value};
+use crate::value::{Row, UdfArgs, Value};
 
 /// Results of one expensive UDF's invocations within a statement, keyed
 /// by argument tuple under exact value identity.
@@ -79,7 +81,7 @@ impl Relation {
 /// Cached execution state of one subquery within a statement.
 pub enum SubqueryState {
     /// Uncorrelated: executed once, result shared. An `IN` consumer also
-    /// gets `members`, the hash set it probes instead of walking `rel`.
+    /// gets `members`, the keyed index it probes instead of walking `rel`.
     Uncorrelated { rel: Arc<Relation>, members: Option<Members> },
     /// An equality-correlated scalar aggregate: one grouped build, one
     /// hash probe per outer row (see [`KeyedAggregate`]).
@@ -90,45 +92,27 @@ pub enum SubqueryState {
     Correlated,
 }
 
-/// Hash key of a value that can equal something under `sql_eq`; NULL and
-/// NaN equal nothing, so they have none.
-fn eq_key(v: &Value) -> Option<GroupKey> {
-    match v {
-        Value::Null => None,
-        Value::Real(r) if r.is_nan() => None,
-        v => Some(v.group_key()),
-    }
-}
-
-/// The first column of an uncorrelated `IN (SELECT …)` result as a hash
-/// set under SQL equality, built once in the subquery's cell.
+/// The first column of an uncorrelated `IN (SELECT …)` result, keyed
+/// under SQL equality, built once in the subquery's cell.
 pub struct Members {
-    keys: FxHashSet<GroupKey>,
+    rows: KeyedRows,
     has_null: bool,
+    empty: bool,
 }
 
 impl Members {
-    pub(crate) fn of(rel: &Relation) -> Members {
-        let mut members = Members { keys: set_with_capacity(rel.rows.len()), has_null: false };
-        for row in &rel.rows {
-            match row.first() {
-                None | Some(Value::Null) => members.has_null = true,
-                Some(v) => members.keys.extend(eq_key(v)),
-            }
-        }
-        members
+    pub(crate) fn of(rel: &Arc<Relation>) -> Members {
+        let (has_null, empty) = (rel.rows.iter().any(|row| row[0].is_null()), rel.rows.is_empty());
+        Members { rows: KeyedRows::new(rel.clone(), 1), has_null, empty }
     }
 
-    /// Three-valued `v IN (members)` for a non-NULL `v`: no match but a
-    /// NULL member is unknown.
+    /// Three-valued `v IN (members)`: a match is true; no match is
+    /// unknown next to a NULL member or for a NULL `v`, and false
+    /// otherwise — always false against no members.
     pub(crate) fn contains(&self, v: &Value) -> Option<bool> {
-        if eq_key(v).is_some_and(|k| self.keys.contains(&k)) {
-            Some(true)
-        } else if self.has_null {
-            None
-        } else {
-            Some(false)
-        }
+        let found = self.rows.find(std::slice::from_ref(v)).is_some();
+        let unknown = self.has_null || (v.is_null() && !self.empty);
+        (found || !unknown).then_some(found)
     }
 }
 
@@ -139,9 +123,10 @@ impl Members {
 /// <inner keys>` runs **once** through [`run_select`] (so it gets the
 /// optimizer's rules, the columnar kernels and the statement's cancel token like any other
 /// SELECT), and every outer row costs one key
-/// evaluation and one probe. Key equality is the hash join's: NULL never
-/// matches, and neither does NaN (as under `sql_eq`). A key with no group
-/// reads what the same aggregate code yields over zero rows.
+/// evaluation and one probe of a `KeyIndex` under
+/// [`KeyMode::NeverMatch`], the hash join's equality: NULL and NaN match
+/// nothing, as under `sql_eq`. A key with no group reads what the same
+/// aggregate code yields over zero rows.
 ///
 /// GROUP BY keeps each group's members in input order, which over one base
 /// table is the order the per-row filter would have kept them in — so
@@ -150,7 +135,9 @@ impl Members {
 pub struct KeyedAggregate {
     /// Outer-side key expressions, one per correlation pair.
     outer_keys: Vec<Expr>,
-    groups: FxHashMap<JoinKey, Value>,
+    /// One row per group, keyed on its inner key cells, then the
+    /// aggregate.
+    groups: KeyedRows,
     /// The aggregate over zero rows (`COUNT` → 0, `SUM` → NULL, …).
     empty: Value,
 }
@@ -242,24 +229,18 @@ impl KeyedAggregate {
             limit: None,
             offset: None,
         };
-        let rel = run_select(&grouped, ctx, None)?;
-        let mut groups = map_with_capacity(rel.rows.len());
-        for row in &rel.rows {
-            let key = match &row[..width] {
-                [only] => eq_key(only).map(JoinKey::One),
-                many => many.iter().map(eq_key).collect::<Option<_>>().map(JoinKey::Many),
-            };
-            if let Some(key) = key {
-                groups.insert(key, row[width].clone());
-            }
-        }
+        let groups = KeyedRows::new(Arc::new(run_select(&grouped, ctx, None)?), width);
         Ok(Some(KeyedAggregate { outer_keys, groups, empty }))
     }
 
     /// The subquery's value for one outer row.
     pub(crate) fn probe(&self, ctx: &ExecCtx<'_>, outer: &RowCtx<'_>) -> Result<Value> {
-        let key = join_key(&self.outer_keys, outer, ctx)?;
-        Ok(key.and_then(|k| self.groups.get(&k)).unwrap_or(&self.empty).clone())
+        let key = |e: &Expr| eval(e, ctx, Some(outer));
+        let group = match &self.outer_keys[..] {
+            [only] => self.groups.find(std::slice::from_ref(&key(only)?)),
+            keys => self.groups.find(&keys.iter().map(key).collect::<Result<Vec<_>>>()?),
+        };
+        Ok(group.map_or(&self.empty, |row| &row[self.outer_keys.len()]).clone())
     }
 }
 
@@ -371,12 +352,6 @@ impl<'a> ExecCtx<'a> {
 /// checks.
 pub const MORSEL_ROWS: usize = 1024;
 
-/// How many iterations a loop that does not run through
-/// [`for_each_morsel`] (the hash-join build, the columnar group-key pass,
-/// the nested loop's inner side) runs between cancellation checks — one
-/// morsel's worth.
-const CANCEL_CHECK_ROWS: usize = MORSEL_ROWS;
-
 /// The operator loop: `f` runs over [`MORSEL_ROWS`]-sized ranges covering
 /// `0..count`, in order, on the calling thread, with a cancellation check
 /// between ranges. The first error stops the loop, so a statement fails
@@ -449,42 +424,36 @@ fn run_body(
                     r.schema.len()
                 )));
             }
-            let rows = match op {
-                CompoundOp::UnionAll => {
-                    let mut rows = l.rows;
-                    rows.extend(r.rows);
-                    rows
+            let (width, mut rows) = (l.schema.len(), l.rows);
+            match op {
+                CompoundOp::UnionAll | CompoundOp::Union => rows.extend(r.rows),
+                CompoundOp::Except | CompoundOp::Intersect => {
+                    let slots: Vec<usize> = (0..width).collect();
+                    let right = Keys::slots(&r.rows[..], &slots[..], KeyMode::Group);
+                    let index = KeyIndex::build(&right, r.rows.len(), ctx)?;
+                    let left = Keys::slots(&rows[..], &slots[..], KeyMode::Group);
+                    let found = |&i: &usize| index.matches(&right, &left, i).next().is_some();
+                    let intersect = *op == CompoundOp::Intersect;
+                    let keep: Vec<usize> =
+                        (0..rows.len()).filter(|i| found(i) == intersect).collect();
+                    retain_at(&mut rows, &keep);
                 }
-                CompoundOp::Union => dedupe(l.rows.into_iter().chain(r.rows)),
-                CompoundOp::Except => {
-                    let exclude: FxHashSet<Vec<GroupKey>> =
-                        r.rows.iter().map(|row| row_key(row)).collect();
-                    dedupe(l.rows.into_iter().filter(|row| !exclude.contains(&row_key(row))))
-                }
-                CompoundOp::Intersect => {
-                    let keep: FxHashSet<Vec<GroupKey>> =
-                        r.rows.iter().map(|row| row_key(row)).collect();
-                    dedupe(l.rows.into_iter().filter(|row| keep.contains(&row_key(row))))
-                }
-            };
+            }
+            if *op != CompoundOp::UnionAll {
+                distinct_in_place(&mut rows, &mut Vec::new(), width);
+            }
             Ok(Relation { schema: l.schema, rows })
         }
     }
 }
 
-fn row_key(row: &[Value]) -> Vec<GroupKey> {
-    row.iter().map(Value::group_key).collect()
-}
-
-fn dedupe(rows: impl IntoIterator<Item = Row>) -> Vec<Row> {
-    let mut seen = FxHashSet::default();
-    let mut out = Vec::new();
-    for row in rows {
-        if seen.insert(row_key(&row)) {
-            out.push(row);
-        }
-    }
-    out
+/// Keep the elements of `v` at the ascending indices `at`.
+fn retain_at<T>(v: &mut Vec<T>, at: &[usize]) {
+    let (mut at, mut i) = (at.iter().peekable(), 0);
+    v.retain(|_| {
+        i += 1;
+        at.next_if(|&&j| j == i - 1).is_some()
+    });
 }
 
 /// ORDER BY keys for a compound SELECT: ordinals or output column names.
@@ -677,7 +646,7 @@ fn run_core(
     };
 
     if core.distinct {
-        distinct_in_place(&mut rows, &mut keys);
+        distinct_in_place(&mut rows, &mut keys, projection.len());
     }
 
     let schema = RelSchema::new(projection.into_iter().map(|(_, c)| c).collect());
@@ -876,20 +845,14 @@ fn resolve_output_ref(
     Ok(expr.clone())
 }
 
-fn distinct_in_place(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>) {
-    let mut seen = set_with_capacity(rows.len());
-    let mut kept_rows = Vec::with_capacity(rows.len());
-    let mut kept_keys = Vec::with_capacity(keys.len());
-    for (i, row) in rows.drain(..).enumerate() {
-        if seen.insert(row_key(&row)) {
-            if !keys.is_empty() {
-                kept_keys.push(std::mem::take(&mut keys[i]));
-            }
-            kept_rows.push(row);
-        }
-    }
-    *rows = kept_rows;
-    *keys = kept_keys;
+/// DISTINCT over `width`-cell rows: the first copy of each, in order, with
+/// its sort keys.
+fn distinct_in_place(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, width: usize) {
+    let slots: Vec<usize> = (0..width).collect();
+    let cells = Keys::slots(&rows[..], slots, KeyMode::Group);
+    let firsts = KeyIndex::grouped(&cells, 0..rows.len()).firsts;
+    retain_at(rows, &firsts);
+    retain_at(keys, &firsts);
 }
 
 // ---- aggregation ----------------------------------------------------------
@@ -918,62 +881,24 @@ fn run_aggregate(
         }
         let bound_keys: Vec<Expr> =
             core.group_by.iter().map(|g| bind_columns(g, &input.schema)).collect();
-        // Columnar key path: every grouping key is a plain, type-stable
-        // column of a scan-backed input — a row's key is the tuple of its
-        // columns' `u64` codes (no row deref, no eval, no allocation: the
-        // tuple is written into one reused buffer and copied only for a
-        // new group).
-        let codes: Option<Vec<KeyCodes<'_>>> = cols.and_then(|ci| {
-            bound_keys
-                .iter()
-                .map(|g| match g {
-                    Expr::BoundColumn(i) => ci.set.column(*i)?.key_codes(),
-                    _ => None,
-                })
-                .collect()
-        });
-        if let (Some(codes), Some(ci)) = (codes, cols) {
-            let mut group_index: FxHashMap<Box<[u64]>, usize> = FxHashMap::default();
-            let mut key = vec![0u64; codes.len()];
-            for ri in 0..input.rows.len() {
-                if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-                    ctx.check_cancel()?;
+        // Plain-column keys of a scan-backed input read its columns.
+        let cols = cols.map(|ci| (&*ci.set, ci.sel.as_deref()));
+        let n = input.rows.len();
+        let keys = Keys::of_exprs(
+            &bound_keys, &input.rows[..], n, &input.schema, cols, KeyMode::Group, ctx, outer,
+        )?;
+        let mut index = KeyIndex::default();
+        for_each_morsel(n, ctx, |range| {
+            for ri in range {
+                // Every row has a key under `KeyMode::Group`.
+                let Some((gi, new)) = index.group(&keys, ri) else { continue };
+                if new {
+                    groups.push(Vec::new());
                 }
-                let src = match &ci.sel {
-                    Some(sel) => sel[ri] as usize,
-                    None => ri,
-                };
-                for (k, c) in key.iter_mut().zip(&codes) {
-                    *k = c.at(src);
-                }
-                let gi = match group_index.get(&key[..]) {
-                    Some(&gi) => gi,
-                    None => {
-                        group_index.insert(key.as_slice().into(), groups.len());
-                        groups.push(Vec::new());
-                        groups.len() - 1
-                    }
-                };
                 groups[gi].push(ri);
             }
-        } else {
-            let mut group_index: FxHashMap<Vec<GroupKey>, usize> = FxHashMap::default();
-            for_each_morsel(input.rows.len(), ctx, |range| {
-                for ri in range {
-                    let rc = RowCtx { schema: &input.schema, row: &input.rows[ri], outer };
-                    let mut key = Vec::with_capacity(bound_keys.len());
-                    for g in &bound_keys {
-                        key.push(eval(g, ctx, Some(&rc))?.group_key());
-                    }
-                    let gi = *group_index.entry(key).or_insert_with(|| {
-                        groups.push(Vec::new());
-                        groups.len() - 1
-                    });
-                    groups[gi].push(ri);
-                }
-                Ok(())
-            })?;
-        }
+            Ok(())
+        })?;
     }
 
     // A row of NULLs stands in for column references over an empty group
@@ -1201,9 +1126,10 @@ fn compute_aggregate(
     let arg = bind_columns(arg, &input.schema);
     // Columnar fast path: a plain column argument over a scan-backed
     // input runs as a typed loop over the column — no row deref, no
-    // per-cell eval, no gather vector; `COUNT(DISTINCT)` dedupes the
-    // column's grouping codes. Other DISTINCT aggregates, GROUP_CONCAT
-    // and type-unstable (Mixed) columns take the row loop below.
+    // per-cell eval, no gather vector; `COUNT(DISTINCT)` groups the
+    // column's cells in a `KeyIndex`. Other DISTINCT aggregates,
+    // GROUP_CONCAT and the other kernels over type-unstable (Mixed)
+    // columns take the row loop below.
     let kernel = AggKernel::from_name(&upper).filter(|&k| !distinct || k == AggKernel::Count);
     if let (Some(ci), Expr::BoundColumn(j), Some(kind)) = (cols, &arg, kernel) {
         if let Some(col) = ci.set.column(*j) {
@@ -1216,7 +1142,7 @@ fn compute_aggregate(
                 }
             };
             let result = if distinct {
-                crate::columnar::count_distinct(col, rows).map(Ok)
+                Some(Ok(crate::columnar::count_distinct(col, rows)))
             } else {
                 crate::columnar::eval_aggregate(kind, col, rows)
             };
@@ -1234,8 +1160,9 @@ fn compute_aggregate(
         }
     }
     if distinct {
-        let mut seen = set_with_capacity(vals.len());
-        vals.retain(|v| seen.insert(v.group_key()));
+        let keys: Keys = Keys::cells(&vals[..], 1, KeyMode::Group);
+        let firsts = KeyIndex::grouped(&keys, 0..vals.len()).firsts;
+        retain_at(&mut vals, &firsts);
     }
 
     match upper.as_str() {
@@ -1528,6 +1455,20 @@ struct JoinInput {
     cols: Option<Arc<ColumnSet>>,
 }
 
+impl JoinInput {
+    /// The join keys `exprs` (bound to this input) give its rows.
+    fn keys(
+        &self,
+        exprs: &[Expr],
+        ctx: &ExecCtx<'_>,
+        outer: Option<&RowCtx<'_>>,
+    ) -> Result<Keys<'_, ChunkedVec<Row>>> {
+        let (rows, n, cols) = (&self.rows, self.rows.len(), self.cols.as_deref());
+        let cols = cols.map(|set| (set, None));
+        Keys::of_exprs(exprs, rows, n, &self.schema, cols, KeyMode::NeverMatch, ctx, outer)
+    }
+}
+
 fn exec_source(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&RowCtx<'_>>) -> Result<JoinInput> {
     match plan {
         Plan::Scan { table, qualifier } => {
@@ -1663,39 +1604,6 @@ fn split_equi_join(
     (pairs, conjoin(residual))
 }
 
-/// A [`KeyedAggregate`]'s group key: the single-column case (the
-/// overwhelmingly common one) avoids a per-row `Vec` allocation entirely.
-#[derive(PartialEq, Eq, Hash)]
-pub(crate) enum JoinKey {
-    One(GroupKey),
-    Many(Vec<GroupKey>),
-}
-
-/// Evaluate a keyed aggregate's outer key expressions for one row; `None`
-/// marks a NULL in any key column (NULL never matches).
-fn join_key(
-    exprs: &[Expr],
-    rc: &RowCtx<'_>,
-    ctx: &ExecCtx<'_>,
-) -> Result<Option<JoinKey>> {
-    if let [only] = exprs {
-        let v = eval(only, ctx, Some(rc))?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        return Ok(Some(JoinKey::One(v.group_key())));
-    }
-    let mut key = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        let v = eval(e, ctx, Some(rc))?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        key.push(v.group_key());
-    }
-    Ok(Some(JoinKey::Many(key)))
-}
-
 /// Emit one combined row (left cells then right cells, always in schema
 /// order regardless of which side was the build side). The chained
 /// iterator is `TrustedLen`, so `collect` writes straight into the shared
@@ -1714,114 +1622,11 @@ fn pad_right(lrow: &[Value], right_width: usize) -> Row {
         .collect()
 }
 
-/// How one side of a hash join reads the cells of its key: from the
-/// scan's cached columns, from plain-column slots of its rows, or — for
-/// general key expressions — from the keys evaluated for every row before
-/// the build and probe loops, `width` cells a row.
-enum KeyCells<'a> {
-    Columns(Vec<&'a ColumnVec>),
-    Slots(Vec<usize>),
-    Evaluated(Vec<Value>),
-}
-
-/// One side of a hash join with its key: each row's key cells and the
-/// `u64` key word they mix to (see [`KeyRef::word`]).
-struct KeyedSide<'a> {
-    rows: &'a ChunkedVec<Row>,
-    cells: KeyCells<'a>,
-    width: usize,
-}
-
-impl<'a> KeyedSide<'a> {
-    /// `keys` are bound to `side`'s schema; any expensive calls among them
-    /// have been prefetched.
-    fn new(
-        side: &'a JoinInput,
-        keys: Vec<Expr>,
-        ctx: &ExecCtx<'_>,
-        outer: Option<&RowCtx<'_>>,
-    ) -> Result<KeyedSide<'a>> {
-        let width = keys.len();
-        let slots: Option<Vec<usize>> = keys
-            .iter()
-            .map(|e| match e {
-                Expr::BoundColumn(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        let cells = match slots {
-            Some(slots) => {
-                let cols = side.cols.as_deref().and_then(|set| {
-                    slots.iter().map(|&i| set.column(i)).collect::<Option<Vec<_>>>()
-                });
-                cols.map_or(KeyCells::Slots(slots), KeyCells::Columns)
-            }
-            None => {
-                let mut vals = Vec::with_capacity(side.rows.len() * width);
-                for_each_morsel(side.rows.len(), ctx, |range| {
-                    for row in side.rows.morsel(range) {
-                        // A NULL key never joins: the keys after it are
-                        // not evaluated (they could raise an error).
-                        let rc = RowCtx { schema: &side.schema, row, outer };
-                        let mut null = false;
-                        for e in &keys {
-                            let v = if null { Value::Null } else { eval(e, ctx, Some(&rc))? };
-                            null = v.is_null();
-                            vals.push(v);
-                        }
-                    }
-                    Ok(())
-                })?;
-                KeyCells::Evaluated(vals)
-            }
-        };
-        Ok(KeyedSide { rows: &side.rows, cells, width })
-    }
-
-    /// Key cell `k` of row `i`; `None` for NULL.
-    #[inline]
-    fn cell(&self, i: usize, k: usize) -> Option<KeyRef<'_>> {
-        match &self.cells {
-            KeyCells::Columns(cols) => cols[k].key_ref_at(i),
-            KeyCells::Slots(slots) => self.rows[i][slots[k]].key_ref(),
-            KeyCells::Evaluated(vals) => vals[i * self.width + k].key_ref(),
-        }
-    }
-
-    /// The key word of row `i`: its cells' words mixed left to right;
-    /// `None` when a key cell is NULL (NULL never joins).
-    #[inline]
-    fn word(&self, i: usize) -> Option<u64> {
-        let word = |k: usize| match &self.cells {
-            KeyCells::Columns(cols) => cols[k].key_word_at(i),
-            _ => self.cell(i, k).map(KeyRef::word),
-        };
-        (1..self.width).try_fold(word(0)?, |acc, k| Some(mix_key_words(acc, word(k)?)))
-    }
-
-    /// Whether row `i` of this side and row `j` of `other` have equal keys.
-    #[inline]
-    fn same_key(&self, i: usize, other: &KeyedSide<'_>, j: usize) -> bool {
-        (0..self.width).all(|k| self.cell(i, k) == other.cell(j, k))
-    }
-}
-
-/// A multi-column key word: `acc`, the word of the columns before, with
-/// the next column's `word` folded in by the workspace hasher.
-#[inline]
-pub(crate) fn mix_key_words(acc: u64, word: u64) -> u64 {
-    use std::hash::Hasher;
-    let mut h = crate::hash::FxHasher::default();
-    h.write_u64(acc);
-    h.write_u64(word);
-    h.finish()
-}
-
-/// The hash join: one build loop keys the build rows by word, one probe
-/// loop walks the probe rows in order and emits, per row, the build rows
-/// of its word's bucket (in build order) whose key cells equal its own —
-/// words collide, and the cells are the join's equality (`group_key`'s:
-/// `1 = 1.0`, `-0.0 = 0.0`, `'1' <> 1`). The residual, if any, then
+/// The hash join: a [`KeyIndex`] over the build rows' keys, then one
+/// probe loop that walks the probe rows in order and emits, per row, the
+/// build rows (in build order) whose key equals its own under
+/// [`KeyMode::NeverMatch`] — SQL `=`: `1 = 1.0`, `-0.0 = 0.0`, `'1' <> 1`,
+/// and a NULL or NaN key matches nothing. The residual, if any, then
 /// decides; a LEFT join pads a probe row nothing matched.
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
@@ -1854,31 +1659,11 @@ fn hash_join(
             batch.prefetch_rows(ctx, &side.schema, &side.rows, outer)?;
         }
     }
-    let build_keys = KeyedSide::new(build, build_exprs, ctx, outer)?;
-    let probe_keys = KeyedSide::new(probe, probe_exprs, ctx, outer)?;
-
-    // Pre-sized build table, read-only during the probe. Buckets inline
-    // the single-row case (the norm for key/foreign-key joins) and hold
-    // build rows in order.
-    let mut table: FxHashMap<u64, Bucket> = map_with_capacity(build.rows.len());
-    for ri in 0..build.rows.len() {
-        if ri % CANCEL_CHECK_ROWS == CANCEL_CHECK_ROWS - 1 {
-            ctx.check_cancel()?;
-        }
-        let Some(word) = build_keys.word(ri) else { continue };
-        match table.entry(word) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Bucket::One(ri as u32));
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().push(ri as u32),
-        }
-    }
-    let (table, build_keys, probe_keys) = (&table, &build_keys, &probe_keys);
-    let matches = move |pi: usize| {
-        let bucket = probe_keys.word(pi).and_then(|w| table.get(&w));
-        let cands = bucket.map_or(&[][..], Bucket::as_slice).iter().map(|&ri| ri as usize);
-        cands.filter(move |&ri| build_keys.same_key(ri, probe_keys, pi))
-    };
+    let build_keys = build.keys(&build_exprs, ctx, outer)?;
+    let probe_keys = probe.keys(&probe_exprs, ctx, outer)?;
+    let index = KeyIndex::build(&build_keys, build.rows.len(), ctx)?;
+    let (index, build_keys, probe_keys) = (&index, &build_keys, &probe_keys);
+    let matches = move |pi: usize| index.matches(build_keys, probe_keys, pi);
     let build_rows = &build.rows;
 
     // Expensive calls in the residual evaluate over combined candidate
@@ -1959,30 +1744,6 @@ fn prefetch_row(row: Option<&Row>) {
     let _ = row;
 }
 
-/// A hash-join bucket: row indices of the build side sharing one key,
-/// with the single-row case stored inline (no allocation).
-enum Bucket {
-    One(u32),
-    Many(Vec<u32>),
-}
-
-impl Bucket {
-    fn push(&mut self, ri: u32) {
-        match self {
-            Bucket::One(first) => *self = Bucket::Many(vec![*first, ri]),
-            Bucket::Many(v) => v.push(ri),
-        }
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            Bucket::One(i) => std::slice::from_ref(i),
-            Bucket::Many(v) => v,
-        }
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn nested_loop_join(
     left: &JoinInput,
@@ -2050,7 +1811,7 @@ fn nested_loop_join(
             let mut matched = false;
             for rrow in rrows {
                 since_check += 1;
-                if since_check >= CANCEL_CHECK_ROWS {
+                if since_check >= MORSEL_ROWS {
                     since_check = 0;
                     ctx.check_cancel()?;
                 }

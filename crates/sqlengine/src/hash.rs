@@ -1,9 +1,9 @@
-//! The executor's hot hash maps (join build tables, GROUP BY partitions,
-//! DISTINCT/compound sets) key through the workspace's one hasher,
-//! [`swan_pool::hash`], re-exported here under the engine's path. Why it is
-//! an FxHash with an `fmix64` finalizer, and why the finalizer is not
-//! optional, is documented there; the tests below pin what the engine's own
-//! key types need of it.
+//! The executor keys cells through one `keyindex::KeyIndex`: a
+//! table from each row's `u64` key word to its entries, hashed by the
+//! workspace's one hasher, [`swan_pool::hash`], re-exported here under the
+//! engine's path. Why it is an FxHash with an `fmix64` finalizer, and why
+//! the finalizer is not optional, is documented there; the tests below pin
+//! what the index's words need of it.
 
 pub use swan_pool::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet, FxHasher};
 
@@ -46,36 +46,24 @@ mod tests {
     }
 
     /// Distinct hashes are not enough: a table probes from the low bits,
-    /// and the engine's numeric keys are `f64` bit patterns whose low bits
-    /// are all zero. Each key family must reach at least half of the start
-    /// buckets of a table it fills to 78 % (a random hash reaches ≈ 54 %).
+    /// and the index's numeric words are `f64` bit patterns whose low bits
+    /// are all zero. Each word family must reach at least half of the
+    /// start buckets of a table it fills to 78 % (a random hash reaches
+    /// ≈ 54 %).
     #[test]
     fn numeric_keys_spread_over_start_buckets() {
-        use crate::exec::{mix_key_words, JoinKey};
-        use crate::value::GroupKey;
-        let num = |x: f64| GroupKey::Num(x.to_bits());
+        use crate::keyindex::mix_key_words;
+        let word = |x: f64| x.to_bits();
         for shift in 8..=17 {
             let buckets = 1usize << shift;
             let n = buckets * 78 / 100;
             let families = [
-                ("integers", distinct_starts((1..=n).map(|i| num(i as f64)), buckets)),
-                ("halves", distinct_starts((1..=n).map(|i| num(i as f64 * 0.5)), buckets)),
+                ("integers", distinct_starts((1..=n).map(|i| word(i as f64)), buckets)),
+                ("halves", distinct_starts((1..=n).map(|i| word(i as f64 * 0.5)), buckets)),
                 (
-                    "two-column keys",
+                    "two-column words",
                     distinct_starts(
-                        (1..=n).map(|i| {
-                            JoinKey::Many(vec![num((i / 8) as f64), num((i % 8) as f64)])
-                        }),
-                        buckets,
-                    ),
-                ),
-                (
-                    "two-column join words",
-                    distinct_starts(
-                        (1..=n).map(|i| {
-                            let word = |x: usize| (x as f64).to_bits();
-                            mix_key_words(word(i / 8), word(i % 8))
-                        }),
+                        (1..=n).map(|i| mix_key_words(word((i / 8) as f64), word((i % 8) as f64))),
                         buckets,
                     ),
                 ),

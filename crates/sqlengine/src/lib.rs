@@ -176,6 +176,7 @@ pub mod eval;
 pub mod exec;
 pub mod functions;
 pub mod hash;
+pub mod keyindex;
 pub mod lexer;
 pub mod optimizer;
 pub mod pager;

@@ -252,9 +252,8 @@ impl Value {
         }
     }
 
-    /// The cell as a hash-join key without cloning it: `None` for NULL
-    /// (NULL never joins), otherwise equal exactly where
-    /// [`Self::group_key`] is.
+    /// The cell as a key of [`crate::keyindex::Keys`], borrowed: `None`
+    /// for NULL, otherwise equal exactly where [`Self::group_key`] is.
     #[inline]
     pub(crate) fn key_ref(&self) -> Option<KeyRef<'_>> {
         match self {
@@ -405,13 +404,14 @@ pub enum GroupKey {
     Text(ThinStr),
 }
 
-/// A non-NULL cell as a hash-join key, borrowed: two cells are equal as
-/// keys exactly when their [`GroupKey`]s are (numbers by their
-/// `GroupKey::Num` bits, text by its bytes, a number never equal to text).
+/// A non-NULL key cell, borrowed: two cells are equal as keys exactly
+/// when their [`GroupKey`]s are (numbers by their `GroupKey::Num` bits,
+/// text by its bytes — one shared string without reading them — a number
+/// never equal to text).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum KeyRef<'a> {
     Num(u64),
-    Text(&'a str),
+    Text(&'a ThinStr),
 }
 
 impl KeyRef<'_> {

@@ -161,37 +161,109 @@ fn db_with_rows(rows: &[(i64, i64, String)]) -> Database {
     db
 }
 
+/// How many cells a [`join_key_cell`] pool draws from: NULL and five
+/// values.
+const KEY_PICKS: usize = 6;
+
 /// One key cell of a generated join table, from its column's class:
 /// integers, reals, text, or a mix of the three — so the column sets hold
 /// typed, bool and mixed columns. Every class has NULLs, and the pools sit
-/// on the edges of the join's equality: `-0.0 = 0.0`, `1 = 1.0`,
-/// `'1' <> 1`.
+/// on the edges of key equality: `-0.0 = 0.0`, `1 = 1.0`, `'1' <> 1`, and
+/// the real and mixed pools hold NaN (`'NaN' + 0`), which equals nothing
+/// under `=` and groups with itself.
 fn join_key_cell(class: usize, pick: usize) -> Value {
-    match (class, pick % 5) {
+    match (class, pick % KEY_PICKS) {
         (_, 0) => Value::Null,
         (0, p) => Value::Integer(p as i64 - 2),
-        (1, p) => Value::Real([-0.0, 0.0, 1.0, 2.5][p - 1]),
-        (2, p) => Value::text(["1", "x", "", "0"][p - 1]),
-        (_, p) => [Value::Integer(1), Value::Real(1.0), Value::text("1"), Value::Real(-0.0)]
-            [p - 1]
+        (1, p) => Value::Real([-0.0, 0.0, 1.0, 2.5, f64::NAN][p - 1]),
+        (2, p) => Value::text(["1", "x", "", "0", "NaN"][p - 1]),
+        (_, p) => [
+            Value::Integer(1),
+            Value::Real(1.0),
+            Value::text("1"),
+            Value::Real(-0.0),
+            Value::Real(f64::NAN),
+        ][p - 1]
             .clone(),
     }
 }
 
 /// `<name> (id, k1, k2, v)`: row `i` has id `i`, its two key cells drawn
-/// in the column classes `classes`, and `v` from `picks`.
+/// in the column classes `classes`, and `v` from `picks`. Returns the rows
+/// it inserted.
 fn join_table(
     db: &mut Database,
     name: &str,
     classes: (usize, usize),
     picks: &[(usize, usize, i64)],
-) {
+) -> Vec<Vec<Value>> {
     db.execute(&format!("CREATE TABLE {name} (id INTEGER, k1, k2, v INTEGER)")).unwrap();
     let table = db.catalog_mut().get_mut(name).unwrap();
+    let mut rows = Vec::new();
     for (i, &(k1, k2, v)) in picks.iter().enumerate() {
         let (k1, k2) = (join_key_cell(classes.0, k1), join_key_cell(classes.1, k2));
-        table.insert_row(vec![Value::Integer(i as i64), k1, k2, Value::Integer(v)]).unwrap();
+        let row = vec![Value::Integer(i as i64), k1, k2, Value::Integer(v)];
+        table.insert_row(row.clone()).unwrap();
+        rows.push(row);
     }
+    rows
+}
+
+/// The in-place key updates both keyed properties run between their two
+/// rounds: key cells patched, a new string among them (the first round
+/// built the column sets and their dictionary words). Applies them to
+/// `model`, the rows of `a` and `b`, too.
+fn update_keys(db: &mut Database, model: &mut [Vec<Vec<Value>>; 2]) {
+    db.execute("UPDATE a SET k1 = k2, k2 = 'y' WHERE v = 1").unwrap();
+    db.execute("UPDATE b SET k2 = k1, k1 = 'y' WHERE v = 2").unwrap();
+    for (rows, (v, from, to)) in model.iter_mut().zip([(1, 2, 1), (2, 1, 2)]) {
+        for row in rows.iter_mut().filter(|r| r[3] == Value::Integer(v)) {
+            row[to] = row[from].clone();
+            row[from] = Value::text("y");
+        }
+    }
+}
+
+/// Grouping equality, the reference for the keyed index's
+/// `KeyMode::Group`: every cell equal under `sort_cmp` — all NULLs one
+/// key, all NaNs one key, `-0.0 = 0.0`, `1 = 1.0`, `'1' <> 1`.
+fn same_group(a: &[Value], b: &[Value]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.sort_cmp(y) == std::cmp::Ordering::Equal)
+}
+
+/// The first row of each group of `rows`, in first-seen order, with the
+/// group's size: a pairwise scan, no hashing.
+fn reference_groups(rows: &[Vec<Value>]) -> Vec<(Vec<Value>, usize)> {
+    let mut groups: Vec<(Vec<Value>, usize)> = Vec::new();
+    for row in rows {
+        match groups.iter_mut().find(|(first, _)| same_group(first, row)) {
+            Some((_, n)) => *n += 1,
+            None => groups.push((row.clone(), 1)),
+        }
+    }
+    groups
+}
+
+/// Three-valued `v IN (items)` under `sql_eq`, the reference for
+/// `KeyMode::NeverMatch`: a match is TRUE, no match next to an unknown
+/// comparison (a NULL item, or a NULL `v` and any item) is NULL, and
+/// nothing is in no items.
+fn reference_in(v: &Value, items: &[Value], negated: bool) -> Value {
+    let cmp: Vec<Option<bool>> = items.iter().map(|item| v.sql_eq(item)).collect();
+    if cmp.contains(&Some(true)) {
+        Value::Integer(!negated as i64)
+    } else if cmp.contains(&None) {
+        Value::Null
+    } else {
+        Value::Integer(negated as i64)
+    }
+}
+
+/// Result rows as exact cells (storage class and bits: `-0.0` is not
+/// `0.0`, `1` is not `1.0`), so a group's first row is checked, not just
+/// an equal one.
+fn exact(rows: &[impl AsRef<[Value]>]) -> Vec<String> {
+    rows.iter().map(|r| format!("{:?}", r.as_ref())).collect()
 }
 
 /// A cell of a `SELECT a.id, b.id` result row: the id, or `None` for a
@@ -517,7 +589,8 @@ proptest! {
     }
 
     /// The hash join ≡ the nested loop. Random two-table joins on one or
-    /// two key columns — inner, LEFT, each with and without a residual;
+    /// two key columns over the [`join_key_cell`] pools (NULL, NaN,
+    /// `-0.0`/`0.0`, `1`/`1.0`/`'1'`) — inner, LEFT, each with and without a residual;
     /// over base-table scans, a derived table and expression keys; with
     /// `columnar` on and off; before and after in-place updates of the key
     /// columns — return the rows of the same join written
@@ -526,8 +599,8 @@ proptest! {
     /// in input order, each one's matches in build order.
     #[test]
     fn hash_join_matches_the_nested_loop(
-        a in proptest::collection::vec((0usize..5, 0usize..5, 0i64..3), 0..24),
-        b in proptest::collection::vec((0usize..5, 0usize..5, 0i64..3), 0..24),
+        a in proptest::collection::vec((0..KEY_PICKS, 0..KEY_PICKS, 0i64..3), 0..24),
+        b in proptest::collection::vec((0..KEY_PICKS, 0..KEY_PICKS, 0i64..3), 0..24),
         classes in (0usize..4, 0usize..4, 0usize..4, 0usize..4),
         two_keys in any::<bool>(),
         left in any::<bool>(),
@@ -536,8 +609,10 @@ proptest! {
         columnar in any::<bool>(),
     ) {
         let mut db = Database::new();
-        join_table(&mut db, "a", (classes.0, classes.1), &a);
-        join_table(&mut db, "b", (classes.2, classes.3), &b);
+        let mut model = [
+            join_table(&mut db, "a", (classes.0, classes.1), &a),
+            join_table(&mut db, "b", (classes.2, classes.3), &b),
+        ];
         db.set_optimizer(OptimizerConfig { columnar, reorder_joins: false, ..Default::default() });
 
         // source 0: scans; 1: b as a derived table; 2: expression keys.
@@ -561,10 +636,7 @@ proptest! {
 
         for round in 0..2 {
             if round == 1 {
-                // Patch key cells, a new string among them (the first
-                // round built the column sets and their dictionary words).
-                db.execute("UPDATE a SET k1 = k2, k2 = 'y' WHERE v = 1").unwrap();
-                db.execute("UPDATE b SET k2 = k1, k1 = 'y' WHERE v = 2").unwrap();
+                update_keys(&mut db, &mut model);
             }
             let hashed = db.query(&hash_sql).unwrap_or_else(|e| panic!("{hash_sql}: {e}")).rows;
             let looped = db.query(&loop_sql).unwrap().rows;
@@ -586,6 +658,124 @@ proptest! {
                 })
                 .collect();
             prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "{}: {:?}", hash_sql, order);
+        }
+    }
+    /// Every grouping and membership operator ≡ a pairwise reference over
+    /// the generated cells (`sort_cmp` for grouping, `sql_eq` for `IN`; no
+    /// hashing, no engine). Over the [`join_key_cell`] pools, on one or
+    /// two key columns read from scans, a derived table or expression
+    /// keys, with `columnar` on and off, before and after in-place updates
+    /// of the key columns:
+    /// - GROUP BY with `COUNT(*)`: each group's first row and size, groups
+    ///   in first-seen order;
+    /// - DISTINCT: each first copy, in order;
+    /// - `COUNT(DISTINCT)` per group of `v`: distinct non-NULL keys;
+    /// - UNION / EXCEPT / INTERSECT: the first copies of the union, or of
+    ///   the left rows the right side has / has not;
+    /// - `IN` / `NOT IN (SELECT …)`, uncorrelated and correlated (a
+    ///   subquery that is empty for some outer rows), three-valued.
+    #[test]
+    fn keyed_operators_match_a_pairwise_reference(
+        a in proptest::collection::vec((0..KEY_PICKS, 0..KEY_PICKS, 0i64..3), 0..24),
+        b in proptest::collection::vec((0..KEY_PICKS, 0..KEY_PICKS, 0i64..3), 0..24),
+        classes in (0usize..4, 0usize..4, 0usize..4, 0usize..4),
+        two_keys in any::<bool>(),
+        source in 0usize..3,
+        columnar in any::<bool>(),
+    ) {
+        let mut db = Database::new();
+        let mut model = [
+            join_table(&mut db, "a", (classes.0, classes.1), &a),
+            join_table(&mut db, "b", (classes.2, classes.3), &b),
+        ];
+        db.set_optimizer(OptimizerConfig { columnar, ..Default::default() });
+
+        // source 0: scans; 1: derived tables; 2: expression keys.
+        let from = |t: &str| {
+            let derived = format!("(SELECT id, k1, k2, v FROM {t}) AS {t}");
+            if source == 1 { derived } else { t.to_string() }
+        };
+        let key = |k: &str| if source == 2 { format!("COALESCE({k})") } else { k.to_string() };
+        let slots: &[usize] = if two_keys { &[1, 2] } else { &[1] };
+        let keys = slots.iter().map(|&j| key(["", "k1", "k2"][j])).collect::<Vec<_>>().join(", ");
+        let k1 = key("k1");
+        let (fa, fb) = (from("a"), from("b"));
+
+        for round in 0..2 {
+            if round == 1 {
+                update_keys(&mut db, &mut model);
+            }
+            let [ra, rb] = &model;
+            let key_rows = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
+                rows.iter().map(|r| slots.iter().map(|&j| r[j].clone()).collect()).collect()
+            };
+            let (ka, kb) = (key_rows(ra), key_rows(rb));
+            let run = |sql: &str| {
+                db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows
+            };
+            let firsts = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
+                reference_groups(rows).into_iter().map(|(first, _)| first).collect()
+            };
+
+            let sql = format!("SELECT {keys}, COUNT(*) FROM {fa} GROUP BY {keys}");
+            let want: Vec<Vec<Value>> = reference_groups(&ka)
+                .into_iter()
+                .map(|(mut first, n)| {
+                    first.push(Value::Integer(n as i64));
+                    first
+                })
+                .collect();
+            prop_assert_eq!(exact(&run(&sql)), exact(&want), "{}", sql);
+
+            let sql = format!("SELECT DISTINCT {keys} FROM {fa}");
+            prop_assert_eq!(exact(&run(&sql)), exact(&firsts(&ka)), "{}", sql);
+
+            let sql = format!("SELECT v, COUNT(DISTINCT {k1}) FROM {fa} GROUP BY v");
+            let vs: Vec<Vec<Value>> = ra.iter().map(|r| vec![r[3].clone()]).collect();
+            let want: Vec<Vec<Value>> = reference_groups(&vs)
+                .into_iter()
+                .map(|(v, _)| {
+                    let cells: Vec<Vec<Value>> = ra
+                        .iter()
+                        .filter(|r| r[3] == v[0] && !r[1].is_null())
+                        .map(|r| vec![r[1].clone()])
+                        .collect();
+                    vec![v[0].clone(), Value::Integer(reference_groups(&cells).len() as i64)]
+                })
+                .collect();
+            prop_assert_eq!(exact(&run(&sql)), exact(&want), "{}", sql);
+
+            let union: Vec<Vec<Value>> = ka.iter().chain(&kb).cloned().collect();
+            let has = |row: &Vec<Value>| kb.iter().any(|r| same_group(r, row));
+            for (op, want) in [
+                ("UNION", firsts(&union)),
+                ("EXCEPT", firsts(&ka).into_iter().filter(|r| !has(r)).collect()),
+                ("INTERSECT", firsts(&ka).into_iter().filter(|r| has(r)).collect()),
+            ] {
+                let sql = format!("SELECT {keys} FROM {fa} {op} SELECT {keys} FROM {fb}");
+                prop_assert_eq!(exact(&run(&sql)), exact(&want), "{}", sql);
+            }
+
+            let sql = format!(
+                "SELECT id, {k1} IN (SELECT {k1} FROM {fb}), \
+                 {k1} NOT IN (SELECT {k1} FROM {fb} WHERE v = 1), \
+                 {k1} IN (SELECT b.k1 FROM {fb} WHERE b.v = a.v) FROM {fa}"
+            );
+            let b_k1 = |keep: &dyn Fn(&Vec<Value>) -> bool| -> Vec<Value> {
+                rb.iter().filter(|r| keep(r)).map(|r| r[1].clone()).collect()
+            };
+            let want: Vec<Vec<Value>> = ra
+                .iter()
+                .map(|r| {
+                    vec![
+                        r[0].clone(),
+                        reference_in(&r[1], &b_k1(&|_| true), false),
+                        reference_in(&r[1], &b_k1(&|s| s[3] == Value::Integer(1)), true),
+                        reference_in(&r[1], &b_k1(&|s| s[3] == r[3]), false),
+                    ]
+                })
+                .collect();
+            prop_assert_eq!(exact(&run(&sql)), exact(&want), "{}", sql);
         }
     }
 }

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use swan_sqlengine::columnar::{ColumnData, ColumnSet};
+use swan_sqlengine::keyindex::KeyMode;
 use swan_sqlengine::value::Value;
 use swan_sqlengine::{Error, OptimizerConfig, Result, ScalarUdf, Session, SharedDb, Table};
 
@@ -90,7 +91,10 @@ fn check_derived(t: &Table, context: &str) {
         let (c, f) = (&carried.columns[j], &fresh.columns[j]);
         for (i, row) in t.rows().iter().enumerate() {
             assert!(same_cell(&c.value_at(i), &row[j]), "{context}: value_at({i},{j})");
-            assert_eq!(c.key_word_at(i), f.key_word_at(i), "{context}: key_word_at({i},{j})");
+            for mode in [KeyMode::NeverMatch, KeyMode::Group] {
+                let (c, f) = (c.key_word_at(i, mode), f.key_word_at(i, mode));
+                assert_eq!(c, f, "{context}: key_word_at({i},{j}, {mode:?})");
+            }
         }
     }
 }

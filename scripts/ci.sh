@@ -39,7 +39,7 @@
 #      interleavings — concurrent sessions, group commit, the in-place
 #      write path's copy-on-write under the table-writer lock, and
 #      `udf_store`, taken from every session's statement thread;
-#   3. four properties at PROPTEST_CASES=2000 in a release build —
+#   3. five properties at PROPTEST_CASES=2000 in a release build —
 #      tier-1 runs them at the vendored proptest's default of 64 cases:
 #      the B-tree differential property (the in-place tree writers against
 #      the decoding reference kept in btree.rs's tests: same page images,
@@ -49,8 +49,14 @@
 #      slices, no write visible through another clone, every untouched
 #      chunk still shared), the hash join against the nested loop
 #      (prop_sql.rs: one and two key columns, inner / LEFT / residual,
-#      Integer / Real / Text / NULL keys, columnar on and off, the same
-#      rows as a multiset, emitted in probe order), and the one-word
+#      Integer / Real / Text / NULL / NaN keys, columnar on and off, the
+#      same rows as a multiset, emitted in probe order), every other
+#      operator on the keyed index against a pairwise reference
+#      (prop_sql.rs: GROUP BY with COUNT(*), DISTINCT, COUNT(DISTINCT),
+#      UNION / EXCEPT / INTERSECT and IN / NOT IN (SELECT …), uncorrelated
+#      and correlated, over the same key pools, columnar on and off,
+#      before and after in-place key updates; `sort_cmp` for grouping and
+#      `sql_eq` for membership, no hashing), and the one-word
 #      `ThinStr` behind every text cell against `Arc<str>` (thinstr.rs:
 #      empty, multibyte, NUL and up-to-4-KiB strings; `==`, `cmp`, both
 #      hashers, `Debug`, `Display` and `HashSet::get(&str)`; its count
@@ -108,6 +114,10 @@ PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib \
 echo "== hash join against the nested loop @ PROPTEST_CASES=2000 (release) =="
 PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --test prop_sql \
     hash_join_matches_the_nested_loop
+
+echo "== keyed operators against a pairwise reference @ PROPTEST_CASES=2000 (release) =="
+PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --test prop_sql \
+    keyed_operators_match_a_pairwise_reference
 
 echo "== ThinStr against Arc<str>, and its 8-thread clone/drop stress @ PROPTEST_CASES=2000 (release) =="
 PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib thinstr::tests
