@@ -221,6 +221,13 @@ pub enum Expr {
     },
     /// `CAST(expr AS type)`.
     Cast { expr: Box<Expr>, type_name: String },
+    /// An expensive UDF call whose answers an operator has prefetched:
+    /// per row, the answer at the row's position among the operator's
+    /// batched call sites, `site` here (`crate::eval::BatchableCalls`);
+    /// `call` itself where the prefetch left none. Never produced by the
+    /// parser, like [`Expr::BoundColumn`]: valid only in the operator
+    /// invocation that rewrote its expressions.
+    Prefetched { site: usize, call: Box<Expr> },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,7 +324,7 @@ impl Expr {
                     e.walk(f);
                 }
             }
-            Expr::Cast { expr, .. } => expr.walk(f),
+            Expr::Cast { expr, .. } | Expr::Prefetched { call: expr, .. } => expr.walk(f),
         }
     }
 }

@@ -17,6 +17,7 @@ pub fn expr_to_sql(e: &Expr) -> String {
         Expr::Column { table: None, name } => name.clone(),
         // Executor-internal bound references; only visible in debug output.
         Expr::BoundColumn(i) => format!("#{i}"),
+        Expr::Prefetched { call, .. } => expr_to_sql(call),
         Expr::Unary { op, expr } => match op {
             UnaryOp::Neg => format!("-{}", expr_to_sql(expr)),
             UnaryOp::Not => format!("NOT {}", expr_to_sql(expr)),

@@ -19,14 +19,15 @@
 //!   tested against.
 
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::ast::{BinaryOp, Expr, SelectStmt, UnaryOp};
 use crate::error::{Error, Result};
 use crate::exec::{run_select, ExecCtx, KeyedAggregate, Members, Relation, SubqueryState};
 use crate::functions::{eval_builtin, glob_match, is_aggregate, like_match, ScalarUdf, UdfRegistry};
-use crate::hash::FxHashMap;
+use crate::hash::FxHasher;
+use crate::keyindex::KeyIndex;
 use crate::plan::RelSchema;
 use crate::value::{UdfArgs, Value};
 
@@ -37,15 +38,40 @@ pub struct RowCtx<'a> {
     pub schema: &'a RelSchema,
     pub row: &'a [Value],
     pub outer: Option<&'a RowCtx<'a>>,
+    /// The batched call sites of the operator evaluating this row, with
+    /// their prefetched answers ([`Expr::Prefetched`] reads them).
+    pub calls: Option<&'a BatchableCalls>,
+    /// The row's position among `calls`' answers: its index in the
+    /// operator's input, its group's, or its candidate pair's.
+    pub pos: usize,
 }
 
 impl<'a> RowCtx<'a> {
     pub fn new(schema: &'a RelSchema, row: &'a [Value]) -> Self {
-        RowCtx { schema, row, outer: None }
+        RowCtx { schema, row, outer: None, calls: None, pos: 0 }
     }
 
     pub fn with_outer(schema: &'a RelSchema, row: &'a [Value], outer: &'a RowCtx<'a>) -> Self {
-        RowCtx { schema, row, outer: Some(outer) }
+        RowCtx { schema, row, outer: Some(outer), calls: None, pos: 0 }
+    }
+
+    /// The scope an operator evaluates its rows in; [`RowCtx::at`] places
+    /// each row.
+    pub fn scope(
+        schema: &'a RelSchema,
+        outer: Option<&'a RowCtx<'a>>,
+        calls: Option<&'a BatchableCalls>,
+    ) -> Self {
+        RowCtx { schema, row: &[], outer, calls, pos: 0 }
+    }
+
+    /// This scope at `row`, position `pos`.
+    #[inline]
+    pub fn at<'r>(&self, row: &'r [Value], pos: usize) -> RowCtx<'r>
+    where
+        'a: 'r,
+    {
+        RowCtx { row, pos, ..*self }
     }
 
     /// Resolve a column through the scope chain, innermost first.
@@ -120,20 +146,20 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
                         }
                     }
                     if udf.is_expensive() && ctx.optimizer.batch_expensive_udfs {
-                        // Batched execution: an operator-level prefetch
-                        // ([`BatchableCalls`]) has usually answered this
-                        // argument tuple already; per-row invocations fill
-                        // (and reuse) the same statement-scoped store, so
-                        // repeated tuples pay one call even off the
-                        // batched path. Tuples are keyed by exact value
-                        // identity ([`UdfArgs`]), matching the
-                        // determinism contract on [`ScalarUdf::invoke`].
+                        // Batched execution, off the batched path: a call
+                        // in a conditional position, or a row its
+                        // operator's prefetch left unanswered
+                        // ([`Expr::Prefetched`]). Such calls share one
+                        // statement-scoped store, so a repeated tuple pays
+                        // one call. Tuples are keyed by exact value
+                        // identity ([`UdfArgs`]), matching the determinism
+                        // contract on [`ScalarUdf::invoke`].
                         let args = UdfArgs(vals);
                         if let Some(v) = ctx.udf_result(registered, &args) {
                             return Ok(v);
                         }
                         let v = udf.invoke(&args.0)?;
-                        ctx.store_udf_results(registered, [(args, v.clone())]);
+                        ctx.store_udf_result(registered, args, v.clone());
                         return Ok(v);
                     }
                     udf.invoke(&vals)
@@ -260,6 +286,13 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
         }
 
         Expr::Cast { expr, type_name } => Ok(cast_value(eval(expr, ctx, row)?, type_name)),
+
+        Expr::Prefetched { site, call } => {
+            match row.and_then(|r| r.calls?.answer(*site, r.pos)) {
+                Some(v) => Ok(v.clone()),
+                None => eval(call, ctx, row),
+            }
+        }
     }
 }
 
@@ -339,6 +372,10 @@ pub fn bind_columns(expr: &Expr, schema: &RelSchema) -> Expr {
             expr: Box::new(bind_columns(expr, schema)),
             type_name: type_name.clone(),
         },
+        Expr::Prefetched { site, call } => Expr::Prefetched {
+            site: *site,
+            call: Box::new(bind_columns(call, schema)),
+        },
         // Leaves and whole subqueries pass through unchanged.
         other => other.clone(),
     }
@@ -348,118 +385,331 @@ pub fn bind_columns(expr: &Expr, schema: &RelSchema) -> Expr {
 
 /// A row source that can be replayed once per call site: the callback is
 /// handed a per-row collector and must invoke it for every row of the
-/// operator's input batch.
+/// operator's input batch, each row carrying its position
+/// ([`RowCtx::pos`]).
 pub type RowSource<'a> = dyn FnMut(&mut dyn FnMut(&RowCtx<'_>) -> Result<()>) -> Result<()> + 'a;
 
-/// One expensive scalar-UDF call site found in an operator's expressions.
-struct CallSite<'e> {
-    /// Lowercased function name (the result-store key prefix).
-    name: String,
-    args: &'e [Expr],
-    udf: Arc<dyn ScalarUdf>,
+/// One expensive scalar-UDF call site of an operator.
+struct CallSite {
+    /// The call's arguments, bound like the operator's expressions; a
+    /// literal (the question) is neither evaluated nor hashed per row.
+    args: Vec<Expr>,
+    /// The [`Batch`] of the UDF it calls.
+    batch: usize,
     /// Whether the call sits inside an aggregate's argument (evaluated per
     /// member row) rather than over the group representative.
     in_aggregate: bool,
+    /// Once prefetched: each position's tuple in its batch, [`NONE`] where
+    /// the prefetch could not evaluate the arguments.
+    tuples: Option<Vec<u32>>,
 }
 
-/// The expensive scalar-UDF call sites of one operator, ready for
-/// vectorized evaluation.
+/// A position the prefetch left without a tuple.
+const NONE: u32 = u32::MAX;
+
+/// What an operator asked one UDF: the distinct argument tuples of its
+/// sites in first-seen order, and their answers.
+struct Batch {
+    udf: Arc<dyn ScalarUdf>,
+    /// Tuples by their [`UdfArgs`]-identity word: the non-literal
+    /// arguments, seeded by the site's literals.
+    index: KeyIndex,
+    tuples: Vec<Vec<Value>>,
+    /// Parallel to `tuples`; `None` where `invoke_batch` failed.
+    answers: Vec<Option<Value>>,
+}
+
+/// The expensive scalar-UDF call sites of one operator invocation, and
+/// their answers by row position.
 ///
-/// For each site (innermost first, so nested calls resolve bottom-up) the
-/// prefetch evaluates the argument expressions across the operator's input
-/// batch, dedupes the tuples by exact value identity, issues **one**
-/// [`ScalarUdf::invoke_batch`] for the tuples not already answered, and
-/// stores the results in the statement-scoped
-/// [`ExecCtx::udf_results`](crate::exec::ExecCtx) store where the per-row
-/// evaluator finds them. Rows whose arguments fail to evaluate here (outer
-/// correlations the batch schema cannot see, latent type errors) are left
-/// to the per-row path, which raises exactly what the unbatched engine
-/// raised, and a failing `invoke_batch` likewise falls back instead of
-/// erroring. Sites in *conditionally evaluated* positions of one expression
-/// (CASE branches, right-hand sides of AND/OR, IN-list tails) are never
-/// collected. An operator that hands over several expressions has each
-/// collected on its own, though, and the WHERE filter hands over each
-/// expensive conjunct alone: every one is prefetched over all the rows the
-/// cheap conjuncts kept. In `A = 'Yes' AND B = 'LA'` with both expensive,
-/// B is asked even for rows where A is false, which per-row short-circuit
-/// evaluation would have skipped — so batching can raise a statement's
-/// call count as well as lower it.
-pub struct BatchableCalls<'e> {
-    sites: Vec<CallSite<'e>>,
+/// [`BatchableCalls::find`] rewrites each site of the operator's (bound)
+/// expressions into an [`Expr::Prefetched`] naming it. The prefetch then
+/// walks the operator's input once per site (innermost first, so nested
+/// calls resolve bottom-up), and a row costs one evaluation of the
+/// arguments and one probe of an index over the distinct tuples, keyed by
+/// exact identity ([`UdfArgs`]: `1` ≠ `1.0`, NaN = NaN) — a literal
+/// argument, the question, is neither evaluated nor hashed per row. The
+/// tuples no earlier site of the operator asked go to **one**
+/// [`ScalarUdf::invoke_batch`] in first-seen order. The operator's per-row
+/// pass then reads each row's answer by its position ([`RowCtx::pos`]):
+/// no second evaluation, no second hash. The answers live as long as the
+/// operator invocation, so a correlated re-execution asks again.
+///
+/// A row whose arguments fail to evaluate here (outer correlations the
+/// batch schema cannot see, latent type errors), and every row of a
+/// failed or short `invoke_batch`, keeps its call: the per-row evaluator
+/// runs it through the statement-scoped store
+/// ([`ExecCtx::udf_results`](crate::exec::ExecCtx)), raising exactly what
+/// the unbatched engine raised. Sites in *conditionally evaluated*
+/// positions of one expression (CASE branches, right-hand sides of AND/OR,
+/// IN-list tails) are never rewritten and always take that store. An
+/// operator that hands over several expressions has each searched on its
+/// own, though, and the WHERE filter hands over each expensive conjunct
+/// alone: every one is prefetched over all the rows the cheap conjuncts
+/// kept. In `A = 'Yes' AND B = 'LA'` with both expensive, B is asked even
+/// for rows where A is false, which per-row short-circuit evaluation
+/// would have skipped — so batching can raise a statement's call count as
+/// well as lower it.
+#[derive(Default)]
+pub struct BatchableCalls {
+    sites: Vec<CallSite>,
+    batches: Vec<Batch>,
 }
 
-impl<'e> BatchableCalls<'e> {
-    /// Find the expensive call sites in `exprs`; `None` when there are
-    /// none (the overwhelmingly common case — one cheap walk per operator)
-    /// or when the statement evaluates per row
+impl BatchableCalls {
+    /// Rewrite the expensive call sites in `exprs` — bound to the schema
+    /// of the rows the prefetch will see — into sites of this operator.
+    /// Nothing when the statement evaluates per row
     /// (`OptimizerConfig::batch_expensive_udfs` off): the one place an
     /// operator's batching is switched.
-    pub fn find(
-        exprs: impl IntoIterator<Item = &'e Expr>,
-        ctx: &ExecCtx<'_>,
-    ) -> Option<BatchableCalls<'e>> {
+    pub fn find<'e>(&mut self, exprs: impl IntoIterator<Item = &'e mut Expr>, ctx: &ExecCtx<'_>) {
         if !ctx.optimizer.batch_expensive_udfs {
-            return None;
+            return;
         }
-        let mut sites = Vec::new();
         for e in exprs {
-            let sc = SiteCtx { in_aggregate: false, conditional: false };
-            collect_sites(e, ctx.udfs, sc, &mut sites);
-        }
-        if sites.is_empty() {
-            None
-        } else {
-            Some(BatchableCalls { sites })
+            self.rewrite(e, ctx.udfs, SiteCtx { in_aggregate: false, conditional: false });
         }
     }
 
-    /// Prefetch every site across a materialized row batch.
+    /// Prefetch every site not prefetched yet over materialized rows; row
+    /// `i` is position `i`.
     pub fn prefetch_rows<'r>(
-        &self,
+        &mut self,
         ctx: &ExecCtx<'_>,
         schema: &RelSchema,
         rows: impl IntoIterator<Item = &'r crate::value::Row> + Copy,
         outer: Option<&RowCtx<'_>>,
     ) -> Result<()> {
-        self.prefetch(ctx, &mut |collect| {
-            for row in rows {
-                collect(&RowCtx { schema, row, outer })?;
+        let scope = RowCtx::scope(schema, outer, None);
+        self.prefetch(None, ctx, &mut |collect| {
+            for (pos, row) in rows.into_iter().enumerate() {
+                collect(&scope.at(row, pos))?;
             }
             Ok(())
         })
     }
 
-    /// Prefetch every site over a replayable row source.
-    pub fn prefetch(&self, ctx: &ExecCtx<'_>, rows: &mut RowSource<'_>) -> Result<()> {
-        for site in &self.sites {
-            prefetch_site(site, ctx, rows)?;
+    /// Prefetch the sites not prefetched yet over a replayable row source
+    /// — with `in_aggregate`, only the sites inside (or outside) aggregate
+    /// arguments: the aggregation operator batches the two over different
+    /// rows (member rows by input position, group representatives by
+    /// group). A set with nothing left to prefetch reads no row.
+    pub fn prefetch(
+        &mut self,
+        in_aggregate: Option<bool>,
+        ctx: &ExecCtx<'_>,
+        rows: &mut RowSource<'_>,
+    ) -> Result<()> {
+        for k in 0..self.sites.len() {
+            let site = &self.sites[k];
+            if site.tuples.is_none() && in_aggregate.is_none_or(|a| a == site.in_aggregate) {
+                self.prefetch_site(k, ctx, rows)?;
+            }
         }
         Ok(())
     }
 
-    /// Prefetch only the sites inside (or outside) aggregate arguments —
-    /// the aggregation operator batches the two classes over different row
-    /// sets (member rows vs group representatives).
-    pub fn prefetch_scope(
-        &self,
-        in_aggregate: bool,
+    /// The answer of `site` at position `pos`, if its prefetch found one.
+    #[inline]
+    fn answer(&self, site: usize, pos: usize) -> Option<&Value> {
+        let site = self.sites.get(site)?;
+        let tuple = *site.tuples.as_ref()?.get(pos)?;
+        self.batches[site.batch].answers.get(tuple as usize)?.as_ref()
+    }
+
+    /// Post-order site search (arguments before the call itself, so
+    /// nested expensive calls batch innermost-first). Subqueries are
+    /// skipped — they execute in their own scope and batch there;
+    /// aggregate calls mark their argument subtrees but are never sites
+    /// themselves.
+    fn rewrite(&mut self, e: &mut Expr, udfs: &UdfRegistry, sc: SiteCtx) {
+        match e {
+            Expr::Function { name, args, .. } => {
+                let agg = is_aggregate(name);
+                let inner = SiteCtx { in_aggregate: sc.in_aggregate || agg, ..sc };
+                for a in args.iter_mut() {
+                    self.rewrite(a, udfs, inner);
+                }
+                if agg || sc.conditional {
+                    return;
+                }
+                let Some(udf) = udfs.get(name) else { return };
+                // Arity mismatches are left to the per-row path's error,
+                // and so is a call over an aggregate, which no row can
+                // evaluate before its group's aggregates are.
+                if !udf.is_expensive()
+                    || udf.arity().is_some_and(|n| n != args.len())
+                    || args.iter().any(Expr::contains_aggregate)
+                {
+                    return;
+                }
+                let batch = match self.batches.iter().position(|b| Arc::ptr_eq(&b.udf, udf)) {
+                    Some(b) => b,
+                    None => {
+                        self.batches.push(Batch {
+                            udf: udf.clone(),
+                            index: KeyIndex::default(),
+                            tuples: Vec::new(),
+                            answers: Vec::new(),
+                        });
+                        self.batches.len() - 1
+                    }
+                };
+                let site = self.sites.len();
+                self.sites.push(CallSite {
+                    args: args.clone(),
+                    batch,
+                    in_aggregate: sc.in_aggregate,
+                    tuples: None,
+                });
+                let call = std::mem::replace(e, Expr::Literal(Value::Null));
+                *e = Expr::Prefetched { site, call: Box::new(call) };
+            }
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                self.rewrite(expr, udfs, sc)
+            }
+            Expr::Binary { op, left, right } => {
+                self.rewrite(left, udfs, sc);
+                // AND/OR short-circuit: the right operand may never run.
+                let rc = match op {
+                    BinaryOp::And | BinaryOp::Or => sc.conditional(),
+                    _ => sc,
+                };
+                self.rewrite(right, udfs, rc);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                self.rewrite(expr, udfs, sc);
+                self.rewrite(pattern, udfs, sc);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                self.rewrite(expr, udfs, sc);
+                self.rewrite(low, udfs, sc);
+                self.rewrite(high, udfs, sc);
+            }
+            Expr::InList { expr, list, .. } => {
+                self.rewrite(expr, udfs, sc);
+                // A NULL tested expression skips the whole list, and
+                // membership testing stops at the first match: every list
+                // item is conditionally evaluated.
+                for item in list {
+                    self.rewrite(item, udfs, sc.conditional());
+                }
+            }
+            Expr::InSubquery { expr, .. } => self.rewrite(expr, udfs, sc),
+            Expr::Case { operand, branches, else_expr } => {
+                // The operand and the first WHEN always evaluate; every
+                // later WHEN, every THEN, and the ELSE may be skipped.
+                if let Some(op) = operand {
+                    self.rewrite(op, udfs, sc);
+                }
+                for (i, (w, t)) in branches.iter_mut().enumerate() {
+                    let wc = if i == 0 { sc } else { sc.conditional() };
+                    self.rewrite(w, udfs, wc);
+                    self.rewrite(t, udfs, sc.conditional());
+                }
+                if let Some(el) = else_expr {
+                    self.rewrite(el, udfs, sc.conditional());
+                }
+            }
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::BoundColumn(_)
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_)
+            | Expr::Prefetched { .. } => {}
+        }
+    }
+
+    fn prefetch_site(
+        &mut self,
+        k: usize,
         ctx: &ExecCtx<'_>,
         rows: &mut RowSource<'_>,
     ) -> Result<()> {
-        for site in self.sites.iter().filter(|s| s.in_aggregate == in_aggregate) {
-            prefetch_site(site, ctx, rows)?;
+        let b = self.sites[k].batch;
+        // The batch's index and tuples grow while the rows are walked; its
+        // answers so far stay in place for the nested sites the arguments
+        // read.
+        let mut index = std::mem::take(&mut self.batches[b].index);
+        let mut tuples = std::mem::take(&mut self.batches[b].tuples);
+        let asked = tuples.len();
+        let mut positions: Vec<u32> = Vec::new();
+        let calls = &*self;
+        let args = &calls.sites[k].args;
+        // The literals are hashed once: their word seeds every row's, so
+        // sites of one UDF with different literals keep apart.
+        let mut literals = FxHasher::default();
+        for a in args {
+            if let Expr::Literal(v) = a {
+                v.hash_arg(&mut literals);
+            }
         }
+        let literals = literals.finish();
+        rows(&mut |rc| {
+            let rc = RowCtx { calls: Some(calls), ..*rc };
+            let mut tuple = Vec::with_capacity(args.len());
+            let mut word = FxHasher::default();
+            word.write_u64(literals);
+            for a in args {
+                match a {
+                    Expr::Literal(v) => tuple.push(v.clone()),
+                    _ => match eval(a, ctx, Some(&rc)) {
+                        Ok(v) => {
+                            v.hash_arg(&mut word);
+                            tuple.push(v);
+                        }
+                        // Unevaluable in batch context: leave this row to
+                        // the per-row path.
+                        Err(_) => return Ok(()),
+                    },
+                }
+            }
+            let word = word.finish();
+            // A literal cell is the site's own, so it compares by address;
+            // another site's tuple may differ in its literals or its arity.
+            let same = |t: usize| {
+                let other = &tuples[t];
+                other.len() == tuple.len() && other.iter().zip(&tuple).all(|(x, y)| x.same_arg(y))
+            };
+            let t = match index.find(word, same) {
+                Some(t) => t,
+                None => {
+                    tuples.push(tuple);
+                    index.insert(word)
+                }
+            };
+            if positions.len() <= rc.pos {
+                positions.resize(rc.pos + 1, NONE);
+            }
+            positions[rc.pos] = t as u32;
+            Ok(())
+        })?;
+        // One vectorized call for the tuples no earlier site asked; the UDF
+        // chunks internally. A failed or short batch leaves them unanswered
+        // and the per-row path surfaces (or retries) them.
+        let batch = &mut self.batches[b];
+        let new = &tuples[asked..];
+        if !new.is_empty() {
+            match batch.udf.invoke_batch(new) {
+                Ok(answers) if answers.len() == new.len() => {
+                    batch.answers.extend(answers.into_iter().map(Some))
+                }
+                _ => batch.answers.resize(tuples.len(), None),
+            }
+        }
+        (batch.index, batch.tuples) = (index, tuples);
+        self.sites[k].tuples = Some(positions);
         Ok(())
     }
 }
 
-/// Traversal state for call-site collection.
+/// Traversal state for call-site search.
 #[derive(Clone, Copy)]
 struct SiteCtx {
     in_aggregate: bool,
     /// Inside a subtree per-row evaluation may skip (CASE branches, the
     /// right-hand side of AND/OR, IN-list tails). Such sites are not
-    /// collected: batching must never pay for a call short-circuiting
+    /// batched: batching must never pay for a call short-circuiting
     /// would have avoided.
     conditional: bool,
 }
@@ -468,148 +718,6 @@ impl SiteCtx {
     fn conditional(self) -> SiteCtx {
         SiteCtx { conditional: true, ..self }
     }
-}
-
-/// Post-order call-site collection (arguments before the call itself, so
-/// nested expensive calls batch innermost-first). Subqueries are skipped —
-/// they execute in their own scope and batch there; aggregate calls mark
-/// their argument subtrees but are never sites themselves.
-fn collect_sites<'e>(
-    e: &'e Expr,
-    udfs: &UdfRegistry,
-    sc: SiteCtx,
-    out: &mut Vec<CallSite<'e>>,
-) {
-    match e {
-        Expr::Function { name, args, .. } => {
-            let agg = is_aggregate(name);
-            let inner = SiteCtx { in_aggregate: sc.in_aggregate || agg, ..sc };
-            for a in args {
-                collect_sites(a, udfs, inner, out);
-            }
-            if agg || sc.conditional {
-                return;
-            }
-            if let Some(udf) = udfs.get(name) {
-                // Arity mismatches are left to the per-row path's error.
-                if udf.is_expensive() && udf.arity().is_none_or(|n| n == args.len()) {
-                    out.push(CallSite {
-                        name: name.to_ascii_lowercase(),
-                        args,
-                        udf: udf.clone(),
-                        in_aggregate: sc.in_aggregate,
-                    });
-                }
-            }
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_sites(expr, udfs, sc, out)
-        }
-        Expr::Binary { op, left, right } => {
-            collect_sites(left, udfs, sc, out);
-            // AND/OR short-circuit: the right operand may never run.
-            let rc = match op {
-                BinaryOp::And | BinaryOp::Or => sc.conditional(),
-                _ => sc,
-            };
-            collect_sites(right, udfs, rc, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_sites(expr, udfs, sc, out);
-            collect_sites(pattern, udfs, sc, out);
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_sites(expr, udfs, sc, out);
-            collect_sites(low, udfs, sc, out);
-            collect_sites(high, udfs, sc, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_sites(expr, udfs, sc, out);
-            // A NULL tested expression skips the whole list, and
-            // membership testing stops at the first match: every list
-            // item is conditionally evaluated.
-            for item in list {
-                collect_sites(item, udfs, sc.conditional(), out);
-            }
-        }
-        Expr::InSubquery { expr, .. } => collect_sites(expr, udfs, sc, out),
-        Expr::Case { operand, branches, else_expr } => {
-            // The operand and the first WHEN always evaluate; every later
-            // WHEN, every THEN, and the ELSE may be skipped.
-            if let Some(op) = operand {
-                collect_sites(op, udfs, sc, out);
-            }
-            for (i, (w, t)) in branches.iter().enumerate() {
-                let wc = if i == 0 { sc } else { sc.conditional() };
-                collect_sites(w, udfs, wc, out);
-                collect_sites(t, udfs, sc.conditional(), out);
-            }
-            if let Some(el) = else_expr {
-                collect_sites(el, udfs, sc.conditional(), out);
-            }
-        }
-        Expr::Literal(_)
-        | Expr::Column { .. }
-        | Expr::BoundColumn(_)
-        | Expr::Exists { .. }
-        | Expr::ScalarSubquery(_) => {}
-    }
-}
-
-fn prefetch_site(
-    site: &CallSite<'_>,
-    ctx: &ExecCtx<'_>,
-    rows: &mut RowSource<'_>,
-) -> Result<()> {
-    // Tuples this pass has already queued. The statement store is probed
-    // only after a row's arguments are evaluated: a nested expensive call
-    // among them reads and fills that store itself.
-    let mut queued: FxHashMap<UdfArgs, ()> = FxHashMap::default();
-    let mut pending_args: Vec<Vec<Value>> = Vec::new();
-    // The arguments bound to the schema of the rows at hand: once per row
-    // source, not a name lookup per column per row.
-    let mut bound: Option<(*const RelSchema, Vec<Expr>)> = None;
-    rows(&mut |rc| {
-        let args = match &bound {
-            Some((schema, args)) if std::ptr::eq(*schema, rc.schema) => args,
-            _ => {
-                let args = site.args.iter().map(|a| bind_columns(a, rc.schema)).collect();
-                &bound.insert((rc.schema as *const _, args)).1
-            }
-        };
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            match eval(a, ctx, Some(rc)) {
-                Ok(v) => vals.push(v),
-                // Unevaluable in batch context: leave this row to the
-                // per-row path.
-                Err(_) => return Ok(()),
-            }
-        }
-        let args = UdfArgs(vals);
-        if ctx.udf_result(&site.name, &args).is_some() {
-            return Ok(());
-        }
-        if let Entry::Vacant(slot) = queued.entry(args) {
-            pending_args.push(slot.key().0.clone());
-            slot.insert(());
-        }
-        Ok(())
-    })?;
-    if pending_args.is_empty() {
-        return Ok(());
-    }
-    // One vectorized call for the whole batch; the UDF chunks internally.
-    // A failed or short batch leaves tuples unanswered and the per-row
-    // path surfaces (or retries) them.
-    let Ok(results) = site.udf.invoke_batch(&pending_args) else {
-        return Ok(());
-    };
-    if results.len() != pending_args.len() {
-        return Ok(());
-    }
-    ctx.store_udf_results(&site.name, pending_args.into_iter().map(UdfArgs).zip(results));
-    Ok(())
 }
 
 fn eval_binary(

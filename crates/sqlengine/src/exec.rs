@@ -57,8 +57,10 @@ use crate::plan::{
 use crate::storage::Catalog;
 use crate::value::{Row, UdfArgs, Value};
 
-/// Results of one expensive UDF's invocations within a statement, keyed
-/// by argument tuple under exact value identity.
+/// Results of one expensive UDF's per-row invocations within a statement,
+/// keyed by argument tuple under exact value identity. Batched answers are
+/// not here: they belong to the operator that prefetched them
+/// ([`BatchableCalls`]).
 pub type UdfResults = FxHashMap<UdfArgs, Value>;
 
 /// Result rows paired with per-row ORDER BY sort keys.
@@ -283,11 +285,12 @@ pub struct ExecCtx<'a> {
     pub optimizer: OptimizerConfig,
     /// The statement's subquery result cache (see [`SubqueryCache`]).
     pub subqueries: SubqueryCache,
-    /// Statement-scoped results of expensive-UDF invocations, keyed by
-    /// lowercased function name, filled by the operators' vectorized
-    /// prefetch ([`BatchableCalls`]) and by per-row evaluation; every
-    /// later evaluation of the same argument tuple is a lookup instead
-    /// of a call.
+    /// Statement-scoped results of the expensive-UDF calls that batched
+    /// execution evaluates per row, keyed by lowercased function name: a
+    /// call in a conditional position, and a row its operator's prefetch
+    /// ([`BatchableCalls`]) could not evaluate or answer. A later per-row
+    /// evaluation of the same argument tuple is a lookup instead of a
+    /// call.
     pub udf_results: RefCell<FxHashMap<String, UdfResults>>,
     /// The statement's cancellation/deadline token; long loops call
     /// [`ExecCtx::check_cancel`] at batch boundaries.
@@ -331,12 +334,8 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Record `name(args) = value` for the rest of the statement.
-    pub fn store_udf_results(
-        &self,
-        name: &str,
-        results: impl IntoIterator<Item = (UdfArgs, Value)>,
-    ) {
-        self.udf_results.borrow_mut().entry(name.to_string()).or_default().extend(results);
+    pub fn store_udf_result(&self, name: &str, args: UdfArgs, value: Value) {
+        self.udf_results.borrow_mut().entry(name.to_string()).or_default().insert(args, value);
     }
 
     /// The cooperative cancellation checkpoint: cheap enough for morsel
@@ -467,8 +466,9 @@ fn compound_sort_keys(
         return Ok(Vec::new());
     }
     let mut keys = Vec::with_capacity(rel.rows.len());
-    for row in &rel.rows {
-        let rc = RowCtx { schema: &rel.schema, row, outer };
+    let scope = RowCtx::scope(&rel.schema, outer, None);
+    for (pos, row) in rel.rows.iter().enumerate() {
+        let rc = scope.at(row, pos);
         let mut k = Vec::with_capacity(order_by.len());
         for item in order_by {
             if let Some(i) = ordinal_index(&item.expr, rel.schema.len())? {
@@ -629,16 +629,6 @@ fn run_core(
         return Err(Error::Semantic("HAVING requires GROUP BY or an aggregate".into()));
     }
 
-    // Vectorize expensive calls in the projection / sort keys across the
-    // whole input batch before the per-row loop runs (the aggregated path
-    // batches inside `run_aggregate`, over groups).
-    if !aggregated {
-        let exprs = projection.iter().map(|(e, _)| e).chain(order_exprs.iter());
-        if let Some(batch) = BatchableCalls::find(exprs, ctx) {
-            batch.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
-        }
-    }
-
     let (mut rows, mut keys) = if aggregated {
         run_aggregate(core, &projection, having.as_ref(), &order_exprs, &input, cols, ctx, outer)?
     } else {
@@ -684,15 +674,17 @@ fn needed_columns(core: &SelectCore, order_by: &[OrderItem]) -> Option<Vec<Neede
     Some(out)
 }
 
-/// The non-aggregated projection loop.
+/// The non-aggregated projection loop. The projected and sort-key
+/// expressions are bound to the input schema once, and their expensive
+/// calls prefetched across the whole input before the loop runs (the
+/// aggregated path batches inside `run_aggregate`, over groups).
 ///
 /// Fast paths, checked in order:
 /// 1. the projection is exactly the input schema → the input rows are
 ///    **shared** unchanged (zero work per row);
 /// 2. every projected item is a plain input column → cells are gathered by
 ///    index (O(1) clones, no expression evaluation);
-/// 3. otherwise each expression is evaluated per row against a reusable
-///    [`RowCtx`].
+/// 3. otherwise each expression is evaluated per row.
 fn project_rows(
     projection: &[(Expr, ColRef)],
     order_exprs: &[Expr],
@@ -700,35 +692,39 @@ fn project_rows(
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<RowsAndKeys> {
-    let col_indices: Option<Vec<usize>> = projection
+    let width = projection.len();
+    let mut exprs: Vec<Expr> = projection
         .iter()
-        .map(|(e, _)| match e {
-            Expr::Column { table, name } => {
-                input.schema.resolve(table.as_deref(), name).ok().flatten()
-            }
-            _ => None,
-        })
+        .map(|(e, _)| e)
+        .chain(order_exprs)
+        .map(|e| bind_columns(e, &input.schema))
         .collect();
+    let mut calls = BatchableCalls::default();
+    calls.find(exprs.iter_mut(), ctx);
+    calls.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
+    let (bound, order_exprs) = exprs.split_at(width);
+    let scope = RowCtx::scope(&input.schema, outer, Some(&calls));
 
     // Sort keys: either an ordinal into the projected row or an expression
-    // over the input row (bound once, evaluated per row).
-    let order_exprs: Vec<Expr> =
-        order_exprs.iter().map(|e| bind_columns(e, &input.schema)).collect();
+    // over the input row.
     let build_keys = |out: &[Value], rc: &RowCtx<'_>| -> Result<Vec<Value>> {
-        output_sort_keys(&order_exprs, projection.len(), out, &mut |e| eval(e, ctx, Some(rc)))
+        output_sort_keys(order_exprs, width, out, &mut |e| eval(e, ctx, Some(rc)))
     };
 
     let mut keys = Vec::with_capacity(if order_exprs.is_empty() { 0 } else { input.rows.len() });
 
+    let col_indices: Option<Vec<usize>> = bound
+        .iter()
+        .map(|e| if let Expr::BoundColumn(i) = e { Some(*i) } else { None })
+        .collect();
     if let Some(idxs) = col_indices {
         let identity =
             idxs.len() == input.schema.len() && idxs.iter().enumerate().all(|(i, &j)| i == j);
         if identity {
             // SELECT * (or an exact column echo): share the rows wholesale.
             if !order_exprs.is_empty() {
-                for row in &input.rows {
-                    let rc = RowCtx { schema: &input.schema, row, outer };
-                    keys.push(build_keys(row, &rc)?);
+                for (pos, row) in input.rows.iter().enumerate() {
+                    keys.push(build_keys(row, &scope.at(row, pos))?);
                 }
             }
             return Ok((input.rows.clone(), keys));
@@ -736,29 +732,23 @@ fn project_rows(
         // Column subset/permutation: gather cells by index, one shared
         // allocation per row.
         let mut rows: Vec<Row> = Vec::with_capacity(input.rows.len());
-        for row in &input.rows {
+        for (pos, row) in input.rows.iter().enumerate() {
             let out: Row = idxs.iter().map(|&i| row[i].clone()).collect();
             if !order_exprs.is_empty() {
-                let rc = RowCtx { schema: &input.schema, row, outer };
-                keys.push(build_keys(&out, &rc)?);
+                keys.push(build_keys(&out, &scope.at(row, pos))?);
             }
             rows.push(out);
         }
         return Ok((rows, keys));
     }
 
-    // General path: bind every projected expression to the input schema
-    // once, then evaluate per row with direct index loads.
-    let bound: Vec<Expr> = projection
-        .iter()
-        .map(|(e, _)| bind_columns(e, &input.schema))
-        .collect();
+    // General path: evaluate per row with direct index loads.
     let mut rows: Vec<Row> = Vec::with_capacity(input.rows.len());
     for_each_morsel(input.rows.len(), ctx, |range| {
-        for row in &input.rows[range] {
-            let rc = RowCtx { schema: &input.schema, row, outer };
-            let mut out = Vec::with_capacity(projection.len());
-            for e in &bound {
+        for pos in range {
+            let rc = scope.at(&input.rows[pos], pos);
+            let mut out = Vec::with_capacity(width);
+            for e in bound {
                 out.push(eval(e, ctx, Some(&rc))?);
             }
             if !order_exprs.is_empty() {
@@ -876,17 +866,17 @@ fn run_aggregate(
     } else {
         // Expensive calls in the grouping keys evaluate once per input
         // row: vectorize them before the key loop runs.
-        if let Some(batch) = BatchableCalls::find(core.group_by.iter(), ctx) {
-            batch.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
-        }
-        let bound_keys: Vec<Expr> =
+        let mut bound_keys: Vec<Expr> =
             core.group_by.iter().map(|g| bind_columns(g, &input.schema)).collect();
+        let mut calls = BatchableCalls::default();
+        calls.find(bound_keys.iter_mut(), ctx);
+        calls.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
         // Plain-column keys of a scan-backed input read its columns.
         let cols = cols.map(|ci| (&*ci.set, ci.sel.as_deref()));
         let n = input.rows.len();
-        let keys = Keys::of_exprs(
-            &bound_keys, &input.rows[..], n, &input.schema, cols, KeyMode::Group, ctx, outer,
-        )?;
+        let scope = RowCtx::scope(&input.schema, outer, Some(&calls));
+        let keys =
+            Keys::of_exprs(&bound_keys, &input.rows[..], n, cols, KeyMode::Group, ctx, &scope)?;
         let mut index = KeyIndex::default();
         for_each_morsel(n, ctx, |range| {
             for ri in range {
@@ -907,39 +897,43 @@ fn run_aggregate(
     let null_row: Vec<Value> = vec![Value::Null; input.schema.len()];
 
     // Vectorize the HAVING predicate's expensive calls: sites inside
-    // aggregate arguments see every member row, sites outside see one
-    // representative row per group.
-    if let Some(batch) = BatchableCalls::find(having, ctx) {
-        batch.prefetch_scope(true, ctx, &mut |collect| {
-            for row in &input.rows {
-                collect(&RowCtx { schema: &input.schema, row, outer })?;
+    // aggregate arguments see every member row (at its input position),
+    // sites outside see one representative row per group (at the group's).
+    let base = RowCtx::scope(&input.schema, outer, None);
+    let mut having = having.map(|h| bind_columns(h, &input.schema));
+    let mut having_calls = BatchableCalls::default();
+    having_calls.find(having.as_mut(), ctx);
+    having_calls.prefetch(Some(true), ctx, &mut |collect| {
+        for (ri, row) in input.rows.iter().enumerate() {
+            collect(&base.at(row, ri))?;
+        }
+        Ok(())
+    })?;
+    having_calls.prefetch(Some(false), ctx, &mut |collect| {
+        for (gi, members) in groups.iter().enumerate() {
+            if let Some(&i) = members.first() {
+                collect(&base.at(&input.rows[i], gi))?;
             }
-            Ok(())
-        })?;
-        batch.prefetch_scope(false, ctx, &mut |collect| {
-            for members in &groups {
-                if let Some(&i) = members.first() {
-                    collect(&RowCtx { schema: &input.schema, row: &input.rows[i], outer })?;
-                }
-            }
-            Ok(())
-        })?;
-    }
+        }
+        Ok(())
+    })?;
 
     // Apply HAVING before any output-site prefetch: batching must not pay
     // for projection/sort-key calls on groups HAVING rejects (the per-row
     // path skips their output expressions entirely).
-    let survivors: Vec<&Vec<usize>> = match having {
+    let survivors: Vec<&Vec<usize>> = match &having {
         None => groups.iter().collect(),
         Some(h) => {
+            let scope = RowCtx::scope(&input.schema, outer, Some(&having_calls));
             let mut survivors = Vec::new();
             for_each_morsel(groups.len(), ctx, |range| {
-                for members in &groups[range] {
+                for gi in range {
+                    let members = &groups[gi];
                     let rep: &[Value] = match members.first() {
                         Some(&i) => &input.rows[i],
                         None => &null_row,
                     };
-                    let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
+                    let rep_ctx = scope.at(rep, gi);
                     let verdict = materialize_and_eval(h, members, input, cols, ctx, &rep_ctx)?;
                     if verdict.truthiness() == Some(true) {
                         survivors.push(members);
@@ -952,43 +946,52 @@ fn run_aggregate(
     };
 
     // Vectorize the output expressions over the surviving groups only.
-    let exprs = projection.iter().map(|(e, _)| e).chain(order_exprs.iter());
-    if let Some(batch) = BatchableCalls::find(exprs, ctx) {
-        batch.prefetch_scope(true, ctx, &mut |collect| {
-            for members in &survivors {
-                for &ri in members.iter() {
-                    collect(&RowCtx { schema: &input.schema, row: &input.rows[ri], outer })?;
-                }
+    let width = projection.len();
+    let mut exprs: Vec<Expr> = projection
+        .iter()
+        .map(|(e, _)| e)
+        .chain(order_exprs)
+        .map(|e| bind_columns(e, &input.schema))
+        .collect();
+    let mut calls = BatchableCalls::default();
+    calls.find(exprs.iter_mut(), ctx);
+    calls.prefetch(Some(true), ctx, &mut |collect| {
+        for members in &survivors {
+            for &ri in members.iter() {
+                collect(&base.at(&input.rows[ri], ri))?;
             }
-            Ok(())
-        })?;
-        batch.prefetch_scope(false, ctx, &mut |collect| {
-            for members in &survivors {
-                if let Some(&i) = members.first() {
-                    collect(&RowCtx { schema: &input.schema, row: &input.rows[i], outer })?;
-                }
+        }
+        Ok(())
+    })?;
+    calls.prefetch(Some(false), ctx, &mut |collect| {
+        for (s, members) in survivors.iter().enumerate() {
+            if let Some(&i) = members.first() {
+                collect(&base.at(&input.rows[i], s))?;
             }
-            Ok(())
-        })?;
-    }
+        }
+        Ok(())
+    })?;
+    let (bound, order_exprs) = exprs.split_at(width);
 
     // Per-group output: aggregates and the residual projection evaluate
     // per surviving group.
+    let scope = RowCtx::scope(&input.schema, outer, Some(&calls));
     let mut rows: Vec<Row> = Vec::with_capacity(survivors.len());
     let mut keys = Vec::new();
     for_each_morsel(survivors.len(), ctx, |range| {
-        for members in &survivors[range] {
+        for s in range {
+            let members = survivors[s];
             let rep: &[Value] = match members.first() {
                 Some(&i) => &input.rows[i],
                 None => &null_row,
             };
-            let rep_ctx = RowCtx { schema: &input.schema, row: rep, outer };
-            let mut out = Vec::with_capacity(projection.len());
-            for (e, _) in projection {
+            let rep_ctx = scope.at(rep, s);
+            let mut out = Vec::with_capacity(width);
+            for e in bound {
                 out.push(materialize_and_eval(e, members, input, cols, ctx, &rep_ctx)?);
             }
             if !order_exprs.is_empty() {
-                keys.push(output_sort_keys(order_exprs, projection.len(), &out, &mut |e| {
+                keys.push(output_sort_keys(order_exprs, width, &out, &mut |e| {
                     materialize_and_eval(e, members, input, cols, ctx, &rep_ctx)
                 })?);
             }
@@ -1153,8 +1156,7 @@ fn compute_aggregate(
     }
     let mut vals = Vec::with_capacity(members.len());
     for &ri in members {
-        let rc = RowCtx { schema: &input.schema, row: &input.rows[ri], outer: rep_ctx.outer };
-        let v = eval(&arg, ctx, Some(&rc))?;
+        let v = eval(&arg, ctx, Some(&rep_ctx.at(&input.rows[ri], ri)))?;
         if !v.is_null() {
             vals.push(v);
         }
@@ -1291,11 +1293,13 @@ pub fn exec_plan(
                 Some(cheap) => filter_input(input, &cheap, ctx, outer)?,
                 None => exec_plan(input, ctx, outer)?,
             };
-            if let Some(batch) = BatchableCalls::find(expensive.iter(), ctx) {
-                batch.prefetch_rows(ctx, &rel.schema, &rel.rows, outer)?;
-            }
+            let mut expensive: Vec<Expr> =
+                expensive.iter().map(|c| bind_columns(c, &rel.schema)).collect();
+            let mut calls = BatchableCalls::default();
+            calls.find(expensive.iter_mut(), ctx);
+            calls.prefetch_rows(ctx, &rel.schema, &rel.rows, outer)?;
             let expensive = conjoin(expensive).expect("an expensive conjunct");
-            filter_relation(&mut rel, &expensive, ctx, outer)?;
+            filter_rows(&mut rel, &expensive, &calls, ctx, outer)?;
             Ok(rel)
         }
 
@@ -1418,9 +1422,7 @@ fn exec_plan_with_columns(
 }
 
 /// The batch filter: the predicate's columns are bound to indices up
-/// front, the rows evaluate into a keep-bitmap, and one in-place
-/// compaction drops the rejected rows — survivors are never cloned or moved
-/// into a fresh vector, and input order is kept.
+/// front, then [`filter_rows`].
 fn filter_relation(
     rel: &mut Relation,
     predicate: &Expr,
@@ -1428,13 +1430,28 @@ fn filter_relation(
     outer: Option<&RowCtx<'_>>,
 ) -> Result<()> {
     let predicate = bind_columns(predicate, &rel.schema);
-    let (schema, rows) = (&rel.schema, &rel.rows);
+    filter_rows(rel, &predicate, &BatchableCalls::default(), ctx, outer)
+}
+
+/// The rows evaluate the bound `predicate` (its prefetched calls answered
+/// by `calls`) into a keep-bitmap, and one in-place compaction drops the
+/// rejected rows — survivors are never cloned or moved into a fresh
+/// vector, and input order is kept.
+fn filter_rows(
+    rel: &mut Relation,
+    predicate: &Expr,
+    calls: &BatchableCalls,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&RowCtx<'_>>,
+) -> Result<()> {
+    let rows = &rel.rows;
+    let scope = RowCtx::scope(&rel.schema, outer, Some(calls));
     let mut keep = Vec::with_capacity(rows.len());
     for_each_morsel(rows.len(), ctx, |range| {
         for ri in range {
             prefetch_row(rows.get(ri + PREFETCH_AHEAD));
-            let rc = RowCtx { schema, row: &rows[ri], outer };
-            keep.push(eval(&predicate, ctx, Some(&rc))?.truthiness() == Some(true));
+            let rc = scope.at(&rows[ri], ri);
+            keep.push(eval(predicate, ctx, Some(&rc))?.truthiness() == Some(true));
         }
         Ok(())
     })?;
@@ -1456,16 +1473,19 @@ struct JoinInput {
 }
 
 impl JoinInput {
-    /// The join keys `exprs` (bound to this input) give its rows.
+    /// The join keys `exprs` (bound to this input, their prefetched calls
+    /// answered by `calls`) give its rows.
     fn keys(
         &self,
         exprs: &[Expr],
+        calls: &BatchableCalls,
         ctx: &ExecCtx<'_>,
         outer: Option<&RowCtx<'_>>,
     ) -> Result<Keys<'_, ChunkedVec<Row>>> {
         let (rows, n, cols) = (&self.rows, self.rows.len(), self.cols.as_deref());
         let cols = cols.map(|set| (set, None));
-        Keys::of_exprs(exprs, rows, n, &self.schema, cols, KeyMode::NeverMatch, ctx, outer)
+        let scope = RowCtx::scope(&self.schema, outer, Some(calls));
+        Keys::of_exprs(exprs, rows, n, cols, KeyMode::NeverMatch, ctx, &scope)
     }
 }
 
@@ -1648,48 +1668,54 @@ fn hash_join(
         equi.iter().map(|pair| bind_columns(pick(pair), &side.schema)).collect()
     };
     let (left_exprs, right_exprs) = (bind(|p| &p.0, left), bind(|p| &p.1, right));
-    let (build_exprs, probe_exprs) =
+    let (mut build_exprs, mut probe_exprs) =
         if build_left { (left_exprs, right_exprs) } else { (right_exprs, left_exprs) };
-    let residual = residual.map(|r| bind_columns(r, schema));
+    let mut residual = residual.map(|r| bind_columns(r, schema));
 
     // Expensive calls in a join key (`ON llm_map(...) = x`) are evaluated
     // per row of *one* side: vectorize them over that side's rows first.
-    for (exprs, side) in [(&build_exprs, build), (&probe_exprs, probe)] {
-        if let Some(batch) = BatchableCalls::find(exprs.iter(), ctx) {
-            batch.prefetch_rows(ctx, &side.schema, &side.rows, outer)?;
-        }
+    let mut calls = BatchableCalls::default();
+    for (exprs, side) in [(&mut build_exprs, build), (&mut probe_exprs, probe)] {
+        calls.find(exprs.iter_mut(), ctx);
+        calls.prefetch_rows(ctx, &side.schema, &side.rows, outer)?;
     }
-    let build_keys = build.keys(&build_exprs, ctx, outer)?;
-    let probe_keys = probe.keys(&probe_exprs, ctx, outer)?;
+    // The residual's sites, found now, are prefetched below.
+    calls.find(residual.as_mut(), ctx);
+    let build_keys = build.keys(&build_exprs, &calls, ctx, outer)?;
+    let probe_keys = probe.keys(&probe_exprs, &calls, ctx, outer)?;
     let index = KeyIndex::build(&build_keys, build.rows.len(), ctx)?;
     let (index, build_keys, probe_keys) = (&index, &build_keys, &probe_keys);
     let matches = move |pi: usize| index.matches(build_keys, probe_keys, pi);
     let build_rows = &build.rows;
 
     // Expensive calls in the residual evaluate over combined candidate
-    // rows: replay the matches once collecting the distinct argument
-    // tuples (no emission), batch them, then run the probe loop against
-    // the prefetched results.
+    // rows: replay the matches once collecting the argument tuples (no
+    // emission), batch them, then run the probe loop against the
+    // prefetched results. A candidate's position is its place in that
+    // order, which the probe loop repeats.
     let mut scratch: Vec<Value> = Vec::with_capacity(schema.len());
-    if let Some(batch) = BatchableCalls::find(residual.as_ref(), ctx) {
-        batch.prefetch(ctx, &mut |collect| {
-            for (pi, prow) in probe.rows.iter().enumerate() {
-                for ri in matches(pi) {
-                    let brow = &build_rows[ri];
-                    let (lrow, rrow): (&[Value], &[Value]) =
-                        if build_left { (brow, prow) } else { (prow, brow) };
-                    scratch.clear();
-                    scratch.extend_from_slice(lrow);
-                    scratch.extend_from_slice(rrow);
-                    collect(&RowCtx { schema, row: &scratch, outer })?;
-                }
+    let combined = RowCtx::scope(schema, outer, None);
+    calls.prefetch(None, ctx, &mut |collect| {
+        let mut pos = 0;
+        for (pi, prow) in probe.rows.iter().enumerate() {
+            for ri in matches(pi) {
+                let brow = &build_rows[ri];
+                let (lrow, rrow): (&[Value], &[Value]) =
+                    if build_left { (brow, prow) } else { (prow, brow) };
+                scratch.clear();
+                scratch.extend_from_slice(lrow);
+                scratch.extend_from_slice(rrow);
+                collect(&combined.at(&scratch, pos))?;
+                pos += 1;
             }
-            Ok(())
-        })?;
-    }
+        }
+        Ok(())
+    })?;
 
     // The probe, in probe order.
     let right_width = right.schema.len();
+    let combined = RowCtx::scope(schema, outer, Some(&calls));
+    let mut pos = 0;
     let mut out: Vec<Row> = Vec::with_capacity(probe.rows.len());
     for_each_morsel(probe.rows.len(), ctx, |range| {
         let chunk = probe.rows.morsel(range.clone());
@@ -1703,7 +1729,8 @@ fn hash_join(
                     scratch.clear();
                     scratch.extend_from_slice(lrow);
                     scratch.extend_from_slice(rrow);
-                    let cc = RowCtx { schema, row: &scratch, outer };
+                    pos += 1;
+                    let cc = combined.at(&scratch, pos - 1);
                     if eval(res, ctx, Some(&cc))?.truthiness() != Some(true) {
                         continue;
                     }
@@ -1755,7 +1782,7 @@ fn nested_loop_join(
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Vec<Row>> {
-    let on = on.map(|p| bind_columns(p, schema));
+    let mut on = on.map(|p| bind_columns(p, schema));
     // The predicate only reads its bound columns: gather exactly those into
     // a reused full-width scratch row (the rest stay NULL), so each of the
     // O(n·m) probes copies a couple of cells instead of whole rows. A
@@ -1786,30 +1813,32 @@ fn nested_loop_join(
 
     // Vectorize expensive calls in the ON predicate over the candidate
     // pairs: the argument-tuple dedupe collapses the cross product to the
-    // distinct tuples, so one batched call replaces O(n·m) row calls.
-    if let Some(batch) = BatchableCalls::find(on.as_ref(), ctx) {
-        let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
-        batch.prefetch(ctx, &mut |collect| {
-            for lrow in lrows {
-                for rrow in rrows {
-                    gather(&mut scratch, lrow, rrow);
-                    collect(&RowCtx { schema, row: &scratch, outer })?;
-                }
+    // distinct tuples, so one batched call replaces O(n·m) row calls. Pair
+    // (l, r) is position `l·|right| + r`.
+    let mut calls = BatchableCalls::default();
+    calls.find(on.as_mut(), ctx);
+    let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
+    let combined = RowCtx::scope(schema, outer, None);
+    calls.prefetch(None, ctx, &mut |collect| {
+        for (li, lrow) in lrows.iter().enumerate() {
+            for (ri, rrow) in rrows.iter().enumerate() {
+                gather(&mut scratch, lrow, rrow);
+                collect(&combined.at(&scratch, li * rrows.len() + ri))?;
             }
-            Ok(())
-        })?;
-    }
+        }
+        Ok(())
+    })?;
 
     // Ranges of the outer (left) side. The work per outer row is |right|,
     // unbounded by the range, so the inner loop keeps its own cancellation
     // check.
+    let combined = RowCtx::scope(schema, outer, Some(&calls));
     let mut out = Vec::new();
-    let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
     let mut since_check = 0usize;
     for_each_morsel(lrows.len(), ctx, |range| {
-        for lrow in lrows.morsel(range) {
+        for (li, lrow) in range.clone().zip(lrows.morsel(range)) {
             let mut matched = false;
-            for rrow in rrows {
+            for (ri, rrow) in rrows.iter().enumerate() {
                 since_check += 1;
                 if since_check >= MORSEL_ROWS {
                     since_check = 0;
@@ -1817,7 +1846,7 @@ fn nested_loop_join(
                 }
                 if let Some(pred) = &on {
                     gather(&mut scratch, lrow, rrow);
-                    let cc = RowCtx { schema, row: &scratch, outer };
+                    let cc = combined.at(&scratch, li * rrows.len() + ri);
                     if eval(pred, ctx, Some(&cc))?.truthiness() != Some(true) {
                         continue;
                     }

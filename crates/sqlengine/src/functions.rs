@@ -26,7 +26,9 @@ pub trait ScalarUdf: Send + Sync {
     /// in input order.
     ///
     /// The executor calls this once per operator input batch with the
-    /// *distinct* argument tuples of an expensive call site, so an
+    /// *distinct* argument tuples of an expensive call site (those no
+    /// earlier site of the operator asked), in the order the operator's
+    /// rows first show them, so an
     /// implementation backed by a remote model can chunk the tuples into
     /// multi-key prompts and fan them out in parallel instead of paying
     /// one round-trip per row. The default simply loops [`invoke`]

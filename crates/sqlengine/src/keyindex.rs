@@ -11,6 +11,10 @@
 //! words collide, so a candidate counts only once its cells compare equal.
 //! Cell equality is [`Value::group_key`]'s: `1 = 1.0`, `-0.0 = 0.0`,
 //! `'1' <> 1`. What NULL and NaN are is the [`KeyMode`]'s.
+//!
+//! The batched UDF prefetch (`eval::BatchableCalls`) dedupes argument
+//! tuples on the same index under its own word and equality
+//! ([`KeyIndex::find`] / [`KeyIndex::insert`]): exact identity, not `=`.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -23,7 +27,6 @@ use crate::error::Result;
 use crate::eval::{eval, RowCtx};
 use crate::exec::{for_each_morsel, ExecCtx, Relation};
 use crate::hash::{map_with_capacity, FxHashMap};
-use crate::plan::RelSchema;
 use crate::value::{KeyRef, Row, Value};
 
 /// What NULL and NaN key cells are.
@@ -102,23 +105,21 @@ impl<'a, R: Rows + ?Sized> Keys<'a, R> {
         Keys { width: cols.len(), cells: Cells::Columns(cols, sel), mode, exact }
     }
 
-    /// The keys `exprs` (bound to `schema`) give rows `0..n` of `rows`:
-    /// when every key is a plain column, read from `cols` (the input's
-    /// column set, and which table row each input row is) if the input
-    /// has one, else from the rows' slots; evaluated here otherwise, with
-    /// any expensive calls among them prefetched. Under
+    /// The keys `exprs` (bound to `scope`'s schema) give rows `0..n` of
+    /// `rows`: when every key is a plain column, read from `cols` (the
+    /// input's column set, and which table row each input row is) if the
+    /// input has one, else from the rows' slots; evaluated here otherwise,
+    /// row `i` at position `i` of `scope`'s prefetched calls. Under
     /// [`KeyMode::NeverMatch`] the keys after a cell with no key are not
     /// evaluated: the row matches nothing, and they could raise an error.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn of_exprs(
         exprs: &[Expr],
         rows: &'a R,
         n: usize,
-        schema: &RelSchema,
         cols: Option<(&'a ColumnSet, Option<&'a [u32]>)>,
         mode: KeyMode,
         ctx: &ExecCtx<'_>,
-        outer: Option<&RowCtx<'_>>,
+        scope: &RowCtx<'_>,
     ) -> Result<Self> {
         let slot = |e: &Expr| if let Expr::BoundColumn(i) = e { Some(*i) } else { None };
         if let Some(slots) = exprs.iter().map(slot).collect::<Option<Vec<usize>>>() {
@@ -131,7 +132,7 @@ impl<'a, R: Rows + ?Sized> Keys<'a, R> {
         let mut vals = Vec::with_capacity(n * exprs.len());
         for_each_morsel(n, ctx, |range| {
             for i in range {
-                let rc = RowCtx { schema, row: &rows[i], outer };
+                let rc = scope.at(&rows[i], i);
                 let mut keyed = true;
                 for e in exprs {
                     let v = if keyed { eval(e, ctx, Some(&rc))? } else { Value::Null };
@@ -279,6 +280,20 @@ impl KeyIndex {
         rows.filter(move |&i| exact || keys.same(i, probe, j))
     }
 
+    /// The first entry of `word` that `same` accepts.
+    #[inline]
+    pub(crate) fn find(&self, word: u64, mut same: impl FnMut(usize) -> bool) -> Option<usize> {
+        self.entries(Some(word)).find(|&e| same(e))
+    }
+
+    /// A new entry of `word`; entries are numbered in insertion order.
+    pub(crate) fn insert(&mut self, word: u64) -> usize {
+        let e = self.next.len();
+        self.next.push(END);
+        self.link(word, e as u32);
+        e
+    }
+
     /// The group of row `i` of `keys`: the group of the first row with an
     /// equal key, or a new one (the flag). Groups are numbered in
     /// first-seen order. A row without a key (a NULL or NaN cell under
@@ -289,17 +304,11 @@ impl KeyIndex {
         i: usize,
     ) -> Option<(usize, bool)> {
         let word = keys.word(i)?;
-        let mut e = self.table.get(&word).map_or(END, |&(first, _)| first);
-        while e != END {
-            let g = e as usize;
-            if keys.exact || keys.same(self.firsts[g], keys, i) {
-                return Some((g, false));
-            }
-            e = self.next[g];
+        let firsts = &self.firsts;
+        if let Some(g) = self.find(word, |g| keys.exact || keys.same(firsts[g], keys, i)) {
+            return Some((g, false));
         }
-        let g = self.firsts.len();
-        self.next.push(END);
-        self.link(word, g as u32);
+        let g = self.insert(word);
         self.firsts.push(i);
         Some((g, true))
     }

@@ -451,16 +451,42 @@ fn real_identity(r: f64) -> u64 {
     if r.is_nan() { f64::NAN.to_bits() } else { r.to_bits() }
 }
 
+impl Value {
+    /// Whether two UDF arguments are one under [`UdfArgs`] identity.
+    pub(crate) fn same_arg(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Integer(a), Value::Integer(b)) => a == b,
+            (Value::Real(a), Value::Real(b)) => real_identity(*a) == real_identity(*b),
+            (Value::Text(a), Value::Text(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// Feed this UDF argument's [`UdfArgs`] identity to `state`.
+    pub(crate) fn hash_arg<H: std::hash::Hasher>(&self, state: &mut H) {
+        use std::hash::Hash;
+        match self {
+            Value::Null => state.write_u8(0),
+            Value::Integer(i) => {
+                state.write_u8(1);
+                state.write_i64(*i);
+            }
+            Value::Real(r) => {
+                state.write_u8(2);
+                state.write_u64(real_identity(*r));
+            }
+            Value::Text(s) => {
+                state.write_u8(3);
+                s.hash(state);
+            }
+        }
+    }
+}
+
 impl PartialEq for UdfArgs {
     fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(&other.0).all(|pair| match pair {
-                (Value::Null, Value::Null) => true,
-                (Value::Integer(a), Value::Integer(b)) => a == b,
-                (Value::Real(a), Value::Real(b)) => real_identity(*a) == real_identity(*b),
-                (Value::Text(a), Value::Text(b)) => a == b,
-                _ => false,
-            })
+        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.same_arg(b))
     }
 }
 
@@ -469,21 +495,7 @@ impl Eq for UdfArgs {}
 impl std::hash::Hash for UdfArgs {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         for v in &self.0 {
-            match v {
-                Value::Null => state.write_u8(0),
-                Value::Integer(i) => {
-                    state.write_u8(1);
-                    state.write_i64(*i);
-                }
-                Value::Real(r) => {
-                    state.write_u8(2);
-                    state.write_u64(real_identity(*r));
-                }
-                Value::Text(s) => {
-                    state.write_u8(3);
-                    s.hash(state);
-                }
-            }
+            v.hash_arg(state);
         }
     }
 }

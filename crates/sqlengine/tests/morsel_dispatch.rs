@@ -102,7 +102,8 @@ fn every_operator_observes_a_fired_token_within_one_morsel() {
     }
 }
 
-/// An expensive UDF: its results are kept in the context's statement store.
+/// An expensive UDF: its per-row results are kept in the context's
+/// statement store.
 struct Pricey;
 
 impl ScalarUdf for Pricey {
@@ -142,7 +143,8 @@ fn ranges_cover_the_count_in_order_on_the_calling_thread() {
         }
         assert_eq!(next, count);
     }
-    let probe = select("SELECT pricey(7)");
+    // A call in a CASE branch is evaluated per row, through the store.
+    let probe = select("SELECT CASE WHEN 1 = 1 THEN pricey(7) END");
     for_each_morsel(2, &ctx, |_| run_select(&probe, &ctx, None).map(drop)).unwrap();
     assert_eq!(ctx.udf_results.borrow().get("pricey").map(|m| m.len()), Some(1));
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use swan_sqlengine::parser::{parse_expression, parse_statement};
-use swan_sqlengine::value::{ThinStr, Value};
+use swan_sqlengine::value::{ThinStr, UdfArgs, Value};
 use swan_sqlengine::{Database, OptimizerConfig, QueryResult, ScalarUdf};
 
 /// Every optimizer rule switched off: the reference executor.
@@ -116,12 +116,13 @@ fn fact_fk(domain: usize) -> &'static str {
 }
 
 /// A deterministic "expensive" UDF standing in for an LLM call: the value
-/// is a pure function of the arguments, and every evaluated tuple is
-/// counted whether it arrives through per-row `invoke` or a vectorized
-/// `invoke_batch`.
+/// is a pure function of the arguments' renderings, and every evaluated
+/// tuple is counted whether it arrives through per-row `invoke` or a
+/// vectorized `invoke_batch`, which also records the tuples it is handed.
 #[derive(Default)]
 struct TagUdf {
     tuples: AtomicU64,
+    batched: std::sync::Mutex<Vec<Vec<Value>>>,
 }
 
 impl ScalarUdf for TagUdf {
@@ -132,6 +133,10 @@ impl ScalarUdf for TagUdf {
         self.tuples.fetch_add(1, Ordering::SeqCst);
         let tag = args.iter().map(Value::render).collect::<Vec<_>>().join("-");
         Ok(Value::text(format!("v{tag}")))
+    }
+    fn invoke_batch(&self, rows: &[Vec<Value>]) -> swan_sqlengine::Result<Vec<Value>> {
+        self.batched.lock().unwrap().extend(rows.iter().cloned());
+        rows.iter().map(|args| self.invoke(args)).collect()
     }
     fn is_expensive(&self) -> bool {
         true
@@ -513,65 +518,104 @@ proptest! {
     }
 
     /// Batched expensive-UDF execution returns exactly the rows of
-    /// per-row `invoke` across the four SWAN domain query shapes
-    /// (projection, WHERE, JOIN ON, HAVING), and never evaluates more
-    /// argument tuples than the per-row path.
+    /// per-row `invoke` across the four SWAN query shapes (projection,
+    /// WHERE, JOIN ON, HAVING) over the [`join_key_cell`] pools — NULL,
+    /// NaN, `-0.0`/`0.0`, `1`/`1.0`/`'1'` — with `columnar` on and off, and
+    /// never evaluates more argument tuples than the per-row path. What
+    /// `invoke_batch` receives is each distinct tuple once under exact
+    /// identity (`UdfArgs`: `1`, `1.0` and `'1'` are three, `-0.0` and
+    /// `0.0` two, every NaN one), in the order the operator's rows first
+    /// show it; for the join, whose build side the planner picks, the
+    /// distinct tuples of both sides' keys.
     #[test]
     fn batched_udf_execution_matches_per_row(
-        rows in proptest::collection::vec((any::<i64>(), -40i64..120, "[a-m]{0,5}"), 2..40),
-        domain in 0usize..4,
-        threshold in -40i64..120,
+        a in proptest::collection::vec((0..KEY_PICKS, 0..KEY_PICKS, 0i64..3), 1..24),
+        b in proptest::collection::vec((0..KEY_PICKS, 0..KEY_PICKS, 0i64..3), 0..24),
+        classes in (0usize..4, 0usize..4),
+        threshold in 0i64..3,
         shape in 0usize..4,
+        columnar in any::<bool>(),
     ) {
-        let (_, _, _, join) = DOMAINS[domain];
-        let fact = fact_table(domain);
-        let num = fact_num(domain);
-        let fk = fact_fk(domain);
         let sql = match shape {
             // Expensive call in the projection.
-            0 => format!(
-                "SELECT s.id, slow_tag('p', s.{num}) FROM {fact} s ORDER BY s.id"
-            ),
+            0 => "SELECT a.id, slow_tag('p', a.k1, a.k2) FROM a ORDER BY a.id".to_string(),
             // Expensive conjunct in WHERE next to a cheap one.
             1 => format!(
-                "SELECT s.id FROM {join} WHERE s.{num} > {threshold} \
-                 AND slow_tag('w', p.id) LIKE 'vw%' ORDER BY s.id"
+                "SELECT a.id FROM a WHERE a.v >= {threshold} \
+                 AND slow_tag('w', a.k1) LIKE 'vw%' ORDER BY a.id"
             ),
-            // Expensive call inside a JOIN ON condition.
-            2 => format!(
-                "SELECT s.id, t.tag FROM {fact} s JOIN tiny t \
-                 ON slow_tag('j', s.{fk}) = slow_tag('j', t.k) \
-                 ORDER BY s.id, t.tag"
-            ),
+            // Expensive calls on both sides of a JOIN ON key.
+            2 => "SELECT a.id, b.id FROM a JOIN b ON slow_tag('j', a.k1) = slow_tag('j', b.k1) \
+                  ORDER BY a.id, b.id"
+                .to_string(),
             // Expensive call in HAVING over grouped output.
-            _ => format!(
-                "SELECT p.id, COUNT(*) FROM {join} GROUP BY p.id \
-                 HAVING slow_tag('h', p.id) LIKE 'vh%' ORDER BY p.id"
-            ),
+            _ => "SELECT a.k1, COUNT(*) FROM a GROUP BY a.k1 \
+                  HAVING slow_tag('h', a.k1) LIKE 'vh%'"
+                .to_string(),
         };
-
-        let batched_udf = Arc::new(TagUdf::default());
-        let mut batched = domain_db(domain, &rows);
-        batched.register_udf(batched_udf.clone());
-        batched.set_optimizer(OptimizerConfig::default());
-
-        let per_row_udf = Arc::new(TagUdf::default());
-        let mut per_row = domain_db(domain, &rows);
-        per_row.register_udf(per_row_udf.clone());
-        per_row.set_optimizer(OptimizerConfig {
-            batch_expensive_udfs: false,
-            ..Default::default()
-        });
-
-        let a = batched.query(&sql).unwrap();
-        let b = per_row.query(&sql).unwrap();
-        assert_same_results(&sql, &a, &b);
+        let run = |config: OptimizerConfig| {
+            let mut db = Database::new();
+            let rows = [
+                join_table(&mut db, "a", classes, &a),
+                join_table(&mut db, "b", (classes.1, classes.0), &b),
+            ];
+            let udf = Arc::new(TagUdf::default());
+            db.register_udf(udf.clone());
+            db.set_optimizer(config);
+            (db.query(&sql).unwrap(), udf, rows)
+        };
+        let (batched, batched_udf, [ra, rb]) =
+            run(OptimizerConfig { columnar, ..Default::default() });
+        let (per_row, per_row_udf, _) =
+            run(OptimizerConfig { batch_expensive_udfs: false, ..Default::default() });
+        assert_same_results(&sql, &batched, &per_row);
         let batched_tuples = batched_udf.tuples.load(Ordering::SeqCst);
         let per_row_tuples = per_row_udf.tuples.load(Ordering::SeqCst);
         prop_assert!(
             batched_tuples <= per_row_tuples,
             "{sql}: batched evaluated {batched_tuples} tuples, per-row {per_row_tuples}"
         );
+
+        // The tuples the operator's rows show, in row order.
+        let tagged = |tag: &str, rows: &mut dyn Iterator<Item = &Vec<Value>>, cols: &[usize]| {
+            rows.map(|r| {
+                let mut t = vec![Value::text(tag)];
+                t.extend(cols.iter().map(|&c| r[c].clone()));
+                t
+            })
+            .collect::<Vec<_>>()
+        };
+        let shown = match shape {
+            0 => tagged("p", &mut ra.iter(), &[1, 2]),
+            1 => tagged("w", &mut ra.iter().filter(|r| r[3].as_i64() >= Some(threshold)), &[1]),
+            2 => tagged("j", &mut ra.iter().chain(&rb), &[1]),
+            _ => {
+                let keys: Vec<Vec<Value>> = ra.iter().map(|r| vec![r[1].clone()]).collect();
+                let reps: Vec<Vec<Value>> =
+                    reference_groups(&keys).into_iter().map(|(k, _)| k).collect();
+                tagged("h", &mut reps.iter(), &[0])
+            }
+        };
+        let mut distinct: Vec<UdfArgs> = Vec::new();
+        for t in shown {
+            let t = UdfArgs(t);
+            if !distinct.contains(&t) {
+                distinct.push(t);
+            }
+        }
+        let mut received: Vec<UdfArgs> =
+            batched_udf.batched.lock().unwrap().iter().cloned().map(UdfArgs).collect();
+        if shape == 2 {
+            // Each distinct tuple once, whichever side went first.
+            prop_assert_eq!(received.len(), distinct.len(), "{}", sql);
+            received.retain(|t| distinct.contains(t));
+            prop_assert_eq!(received.len(), distinct.len(), "{}", sql);
+        } else {
+            prop_assert!(
+                received == distinct,
+                "{sql}: received {received:?}, first seen {distinct:?}"
+            );
+        }
     }
 
     /// LIKE with a literal substring pattern agrees with str::contains.

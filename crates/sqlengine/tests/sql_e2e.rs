@@ -718,7 +718,7 @@ fn where_clause_udf_is_batched() {
 fn filter_batches_exactly_the_cheap_survivors() {
     /// (sql, rows, the tuples of each `invoke_batch`, per-row invocations)
     type Case = (&'static str, &'static [&'static str], &'static [&'static [&'static str]], u64);
-    let cases: [Case; 7] = [
+    let cases: [Case; 8] = [
         // Over a Scan (run below with the columnar kernels on and off):
         // heroes 2, 3, 5 are above 180cm, publisher_ids 2, 2, 1.
         (
@@ -773,6 +773,15 @@ fn filter_batches_exactly_the_cheap_survivors() {
             &[&["a-2", "a-1"], &["b-Batman", "b-Superman", "b-Iron Man"]],
             0,
         ),
+        // Two sites of one UDF over the same key, asking different
+        // questions: each asks its own tuples.
+        (
+            "SELECT hero_name FROM superhero WHERE height_cm > 180 \
+             AND llm_tag('a', hero_name) LIKE 'v:a-%' AND llm_tag('b', hero_name) LIKE 'v:b-S%'",
+            &["Superman"],
+            &[&["a-Batman", "a-Superman", "a-Iron Man"], &["b-Batman", "b-Superman", "b-Iron Man"]],
+            0,
+        ),
         // A site on the right of OR is never collected: the cheap conjunct
         // still prunes first, and only Iron Man reaches the call.
         (
@@ -799,6 +808,86 @@ fn filter_batches_exactly_the_cheap_survivors() {
         db.set_optimizer(OptimizerConfig { batch_expensive_udfs: false, ..Default::default() });
         assert_eq!(texts(&db, sql), rows, "per row: {sql}");
         assert!(udf.received.lock().unwrap().is_empty(), "per row: {sql}");
+    }
+}
+
+/// A cheap UDF that counts its calls and returns its argument.
+#[derive(Default)]
+struct Tick {
+    calls: std::sync::atomic::AtomicU64,
+}
+
+impl ScalarUdf for Tick {
+    fn name(&self) -> &str {
+        "tick"
+    }
+    fn invoke(&self, args: &[Value]) -> swan_sqlengine::Result<Value> {
+        self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(args[0].clone())
+    }
+}
+
+/// The batched path's work per row, counted: at every operator that
+/// batches a call site — WHERE, projection, GROUP BY key, HAVING,
+/// aggregated output, aggregate argument, hash-join key, hash-join
+/// residual and nested-loop ON — a cheap argument of the expensive call
+/// is evaluated once per row (the prefetch's), never again by the
+/// operator's per-row pass, which reads the row's answer by position; and
+/// the site's distinct tuples go to one `invoke_batch`, no row to
+/// `invoke`.
+#[test]
+fn a_batched_row_evaluates_its_arguments_once() {
+    const N: u64 = 40;
+    // (operator, sql, rows returned)
+    let cases: [(&str, &str, usize); 9] = [
+        ("where", "SELECT a FROM t WHERE llm_tag('q', tick(a)) LIKE 'v:%'", 40),
+        ("projection", "SELECT a, llm_tag('q', tick(a)) FROM t", 40),
+        (
+            "group by",
+            "SELECT llm_tag('q', tick(a)), COUNT(*) FROM t GROUP BY llm_tag('q', tick(a))",
+            40,
+        ),
+        ("having", "SELECT a FROM t GROUP BY a HAVING llm_tag('q', tick(a)) LIKE 'v:%'", 40),
+        ("aggregated output", "SELECT a, llm_tag('q', tick(a)) FROM t GROUP BY a", 40),
+        ("aggregate argument", "SELECT MAX(llm_tag('q', tick(a))) FROM t", 1),
+        ("hash-join key", "SELECT t.a FROM t JOIN u ON llm_tag('q', tick(t.a)) = u.tag", 40),
+        (
+            "hash-join residual",
+            "SELECT t.a FROM t JOIN u ON t.a = u.a AND llm_tag('q', tick(t.a)) = u.tag",
+            40,
+        ),
+        (
+            "nested-loop ON",
+            "SELECT t.a FROM t JOIN one ON llm_tag('q', tick(t.a)) LIKE one.pattern",
+            40,
+        ),
+    ];
+    for (operator, sql, want) in cases {
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE t (a INTEGER); CREATE TABLE u (a INTEGER, tag TEXT);
+             CREATE TABLE one (pattern TEXT); INSERT INTO one VALUES ('v:%');",
+        )
+        .unwrap();
+        for a in 0..N {
+            db.execute(&format!("INSERT INTO t VALUES ({a})")).unwrap();
+            db.execute(&format!("INSERT INTO u VALUES ({a}, 'v:q-{a}')")).unwrap();
+        }
+        let udf = CountingLlm::new();
+        let tick = Arc::new(Tick::default());
+        db.register_udf(udf.clone());
+        db.register_udf(tick.clone());
+        assert_eq!(texts(&db, sql).len(), want, "{operator}");
+        let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::SeqCst);
+        let calls =
+            (load(&tick.calls), load(&udf.batches), load(&udf.batched_tuples), load(&udf.invokes));
+        let expect = match operator {
+            // The key is asked over the rows, then the output over the
+            // groups: two operators, each asking its own.
+            "group by" => (2 * N, 2, 2 * N, 0),
+            _ => (N, 1, N, 0),
+        };
+        assert_eq!(calls, expect, "{operator}: (tick calls, batches, batched tuples, invokes)");
     }
 }
 

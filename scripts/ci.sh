@@ -39,7 +39,7 @@
 #      interleavings — concurrent sessions, group commit, the in-place
 #      write path's copy-on-write under the table-writer lock, and
 #      `udf_store`, taken from every session's statement thread;
-#   3. five properties at PROPTEST_CASES=2000 in a release build —
+#   3. six properties at PROPTEST_CASES=2000 in a release build —
 #      tier-1 runs them at the vendored proptest's default of 64 cases:
 #      the B-tree differential property (the in-place tree writers against
 #      the decoding reference kept in btree.rs's tests: same page images,
@@ -56,7 +56,12 @@
 #      UNION / EXCEPT / INTERSECT and IN / NOT IN (SELECT …), uncorrelated
 #      and correlated, over the same key pools, columnar on and off,
 #      before and after in-place key updates; `sort_cmp` for grouping and
-#      `sql_eq` for membership, no hashing), and the one-word
+#      `sql_eq` for membership, no hashing), batched expensive-UDF
+#      execution against per-row `invoke` (prop_sql.rs: projection,
+#      WHERE, JOIN ON and HAVING over the same key pools, columnar on and
+#      off: the same rows, no more tuples evaluated, and `invoke_batch`
+#      handed each distinct tuple once under exact `UdfArgs` identity, in
+#      first-seen order), and the one-word
 #      `ThinStr` behind every text cell against `Arc<str>` (thinstr.rs:
 #      empty, multibyte, NUL and up-to-4-KiB strings; `==`, `cmp`, both
 #      hashers, `Debug`, `Display` and `HashSet::get(&str)`; its count
@@ -118,6 +123,10 @@ PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --test prop_sql \
 echo "== keyed operators against a pairwise reference @ PROPTEST_CASES=2000 (release) =="
 PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --test prop_sql \
     keyed_operators_match_a_pairwise_reference
+
+echo "== batched expensive-UDF execution against per-row invoke @ PROPTEST_CASES=2000 (release) =="
+PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --test prop_sql \
+    batched_udf_execution_matches_per_row
 
 echo "== ThinStr against Arc<str>, and its 8-thread clone/drop stress @ PROPTEST_CASES=2000 (release) =="
 PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib thinstr::tests
