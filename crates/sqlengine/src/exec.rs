@@ -1299,7 +1299,7 @@ pub fn exec_plan(
             calls.find(expensive.iter_mut(), ctx);
             calls.prefetch_rows(ctx, &rel.schema, &rel.rows, outer)?;
             let expensive = conjoin(expensive).expect("an expensive conjunct");
-            filter_rows(&mut rel, &expensive, &calls, ctx, outer)?;
+            filter_relation(&mut rel, &expensive, &calls, ctx, outer)?;
             Ok(rel)
         }
 
@@ -1344,7 +1344,8 @@ fn filter_input(
         return Ok(rel);
     }
     let mut rel = exec_plan(input, ctx, outer)?;
-    filter_relation(&mut rel, predicate, ctx, outer)?;
+    let predicate = bind_columns(predicate, &rel.schema);
+    filter_relation(&mut rel, &predicate, &BatchableCalls::default(), ctx, outer)?;
     Ok(rel)
 }
 
@@ -1421,23 +1422,11 @@ fn exec_plan_with_columns(
     Ok((exec_plan(plan, ctx, outer)?, None))
 }
 
-/// The batch filter: the predicate's columns are bound to indices up
-/// front, then [`filter_rows`].
+/// The batch filter: the rows evaluate the `predicate`, bound to their
+/// schema (its prefetched calls answered by `calls`), into a keep-bitmap,
+/// and one in-place compaction drops the rejected rows — survivors are
+/// never cloned or moved into a fresh vector, and input order is kept.
 fn filter_relation(
-    rel: &mut Relation,
-    predicate: &Expr,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&RowCtx<'_>>,
-) -> Result<()> {
-    let predicate = bind_columns(predicate, &rel.schema);
-    filter_rows(rel, &predicate, &BatchableCalls::default(), ctx, outer)
-}
-
-/// The rows evaluate the bound `predicate` (its prefetched calls answered
-/// by `calls`) into a keep-bitmap, and one in-place compaction drops the
-/// rejected rows — survivors are never cloned or moved into a fresh
-/// vector, and input order is kept.
-fn filter_rows(
     rel: &mut Relation,
     predicate: &Expr,
     calls: &BatchableCalls,
