@@ -667,9 +667,10 @@ impl ScalarUdf for LlmMapUdf {
     /// response leaves unanswered are re-batched once, and what is still
     /// missing then falls back to single-key calls.
     ///
-    /// A tuple costs one key render and one store probe: a site's tuples
-    /// share the question's cell, so each distinct question is resolved
-    /// once, by address. Three passes, none of which takes the store lock
+    /// A tuple costs one key render, one compare of its question against
+    /// the batch's distinct questions (text equality, which stops at a
+    /// length mismatch), and one store probe; each distinct question is
+    /// resolved once per batch. Three passes, none of which takes the store lock
     /// per key: scan (one acquisition: hits out, the other misses reserved
     /// for the first round), fetch (per question one acquisition to
     /// retire; again to reserve and retire when the first round left keys
@@ -685,11 +686,7 @@ impl ScalarUdf for LlmMapUdf {
                 out[slot] = Some(Value::Null);
                 continue;
             };
-            let known = groups
-                .iter()
-                .position(|g| std::ptr::eq(g.asked.question, question))
-                .or_else(|| groups.iter().position(|g| g.asked.question == question));
-            let group = match known {
+            let group = match groups.iter().position(|g| g.asked.question == question) {
                 Some(g) => &mut groups[g],
                 None => {
                     groups.push(Group {

@@ -18,6 +18,7 @@
 //!   UDFs, non-equality correlation), and the reference the other two are
 //!   tested against.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -40,7 +41,7 @@ pub struct RowCtx<'a> {
     pub outer: Option<&'a RowCtx<'a>>,
     /// The batched call sites of the operator evaluating this row, with
     /// their prefetched answers ([`Expr::Prefetched`] reads them).
-    pub calls: Option<&'a BatchableCalls>,
+    pub calls: Option<&'a BatchableCalls<'a>>,
     /// The row's position among `calls`' answers: its index in the
     /// operator's input, its group's, or its candidate pair's.
     pub pos: usize,
@@ -60,7 +61,7 @@ impl<'a> RowCtx<'a> {
     pub fn scope(
         schema: &'a RelSchema,
         outer: Option<&'a RowCtx<'a>>,
-        calls: Option<&'a BatchableCalls>,
+        calls: Option<&'a BatchableCalls<'a>>,
     ) -> Self {
         RowCtx { schema, row: &[], outer, calls, pos: 0 }
     }
@@ -147,13 +148,18 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
                     }
                     if udf.is_expensive() && ctx.optimizer.batch_expensive_udfs {
                         // Batched execution, off the batched path: a call
-                        // in a conditional position, or a row its
-                        // operator's prefetch left unanswered
-                        // ([`Expr::Prefetched`]). Such calls share one
-                        // statement-scoped store, so a repeated tuple pays
-                        // one call. Tuples are keyed by exact value
-                        // identity ([`UdfArgs`]), matching the determinism
-                        // contract on [`ScalarUdf::invoke`].
+                        // in a conditional position, a row its operator's
+                        // prefetch left unanswered ([`Expr::Prefetched`]),
+                        // or a nested-loop pair ([`Slots::Probe`]). A tuple
+                        // a batch of the statement asked is answered from
+                        // it; the other calls share one statement-scoped
+                        // store, so a repeated tuple pays one call. Tuples
+                        // are keyed by exact value identity ([`UdfArgs`]),
+                        // matching the determinism contract on
+                        // [`ScalarUdf::invoke`].
+                        if let Some(v) = batched_answer(udf, &vals, ctx, row) {
+                            return Ok(v);
+                        }
                         let args = UdfArgs(vals);
                         if let Some(v) = ctx.udf_result(registered, &args) {
                             return Ok(v);
@@ -399,75 +405,276 @@ struct CallSite {
     /// Whether the call sits inside an aggregate's argument (evaluated per
     /// member row) rather than over the group representative.
     in_aggregate: bool,
-    /// Once prefetched: each position's tuple in its batch, [`NONE`] where
-    /// the prefetch could not evaluate the arguments.
+    /// Which answer slot a row's position reads.
+    slots: Slots,
+    /// Once prefetched: each slot's tuple in its batch, [`NONE`] where the
+    /// prefetch could not evaluate the arguments.
     tuples: Option<Vec<u32>>,
 }
 
-/// A position the prefetch left without a tuple.
+/// A slot the prefetch left without a tuple.
 const NONE: u32 = u32::MAX;
 
-/// What an operator asked one UDF: the distinct argument tuples of its
-/// sites in first-seen order, and their answers.
-struct Batch {
+/// How a site's rows find their answer slots.
+#[derive(Clone, Copy)]
+enum Slots {
+    /// One slot per position.
+    Position,
+    /// One per outer row of a nested loop, whose pair `(l, r)` is position
+    /// `l·inner + r`: the arguments read only the outer row.
+    Outer(usize),
+    /// One per inner row of a nested loop: the arguments read only it.
+    Inner(usize),
+    /// None: the arguments read both rows of a pair, and a slot per pair
+    /// would grow with the cross product. The prefetch still asks the
+    /// distinct tuples in one batch; each pair then evaluates its
+    /// arguments again on the per-row path and probes the batch.
+    Probe,
+}
+
+impl Slots {
+    #[inline]
+    fn of(self, pos: usize) -> Option<usize> {
+        match self {
+            Slots::Position => Some(pos),
+            Slots::Outer(inner) => Some(pos / inner),
+            Slots::Inner(inner) => Some(pos % inner),
+            Slots::Probe => None,
+        }
+    }
+}
+
+/// What a statement's batched call sites asked one UDF: the distinct
+/// argument tuples in first-seen order, and their answers. An operator
+/// holds the batches of the UDFs it calls while it runs
+/// ([`BatchableCalls`]); between operators they rest in
+/// [`ExecCtx::udf_batches`](crate::exec::ExecCtx), so a tuple is asked
+/// once per statement however many operators, or re-executions of a
+/// correlated subquery, show it.
+pub(crate) struct Batch {
     udf: Arc<dyn ScalarUdf>,
-    /// Tuples by their [`UdfArgs`]-identity word: the non-literal
-    /// arguments, seeded by the site's literals.
+    /// The name the UDF is registered under: its per-row store's key.
+    name: String,
+    /// Tuples by identity word ([`tuple_word`]).
     index: KeyIndex,
     tuples: Vec<Vec<Value>>,
     /// Parallel to `tuples`; `None` where `invoke_batch` failed.
     answers: Vec<Option<Value>>,
 }
 
+impl Batch {
+    /// The answer to `tuple`, whose identity word is `word`, if asked.
+    fn answer(&self, word: u64, tuple: &[Value]) -> Option<&Value> {
+        let t = self.index.find(word, |t| same_tuple(&self.tuples[t], tuple))?;
+        self.answers[t].as_ref()
+    }
+
+    /// Take in `other`'s tuples and answers, those this batch lacks.
+    fn absorb(&mut self, mut other: Batch) {
+        if other.tuples.len() > self.tuples.len() {
+            std::mem::swap(self, &mut other);
+        }
+        for (tuple, answer) in other.tuples.into_iter().zip(other.answers) {
+            let word = tuple_word(&tuple);
+            if self.index.find(word, |t| same_tuple(&self.tuples[t], &tuple)).is_none() {
+                self.tuples.push(tuple);
+                self.answers.push(answer);
+                self.index.insert(word);
+            }
+        }
+    }
+}
+
+/// One argument's share of its tuple's identity word.
+fn arg_word(v: &Value) -> u64 {
+    let mut h = FxHasher::default();
+    v.hash_arg(&mut h);
+    h.finish()
+}
+
+/// A tuple's identity word under [`UdfArgs`] identity: its arguments'
+/// words in order, so a site hashes a literal argument once.
+fn tuple_word(tuple: &[Value]) -> u64 {
+    let mut h = FxHasher::default();
+    for v in tuple {
+        h.write_u64(arg_word(v));
+    }
+    h.finish()
+}
+
+/// [`UdfArgs`] equality over borrowed tuples.
+fn same_tuple(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_arg(y))
+}
+
+/// A batched answer to `udf(tuple)`, whose identity word is `word`, that
+/// the operator evaluating `row`, or one enclosing it, holds.
+fn held_answer(
+    udf: &Arc<dyn ScalarUdf>,
+    word: u64,
+    tuple: &[Value],
+    row: Option<&RowCtx<'_>>,
+) -> Option<Value> {
+    std::iter::successors(row, |r| r.outer)
+        .filter_map(|r| r.calls?.batch_of(udf))
+        .find_map(|batch| batch.answer(word, tuple).cloned())
+}
+
+/// A batched answer to `udf(tuple)` the statement already holds: in a
+/// batch the operator evaluating `row`, or one enclosing it, is running
+/// with, or in one resting in the context.
+fn batched_answer(
+    udf: &Arc<dyn ScalarUdf>,
+    tuple: &[Value],
+    ctx: &ExecCtx<'_>,
+    row: Option<&RowCtx<'_>>,
+) -> Option<Value> {
+    let word = tuple_word(tuple);
+    if let Some(v) = held_answer(udf, word, tuple, row) {
+        return Some(v);
+    }
+    let resting = ctx.udf_batches.try_borrow().ok()?;
+    resting.iter().find(|b| Arc::ptr_eq(&b.udf, udf))?.answer(word, tuple).cloned()
+}
+
+/// The answers to `new`, tuples no batch of the statement asked yet, of
+/// which `answers` (parallel) holds those an enclosing operator's batch
+/// answered: one [`ScalarUdf::invoke_batch`] in order (the UDF chunks
+/// internally) for the rest, less the tuples a per-row call of the
+/// statement already answered. A failed or short batch leaves its tuples
+/// unanswered, and the per-row path surfaces (or retries) them.
+fn ask(
+    batch: &Batch,
+    new: &[Vec<Value>],
+    mut answers: Vec<Option<Value>>,
+    ctx: &ExecCtx<'_>,
+) -> Vec<Option<Value>> {
+    let invoke = |tuples: &[Vec<Value>]| match batch.udf.invoke_batch(tuples) {
+        Ok(answers) if answers.len() == tuples.len() => answers.into_iter().map(Some).collect(),
+        _ => vec![None; tuples.len()],
+    };
+    if let Some(stored) = ctx.udf_results.borrow().get(&batch.name).filter(|s| !s.is_empty()) {
+        for (a, t) in answers.iter_mut().zip(new).filter(|(a, _)| a.is_none()) {
+            *a = stored.get(&UdfArgs(t.clone())).cloned();
+        }
+    }
+    let missing: Vec<usize> = (0..new.len()).filter(|&i| answers[i].is_none()).collect();
+    if missing.len() == new.len() {
+        return invoke(new);
+    }
+    if !missing.is_empty() {
+        let asked: Vec<Vec<Value>> = missing.iter().map(|&i| new[i].clone()).collect();
+        for (i, v) in missing.into_iter().zip(invoke(&asked)) {
+            answers[i] = v;
+        }
+    }
+    answers
+}
+
 /// The expensive scalar-UDF call sites of one operator invocation, and
 /// their answers by row position.
 ///
 /// [`BatchableCalls::find`] rewrites each site of the operator's (bound)
-/// expressions into an [`Expr::Prefetched`] naming it. The prefetch then
+/// expressions into an [`Expr::Prefetched`] naming it, and takes the
+/// statement's [`Batch`] of each UDF the sites call. The prefetch then
 /// walks the operator's input once per site (innermost first, so nested
 /// calls resolve bottom-up), and a row costs one evaluation of the
-/// arguments and one probe of an index over the distinct tuples, keyed by
-/// exact identity ([`UdfArgs`]: `1` ≠ `1.0`, NaN = NaN) — a literal
-/// argument, the question, is neither evaluated nor hashed per row. The
-/// tuples no earlier site of the operator asked go to **one**
+/// arguments and one probe of the batch's index over the distinct tuples,
+/// keyed by exact identity ([`UdfArgs`]: `1` ≠ `1.0`, NaN = NaN) — a
+/// literal argument, the question, is neither evaluated nor hashed per
+/// row. The tuples the statement has not asked yet go to **one**
 /// [`ScalarUdf::invoke_batch`] in first-seen order. The operator's per-row
 /// pass then reads each row's answer by its position ([`RowCtx::pos`]):
-/// no second evaluation, no second hash. The answers live as long as the
-/// operator invocation, so a correlated re-execution asks again.
+/// no second evaluation, no second hash. The slots live as long as the
+/// operator invocation; the batches go back to the statement when it is
+/// dropped, so a later operator, or a correlated re-execution, finds the
+/// tuples asked and asks only new ones. An operator that runs inside
+/// another (a subquery of its per-row pass) starts a batch of its own for
+/// a UDF the enclosing one holds: a tuple new to it is looked up in the
+/// enclosing operator's batch before it is asked, and the two batches
+/// become one when both are back.
 ///
 /// A row whose arguments fail to evaluate here (outer correlations the
-/// batch schema cannot see, latent type errors), and every row of a
-/// failed or short `invoke_batch`, keeps its call: the per-row evaluator
-/// runs it through the statement-scoped store
-/// ([`ExecCtx::udf_results`](crate::exec::ExecCtx)), raising exactly what
-/// the unbatched engine raised. Sites in *conditionally evaluated*
-/// positions of one expression (CASE branches, right-hand sides of AND/OR,
-/// IN-list tails) are never rewritten and always take that store. An
-/// operator that hands over several expressions has each searched on its
-/// own, though, and the WHERE filter hands over each expensive conjunct
-/// alone: every one is prefetched over all the rows the cheap conjuncts
-/// kept. In `A = 'Yes' AND B = 'LA'` with both expensive, B is asked even
-/// for rows where A is false, which per-row short-circuit evaluation
-/// would have skipped — so batching can raise a statement's call count as
-/// well as lower it.
+/// batch schema cannot see, latent type errors), every row of a failed or
+/// short `invoke_batch`, and every pair of a nested-loop site that reads
+/// both rows ([`Slots::Probe`]) keeps its call: the per-row evaluator
+/// answers it from the batches the statement holds, or runs it through the
+/// statement's per-row store ([`ExecCtx::udf_results`](crate::exec::ExecCtx)),
+/// raising exactly what the unbatched engine raised. Sites in
+/// *conditionally evaluated* positions of one expression (CASE branches,
+/// right-hand sides of AND/OR, IN-list tails) are never rewritten and
+/// always take that path. An operator that hands over several expressions
+/// has each searched on its own, though, and the WHERE filter hands over
+/// each expensive conjunct alone: every one is prefetched over all the
+/// rows the cheap conjuncts kept. In `A = 'Yes' AND B = 'LA'` with both
+/// expensive, B is asked even for rows where A is false, which per-row
+/// short-circuit evaluation would have skipped — so batching can raise a
+/// statement's call count as well as lower it.
 #[derive(Default)]
-pub struct BatchableCalls {
+pub struct BatchableCalls<'s> {
     sites: Vec<CallSite>,
     batches: Vec<Batch>,
+    /// The statement's resting batches: where [`BatchableCalls::find`]
+    /// takes this operator's from, and where they go back on drop.
+    resting: Option<&'s RefCell<Vec<Batch>>>,
 }
 
-impl BatchableCalls {
+impl Drop for BatchableCalls<'_> {
+    fn drop(&mut self) {
+        let Some(Ok(mut resting)) = self.resting.map(RefCell::try_borrow_mut) else { return };
+        for batch in self.batches.drain(..) {
+            // A subquery this operator ran may have put back a batch of
+            // the same UDF meanwhile: the two become one.
+            match resting.iter_mut().find(|b| Arc::ptr_eq(&b.udf, &batch.udf)) {
+                Some(b) => b.absorb(batch),
+                None => resting.push(batch),
+            }
+        }
+    }
+}
+
+impl<'s> BatchableCalls<'s> {
     /// Rewrite the expensive call sites in `exprs` — bound to the schema
     /// of the rows the prefetch will see — into sites of this operator.
     /// Nothing when the statement evaluates per row
     /// (`OptimizerConfig::batch_expensive_udfs` off): the one place an
     /// operator's batching is switched.
-    pub fn find<'e>(&mut self, exprs: impl IntoIterator<Item = &'e mut Expr>, ctx: &ExecCtx<'_>) {
+    pub fn find<'e>(&mut self, exprs: impl IntoIterator<Item = &'e mut Expr>, ctx: &'s ExecCtx<'_>) {
         if !ctx.optimizer.batch_expensive_udfs {
             return;
         }
+        self.resting = Some(&ctx.udf_batches);
         for e in exprs {
             self.rewrite(e, ctx.udfs, SiteCtx { in_aggregate: false, conditional: false });
+        }
+    }
+
+    /// Give every site a slot per outer row, a slot per inner row, or none
+    /// ([`Slots`]), for a nested loop whose combined rows hold the outer
+    /// row's `outer_width` columns first and whose pair `(l, r)` is
+    /// position `l·inner + r`: a site that reads one side costs a slot per
+    /// row of that side, not per pair.
+    pub fn slot_pairs(&mut self, outer_width: usize, inner: usize) {
+        let inner = inner.max(1);
+        for site in &mut self.sites {
+            let (mut outer, mut within, mut subquery) = (false, false, false);
+            for a in &site.args {
+                a.walk(&mut |e| match e {
+                    Expr::BoundColumn(i) if *i < outer_width => outer = true,
+                    Expr::BoundColumn(_) => within = true,
+                    // A subquery may read any column of the pair.
+                    Expr::Exists { .. } | Expr::ScalarSubquery(_) | Expr::InSubquery { .. } => {
+                        subquery = true
+                    }
+                    _ => {}
+                });
+            }
+            site.slots = match (outer, within) {
+                _ if subquery => Slots::Probe,
+                (true, true) => Slots::Probe,
+                (false, true) => Slots::Inner(inner),
+                _ => Slots::Outer(inner),
+            };
         }
     }
 
@@ -513,8 +720,13 @@ impl BatchableCalls {
     #[inline]
     fn answer(&self, site: usize, pos: usize) -> Option<&Value> {
         let site = self.sites.get(site)?;
-        let tuple = *site.tuples.as_ref()?.get(pos)?;
+        let tuple = *site.tuples.as_ref()?.get(site.slots.of(pos)?)?;
         self.batches[site.batch].answers.get(tuple as usize)?.as_ref()
+    }
+
+    /// The batch of `udf` this operator holds, if it calls it.
+    fn batch_of(&self, udf: &Arc<dyn ScalarUdf>) -> Option<&Batch> {
+        self.batches.iter().find(|b| Arc::ptr_eq(&b.udf, udf))
     }
 
     /// Post-order site search (arguments before the call itself, so
@@ -533,7 +745,7 @@ impl BatchableCalls {
                 if agg || sc.conditional {
                     return;
                 }
-                let Some(udf) = udfs.get(name) else { return };
+                let Some((registered, udf)) = udfs.get_registered(name) else { return };
                 // Arity mismatches are left to the per-row path's error,
                 // and so is a call over an aggregate, which no row can
                 // evaluate before its group's aggregates are.
@@ -546,12 +758,18 @@ impl BatchableCalls {
                 let batch = match self.batches.iter().position(|b| Arc::ptr_eq(&b.udf, udf)) {
                     Some(b) => b,
                     None => {
-                        self.batches.push(Batch {
+                        let resting = self.resting.and_then(|r| r.try_borrow_mut().ok());
+                        let held = resting.and_then(|mut r| {
+                            let i = r.iter().position(|b| Arc::ptr_eq(&b.udf, udf))?;
+                            Some(r.swap_remove(i))
+                        });
+                        self.batches.push(held.unwrap_or_else(|| Batch {
                             udf: udf.clone(),
+                            name: registered.to_string(),
                             index: KeyIndex::default(),
                             tuples: Vec::new(),
                             answers: Vec::new(),
-                        });
+                        }));
                         self.batches.len() - 1
                     }
                 };
@@ -560,6 +778,7 @@ impl BatchableCalls {
                     args: args.clone(),
                     batch,
                     in_aggregate: sc.in_aggregate,
+                    slots: Slots::Position,
                     tuples: None,
                 });
                 let call = std::mem::replace(e, Expr::Literal(Value::Null));
@@ -633,72 +852,81 @@ impl BatchableCalls {
         let mut index = std::mem::take(&mut self.batches[b].index);
         let mut tuples = std::mem::take(&mut self.batches[b].tuples);
         let asked = tuples.len();
-        let mut positions: Vec<u32> = Vec::new();
+        let mut slots: Vec<u32> = Vec::new();
         let calls = &*self;
-        let args = &calls.sites[k].args;
-        // The literals are hashed once: their word seeds every row's, so
-        // sites of one UDF with different literals keep apart.
-        let mut literals = FxHasher::default();
-        for a in args {
-            if let Expr::Literal(v) = a {
-                v.hash_arg(&mut literals);
+        let site = &calls.sites[k];
+        // A literal argument's word is computed once for the site.
+        let literals: Vec<Option<u64>> = site
+            .args
+            .iter()
+            .map(|a| if let Expr::Literal(v) = a { Some(arg_word(v)) } else { None })
+            .collect();
+        let udf = &calls.batches[b].udf;
+        let mut known: Vec<(usize, Value)> = Vec::new();
+        let walked = rows(&mut |rc| {
+            let slot = site.slots.of(rc.pos);
+            // A slot shared by several positions is filled by the first.
+            if slot.is_some_and(|s| slots.get(s).is_some_and(|&t| t != NONE)) {
+                return Ok(());
             }
-        }
-        let literals = literals.finish();
-        rows(&mut |rc| {
             let rc = RowCtx { calls: Some(calls), ..*rc };
-            let mut tuple = Vec::with_capacity(args.len());
+            let mut tuple = Vec::with_capacity(site.args.len());
             let mut word = FxHasher::default();
-            word.write_u64(literals);
-            for a in args {
-                match a {
-                    Expr::Literal(v) => tuple.push(v.clone()),
+            for (a, literal) in site.args.iter().zip(&literals) {
+                let v = match (a, literal) {
+                    (Expr::Literal(v), Some(w)) => {
+                        word.write_u64(*w);
+                        v.clone()
+                    }
                     _ => match eval(a, ctx, Some(&rc)) {
                         Ok(v) => {
-                            v.hash_arg(&mut word);
-                            tuple.push(v);
+                            word.write_u64(arg_word(&v));
+                            v
                         }
                         // Unevaluable in batch context: leave this row to
                         // the per-row path.
                         Err(_) => return Ok(()),
                     },
-                }
+                };
+                tuple.push(v);
             }
             let word = word.finish();
-            // A literal cell is the site's own, so it compares by address;
-            // another site's tuple may differ in its literals or its arity.
-            let same = |t: usize| {
-                let other = &tuples[t];
-                other.len() == tuple.len() && other.iter().zip(&tuple).all(|(x, y)| x.same_arg(y))
-            };
-            let t = match index.find(word, same) {
+            let t = match index.find(word, |t| same_tuple(&tuples[t], &tuple)) {
                 Some(t) => t,
                 None => {
+                    // An operator this one runs inside may have asked it.
+                    if let Some(v) = held_answer(udf, word, &tuple, rc.outer) {
+                        known.push((tuples.len() - asked, v));
+                    }
                     tuples.push(tuple);
                     index.insert(word)
                 }
             };
-            if positions.len() <= rc.pos {
-                positions.resize(rc.pos + 1, NONE);
-            }
-            positions[rc.pos] = t as u32;
-            Ok(())
-        })?;
-        // One vectorized call for the tuples no earlier site asked; the UDF
-        // chunks internally. A failed or short batch leaves them unanswered
-        // and the per-row path surfaces (or retries) them.
-        let batch = &mut self.batches[b];
-        let new = &tuples[asked..];
-        if !new.is_empty() {
-            match batch.udf.invoke_batch(new) {
-                Ok(answers) if answers.len() == new.len() => {
-                    batch.answers.extend(answers.into_iter().map(Some))
+            if let Some(s) = slot {
+                if slots.len() <= s {
+                    slots.resize(s + 1, NONE);
                 }
-                _ => batch.answers.resize(tuples.len(), None),
+                slots[s] = t as u32;
             }
+            Ok(())
+        });
+        // The batch goes back whole, every tuple with an answer slot, also
+        // when the walk failed.
+        let new = &tuples[asked..];
+        let mut answers = vec![None; new.len()];
+        if walked.is_ok() && !new.is_empty() {
+            for (t, v) in known {
+                answers[t] = Some(v);
+            }
+            answers = ask(&self.batches[b], new, answers, ctx);
         }
+        let batch = &mut self.batches[b];
+        batch.answers.extend(answers);
         (batch.index, batch.tuples) = (index, tuples);
-        self.sites[k].tuples = Some(positions);
+        walked?;
+        #[cfg(test)]
+        tests::SLOTS.with(|n| n.set(n.get() + slots.len()));
+        self.sites[k].tuples = Some(slots);
         Ok(())
     }
 }
@@ -946,6 +1174,11 @@ mod tests {
     use crate::functions::UdfRegistry;
     use crate::parser::parse_expression;
     use crate::storage::Catalog;
+
+    thread_local! {
+        /// Answer slots the prefetches on this thread have kept.
+        pub(super) static SLOTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     fn const_eval(sql: &str) -> Result<Value> {
         let catalog = Catalog::new();
@@ -1371,5 +1604,52 @@ mod tests {
         let ctx = ExecCtx::new(&catalog, &udfs);
         let e = parse_expression("o.x + i.y").unwrap();
         assert_eq!(eval(&e, &ctx, Some(&inner)).unwrap(), Value::Integer(100));
+    }
+
+    /// An expensive test UDF: its arguments' renderings joined by `-`.
+    struct Slow;
+
+    impl ScalarUdf for Slow {
+        fn name(&self) -> &str {
+            "slow"
+        }
+        fn invoke(&self, args: &[Value]) -> Result<Value> {
+            Ok(Value::text(args.iter().map(Value::render).collect::<Vec<_>>().join("-")))
+        }
+        fn is_expensive(&self) -> bool {
+            true
+        }
+    }
+
+    /// A nested-loop ON site keeps an answer slot per row of the side its
+    /// arguments read, and none where they read both: never one per
+    /// candidate pair. The rows are the per-row path's.
+    #[test]
+    fn a_nested_loop_site_keeps_a_slot_per_row_of_the_side_it_reads() {
+        let mut db = crate::Database::new();
+        db.execute_script("CREATE TABLE l (a INTEGER); CREATE TABLE r (p TEXT);").unwrap();
+        for a in 0..30 {
+            db.execute(&format!("INSERT INTO l VALUES ({a})")).unwrap();
+        }
+        db.execute_script("INSERT INTO r VALUES ('q-1%'), ('q-2%'), ('%'), ('x%');").unwrap();
+        db.register_udf(Arc::new(Slow));
+        let cases = [
+            ("SELECT l.a, r.p FROM l JOIN r ON slow('q', l.a) LIKE r.p", 30),
+            ("SELECT l.a, r.p FROM l JOIN r ON slow('q', r.p) > l.a", 4),
+            ("SELECT l.a, r.p FROM l JOIN r ON slow('q', l.a, r.p) LIKE 'q-1%'", 0),
+        ];
+        for (sql, slots) in cases {
+            db.set_optimizer(crate::OptimizerConfig::default());
+            SLOTS.with(|n| n.set(0));
+            let batched = db.query(sql).unwrap();
+            assert_eq!(SLOTS.with(|n| n.get()), slots, "{sql}");
+            db.set_optimizer(crate::OptimizerConfig {
+                batch_expensive_udfs: false,
+                ..Default::default()
+            });
+            let per_row = db.query(sql).unwrap();
+            assert!(!per_row.rows.is_empty(), "{sql}");
+            assert_eq!(batched.rows, per_row.rows, "{sql}");
+        }
     }
 }

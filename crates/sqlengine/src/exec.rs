@@ -46,7 +46,7 @@ use crate::ast::{
 use crate::chunked::ChunkedVec;
 use crate::columnar::{AggKernel, ColumnSet};
 use crate::error::{Error, Result};
-use crate::eval::{bind_columns, eval, BatchableCalls, RowCtx};
+use crate::eval::{bind_columns, eval, Batch, BatchableCalls, RowCtx};
 use crate::functions::{is_aggregate, UdfRegistry};
 use crate::hash::FxHashMap;
 use crate::keyindex::{KeyIndex, KeyMode, KeyedRows, Keys};
@@ -59,8 +59,7 @@ use crate::value::{Row, UdfArgs, Value};
 
 /// Results of one expensive UDF's per-row invocations within a statement,
 /// keyed by argument tuple under exact value identity. Batched answers are
-/// not here: they belong to the operator that prefetched them
-/// ([`BatchableCalls`]).
+/// not here: they are in the statement's batches ([`ExecCtx::udf_batches`]).
 pub type UdfResults = FxHashMap<UdfArgs, Value>;
 
 /// Result rows paired with per-row ORDER BY sort keys.
@@ -292,6 +291,11 @@ pub struct ExecCtx<'a> {
     /// evaluation of the same argument tuple is a lookup instead of a
     /// call.
     pub udf_results: RefCell<FxHashMap<String, UdfResults>>,
+    /// What the statement's batched call sites asked each expensive UDF,
+    /// and the answers, while no operator holds them
+    /// ([`BatchableCalls`](crate::eval::BatchableCalls) takes a UDF's
+    /// batch for its run): a tuple one operator asked is not asked again.
+    pub(crate) udf_batches: RefCell<Vec<Batch>>,
     /// The statement's cancellation/deadline token; long loops call
     /// [`ExecCtx::check_cancel`] at batch boundaries.
     pub cancel: swan_pool::CancelToken,
@@ -309,6 +313,7 @@ impl<'a> ExecCtx<'a> {
                 HashMap::new(),
             )),
             udf_results: RefCell::new(FxHashMap::default()),
+            udf_batches: RefCell::new(Vec::new()),
             // Inherit the statement token the session installed on this
             // thread (see `Database::execute_statement`); a context built
             // outside any statement scope runs unbounded.
@@ -944,6 +949,9 @@ fn run_aggregate(
             survivors
         }
     };
+    // HAVING's batches go back to the statement: the output sites ask
+    // only what the keys and HAVING did not.
+    drop(having_calls);
 
     // Vectorize the output expressions over the surviving groups only.
     let width = projection.len();
@@ -1429,7 +1437,7 @@ fn exec_plan_with_columns(
 fn filter_relation(
     rel: &mut Relation,
     predicate: &Expr,
-    calls: &BatchableCalls,
+    calls: &BatchableCalls<'_>,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<()> {
@@ -1467,7 +1475,7 @@ impl JoinInput {
     fn keys(
         &self,
         exprs: &[Expr],
-        calls: &BatchableCalls,
+        calls: &BatchableCalls<'_>,
         ctx: &ExecCtx<'_>,
         outer: Option<&RowCtx<'_>>,
     ) -> Result<Keys<'_, ChunkedVec<Row>>> {
@@ -1803,9 +1811,11 @@ fn nested_loop_join(
     // Vectorize expensive calls in the ON predicate over the candidate
     // pairs: the argument-tuple dedupe collapses the cross product to the
     // distinct tuples, so one batched call replaces O(n·m) row calls. Pair
-    // (l, r) is position `l·|right| + r`.
+    // (l, r) is position `l·|right| + r`; a call that reads one side keeps
+    // an answer slot per row of that side, one that reads both none.
     let mut calls = BatchableCalls::default();
     calls.find(on.as_mut(), ctx);
+    calls.slot_pairs(lw, rrows.len());
     let mut scratch: Vec<Value> = vec![Value::Null; schema.len()];
     let combined = RowCtx::scope(schema, outer, None);
     calls.prefetch(None, ctx, &mut |collect| {

@@ -424,7 +424,7 @@ proptest! {
         rows in proptest::collection::vec((any::<i64>(), -40i64..120, "[a-m]{0,5}"), 2..40),
         domain in 0usize..4,
         threshold in -40i64..120,
-        shape in 0usize..6,
+        shape in 0usize..7,
     ) {
         let (_, _, _, join) = DOMAINS[domain];
         let fact = fact_table(domain);
@@ -518,22 +518,112 @@ proptest! {
     }
 
     /// Batched expensive-UDF execution returns exactly the rows of
+    /// per-row `invoke` across the four SWAN domain query shapes over a
+    /// join whose fact rows hold NULL and dangling foreign keys
+    /// (projection, WHERE and HAVING over the join's output, JOIN ON),
+    /// plus a GROUP BY key repeated in the output and an expensive
+    /// conjunct inside a correlated EXISTS (alone, and under an operator
+    /// that asks the same tuples), and never evaluates more argument
+    /// tuples than the per-row path. `invoke_batch` never receives a tuple
+    /// twice in a statement: a tuple one operator, one re-execution or an
+    /// enclosing operator asked is not asked again.
+    #[test]
+    fn batched_udf_execution_matches_per_row_over_domain_joins(
+        rows in proptest::collection::vec((any::<i64>(), -40i64..120, "[a-m]{0,5}"), 2..40),
+        domain in 0usize..4,
+        threshold in -40i64..120,
+        shape in 0usize..7,
+    ) {
+        let (_, _, _, join) = DOMAINS[domain];
+        let fact = fact_table(domain);
+        let num = fact_num(domain);
+        let fk = fact_fk(domain);
+        let sql = match shape {
+            // Expensive call in the projection.
+            0 => format!(
+                "SELECT s.id, slow_tag('p', s.{num}) FROM {fact} s ORDER BY s.id"
+            ),
+            // Expensive conjunct in WHERE next to a cheap one.
+            1 => format!(
+                "SELECT s.id FROM {join} WHERE s.{num} > {threshold} \
+                 AND slow_tag('w', p.id) LIKE 'vw%' ORDER BY s.id"
+            ),
+            // Expensive call inside a JOIN ON condition.
+            2 => format!(
+                "SELECT s.id, t.tag FROM {fact} s JOIN tiny t \
+                 ON slow_tag('j', s.{fk}) = slow_tag('j', t.k) \
+                 ORDER BY s.id, t.tag"
+            ),
+            // Expensive call in HAVING over grouped output.
+            3 => format!(
+                "SELECT p.id, COUNT(*) FROM {join} GROUP BY p.id \
+                 HAVING slow_tag('h', p.id) LIKE 'vh%' ORDER BY p.id"
+            ),
+            // An expensive GROUP BY key repeated in the output.
+            4 => format!(
+                "SELECT slow_tag('g', p.id), COUNT(*) FROM {join} \
+                 GROUP BY slow_tag('g', p.id) ORDER BY 1"
+            ),
+            // An expensive conjunct in a subquery re-executed per row.
+            5 => format!(
+                "SELECT s.id FROM {fact} s WHERE EXISTS (SELECT 1 FROM tiny t \
+                 WHERE t.k = s.{num} % 4 AND slow_tag('c', t.k) LIKE 'vc%') ORDER BY s.id"
+            ),
+            // The same, inside an operator that asked the subquery's
+            // tuples already.
+            _ => format!(
+                "SELECT s.id, slow_tag('c', s.{num} % 4), (SELECT COUNT(*) FROM tiny t \
+                 WHERE t.k <= s.{num} % 4 AND slow_tag('c', t.k) LIKE 'vc%') \
+                 FROM {fact} s ORDER BY s.id"
+            ),
+        };
+
+        let batched_udf = Arc::new(TagUdf::default());
+        let mut batched = domain_db(domain, &rows);
+        batched.register_udf(batched_udf.clone());
+        batched.set_optimizer(OptimizerConfig::default());
+
+        let per_row_udf = Arc::new(TagUdf::default());
+        let mut per_row = domain_db(domain, &rows);
+        per_row.register_udf(per_row_udf.clone());
+        per_row.set_optimizer(OptimizerConfig {
+            batch_expensive_udfs: false,
+            ..Default::default()
+        });
+
+        let a = batched.query(&sql).unwrap();
+        let b = per_row.query(&sql).unwrap();
+        assert_same_results(&sql, &a, &b);
+        let batched_tuples = batched_udf.tuples.load(Ordering::SeqCst);
+        let per_row_tuples = per_row_udf.tuples.load(Ordering::SeqCst);
+        prop_assert!(
+            batched_tuples <= per_row_tuples,
+            "{sql}: batched evaluated {batched_tuples} tuples, per-row {per_row_tuples}"
+        );
+        let received = batched_udf.batched.lock().unwrap();
+        let distinct: std::collections::HashSet<UdfArgs> =
+            received.iter().cloned().map(UdfArgs).collect();
+        prop_assert_eq!(distinct.len(), received.len(), "{}: a tuple asked twice", sql);
+    }
+
+    /// Batched expensive-UDF execution returns exactly the rows of
     /// per-row `invoke` across the four SWAN query shapes (projection,
-    /// WHERE, JOIN ON, HAVING) over the [`join_key_cell`] pools — NULL,
-    /// NaN, `-0.0`/`0.0`, `1`/`1.0`/`'1'` — with `columnar` on and off, and
-    /// never evaluates more argument tuples than the per-row path. What
-    /// `invoke_batch` receives is each distinct tuple once under exact
-    /// identity (`UdfArgs`: `1`, `1.0` and `'1'` are three, `-0.0` and
-    /// `0.0` two, every NaN one), in the order the operator's rows first
-    /// show it; for the join, whose build side the planner picks, the
-    /// distinct tuples of both sides' keys.
+    /// WHERE, JOIN ON, HAVING), a GROUP BY key repeated in the output and
+    /// a nested-loop ON whose two calls each read one side, over the
+    /// [`join_key_cell`] pools — NULL, NaN, `-0.0`/`0.0`, `1`/`1.0`/`'1'` —
+    /// with `columnar` on and off, and never evaluates more argument
+    /// tuples than the per-row path. What `invoke_batch` receives is each
+    /// distinct tuple once under exact identity (`UdfArgs`: `1`, `1.0` and
+    /// `'1'` are three, `-0.0` and `0.0` two, every NaN one), in the order
+    /// the operator's rows first show it; for the hash join, whose build
+    /// side the planner picks, the distinct tuples of both sides' keys.
     #[test]
     fn batched_udf_execution_matches_per_row(
         a in proptest::collection::vec((0..KEY_PICKS, 0..KEY_PICKS, 0i64..3), 1..24),
         b in proptest::collection::vec((0..KEY_PICKS, 0..KEY_PICKS, 0i64..3), 0..24),
         classes in (0usize..4, 0usize..4),
         threshold in 0i64..3,
-        shape in 0usize..4,
+        shape in 0usize..6,
         columnar in any::<bool>(),
     ) {
         let sql = match shape {
@@ -549,8 +639,16 @@ proptest! {
                   ORDER BY a.id, b.id"
                 .to_string(),
             // Expensive call in HAVING over grouped output.
-            _ => "SELECT a.k1, COUNT(*) FROM a GROUP BY a.k1 \
+            3 => "SELECT a.k1, COUNT(*) FROM a GROUP BY a.k1 \
                   HAVING slow_tag('h', a.k1) LIKE 'vh%'"
+                .to_string(),
+            // An expensive GROUP BY key repeated in the output: the output
+            // asks nothing the key did not.
+            4 => "SELECT slow_tag('g', a.k1), COUNT(*) FROM a GROUP BY slow_tag('g', a.k1)"
+                .to_string(),
+            // A nested loop whose two calls each read one side.
+            _ => "SELECT a.id, b.id FROM a JOIN b ON slow_tag('n', a.k1) < slow_tag('m', b.k2) \
+                  ORDER BY a.id, b.id"
                 .to_string(),
         };
         let run = |config: OptimizerConfig| {
@@ -589,6 +687,14 @@ proptest! {
             0 => tagged("p", &mut ra.iter(), &[1, 2]),
             1 => tagged("w", &mut ra.iter().filter(|r| r[3].as_i64() >= Some(threshold)), &[1]),
             2 => tagged("j", &mut ra.iter().chain(&rb), &[1]),
+            4 => tagged("g", &mut ra.iter(), &[1]),
+            // No pair, no call.
+            5 if rb.is_empty() => Vec::new(),
+            5 => {
+                let mut shown = tagged("n", &mut ra.iter(), &[1]);
+                shown.extend(tagged("m", &mut rb.iter(), &[2]));
+                shown
+            }
             _ => {
                 let keys: Vec<Vec<Value>> = ra.iter().map(|r| vec![r[1].clone()]).collect();
                 let reps: Vec<Vec<Value>> =

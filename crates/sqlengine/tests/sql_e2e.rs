@@ -832,14 +832,16 @@ impl ScalarUdf for Tick {
 /// aggregated output, aggregate argument, hash-join key, hash-join
 /// residual and nested-loop ON — a cheap argument of the expensive call
 /// is evaluated once per row (the prefetch's), never again by the
-/// operator's per-row pass, which reads the row's answer by position; and
-/// the site's distinct tuples go to one `invoke_batch`, no row to
-/// `invoke`.
+/// operator's per-row pass, which reads the row's answer by position (a
+/// nested-loop site that reads the outer row only, once per outer row, not
+/// per pair); and the site's distinct tuples go to one `invoke_batch`, no
+/// row to `invoke`. A second operator of the statement that shows the same
+/// tuples evaluates its own arguments but asks nothing.
 #[test]
 fn a_batched_row_evaluates_its_arguments_once() {
     const N: u64 = 40;
     // (operator, sql, rows returned)
-    let cases: [(&str, &str, usize); 9] = [
+    let cases: [(&str, &str, usize); 11] = [
         ("where", "SELECT a FROM t WHERE llm_tag('q', tick(a)) LIKE 'v:%'", 40),
         ("projection", "SELECT a, llm_tag('q', tick(a)) FROM t", 40),
         (
@@ -861,12 +863,24 @@ fn a_batched_row_evaluates_its_arguments_once() {
             "SELECT t.a FROM t JOIN one ON llm_tag('q', tick(t.a)) LIKE one.pattern",
             40,
         ),
+        (
+            "nested-loop ON, three inner rows",
+            "SELECT t.a FROM t JOIN three ON llm_tag('q', tick(t.a)) LIKE three.pattern",
+            51,
+        ),
+        (
+            "where, then projection",
+            "SELECT llm_tag('q', tick(a)) FROM t WHERE llm_tag('q', tick(a)) LIKE 'v:%'",
+            40,
+        ),
     ];
     for (operator, sql, want) in cases {
         let mut db = Database::new();
         db.execute_script(
             "CREATE TABLE t (a INTEGER); CREATE TABLE u (a INTEGER, tag TEXT);
-             CREATE TABLE one (pattern TEXT); INSERT INTO one VALUES ('v:%');",
+             CREATE TABLE one (pattern TEXT); INSERT INTO one VALUES ('v:%');
+             CREATE TABLE three (pattern TEXT);
+             INSERT INTO three VALUES ('v:%'), ('x%'), ('v:q-1%');",
         )
         .unwrap();
         for a in 0..N {
@@ -882,9 +896,10 @@ fn a_batched_row_evaluates_its_arguments_once() {
         let calls =
             (load(&tick.calls), load(&udf.batches), load(&udf.batched_tuples), load(&udf.invokes));
         let expect = match operator {
-            // The key is asked over the rows, then the output over the
-            // groups: two operators, each asking its own.
-            "group by" => (2 * N, 2, 2 * N, 0),
+            // Two operators, each evaluating the arguments once per row
+            // (the key over the rows, the output over the groups), and
+            // one batch for the statement: the second asks nothing new.
+            "group by" | "where, then projection" => (2 * N, 1, N, 0),
             _ => (N, 1, N, 0),
         };
         assert_eq!(calls, expect, "{operator}: (tick calls, batches, batched tuples, invokes)");

@@ -3,7 +3,7 @@
 # a claimed gain is measured by (ROADMAP "Process facts").
 #
 #   scripts/bench_pairs.sh <parent-binary> <change-binary> <workloads> [pairs=10] [seed=7]
-#       [--json <file> --parent-rev <rev> --change-rev <rev>] [--control]
+#       [--json <file> --parent-rev <rev> --change-rev <rev>]
 #
 # <workloads> is one workload, a comma-separated list of them, or `all`
 # (every workload BENCHMARK.json declares, in its order). Each workload
@@ -34,23 +34,23 @@
 # the "apart" verdict — or, for a count, its one value. A PR's
 # CHANGES.md entry cites that file instead of pasting the tables.
 #
-# `--control` makes the invocation an A/A control: the two binaries are
-# two builds of one source (two target directories, so two separate
-# builds — not one file twice), and whatever separates them is the
-# run-to-run and build-to-build spread a claim must beat. The tables say
-# so, and the `--json` run is marked `"control": true`.
+# With `--json`, a `--parent-rev` equal to `--change-rev` makes the
+# invocation an A/A control: the two binaries must be two builds of that
+# one source (two target directories, so two separate builds — not one
+# file twice), and whatever separates them is the run-to-run and
+# build-to-build spread a claim must beat. The tables say so, and the
+# run is marked `"control": true`.
 #
 # Exits non-zero when a run fails one of the benchmark's own checks or a
 # count differs, on any workload. The benchmark leaves `.bench_tmp/` in
 # the working directory while it runs.
 set -euo pipefail
 
-seconds=15 json="" parent_rev="" change_rev="" control=false
+seconds=15 json="" parent_rev="" change_rev=""
 args=()
 while [ $# -gt 0 ]; do
     case $1 in
         --json) json=${2:?--json needs a file}; shift 2 ;;
-        --control) control=true; shift ;;
         --parent-rev) parent_rev=${2:?--parent-rev needs a revision}; shift 2 ;;
         --change-rev) change_rev=${2:?--change-rev needs a revision}; shift 2 ;;
         *) args+=("$1"); shift ;;
@@ -61,8 +61,12 @@ if [ ${#args[@]} -lt 3 ] || { [ -n "$json" ] && { [ -z "$parent_rev" ] || [ -z "
     exit 2
 fi
 parent=${args[0]} change=${args[1]} workloads=${args[2]} pairs=${args[3]:-10} seed=${args[4]:-7}
+control=false
+if [ -n "$json" ] && [ "$parent_rev" = "$change_rev" ]; then
+    control=true
+fi
 if $control && [ "$parent" -ef "$change" ]; then
-    echo "--control pairs two builds of one source: $parent and $change are one file" >&2
+    echo "an A/A control pairs two builds of one source: $parent and $change are one file" >&2
     exit 2
 fi
 manifest="$(dirname "$0")/../BENCHMARK.json"

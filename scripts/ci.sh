@@ -39,7 +39,7 @@
 #      interleavings — concurrent sessions, group commit, the in-place
 #      write path's copy-on-write under the table-writer lock, and
 #      `udf_store`, taken from every session's statement thread;
-#   3. six properties at PROPTEST_CASES=2000 in a release build —
+#   3. seven properties at PROPTEST_CASES=2000 in a release build —
 #      tier-1 runs them at the vendored proptest's default of 64 cases:
 #      the B-tree differential property (the in-place tree writers against
 #      the decoding reference kept in btree.rs's tests: same page images,
@@ -57,11 +57,14 @@
 #      and correlated, over the same key pools, columnar on and off,
 #      before and after in-place key updates; `sort_cmp` for grouping and
 #      `sql_eq` for membership, no hashing), batched expensive-UDF
-#      execution against per-row `invoke` (prop_sql.rs: projection,
-#      WHERE, JOIN ON and HAVING over the same key pools, columnar on and
-#      off: the same rows, no more tuples evaluated, and `invoke_batch`
-#      handed each distinct tuple once under exact `UdfArgs` identity, in
-#      first-seen order), and the one-word
+#      execution against per-row `invoke` (prop_sql.rs, two properties
+#      under one filter: projection, WHERE, JOIN ON, HAVING, a GROUP BY
+#      key repeated in the output and a nested-loop ON over the same key
+#      pools, columnar on and off — the same rows, no more tuples
+#      evaluated, and `invoke_batch` handed each distinct tuple once per
+#      statement under exact `UdfArgs` identity, in first-seen order; and
+#      the SWAN domain shapes over a join with NULL and dangling foreign
+#      keys, plus a correlated EXISTS), and the one-word
 #      `ThinStr` behind every text cell against `Arc<str>` (thinstr.rs:
 #      empty, multibyte, NUL and up-to-4-KiB strings; `==`, `cmp`, both
 #      hashers, `Debug`, `Display` and `HashSet::get(&str)`; its count
