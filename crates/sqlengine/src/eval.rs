@@ -26,11 +26,11 @@ use std::sync::Arc;
 use crate::ast::{BinaryOp, Expr, SelectStmt, UnaryOp};
 use crate::error::{Error, Result};
 use crate::exec::{run_select, ExecCtx, KeyedAggregate, Members, Relation, SubqueryState};
-use crate::functions::{eval_builtin, glob_match, is_aggregate, like_match, ScalarUdf, UdfRegistry};
+use crate::functions::{eval_builtin, glob_match, is_aggregate, like_match, ScalarUdf};
 use crate::hash::FxHasher;
 use crate::keyindex::KeyIndex;
 use crate::plan::RelSchema;
-use crate::value::{UdfArgs, Value};
+use crate::value::Value;
 
 /// One scope of row bindings. `outer` points at the enclosing query's scope
 /// for correlated subqueries.
@@ -41,7 +41,7 @@ pub struct RowCtx<'a> {
     pub outer: Option<&'a RowCtx<'a>>,
     /// The batched call sites of the operator evaluating this row, with
     /// their prefetched answers ([`Expr::Prefetched`] reads them).
-    pub calls: Option<&'a BatchableCalls<'a>>,
+    pub calls: Option<&'a BatchableCalls>,
     /// The row's position among `calls`' answers: its index in the
     /// operator's input, its group's, or its candidate pair's.
     pub pos: usize,
@@ -61,7 +61,7 @@ impl<'a> RowCtx<'a> {
     pub fn scope(
         schema: &'a RelSchema,
         outer: Option<&'a RowCtx<'a>>,
-        calls: Option<&'a BatchableCalls<'a>>,
+        calls: Option<&'a BatchableCalls>,
     ) -> Self {
         RowCtx { schema, row: &[], outer, calls, pos: 0 }
     }
@@ -136,8 +136,8 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
             if let Some(res) = eval_builtin(name, &vals) {
                 return res;
             }
-            match ctx.udfs.get_registered(name) {
-                Some((registered, udf)) => {
+            match ctx.udfs.get(name) {
+                Some(udf) => {
                     if let Some(n) = udf.arity() {
                         if vals.len() != n {
                             return Err(Error::Semantic(format!(
@@ -149,23 +149,24 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
                     if udf.is_expensive() && ctx.optimizer.batch_expensive_udfs {
                         // Batched execution, off the batched path: a call
                         // in a conditional position, a row its operator's
-                        // prefetch left unanswered ([`Expr::Prefetched`]),
-                        // or a nested-loop pair ([`Slots::Probe`]). A tuple
-                        // a batch of the statement asked is answered from
-                        // it; the other calls share one statement-scoped
-                        // store, so a repeated tuple pays one call. Tuples
-                        // are keyed by exact value identity ([`UdfArgs`]),
-                        // matching the determinism contract on
-                        // [`ScalarUdf::invoke`].
-                        if let Some(v) = batched_answer(udf, &vals, ctx, row) {
-                            return Ok(v);
+                        // prefetch could not evaluate or a failed batch
+                        // left unanswered ([`Expr::Prefetched`]), or a
+                        // nested-loop pair ([`Slots::Probe`]). It probes
+                        // the statement's answer table of the UDF; a
+                        // tuple without an answer there is invoked here
+                        // and its answer recorded, so a repeated tuple
+                        // pays one call. Tuples are keyed by exact value
+                        // identity ([`UdfArgs`]), matching the determinism
+                        // contract on [`ScalarUdf::invoke`].
+                        let t = table_of(&ctx.udf_answers, udf);
+                        let word = tuple_word(&vals);
+                        if let Some(v) = ctx.udf_answers.borrow()[t].find_answer(word, &vals) {
+                            return Ok(v.clone());
                         }
-                        let args = UdfArgs(vals);
-                        if let Some(v) = ctx.udf_result(registered, &args) {
-                            return Ok(v);
-                        }
-                        let v = udf.invoke(&args.0)?;
-                        ctx.store_udf_result(registered, args, v.clone());
+                        let v = udf.invoke(&vals)?;
+                        let mut tables = ctx.udf_answers.borrow_mut();
+                        let id = tables[t].id(word, vals);
+                        tables[t].answers[id] = Answer::Answered(v.clone());
                         return Ok(v);
                     }
                     udf.invoke(&vals)
@@ -294,8 +295,8 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
         Expr::Cast { expr, type_name } => Ok(cast_value(eval(expr, ctx, row)?, type_name)),
 
         Expr::Prefetched { site, call } => {
-            match row.and_then(|r| r.calls?.answer(*site, r.pos)) {
-                Some(v) => Ok(v.clone()),
+            match row.and_then(|r| r.calls?.answer(*site, r.pos, ctx)) {
+                Some(v) => Ok(v),
                 None => eval(call, ctx, row),
             }
         }
@@ -400,15 +401,16 @@ struct CallSite {
     /// The call's arguments, bound like the operator's expressions; a
     /// literal (the question) is neither evaluated nor hashed per row.
     args: Vec<Expr>,
-    /// The [`Batch`] of the UDF it calls.
-    batch: usize,
+    /// The statement's [`AnswerTable`] of the UDF it calls: its index in
+    /// [`ExecCtx::udf_answers`](crate::exec::ExecCtx).
+    table: usize,
     /// Whether the call sits inside an aggregate's argument (evaluated per
     /// member row) rather than over the group representative.
     in_aggregate: bool,
     /// Which answer slot a row's position reads.
     slots: Slots,
-    /// Once prefetched: each slot's tuple in its batch, [`NONE`] where the
-    /// prefetch could not evaluate the arguments.
+    /// Once prefetched: each slot's tuple id in the table, [`NONE`] where
+    /// the prefetch could not evaluate the arguments.
     tuples: Option<Vec<u32>>,
 }
 
@@ -428,7 +430,7 @@ enum Slots {
     /// None: the arguments read both rows of a pair, and a slot per pair
     /// would grow with the cross product. The prefetch still asks the
     /// distinct tuples in one batch; each pair then evaluates its
-    /// arguments again on the per-row path and probes the batch.
+    /// arguments again on the per-row path and probes the table.
     Probe,
 }
 
@@ -444,45 +446,85 @@ impl Slots {
     }
 }
 
-/// What a statement's batched call sites asked one UDF: the distinct
-/// argument tuples in first-seen order, and their answers. An operator
-/// holds the batches of the UDFs it calls while it runs
-/// ([`BatchableCalls`]); between operators they rest in
-/// [`ExecCtx::udf_batches`](crate::exec::ExecCtx), so a tuple is asked
-/// once per statement however many operators, or re-executions of a
-/// correlated subquery, show it.
-pub(crate) struct Batch {
+/// What a statement's calls asked one expensive UDF, batched or per row:
+/// the distinct argument tuples in first-seen order, each with where its
+/// answer stands. Append-only, so a tuple's id is stable for the
+/// statement; one per UDF, so a tuple is asked once per statement however
+/// many operators, re-executions of a correlated subquery or per-row calls
+/// show it.
+pub(crate) struct AnswerTable {
     udf: Arc<dyn ScalarUdf>,
-    /// The name the UDF is registered under: its per-row store's key.
-    name: String,
     /// Tuples by identity word ([`tuple_word`]).
     index: KeyIndex,
     tuples: Vec<Vec<Value>>,
-    /// Parallel to `tuples`; `None` where `invoke_batch` failed.
-    answers: Vec<Option<Value>>,
+    /// Parallel to `tuples`.
+    answers: Vec<Answer>,
 }
 
-impl Batch {
-    /// The answer to `tuple`, whose identity word is `word`, if asked.
-    fn answer(&self, word: u64, tuple: &[Value]) -> Option<&Value> {
-        let t = self.index.find(word, |t| same_tuple(&self.tuples[t], tuple))?;
-        self.answers[t].as_ref()
+/// Where a tuple of an [`AnswerTable`] stands.
+enum Answer {
+    /// Inserted by a prefetch that has not asked it yet.
+    Unasked,
+    Answered(Value),
+    /// Asked in a batch that failed or came back short: no batch asks it
+    /// again, and the per-row path asks it alone.
+    Failed,
+}
+
+impl AnswerTable {
+    /// Whether this is `udf`'s table.
+    pub(crate) fn of(&self, udf: &Arc<dyn ScalarUdf>) -> bool {
+        Arc::ptr_eq(&self.udf, udf)
     }
 
-    /// Take in `other`'s tuples and answers, those this batch lacks.
-    fn absorb(&mut self, mut other: Batch) {
-        if other.tuples.len() > self.tuples.len() {
-            std::mem::swap(self, &mut other);
-        }
-        for (tuple, answer) in other.tuples.into_iter().zip(other.answers) {
-            let word = tuple_word(&tuple);
-            if self.index.find(word, |t| same_tuple(&self.tuples[t], &tuple)).is_none() {
-                self.tuples.push(tuple);
-                self.answers.push(answer);
-                self.index.insert(word);
-            }
+    /// Each tuple in first-seen order, with its answer if it has one.
+    pub(crate) fn entries(&self) -> Vec<(Vec<Value>, Option<Value>)> {
+        (0..self.tuples.len()).map(|t| (self.tuples[t].clone(), self.answer(t).cloned())).collect()
+    }
+
+    /// The answer of the tuple with id `t`, if it has one.
+    fn answer(&self, t: usize) -> Option<&Value> {
+        match self.answers.get(t)? {
+            Answer::Answered(v) => Some(v),
+            Answer::Unasked | Answer::Failed => None,
         }
     }
+
+    /// The id of `tuple`, whose identity word is `word`, if it is in.
+    fn find(&self, word: u64, tuple: &[Value]) -> Option<usize> {
+        self.index.find(word, |t| same_tuple(&self.tuples[t], tuple))
+    }
+
+    /// The answer to `tuple`, whose identity word is `word`, if it has one.
+    fn find_answer(&self, word: u64, tuple: &[Value]) -> Option<&Value> {
+        self.answer(self.find(word, tuple)?)
+    }
+
+    /// The id of `tuple`, whose identity word is `word`; a new tuple goes
+    /// in unasked.
+    fn id(&mut self, word: u64, tuple: Vec<Value>) -> usize {
+        if let Some(t) = self.find(word, &tuple) {
+            return t;
+        }
+        self.tuples.push(tuple);
+        self.answers.push(Answer::Unasked);
+        self.index.insert(word)
+    }
+}
+
+/// The index of `udf`'s table among the statement's, added if it has none.
+fn table_of(tables: &RefCell<Vec<AnswerTable>>, udf: &Arc<dyn ScalarUdf>) -> usize {
+    let mut tables = tables.borrow_mut();
+    if let Some(t) = tables.iter().position(|t| t.of(udf)) {
+        return t;
+    }
+    tables.push(AnswerTable {
+        udf: udf.clone(),
+        index: KeyIndex::default(),
+        tuples: Vec::new(),
+        answers: Vec::new(),
+    });
+    tables.len() - 1
 }
 
 /// One argument's share of its tuple's identity word.
@@ -492,8 +534,9 @@ fn arg_word(v: &Value) -> u64 {
     h.finish()
 }
 
-/// A tuple's identity word under [`UdfArgs`] identity: its arguments'
-/// words in order, so a site hashes a literal argument once.
+/// A tuple's identity word under [`UdfArgs`](crate::value::UdfArgs)
+/// identity: its arguments' words in order, so a site hashes a literal
+/// argument once.
 fn tuple_word(tuple: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     for v in tuple {
@@ -502,104 +545,74 @@ fn tuple_word(tuple: &[Value]) -> u64 {
     h.finish()
 }
 
-/// [`UdfArgs`] equality over borrowed tuples.
+/// [`UdfArgs`](crate::value::UdfArgs) equality over borrowed tuples.
 fn same_tuple(a: &[Value], b: &[Value]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_arg(y))
 }
 
-/// A batched answer to `udf(tuple)`, whose identity word is `word`, that
-/// the operator evaluating `row`, or one enclosing it, holds.
-fn held_answer(
-    udf: &Arc<dyn ScalarUdf>,
-    word: u64,
-    tuple: &[Value],
-    row: Option<&RowCtx<'_>>,
-) -> Option<Value> {
-    std::iter::successors(row, |r| r.outer)
-        .filter_map(|r| r.calls?.batch_of(udf))
-        .find_map(|batch| batch.answer(word, tuple).cloned())
-}
-
-/// A batched answer to `udf(tuple)` the statement already holds: in a
-/// batch the operator evaluating `row`, or one enclosing it, is running
-/// with, or in one resting in the context.
-fn batched_answer(
-    udf: &Arc<dyn ScalarUdf>,
-    tuple: &[Value],
-    ctx: &ExecCtx<'_>,
-    row: Option<&RowCtx<'_>>,
-) -> Option<Value> {
-    let word = tuple_word(tuple);
-    if let Some(v) = held_answer(udf, word, tuple, row) {
-        return Some(v);
-    }
-    let resting = ctx.udf_batches.try_borrow().ok()?;
-    resting.iter().find(|b| Arc::ptr_eq(&b.udf, udf))?.answer(word, tuple).cloned()
-}
-
-/// The answers to `new`, tuples no batch of the statement asked yet, of
-/// which `answers` (parallel) holds those an enclosing operator's batch
-/// answered: one [`ScalarUdf::invoke_batch`] in order (the UDF chunks
-/// internally) for the rest, less the tuples a per-row call of the
-/// statement already answered. A failed or short batch leaves its tuples
-/// unanswered, and the per-row path surfaces (or retries) them.
-fn ask(
-    batch: &Batch,
-    new: &[Vec<Value>],
-    mut answers: Vec<Option<Value>>,
-    ctx: &ExecCtx<'_>,
-) -> Vec<Option<Value>> {
-    let invoke = |tuples: &[Vec<Value>]| match batch.udf.invoke_batch(tuples) {
-        Ok(answers) if answers.len() == tuples.len() => answers.into_iter().map(Some).collect(),
-        _ => vec![None; tuples.len()],
-    };
-    if let Some(stored) = ctx.udf_results.borrow().get(&batch.name).filter(|s| !s.is_empty()) {
-        for (a, t) in answers.iter_mut().zip(new).filter(|(a, _)| a.is_none()) {
-            *a = stored.get(&UdfArgs(t.clone())).cloned();
+/// Ask the tuples of the statement's table `table` among `ids` that are
+/// still unasked, each once, in the order `ids` first shows them, in one
+/// [`ScalarUdf::invoke_batch`] (the UDF chunks internally). A failed or
+/// short batch leaves its tuples failed, and the per-row path surfaces (or
+/// retries) them.
+fn ask(ctx: &ExecCtx<'_>, table: usize, ids: Vec<u32>) {
+    let mut tables = ctx.udf_answers.borrow_mut();
+    let t = &mut tables[table];
+    let udf = t.udf.clone();
+    let (mut asked, mut tuples) = (Vec::new(), Vec::new());
+    for id in ids.into_iter().map(|id| id as usize) {
+        if let Answer::Unasked = t.answers[id] {
+            // Failed until the answer is in, so a repeated id is skipped.
+            t.answers[id] = Answer::Failed;
+            asked.push(id);
+            // Moved out for the call, with the table released, and back.
+            tuples.push(std::mem::take(&mut t.tuples[id]));
         }
     }
-    let missing: Vec<usize> = (0..new.len()).filter(|&i| answers[i].is_none()).collect();
-    if missing.len() == new.len() {
-        return invoke(new);
+    if asked.is_empty() {
+        return;
     }
-    if !missing.is_empty() {
-        let asked: Vec<Vec<Value>> = missing.iter().map(|&i| new[i].clone()).collect();
-        for (i, v) in missing.into_iter().zip(invoke(&asked)) {
-            answers[i] = v;
+    drop(tables);
+    let answers = udf.invoke_batch(&tuples);
+    let mut tables = ctx.udf_answers.borrow_mut();
+    let t = &mut tables[table];
+    for (&id, tuple) in asked.iter().zip(tuples) {
+        t.tuples[id] = tuple;
+    }
+    if let Some(answers) = answers.ok().filter(|a| a.len() == asked.len()) {
+        for (id, v) in asked.into_iter().zip(answers) {
+            t.answers[id] = Answer::Answered(v);
         }
     }
-    answers
 }
 
 /// The expensive scalar-UDF call sites of one operator invocation, and
 /// their answers by row position.
 ///
 /// [`BatchableCalls::find`] rewrites each site of the operator's (bound)
-/// expressions into an [`Expr::Prefetched`] naming it, and takes the
-/// statement's [`Batch`] of each UDF the sites call. The prefetch then
+/// expressions into an [`Expr::Prefetched`] naming it, tied to the
+/// statement's [`AnswerTable`] of the UDF it calls. The prefetch then
 /// walks the operator's input once per site (innermost first, so nested
 /// calls resolve bottom-up), and a row costs one evaluation of the
-/// arguments and one probe of the batch's index over the distinct tuples,
-/// keyed by exact identity ([`UdfArgs`]: `1` ≠ `1.0`, NaN = NaN) — a
+/// arguments and one probe of the table's index, keyed by exact identity
+/// ([`UdfArgs`](crate::value::UdfArgs): `1` ≠ `1.0`, NaN = NaN) — a
 /// literal argument, the question, is neither evaluated nor hashed per
-/// row. The tuples the statement has not asked yet go to **one**
-/// [`ScalarUdf::invoke_batch`] in first-seen order. The operator's per-row
-/// pass then reads each row's answer by its position ([`RowCtx::pos`]):
-/// no second evaluation, no second hash. The slots live as long as the
-/// operator invocation; the batches go back to the statement when it is
-/// dropped, so a later operator, or a correlated re-execution, finds the
-/// tuples asked and asks only new ones. An operator that runs inside
-/// another (a subquery of its per-row pass) starts a batch of its own for
-/// a UDF the enclosing one holds: a tuple new to it is looked up in the
-/// enclosing operator's batch before it is asked, and the two batches
-/// become one when both are back.
+/// row. The site keeps each row's tuple id, and the tuples its rows need
+/// that the statement has not asked yet — its own new ones, and ones an
+/// enclosing operator's walk inserted and has not asked — go to **one**
+/// [`ScalarUdf::invoke_batch`] in first-seen order. The operator's per-row pass then reads each row's
+/// answer by its position ([`RowCtx::pos`]): no second evaluation, no
+/// second hash. The slots live as long as the operator invocation, the
+/// table as long as the statement, so a later operator, or a correlated
+/// re-execution, finds the tuples asked and asks only new ones. No borrow
+/// of the table is held while an argument is evaluated or the UDF is
+/// called: a subquery in the arguments runs operators of its own on it.
 ///
 /// A row whose arguments fail to evaluate here (outer correlations the
 /// batch schema cannot see, latent type errors), every row of a failed or
 /// short `invoke_batch`, and every pair of a nested-loop site that reads
 /// both rows ([`Slots::Probe`]) keeps its call: the per-row evaluator
-/// answers it from the batches the statement holds, or runs it through the
-/// statement's per-row store ([`ExecCtx::udf_results`](crate::exec::ExecCtx)),
+/// probes the table and invokes the UDF for a tuple without an answer,
 /// raising exactly what the unbatched engine raised. Sites in
 /// *conditionally evaluated* positions of one expression (CASE branches,
 /// right-hand sides of AND/OR, IN-list tails) are never rewritten and
@@ -611,41 +624,22 @@ fn ask(
 /// short-circuit evaluation would have skipped — so batching can raise a
 /// statement's call count as well as lower it.
 #[derive(Default)]
-pub struct BatchableCalls<'s> {
+pub struct BatchableCalls {
     sites: Vec<CallSite>,
-    batches: Vec<Batch>,
-    /// The statement's resting batches: where [`BatchableCalls::find`]
-    /// takes this operator's from, and where they go back on drop.
-    resting: Option<&'s RefCell<Vec<Batch>>>,
 }
 
-impl Drop for BatchableCalls<'_> {
-    fn drop(&mut self) {
-        let Some(Ok(mut resting)) = self.resting.map(RefCell::try_borrow_mut) else { return };
-        for batch in self.batches.drain(..) {
-            // A subquery this operator ran may have put back a batch of
-            // the same UDF meanwhile: the two become one.
-            match resting.iter_mut().find(|b| Arc::ptr_eq(&b.udf, &batch.udf)) {
-                Some(b) => b.absorb(batch),
-                None => resting.push(batch),
-            }
-        }
-    }
-}
-
-impl<'s> BatchableCalls<'s> {
+impl BatchableCalls {
     /// Rewrite the expensive call sites in `exprs` — bound to the schema
     /// of the rows the prefetch will see — into sites of this operator.
     /// Nothing when the statement evaluates per row
     /// (`OptimizerConfig::batch_expensive_udfs` off): the one place an
     /// operator's batching is switched.
-    pub fn find<'e>(&mut self, exprs: impl IntoIterator<Item = &'e mut Expr>, ctx: &'s ExecCtx<'_>) {
+    pub fn find<'e>(&mut self, exprs: impl IntoIterator<Item = &'e mut Expr>, ctx: &ExecCtx<'_>) {
         if !ctx.optimizer.batch_expensive_udfs {
             return;
         }
-        self.resting = Some(&ctx.udf_batches);
         for e in exprs {
-            self.rewrite(e, ctx.udfs, SiteCtx { in_aggregate: false, conditional: false });
+            self.rewrite(e, ctx, SiteCtx { in_aggregate: false, conditional: false });
         }
     }
 
@@ -718,15 +712,10 @@ impl<'s> BatchableCalls<'s> {
 
     /// The answer of `site` at position `pos`, if its prefetch found one.
     #[inline]
-    fn answer(&self, site: usize, pos: usize) -> Option<&Value> {
+    fn answer(&self, site: usize, pos: usize, ctx: &ExecCtx<'_>) -> Option<Value> {
         let site = self.sites.get(site)?;
-        let tuple = *site.tuples.as_ref()?.get(site.slots.of(pos)?)?;
-        self.batches[site.batch].answers.get(tuple as usize)?.as_ref()
-    }
-
-    /// The batch of `udf` this operator holds, if it calls it.
-    fn batch_of(&self, udf: &Arc<dyn ScalarUdf>) -> Option<&Batch> {
-        self.batches.iter().find(|b| Arc::ptr_eq(&b.udf, udf))
+        let t = *site.tuples.as_ref()?.get(site.slots.of(pos)?)?;
+        ctx.udf_answers.borrow()[site.table].answer(t as usize).cloned()
     }
 
     /// Post-order site search (arguments before the call itself, so
@@ -734,18 +723,18 @@ impl<'s> BatchableCalls<'s> {
     /// skipped — they execute in their own scope and batch there;
     /// aggregate calls mark their argument subtrees but are never sites
     /// themselves.
-    fn rewrite(&mut self, e: &mut Expr, udfs: &UdfRegistry, sc: SiteCtx) {
+    fn rewrite(&mut self, e: &mut Expr, ctx: &ExecCtx<'_>, sc: SiteCtx) {
         match e {
             Expr::Function { name, args, .. } => {
                 let agg = is_aggregate(name);
                 let inner = SiteCtx { in_aggregate: sc.in_aggregate || agg, ..sc };
                 for a in args.iter_mut() {
-                    self.rewrite(a, udfs, inner);
+                    self.rewrite(a, ctx, inner);
                 }
                 if agg || sc.conditional {
                     return;
                 }
-                let Some((registered, udf)) = udfs.get_registered(name) else { return };
+                let Some(udf) = ctx.udfs.get(name) else { return };
                 // Arity mismatches are left to the per-row path's error,
                 // and so is a call over an aggregate, which no row can
                 // evaluate before its group's aggregates are.
@@ -755,28 +744,10 @@ impl<'s> BatchableCalls<'s> {
                 {
                     return;
                 }
-                let batch = match self.batches.iter().position(|b| Arc::ptr_eq(&b.udf, udf)) {
-                    Some(b) => b,
-                    None => {
-                        let resting = self.resting.and_then(|r| r.try_borrow_mut().ok());
-                        let held = resting.and_then(|mut r| {
-                            let i = r.iter().position(|b| Arc::ptr_eq(&b.udf, udf))?;
-                            Some(r.swap_remove(i))
-                        });
-                        self.batches.push(held.unwrap_or_else(|| Batch {
-                            udf: udf.clone(),
-                            name: registered.to_string(),
-                            index: KeyIndex::default(),
-                            tuples: Vec::new(),
-                            answers: Vec::new(),
-                        }));
-                        self.batches.len() - 1
-                    }
-                };
                 let site = self.sites.len();
                 self.sites.push(CallSite {
                     args: args.clone(),
-                    batch,
+                    table: table_of(&ctx.udf_answers, udf),
                     in_aggregate: sc.in_aggregate,
                     slots: Slots::Position,
                     tuples: None,
@@ -785,49 +756,49 @@ impl<'s> BatchableCalls<'s> {
                 *e = Expr::Prefetched { site, call: Box::new(call) };
             }
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.rewrite(expr, udfs, sc)
+                self.rewrite(expr, ctx, sc)
             }
             Expr::Binary { op, left, right } => {
-                self.rewrite(left, udfs, sc);
+                self.rewrite(left, ctx, sc);
                 // AND/OR short-circuit: the right operand may never run.
                 let rc = match op {
                     BinaryOp::And | BinaryOp::Or => sc.conditional(),
                     _ => sc,
                 };
-                self.rewrite(right, udfs, rc);
+                self.rewrite(right, ctx, rc);
             }
             Expr::Like { expr, pattern, .. } => {
-                self.rewrite(expr, udfs, sc);
-                self.rewrite(pattern, udfs, sc);
+                self.rewrite(expr, ctx, sc);
+                self.rewrite(pattern, ctx, sc);
             }
             Expr::Between { expr, low, high, .. } => {
-                self.rewrite(expr, udfs, sc);
-                self.rewrite(low, udfs, sc);
-                self.rewrite(high, udfs, sc);
+                self.rewrite(expr, ctx, sc);
+                self.rewrite(low, ctx, sc);
+                self.rewrite(high, ctx, sc);
             }
             Expr::InList { expr, list, .. } => {
-                self.rewrite(expr, udfs, sc);
+                self.rewrite(expr, ctx, sc);
                 // A NULL tested expression skips the whole list, and
                 // membership testing stops at the first match: every list
                 // item is conditionally evaluated.
                 for item in list {
-                    self.rewrite(item, udfs, sc.conditional());
+                    self.rewrite(item, ctx, sc.conditional());
                 }
             }
-            Expr::InSubquery { expr, .. } => self.rewrite(expr, udfs, sc),
+            Expr::InSubquery { expr, .. } => self.rewrite(expr, ctx, sc),
             Expr::Case { operand, branches, else_expr } => {
                 // The operand and the first WHEN always evaluate; every
                 // later WHEN, every THEN, and the ELSE may be skipped.
                 if let Some(op) = operand {
-                    self.rewrite(op, udfs, sc);
+                    self.rewrite(op, ctx, sc);
                 }
                 for (i, (w, t)) in branches.iter_mut().enumerate() {
                     let wc = if i == 0 { sc } else { sc.conditional() };
-                    self.rewrite(w, udfs, wc);
-                    self.rewrite(t, udfs, sc.conditional());
+                    self.rewrite(w, ctx, wc);
+                    self.rewrite(t, ctx, sc.conditional());
                 }
                 if let Some(el) = else_expr {
-                    self.rewrite(el, udfs, sc.conditional());
+                    self.rewrite(el, ctx, sc.conditional());
                 }
             }
             Expr::Literal(_)
@@ -845,14 +816,7 @@ impl<'s> BatchableCalls<'s> {
         ctx: &ExecCtx<'_>,
         rows: &mut RowSource<'_>,
     ) -> Result<()> {
-        let b = self.sites[k].batch;
-        // The batch's index and tuples grow while the rows are walked; its
-        // answers so far stay in place for the nested sites the arguments
-        // read.
-        let mut index = std::mem::take(&mut self.batches[b].index);
-        let mut tuples = std::mem::take(&mut self.batches[b].tuples);
-        let asked = tuples.len();
-        let mut slots: Vec<u32> = Vec::new();
+        let (mut slots, mut unasked): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
         let calls = &*self;
         let site = &calls.sites[k];
         // A literal argument's word is computed once for the site.
@@ -861,8 +825,6 @@ impl<'s> BatchableCalls<'s> {
             .iter()
             .map(|a| if let Expr::Literal(v) = a { Some(arg_word(v)) } else { None })
             .collect();
-        let udf = &calls.batches[b].udf;
-        let mut known: Vec<(usize, Value)> = Vec::new();
         let walked = rows(&mut |rc| {
             let slot = site.slots.of(rc.pos);
             // A slot shared by several positions is filled by the first.
@@ -890,18 +852,13 @@ impl<'s> BatchableCalls<'s> {
                 };
                 tuple.push(v);
             }
-            let word = word.finish();
-            let t = match index.find(word, |t| same_tuple(&tuples[t], &tuple)) {
-                Some(t) => t,
-                None => {
-                    // An operator this one runs inside may have asked it.
-                    if let Some(v) = held_answer(udf, word, &tuple, rc.outer) {
-                        known.push((tuples.len() - asked, v));
-                    }
-                    tuples.push(tuple);
-                    index.insert(word)
-                }
-            };
+            let mut tables = ctx.udf_answers.borrow_mut();
+            let table = &mut tables[site.table];
+            let t = table.id(word.finish(), tuple);
+            // New, or inserted by an enclosing walk that has not asked it.
+            if let Answer::Unasked = table.answers[t] {
+                unasked.push(t as u32);
+            }
             if let Some(s) = slot {
                 if slots.len() <= s {
                     slots.resize(s + 1, NONE);
@@ -910,19 +867,9 @@ impl<'s> BatchableCalls<'s> {
             }
             Ok(())
         });
-        // The batch goes back whole, every tuple with an answer slot, also
-        // when the walk failed.
-        let new = &tuples[asked..];
-        let mut answers = vec![None; new.len()];
-        if walked.is_ok() && !new.is_empty() {
-            for (t, v) in known {
-                answers[t] = Some(v);
-            }
-            answers = ask(&self.batches[b], new, answers, ctx);
+        if walked.is_ok() {
+            ask(ctx, site.table, unasked);
         }
-        let batch = &mut self.batches[b];
-        batch.answers.extend(answers);
-        (batch.index, batch.tuples) = (index, tuples);
         walked?;
         #[cfg(test)]
         tests::SLOTS.with(|n| n.set(n.get() + slots.len()));

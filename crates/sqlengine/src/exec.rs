@@ -46,21 +46,15 @@ use crate::ast::{
 use crate::chunked::ChunkedVec;
 use crate::columnar::{AggKernel, ColumnSet};
 use crate::error::{Error, Result};
-use crate::eval::{bind_columns, eval, Batch, BatchableCalls, RowCtx};
+use crate::eval::{bind_columns, eval, AnswerTable, BatchableCalls, RowCtx};
 use crate::functions::{is_aggregate, UdfRegistry};
-use crate::hash::FxHashMap;
 use crate::keyindex::{KeyIndex, KeyMode, KeyedRows, Keys};
 use crate::optimizer::{expr_cost, optimize, NeededCol, OptimizerConfig};
 use crate::plan::{
     conjoin, plan_from, split_conjuncts, ColRef, Plan, PlanJoinKind, RelSchema,
 };
 use crate::storage::Catalog;
-use crate::value::{Row, UdfArgs, Value};
-
-/// Results of one expensive UDF's per-row invocations within a statement,
-/// keyed by argument tuple under exact value identity. Batched answers are
-/// not here: they are in the statement's batches ([`ExecCtx::udf_batches`]).
-pub type UdfResults = FxHashMap<UdfArgs, Value>;
+use crate::value::{Row, Value};
 
 /// Result rows paired with per-row ORDER BY sort keys.
 type RowsAndKeys = (Vec<Row>, Vec<Vec<Value>>);
@@ -284,18 +278,12 @@ pub struct ExecCtx<'a> {
     pub optimizer: OptimizerConfig,
     /// The statement's subquery result cache (see [`SubqueryCache`]).
     pub subqueries: SubqueryCache,
-    /// Statement-scoped results of the expensive-UDF calls that batched
-    /// execution evaluates per row, keyed by lowercased function name: a
-    /// call in a conditional position, and a row its operator's prefetch
-    /// ([`BatchableCalls`]) could not evaluate or answer. A later per-row
-    /// evaluation of the same argument tuple is a lookup instead of a
-    /// call.
-    pub udf_results: RefCell<FxHashMap<String, UdfResults>>,
-    /// What the statement's batched call sites asked each expensive UDF,
-    /// and the answers, while no operator holds them
-    /// ([`BatchableCalls`](crate::eval::BatchableCalls) takes a UDF's
-    /// batch for its run): a tuple one operator asked is not asked again.
-    pub(crate) udf_batches: RefCell<Vec<Batch>>,
+    /// What the statement asked each expensive UDF under batched
+    /// execution, one append-only [`AnswerTable`] per UDF: the prefetches
+    /// of the operators' call sites ([`BatchableCalls`]) and the per-row
+    /// calls they leave all probe it, so a tuple is asked once per
+    /// statement.
+    pub(crate) udf_answers: RefCell<Vec<AnswerTable>>,
     /// The statement's cancellation/deadline token; long loops call
     /// [`ExecCtx::check_cancel`] at batch boundaries.
     pub cancel: swan_pool::CancelToken,
@@ -312,8 +300,7 @@ impl<'a> ExecCtx<'a> {
                 lockrank::SUBQUERY_CACHE,
                 HashMap::new(),
             )),
-            udf_results: RefCell::new(FxHashMap::default()),
-            udf_batches: RefCell::new(Vec::new()),
+            udf_answers: RefCell::new(Vec::new()),
             // Inherit the statement token the session installed on this
             // thread (see `Database::execute_statement`); a context built
             // outside any statement scope runs unbounded.
@@ -332,15 +319,14 @@ impl<'a> ExecCtx<'a> {
         self
     }
 
-    /// The stored result of the expensive UDF registered as `name` for
-    /// `args`, if this statement has one.
-    pub fn udf_result(&self, name: &str, args: &UdfArgs) -> Option<Value> {
-        self.udf_results.borrow().get(name)?.get(args).cloned()
-    }
-
-    /// Record `name(args) = value` for the rest of the statement.
-    pub fn store_udf_result(&self, name: &str, args: UdfArgs, value: Value) {
-        self.udf_results.borrow_mut().entry(name.to_string()).or_default().insert(args, value);
+    /// The statement's answer table of the expensive UDF registered as
+    /// `name`: each tuple asked, in first-seen order, with its answer if
+    /// it has one. Read-only; for tests.
+    #[doc(hidden)]
+    pub fn udf_table(&self, name: &str) -> Vec<(Vec<Value>, Option<Value>)> {
+        let Some(udf) = self.udfs.get(name) else { return Vec::new() };
+        let tables = self.udf_answers.borrow();
+        tables.iter().find(|t| t.of(udf)).map_or_else(Vec::new, AnswerTable::entries)
     }
 
     /// The cooperative cancellation checkpoint: cheap enough for morsel
@@ -1437,7 +1423,7 @@ fn exec_plan_with_columns(
 fn filter_relation(
     rel: &mut Relation,
     predicate: &Expr,
-    calls: &BatchableCalls<'_>,
+    calls: &BatchableCalls,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<()> {
@@ -1475,7 +1461,7 @@ impl JoinInput {
     fn keys(
         &self,
         exprs: &[Expr],
-        calls: &BatchableCalls<'_>,
+        calls: &BatchableCalls,
         ctx: &ExecCtx<'_>,
         outer: Option<&RowCtx<'_>>,
     ) -> Result<Keys<'_, ChunkedVec<Row>>> {

@@ -46,9 +46,9 @@ pub struct OptimizerConfig {
     /// projection / sort keys, GROUP BY, HAVING, aggregate output, join
     /// keys and residuals — issues one
     /// [`ScalarUdf::invoke_batch`](crate::functions::ScalarUdf) per call
-    /// site over the distinct argument tuples of its input batch instead
-    /// of one call per row, and a filter runs its cheap conjuncts before
-    /// its expensive ones. Purely an execution mode: [`optimize`] returns
+    /// site over the distinct argument tuples of its input batch that the
+    /// statement has not asked yet instead of one call per row, and a
+    /// filter runs its cheap conjuncts before its expensive ones. Purely an execution mode: [`optimize`] returns
     /// the same plan either way, and `false` is the per-row reference the
     /// differential suites compare against.
     pub batch_expensive_udfs: bool,

@@ -103,7 +103,7 @@ fn every_operator_observes_a_fired_token_within_one_morsel() {
 }
 
 /// An expensive UDF: its per-row results are kept in the context's
-/// statement store.
+/// statement answer table.
 struct Pricey;
 
 impl ScalarUdf for Pricey {
@@ -120,7 +120,7 @@ impl ScalarUdf for Pricey {
 
 /// The loop covers `0..count` in order, in ranges no larger than
 /// `MORSEL_ROWS`, on the calling thread — and what a range computes lands
-/// in the caller's own statement store.
+/// in the caller's own statement answer table.
 #[test]
 fn ranges_cover_the_count_in_order_on_the_calling_thread() {
     let mut db = database();
@@ -143,10 +143,12 @@ fn ranges_cover_the_count_in_order_on_the_calling_thread() {
         }
         assert_eq!(next, count);
     }
-    // A call in a CASE branch is evaluated per row, through the store.
+    // A call in a CASE branch is evaluated per row, and its answer lands
+    // once in the statement's answer table.
     let probe = select("SELECT CASE WHEN 1 = 1 THEN pricey(7) END");
     for_each_morsel(2, &ctx, |_| run_select(&probe, &ctx, None).map(drop)).unwrap();
-    assert_eq!(ctx.udf_results.borrow().get("pricey").map(|m| m.len()), Some(1));
+    let seven = Value::Integer(7);
+    assert_eq!(ctx.udf_table("pricey"), vec![(vec![seven.clone()], Some(seven))]);
 }
 
 #[test]

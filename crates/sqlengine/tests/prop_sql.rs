@@ -521,18 +521,19 @@ proptest! {
     /// per-row `invoke` across the four SWAN domain query shapes over a
     /// join whose fact rows hold NULL and dangling foreign keys
     /// (projection, WHERE and HAVING over the join's output, JOIN ON),
-    /// plus a GROUP BY key repeated in the output and an expensive
-    /// conjunct inside a correlated EXISTS (alone, and under an operator
-    /// that asks the same tuples), and never evaluates more argument
-    /// tuples than the per-row path. `invoke_batch` never receives a tuple
-    /// twice in a statement: a tuple one operator, one re-execution or an
-    /// enclosing operator asked is not asked again.
+    /// plus a GROUP BY key repeated in the output, an expensive conjunct
+    /// inside a correlated EXISTS (alone, and under an operator that asks
+    /// the same tuples) and a call whose argument holds a subquery over
+    /// the same UDF, and never evaluates more argument tuples than the
+    /// per-row path. `invoke_batch` never receives a tuple twice in a
+    /// statement: a tuple one operator, one re-execution, an enclosing
+    /// operator or a nested one asked is not asked again.
     #[test]
     fn batched_udf_execution_matches_per_row_over_domain_joins(
         rows in proptest::collection::vec((any::<i64>(), -40i64..120, "[a-m]{0,5}"), 2..40),
         domain in 0usize..4,
         threshold in -40i64..120,
-        shape in 0usize..7,
+        shape in 0usize..8,
     ) {
         let (_, _, _, join) = DOMAINS[domain];
         let fact = fact_table(domain);
@@ -571,10 +572,17 @@ proptest! {
             ),
             // The same, inside an operator that asked the subquery's
             // tuples already.
-            _ => format!(
+            6 => format!(
                 "SELECT s.id, slow_tag('c', s.{num} % 4), (SELECT COUNT(*) FROM tiny t \
                  WHERE t.k <= s.{num} % 4 AND slow_tag('c', t.k) LIKE 'vc%') \
                  FROM {fact} s ORDER BY s.id"
+            ),
+            // A call whose argument holds a subquery over the same UDF:
+            // the subquery asks its tuples while the call's rows are
+            // walked.
+            _ => format!(
+                "SELECT s.id, slow_tag('c', (SELECT MIN(t.k) FROM tiny t \
+                 WHERE slow_tag('c', t.k) LIKE 'vc%')) FROM {fact} s ORDER BY s.id"
             ),
         };
 

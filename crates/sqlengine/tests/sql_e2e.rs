@@ -836,7 +836,8 @@ impl ScalarUdf for Tick {
 /// nested-loop site that reads the outer row only, once per outer row, not
 /// per pair); and the site's distinct tuples go to one `invoke_batch`, no
 /// row to `invoke`. A second operator of the statement that shows the same
-/// tuples evaluates its own arguments but asks nothing.
+/// tuples evaluates its own arguments but asks nothing, and so does a call
+/// whose argument is a subquery that asked the call's tuple.
 #[test]
 fn a_batched_row_evaluates_its_arguments_once() {
     const N: u64 = 40;
@@ -904,6 +905,17 @@ fn a_batched_row_evaluates_its_arguments_once() {
         };
         assert_eq!(calls, expect, "{operator}: (tick calls, batches, batched tuples, invokes)");
     }
+    let udf = CountingLlm::new();
+    let mut db = hero_db();
+    db.register_udf(udf.clone());
+    let rows = texts(
+        &db,
+        "SELECT llm_tag('p', (SELECT MIN(publisher_id) FROM superhero \
+         WHERE llm_tag('p', publisher_id) = 'v:p-2')) FROM publisher",
+    );
+    assert_eq!(rows, vec!["v:p-2"; 3]);
+    assert_eq!(*udf.received.lock().unwrap(), vec![vec!["p-1", "p-2", "p-3", "p-"]]);
+    assert_eq!(udf.invokes.load(std::sync::atomic::Ordering::SeqCst), 0);
 }
 
 /// An expensive call in a JOIN ON key is batched over the side that
@@ -981,10 +993,10 @@ fn case_guarded_udf_not_eagerly_batched() {
     assert_eq!(udf.invokes.load(std::sync::atomic::Ordering::SeqCst), 2);
 }
 
-/// The result store keys tuples by exact value identity: an Integer and a
-/// Real that are SQL-equal still get their own invocations (their
-/// rendered argument text differs, so a shared slot would serve one row
-/// the other's answer).
+/// The statement's answer table keys tuples by exact value identity: an
+/// Integer and a Real that are SQL-equal are two tuples of the batch
+/// (their rendered argument text differs, so a shared entry would serve
+/// one row the other's answer).
 #[test]
 fn udf_result_store_distinguishes_integer_and_real() {
     let udf = CountingLlm::new();

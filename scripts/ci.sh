@@ -64,7 +64,8 @@
 #      evaluated, and `invoke_batch` handed each distinct tuple once per
 #      statement under exact `UdfArgs` identity, in first-seen order; and
 #      the SWAN domain shapes over a join with NULL and dangling foreign
-#      keys, plus a correlated EXISTS), and the one-word
+#      keys, plus a correlated EXISTS and a UDF argument holding a
+#      subquery over the same UDF), and the one-word
 #      `ThinStr` behind every text cell against `Arc<str>` (thinstr.rs:
 #      empty, multibyte, NUL and up-to-4-KiB strings; `==`, `cmp`, both
 #      hashers, `Debug`, `Display` and `HashSet::get(&str)`; its count
