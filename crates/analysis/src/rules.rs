@@ -353,16 +353,13 @@ pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Finding> {
                 );
             }
             // ---- safety-comment -----------------------------------------
-            "unsafe" => {
-                if !has_safety_comment(&tokens, line) {
-                    push(
-                        &allows,
-                        "safety-comment",
-                        line,
-                        "`unsafe` without a `// SAFETY:` comment within 5 lines above it"
-                            .to_string(),
-                    );
-                }
+            "unsafe" if !has_safety_comment(&tokens, line) => {
+                push(
+                    &allows,
+                    "safety-comment",
+                    line,
+                    "`unsafe` without a `// SAFETY:` comment within 5 lines above it".to_string(),
+                );
             }
             // ---- lock-rank ----------------------------------------------
             "Mutex" | "RwLock"

@@ -11,7 +11,9 @@
 //! into [`UdfPrompt`]s and fanned out across [`UdfConfig::workers`].
 //! Keys a short batch response leaves unanswered get one re-batch round,
 //! then single-key model calls, which are single-flighted across
-//! concurrent rows. The answer-store key policy implements the caching
+//! sessions: a statement's rows run one after another on its thread, but
+//! sessions sharing the store run side by side (`tests/concurrency.rs`).
+//! The answer-store key policy implements the caching
 //! spectrum of §4.3/§5.5 (see [`CacheScope`]).
 //!
 //! # One store, one lock
@@ -444,9 +446,9 @@ impl Shared {
     }
 
     /// Single-key fallback call (cache miss during execution),
-    /// single-flighted: concurrent rows asking for the same key wait for
-    /// the one in-flight model call instead of each paying their own, and
-    /// receive the leader's outcome — error included.
+    /// single-flighted: concurrent sessions asking for the same key wait
+    /// for the one in-flight model call instead of each paying their own,
+    /// and receive the leader's outcome — error included.
     fn fetch_single(&self, asked: &Asked<'_>, key: &KeyTuple) -> Result<Value> {
         loop {
             // Hit, join the flight on the key, or reserve it — decided in

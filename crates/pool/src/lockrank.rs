@@ -54,9 +54,6 @@ pub const SETTINGS: u32 = 51;
 /// write lock, so history is always the inner lock of the pair.
 pub const MVCC_HISTORY: u32 = 56;
 
-/// Per-query scalar-subquery memo cache (`exec::SubqueryCache`).
-pub const SUBQUERY_CACHE: u32 = 60;
-
 /// The UDF pathway's one lock (`udf::Shared.store`): answers and in-flight
 /// fetches in one map. Taken from every session's statement thread; never
 /// held across a model call or a flight wait.

@@ -412,12 +412,9 @@ fn build_column<'a>(
 
     let mut vals = vec![Value::Null; len];
     for (i, row) in rows.enumerate() {
-        match row.get(j) {
-            Some(v @ (Value::Integer(_) | Value::Real(_) | Value::Text(_))) => {
-                validity.set(i, true);
-                vals[i] = v.clone();
-            }
-            _ => {}
+        if let Some(v @ (Value::Integer(_) | Value::Real(_) | Value::Text(_))) = row.get(j) {
+            validity.set(i, true);
+            vals[i] = v.clone();
         }
     }
     ColumnVec { data: ColumnData::Mixed(vals), validity }

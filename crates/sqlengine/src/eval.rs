@@ -2,9 +2,9 @@
 //!
 //! Evaluation happens against a [`RowCtx`] chain: the innermost scope is the
 //! current row; outer scopes (for correlated subqueries) are linked via
-//! `outer`. Subqueries are executed through [`crate::exec::run_select`] and
-//! classified once per statement into one of three
-//! [`SubqueryState`]s, cached in the [`ExecCtx`](crate::exec::ExecCtx):
+//! `outer`. A subquery is planned ([`plan_select`]) and classified once
+//! per statement into one of three [`SubqueryState`]s, cached with its
+//! plan in the [`ExecCtx`](crate::exec::ExecCtx):
 //!
 //! * **uncorrelated** — executed once, the result shared by every row; an
 //!   `IN (SELECT …)` probes a keyed index of it instead of walking it;
@@ -12,7 +12,7 @@
 //!   (`(SELECT COUNT(*) FROM r WHERE r.k = outer.k AND r.x = 1)`) is grouped
 //!   once by its correlation keys and hash-probed per outer row
 //!   ([`KeyedAggregate`]; gated by `OptimizerConfig::index_scan`);
-//! * **correlated** — re-executed per outer row: every other shape
+//! * **correlated** — its plan runs again per outer row: every other shape
 //!   (correlated `EXISTS`/`IN`, `LIMIT`/`ORDER BY`/`GROUP BY`/`DISTINCT`
 //!   inside, a join or derived table in FROM, nested subqueries, expensive
 //!   UDFs, non-equality correlation), and the reference the other two are
@@ -25,11 +25,13 @@ use std::sync::Arc;
 
 use crate::ast::{BinaryOp, Expr, SelectStmt, UnaryOp};
 use crate::error::{Error, Result};
-use crate::exec::{run_select, ExecCtx, KeyedAggregate, Members, Relation, SubqueryState};
+use crate::exec::{
+    exec_plan, ExecCtx, KeyedAggregate, Members, Relation, SubqueryCell, SubqueryState,
+};
 use crate::functions::{eval_builtin, glob_match, is_aggregate, like_match, ScalarUdf};
 use crate::hash::FxHasher;
 use crate::keyindex::KeyIndex;
-use crate::plan::RelSchema;
+use crate::plan::{plan_select, Plan, RelSchema};
 use crate::value::Value;
 
 /// One scope of row bindings. `outer` points at the enclosing query's scope
@@ -233,9 +235,11 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
             let v = eval(expr, ctx, row)?;
             let cell = subquery_cell(query, ctx);
             let found = match subquery_state(&cell, query, ctx, row, Consumer::In)? {
-                SubqueryState::Uncorrelated { members: Some(members), .. } => members.contains(&v),
+                (_, SubqueryState::Uncorrelated { members: Some(members), .. }) => {
+                    members.contains(&v)
+                }
                 // Correlated: key this outer row's own result.
-                state => Members::of(&subquery_rows(state, query, ctx, row)?).contains(&v),
+                state => Members::of(&subquery_rows(state, ctx, row)?).contains(&v),
             };
             Ok(match found {
                 Some(hit) => Value::Integer((hit != *negated) as i64),
@@ -246,21 +250,21 @@ pub fn eval(expr: &Expr, ctx: &ExecCtx<'_>, row: Option<&RowCtx<'_>>) -> Result<
         Expr::Exists { query, negated } => {
             let cell = subquery_cell(query, ctx);
             let state = subquery_state(&cell, query, ctx, row, Consumer::Exists)?;
-            let rel = subquery_rows(state, query, ctx, row)?;
+            let rel = subquery_rows(state, ctx, row)?;
             Ok(Value::Integer((rel.rows.is_empty() == *negated) as i64))
         }
 
         Expr::ScalarSubquery(query) => {
             let cell = subquery_cell(query, ctx);
             let state = subquery_state(&cell, query, ctx, row, Consumer::Scalar)?;
-            if let (SubqueryState::Keyed(keyed), Some(outer)) = (state, row) {
+            if let ((_, SubqueryState::Keyed(keyed)), Some(outer)) = (state, row) {
                 // An outer key this row cannot evaluate is left to the
                 // per-row path, which raises what it always raised.
                 if let Ok(v) = keyed.probe(ctx, outer) {
                     return Ok(v);
                 }
             }
-            let rel = subquery_rows(state, query, ctx, row)?;
+            let rel = subquery_rows(state, ctx, row)?;
             Ok(match rel.rows.first() {
                 Some(r) => r.first().cloned().unwrap_or(Value::Null),
                 None => Value::Null,
@@ -1051,67 +1055,65 @@ enum Consumer {
     Exists,
 }
 
-type SubqueryCell = Arc<std::sync::OnceLock<Result<SubqueryState>>>;
-
-/// Grab (or create) this subquery's single-flight cell. The map lock is
-/// held only for the lookup — never while a subquery executes (run_select
-/// can be arbitrarily expensive and recursively re-enter this cache for
-/// nested subqueries).
+/// Grab (or create) this subquery's cell. The map is borrowed only for the
+/// lookup — never while a subquery runs, which re-enters the map for
+/// nested subqueries.
 fn subquery_cell(query: &Arc<SelectStmt>, ctx: &ExecCtx<'_>) -> SubqueryCell {
     let key = Arc::as_ptr(query) as usize;
-    ctx.subqueries.lock().entry(key).or_default().clone()
+    ctx.subqueries.borrow_mut().entry(key).or_default().clone()
 }
 
-/// Classify a subquery (once per statement; see the module docs for the
-/// three outcomes) and return its state.
+/// Plan and classify a subquery (once per statement; see the module docs
+/// for the three outcomes) and return its plan and state.
 ///
-/// The first arriver executes the subquery without the outer scope;
-/// concurrent arrivers block on the cell instead of racing a duplicate
-/// execution. Nested subqueries use their own cells, so initialization
-/// cannot cycle. A keyed build that fails with anything but a deadline or
-/// cancellation declines to [`SubqueryState::Correlated`], so errors keep
-/// surfacing from the per-row path.
+/// The first evaluation runs the plan without the outer scope. Nested
+/// subqueries use their own cells, so initialization cannot cycle. A
+/// keyed build that fails with anything but a deadline or cancellation
+/// declines to [`SubqueryState::Correlated`], so errors keep surfacing
+/// from the per-row path.
 fn subquery_state<'c>(
     cell: &'c SubqueryCell,
     query: &SelectStmt,
     ctx: &ExecCtx<'_>,
     row: Option<&RowCtx<'_>>,
     consumer: Consumer,
-) -> Result<&'c SubqueryState> {
-    let state = cell.get_or_init(|| match run_select(query, ctx, None) {
-        Ok(rel) => {
-            let rel = Arc::new(rel);
-            let members = (consumer == Consumer::In).then(|| Members::of(&rel));
-            Ok(SubqueryState::Uncorrelated { rel, members })
-        }
-        Err(Error::Unresolved(_)) if row.is_some() => {
-            if consumer == Consumer::Scalar && ctx.optimizer.index_scan {
-                match KeyedAggregate::build(query, ctx) {
-                    Ok(Some(keyed)) => return Ok(SubqueryState::Keyed(keyed)),
-                    Err(e @ (Error::Deadline | Error::Cancelled)) => return Err(e),
-                    Ok(None) | Err(_) => {}
+) -> Result<(&'c Plan, &'c SubqueryState)> {
+    let state = cell.get_or_init(|| {
+        let plan = plan_select(query, ctx.udfs, &ctx.optimizer, ctx.catalog)?;
+        let state = match exec_plan(&plan, ctx, None) {
+            Ok(rel) => {
+                let rel = Arc::new(rel);
+                let members = (consumer == Consumer::In).then(|| Members::of(&rel));
+                SubqueryState::Uncorrelated { rel, members }
+            }
+            Err(Error::Unresolved(_)) if row.is_some() => {
+                match (consumer == Consumer::Scalar && ctx.optimizer.index_scan)
+                    .then(|| KeyedAggregate::build(query, ctx))
+                {
+                    Some(Ok(Some(keyed))) => SubqueryState::Keyed(keyed),
+                    Some(Err(e @ (Error::Deadline | Error::Cancelled))) => return Err(e),
+                    _ => SubqueryState::Correlated,
                 }
             }
-            Ok(SubqueryState::Correlated)
-        }
-        Err(e) => Err(e),
+            Err(e) => return Err(e),
+        };
+        Ok((plan, state))
     });
     // The cache is statement-scoped, so a pinned error only
     // short-circuits re-evaluations within the failing statement.
-    state.as_ref().map_err(Error::clone)
+    state.as_ref().map(|(plan, state)| (plan, state)).map_err(Error::clone)
 }
 
 /// The subquery's rows for this outer row: the shared result when
-/// uncorrelated, a fresh execution (no caching of rows) otherwise.
+/// uncorrelated, a fresh run of its plan (no caching of rows) otherwise.
 fn subquery_rows(
-    state: &SubqueryState,
-    query: &SelectStmt,
+    (plan, state): (&Plan, &SubqueryState),
     ctx: &ExecCtx<'_>,
     row: Option<&RowCtx<'_>>,
 ) -> Result<Arc<Relation>> {
     match state {
         SubqueryState::Uncorrelated { rel, .. } => Ok(rel.clone()),
-        _ => run_select(query, ctx, row).map(Arc::new),
+        _ => exec_plan(plan, ctx, row).map(Arc::new),
     }
 }
 
@@ -1295,15 +1297,15 @@ mod tests {
         else {
             panic!("not a SELECT: {sql}")
         };
-        let out = run_select(&stmt, &ctx, None);
+        let out = crate::exec::run_select(&stmt, &ctx, None);
         let mut states: Vec<&'static str> = ctx
             .subqueries
-            .lock()
+            .borrow()
             .values()
             .map(|cell| match cell.get() {
-                Some(Ok(SubqueryState::Uncorrelated { .. })) => "uncorrelated",
-                Some(Ok(SubqueryState::Keyed(_))) => "keyed",
-                Some(Ok(SubqueryState::Correlated)) => "correlated",
+                Some(Ok((_, SubqueryState::Uncorrelated { .. }))) => "uncorrelated",
+                Some(Ok((_, SubqueryState::Keyed(_)))) => "keyed",
+                Some(Ok((_, SubqueryState::Correlated))) => "correlated",
                 Some(Err(_)) => "error",
                 None => "unset",
             })

@@ -1,9 +1,10 @@
 //! Query execution.
 //!
-//! `run_select` drives a SELECT end to end: the FROM/WHERE part is lowered
-//! to a [`Plan`], optimized, and executed (with a hash-join fast path for
-//! equi-joins); projection, aggregation, DISTINCT, compound operators,
-//! ORDER BY and LIMIT are applied on top.
+//! `run_select` drives a SELECT end to end: [`plan_select`] plans the
+//! whole statement, and [`exec_plan`], the one interpreter, runs every
+//! node — scans, filters and joins (with a hash-join fast path for
+//! equi-joins), then projection or aggregation, DISTINCT, compound
+//! operators, ORDER BY and LIMIT.
 //!
 //! # Zero-copy execution
 //!
@@ -32,32 +33,26 @@
 //! (`swan_llm::parallel::complete_many`), and sessions run side by side
 //! on a `SharedDb`.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use swan_pool::lockrank;
-
-use crate::ast::{
-    BinaryOp, CompoundOp, Expr, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt,
-};
+use crate::ast::{BinaryOp, CompoundOp, Expr, SelectBody, SelectItem, SelectStmt};
 use crate::chunked::ChunkedVec;
 use crate::columnar::{AggKernel, ColumnSet};
+use crate::display::expr_to_sql;
 use crate::error::{Error, Result};
 use crate::eval::{bind_columns, eval, AnswerTable, BatchableCalls, RowCtx};
 use crate::functions::{is_aggregate, UdfRegistry};
 use crate::keyindex::{KeyIndex, KeyMode, KeyedRows, Keys};
-use crate::optimizer::{expr_cost, optimize, NeededCol, OptimizerConfig};
+use crate::optimizer::{expr_cost, optimize, OptimizerConfig};
 use crate::plan::{
-    conjoin, plan_from, split_conjuncts, ColRef, Plan, PlanJoinKind, RelSchema,
+    conjoin, plan_from, plan_select, split_conjuncts, ColRef, Plan, PlanJoinKind, RelSchema,
 };
 use crate::storage::Catalog;
 use crate::value::{Row, Value};
-
-/// Result rows paired with per-row ORDER BY sort keys.
-type RowsAndKeys = (Vec<Row>, Vec<Vec<Value>>);
 
 /// A materialized intermediate or final relation.
 #[derive(Debug, Clone, Default)]
@@ -81,9 +76,9 @@ pub enum SubqueryState {
     /// An equality-correlated scalar aggregate: one grouped build, one
     /// hash probe per outer row (see [`KeyedAggregate`]).
     Keyed(KeyedAggregate),
-    /// Correlated with the outer row: must re-execute per row. The only
-    /// path for every shape [`KeyedAggregate::build`] declines and under
-    /// `OptimizerConfig::index_scan: false`, the reference.
+    /// Correlated with the outer row: its plan runs again per row. The
+    /// only path for every shape [`KeyedAggregate::build`] declines and
+    /// under `OptimizerConfig::index_scan: false`, the reference.
     Correlated,
 }
 
@@ -115,7 +110,7 @@ impl Members {
 /// `(SELECT <aggregate expr> FROM t WHERE <inner> = <outer> [AND …] [AND <local>])`
 /// answered from a hash index instead of one execution per outer row:
 /// `SELECT <inner keys>, <aggregate expr> FROM t WHERE <local> GROUP BY
-/// <inner keys>` runs **once** through [`run_select`] (so it gets the
+/// <inner keys>` runs **once** as a [`Plan::Aggregate`] (so it gets the
 /// optimizer's rules, the columnar kernels and the statement's cancel token like any other
 /// SELECT), and every outer row costs one key
 /// evaluation and one probe of a `KeyIndex` under
@@ -207,24 +202,12 @@ impl KeyedAggregate {
         let empty = materialize_and_eval(agg, &[], &none, None, ctx, &rep)?;
 
         let width = inner_keys.len();
-        let grouped = SelectStmt {
-            body: SelectBody::Simple(Box::new(SelectCore {
-                distinct: false,
-                projection: inner_keys
-                    .iter()
-                    .chain([agg])
-                    .map(|e| SelectItem::Expr { expr: e.clone(), alias: None })
-                    .collect(),
-                from: core.from.clone(),
-                filter: conjoin(local),
-                group_by: inner_keys,
-                having: None,
-            })),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        };
-        let groups = KeyedRows::new(Arc::new(run_select(&grouped, ctx, None)?), width);
+        let input = plan_from(core.from.as_ref(), conjoin(local).as_ref())?;
+        let input = Box::new(optimize(input, ctx.udfs, &ctx.optimizer, ctx.catalog, None)?);
+        let exprs: Vec<Expr> = inner_keys.iter().chain([agg]).cloned().collect();
+        let names = exprs.iter().map(|e| ColRef::new(None, expr_to_sql(e))).collect();
+        let grouped = Plan::Aggregate { input, group_by: inner_keys, having: None, exprs, names };
+        let groups = KeyedRows::new(Arc::new(exec_plan(&grouped, ctx, None)?), width);
         Ok(Some(KeyedAggregate { outer_keys, groups, empty }))
     }
 
@@ -259,17 +242,19 @@ fn columns_only_in_aggregates(expr: &Expr, schema: &RelSchema) -> bool {
     schema.covers(expr) && count(expr) == aggregated
 }
 
-/// The statement-scoped subquery state cache, keyed by the address of the
+/// The statement-scoped subquery cache, keyed by the address of the
 /// subquery's `Arc<SelectStmt>` body — one node for the statement's
 /// lifetime however often the expression around it is cloned or rebound.
-/// Each entry is a [`std::sync::OnceLock`] cell: the first evaluation
-/// classifies the subquery (see [`SubqueryState`]) — executing it when
-/// uncorrelated, building its hash index when [`KeyedAggregate::build`]
-/// accepts it — so an uncorrelated subquery, and a keyed build, execute
-/// *exactly once* per statement; the state is immutable once the cell is
-/// set, so probes take no lock beyond the map lookup.
-pub type SubqueryCache =
-    Arc<Mutex<HashMap<usize, Arc<std::sync::OnceLock<Result<SubqueryState>>>>>>;
+/// Each entry is a cell set by the subquery's first evaluation: its plan
+/// and its classification (see [`SubqueryState`]) — executed when
+/// uncorrelated, its hash index built when [`KeyedAggregate::build`]
+/// accepts it — so a subquery is planned once per statement, and an
+/// uncorrelated one, or a keyed build, executes *exactly once*. The map
+/// and its cells live on the statement thread, like every operator loop.
+pub type SubqueryCache = RefCell<HashMap<usize, SubqueryCell>>;
+
+/// One subquery's plan and state, set by its first evaluation.
+pub type SubqueryCell = Rc<OnceCell<Result<(Plan, SubqueryState)>>>;
 
 /// Per-statement execution context.
 pub struct ExecCtx<'a> {
@@ -295,11 +280,7 @@ impl<'a> ExecCtx<'a> {
             catalog,
             udfs,
             optimizer: OptimizerConfig::default(),
-            subqueries: Arc::new(Mutex::with_rank(
-                "subquery_cache",
-                lockrank::SUBQUERY_CACHE,
-                HashMap::new(),
-            )),
+            subqueries: RefCell::new(HashMap::new()),
             udf_answers: RefCell::new(Vec::new()),
             // Inherit the statement token the session installed on this
             // thread (see `Database::execute_statement`); a context built
@@ -360,81 +341,13 @@ pub fn for_each_morsel(
     Ok(())
 }
 
-/// Execute a full SELECT (body + ORDER BY + LIMIT/OFFSET).
+/// Execute a full SELECT: plan it ([`plan_select`]), then run the plan.
 pub fn run_select(
     stmt: &SelectStmt,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
-    let (mut rel, mut keys) = match &stmt.body {
-        SelectBody::Simple(core) => run_core(core, &stmt.order_by, ctx, outer)?,
-        SelectBody::Compound { .. } => {
-            let rel = run_body(&stmt.body, ctx, outer)?;
-            let keys = compound_sort_keys(&rel, &stmt.order_by, ctx, outer)?;
-            (rel, keys)
-        }
-    };
-
-    if !stmt.order_by.is_empty() {
-        sort_rows(&mut rel.rows, &mut keys, &stmt.order_by, topk_hint(stmt));
-    }
-    apply_limit_offset(&mut rel.rows, stmt, ctx)?;
-    Ok(rel)
-}
-
-/// `ORDER BY ... LIMIT k` with literal bounds only needs the smallest
-/// `offset + k` rows; the sort can then select instead of fully sorting.
-fn topk_hint(stmt: &SelectStmt) -> Option<usize> {
-    let lit = |e: &Expr| match e {
-        Expr::Literal(Value::Integer(n)) if *n >= 0 => Some(*n as usize),
-        _ => None,
-    };
-    let limit = lit(stmt.limit.as_ref()?)?;
-    let offset = match &stmt.offset {
-        None => 0,
-        Some(e) => lit(e)?,
-    };
-    limit.checked_add(offset)
-}
-
-fn run_body(
-    body: &SelectBody,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&RowCtx<'_>>,
-) -> Result<Relation> {
-    match body {
-        SelectBody::Simple(core) => Ok(run_core(core, &[], ctx, outer)?.0),
-        SelectBody::Compound { op, left, right } => {
-            let l = run_body(left, ctx, outer)?;
-            let r = run_body(right, ctx, outer)?;
-            if l.schema.len() != r.schema.len() {
-                return Err(Error::Semantic(format!(
-                    "compound SELECT column count mismatch: {} vs {}",
-                    l.schema.len(),
-                    r.schema.len()
-                )));
-            }
-            let (width, mut rows) = (l.schema.len(), l.rows);
-            match op {
-                CompoundOp::UnionAll | CompoundOp::Union => rows.extend(r.rows),
-                CompoundOp::Except | CompoundOp::Intersect => {
-                    let slots: Vec<usize> = (0..width).collect();
-                    let right = Keys::slots(&r.rows[..], &slots[..], KeyMode::Group);
-                    let index = KeyIndex::build(&right, r.rows.len(), ctx)?;
-                    let left = Keys::slots(&rows[..], &slots[..], KeyMode::Group);
-                    let found = |&i: &usize| index.matches(&right, &left, i).next().is_some();
-                    let intersect = *op == CompoundOp::Intersect;
-                    let keep: Vec<usize> =
-                        (0..rows.len()).filter(|i| found(i) == intersect).collect();
-                    retain_at(&mut rows, &keep);
-                }
-            }
-            if *op != CompoundOp::UnionAll {
-                distinct_in_place(&mut rows, &mut Vec::new(), width);
-            }
-            Ok(Relation { schema: l.schema, rows })
-        }
-    }
+    exec_plan(&plan_select(stmt, ctx.udfs, &ctx.optimizer, ctx.catalog)?, ctx, outer)
 }
 
 /// Keep the elements of `v` at the ascending indices `at`.
@@ -446,75 +359,38 @@ fn retain_at<T>(v: &mut Vec<T>, at: &[usize]) {
     });
 }
 
-/// ORDER BY keys for a compound SELECT: ordinals or output column names.
-fn compound_sort_keys(
-    rel: &Relation,
-    order_by: &[OrderItem],
-    ctx: &ExecCtx<'_>,
-    outer: Option<&RowCtx<'_>>,
-) -> Result<Vec<Vec<Value>>> {
-    if order_by.is_empty() {
-        return Ok(Vec::new());
+/// The rows of a compound's two arms, combined by `op`.
+fn compound(op: CompoundOp, l: Relation, r: Relation, ctx: &ExecCtx<'_>) -> Result<Relation> {
+    if l.schema.len() != r.schema.len() {
+        return Err(Error::Semantic(format!(
+            "compound SELECT column count mismatch: {} vs {}",
+            l.schema.len(),
+            r.schema.len()
+        )));
     }
-    let mut keys = Vec::with_capacity(rel.rows.len());
-    let scope = RowCtx::scope(&rel.schema, outer, None);
-    for (pos, row) in rel.rows.iter().enumerate() {
-        let rc = scope.at(row, pos);
-        let mut k = Vec::with_capacity(order_by.len());
-        for item in order_by {
-            if let Some(i) = ordinal_index(&item.expr, rel.schema.len())? {
-                k.push(row[i].clone());
-            } else {
-                k.push(eval(&item.expr, ctx, Some(&rc))?);
-            }
-        }
-        keys.push(k);
-    }
-    Ok(keys)
-}
-
-/// Build one output row's ORDER BY key vector: ordinals index into the
-/// projected row `out`, every other expression evaluates through
-/// `eval_expr`. One implementation serves the projection and
-/// aggregation loops, so ordinal/alias resolution can never drift
-/// between them.
-fn output_sort_keys(
-    order_exprs: &[Expr],
-    width: usize,
-    out: &[Value],
-    eval_expr: &mut dyn FnMut(&Expr) -> Result<Value>,
-) -> Result<Vec<Value>> {
-    let mut k = Vec::with_capacity(order_exprs.len());
-    for e in order_exprs {
-        if let Some(i) = ordinal_index(e, width)? {
-            k.push(out[i].clone());
-        } else {
-            k.push(eval_expr(e)?);
+    let (width, mut rows) = (l.schema.len(), l.rows);
+    match op {
+        CompoundOp::UnionAll | CompoundOp::Union => rows.extend(r.rows),
+        CompoundOp::Except | CompoundOp::Intersect => {
+            let slots: Vec<usize> = (0..width).collect();
+            let right = Keys::slots(&r.rows[..], &slots[..], KeyMode::Group);
+            let index = KeyIndex::build(&right, r.rows.len(), ctx)?;
+            let left = Keys::slots(&rows[..], &slots[..], KeyMode::Group);
+            let found = |&i: &usize| index.matches(&right, &left, i).next().is_some();
+            let intersect = op == CompoundOp::Intersect;
+            let keep: Vec<usize> = (0..rows.len()).filter(|i| found(i) == intersect).collect();
+            retain_at(&mut rows, &keep);
         }
     }
-    Ok(k)
-}
-
-/// `ORDER BY 2` style ordinals. Errors when out of range.
-fn ordinal_index(expr: &Expr, width: usize) -> Result<Option<usize>> {
-    if let Expr::Literal(Value::Integer(n)) = expr {
-        let n = *n;
-        if n < 1 || n as usize > width {
-            return Err(Error::Semantic(format!(
-                "ORDER BY position {n} is out of range (1..{width})"
-            )));
-        }
-        return Ok(Some(n as usize - 1));
+    if op != CompoundOp::UnionAll {
+        distinct_in_place(&mut rows, width);
     }
-    Ok(None)
+    Ok(Relation { schema: l.schema, rows })
 }
 
-fn sort_rows(
-    rows: &mut Vec<Row>,
-    keys: &mut Vec<Vec<Value>>,
-    order_by: &[OrderItem],
-    top_k: Option<usize>,
-) {
+/// Order `rows` by the cells `keys` name (descending where flagged),
+/// keep the first `top_k` if given, and drop the cells past `width`.
+fn sort_rows(rows: &mut Vec<Row>, keys: &[(usize, bool)], top_k: Option<usize>, width: usize) {
     // The input row index breaks every tie, making the comparator a
     // *total* order. This pins down what SQL leaves unspecified on
     // purpose: with ties at the LIMIT boundary, the selected prefix is
@@ -522,9 +398,9 @@ fn sort_rows(
     // top-k selection and a full sort agree on the same rows in the same
     // order.
     let cmp = |&a: &usize, &b: &usize| {
-        for (k, item) in order_by.iter().enumerate() {
-            let ord = keys[a][k].sort_cmp(&keys[b][k]);
-            let ord = if item.desc { ord.reverse() } else { ord };
+        for &(k, desc) in keys {
+            let ord = rows[a][k].sort_cmp(&rows[b][k]);
+            let ord = if desc { ord.reverse() } else { ord };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
             }
@@ -544,22 +420,26 @@ fn sort_rows(
         }
     }
     idx.sort_by(cmp);
-    // Rows are Arc handles and key cells are O(1) clones, so gathering into
-    // the sorted order is pointer work.
-    *rows = idx.iter().map(|&i| rows[i].clone()).collect();
-    *keys = idx.iter().map(|&i| std::mem::take(&mut keys[i])).collect();
+    // Rows are Arc handles, so gathering into the sorted order is pointer
+    // work; only rows carrying sort cells are copied, to their output.
+    let sorted: Vec<Row> = idx
+        .iter()
+        .map(|&i| if rows[i].len() > width { rows[i][..width].into() } else { rows[i].clone() })
+        .collect();
+    *rows = sorted;
 }
 
 fn apply_limit_offset(
     rows: &mut Vec<Row>,
-    stmt: &SelectStmt,
+    limit: Option<&Expr>,
+    offset: Option<&Expr>,
     ctx: &ExecCtx<'_>,
 ) -> Result<()> {
     let eval_count = |e: &Expr| -> Result<Option<i64>> {
         let v = eval(e, ctx, None)?;
         Ok(v.as_i64())
     };
-    let offset = match &stmt.offset {
+    let offset = match offset {
         Some(e) => eval_count(e)?.unwrap_or(0).max(0) as usize,
         None => 0,
     };
@@ -570,7 +450,7 @@ fn apply_limit_offset(
             rows.drain(..offset);
         }
     }
-    if let Some(e) = &stmt.limit {
+    if let Some(e) = limit {
         if let Some(n) = eval_count(e)? {
             // Negative LIMIT means "no limit" in SQLite.
             if n >= 0 {
@@ -581,94 +461,9 @@ fn apply_limit_offset(
     Ok(())
 }
 
-// ---- simple SELECT core --------------------------------------------------
-
-/// Execute one SELECT core; returns the output relation plus one sort-key
-/// vector per row for the given ORDER BY items (empty when no ORDER BY).
-fn run_core(
-    core: &SelectCore,
-    order_by: &[OrderItem],
-    ctx: &ExecCtx<'_>,
-    outer: Option<&RowCtx<'_>>,
-) -> Result<(Relation, Vec<Vec<Value>>)> {
-    let plan = plan_from(core.from.as_ref(), core.filter.as_ref())?;
-    let needed = needed_columns(core, order_by);
-    let plan = &optimize(plan, ctx.udfs, &ctx.optimizer, ctx.catalog, needed.as_deref())?;
-    let (input, cols) = exec_plan_with_columns(plan, ctx, outer)?;
-    let cols = cols.as_ref();
-
-    // Expand the projection into (expr, output column) pairs.
-    let projection = expand_projection(&core.projection, &input.schema)?;
-
-    let aggregated = !core.group_by.is_empty()
-        || projection.iter().any(|(e, _)| e.contains_aggregate())
-        || core.having.as_ref().is_some_and(|h| h.contains_aggregate());
-
-    // ORDER BY / HAVING may reference projection aliases; rewrite them to
-    // the underlying expressions (input columns win over aliases).
-    let order_exprs: Vec<Expr> = order_by
-        .iter()
-        .map(|o| resolve_output_ref(&o.expr, &projection, &input.schema))
-        .collect::<Result<_>>()?;
-    let having = core
-        .having
-        .as_ref()
-        .map(|h| resolve_output_ref(h, &projection, &input.schema))
-        .transpose()?;
-
-    if core.having.is_some() && !aggregated && core.group_by.is_empty() {
-        return Err(Error::Semantic("HAVING requires GROUP BY or an aggregate".into()));
-    }
-
-    let (mut rows, mut keys) = if aggregated {
-        run_aggregate(core, &projection, having.as_ref(), &order_exprs, &input, cols, ctx, outer)?
-    } else {
-        project_rows(&projection, &order_exprs, &input, ctx, outer)?
-    };
-
-    if core.distinct {
-        distinct_in_place(&mut rows, &mut keys, projection.len());
-    }
-
-    let schema = RelSchema::new(projection.into_iter().map(|(_, c)| c).collect());
-    Ok((Relation { schema, rows }, keys))
-}
-
-/// The columns this SELECT reads from its FROM relation, for the
-/// optimizer's join-output pruning. `None` — meaning "keep everything" —
-/// on wildcards and on any subquery (whose correlated references
-/// [`Expr::walk`] cannot see). Alias/ordinal ORDER BY references resolve
-/// to projection expressions whose columns are already collected; raw
-/// names are included as-is, which at worst over-keeps.
-fn needed_columns(core: &SelectCore, order_by: &[OrderItem]) -> Option<Vec<NeededCol>> {
-    let mut out = Vec::new();
-    let mut add = |e: &Expr| -> Option<()> {
-        let mut cols = crate::optimizer::expr_columns(e)?;
-        out.append(&mut cols);
-        Some(())
-    };
-    for item in &core.projection {
-        match item {
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return None,
-            SelectItem::Expr { expr, .. } => add(expr)?,
-        }
-    }
-    for g in &core.group_by {
-        add(g)?;
-    }
-    if let Some(h) = &core.having {
-        add(h)?;
-    }
-    for o in order_by {
-        add(&o.expr)?;
-    }
-    Some(out)
-}
-
-/// The non-aggregated projection loop. The projected and sort-key
-/// expressions are bound to the input schema once, and their expensive
-/// calls prefetched across the whole input before the loop runs (the
-/// aggregated path batches inside `run_aggregate`, over groups).
+/// The projection loop. The expressions are bound to the input schema
+/// once, and their expensive calls prefetched across the whole input
+/// before the loop runs.
 ///
 /// Fast paths, checked in order:
 /// 1. the projection is exactly the input schema → the input rows are
@@ -677,32 +472,16 @@ fn needed_columns(core: &SelectCore, order_by: &[OrderItem]) -> Option<Vec<Neede
 ///    index (O(1) clones, no expression evaluation);
 /// 3. otherwise each expression is evaluated per row.
 fn project_rows(
-    projection: &[(Expr, ColRef)],
-    order_exprs: &[Expr],
+    exprs: &[Expr],
     input: &Relation,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
-) -> Result<RowsAndKeys> {
-    let width = projection.len();
-    let mut exprs: Vec<Expr> = projection
-        .iter()
-        .map(|(e, _)| e)
-        .chain(order_exprs)
-        .map(|e| bind_columns(e, &input.schema))
-        .collect();
+) -> Result<Vec<Row>> {
+    let mut bound: Vec<Expr> = exprs.iter().map(|e| bind_columns(e, &input.schema)).collect();
     let mut calls = BatchableCalls::default();
-    calls.find(exprs.iter_mut(), ctx);
+    calls.find(bound.iter_mut(), ctx);
     calls.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
-    let (bound, order_exprs) = exprs.split_at(width);
     let scope = RowCtx::scope(&input.schema, outer, Some(&calls));
-
-    // Sort keys: either an ordinal into the projected row or an expression
-    // over the input row.
-    let build_keys = |out: &[Value], rc: &RowCtx<'_>| -> Result<Vec<Value>> {
-        output_sort_keys(order_exprs, width, out, &mut |e| eval(e, ctx, Some(rc)))
-    };
-
-    let mut keys = Vec::with_capacity(if order_exprs.is_empty() { 0 } else { input.rows.len() });
 
     let col_indices: Option<Vec<usize>> = bound
         .iter()
@@ -713,24 +492,12 @@ fn project_rows(
             idxs.len() == input.schema.len() && idxs.iter().enumerate().all(|(i, &j)| i == j);
         if identity {
             // SELECT * (or an exact column echo): share the rows wholesale.
-            if !order_exprs.is_empty() {
-                for (pos, row) in input.rows.iter().enumerate() {
-                    keys.push(build_keys(row, &scope.at(row, pos))?);
-                }
-            }
-            return Ok((input.rows.clone(), keys));
+            return Ok(input.rows.clone());
         }
         // Column subset/permutation: gather cells by index, one shared
         // allocation per row.
-        let mut rows: Vec<Row> = Vec::with_capacity(input.rows.len());
-        for (pos, row) in input.rows.iter().enumerate() {
-            let out: Row = idxs.iter().map(|&i| row[i].clone()).collect();
-            if !order_exprs.is_empty() {
-                keys.push(build_keys(&out, &scope.at(row, pos))?);
-            }
-            rows.push(out);
-        }
-        return Ok((rows, keys));
+        let gather = |row: &Row| idxs.iter().map(|&i| row[i].clone()).collect();
+        return Ok(input.rows.iter().map(gather).collect());
     }
 
     // General path: evaluate per row with direct index loads.
@@ -738,127 +505,43 @@ fn project_rows(
     for_each_morsel(input.rows.len(), ctx, |range| {
         for pos in range {
             let rc = scope.at(&input.rows[pos], pos);
-            let mut out = Vec::with_capacity(width);
-            for e in bound {
-                out.push(eval(e, ctx, Some(&rc))?);
-            }
-            if !order_exprs.is_empty() {
-                keys.push(build_keys(&out, &rc)?);
-            }
-            rows.push(out.into());
+            rows.push(bound.iter().map(|e| eval(e, ctx, Some(&rc))).collect::<Result<Row>>()?);
         }
         Ok(())
     })?;
-    Ok((rows, keys))
+    Ok(rows)
 }
 
-/// Expand wildcards and name each projected column.
-fn expand_projection(
-    items: &[SelectItem],
-    input: &RelSchema,
-) -> Result<Vec<(Expr, ColRef)>> {
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            SelectItem::Wildcard => {
-                if input.is_empty() {
-                    return Err(Error::Semantic("SELECT * with no FROM clause".into()));
-                }
-                for c in &input.cols {
-                    out.push((
-                        Expr::Column { table: c.qualifier.clone(), name: c.name.clone() },
-                        c.clone(),
-                    ));
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let mut any = false;
-                for c in &input.cols {
-                    if c.qualifier.as_deref().is_some_and(|x| x.eq_ignore_ascii_case(q)) {
-                        out.push((
-                            Expr::Column { table: c.qualifier.clone(), name: c.name.clone() },
-                            c.clone(),
-                        ));
-                        any = true;
-                    }
-                }
-                if !any {
-                    return Err(Error::Unresolved(format!("{q}.*")));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = match alias {
-                    Some(a) => a.clone(),
-                    None => match expr {
-                        Expr::Column { name, .. } => name.clone(),
-                        other => crate::display::expr_to_sql(other),
-                    },
-                };
-                let qualifier = match (alias, expr) {
-                    (None, Expr::Column { table, .. }) => table.clone(),
-                    _ => None,
-                };
-                out.push((expr.clone(), ColRef::new(qualifier, name)));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Rewrite a reference to a projection alias or ordinal into the underlying
-/// expression; leave genuine input-column references untouched.
-fn resolve_output_ref(
-    expr: &Expr,
-    projection: &[(Expr, ColRef)],
-    input: &RelSchema,
-) -> Result<Expr> {
-    if let Expr::Column { table: None, name } = expr {
-        // Input columns shadow aliases (SQL standard).
-        if input.resolve(None, name).unwrap_or(None).is_none() {
-            if let Some((e, _)) = projection
-                .iter()
-                .find(|(_, c)| c.name.eq_ignore_ascii_case(name))
-            {
-                return Ok(e.clone());
-            }
-        }
-    }
-    Ok(expr.clone())
-}
-
-/// DISTINCT over `width`-cell rows: the first copy of each, in order, with
-/// its sort keys.
-fn distinct_in_place(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, width: usize) {
+/// DISTINCT over the first `width` cells of each row: the first row of
+/// each tuple, in order.
+fn distinct_in_place(rows: &mut Vec<Row>, width: usize) {
     let slots: Vec<usize> = (0..width).collect();
     let cells = Keys::slots(&rows[..], slots, KeyMode::Group);
     let firsts = KeyIndex::grouped(&cells, 0..rows.len()).firsts;
     retain_at(rows, &firsts);
-    retain_at(keys, &firsts);
 }
 
 // ---- aggregation ----------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn run_aggregate(
-    core: &SelectCore,
-    projection: &[(Expr, ColRef)],
+    group_by: &[Expr],
     having: Option<&Expr>,
-    order_exprs: &[Expr],
+    exprs: &[Expr],
     input: &Relation,
     cols: Option<&ColInput>,
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
-) -> Result<RowsAndKeys> {
+) -> Result<Vec<Row>> {
     // Partition input rows into groups, preserving first-seen order. The
     // grouping expressions are bound to the input schema once up front.
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    if core.group_by.is_empty() {
+    if group_by.is_empty() {
         groups.push((0..input.rows.len()).collect());
     } else {
         // Expensive calls in the grouping keys evaluate once per input
         // row: vectorize them before the key loop runs.
         let mut bound_keys: Vec<Expr> =
-            core.group_by.iter().map(|g| bind_columns(g, &input.schema)).collect();
+            group_by.iter().map(|g| bind_columns(g, &input.schema)).collect();
         let mut calls = BatchableCalls::default();
         calls.find(bound_keys.iter_mut(), ctx);
         calls.prefetch_rows(ctx, &input.schema, &input.rows, outer)?;
@@ -940,15 +623,9 @@ fn run_aggregate(
     drop(having_calls);
 
     // Vectorize the output expressions over the surviving groups only.
-    let width = projection.len();
-    let mut exprs: Vec<Expr> = projection
-        .iter()
-        .map(|(e, _)| e)
-        .chain(order_exprs)
-        .map(|e| bind_columns(e, &input.schema))
-        .collect();
+    let mut bound: Vec<Expr> = exprs.iter().map(|e| bind_columns(e, &input.schema)).collect();
     let mut calls = BatchableCalls::default();
-    calls.find(exprs.iter_mut(), ctx);
+    calls.find(bound.iter_mut(), ctx);
     calls.prefetch(Some(true), ctx, &mut |collect| {
         for members in &survivors {
             for &ri in members.iter() {
@@ -965,13 +642,11 @@ fn run_aggregate(
         }
         Ok(())
     })?;
-    let (bound, order_exprs) = exprs.split_at(width);
 
     // Per-group output: aggregates and the residual projection evaluate
     // per surviving group.
     let scope = RowCtx::scope(&input.schema, outer, Some(&calls));
     let mut rows: Vec<Row> = Vec::with_capacity(survivors.len());
-    let mut keys = Vec::new();
     for_each_morsel(survivors.len(), ctx, |range| {
         for s in range {
             let members = survivors[s];
@@ -980,20 +655,12 @@ fn run_aggregate(
                 None => &null_row,
             };
             let rep_ctx = scope.at(rep, s);
-            let mut out = Vec::with_capacity(width);
-            for e in bound {
-                out.push(materialize_and_eval(e, members, input, cols, ctx, &rep_ctx)?);
-            }
-            if !order_exprs.is_empty() {
-                keys.push(output_sort_keys(order_exprs, width, &out, &mut |e| {
-                    materialize_and_eval(e, members, input, cols, ctx, &rep_ctx)
-                })?);
-            }
-            rows.push(out.into());
+            let out = |e| materialize_and_eval(e, members, input, cols, ctx, &rep_ctx);
+            rows.push(bound.iter().map(out).collect::<Result<Row>>()?);
         }
         Ok(())
     })?;
-    Ok((rows, keys))
+    Ok(rows)
 }
 
 /// Replace aggregate calls in `expr` with their computed literals, then
@@ -1297,25 +964,51 @@ pub fn exec_plan(
             Ok(rel)
         }
 
-        Plan::Permute { input, mapping } => {
-            let rel = exec_plan(input, ctx, outer)?;
-            let schema = RelSchema::new(
-                mapping.iter().map(|&i| rel.schema.cols[i].clone()).collect(),
-            );
-            let mut rows: Vec<Row> = Vec::with_capacity(rel.rows.len());
-            for_each_morsel(rel.rows.len(), ctx, |range| {
-                for r in &rel.rows[range] {
-                    rows.push(mapping.iter().map(|&i| r[i].clone()).collect());
-                }
-                Ok(())
-            })?;
-            Ok(Relation { schema, rows })
-        }
-
         Plan::Join { left, right, kind, on, emit } => {
             let l = exec_source(left, ctx, outer)?;
             let r = exec_source(right, ctx, outer)?;
             exec_join(&l, &r, *kind, on.as_ref(), emit.as_deref(), ctx, outer)
+        }
+
+        Plan::Project { input, exprs, names } => {
+            let rel = exec_plan(input, ctx, outer)?;
+            let rows = project_rows(exprs, &rel, ctx, outer)?;
+            Ok(Relation { schema: RelSchema::new(names.clone()), rows })
+        }
+
+        // Plain-column keys and aggregate arguments of a scan-backed input
+        // read its cached columns.
+        Plan::Aggregate { input, group_by, having, exprs, names } => {
+            let (rel, cols) = match columnar_input(input, ctx)? {
+                Some((rel, cols)) => (rel, Some(cols)),
+                None => (exec_plan(input, ctx, outer)?, None),
+            };
+            let having = having.as_ref();
+            let rows = run_aggregate(group_by, having, exprs, &rel, cols.as_ref(), ctx, outer)?;
+            Ok(Relation { schema: RelSchema::new(names.clone()), rows })
+        }
+
+        Plan::Distinct { input } => {
+            let mut rel = exec_plan(input, ctx, outer)?;
+            distinct_in_place(&mut rel.rows, rel.schema.len());
+            Ok(rel)
+        }
+
+        Plan::Sort { input, keys, top_k } => {
+            let mut rel = exec_plan(input, ctx, outer)?;
+            sort_rows(&mut rel.rows, keys, *top_k, rel.schema.len());
+            Ok(rel)
+        }
+
+        Plan::Limit { input, limit, offset } => {
+            let mut rel = exec_plan(input, ctx, outer)?;
+            apply_limit_offset(&mut rel.rows, limit.as_ref(), offset.as_ref(), ctx)?;
+            Ok(rel)
+        }
+
+        Plan::Compound { op, left, right } => {
+            let l = exec_plan(left, ctx, outer)?;
+            compound(*op, l, exec_plan(right, ctx, outer)?, ctx)
         }
     }
 }
@@ -1334,7 +1027,7 @@ fn filter_input(
     ctx: &ExecCtx<'_>,
     outer: Option<&RowCtx<'_>>,
 ) -> Result<Relation> {
-    if let Some((rel, _)) = columnar_filter(input, predicate, ctx)? {
+    if let Some((rel, _)) = columnar_scan(input, Some(predicate), ctx)? {
         return Ok(rel);
     }
     let mut rel = exec_plan(input, ctx, outer)?;
@@ -1353,67 +1046,51 @@ struct ColInput {
     sel: Option<Vec<u32>>,
 }
 
-/// Try the vectorized filter path for a `Filter` directly over a base-table
-/// `Scan`: reuse the table's cached column set, run the predicate kernels
-/// over every row, and gather the surviving rows as shared-row clones —
-/// byte-identical to the serial retain loop, in the same order. Returns
-/// `None` when the shape or the predicate is outside kernel coverage; the
-/// caller then runs the row path, which stays authoritative.
-fn columnar_filter(
+/// The columnar state of a bare scan, or of a kernel-supported filter
+/// directly over one, with its rows: the shapes whose output rows map 1:1
+/// onto the table's cached column set. `None` for any other shape — a
+/// batched expensive filter included: its expensive conjuncts have no
+/// kernel.
+fn columnar_input(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Option<(Relation, ColInput)>> {
+    match plan {
+        Plan::Scan { .. } => columnar_scan(plan, None, ctx),
+        Plan::Filter { input, predicate } if !batches_expensive(predicate, ctx) => {
+            columnar_scan(input, Some(predicate), ctx)
+        }
+        _ => Ok(None),
+    }
+}
+
+/// The vectorized path for a base-table `Scan`, filtered by `predicate`
+/// if given: reuse the table's cached column set, run the predicate
+/// kernels over every row, and gather the surviving rows as shared-row
+/// clones — byte-identical to the serial retain loop, in the same order.
+/// Returns `None` outside the columnar mode, for any other input and when
+/// the predicate is outside kernel coverage; the caller then runs the row
+/// path, which stays authoritative.
+fn columnar_scan(
     input: &Plan,
-    predicate: &Expr,
+    predicate: Option<&Expr>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Option<(Relation, ColInput)>> {
-    if !ctx.optimizer.columnar {
-        return Ok(None);
-    }
-    let Plan::Scan { table, qualifier } = input else {
+    let (Plan::Scan { table, qualifier }, true) = (input, ctx.optimizer.columnar) else {
         return Ok(None);
     };
     let t = ctx.catalog.get_required(table)?;
     let schema = RelSchema::qualified(qualifier, t.column_names());
-    let bound = bind_columns(predicate, &schema);
     let set = t.column_set();
-    let Some(verdict) = crate::columnar::eval_predicate(&bound, &set) else {
+    let Some(predicate) = predicate else {
+        let rel = Relation { schema, rows: t.rows().to_vec() };
+        return Ok(Some((rel, ColInput { set, sel: None })));
+    };
+    let Some(verdict) = crate::columnar::eval_predicate(&bind_columns(predicate, &schema), &set)
+    else {
         return Ok(None);
     };
     ctx.check_cancel()?;
     let sel = verdict.selected();
     let rows = sel.iter().map(|&i| t.rows()[i as usize].clone()).collect();
     Ok(Some((Relation { schema, rows }, ColInput { set, sel: Some(sel) })))
-}
-
-/// Execute a plan, also returning the columnar scan state when the plan is
-/// a bare scan or a kernel-supported filter over one — the shapes whose
-/// output rows map 1:1 onto a cached column set. `run_core` hands the state
-/// to aggregation, which then evaluates GROUP BY keys and aggregate loops
-/// over columns.
-fn exec_plan_with_columns(
-    plan: &Plan,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&RowCtx<'_>>,
-) -> Result<(Relation, Option<ColInput>)> {
-    if ctx.optimizer.columnar {
-        match plan {
-            Plan::Scan { table, qualifier } => {
-                let t = ctx.catalog.get_required(table)?;
-                let rel = Relation {
-                    schema: RelSchema::qualified(qualifier, t.column_names()),
-                    rows: t.rows().to_vec(),
-                };
-                return Ok((rel, Some(ColInput { set: t.column_set(), sel: None })));
-            }
-            // (A batched expensive filter never maps 1:1 onto the column
-            // set: its expensive conjuncts have no kernel.)
-            Plan::Filter { input, predicate } if !batches_expensive(predicate, ctx) => {
-                if let Some((rel, ci)) = columnar_filter(input, predicate, ctx)? {
-                    return Ok((rel, Some(ci)));
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok((exec_plan(plan, ctx, outer)?, None))
 }
 
 /// The batch filter: the rows evaluate the `predicate`, bound to their

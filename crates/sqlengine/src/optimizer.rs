@@ -4,13 +4,14 @@
 //!
 //! 1. **Statistics-driven join reordering** — chains of INNER/CROSS joins
 //!    are flattened and greedily re-ordered by catalog row counts, smallest
-//!    (and connected) relations first, so intermediate results stay small;
-//!    a [`Plan::Permute`] on top restores the query's written column order.
-//!    The same pass places every WHERE conjunct: one leaf's conjuncts
-//!    filter that leaf (a LEFT join's preserved side included) and shrink
-//!    its row estimate, and conjuncts over several leaves become join
-//!    conditions. Comma-joins benefit doubly: their WHERE equi-conjuncts
-//!    upgrade nested-loop cross products to hash joins.
+//!    (and connected) relations first, so intermediate results stay small.
+//!    The stages above bind columns by name, so the reordered tree's
+//!    column order is free. The same pass places every WHERE conjunct: one
+//!    leaf's conjuncts filter that leaf (a LEFT join's preserved side
+//!    included) and shrink its row estimate, and conjuncts over several
+//!    leaves become join conditions. Comma-joins benefit doubly: their
+//!    WHERE equi-conjuncts upgrade nested-loop cross products to hash
+//!    joins.
 //! 2. **Expensive-predicate ordering** — within a filter, conjuncts that
 //!    call expensive UDFs (LLM functions) are evaluated *last*, so cheap
 //!    database predicates prune rows before any LLM call happens. This is
@@ -193,9 +194,8 @@ fn reorder_filtered(plan: Plan, pool: Vec<Expr>, provider: &dyn SchemaProvider) 
     }
 }
 
-/// Flatten a chain of INNER/CROSS joins (plus any pooled filter conjuncts),
-/// greedily rebuild it smallest-and-connected-first, and restore the
-/// original output column order with a [`Plan::Permute`]. Each conjunct
+/// Flatten a chain of INNER/CROSS joins (plus any pooled filter conjuncts)
+/// and greedily rebuild it smallest-and-connected-first. Each conjunct
 /// lands on the one leaf it covers or at the lowest join that covers it.
 fn reorder_chain(
     join: Plan,
@@ -262,10 +262,9 @@ fn reorder_chain(
 
     // Only chains of three or more relations gain from reordering: for a
     // two-way join the executor already picks the smaller build side at
-    // run time, and skipping the rewrite avoids a needless Permute. And
-    // without at least one *genuinely known* cardinality (a scan the
-    // catalog can count — a filtered derived table's discounted sentinel
-    // does not count), the written order stands.
+    // run time. And without at least one *genuinely known* cardinality (a
+    // scan the catalog can count — a filtered derived table's discounted
+    // sentinel does not count), the written order stands.
     let any_known = leaves.iter().any(|l| has_known_cardinality(l, provider));
     let order: Vec<usize> = if leaves.len() >= 3 && any_known {
         greedy_order(&schemas, &estimates, &preds)
@@ -303,22 +302,6 @@ fn reorder_chain(
             emit: None,
         };
         current_schema = combined;
-    }
-
-    // Restore the written column order if the chain moved.
-    let identity: Vec<usize> = (0..order.len()).collect();
-    if order != identity {
-        let mut new_offsets = vec![0usize; order.len()];
-        let mut off = 0;
-        for &leaf in &order {
-            new_offsets[leaf] = off;
-            off += schemas[leaf].len();
-        }
-        let mut mapping = Vec::with_capacity(off);
-        for (leaf, schema) in schemas.iter().enumerate() {
-            mapping.extend((0..schema.len()).map(|c| new_offsets[leaf] + c));
-        }
-        tree = Plan::Permute { input: Box::new(tree), mapping };
     }
 
     // Anything not attachable (correlated/outer references), ambiguous
@@ -380,14 +363,12 @@ fn flatten_chain(plan: Plan, leaves: &mut Vec<Plan>, pool: &mut Vec<Expr>) {
 }
 
 /// Does this leaf bottom out in a table whose row count the catalog can
-/// actually answer? (Filters/permutes only scale an estimate; they don't
-/// make an unknown one known.)
+/// actually answer? (Filters only scale an estimate; they don't make an
+/// unknown one known.)
 fn has_known_cardinality(leaf: &Plan, provider: &dyn SchemaProvider) -> bool {
     match leaf {
         Plan::Scan { table, .. } => provider.table_rows(table).is_some(),
-        Plan::Filter { input, .. } | Plan::Permute { input, .. } => {
-            has_known_cardinality(input, provider)
-        }
+        Plan::Filter { input, .. } => has_known_cardinality(input, provider),
         _ => false,
     }
 }
@@ -403,7 +384,6 @@ fn estimate_rows(leaf: &Plan, provider: &dyn SchemaProvider) -> f64 {
             let conjuncts = split_conjuncts(predicate).len() as i32;
             estimate_rows(input, provider) * FILTER_SELECTIVITY.powi(conjuncts)
         }
-        Plan::Permute { input, .. } => estimate_rows(input, provider),
         _ => UNKNOWN_ROWS,
     }
 }
@@ -493,8 +473,7 @@ fn col_needed(qualifier: Option<&str>, name: &str, needed: &[NeededCol]) -> bool
 
 /// Top-down column pruning: each join materializes only the columns the
 /// operators above it read. `needed == None` keeps everything below this
-/// point. A [`Plan::Permute`] (from join reordering) is a pruning
-/// boundary — its index mapping assumes full child widths.
+/// point.
 fn prune_columns(
     plan: Plan,
     needed: Option<Vec<NeededCol>>,
@@ -559,47 +538,6 @@ fn prune_columns(
                 emit,
             })
         }
-        Plan::Permute { input, mapping } => {
-            let Some(needed) = needed else {
-                return Ok(Plan::Permute {
-                    input: Box::new(prune_columns(*input, None, provider)?),
-                    mapping,
-                });
-            };
-            // Translate the needed-set through the permutation so the two
-            // flagship rules compose: prune the reordered chain underneath,
-            // then rewrite the mapping against the narrowed input. Columns
-            // sharing a (qualifier, name) share pruning fate (the match is
-            // by name), so aligning the pre/post schemas positionally with
-            // a forward scan is unambiguous.
-            let pre = input.schema(provider)?;
-            let pruned = prune_columns(*input, Some(needed.clone()), provider)?;
-            let post = pruned.schema(provider)?;
-            let mut post_of_pre: Vec<Option<usize>> = vec![None; pre.len()];
-            let mut j = 0;
-            for (i, c) in pre.cols.iter().enumerate() {
-                if j < post.len() && post.cols[j] == *c {
-                    post_of_pre[i] = Some(j);
-                    j += 1;
-                }
-            }
-            let mut new_mapping = Vec::new();
-            for &m in &mapping {
-                let col = &pre.cols[m];
-                if col_needed(col.qualifier.as_deref(), &col.name, &needed) {
-                    if let Some(p) = post_of_pre[m] {
-                        new_mapping.push(p);
-                    }
-                }
-            }
-            let identity = new_mapping.len() == post.len()
-                && new_mapping.iter().enumerate().all(|(i, &p)| i == p);
-            if identity {
-                Ok(pruned)
-            } else {
-                Ok(Plan::Permute { input: Box::new(pruned), mapping: new_mapping })
-            }
-        }
         other => Ok(other),
     }
 }
@@ -623,9 +561,6 @@ fn order_filters(plan: Plan, udfs: &UdfRegistry) -> Plan {
             on,
             emit,
         },
-        Plan::Permute { input, mapping } => {
-            Plan::Permute { input: Box::new(order_filters(*input, udfs)), mapping }
-        }
         other => other,
     }
 }
@@ -678,9 +613,6 @@ fn index_scans(plan: Plan, provider: &dyn SchemaProvider) -> Plan {
             on,
             emit,
         },
-        Plan::Permute { input, mapping } => {
-            Plan::Permute { input: Box::new(index_scans(*input, provider)), mapping }
-        }
         other => other,
     }
 }
@@ -897,20 +829,14 @@ mod tests {
     // ---- join reordering ----------------------------------------------
 
     /// The chain `fact ⋈ dim ⋈ tiny` (100k, 100, 5 rows) must be rebuilt
-    /// smallest-first with a Permute restoring the written column order.
+    /// smallest-first.
     #[test]
     fn three_way_chain_reordered_smallest_first() {
         let opt = opt(
             "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN tiny t ON d.id = t.id",
         );
-        let Plan::Permute { input, mapping } = opt else {
-            panic!("expected a Permute restoring column order, got {opt:?}")
-        };
-        // Written order: f(0,1) d(2,3) t(4,5); execution order tiny, dim,
-        // fact → offsets t=0, d=2, f=4.
-        assert_eq!(mapping, vec![4, 5, 2, 3, 0, 1]);
         // Left-deep: ((tiny ⋈ dim) ⋈ fact).
-        let Plan::Join { left, right, kind, .. } = *input else { panic!() };
+        let Plan::Join { left, right, kind, .. } = opt else { panic!("got {opt:?}") };
         assert_eq!(kind, PlanJoinKind::Inner);
         assert!(matches!(*right, Plan::Scan { ref table, .. } if table == "fact"));
         let Plan::Join { left: ll, right: lr, .. } = *left else { panic!() };
@@ -927,36 +853,19 @@ mod tests {
             "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN dim d2 ON d.id = d2.id \
              WHERE d2.label = 'x'",
         );
-        let Plan::Permute { input, mapping } = opt else { panic!("got {opt:?}") };
-        // Execution order d2, d, f → offsets d2=0, d=2, f=4.
-        assert_eq!(mapping, vec![4, 5, 2, 3, 0, 1]);
-        let Plan::Join { left, .. } = *input else { panic!() };
+        let Plan::Join { left, .. } = opt else { panic!("got {opt:?}") };
         let Plan::Join { left: first, .. } = *left else { panic!() };
         let Plan::Filter { input: scan, .. } = *first else { panic!("got {first:?}") };
         assert!(matches!(*scan, Plan::Scan { ref qualifier, .. } if qualifier == "d2"));
     }
 
     #[test]
-    fn permuted_schema_matches_written_order() {
-        let written = plan_of(
-            "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN tiny t ON d.id = t.id",
-        )
-        .schema(&Fixture)
-        .unwrap();
-        let optimized = opt(
-            "SELECT * FROM fact f JOIN dim d ON f.grp = d.id JOIN tiny t ON d.id = t.id",
-        )
-        .schema(&Fixture)
-        .unwrap();
-        assert_eq!(written, optimized, "Permute must restore the written column order");
-    }
-
-    #[test]
     fn two_way_join_left_alone() {
         let opt = opt("SELECT * FROM fact f JOIN dim d ON f.grp = d.id");
         // Two-way joins are not reordered (the executor picks the build
-        // side at run time), so no Permute appears.
-        assert!(matches!(opt, Plan::Join { .. }), "got {opt:?}");
+        // side at run time).
+        let Plan::Join { left, .. } = opt else { panic!("got {opt:?}") };
+        assert!(matches!(*left, Plan::Scan { ref table, .. } if table == "fact"));
     }
 
     #[test]
@@ -971,9 +880,7 @@ mod tests {
                         (*kind == PlanJoinKind::Inner && on.is_some()) as usize;
                     here + count_inner_with_on(left) + count_inner_with_on(right)
                 }
-                Plan::Filter { input, .. } | Plan::Permute { input, .. } => {
-                    count_inner_with_on(input)
-                }
+                Plan::Filter { input, .. } => count_inner_with_on(input),
                 _ => 0,
             }
         }

@@ -566,7 +566,7 @@ fn parse_meta(bytes: &[u8]) -> Result<(u64, Trees)> {
             }
             pk.push(i);
         }
-        if (kind == KIND_TREE) != !pk.is_empty() {
+        if (kind == KIND_TREE) == pk.is_empty() {
             return Err(codec_err("pager meta kind/pk mismatch"));
         }
         tables.insert(name, TableMeta { columns, pk, version, row_count, kind, root, tail, next_seq });

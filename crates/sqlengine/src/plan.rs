@@ -1,15 +1,30 @@
-//! Logical plan for the FROM/WHERE part of a query.
+//! Logical plans for whole SELECT statements.
 //!
-//! The planner lowers a [`TableRef`] tree plus the WHERE clause into a
-//! [`Plan`]; the optimizer (see [`crate::optimizer`]) then pushes filters
-//! toward scans and orders predicates so that expensive UDFs (LLM calls)
-//! run on as few rows as possible. Projection, aggregation, ordering and
-//! compounds are handled downstream by the executor — and so is the
-//! batching of expensive calls: no node marks it, every operator (the
-//! filter included) vectorizes the call sites of its own expressions.
+//! [`plan_select`] plans a statement: each SELECT core's FROM/WHERE part
+//! is lowered by [`plan_from`] and passed through the optimizer (see
+//! [`crate::optimizer`]: join order and conjunct placement, expensive
+//! predicates last, primary-key probes, column pruning), and the stages
+//! above it — [`Plan::Project`] or [`Plan::Aggregate`], then
+//! [`Plan::Distinct`], [`Plan::Compound`], [`Plan::Sort`] and
+//! [`Plan::Limit`] — are settled from the schema alone: wildcard
+//! expansion and output names, ORDER BY / HAVING aliases and ordinals,
+//! whether a core aggregates, the pruning list and the top-k bound.
+//! [`crate::exec::exec_plan`] is the one interpreter of the result.
+//! Expressions still bind to rows when they run, so a name that resolves
+//! nowhere fails only when a row reaches it. Batching of expensive calls
+//! is no node either: every operator (the filter included) vectorizes
+//! the call sites of its own expressions.
 
-use crate::ast::{Expr, JoinKind, SelectStmt, TableRef};
+use std::cell::OnceCell;
+
+use crate::ast::{
+    CompoundOp, Expr, JoinKind, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt,
+    TableRef,
+};
 use crate::error::{Error, Result};
+use crate::functions::UdfRegistry;
+use crate::optimizer::{expr_columns, optimize, NeededCol, OptimizerConfig};
+use crate::value::Value;
 
 /// What the planner/optimizer needs to know about base tables: their
 /// column lists (for schema reasoning) and their row counts (the
@@ -129,7 +144,7 @@ impl RelSchema {
     }
 }
 
-/// Logical plan nodes for the data-producing part of a SELECT.
+/// Logical plan nodes of a SELECT statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Base-table scan. `qualifier` is the alias (or table name).
@@ -144,7 +159,9 @@ pub enum Plan {
     ///
     /// [`Table::pk_row_index`]: crate::storage::Table::pk_row_index
     IndexScan { table: String, qualifier: String, key: Vec<crate::value::Value> },
-    /// Derived table: a subquery in FROM, re-qualified by its alias.
+    /// Derived table: a subquery in FROM, re-qualified by its alias. Its
+    /// statement is planned when it runs, and its schema is that plan's
+    /// output schema.
     Derived { query: Box<SelectStmt>, qualifier: String },
     /// Join of two plans. RIGHT joins have been normalized to LEFT.
     ///
@@ -163,12 +180,34 @@ pub enum Plan {
     /// batched over the cheap conjuncts' survivors is the executor's mode
     /// (`OptimizerConfig::batch_expensive_udfs`), not a different plan.
     Filter { input: Box<Plan>, predicate: Expr },
-    /// Column permutation: output column `i` is input column `mapping[i]`.
-    /// Emitted by join reordering to restore the query's written column
-    /// order after the join tree has been rearranged.
-    Permute { input: Box<Plan>, mapping: Vec<usize> },
     /// Zero-column, one-row relation (SELECT without FROM).
     Empty,
+    /// One output row per input row: cell `i` is `exprs[i]` over the row,
+    /// bound to the input's columns by name. The output columns are
+    /// `names`; the cells past them are the sort keys of the
+    /// [`Plan::Sort`] above, which drops them.
+    Project { input: Box<Plan>, exprs: Vec<Expr>, names: Vec<ColRef> },
+    /// One output row per group of `group_by` (one group when it is
+    /// empty) that `having` keeps: aggregate calls in `having` and `exprs`
+    /// read the group's rows, other columns its first row. Names and sort
+    /// cells as in [`Plan::Project`].
+    Aggregate {
+        input: Box<Plan>,
+        group_by: Vec<Expr>,
+        having: Option<Expr>,
+        exprs: Vec<Expr>,
+        names: Vec<ColRef>,
+    },
+    /// The first row of each distinct tuple of output columns, in order.
+    Distinct { input: Box<Plan> },
+    /// The rows ordered by `keys` (cell index, descending), ties in input
+    /// order; with `top_k`, only the first that many. Drops the cells past
+    /// the output columns.
+    Sort { input: Box<Plan>, keys: Vec<(usize, bool)>, top_k: Option<usize> },
+    /// OFFSET, then LIMIT, each evaluated once when the node runs.
+    Limit { input: Box<Plan>, limit: Option<Expr>, offset: Option<Expr> },
+    /// UNION [ALL] / EXCEPT / INTERSECT; `left` names the columns.
+    Compound { op: CompoundOp, left: Box<Plan>, right: Box<Plan> },
 }
 
 /// Join kinds after normalization.
@@ -187,7 +226,9 @@ impl Plan {
                 Ok(RelSchema::qualified(qualifier, provider.table_columns(table)?))
             }
             Plan::Derived { query, qualifier } => {
-                Ok(RelSchema::qualified(qualifier, derived_output_names(query, provider)?))
+                let inner = plan_statement(query, provider, &mut |plan, _| Ok(plan))?;
+                let names = inner.schema(provider)?.cols.into_iter().map(|c| c.name);
+                Ok(RelSchema::qualified(qualifier, names))
             }
             Plan::Join { left, right, emit, .. } => {
                 let full = left.schema(provider)?.join(&right.schema(provider)?);
@@ -198,62 +239,240 @@ impl Plan {
                     ),
                 })
             }
-            Plan::Filter { input, .. } => input.schema(provider),
-            Plan::Permute { input, mapping } => {
-                let inner = input.schema(provider)?;
-                Ok(RelSchema::new(
-                    mapping.iter().map(|&i| inner.cols[i].clone()).collect(),
-                ))
+            Plan::Project { names, .. } | Plan::Aggregate { names, .. } => {
+                Ok(RelSchema::new(names.clone()))
             }
+            Plan::Filter { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Compound { left: input, .. } => input.schema(provider),
             Plan::Empty => Ok(RelSchema::default()),
         }
     }
 }
 
-/// Column names a derived table exposes: aliases, column names, each
-/// wildcard's columns (its FROM relation's, resolved against
-/// `provider`), or positional fallbacks. They are the names the executor
-/// gives the derived table's rows, in the same order, so a join can bind
-/// a column of the derived table to its position.
-pub fn derived_output_names(query: &SelectStmt, provider: &dyn SchemaProvider) -> Result<Vec<String>> {
-    use crate::ast::{SelectBody, SelectItem};
-    // A compound's columns are named by its first core.
-    let mut body = &query.body;
-    let core = loop {
-        match body {
-            SelectBody::Simple(core) => break core,
-            SelectBody::Compound { left, .. } => body = left,
-        }
-    };
-    let mut input: Option<RelSchema> = None;
-    let mut names = Vec::with_capacity(core.projection.len());
-    for (i, item) in core.projection.iter().enumerate() {
-        match item {
-            SelectItem::Expr { alias: Some(a), .. } => names.push(a.clone()),
-            SelectItem::Expr { expr: Expr::Column { name, .. }, .. } => names.push(name.clone()),
-            SelectItem::Expr { .. } => names.push(format!("column{}", i + 1)),
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                let input = match &mut input {
-                    Some(schema) => schema,
-                    None => input.insert(plan_from(core.from.as_ref(), None)?.schema(provider)?),
-                };
-                let qualifier = match item {
-                    SelectItem::QualifiedWildcard(q) => Some(q.as_str()),
-                    _ => None,
-                };
-                names.extend(
-                    input
-                        .cols
-                        .iter()
-                        .filter(|c| {
-                            qualifier.is_none_or(|q| c.qualifier.as_deref().is_some_and(|x| x.eq_ignore_ascii_case(q)))
-                        })
-                        .map(|c| c.name.clone()),
-                );
+/// Plan a whole SELECT: every core's FROM/WHERE tree optimized under
+/// `config`, with the stages above it. Subqueries in expressions are
+/// planned when they first run, once per statement.
+pub fn plan_select(
+    stmt: &SelectStmt,
+    udfs: &UdfRegistry,
+    config: &OptimizerConfig,
+    provider: &dyn SchemaProvider,
+) -> Result<Plan> {
+    plan_statement(stmt, provider, &mut |plan, needed| {
+        optimize(plan, udfs, config, provider, needed)
+    })
+}
+
+/// What becomes of each core's FROM/WHERE tree: optimized, given the
+/// columns the core reads above it (`None`: all of them).
+type FromPass<'a> = dyn FnMut(Plan, Option<&[NeededCol]>) -> Result<Plan> + 'a;
+
+fn plan_statement(
+    stmt: &SelectStmt,
+    provider: &dyn SchemaProvider,
+    from: &mut FromPass,
+) -> Result<Plan> {
+    let (mut plan, keys) = match &stmt.body {
+        SelectBody::Simple(core) => plan_core(core, &stmt.order_by, provider, from)?,
+        body => {
+            // A compound's keys read its output columns.
+            let plan = plan_body(body, provider, from)?;
+            let names = plan.schema(provider)?.cols;
+            let mut exprs: Vec<Expr> = (0..names.len()).map(Expr::BoundColumn).collect();
+            let keys = sort_keys(&stmt.order_by, &mut exprs, |e, exprs| {
+                exprs.push(e.clone());
+                Ok(exprs.len() - 1)
+            })?;
+            if exprs.len() > names.len() {
+                (Plan::Project { input: Box::new(plan), exprs, names }, keys)
+            } else {
+                (plan, keys)
             }
         }
+    };
+    if !keys.is_empty() {
+        plan = Plan::Sort { input: Box::new(plan), keys, top_k: top_k(stmt) };
     }
-    Ok(names)
+    if stmt.limit.is_some() || stmt.offset.is_some() {
+        let (limit, offset) = (stmt.limit.clone(), stmt.offset.clone());
+        plan = Plan::Limit { input: Box::new(plan), limit, offset };
+    }
+    Ok(plan)
+}
+
+fn plan_body(
+    body: &SelectBody,
+    provider: &dyn SchemaProvider,
+    from: &mut FromPass,
+) -> Result<Plan> {
+    Ok(match body {
+        SelectBody::Simple(core) => plan_core(core, &[], provider, from)?.0,
+        SelectBody::Compound { op, left, right } => Plan::Compound {
+            op: *op,
+            left: Box::new(plan_body(left, provider, from)?),
+            right: Box::new(plan_body(right, provider, from)?),
+        },
+    })
+}
+
+/// One SELECT core: its projection or aggregation over its optimized
+/// FROM/WHERE tree, then DISTINCT, and the sort keys of `order_by`.
+fn plan_core(
+    core: &SelectCore,
+    order_by: &[OrderItem],
+    provider: &dyn SchemaProvider,
+    from: &mut FromPass,
+) -> Result<(Plan, Vec<(usize, bool)>)> {
+    // The FROM schema in written order, computed when first asked for.
+    let written = OnceCell::new();
+    let schema = || -> Result<&RelSchema> {
+        if written.get().is_none() {
+            let _ = written.set(plan_from(core.from.as_ref(), None)?.schema(provider)?);
+        }
+        Ok(written.get().expect("set above"))
+    };
+
+    let (mut exprs, mut names) = (Vec::new(), Vec::new());
+    for item in &core.projection {
+        let q = match item {
+            SelectItem::Expr { expr, alias } => {
+                names.push(match (alias, expr) {
+                    (Some(a), _) => ColRef::new(None, a.clone()),
+                    (None, Expr::Column { table, name }) => ColRef::new(table.clone(), name),
+                    (None, other) => ColRef::new(None, crate::display::expr_to_sql(other)),
+                });
+                exprs.push(expr.clone());
+                continue;
+            }
+            SelectItem::Wildcard if schema()?.is_empty() => {
+                return Err(Error::Semantic("SELECT * with no FROM clause".into()));
+            }
+            SelectItem::Wildcard => None,
+            SelectItem::QualifiedWildcard(q) => Some(q.as_str()),
+        };
+        let before = names.len();
+        for c in &schema()?.cols {
+            if q.is_none_or(|q| c.qualifier.as_deref().is_some_and(|x| x.eq_ignore_ascii_case(q))) {
+                exprs.push(Expr::Column { table: c.qualifier.clone(), name: c.name.clone() });
+                names.push(c.clone());
+            }
+        }
+        if let (Some(q), true) = (q, names.len() == before) {
+            return Err(Error::Unresolved(format!("{q}.*")));
+        }
+    }
+    let width = names.len();
+
+    // ORDER BY and HAVING may name an output column by its alias; a FROM
+    // column of the same name wins.
+    let resolve = |e: &Expr, exprs: &[Expr]| -> Result<Expr> {
+        if let Expr::Column { table: None, name } = e {
+            if let Some(i) = names.iter().position(|c| c.name.eq_ignore_ascii_case(name)) {
+                if schema()?.resolve(None, name).unwrap_or(None).is_none() {
+                    return Ok(exprs[i].clone());
+                }
+            }
+        }
+        Ok(e.clone())
+    };
+    let having = core.having.as_ref().map(|h| resolve(h, &exprs)).transpose()?;
+    let aggregated = !core.group_by.is_empty()
+        || exprs.iter().chain(&core.having).any(Expr::contains_aggregate);
+    if having.is_some() && !aggregated {
+        return Err(Error::Semantic("HAVING requires GROUP BY or an aggregate".into()));
+    }
+    // A key that reads the same FROM column as an output column sorts on
+    // that column; any other key is a cell of its own past the output.
+    let keys = sort_keys(order_by, &mut exprs, |e, exprs| {
+        let e = resolve(e, exprs)?;
+        let column = |e: &Expr| -> Result<Option<usize>> {
+            let Expr::Column { table, name } = e else { return Ok(None) };
+            Ok(schema()?.resolve(table.as_deref(), name).unwrap_or(None))
+        };
+        if let Some(c) = column(&e)? {
+            for (i, out) in exprs[..width].iter().enumerate() {
+                if column(out)? == Some(c) {
+                    return Ok(i);
+                }
+            }
+        }
+        exprs.push(e);
+        Ok(exprs.len() - 1)
+    })?;
+
+    let input = plan_from(core.from.as_ref(), core.filter.as_ref())?;
+    let input = Box::new(from(input, needed_columns(core, order_by).as_deref())?);
+    let plan = if aggregated {
+        Plan::Aggregate { input, group_by: core.group_by.clone(), having, exprs, names }
+    } else {
+        Plan::Project { input, exprs, names }
+    };
+    if core.distinct {
+        return Ok((Plan::Distinct { input: Box::new(plan) }, keys));
+    }
+    Ok((plan, keys))
+}
+
+/// One `(cell, descending)` key per ORDER BY item: an ordinal names an
+/// output column of `exprs` and must be one, any other expression is
+/// given its cell by `place`.
+fn sort_keys(
+    order_by: &[OrderItem],
+    exprs: &mut Vec<Expr>,
+    mut place: impl FnMut(&Expr, &mut Vec<Expr>) -> Result<usize>,
+) -> Result<Vec<(usize, bool)>> {
+    let width = exprs.len();
+    let mut keys = Vec::with_capacity(order_by.len());
+    for item in order_by {
+        let cell = match item.expr {
+            Expr::Literal(Value::Integer(n)) if n < 1 || n as usize > width => {
+                return Err(Error::Semantic(format!(
+                    "ORDER BY position {n} is out of range (1..{width})"
+                )));
+            }
+            Expr::Literal(Value::Integer(n)) => n as usize - 1,
+            ref e => place(e, exprs)?,
+        };
+        keys.push((cell, item.desc));
+    }
+    Ok(keys)
+}
+
+/// `ORDER BY … LIMIT k [OFFSET m]` with literal bounds needs only the
+/// first `k + m` rows, which the sort can select instead of sorting all.
+fn top_k(stmt: &SelectStmt) -> Option<usize> {
+    let lit = |e: &Expr| match e {
+        Expr::Literal(Value::Integer(n)) if *n >= 0 => Some(*n as usize),
+        _ => None,
+    };
+    let limit = lit(stmt.limit.as_ref()?)?;
+    let offset = match &stmt.offset {
+        None => 0,
+        Some(e) => lit(e)?,
+    };
+    limit.checked_add(offset)
+}
+
+/// The columns a core reads above its FROM/WHERE tree, for the
+/// optimizer's join-output pruning: `None` — keep everything — on a
+/// wildcard or a subquery (whose correlated references [`Expr::walk`]
+/// cannot see). ORDER BY and HAVING names are taken as written, which at
+/// worst keeps a column an alias stood for.
+fn needed_columns(core: &SelectCore, order_by: &[OrderItem]) -> Option<Vec<NeededCol>> {
+    let mut out = Vec::new();
+    for item in &core.projection {
+        match item {
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return None,
+            SelectItem::Expr { expr, .. } => out.extend(expr_columns(expr)?),
+        }
+    }
+    for e in core.group_by.iter().chain(&core.having).chain(order_by.iter().map(|o| &o.expr)) {
+        out.extend(expr_columns(e)?);
+    }
+    Some(out)
 }
 
 /// Lower a FROM clause + WHERE predicate to a plan.

@@ -215,7 +215,7 @@ mod tests {
     /// length up to 4 KiB.
     fn string_from(words: &[u64], long: u64) -> String {
         let mut s: String = words.iter().map(|&w| PIECES[(w % 8) as usize]).collect();
-        if long % 4 == 0 {
+        if long.is_multiple_of(4) {
             let target = (long >> 2) as usize % 4097;
             let mut k = long >> 16;
             while s.len() < target {

@@ -134,6 +134,9 @@ impl Vfs for RealFs {
             .read(true)
             .write(true)
             .create(true)
+            // An existing log or page file is opened as it is, never
+            // emptied.
+            .truncate(false)
             .open(path)
             .map_err(io_err)?;
         Ok(Box::new(RealFile(f)))

@@ -265,7 +265,7 @@ proptest! {
             6 => format!(
                 "SELECT s.id, s.{num} FROM {fact} s ORDER BY s.{num} LIMIT {k}"
             ),
-            // Three-way chain (join reordering + Permute).
+            // Three-way chain (join reordering).
             7 => format!(
                 "SELECT COUNT(*) FROM {fact} s JOIN {dim} p ON s.{fk} = p.id \
                  JOIN tiny t ON p.id = t.k WHERE s.{num} > {threshold}"
@@ -415,12 +415,12 @@ proptest! {
         let num = fact_num(domain);
         let threshold = threshold.rem_euclid(7);
         let script = [
-            format!("CREATE TABLE sink (id INTEGER, v INTEGER)"),
+            "CREATE TABLE sink (id INTEGER, v INTEGER)".to_string(),
             format!(
                 "INSERT INTO sink SELECT s.id, s.{num} FROM {fact} s WHERE s.{num} > {threshold}"
             ),
-            format!("UPDATE sink SET v = v * 2 WHERE v < 4"),
-            format!("DELETE FROM sink WHERE v % 3 = 0"),
+            "UPDATE sink SET v = v * 2 WHERE v < 4".to_string(),
+            "DELETE FROM sink WHERE v % 3 = 0".to_string(),
         ];
         let run = |config: OptimizerConfig| -> Vec<String> {
             let mut db = domain_db(domain, &rows);
@@ -596,9 +596,9 @@ impl ScalarUdf for BrokenBatchUdf {
 
 /// When the vectorized prefetch fails or answers short, the batched
 /// engine falls back to per-row invokes whose results land in the
-/// statement store, so the filter invokes each distinct tuple once over a
-/// table of several morsels, and a later operator (here: the projection
-/// reusing the WHERE clause's call) is served without re-invoking — one
+/// statement's answer table, so the filter invokes each distinct tuple
+/// once over a table of several morsels, and a later operator (here: the
+/// projection reusing the WHERE clause's call) is served without re-invoking — one
 /// invoke per distinct tuple per statement, and the per-row engine's rows.
 #[test]
 fn failed_invoke_batch_invokes_each_tuple_once() {

@@ -184,7 +184,7 @@ fn sweep_serial(config: DurabilityConfig, ctx: &str) {
 /// Sweep every fault kind through every operation index of `steps`.
 fn sweep_steps(config: DurabilityConfig, steps: &[&str], ctx: &str) {
     // Baseline: no fault. Sizes the sweep and sanity-checks the end state.
-    let baseline = run_serial(config, &steps, &[]);
+    let baseline = run_serial(config, steps, &[]);
     assert!(!baseline.any_failed, "{ctx}: baseline must run clean");
     let total_ops = baseline.fs.op_count();
     assert!(total_ops > 10, "{ctx}: schedule too small to be interesting ({total_ops} ops)");
@@ -192,7 +192,7 @@ fn sweep_steps(config: DurabilityConfig, steps: &[&str], ctx: &str) {
 
     for at in 0..total_ops {
         for kind in FAULTS {
-            let run = run_serial(config, &steps, &[(at, kind)]);
+            let run = run_serial(config, steps, &[(at, kind)]);
             let ctx = format!("{ctx} fault {kind:?} @op {at}");
             match kind {
                 FaultKind::FailOp => {
@@ -432,7 +432,7 @@ fn run_group(fault: Option<(u64, FaultKind)>) -> (SimFs, Vec<Vec<bool>>) {
     let config = DurabilityConfig::default();
     let mut acked = vec![vec![false; GC_TXNS]; GC_THREADS];
     if let Ok(db) = open_sim(&fs, config) {
-        let mut created = vec![false; GC_THREADS];
+        let mut created = [false; GC_THREADS];
         for (t, ok) in created.iter_mut().enumerate() {
             *ok = db
                 .execute(&format!("CREATE TABLE t{t} (id INTEGER PRIMARY KEY, v INTEGER)"))

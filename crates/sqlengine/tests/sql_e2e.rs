@@ -3,6 +3,10 @@
 
 use std::sync::Arc;
 
+use swan_sqlengine::ast::{SelectBody, Statement};
+use swan_sqlengine::exec::{exec_plan, ExecCtx};
+use swan_sqlengine::parser::parse_statement;
+use swan_sqlengine::plan::{plan_from, Plan};
 use swan_sqlengine::value::Value;
 use swan_sqlengine::{Database, Error, OptimizerConfig, ScalarUdf};
 
@@ -272,6 +276,32 @@ fn subquery_in_from() {
     assert_eq!(rows, vec!["2"]);
 }
 
+/// A derived table's planned schema names its columns the way its rows
+/// are named when it runs: an aliased item, a bare column, an unaliased
+/// expression, `*` and `t.*`.
+#[test]
+fn derived_table_schema_names_its_columns_as_its_rows() {
+    let db = hero_db();
+    let sql = "SELECT * FROM (SELECT s.id AS k, hero_name, s.id + 0, *, p.* \
+               FROM superhero s JOIN publisher p ON s.publisher_id = p.id) AS d";
+    let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!("{sql}") };
+    let SelectBody::Simple(core) = stmt.body else { panic!("{sql}") };
+    let derived = plan_from(core.from.as_ref(), None).unwrap();
+    assert!(matches!(derived, Plan::Derived { .. }), "{derived:?}");
+    let planned = derived.schema(db.catalog()).unwrap();
+    let ctx = ExecCtx::new(db.catalog(), db.udfs());
+    let ran = exec_plan(&derived, &ctx, None).unwrap();
+    assert_eq!(planned, ran.schema);
+    let names: Vec<&str> = planned.cols.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "k", "hero_name", "s.id + 0", "id", "hero_name", "full_name", "publisher_id",
+            "height_cm", "id", "publisher_name", "id", "publisher_name",
+        ]
+    );
+}
+
 #[test]
 fn compound_union_except_intersect() {
     let db = hero_db();
@@ -393,8 +423,8 @@ fn optimizer_toggles_do_not_change_results() {
     }
 }
 
-/// Regression: a nested join chain in already-optimal written order (no
-/// Permute masking column pruning) must compute its pruned emit indices
+/// Regression: a nested join chain in already-optimal written order must
+/// compute its pruned emit indices
 /// against the *post-prune* child schemas — the stale-index variant
 /// panicked with index-out-of-bounds.
 #[test]
@@ -473,8 +503,8 @@ fn ambiguous_unqualified_column_errors_under_every_config() {
 }
 
 /// Regression: column pruning must compose with join reordering — a
-/// worst-order COUNT(*) chain gets both a Permute (from reordering) and
-/// pruned emission, and still counts correctly.
+/// worst-order COUNT(*) chain is both reordered and pruned, and still
+/// counts correctly.
 #[test]
 fn count_star_over_reordered_chain() {
     let mut db = Database::new();

@@ -14,8 +14,10 @@
 #      growing back), and the pool's fan-out entry points or a thread
 #      count resolution named anywhere in the engine (an operator loop
 #      leaving the statement thread, or a gate for one growing back).
-#      Any finding fails the gate before a single test runs. Then the
-#      ROADMAP item-14 running figure:
+#      Any finding fails the gate before a single test runs, as does any
+#      clippy warning in the first-party packages (every target: libs,
+#      binaries, tests, benches and examples; vendored crates are not
+#      linted). Then the ROADMAP item-14 running figure:
 #      the non-test line count of crates/sqlengine/src (the lines above
 #      each file's `#[cfg(test)]`), with the same totals for
 #      crates/llm/src, crates/core/src and crates/data/src beside it
@@ -81,6 +83,10 @@ cd "$(dirname "$0")/.."
 
 echo "== swan-analyze: workspace seam lints =="
 cargo run -q -p swan-analyze -- --workspace
+
+echo "== clippy: first-party packages, warnings denied =="
+cargo clippy -q --all-targets --offline -p swan -p swan-analyze -p swan-pool -p swan-sqlengine \
+    -p swan-llm -p swan-data -p swan-core -p swan-bench -- -D warnings
 
 non_test_lines() { # <dir>: each file's lines above its first #[cfg(test)], and their total
     for f in "$1"/*.rs; do

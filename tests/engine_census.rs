@@ -3,14 +3,16 @@
 //! the hybrid statement on the HQDL-materialized database and the UDF
 //! statement on the curated database with `llm_map` registered.
 //!
-//! Every SELECT core of a statement (derived tables, subqueries and
-//! compound arms included) is planned with the public `plan_from` and
-//! optimized twice per rule: once with the default configuration and
-//! once with only that rule off. A rule column counts the cores whose
-//! plan the rule changed; `nodes` counts the node kinds of the default
-//! plans and `plan` pins each core's whole default plan (join order,
-//! conjunct placement, pruning lists) as an FNV-1a-64 digest of its
-//! `Debug` text, one per core. The lines are regenerated and diffed against the committed
+//! Every statement — the line's own, and each derived table and subquery
+//! in it — is planned with the public `plan_select`, once with the
+//! default configuration and once per rule with only that rule off. A
+//! rule column counts the SELECT cores whose FROM/WHERE tree the rule
+//! changed; `nodes` counts the node kinds of the default trees and `plan`
+//! pins each core's whole default tree (join order, conjunct placement,
+//! pruning lists) as an FNV-1a-64 digest of its `Debug` text, one per
+//! core; `stages` counts the nodes the planner puts above the trees
+//! (projection, aggregation, DISTINCT, compounds, ORDER BY, LIMIT). The
+//! lines are regenerated and diffed against the committed
 //! `tests/fixtures/engine_census.tsv`, so a rule that starts or stops
 //! engaging on SWAN shows up as a fixture change. A rule whose column is
 //! zero everywhere engages on no SWAN statement.
@@ -24,11 +26,10 @@ use std::sync::Arc;
 
 use swan::prelude::*;
 use swan::sqlengine::ast::{
-    Expr, OrderItem, SelectBody, SelectCore, SelectItem, SelectStmt, Statement, TableRef,
+    Expr, SelectBody, SelectCore, SelectItem, SelectStmt, Statement, TableRef,
 };
-use swan::sqlengine::optimizer::{expr_columns, optimize, NeededCol};
 use swan::sqlengine::parser::parse_statement;
-use swan::sqlengine::plan::{plan_from, Plan};
+use swan::sqlengine::plan::{plan_select, Plan};
 
 const SCALE: f64 = 0.05;
 const FIXTURE: &str = "tests/fixtures/engine_census.tsv";
@@ -44,62 +45,99 @@ const RULES: [(&str, SwitchOff); 4] = [
     ("prune_columns", |c| c.prune_columns = false),
 ];
 
-/// A SELECT core with the ORDER BY the executor plans it under: a simple
-/// body carries its statement's, a compound arm none.
-type Core = (SelectCore, Vec<OrderItem>);
+/// Node kinds by name, with their counts.
+type Kinds = BTreeMap<&'static str, usize>;
 
-/// Every SELECT core of `stmt`: its body's, then those of the derived
-/// tables and subqueries it contains, depth first.
-fn cores(stmt: &SelectStmt, out: &mut Vec<Core>) {
-    fn body(b: &SelectBody, order_by: &[OrderItem], out: &mut Vec<Core>) {
+/// What one configuration plans for a statement: the FROM/WHERE tree of
+/// every SELECT core, in order, and the stage kinds above them.
+#[derive(Default)]
+struct Planned {
+    trees: Vec<Plan>,
+    stages: Kinds,
+}
+
+/// Plan `stmt` and every statement it contains through the public
+/// planner: the statement's cores in written order (compound arms left to
+/// right), each followed by the derived tables and subqueries it
+/// contains, depth first, then those of the statement's ORDER BY.
+fn plan_all(stmt: &SelectStmt, db: &Database, config: &OptimizerConfig, out: &mut Planned) {
+    let plan = plan_select(stmt, db.udfs(), config, db.catalog())
+        .unwrap_or_else(|e| panic!("{e}\n{stmt:?}"));
+    let mut trees = Vec::new();
+    split(&plan, &mut trees, &mut out.stages);
+    let mut trees = trees.into_iter();
+    fn arms(
+        b: &SelectBody,
+        trees: &mut impl Iterator<Item = Plan>,
+        db: &Database,
+        config: &OptimizerConfig,
+        out: &mut Planned,
+    ) {
         match b {
             SelectBody::Simple(core) => {
-                out.push((SelectCore::clone(core), order_by.to_vec()));
-                core_children(core, out);
+                out.trees.push(trees.next().expect("one tree per core"));
+                core_children(core, db, config, out);
             }
             SelectBody::Compound { left, right, .. } => {
-                body(left, &[], out);
-                body(right, &[], out);
+                arms(left, trees, db, config, out);
+                arms(right, trees, db, config, out);
             }
         }
     }
-    body(&stmt.body, &stmt.order_by, out);
+    arms(&stmt.body, &mut trees, db, config, out);
     for o in &stmt.order_by {
-        expr_children(&o.expr, out);
+        expr_children(&o.expr, db, config, out);
     }
 }
 
-fn core_children(core: &SelectCore, out: &mut Vec<Core>) {
-    fn from(t: &TableRef, out: &mut Vec<Core>) {
+/// The stages of `plan` into `stages`, its FROM/WHERE trees into `trees`.
+fn split(plan: &Plan, trees: &mut Vec<Plan>, stages: &mut Kinds) {
+    let (kind, inputs): (&'static str, Vec<&Plan>) = match plan {
+        Plan::Project { input, .. } => ("Project", vec![input]),
+        Plan::Aggregate { input, .. } => ("Aggregate", vec![input]),
+        Plan::Distinct { input } => ("Distinct", vec![input]),
+        Plan::Sort { input, .. } => ("Sort", vec![input]),
+        Plan::Limit { input, .. } => ("Limit", vec![input]),
+        Plan::Compound { left, right, .. } => ("Compound", vec![left, right]),
+        tree => return trees.push(tree.clone()),
+    };
+    *stages.entry(kind).or_default() += 1;
+    for input in inputs {
+        split(input, trees, stages);
+    }
+}
+
+fn core_children(core: &SelectCore, db: &Database, config: &OptimizerConfig, out: &mut Planned) {
+    fn from(t: &TableRef, db: &Database, config: &OptimizerConfig, out: &mut Planned) {
         match t {
             TableRef::Table { .. } => {}
-            TableRef::Subquery { query, .. } => cores(query, out),
+            TableRef::Subquery { query, .. } => plan_all(query, db, config, out),
             TableRef::Join {
                 left, right, on, ..
             } => {
-                from(left, out);
-                from(right, out);
+                from(left, db, config, out);
+                from(right, db, config, out);
                 if let Some(on) = on {
-                    expr_children(on, out);
+                    expr_children(on, db, config, out);
                 }
             }
         }
     }
     if let Some(t) = &core.from {
-        from(t, out);
+        from(t, db, config, out);
     }
     for item in &core.projection {
         if let SelectItem::Expr { expr, .. } = item {
-            expr_children(expr, out);
+            expr_children(expr, db, config, out);
         }
     }
     for e in core.filter.iter().chain(&core.group_by).chain(&core.having) {
-        expr_children(e, out);
+        expr_children(e, db, config, out);
     }
 }
 
-/// The cores of the subqueries in `e` (`walk` stops at each subquery).
-fn expr_children(e: &Expr, out: &mut Vec<Core>) {
+/// Plan the subqueries in `e` (`walk` stops at each subquery).
+fn expr_children(e: &Expr, db: &Database, config: &OptimizerConfig, out: &mut Planned) {
     let mut subqueries: Vec<Arc<SelectStmt>> = Vec::new();
     e.walk(&mut |x| match x {
         Expr::ScalarSubquery(q)
@@ -108,41 +146,19 @@ fn expr_children(e: &Expr, out: &mut Vec<Core>) {
         _ => {}
     });
     for q in subqueries {
-        cores(&q, out);
+        plan_all(&q, db, config, out);
     }
 }
 
-/// What the executor passes the optimizer as `needed`: every column the
-/// core reads above its FROM, or `None` (keep everything) on a wildcard
-/// or a subquery.
-fn needed_columns(core: &SelectCore, order_by: &[OrderItem]) -> Option<Vec<NeededCol>> {
-    let mut out = Vec::new();
-    for item in &core.projection {
-        match item {
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return None,
-            SelectItem::Expr { expr, .. } => out.extend(expr_columns(expr)?),
-        }
-    }
-    for e in core
-        .group_by
-        .iter()
-        .chain(&core.having)
-        .chain(order_by.iter().map(|o| &o.expr))
-    {
-        out.extend(expr_columns(e)?);
-    }
-    Some(out)
-}
-
-fn count_nodes(plan: &Plan, kinds: &mut BTreeMap<&'static str, usize>) {
+fn count_nodes(plan: &Plan, kinds: &mut Kinds) {
     let (kind, children): (&'static str, Vec<&Plan>) = match plan {
         Plan::Scan { .. } => ("Scan", vec![]),
         Plan::IndexScan { .. } => ("IndexScan", vec![]),
         Plan::Derived { .. } => ("Derived", vec![]),
         Plan::Join { left, right, .. } => ("Join", vec![left, right]),
         Plan::Filter { input, .. } => ("Filter", vec![input]),
-        Plan::Permute { input, .. } => ("Permute", vec![input]),
         Plan::Empty => ("Empty", vec![]),
+        stage => panic!("a stage inside a FROM/WHERE tree: {stage:?}"),
     };
     *kinds.entry(kind).or_default() += 1;
     for c in children {
@@ -167,45 +183,34 @@ fn census_line(pathway: &str, id: &str, sql: &str, db: &Database) -> String {
     else {
         panic!("{id}: not a SELECT\n{sql}")
     };
-    let mut all = Vec::new();
-    cores(&stmt, &mut all);
     let base = db.optimizer();
-    let plan = |core: &SelectCore, order_by: &[OrderItem], config: &OptimizerConfig| {
-        let unoptimized = plan_from(core.from.as_ref(), core.filter.as_ref())
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
-        let needed = needed_columns(core, order_by);
-        optimize(
-            unoptimized,
-            db.udfs(),
-            config,
-            db.catalog(),
-            needed.as_deref(),
-        )
-        .unwrap_or_else(|e| panic!("{id}: {e}"))
-    };
+    let mut default = Planned::default();
+    plan_all(&stmt, db, &base, &mut default);
     let mut engaged = [0usize; RULES.len()];
-    let mut kinds = BTreeMap::new();
-    let mut digests = Vec::with_capacity(all.len());
-    for (core, order_by) in &all {
-        let default = plan(core, order_by, &base);
-        for (n, (_, switch_off)) in engaged.iter_mut().zip(&RULES) {
-            let mut config = base;
-            switch_off(&mut config);
-            if plan(core, order_by, &config) != default {
-                *n += 1;
-            }
-        }
-        count_nodes(&default, &mut kinds);
-        digests.push(plan_digest(&default));
+    for (n, (_, switch_off)) in engaged.iter_mut().zip(&RULES) {
+        let mut config = base;
+        switch_off(&mut config);
+        let mut off = Planned::default();
+        plan_all(&stmt, db, &config, &mut off);
+        *n = default.trees.iter().zip(&off.trees).filter(|(a, b)| a != b).count();
     }
-    let nodes: Vec<String> = kinds.iter().map(|(k, n)| format!("{k}:{n}")).collect();
+    let mut kinds = BTreeMap::new();
+    for tree in &default.trees {
+        count_nodes(tree, &mut kinds);
+    }
+    let counts = |kinds: &Kinds| -> String {
+        let kinds: Vec<String> = kinds.iter().map(|(k, n)| format!("{k}:{n}")).collect();
+        kinds.join(" ")
+    };
     let rules: Vec<String> = engaged.iter().map(usize::to_string).collect();
+    let digests: Vec<String> = default.trees.iter().map(plan_digest).collect();
     format!(
-        "{pathway}\t{id}\t{}\t{}\t{}\t{}",
-        all.len(),
+        "{pathway}\t{id}\t{}\t{}\t{}\t{}\t{}",
+        default.trees.len(),
         rules.join("\t"),
-        nodes.join(" "),
-        digests.join(" ")
+        counts(&kinds),
+        digests.join(" "),
+        counts(&default.stages)
     )
 }
 
@@ -214,7 +219,7 @@ fn census() -> String {
     let kb = build_knowledge(&benchmark.domains);
     let rules: Vec<&str> = RULES.iter().map(|(name, _)| *name).collect();
     let mut out = format!(
-        "pathway\tquestion\tcores\t{}\tnodes\tplan\n",
+        "pathway\tquestion\tcores\t{}\tnodes\tplan\tstages\n",
         rules.join("\t")
     );
     for d in &benchmark.domains {
