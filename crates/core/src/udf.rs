@@ -18,9 +18,20 @@
 //!
 //! # One store, one lock
 //!
-//! Answers and in-flight fetches live in one map behind one mutex
-//! ([`Shared::store`]): question scope → key tuple → [`Entry`]. Everything
-//! that decides who fetches a key happens in one critical section of it:
+//! Answers and in-flight fetches live in one store behind one mutex
+//! ([`Shared::store`]): question scope → [`Scope`], whose [`Entry`]s sit in
+//! a `Vec` addressed by id. An entry is found through the engine's
+//! [`KeyIndex`] on a word computed from the call's argument cells, and
+//! confirmed cell by cell; the identity is the cells' *rendered* text
+//! (`1` and `'1'` read the same in a prompt, so they share an entry). A
+//! probe that hits renders nothing; a miss renders its key once, into the
+//! new entry. Every later step names the entry by its id — reserving it
+//! again, publishing to it, reading it back — and hashes nothing. Entries
+//! are never removed: one with neither an answer nor a flight is
+//! *vacant*, a key asked before that nobody is fetching and the current
+//! epoch has no answer for, and whoever asks next reserves it as if it
+//! were new. Everything that decides who fetches a key happens in one
+//! critical section of the lock:
 //!
 //! * **Reserve.** A thread that wants to fetch a key re-checks, under the
 //!   lock, that the key has neither a live answer nor a flight, and only
@@ -46,6 +57,8 @@
 //! held; a batch takes it once to scan its keys — reserving the misses in
 //! the same pass — and once to retire.
 
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
@@ -53,10 +66,11 @@ use std::time::Duration;
 use parking_lot::{Mutex, MutexGuard};
 use swan_data::DomainData;
 use swan_llm::knowledge::normalize_question;
-use swan_llm::prompt::parse_udf_response;
+use swan_llm::prompt::udf_answers;
 use swan_llm::{parallel, BreakerState, LanguageModel, LlmError, ResilientModel, UdfExample, UdfPrompt};
-use swan_pool::hash::{map_with_capacity, FxHashMap};
+use swan_pool::hash::{FxHashMap, FxHasher};
 use swan_pool::lockrank;
+use swan_sqlengine::keyindex::KeyIndex;
 use swan_sqlengine::{Database, Error, QueryResult, Result, ScalarUdf, ThinStr, Value};
 
 use crate::hqdl::infer_value;
@@ -132,8 +146,8 @@ pub struct UdfStats {
     /// assembled — the §5.5 cross-question reuse number.
     pub cache_hits: u64,
     /// Answer-store hits on the per-row path (`invoke` and the single-key
-    /// fallback), including reuse across concurrent rows coalesced by
-    /// the single-flight fallback.
+    /// fallback), including a key another session was fetching: the
+    /// single-flight fallback hands its waiters the leader's answer.
     pub exec_cache_hits: u64,
     /// Per-row fallback model calls during execution (attempts, whether
     /// or not the model answered).
@@ -187,10 +201,41 @@ impl DomainMeta {
     }
 }
 
-/// The rendered key arguments of one `llm_map` call — a key's identity
-/// within its question's scope. Text arguments share the engine's cell
-/// allocation; only non-text arguments are rendered.
+/// The rendered key arguments of one `llm_map` call, as its store entry
+/// keeps them. Text arguments share the engine's cell allocation; only
+/// non-text arguments are rendered.
 type KeyTuple = Box<[ThinStr]>;
+
+/// An argument as a prompt shows it and the store identifies it: a text
+/// cell's own text, a number's rendering. (Every SWAN key is text.)
+fn cell_text(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Text(text) => Cow::Borrowed(text.as_str()),
+        other => Cow::Owned(other.render()),
+    }
+}
+
+/// A key's word in its scope's index: its arguments' rendered texts,
+/// hashed in order.
+fn key_word(key: &[Value]) -> u64 {
+    let mut h = FxHasher::default();
+    for v in key {
+        cell_text(v).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// One non-NULL key of a batch: where its answer goes and how the store
+/// finds it.
+#[derive(Clone, Copy)]
+struct BatchKey<'a> {
+    /// Batch slot.
+    slot: usize,
+    key: &'a [Value],
+    word: u64,
+    /// The key's entry id in its scope, once the scan has found it.
+    id: u32,
+}
 
 /// One question as the store and the prompt see it, resolved once per
 /// question per call instead of once per key or per chunk.
@@ -252,15 +297,15 @@ impl Flight {
 }
 
 /// What the store holds for one key of one question scope. An entry with
-/// neither field set is removed.
-#[derive(Default)]
+/// neither an answer nor a flight is vacant (see the module docs).
 struct Entry {
+    key: KeyTuple,
     /// The model's last answer and the question epoch that wrote it. Only
     /// successful answers are ever stored.
     answer: Option<(u64, Value)>,
-    /// The fetch that has reserved this key, while it runs. Concurrent
-    /// rows asking for the key wait on it instead of issuing duplicate
-    /// model calls (single-flight).
+    /// The fetch that has reserved this key, while it runs. Another
+    /// session asking for the key waits on it instead of issuing a
+    /// duplicate model call (single-flight).
     flight: Option<Arc<Flight>>,
 }
 
@@ -269,6 +314,23 @@ impl Entry {
     fn live(&self, epoch: u64) -> Option<&Value> {
         self.answer.as_ref().filter(|(e, _)| *e == epoch).map(|(_, v)| v)
     }
+
+    /// Whether `key`'s arguments render as this entry's key. A text
+    /// argument that is the entry's own cell matches on its pointer.
+    fn is(&self, key: &[Value]) -> bool {
+        self.key.len() == key.len()
+            && self.key.iter().zip(key).all(|(mine, v)| match v {
+                Value::Text(text) => mine == text,
+                other => **mine == *other.render(),
+            })
+    }
+}
+
+/// The entries of one question scope, by id, and the index that finds
+/// them by their key's word.
+struct Scope {
+    index: KeyIndex,
+    entries: Vec<Entry>,
 }
 
 /// Every answer the model has produced and every fetch in flight.
@@ -277,25 +339,26 @@ struct Store {
     /// Bumped by [`UdfRunner::run_sql`] under [`CacheScope::PerQuestion`];
     /// constant otherwise, so every entry stays live.
     epoch: u64,
-    /// Question scope → key tuple → entry. The question is hashed once per
-    /// question, a key by its tuple alone.
-    scopes: FxHashMap<Arc<str>, FxHashMap<KeyTuple, Entry>>,
+    /// Question scope → its entries. The question is hashed once per
+    /// question and lock acquisition, a key by its word alone.
+    scopes: FxHashMap<Arc<str>, Scope>,
 }
 
 impl Store {
-    fn live(&self, scope: &str, key: &[ThinStr]) -> Option<&Value> {
-        self.scopes.get(scope)?.get(key)?.live(self.epoch)
+    /// The current epoch and the entries of `scope`, created with room for
+    /// `keys` if absent: a scope is sized for its first batch, and one that
+    /// exists already holds most keys a later batch asks for.
+    fn scope_mut(&mut self, scope: &Arc<str>, keys: usize) -> (u64, &mut Scope) {
+        let entries = self.scopes.entry(scope.clone()).or_insert_with(|| Scope {
+            index: KeyIndex::with_capacity(keys),
+            entries: Vec::with_capacity(keys),
+        });
+        (self.epoch, entries)
     }
 
-    /// The last answer for `key` from any epoch: the
-    /// [`OnModelFailure::StaleCache`] degradation source.
-    fn last_good(&self, scope: &str, key: &[ThinStr]) -> Option<&Value> {
-        self.scopes.get(scope)?.get(key)?.answer.as_ref().map(|(_, v)| v)
-    }
-
-    /// The current epoch and the entries of `scope`, created if absent.
-    fn scope_mut(&mut self, scope: &Arc<str>) -> (u64, &mut FxHashMap<KeyTuple, Entry>) {
-        (self.epoch, self.scopes.entry(scope.clone()).or_default())
+    /// Entry `id` of `scope`, which the caller found or made before.
+    fn entry(&self, scope: &str, id: u32) -> &Entry {
+        &self.scopes[scope].entries[id as usize]
     }
 }
 
@@ -311,36 +374,32 @@ impl Store {
 struct Reservation<'a> {
     shared: &'a Shared,
     scope: &'a Arc<str>,
-    /// Emptied once settled.
-    keys: Vec<&'a KeyTuple>,
+    /// The reserved entries' ids. Emptied once settled.
+    ids: Vec<u32>,
     flight: Arc<Flight>,
 }
 
 impl Reservation<'_> {
-    /// `answers` runs parallel to `keys`; `None` leaves a key unanswered.
+    /// `answers` runs parallel to `ids`; `None` leaves a key unanswered,
+    /// its entry vacant unless an earlier epoch's answer is in it.
     fn retire(mut self, answers: Vec<Option<Value>>, outcome: Result<Option<Value>>) {
         self.settle(answers, outcome);
     }
 
     fn settle(&mut self, answers: Vec<Option<Value>>, outcome: Result<Option<Value>>) {
-        let keys = std::mem::take(&mut self.keys);
-        if keys.is_empty() {
+        let ids = std::mem::take(&mut self.ids);
+        if ids.is_empty() {
             return;
         }
         {
             let mut store = self.shared.store();
-            let (epoch, entries) = store.scope_mut(self.scope);
+            let (epoch, scope) = store.scope_mut(self.scope, 0);
             let mut answers = answers.into_iter();
-            for key in keys {
-                let answer = answers.next().flatten();
-                let Some(entry) = entries.get_mut(key) else { continue };
+            for id in ids {
+                let entry = &mut scope.entries[id as usize];
                 entry.flight = None;
-                match answer {
-                    Some(value) => entry.answer = Some((epoch, value)),
-                    None if entry.answer.is_none() => {
-                        entries.remove(key);
-                    }
-                    None => {}
+                if let Some(value) = answers.next().flatten() {
+                    entry.answer = Some((epoch, value));
                 }
             }
         }
@@ -370,11 +429,18 @@ struct Counters {
     degraded: AtomicU64,
     /// Work counts the unit tests pin: store-lock acquisitions, key
     /// probes (lookups that decide a key's hit, wait or fetch; publishing
-    /// a fetched answer is not one) and prompt heads rendered.
+    /// a fetched answer is not one), keys rendered into the store, key
+    /// words looked up in a scope's index under the lock (the only key
+    /// hashing the lock sees; a probe by id hashes nothing) and prompt
+    /// heads rendered.
     #[cfg(test)]
     store_locks: AtomicU64,
     #[cfg(test)]
     probes: AtomicU64,
+    #[cfg(test)]
+    key_renders: AtomicU64,
+    #[cfg(test)]
+    key_hashes: AtomicU64,
     #[cfg(test)]
     heads_rendered: AtomicU64,
 }
@@ -412,6 +478,29 @@ impl Shared {
         bump(&self.counters.probes);
     }
 
+    /// The id of `key`'s entry in `scope` (`word` is its [`key_word`]),
+    /// on one lookup of the word: a miss renders the key into a new,
+    /// vacant entry.
+    fn id(&self, scope: &mut Scope, word: u64, key: &[Value]) -> u32 {
+        #[cfg(test)]
+        bump(&self.counters.key_hashes);
+        let entries = &scope.entries;
+        let (id, new) = scope.index.find_or_insert(word, |e| entries[e].is(key));
+        if new {
+            #[cfg(test)]
+            bump(&self.counters.key_renders);
+            let key = key
+                .iter()
+                .map(|arg| match arg {
+                    Value::Text(text) => text.clone(),
+                    other => other.render().into(),
+                })
+                .collect();
+            scope.entries.push(Entry { key, answer: None, flight: None });
+        }
+        id as u32
+    }
+
     /// Resolve `question` to its store scope and its prompt material.
     fn ask<'a>(&'a self, question: &'a str) -> Asked<'a> {
         let normalized = normalize_question(question);
@@ -439,56 +528,58 @@ impl Shared {
         UdfPrompt::render_head(&self.meta.db, asked.question, asked.value_list, asked.examples)
     }
 
-    /// Answer-store lookup under the configured scope.
-    fn cached(&self, scope: &str, key: &[ThinStr]) -> Option<Value> {
+    /// The live answer of entry `id` of `asked`'s scope.
+    fn cached(&self, asked: &Asked<'_>, id: u32) -> Option<Value> {
         self.probed();
-        self.store().live(scope, key).cloned()
+        let store = self.store();
+        store.entry(&asked.scope, id).live(store.epoch).cloned()
     }
 
     /// Single-key fallback call (cache miss during execution),
     /// single-flighted: concurrent sessions asking for the same key wait
     /// for the one in-flight model call instead of each paying their own,
-    /// and receive the leader's outcome — error included.
-    fn fetch_single(&self, asked: &Asked<'_>, key: &KeyTuple) -> Result<Value> {
+    /// and receive the leader's outcome — error included. `key`'s word is
+    /// `word`; its entry id is `id` when the caller has found it already.
+    fn fetch_single(
+        &self,
+        asked: &Asked<'_>,
+        key: &[Value],
+        word: u64,
+        mut id: Option<u32>,
+    ) -> Result<Value> {
         loop {
             // Hit, join the flight on the key, or reserve it — decided in
             // one critical section.
-            let (flight, lead) = {
+            let (flight, lead, e) = {
                 let mut store = self.store();
-                let (epoch, entries) = store.scope_mut(&asked.scope);
+                let (epoch, scope) = store.scope_mut(&asked.scope, 1);
                 self.probed();
-                let entry = match entries.get_mut(key) {
-                    Some(entry) => entry,
-                    None => entries.entry(key.clone()).or_default(),
-                };
+                let e = *id.get_or_insert_with(|| self.id(scope, word, key));
+                let entry = &mut scope.entries[e as usize];
                 if let Some(v) = entry.live(epoch) {
                     bump(&self.counters.exec_cache_hits);
                     return Ok(v.clone());
                 }
                 let lead = entry.flight.is_none();
-                (entry.flight.get_or_insert_with(Arc::default).clone(), lead)
+                (entry.flight.get_or_insert_with(Arc::default).clone(), lead, e)
             };
             if lead {
                 // Perform the call, cache a success, and hand the outcome
                 // to any waiters; the flight is detached either way, so
                 // later calls retry rather than inherit a stale error.
                 let reservation =
-                    Reservation { shared: self, scope: &asked.scope, keys: vec![key], flight };
+                    Reservation { shared: self, scope: &asked.scope, ids: vec![e], flight };
                 let mut prompt = self.render_head(asked);
-                UdfPrompt::push_keys(&mut prompt, [key]);
+                UdfPrompt::push_keys(&mut prompt, [key.iter().map(cell_text)]);
                 bump(&self.counters.fallback_calls);
                 return match self.model.complete(&prompt) {
                     Ok(completion) => {
-                        let answer = parse_udf_response(&completion.text)
-                            .into_iter()
-                            .next()
-                            .unwrap_or_default();
-                        let value = infer_value(&answer);
+                        let value = answers(&completion.text).next().unwrap_or(Value::Null);
                         reservation.retire(vec![Some(value.clone())], Ok(Some(value.clone())));
                         Ok(value)
                     }
-                    Err(e) => {
-                        let degraded = self.degrade(asked, key, e);
+                    Err(err) => {
+                        let degraded = self.degrade(asked, e, err);
                         reservation.retire(vec![None], degraded.clone().map(Some));
                         degraded
                     }
@@ -510,7 +601,7 @@ impl Shared {
     /// failed after the resilience layer's retries. A statement-deadline
     /// failure always aborts the statement — degrading it would silently
     /// turn "too slow" into wrong answers.
-    fn degrade(&self, asked: &Asked<'_>, key: &KeyTuple, e: LlmError) -> Result<Value> {
+    fn degrade(&self, asked: &Asked<'_>, id: u32, e: LlmError) -> Result<Value> {
         if e == LlmError::Deadline {
             return Err(Error::Deadline);
         }
@@ -523,13 +614,15 @@ impl Shared {
             }
             OnModelFailure::StaleCache => {
                 bump(&self.counters.degraded);
-                Ok(self.store().last_good(&asked.scope, key).cloned().unwrap_or(Value::Null))
+                let store = self.store();
+                let last_good = store.entry(&asked.scope, id).answer.as_ref();
+                Ok(last_good.map_or(Value::Null, |(_, v)| v.clone()))
             }
         }
     }
 
     /// The re-batch round: reserve the still-unanswered keys of `misses`
-    /// (batch slot, key) and [`fetch`](Self::fetch) them.
+    /// (by the entry ids the scan found) and [`fetch`](Self::fetch) them.
     ///
     /// A key that has been answered since the caller's scan fills its slot
     /// without a call; a key another thread is already fetching (per-row
@@ -539,44 +632,43 @@ impl Shared {
     fn fetch_batch(
         &self,
         asked: &Asked<'_>,
-        misses: &[(usize, KeyTuple)],
+        misses: &[BatchKey<'_>],
         out: &mut [Option<Value>],
     ) {
-        if misses.iter().all(|(slot, _)| out[*slot].is_some()) {
+        if misses.iter().all(|m| out[m.slot].is_some()) {
             return;
         }
         let flight = Arc::new(Flight::default());
-        let mut slots = Vec::new();
-        let mut keys = Vec::new();
+        let mut reserved = Vec::new();
         {
             let mut store = self.store();
-            let (epoch, entries) = store.scope_mut(&asked.scope);
-            for (slot, key) in misses {
-                if out[*slot].is_some() {
+            let (epoch, scope) = store.scope_mut(&asked.scope, 0);
+            for m in misses {
+                if out[m.slot].is_some() {
                     continue;
                 }
                 self.probed();
-                let entry = entries.entry(key.clone()).or_default();
+                let entry = &mut scope.entries[m.id as usize];
                 if let Some(v) = entry.live(epoch) {
-                    out[*slot] = Some(v.clone());
+                    out[m.slot] = Some(v.clone());
                 } else if entry.flight.is_none() {
                     entry.flight = Some(flight.clone());
-                    slots.push(*slot);
-                    keys.push(key);
+                    reserved.push(*m);
                 }
             }
         }
-        if keys.is_empty() {
+        if reserved.is_empty() {
             return;
         }
-        let reservation = Reservation { shared: self, scope: &asked.scope, keys, flight };
-        self.fetch(asked, reservation, slots, out);
+        let ids = reserved.iter().map(|m| m.id).collect();
+        let reservation = Reservation { shared: self, scope: &asked.scope, ids, flight };
+        self.fetch(asked, reservation, &reserved, out);
     }
 
-    /// One model round for the keys `reservation` holds (batch slots
-    /// `slots`, in order): chunk them per `batch_size`, fan the prompts out
-    /// through the parallel worker pool, and write each answer to its slot
-    /// of `out` and to the store.
+    /// One model round for the keys `reservation` holds (`reserved`, in
+    /// order): chunk them per `batch_size`, fan the prompts out through the
+    /// parallel worker pool, and write each answer to its slot of `out` and
+    /// to the store.
     ///
     /// A response can be short (batch glitches, §5.4): answers are matched
     /// to keys by position, so only the lines before the completion's
@@ -589,40 +681,47 @@ impl Shared {
         &self,
         asked: &Asked<'_>,
         reservation: Reservation<'_>,
-        slots: Vec<usize>,
+        reserved: &[BatchKey<'_>],
         out: &mut [Option<Value>],
     ) {
         let head = self.render_head(asked);
         let batch_size = self.config.batch_size.max(1);
-        let chunks: Vec<&[&KeyTuple]> = reservation.keys.chunks(batch_size).collect();
+        let chunks: Vec<&[BatchKey]> = reserved.chunks(batch_size).collect();
         let completions =
             parallel::complete_many(self.model.as_ref(), chunks.len(), self.config.workers, |i| {
                 let mut prompt = String::with_capacity(head.len() + 32 * chunks[i].len());
                 prompt.push_str(&head);
-                UdfPrompt::push_keys(&mut prompt, chunks[i]);
+                let keys = chunks[i].iter().map(|m| m.key.iter().map(cell_text));
+                UdfPrompt::push_keys(&mut prompt, keys);
                 prompt
             });
 
-        let mut answers: Vec<Option<Value>> = Vec::with_capacity(slots.len());
+        let mut answered: Vec<Option<Value>> = Vec::with_capacity(reserved.len());
         for (chunk, completion) in chunks.iter().zip(completions) {
             // Failed chunks answer nothing; their rows retry (and degrade
             // if configured) through `fetch_single`.
             let text = completion.map(|c| c.text).unwrap_or_default();
-            let mut lines = parse_udf_response(aligned_prefix(&text)).into_iter();
-            answers.extend(chunk.iter().map(|_| lines.next().map(|line| infer_value(&line))));
+            let mut read = answers(aligned_prefix(&text));
+            answered.extend(chunk.iter().map(|_| read.next()));
         }
-        let mut answered = 0;
-        for (slot, answer) in slots.into_iter().zip(&answers) {
+        let mut count = 0;
+        for (m, answer) in reserved.iter().zip(&answered) {
             if answer.is_some() {
-                out[slot] = answer.clone();
-                answered += 1;
+                out[m.slot] = answer.clone();
+                count += 1;
             }
         }
-        self.counters.prefetched_keys.fetch_add(answered, Ordering::Relaxed);
+        self.counters.prefetched_keys.fetch_add(count, Ordering::Relaxed);
         // Waiters probe the store again (`Ok(None)`): its answers are
         // published before the flight is resolved.
-        reservation.retire(answers, Ok(None));
+        reservation.retire(answered, Ok(None));
     }
+}
+
+/// The answers of a UDF completion, one per non-empty line, each read in
+/// place and typed as HQDL types a generated cell.
+fn answers(text: &str) -> impl Iterator<Item = Value> + '_ {
+    udf_answers(text).map(|answer| infer_value(&answer))
 }
 
 /// The leading part of a batch completion whose lines still line up with
@@ -635,10 +734,13 @@ fn aligned_prefix(text: &str) -> &str {
 
 /// The argument tuples of one batch that ask the same question.
 struct Group<'a> {
+    /// The question cell, compared by pointer first: a literal question
+    /// is one cell for every row of its call site.
+    question: &'a ThinStr,
     asked: Asked<'a>,
-    /// (batch slot, key) per tuple; after the scan, the tuples the store
-    /// missed.
-    rows: Vec<(usize, KeyTuple)>,
+    /// The batch's keys for the question; after the scan, the ones the
+    /// store missed, each with its entry id.
+    rows: Vec<BatchKey<'a>>,
     /// The misses the scan reserved for this batch's first round (indices
     /// into `rows`), and the flight they share.
     reserved: Vec<usize>,
@@ -659,7 +761,7 @@ impl ScalarUdf for LlmMapUdf {
         let Some((question, key)) = parse_args(args)? else {
             return Ok(Value::Null); // NULL keys have no LLM answer.
         };
-        self.shared.fetch_single(&self.shared.ask(question), &key)
+        self.shared.fetch_single(&self.shared.ask(question), key, key_word(key), None)
     }
 
     /// Vectorized execution: called by the engine once per operator batch
@@ -669,15 +771,16 @@ impl ScalarUdf for LlmMapUdf {
     /// response leaves unanswered are re-batched once, and what is still
     /// missing then falls back to single-key calls.
     ///
-    /// A tuple costs one key render, one compare of its question against
-    /// the batch's distinct questions (text equality, which stops at a
-    /// length mismatch), and one store probe; each distinct question is
-    /// resolved once per batch. Three passes, none of which takes the store lock
-    /// per key: scan (one acquisition: hits out, the other misses reserved
-    /// for the first round), fetch (per question one acquisition to
-    /// retire; again to reserve and retire when the first round left keys
-    /// unanswered), and the per-key fallback for what neither round
-    /// answered.
+    /// A tuple costs one hash of its arguments' text (its word), one
+    /// compare of its question cell against the batch's distinct
+    /// questions, and one store probe: one lookup of the word, and a render
+    /// of the key only when the store has never seen it. Each distinct
+    /// question is resolved once per batch. Three passes, none of which
+    /// takes the store lock per key: scan (one acquisition: hits out, the
+    /// other misses reserved for the first round), fetch (per question one
+    /// acquisition to retire; again to reserve and retire when the first
+    /// round left keys unanswered — by entry id, hashing nothing), and the
+    /// per-key fallback for what neither round answered.
     fn invoke_batch(&self, rows: &[Vec<Value>]) -> Result<Vec<Value>> {
         let shared = &self.shared;
         let mut out: Vec<Option<Value>> = vec![None; rows.len()];
@@ -688,10 +791,11 @@ impl ScalarUdf for LlmMapUdf {
                 out[slot] = Some(Value::Null);
                 continue;
             };
-            let group = match groups.iter().position(|g| g.asked.question == question) {
+            let group = match groups.iter().position(|g| g.question == question) {
                 Some(g) => &mut groups[g],
                 None => {
                     groups.push(Group {
+                        question,
                         asked: shared.ask(question),
                         rows: Vec::new(),
                         reserved: Vec::new(),
@@ -700,40 +804,30 @@ impl ScalarUdf for LlmMapUdf {
                     groups.last_mut().expect("just pushed")
                 }
             };
-            group.rows.push((slot, key));
+            group.rows.push(BatchKey { slot, key, word: key_word(key), id: 0 });
         }
 
         {
             let mut store = shared.store();
-            let epoch = store.epoch;
             let mut hits = 0;
             for group in &mut groups {
-                // A scope's map is sized for its first batch; a map that
-                // exists already holds most keys a later batch asks for.
-                let entries = store
-                    .scopes
-                    .entry(group.asked.scope.clone())
-                    .or_insert_with(|| map_with_capacity(group.rows.len()));
+                let (epoch, scope) = store.scope_mut(&group.asked.scope, group.rows.len());
                 let mut misses = Vec::with_capacity(group.rows.len());
-                for (slot, key) in group.rows.drain(..) {
+                for mut m in group.rows.drain(..) {
                     shared.probed();
-                    let flight = match entries.get_mut(&key) {
-                        Some(entry) => {
-                            if let Some(v) = entry.live(epoch) {
-                                out[slot] = Some(v.clone());
-                                hits += 1;
-                                continue;
-                            }
-                            // In flight elsewhere: the fallback waits on it.
-                            &mut entry.flight
-                        }
-                        None => &mut entries.entry(key.clone()).or_default().flight,
-                    };
-                    if flight.is_none() {
-                        *flight = Some(group.flight.clone());
+                    m.id = shared.id(scope, m.word, m.key);
+                    let entry = &mut scope.entries[m.id as usize];
+                    if let Some(v) = entry.live(epoch) {
+                        out[m.slot] = Some(v.clone());
+                        hits += 1;
+                        continue;
+                    }
+                    // In flight elsewhere: the fallback waits on it.
+                    if entry.flight.is_none() {
+                        entry.flight = Some(group.flight.clone());
                         group.reserved.push(misses.len());
                     }
-                    misses.push((slot, key));
+                    misses.push(m);
                 }
                 group.rows = misses;
             }
@@ -745,25 +839,25 @@ impl ScalarUdf for LlmMapUdf {
         let mut reservations: Vec<_> = groups
             .iter()
             .map(|g| {
-                let keys = g.reserved.iter().map(|&i| &g.rows[i].1).collect();
-                let slots = g.reserved.iter().map(|&i| g.rows[i].0).collect();
+                let reserved: Vec<BatchKey> = g.reserved.iter().map(|&i| g.rows[i]).collect();
+                let ids = reserved.iter().map(|m| m.id).collect();
                 let flight = g.flight.clone();
-                (Reservation { shared, scope: &g.asked.scope, keys, flight }, slots)
+                (Reservation { shared, scope: &g.asked.scope, ids, flight }, reserved)
             })
             .collect();
-        for (group, (reservation, slots)) in groups.iter().zip(reservations.drain(..)) {
-            if !reservation.keys.is_empty() {
-                shared.fetch(&group.asked, reservation, slots, &mut out);
+        for (group, (reservation, reserved)) in groups.iter().zip(reservations.drain(..)) {
+            if !reserved.is_empty() {
+                shared.fetch(&group.asked, reservation, &reserved, &mut out);
             }
             shared.fetch_batch(&group.asked, &group.rows, &mut out);
         }
 
         for group in &groups {
-            for (slot, key) in &group.rows {
-                if out[*slot].is_none() {
-                    out[*slot] = Some(match shared.cached(&group.asked.scope, key) {
+            for m in &group.rows {
+                if out[m.slot].is_none() {
+                    out[m.slot] = Some(match shared.cached(&group.asked, m.id) {
                         Some(v) => v,
-                        None => shared.fetch_single(&group.asked, key)?,
+                        None => shared.fetch_single(&group.asked, m.key, m.word, Some(m.id))?,
                     });
                 }
             }
@@ -779,33 +873,26 @@ impl ScalarUdf for LlmMapUdf {
     }
 }
 
-/// Validate an `llm_map` argument tuple: `Ok(None)` marks a NULL key
-/// (whose answer is NULL without any model call).
-fn parse_args(args: &[Value]) -> Result<Option<(&str, KeyTuple)>> {
+/// Validate an `llm_map` argument tuple into its question cell and its key
+/// arguments: `Ok(None)` marks a NULL key (whose answer is NULL without any
+/// model call).
+fn parse_args(args: &[Value]) -> Result<Option<(&ThinStr, &[Value])>> {
     if args.len() < 2 {
         return Err(Error::Udf {
             name: "llm_map".into(),
             message: "usage: llm_map(question, key, ...)".into(),
         });
     }
-    let question = args[0]
-        .as_str()
-        .ok_or_else(|| Error::Udf {
+    let Value::Text(question) = &args[0] else {
+        return Err(Error::Udf {
             name: "llm_map".into(),
             message: "first argument must be the question text".into(),
-        })?;
-    if args[1..].iter().any(Value::is_null) {
+        });
+    };
+    let key = &args[1..];
+    if key.iter().any(Value::is_null) {
         return Ok(None);
     }
-    // The store's identity is the *rendered* tuple: `1` and `'1'` read the
-    // same in a prompt, so they share an entry.
-    let key = args[1..]
-        .iter()
-        .map(|arg| match arg {
-            Value::Text(text) => text.clone(),
-            other => other.render().into(),
-        })
-        .collect();
     Ok(Some((question, key)))
 }
 
@@ -888,7 +975,7 @@ impl UdfRunner {
         store
             .scopes
             .values()
-            .flat_map(FxHashMap::values)
+            .flat_map(|scope| &scope.entries)
             .filter(|entry| entry.live(store.epoch).is_some())
             .count()
     }
@@ -1255,21 +1342,37 @@ mod tests {
     /// holds every key twice, the engine hands the runner each distinct
     /// tuple once; the scan probes it once — and reserves it on the same
     /// probe when it misses — and the engine's per-row pass probes nothing.
+    /// The probe is one lookup of the key's word; only a key the store has
+    /// never seen is rendered, and publishing its answer (by entry id)
+    /// hashes nothing. (Keying the store by the rendered tuple cost a cold
+    /// batch 20 renders, 20 key clones and 60 hashes, and a warm one 20
+    /// renders.)
     #[test]
     fn a_statement_probes_the_store_once_per_distinct_tuple() {
         let (model, mut r) = key_echo_runner(20, |_| {});
         let sql = "SELECT a.k, llm_map('scripted probe', a.k) \
                    FROM keys a, (SELECT 1 AS n UNION ALL SELECT 2) b";
-        let probes = |r: &UdfRunner| r.shared.counters.probes.load(Ordering::Relaxed);
-        let before = probes(&r);
+        let work = |r: &UdfRunner| {
+            let c = &r.shared.counters;
+            [&c.probes, &c.key_renders, &c.key_hashes].map(|n| n.load(Ordering::Relaxed))
+        };
+        let delta = |before: [u64; 3], after: [u64; 3]| [0, 1, 2].map(|i| after[i] - before[i]);
+        let before = work(&r);
         assert_eq!(r.run_sql(sql).unwrap().rows.len(), 40);
-        assert_eq!(probes(&r) - before, 20, "cold: one probe per distinct tuple");
+        let cold = work(&r);
+        assert_eq!(delta(before, cold), [20, 20, 20], "cold: probes, renders, hashes");
         assert_eq!(model.usage().calls, 4, "20 keys in chunks of 5");
-        let cold = probes(&r);
         assert_eq!(r.run_sql(sql).unwrap().rows.len(), 40);
-        assert_eq!(probes(&r) - cold, 20, "warm: one probe per distinct tuple");
+        let warm = work(&r);
+        assert_eq!(delta(cold, warm), [20, 0, 20], "warm: probes, renders, hashes");
         assert_eq!(model.usage().calls, 4, "every warm answer came from the store");
         assert_eq!(r.stats().cache_hits, 20);
+
+        // A per-row hit finds the entry by its word and renders nothing.
+        let hit = llm_map(&r).invoke(&probe_args("k07")).unwrap();
+        assert_eq!(hit.render(), "v:k07");
+        assert_eq!(delta(warm, work(&r)), [1, 0, 1], "per-row hit: probes, renders, hashes");
+        assert_eq!(r.stats().exec_cache_hits, 1);
     }
 
     /// Store identity is the rendered tuple: `1` and `'1'` read the same
@@ -1370,10 +1473,11 @@ mod tests {
     /// receives the flight's outcome whenever it is resolved.
     fn wait_for_a_joiner(r: &UdfRunner, key: &str) {
         let scope = r.shared.ask(PROBE).scope;
-        let key: KeyTuple = Box::new([key.into()]);
         loop {
             let store = r.shared.store.lock();
-            let flight = store.scopes.get(&scope).and_then(|e| e.get(&key)).and_then(|e| e.flight.as_ref());
+            let scope = store.scopes.get(&scope);
+            let entry = scope.and_then(|s| s.entries.iter().find(|e| *e.key[0] == *key));
+            let flight = entry.and_then(|e| e.flight.as_ref());
             if flight.is_some_and(|f| Arc::strong_count(f) >= 3) {
                 return;
             }
@@ -1411,8 +1515,11 @@ mod tests {
                 assert!(failed.join().is_err(), "the panic reaches its caller");
             });
             assert_eq!(r.cached_answers(), 0, "nothing cached from the failed round");
-            let emptied = r.shared.store.lock().scopes.values().all(FxHashMap::is_empty);
-            assert!(emptied, "no entry left");
+            let store = r.shared.store.lock();
+            let mut entries = store.scopes.values().flat_map(|scope| &scope.entries);
+            let vacant = entries.all(|e| e.answer.is_none() && e.flight.is_none());
+            assert!(vacant, "every entry vacant");
+            drop(store);
             let out = r.run_sql(sql).expect("the next statement fetches the key itself");
             assert_eq!(out.rows[0][0].render(), "v:k1");
             assert_eq!(model.calls.load(Ordering::SeqCst), 2);
@@ -1536,6 +1643,47 @@ mod tests {
         assert_eq!(r.cached_answers(), 0, "no live answer in the new epoch");
         let stats = r.stats();
         assert_eq!((stats.cache_hits, stats.degraded), (0, 1));
+    }
+
+    /// Cell text the quoting has to survive — quotes, commas, edge spaces,
+    /// a bare `?`, digits that type as numbers, non-ASCII — written as a
+    /// model writes an answer line: quoted with `''` escapes, bare, or
+    /// with its closing quote missing.
+    const ANSWER_CELL: &str = "[ a-zA-Z0-9',.?é—漢-]{0,10}";
+
+    proptest::proptest! {
+        /// The runner's in-place read of a completion gives, line for line,
+        /// the text `parse_udf_response` copies out and the value
+        /// `infer_value` types it as.
+        #[test]
+        fn in_place_answers_match_the_parsed_response(
+            lines in proptest::collection::vec((ANSWER_CELL, 0usize..4, ANSWER_CELL), 0..6),
+        ) {
+            let text: Vec<String> = lines
+                .iter()
+                .map(|(cell, form, rest)| match form {
+                    0 => format!("'{}'{rest}", cell.replace('\'', "''")),
+                    1 => format!(" '{}", cell.replace('\'', "''")),
+                    2 => format!("{cell},{rest}"),
+                    _ => format!("  ?{cell} "),
+                })
+                .collect();
+            let text = text.join("\n");
+            let parsed = swan_llm::prompt::parse_udf_response(&text);
+            let read: Vec<String> = udf_answers(&text).map(Cow::into_owned).collect();
+            proptest::prop_assert_eq!(&read, &parsed, "{:?}", text);
+            let typed: Vec<Value> = parsed.iter().map(|a| infer_value(a)).collect();
+            proptest::prop_assert_eq!(answers(&text).collect::<Vec<_>>(), typed, "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn in_place_answers_read_escapes_and_bare_fields() {
+        let text = "'it''s', x\n\n  'open\n?\n ?, y\n'a''''b'\n 12 , z\n''";
+        let read: Vec<Cow<str>> = udf_answers(text).collect();
+        assert_eq!(read, ["it's", "open", "", "", "a''b", "12", ""]);
+        assert!(matches!(read[1], Cow::Borrowed(_)), "no escape, no copy");
+        assert_eq!(answers(text).nth(5), Some(Value::Integer(12)));
     }
 
     #[test]

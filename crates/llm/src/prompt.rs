@@ -23,6 +23,7 @@
 //! that holds a tail line — is declined (`None`), and the caller runs the
 //! full `parse` instead.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::model::{LlmError, LlmResult};
@@ -68,8 +69,8 @@ pub(crate) fn push_quoted(out: &mut String, v: &str) {
 }
 
 /// Append a row of plain values, `'a', 'b''c'`, to `out`.
-fn push_quoted_row<S: AsRef<str>>(out: &mut String, values: &[S]) {
-    for (i, v) in values.iter().enumerate() {
+fn push_quoted_row<S: AsRef<str>>(out: &mut String, values: impl IntoIterator<Item = S>) {
+    for (i, v) in values.into_iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -558,11 +559,11 @@ impl UdfPrompt {
     /// rendered head.
     pub fn push_keys<K, S>(out: &mut String, keys: impl IntoIterator<Item = K>)
     where
-        K: AsRef<[S]>,
+        K: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
         for key in keys {
-            push_quoted_row(out, key.as_ref());
+            push_quoted_row(out, key);
             out.push('\n');
         }
         out.push_str("Answer:");
@@ -733,6 +734,47 @@ pub fn parse_udf_response(text: &str) -> Vec<String> {
         .filter(|l| !l.is_empty())
         .map(parse_first)
         .collect()
+}
+
+/// [`parse_udf_response`] read in place: each answer is borrowed from
+/// `text` unless it holds a `''` escape.
+pub fn udf_answers(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
+    text.lines().map(str::trim).filter(|l| !l.is_empty()).map(first_field)
+}
+
+/// The first field of a trimmed, non-empty row as [`parse_row`] reads it,
+/// a missing field empty: a quoted body up to its closing quote (or the
+/// line's end) with `''` unescaped, else the bare text before the first
+/// comma, trimmed.
+fn first_field(line: &str) -> Cow<'_, str> {
+    let Some(body) = line.strip_prefix('\'') else {
+        let raw = line.split(',').next().unwrap_or_default().trim();
+        return Cow::Borrowed(if raw == "?" { "" } else { raw });
+    };
+    let mut quote = match body.find('\'') {
+        Some(at) if body[at + 1..].starts_with('\'') => at,
+        Some(at) => return Cow::Borrowed(&body[..at]),
+        None => return Cow::Borrowed(body),
+    };
+    // An escape: copied a run at a time, up to each quote.
+    let mut value = String::with_capacity(body.len());
+    let mut rest = body;
+    loop {
+        value.push_str(&rest[..quote]);
+        if !rest[quote + 1..].starts_with('\'') {
+            break;
+        }
+        value.push('\'');
+        rest = &rest[quote + 2..];
+        match rest.find('\'') {
+            Some(at) => quote = at,
+            None => {
+                value.push_str(rest);
+                break;
+            }
+        }
+    }
+    Cow::Owned(value)
 }
 
 #[cfg(test)]

@@ -12,10 +12,13 @@
 //! chunks of one UDF question everything through `Keys:`; the model keeps
 //! the last few such heads — exact bytes, parsed state, token count — and
 //! on a byte-equal head parses and tokenizes only the tail (the target or
-//! key lines, the field-count sentence, `Answer:`). A head it has not
-//! seen, a prompt with no head, or a tail line that would change head
-//! state goes through the full `parse`; either way the completion and the
-//! token count are the ones the full parse gives.
+//! key lines, the field-count sentence, `Answer:`). A remembered UDF head
+//! also holds what its question resolves to in the knowledge base — the
+//! attribute and the class its cells are answered as — so that is looked
+//! up once per head, not once per call. A head it has not seen, a prompt
+//! with no head, or a tail line that would change head state goes through
+//! the full `parse`, which resolves the question on every call; either way
+//! the completion and the token count are the ones the full parse gives.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -60,7 +63,7 @@ impl<T> HeadMemo<T> {
     fn read<X>(
         &self,
         split: Option<(&str, &str)>,
-        parse: fn(&str) -> Option<T>,
+        parse: impl FnOnce(&str) -> Option<T>,
         tail: impl FnOnce(&T, &str) -> Option<X>,
     ) -> Option<(Arc<Head<T>>, X, u64)> {
         let (text, rest) = split?;
@@ -95,6 +98,14 @@ impl<T> HeadMemo<T> {
     }
 }
 
+/// A parsed UDF head and what its question resolves to: the attribute and
+/// the class its cells are answered as, `None` when the knowledge base
+/// cannot resolve it.
+struct UdfMemo {
+    head: UdfHead,
+    attribute: Option<(String, AttrClass)>,
+}
+
 /// A language model simulated from a knowledge base + noise channel.
 pub struct SimulatedModel {
     kind: ModelKind,
@@ -102,7 +113,7 @@ pub struct SimulatedModel {
     noise: NoiseModel,
     meter: UsageMeter,
     row_heads: HeadMemo<RowHead>,
-    udf_heads: HeadMemo<UdfHead>,
+    udf_heads: HeadMemo<UdfMemo>,
 }
 
 impl SimulatedModel {
@@ -137,9 +148,15 @@ impl SimulatedModel {
             Some(target_key.map(|key| (self.answer_row_completion(&head.parsed, &key), input)))
         } else if UdfPrompt::matches(prompt) {
             let split = UdfPrompt::split(prompt);
-            let (head, keys, input) =
-                self.udf_heads.read(split, UdfHead::parse, |_, tail| Some(UdfHead::keys(tail)))?;
-            Some(keys.map(|keys| (self.answer_udf(&head.parsed, &keys), input)))
+            let parse = |text: &str| {
+                let head = UdfHead::parse(text)?;
+                Some(UdfMemo { attribute: self.resolve(&head), head })
+            };
+            let (memo, keys, input) =
+                self.udf_heads.read(split, parse, |_, tail| Some(UdfHead::keys(tail)))?;
+            let UdfMemo { head, attribute } = &memo.parsed;
+            let attribute = attribute.as_ref().map(|(attr, class)| (attr.as_str(), *class));
+            Some(keys.map(|keys| (self.answer_udf(head, attribute, &keys), input)))
         } else {
             None
         }
@@ -153,7 +170,9 @@ impl SimulatedModel {
             self.answer_row_completion(&head, &target_key)
         } else if UdfPrompt::matches(prompt) {
             let (head, keys) = UdfHead::parse_prompt(prompt)?;
-            self.answer_udf(&head, &keys)
+            let attribute = self.resolve(&head);
+            let attribute = attribute.as_ref().map(|(attr, class)| (attr.as_str(), *class));
+            self.answer_udf(&head, attribute, &keys)
         } else {
             // Out-of-format prompt: a real model would still answer; the
             // simulator degrades gracefully.
@@ -223,18 +242,30 @@ impl SimulatedModel {
         out
     }
 
-    /// Answer a UDF prompt whose head is `p` for each of `keys`, one quoted
-    /// line per key written into the completion as it is drawn.
-    fn answer_udf(&self, p: &UdfHead, keys: &[Vec<String>]) -> String {
+    /// What the question of UDF head `p` resolves to: its attribute and
+    /// the class its cells are answered as.
+    fn resolve(&self, p: &UdfHead) -> Option<(String, AttrClass)> {
+        let attr = self.kb.resolve_question(&p.db, &p.question)?;
+        let class = self.class(&p.db, &attr, p.value_list.is_some());
+        Some((attr, class))
+    }
+
+    /// Answer a UDF prompt whose head is `p` and whose question resolves to
+    /// `attribute` (see [`resolve`](Self::resolve)) for each of `keys`, one
+    /// quoted line per key written into the completion as it is drawn.
+    fn answer_udf(
+        &self,
+        p: &UdfHead,
+        attribute: Option<(&str, AttrClass)>,
+        keys: &[Vec<String>],
+    ) -> String {
         let shots = p.examples.len();
         let batch = keys.len();
-        // The question's attribute, its class and the candidate pool are
-        // the same for every key of the prompt: resolve them once.
-        let attribute = self.kb.resolve_question(&p.db, &p.question).map(|attr| {
-            let class = self.class(&p.db, &attr, p.value_list.is_some());
+        // The candidate pool is the same for every key of the prompt.
+        let attribute = attribute.map(|(attr, class)| {
             let candidates = match &p.value_list {
                 Some(values) => values.as_slice(),
-                None => self.kb.candidates(&p.db, &attr),
+                None => self.kb.candidates(&p.db, attr),
             };
             (attr, class, candidates)
         });
@@ -263,7 +294,7 @@ impl SimulatedModel {
             if i > 0 {
                 out.push('\n');
             }
-            let Some((attr, class, candidates)) = &attribute else {
+            let Some((attr, class, candidates)) = attribute else {
                 push_quoted(&mut out, "unknown");
                 continue;
             };
@@ -274,7 +305,7 @@ impl SimulatedModel {
                 key,
                 attribute: attr,
                 shots,
-                class: *class,
+                class,
                 popularity: entity.map_or(0.5, Entity::popularity),
                 batch_size: batch,
                 pathway: Pathway::Udf,

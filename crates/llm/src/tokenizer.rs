@@ -9,9 +9,42 @@
 //! * runs of alphanumerics become ceil(len/4) tokens (sub-word pieces);
 //! * every punctuation/symbol character is its own token;
 //! * whitespace separates but does not count.
+//!
+//! Prompts are almost always ASCII, so an ASCII text is counted a byte at
+//! a time: alphanumerics are `[0-9A-Za-z]`, and the whitespace is what
+//! `char::is_whitespace` says of ASCII — `\t \n \x0B \x0C \r` and space
+//! (not `u8::is_ascii_whitespace`'s set, which leaves out `\x0B`). Any
+//! other text walks its `char`s with the Unicode classes.
 
 /// Count tokens in `text`.
 pub fn count_tokens(text: &str) -> u64 {
+    if text.is_ascii() {
+        count_ascii(text.as_bytes())
+    } else {
+        count_chars(text)
+    }
+}
+
+/// [`count_chars`] over ASCII bytes.
+fn count_ascii(bytes: &[u8]) -> u64 {
+    let mut tokens: u64 = 0;
+    let mut run_len: usize = 0;
+    for &b in bytes {
+        if b.is_ascii_alphanumeric() {
+            run_len += 1;
+            continue;
+        }
+        tokens += run_len.div_ceil(4) as u64;
+        run_len = 0;
+        if !matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ') {
+            tokens += 1;
+        }
+    }
+    tokens + run_len.div_ceil(4) as u64
+}
+
+/// The count's definition, over any text.
+fn count_chars(text: &str) -> u64 {
     let mut tokens: u64 = 0;
     let mut run_len: usize = 0;
     for ch in text.chars() {
@@ -134,6 +167,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Text over ASCII — NUL, all six ASCII White_Space bytes, letters,
+    /// digits, punctuation — and the non-ASCII that borders on it: `\u{85}`
+    /// and `\u{A0}` (whitespace only as `char`s), `é` and `漢`.
+    const MIXED: &str = "[ a-zA-Z0-9\0\t\n\u{0B}\u{0C}\r\u{1F},.'?\u{85}\u{A0}é漢-]{0,40}";
+
+    proptest::proptest! {
+        /// The byte path counts an ASCII text as the `char` definition
+        /// does, and `count_tokens` of any text is the definition's: the
+        /// text's ASCII alone goes through the byte path, the whole text
+        /// through whichever path it takes.
+        #[test]
+        fn the_byte_path_counts_as_the_char_definition(text in MIXED) {
+            let ascii: String = text.chars().filter(char::is_ascii).collect();
+            let bytes = count_ascii(ascii.as_bytes());
+            proptest::prop_assert_eq!(bytes, count_chars(&ascii), "{:?}", ascii);
+            proptest::prop_assert_eq!(count_tokens(&ascii), count_chars(&ascii));
+            proptest::prop_assert_eq!(count_tokens(&text), count_chars(&text), "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn ascii_whitespace_is_char_whitespace() {
+        for b in 0u8..0x80 {
+            let s = (b as char).to_string();
+            assert_eq!(count_ascii(s.as_bytes()), count_chars(&s), "byte {b:#04x}");
+        }
+        assert_eq!(count_tokens("a\u{0B}b"), 2, "vertical tab separates");
+        assert_eq!(count_tokens("a\u{1F}b"), 3, "unit separator is a symbol");
     }
 
     /// Why the simulator cuts a prompt only after a `\n`: inside a run of

@@ -507,12 +507,13 @@ impl AnswerTable {
     /// The id of `tuple`, whose identity word is `word`; a new tuple goes
     /// in unasked.
     fn id(&mut self, word: u64, tuple: Vec<Value>) -> usize {
-        if let Some(t) = self.find(word, &tuple) {
-            return t;
+        let tuples = &self.tuples;
+        let (t, new) = self.index.find_or_insert(word, |t| same_tuple(&tuples[t], &tuple));
+        if new {
+            self.tuples.push(tuple);
+            self.answers.push(Answer::Unasked);
         }
-        self.tuples.push(tuple);
-        self.answers.push(Answer::Unasked);
-        self.index.insert(word)
+        t
     }
 }
 

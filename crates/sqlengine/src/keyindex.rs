@@ -12,9 +12,11 @@
 //! Cell equality is [`Value::group_key`]'s: `1 = 1.0`, `-0.0 = 0.0`,
 //! `'1' <> 1`. What NULL and NaN are is the [`KeyMode`]'s.
 //!
-//! The batched UDF prefetch (`eval::BatchableCalls`) dedupes argument
-//! tuples on the same index under its own word and equality
-//! ([`KeyIndex::find`] / [`KeyIndex::insert`]): exact identity, not `=`.
+//! Two users outside the operators bring their own word and equality
+//! ([`KeyIndex::find`] / [`KeyIndex::find_or_insert`]): the batched UDF
+//! prefetch (`eval::AnswerTable`) dedupes argument tuples under exact
+//! identity, not `=`, and the UDF runner's answer store (`swan_core::udf`)
+//! finds a key's entry by its argument cells' rendered text.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -199,7 +201,7 @@ pub(crate) fn mix_key_words(acc: u64, word: u64) -> u64 {
 /// [`KeyIndex::build`] an entry is a row of the keys it was built from;
 /// after [`KeyIndex::group`] it is a group, which keeps its first row.
 #[derive(Default)]
-pub(crate) struct KeyIndex {
+pub struct KeyIndex {
     /// Each word's first and last entry.
     table: FxHashMap<u64, (u32, u32)>,
     /// Each entry's next entry of the same word, or [`END`].
@@ -212,6 +214,11 @@ pub(crate) struct KeyIndex {
 const END: u32 = u32::MAX;
 
 impl KeyIndex {
+    /// An empty index with room for `n` words and entries.
+    pub fn with_capacity(n: usize) -> Self {
+        KeyIndex { table: map_with_capacity(n), next: Vec::with_capacity(n), firsts: Vec::new() }
+    }
+
     /// Every row of `keys`' `0..n` that has a key, as its own entry.
     pub(crate) fn build<R: Rows + ?Sized>(
         keys: &Keys<'_, R>,
@@ -282,16 +289,44 @@ impl KeyIndex {
 
     /// The first entry of `word` that `same` accepts.
     #[inline]
-    pub(crate) fn find(&self, word: u64, mut same: impl FnMut(usize) -> bool) -> Option<usize> {
+    pub fn find(&self, word: u64, mut same: impl FnMut(usize) -> bool) -> Option<usize> {
         self.entries(Some(word)).find(|&e| same(e))
     }
 
     /// A new entry of `word`; entries are numbered in insertion order.
-    pub(crate) fn insert(&mut self, word: u64) -> usize {
+    pub fn insert(&mut self, word: u64) -> usize {
         let e = self.next.len();
         self.next.push(END);
         self.link(word, e as u32);
         e
+    }
+
+    /// [`find`](Self::find), else [`insert`](Self::insert) (the flag), on
+    /// one lookup of `word`.
+    pub fn find_or_insert(
+        &mut self,
+        word: u64,
+        mut same: impl FnMut(usize) -> bool,
+    ) -> (usize, bool) {
+        let e = self.next.len() as u32;
+        match self.table.entry(word) {
+            Entry::Occupied(mut o) => {
+                let (mut at, last) = *o.get();
+                while at != END {
+                    if same(at as usize) {
+                        return (at as usize, false);
+                    }
+                    at = self.next[at as usize];
+                }
+                self.next[last as usize] = e;
+                o.get_mut().1 = e;
+            }
+            Entry::Vacant(v) => {
+                v.insert((e, e));
+            }
+        }
+        self.next.push(END);
+        (e as usize, true)
     }
 
     /// The group of row `i` of `keys`: the group of the first row with an

@@ -41,7 +41,7 @@
 #      interleavings — concurrent sessions, group commit, the in-place
 #      write path's copy-on-write under the table-writer lock, and
 #      `udf_store`, taken from every session's statement thread;
-#   3. seven properties at PROPTEST_CASES=2000 in a release build —
+#   3. nine properties at PROPTEST_CASES=2000 in a release build —
 #      tier-1 runs them at the vendored proptest's default of 64 cases:
 #      the B-tree differential property (the in-place tree writers against
 #      the decoding reference kept in btree.rs's tests: same page images,
@@ -72,7 +72,13 @@
 #      empty, multibyte, NUL and up-to-4-KiB strings; `==`, `cmp`, both
 #      hashers, `Debug`, `Display` and `HashSet::get(&str)`; its count
 #      after every clone and drop) beside its 8-thread clone/drop stress —
-#      its `unsafe` has no Miri run, so these are the check.
+#      its `unsafe` has no Miri run, so these are the check — and two of
+#      the batched `llm_map` key's cold path: the tokenizer's ASCII byte
+#      loop against the `char` definition it shortcuts (tokenizer.rs: NUL,
+#      all six ASCII White_Space bytes, `\u{85}`, `\u{A0}`, `é`, `漢`), and
+#      the UDF runner's in-place read of a completion against
+#      `parse_udf_response` and `infer_value` (udf.rs: quoted lines with
+#      `''` escapes, unterminated quotes, a bare `?`, commas, edge spaces).
 #
 # Not a stage: scripts/bench_pairs.sh <parent-binary> <change-binary>
 # <workload> — the alternating parent/change pairs a claimed gain is
@@ -140,5 +146,13 @@ PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --test prop_sql \
 
 echo "== ThinStr against Arc<str>, and its 8-thread clone/drop stress @ PROPTEST_CASES=2000 (release) =="
 PROPTEST_CASES=2000 cargo test -q --release -p swan-sqlengine --lib thinstr::tests
+
+echo "== tokenizer byte path against the char definition @ PROPTEST_CASES=2000 (release) =="
+PROPTEST_CASES=2000 cargo test -q --release -p swan-llm --lib \
+    tokenizer::tests::the_byte_path_counts_as_the_char_definition
+
+echo "== llm_map answers read in place against parse_udf_response @ PROPTEST_CASES=2000 (release) =="
+PROPTEST_CASES=2000 cargo test -q --release -p swan-core --lib \
+    udf::tests::in_place_answers_match_the_parsed_response
 
 echo "CI gate passed."
